@@ -538,6 +538,205 @@ let masked_size (mask : bool array) (t : Tuple.t) =
   Array.iteri (fun i v -> if mask.(i) then s := !s + Value.wire_size v) t;
   !s
 
+(* --- the join probe, shared by both physical interpreters ------------- *)
+
+(* A physical join's right side, indexed once per execution.  Each
+   distinct (left key, right key) position pair among the ON disjuncts
+   (the OR-expansion) gets one table whose buckets list right-row
+   indices in ascending order.  A left row's candidates are the union of
+   its buckets — or every right row when some disjunct has no equality
+   — enumerated ascending without duplicates: one bucket is walked in
+   place, several are merged into scratch arrays, and the no-key case
+   walks the index range.  Nothing per left row allocates except the
+   joined rows themselves. *)
+type table = {
+  lk : int array; (* left key positions *)
+  ids : int KeyTbl.t; (* right key -> bucket number *)
+  buckets : int array array; (* right-row indices per key, ascending *)
+  key : Value.t array; (* reusable lookup key *)
+}
+
+type probe = {
+  right : Tuple.t array;
+  right_bytes : int array; (* wire size of each right row *)
+  full : bool; (* some disjunct has no equality: every row is a candidate *)
+  tables : table array;
+  on : Tuple.t -> bool;
+  outer : bool;
+  null_pad : Tuple.t;
+  pad_bytes : int;
+  mutable cand : int array; (* current candidates: a bucket or a scratch *)
+  scratch : int array array; (* two merge buffers when there are several tables *)
+}
+
+let no_rows : int array = [||]
+
+let probe_create (info : P.join_info) (right : Tuple.t array) =
+  let nright = Array.length right in
+  let full = List.exists (fun (lk, _) -> Array.length lk = 0) info.P.disjuncts in
+  let pairs = if full then [] else List.sort_uniq compare info.P.disjuncts in
+  let table (lk, rk) =
+    let ids = KeyTbl.create (max 16 nright) in
+    let group = Array.make nright 0 and count = Array.make nright 0 in
+    for idx = 0 to nright - 1 do
+      let k = Tuple.project rk right.(idx) in
+      let g =
+        match KeyTbl.find ids k with
+        | g -> g
+        | exception Not_found ->
+            let g = KeyTbl.length ids in
+            KeyTbl.add ids k g;
+            g
+      in
+      group.(idx) <- g;
+      count.(g) <- count.(g) + 1
+    done;
+    let buckets = Array.init (KeyTbl.length ids) (fun g -> Array.make count.(g) 0) in
+    Array.fill count 0 (Array.length buckets) 0;
+    for idx = 0 to nright - 1 do
+      let g = group.(idx) in
+      buckets.(g).(count.(g)) <- idx;
+      count.(g) <- count.(g) + 1
+    done;
+    { lk; ids; buckets; key = Array.make (Array.length lk) Value.Null }
+  in
+  let tables = Array.of_list (List.map table pairs) in
+  let null_pad = Tuple.all_null info.P.right_width in
+  {
+    right;
+    right_bytes = Array.map Tuple.wire_size right;
+    full;
+    tables;
+    on = Expr.compile_pred info.P.on;
+    outer = info.P.kind = Sql.Left_outer;
+    null_pad;
+    pad_bytes = Tuple.wire_size null_pad;
+    cand = no_rows;
+    scratch =
+      (if Array.length tables > 1 then [| Array.make nright 0; Array.make nright 0 |]
+       else [||]);
+  }
+
+let bucket t (lrow : Tuple.t) =
+  for i = 0 to Array.length t.lk - 1 do
+    t.key.(i) <- lrow.(t.lk.(i))
+  done;
+  match KeyTbl.find t.ids t.key with
+  | g -> t.buckets.(g)
+  | exception Not_found -> no_rows
+
+(* Merge the ascending, duplicate-free a.(0..na-1) and b into dst; the
+   merged length. *)
+let merge_into a na b dst =
+  let nb = Array.length b in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < na && !j < nb do
+    let x = a.(!i) and y = b.(!j) in
+    dst.(!k) <- (if x <= y then x else y);
+    if x <= y then incr i;
+    if y <= x then incr j;
+    incr k
+  done;
+  Array.blit a !i dst !k (na - !i);
+  k := !k + na - !i;
+  Array.blit b !j dst !k (nb - !j);
+  !k + nb - !j
+
+(* Set [p.cand] to the left row's candidates; their count. *)
+let candidates p lrow =
+  if p.full then Array.length p.right
+  else
+    let nt = Array.length p.tables in
+    if nt = 0 then 0
+    else begin
+      let first = bucket p.tables.(0) lrow in
+      p.cand <- first;
+      let n = ref (Array.length first) in
+      for t = 1 to nt - 1 do
+        let b = bucket p.tables.(t) lrow in
+        if Array.length b > 0 then
+          if !n = 0 then begin
+            p.cand <- b;
+            n := Array.length b
+          end
+          else begin
+            let dst = p.scratch.(if p.cand == p.scratch.(0) then 1 else 0) in
+            n := merge_into p.cand !n b dst;
+            p.cand <- dst
+          end
+      done;
+      !n
+    end
+
+(* Probe one left row: charge its candidates as probed, emit each joined
+   row that satisfies ON in ascending right-row order, then the NULL pad
+   of an unmatched outer row.  A joined row's wire size is the sum of
+   its halves', so it is charged without walking the joined row. *)
+let probe_row ctx p emit (lrow : Tuple.t) =
+  let n = candidates p lrow in
+  charge ctx `Probe n;
+  let matched = ref false and lbytes = ref (-1) in
+  for c = 0 to n - 1 do
+    let i = if p.full then c else p.cand.(c) in
+    let joined = Tuple.concat lrow p.right.(i) in
+    if p.on joined then begin
+      matched := true;
+      if !lbytes < 0 then lbytes := Tuple.wire_size lrow;
+      charge_emit_bytes ctx (!lbytes + p.right_bytes.(i));
+      emit joined
+    end
+  done;
+  if (not !matched) && p.outer then begin
+    let padded = Tuple.concat lrow p.null_pad in
+    charge_emit_bytes ctx (Tuple.wire_size lrow + p.pad_bytes);
+    emit padded
+  end
+
+(* Run a join node: index [right], probe every left row [iter_left]
+   yields, and pass each output row to [emit]. *)
+let run_join ctx (n : P.node) (info : P.join_info) ~nleft ~iter_left right emit =
+  let work0 = ctx.st.work in
+  let probed0 = ctx.st.probed and emitted0 = ctx.st.emitted in
+  let p = probe_create info right in
+  let out_rows = ref 0 in
+  iter_left
+    (probe_row ctx p (fun t ->
+         incr out_rows;
+         emit t));
+  n.P.act_cost <- ctx.st.work - work0;
+  if Obs.Span.tracing () then begin
+    Obs.Span.set_name (if p.full then "exec.nested-loop" else "exec.hash-join");
+    Obs.Span.add_list
+      [
+        Obs.Attr.string "kind"
+          (match info.P.kind with
+          | Sql.Inner -> "inner"
+          | Sql.Left_outer -> "left-outer");
+        Obs.Attr.int "left_rows" nleft;
+        Obs.Attr.int "right_rows" (Array.length right);
+        Obs.Attr.int "out_rows" !out_rows;
+        Obs.Attr.int "probed" (ctx.st.probed - probed0);
+        Obs.Attr.int "emitted" (ctx.st.emitted - emitted0);
+        Obs.Attr.int "work" (ctx.st.work - work0);
+      ];
+    Obs.Metrics.incr ~by:(ctx.st.probed - probed0) "exec.rows_probed";
+    Obs.Metrics.observe "exec.join.out_rows" (float_of_int !out_rows)
+  end
+
+(* Charge and trace a base-table scan (inside its exec.scan span); the
+   table's rows.  Shared by both physical interpreters. *)
+let scan_table ctx (n : P.node) table =
+  let data = Database.raw_data ctx.db table in
+  let w0 = ctx.st.work in
+  charge ctx `Scan (Array.length data);
+  n.P.act_cost <- ctx.st.work - w0;
+  if Obs.Span.tracing () then begin
+    Obs.Span.add_list
+      [ Obs.Attr.string "table" table; Obs.Attr.int "rows" (Array.length data) ];
+    Obs.Metrics.incr ~by:(Array.length data) "exec.rows_scanned"
+  end;
+  data
+
 (* Every node returns (charged_bytes, tuple) pairs: the byte figure is
    what emission charged for the row and what a downstream sort will
    charge again — full wire size everywhere except under an output
@@ -547,18 +746,7 @@ let rec exec_pairs ctx (n : P.node) : (int * Tuple.t) list =
     match n.P.shape with
     | P.Scan { table; cols; _ } ->
         Obs.Span.with_span "exec.scan" (fun () ->
-            let data = Database.raw_data ctx.db table in
-            let w0 = ctx.st.work in
-            charge ctx `Scan (Array.length data);
-            n.P.act_cost <- ctx.st.work - w0;
-            if Obs.Span.tracing () then begin
-              Obs.Span.add_list
-                [
-                  Obs.Attr.string "table" table;
-                  Obs.Attr.int "rows" (Array.length data);
-                ];
-              Obs.Metrics.incr ~by:(Array.length data) "exec.rows_scanned"
-            end;
+            let data = scan_table ctx n table in
             let arity = Schema.arity (Database.schema ctx.db table) in
             let rows =
               if Array.length cols = arity then Array.to_list data
@@ -611,93 +799,11 @@ let rec exec_pairs ctx (n : P.node) : (int * Tuple.t) list =
 
 and exec_join ctx (n : P.node) (info : P.join_info) left right :
     (int * Tuple.t) list =
-  let work0 = ctx.st.work in
-  let probed0 = ctx.st.probed and emitted0 = ctx.st.emitted in
-  let right_arr = Array.of_list right in
-  let nright = Array.length right_arr in
-  let plans =
-    List.map
-      (fun (lk, rk) ->
-        if Array.length lk = 0 then `Full
-        else begin
-          let tbl = KeyTbl.create (max 16 nright) in
-          Array.iteri
-            (fun idx row ->
-              let k = Tuple.project rk row in
-              let prev = try KeyTbl.find tbl k with Not_found -> [] in
-              KeyTbl.replace tbl k (idx :: prev))
-            right_arr;
-          `Hash (lk, tbl)
-        end)
-      info.P.disjuncts
-  in
-  let needs_full =
-    List.exists (function `Full -> true | `Hash _ -> false) plans
-  in
-  let null_pad = Tuple.all_null info.P.right_width in
-  let on = info.P.on in
   let out = ref [] in
-  let candidates = Hashtbl.create 64 in
-  List.iter
-    (fun lrow ->
-      Hashtbl.reset candidates;
-      if needs_full then
-        for i = 0 to nright - 1 do
-          Hashtbl.replace candidates i ()
-        done
-      else
-        List.iter
-          (function
-            | `Full -> ()
-            | `Hash (lk, tbl) -> (
-                let k = Tuple.project lk lrow in
-                match KeyTbl.find_opt tbl k with
-                | None -> ()
-                | Some idxs ->
-                    List.iter (fun i -> Hashtbl.replace candidates i ()) idxs))
-          plans;
-      let matched = ref false in
-      (* Iterate in ascending right-row order for deterministic output. *)
-      let idxs =
-        Hashtbl.fold (fun i () acc -> i :: acc) candidates []
-        |> List.sort compare
-      in
-      charge ctx `Probe (List.length idxs);
-      List.iter
-        (fun i ->
-          let joined = Tuple.concat lrow right_arr.(i) in
-          if Expr.eval_pred on joined then begin
-            matched := true;
-            charge_emit_row ctx joined;
-            out := joined :: !out
-          end)
-        idxs;
-      if (not !matched) && info.P.kind = Sql.Left_outer then begin
-        let padded = Tuple.concat lrow null_pad in
-        charge_emit_row ctx padded;
-        out := padded :: !out
-      end)
-    left;
-  n.P.act_cost <- ctx.st.work - work0;
-  if Obs.Span.tracing () then begin
-    Obs.Span.set_name
-      (if needs_full then "exec.nested-loop" else "exec.hash-join");
-    Obs.Span.add_list
-      [
-        Obs.Attr.string "kind"
-          (match info.P.kind with
-          | Sql.Inner -> "inner"
-          | Sql.Left_outer -> "left-outer");
-        Obs.Attr.int "left_rows" (List.length left);
-        Obs.Attr.int "right_rows" nright;
-        Obs.Attr.int "out_rows" (List.length !out);
-        Obs.Attr.int "probed" (ctx.st.probed - probed0);
-        Obs.Attr.int "emitted" (ctx.st.emitted - emitted0);
-        Obs.Attr.int "work" (ctx.st.work - work0);
-      ];
-    Obs.Metrics.incr ~by:(ctx.st.probed - probed0) "exec.rows_probed";
-    Obs.Metrics.observe "exec.join.out_rows" (float_of_int (List.length !out))
-  end;
+  run_join ctx n info ~nleft:(List.length left)
+    ~iter_left:(fun f -> List.iter f left)
+    (Array.of_list right)
+    (fun t -> out := t :: !out);
   List.rev_map (fun t -> (0, t)) !out
 
 and exec_sort ctx (n : P.node) keys (pairs : (int * Tuple.t) list) :
@@ -797,18 +903,7 @@ let rec exec_batched ctx ~size (n : P.node) : Batch.t list =
     match n.P.shape with
     | P.Scan { table; cols; _ } ->
         Obs.Span.with_span "exec.scan" (fun () ->
-            let data = Database.raw_data ctx.db table in
-            let w0 = ctx.st.work in
-            charge ctx `Scan (Array.length data);
-            n.P.act_cost <- ctx.st.work - w0;
-            if Obs.Span.tracing () then begin
-              Obs.Span.add_list
-                [
-                  Obs.Attr.string "table" table;
-                  Obs.Attr.int "rows" (Array.length data);
-                ];
-              Obs.Metrics.incr ~by:(Array.length data) "exec.rows_scanned"
-            end;
+            let data = scan_table ctx n table in
             let arity = Schema.arity (Database.schema ctx.db table) in
             let narrow = Array.length cols <> arity in
             (* Bulk-slice the base array into full batches instead of
@@ -881,111 +976,17 @@ let rec exec_batched ctx ~size (n : P.node) : Batch.t list =
 
 and exec_join_batched ctx ~size (n : P.node) (info : P.join_info) left right :
     Batch.t list =
-  let work0 = ctx.st.work in
-  let probed0 = ctx.st.probed and emitted0 = ctx.st.emitted in
-  let nright = batch_rows right in
-  let nleft = batch_rows left in
-  let right_arr = Array.make nright [||] in
+  let right_arr = Array.make (batch_rows right) [||] in
   let ri = ref 0 in
   List.iter
-    (fun b ->
-      Batch.iter
-        (fun row _ ->
-          right_arr.(!ri) <- row;
-          incr ri)
-        b)
+    (Batch.iter (fun row _ ->
+         right_arr.(!ri) <- row;
+         incr ri))
     right;
-  let plans =
-    List.map
-      (fun (lk, rk) ->
-        if Array.length lk = 0 then `Full
-        else begin
-          let tbl = KeyTbl.create (max 16 nright) in
-          Array.iteri
-            (fun idx row ->
-              let k = Tuple.project rk row in
-              let prev = try KeyTbl.find tbl k with Not_found -> [] in
-              KeyTbl.replace tbl k (idx :: prev))
-            right_arr;
-          `Hash (lk, tbl)
-        end)
-      info.P.disjuncts
-  in
-  let needs_full =
-    List.exists (function `Full -> true | `Hash _ -> false) plans
-  in
-  let null_pad = Tuple.all_null info.P.right_width in
-  let on = Expr.compile_pred info.P.on in
   let bb = bb_create size in
-  let out_rows = ref 0 in
-  let candidates = Hashtbl.create 64 in
-  List.iter
-    (fun lb ->
-      Batch.iter
-        (fun lrow _ ->
-          Hashtbl.reset candidates;
-          if needs_full then
-            for i = 0 to nright - 1 do
-              Hashtbl.replace candidates i ()
-            done
-          else
-            List.iter
-              (function
-                | `Full -> ()
-                | `Hash (lk, tbl) -> (
-                    let k = Tuple.project lk lrow in
-                    match KeyTbl.find_opt tbl k with
-                    | None -> ()
-                    | Some idxs ->
-                        List.iter
-                          (fun i -> Hashtbl.replace candidates i ())
-                          idxs))
-              plans;
-          let matched = ref false in
-          (* Ascending right-row order, as in the tuple path. *)
-          let idxs =
-            Hashtbl.fold (fun i () acc -> i :: acc) candidates []
-            |> List.sort compare
-          in
-          charge ctx `Probe (List.length idxs);
-          List.iter
-            (fun i ->
-              let joined = Tuple.concat lrow right_arr.(i) in
-              if on joined then begin
-                matched := true;
-                charge_emit_row ctx joined;
-                incr out_rows;
-                bb_push bb 0 joined
-              end)
-            idxs;
-          if (not !matched) && info.P.kind = Sql.Left_outer then begin
-            let padded = Tuple.concat lrow null_pad in
-            charge_emit_row ctx padded;
-            incr out_rows;
-            bb_push bb 0 padded
-          end)
-        lb)
-    left;
-  n.P.act_cost <- ctx.st.work - work0;
-  if Obs.Span.tracing () then begin
-    Obs.Span.set_name
-      (if needs_full then "exec.nested-loop" else "exec.hash-join");
-    Obs.Span.add_list
-      [
-        Obs.Attr.string "kind"
-          (match info.P.kind with
-          | Sql.Inner -> "inner"
-          | Sql.Left_outer -> "left-outer");
-        Obs.Attr.int "left_rows" nleft;
-        Obs.Attr.int "right_rows" nright;
-        Obs.Attr.int "out_rows" !out_rows;
-        Obs.Attr.int "probed" (ctx.st.probed - probed0);
-        Obs.Attr.int "emitted" (ctx.st.emitted - emitted0);
-        Obs.Attr.int "work" (ctx.st.work - work0);
-      ];
-    Obs.Metrics.incr ~by:(ctx.st.probed - probed0) "exec.rows_probed";
-    Obs.Metrics.observe "exec.join.out_rows" (float_of_int !out_rows)
-  end;
+  run_join ctx n info ~nleft:(batch_rows left)
+    ~iter_left:(fun f -> List.iter (Batch.iter (fun row _ -> f row)) left)
+    right_arr (bb_push bb 0);
   bb_finish bb
 
 let exec_plan_batched ctx ~size (p : P.plan) : string array * Batch.t list =
@@ -1009,69 +1010,50 @@ let query_span_attrs ctx rows =
         Obs.Attr.int "work" ctx.st.work;
       ]
 
-let run_plan_with_stats ?(budget = 0) ?(profile = default_profile) ?batch_size
-    db (p : P.plan) =
+(* Run [plan ()] — planning inside the query span — on the tuple or the
+   batched interpreter; [of_rows]/[of_batches] package the result. *)
+let exec_query ~budget ~profile ?batch_size db plan ~of_rows ~of_batches =
   Obs.Span.with_span "exec.query" (fun () ->
+      let plan = plan () in
       let ctx = { db; st = new_stats (); budget; profile } in
       match batch_size with
       | None ->
-          let cols, tuples = exec_plan ctx p in
+          let cols, tuples = exec_plan ctx plan in
           query_span_attrs ctx (List.length tuples);
-          (Relation.create cols tuples, ctx.st)
+          (of_rows cols tuples, ctx.st)
       | Some size ->
-          let cols, batches = exec_plan_batched ctx ~size p in
+          let cols, batches = exec_plan_batched ctx ~size plan in
           query_span_attrs ctx (batch_rows batches);
-          (Relation.create cols (List.concat_map Batch.to_list batches), ctx.st))
+          (of_batches cols batches, ctx.st))
+
+let relation_of_batches cols batches =
+  Relation.create cols (List.concat_map Batch.to_list batches)
+
+let run_plan_with_stats ?(budget = 0) ?(profile = default_profile) ?batch_size
+    db (p : P.plan) =
+  exec_query ~budget ~profile ?batch_size db (fun () -> p)
+    ~of_rows:Relation.create ~of_batches:relation_of_batches
 
 let run_plan ?budget ?profile ?batch_size db p =
   fst (run_plan_with_stats ?budget ?profile ?batch_size db p)
 
 let run_plan_cursor_with_stats ?(budget = 0) ?(profile = default_profile)
     ?batch_size db (p : P.plan) =
-  Obs.Span.with_span "exec.query" (fun () ->
-      let ctx = { db; st = new_stats (); budget; profile } in
-      match batch_size with
-      | None ->
-          let cols, tuples = exec_plan ctx p in
-          query_span_attrs ctx (List.length tuples);
-          (Cursor.of_list cols tuples, ctx.st)
-      | Some size ->
-          let cols, batches = exec_plan_batched ctx ~size p in
-          query_span_attrs ctx (batch_rows batches);
-          (Cursor.of_batches cols batches, ctx.st))
+  exec_query ~budget ~profile ?batch_size db (fun () -> p)
+    ~of_rows:Cursor.of_list ~of_batches:Cursor.of_batches
 
 let run_with_stats ?(budget = 0) ?(profile = default_profile) ?batch_size db
     (q : Sql.query) =
-  Obs.Span.with_span "exec.query" (fun () ->
-      let plan = P.plan_of db q in
-      let ctx = { db; st = new_stats (); budget; profile } in
-      match batch_size with
-      | None ->
-          let cols, tuples = exec_plan ctx plan in
-          query_span_attrs ctx (List.length tuples);
-          (Relation.create cols tuples, ctx.st)
-      | Some size ->
-          let cols, batches = exec_plan_batched ctx ~size plan in
-          query_span_attrs ctx (batch_rows batches);
-          (Relation.create cols (List.concat_map Batch.to_list batches), ctx.st))
+  exec_query ~budget ~profile ?batch_size db (fun () -> P.plan_of db q)
+    ~of_rows:Relation.create ~of_batches:relation_of_batches
 
 let run ?budget ?profile ?batch_size db q =
   fst (run_with_stats ?budget ?profile ?batch_size db q)
 
 let run_cursor_with_stats ?(budget = 0) ?(profile = default_profile) ?batch_size
     db (q : Sql.query) =
-  Obs.Span.with_span "exec.query" (fun () ->
-      let plan = P.plan_of db q in
-      let ctx = { db; st = new_stats (); budget; profile } in
-      match batch_size with
-      | None ->
-          let cols, tuples = exec_plan ctx plan in
-          query_span_attrs ctx (List.length tuples);
-          (Cursor.of_list cols tuples, ctx.st)
-      | Some size ->
-          let cols, batches = exec_plan_batched ctx ~size plan in
-          query_span_attrs ctx (batch_rows batches);
-          (Cursor.of_batches cols batches, ctx.st))
+  exec_query ~budget ~profile ?batch_size db (fun () -> P.plan_of db q)
+    ~of_rows:Cursor.of_list ~of_batches:Cursor.of_batches
 
 let run_cursor ?budget ?profile ?batch_size db q =
   fst (run_cursor_with_stats ?budget ?profile ?batch_size db q)

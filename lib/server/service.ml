@@ -515,7 +515,9 @@ let slow_record t ~trace_id ~view ~strategy ~reduce ~ms ~gc0 ~gc1 reply =
     [
       ("type", Obs.Json.String "slow_query");
       ("trace_id", Obs.Json.String trace_id);
-      ("ts_ms", Obs.Json.Float (Unix.gettimeofday () *. 1000.0));
+      (* an epoch timestamp, so calendar time rather than the monotonic
+         clock that times [ms] *)
+      ("ts_ms", Obs.Json.Float (Obs.Clock.ns_to_ms (Obs.Clock.wall ())));
       ("ms", Obs.Json.Float ms);
       ("threshold_ms", Obs.Json.Float t.cfg.slow_ms);
       ("view_digest", Obs.Json.String (view_digest view));

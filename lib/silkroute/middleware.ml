@@ -119,7 +119,9 @@ exception Plan_timeout of timeout_info
 (* A sub-query exceeded the execution budget (the paper's 5-minute
    per-query timeout). *)
 
-let now_ms () = Unix.gettimeofday () *. 1000.0
+(* Durations (stream wall time, time to a timeout) read the monotonic
+   clock, which NTP cannot step backwards. *)
+let now_ms () = Obs.Clock.ns_to_ms (Obs.Clock.now_ns ())
 
 (* --- parallel fan-out --------------------------------------------------- *)
 

@@ -20,7 +20,13 @@
    min-heap keyed by [compare_heads] (ties broken by stream position, so
    the merge order is identical to a left-to-right scan): selecting the
    next tuple costs O(log streams) comparator calls instead of a linear
-   scan over every stream head per tuple. *)
+   scan over every stream head per tuple.
+
+   Everything a tuple is read through — L columns, each node's key
+   variables, text contents, the (parent, SFI component) -> node map —
+   is resolved to array indices once per stream or per call, so the
+   per-tuple loop does array reads and value comparisons only, and
+   allocates nothing beyond the elements and texts it emits. *)
 
 module R = Relational
 
@@ -42,7 +48,7 @@ and fused_elem = { fnode : int; mutable fpending : pending_item list }
 
 type open_elem = {
   o_node : int;
-  o_identity : R.Value.t list; (* key-var values, in key_vars order *)
+  o_identity : R.Value.t array; (* key-var values, in key_vars order *)
   mutable o_pending : pending_item list; (* sorted by index *)
 }
 
@@ -60,30 +66,43 @@ and emit_payload tree sink = function
   | Text_payload s -> sink.on_text s
   | Fused_payload f -> emit_fused tree sink f
 
-(* Flush pending items with index < threshold (all if None). *)
-let flush_pending tree sink (e : open_elem) threshold =
-  let flush, keep =
-    List.partition
-      (fun item ->
-        match threshold with None -> true | Some t -> item.index < t)
-      e.o_pending
-  in
-  List.iter (fun item -> emit_payload tree sink item.payload) flush;
-  e.o_pending <- keep
+(* Emit the pending items with index < threshold — a prefix, as the list
+   is sorted by index — and return the rest. *)
+let rec flush_before tree sink threshold = function
+  | item :: rest when item.index < threshold ->
+      emit_payload tree sink item.payload;
+      flush_before tree sink threshold rest
+  | rest -> rest
 
 (* --- streams ------------------------------------------------------------ *)
 
+(* What a freshly opened element of a node holds pending, resolved once
+   per stream against its columns: text contents and fused children,
+   sorted by index. *)
+type template =
+  | Text_const of int * string (* index, text *)
+  | Text_col of int * int (* index, column or -1 *)
+  | Fused of int * int (* index, fused child node *)
+
+let template_index = function
+  | Text_const (i, _) | Text_col (i, _) | Fused (i, _) -> i
+
+(* Every name a stream's tuples are read through is resolved to a column
+   index here, once per stream; -1 marks a column the stream does not
+   carry, which reads as NULL. *)
 type stream_state = {
   sid : int; (* position in the stream list; merge tie-break *)
-  desc : Sql_gen.stream;
   cursor : R.Cursor.t;
   mutable head : R.Tuple.t option;
   level_idx : int array; (* per level 1..max: column index or -1 *)
-  var_idx : (string * int) list; (* variable -> column index *)
-  member_set : int list;
+  key_idx : int array array; (* per node: column of each key var, or -1 *)
+  templates : template list array; (* per node; [] outside the fragment *)
 }
 
 let advance st = st.head <- R.Cursor.next st.cursor
+
+let max_level tree =
+  Array.fold_left (fun m n -> max m (View_tree.level n)) 0 tree.View_tree.nodes
 
 let build_stream_state tree sid (desc : Sql_gen.stream) (cur : R.Cursor.t) :
     stream_state =
@@ -96,47 +115,140 @@ let build_stream_state tree sid (desc : Sql_gen.stream) (cur : R.Cursor.t) :
     in
     go 0
   in
-  let max_level =
-    Array.fold_left
-      (fun m n -> max m (View_tree.level n))
-      0 tree.View_tree.nodes
-  in
+  let var_col v = find_col (Sql_gen.Var_col v) in
   let level_idx =
-    Array.init (max_level + 1) (fun j ->
+    Array.init (max_level tree + 1) (fun j ->
         if j = 0 then -1 else find_col (Sql_gen.Level_col j))
   in
-  let var_idx =
-    Array.to_list cols
-    |> List.mapi (fun i c -> (i, c))
-    |> List.filter_map (fun (i, c) ->
-           match c with Sql_gen.Var_col v -> Some (v, i) | _ -> None)
+  let key_idx =
+    Array.map
+      (fun (n : View_tree.node) ->
+        Array.of_list (List.map var_col n.View_tree.key_vars))
+      tree.View_tree.nodes
+  in
+  let members = desc.Sql_gen.fragment.Partition.members in
+  let template (n : View_tree.node) =
+    let id = n.View_tree.id in
+    if not (List.mem id members) then []
+    else
+      let texts =
+        List.map
+          (fun (index, c) ->
+            match c with
+            | View_tree.Content_const v -> Text_const (index, value_text v)
+            | View_tree.Content_var v -> Text_col (index, var_col v))
+          n.View_tree.contents
+      in
+      let fused =
+        match Reduce.group_of desc.Sql_gen.groups id with
+        | g ->
+            List.map
+              (fun m -> Fused ((View_tree.node tree m).View_tree.sibling_index, m))
+              (Reduce.fused_children tree g id)
+        | exception Not_found -> []
+      in
+      List.stable_sort
+        (fun a b -> compare (template_index a) (template_index b))
+        (texts @ fused)
   in
   if R.Cursor.arity cur <> Array.length cols then
     invalid_arg "Tagger: cursor arity does not match stream descriptor";
   let st =
     {
       sid;
-      desc;
       cursor = cur;
       head = None;
       level_idx;
-      var_idx;
-      member_set = desc.Sql_gen.fragment.Partition.members;
+      key_idx;
+      templates = Array.map template tree.View_tree.nodes;
     }
   in
   advance st;
   st
 
-let head_value st (t : R.Tuple.t) v =
-  match List.assoc_opt v st.var_idx with
-  | Some i -> t.(i)
-  | None -> R.Value.Null
+let col (t : R.Tuple.t) i = if i < 0 then R.Value.Null else t.(i)
 
 let level_value st (t : R.Tuple.t) j =
   if j >= Array.length st.level_idx then R.Value.Null
-  else
-    let idx = st.level_idx.(j) in
-    if idx < 0 then R.Value.Null else t.(idx)
+  else col t st.level_idx.(j)
+
+(* Build the pending list for a freshly opened element from the stream's
+   template for its node, reading text columns off the current tuple. *)
+let rec instantiate st t templates =
+  List.map
+    (function
+      | Text_const (index, s) -> { index; payload = Text_payload s }
+      | Text_col (index, i) ->
+          { index; payload = Text_payload (value_text (col t i)) }
+      | Fused (index, m) ->
+          {
+            index;
+            payload =
+              Fused_payload
+                { fnode = m; fpending = instantiate st t st.templates.(m) };
+          })
+    templates
+
+(* --- per-tuple processing ----------------------------------------------- *)
+
+(* The open-element stack is stored root-first in a fixed array sized by
+   the view-tree depth, with [depth] tracked incrementally: matching a
+   tuple's path against the stack, closing to a depth and finding the
+   parent are all O(1) per step.  [children] replaces the (parent, SFI
+   component) -> node lookup by two array reads. *)
+type ctx = {
+  tree : View_tree.t;
+  sink : sink;
+  children : int array array; (* parent id + 1 -> component -> id or -1 *)
+  stack : open_elem array; (* stack.(0) is outermost; root-first *)
+  mutable depth : int; (* open elements = stack.(0 .. depth-1) *)
+}
+
+let closed = { o_node = -1; o_identity = [||]; o_pending = [] }
+
+(* Last component of a node's Skolem-function index — O(|sfi|) single
+   pass, with a descriptive error instead of [List.nth]'s anonymous
+   [Failure "nth"] on an empty index. *)
+let last_sfi_component (n : View_tree.node) =
+  let rec last = function
+    | [ x ] -> x
+    | _ :: rest -> last rest
+    | [] ->
+        invalid_arg
+          (Printf.sprintf
+             "Tagger: node %d (<%s>) has an empty Skolem-function index"
+             n.View_tree.id n.View_tree.tag)
+  in
+  last n.View_tree.sfi
+
+let make_ctx tree sink =
+  let nodes = tree.View_tree.nodes in
+  let parent_slot (n : View_tree.node) =
+    match n.View_tree.parent with Some p -> p + 1 | None -> 0
+  in
+  let width = Array.make (Array.length nodes + 1) 0 in
+  Array.iter
+    (fun n ->
+      let p = parent_slot n in
+      width.(p) <- max width.(p) (last_sfi_component n + 1))
+    nodes;
+  let children = Array.map (fun w -> Array.make w (-1)) width in
+  Array.iter
+    (fun n -> children.(parent_slot n).(last_sfi_component n) <- n.View_tree.id)
+    nodes;
+  { tree; sink; children; stack = Array.make (max_level tree + 1) closed;
+    depth = 0 }
+
+let child ctx parent comp =
+  let row = ctx.children.(parent + 1) in
+  if comp >= 0 && comp < Array.length row then row.(comp) else -1
+
+(* The node at level [j] of a tuple's path under [parent], or -1 where
+   the path ends (NULL or absent L column, unknown component). *)
+let path_node ctx st (t : R.Tuple.t) parent j =
+  match level_value st t j with
+  | R.Value.Int comp -> child ctx parent comp
+  | _ -> -1
 
 (* Hierarchical merge comparator: at each level compare the L component,
    then — only when the components agree — the key variables of that path
@@ -144,33 +256,29 @@ let level_value st (t : R.Tuple.t) j =
    that do not carry them (they would read NULL) cannot be mis-ordered
    against streams that do.  A tuple whose path is a prefix of another's
    sorts first (parent rows precede child rows). *)
-let compare_heads child_by_component tree sa ta sb tb =
-  let rec go parent j =
-    let la = level_value sa ta j and lb = level_value sb tb j in
-    match (la, lb) with
-    | R.Value.Null, R.Value.Null -> 0
-    | _ ->
-        let c = R.Value.compare_total la lb in
-        if c <> 0 then c
-        else
-          (* equal non-null component: same node *)
-          let comp = match la with R.Value.Int k -> k | _ -> -1 in
-          (match Hashtbl.find_opt child_by_component (parent, comp) with
-          | None -> 0
-          | Some id ->
-              let n = View_tree.node tree id in
-              let rec keys = function
-                | [] -> go id (j + 1)
-                | v :: rest ->
-                    let c =
-                      R.Value.compare_total (head_value sa ta v)
-                        (head_value sb tb v)
-                    in
-                    if c <> 0 then c else keys rest
-              in
-              keys n.View_tree.key_vars)
-  in
-  go (-1) 1
+let rec compare_from ctx sa ta sb tb parent j =
+  let la = level_value sa ta j and lb = level_value sb tb j in
+  match (la, lb) with
+  | R.Value.Null, R.Value.Null -> 0
+  | _ -> (
+      let c = R.Value.compare_total la lb in
+      if c <> 0 then c
+      else
+        (* equal non-null component: same node *)
+        match la with
+        | R.Value.Int comp ->
+            let id = child ctx parent comp in
+            if id < 0 then 0
+            else compare_keys ctx sa ta sb tb id j sa.key_idx.(id) sb.key_idx.(id) 0
+        | _ -> 0)
+
+and compare_keys ctx sa ta sb tb id j ka kb i =
+  if i >= Array.length ka then compare_from ctx sa ta sb tb id (j + 1)
+  else
+    let c = R.Value.compare_total (col ta ka.(i)) (col tb kb.(i)) in
+    if c <> 0 then c else compare_keys ctx sa ta sb tb id j ka kb (i + 1)
+
+let compare_heads ctx sa ta sb tb = compare_from ctx sa ta sb tb (-1) 1
 
 (* --- heap of stream heads ----------------------------------------------- *)
 
@@ -190,29 +298,6 @@ module Head_heap = struct
     | Some t -> t
     | None -> invalid_arg "Tagger: empty stream in merge heap"
 
-  let create less states =
-    let live = List.filter (fun st -> st.head <> None) states in
-    let h =
-      { arr = Array.of_list live; size = List.length live; less }
-    in
-    (* heapify bottom-up *)
-    for i = (h.size / 2) - 1 downto 0 do
-      let rec sift i =
-        let l = (2 * i) + 1 and r = (2 * i) + 2 in
-        let m = ref i in
-        if l < h.size && h.less h.arr.(l) h.arr.(!m) then m := l;
-        if r < h.size && h.less h.arr.(r) h.arr.(!m) then m := r;
-        if !m <> i then begin
-          let tmp = h.arr.(i) in
-          h.arr.(i) <- h.arr.(!m);
-          h.arr.(!m) <- tmp;
-          sift !m
-        end
-      in
-      sift i
-    done;
-    h
-
   let rec sift_down h i =
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
     let m = ref i in
@@ -225,12 +310,19 @@ module Head_heap = struct
       sift_down h !m
     end
 
-  let min h = if h.size = 0 then None else Some h.arr.(0)
+  let create less states =
+    let live = List.filter (fun st -> Option.is_some st.head) states in
+    let h = { arr = Array.of_list live; size = List.length live; less } in
+    (* heapify bottom-up *)
+    for i = (h.size / 2) - 1 downto 0 do
+      sift_down h i
+    done;
+    h
 
   (* The minimum's head changed (advanced) or emptied: restore order. *)
   let reposition_min h =
     if h.size > 0 then begin
-      if h.arr.(0).head = None then begin
+      if Option.is_none h.arr.(0).head then begin
         h.size <- h.size - 1;
         if h.size > 0 then h.arr.(0) <- h.arr.(h.size)
       end;
@@ -238,82 +330,13 @@ module Head_heap = struct
     end
 end
 
-(* --- per-tuple processing ----------------------------------------------- *)
-
-(* The open-element stack is stored root-first in a fixed array sized by
-   the view-tree depth, with [depth] tracked incrementally: matching a
-   tuple's path against the stack, closing to a depth and finding the
-   parent are all O(1) per step, with no per-tuple [List.length] or
-   [List.rev] recomputation. *)
-type ctx = {
-  tree : View_tree.t;
-  sink : sink;
-  child_by_component : (int * int, int) Hashtbl.t; (* (parent|-1, comp) -> id *)
-  stack : open_elem option array; (* stack.(0) is outermost; root-first *)
-  mutable depth : int; (* open elements = stack.(0 .. depth-1) *)
-}
-
-(* Last component of a node's Skolem-function index — O(|sfi|) single
-   pass, with a descriptive error instead of [List.nth]'s anonymous
-   [Failure "nth"] on an empty index. *)
-let last_sfi_component (n : View_tree.node) =
-  let rec last = function
-    | [ x ] -> x
-    | _ :: rest -> last rest
-    | [] ->
-        invalid_arg
-          (Printf.sprintf
-             "Tagger: node %d (<%s>) has an empty Skolem-function index"
-             n.View_tree.id n.View_tree.tag)
-  in
-  last n.View_tree.sfi
-
-let make_ctx tree sink =
-  let child_by_component = Hashtbl.create 32 in
-  Array.iter
-    (fun (n : View_tree.node) ->
-      let comp = last_sfi_component n in
-      let parent = match n.View_tree.parent with Some p -> p | None -> -1 in
-      Hashtbl.replace child_by_component (parent, comp) n.View_tree.id)
-    tree.View_tree.nodes;
-  let max_level =
-    Array.fold_left
-      (fun m n -> max m (View_tree.level n))
-      0 tree.View_tree.nodes
-  in
-  { tree; sink; child_by_component; stack = Array.make (max_level + 1) None;
-    depth = 0 }
-
-(* The node-id path denoted by a tuple (L columns until NULL/absent). *)
-let path_of ctx st (t : R.Tuple.t) : int list =
-  let rec go parent j acc =
-    if j >= Array.length st.level_idx then List.rev acc
-    else
-      let idx = st.level_idx.(j) in
-      if idx < 0 then List.rev acc
-      else
-        match t.(idx) with
-        | R.Value.Int comp -> (
-            match Hashtbl.find_opt ctx.child_by_component (parent, comp) with
-            | Some id -> go id (j + 1) (id :: acc)
-            | None -> List.rev acc)
-        | _ -> List.rev acc
-  in
-  go (-1) 1 []
-
-let identity_of st t (n : View_tree.node) =
-  List.map (fun v -> head_value st t v) n.View_tree.key_vars
-
 let close_one ctx =
   if ctx.depth > 0 then begin
-    let e =
-      match ctx.stack.(ctx.depth - 1) with
-      | Some e -> e
-      | None -> invalid_arg "Tagger: open-element stack out of sync"
-    in
-    flush_pending ctx.tree ctx.sink e None;
+    let e = ctx.stack.(ctx.depth - 1) in
+    List.iter (fun item -> emit_payload ctx.tree ctx.sink item.payload) e.o_pending;
+    e.o_pending <- [];
     ctx.sink.on_close (View_tree.node ctx.tree e.o_node).View_tree.tag;
-    ctx.stack.(ctx.depth - 1) <- None;
+    ctx.stack.(ctx.depth - 1) <- closed;
     ctx.depth <- ctx.depth - 1
   end
 
@@ -323,103 +346,80 @@ let rec close_to_depth ctx depth =
     close_to_depth ctx depth
   end
 
-(* Build the pending list for a freshly opened element instance of node
-   [id], using the current tuple when the element belongs to this
-   stream's fragment: its text contents plus fused children (from the
-   stream's reduction groups), recursively. *)
-let initial_pending tree st t id : pending_item list =
-  if not (List.mem id st.member_set) then []
-  else
-    let group =
-      try Some (Reduce.group_of st.desc.Sql_gen.groups id) with Not_found -> None
-    in
-    let rec build id =
-      let n = View_tree.node tree id in
-      let texts =
-        List.map
-          (fun (index, c) ->
-            let s =
-              match c with
-              | View_tree.Content_const v -> value_text v
-              | View_tree.Content_var v -> value_text (head_value st t v)
-            in
-            { index; payload = Text_payload s })
-          n.View_tree.contents
-      in
-      let fused =
-        match group with
-        | None -> []
-        | Some g ->
-            List.map
-              (fun m ->
-                let mn = View_tree.node tree m in
-                {
-                  index = mn.View_tree.sibling_index;
-                  payload = Fused_payload { fnode = m; fpending = build m };
-                })
-              (Reduce.fused_children tree g id)
-      in
-      List.sort (fun a b -> compare a.index b.index) (texts @ fused)
-    in
-    build id
+(* The first fused child of node [id] pending in a list, if any. *)
+let rec find_fused id = function
+  | [] -> None
+  | { payload = Fused_payload f; _ } :: _ when f.fnode = id -> Some f
+  | _ :: rest -> find_fused id rest
 
 (* Open element [id] under the current stack top. *)
 let open_element ctx st t id =
   let n = View_tree.node ctx.tree id in
-  let parent = if ctx.depth > 0 then ctx.stack.(ctx.depth - 1) else None in
-  (* flush earlier-sibling pendings of the parent *)
-  (match parent with
-  | Some parent ->
-      flush_pending ctx.tree ctx.sink parent (Some n.View_tree.sibling_index)
-  | None -> ());
-  (* if this node is pending in the parent as a fused child (its data
-     rode in on an earlier group tuple), adopt that payload *)
+  (* flush earlier-sibling pendings of the parent; if this node is
+     pending in the parent as a fused child (its data rode in on an
+     earlier group tuple), adopt that payload *)
   let adopted =
-    match parent with
-    | Some parent ->
-        let found = ref None in
-        parent.o_pending <-
-          List.filter
-            (fun item ->
-              match item.payload with
-              | Fused_payload f when f.fnode = id && !found = None ->
-                  found := Some f;
-                  false
-              | _ -> true)
-            parent.o_pending;
-        !found
-    | None -> None
+    if ctx.depth = 0 then None
+    else begin
+      let parent = ctx.stack.(ctx.depth - 1) in
+      parent.o_pending <-
+        flush_before ctx.tree ctx.sink n.View_tree.sibling_index
+          parent.o_pending;
+      let found = find_fused id parent.o_pending in
+      (match found with
+      | Some f ->
+          parent.o_pending <-
+            List.filter
+              (fun item ->
+                match item.payload with Fused_payload g -> g != f | _ -> true)
+              parent.o_pending
+      | None -> ());
+      found
+    end
   in
   let pending =
     match adopted with
     | Some f -> f.fpending
-    | None -> initial_pending ctx.tree st t id
+    | None -> instantiate st t st.templates.(id)
   in
   ctx.sink.on_open n.View_tree.tag;
   if ctx.depth >= Array.length ctx.stack then
     invalid_arg "Tagger: tuple path deeper than the view tree";
-  ctx.stack.(ctx.depth) <-
-    Some { o_node = id; o_identity = identity_of st t n; o_pending = pending };
+  let keys = st.key_idx.(id) in
+  let identity = Array.make (Array.length keys) R.Value.Null in
+  for i = 0 to Array.length keys - 1 do
+    identity.(i) <- col t keys.(i)
+  done;
+  ctx.stack.(ctx.depth) <- { o_node = id; o_identity = identity; o_pending = pending };
   ctx.depth <- ctx.depth + 1
 
+let rec identity_matches (e : open_elem) (t : R.Tuple.t) keys i =
+  i >= Array.length keys
+  || R.Value.equal e.o_identity.(i) (col t keys.(i))
+     && identity_matches e t keys (i + 1)
+
+(* How deep the open-element stack agrees with the tuple's path: same
+   node and same key-variable values at every level. *)
+let rec matched_depth ctx st t depth parent =
+  if depth >= ctx.depth then depth
+  else
+    let id = path_node ctx st t parent (depth + 1) in
+    let e = ctx.stack.(depth) in
+    if id >= 0 && e.o_node = id && identity_matches e t st.key_idx.(id) 0 then
+      matched_depth ctx st t (depth + 1) id
+    else depth
+
+let rec open_path ctx st t parent =
+  let id = path_node ctx st t parent (ctx.depth + 1) in
+  if id >= 0 then begin
+    open_element ctx st t id;
+    open_path ctx st t id
+  end
+
 let process_tuple ctx st (t : R.Tuple.t) =
-  let path = path_of ctx st t in
-  (* find the depth up to which the stack matches the path *)
-  let rec common depth path =
-    match path with
-    | id :: prest when depth < ctx.depth -> (
-        match ctx.stack.(depth) with
-        | Some e
-          when e.o_node = id
-               && List.for_all2 R.Value.equal e.o_identity
-                    (identity_of st t (View_tree.node ctx.tree id)) ->
-            common (depth + 1) prest
-        | _ -> (depth, path))
-    | _ -> (depth, path)
-  in
-  let depth, to_open = common 0 path in
+  let depth = matched_depth ctx st t 0 (-1) in
   close_to_depth ctx depth;
-  List.iter (fun id -> open_element ctx st t id) to_open
+  open_path ctx st t (if depth = 0 then -1 else ctx.stack.(depth - 1).o_node)
 
 (* --- driver -------------------------------------------------------------- *)
 
@@ -449,25 +449,20 @@ let tag_cursors tree (streams : (Sql_gen.stream * R.Cursor.t) list)
   let ctx = make_ctx tree sink in
   let less a b =
     let c =
-      compare_heads ctx.child_by_component tree a (Head_heap.head_exn a) b
-        (Head_heap.head_exn b)
+      compare_heads ctx a (Head_heap.head_exn a) b (Head_heap.head_exn b)
     in
     if c <> 0 then c < 0 else a.sid < b.sid
   in
   let heap = Head_heap.create less states in
   sink.on_open tree.View_tree.root_tag;
-  let rec loop () =
-    match Head_heap.min heap with
-    | None -> ()
-    | Some st ->
-        let t = Head_heap.head_exn st in
-        advance st;
-        Head_heap.reposition_min heap;
-        incr tuples_in;
-        process_tuple ctx st t;
-        loop ()
-  in
-  loop ();
+  while heap.Head_heap.size > 0 do
+    let st = heap.Head_heap.arr.(0) in
+    let t = Head_heap.head_exn st in
+    advance st;
+    Head_heap.reposition_min heap;
+    incr tuples_in;
+    process_tuple ctx st t
+  done;
   close_to_depth ctx 0;
   sink.on_close tree.View_tree.root_tag;
   if Obs.Span.tracing () then begin
@@ -545,7 +540,7 @@ let buffer_sink buf =
         Buffer.add_char buf '<';
         Buffer.add_string buf tag;
         Buffer.add_char buf '>');
-    on_text = (fun s -> Buffer.add_string buf (Xmlkit.Serialize.escape s));
+    on_text = Xmlkit.Serialize.escape_into buf;
     on_close =
       (fun tag ->
         Buffer.add_string buf "</";
@@ -572,7 +567,7 @@ let channel_sink oc =
         output_char oc '<';
         output_string oc tag;
         output_char oc '>');
-    on_text = (fun s -> output_string oc (Xmlkit.Serialize.escape s));
+    on_text = Xmlkit.Serialize.output_escaped oc;
     on_close =
       (fun tag ->
         output_string oc "</";

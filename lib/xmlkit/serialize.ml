@@ -2,22 +2,44 @@
    byte-counting sink so the experiments can report document sizes
    without materializing strings. *)
 
-let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '\'' -> Buffer.add_string buf "&apos;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s
+let entity = function
+  | '<' -> "&lt;"
+  | '>' -> "&gt;"
+  | '&' -> "&amp;"
+  | '\'' -> "&apos;"
+  | '"' -> "&quot;"
+  | c -> String.make 1 c
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  escape_into buf s;
-  Buffer.contents buf
+(* Position of the first XML-special character of [s] at or after [i],
+   or [String.length s]. *)
+let rec next_special s i =
+  if i >= String.length s then i
+  else
+    match s.[i] with
+    | '<' | '>' | '&' | '\'' | '"' -> i
+    | _ -> next_special s (i + 1)
+
+(* Both escapers copy each run of plain characters with one call and
+   allocate nothing. *)
+let rec escape_from buf s i =
+  let j = next_special s i in
+  Buffer.add_substring buf s i (j - i);
+  if j < String.length s then begin
+    Buffer.add_string buf (entity s.[j]);
+    escape_from buf s (j + 1)
+  end
+
+let escape_into buf s = escape_from buf s 0
+
+let rec output_from oc s i =
+  let j = next_special s i in
+  output_substring oc s i (j - i);
+  if j < String.length s then begin
+    output_string oc (entity s.[j]);
+    output_from oc s (j + 1)
+  end
+
+let output_escaped oc s = output_from oc s 0
 
 let rec write_node buf = function
   | Xml.Text s -> escape_into buf s

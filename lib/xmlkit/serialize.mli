@@ -1,7 +1,11 @@
 (** XML serialization. *)
 
-val escape : string -> string
-(** Escapes the five XML-special characters as entities. *)
+val escape_into : Buffer.t -> string -> unit
+(** Appends the string with the five XML-special characters escaped as
+    entities. *)
+
+val output_escaped : out_channel -> string -> unit
+(** Writes the string escaped as {!escape_into} does. *)
 
 val to_string : Xml.t -> string
 (** Compact rendering; empty elements use self-closing tags. *)

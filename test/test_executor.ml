@@ -61,6 +61,64 @@ let test_or_expansion_join () =
   (* a=1 matches c=10; a=2 matches c=12; a=3 padded *)
   Alcotest.(check int) "rows" 3 (Relation.cardinality r)
 
+(* OR-expansion, exactly: rows in output order and the probed / emitted
+   / work counters, identical on the tuple path and the batched path at
+   sizes 1 and default.  The legacy interpreter yields the same rows,
+   probes and emissions; its work may only be higher, since the
+   physical plan's rewrites narrow what emission pays for.
+   L(a) = 1, 2, NULL; M rows in storage order (c, d, f, e):
+   (10,1,1,x) (11,2,1,y) (12,NULL,2,z) (13,2,NULL,z). *)
+let or_join_db () =
+  let db = Database.create () in
+  Database.add_table db
+    (Schema.table "L" ~key:[] [ Schema.column ~nullable:true "a" Value.TInt ]);
+  Database.add_table db
+    (Schema.table "M" ~key:[ "c" ]
+       [ Schema.column "c" Value.TInt; Schema.column ~nullable:true "d" Value.TInt;
+         Schema.column ~nullable:true "f" Value.TInt; Schema.column "e" Value.TString ]);
+  Database.load db "L" [ [| i 1 |]; [| i 2 |]; [| Value.Null |] ];
+  Database.load db "M"
+    [ [| i 10; i 1; i 1; s "x" |]; [| i 11; i 2; i 1; s "y" |];
+      [| i 12; Value.Null; i 2; s "z" |]; [| i 13; i 2; Value.Null; s "z" |] ];
+  db
+
+let check_or_join on ~rows ~probed ~emitted ~work ~legacy_work =
+  let db = or_join_db () in
+  let q =
+    Sql_parser.parse
+      ("SELECT l.a AS a, m.c AS c FROM L AS l LEFT OUTER JOIN M AS m ON " ^ on)
+  in
+  let row_strings r = List.map Tuple.to_string (Relation.rows r) in
+  let check path (r, (st : Executor.stats)) ~work =
+    Alcotest.(check (list string)) (path ^ ": rows") rows (row_strings r);
+    Alcotest.(check int) (path ^ ": probed") probed st.Executor.probed;
+    Alcotest.(check int) (path ^ ": emitted") emitted st.Executor.emitted;
+    Alcotest.(check int) (path ^ ": work") work st.Executor.work
+  in
+  List.iter
+    (fun (path, batch_size) ->
+      check path (Executor.run_with_stats ?batch_size db q) ~work)
+    [ ("tuple", None); ("batch 1", Some 1); ("batch default", Some Batch.default_size) ];
+  check "legacy" (Executor.run_legacy_with_stats db q) ~work:legacy_work
+
+let test_or_expansion_join_exact () =
+  (* M row 0 satisfies both disjuncts for a=1 (d=1, f=1): probed and
+     emitted once.  Candidates are the union of the d- and f-buckets in
+     ascending row order; the NULL left row reaches the NULL-keyed rows
+     2 and 3 as candidates, matches neither and is padded. *)
+  check_or_join "((l.a = m.d) OR (l.a = m.f))"
+    ~rows:[ "(1, 10)"; "(1, 11)"; "(2, 11)"; "(2, 12)"; "(2, 13)"; "(NULL, NULL)" ]
+    ~probed:7 ~emitted:12 ~work:43 ~legacy_work:43;
+  (* two disjuncts on the same key pair share one bucket table *)
+  check_or_join "(((l.a = m.d) AND (m.e = 'x')) OR ((l.a = m.d) AND (m.e = 'z')))"
+    ~rows:[ "(1, 10)"; "(2, 13)"; "(NULL, NULL)" ]
+    ~probed:4 ~emitted:6 ~work:25 ~legacy_work:25;
+  (* a disjunct without an equality makes every M row a candidate *)
+  check_or_join "((l.a = m.d) OR (m.c > 11))"
+    ~rows:[ "(1, 10)"; "(1, 12)"; "(1, 13)"; "(2, 11)"; "(2, 12)"; "(2, 13)";
+            "(NULL, 12)"; "(NULL, 13)" ]
+    ~probed:12 ~emitted:16 ~work:55 ~legacy_work:59
+
 let test_union_all () =
   let r = run (mkdb ())
       "(SELECT r.a AS k FROM R AS r) UNION ALL (SELECT q.c AS k FROM S AS q)" in
@@ -247,6 +305,7 @@ let suite =
     Alcotest.test_case "left outer join pads" `Quick test_left_outer_join_pads;
     Alcotest.test_case "left outer join residual" `Quick test_left_outer_join_residual_condition;
     Alcotest.test_case "OR-expansion join" `Quick test_or_expansion_join;
+    Alcotest.test_case "OR-expansion join, exact" `Quick test_or_expansion_join_exact;
     Alcotest.test_case "union all" `Quick test_union_all;
     Alcotest.test_case "union arity mismatch" `Quick test_union_arity_mismatch;
     Alcotest.test_case "order by with NULLs" `Quick test_order_by_with_nulls;

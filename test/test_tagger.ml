@@ -13,17 +13,114 @@ let doc_of ?(style = Sql_gen.Outer_join) ?(reduce = false) _db p mask =
   let e = Middleware.execute ~style ~reduce p plan in
   Middleware.document_of p e
 
+let figure8_xml =
+  "<suppliers><supplier><nation>USA</nation><part>plated brass</part>\
+   <part>anodized steel</part></supplier><supplier><nation>Spain</nation>\
+   </supplier><supplier><nation>France</nation><part>polished nickel</part>\
+   </supplier></suppliers>"
+
 let test_figure8_output () =
   (* the paper's Fig. 8: exact expected document *)
   let db = Tpch.Gen.figure8_database () in
   let p = Middleware.prepare_text db Queries.fragment_text in
   let e = Middleware.execute p (Partition.unified p.Middleware.tree) in
-  Alcotest.(check string) "matches Fig. 8"
-    "<suppliers><supplier><nation>USA</nation><part>plated brass</part>\
-     <part>anodized steel</part></supplier><supplier><nation>Spain</nation>\
-     </supplier><supplier><nation>France</nation><part>polished nickel</part>\
-     </supplier></suppliers>"
-    (Middleware.xml_string_of p e)
+  Alcotest.(check string) "matches Fig. 8" figure8_xml (Middleware.xml_string_of p e)
+
+let test_absent_sibling_key_reads_null () =
+  (* Fully partitioned Fig. 8 plan: the <part> stream carries no column
+     for <nation>'s own key variables, so they read NULL there.  The merge
+     comparator only reads the key variables of a tuple's own path, so
+     giving the part stream those columns — all NULL, or below or above
+     every real key — changes neither the merge order nor the bytes. *)
+  let db = Tpch.Gen.figure8_database () in
+  let p = Middleware.prepare_text db Queries.fragment_text in
+  let tree = p.Middleware.tree in
+  let e = Middleware.execute p (Partition.fully_partitioned tree) in
+  Alcotest.(check string) "Fig. 8" figure8_xml (Tagger.to_string tree e.Middleware.streams);
+  let node_of tag =
+    List.find (fun (n : View_tree.node) -> n.View_tree.tag = tag)
+      (Array.to_list tree.View_tree.nodes)
+  in
+  let is_part_stream (d : Sql_gen.stream) =
+    List.mem (node_of "part").View_tree.id d.Sql_gen.fragment.Partition.members
+  in
+  let part_desc, part_rel =
+    match List.filter (fun (d, _) -> is_part_stream d) e.Middleware.streams with
+    | [ s ] -> s
+    | _ -> Alcotest.fail "expected one <part> stream"
+  in
+  let nation_keys =
+    (node_of "nation").View_tree.key_vars
+    |> List.map (fun v -> Sql_gen.Var_col v)
+    |> List.filter (fun c -> not (Array.mem c part_desc.Sql_gen.cols))
+    |> Array.of_list
+  in
+  Alcotest.(check bool) "part stream lacks some nation keys" true
+    (Array.length nation_keys > 0);
+  let with_nation_keys v =
+    let extra = Array.map (fun _ -> v) nation_keys in
+    let desc =
+      { part_desc with Sql_gen.cols = Array.append part_desc.Sql_gen.cols nation_keys }
+    in
+    let rel =
+      R.Relation.create
+        (Array.append (R.Relation.cols part_rel)
+           (Array.mapi (fun i _ -> Printf.sprintf "extra%d" i) nation_keys))
+        (List.map (fun t -> Array.append t extra) (R.Relation.rows part_rel))
+    in
+    List.map
+      (fun (d, r) -> if is_part_stream d then (desc, rel) else (d, r))
+      e.Middleware.streams
+  in
+  List.iter
+    (fun (label, v) ->
+      Alcotest.(check string) label figure8_xml
+        (Tagger.to_string tree (with_nation_keys v)))
+    [
+      ("NULL column", R.Value.Null);
+      ("low column", R.Value.Int min_int);
+      ("high column", R.Value.Int max_int);
+    ]
+
+let test_escaping_sinks_agree () =
+  (* every XML-special character, alone, in runs and between plain text:
+     the buffer sink, the channel sink and the document sink must
+     produce the same bytes *)
+  let db = Tpch.Gen.empty_database () in
+  R.Database.load db "Region"
+    [
+      [| R.Value.Int 1; R.Value.String "<&>'\"" |];
+      [| R.Value.Int 2; R.Value.String "a<b && c>'d\"e" |];
+      [| R.Value.Int 3; R.Value.String "plain" |];
+      [| R.Value.Int 4; R.Value.String "&&&<<>>" |];
+    ];
+  let p =
+    Middleware.prepare_text db
+      "view regions { from Region $r construct <region>$r.name</region> }"
+  in
+  let e = Middleware.execute p (Partition.unified p.Middleware.tree) in
+  let tree = p.Middleware.tree in
+  let expected =
+    "<regions><region>&lt;&amp;&gt;&apos;&quot;</region>\
+     <region>a&lt;b &amp;&amp; c&gt;&apos;d&quot;e</region>\
+     <region>plain</region><region>&amp;&amp;&amp;&lt;&lt;&gt;&gt;</region></regions>"
+  in
+  Alcotest.(check string) "buffer sink" expected (Tagger.to_string tree e.Middleware.streams);
+  let path = Filename.temp_file "tagger" ".xml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      Tagger.to_channel tree
+        (List.map (fun (d, r) -> (d, R.Cursor.of_relation r)) e.Middleware.streams)
+        oc;
+      close_out oc;
+      let ic = open_in_bin path in
+      let written = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check string) "channel sink" expected written);
+  Alcotest.(check string) "document sink" expected
+    (Xmlkit.Serialize.to_string (Tagger.to_document tree e.Middleware.streams))
 
 let test_all_plans_agree_fragment () =
   let db = Tpch.Gen.figure8_database () in
@@ -259,6 +356,9 @@ let suite =
     Alcotest.test_case "sinks agree" `Quick test_buffer_and_document_sinks_agree;
     Alcotest.test_case "output parses back" `Quick test_tagger_output_parses;
     Alcotest.test_case "escaping" `Quick test_escaping_through_tagger;
+    Alcotest.test_case "escaping: all sinks agree" `Quick test_escaping_sinks_agree;
+    Alcotest.test_case "absent sibling key reads NULL" `Quick
+      test_absent_sibling_key_reads_null;
     Alcotest.test_case "constant content" `Quick test_constant_content;
     Alcotest.test_case "mixed text + children" `Quick test_mixed_text_and_children;
   ]

@@ -44,7 +44,15 @@ let test_serialize_self_closing () =
   Alcotest.(check bool) "empty is self-closed" true (contains s "<b/>")
 
 let test_escape () =
-  Alcotest.(check string) "all five" "&lt;&gt;&amp;&apos;&quot;" (Serialize.escape "<>&'\"")
+  let escape s =
+    let buf = Buffer.create 16 in
+    Serialize.escape_into buf s;
+    Buffer.contents buf
+  in
+  Alcotest.(check string) "all five" "&lt;&gt;&amp;&apos;&quot;" (escape "<>&'\"");
+  Alcotest.(check string) "runs kept" "a&lt;bc&amp;&amp;d" (escape "a<bc&&d");
+  Alcotest.(check string) "plain" "plain text" (escape "plain text");
+  Alcotest.(check string) "empty" "" (escape "")
 
 let test_byte_size () =
   let d = doc1 () in

@@ -48,6 +48,9 @@ sh tools/diagnose_smoke.sh
 echo "== bench baseline gate (work within ±5% of committed BENCH_silkroute.json)"
 dune exec bench/main.exe -- --check-baseline
 
+echo "== wall-clock benchmark self-tests (replay harness builds, counts repeat)"
+python3 perfbench/test_perfbench.py
+
 echo "== scaling experiment (fan-out parity + modeled speedup curve)"
 scaling_out=$(dune exec bench/main.exe -- --experiment scaling)
 echo "$scaling_out"
