@@ -96,28 +96,7 @@ let run_all () =
         ignore (S.Middleware.xml_string_of_streaming p se);
         [ r ]
       in
-      (* one batched record per query: the greedy reduced point again
-         through the vectorized path — its row must equal
-         `qname:greedy:reduced` in every metric, so any accounting drift
-         between the two interpreters shows up as a baseline failure *)
-      let batched =
-        let _, plan = List.nth plans 2 in
-        let e =
-          S.Middleware.execute ~reduce:true
-            ~batch_size:R.Executor.default_batch_size p plan
-        in
-        [
-          {
-            experiment = Printf.sprintf "%s:greedy:batched" qname;
-            streams = List.length e.S.Middleware.streams;
-            work = e.S.Middleware.work;
-            rows = e.S.Middleware.tuples;
-            bytes = e.S.Middleware.bytes;
-            transfer_ms = e.S.Middleware.transfer_ms;
-          };
-        ]
-      in
-      materialized @ streaming @ batched)
+      materialized @ streaming)
     queries
 
 (* --- file format -------------------------------------------------------- *)

@@ -635,7 +635,7 @@ let scaling () =
     "speedup" "work" "tuples" "identical";
   List.iter
     (fun d ->
-      let e = S.Middleware.execute_parallel ~domains:d p plan in
+      let e = S.Middleware.execute ~domains:d p plan in
       let xml = S.Middleware.xml_string_of p e in
       let identical =
         xml = seq_xml
@@ -658,135 +658,6 @@ let scaling () =
      machine-independent; output, work, tuples, bytes and transfer are\n\
      byte-exact at every domain count.\n"
 
-(* --- tentpole check: vectorized batch execution ------------------------- *)
-
-(* Differential sweep of the Fig. 13 configuration for the batch path:
-   every plan of Query 1, both reduce modes, each generated stream
-   executed tuple-at-a-time and then batched at sizes 1, 7 and 1024.
-   The batched runs must produce the identical relation with the stats
-   counters exactly equal — not merely no worse — at every size; the
-   experiment exits non-zero on any violation so CI can gate on it.
-   A second section times one plan per operator shape both ways and
-   prints the per-operator speedup of the vectorized path. *)
-let batching () =
-  print_header
-    "Batching: vectorized path vs tuple path (Fig. 13 sweep, Query 1)";
-  let db, p = prepare config_a S.Queries.query1_text in
-  print_config db config_a;
-  let tree = p.S.Middleware.tree in
-  let sizes = [ 1; 7; 1024 ] in
-  let stats_sig (st : R.Executor.stats) =
-    R.Executor.
-      (st.scanned, st.probed, st.emitted, st.sorted, st.spill_passes, st.work)
-  in
-  let violations = ref 0 in
-  List.iter
-    (fun reduce ->
-      let opts =
-        {
-          S.Sql_gen.style = S.Sql_gen.Outer_join;
-          labels = (if reduce then Some p.S.Middleware.labels else None);
-        }
-      in
-      let streams_n = ref 0 in
-      List.iter
-        (fun mask ->
-          let plan = S.Partition.of_mask tree mask in
-          List.iter
-            (fun s ->
-              let q = s.S.Sql_gen.query in
-              let r_ref, st_ref = R.Executor.run_with_stats db q in
-              incr streams_n;
-              List.iter
-                (fun size ->
-                  let r, st =
-                    R.Executor.run_with_stats ~batch_size:size db q
-                  in
-                  if r <> r_ref then begin
-                    incr violations;
-                    Printf.printf
-                      "NO! mask=%d reduce=%b size=%d: outputs differ\n" mask
-                      reduce size
-                  end;
-                  if stats_sig st <> stats_sig st_ref then begin
-                    incr violations;
-                    Printf.printf
-                      "NO! mask=%d reduce=%b size=%d: stats diverge (work %d \
-                       vs %d)\n"
-                      mask reduce size st.R.Executor.work
-                      st_ref.R.Executor.work
-                  end)
-                sizes)
-            (S.Sql_gen.streams db tree plan opts))
-        (S.Partition.all_masks tree);
-      Printf.printf
-        "%s: %d streams × sizes {1,7,1024}: identical output and exact \
-         work/tuples/bytes parity  %s\n"
-        (if reduce then "reduced    " else "non-reduced")
-        !streams_n
-        (if !violations = 0 then "yes" else "NO!"))
-    [ false; true ];
-  (* Per-operator wall-clock: one plan per physical operator shape, both
-     interpretation strategies over the same plan.  Run on a larger
-     database (TPC-H scale 40: 2000 suppliers) so per-row costs dominate
-     timer granularity.  Wall times vary by machine; the asserted
-     invariant above is what CI gates on. *)
-  let tdb = Tpch.Gen.generate (Tpch.Gen.config 40.0) in
-  let ops =
-    [
-      ("scan", "SELECT suppkey, name, nationkey FROM Supplier");
-      ( "filter",
-        "SELECT suppkey FROM Supplier WHERE suppkey < 5000 AND nationkey > 2"
-      );
-      ( "join",
-        "SELECT Supplier.suppkey, Nation.name FROM Supplier, Nation WHERE \
-         Supplier.nationkey = Nation.nationkey" );
-      ("sort", "SELECT suppkey, name FROM Supplier ORDER BY name DESC, suppkey");
-    ]
-  in
-  Printf.printf
-    "\nPer-operator wall-clock (median-of-%d runs over the same plan):\n" 5;
-  Printf.printf "%-8s %8s %14s %14s %8s\n" "operator" "rows" "tuple ns/row"
-    "batch ns/row" "speedup";
-  let reps = 20 in
-  let time_runs f =
-    let times =
-      List.init 5 (fun _ ->
-          let t0 = Sys.time () in
-          for _ = 1 to reps do
-            f ()
-          done;
-          (Sys.time () -. t0) /. float_of_int reps)
-    in
-    match List.sort compare times with _ :: _ :: m :: _ -> m | t :: _ -> t | [] -> 0.0
-  in
-  List.iter
-    (fun (name, sql) ->
-      let plan = R.Physical.plan_of tdb (R.Sql_parser.parse sql) in
-      let rows = R.Relation.cardinality (R.Executor.run_plan tdb plan) in
-      let t_tuple = time_runs (fun () -> ignore (R.Executor.run_plan tdb plan)) in
-      let t_batch =
-        time_runs (fun () ->
-            ignore
-              (R.Executor.run_plan ~batch_size:R.Executor.default_batch_size
-                 tdb plan))
-      in
-      let per_row t = 1e9 *. t /. float_of_int (max 1 rows) in
-      Printf.printf "%-8s %8d %14.1f %14.1f %7.2fx\n" name rows
-        (per_row t_tuple) (per_row t_batch)
-        (t_tuple /. (if t_batch > 0.0 then t_batch else epsilon_float)))
-    ops;
-  if !violations > 0 then begin
-    Printf.printf
-      "\n%d VIOLATIONS — the batched path changed an output or a counter\n"
-      !violations;
-    exit 1
-  end
-  else
-    Printf.printf
-      "\nEvery plan, every batch size: byte-identical output, exact \
-       accounting parity.\n"
-
 let all () =
   table1 ();
   sec2 ();
@@ -801,5 +672,4 @@ let all () =
   pruning ();
   calibration ();
   resilience ();
-  scaling ();
-  batching ()
+  scaling ()

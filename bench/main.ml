@@ -31,7 +31,6 @@ let experiments =
     ("calibration", Experiments.calibration);
     ("resilience", Experiments.resilience);
     ("scaling", Experiments.scaling);
-    ("batching", Experiments.batching);
     ("serving", Serving.run);
     ("micro", Micro.run);
   ]

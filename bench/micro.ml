@@ -181,10 +181,7 @@ let t_expr_compiled =
          Array.iter (fun t -> if p t then incr acc) expr_rows;
          ignore !acc))
 
-(* Batched vs tuple execution, one pair per physical operator shape.
-   Each pair runs the identical plan (output and work accounting are
-   asserted equal by test/test_batch.ml and bench --experiment batching);
-   only the interpretation strategy differs. *)
+(* Plan execution, one bench per physical operator shape. *)
 let op_plans =
   lazy
     (let db = Lazy.force db in
@@ -205,17 +202,10 @@ let op_plans =
 let exec_op_tests =
   lazy
     (let db = Lazy.force db in
-     List.concat_map
+     List.map
        (fun (name, plan) ->
-         [
-           Test.make ~name:(Printf.sprintf "exec:%s:tuple" name)
-             (Staged.stage (fun () -> ignore (R.Executor.run_plan db plan)));
-           Test.make ~name:(Printf.sprintf "exec:%s:batched" name)
-             (Staged.stage (fun () ->
-                  ignore
-                    (R.Executor.run_plan
-                       ~batch_size:R.Executor.default_batch_size db plan)));
-         ])
+         Test.make ~name:(Printf.sprintf "exec:%s" name)
+           (Staged.stage (fun () -> ignore (R.Executor.run_plan db plan))))
        (Lazy.force op_plans))
 
 let all_tests =

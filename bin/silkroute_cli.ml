@@ -148,23 +148,6 @@ let parallel_arg =
   in
   Arg.(value & opt int 1 & info [ "parallel" ] ~docv:"N" ~doc)
 
-let batch_arg =
-  let doc =
-    "Run every sub-query on the executor's vectorized batch path: operators \
-     process fixed-size row chunks through selection vectors with \
-     expressions compiled once per operator.  The XML output, work \
-     accounting and all counters are byte-identical to the default \
-     tuple-at-a-time path."
-  in
-  Arg.(value & flag & info [ "batch" ] ~doc)
-
-let batch_size_arg =
-  let doc =
-    "Rows per batch on the vectorized path (implies $(b,--batch); default \
-     256)."
-  in
-  Arg.(value & opt (some int) None & info [ "batch-size" ] ~docv:"N" ~doc)
-
 let explain_flag_arg =
   let doc =
     "After executing, print each stream's SQL, logical algebra tree and \
@@ -325,9 +308,8 @@ let setup query view_file scale seed schema data =
   (db, S.Middleware.prepare_text db text)
 
 let run_cmd query view_file scale seed schema data strategy no_reduce pretty
-    stream budget resilient fault_rate fault_seed retries parallel batch
-    batch_size_opt explain verbose trace trace_json metrics profile trace_chrome
-    diagnose skew =
+    stream budget resilient fault_rate fault_seed retries parallel explain
+    verbose trace trace_json metrics profile trace_chrome diagnose skew =
   setup_logs verbose;
   setup_obs ~trace_chrome ~diagnose ~trace ~trace_json ~metrics ~profile ();
   if (stream || resilient) && pretty then
@@ -335,12 +317,6 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
   if fault_rate > 0.0 && not resilient then
     invalid_arg "--fault-rate requires --resilient";
   if parallel < 1 then invalid_arg "--parallel must be >= 1";
-  let batch_size =
-    match batch_size_opt with
-    | Some n when n < 1 -> invalid_arg "--batch-size must be >= 1"
-    | Some n -> Some n
-    | None -> if batch then Some R.Executor.default_batch_size else None
-  in
   let domains = parallel in
   let db, p = setup query view_file scale seed schema data in
   ignore db;
@@ -354,7 +330,7 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
       R.Backend.create
         ~faults:(R.Backend.faults ~seed:fault_seed fault_rate)
         ~retry:{ R.Backend.default_retry with R.Backend.max_retries = retries }
-        ~budget ?batch_size p.S.Middleware.db
+        ~budget p.S.Middleware.db
     in
     let r =
       S.Middleware.execute_resilient ~reduce:(not no_reduce) ~backend ~domains
@@ -381,8 +357,8 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
   end
   else if stream then begin
     let se =
-      S.Middleware.execute_streaming ~reduce:(not no_reduce) ~budget ~domains
-        ?batch_size p plan
+      S.Middleware.execute_streaming ~reduce:(not no_reduce) ~budget ~domains p
+        plan
     in
     if explain then prerr_endline (S.Middleware.explain_streaming p se);
     S.Middleware.stream_to_channel p se stdout;
@@ -396,8 +372,7 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
   end
   else begin
     let e =
-      S.Middleware.execute ~reduce:(not no_reduce) ~budget ~domains ?batch_size
-        p plan
+      S.Middleware.execute ~reduce:(not no_reduce) ~budget ~domains p plan
     in
     if explain then prerr_endline (S.Middleware.explain_execution p e);
     if pretty then
@@ -496,16 +471,8 @@ let max_queue_arg =
     & opt int Server.Service.default_config.Server.Service.max_queue
     & info [ "max-queue" ] ~docv:"N" ~doc)
 
-let server_batch_size_arg =
-  let doc =
-    "Executor vector size for every served query (0 = tuple-at-a-time \
-     path).  Results are byte-identical either way."
-  in
-  Arg.(value & opt int 0 & info [ "batch-size" ] ~docv:"N" ~doc)
-
 let server_config domains statement_cache plan_cache result_cache
-    admission_budget max_queue batch_size =
-  if batch_size < 0 then invalid_arg "--batch-size must be >= 0";
+    admission_budget max_queue =
   {
     Server.Service.default_config with
     Server.Service.domains;
@@ -514,7 +481,6 @@ let server_config domains statement_cache plan_cache result_cache
     result_capacity = result_cache;
     admission_budget;
     max_queue;
-    batch_size;
   }
 
 (* --- serve telemetry flags ----------------------------------------------- *)
@@ -564,8 +530,8 @@ let slo_error_budget_arg =
   Arg.(value & opt float 0.01 & info [ "slo-error-budget" ] ~docv:"FRAC" ~doc)
 
 let serve_cmd scale seed schema data socket parallel statement_cache plan_cache
-    result_cache admission_budget max_queue batch_size telemetry trace_sample
-    slow_ms slow_log slo_target_ms slo_error_budget verbose trace metrics =
+    result_cache admission_budget max_queue telemetry trace_sample slow_ms
+    slow_log slo_target_ms slo_error_budget verbose trace metrics =
   setup_logs verbose;
   setup_obs ~trace ~trace_json:None ~metrics ~profile:false ();
   if telemetry then Obs.Control.set_enabled true;
@@ -591,7 +557,7 @@ let serve_cmd scale seed schema data socket parallel statement_cache plan_cache
   let config =
     {
       (server_config parallel statement_cache plan_cache result_cache
-         admission_budget max_queue batch_size)
+         admission_budget max_queue)
       with
       Server.Service.trace_sample;
       slow_ms;
@@ -661,9 +627,9 @@ let shutdown_arg =
   Arg.(value & flag & info [ "shutdown" ] ~doc)
 
 let workload_cmd scale seed schema data socket parallel statement_cache
-    plan_cache result_cache admission_budget max_queue batch_size clients
-    requests workload_seed invalidate_every threads no_verify server_stats
-    shutdown verbose =
+    plan_cache result_cache admission_budget max_queue clients requests
+    workload_seed invalidate_every threads no_verify server_stats shutdown
+    verbose =
   setup_logs verbose;
   let verify = not no_verify in
   let db = setup_db scale seed schema data in
@@ -691,7 +657,7 @@ let workload_cmd scale seed schema data socket parallel statement_cache
     | None ->
         let config =
           server_config parallel statement_cache plan_cache result_cache
-            admission_budget max_queue batch_size
+            admission_budget max_queue
         in
         let server = Server.Service.create ~config db in
         let tally =
@@ -814,7 +780,7 @@ let run_t =
     const run_cmd $ query_arg $ view_arg $ scale_arg $ seed_arg $ schema_arg
     $ data_arg $ strategy_arg $ no_reduce_arg $ pretty_arg $ stream_arg
     $ budget_arg $ resilient_arg $ fault_rate_arg $ fault_seed_arg
-    $ retries_arg $ parallel_arg $ batch_arg $ batch_size_arg
+    $ retries_arg $ parallel_arg
     $ explain_flag_arg $ verbose_arg $ trace_arg
     $ trace_json_arg
     $ metrics_arg $ profile_arg $ trace_chrome_arg $ diagnose_arg
@@ -842,7 +808,7 @@ let serve_t =
     const serve_cmd $ scale_arg $ seed_arg $ schema_arg $ data_arg
     $ socket_arg "to listen on (required)"
     $ parallel_arg $ statement_cache_arg $ plan_cache_arg $ result_cache_arg
-    $ admission_budget_arg $ max_queue_arg $ server_batch_size_arg
+    $ admission_budget_arg $ max_queue_arg
     $ telemetry_arg $ trace_sample_arg $ slow_ms_arg $ slow_log_arg
     $ slo_target_arg $ slo_error_budget_arg
     $ verbose_arg $ trace_arg $ metrics_arg)
@@ -870,7 +836,7 @@ let workload_t =
     const workload_cmd $ scale_arg $ seed_arg $ schema_arg $ data_arg
     $ socket_arg "of a running server (default: serve in-process)"
     $ parallel_arg $ statement_cache_arg $ plan_cache_arg $ result_cache_arg
-    $ admission_budget_arg $ max_queue_arg $ server_batch_size_arg
+    $ admission_budget_arg $ max_queue_arg
     $ clients_arg $ requests_arg
     $ workload_seed_arg $ invalidate_every_arg $ threads_arg $ no_verify_arg
     $ server_stats_arg $ shutdown_arg $ verbose_arg)

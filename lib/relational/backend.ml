@@ -156,8 +156,6 @@ type t = {
   clk : clock;
   budget : int;
   profile : Executor.profile;
-  batch_size : int option;
-      (* when set, submissions run the vectorized batch path *)
   prng : prng;
   st : stats;
   mutable breaker_state : breaker_state;
@@ -165,7 +163,7 @@ type t = {
 
 let create ?(faults = no_faults) ?(retry = default_retry)
     ?(breaker = default_breaker) ?clock ?(budget = 0)
-    ?(profile = Executor.default_profile) ?batch_size database =
+    ?(profile = Executor.default_profile) database =
   let clk = match clock with Some c -> c | None -> virtual_clock () in
   {
     database;
@@ -175,7 +173,6 @@ let create ?(faults = no_faults) ?(retry = default_retry)
     clk;
     budget;
     profile;
-    batch_size;
     prng = { state = Int64.of_int faults.fault_seed };
     st = new_stats ();
     breaker_state = Closed 0;
@@ -207,8 +204,6 @@ let fork t ~salt =
     st = new_stats ();
     breaker_state = Closed 0;
   }
-
-let with_batch_size t batch_size = { t with batch_size }
 
 let merge_stats sts =
   let m = new_stats () in
@@ -379,7 +374,7 @@ let submit_attempt t ~attempt (q : Sql.query) : Cursor.t * Executor.stats =
   in
   match
     Executor.run_cursor_with_stats ~budget:t.budget ~profile:t.profile
-      ?batch_size:t.batch_size t.database q
+      t.database q
   with
   | cur, est -> (wrap_cursor t ~attempt ~trip_after cur, est)
   | exception Executor.Timeout ->

@@ -125,14 +125,11 @@ val create :
   ?clock:clock ->
   ?budget:int ->
   ?profile:Executor.profile ->
-  ?batch_size:int ->
   Database.t ->
   t
 (** A connection to [db].  [budget] (work units per submission, 0 =
     unlimited) and [profile] are applied to every submitted query,
-    modeling the server-side per-query timeout.  [batch_size] makes
-    every submission run the executor's vectorized batch path; output
-    and work accounting are identical to the tuple path. *)
+    modeling the server-side per-query timeout. *)
 
 val db : t -> Database.t
 val clock : t -> clock
@@ -154,9 +151,6 @@ val fork : t -> salt:int -> t
 val merge_stats : stats list -> stats
 (** Field-wise sum — aggregate per-fork counters into one report. *)
 
-val with_batch_size : t -> int option -> t
-(** The same connection (shared stats, clock and fault stream) with the
-    submission batch size replaced; [None] restores the tuple path. *)
 
 val submit : t -> Sql.query -> Cursor.t
 (** One physical attempt, no retry: submits [q] to the engine and

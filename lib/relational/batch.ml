@@ -14,7 +14,8 @@ type t = {
 (* 256 elements is the largest array the OCaml runtime still allocates
    on the minor heap (Max_young_wosize).  Larger chunks land on the
    major heap, and then every [push] of a young tuple pays the full
-   write-barrier cost — measurably slower than the tuple path. *)
+   write-barrier cost — measured slower than a tuple-at-a-time
+   interpreter. *)
 let default_size = 256
 
 let create ?(size = default_size) () =

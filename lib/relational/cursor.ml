@@ -139,23 +139,6 @@ let spool ?(on_row = fun (_ : Tuple.t) -> ()) (c : t) : t =
 
 (* --- Batch protocol ------------------------------------------------- *)
 
-let next_batch ?size c =
-  match c.pull () with
-  | None -> None
-  | Some first ->
-      let b = Batch.create ?size () in
-      Batch.push b first;
-      let rec fill () =
-        if not (Batch.is_full b) then
-          match c.pull () with
-          | None -> ()
-          | Some t ->
-              Batch.push b t;
-              fill ()
-      in
-      fill ();
-      Some b
-
 let of_batches cols batches =
   let rest = ref batches in
   let cur = ref None in

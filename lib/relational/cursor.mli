@@ -53,16 +53,6 @@ val spool : ?on_row:(Tuple.t -> unit) -> t -> t
     wire.  The spool file is deleted when the last tuple is read, or by
     {!close} on a cursor abandoned before exhaustion. *)
 
-(** {1 Batch protocol}
-
-    Adapters between the tuple-at-a-time pull interface and the
-    vectorized execution path's {!Batch.t} chunks. *)
-
-val next_batch : ?size:int -> t -> Batch.t option
-(** Pull up to [size] (default {!Batch.default_size}) tuples into a
-    fresh batch; [None] at end of stream.  Works on any cursor,
-    spool-backed included. *)
-
 val of_batches : string array -> Batch.t list -> t
 (** Cursor over the live rows of [batches], batch by batch, respecting
     selection vectors. *)

@@ -525,10 +525,15 @@ and eval_query ctx (q : Sql.query) : Relation.t =
   Relation.create cols tuples
 
 (* ===================================================================== *)
-(* Physical-plan execution.  Charges mirror the legacy interpreter       *)
-(* operator for operator; only the rewriter-granted discounts differ     *)
-(* (narrow emission masks, pruned widths, uncharged relocated ON         *)
-(* predicates).                                                          *)
+(* Physical-plan execution over {!Batch.t} chunks of                     *)
+(* {!Batch.default_size} rows, with expressions compiled once per        *)
+(* operator; filters refine selection vectors in place instead of        *)
+(* copying rows.  Charges mirror the legacy interpreter operator for     *)
+(* operator; only the rewriter-granted discounts differ (narrow emission *)
+(* masks, pruned widths, uncharged relocated ON predicates).  Every row  *)
+(* carries its charged-byte figure: what emission charged for it and     *)
+(* what a downstream sort charges again — full wire size everywhere      *)
+(* except under an output projection's literal-column mask.              *)
 (* ===================================================================== *)
 
 module P = Physical
@@ -538,7 +543,7 @@ let masked_size (mask : bool array) (t : Tuple.t) =
   Array.iteri (fun i v -> if mask.(i) then s := !s + Value.wire_size v) t;
   !s
 
-(* --- the join probe, shared by both physical interpreters ------------- *)
+(* --- the join probe ---------------------------------------------------- *)
 
 (* A physical join's right side, indexed once per execution.  Each
    distinct (left key, right key) position pair among the ON disjuncts
@@ -724,7 +729,7 @@ let run_join ctx (n : P.node) (info : P.join_info) ~nleft ~iter_left right emit 
   end
 
 (* Charge and trace a base-table scan (inside its exec.scan span); the
-   table's rows.  Shared by both physical interpreters. *)
+   table's rows. *)
 let scan_table ctx (n : P.node) table =
   let data = Database.raw_data ctx.db table in
   let w0 = ctx.st.work in
@@ -737,76 +742,9 @@ let scan_table ctx (n : P.node) table =
   end;
   data
 
-(* Every node returns (charged_bytes, tuple) pairs: the byte figure is
-   what emission charged for the row and what a downstream sort will
-   charge again — full wire size everywhere except under an output
-   projection's literal-column mask. *)
-let rec exec_pairs ctx (n : P.node) : (int * Tuple.t) list =
-  let pairs =
-    match n.P.shape with
-    | P.Scan { table; cols; _ } ->
-        Obs.Span.with_span "exec.scan" (fun () ->
-            let data = scan_table ctx n table in
-            let arity = Schema.arity (Database.schema ctx.db table) in
-            let rows =
-              if Array.length cols = arity then Array.to_list data
-              else List.map (Tuple.project cols) (Array.to_list data)
-            in
-            (* scan outputs never feed a sort directly (a projection
-               always intervenes), so their byte figure is unused *)
-            List.map (fun t -> (0, t)) rows)
-    | P.Dual ->
-        n.P.act_cost <- 0;
-        [ (0, [||]) ]
-    | P.Filter { input; pred; charged; _ } ->
-        let rows = exec_pairs ctx input in
-        let w0 = ctx.st.work in
-        let out = List.filter (fun (_, t) -> Expr.eval_pred pred t) rows in
-        if charged then charge ctx `Emit (List.length out);
-        n.P.act_cost <- ctx.st.work - w0;
-        out
-    | P.Project { input; items; charged; _ } ->
-        let rows = exec_pairs ctx input in
-        let w0 = ctx.st.work in
-        let full = Array.for_all (fun c -> c) charged in
-        let fns = Array.map Expr.compile items in
-        let out =
-          List.map
-            (fun (_, row) ->
-              let t = Array.map (fun f -> f row) fns in
-              let bytes =
-                if full then Tuple.wire_size t else masked_size charged t
-              in
-              charge_emit_bytes ctx bytes;
-              (bytes, t))
-            rows
-        in
-        n.P.act_cost <- ctx.st.work - w0;
-        out
-    | P.Join { left; right; info } ->
-        let l = exec_pairs ctx left in
-        let r = exec_pairs ctx right in
-        Obs.Span.with_span "exec.join" (fun () ->
-            exec_join ctx n info (List.map snd l) (List.map snd r))
-    | P.Union ns -> List.concat_map (fun c -> exec_pairs ctx c) ns
-    | P.Derived { input; _ } -> exec_pairs ctx input
-    | P.Sort { input; keys; _ } ->
-        let pairs = exec_pairs ctx input in
-        exec_sort ctx n keys pairs
-  in
-  n.P.act_rows <- List.length pairs;
-  pairs
-
-and exec_join ctx (n : P.node) (info : P.join_info) left right :
-    (int * Tuple.t) list =
-  let out = ref [] in
-  run_join ctx n info ~nleft:(List.length left)
-    ~iter_left:(fun f -> List.iter f left)
-    (Array.of_list right)
-    (fun t -> out := t :: !out);
-  List.rev_map (fun t -> (0, t)) !out
-
-and exec_sort ctx (n : P.node) keys (pairs : (int * Tuple.t) list) :
+(* Sort (bytes, row) pairs on [keys] — charging it as one sort of
+   their summed charged bytes — and return them in sorted order. *)
+let exec_sort ctx (n : P.node) keys (pairs : (int * Tuple.t) list) :
     (int * Tuple.t) list =
   Obs.Span.with_span "exec.sort" (fun () ->
       (* Sort keys are compiled once and evaluated once per row; the
@@ -859,35 +797,17 @@ and exec_sort ctx (n : P.node) keys (pairs : (int * Tuple.t) list) :
       in
       List.map snd (List.stable_sort cmp decorated))
 
-let exec_plan ctx (p : P.plan) : string array * Tuple.t list =
-  (p.P.cols, List.map snd (exec_pairs ctx p.P.root))
-
-(* ===================================================================== *)
-(* Batched (vectorized) execution.  Operators process {!Batch.t} chunks  *)
-(* with expressions compiled once per operator; filters refine selection *)
-(* vectors in place instead of copying rows.  Charges mirror the tuple   *)
-(* path call for call — same counters, same order, same Timeout points — *)
-(* so the tuple interpreter above stays the differential oracle: output  *)
-(* must be byte-identical and the stats exactly equal at every batch     *)
-(* size.                                                                 *)
-(* ===================================================================== *)
-
-let default_batch_size = Batch.default_size
+(* --- the interpreter --------------------------------------------------- *)
 
 (* Batch builder: accumulates operator output into fixed-size chunks. *)
-type bb = {
-  bb_size : int;
-  mutable bb_cur : Batch.t;
-  mutable bb_done : Batch.t list;
-}
+type bb = { mutable bb_cur : Batch.t; mutable bb_done : Batch.t list }
 
-let bb_create size =
-  { bb_size = size; bb_cur = Batch.create ~size (); bb_done = [] }
+let bb_create () = { bb_cur = Batch.create (); bb_done = [] }
 
 let bb_push bb bytes row =
   if Batch.is_full bb.bb_cur then begin
     bb.bb_done <- bb.bb_cur :: bb.bb_done;
-    bb.bb_cur <- Batch.create ~size:bb.bb_size ()
+    bb.bb_cur <- Batch.create ()
   end;
   Batch.push bb.bb_cur ~bytes row
 
@@ -898,7 +818,7 @@ let bb_finish bb =
 let batch_rows batches =
   List.fold_left (fun acc b -> acc + Batch.length b) 0 batches
 
-let rec exec_batched ctx ~size (n : P.node) : Batch.t list =
+let rec exec_batched ctx (n : P.node) : Batch.t list =
   let batches =
     match n.P.shape with
     | P.Scan { table; cols; _ } ->
@@ -907,12 +827,14 @@ let rec exec_batched ctx ~size (n : P.node) : Batch.t list =
             let arity = Schema.arity (Database.schema ctx.db table) in
             let narrow = Array.length cols <> arity in
             (* Bulk-slice the base array into full batches instead of
-               pushing row by row. *)
+               pushing row by row.  Scan outputs never feed a sort
+               directly (a projection always intervenes), so their
+               charged-byte figures stay 0. *)
             let nrows = Array.length data in
             let rec chunks off acc =
               if off >= nrows then List.rev acc
               else
-                let len = min size (nrows - off) in
+                let len = min Batch.default_size (nrows - off) in
                 let rows =
                   if narrow then
                     Array.init len (fun i -> Tuple.project cols data.(off + i))
@@ -923,11 +845,11 @@ let rec exec_batched ctx ~size (n : P.node) : Batch.t list =
             chunks 0 [])
     | P.Dual ->
         n.P.act_cost <- 0;
-        let b = Batch.create ~size () in
+        let b = Batch.create () in
         Batch.push b [||];
         [ b ]
     | P.Filter { input; pred; charged; _ } ->
-        let batches = exec_batched ctx ~size input in
+        let batches = exec_batched ctx input in
         let w0 = ctx.st.work in
         let p = Expr.compile_pred pred in
         let survivors =
@@ -937,11 +859,11 @@ let rec exec_batched ctx ~size (n : P.node) : Batch.t list =
         n.P.act_cost <- ctx.st.work - w0;
         batches
     | P.Project { input; items; charged; _ } ->
-        let inb = exec_batched ctx ~size input in
+        let inb = exec_batched ctx input in
         let w0 = ctx.st.work in
         let full = Array.for_all (fun c -> c) charged in
         let fns = Array.map Expr.compile items in
-        let bb = bb_create size in
+        let bb = bb_create () in
         List.iter
           (fun b ->
             Batch.iter
@@ -957,24 +879,24 @@ let rec exec_batched ctx ~size (n : P.node) : Batch.t list =
         n.P.act_cost <- ctx.st.work - w0;
         bb_finish bb
     | P.Join { left; right; info } ->
-        let l = exec_batched ctx ~size left in
-        let r = exec_batched ctx ~size right in
+        let l = exec_batched ctx left in
+        let r = exec_batched ctx right in
         Obs.Span.with_span "exec.join" (fun () ->
-            exec_join_batched ctx ~size n info l r)
-    | P.Union ns -> List.concat_map (fun c -> exec_batched ctx ~size c) ns
-    | P.Derived { input; _ } -> exec_batched ctx ~size input
+            exec_join_batched ctx n info l r)
+    | P.Union ns -> List.concat_map (exec_batched ctx) ns
+    | P.Derived { input; _ } -> exec_batched ctx input
     | P.Sort { input; keys; _ } ->
-        let inb = exec_batched ctx ~size input in
+        let inb = exec_batched ctx input in
         let pairs = List.concat_map Batch.to_pairs inb in
         let sorted = exec_sort ctx n keys pairs in
-        let bb = bb_create size in
+        let bb = bb_create () in
         List.iter (fun (b, t) -> bb_push bb b t) sorted;
         bb_finish bb
   in
   n.P.act_rows <- batch_rows batches;
   batches
 
-and exec_join_batched ctx ~size (n : P.node) (info : P.join_info) left right :
+and exec_join_batched ctx (n : P.node) (info : P.join_info) left right :
     Batch.t list =
   let right_arr = Array.make (batch_rows right) [||] in
   let ri = ref 0 in
@@ -983,17 +905,11 @@ and exec_join_batched ctx ~size (n : P.node) (info : P.join_info) left right :
          right_arr.(!ri) <- row;
          incr ri))
     right;
-  let bb = bb_create size in
+  let bb = bb_create () in
   run_join ctx n info ~nleft:(batch_rows left)
     ~iter_left:(fun f -> List.iter (Batch.iter (fun row _ -> f row)) left)
     right_arr (bb_push bb 0);
   bb_finish bb
-
-let exec_plan_batched ctx ~size (p : P.plan) : string array * Batch.t list =
-  Obs.Span.with_span "executor.batch" (fun () ->
-      if Obs.Span.tracing () then
-        Obs.Span.add_list [ Obs.Attr.int "batch_size" size ];
-      (p.P.cols, exec_batched ctx ~size p.P.root))
 
 (* --- entry points ------------------------------------------------------ *)
 
@@ -1010,53 +926,44 @@ let query_span_attrs ctx rows =
         Obs.Attr.int "work" ctx.st.work;
       ]
 
-(* Run [plan ()] — planning inside the query span — on the tuple or the
-   batched interpreter; [of_rows]/[of_batches] package the result. *)
-let exec_query ~budget ~profile ?batch_size db plan ~of_rows ~of_batches =
+(* Run [plan ()] — planning inside the query span — and package the
+   output chunks with [finish]. *)
+let exec_query ~budget ~profile db plan ~finish =
   Obs.Span.with_span "exec.query" (fun () ->
       let plan = plan () in
       let ctx = { db; st = new_stats (); budget; profile } in
-      match batch_size with
-      | None ->
-          let cols, tuples = exec_plan ctx plan in
-          query_span_attrs ctx (List.length tuples);
-          (of_rows cols tuples, ctx.st)
-      | Some size ->
-          let cols, batches = exec_plan_batched ctx ~size plan in
-          query_span_attrs ctx (batch_rows batches);
-          (of_batches cols batches, ctx.st))
+      let batches = exec_batched ctx plan.P.root in
+      query_span_attrs ctx (batch_rows batches);
+      (finish plan.P.cols batches, ctx.st))
 
 let relation_of_batches cols batches =
   Relation.create cols (List.concat_map Batch.to_list batches)
 
-let run_plan_with_stats ?(budget = 0) ?(profile = default_profile) ?batch_size
-    db (p : P.plan) =
-  exec_query ~budget ~profile ?batch_size db (fun () -> p)
-    ~of_rows:Relation.create ~of_batches:relation_of_batches
+let run_plan_with_stats ?(budget = 0) ?(profile = default_profile) db
+    (p : P.plan) =
+  exec_query ~budget ~profile db (fun () -> p) ~finish:relation_of_batches
 
-let run_plan ?budget ?profile ?batch_size db p =
-  fst (run_plan_with_stats ?budget ?profile ?batch_size db p)
+let run_plan ?budget ?profile db p =
+  fst (run_plan_with_stats ?budget ?profile db p)
 
-let run_plan_cursor_with_stats ?(budget = 0) ?(profile = default_profile)
-    ?batch_size db (p : P.plan) =
-  exec_query ~budget ~profile ?batch_size db (fun () -> p)
-    ~of_rows:Cursor.of_list ~of_batches:Cursor.of_batches
+let run_plan_cursor_with_stats ?(budget = 0) ?(profile = default_profile) db
+    (p : P.plan) =
+  exec_query ~budget ~profile db (fun () -> p) ~finish:Cursor.of_batches
 
-let run_with_stats ?(budget = 0) ?(profile = default_profile) ?batch_size db
+let run_with_stats ?(budget = 0) ?(profile = default_profile) db
     (q : Sql.query) =
-  exec_query ~budget ~profile ?batch_size db (fun () -> P.plan_of db q)
-    ~of_rows:Relation.create ~of_batches:relation_of_batches
+  exec_query ~budget ~profile db (fun () -> P.plan_of db q)
+    ~finish:relation_of_batches
 
-let run ?budget ?profile ?batch_size db q =
-  fst (run_with_stats ?budget ?profile ?batch_size db q)
+let run ?budget ?profile db q = fst (run_with_stats ?budget ?profile db q)
 
-let run_cursor_with_stats ?(budget = 0) ?(profile = default_profile) ?batch_size
-    db (q : Sql.query) =
-  exec_query ~budget ~profile ?batch_size db (fun () -> P.plan_of db q)
-    ~of_rows:Cursor.of_list ~of_batches:Cursor.of_batches
+let run_cursor_with_stats ?(budget = 0) ?(profile = default_profile) db
+    (q : Sql.query) =
+  exec_query ~budget ~profile db (fun () -> P.plan_of db q)
+    ~finish:Cursor.of_batches
 
-let run_cursor ?budget ?profile ?batch_size db q =
-  fst (run_cursor_with_stats ?budget ?profile ?batch_size db q)
+let run_cursor ?budget ?profile db q =
+  fst (run_cursor_with_stats ?budget ?profile db q)
 
 (* --- legacy entry points (differential tests only) --------------------- *)
 

@@ -6,8 +6,8 @@
     {!Physical.plan_of} (explicit hash-join vs nested-loop choice from
     the ON disjuncts' equi-keys, with OR-expansion for the disjunctive
     ON conditions produced by unified outer-join plans).  This module
-    interprets the resulting physical plan with stable multi-key sorting
-    under the total value order.
+    interprets the resulting physical plan, chunk by chunk, with stable
+    multi-key sorting under the total value order.
 
     Execution is metered in abstract work units.  The meter implements the
     experiment timeout (the paper killed sub-queries after five minutes)
@@ -44,27 +44,20 @@ type profile = {
 
 val default_profile : profile
 
-val default_batch_size : int
-(** Vector size of the batched path when [--batch] is given without an
-    explicit size (= {!Batch.default_size}). *)
-
 val run :
   ?budget:int ->
   ?profile:profile ->
-  ?batch_size:int ->
   Database.t ->
   Sql.query ->
   Relation.t
 (** Executes a query.  [budget > 0] bounds the work units; exceeding it
-    raises {!Timeout}.  [batch_size] switches to the vectorized batch
-    path (operators process chunks of that many rows, expressions
-    compiled once per operator); output bytes and the stats counters are
-    identical to the tuple path at every batch size. *)
+    raises {!Timeout}.  Operators process {!Batch.t} chunks of
+    {!Batch.default_size} rows with expressions compiled once per
+    operator. *)
 
 val run_with_stats :
   ?budget:int ->
   ?profile:profile ->
-  ?batch_size:int ->
   Database.t ->
   Sql.query ->
   Relation.t * stats
@@ -72,7 +65,6 @@ val run_with_stats :
 val run_cursor :
   ?budget:int ->
   ?profile:profile ->
-  ?batch_size:int ->
   Database.t ->
   Sql.query ->
   Cursor.t
@@ -85,7 +77,6 @@ val run_cursor :
 val run_cursor_with_stats :
   ?budget:int ->
   ?profile:profile ->
-  ?batch_size:int ->
   Database.t ->
   Sql.query ->
   Cursor.t * stats
@@ -99,7 +90,6 @@ val run_cursor_with_stats :
 val run_plan :
   ?budget:int ->
   ?profile:profile ->
-  ?batch_size:int ->
   Database.t ->
   Physical.plan ->
   Relation.t
@@ -107,7 +97,6 @@ val run_plan :
 val run_plan_with_stats :
   ?budget:int ->
   ?profile:profile ->
-  ?batch_size:int ->
   Database.t ->
   Physical.plan ->
   Relation.t * stats
@@ -115,7 +104,6 @@ val run_plan_with_stats :
 val run_plan_cursor_with_stats :
   ?budget:int ->
   ?profile:profile ->
-  ?batch_size:int ->
   Database.t ->
   Physical.plan ->
   Cursor.t * stats

@@ -34,8 +34,6 @@ type config = {
   result_capacity : int;
   admission_budget : int;
   max_queue : int;
-  batch_size : int;
-      (* executor vector size for every served query; 0 = tuple path *)
   trace_sample : int;
       (* head sampling: record spans for 1 in N queries; 1 = all, 0 = none *)
   slow_ms : float; (* slow-query threshold; 0 disables the slow path *)
@@ -55,7 +53,6 @@ let default_config =
     result_capacity = 8 * 1024 * 1024;
     admission_budget = 0;
     max_queue = 64;
-    batch_size = 0;
     trace_sample = 1;
     slow_ms = 0.0;
     slow_log = None;
@@ -340,12 +337,9 @@ let admission_account t =
 (* --- queries ------------------------------------------------------------ *)
 
 let execute_on_pool t (p : S.Middleware.prepared) partition ~reduce =
-  let batch_size =
-    if t.cfg.batch_size > 0 then Some t.cfg.batch_size else None
-  in
   let handle =
     R.Domain_pool.submit t.pool (fun () ->
-        let e = S.Middleware.execute ~reduce ?batch_size p partition in
+        let e = S.Middleware.execute ~reduce p partition in
         (S.Middleware.xml_string_of p e, e.S.Middleware.work))
   in
   R.Domain_pool.await handle

@@ -46,10 +46,6 @@ type config = {
   admission_budget : int;
       (** max estimated work units in flight; 0 = unlimited *)
   max_queue : int;  (** waiting admissions beyond which queries are rejected *)
-  batch_size : int;
-      (** executor vector size for every served query; 0 = tuple path.
-          Output bytes are identical either way, so cache entries are
-          valid across the switch. *)
   trace_sample : int;
       (** head sampling: record spans for 1 in N queries.  [1] traces
           every request (the default), [0] none; sampled-out requests

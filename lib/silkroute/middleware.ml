@@ -231,8 +231,8 @@ let run_stream_query ~runner ~print_sql ~budget ~profile (p : prepared) i
 
 let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?(budget = 0)
     ?(profile = R.Executor.default_profile) ?(transfer = R.Transfer.default)
-    ?(sql_syntax = `Derived) ?(domains = 1) ?batch_size (p : prepared)
-    (plan : Partition.t) : execution =
+    ?(sql_syntax = `Derived) ?(domains = 1) (p : prepared) (plan : Partition.t) :
+    execution =
  Obs.Span.with_span "middleware.execute" (fun () ->
   if Obs.Span.tracing () then Obs.Span.add "domains" (Obs.Attr.Int domains);
   let opts = options_of p ~style ~reduce in
@@ -250,8 +250,7 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?(budget = 0)
         let text, root_name, phys, (rel, stats), wall_ms =
           run_stream_query
             ~runner:(fun ~budget ~profile db plan ->
-              R.Executor.run_plan_with_stats ~budget ~profile ?batch_size db
-                plan)
+              R.Executor.run_plan_with_stats ~budget ~profile db plan)
             ~print_sql ~budget ~profile p i s
         in
         Log.debug (fun m ->
@@ -324,16 +323,6 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?(budget = 0)
     tuples;
     bytes;
   })
-
-(* Parallel sub-query fan-out: [execute] with a required domain count.
-   Each plan fragment's sub-query runs on its own pool domain; the
-   k-way merge-tagger tie-breaks by plan order, so the XML and all
-   deterministic accounting are byte-identical to [execute] at any
-   domain count. *)
-let execute_parallel ?style ?reduce ?budget ?profile ?transfer ?sql_syntax
-    ?batch_size ~domains p plan =
-  execute ?style ?reduce ?budget ?profile ?transfer ?sql_syntax ~domains
-    ?batch_size p plan
 
 let document_of p (e : execution) : Xmlkit.Xml.t =
   Tagger.to_document p.tree e.streams
@@ -424,7 +413,7 @@ let close_stream_cursors (scs : stream_cursor list) =
 let execute_streaming ?(style = Sql_gen.Outer_join) ?(reduce = false)
     ?(budget = 0) ?(profile = R.Executor.default_profile)
     ?(transfer = R.Transfer.default) ?(sql_syntax = `Derived) ?(domains = 1)
-    ?batch_size (p : prepared) (plan : Partition.t) : streaming =
+    (p : prepared) (plan : Partition.t) : streaming =
  Obs.Span.with_span "middleware.execute" (fun () ->
   if Obs.Span.tracing () then begin
     Obs.Span.add "mode" (Obs.Attr.String "streaming");
@@ -443,8 +432,7 @@ let execute_streaming ?(style = Sql_gen.Outer_join) ?(reduce = false)
         let text, root_name, phys, (cur, stats), wall_ms =
           run_stream_query
             ~runner:(fun ~budget ~profile db plan ->
-              R.Executor.run_plan_cursor_with_stats ~budget ~profile ?batch_size
-                db plan)
+              R.Executor.run_plan_cursor_with_stats ~budget ~profile db plan)
             ~print_sql ~budget ~profile p i s
         in
         (* Spool the sorted rows out of the heap, accounting rows, bytes
@@ -575,7 +563,7 @@ type resilient = { r_streaming : streaming; r_resilience : resilience }
 
 let execute_resilient ?(style = Sql_gen.Outer_join) ?(reduce = false)
     ?budget ?profile ?(transfer = R.Transfer.default) ?(sql_syntax = `Derived)
-    ?backend ?(max_splits = 8) ?(domains = 1) ?batch_size (p : prepared)
+    ?backend ?(max_splits = 8) ?(domains = 1) (p : prepared)
     (plan : Partition.t) : resilient =
  Obs.Span.with_span "middleware.execute" (fun () ->
   if Obs.Span.tracing () then begin
@@ -584,11 +572,8 @@ let execute_resilient ?(style = Sql_gen.Outer_join) ?(reduce = false)
   end;
   let backend =
     match backend with
-    | Some b -> (
-        match batch_size with
-        | None -> b
-        | Some _ -> R.Backend.with_batch_size b batch_size)
-    | None -> R.Backend.create ?budget ?profile ?batch_size p.db
+    | Some b -> b
+    | None -> R.Backend.create ?budget ?profile p.db
   in
   let opts = options_of p ~style ~reduce in
   let streams = Sql_gen.streams p.db p.tree plan opts in
@@ -834,12 +819,12 @@ let stream_to_channel p (se : streaming) oc : unit =
 (* One-call convenience: materialize the XML view of [db] under
    [strategy]. *)
 let materialize ?style ?reduce ?budget ?profile ?transfer ?sql_syntax ?domains
-    ?batch_size db view strategy : Xmlkit.Xml.t * execution =
+    db view strategy : Xmlkit.Xml.t * execution =
   let p = prepare db view in
   let plan = partition_of p strategy in
   let e =
-    execute ?style ?reduce ?budget ?profile ?transfer ?sql_syntax ?domains
-      ?batch_size p plan
+    execute ?style ?reduce ?budget ?profile ?transfer ?sql_syntax ?domains p
+      plan
   in
   (document_of p e, e)
 

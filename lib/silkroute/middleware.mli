@@ -80,7 +80,6 @@ val execute :
   ?transfer:Relational.Transfer.config ->
   ?sql_syntax:[ `Derived | `With ] ->
   ?domains:int ->
-  ?batch_size:int ->
   prepared ->
   Partition.t ->
   execution
@@ -91,25 +90,7 @@ val execute :
     domains; 1 is exactly the sequential path.  Output and all
     deterministic accounting (work, tuples, bytes, modeled transfer)
     are identical at every domain count — the merge-tagger tie-breaks
-    by plan order.  [batch_size] switches every sub-query to the
-    executor's vectorized batch path; output and accounting stay
-    identical to the tuple path at every batch size. *)
-
-val execute_parallel :
-  ?style:Sql_gen.style ->
-  ?reduce:bool ->
-  ?budget:int ->
-  ?profile:Relational.Executor.profile ->
-  ?transfer:Relational.Transfer.config ->
-  ?sql_syntax:[ `Derived | `With ] ->
-  ?batch_size:int ->
-  domains:int ->
-  prepared ->
-  Partition.t ->
-  execution
-(** {!execute} with a required [domains]: each plan fragment's backend
-    submit + executor run happens on its own pool domain, results merge
-    in plan order. *)
+    by plan order. *)
 
 val document_of : prepared -> execution -> Xmlkit.Xml.t
 val xml_string_of : prepared -> execution -> string
@@ -167,7 +148,6 @@ val execute_streaming :
   ?transfer:Relational.Transfer.config ->
   ?sql_syntax:[ `Derived | `With ] ->
   ?domains:int ->
-  ?batch_size:int ->
   prepared ->
   Partition.t ->
   streaming
@@ -222,7 +202,6 @@ val execute_resilient :
   ?backend:Relational.Backend.t ->
   ?max_splits:int ->
   ?domains:int ->
-  ?batch_size:int ->
   prepared ->
   Partition.t ->
   resilient
@@ -262,7 +241,6 @@ val materialize :
   ?transfer:Relational.Transfer.config ->
   ?sql_syntax:[ `Derived | `With ] ->
   ?domains:int ->
-  ?batch_size:int ->
   Relational.Database.t ->
   Rxl.view ->
   strategy ->

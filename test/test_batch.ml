@@ -1,15 +1,12 @@
-(* The vectorized batch path: unit laws for Batch's selection vectors,
-   compile ≡ eval equivalence over random expressions, and the
-   differential oracle — at every batch size, every plan of the 2^|E|
-   lattice must produce XML byte-identical to the tuple-at-a-time path
-   with the stats counters exactly equal, in every execution mode
-   (materialized, streaming, resilient under faults, parallel). *)
+(* The executor's batches: unit laws for Batch's selection vectors, the
+   batch-to-cursor adapter, cursor resource release, and compile ≡ eval
+   equivalence over random expressions.  Operators crossing chunk
+   boundaries are checked against the legacy interpreter in
+   test_executor.ml. *)
 
-open Silkroute
 module R = Relational
 module V = R.Value
 
-let tpch scale = Tpch.Gen.generate (Tpch.Gen.config scale)
 let v n = V.Int n
 let row a b c : R.Tuple.t = [| v a; v b; v c |]
 
@@ -74,19 +71,22 @@ let test_keep_all_and_none () =
   Alcotest.(check bool) "to_list empty" true (R.Batch.to_list b = [])
 
 let test_cursor_round_trip () =
-  let rows = List.init 10 (fun i -> row i i i) in
-  let c = R.Cursor.of_list [| "a"; "b"; "c" |] rows in
-  let rec drain acc =
-    match R.Cursor.next_batch ~size:3 c with
-    | None -> List.rev acc
-    | Some b -> drain (b :: acc)
+  let rows = Array.init 10 (fun i -> row i i i) in
+  let batches =
+    List.map
+      (fun (off, len) -> R.Batch.of_rows (Array.sub rows off len))
+      [ (0, 3); (3, 3); (6, 3); (9, 1) ]
   in
-  let batches = drain [] in
   Alcotest.(check (list int)) "batch sizes" [ 3; 3; 3; 1 ]
     (List.map R.Batch.length batches);
-  let c2 = R.Cursor.of_batches [| "a"; "b"; "c" |] batches in
+  let c = R.Cursor.of_batches [| "a"; "b"; "c" |] batches in
   Alcotest.(check bool) "round trip preserves rows" true
-    (R.Cursor.to_list c2 = rows)
+    (R.Cursor.to_list c = Array.to_list rows);
+  ignore (R.Batch.keep (fun t -> t.(0) <> v 4) (List.nth batches 1));
+  let c = R.Cursor.of_batches [| "a"; "b"; "c" |] batches in
+  Alcotest.(check bool) "selection vectors respected" true
+    (R.Cursor.to_list c
+    = List.filter (fun t -> t.(0) <> v 4) (Array.to_list rows))
 
 (* --- leak regression: a throwing consumer must close the source ------- *)
 
@@ -203,163 +203,18 @@ let prop_compile_pred_eq_eval_pred =
     ~count:1000 (QCheck.make ~print:print_case gen_case) (fun (e, t) ->
       R.Expr.compile_pred e t = R.Expr.eval_pred e t)
 
-(* --- differential oracle: batched = tuple, exactly -------------------- *)
-
-let sizes = [ 1; 7; 1024 ]
-let opts_of style = { Sql_gen.style; labels = None }
-
-let stats_sig (st : R.Executor.stats) =
-  R.Executor.
-    (st.scanned, st.probed, st.emitted, st.sorted, st.spill_passes, st.work)
-
-let check_exec label (e0 : Middleware.execution) (e : Middleware.execution)
-    xml0 xml =
-  Alcotest.(check string) (label ^ ": XML byte-identical") xml0 xml;
-  Alcotest.(check int) (label ^ ": work") e0.Middleware.work e.Middleware.work;
-  Alcotest.(check int)
-    (label ^ ": tuples")
-    e0.Middleware.tuples e.Middleware.tuples;
-  Alcotest.(check int) (label ^ ": bytes") e0.Middleware.bytes e.Middleware.bytes;
-  Alcotest.(check (float 0.0))
-    (label ^ ": transfer_ms")
-    e0.Middleware.transfer_ms e.Middleware.transfer_ms;
-  List.iter2
-    (fun (a : Middleware.stream_exec) (b : Middleware.stream_exec) ->
-      Alcotest.(check bool)
-        (label ^ ": per-stream stats exactly equal")
-        true
-        (stats_sig a.Middleware.se_stats = stats_sig b.Middleware.se_stats))
-    e0.Middleware.per_stream e.Middleware.per_stream
-
-let test_lattice_materialized_streaming () =
-  let db = tpch 0.05 in
-  let p = Middleware.prepare_text db Queries.query1_text in
-  let tree = p.Middleware.tree in
-  List.iter
-    (fun style ->
-      let sname =
-        match style with
-        | Sql_gen.Outer_join -> "outer-join"
-        | Sql_gen.Outer_union -> "outer-union"
-      in
-      List.iter
-        (fun mask ->
-          let plan = Partition.of_mask tree mask in
-          let e0 = Middleware.execute ~style p plan in
-          let xml0 = Middleware.xml_string_of p e0 in
-          let se0 = Middleware.execute_streaming ~style p plan in
-          let sxml0 = Middleware.xml_string_of_streaming p se0 in
-          Alcotest.(check int)
-            (Printf.sprintf "%s mask %d: streaming work = materialized" sname
-               mask)
-            e0.Middleware.work se0.Middleware.s_work;
-          List.iter
-            (fun size ->
-              let label what =
-                Printf.sprintf "%s mask %d size %d %s" sname mask size what
-              in
-              let e = Middleware.execute ~style ~batch_size:size p plan in
-              check_exec (label "materialized") e0 e xml0
-                (Middleware.xml_string_of p e);
-              let se =
-                Middleware.execute_streaming ~style ~batch_size:size p plan
-              in
-              Alcotest.(check string)
-                (label "streaming: XML byte-identical")
-                sxml0
-                (Middleware.xml_string_of_streaming p se);
-              Alcotest.(check int)
-                (label "streaming: work")
-                se0.Middleware.s_work se.Middleware.s_work;
-              Alcotest.(check int)
-                (label "streaming: tuples")
-                se0.Middleware.s_tuples se.Middleware.s_tuples;
-              Alcotest.(check int)
-                (label "streaming: bytes")
-                se0.Middleware.s_bytes se.Middleware.s_bytes;
-              Alcotest.(check (float 0.0))
-                (label "streaming: transfer_ms")
-                se0.Middleware.s_transfer_ms se.Middleware.s_transfer_ms)
-            sizes)
-        (Partition.all_masks tree))
-    [ Sql_gen.Outer_join; Sql_gen.Outer_union ]
-
-let resilience_sig (r : Middleware.resilience) =
-  Middleware.
-    ( r.r_submits, r.r_attempts, r.r_retries, r.r_faults, r.r_timeouts,
-      r.r_degraded, r.r_wasted_work )
-
-let test_lattice_resilient_parallel () =
-  let db = tpch 0.05 in
-  let p = Middleware.prepare_text db Queries.query1_text in
-  let tree = p.Middleware.tree in
-  let faults_seen = ref 0 in
-  List.iter
-    (fun mask ->
-      let plan = Partition.of_mask tree mask in
-      (* resilient at fault rate 0.3: batched and tuple submissions see
-         the same deterministic fault stream, so the resilience counters
-         must match exactly along with the bytes. *)
-      let backend () =
-        R.Backend.create
-          ~faults:(R.Backend.faults ~seed:14 0.3)
-          ~retry:{ R.Backend.default_retry with R.Backend.max_retries = 8 }
-          db
-      in
-      let r0 = Middleware.execute_resilient ~backend:(backend ()) p plan in
-      let xml0 = Middleware.xml_string_of_streaming p r0.Middleware.r_streaming in
-      faults_seen :=
-        !faults_seen + r0.Middleware.r_resilience.Middleware.r_faults;
-      (* parallel reference: tuple path at domains 1 *)
-      let e0 = Middleware.execute p plan in
-      let pxml0 = Middleware.xml_string_of p e0 in
-      List.iter
-        (fun size ->
-          let r =
-            Middleware.execute_resilient ~backend:(backend ()) ~batch_size:size
-              p plan
-          in
-          let label what =
-            Printf.sprintf "mask %d size %d %s" mask size what
-          in
-          Alcotest.(check string)
-            (label "resilient: XML byte-identical")
-            xml0
-            (Middleware.xml_string_of_streaming p r.Middleware.r_streaming);
-          Alcotest.(check bool)
-            (label "resilient: counters exactly equal")
-            true
-            (resilience_sig r0.Middleware.r_resilience
-            = resilience_sig r.Middleware.r_resilience);
-          let e =
-            Middleware.execute_parallel ~domains:2 ~batch_size:size p plan
-          in
-          check_exec (label "parallel domains 2") e0 e pxml0
-            (Middleware.xml_string_of p e))
-        sizes)
-    (Partition.all_masks tree);
-  Alcotest.(check bool) "faults actually fired at rate 0.3" true
-    (!faults_seen > 0)
-
 let suite =
   [
     Alcotest.test_case "batch push/get/bytes laws" `Quick test_push_get;
     Alcotest.test_case "selection vectors refine and compose" `Quick test_keep;
     Alcotest.test_case "keep-all / keep-none edges" `Quick
       test_keep_all_and_none;
-    Alcotest.test_case "cursor next_batch/of_batches round trip" `Quick
+    Alcotest.test_case "cursor of_batches round trip" `Quick
       test_cursor_round_trip;
     Alcotest.test_case "iter closes a spooled cursor on consumer raise" `Quick
       test_iter_closes_on_raise;
     Alcotest.test_case "spool releases all files when on_row raises" `Quick
       test_spool_closes_source_on_raise;
-    Alcotest.test_case
-      "all plans, both styles, sizes 1/7/1024: batched = tuple (mat + \
-       streaming)"
-      `Slow test_lattice_materialized_streaming;
-    Alcotest.test_case
-      "all plans, sizes 1/7/1024: batched = tuple (resilient 0.3 + parallel)"
-      `Slow test_lattice_resilient_parallel;
   ]
 
 let props = [ prop_compile_eq_eval; prop_compile_pred_eq_eval_pred ]

@@ -62,10 +62,10 @@ let test_or_expansion_join () =
   Alcotest.(check int) "rows" 3 (Relation.cardinality r)
 
 (* OR-expansion, exactly: rows in output order and the probed / emitted
-   / work counters, identical on the tuple path and the batched path at
-   sizes 1 and default.  The legacy interpreter yields the same rows,
-   probes and emissions; its work may only be higher, since the
-   physical plan's rewrites narrow what emission pays for.
+   / work counters of the physical interpreter.  The legacy interpreter
+   yields the same rows, probes and emissions; its work may only be
+   higher, since the physical plan's rewrites narrow what emission pays
+   for.
    L(a) = 1, 2, NULL; M rows in storage order (c, d, f, e):
    (10,1,1,x) (11,2,1,y) (12,NULL,2,z) (13,2,NULL,z). *)
 let or_join_db () =
@@ -95,10 +95,7 @@ let check_or_join on ~rows ~probed ~emitted ~work ~legacy_work =
     Alcotest.(check int) (path ^ ": emitted") emitted st.Executor.emitted;
     Alcotest.(check int) (path ^ ": work") work st.Executor.work
   in
-  List.iter
-    (fun (path, batch_size) ->
-      check path (Executor.run_with_stats ?batch_size db q) ~work)
-    [ ("tuple", None); ("batch 1", Some 1); ("batch default", Some Batch.default_size) ];
+  check "physical" (Executor.run_with_stats db q) ~work;
   check "legacy" (Executor.run_legacy_with_stats db q) ~work:legacy_work
 
 let test_or_expansion_join_exact () =
@@ -118,6 +115,66 @@ let test_or_expansion_join_exact () =
     ~rows:[ "(1, 10)"; "(1, 12)"; "(1, 13)"; "(2, 11)"; "(2, 12)"; "(2, 13)";
             "(NULL, 12)"; "(NULL, 13)" ]
     ~probed:12 ~emitted:16 ~work:55 ~legacy_work:59
+
+(* Operators across chunk boundaries: T has two full chunks and a
+   partial tail, U one full chunk and a tail.  Each query must yield the
+   legacy interpreter's rows in the same order with the same probes and
+   emissions, and never more work. *)
+let multi_chunk_db () =
+  let nt = (2 * Batch.default_size) + 37 and nu = Batch.default_size + 5 in
+  let db = Database.create () in
+  Database.add_table db
+    (Schema.table "T" ~key:[ "k" ]
+       [ Schema.column "k" Value.TInt; Schema.column "g" Value.TInt;
+         Schema.column "name" Value.TString ]);
+  Database.add_table db
+    (Schema.table "U" ~key:[ "x" ]
+       [ Schema.column "x" Value.TInt; Schema.column "g" Value.TInt;
+         Schema.column "label" Value.TString ]);
+  (* T's groups are k mod 11, U's x mod 9: T's groups 9 and 10 go
+     unmatched *)
+  Database.load db "T"
+    (List.init nt (fun k ->
+         [| i k; i (k mod 11); s (Printf.sprintf "t%d" (k * 7 mod nt)) |]));
+  Database.load db "U"
+    (List.init nu (fun x ->
+         [| i x; i (x mod 9); s (Printf.sprintf "u%d" (x mod 13)) |]));
+  (db, nt, nu)
+
+let test_multi_chunk_vs_legacy () =
+  let db, nt, nu = multi_chunk_db () in
+  let count m p = List.length (List.filter p (List.init m Fun.id)) in
+  let joined =
+    List.fold_left ( + ) 0
+      (List.init nt (fun k -> count nu (fun x -> x mod 9 = k mod 11)))
+  and unmatched = count nt (fun k -> k mod 11 > 8) in
+  let row_strings r = List.map Tuple.to_string (Relation.rows r) in
+  let check text ~rows =
+    let q = Sql_parser.parse text in
+    let r, st = Executor.run_with_stats db q in
+    let r0, st0 = Executor.run_legacy_with_stats db q in
+    Alcotest.(check int) (text ^ ": row count") rows (Relation.cardinality r);
+    Alcotest.(check (list string)) (text ^ ": rows") (row_strings r0) (row_strings r);
+    Alcotest.(check int) (text ^ ": probed") st0.Executor.probed st.Executor.probed;
+    Alcotest.(check int) (text ^ ": emitted") st0.Executor.emitted st.Executor.emitted;
+    Alcotest.(check bool) (text ^ ": work <= legacy") true
+      (st.Executor.work <= st0.Executor.work)
+  in
+  check "SELECT t.k AS k, t.g AS g, t.name AS name FROM T AS t" ~rows:nt;
+  check "SELECT t.k AS k, 1 AS lvl, NULL AS pad FROM T AS t WHERE (t.g < 8)"
+    ~rows:(count nt (fun k -> k mod 11 < 8));
+  check "SELECT t.k AS k, u.x AS x FROM T AS t, U AS u WHERE (t.g = u.g)"
+    ~rows:joined;
+  check
+    "SELECT t.k AS k, u.label AS label FROM T AS t LEFT OUTER JOIN U AS u \
+     ON (t.g = u.g)"
+    ~rows:(joined + unmatched);
+  check "(SELECT t.k AS k FROM T AS t) UNION ALL (SELECT u.x AS k FROM U AS u)"
+    ~rows:(nt + nu);
+  check
+    "SELECT t.name AS name, u.label AS label, t.k AS k FROM T AS t LEFT OUTER \
+     JOIN U AS u ON (t.g = u.g) ORDER BY label DESC, name"
+    ~rows:(joined + unmatched)
 
 let test_union_all () =
   let r = run (mkdb ())
@@ -306,6 +363,8 @@ let suite =
     Alcotest.test_case "left outer join residual" `Quick test_left_outer_join_residual_condition;
     Alcotest.test_case "OR-expansion join" `Quick test_or_expansion_join;
     Alcotest.test_case "OR-expansion join, exact" `Quick test_or_expansion_join_exact;
+    Alcotest.test_case "operators across chunks vs legacy" `Quick
+      test_multi_chunk_vs_legacy;
     Alcotest.test_case "union all" `Quick test_union_all;
     Alcotest.test_case "union arity mismatch" `Quick test_union_arity_mismatch;
     Alcotest.test_case "order by with NULLs" `Quick test_order_by_with_nulls;

@@ -1,10 +1,10 @@
 (* The domain fan-out: Domain_pool unit tests, then differential tests
-   holding [execute_parallel] / [~domains] to the sequential paths —
-   byte-identical XML and exact work/tuples/bytes/transfer parity for
-   every plan in the 2^|E| lattice at domains ∈ {1, 2, 4}, resilience
-   counters deterministic under faults at every domain count, and span
-   coherence (parent-before-child, start order) when several domains
-   trace at once. *)
+   holding [~domains] to the sequential paths — byte-identical XML and
+   exact work/tuples/bytes/transfer parity for every plan in the 2^|E|
+   lattice at domains ∈ {1, 2, 4}, resilience counters deterministic
+   under faults at every domain count, and span coherence
+   (parent-before-child, start order) when several domains trace at
+   once. *)
 
 open Silkroute
 module R = Relational
@@ -90,7 +90,7 @@ let check_point p mask domains =
   let plan = Partition.of_mask p.Middleware.tree mask in
   let label = Printf.sprintf "mask %d @%d domains" mask domains in
   let e = Middleware.execute p plan in
-  let ep = Middleware.execute_parallel ~domains p plan in
+  let ep = Middleware.execute ~domains p plan in
   Alcotest.(check string)
     (label ^ ": byte-identical XML")
     (Middleware.xml_string_of p e)
@@ -248,7 +248,7 @@ let test_spans_coherent_across_domains () =
       ignore (Middleware.execute p plan);
       let seq_names = span_names () in
       Obs.Span.reset ();
-      ignore (Middleware.execute_parallel ~domains:4 p plan);
+      ignore (Middleware.execute ~domains:4 p plan);
       let spans = Obs.Span.spans () in
       Alcotest.(check (list string))
         "same span multiset as sequential" seq_names (span_names ());

@@ -24,10 +24,6 @@ dune build bin/silkroute_cli.exe tools/check_jsonl.exe
 sh tools/parallel_smoke.sh _build/default/bin/silkroute_cli.exe \
     _build/default/tools/check_jsonl.exe
 
-echo "== batch smoke (--batch byte-identical, executor.batch span traced)"
-sh tools/batch_smoke.sh _build/default/bin/silkroute_cli.exe \
-    _build/default/tools/check_jsonl.exe
-
 echo "== fault smoke (byte-identical output under injected faults)"
 dune exec tools/fault_smoke.exe
 
@@ -60,18 +56,6 @@ if echo "$scaling_out" | grep -q 'NO!'; then
 fi
 if ! echo "$scaling_out" | grep -q ' yes$'; then
   echo "scaling: no parity rows found"
-  exit 1
-fi
-
-echo "== batching experiment (vectorized path: exact parity on the full plan lattice)"
-batching_out=$(dune exec bench/main.exe -- --experiment batching)
-echo "$batching_out"
-if echo "$batching_out" | grep -q 'NO!'; then
-  echo "batching: parity violation (see NO! rows above)"
-  exit 1
-fi
-if ! echo "$batching_out" | grep -q ' yes$'; then
-  echo "batching: no parity rows found"
   exit 1
 fi
 
