@@ -69,7 +69,7 @@ let run_all () =
                   experiment =
                     Printf.sprintf "%s:%s:%s" qname pname
                       (if reduce then "reduced" else "plain");
-                  streams = List.length e.S.Middleware.streams;
+                  streams = List.length e.S.Middleware.per_stream;
                   work = e.S.Middleware.work;
                   rows = e.S.Middleware.tuples;
                   bytes = e.S.Middleware.bytes;
@@ -82,18 +82,18 @@ let run_all () =
          cursor path, consumed to exercise the heap-merge tagger too *)
       let streaming =
         let _, plan = List.nth plans 2 in
-        let se = S.Middleware.execute_streaming ~reduce:true p plan in
+        let e = S.Middleware.execute ~reduce:true ~spool:true p plan in
         let r =
           {
             experiment = Printf.sprintf "%s:greedy:streaming" qname;
-            streams = List.length se.S.Middleware.cursors;
-            work = se.S.Middleware.s_work;
-            rows = se.S.Middleware.s_tuples;
-            bytes = se.S.Middleware.s_bytes;
-            transfer_ms = se.S.Middleware.s_transfer_ms;
+            streams = List.length e.S.Middleware.per_stream;
+            work = e.S.Middleware.work;
+            rows = e.S.Middleware.tuples;
+            bytes = e.S.Middleware.bytes;
+            transfer_ms = e.S.Middleware.transfer_ms;
           }
         in
-        ignore (S.Middleware.xml_string_of_streaming p se);
+        ignore (S.Middleware.xml_string_of p e);
         [ r ]
       in
       materialized @ streaming)

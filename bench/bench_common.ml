@@ -36,7 +36,8 @@ let measure ?(style = S.Sql_gen.Outer_join) ?(reduce = false) ?(budget = 0)
   let plan = S.Partition.of_mask p.S.Middleware.tree mask in
   let streams = S.Partition.stream_count plan in
   try
-    let e = S.Middleware.execute ~style ~reduce ~budget p plan in
+    let backend = R.Backend.create ~budget p.S.Middleware.db in
+    let e = S.Middleware.execute ~style ~reduce ~backend p plan in
     {
       mask;
       streams;

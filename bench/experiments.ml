@@ -251,7 +251,8 @@ let ablation () =
   let profile_no_spill = { profile_default with R.Executor.sort_buffer = max_int } in
   let run profile mask reduce =
     let plan = S.Partition.of_mask p.S.Middleware.tree mask in
-    (S.Middleware.execute ~reduce ~profile p plan).S.Middleware.work
+    let backend = R.Backend.create ~profile p.S.Middleware.db in
+    (S.Middleware.execute ~reduce ~backend p plan).S.Middleware.work
   in
   Printf.printf "%-28s %14s %14s\n" "plan" "work(default)" "work(no spill)";
   List.iter
@@ -293,7 +294,8 @@ let ablation () =
       let unified = run profile 511 true in
       let best3 =
         let plan = S.Partition.of_mask p.S.Middleware.tree best3_mask in
-        (S.Middleware.execute ~reduce:true ~profile p plan).S.Middleware.work
+        let backend = R.Backend.create ~profile p.S.Middleware.db in
+        (S.Middleware.execute ~reduce:true ~backend p plan).S.Middleware.work
       in
       Printf.printf "%10dKB %12d %12d %8.2f\n" (buffer / 1024) unified best3
         (float_of_int unified /. float_of_int best3))
@@ -578,13 +580,12 @@ let resilience () =
           ~retry:{ R.Backend.default_retry with R.Backend.max_retries = 8 }
           ~budget db
       in
-      let r = S.Middleware.execute_resilient ~backend p unified in
-      let se = r.S.Middleware.r_streaming in
-      let xml = S.Middleware.xml_string_of_streaming p se in
-      let res = r.S.Middleware.r_resilience in
+      let e = S.Middleware.execute ~backend ~max_splits:8 p unified in
+      let xml = S.Middleware.xml_string_of p e in
+      let res = e.S.Middleware.resilience in
       let total =
-        sim_query_ms (se.S.Middleware.s_work + res.S.Middleware.r_wasted_work)
-        +. se.S.Middleware.s_transfer_ms +. res.S.Middleware.r_backoff_ms
+        sim_query_ms (e.S.Middleware.work + res.S.Middleware.r_wasted_work)
+        +. e.S.Middleware.transfer_ms +. res.S.Middleware.r_backoff_ms
       in
       Printf.printf "%6.2f %8d %8d %8d %8d %9.1f %10d %11.1f %10s\n" rate
         res.S.Middleware.r_attempts res.S.Middleware.r_retries

@@ -36,11 +36,11 @@ let t_fig13_stream =
   Test.make ~name:"fig13:plan-pipeline-streaming"
     (Staged.stage (fun () ->
          let p = Lazy.force prepared in
-         let se =
-           Sk.Middleware.execute_streaming p
+         let e =
+           Sk.Middleware.execute ~spool:true p
              (Sk.Partition.of_mask p.Sk.Middleware.tree 37)
          in
-         ignore (Sk.Middleware.xml_string_of_streaming p se)))
+         ignore (Sk.Middleware.xml_string_of p e)))
 
 let t_fig14 =
   (* Fig. 14: the reduced variant of the same pipeline *)

@@ -5,7 +5,7 @@
    either the document or diagnostics.
 
      silkroute run --query q1 --scale 0.5 --strategy greedy
-     silkroute run --query q1 --stream          # cursor pipeline to stdout
+     silkroute run --query q1 --stream          # spooled results, streamed out
      silkroute run --view my_view.rxl --strategy edges:37 --no-reduce
      silkroute explain --query q2
      silkroute plan --query q1 --scale 1.0
@@ -95,10 +95,10 @@ let pretty_arg =
 
 let stream_arg =
   let doc =
-    "Stream the XML to stdout as it is produced: sub-query results are \
-     spooled and merged through cursors, so memory stays bounded by the \
-     view-tree depth instead of the result size.  Incompatible with \
-     $(b,--pretty)."
+    "Spool each sub-query's result to a temporary file instead of holding \
+     it in memory, and merge the spools through cursors, so memory stays \
+     bounded by the view-tree depth instead of the result size.  \
+     Incompatible with $(b,--pretty)."
   in
   Arg.(value & flag & info [ "stream" ] ~doc)
 
@@ -112,11 +112,12 @@ let budget_arg =
 
 let resilient_arg =
   let doc =
-    "Run every sub-query through the resilient backend: transient failures \
-     are retried with exponential backoff, persistent failures degrade the \
-     offending stream by splitting its fragment along view-tree edges.  The \
-     XML output is byte-identical to a fault-free run.  Implies streaming \
-     output."
+    "Degrade instead of failing: a stream whose sub-query fails for good \
+     (retries exhausted, a fatal fault, or a budget timeout) is split along \
+     view-tree edges into finer sub-queries, up to 8 nested splits, and \
+     injected faults ($(b,--fault-rate)) are allowed.  Transient failures \
+     are retried with exponential backoff on every run.  The XML output is \
+     byte-identical to a fault-free run."
   in
   Arg.(value & flag & info [ "resilient" ] ~doc)
 
@@ -312,78 +313,50 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
     verbose trace trace_json metrics profile trace_chrome diagnose skew =
   setup_logs verbose;
   setup_obs ~trace_chrome ~diagnose ~trace ~trace_json ~metrics ~profile ();
-  if (stream || resilient) && pretty then
-    invalid_arg "--pretty requires the materialized path; drop --stream/--resilient";
+  if stream && pretty then
+    invalid_arg "--pretty needs the rows in memory; drop --stream";
   if fault_rate > 0.0 && not resilient then
     invalid_arg "--fault-rate requires --resilient";
   if parallel < 1 then invalid_arg "--parallel must be >= 1";
-  let domains = parallel in
   let db, p = setup query view_file scale seed schema data in
-  ignore db;
   apply_skew p skew;
-  let diagnose_report samples =
-    if diagnose then prerr_string (Obs.Diagnose.report samples)
-  in
   let plan = S.Middleware.partition_of p (parse_strategy strategy) in
+  let backend =
+    R.Backend.create
+      ~faults:(R.Backend.faults ~seed:fault_seed fault_rate)
+      ~retry:{ R.Backend.default_retry with R.Backend.max_retries = retries }
+      ~budget db
+  in
+  let e =
+    S.Middleware.execute ~reduce:(not no_reduce) ~backend
+      ~max_splits:(if resilient then 8 else 0)
+      ~spool:stream ~domains:parallel p plan
+  in
+  if explain then prerr_endline (S.Middleware.explain_execution p e);
+  if pretty then
+    print_string
+      (Xmlkit.Serialize.to_pretty_string (S.Middleware.document_of p e))
+  else begin
+    S.Middleware.stream_to_channel p e stdout;
+    print_newline ()
+  end;
+  Printf.eprintf "[%d stream(s), %d tuples, %d work units, %.1f ms transfer%s%s]\n"
+    (List.length e.S.Middleware.per_stream)
+    e.S.Middleware.tuples e.S.Middleware.work e.S.Middleware.transfer_ms
+    (if stream then ", streamed" else "")
+    (if resilient then ", resilient" else "");
   if resilient then begin
-    let backend =
-      R.Backend.create
-        ~faults:(R.Backend.faults ~seed:fault_seed fault_rate)
-        ~retry:{ R.Backend.default_retry with R.Backend.max_retries = retries }
-        ~budget p.S.Middleware.db
-    in
-    let r =
-      S.Middleware.execute_resilient ~reduce:(not no_reduce) ~backend ~domains
-        p plan
-    in
-    let se = r.S.Middleware.r_streaming in
-    if explain then prerr_endline (S.Middleware.explain_streaming p se);
-    S.Middleware.stream_to_channel p se stdout;
-    print_newline ();
-    let res = r.S.Middleware.r_resilience in
-    Printf.eprintf
-      "[%d stream(s), %d tuples, %d work units, %.1f ms transfer, resilient]\n"
-      (List.length se.S.Middleware.cursors)
-      se.S.Middleware.s_tuples se.S.Middleware.s_work
-      se.S.Middleware.s_transfer_ms;
+    let res = e.S.Middleware.resilience in
     Printf.eprintf
       "[resilience: %d submits, %d attempts, %d retries, %d faults, %d \
        timeouts, %d degraded, %.1f ms backoff, %d wasted work]\n"
       res.S.Middleware.r_submits res.S.Middleware.r_attempts
       res.S.Middleware.r_retries res.S.Middleware.r_faults
       res.S.Middleware.r_timeouts res.S.Middleware.r_degraded
-      res.S.Middleware.r_backoff_ms res.S.Middleware.r_wasted_work;
-    diagnose_report (S.Middleware.diagnose_samples_streaming p se)
-  end
-  else if stream then begin
-    let se =
-      S.Middleware.execute_streaming ~reduce:(not no_reduce) ~budget ~domains p
-        plan
-    in
-    if explain then prerr_endline (S.Middleware.explain_streaming p se);
-    S.Middleware.stream_to_channel p se stdout;
-    print_newline ();
-    Printf.eprintf
-      "[%d stream(s), %d tuples, %d work units, %.1f ms transfer, streamed]\n"
-      (List.length se.S.Middleware.cursors)
-      se.S.Middleware.s_tuples se.S.Middleware.s_work
-      se.S.Middleware.s_transfer_ms;
-    diagnose_report (S.Middleware.diagnose_samples_streaming p se)
-  end
-  else begin
-    let e =
-      S.Middleware.execute ~reduce:(not no_reduce) ~budget ~domains p plan
-    in
-    if explain then prerr_endline (S.Middleware.explain_execution p e);
-    if pretty then
-      print_string
-        (Xmlkit.Serialize.to_pretty_string (S.Middleware.document_of p e))
-    else print_endline (S.Middleware.xml_string_of p e);
-    Printf.eprintf "[%d stream(s), %d tuples, %d work units, %.1f ms transfer]\n"
-      (List.length e.S.Middleware.streams)
-      e.S.Middleware.tuples e.S.Middleware.work e.S.Middleware.transfer_ms;
-    diagnose_report (S.Middleware.diagnose_samples p e)
+      res.S.Middleware.r_backoff_ms res.S.Middleware.r_wasted_work
   end;
+  if diagnose then
+    prerr_string (Obs.Diagnose.report (S.Middleware.diagnose_samples p e));
   report_obs ~trace_chrome ~trace ~trace_json ~metrics ~profile ()
 
 let explain_cmd query view_file scale seed schema data strategy no_reduce =
@@ -424,7 +397,8 @@ let diagnose_cmd query view_file scale seed schema data strategy no_reduce
   ignore db;
   apply_skew p skew;
   let plan = S.Middleware.partition_of p (parse_strategy strategy) in
-  let e = S.Middleware.execute ~reduce:(not no_reduce) ~budget p plan in
+  let backend = R.Backend.create ~budget p.S.Middleware.db in
+  let e = S.Middleware.execute ~reduce:(not no_reduce) ~backend p plan in
   print_string (Obs.Diagnose.report (S.Middleware.diagnose_samples p e))
 
 (* --- query server ------------------------------------------------------- *)

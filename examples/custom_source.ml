@@ -85,8 +85,10 @@ let () =
      correctness of '*'-style plans.)";
 
   print_endline "\n=== materialized view ===";
-  let doc, _ = S.Middleware.materialize db (S.Rxl_parser.parse view_text)
-      S.Middleware.Unified in
+  let doc =
+    S.Middleware.document_of p2
+      (S.Middleware.execute p2 (S.Middleware.partition_of p2 S.Middleware.Unified))
+  in
   print_string (Xmlkit.Serialize.to_pretty_string doc);
 
   (* The DTD this view publishes against. *)

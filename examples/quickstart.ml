@@ -42,16 +42,20 @@ let () =
   in
 
   (* 3. Materialize with the greedy planner. *)
-  let doc, execution =
-    S.Middleware.materialize db (S.Rxl_parser.parse view_text)
-      (S.Middleware.Greedy S.Planner.default_params)
+  let p = S.Middleware.prepare_text db view_text in
+  let plan =
+    S.Middleware.partition_of p (S.Middleware.Greedy S.Planner.default_params)
   in
+  let execution = S.Middleware.execute p plan in
+  let doc = S.Middleware.document_of p execution in
   print_endline "--- materialized XML ---";
   print_string (Xmlkit.Serialize.to_pretty_string doc);
 
   (* 4. Look under the hood: the SQL the middleware generated. *)
   print_endline "--- generated SQL ---";
-  List.iter print_endline execution.S.Middleware.sql_texts;
+  List.iter
+    (fun se -> print_endline se.S.Middleware.se_sql)
+    execution.S.Middleware.per_stream;
   Printf.printf "--- %d tuple stream(s), %d tuples, %d bytes transferred ---\n"
-    (List.length execution.S.Middleware.streams)
+    (List.length execution.S.Middleware.per_stream)
     execution.S.Middleware.tuples execution.S.Middleware.bytes

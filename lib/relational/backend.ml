@@ -180,6 +180,7 @@ let create ?(faults = no_faults) ?(retry = default_retry)
 
 let db t = t.database
 let clock t = t.clk
+let profile t = t.profile
 let stats t = { t.st with submits = t.st.submits }
 
 (* An independent connection derived from [t] for one parallel stream:
@@ -273,51 +274,53 @@ let record_fault () = Obs.Metrics.incr "backend.faults"
    latency per delivered row, and (when scheduled) a connection drop
    after [trip_after] rows.  A drop scheduled beyond the end of the
    stream never fires — the result finished before the (virtual) reset
-   arrived. *)
+   arrived.  With neither fault armed the engine's cursor is returned
+   as is, so a fault-free backend adds nothing per row. *)
 let wrap_cursor t ~attempt ~trip_after cur =
-  let delivered = ref 0 in
-  let pull () =
-    match Cursor.next cur with
-    | None ->
-        note_success t;
-        None
-    | Some row ->
-        (match trip_after with
-        | Some n when !delivered >= n ->
-            t.st.faults_midstream <- t.st.faults_midstream + 1;
-            record_fault ();
-            if Obs.Span.tracing () then
-              Obs.Event.warn "backend.fault"
-                ~attrs:
-                  [
-                    Obs.Attr.string "kind" "midstream";
-                    Obs.Attr.int "attempt" attempt;
-                    Obs.Attr.int "rows_delivered" !delivered;
-                  ];
-            note_failure t;
-            raise
-              (Backend_error
-                 {
-                   kind = Transient;
-                   attempt;
-                   rows_delivered = !delivered;
-                   message =
-                     Printf.sprintf
-                       "injected connection drop after %d rows" !delivered;
-                 })
-        | _ -> ());
-        incr delivered;
-        if t.fault_cfg.row_latency_ms > 0.0 then begin
-          t.clk.sleep_ms t.fault_cfg.row_latency_ms;
-          t.st.injected_latency_ms <-
-            t.st.injected_latency_ms +. t.fault_cfg.row_latency_ms
-        end;
-        Some row
-  in
-  Cursor.create (Cursor.cols cur) pull
+  if trip_after = None && t.fault_cfg.row_latency_ms <= 0.0 then cur
+  else
+    let delivered = ref 0 in
+    let pull () =
+      match Cursor.next cur with
+      | None -> None
+      | Some row ->
+          (match trip_after with
+          | Some n when !delivered >= n ->
+              t.st.faults_midstream <- t.st.faults_midstream + 1;
+              record_fault ();
+              if Obs.Span.tracing () then
+                Obs.Event.warn "backend.fault"
+                  ~attrs:
+                    [
+                      Obs.Attr.string "kind" "midstream";
+                      Obs.Attr.int "attempt" attempt;
+                      Obs.Attr.int "rows_delivered" !delivered;
+                    ];
+              note_failure t;
+              raise
+                (Backend_error
+                   {
+                     kind = Transient;
+                     attempt;
+                     rows_delivered = !delivered;
+                     message =
+                       Printf.sprintf "injected connection drop after %d rows"
+                         !delivered;
+                   })
+          | _ -> ());
+          incr delivered;
+          if t.fault_cfg.row_latency_ms > 0.0 then begin
+            t.clk.sleep_ms t.fault_cfg.row_latency_ms;
+            t.st.injected_latency_ms <-
+              t.st.injected_latency_ms +. t.fault_cfg.row_latency_ms
+          end;
+          Some row
+    in
+    Cursor.create (Cursor.cols cur) pull
 
 (* One physical attempt: breaker gate, fault draw, engine run. *)
-let submit_attempt t ~attempt (q : Sql.query) : Cursor.t * Executor.stats =
+let submit_attempt t ~attempt (plan : Physical.plan) : Cursor.t * Executor.stats
+    =
   check_breaker t;
   t.st.attempts <- t.st.attempts + 1;
   (* Fault draws are consumed in a fixed order so the stream replays
@@ -373,8 +376,8 @@ let submit_attempt t ~attempt (q : Sql.query) : Cursor.t * Executor.stats =
     else None
   in
   match
-    Executor.run_cursor_with_stats ~budget:t.budget ~profile:t.profile
-      t.database q
+    Executor.run_plan_cursor_with_stats ~budget:t.budget ~profile:t.profile
+      t.database plan
   with
   | cur, est -> (wrap_cursor t ~attempt ~trip_after cur, est)
   | exception Executor.Timeout ->
@@ -400,9 +403,6 @@ let submit_attempt t ~attempt (q : Sql.query) : Cursor.t * Executor.stats =
                Printf.sprintf "work budget (%d units) exhausted" t.budget;
            })
 
-let submit_with_stats t q = submit_attempt t ~attempt:1 q
-let submit t q = fst (submit_with_stats t q)
-
 (* --- resilient submission ----------------------------------------------- *)
 
 let backoff_ms t ~attempt =
@@ -415,9 +415,27 @@ let backoff_ms t ~attempt =
   let u = next_float t.prng in
   capped *. (1.0 -. t.retry.jitter +. (2.0 *. t.retry.jitter *. u))
 
+(* Drain the winning attempt: into the heap (a fresh cursor over the
+   rows on every open) or into a spool file (one single-use cursor). *)
+let drain ~spool ~on_row cur : unit -> Cursor.t =
+  if spool then
+    let spooled = Cursor.spool ~on_row cur in
+    fun () -> spooled
+  else
+    let cols = Cursor.cols cur in
+    let rows =
+      List.rev
+        (Cursor.fold
+           (fun acc t ->
+             on_row t;
+             t :: acc)
+           [] cur)
+    in
+    fun () -> Cursor.of_list cols rows
+
 let execute ?(label = "") ?(on_attempt = fun (_ : int) -> ())
-    ?(on_row = fun (_ : Tuple.t) -> ()) t (q : Sql.query) :
-    Cursor.t * Executor.stats =
+    ?(on_row = fun (_ : Tuple.t) -> ()) ?(spool = false) t
+    (plan : Physical.plan) : (unit -> Cursor.t) * Executor.stats =
   t.st.submits <- t.st.submits + 1;
   let rec attempt k =
     on_attempt k;
@@ -426,16 +444,17 @@ let execute ?(label = "") ?(on_attempt = fun (_ : int) -> ())
           if Obs.Span.tracing () then
             Obs.Span.add_list
               [ Obs.Attr.string "label" label; Obs.Attr.int "attempt" k ];
-          match submit_attempt t ~attempt:k q with
+          match submit_attempt t ~attempt:k plan with
           | cur, est -> (
               (* Drain now, inside the retry scope: a mid-stream drop
-                 surfaces here, discards the partial spool, and is
+                 surfaces here, discards the partial rows, and is
                  retried like any other transient failure. *)
               try
-                let spooled = Cursor.spool ~on_row cur in
+                let rows = drain ~spool ~on_row cur in
+                note_success t;
                 if Obs.Span.tracing () then
                   Obs.Span.add "outcome" (Obs.Attr.String "ok");
-                Ok (spooled, est)
+                Ok (rows, est)
               with Backend_error { kind; _ } as exn ->
                 (* the engine did run to completion; its work is sunk *)
                 t.st.wasted_work <- t.st.wasted_work + est.Executor.work;

@@ -91,8 +91,9 @@ exception
   }
 
 exception Circuit_open of { retry_at_ms : float }
-(** Raised by a single-attempt {!submit} while the breaker is open;
-    [retry_at_ms] is the clock time at which it half-opens. *)
+(** Raised by a physical attempt while the breaker is open;
+    [retry_at_ms] is the clock time at which it half-opens.  {!execute}
+    waits it out on the clock, so it never escapes {!execute}. *)
 
 (** Cumulative counters; all deterministic for a fixed seed.
     [wasted_work] is the engine work burned by failed attempts
@@ -134,6 +135,10 @@ val create :
 val db : t -> Database.t
 val clock : t -> clock
 
+val profile : t -> Executor.profile
+(** The cost profile every submission runs under (for annotating a plan
+    with estimates that match the meter). *)
+
 val stats : t -> stats
 (** A snapshot copy (callers may diff two snapshots). *)
 
@@ -151,33 +156,29 @@ val fork : t -> salt:int -> t
 val merge_stats : stats list -> stats
 (** Field-wise sum — aggregate per-fork counters into one report. *)
 
-
-val submit : t -> Sql.query -> Cursor.t
-(** One physical attempt, no retry: submits [q] to the engine and
-    returns a cursor over its sorted output.  Raises {!Backend_error}
-    on an injected submit fault or a budget timeout, {!Circuit_open}
-    when the breaker is open; the returned cursor itself may raise
-    {!Backend_error} mid-stream (an injected connection drop). *)
-
-val submit_with_stats : t -> Sql.query -> Cursor.t * Executor.stats
-
 val execute :
   ?label:string ->
   ?on_attempt:(int -> unit) ->
   ?on_row:(Tuple.t -> unit) ->
+  ?spool:bool ->
   t ->
-  Sql.query ->
-  Cursor.t * Executor.stats
-(** Resilient submission: retries transient failures (submit faults and
-    mid-stream drops) with exponential backoff up to the retry budget,
-    waits out an open breaker on the clock, and spools the winning
-    attempt's rows ({!Cursor.spool}) so the returned cursor is complete
-    and failure-free.  [on_attempt] fires at the start of every physical
-    attempt (the hook for resetting per-attempt accounting);
-    [on_row] fires once per row of each attempt as it is spooled —
-    rows of a failed attempt are discarded, so after a retry the hook
-    starts over.  Raises {!Backend_error} when retries are exhausted or
-    the failure is not retryable ([Fatal], [Timeout]).  Emits
-    [backend.submit] / [backend.retry] spans and [backend.faults] /
-    [backend.retries] / [backend.timeouts] / [backend.breaker_opens]
-    metrics. *)
+  Physical.plan ->
+  (unit -> Cursor.t) * Executor.stats
+(** Resilient submission of a physical plan: retries transient failures
+    (submit faults and mid-stream drops) with exponential backoff up to
+    the retry budget, waits out an open breaker on the clock, and drains
+    the winning attempt's rows inside the retry scope, so what comes
+    back is complete and failure-free.  The rows go to the heap
+    ([spool = false], the default: every call of the returned function
+    opens a fresh cursor over them) or to a temporary file
+    ([spool = true], {!Cursor.spool}: the returned function always hands
+    back the same single-use cursor).  The plan is the one that ran: its
+    nodes carry the winning attempt's actual rows and work.
+    [on_attempt] fires at the start of every physical attempt (the hook
+    for resetting per-attempt accounting); [on_row] fires once per row
+    of each attempt as it is drained — rows of a failed attempt are
+    discarded, so after a retry the hook starts over.  Raises
+    {!Backend_error} when retries are exhausted or the failure is not
+    retryable ([Fatal], [Timeout]).  Emits [backend.submit] /
+    [backend.retry] spans and [backend.faults] / [backend.retries] /
+    [backend.timeouts] / [backend.breaker_opens] metrics. *)

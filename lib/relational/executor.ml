@@ -1,6 +1,6 @@
 (* Query execution.
 
-   The engine runs physical plans: [run]/[run_cursor] lower the SQL AST
+   The engine runs physical plans: [run]/[run_with_stats] lower the SQL AST
    into the logical algebra (name resolution done once, greedy
    connected-join ordering fixed at plan time), rewrite it (predicate
    pushdown, constant folding, projection pruning), convert it to a
@@ -956,14 +956,6 @@ let run_with_stats ?(budget = 0) ?(profile = default_profile) db
     ~finish:relation_of_batches
 
 let run ?budget ?profile db q = fst (run_with_stats ?budget ?profile db q)
-
-let run_cursor_with_stats ?(budget = 0) ?(profile = default_profile) db
-    (q : Sql.query) =
-  exec_query ~budget ~profile db (fun () -> P.plan_of db q)
-    ~finish:Cursor.of_batches
-
-let run_cursor ?budget ?profile db q =
-  fst (run_cursor_with_stats ?budget ?profile db q)
 
 (* --- legacy entry points (differential tests only) --------------------- *)
 

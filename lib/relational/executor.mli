@@ -62,25 +62,6 @@ val run_with_stats :
   Sql.query ->
   Relation.t * stats
 
-val run_cursor :
-  ?budget:int ->
-  ?profile:profile ->
-  Database.t ->
-  Sql.query ->
-  Cursor.t
-(** Like {!run}, but hands back the sorted output as a pull cursor
-    instead of a materialized {!Relation.t}: rows are dropped as the
-    consumer advances.  Evaluation (and therefore work accounting) is
-    identical to {!run} — both go through the same operator pipeline and
-    sort. *)
-
-val run_cursor_with_stats :
-  ?budget:int ->
-  ?profile:profile ->
-  Database.t ->
-  Sql.query ->
-  Cursor.t * stats
-
 (** {1 Pre-planned execution}
 
     For callers that build the {!Physical.plan} themselves (to annotate
@@ -107,6 +88,10 @@ val run_plan_cursor_with_stats :
   Database.t ->
   Physical.plan ->
   Cursor.t * stats
+(** Like {!run_plan_with_stats}, but hands back the sorted output as a
+    pull cursor over the output chunks instead of a materialized
+    {!Relation.t}.  Evaluation (and therefore work accounting) is
+    identical. *)
 
 (** {1 Legacy interpreter}
 

@@ -80,26 +80,44 @@ let options_of p ~style ~reduce =
 
 (* Per-stream breakdown: every sub-query of a partition gets its own
    stats record, so the execution result can show where inside a plan the
-   work went (the aggregate fields below are sums over this list). *)
+   work went (the aggregate fields below are sums over this list).  Rows,
+   bytes and modeled transfer are accounted tuple by tuple as the rows
+   are drained; the rows themselves are reached through [se_cursor]. *)
 type stream_exec = {
   se_stream : Sql_gen.stream;
-  se_relation : R.Relation.t;
+  se_cursor : unit -> R.Cursor.t;
+      (* heap: a fresh cursor per call; spooled: the one spool cursor *)
   se_sql : string;
-  se_plan : R.Physical.plan;
+  se_plan : R.Physical.plan; (* the plan that ran, with actuals *)
   se_stats : R.Executor.stats;
   se_wall_ms : float;
+  se_rows : int;
+  se_bytes : int;
+  se_transfer_ms : float;
+}
+
+(* What resilience cost: counters summed over the per-stream forked
+   backends, plus the number of streams that had to be degraded. *)
+type resilience = {
+  r_submits : int;
+  r_attempts : int;
+  r_retries : int;
+  r_faults : int;
+  r_timeouts : int;
+  r_degraded : int;
+  r_backoff_ms : float;
+  r_wasted_work : int;
 }
 
 (* Result of running one plan. *)
 type execution = {
-  streams : (Sql_gen.stream * R.Relation.t) list;
   per_stream : stream_exec list; (* one entry per sub-query, in plan order *)
-  sql_texts : string list;
   query_wall_ms : float; (* measured engine time *)
   transfer_ms : float; (* modeled client transfer time *)
   work : int; (* deterministic engine work units *)
   tuples : int;
   bytes : int;
+  resilience : resilience;
 }
 
 let total_wall_ms e = e.query_wall_ms +. e.transfer_ms
@@ -123,18 +141,26 @@ exception Plan_timeout of timeout_info
    clock, which NTP cannot step backwards. *)
 let now_ms () = Obs.Clock.ns_to_ms (Obs.Clock.now_ns ())
 
+let root_name_of p (s : Sql_gen.stream) =
+  View_tree.skolem_name
+    (View_tree.node p.tree s.Sql_gen.fragment.Partition.root).View_tree.sfi
+
+(* Releasing the rows of streams that completed before a later stream
+   failed: without this, a Plan_timeout mid-plan left every earlier
+   stream's spool file on disk until process exit. *)
+let close_streams (ses : stream_exec list) =
+  List.iter (fun se -> R.Cursor.close (se.se_cursor ())) ses
+
 (* --- parallel fan-out --------------------------------------------------- *)
 
-(* Run [f i x] over the indexed [xs] — sequentially when [domains <= 1]
-   (byte-for-byte the old single-domain path), or fanned out over a
-   domain pool.  Results come back in list (plan) order either way; the
-   merge-tagger tie-breaks by plan order, so execution order cannot
-   affect the XML.
+(* Run [f i x] over the indexed [xs] — sequentially when [domains <= 1],
+   or fanned out over a domain pool.  Results come back in list (plan)
+   order either way; the merge-tagger tie-breaks by plan order, so
+   execution order cannot affect the XML.
 
    Failure contract: in both modes every already-completed result is
-   passed to [on_partial] (the hook where the streaming paths close
-   spooled cursors, fixing the abandoned-spool leak) before the
-   exception re-raises.  In parallel mode all submitted tasks are
+   passed to [on_partial] (the hook that closes spooled cursors) before
+   the exception re-raises.  In parallel mode all submitted tasks are
    awaited first — a worker cannot still be running a task whose
    resources nobody owns — and when several fail, the earliest in plan
    order wins, matching what sequential execution would have raised. *)
@@ -172,137 +198,219 @@ let map_streams ~domains ~on_partial f xs =
             on_partial completed;
             Printexc.raise_with_backtrace e bt)
 
-(* Shared by the materialized and streaming paths: run one sub-query
-   through the SQL text round-trip, mapping an engine [Timeout] to
-   [Plan_timeout] with the stream's position and fragment root, and
-   marking the enclosing span so traces show which sub-query blew the
-   budget.  The physical plan is built explicitly here (rather than
-   letting the executor plan internally) so it can carry cost
-   annotations and actual row/work figures out to traces and
-   [--explain]. *)
-let run_stream_query ~runner ~print_sql ~budget ~profile (p : prepared) i
-    (s : Sql_gen.stream) =
-  let text = print_sql s.Sql_gen.query in
-  let root_name =
-    View_tree.skolem_name
-      (View_tree.node p.tree s.Sql_gen.fragment.Partition.root).View_tree.sfi
-  in
-  (* round-trip through the SQL text interface, as the middleware does *)
-  let ast = R.Sql_parser.parse text in
-  let plan = R.Physical.plan_of p.db ast in
-  if Obs.Span.tracing () then
-    (* fill est_rows/est_cost so the plan.physical spans below carry
-       estimated vs actual figures per operator *)
-    ignore (R.Cost.annotate ~profile (Lazy.force p.stats) plan);
-  let t0 = now_ms () in
-  let result =
-    try runner ~budget ~profile p.db plan
-    with R.Executor.Timeout ->
-      let elapsed = now_ms () -. t0 in
-      if Obs.Span.tracing () then begin
-        Obs.Span.add_list
-          [
-            Obs.Attr.bool "timeout" true;
-            Obs.Attr.int "timeout.stream" i;
-            Obs.Attr.string "timeout.root" root_name;
-            Obs.Attr.float "timeout.elapsed_ms" elapsed;
-          ];
-        Obs.Event.error "middleware.plan_timeout"
-          ~attrs:
-            [
-              Obs.Attr.int "stream" i;
-              Obs.Attr.string "root" root_name;
-              Obs.Attr.float "elapsed_ms" elapsed;
-            ];
-        Obs.Event.dump ~reason:"plan-timeout"
-      end;
-      raise
-        (Plan_timeout
-           {
-             timeout_sql = text;
-             timeout_stream = i;
-             timeout_root = root_name;
-             timeout_elapsed_ms = elapsed;
-           })
-  in
-  let t1 = now_ms () in
-  R.Physical.emit_obs_spans plan;
-  (text, root_name, plan, result, t1 -. t0)
+(* --- execution ----------------------------------------------------------- *)
 
-let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?(budget = 0)
-    ?(profile = R.Executor.default_profile) ?(transfer = R.Transfer.default)
-    ?(sql_syntax = `Derived) ?(domains = 1) (p : prepared) (plan : Partition.t) :
-    execution =
+let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
+    ?(max_splits = 0) ?(spool = false) ?(domains = 1) (p : prepared)
+    (plan : Partition.t) : execution =
  Obs.Span.with_span "middleware.execute" (fun () ->
-  if Obs.Span.tracing () then Obs.Span.add "domains" (Obs.Attr.Int domains);
+  if Obs.Span.tracing () then
+    Obs.Span.add_list
+      [ Obs.Attr.int "domains" domains; Obs.Attr.bool "spooled" spool ];
+  let backend =
+    match backend with Some b -> b | None -> R.Backend.create p.db
+  in
+  let transfer = R.Transfer.default in
   let opts = options_of p ~style ~reduce in
   let streams = Sql_gen.streams p.db p.tree plan opts in
   (* force the stats lazy before fanning out: concurrent Lazy.force is
      a race (RacyLazy) in OCaml 5 *)
   if domains > 1 && Obs.Span.tracing () then ignore (Lazy.force p.stats);
-  let print_sql =
-    match sql_syntax with
-    | `Derived -> R.Sql_print.to_string
-    | `With -> R.Sql_print.to_with_string
-  in
-  let run i (s : Sql_gen.stream) : stream_exec =
-    Obs.Span.with_span "execute.stream" (fun () ->
-        let text, root_name, phys, (rel, stats), wall_ms =
-          run_stream_query
-            ~runner:(fun ~budget ~profile db plan ->
-              R.Executor.run_plan_with_stats ~budget ~profile db plan)
-            ~print_sql ~budget ~profile p i s
-        in
-        Log.debug (fun m ->
-            m "stream: %d rows, %d work units, %.1f ms — %s"
-              (R.Relation.cardinality rel) stats.R.Executor.work wall_ms
-              (if String.length text > 80 then String.sub text 0 80 ^ "…"
-               else text));
-        if Obs.Span.tracing () then begin
-          let rows = R.Relation.cardinality rel in
-          let bytes = R.Relation.wire_size rel in
-          Obs.Span.add_list
-            [
-              Obs.Attr.int "index" i;
-              Obs.Attr.string "root" root_name;
-              Obs.Attr.int "rows" rows;
-              Obs.Attr.int "bytes" bytes;
-              Obs.Attr.int "work" stats.R.Executor.work;
-            ];
-          Obs.Metrics.incr "execute.streams";
-          Obs.Metrics.observe "execute.stream.work"
-            (float_of_int stats.R.Executor.work);
-          Obs.Metrics.observe "execute.stream.rows" (float_of_int rows);
-          Obs.Metrics.observe "execute.stream.bytes" (float_of_int bytes)
-        end;
-        {
-          se_stream = s;
-          se_relation = rel;
-          se_sql = text;
-          se_plan = phys;
-          se_stats = stats;
-          se_wall_ms = wall_ms;
-        })
-  in
-  let per_stream =
-    map_streams ~domains ~on_partial:(fun (_ : stream_exec list) -> ()) run
+  (* One forked connection per top-level stream, in every mode: fault
+     draws depend only on (seed, stream index, the stream's own
+     submission sequence), never on how streams interleave across
+     domains, so the resilience counters are identical at any domain
+     count and across repeated runs.  [backend] itself is only the
+     config/seed template; its own counters never move here. *)
+  let backends =
+    List.mapi (fun i (_ : Sql_gen.stream) -> R.Backend.fork backend ~salt:i)
       streams
   in
-  let streams_rels =
-    List.map (fun se -> (se.se_stream, se.se_relation)) per_stream
+  let degraded = Atomic.make 0 in
+  (* Run one stream: print its SQL, parse it back as the engine does,
+     plan it, and submit the plan through the backend's retry loop.  If
+     its failure is persistent — retries exhausted, a fatal fault, or a
+     work-budget timeout — and fewer than [max_splits] splits lie above
+     it, split the offending fragment along its view-tree edges (one step
+     down the 2^|E| plan lattice, the paper's own fallback space) and
+     recurse on the finer sub-queries.  Otherwise a timeout escapes as
+     [Plan_timeout] with the payload naming the fragment root, and
+     anything else re-raises the backend error. *)
+  let rec run_stream ~depth backend i (s : Sql_gen.stream) : stream_exec list
+      =
+    Obs.Span.with_span "execute.stream" (fun () ->
+        let text = R.Sql_print.to_string s.Sql_gen.query in
+        let root_name = root_name_of p s in
+        let phys = R.Physical.plan_of p.db (R.Sql_parser.parse text) in
+        if Obs.Span.tracing () then
+          (* fill est_rows/est_cost so the plan.physical spans below carry
+             estimated vs actual figures per operator *)
+          ignore
+            (R.Cost.annotate ~profile:(R.Backend.profile backend)
+               (Lazy.force p.stats) phys);
+        let rows = ref 0 and bytes = ref 0 in
+        let transfer_ms = ref transfer.R.Transfer.per_stream_overhead in
+        let t0 = now_ms () in
+        match
+          R.Backend.execute backend ~label:root_name ~spool
+            ~on_attempt:(fun _attempt ->
+              (* a fresh physical attempt re-delivers from row one: drop
+                 the partial accounting of the failed attempt *)
+              rows := 0;
+              bytes := 0;
+              transfer_ms := transfer.R.Transfer.per_stream_overhead)
+            ~on_row:(fun t ->
+              incr rows;
+              bytes := !bytes + R.Tuple.wire_size t;
+              transfer_ms := !transfer_ms +. R.Transfer.tuple_ms transfer t)
+            phys
+        with
+        | cursor, stats ->
+            let wall_ms = now_ms () -. t0 in
+            R.Physical.emit_obs_spans phys;
+            Log.debug (fun m ->
+                m "stream: %d rows, %d work units, %.1f ms — %s" !rows
+                  stats.R.Executor.work wall_ms
+                  (if String.length text > 80 then String.sub text 0 80 ^ "…"
+                   else text));
+            if Obs.Span.tracing () then begin
+              Obs.Span.add_list
+                [
+                  Obs.Attr.int "index" i;
+                  Obs.Attr.string "root" root_name;
+                  Obs.Attr.int "rows" !rows;
+                  Obs.Attr.int "bytes" !bytes;
+                  Obs.Attr.int "work" stats.R.Executor.work;
+                  Obs.Attr.int "depth" depth;
+                ];
+              Obs.Metrics.incr "execute.streams";
+              Obs.Metrics.observe "execute.stream.work"
+                (float_of_int stats.R.Executor.work);
+              Obs.Metrics.observe "execute.stream.rows" (float_of_int !rows);
+              Obs.Metrics.observe "execute.stream.bytes" (float_of_int !bytes)
+            end;
+            [
+              {
+                se_stream = s;
+                se_cursor = cursor;
+                se_sql = text;
+                se_plan = phys;
+                se_stats = stats;
+                se_wall_ms = wall_ms;
+                se_rows = !rows;
+                se_bytes = !bytes;
+                se_transfer_ms = !transfer_ms;
+              };
+            ]
+        | exception (R.Backend.Backend_error { kind; _ } as exn) -> (
+            let elapsed = now_ms () -. t0 in
+            let finer =
+              if depth < max_splits then Partition.split s.Sql_gen.fragment
+              else None
+            in
+            match (finer, kind) with
+            | Some frags, _ ->
+                Atomic.incr degraded;
+                Obs.Metrics.incr "middleware.degraded_streams";
+                if Obs.Span.tracing () then begin
+                  Obs.Span.add_list
+                    [
+                      Obs.Attr.bool "degraded" true;
+                      Obs.Attr.string "degraded.root" root_name;
+                      Obs.Attr.string "degraded.kind" (R.Backend.kind_name kind);
+                      Obs.Attr.int "degraded.fragments" (List.length frags);
+                    ];
+                  Obs.Event.warn "middleware.degraded"
+                    ~attrs:
+                      [
+                        Obs.Attr.string "root" root_name;
+                        Obs.Attr.string "kind" (R.Backend.kind_name kind);
+                        Obs.Attr.int "fragments" (List.length frags);
+                      ]
+                end;
+                Log.info (fun m ->
+                    m "degrading stream %d (root %s, %s): splitting into %d \
+                       finer sub-queries"
+                      i root_name (R.Backend.kind_name kind)
+                      (List.length frags));
+                (* a later fragment failing must not strand the spooled
+                   cursors of the fragments already run *)
+                let sub = ref [] in
+                (try
+                   List.iter
+                     (fun frag ->
+                       sub :=
+                         run_stream ~depth:(depth + 1) backend i
+                           (Sql_gen.stream_of_fragment p.db p.tree opts frag)
+                         :: !sub)
+                     frags
+                 with e ->
+                   let bt = Printexc.get_raw_backtrace () in
+                   List.iter close_streams !sub;
+                   Printexc.raise_with_backtrace e bt);
+                List.concat (List.rev !sub)
+            | None, R.Backend.Timeout ->
+                if Obs.Span.tracing () then begin
+                  Obs.Span.add_list
+                    [
+                      Obs.Attr.bool "timeout" true;
+                      Obs.Attr.int "timeout.stream" i;
+                      Obs.Attr.string "timeout.root" root_name;
+                      Obs.Attr.float "timeout.elapsed_ms" elapsed;
+                    ];
+                  Obs.Event.error "middleware.plan_timeout"
+                    ~attrs:
+                      [
+                        Obs.Attr.int "stream" i;
+                        Obs.Attr.string "root" root_name;
+                        Obs.Attr.float "elapsed_ms" elapsed;
+                      ];
+                  Obs.Event.dump ~reason:"plan-timeout"
+                end;
+                raise
+                  (Plan_timeout
+                     {
+                       timeout_sql = text;
+                       timeout_stream = i;
+                       timeout_root = root_name;
+                       timeout_elapsed_ms = elapsed;
+                     })
+            | None, _ -> raise exn))
   in
-  let work =
-    List.fold_left (fun acc se -> acc + se.se_stats.R.Executor.work) 0 per_stream
+  let per_stream =
+    List.concat
+      (map_streams ~domains ~on_partial:(List.iter close_streams)
+         (fun i (b, s) -> run_stream ~depth:0 b i s)
+         (List.combine backends streams))
   in
-  let tuples =
-    List.fold_left
-      (fun acc (_, rel) -> acc + R.Relation.cardinality rel)
-      0 streams_rels
+  (* Degradation replaces one stream by finer streams covering the same
+     nodes: the effective plan is still a point in the 2^|E| lattice, so
+     sorting by fragment root restores plan order and the merge/tagger
+     produces byte-identical XML. *)
+  let per_stream =
+    List.sort
+      (fun a b ->
+        Int.compare a.se_stream.Sql_gen.fragment.Partition.root
+          b.se_stream.Sql_gen.fragment.Partition.root)
+      per_stream
   in
-  let bytes =
-    List.fold_left
-      (fun acc (_, rel) -> acc + R.Relation.wire_size rel)
-      0 streams_rels
+  let sum f = List.fold_left (fun acc se -> acc + f se) 0 per_stream in
+  let sum_float f = List.fold_left (fun acc se -> acc +. f se) 0.0 per_stream in
+  let work = sum (fun se -> se.se_stats.R.Executor.work) in
+  let tuples = sum (fun se -> se.se_rows) in
+  let bytes = sum (fun se -> se.se_bytes) in
+  let merged = R.Backend.merge_stats (List.map R.Backend.stats backends) in
+  let resilience =
+    {
+      r_submits = merged.R.Backend.submits;
+      r_attempts = merged.R.Backend.attempts;
+      r_retries = merged.R.Backend.retries;
+      r_faults = R.Backend.total_faults merged;
+      r_timeouts = merged.R.Backend.timeouts;
+      r_degraded = Atomic.get degraded;
+      r_backoff_ms = merged.R.Backend.backoff_ms;
+      r_wasted_work = merged.R.Backend.wasted_work;
+    }
   in
   if Obs.Span.tracing () then
     Obs.Span.add_list
@@ -311,24 +419,28 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?(budget = 0)
         Obs.Attr.int "tuples" tuples;
         Obs.Attr.int "bytes" bytes;
         Obs.Attr.int "work" work;
+        Obs.Attr.int "degraded" resilience.r_degraded;
+        Obs.Attr.int "retries" resilience.r_retries;
+        Obs.Attr.int "faults" resilience.r_faults;
       ];
   {
-    streams = streams_rels;
     per_stream;
-    sql_texts = List.map (fun se -> se.se_sql) per_stream;
-    query_wall_ms =
-      List.fold_left (fun acc se -> acc +. se.se_wall_ms) 0.0 per_stream;
-    transfer_ms = R.Transfer.relations_ms transfer (List.map snd streams_rels);
+    query_wall_ms = sum_float (fun se -> se.se_wall_ms);
+    transfer_ms = sum_float (fun se -> se.se_transfer_ms);
     work;
     tuples;
     bytes;
+    resilience;
   })
 
-let document_of p (e : execution) : Xmlkit.Xml.t =
-  Tagger.to_document p.tree e.streams
+(* --- tagging -------------------------------------------------------------- *)
 
-let xml_string_of p (e : execution) : string =
-  Tagger.to_string p.tree e.streams
+let cursors (e : execution) =
+  List.map (fun se -> (se.se_stream, se.se_cursor ())) e.per_stream
+
+let document_of p e : Xmlkit.Xml.t = Tagger.to_document_cursors p.tree (cursors e)
+let xml_string_of p e : string = Tagger.to_string_cursors p.tree (cursors e)
+let stream_to_channel p e oc : unit = Tagger.to_channel p.tree (cursors e) oc
 
 (* --- explain ----------------------------------------------------------- *)
 
@@ -343,10 +455,6 @@ let explain_stream (p : prepared) i root_name ~sql (plan : R.Physical.plan)
     "-- stream %d (root %s):\n%s\n\nlogical plan:\n%s\nphysical plan:\n%s" i
     root_name sql logical
     (R.Physical.to_string plan)
-
-let root_name_of p (s : Sql_gen.stream) =
-  View_tree.skolem_name
-    (View_tree.node p.tree s.Sql_gen.fragment.Partition.root).View_tree.sfi
 
 let explain ?(style = Sql_gen.Outer_join) ?(reduce = false) (p : prepared)
     (plan : Partition.t) : string =
@@ -376,153 +484,6 @@ let explain_execution (p : prepared) (e : execution) : string =
            ~sql:se.se_sql se.se_plan ~logical:(R.Algebra.to_string alg))
        e.per_stream)
 
-(* --- streaming execution ----------------------------------------------- *)
-
-(* Per-stream breakdown of a streaming execution: stats are complete
-   (the engine has run and the rows are spooled), but the rows
-   themselves are only reachable through the cursor. *)
-type stream_cursor = {
-  sc_stream : Sql_gen.stream;
-  sc_cursor : R.Cursor.t;
-  sc_sql : string;
-  sc_plan : R.Physical.plan;
-  sc_stats : R.Executor.stats;
-  sc_wall_ms : float;
-  sc_rows : int;
-  sc_bytes : int;
-  sc_transfer_ms : float;
-}
-
-type streaming = {
-  cursors : (Sql_gen.stream * R.Cursor.t) list;
-  s_per_stream : stream_cursor list;
-  s_sql_texts : string list;
-  s_query_wall_ms : float;
-  s_transfer_ms : float;
-  s_work : int;
-  s_tuples : int;
-  s_bytes : int;
-}
-
-(* Releasing spooled cursors of streams that completed before a later
-   stream failed: without this, a Plan_timeout mid-plan left every
-   earlier stream's spool file on disk until process exit. *)
-let close_stream_cursors (scs : stream_cursor list) =
-  List.iter (fun sc -> R.Cursor.close sc.sc_cursor) scs
-
-let execute_streaming ?(style = Sql_gen.Outer_join) ?(reduce = false)
-    ?(budget = 0) ?(profile = R.Executor.default_profile)
-    ?(transfer = R.Transfer.default) ?(sql_syntax = `Derived) ?(domains = 1)
-    (p : prepared) (plan : Partition.t) : streaming =
- Obs.Span.with_span "middleware.execute" (fun () ->
-  if Obs.Span.tracing () then begin
-    Obs.Span.add "mode" (Obs.Attr.String "streaming");
-    Obs.Span.add "domains" (Obs.Attr.Int domains)
-  end;
-  let opts = options_of p ~style ~reduce in
-  let streams = Sql_gen.streams p.db p.tree plan opts in
-  if domains > 1 && Obs.Span.tracing () then ignore (Lazy.force p.stats);
-  let print_sql =
-    match sql_syntax with
-    | `Derived -> R.Sql_print.to_string
-    | `With -> R.Sql_print.to_with_string
-  in
-  let run i (s : Sql_gen.stream) : stream_cursor =
-    Obs.Span.with_span "execute.stream" (fun () ->
-        let text, root_name, phys, (cur, stats), wall_ms =
-          run_stream_query
-            ~runner:(fun ~budget ~profile db plan ->
-              R.Executor.run_plan_cursor_with_stats ~budget ~profile db plan)
-            ~print_sql ~budget ~profile p i s
-        in
-        (* Spool the sorted rows out of the heap, accounting rows, bytes
-           and modeled transfer per tuple as they pass — nothing below
-           retains the result list. *)
-        let rows = ref 0 and bytes = ref 0 in
-        let transfer_ms = ref transfer.R.Transfer.per_stream_overhead in
-        let spooled =
-          R.Cursor.spool
-            ~on_row:(fun t ->
-              incr rows;
-              bytes := !bytes + R.Tuple.wire_size t;
-              transfer_ms := !transfer_ms +. R.Transfer.tuple_ms transfer t)
-            cur
-        in
-        Log.debug (fun m ->
-            m "stream (spooled): %d rows, %d work units, %.1f ms — %s" !rows
-              stats.R.Executor.work wall_ms
-              (if String.length text > 80 then String.sub text 0 80 ^ "…"
-               else text));
-        if Obs.Span.tracing () then begin
-          Obs.Span.add_list
-            [
-              Obs.Attr.int "index" i;
-              Obs.Attr.string "root" root_name;
-              Obs.Attr.int "rows" !rows;
-              Obs.Attr.int "bytes" !bytes;
-              Obs.Attr.int "work" stats.R.Executor.work;
-              Obs.Attr.bool "spooled" true;
-            ];
-          Obs.Metrics.incr "execute.streams";
-          Obs.Metrics.observe "execute.stream.work"
-            (float_of_int stats.R.Executor.work);
-          Obs.Metrics.observe "execute.stream.rows" (float_of_int !rows);
-          Obs.Metrics.observe "execute.stream.bytes" (float_of_int !bytes)
-        end;
-        {
-          sc_stream = s;
-          sc_cursor = spooled;
-          sc_sql = text;
-          sc_plan = phys;
-          sc_stats = stats;
-          sc_wall_ms = wall_ms;
-          sc_rows = !rows;
-          sc_bytes = !bytes;
-          sc_transfer_ms = !transfer_ms;
-        })
-  in
-  let per_stream =
-    map_streams ~domains ~on_partial:close_stream_cursors run streams
-  in
-  let work =
-    List.fold_left
-      (fun acc sc -> acc + sc.sc_stats.R.Executor.work)
-      0 per_stream
-  in
-  let tuples = List.fold_left (fun acc sc -> acc + sc.sc_rows) 0 per_stream in
-  let bytes = List.fold_left (fun acc sc -> acc + sc.sc_bytes) 0 per_stream in
-  if Obs.Span.tracing () then
-    Obs.Span.add_list
-      [
-        Obs.Attr.int "streams" (List.length per_stream);
-        Obs.Attr.int "tuples" tuples;
-        Obs.Attr.int "bytes" bytes;
-        Obs.Attr.int "work" work;
-      ];
-  {
-    cursors = List.map (fun sc -> (sc.sc_stream, sc.sc_cursor)) per_stream;
-    s_per_stream = per_stream;
-    s_sql_texts = List.map (fun sc -> sc.sc_sql) per_stream;
-    s_query_wall_ms =
-      List.fold_left (fun acc sc -> acc +. sc.sc_wall_ms) 0.0 per_stream;
-    s_transfer_ms =
-      List.fold_left (fun acc sc -> acc +. sc.sc_transfer_ms) 0.0 per_stream;
-    s_work = work;
-    s_tuples = tuples;
-    s_bytes = bytes;
-  })
-
-let explain_streaming (p : prepared) (se : streaming) : string =
-  String.concat "\n\n"
-    (List.mapi
-       (fun i (sc : stream_cursor) ->
-         let ast = R.Sql_parser.parse sc.sc_sql in
-         let alg = R.Algebra.rewrite (R.Algebra.lower p.db ast) in
-         explain_stream p (i + 1)
-           (root_name_of p sc.sc_stream)
-           ~sql:sc.sc_sql sc.sc_plan ~logical:(R.Algebra.to_string alg))
-       se.s_per_stream)
-
 (* --- plan diagnostics --------------------------------------------------- *)
 
 (* Flatten every stream's physical plan into the generic per-operator
@@ -530,303 +491,9 @@ let explain_streaming (p : prepared) (se : streaming) : string =
 let diagnose_samples (p : prepared) (e : execution) : Obs.Diagnose.sample list =
   List.concat_map
     (fun (se : stream_exec) ->
-      R.Physical.diagnose_samples
-        ~stream:(root_name_of p se.se_stream)
+      R.Physical.diagnose_samples ~stream:(root_name_of p se.se_stream)
         se.se_plan)
     e.per_stream
-
-let diagnose_samples_streaming (p : prepared) (se : streaming) :
-    Obs.Diagnose.sample list =
-  List.concat_map
-    (fun (sc : stream_cursor) ->
-      R.Physical.diagnose_samples
-        ~stream:(root_name_of p sc.sc_stream)
-        sc.sc_plan)
-    se.s_per_stream
-
-(* --- resilient execution ----------------------------------------------- *)
-
-(* What resilience cost: counters diffed over the backend's stats across
-   one execution, plus the number of streams that had to be degraded. *)
-type resilience = {
-  r_submits : int;
-  r_attempts : int;
-  r_retries : int;
-  r_faults : int;
-  r_timeouts : int;
-  r_degraded : int;
-  r_backoff_ms : float;
-  r_wasted_work : int;
-}
-
-type resilient = { r_streaming : streaming; r_resilience : resilience }
-
-let execute_resilient ?(style = Sql_gen.Outer_join) ?(reduce = false)
-    ?budget ?profile ?(transfer = R.Transfer.default) ?(sql_syntax = `Derived)
-    ?backend ?(max_splits = 8) ?(domains = 1) (p : prepared)
-    (plan : Partition.t) : resilient =
- Obs.Span.with_span "middleware.execute" (fun () ->
-  if Obs.Span.tracing () then begin
-    Obs.Span.add "mode" (Obs.Attr.String "resilient");
-    Obs.Span.add "domains" (Obs.Attr.Int domains)
-  end;
-  let backend =
-    match backend with
-    | Some b -> b
-    | None -> R.Backend.create ?budget ?profile p.db
-  in
-  let opts = options_of p ~style ~reduce in
-  let streams = Sql_gen.streams p.db p.tree plan opts in
-  (* One forked connection per top-level stream, in every mode: fault
-     draws depend only on (seed, stream index, the stream's own
-     submission sequence), never on how streams interleave across
-     domains, so the resilience counters are identical at any domain
-     count and across repeated runs.  [backend] itself is only the
-     config/seed template; its own counters never move here. *)
-  let backends =
-    List.mapi (fun i (_ : Sql_gen.stream) -> R.Backend.fork backend ~salt:i)
-      streams
-  in
-  let print_sql =
-    match sql_syntax with
-    | `Derived -> R.Sql_print.to_string
-    | `With -> R.Sql_print.to_with_string
-  in
-  let degraded = Atomic.make 0 in
-  (* Run one stream through its backend's retry loop.  If its failure is
-     persistent — retries exhausted, a fatal fault, or a work-budget
-     timeout — split the offending fragment along its view-tree edges
-     (one step down the 2^|E| plan lattice, the paper's own fallback
-     space) and recurse on the finer sub-queries.  A single-node
-     fragment cannot degrade further: a timeout escapes as
-     [Plan_timeout] with the payload naming the fragment root, anything
-     else re-raises the backend error. *)
-  let rec run_stream ~depth backend i (s : Sql_gen.stream) :
-      stream_cursor list =
-    Obs.Span.with_span "execute.stream" (fun () ->
-        let text = print_sql s.Sql_gen.query in
-        let root_name =
-          View_tree.skolem_name
-            (View_tree.node p.tree s.Sql_gen.fragment.Partition.root)
-              .View_tree.sfi
-        in
-        let ast = R.Sql_parser.parse text in
-        (* the backend replans per attempt; this instance only reports
-           the plan shape (est-annotatable, no actuals) *)
-        let phys = R.Physical.plan_of p.db ast in
-        let rows = ref 0 and bytes = ref 0 in
-        let transfer_ms = ref transfer.R.Transfer.per_stream_overhead in
-        let t0 = now_ms () in
-        match
-          R.Backend.execute backend ~label:root_name
-            ~on_attempt:(fun _attempt ->
-              (* a fresh physical attempt re-delivers from row one: drop
-                 the partial accounting of the failed attempt *)
-              rows := 0;
-              bytes := 0;
-              transfer_ms := transfer.R.Transfer.per_stream_overhead)
-            ~on_row:(fun t ->
-              incr rows;
-              bytes := !bytes + R.Tuple.wire_size t;
-              transfer_ms := !transfer_ms +. R.Transfer.tuple_ms transfer t)
-            ast
-        with
-        | cur, stats ->
-            let wall_ms = now_ms () -. t0 in
-            Log.debug (fun m ->
-                m "stream (resilient): %d rows, %d work units, %.1f ms — %s"
-                  !rows stats.R.Executor.work wall_ms
-                  (if String.length text > 80 then String.sub text 0 80 ^ "…"
-                   else text));
-            if Obs.Span.tracing () then begin
-              Obs.Span.add_list
-                [
-                  Obs.Attr.int "index" i;
-                  Obs.Attr.string "root" root_name;
-                  Obs.Attr.int "rows" !rows;
-                  Obs.Attr.int "bytes" !bytes;
-                  Obs.Attr.int "work" stats.R.Executor.work;
-                  Obs.Attr.int "depth" depth;
-                ];
-              Obs.Metrics.incr "execute.streams";
-              Obs.Metrics.observe "execute.stream.work"
-                (float_of_int stats.R.Executor.work);
-              Obs.Metrics.observe "execute.stream.rows" (float_of_int !rows);
-              Obs.Metrics.observe "execute.stream.bytes" (float_of_int !bytes)
-            end;
-            [
-              {
-                sc_stream = s;
-                sc_cursor = cur;
-                sc_sql = text;
-                sc_plan = phys;
-                sc_stats = stats;
-                sc_wall_ms = wall_ms;
-                sc_rows = !rows;
-                sc_bytes = !bytes;
-                sc_transfer_ms = !transfer_ms;
-              };
-            ]
-        | exception (R.Backend.Backend_error { kind; _ } as exn) -> (
-            let elapsed = now_ms () -. t0 in
-            let info =
-              {
-                timeout_sql = text;
-                timeout_stream = i;
-                timeout_root = root_name;
-                timeout_elapsed_ms = elapsed;
-              }
-            in
-            let finer =
-              if depth < max_splits then
-                Partition.split s.Sql_gen.fragment
-              else None
-            in
-            match finer with
-            | Some frags ->
-                Atomic.incr degraded;
-                Obs.Metrics.incr "middleware.degraded_streams";
-                if Obs.Span.tracing () then begin
-                  Obs.Span.add_list
-                    [
-                      Obs.Attr.bool "degraded" true;
-                      Obs.Attr.string "degraded.root" info.timeout_root;
-                      Obs.Attr.string "degraded.kind" (R.Backend.kind_name kind);
-                      Obs.Attr.int "degraded.fragments" (List.length frags);
-                    ];
-                  Obs.Event.warn "middleware.degraded"
-                    ~attrs:
-                      [
-                        Obs.Attr.string "root" info.timeout_root;
-                        Obs.Attr.string "kind" (R.Backend.kind_name kind);
-                        Obs.Attr.int "fragments" (List.length frags);
-                      ]
-                end;
-                Log.info (fun m ->
-                    m "degrading stream %d (root %s, %s): splitting into %d \
-                       finer sub-queries"
-                      i info.timeout_root
-                      (R.Backend.kind_name kind)
-                      (List.length frags));
-                (* a later fragment failing must not strand the spooled
-                   cursors of the fragments already run *)
-                let sub = ref [] in
-                (try
-                   List.iter
-                     (fun frag ->
-                       sub :=
-                         run_stream ~depth:(depth + 1) backend i
-                           (Sql_gen.stream_of_fragment p.db p.tree opts frag)
-                         :: !sub)
-                     frags
-                 with e ->
-                   let bt = Printexc.get_raw_backtrace () in
-                   List.iter close_stream_cursors !sub;
-                   Printexc.raise_with_backtrace e bt);
-                List.concat (List.rev !sub)
-            | None -> (
-                match kind with
-                | R.Backend.Timeout ->
-                    if Obs.Span.tracing () then begin
-                      Obs.Event.error "middleware.plan_timeout"
-                        ~attrs:
-                          [
-                            Obs.Attr.int "stream" i;
-                            Obs.Attr.string "root" info.timeout_root;
-                            Obs.Attr.float "elapsed_ms" elapsed;
-                          ];
-                      Obs.Event.dump ~reason:"plan-timeout"
-                    end;
-                    raise (Plan_timeout info)
-                | _ -> raise exn)))
-  in
-  let per_stream =
-    let tasks = List.combine backends streams in
-    List.concat
-      (map_streams ~domains
-         ~on_partial:(fun done_lists -> List.iter close_stream_cursors done_lists)
-         (fun i (b, s) -> run_stream ~depth:0 b i s)
-         tasks)
-  in
-  (* Degradation replaces one stream by finer streams covering the same
-     nodes: the effective plan is still a point in the 2^|E| lattice, so
-     sorting by fragment root restores plan order and the merge/tagger
-     produces byte-identical XML. *)
-  let per_stream =
-    List.sort
-      (fun a b ->
-        compare a.sc_stream.Sql_gen.fragment.Partition.root
-          b.sc_stream.Sql_gen.fragment.Partition.root)
-      per_stream
-  in
-  let work =
-    List.fold_left
-      (fun acc sc -> acc + sc.sc_stats.R.Executor.work)
-      0 per_stream
-  in
-  let tuples = List.fold_left (fun acc sc -> acc + sc.sc_rows) 0 per_stream in
-  let bytes = List.fold_left (fun acc sc -> acc + sc.sc_bytes) 0 per_stream in
-  let merged = R.Backend.merge_stats (List.map R.Backend.stats backends) in
-  let resilience =
-    {
-      r_submits = merged.R.Backend.submits;
-      r_attempts = merged.R.Backend.attempts;
-      r_retries = merged.R.Backend.retries;
-      r_faults = R.Backend.total_faults merged;
-      r_timeouts = merged.R.Backend.timeouts;
-      r_degraded = Atomic.get degraded;
-      r_backoff_ms = merged.R.Backend.backoff_ms;
-      r_wasted_work = merged.R.Backend.wasted_work;
-    }
-  in
-  if Obs.Span.tracing () then
-    Obs.Span.add_list
-      [
-        Obs.Attr.int "streams" (List.length per_stream);
-        Obs.Attr.int "tuples" tuples;
-        Obs.Attr.int "bytes" bytes;
-        Obs.Attr.int "work" work;
-        Obs.Attr.int "degraded" resilience.r_degraded;
-        Obs.Attr.int "retries" resilience.r_retries;
-        Obs.Attr.int "faults" resilience.r_faults;
-      ];
-  {
-    r_streaming =
-      {
-        cursors = List.map (fun sc -> (sc.sc_stream, sc.sc_cursor)) per_stream;
-        s_per_stream = per_stream;
-        s_sql_texts = List.map (fun sc -> sc.sc_sql) per_stream;
-        s_query_wall_ms =
-          List.fold_left (fun acc sc -> acc +. sc.sc_wall_ms) 0.0 per_stream;
-        s_transfer_ms =
-          List.fold_left (fun acc sc -> acc +. sc.sc_transfer_ms) 0.0 per_stream;
-        s_work = work;
-        s_tuples = tuples;
-        s_bytes = bytes;
-      };
-    r_resilience = resilience;
-  })
-
-let document_of_streaming p (se : streaming) : Xmlkit.Xml.t =
-  Tagger.to_document_cursors p.tree se.cursors
-
-let xml_string_of_streaming p (se : streaming) : string =
-  Tagger.to_string_cursors p.tree se.cursors
-
-let stream_to_channel p (se : streaming) oc : unit =
-  Tagger.to_channel p.tree se.cursors oc
-
-(* One-call convenience: materialize the XML view of [db] under
-   [strategy]. *)
-let materialize ?style ?reduce ?budget ?profile ?transfer ?sql_syntax ?domains
-    db view strategy : Xmlkit.Xml.t * execution =
-  let p = prepare db view in
-  let plan = partition_of p strategy in
-  let e =
-    execute ?style ?reduce ?budget ?profile ?transfer ?sql_syntax ?domains p
-      plan
-  in
-  (document_of p e, e)
 
 (* Ground truth: materialize via naive datalog evaluation of every node
    rule, bypassing SQL generation entirely.  Used by tests to validate

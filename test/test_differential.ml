@@ -1,6 +1,6 @@
 (* Differential safety net for the typed-IR executor: for every plan of
-   Query 1, both SQL styles, the production paths (materialized,
-   streaming, and resilient under injected faults) must produce XML
+   Query 1, both SQL styles, the production path (rows drained to the
+   heap or spooled, and resilient under injected faults) must produce XML
    byte-identical to the same plan executed through the seed AST
    interpreter ([Executor.run_legacy]) and tagged directly — and must
    never charge more work than the seed did. *)
@@ -44,26 +44,21 @@ let test_all_plans_both_styles () =
           let legacy, legacy_work =
             legacy_xml_and_work db tree plan (opts_of style)
           in
-          let label what = Printf.sprintf "%s mask %d: %s" sname mask what in
-          let e = Middleware.execute ~style p plan in
-          Alcotest.(check string)
-            (label "materialized XML = legacy")
-            legacy
-            (Middleware.xml_string_of p e);
-          if e.Middleware.work > legacy_work then
-            Alcotest.failf "%s (new %d > seed %d)"
-              (label "materialized work exceeds seed")
-              e.Middleware.work legacy_work;
-          let se = Middleware.execute_streaming ~style p plan in
-          let s_work = se.Middleware.s_work in
-          Alcotest.(check string)
-            (label "streaming XML = legacy")
-            legacy
-            (Middleware.xml_string_of_streaming p se);
-          if s_work > legacy_work then
-            Alcotest.failf "%s (new %d > seed %d)"
-              (label "streaming work exceeds seed")
-              s_work legacy_work)
+          List.iter
+            (fun spool ->
+              let label what =
+                Printf.sprintf "%s mask %d, spool=%b: %s" sname mask spool what
+              in
+              let e = Middleware.execute ~style ~spool p plan in
+              Alcotest.(check string)
+                (label "XML = legacy")
+                legacy
+                (Middleware.xml_string_of p e);
+              if e.Middleware.work > legacy_work then
+                Alcotest.failf "%s (new %d > seed %d)"
+                  (label "work exceeds seed")
+                  e.Middleware.work legacy_work)
+            [ false; true ])
         (Partition.all_masks tree))
     [ Sql_gen.Outer_join; Sql_gen.Outer_union ]
 
@@ -89,14 +84,16 @@ let test_all_plans_resilient () =
                 { R.Backend.default_retry with R.Backend.max_retries = 8 }
               db
           in
-          let r = Middleware.execute_resilient ~backend p plan in
+          let e =
+            Middleware.execute ~backend ~max_splits:8 ~spool:true p plan
+          in
           faults_seen :=
-            !faults_seen + r.Middleware.r_resilience.Middleware.r_faults;
+            !faults_seen + e.Middleware.resilience.Middleware.r_faults;
           Alcotest.(check string)
             (Printf.sprintf "rate %.1f mask %d: resilient XML = legacy" rate
                mask)
             legacy
-            (Middleware.xml_string_of_streaming p r.Middleware.r_streaming))
+            (Middleware.xml_string_of p e))
         (Partition.all_masks tree))
     [ 0.0; 0.3 ];
   Alcotest.(check bool) "faults actually fired at rate 0.3" true

@@ -104,9 +104,10 @@ let test_dump_on_plan_timeout () =
       Obs.Event.set_dump_sink (fun d -> captured := d :: !captured);
       let db = tpch 0.1 in
       let p = Middleware.prepare_text db Queries.query1_text in
+      let backend = B.create ~budget:10 db in
       (try
          ignore
-           (Middleware.execute ~budget:10 p (Partition.unified p.Middleware.tree));
+           (Middleware.execute ~backend p (Partition.unified p.Middleware.tree));
          Alcotest.fail "tiny budget must time out"
        with Middleware.Plan_timeout _ -> ());
       match !captured with
@@ -133,7 +134,10 @@ let test_dump_on_breaker_open () =
           ~breaker:{ B.failure_threshold = 2; cooldown_ms = 1000.0 }
           db
       in
-      (try ignore (B.execute backend (R.Sql_parser.parse supplier_q))
+      (try
+         ignore
+           (B.execute backend
+              (R.Physical.plan_of db (R.Sql_parser.parse supplier_q)))
        with B.Backend_error _ | B.Circuit_open _ -> ());
       let reasons = List.map (fun d -> d.Obs.Event.reason) !captured in
       Alcotest.(check bool)
@@ -159,7 +163,10 @@ let test_deterministic_sequence () =
             ~retry:{ B.default_retry with B.max_retries = 4 }
             db
         in
-        (try ignore (B.execute backend (R.Sql_parser.parse supplier_q))
+        (try
+           ignore
+             (B.execute backend
+                (R.Physical.plan_of db (R.Sql_parser.parse supplier_q)))
          with B.Backend_error _ | B.Circuit_open _ -> ());
         List.map
           (fun (e : Obs.Event.t) ->

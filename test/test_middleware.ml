@@ -11,9 +11,12 @@ let setup ?(scale = 0.15) text =
 let test_materialize_strategies_agree () =
   let db = Tpch.Gen.generate (Tpch.Gen.config 0.15) in
   let view = Queries.query1 () in
+  let p = Middleware.prepare db view in
   let docs =
     List.map
-      (fun strategy -> fst (Middleware.materialize db view strategy))
+      (fun strategy ->
+        Middleware.document_of p
+          (Middleware.execute p (Middleware.partition_of p strategy)))
       [ Middleware.Unified; Middleware.Fully_partitioned; Middleware.Edges 37;
         Middleware.Greedy Planner.default_params ]
   in
@@ -39,34 +42,33 @@ let test_execution_accounting () =
        (Middleware.total_wall_ms e
        -. (e.Middleware.query_wall_ms +. e.Middleware.transfer_ms))
     < 1e-9);
-  Alcotest.(check int) "one SQL text" 1 (List.length e.Middleware.sql_texts)
+  Alcotest.(check int) "one SQL text" 1 (List.length e.Middleware.per_stream)
 
 let test_stream_counts_by_strategy () =
   let db, p = setup Queries.query1_text in
   ignore db;
-  let count s = List.length (Middleware.execute p (Middleware.partition_of p s)).Middleware.streams in
+  let count s = List.length (Middleware.execute p (Middleware.partition_of p s)).Middleware.per_stream in
   Alcotest.(check int) "unified 1" 1 (count Middleware.Unified);
   Alcotest.(check int) "fully partitioned 10" 10 (count Middleware.Fully_partitioned);
   Alcotest.(check int) "mask 511 = unified" 1 (count (Middleware.Edges 511))
 
 let test_timeout_raised () =
   let db, p = setup ~scale:0.5 Queries.query1_text in
-  ignore db;
+  let backend = R.Backend.create ~budget:10 db in
   Alcotest.(check bool) "tiny budget times out" true
     (try
-       ignore (Middleware.execute ~budget:10 p (Partition.unified p.Middleware.tree));
+       ignore (Middleware.execute ~backend p (Partition.unified p.Middleware.tree));
        false
      with Middleware.Plan_timeout _ -> true)
 
 let test_profile_affects_work () =
   let db, p = setup ~scale:0.5 Queries.query1_text in
-  ignore db;
   let plan = Partition.unified p.Middleware.tree in
   let default = (Middleware.execute p plan).Middleware.work in
-  let tiny_buffer =
-    (Middleware.execute ~profile:{ R.Executor.sort_buffer = 256; byte_div = 16 } p plan)
-      .Middleware.work
+  let backend =
+    R.Backend.create ~profile:{ R.Executor.sort_buffer = 256; byte_div = 16 } db
   in
+  let tiny_buffer = (Middleware.execute ~backend p plan).Middleware.work in
   Alcotest.(check bool) "smaller sort buffer costs more" true (tiny_buffer > default)
 
 let test_more_streams_more_transfer_overhead () =
@@ -158,36 +160,16 @@ let test_non_equi_join_condition () =
         (Xmlkit.Xml.equal (Middleware.document_of p e) truth))
     (Partition.all_masks p.Middleware.tree)
 
-let test_with_syntax_agrees () =
-  (* shipping the SQL as WITH clauses (paper footnote 1) must produce the
-     same document as inline derived tables, for every plan *)
-  let db = Tpch.Gen.generate (Tpch.Gen.config 0.1) in
-  let p = Middleware.prepare_text db Queries.query1_text in
-  List.iter
-    (fun mask ->
-      let plan = Partition.of_mask p.Middleware.tree mask in
-      let a = Middleware.execute p plan in
-      let b = Middleware.execute ~sql_syntax:`With p plan in
-      Alcotest.(check bool) (Printf.sprintf "mask %d" mask) true
-        (Xmlkit.Xml.equal (Middleware.document_of p a) (Middleware.document_of p b));
-      (* the WITH text really is different syntax *)
-      if mask = 511 then
-        Alcotest.(check bool) "uses WITH" true
-          (String.length (List.hd b.Middleware.sql_texts) > 4
-          && String.sub (List.hd b.Middleware.sql_texts) 0 4 = "WITH"))
-    [ 0; 37; 255; 511 ]
-
 let suite =
   [
     Alcotest.test_case "strategies agree" `Quick test_materialize_strategies_agree;
-    Alcotest.test_case "WITH syntax agrees" `Quick test_with_syntax_agrees;
     Alcotest.test_case "execution accounting" `Quick test_execution_accounting;
     Alcotest.test_case "stream counts" `Quick test_stream_counts_by_strategy;
     Alcotest.test_case "plan timeout" `Quick test_timeout_raised;
     Alcotest.test_case "profile affects work" `Quick test_profile_affects_work;
     Alcotest.test_case "transfer overhead by streams" `Quick test_more_streams_more_transfer_overhead;
+    Alcotest.test_case "non-TPC-H schema" `Quick test_custom_non_tpch_schema;
     Alcotest.test_case "exhaustive 512 plans (Query 1)" `Slow test_exhaustive_q1;
     Alcotest.test_case "exhaustive 512 plans (Query 2)" `Slow test_exhaustive_q2;
-    Alcotest.test_case "non-TPC-H schema" `Quick test_custom_non_tpch_schema;
     Alcotest.test_case "non-equi-join condition" `Quick test_non_equi_join_condition;
   ]

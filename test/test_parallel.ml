@@ -84,38 +84,32 @@ let test_cursor_close_semantics () =
 
 (* --- differential: parallel vs sequential -------------------------------- *)
 
-(* One plan point: the fanned-out paths must match the sequential ones
-   byte-for-byte on XML and exactly on deterministic accounting. *)
+(* One plan point: the fanned-out run must match the sequential one
+   byte-for-byte on XML and exactly on deterministic accounting, with
+   the rows in the heap and spooled alike. *)
 let check_point p mask domains =
   let plan = Partition.of_mask p.Middleware.tree mask in
-  let label = Printf.sprintf "mask %d @%d domains" mask domains in
-  let e = Middleware.execute p plan in
-  let ep = Middleware.execute ~domains p plan in
-  Alcotest.(check string)
-    (label ^ ": byte-identical XML")
-    (Middleware.xml_string_of p e)
-    (Middleware.xml_string_of p ep);
-  Alcotest.(check int) (label ^ ": work") e.Middleware.work ep.Middleware.work;
-  Alcotest.(check int) (label ^ ": tuples") e.Middleware.tuples
-    ep.Middleware.tuples;
-  Alcotest.(check int) (label ^ ": bytes") e.Middleware.bytes
-    ep.Middleware.bytes;
-  Alcotest.(check (float 0.0))
-    (label ^ ": transfer model")
-    e.Middleware.transfer_ms ep.Middleware.transfer_ms;
-  (* streaming fan-out against sequential streaming *)
-  let se = Middleware.execute_streaming p plan in
-  let sp = Middleware.execute_streaming ~domains p plan in
-  Alcotest.(check string)
-    (label ^ ": streaming byte-identical XML")
-    (Middleware.xml_string_of_streaming p se)
-    (Middleware.xml_string_of_streaming p sp);
-  Alcotest.(check int)
-    (label ^ ": streaming work")
-    se.Middleware.s_work sp.Middleware.s_work;
-  Alcotest.(check int)
-    (label ^ ": streaming bytes")
-    se.Middleware.s_bytes sp.Middleware.s_bytes
+  List.iter
+    (fun spool ->
+      let label =
+        Printf.sprintf "mask %d @%d domains, spool=%b" mask domains spool
+      in
+      let e = Middleware.execute ~spool p plan in
+      let ep = Middleware.execute ~spool ~domains p plan in
+      Alcotest.(check string)
+        (label ^ ": byte-identical XML")
+        (Middleware.xml_string_of p e)
+        (Middleware.xml_string_of p ep);
+      Alcotest.(check int) (label ^ ": work") e.Middleware.work
+        ep.Middleware.work;
+      Alcotest.(check int) (label ^ ": tuples") e.Middleware.tuples
+        ep.Middleware.tuples;
+      Alcotest.(check int) (label ^ ": bytes") e.Middleware.bytes
+        ep.Middleware.bytes;
+      Alcotest.(check (float 0.0))
+        (label ^ ": transfer model")
+        e.Middleware.transfer_ms ep.Middleware.transfer_ms)
+    [ false; true ]
 
 let domain_counts = [ 1; 2; 4 ]
 
@@ -168,11 +162,11 @@ let test_resilient_counters_deterministic () =
                   { R.Backend.default_retry with R.Backend.max_retries = 8 }
                 db
             in
-            let r = Middleware.execute_resilient ~backend ~domains p plan in
-            let xml =
-              Middleware.xml_string_of_streaming p r.Middleware.r_streaming
+            let e =
+              Middleware.execute ~backend ~max_splits:8 ~spool:true ~domains p
+                plan
             in
-            (xml, r.Middleware.r_resilience)
+            (Middleware.xml_string_of p e, e.Middleware.resilience)
           in
           let xml1, res1 = run 1 in
           Alcotest.(check string)
@@ -214,9 +208,11 @@ let test_degradation_under_fanout () =
   Alcotest.(check bool) "unified plan must exceed the budget" true
     (baseline.Middleware.work > budget);
   let run domains =
-    let r = Middleware.execute_resilient ~budget ~domains p unified in
-    ( Middleware.xml_string_of_streaming p r.Middleware.r_streaming,
-      r.Middleware.r_resilience )
+    let backend = R.Backend.create ~budget db in
+    let e =
+      Middleware.execute ~backend ~max_splits:8 ~spool:true ~domains p unified
+    in
+    (Middleware.xml_string_of p e, e.Middleware.resilience)
   in
   let xml1, res1 = run 1 in
   Alcotest.(check string) "degraded run matches fault-free truth" truth xml1;

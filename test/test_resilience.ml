@@ -1,9 +1,10 @@
 (* The resilient backend layer: fault injection / retry / breaker unit
    tests on Backend, Partition.split laws, and differential tests of
-   Middleware.execute_resilient — byte-identical output versus the
-   fault-free materialized path across fault rates, budget-forced
-   degradation through the plan lattice, and exact (deterministic)
-   resilience counters for a fixed seed. *)
+   Middleware.execute under faults and degradation — byte-identical
+   output versus the fault-free run across fault rates, budget-forced
+   degradation through the plan lattice, exact (deterministic)
+   resilience counters for a fixed seed, and the executed plans'
+   actuals surviving retries. *)
 
 open Silkroute
 module R = Relational
@@ -18,6 +19,9 @@ let part_q = "SELECT p.name AS n FROM Part AS p ORDER BY n"
 let tpch scale = Tpch.Gen.generate (Tpch.Gen.config scale)
 let parse = R.Sql_parser.parse
 
+(* the backend runs physical plans: plan [q] against its database *)
+let plan_of backend q = R.Physical.plan_of (B.db backend) (parse q)
+
 let retry ?(max_retries = 3) () = { B.default_retry with B.max_retries }
 
 (* --- backend unit tests -------------------------------------------------- *)
@@ -25,11 +29,10 @@ let retry ?(max_retries = 3) () = { B.default_retry with B.max_retries }
 let test_no_faults_passthrough () =
   let db = tpch 0.2 in
   let backend = B.create db in
-  let q = parse supplier_q in
-  let expected, _ = R.Executor.run_with_stats db q in
-  let cur, _ = B.execute backend q in
+  let expected, _ = R.Executor.run_with_stats db (parse supplier_q) in
+  let cur, _ = B.execute backend (plan_of backend supplier_q) in
   Alcotest.(check bool) "same rows" true
-    (R.Relation.equal expected (R.Cursor.to_relation cur));
+    (R.Relation.equal expected (R.Cursor.to_relation (cur ())));
   let st = B.stats backend in
   Alcotest.(check int) "one submit" 1 st.B.submits;
   Alcotest.(check int) "one attempt" 1 st.B.attempts;
@@ -42,7 +45,7 @@ let test_transient_exhausts_bounded_retries () =
     B.create ~faults:(B.faults ~midstream_weight:0.0 1.0)
       ~retry:(retry ~max_retries:3 ()) db
   in
-  (match B.execute backend (parse supplier_q) with
+  (match B.execute backend (plan_of backend supplier_q) with
   | _ -> Alcotest.fail "certain transient faults must exhaust retries"
   | exception B.Backend_error { kind; attempt; _ } ->
       Alcotest.(check bool) "transient" true (kind = B.Transient);
@@ -57,7 +60,7 @@ let test_fatal_not_retried () =
   let backend =
     B.create ~faults:(B.faults ~fatal_weight:1.0 1.0) ~retry:(retry ()) db
   in
-  (match B.execute backend (parse supplier_q) with
+  (match B.execute backend (plan_of backend supplier_q) with
   | _ -> Alcotest.fail "fatal fault must escape"
   | exception B.Backend_error { kind; attempt; _ } ->
       Alcotest.(check bool) "fatal" true (kind = B.Fatal);
@@ -70,7 +73,7 @@ let test_timeout_not_retried_wasted_work () =
   let db = tpch 0.3 in
   let budget = 50 in
   let backend = B.create ~budget db in
-  (match B.execute backend (parse part_q) with
+  (match B.execute backend (plan_of backend part_q) with
   | _ -> Alcotest.fail "tiny budget must time out"
   | exception B.Backend_error { kind; _ } ->
       Alcotest.(check bool) "timeout" true (kind = B.Timeout));
@@ -93,7 +96,7 @@ let test_backoff_exponential_within_jitter () =
         }
       db
   in
-  (try ignore (B.execute backend (parse supplier_q))
+  (try ignore (B.execute backend (plan_of backend supplier_q))
    with B.Backend_error _ -> ());
   let st = B.stats backend in
   (* slots 10, 20, 40 (capped), each jittered by ±25% *)
@@ -111,7 +114,7 @@ let test_breaker_opens_and_rejects () =
       ~breaker:{ B.failure_threshold = 2; cooldown_ms = 1000.0 }
       db
   in
-  (match B.execute backend (parse supplier_q) with
+  (match B.execute backend (plan_of backend supplier_q) with
   | _ -> Alcotest.fail "certain faults must exhaust retries"
   | exception B.Backend_error { kind; _ } ->
       Alcotest.(check bool) "transient" true (kind = B.Transient));
@@ -133,7 +136,7 @@ let test_midstream_drop_retried () =
     B.create ~faults:(B.faults ~midstream_weight:1.0 1.0)
       ~retry:(retry ~max_retries:2 ()) db
   in
-  (match B.execute backend (parse part_q) with
+  (match B.execute backend (plan_of backend part_q) with
   | _ -> Alcotest.fail "certain mid-stream drops must exhaust retries"
   | exception B.Backend_error { kind; rows_delivered; _ } ->
       Alcotest.(check bool) "transient" true (kind = B.Transient);
@@ -162,11 +165,11 @@ let test_midstream_recovery_accounting () =
       in
       let rows = ref 0 in
       match B.execute backend ~on_attempt:(fun _ -> rows := 0)
-              ~on_row:(fun _ -> incr rows) q
+              ~on_row:(fun _ -> incr rows) (R.Physical.plan_of db q)
       with
       | cur, _ when (B.stats backend).B.retries > 0 ->
           Alcotest.(check bool) "rows match fault-free run" true
-            (R.Relation.equal expected (R.Cursor.to_relation cur));
+            (R.Relation.equal expected (R.Cursor.to_relation (cur ())));
           Alcotest.(check int) "on_row counted only the winning attempt"
             (R.Relation.cardinality expected)
             !rows
@@ -178,9 +181,8 @@ let test_midstream_recovery_accounting () =
 let test_injected_row_latency () =
   let db = tpch 0.2 in
   let backend = B.create ~faults:(B.faults ~row_latency_ms:2.0 0.0) db in
-  let q = parse supplier_q in
-  let cur, _ = B.execute backend q in
-  let n = R.Relation.cardinality (R.Cursor.to_relation cur) in
+  let cur, _ = B.execute backend (plan_of backend supplier_q) in
+  let n = R.Relation.cardinality (R.Cursor.to_relation (cur ())) in
   let st = B.stats backend in
   Alcotest.(check (float 1e-9))
     "2ms of virtual latency per delivered row"
@@ -198,7 +200,7 @@ let test_seed_determinism () =
     in
     List.iter
       (fun q ->
-        try ignore (B.execute backend (parse q)) with B.Backend_error _ -> ())
+        try ignore (B.execute backend (plan_of backend q)) with B.Backend_error _ -> ())
       [ supplier_q; part_q; supplier_q ];
     B.stats backend
   in
@@ -252,7 +254,7 @@ let test_split_laws () =
   in
   List.iter check (Partition.fragments unified)
 
-(* --- execute_resilient: differential across fault rates ------------------ *)
+(* --- resilient execution: differential across fault rates ---------------- *)
 
 let small_views =
   [
@@ -268,15 +270,18 @@ let small_views =
         { from Nation $n construct <nation>$n.name</nation> }|} );
   ]
 
-let resilient_xml p r =
-  Middleware.xml_string_of_streaming p r.Middleware.r_streaming
+(* Resilient execution as the CLI's --resilient runs it: up to 8 nested
+   splits, rows spooled unless [spool] says otherwise. *)
+let resilient ?(spool = true) ~backend p plan =
+  Middleware.execute ~backend ~max_splits:8 ~spool p plan
 
-(* For one (view, mask, rate) point: resilient output byte-identical to
-   the fault-free materialized path, and the resilience counters exactly
-   reproducible for the fixed seed (zero fault activity at rate 0). *)
-let check_resilient_point p mask rate =
+(* For one (view, mask, rate) point, rows in the heap and spooled:
+   resilient output byte-identical to the fault-free run, and the
+   resilience counters exactly reproducible for the fixed seed (zero
+   fault activity at rate 0). *)
+let check_resilient_point p mask rate spool =
   let plan = Partition.of_mask p.Middleware.tree mask in
-  let label = Printf.sprintf "mask %d, rate %.1f" mask rate in
+  let label = Printf.sprintf "mask %d, rate %.1f, spool=%b" mask rate spool in
   let baseline = Middleware.xml_string_of p (Middleware.execute p plan) in
   let run () =
     let backend =
@@ -284,8 +289,8 @@ let check_resilient_point p mask rate =
         ~retry:(retry ~max_retries:8 ())
         p.Middleware.db
     in
-    let r = Middleware.execute_resilient ~backend p plan in
-    (resilient_xml p r, r.Middleware.r_resilience)
+    let e = resilient ~spool ~backend p plan in
+    (Middleware.xml_string_of p e, e.Middleware.resilience)
   in
   let xml, res = run () in
   Alcotest.(check string) (label ^ ": byte-identical XML") baseline xml;
@@ -310,7 +315,8 @@ let test_small_views_differential () =
       List.iter
         (fun mask ->
           List.iter
-            (fun rate -> check_resilient_point p mask rate)
+            (fun rate ->
+              List.iter (check_resilient_point p mask rate) [ false; true ])
             [ 0.0; 0.1; 0.3 ])
         (Partition.all_masks p.Middleware.tree))
     small_views
@@ -338,11 +344,11 @@ let test_budget_forces_degradation () =
   Alcotest.(check bool) "unified cannot fit the budget" true
     (baseline.Middleware.work > budget);
   let backend = B.create ~budget db in
-  let r = Middleware.execute_resilient ~backend p unified in
+  let e = resilient ~backend p unified in
   Alcotest.(check string) "byte-identical after degradation"
     (Middleware.xml_string_of p baseline)
-    (resilient_xml p r);
-  let res = r.Middleware.r_resilience in
+    (Middleware.xml_string_of p e);
+  let res = e.Middleware.resilience in
   Alcotest.(check bool) "at least one stream degraded" true
     (res.Middleware.r_degraded >= 1);
   Alcotest.(check bool) "timeouts observed" true (res.Middleware.r_timeouts >= 1);
@@ -356,8 +362,7 @@ let test_single_node_timeout_escapes () =
   let p = Middleware.prepare_text db Queries.query1_text in
   let backend = B.create ~budget:10 db in
   match
-    Middleware.execute_resilient ~backend p
-      (Partition.fully_partitioned p.Middleware.tree)
+    resilient ~backend p (Partition.fully_partitioned p.Middleware.tree)
   with
   | _ -> Alcotest.fail "tiny budget must time out"
   | exception Middleware.Plan_timeout info ->
@@ -365,6 +370,55 @@ let test_single_node_timeout_escapes () =
         (String.length info.Middleware.timeout_root > 0);
       Alcotest.(check bool) "carries SQL" true
         (String.length info.Middleware.timeout_sql > 0)
+
+(* --- executed plans survive retries -------------------------------------- *)
+
+(* A retried stream must report the plan that ran: per operator, the
+   same actual rows and work as a fault-free run of the same plan, never
+   the unexecuted (negative) figures of a plan built only for show. *)
+let test_retried_run_keeps_actuals () =
+  let db = tpch 0.1 in
+  let p = Middleware.prepare_text db Queries.query2_text in
+  let plan = Partition.fully_partitioned p.Middleware.tree in
+  let actuals e =
+    List.map
+      (fun (s : Obs.Diagnose.sample) ->
+        (s.Obs.Diagnose.d_stream, s.Obs.Diagnose.d_node, s.Obs.Diagnose.d_op,
+         s.Obs.Diagnose.d_act_rows, s.Obs.Diagnose.d_act_cost))
+      (Middleware.diagnose_samples p e)
+  in
+  Obs.Control.with_enabled true (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Span.reset ();
+          Obs.Metrics.reset ();
+          Obs.Event.reset ())
+        (fun () ->
+          (* the first seed whose run retries at least once *)
+          let rec faulted seed =
+            if seed > 100 then Alcotest.fail "no retrying seed below 100"
+            else
+              let backend =
+                B.create ~faults:(B.faults ~seed 0.3)
+                  ~retry:(retry ~max_retries:8 ()) db
+              in
+              let e = resilient ~backend p plan in
+              if e.Middleware.resilience.Middleware.r_retries > 0 then e
+              else faulted (seed + 1)
+          in
+          let retried = actuals (faulted 0) in
+          let clean = actuals (Middleware.execute p plan) in
+          Alcotest.(check bool) "operators sampled" true (retried <> []);
+          List.iter
+            (fun (stream, node, op, rows, cost) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s node %d (%s): actuals measured" stream node
+                   op)
+                true
+                (rows >= 0 && cost >= 0))
+            retried;
+          Alcotest.(check bool) "actuals equal the fault-free run's" true
+            (retried = clean)))
 
 (* --- acceptance: q1/q2, all plans, faults + degradation ------------------- *)
 
@@ -390,12 +444,13 @@ let acceptance_sweep text =
           ~retry:(retry ~max_retries:8 ())
           ~budget db
       in
-      let r = Middleware.execute_resilient ~backend p plan in
+      let e = resilient ~backend p plan in
       Alcotest.(check string)
         (Printf.sprintf "mask %d: byte-identical under faults" mask)
-        baseline (resilient_xml p r);
-      retries := !retries + r.Middleware.r_resilience.Middleware.r_retries;
-      degraded := !degraded + r.Middleware.r_resilience.Middleware.r_degraded)
+        baseline
+        (Middleware.xml_string_of p e);
+      retries := !retries + e.Middleware.resilience.Middleware.r_retries;
+      degraded := !degraded + e.Middleware.resilience.Middleware.r_degraded)
     (Partition.all_masks p.Middleware.tree);
   Alcotest.(check bool) "retries fired across the sweep" true (!retries > 0);
   Alcotest.(check bool) "degradation fired across the sweep" true
@@ -431,6 +486,8 @@ let suite =
       test_budget_forces_degradation;
     Alcotest.test_case "single-node timeout escapes as Plan_timeout" `Quick
       test_single_node_timeout_escapes;
+    Alcotest.test_case "retried run keeps the executed plan's actuals" `Quick
+      test_retried_run_keeps_actuals;
     Alcotest.test_case "acceptance: q1 all plans, faults + degradation" `Slow
       test_acceptance_q1;
     Alcotest.test_case "acceptance: q2 all plans, faults + degradation" `Slow

@@ -1,6 +1,6 @@
 (* The streaming pipeline (cursor execution, spooling, heap k-way merge):
-   differential tests against the materialized path and the naive
-   materialization, work-unit parity, and the memory bound. *)
+   differential tests of spooled against heap-drained execution and the
+   naive materialization, work-unit parity, and the memory bound. *)
 
 open Silkroute
 module R = Relational
@@ -51,7 +51,9 @@ let test_executor_cursor_matches_run () =
       "SELECT s.name AS n FROM Supplier AS s ORDER BY n"
   in
   let rel, st_mat = R.Executor.run_with_stats db q in
-  let cur, st_cur = R.Executor.run_cursor_with_stats db q in
+  let cur, st_cur =
+    R.Executor.run_plan_cursor_with_stats db (R.Physical.plan_of db q)
+  in
   Alcotest.(check bool) "same rows" true
     (R.Relation.equal rel (R.Cursor.to_relation cur));
   Alcotest.(check int) "same work" st_mat.R.Executor.work
@@ -59,12 +61,12 @@ let test_executor_cursor_matches_run () =
   Alcotest.(check int) "same emitted" st_mat.R.Executor.emitted
     st_cur.R.Executor.emitted
 
-(* --- differential: streaming vs materialized vs naive ------------------- *)
+(* --- differential: spooled vs heap vs naive ------------------------------ *)
 
 let serialize = Xmlkit.Serialize.to_string
 
-(* For one (plan, style, reduce) point: the streaming path must be
-   byte-identical to the materialized path (buffer sinks) and to the
+(* For one (plan, style, reduce) point: the spooled run must be
+   byte-identical to the heap-drained run (buffer sinks) and to the
    naive materialization (document sinks), with equal work-unit counts
    and equal modeled accounting. *)
 let check_point ?(check_naive = None) p mask style reduce =
@@ -75,30 +77,30 @@ let check_point ?(check_naive = None) p mask style reduce =
       reduce
   in
   let e = Middleware.execute ~style ~reduce p plan in
-  let se = Middleware.execute_streaming ~style ~reduce p plan in
+  let se = Middleware.execute ~style ~reduce ~spool:true p plan in
   Alcotest.(check string)
     (label ^ ": byte-identical XML")
     (Middleware.xml_string_of p e)
-    (Middleware.xml_string_of_streaming p se);
+    (Middleware.xml_string_of p se);
   Alcotest.(check int) (label ^ ": work units") e.Middleware.work
-    se.Middleware.s_work;
+    se.Middleware.work;
   Alcotest.(check int) (label ^ ": tuples") e.Middleware.tuples
-    se.Middleware.s_tuples;
+    se.Middleware.tuples;
   Alcotest.(check int) (label ^ ": bytes") e.Middleware.bytes
-    se.Middleware.s_bytes;
+    se.Middleware.bytes;
   Alcotest.(check (float 0.0))
     (label ^ ": transfer model")
-    e.Middleware.transfer_ms se.Middleware.s_transfer_ms;
+    e.Middleware.transfer_ms se.Middleware.transfer_ms;
   match check_naive with
   | None -> ()
   | Some truth ->
-      (* cursors are single-use: run the streaming path again for the
-         document-sink comparison *)
-      let se2 = Middleware.execute_streaming ~style ~reduce p plan in
+      (* spooled cursors are single-use: run the spooled path again for
+         the document-sink comparison *)
+      let se2 = Middleware.execute ~style ~reduce ~spool:true p plan in
       Alcotest.(check string)
         (label ^ ": byte-identical to naive")
         truth
-        (serialize (Middleware.document_of_streaming p se2))
+        (serialize (Middleware.document_of p se2))
 
 let variants = [ Sql_gen.Outer_join; Sql_gen.Outer_union ]
 
@@ -163,14 +165,14 @@ let test_to_channel_matches_string () =
   let p = Middleware.prepare_text db Queries.query1_text in
   let plan = Partition.of_mask p.Middleware.tree 37 in
   let expected =
-    Middleware.xml_string_of_streaming p (Middleware.execute_streaming p plan)
+    Middleware.xml_string_of p (Middleware.execute ~spool:true p plan)
   in
   let path = Filename.temp_file "silkroute" ".xml" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let oc = open_out_bin path in
-      Middleware.stream_to_channel p (Middleware.execute_streaming p plan) oc;
+      Middleware.stream_to_channel p (Middleware.execute ~spool:true p plan) oc;
       close_out oc;
       let ic = open_in_bin path in
       let n = in_channel_length ic in
@@ -182,7 +184,8 @@ let test_timeout_payload () =
   let db = Tpch.Gen.generate (Tpch.Gen.config 0.3) in
   let p = Middleware.prepare_text db Queries.query1_text in
   let plan = Partition.fully_partitioned p.Middleware.tree in
-  match Middleware.execute ~budget:50 p plan with
+  let backend = R.Backend.create ~budget:50 db in
+  match Middleware.execute ~backend p plan with
   | _ -> Alcotest.fail "tiny budget must time out"
   | exception Middleware.Plan_timeout info ->
       Alcotest.(check bool) "carries SQL" true
@@ -194,8 +197,8 @@ let test_timeout_payload () =
         (String.length info.Middleware.timeout_root > 0);
       Alcotest.(check bool) "elapsed non-negative" true
         (info.Middleware.timeout_elapsed_ms >= 0.0);
-      (* the streaming path reports the same failing stream *)
-      (match Middleware.execute_streaming ~budget:50 p plan with
+      (* the spooled path reports the same failing stream *)
+      (match Middleware.execute ~backend ~spool:true p plan with
       | _ -> Alcotest.fail "streaming path must time out too"
       | exception Middleware.Plan_timeout info' ->
           Alcotest.(check int) "same failing stream"
@@ -240,15 +243,16 @@ let test_streaming_memory_bounded () =
     !hw
   in
   let hw_streaming =
-    let se = Middleware.execute_streaming p plan in
+    let se = Middleware.execute ~spool:true p plan in
     highwater (fun sink ->
-        Tagger.tag_cursors p.Middleware.tree se.Middleware.cursors sink)
+        Tagger.tag_cursors p.Middleware.tree (Middleware.cursors se) sink)
   in
   let hw_materialized =
     let e = Middleware.execute p plan in
     (* keep the execution record alive across tagging, as callers do *)
     let hw =
-      highwater (fun sink -> Tagger.tag p.Middleware.tree e.Middleware.streams sink)
+      highwater (fun sink ->
+          Tagger.tag_cursors p.Middleware.tree (Middleware.cursors e) sink)
     in
     ignore (Sys.opaque_identity e);
     hw

@@ -13,6 +13,14 @@ let doc_of ?(style = Sql_gen.Outer_join) ?(reduce = false) _db p mask =
   let e = Middleware.execute ~style ~reduce p plan in
   Middleware.document_of p e
 
+(* Each stream's rows as a relation, for the tagger's relation API. *)
+let relations e =
+  List.map
+    (fun se ->
+      ( se.Middleware.se_stream,
+        R.Cursor.to_relation (se.Middleware.se_cursor ()) ))
+    e.Middleware.per_stream
+
 let figure8_xml =
   "<suppliers><supplier><nation>USA</nation><part>plated brass</part>\
    <part>anodized steel</part></supplier><supplier><nation>Spain</nation>\
@@ -36,7 +44,7 @@ let test_absent_sibling_key_reads_null () =
   let p = Middleware.prepare_text db Queries.fragment_text in
   let tree = p.Middleware.tree in
   let e = Middleware.execute p (Partition.fully_partitioned tree) in
-  Alcotest.(check string) "Fig. 8" figure8_xml (Tagger.to_string tree e.Middleware.streams);
+  Alcotest.(check string) "Fig. 8" figure8_xml (Tagger.to_string tree (relations e));
   let node_of tag =
     List.find (fun (n : View_tree.node) -> n.View_tree.tag = tag)
       (Array.to_list tree.View_tree.nodes)
@@ -45,7 +53,7 @@ let test_absent_sibling_key_reads_null () =
     List.mem (node_of "part").View_tree.id d.Sql_gen.fragment.Partition.members
   in
   let part_desc, part_rel =
-    match List.filter (fun (d, _) -> is_part_stream d) e.Middleware.streams with
+    match List.filter (fun (d, _) -> is_part_stream d) (relations e) with
     | [ s ] -> s
     | _ -> Alcotest.fail "expected one <part> stream"
   in
@@ -70,7 +78,7 @@ let test_absent_sibling_key_reads_null () =
     in
     List.map
       (fun (d, r) -> if is_part_stream d then (desc, rel) else (d, r))
-      e.Middleware.streams
+      (relations e)
   in
   List.iter
     (fun (label, v) ->
@@ -105,22 +113,20 @@ let test_escaping_sinks_agree () =
      <region>a&lt;b &amp;&amp; c&gt;&apos;d&quot;e</region>\
      <region>plain</region><region>&amp;&amp;&amp;&lt;&lt;&gt;&gt;</region></regions>"
   in
-  Alcotest.(check string) "buffer sink" expected (Tagger.to_string tree e.Middleware.streams);
+  Alcotest.(check string) "buffer sink" expected (Tagger.to_string tree (relations e));
   let path = Filename.temp_file "tagger" ".xml" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out_bin path in
-      Tagger.to_channel tree
-        (List.map (fun (d, r) -> (d, R.Cursor.of_relation r)) e.Middleware.streams)
-        oc;
+      Tagger.to_channel tree (Middleware.cursors e) oc;
       close_out oc;
       let ic = open_in_bin path in
       let written = really_input_string ic (in_channel_length ic) in
       close_in ic;
       Alcotest.(check string) "channel sink" expected written);
   Alcotest.(check string) "document sink" expected
-    (Xmlkit.Serialize.to_string (Tagger.to_document tree e.Middleware.streams))
+    (Xmlkit.Serialize.to_string (Tagger.to_document tree (relations e)))
 
 let test_all_plans_agree_fragment () =
   let db = Tpch.Gen.figure8_database () in
@@ -313,7 +319,7 @@ let test_constant_space_depth_bound () =
         on_close = (fun _ -> decr depth);
       }
     in
-    Tagger.tag p.Middleware.tree e.Middleware.streams sink;
+    Tagger.tag_cursors p.Middleware.tree (Middleware.cursors e) sink;
     Alcotest.(check int) "balanced" 0 !depth;
     !max_depth
   in

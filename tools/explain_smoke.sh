@@ -1,29 +1,35 @@
 #!/bin/sh
 # Explain smoke: `run --explain` on q1 and q2 must print, for every
 # stream, the logical and physical trees — including at least one hash
-# join and at least one predicate the rewrite layer pushed down.  Guards
-# the explain surface (and the lowering/rewrite markers it exposes)
-# against silent regression.
+# join and at least one predicate the rewrite layer pushed down, and the
+# estimated and actual rows of the plan that ran.  Each query runs twice:
+# plain, and resilient under injected faults (a retried stream must still
+# report the actuals of its winning attempt).  Guards the explain surface
+# (and the lowering/rewrite markers it exposes) against silent
+# regression.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 for q in q1 q2; do
-  echo "== run --explain --query $q"
-  out=$(dune exec bin/silkroute_cli.exe -- run --query "$q" --scale 0.1 \
-    --explain 2>&1 >/dev/null)
-  for needle in "logical plan:" "physical plan:" "hash-join" \
-    "pushdown<-where"; do
-    if ! printf '%s' "$out" | grep -q "$needle"; then
-      echo "FAIL: --explain output for $q lacks '$needle'" >&2
+  for flags in "" "--resilient --fault-rate 0.3 --retries 6"; do
+    echo "== run --explain --query $q $flags"
+    # shellcheck disable=SC2086
+    out=$(dune exec bin/silkroute_cli.exe -- run --query "$q" --scale 0.1 \
+      --explain $flags 2>&1 >/dev/null)
+    for needle in "logical plan:" "physical plan:" "hash-join" \
+      "pushdown<-where"; do
+      if ! printf '%s' "$out" | grep -q "$needle"; then
+        echo "FAIL: --explain $flags output for $q lacks '$needle'" >&2
+        exit 1
+      fi
+    done
+    # estimates and actuals are both filled in after a run
+    if ! printf '%s' "$out" | grep -Eq "rows est=[0-9]+ act=[0-9]+"; then
+      echo "FAIL: --explain $flags output for $q lacks est/act row figures" >&2
       exit 1
     fi
   done
-  # estimates and actuals are both filled in after a run
-  if ! printf '%s' "$out" | grep -Eq "rows est=[0-9]+ act=[0-9]+"; then
-    echo "FAIL: --explain output for $q lacks est/act row figures" >&2
-    exit 1
-  fi
 done
 
 echo "== explain smoke OK"

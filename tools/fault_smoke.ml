@@ -46,9 +46,8 @@ let () =
         ~retry:{ R.Backend.default_retry with R.Backend.max_retries }
         ~budget db
     in
-    let r = S.Middleware.execute_resilient ~backend p unified in
-    let xml = S.Middleware.xml_string_of_streaming p r.S.Middleware.r_streaming in
-    (xml, r.S.Middleware.r_resilience)
+    let e = S.Middleware.execute ~backend ~max_splits:8 ~spool:true p unified in
+    (S.Middleware.xml_string_of p e, e.S.Middleware.resilience)
   in
   let xml, res = run () in
   Printf.printf

@@ -50,12 +50,12 @@ let prepare scale =
 let streaming_highwater scale =
   let p, plan = prepare scale in
   let base = live_words () in
-  let se = S.Middleware.execute_streaming p plan in
+  let e = S.Middleware.execute ~spool:true p plan in
   let hw, opens =
     tag_highwater base (fun sink ->
-        S.Tagger.tag_cursors p.S.Middleware.tree se.S.Middleware.cursors sink)
+        S.Tagger.tag_cursors p.S.Middleware.tree (S.Middleware.cursors e) sink)
   in
-  (hw, opens, se.S.Middleware.s_tuples)
+  (hw, opens, e.S.Middleware.tuples)
 
 let materialized_highwater scale =
   let p, plan = prepare scale in
@@ -63,7 +63,7 @@ let materialized_highwater scale =
   let e = S.Middleware.execute p plan in
   let hw, opens =
     tag_highwater base (fun sink ->
-        S.Tagger.tag p.S.Middleware.tree e.S.Middleware.streams sink)
+        S.Tagger.tag_cursors p.S.Middleware.tree (S.Middleware.cursors e) sink)
   in
   (hw, opens, e.S.Middleware.tuples)
 
@@ -90,8 +90,8 @@ let check_no_spool_leak () =
   let before = spool_files () in
   let p, plan = prepare 0.1 in
   (* happy path: stream, then drain every cursor to the end *)
-  let se = S.Middleware.execute_streaming p plan in
-  ignore (S.Middleware.xml_string_of_streaming p se);
+  let e = S.Middleware.execute ~spool:true p plan in
+  ignore (S.Middleware.xml_string_of p e);
   (* timeout path, streaming: the heaviest stream blows the per-query
      budget mid-plan; the completed streams' spools must be closed.
      Budget = half the heaviest stream's work, so lighter streams
@@ -104,17 +104,19 @@ let check_no_spool_leak () =
       0 probe.S.Middleware.per_stream
     / 2
   in
+  let backend = R.Backend.create ~budget p.S.Middleware.db in
   let timeouts = ref 0 in
-  (try ignore (S.Middleware.execute_streaming ~budget p fully)
-   with S.Middleware.Plan_timeout _ -> incr timeouts);
-  (* timeout path, resilient (sequential and fanned out): single-node
-     fragments cannot degrade further, so the budget hit surfaces as
-     Plan_timeout after several streams already spooled *)
+  (* without degradation, then with it (sequential and fanned out):
+     single-node fragments cannot degrade further, so the budget hit
+     surfaces as Plan_timeout after several streams already spooled *)
   List.iter
-    (fun domains ->
-      try ignore (S.Middleware.execute_resilient ~budget ~domains p fully)
+    (fun (max_splits, domains) ->
+      try
+        ignore
+          (S.Middleware.execute ~backend ~max_splits ~spool:true ~domains p
+             fully)
       with S.Middleware.Plan_timeout _ -> incr timeouts)
-    [ 1; 4 ];
+    [ (0, 1); (8, 1); (8, 4) ];
   if !timeouts <> 3 then
     fail "spool-leak check not meaningful: %d/3 runs hit the plan timeout"
       !timeouts;
