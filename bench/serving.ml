@@ -1,23 +1,18 @@
-(* Serving experiment: queries/sec and latency percentiles for the query
-   server, with the cache tiers on vs off, at 1/2/4 worker domains.
+(* Serving experiment: measured queries/sec and latency percentiles for
+   the query server, with the cache tiers on vs off, at 1/2/4 worker
+   domains.
 
-   The headline figures are deterministic and machine-independent, in
-   the same simulated-time model the other experiments use: a request's
-   service cost is its engine work (zero on a result-cache hit) plus the
-   modeled cost of shipping the response bytes to the client.
-   Throughput is the makespan of the request mix's service costs over N
-   workers (greedy least-loaded list scheduling, as in the scaling
-   experiment); percentiles come from a histogram of per-request
-   latencies.  Alongside the model, each request's real wall-clock
-   service time is measured too (mp50/mp90/mp99 columns) — informative
-   only, never part of the committed baseline, so the report shows both
-   the machine-independent model and what this machine actually did.
-   Each server runs the same workload twice — the second pass is the
-   warm one — and every response is checked byte-for-byte against the
-   direct pipeline. *)
+   Each server replays the same seeded request script twice through
+   [Workload.run_direct ~threads:true] — one thread per client, real
+   concurrency through admission and the pool — and the second pass is
+   the warm one.  qps is queries over the pass's wall-clock seconds;
+   p50/p90/p99 are the tally's exact nearest-rank percentiles of the
+   per-request wall time.  Both depend on the machine; the invariants
+   below do not: every reply is checked byte-for-byte against the
+   direct pipeline, with the tiers on the warm pass executes strictly
+   less engine work than the cold one, and with them off exactly as
+   much. *)
 
-module R = Relational
-module S = Silkroute
 open Bench_common
 
 let workload_cfg =
@@ -28,112 +23,24 @@ let workload_cfg =
     invalidate_every = 0;
   }
 
-(* Modeled cost of shipping one response to the client, in ms. *)
-let response_ms bytes =
-  let t = R.Transfer.default in
-  t.R.Transfer.per_stream_overhead
-  +. (float_of_int bytes /. t.R.Transfer.bytes_per_ms)
-
-let latency_ms work bytes = sim_query_ms work +. response_ms bytes
-
-(* Local latency histogram (the registry machinery without the
-   registry, so passes cannot contaminate each other). *)
-let new_hist () =
-  {
-    Obs.Metrics.bounds = Obs.Metrics.duration_bounds;
-    counts = Array.make (Array.length Obs.Metrics.duration_bounds + 1) 0;
-    sum = 0.0;
-    n = 0;
-  }
-
-let observe (h : Obs.Metrics.histogram) x =
-  let i = Obs.Metrics.bucket_index h.Obs.Metrics.bounds x in
-  h.Obs.Metrics.counts.(i) <- h.Obs.Metrics.counts.(i) + 1;
-  h.Obs.Metrics.sum <- h.Obs.Metrics.sum +. x;
-  h.Obs.Metrics.n <- h.Obs.Metrics.n + 1
-
-type pass = {
-  requests : int;
-  work : int;  (** engine work actually executed *)
-  cost_units : int list;  (** per-request service cost in work units *)
-  hist : Obs.Metrics.histogram;
-  wall : Obs.Metrics.histogram;  (** measured wall-clock ms per request *)
-  s_hits : int;
-  p_hits : int;
-  r_hits : int;
-  identical : bool;
-}
-
-let replay server scripts expected =
-  let work = ref 0 and s = ref 0 and p = ref 0 and r = ref 0 in
-  let requests = ref 0 and identical = ref true in
-  let costs = ref [] in
-  let hist = new_hist () in
-  let wall = new_hist () in
-  let longest =
-    Array.fold_left (fun acc ops -> max acc (Array.length ops)) 0 scripts
+(* One measured pass: the tally and the queries per wall second. *)
+let replay server views =
+  let t0 = Obs.Clock.now_ns () in
+  let tally =
+    Server.Workload.run_direct ~threads:true server ~views workload_cfg
   in
-  for i = 0 to longest - 1 do
-    Array.iter
-      (fun ops ->
-        if i < Array.length ops then
-          match ops.(i) with
-          | Server.Protocol.Query { view; _ } as req -> (
-              incr requests;
-              let t0 = Obs.Clock.now_ns () in
-              let reply = Server.Service.handle server req in
-              observe wall
-                (Obs.Clock.ns_to_ms (Int64.sub (Obs.Clock.now_ns ()) t0));
-              match reply with
-              | Server.Protocol.Result { xml; tiers; work = w; _ } ->
-                  (match Hashtbl.find_opt expected view with
-                  | Some reference when String.equal reference xml -> ()
-                  | _ -> identical := false);
-                  let bytes = String.length xml in
-                  work := !work + w;
-                  let ms = latency_ms w bytes in
-                  costs := (w + int_of_float (response_ms bytes *. work_per_ms)) :: !costs;
-                  observe hist ms;
-                  if tiers.Server.Protocol.statement_hit then incr s;
-                  if tiers.Server.Protocol.plan_hit then incr p;
-                  if tiers.Server.Protocol.result_hit then incr r
-              | _ -> identical := false)
-          | req -> ignore (Server.Service.handle server req))
-      scripts
-  done;
-  {
-    requests = !requests;
-    work = !work;
-    cost_units = List.rev !costs;
-    hist;
-    wall;
-    s_hits = !s;
-    p_hits = !p;
-    r_hits = !r;
-    identical = !identical;
-  }
+  let s = Obs.Clock.ns_to_ms (Int64.sub (Obs.Clock.now_ns ()) t0) /. 1000.0 in
+  (tally, float_of_int tally.Server.Workload.queries /. s)
 
-let qps ~domains pass =
-  let span = Experiments.makespan ~workers:domains pass.cost_units in
-  let span_ms = float_of_int span /. work_per_ms in
-  if span_ms <= 0.0 then 0.0
-  else float_of_int pass.requests /. (span_ms /. 1000.0)
+let identical (t : Server.Workload.tally) =
+  t.mismatches = [] && t.failed = 0 && t.rejected = 0 && t.results = t.queries
 
-let print_pass ~cache ~domains ~label pass =
-  let percentiles h =
-    match Obs.Metrics.p50_90_99 h with
-    | Some t -> t
-    | None -> (0.0, 0.0, 0.0)
-  in
-  let p50, p90, p99 = percentiles pass.hist in
-  let m50, m90, m99 = percentiles pass.wall in
-  Printf.printf
-    "%5s %7d %5s %8d %9d %8.1f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %5d/%d/%d \
-     %10s\n"
+let print_pass ~cache ~domains ~label ((t : Server.Workload.tally), qps) =
+  Printf.printf "%5s %7d %5s %7d %9d %8.1f %7.2f %7.2f %7.2f %5d/%d/%d %10s\n"
     (if cache then "on" else "off")
-    domains label pass.requests pass.work (qps ~domains pass) p50 p90 p99 m50
-    m90 m99 pass.s_hits pass.p_hits pass.r_hits
-    (if pass.identical then "yes" else "NO!")
+    domains label t.queries t.work qps t.lat_p50_ms t.lat_p90_ms t.lat_p99_ms
+    t.statement_hits t.plan_hits t.result_hits
+    (if identical t then "yes" else "NO!")
 
 let run () =
   print_header
@@ -142,24 +49,17 @@ let run () =
   let db = Tpch.Gen.generate (Tpch.Gen.config config_a.scale) in
   print_config db config_a;
   let views = Server.Workload.standard_views db in
-  let expected = Hashtbl.create 8 in
-  List.iter
-    (fun v ->
-      match v.Server.Workload.wv_expected with
-      | Some xml -> Hashtbl.replace expected v.Server.Workload.wv_text xml
-      | None -> ())
-    views;
-  let scripts = Server.Workload.script ~views workload_cfg in
   Printf.printf
-    "workload: %d clients x %d requests, strategies {%s}, response model \
-     %.0f bytes/ms\n\n"
+    "workload: %d client threads x %d requests, strategies {%s}; %d cores \
+     available, OCaml %s\n\n"
     workload_cfg.Server.Workload.clients
     workload_cfg.Server.Workload.requests_per_client
     (String.concat ", " workload_cfg.Server.Workload.strategies)
-    R.Transfer.default.R.Transfer.bytes_per_ms;
-  Printf.printf "%5s %7s %5s %8s %9s %8s %7s %7s %7s %7s %7s %7s %9s %10s\n"
-    "cache" "domains" "pass" "requests" "work" "qps" "p50" "p90" "p99" "mp50"
-    "mp90" "mp99" "hits" "identical";
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version;
+  Printf.printf "%5s %7s %5s %7s %9s %8s %7s %7s %7s %9s %10s\n" "cache"
+    "domains" "pass" "queries" "work" "qps" "p50" "p90" "p99" "hits"
+    "identical";
   let ok = ref true in
   List.iter
     (fun cache ->
@@ -175,19 +75,21 @@ let run () =
             }
           in
           let server = Server.Service.create ~config db in
-          let cold = replay server scripts expected in
-          let warm = replay server scripts expected in
+          let cold = replay server views in
+          let warm = replay server views in
           Server.Service.shutdown server;
           print_pass ~cache ~domains ~label:"cold" cold;
           print_pass ~cache ~domains ~label:"warm" warm;
-          ok := !ok && cold.identical && warm.identical;
+          let cold, warm = (fst cold, fst warm) in
+          ok := !ok && identical cold && identical warm;
           if cache then ok := !ok && warm.work < cold.work
           else ok := !ok && warm.work = cold.work)
         [ 1; 2; 4 ])
     [ true; false ];
   Printf.printf
-    "\nWith the tiers on, the warm pass re-executes nothing (strictly less \
-     engine\nwork than cold); with them off both passes pay full price.  \
+    "\nqps and p50/p90/p99 [ms] are measured wall clock on this machine.  \
+     With the\ntiers on, the warm pass re-executes nothing (strictly less \
+     engine work than\ncold); with them off both passes pay full price.  \
      Invariants\n(byte-identity, warm < cold with cache, warm = cold \
      without): %s\n"
     (if !ok then "yes" else "NO!")

@@ -141,11 +141,13 @@ let retries_arg =
 
 let parallel_arg =
   let doc =
-    "Fan the plan's sub-queries out over a pool of $(docv) OCaml domains \
-     (default 1 = sequential).  The merge-tagger tie-breaks by plan order, \
-     so the XML and all deterministic accounting are byte-identical at any \
-     domain count; on the resilient path fault draws are per-stream, so \
-     the resilience counters match too."
+    "Run the plan's sub-queries on a pool of $(docv) OCaml domains, opened \
+     for this run (default 1 = sequential, no domain spawned).  The \
+     merge-tagger tie-breaks by plan order, so the XML and all \
+     deterministic accounting are byte-identical at any pool size; on the \
+     resilient path fault draws are per-stream, so the resilience counters \
+     match too.  Whether it is faster depends on the machine: see the \
+     measured scaling curve in EXPERIMENTS.md."
   in
   Arg.(value & opt int 1 & info [ "parallel" ] ~docv:"N" ~doc)
 
@@ -328,9 +330,10 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
       ~budget db
   in
   let e =
-    S.Middleware.execute ~reduce:(not no_reduce) ~backend
-      ~max_splits:(if resilient then 8 else 0)
-      ~spool:stream ~domains:parallel p plan
+    R.Domain_pool.with_pool ~domains:parallel (fun pool ->
+        S.Middleware.execute ~reduce:(not no_reduce) ~backend
+          ~max_splits:(if resilient then 8 else 0)
+          ~spool:stream ~pool p plan)
   in
   if explain then prerr_endline (S.Middleware.explain_execution p e);
   if pretty then

@@ -5,17 +5,18 @@
    start (pre-) order.  When the Control switch is off, [with_span] runs
    the thunk directly.
 
-   Domain safety: the stack of open spans is per-domain (DLS), so worker
-   domains nest independently, while span ids and the log of all spans
-   are shared and guarded by one mutex.  The clock is sampled inside the
-   same critical section that appends to the log, so the log stays in
-   global start order even when domains race to open spans — the
-   parent-before-child and rebased-monotonic invariants the JSONL
-   exporter promises survive multi-domain aggregation.  A worker domain
+   Thread and domain safety: the stack of open spans is per-thread, so
+   worker domains and the server's session threads (several threads of
+   one domain) nest independently, while span ids and the log of all
+   spans are shared and guarded by one mutex.  The clock is sampled
+   inside the same critical section that appends to the log, so the log
+   stays in global start order even when threads race to open spans —
+   the parent-before-child and rebased-monotonic invariants the JSONL
+   exporter promises survive multi-domain aggregation.  A worker thread
    has an empty stack of its own; [with_context] plants the submitting
-   domain's innermost span as the parenting base, so a task's spans
-   land under the span that spawned it (Domain_pool does this on every
-   submitted task).
+   thread's innermost span as the parenting base, so a task's spans land
+   under the span that spawned it (Domain_pool does this on every task
+   it queues for a worker domain).
 
    Closing a span feeds its duration into the ["span.ms.<name>"]
    histogram, so every traced run gets per-stage duration distributions
@@ -57,41 +58,82 @@ let log_mutex = Mutex.create ()
 let next_id = ref 0
 let log : t list ref = ref [] (* every span, reverse start order *)
 
-(* Per-domain state: the stack of open spans, the parenting base a pool
+(* Per-thread state: the stack of open spans, the parenting base a pool
    installs around a task ([with_context]), the request-scoped base
    attributes stamped onto every span and event ([with_base_attrs] — the
    server puts the trace id here), and the head-sampling flag
-   ([with_sampling] — a sampled-out request records no spans at all). *)
-let stack_key : t list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+   ([with_sampling] — a sampled-out request records no spans at all).
 
-let base_key : (int * int) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+   It lives in a table keyed by [Thread.id] (unique across domains),
+   under [locals_mutex]; only the owning thread touches an entry's
+   fields.  A thread has an entry only while it is inside a [scoped]
+   call, so the table never grows with the threads (or connections)
+   served over a process's life. *)
+type local = {
+  mutable stack : t list;
+  mutable base : (int * int) option;
+  mutable base_attrs : Attr.t;
+  mutable sampled : bool;
+  mutable scopes : int;
+}
 
-let base_attrs_key : Attr.t ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let locals : (int, local) Hashtbl.t = Hashtbl.create 16
+let locals_mutex = Mutex.create ()
+let self () = Thread.id (Thread.self ())
 
-let sampled_key : bool ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref true)
+(* The calling thread's state, if it is inside a scope. *)
+let find () =
+  let id = self () in
+  Mutex.protect locals_mutex (fun () -> Hashtbl.find_opt locals id)
 
-let stack () = Domain.DLS.get stack_key
-let base () = Domain.DLS.get base_key
-let base_attrs () = !(Domain.DLS.get base_attrs_key)
-let sampled () = !(Domain.DLS.get sampled_key)
+(* Runs [f] on the calling thread's state, creating it if needed.  On
+   exit the base, base attributes and sampling flag are restored, and
+   the outermost scope drops the entry. *)
+let scoped f =
+  let id = self () in
+  let l =
+    Mutex.protect locals_mutex (fun () ->
+        match Hashtbl.find_opt locals id with
+        | Some l ->
+            l.scopes <- l.scopes + 1;
+            l
+        | None ->
+            let l =
+              { stack = []; base = None; base_attrs = []; sampled = true;
+                scopes = 1 }
+            in
+            Hashtbl.replace locals id l;
+            l)
+  in
+  let base = l.base and base_attrs = l.base_attrs and sampled = l.sampled in
+  Fun.protect
+    ~finally:(fun () ->
+      l.base <- base;
+      l.base_attrs <- base_attrs;
+      l.sampled <- sampled;
+      Mutex.protect locals_mutex (fun () ->
+          l.scopes <- l.scopes - 1;
+          if l.scopes = 0 then Hashtbl.remove locals id))
+    (fun () -> f l)
+
+let base_attrs () = match find () with Some l -> l.base_attrs | None -> []
+let sampled () = match find () with Some l -> l.sampled | None -> true
+
+(* The innermost open span of the calling thread. *)
+let top () =
+  match find () with Some { stack = s :: _; _ } -> Some s | _ -> None
 
 let with_base_attrs attrs f =
-  let r = Domain.DLS.get base_attrs_key in
-  let saved = !r in
-  r := saved @ attrs;
-  Fun.protect ~finally:(fun () -> r := saved) f
+  scoped (fun l ->
+      l.base_attrs <- l.base_attrs @ attrs;
+      f ())
 
 let with_sampling b f =
-  let r = Domain.DLS.get sampled_key in
-  let saved = !r in
-  r := b;
-  Fun.protect ~finally:(fun () -> r := saved) f
+  scoped (fun l ->
+      l.sampled <- b;
+      f ())
 
-(* A context carries everything a worker domain must inherit to keep a
+(* A context carries everything a worker thread must inherit to keep a
    request's telemetry coherent across the submit boundary: the adopting
    span (id, depth), the request's base attributes (trace id), and its
    sampling decision. *)
@@ -101,28 +143,24 @@ type context = {
   c_sampled : bool;
 }
 
+(* The position of a thread outside every scope. *)
+let no_context = { c_parent = None; c_attrs = []; c_sampled = true }
+
 let context () =
-  let parent =
-    match !(stack ()) with
-    | s :: _ -> Some (s.id, s.depth)
-    | [] -> !(base ())
-  in
-  { c_parent = parent; c_attrs = base_attrs (); c_sampled = sampled () }
+  match find () with
+  | None -> no_context
+  | Some l ->
+      let parent =
+        match l.stack with s :: _ -> Some (s.id, s.depth) | [] -> l.base
+      in
+      { c_parent = parent; c_attrs = l.base_attrs; c_sampled = l.sampled }
 
 let with_context ctx f =
-  let b = base () in
-  let a = Domain.DLS.get base_attrs_key in
-  let sm = Domain.DLS.get sampled_key in
-  let saved_b = !b and saved_a = !a and saved_s = !sm in
-  b := ctx.c_parent;
-  a := ctx.c_attrs;
-  sm := ctx.c_sampled;
-  Fun.protect
-    ~finally:(fun () ->
-      b := saved_b;
-      a := saved_a;
-      sm := saved_s)
-    f
+  scoped (fun l ->
+      l.base <- ctx.c_parent;
+      l.base_attrs <- ctx.c_attrs;
+      l.sampled <- ctx.c_sampled;
+      f ())
 
 let tracing = Control.is_enabled
 
@@ -130,10 +168,13 @@ let reset () =
   Mutex.protect log_mutex (fun () ->
       next_id := 0;
       log := []);
-  stack () := [];
-  base () := None;
-  Domain.DLS.get base_attrs_key := [];
-  Domain.DLS.get sampled_key := true
+  match find () with
+  | Some l ->
+      l.stack <- [];
+      l.base <- None;
+      l.base_attrs <- [];
+      l.sampled <- true
+  | None -> ()
 
 let spans () = List.rev (Mutex.protect log_mutex (fun () -> !log))
 
@@ -153,46 +194,45 @@ let duration_ms s = Clock.ns_to_ms (Int64.sub s.end_ns s.start_ns)
 
 let add key v =
   if Control.is_enabled () then
-    match !(stack ()) with
-    | s :: _ -> s.attr_rev <- (key, v) :: s.attr_rev
-    | [] -> ()
+    match top () with
+    | Some s -> s.attr_rev <- (key, v) :: s.attr_rev
+    | None -> ()
 
 let add_list kvs =
   if Control.is_enabled () then
-    match !(stack ()) with
-    | s :: _ -> List.iter (fun kv -> s.attr_rev <- kv :: s.attr_rev) kvs
-    | [] -> ()
+    match top () with
+    | Some s -> List.iter (fun kv -> s.attr_rev <- kv :: s.attr_rev) kvs
+    | None -> ()
 
 let set_name name =
   if Control.is_enabled () then
-    match !(stack ()) with s :: _ -> s.name <- name | [] -> ()
+    match top () with Some s -> s.name <- name | None -> ()
 
-let finish s =
+let finish l s =
   s.end_ns <- Clock.now_ns ();
   (let minor, major, compactions = !gc_source () in
    s.gc_minor_words <- minor -. s.gc_minor_words;
    s.gc_major_words <- major -. s.gc_major_words;
    s.gc_compactions <- compactions - s.gc_compactions);
   s.finished <- true;
-  (let st = stack () in
-   match !st with
-   | top :: rest when top == s -> st := rest
-   | _ ->
-       (* unbalanced finish (an exception unwound through nested spans
-          whose [finally] already ran): drop anything above [s] too *)
-       st := List.filter (fun o -> not (o == s)) !st);
+  (match l.stack with
+  | top :: rest when top == s -> l.stack <- rest
+  | _ ->
+      (* unbalanced finish (an exception unwound through nested spans
+         whose [finally] already ran): drop anything above [s] too *)
+      l.stack <- List.filter (fun o -> not (o == s)) l.stack);
   Metrics.observe ~bounds:Metrics.duration_bounds ("span.ms." ^ s.name)
     (duration_ms s)
 
 let with_span ?(attrs = []) name f =
   if not (Control.is_enabled () && sampled ()) then f ()
-  else begin
-    let st = stack () in
+  else
+    scoped @@ fun l ->
     let parent, depth =
-      match !st with
+      match l.stack with
       | p :: _ -> (Some p.id, p.depth + 1)
       | [] -> (
-          match !(base ()) with
+          match l.base with
           | Some (id, d) -> (Some id, d + 1)
           | None -> (None, 0))
     in
@@ -208,7 +248,7 @@ let with_span ?(attrs = []) name f =
               name;
               start_ns = Clock.now_ns ();
               end_ns = 0L;
-              attr_rev = List.rev_append attrs (List.rev (base_attrs ()));
+              attr_rev = List.rev_append attrs (List.rev l.base_attrs);
               finished = false;
               gc_minor_words = minor0;
               gc_major_words = major0;
@@ -218,6 +258,5 @@ let with_span ?(attrs = []) name f =
           log := s :: !log;
           s)
     in
-    st := s :: !st;
-    Fun.protect ~finally:(fun () -> finish s) f
-  end
+    l.stack <- s :: l.stack;
+    Fun.protect ~finally:(fun () -> finish l s) f

@@ -3,12 +3,16 @@
     in start (pre-) order; closing a span feeds its duration into the
     ["span.ms.<name>"] histogram.
 
-    Domain safety: the stack of open spans is per-domain (DLS); span ids
-    and the log are shared under a mutex, with the clock sampled inside
-    the append critical section so the log stays in global start order
-    across domains.  {!context}/{!with_context} carry the parenting span
-    across a domain boundary (Domain_pool wraps every submitted task
-    with them). *)
+    Thread and domain safety: the stack of open spans, the parenting
+    base, the base attributes and the sampling flag are per-thread
+    (keyed by [Thread.id], held only while the thread is inside a scoped
+    call), so concurrent server sessions — threads of one domain — keep
+    separate span trees.  Span ids and the log are shared under a mutex,
+    with the clock sampled inside the append critical section so the log
+    stays in global start order across threads and domains.
+    {!context}/{!with_context} carry the parenting span across a thread
+    or domain boundary (Domain_pool wraps every task it queues for a
+    worker domain with them). *)
 
 type t = {
   id : int;
@@ -31,7 +35,7 @@ val with_span : ?attrs:Attr.t -> string -> (unit -> 'a) -> 'a
     is just [f ()]. *)
 
 type context
-(** The telemetry position at some point in some domain's dynamic
+(** The telemetry position at some point in some thread's dynamic
     extent: the parenting span (spans opened under {!with_context}
     become children of the span that was innermost when {!context} was
     called), plus the request-scoped base attributes and sampling
@@ -40,24 +44,24 @@ type context
 
 val context : unit -> context
 (** The current position — the innermost open span of the calling
-    domain (or its installed base when its stack is empty), together
-    with the domain's current {!base_attrs} and {!sampled} state. *)
+    thread (or its installed base when its stack is empty), together
+    with the thread's current {!base_attrs} and {!sampled} state. *)
 
 val with_context : context -> (unit -> 'a) -> 'a
-(** Runs [f] with [ctx] installed as the calling domain's parenting
+(** Runs [f] with [ctx] installed as the calling thread's parenting
     base, base attributes and sampling flag, restoring the previous
-    state afterwards.  Used by worker domains so a task's spans land
+    state afterwards.  Used by pool workers so a task's spans land
     under the span that submitted it and carry its trace id. *)
 
 val with_base_attrs : Attr.t -> (unit -> 'a) -> 'a
-(** Appends [attrs] to the calling domain's base attributes for the
+(** Appends [attrs] to the calling thread's base attributes for the
     extent of [f]: every span opened inside (and, via {!Event}, every
     event emitted inside) carries them first.  The server wraps each
     protocol request in [with_base_attrs [trace_id ...]] — this is the
     trace-id propagation mechanism. *)
 
 val base_attrs : unit -> Attr.t
-(** The calling domain's current base attributes ([[]] outside any
+(** The calling thread's current base attributes ([[]] outside any
     {!with_base_attrs}). *)
 
 val with_sampling : bool -> (unit -> 'a) -> 'a
@@ -67,7 +71,7 @@ val with_sampling : bool -> (unit -> 'a) -> 'a
     still flow.  Nesting restores the outer decision on exit. *)
 
 val sampled : unit -> bool
-(** The calling domain's current sampling decision (default [true]). *)
+(** The calling thread's current sampling decision (default [true]). *)
 
 val tracing : unit -> bool
 (** Alias for {!Control.is_enabled}: guard attribute computation at the

@@ -11,14 +11,16 @@
    original backtrace.  Worker domains never die to a task exception.
 
    [create ~domains] with [domains <= 1] builds an inline pool: [submit]
-   runs the task immediately on the calling domain.  That makes the
-   sequential case *exactly* the old code path — same execution order,
-   same allocation pattern, no domain spawn — so callers thread
-   [~domains] through unconditionally.
+   runs the task immediately on the calling thread.  That makes the
+   sequential case *exactly* the unpooled code path — same execution
+   order, no domain spawn — so a fan-out is written once, over whatever
+   pool the caller owns ([inline] when it owns none).
 
-   Observability: [submit] captures the caller's span context and the
-   worker re-installs it around the task, so spans opened inside a task
-   parent under the span that submitted it, not under a detached root. *)
+   Observability: [submit] on a pool with workers captures the caller's
+   span context and the worker re-installs it around the task, so spans
+   opened inside a task parent under the span that submitted it, not
+   under a detached root.  An inline task already runs inside that
+   context and needs neither step. *)
 
 type 'a state =
   | Pending
@@ -50,8 +52,8 @@ let fill h result =
   Mutex.protect h.hm (fun () -> h.st <- result);
   Condition.broadcast h.hcv
 
-let run_task h ctx task =
-  match Obs.Span.with_context ctx task with
+let run_task h task =
+  match task () with
   | v -> fill h (Done v)
   | exception e -> fill h (Failed (e, Printexc.get_raw_backtrace ()))
 
@@ -95,18 +97,22 @@ let create ~domains =
     p.workers <- List.init domains (fun _ -> Domain.spawn (worker_loop p));
   p
 
+let inline = create ~domains:1
+
 let submit p task =
   let h = { hm = Mutex.create (); hcv = Condition.create (); st = Pending } in
-  let ctx = Obs.Span.context () in
   (match p.workers with
   | [] ->
-      (* inline pool: the sequential path, unchanged *)
-      run_task h ctx task
+      (* inline pool: the sequential path, unchanged — the task runs on
+         the caller's thread, inside the caller's span context *)
+      run_task h task
   | _ :: _ ->
+      let ctx = Obs.Span.context () in
+      let task () = Obs.Span.with_context ctx task in
       Mutex.protect p.qm (fun () ->
           if p.closed then
             invalid_arg "Domain_pool.submit: pool is shut down";
-          Queue.push (fun () -> run_task h ctx task) p.jobs);
+          Queue.push (fun () -> run_task h task) p.jobs);
       Condition.signal p.qcv);
   h
 

@@ -6,11 +6,14 @@
     task's exception is captured and re-raised (with its backtrace) by
     {!await} on the submitting domain; workers never die to one.
     {!submit} captures the caller's {!Obs.Span.context} and the worker
-    reinstalls it, so a task's spans parent under the submitting span.
+    reinstalls it, so a task's spans parent under the submitting span
+    (an inline task runs on the caller's thread, already inside it).
 
     A pool created with [domains <= 1] spawns no workers: {!submit}
-    runs the task inline on the calling domain, making the sequential
-    case exactly the unpooled code path. *)
+    runs the task inline on the calling thread, making the sequential
+    case exactly the unpooled code path.  The pool belongs to whoever
+    created it: a caller that fans out opens one pool (usually with
+    {!with_pool}) and hands it down; everyone else uses {!inline}. *)
 
 type t
 
@@ -21,6 +24,10 @@ val create : domains:int -> t
 (** [create ~domains] spawns [domains] worker domains ([domains <= 1]:
     none — inline execution).  Raises [Invalid_argument] when
     [domains < 1]. *)
+
+val inline : t
+(** A shared pool with no workers: {!submit} runs the task on the
+    calling thread before returning.  Never shut it down. *)
 
 val size : t -> int
 (** The [domains] the pool was created with. *)

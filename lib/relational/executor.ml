@@ -969,11 +969,3 @@ let run_legacy_with_stats ?(budget = 0) ?(profile = default_profile) db
 
 let run_legacy ?budget ?profile db q =
   fst (run_legacy_with_stats ?budget ?profile db q)
-
-let run_legacy_cursor_with_stats ?(budget = 0) ?(profile = default_profile) db
-    (q : Sql.query) =
-  Obs.Span.with_span "exec.query" (fun () ->
-      let ctx = { db; st = new_stats (); budget; profile } in
-      let cols, tuples = eval_sorted ctx q in
-      query_span_attrs ctx (List.length tuples);
-      (Cursor.of_list cols tuples, ctx.st))

@@ -104,6 +104,3 @@ val run_legacy :
 
 val run_legacy_with_stats :
   ?budget:int -> ?profile:profile -> Database.t -> Sql.query -> Relation.t * stats
-
-val run_legacy_cursor_with_stats :
-  ?budget:int -> ?profile:profile -> Database.t -> Sql.query -> Cursor.t * stats

@@ -17,12 +17,14 @@ type config = {
 let default =
   { bytes_per_ms = 2000.0; per_tuple_overhead = 0.02; per_stream_overhead = 5.0 }
 
-let tuple_ms cfg t =
-  cfg.per_tuple_overhead +. (float_of_int (Tuple.wire_size t) /. cfg.bytes_per_ms)
+(* Takes the tuple's [Tuple.wire_size], which the caller has usually
+   computed already for its byte count. *)
+let tuple_ms cfg ~bytes =
+  cfg.per_tuple_overhead +. (float_of_int bytes /. cfg.bytes_per_ms)
 
 let relation_ms cfg r =
   List.fold_left
-    (fun acc t -> acc +. tuple_ms cfg t)
+    (fun acc t -> acc +. tuple_ms cfg ~bytes:(Tuple.wire_size t))
     cfg.per_stream_overhead (Relation.rows r)
 
 let relations_ms cfg rs = List.fold_left (fun acc r -> acc +. relation_ms cfg r) 0.0 rs

@@ -15,6 +15,8 @@ type config = {
 
 val default : config
 
-val tuple_ms : config -> Tuple.t -> float
+val tuple_ms : config -> bytes:int -> float
+(** Transfer time of one tuple whose {!Tuple.wire_size} is [bytes]. *)
+
 val relation_ms : config -> Relation.t -> float
 val relations_ms : config -> Relation.t list -> float

@@ -151,59 +151,41 @@ let root_name_of p (s : Sql_gen.stream) =
 let close_streams (ses : stream_exec list) =
   List.iter (fun se -> R.Cursor.close (se.se_cursor ())) ses
 
-(* --- parallel fan-out --------------------------------------------------- *)
+(* --- fan-out ---------------------------------------------------------- *)
 
-(* Run [f i x] over the indexed [xs] — sequentially when [domains <= 1],
-   or fanned out over a domain pool.  Results come back in list (plan)
-   order either way; the merge-tagger tie-breaks by plan order, so
-   execution order cannot affect the XML.
-
-   Failure contract: in both modes every already-completed result is
-   passed to [on_partial] (the hook that closes spooled cursors) before
-   the exception re-raises.  In parallel mode all submitted tasks are
-   awaited first — a worker cannot still be running a task whose
-   resources nobody owns — and when several fail, the earliest in plan
-   order wins, matching what sequential execution would have raised. *)
-let map_streams ~domains ~on_partial f xs =
-  if domains <= 1 then begin
-    let acc = ref [] in
-    (try List.iteri (fun i x -> acc := f i x :: !acc) xs
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       on_partial (List.rev !acc);
-       Printexc.raise_with_backtrace e bt);
-    List.rev !acc
-  end
-  else
-    R.Domain_pool.with_pool ~domains (fun pool ->
-        let handles =
-          List.mapi (fun i x -> R.Domain_pool.submit pool (fun () -> f i x)) xs
-        in
-        let results =
-          List.map
-            (fun h ->
-              match R.Domain_pool.await h with
-              | v -> Ok v
-              | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-            handles
-        in
-        let completed =
-          List.filter_map (function Ok v -> Some v | Error _ -> None) results
-        in
-        match
-          List.find_map (function Error e -> Some e | Ok _ -> None) results
-        with
-        | None -> completed
-        | Some (e, bt) ->
-            on_partial completed;
-            Printexc.raise_with_backtrace e bt)
+(* Run [f i x] over the indexed [xs] as one task per element on [pool]
+   (an inline pool runs each task as it is submitted).  Every handle is
+   awaited in list (plan) order, so no worker can still be running a
+   task whose resources nobody owns; the merge-tagger tie-breaks by plan
+   order, so execution order cannot affect the XML.  On failure the
+   completed results go to [on_partial] (the hook that closes spooled
+   cursors) and the earliest failure in plan order is re-raised. *)
+let map_streams pool ~on_partial f xs =
+  let handles =
+    List.mapi (fun i x -> R.Domain_pool.submit pool (fun () -> f i x)) xs
+  in
+  let results =
+    List.map
+      (fun h ->
+        match R.Domain_pool.await h with
+        | v -> Ok v
+        | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+      handles
+  in
+  let completed = List.filter_map Result.to_option results in
+  match List.find_map (function Error e -> Some e | Ok _ -> None) results with
+  | None -> completed
+  | Some (e, bt) ->
+      on_partial completed;
+      Printexc.raise_with_backtrace e bt
 
 (* --- execution ----------------------------------------------------------- *)
 
 let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
-    ?(max_splits = 0) ?(spool = false) ?(domains = 1) (p : prepared)
-    (plan : Partition.t) : execution =
+    ?(max_splits = 0) ?(spool = false) ?(pool = R.Domain_pool.inline)
+    (p : prepared) (plan : Partition.t) : execution =
  Obs.Span.with_span "middleware.execute" (fun () ->
+  let domains = R.Domain_pool.size pool in
   if Obs.Span.tracing () then
     Obs.Span.add_list
       [ Obs.Attr.int "domains" domains; Obs.Attr.bool "spooled" spool ];
@@ -261,8 +243,10 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
               transfer_ms := transfer.R.Transfer.per_stream_overhead)
             ~on_row:(fun t ->
               incr rows;
-              bytes := !bytes + R.Tuple.wire_size t;
-              transfer_ms := !transfer_ms +. R.Transfer.tuple_ms transfer t)
+              let b = R.Tuple.wire_size t in
+              bytes := !bytes + b;
+              transfer_ms :=
+                !transfer_ms +. R.Transfer.tuple_ms transfer ~bytes:b)
             phys
         with
         | cursor, stats ->
@@ -379,7 +363,7 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
   in
   let per_stream =
     List.concat
-      (map_streams ~domains ~on_partial:(List.iter close_streams)
+      (map_streams pool ~on_partial:(List.iter close_streams)
          (fun i (b, s) -> run_stream ~depth:0 b i s)
          (List.combine backends streams))
   in

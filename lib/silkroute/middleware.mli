@@ -105,7 +105,7 @@ val execute :
   ?backend:Relational.Backend.t ->
   ?max_splits:int ->
   ?spool:bool ->
-  ?domains:int ->
+  ?pool:Relational.Domain_pool.t ->
   prepared ->
   Partition.t ->
   execution
@@ -132,13 +132,18 @@ val execute :
     finer sub-queries.  The effective plan is still a point in the
     2^|E| lattice, so the XML is byte-identical to a fault-free run.
     When nothing finer may be tried, a timeout raises {!Plan_timeout}
-    and any other failure re-raises the backend error; the rows of
-    already-completed streams are closed first.
+    and any other failure re-raises the backend error.
 
-    [domains] (default 1) fans the top-level streams out over a pool of
-    that many OCaml 5 domains.  Output, deterministic accounting (work,
-    tuples, bytes, modeled transfer) and the resilience counters are
-    identical at every domain count. *)
+    Every top-level stream is one task on [pool] (default
+    {!Relational.Domain_pool.inline}: each task runs on the calling
+    thread as it is submitted, no domain is spawned).  The caller owns
+    the pool; a pool of N worker domains runs up to N streams at once.
+    All tasks are awaited in plan order.  If any failed, the rows of
+    the completed streams are closed and the earliest failure in plan
+    order is re-raised — after every stream has run, at any pool size.
+    Output, deterministic accounting (work, tuples, bytes, modeled
+    transfer) and the resilience counters are identical at every pool
+    size. *)
 
 val cursors : execution -> (Sql_gen.stream * Relational.Cursor.t) list
 (** Opens every stream's rows (see [se_cursor]), in plan order — the

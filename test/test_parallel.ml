@@ -1,10 +1,11 @@
 (* The domain fan-out: Domain_pool unit tests, then differential tests
-   holding [~domains] to the sequential paths — byte-identical XML and
-   exact work/tuples/bytes/transfer parity for every plan in the 2^|E|
-   lattice at domains ∈ {1, 2, 4}, resilience counters deterministic
-   under faults at every domain count, and span coherence
-   (parent-before-child, start order) when several domains trace at
-   once. *)
+   holding a run on a [~pool] to the sequential path — byte-identical
+   XML and exact work/tuples/bytes/transfer parity for every plan in the
+   2^|E| lattice at pool sizes {1, 2, 4}, resilience counters
+   deterministic under faults at every pool size, one failure contract
+   (same [Plan_timeout], no spool file left) at every pool size, and
+   span coherence (parent-before-child, start order) when several
+   domains trace at once. *)
 
 open Silkroute
 module R = Relational
@@ -87,15 +88,16 @@ let test_cursor_close_semantics () =
 (* One plan point: the fanned-out run must match the sequential one
    byte-for-byte on XML and exactly on deterministic accounting, with
    the rows in the heap and spooled alike. *)
-let check_point p mask domains =
+let check_point p mask pool =
   let plan = Partition.of_mask p.Middleware.tree mask in
   List.iter
     (fun spool ->
       let label =
-        Printf.sprintf "mask %d @%d domains, spool=%b" mask domains spool
+        Printf.sprintf "mask %d @%d domains, spool=%b" mask
+          (R.Domain_pool.size pool) spool
       in
       let e = Middleware.execute ~spool p plan in
-      let ep = Middleware.execute ~spool ~domains p plan in
+      let ep = Middleware.execute ~spool ~pool p plan in
       Alcotest.(check string)
         (label ^ ": byte-identical XML")
         (Middleware.xml_string_of p e)
@@ -111,27 +113,33 @@ let check_point p mask domains =
         e.Middleware.transfer_ms ep.Middleware.transfer_ms)
     [ false; true ]
 
-let domain_counts = [ 1; 2; 4 ]
+(* Every case below runs [f] once per pool size, on one pool per size
+   that the test owns. *)
+let each_pool f =
+  List.iter
+    (fun domains -> R.Domain_pool.with_pool ~domains f)
+    [ 1; 2; 4 ]
 
 (* Small view: every mask of the lattice at every domain count. *)
 let test_fragment_all_masks_all_domains () =
   let db = Tpch.Gen.figure8_database () in
   let p = Middleware.prepare_text db Queries.fragment_text in
-  List.iter
-    (fun mask -> List.iter (fun d -> check_point p mask d) domain_counts)
-    (Partition.all_masks p.Middleware.tree)
+  each_pool (fun pool ->
+      List.iter
+        (fun mask -> check_point p mask pool)
+        (Partition.all_masks p.Middleware.tree))
 
 (* Q1/Q2: every one of the 2^|E| plans at 4 domains; 1 and 2 domains on
    a stride-4 subsample. *)
 let exhaustive_sweep text =
   let db = Tpch.Gen.generate (Tpch.Gen.config 0.08) in
   let p = Middleware.prepare_text db text in
-  List.iter
-    (fun mask ->
-      if mask mod 4 = 0 then
-        List.iter (fun d -> check_point p mask d) domain_counts
-      else check_point p mask 4)
-    (Partition.all_masks p.Middleware.tree)
+  each_pool (fun pool ->
+      List.iter
+        (fun mask ->
+          if mask mod 4 = 0 || R.Domain_pool.size pool = 4 then
+            check_point p mask pool)
+        (Partition.all_masks p.Middleware.tree))
 
 let test_exhaustive_q1 () = exhaustive_sweep Queries.query1_text
 let test_exhaustive_q2 () = exhaustive_sweep Queries.query2_text
@@ -149,48 +157,71 @@ let test_resilient_counters_deterministic () =
     let e = Middleware.execute p (Partition.unified p.Middleware.tree) in
     Middleware.xml_string_of p e
   in
+  let run pool rate mask =
+    let backend =
+      R.Backend.create
+        ~faults:(R.Backend.faults ~seed:11 rate)
+        ~retry:{ R.Backend.default_retry with R.Backend.max_retries = 8 }
+        db
+    in
+    let plan = Partition.of_mask p.Middleware.tree mask in
+    let e =
+      Middleware.execute ~backend ~max_splits:8 ~spool:true ~pool p plan
+    in
+    (Middleware.xml_string_of p e, e.Middleware.resilience)
+  in
+  let reference =
+    List.concat_map
+      (fun rate ->
+        List.map
+          (fun mask ->
+            let xml, res = run R.Domain_pool.inline rate mask in
+            Alcotest.(check string)
+              (Printf.sprintf "rate %.1f mask %d: XML = fault-free truth" rate
+                 mask)
+              truth xml;
+            (rate, mask, xml, res))
+          (Partition.all_masks p.Middleware.tree))
+      [ 0.0; 0.3 ]
+  in
   List.iter
-    (fun rate ->
-      List.iter
-        (fun mask ->
-          let plan = Partition.of_mask p.Middleware.tree mask in
-          let run domains =
-            let backend =
-              R.Backend.create
-                ~faults:(R.Backend.faults ~seed:11 rate)
-                ~retry:
-                  { R.Backend.default_retry with R.Backend.max_retries = 8 }
-                db
-            in
-            let e =
-              Middleware.execute ~backend ~max_splits:8 ~spool:true ~domains p
-                plan
-            in
-            (Middleware.xml_string_of p e, e.Middleware.resilience)
-          in
-          let xml1, res1 = run 1 in
-          Alcotest.(check string)
-            (Printf.sprintf "rate %.1f mask %d: XML = fault-free truth" rate
-               mask)
-            truth xml1;
+    (fun domains ->
+      R.Domain_pool.with_pool ~domains (fun pool ->
           List.iter
-            (fun domains ->
-              let xml, res = run domains in
+            (fun (rate, mask, xml1, res1) ->
               let label =
                 Printf.sprintf "rate %.1f mask %d @%d domains" rate mask
                   domains
               in
+              let xml, res = run pool rate mask in
               Alcotest.(check string) (label ^ ": XML") xml1 xml;
               Alcotest.(check bool)
                 (label ^ ": identical resilience counters")
                 true (res = res1))
-            [ 2; 4 ])
-        (Partition.all_masks p.Middleware.tree))
-    [ 0.0; 0.3 ]
+            reference))
+    [ 2; 4 ]
+
+(* Runs [f] with spool files going to a fresh directory of its own, so a
+   leak check sees only this test's files.  The temp dir is domain-local
+   and inherited at spawn, so pools must be created inside [f]. *)
+let with_private_spool_dir f =
+  let dir = Filename.temp_dir "silkroute-test" "" in
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    f
 
 (* A work budget that the unified plan cannot meet forces degradation
    into finer fragments; fanned out, the degraded runs must still merge
-   to the exact fault-free document and count the same degradations. *)
+   to the exact fault-free document and count the same degradations.
+   A budget below the heaviest single-node stream, with no splits
+   allowed, is the failure contract: every pool size raises the same
+   [Plan_timeout] (earliest failing stream in plan order) and closes
+   the spools of the streams that completed. *)
 let test_degradation_under_fanout () =
   let db = Tpch.Gen.generate (Tpch.Gen.config 0.1) in
   let p = Middleware.prepare_text db Queries.query1_text in
@@ -198,33 +229,51 @@ let test_degradation_under_fanout () =
   let unified = Partition.unified tree in
   let baseline = Middleware.execute p unified in
   let truth = Middleware.xml_string_of p baseline in
-  let fully = Middleware.execute p (Partition.fully_partitioned tree) in
-  let budget =
-    2
-    * List.fold_left
-        (fun acc se -> max acc se.Middleware.se_stats.R.Executor.work)
-        0 fully.Middleware.per_stream
+  let fully_plan = Partition.fully_partitioned tree in
+  let fully = Middleware.execute p fully_plan in
+  let max_node_work =
+    List.fold_left
+      (fun acc se -> max acc se.Middleware.se_stats.R.Executor.work)
+      0 fully.Middleware.per_stream
   in
+  let budget = 2 * max_node_work in
   Alcotest.(check bool) "unified plan must exceed the budget" true
     (baseline.Middleware.work > budget);
-  let run domains =
+  let run pool =
     let backend = R.Backend.create ~budget db in
     let e =
-      Middleware.execute ~backend ~max_splits:8 ~spool:true ~domains p unified
+      Middleware.execute ~backend ~max_splits:8 ~spool:true ~pool p unified
     in
     (Middleware.xml_string_of p e, e.Middleware.resilience)
   in
-  let xml1, res1 = run 1 in
+  let timeout_of pool =
+    let backend = R.Backend.create ~budget:(max_node_work / 2) db in
+    match Middleware.execute ~backend ~spool:true ~pool p fully_plan with
+    | _ -> Alcotest.fail "a budget below the heaviest stream must time out"
+    | exception Middleware.Plan_timeout t ->
+        (t.Middleware.timeout_stream, t.Middleware.timeout_root)
+  in
+  let no_spool_left label =
+    Alcotest.(check (list string))
+      (label ^ ": no spool file left behind")
+      [] (Test_batch.spool_files ())
+  in
+  with_private_spool_dir @@ fun () ->
+  let xml1, res1 = run R.Domain_pool.inline in
+  let timeout1 = timeout_of R.Domain_pool.inline in
+  no_spool_left "inline";
   Alcotest.(check string) "degraded run matches fault-free truth" truth xml1;
   Alcotest.(check bool) "at least one stream degraded" true
     (res1.Middleware.r_degraded >= 1);
-  List.iter
-    (fun domains ->
-      let xml, res = run domains in
-      let label = Printf.sprintf "@%d domains" domains in
+  each_pool (fun pool ->
+      let label = Printf.sprintf "@%d domains" (R.Domain_pool.size pool) in
+      let xml, res = run pool in
       Alcotest.(check string) (label ^ ": XML") xml1 xml;
-      Alcotest.(check bool) (label ^ ": counters") true (res = res1))
-    [ 2; 4 ]
+      Alcotest.(check bool) (label ^ ": counters") true (res = res1);
+      Alcotest.(check (pair int string))
+        (label ^ ": same Plan_timeout stream and root")
+        timeout1 (timeout_of pool);
+      no_spool_left label)
 
 (* --- observability coherence --------------------------------------------- *)
 
@@ -244,7 +293,8 @@ let test_spans_coherent_across_domains () =
       ignore (Middleware.execute p plan);
       let seq_names = span_names () in
       Obs.Span.reset ();
-      ignore (Middleware.execute ~domains:4 p plan);
+      R.Domain_pool.with_pool ~domains:4 (fun pool ->
+          ignore (Middleware.execute ~pool p plan));
       let spans = Obs.Span.spans () in
       Alcotest.(check (list string))
         "same span multiset as sequential" seq_names (span_names ());

@@ -255,6 +255,56 @@ let test_trace_id_through_pool () =
           | r -> Alcotest.failf "expected a result, got %s"
                    (Protocol.reply_name r)))
 
+(* Concurrent sessions run as threads of one domain (as [serve_unix]
+   runs them); each thread's span nesting must stay its own, so no span
+   may parent under a span of another request. *)
+let test_concurrent_sessions_keep_their_trees () =
+  with_obs (fun () ->
+      let config =
+        { Service.default_config with Service.domains = 2; result_capacity = 0 }
+      in
+      let t = Service.create ~config (Lazy.force db) in
+      Fun.protect
+        ~finally:(fun () -> Service.shutdown t)
+        (fun () ->
+          let session c =
+            Thread.create
+              (fun () ->
+                for i = 0 to 5 do
+                  let view =
+                    if (c + i) mod 2 = 0 then Silkroute.Queries.query1_text
+                    else Silkroute.Queries.query2_text
+                  in
+                  ignore
+                    (Service.query t ~view ~strategy:"partitioned"
+                       ~reduce:false)
+                done)
+              ()
+          in
+          List.iter Thread.join (List.init 4 session);
+          let spans = Obs.Span.spans () in
+          let by_id = Hashtbl.create 1024 in
+          List.iter
+            (fun (s : Obs.Span.t) -> Hashtbl.replace by_id s.Obs.Span.id s)
+            spans;
+          let trace s = Obs.Span.find_attr s "trace_id" in
+          let foreign =
+            List.filter
+              (fun (s : Obs.Span.t) ->
+                match s.Obs.Span.parent with
+                | None -> false
+                | Some pid -> (
+                    match Hashtbl.find_opt by_id pid with
+                    | Some parent -> trace parent <> trace s
+                    | None -> true))
+              spans
+          in
+          Alcotest.(check bool) "spans recorded" true (List.length spans > 24);
+          Alcotest.(check int)
+            (Printf.sprintf "spans parented under another request (of %d)"
+               (List.length spans))
+            0 (List.length foreign)))
+
 (* --- multi-domain registry stress ---------------------------------------- *)
 
 let test_metrics_multi_domain_stress () =
@@ -348,6 +398,8 @@ let suite =
       test_slowlog_drops_when_closed;
     Alcotest.test_case "trace id crosses the pool" `Quick
       test_trace_id_through_pool;
+    Alcotest.test_case "concurrent sessions keep their span trees" `Quick
+      test_concurrent_sessions_keep_their_trees;
     Alcotest.test_case "metrics: multi-domain stress" `Quick
       test_metrics_multi_domain_stress;
     Alcotest.test_case "workload: measured percentiles" `Quick

@@ -47,7 +47,7 @@ dune exec bench/main.exe -- --check-baseline
 echo "== wall-clock benchmark self-tests (replay harness builds, counts repeat)"
 python3 perfbench/test_perfbench.py
 
-echo "== scaling experiment (fan-out parity + modeled speedup curve)"
+echo "== scaling experiment (fan-out parity + measured wall-time curve)"
 scaling_out=$(dune exec bench/main.exe -- --experiment scaling)
 echo "$scaling_out"
 if echo "$scaling_out" | grep -q 'NO!'; then
@@ -59,7 +59,7 @@ if ! echo "$scaling_out" | grep -q ' yes$'; then
   exit 1
 fi
 
-echo "== serving experiment (cache on/off qps + percentiles, warm strictly faster)"
+echo "== serving experiment (measured cache on/off qps + percentiles, warm strictly less work)"
 serving_out=$(dune exec bench/main.exe -- --experiment serving)
 echo "$serving_out"
 if echo "$serving_out" | grep -q 'NO!'; then

@@ -112,9 +112,10 @@ let check_no_spool_leak () =
   List.iter
     (fun (max_splits, domains) ->
       try
-        ignore
-          (S.Middleware.execute ~backend ~max_splits ~spool:true ~domains p
-             fully)
+        R.Domain_pool.with_pool ~domains (fun pool ->
+            ignore
+              (S.Middleware.execute ~backend ~max_splits ~spool:true ~pool p
+                 fully))
       with S.Middleware.Plan_timeout _ -> incr timeouts)
     [ (0, 1); (8, 1); (8, 4) ];
   if !timeouts <> 3 then
