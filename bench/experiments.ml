@@ -388,7 +388,7 @@ let pruning () =
             (fun s ->
               let q = s.S.Sql_gen.query in
               let r_new, st_new = R.Executor.run_with_stats db q in
-              let r_old, st_old = R.Executor.run_legacy_with_stats db q in
+              let r_old, st_old = Oracle.Legacy.run_with_stats db q in
               incr streams_n;
               if r_new <> r_old then begin
                 incr violations;

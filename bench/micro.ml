@@ -205,7 +205,8 @@ let exec_op_tests =
      List.map
        (fun (name, plan) ->
          Test.make ~name:(Printf.sprintf "exec:%s" name)
-           (Staged.stage (fun () -> ignore (R.Executor.run_plan db plan))))
+           (Staged.stage (fun () ->
+                ignore (R.Executor.run_plan_with_stats db plan))))
        (Lazy.force op_plans))
 
 let all_tests =

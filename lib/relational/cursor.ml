@@ -117,7 +117,11 @@ let spool ?(on_row = fun (_ : Tuple.t) -> ()) (c : t) : t =
     end
   in
   let pull () =
-    if !remaining <= 0 then None
+    if !remaining <= 0 then begin
+      (* an empty spool has no last row to trigger the removal *)
+      release ();
+      None
+    end
     else begin
       let chan =
         match !ic with

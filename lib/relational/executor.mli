@@ -13,8 +13,9 @@
     experiment timeout (the paper killed sub-queries after five minutes)
     and provides a deterministic "simulated time" for reproducible
     experiment output.  The physical path charges exactly like the seed
-    interpreter — kept below as the [run_legacy] entry points — except
-    that rewrites may only lower the bill. *)
+    AST interpreter — which lives outside the engine, as the tests'
+    reference, and charges through the meter below — except that
+    rewrites may only lower the bill. *)
 
 exception Timeout
 (** Raised when the work budget is exhausted. *)
@@ -44,36 +45,22 @@ type profile = {
 
 val default_profile : profile
 
-val run :
-  ?budget:int ->
-  ?profile:profile ->
-  Database.t ->
-  Sql.query ->
-  Relation.t
-(** Executes a query.  [budget > 0] bounds the work units; exceeding it
-    raises {!Timeout}.  Operators process {!Batch.t} chunks of
-    {!Batch.default_size} rows with expressions compiled once per
-    operator. *)
-
 val run_with_stats :
   ?budget:int ->
   ?profile:profile ->
   Database.t ->
   Sql.query ->
   Relation.t * stats
+(** Executes a query.  [budget > 0] bounds the work units; exceeding it
+    raises {!Timeout}.  Operators process {!Batch.t} chunks of
+    {!Batch.default_size} rows with expressions compiled once per
+    operator. *)
 
 (** {1 Pre-planned execution}
 
     For callers that build the {!Physical.plan} themselves (to annotate
     it with cost estimates or print it): execution fills each node's
     [act_rows]/[act_cost] fields. *)
-
-val run_plan :
-  ?budget:int ->
-  ?profile:profile ->
-  Database.t ->
-  Physical.plan ->
-  Relation.t
 
 val run_plan_with_stats :
   ?budget:int ->
@@ -93,14 +80,25 @@ val run_plan_cursor_with_stats :
     {!Relation.t}.  Evaluation (and therefore work accounting) is
     identical. *)
 
-(** {1 Legacy interpreter}
+(** {1 The work meter}
 
-    The seed executor, interpreting the SQL AST directly.  Kept solely as
-    the reference for the differential safety-net tests; new code should
-    use the plan-based entry points above. *)
+    Exported so that a reference interpreter outside the engine charges
+    exactly what the engine would for the same rows. *)
 
-val run_legacy :
-  ?budget:int -> ?profile:profile -> Database.t -> Sql.query -> Relation.t
+type ctx = { db : Database.t; st : stats; budget : int; profile : profile }
+(** One execution's meter: charges accumulate in [st]; past a positive
+    [budget] they raise {!Timeout}. *)
 
-val run_legacy_with_stats :
-  ?budget:int -> ?profile:profile -> Database.t -> Sql.query -> Relation.t * stats
+val charge : ctx -> [ `Scan | `Probe | `Emit | `Sort ] -> int -> unit
+(** [n] rows scanned, probed, emitted or sorted, at fixed weights. *)
+
+val charge_emit_row : ctx -> Tuple.t -> unit
+(** One emitted row, plus its wire bytes over [profile.byte_div]. *)
+
+val charge_sort : ctx -> int -> int -> unit
+(** Sorting [rows] rows of [bytes] total: n log n per row, plus an
+    external merge pass over the bytes per doubling beyond
+    [profile.sort_buffer]. *)
+
+module KeyTbl : Hashtbl.S with type key = Value.t array
+(** Hash tables keyed by join-key tuples under {!Value.equal}. *)

@@ -1,7 +1,7 @@
 (* The executor's batches: unit laws for Batch's selection vectors, the
    batch-to-cursor adapter, cursor resource release, and compile ≡ eval
    equivalence over random expressions.  Operators crossing chunk
-   boundaries are checked against the legacy interpreter in
+   boundaries are checked against the seed interpreter in
    test_executor.ml. *)
 
 module R = Relational
@@ -90,18 +90,14 @@ let test_cursor_round_trip () =
 
 (* --- leak regression: a throwing consumer must close the source ------- *)
 
+(* The leak checks count spool files in a directory of their own, so
+   files other processes create and delete meanwhile cannot skew them. *)
+
 exception Consumer_failed
 
-let spool_files () =
-  let dir = Filename.get_temp_dir_name () in
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f ->
-         String.length f >= 9
-         && String.sub f 0 9 = "silkroute"
-         && Filename.check_suffix f ".spool")
-
 let test_iter_closes_on_raise () =
-  let before = List.length (spool_files ()) in
+  Matrix.with_private_spool_dir @@ fun () ->
+  let before = List.length (Matrix.spool_files ()) in
   let rows = List.init 50 (fun i -> row i i i) in
   let spooled = R.Cursor.spool (R.Cursor.of_list [| "a"; "b"; "c" |] rows) in
   let n = ref 0 in
@@ -114,12 +110,13 @@ let test_iter_closes_on_raise () =
    with Consumer_failed -> ());
   Alcotest.(check int) "consumer saw 5 rows" 5 !n;
   Alcotest.(check int) "spool file removed on the exception path" before
-    (List.length (spool_files ()));
+    (List.length (Matrix.spool_files ()));
   Alcotest.(check bool) "cursor closed: next returns None" true
     (R.Cursor.next spooled = None)
 
 let test_spool_closes_source_on_raise () =
-  let before = List.length (spool_files ()) in
+  Matrix.with_private_spool_dir @@ fun () ->
+  let before = List.length (Matrix.spool_files ()) in
   (* A spool-backed source re-spooled through a consumer that raises via
      on_row: both the partial output file and the source's backing file
      must be released. *)
@@ -135,7 +132,18 @@ let test_spool_closes_source_on_raise () =
           source)
    with Consumer_failed -> ());
   Alcotest.(check int) "no spool files leaked" before
-    (List.length (spool_files ()))
+    (List.length (Matrix.spool_files ()))
+
+(* Regression: a spool of no rows has no last row whose read removes the
+   file; reading past its end must remove it. *)
+let test_empty_spool_removed () =
+  Matrix.with_private_spool_dir @@ fun () ->
+  let spooled = R.Cursor.spool (R.Cursor.empty [| "a"; "b"; "c" |]) in
+  Alcotest.(check int) "spooled to a file" 1
+    (List.length (Matrix.spool_files ()));
+  Alcotest.(check bool) "no rows" true (R.Cursor.next spooled = None);
+  Alcotest.(check (list string)) "file removed at end of stream" []
+    (Matrix.spool_files ())
 
 (* --- compile ≡ eval over random expressions --------------------------- *)
 
@@ -215,6 +223,8 @@ let suite =
       test_iter_closes_on_raise;
     Alcotest.test_case "spool releases all files when on_row raises" `Quick
       test_spool_closes_source_on_raise;
+    Alcotest.test_case "empty spool removes its file at end of stream" `Quick
+      test_empty_spool_removed;
   ]
 
 let props = [ prop_compile_eq_eval; prop_compile_pred_eq_eval_pred ]

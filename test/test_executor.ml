@@ -20,7 +20,7 @@ let mkdb () =
     [ [| i 10; i 1; s "x" |]; [| i 11; i 1; s "y" |]; [| i 12; i 2; s "z" |] ];
   db
 
-let run db text = Executor.run db (Sql_parser.parse text)
+let run db text = fst (Executor.run_with_stats db (Sql_parser.parse text))
 
 let test_scan_project () =
   let r = run (mkdb ()) "SELECT r.b AS b FROM R AS r" in
@@ -96,7 +96,7 @@ let check_or_join on ~rows ~probed ~emitted ~work ~legacy_work =
     Alcotest.(check int) (path ^ ": work") work st.Executor.work
   in
   check "physical" (Executor.run_with_stats db q) ~work;
-  check "legacy" (Executor.run_legacy_with_stats db q) ~work:legacy_work
+  check "legacy" (Oracle.Legacy.run_with_stats db q) ~work:legacy_work
 
 let test_or_expansion_join_exact () =
   (* M row 0 satisfies both disjuncts for a=1 (d=1, f=1): probed and
@@ -152,7 +152,7 @@ let test_multi_chunk_vs_legacy () =
   let check text ~rows =
     let q = Sql_parser.parse text in
     let r, st = Executor.run_with_stats db q in
-    let r0, st0 = Executor.run_legacy_with_stats db q in
+    let r0, st0 = Oracle.Legacy.run_with_stats db q in
     Alcotest.(check int) (text ^ ": row count") rows (Relation.cardinality r);
     Alcotest.(check (list string)) (text ^ ": rows") (row_strings r0) (row_strings r);
     Alcotest.(check int) (text ^ ": probed") st0.Executor.probed st.Executor.probed;
@@ -235,7 +235,7 @@ let test_budget_timeout () =
   let db = mkdb () in
   Alcotest.(check bool) "tiny budget trips" true
     (try
-       ignore (Executor.run ~budget:2 db
+       ignore (Executor.run_with_stats ~budget:2 db
                  (Sql_parser.parse "SELECT r.a AS a FROM R AS r, S AS q WHERE (r.a = q.d)"));
        false
      with Executor.Timeout -> true)
@@ -277,7 +277,7 @@ let test_unresolvable_conjunct_raises () =
   Alcotest.(check bool) "raises Unresolved_column" true
     (try
        ignore
-         (Executor.run db
+         (Executor.run_with_stats db
             (Sql_parser.parse "SELECT r.a AS a FROM R AS r WHERE (z.q = 1)"));
        false
      with Expr.Unresolved_column _ -> true)

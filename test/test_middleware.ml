@@ -1,5 +1,6 @@
 (* End-to-end middleware: strategies, timing/accounting, timeouts, and
-   the exhaustive plan-correctness sweep (the core soundness result). *)
+   lattice-matrix slices of the exhaustive plan-correctness sweep (the
+   core soundness result). *)
 
 open Silkroute
 module R = Relational
@@ -8,26 +9,17 @@ let setup ?(scale = 0.15) text =
   let db = Tpch.Gen.generate (Tpch.Gen.config scale) in
   (db, Middleware.prepare_text db text)
 
+(* every strategy's plan is a lattice point matching the truth *)
 let test_materialize_strategies_agree () =
-  let db = Tpch.Gen.generate (Tpch.Gen.config 0.15) in
-  let view = Queries.query1 () in
-  let p = Middleware.prepare db view in
-  let docs =
+  let db = Matrix.tpch 0.15 in
+  let p = (Matrix.truth Matrix.q1 db).p in
+  let masks =
     List.map
-      (fun strategy ->
-        Middleware.document_of p
-          (Middleware.execute p (Middleware.partition_of p strategy)))
+      (fun strategy -> Partition.to_mask (Middleware.partition_of p strategy))
       [ Middleware.Unified; Middleware.Fully_partitioned; Middleware.Edges 37;
         Middleware.Greedy Planner.default_params ]
   in
-  match docs with
-  | d :: rest ->
-      List.iteri
-        (fun i d' ->
-          Alcotest.(check bool) (Printf.sprintf "strategy %d agrees" i) true
-            (Xmlkit.Xml.equal d d'))
-        rest
-  | [] -> Alcotest.fail "no docs"
+  Matrix.(check [ slice q1 db ~masks:(only masks) ])
 
 let test_execution_accounting () =
   let db, p = setup Queries.query1_text in
@@ -81,29 +73,13 @@ let test_more_streams_more_transfer_overhead () =
   Alcotest.(check bool) "fully partitioned ships more" true
     (t Middleware.Fully_partitioned > t Middleware.Unified)
 
-let exhaustive_sweep text =
-  let db = Tpch.Gen.generate (Tpch.Gen.config 0.12) in
-  let p = Middleware.prepare_text db text in
-  let truth = Middleware.materialize_naive p in
-  List.iter
-    (fun mask ->
-      let plan = Partition.of_mask p.Middleware.tree mask in
-      let e = Middleware.execute p plan in
-      if not (Xmlkit.Xml.equal (Middleware.document_of p e) truth) then
-        Alcotest.failf "plan %d (outer-join) diverges" mask;
-      if mask mod 16 = 0 then begin
-        (* a systematic subsample of the three variants *)
-        let er = Middleware.execute ~reduce:true p plan in
-        if not (Xmlkit.Xml.equal (Middleware.document_of p er) truth) then
-          Alcotest.failf "plan %d (reduced) diverges" mask;
-        let eu = Middleware.execute ~style:Sql_gen.Outer_union p plan in
-        if not (Xmlkit.Xml.equal (Middleware.document_of p eu) truth) then
-          Alcotest.failf "plan %d (outer-union) diverges" mask
-      end)
-    (Partition.all_masks p.Middleware.tree)
-
-let test_exhaustive_q1 () = exhaustive_sweep Queries.query1_text
-let test_exhaustive_q2 () = exhaustive_sweep Queries.query2_text
+(* Every plan against the naive truth, and a systematic subsample of
+   the other variants. *)
+let test_exhaustive view () =
+  let open Matrix in
+  let db = tpch 0.12 in
+  check
+    [ slice view db; slice view db ~masks:(every 16) ~points:[ oj_reduced; ou ] ]
 
 let test_custom_non_tpch_schema () =
   (* a bookstore schema exercises the pipeline away from TPC-H *)
@@ -123,42 +99,30 @@ let test_custom_non_tpch_schema () =
   R.Database.load db "Book"
     [ [| i 10; i 1; s "TAOCP"; R.Value.Float 99.0 |];
       [| i 11; i 1; s "Concrete Math"; R.Value.Float 50.0 |] ];
-  let p =
-    Middleware.prepare_text db
+  let view =
+    Matrix.of_text "library"
       {|view library { from Author $a construct
           <author><name>$a.name</name>
             { from Book $b where $a.aid = $b.aid
               construct <book>$b.title</book> } </author> }|}
-  in
-  let truth = Middleware.materialize_naive p in
-  List.iter
-    (fun mask ->
-      let e = Middleware.execute p (Partition.of_mask p.Middleware.tree mask) in
-      Alcotest.(check bool) (Printf.sprintf "mask %d" mask) true
-        (Xmlkit.Xml.equal (Middleware.document_of p e) truth))
-    (Partition.all_masks p.Middleware.tree);
+  and db = Matrix.database "bookstore" (fun () -> db) in
+  Matrix.(check [ slice view db ]);
+  let truth = (Matrix.truth view db).doc in
   (* Dijkstra has no books but must appear *)
   let authors = Xmlkit.Xml.children_named (Xmlkit.Xml.root truth) "author" in
   Alcotest.(check int) "both authors" 2 (List.length authors)
 
 let test_non_equi_join_condition () =
   (* a view with a filter condition (not a pure equi-join) *)
-  let db = Tpch.Gen.generate (Tpch.Gen.config 0.2) in
-  let p =
-    Middleware.prepare_text db
+  let view =
+    Matrix.of_text "non-equi"
       {|view v { from Supplier $s construct <supplier><name>$s.name</name>
           { from PartSupp $ps, Part $p
             where $s.suppkey = $ps.suppkey, $ps.partkey = $p.partkey,
                   $ps.availqty >= 5000
             construct <bigpart>$p.name</bigpart> } </supplier> }|}
   in
-  let truth = Middleware.materialize_naive p in
-  List.iter
-    (fun mask ->
-      let e = Middleware.execute p (Partition.of_mask p.Middleware.tree mask) in
-      Alcotest.(check bool) (Printf.sprintf "mask %d" mask) true
-        (Xmlkit.Xml.equal (Middleware.document_of p e) truth))
-    (Partition.all_masks p.Middleware.tree)
+  Matrix.(check [ slice view (tpch 0.2) ])
 
 let suite =
   [
@@ -169,7 +133,9 @@ let suite =
     Alcotest.test_case "profile affects work" `Quick test_profile_affects_work;
     Alcotest.test_case "transfer overhead by streams" `Quick test_more_streams_more_transfer_overhead;
     Alcotest.test_case "non-TPC-H schema" `Quick test_custom_non_tpch_schema;
-    Alcotest.test_case "exhaustive 512 plans (Query 1)" `Slow test_exhaustive_q1;
-    Alcotest.test_case "exhaustive 512 plans (Query 2)" `Slow test_exhaustive_q2;
+    Alcotest.test_case "exhaustive 512 plans (Query 1)" `Slow
+      (test_exhaustive Matrix.q1);
+    Alcotest.test_case "exhaustive 512 plans (Query 2)" `Slow
+      (test_exhaustive Matrix.q2);
     Alcotest.test_case "non-equi-join condition" `Quick test_non_equi_join_condition;
   ]

@@ -1,8 +1,8 @@
-(* The domain fan-out: Domain_pool unit tests, then differential tests
-   holding a run on a [~pool] to the sequential path — byte-identical
+(* The domain fan-out: Domain_pool unit tests, then matrix slices
+   holding a run on a [~pool] to the inline reference — byte-identical
    XML and exact work/tuples/bytes/transfer parity for every plan in the
    2^|E| lattice at pool sizes {1, 2, 4}, resilience counters
-   deterministic under faults at every pool size, one failure contract
+   deterministic under faults at every pool size — one failure contract
    (same [Plan_timeout], no spool file left) at every pool size, and
    span coherence (parent-before-child, start order) when several
    domains trace at once. *)
@@ -85,135 +85,33 @@ let test_cursor_close_semantics () =
 
 (* --- differential: parallel vs sequential -------------------------------- *)
 
-(* One plan point: the fanned-out run must match the sequential one
-   byte-for-byte on XML and exactly on deterministic accounting, with
-   the rows in the heap and spooled alike. *)
-let check_point p mask pool =
-  let plan = Partition.of_mask p.Middleware.tree mask in
-  List.iter
-    (fun spool ->
-      let label =
-        Printf.sprintf "mask %d @%d domains, spool=%b" mask
-          (R.Domain_pool.size pool) spool
-      in
-      let e = Middleware.execute ~spool p plan in
-      let ep = Middleware.execute ~spool ~pool p plan in
-      Alcotest.(check string)
-        (label ^ ": byte-identical XML")
-        (Middleware.xml_string_of p e)
-        (Middleware.xml_string_of p ep);
-      Alcotest.(check int) (label ^ ": work") e.Middleware.work
-        ep.Middleware.work;
-      Alcotest.(check int) (label ^ ": tuples") e.Middleware.tuples
-        ep.Middleware.tuples;
-      Alcotest.(check int) (label ^ ": bytes") e.Middleware.bytes
-        ep.Middleware.bytes;
-      Alcotest.(check (float 0.0))
-        (label ^ ": transfer model")
-        e.Middleware.transfer_ms ep.Middleware.transfer_ms)
-    [ false; true ]
-
-(* Every case below runs [f] once per pool size, on one pool per size
-   that the test owns. *)
-let each_pool f =
-  List.iter
-    (fun domains -> R.Domain_pool.with_pool ~domains f)
-    [ 1; 2; 4 ]
+(* Fanned-out runs, rows in the heap and spooled, against the inline
+   reference. *)
+let fanned_out pool = Matrix.runs ~spool:[ false; true ] ~pool ()
 
 (* Small view: every mask of the lattice at every domain count. *)
 let test_fragment_all_masks_all_domains () =
-  let db = Tpch.Gen.figure8_database () in
-  let p = Middleware.prepare_text db Queries.fragment_text in
-  each_pool (fun pool ->
-      List.iter
-        (fun mask -> check_point p mask pool)
-        (Partition.all_masks p.Middleware.tree))
+  Matrix.(check [ slice fragment figure8 ~modes:(fanned_out [ 1; 2; 4 ]) ])
 
 (* Q1/Q2: every one of the 2^|E| plans at 4 domains; 1 and 2 domains on
    a stride-4 subsample. *)
-let exhaustive_sweep text =
-  let db = Tpch.Gen.generate (Tpch.Gen.config 0.08) in
-  let p = Middleware.prepare_text db text in
-  each_pool (fun pool ->
-      List.iter
-        (fun mask ->
-          if mask mod 4 = 0 || R.Domain_pool.size pool = 4 then
-            check_point p mask pool)
-        (Partition.all_masks p.Middleware.tree))
-
-let test_exhaustive_q1 () = exhaustive_sweep Queries.query1_text
-let test_exhaustive_q2 () = exhaustive_sweep Queries.query2_text
+let test_exhaustive view () =
+  let open Matrix in
+  check
+    [
+      slice view (tpch 0.08) ~modes:(fanned_out [ 4 ]);
+      slice view (tpch 0.08) ~masks:(every 4) ~modes:(fanned_out [ 1; 2 ]);
+    ]
 
 (* --- resilience under fan-out -------------------------------------------- *)
 
-(* For each fault rate, the resilient path must produce byte-identical
-   XML *and* bit-identical resilience counters at every domain count:
-   per-stream backend forks make the fault draws independent of how
-   streams interleave across domains. *)
+(* For each fault rate, byte-identical XML *and* bit-identical
+   resilience counters at every domain count: per-stream backend forks
+   make the fault draws independent of how streams interleave. *)
 let test_resilient_counters_deterministic () =
-  let db = Tpch.Gen.figure8_database () in
-  let p = Middleware.prepare_text db Queries.fragment_text in
-  let truth =
-    let e = Middleware.execute p (Partition.unified p.Middleware.tree) in
-    Middleware.xml_string_of p e
-  in
-  let run pool rate mask =
-    let backend =
-      R.Backend.create
-        ~faults:(R.Backend.faults ~seed:11 rate)
-        ~retry:{ R.Backend.default_retry with R.Backend.max_retries = 8 }
-        db
-    in
-    let plan = Partition.of_mask p.Middleware.tree mask in
-    let e =
-      Middleware.execute ~backend ~max_splits:8 ~spool:true ~pool p plan
-    in
-    (Middleware.xml_string_of p e, e.Middleware.resilience)
-  in
-  let reference =
-    List.concat_map
-      (fun rate ->
-        List.map
-          (fun mask ->
-            let xml, res = run R.Domain_pool.inline rate mask in
-            Alcotest.(check string)
-              (Printf.sprintf "rate %.1f mask %d: XML = fault-free truth" rate
-                 mask)
-              truth xml;
-            (rate, mask, xml, res))
-          (Partition.all_masks p.Middleware.tree))
-      [ 0.0; 0.3 ]
-  in
-  List.iter
-    (fun domains ->
-      R.Domain_pool.with_pool ~domains (fun pool ->
-          List.iter
-            (fun (rate, mask, xml1, res1) ->
-              let label =
-                Printf.sprintf "rate %.1f mask %d @%d domains" rate mask
-                  domains
-              in
-              let xml, res = run pool rate mask in
-              Alcotest.(check string) (label ^ ": XML") xml1 xml;
-              Alcotest.(check bool)
-                (label ^ ": identical resilience counters")
-                true (res = res1))
-            reference))
-    [ 2; 4 ]
-
-(* Runs [f] with spool files going to a fresh directory of its own, so a
-   leak check sees only this test's files.  The temp dir is domain-local
-   and inherited at spawn, so pools must be created inside [f]. *)
-let with_private_spool_dir f =
-  let dir = Filename.temp_dir "silkroute-test" "" in
-  let saved = Filename.get_temp_dir_name () in
-  Filename.set_temp_dir_name dir;
-  Fun.protect
-    ~finally:(fun () ->
-      Filename.set_temp_dir_name saved;
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    f
+  let faults = Matrix.resilient ~seed:11 [ 0.0; 0.3 ] in
+  let modes = Matrix.runs ~spool:[ true ] ~pool:[ 1; 2; 4 ] ~faults () in
+  Matrix.(check [ slice fragment figure8 ~modes ])
 
 (* A work budget that the unified plan cannot meet forces degradation
    into finer fragments; fanned out, the degraded runs must still merge
@@ -223,57 +121,39 @@ let with_private_spool_dir f =
    [Plan_timeout] (earliest failing stream in plan order) and closes
    the spools of the streams that completed. *)
 let test_degradation_under_fanout () =
-  let db = Tpch.Gen.generate (Tpch.Gen.config 0.1) in
-  let p = Middleware.prepare_text db Queries.query1_text in
-  let tree = p.Middleware.tree in
-  let unified = Partition.unified tree in
-  let baseline = Middleware.execute p unified in
-  let truth = Middleware.xml_string_of p baseline in
-  let fully_plan = Partition.fully_partitioned tree in
-  let fully = Middleware.execute p fully_plan in
-  let max_node_work =
-    List.fold_left
-      (fun acc se -> max acc se.Middleware.se_stats.R.Executor.work)
-      0 fully.Middleware.per_stream
-  in
-  let budget = 2 * max_node_work in
+  let open Matrix in
+  let db = tpch 0.1 and unified = 511 in
+  let budget = degradation_budget q1 db in
   Alcotest.(check bool) "unified plan must exceed the budget" true
-    (baseline.Middleware.work > budget);
-  let run pool =
-    let backend = R.Backend.create ~budget db in
-    let e =
-      Middleware.execute ~backend ~max_splits:8 ~spool:true ~pool p unified
-    in
-    (Middleware.xml_string_of p e, e.Middleware.resilience)
-  in
+    (reference_work q1 db unified > budget);
+  let faults = [ { no_faults with max_splits = 8; budget } ] in
+  let modes = runs ~spool:[ true ] ~pool:[ 1; 2; 4 ] ~faults () in
+  check ~fired:[ `Degraded ] [ slice q1 db ~masks:(only [ unified ]) ~modes ];
+  let p = (truth q1 db).p in
   let timeout_of pool =
-    let backend = R.Backend.create ~budget:(max_node_work / 2) db in
-    match Middleware.execute ~backend ~spool:true ~pool p fully_plan with
+    let backend = R.Backend.create ~budget:(budget / 4) p.db in
+    let fully = Partition.fully_partitioned p.tree in
+    match Middleware.execute ~backend ~spool:true ~pool p fully with
     | _ -> Alcotest.fail "a budget below the heaviest stream must time out"
-    | exception Middleware.Plan_timeout t ->
-        (t.Middleware.timeout_stream, t.Middleware.timeout_root)
+    | exception Middleware.Plan_timeout t -> (t.timeout_stream, t.timeout_root)
   in
   let no_spool_left label =
     Alcotest.(check (list string))
       (label ^ ": no spool file left behind")
-      [] (Test_batch.spool_files ())
+      [] (spool_files ())
   in
   with_private_spool_dir @@ fun () ->
-  let xml1, res1 = run R.Domain_pool.inline in
   let timeout1 = timeout_of R.Domain_pool.inline in
   no_spool_left "inline";
-  Alcotest.(check string) "degraded run matches fault-free truth" truth xml1;
-  Alcotest.(check bool) "at least one stream degraded" true
-    (res1.Middleware.r_degraded >= 1);
-  each_pool (fun pool ->
-      let label = Printf.sprintf "@%d domains" (R.Domain_pool.size pool) in
-      let xml, res = run pool in
-      Alcotest.(check string) (label ^ ": XML") xml1 xml;
-      Alcotest.(check bool) (label ^ ": counters") true (res = res1);
+  List.iter
+    (fun domains ->
+      R.Domain_pool.with_pool ~domains @@ fun pool ->
+      let label = Printf.sprintf "@%d domains" domains in
       Alcotest.(check (pair int string))
         (label ^ ": same Plan_timeout stream and root")
         timeout1 (timeout_of pool);
       no_spool_left label)
+    [ 1; 2; 4 ]
 
 (* --- observability coherence --------------------------------------------- *)
 
@@ -332,9 +212,9 @@ let suite =
     Alcotest.test_case "fragment: all masks x domains {1,2,4}" `Quick
       test_fragment_all_masks_all_domains;
     Alcotest.test_case "exhaustive plans parallel = sequential (Q1)" `Slow
-      test_exhaustive_q1;
+      (test_exhaustive Matrix.q1);
     Alcotest.test_case "exhaustive plans parallel = sequential (Q2)" `Slow
-      test_exhaustive_q2;
+      (test_exhaustive Matrix.q2);
     Alcotest.test_case "resilient counters deterministic across domains"
       `Quick test_resilient_counters_deterministic;
     Alcotest.test_case "degradation under fan-out" `Quick

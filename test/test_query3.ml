@@ -77,29 +77,14 @@ let test_guaranteed_branch_inner_join () =
   Alcotest.(check int) "outer join without labels" 1
     (R.Sql.count_outer_joins without.Sql_gen.query)
 
-let test_exhaustive_256_plans () =
-  let _, p = setup ~scale:0.12 () in
-  let truth = Middleware.materialize_naive p in
-  List.iter
-    (fun mask ->
-      let plan = Partition.of_mask p.Middleware.tree mask in
-      let e = Middleware.execute p plan in
-      if not (Xmlkit.Xml.equal (Middleware.document_of p e) truth) then
-        Alcotest.failf "plan %d diverges" mask;
-      if mask mod 8 = 0 then begin
-        let er = Middleware.execute ~reduce:true p plan in
-        if not (Xmlkit.Xml.equal (Middleware.document_of p er) truth) then
-          Alcotest.failf "plan %d (reduced) diverges" mask
-      end)
-    (Partition.all_masks p.Middleware.tree)
+let test_exhaustive_128_plans () =
+  let db = Matrix.tpch 0.12 and points = [ Matrix.oj_reduced ] in
+  Matrix.(check [ slice q3 db; slice q3 db ~masks:(every 8) ~points ])
 
+(* the reduced unified plan's document equals the DTD-valid truth *)
 let test_dtd_validity () =
-  let _, p = setup ~scale:0.3 () in
-  let e = Middleware.execute ~reduce:true p (Partition.unified p.Middleware.tree) in
-  let doc = Middleware.document_of p e in
-  Alcotest.(check (list string)) "valid" []
-    (List.map (fun er -> Format.asprintf "%a" Xmlkit.Validate.pp_error er)
-       (Xmlkit.Validate.validate Queries.dtd_query3 doc))
+  let masks = Matrix.only [ 127 ] and points = [ Matrix.oj_reduced ] in
+  Matrix.(check [ slice q3 (tpch 0.3) ~masks ~points ])
 
 let test_thresholds_transfer () =
   (* the paper's hypothesis: the fixed (a,b,t1,t2) depend on the engine,
@@ -142,7 +127,7 @@ let suite =
     Alcotest.test_case "shape" `Quick test_shape;
     Alcotest.test_case "'+' label from inclusion" `Quick test_plus_label_from_declared_inclusion;
     Alcotest.test_case "guaranteed branch inner join" `Quick test_guaranteed_branch_inner_join;
-    Alcotest.test_case "exhaustive 128 plans" `Slow test_exhaustive_256_plans;
+    Alcotest.test_case "exhaustive 128 plans" `Slow test_exhaustive_128_plans;
     Alcotest.test_case "DTD validity" `Quick test_dtd_validity;
     Alcotest.test_case "thresholds transfer" `Quick test_thresholds_transfer;
     Alcotest.test_case "guaranteed items present" `Quick test_every_order_has_items;

@@ -256,91 +256,32 @@ let test_split_laws () =
 
 (* --- resilient execution: differential across fault rates ---------------- *)
 
-let small_views =
-  [
-    ("fragment", Queries.fragment_text);
-    ( "mixed-content",
-      {|view v { from Nation $n construct
-          <nation>$n.name
-            { from Region $r where $n.regionkey = $r.regionkey
-              construct <region>$r.name</region> } </nation> }|} );
-    ( "forest",
-      {|view directory
-        { from Supplier $s construct <supplier>$s.name</supplier> }
-        { from Nation $n construct <nation>$n.name</nation> }|} );
-  ]
-
 (* Resilient execution as the CLI's --resilient runs it: up to 8 nested
    splits, rows spooled unless [spool] says otherwise. *)
 let resilient ?(spool = true) ~backend p plan =
   Middleware.execute ~backend ~max_splits:8 ~spool p plan
 
-(* For one (view, mask, rate) point, rows in the heap and spooled:
+(* For every small view, mask and rate, rows in the heap and spooled:
    resilient output byte-identical to the fault-free run, and the
    resilience counters exactly reproducible for the fixed seed (zero
    fault activity at rate 0). *)
-let check_resilient_point p mask rate spool =
-  let plan = Partition.of_mask p.Middleware.tree mask in
-  let label = Printf.sprintf "mask %d, rate %.1f, spool=%b" mask rate spool in
-  let baseline = Middleware.xml_string_of p (Middleware.execute p plan) in
-  let run () =
-    let backend =
-      B.create ~faults:(B.faults ~seed:14 rate)
-        ~retry:(retry ~max_retries:8 ())
-        p.Middleware.db
-    in
-    let e = resilient ~spool ~backend p plan in
-    (Middleware.xml_string_of p e, e.Middleware.resilience)
-  in
-  let xml, res = run () in
-  Alcotest.(check string) (label ^ ": byte-identical XML") baseline xml;
-  let xml2, res2 = run () in
-  Alcotest.(check string) (label ^ ": reproducible XML") xml xml2;
-  Alcotest.(check bool) (label ^ ": exact metrics for the fixed seed") true
-    (res = res2);
-  if rate = 0.0 then begin
-    Alcotest.(check int) (label ^ ": no faults at rate 0") 0
-      res.Middleware.r_faults;
-    Alcotest.(check int) (label ^ ": no retries at rate 0") 0
-      res.Middleware.r_retries;
-    Alcotest.(check int) (label ^ ": no degradation at rate 0") 0
-      res.Middleware.r_degraded
-  end
-
 let test_small_views_differential () =
-  let db = Tpch.Gen.figure8_database () in
-  List.iter
-    (fun (_, text) ->
-      let p = Middleware.prepare_text db text in
-      List.iter
-        (fun mask ->
-          List.iter
-            (fun rate ->
-              List.iter (check_resilient_point p mask rate) [ false; true ])
-            [ 0.0; 0.1; 0.3 ])
-        (Partition.all_masks p.Middleware.tree))
-    small_views
+  let faults = Matrix.resilient ~seed:14 [ 0.0; 0.1; 0.3 ] in
+  let modes = Matrix.runs ~spool:[ false; true ] ~faults () in
+  let views = Matrix.[ fragment; mixed_content; forest ] in
+  Matrix.(check (List.map (fun v -> slice v figure8 ~modes) views))
 
 (* --- budget-forced degradation ------------------------------------------- *)
 
 (* A budget between the largest single-node stream and the unified query
    forces the unified plan to degrade down the lattice while every leaf
    sub-query still fits. *)
-let degradation_budget p =
-  let fully =
-    Middleware.execute p (Partition.fully_partitioned p.Middleware.tree)
-  in
-  2
-  * List.fold_left
-      (fun acc se -> max acc se.Middleware.se_stats.R.Executor.work)
-      0 fully.Middleware.per_stream
-
 let test_budget_forces_degradation () =
   let db = tpch 0.2 in
   let p = Middleware.prepare_text db Queries.query1_text in
   let unified = Partition.unified p.Middleware.tree in
   let baseline = Middleware.execute p unified in
-  let budget = degradation_budget p in
+  let budget = Matrix.degradation_budget Matrix.q1 (Matrix.tpch 0.2) in
   Alcotest.(check bool) "unified cannot fit the budget" true
     (baseline.Middleware.work > budget);
   let backend = B.create ~budget db in
@@ -422,42 +363,30 @@ let test_retried_run_keeps_actuals () =
 
 (* --- acceptance: q1/q2, all plans, faults + degradation ------------------- *)
 
-(* The ISSUE's acceptance criterion: with a fixed seed and fault rate
-   0.3, every one of the 2^|E| plans produces XML byte-identical to the
-   fault-free path, with retries observed and at least one stream
+(* With a fixed seed, fault rate 0.3 and a budget that forces
+   degradation, every one of the 2^|E| plans produces XML byte-identical
+   to the fault-free path, with retries observed and at least one stream
    degraded across the sweep. *)
-let acceptance_sweep text =
-  let db = tpch 0.08 in
-  let p = Middleware.prepare_text db text in
-  let budget = degradation_budget p in
-  let baseline =
-    Middleware.xml_string_of p
-      (Middleware.execute p (Partition.unified p.Middleware.tree))
-  in
-  let retries = ref 0 and degraded = ref 0 in
-  List.iter
-    (fun mask ->
-      let plan = Partition.of_mask p.Middleware.tree mask in
-      let backend =
-        B.create
-          ~faults:(B.faults ~seed:14 0.3)
-          ~retry:(retry ~max_retries:8 ())
-          ~budget db
-      in
-      let e = resilient ~backend p plan in
-      Alcotest.(check string)
-        (Printf.sprintf "mask %d: byte-identical under faults" mask)
-        baseline
-        (Middleware.xml_string_of p e);
-      retries := !retries + e.Middleware.resilience.Middleware.r_retries;
-      degraded := !degraded + e.Middleware.resilience.Middleware.r_degraded)
-    (Partition.all_masks p.Middleware.tree);
-  Alcotest.(check bool) "retries fired across the sweep" true (!retries > 0);
-  Alcotest.(check bool) "degradation fired across the sweep" true
-    (!degraded > 0)
+let test_acceptance view () =
+  let db = Matrix.tpch 0.08 in
+  let budget = Matrix.degradation_budget view db in
+  let faults = Matrix.resilient ~budget ~seed:14 [ 0.3 ] in
+  let modes = Matrix.runs ~spool:[ true ] ~faults () in
+  Matrix.(check ~fired:[ `Retries; `Degraded ] [ slice view db ~modes ])
 
-let test_acceptance_q1 () = acceptance_sweep Queries.query1_text
-let test_acceptance_q2 () = acceptance_sweep Queries.query2_text
+(* Query 1's unified plan at scale 0.3 under faults and a budget it
+   cannot meet: it degrades through the lattice and retries within the
+   bound, and still reproduces the fault-free bytes, twice over. *)
+let test_unified_under_faults_and_budget () =
+  let db = Matrix.tpch 0.3 and unified = 511 in
+  let budget = Matrix.degradation_budget Matrix.q1 db in
+  Alcotest.(check bool) "unified work exceeds the budget" true
+    (Matrix.reference_work Matrix.q1 db unified > budget);
+  let faults = Matrix.resilient ~budget ~seed:14 [ 0.3 ] in
+  let modes = Matrix.runs ~spool:[ true ] ~faults () in
+  Matrix.(
+    check ~fired:[ `Retries; `Degraded ]
+      [ slice q1 db ~masks:(only [ unified ]) ~modes ])
 
 let suite =
   [
@@ -489,7 +418,9 @@ let suite =
     Alcotest.test_case "retried run keeps the executed plan's actuals" `Quick
       test_retried_run_keeps_actuals;
     Alcotest.test_case "acceptance: q1 all plans, faults + degradation" `Slow
-      test_acceptance_q1;
+      (test_acceptance Matrix.q1);
     Alcotest.test_case "acceptance: q2 all plans, faults + degradation" `Slow
-      test_acceptance_q2;
+      (test_acceptance Matrix.q2);
+    Alcotest.test_case "q1 unified, scale 0.3: faults + budget, same output"
+      `Quick test_unified_under_faults_and_budget;
   ]

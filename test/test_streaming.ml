@@ -1,6 +1,7 @@
 (* The streaming pipeline (cursor execution, spooling, heap k-way merge):
-   differential tests of spooled against heap-drained execution and the
-   naive materialization, work-unit parity, and the memory bound. *)
+   cursor laws, matrix slices of spooled against heap-drained execution
+   and the naive materialization (bytes and work-unit parity), sinks,
+   and the memory bound. *)
 
 open Silkroute
 module R = Relational
@@ -63,100 +64,20 @@ let test_executor_cursor_matches_run () =
 
 (* --- differential: spooled vs heap vs naive ------------------------------ *)
 
-let serialize = Xmlkit.Serialize.to_string
+(* Small views: the full 2^|E| × {style} × {reduce} cross-product. *)
+let test_full_cross_product view () =
+  Matrix.(check [ slice view figure8 ~points:every_point ~modes:[ spooled ] ])
 
-(* For one (plan, style, reduce) point: the spooled run must be
-   byte-identical to the heap-drained run (buffer sinks) and to the
-   naive materialization (document sinks), with equal work-unit counts
-   and equal modeled accounting. *)
-let check_point ?(check_naive = None) p mask style reduce =
-  let plan = Partition.of_mask p.Middleware.tree mask in
-  let label =
-    Printf.sprintf "mask %d, %s, reduce=%b" mask
-      (match style with Sql_gen.Outer_join -> "oj" | Sql_gen.Outer_union -> "ou")
-      reduce
-  in
-  let e = Middleware.execute ~style ~reduce p plan in
-  let se = Middleware.execute ~style ~reduce ~spool:true p plan in
-  Alcotest.(check string)
-    (label ^ ": byte-identical XML")
-    (Middleware.xml_string_of p e)
-    (Middleware.xml_string_of p se);
-  Alcotest.(check int) (label ^ ": work units") e.Middleware.work
-    se.Middleware.work;
-  Alcotest.(check int) (label ^ ": tuples") e.Middleware.tuples
-    se.Middleware.tuples;
-  Alcotest.(check int) (label ^ ": bytes") e.Middleware.bytes
-    se.Middleware.bytes;
-  Alcotest.(check (float 0.0))
-    (label ^ ": transfer model")
-    e.Middleware.transfer_ms se.Middleware.transfer_ms;
-  match check_naive with
-  | None -> ()
-  | Some truth ->
-      (* spooled cursors are single-use: run the spooled path again for
-         the document-sink comparison *)
-      let se2 = Middleware.execute ~style ~reduce ~spool:true p plan in
-      Alcotest.(check string)
-        (label ^ ": byte-identical to naive")
-        truth
-        (serialize (Middleware.document_of p se2))
-
-let variants = [ Sql_gen.Outer_join; Sql_gen.Outer_union ]
-
-(* Small views: the full 2^|E| × {style} × {reduce} cross-product, each
-   point also checked byte-for-byte against the naive materialization. *)
-let full_cross_product text db =
-  let p = Middleware.prepare_text db text in
-  let truth = serialize (Middleware.materialize_naive p) in
-  List.iter
-    (fun mask ->
-      List.iter
-        (fun style ->
-          List.iter
-            (fun reduce ->
-              check_point ~check_naive:(Some truth) p mask style reduce)
-            [ false; true ])
-        variants)
-    (Partition.all_masks p.Middleware.tree)
-
-let test_full_cross_product_fragment () =
-  full_cross_product Queries.fragment_text (Tpch.Gen.figure8_database ())
-
-let test_full_cross_product_mixed_content () =
-  full_cross_product
-    {|view v { from Nation $n construct
-        <nation>$n.name
-          { from Region $r where $n.regionkey = $r.regionkey
-            construct <region>$r.name</region> } </nation> }|}
-    (Tpch.Gen.figure8_database ())
-
-let test_full_cross_product_forest () =
-  full_cross_product
-    {|view directory
-      { from Supplier $s construct <supplier>$s.name</supplier> }
-      { from Nation $n construct <nation>$n.name</nation> }|}
-    (Tpch.Gen.figure8_database ())
-
-(* Q1/Q2: every one of the 2^|E| plans under the default variant, the
-   full {style} × {reduce} cross-product on a stride-4 subsample. *)
-let exhaustive_sweep text =
-  let db = Tpch.Gen.generate (Tpch.Gen.config 0.08) in
-  let p = Middleware.prepare_text db text in
-  List.iter
-    (fun mask ->
-      if mask mod 4 = 0 then
-        List.iter
-          (fun style ->
-            List.iter
-              (fun reduce -> check_point p mask style reduce)
-              [ false; true ])
-          variants
-      else check_point p mask Sql_gen.Outer_join false)
-    (Partition.all_masks p.Middleware.tree)
-
-let test_exhaustive_q1 () = exhaustive_sweep Queries.query1_text
-let test_exhaustive_q2 () = exhaustive_sweep Queries.query2_text
+(* Q1/Q2: every plan under the default point, the full {style} ×
+   {reduce} cross-product on a stride-4 subsample. *)
+let test_exhaustive view () =
+  let open Matrix in
+  let points = [ oj_reduced; ou; ou_reduced ] in
+  check
+    [
+      slice view (tpch 0.08) ~modes:[ spooled ];
+      slice view (tpch 0.08) ~masks:(every 4) ~points ~modes:[ spooled ];
+    ]
 
 (* --- streaming sinks ---------------------------------------------------- *)
 
@@ -269,11 +190,16 @@ let suite =
     Alcotest.test_case "cursor spool roundtrip" `Quick test_cursor_spool_roundtrip;
     Alcotest.test_case "cursor spool empty" `Quick test_cursor_spool_empty;
     Alcotest.test_case "executor cursor = run" `Quick test_executor_cursor_matches_run;
-    Alcotest.test_case "full cross-product (fragment)" `Quick test_full_cross_product_fragment;
-    Alcotest.test_case "full cross-product (mixed content)" `Quick test_full_cross_product_mixed_content;
-    Alcotest.test_case "full cross-product (forest)" `Quick test_full_cross_product_forest;
-    Alcotest.test_case "exhaustive plans streaming = materialized (Q1)" `Slow test_exhaustive_q1;
-    Alcotest.test_case "exhaustive plans streaming = materialized (Q2)" `Slow test_exhaustive_q2;
+    Alcotest.test_case "full cross-product (fragment)" `Quick
+      (test_full_cross_product Matrix.fragment);
+    Alcotest.test_case "full cross-product (mixed content)" `Quick
+      (test_full_cross_product Matrix.mixed_content);
+    Alcotest.test_case "full cross-product (forest)" `Quick
+      (test_full_cross_product Matrix.forest);
+    Alcotest.test_case "exhaustive plans streaming = materialized (Q1)" `Slow
+      (test_exhaustive Matrix.q1);
+    Alcotest.test_case "exhaustive plans streaming = materialized (Q2)" `Slow
+      (test_exhaustive Matrix.q2);
     Alcotest.test_case "to_channel sink" `Quick test_to_channel_matches_string;
     Alcotest.test_case "timeout payload" `Quick test_timeout_payload;
     Alcotest.test_case "streaming memory bounded" `Quick test_streaming_memory_bounded;

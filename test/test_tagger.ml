@@ -8,11 +8,6 @@ let setup ?(scale = 0.1) text =
   let db = Tpch.Gen.generate (Tpch.Gen.config scale) in
   (db, Middleware.prepare_text db text)
 
-let doc_of ?(style = Sql_gen.Outer_join) ?(reduce = false) _db p mask =
-  let plan = Partition.of_mask p.Middleware.tree mask in
-  let e = Middleware.execute ~style ~reduce p plan in
-  Middleware.document_of p e
-
 (* Each stream's rows as a relation, for the tagger's relation API. *)
 let relations e =
   List.map
@@ -129,20 +124,13 @@ let test_escaping_sinks_agree () =
     (Xmlkit.Serialize.to_string (Tagger.to_document tree (relations e)))
 
 let test_all_plans_agree_fragment () =
-  let db = Tpch.Gen.figure8_database () in
-  let p = Middleware.prepare_text db Queries.fragment_text in
-  let reference = doc_of db p 3 in
-  List.iter
-    (fun mask ->
-      Alcotest.(check bool)
-        (Printf.sprintf "mask %d agrees" mask)
-        true
-        (Xmlkit.Xml.equal (doc_of db p mask) reference))
-    [ 0; 1; 2 ]
+  Matrix.(check [ slice fragment figure8 ~masks:(only [ 0; 1; 2; 3 ]) ])
 
 let test_document_order_q1 () =
-  let db, p = setup Queries.query1_text in
-  let doc = doc_of db p 511 in
+  let _db, p = setup Queries.query1_text in
+  let doc =
+    Middleware.document_of p (Middleware.execute p (Partition.unified p.Middleware.tree))
+  in
   (* every supplier's children follow the DTD order name,nation,region,part* *)
   let suppliers = Xmlkit.Xml.children_named (Xmlkit.Xml.root doc) "supplier" in
   Alcotest.(check bool) "has suppliers" true (List.length suppliers > 0);
@@ -159,16 +147,10 @@ let test_document_order_q1 () =
       | _ -> Alcotest.fail ("bad order: " ^ String.concat "," tags))
     suppliers
 
+(* the unified plans' documents equal the DTD-valid truths *)
 let test_dtd_validity_q1_q2 () =
-  let db = Tpch.Gen.generate (Tpch.Gen.config 0.2) in
-  let p1 = Middleware.prepare_text db Queries.query1_text in
-  let d1 = Middleware.document_of p1 (Middleware.execute p1 (Partition.unified p1.Middleware.tree)) in
-  Alcotest.(check (list string)) "Q1 valid" []
-    (List.map (fun e -> Format.asprintf "%a" Xmlkit.Validate.pp_error e)
-       (Xmlkit.Validate.validate Queries.dtd_query1 d1));
-  let p2 = Middleware.prepare_text db Queries.query2_text in
-  let d2 = Middleware.document_of p2 (Middleware.execute p2 (Partition.unified p2.Middleware.tree)) in
-  Alcotest.(check bool) "Q2 valid" true (Xmlkit.Validate.is_valid Queries.dtd_query2 d2)
+  let masks = Matrix.only [ 511 ] in
+  Matrix.(check [ slice q1 (tpch 0.2) ~masks; slice q2 (tpch 0.2) ~masks ])
 
 let test_supplier_without_parts_kept () =
   (* outer-join semantics: part-less suppliers still appear *)
@@ -184,17 +166,8 @@ let test_supplier_without_parts_kept () =
        suppliers)
 
 let test_reduced_equals_non_reduced () =
-  let db, p = setup ~scale:0.3 Queries.query2_text in
-  List.iter
-    (fun mask ->
-      let a = doc_of db p mask in
-      let b = doc_of ~reduce:true db p mask in
-      let c = doc_of ~style:Sql_gen.Outer_union db p mask in
-      let d = doc_of ~style:Sql_gen.Outer_union ~reduce:true db p mask in
-      Alcotest.(check bool) "reduce invariant" true (Xmlkit.Xml.equal a b);
-      Alcotest.(check bool) "outer-union invariant" true (Xmlkit.Xml.equal a c);
-      Alcotest.(check bool) "both invariant" true (Xmlkit.Xml.equal a d))
-    [ 0; 10; 101; 511 ]
+  let masks = Matrix.only [ 0; 10; 101; 511 ] in
+  Matrix.(check [ slice q2 (tpch 0.3) ~masks ~points:every_point ])
 
 let test_empty_database () =
   let db = Tpch.Gen.empty_database () in
@@ -253,44 +226,21 @@ let test_constant_content () =
 let test_mixed_text_and_children () =
   (* an element with both text and element children, split across
      fragments: text must precede the child (document order) *)
-  let db = Tpch.Gen.figure8_database () in
-  let p =
-    Middleware.prepare_text db
-      {|view v { from Nation $n construct
-          <nation>$n.name
-            { from Region $r where $n.regionkey = $r.regionkey
-              construct <region>$r.name</region> } </nation> }|}
-  in
+  Matrix.(check [ slice mixed_content figure8 ]);
+  let truth = (Matrix.truth Matrix.mixed_content Matrix.figure8).doc in
+  let nations = Xmlkit.Xml.children_named (Xmlkit.Xml.root truth) "nation" in
+  Alcotest.(check int) "three nations" 3 (List.length nations);
   List.iter
-    (fun mask ->
-      let e = Middleware.execute p (Partition.of_mask p.Middleware.tree mask) in
-      let doc = Middleware.document_of p e in
-      let nations = Xmlkit.Xml.children_named (Xmlkit.Xml.root doc) "nation" in
-      Alcotest.(check int) "three nations" 3 (List.length nations);
-      List.iter
-        (fun (n : Xmlkit.Xml.element) ->
-          match n.Xmlkit.Xml.children with
-          | Xmlkit.Xml.Text _ :: Xmlkit.Xml.Element { Xmlkit.Xml.tag = "region"; _ } :: [] -> ()
-          | _ -> Alcotest.fail "text must precede region child")
-        nations)
-    [ 0; 1 ]
+    (fun (n : Xmlkit.Xml.element) ->
+      match n.Xmlkit.Xml.children with
+      | Xmlkit.Xml.Text _ :: Xmlkit.Xml.Element { Xmlkit.Xml.tag = "region"; _ } :: [] -> ()
+      | _ -> Alcotest.fail "text must precede region child")
+    nations
 
 let test_parallel_top_queries_forest () =
   (* a view-tree forest: two parallel top-level queries under one root *)
-  let db = Tpch.Gen.figure8_database () in
-  let p =
-    Middleware.prepare_text db
-      {|view directory
-        { from Supplier $s construct <supplier>$s.name</supplier> }
-        { from Nation $n construct <nation>$n.name</nation> }|}
-  in
-  let truth = Middleware.materialize_naive p in
-  List.iter
-    (fun mask ->
-      let e = Middleware.execute p (Partition.of_mask p.Middleware.tree mask) in
-      Alcotest.(check bool) (Printf.sprintf "mask %d" mask) true
-        (Xmlkit.Xml.equal (Middleware.document_of p e) truth))
-    (Partition.all_masks p.Middleware.tree);
+  Matrix.(check [ slice forest figure8 ]);
+  let truth = (Matrix.truth Matrix.forest Matrix.figure8).doc in
   (* all suppliers precede all nations (document order of top queries) *)
   let tags =
     List.map (fun (e : Xmlkit.Xml.element) -> e.Xmlkit.Xml.tag)
@@ -328,24 +278,10 @@ let test_constant_space_depth_bound () =
   Alcotest.(check int) "bounded by tree depth (small)" (tree_depth + 1) small;
   Alcotest.(check int) "independent of database size" small large
 
+(* sibling instances appear in key order (the ORDER BY sort keys),
+   identically across plans: each plan's document is the truth *)
 let test_sibling_order_deterministic () =
-  (* sibling instances appear in key order (the ORDER BY sort keys),
-     identically across plans *)
-  let db = Tpch.Gen.generate (Tpch.Gen.config 0.3) in
-  let p = Middleware.prepare_text db Queries.query1_text in
-  let names_of mask =
-    let e = Middleware.execute p (Partition.of_mask p.Middleware.tree mask) in
-    let doc = Middleware.document_of p e in
-    Xmlkit.Xml.children_named (Xmlkit.Xml.root doc) "supplier"
-    |> List.concat_map (fun s -> Xmlkit.Xml.children_named s "part")
-    |> List.filter_map (fun part ->
-           match Xmlkit.Xml.children_named part "name" with
-           | [ n ] -> Some (Xmlkit.Xml.text_content n)
-           | _ -> None)
-  in
-  let a = names_of 0 and b = names_of 511 and c = names_of 73 in
-  Alcotest.(check (list string)) "plan-independent order" a b;
-  Alcotest.(check (list string)) "plan-independent order 2" a c
+  Matrix.(check [ slice q1 (tpch 0.3) ~masks:(only [ 0; 511; 73 ]) ])
 
 let suite =
   [
@@ -375,11 +311,8 @@ let prop_all_plans_correct =
   QCheck.Test.make ~name:"random plan = naive materialization" ~count:40
     (QCheck.make QCheck.Gen.(pair (int_bound 511) (oneofl [ `Q1; `Q2 ])))
     (fun (mask, q) ->
-      let db = Tpch.Gen.generate (Tpch.Gen.config 0.1) in
-      let text = match q with `Q1 -> Queries.query1_text | `Q2 -> Queries.query2_text in
-      let p = Middleware.prepare_text db text in
-      let truth = Middleware.materialize_naive p in
-      let e = Middleware.execute p (Partition.of_mask p.Middleware.tree mask) in
-      Xmlkit.Xml.equal (Middleware.document_of p e) truth)
+      let view = match q with `Q1 -> Matrix.q1 | `Q2 -> Matrix.q2 in
+      Matrix.(check [ slice view (tpch 0.1) ~masks:(only [ mask ]) ]);
+      true)
 
 let props = [ prop_all_plans_correct ]

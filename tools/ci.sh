@@ -24,9 +24,6 @@ dune build bin/silkroute_cli.exe tools/check_jsonl.exe
 sh tools/parallel_smoke.sh _build/default/bin/silkroute_cli.exe \
     _build/default/tools/check_jsonl.exe
 
-echo "== fault smoke (byte-identical output under injected faults)"
-dune exec tools/fault_smoke.exe
-
 echo "== serve smoke (query server: wire-level byte-identity + warm-cache hits)"
 sh tools/serve_smoke.sh _build/default/bin/silkroute_cli.exe
 
