@@ -197,6 +197,7 @@ let op_plans =
             Supplier.nationkey = Nation.nationkey" );
          ( "sort",
            "SELECT suppkey, name FROM Supplier ORDER BY name DESC, suppkey" );
+         ("sort-presorted", "SELECT suppkey, name FROM Supplier ORDER BY suppkey");
        ])
 
 let exec_op_tests =

@@ -92,8 +92,3 @@ let to_list b =
   let acc = ref [] in
   iter (fun row _ -> acc := row :: !acc) b;
   List.rev !acc
-
-let to_pairs b =
-  let acc = ref [] in
-  iter (fun row bytes -> acc := (bytes, row) :: !acc) b;
-  List.rev !acc

@@ -57,6 +57,3 @@ val keep : (Tuple.t -> bool) -> t -> int
 
 val to_list : t -> Tuple.t list
 (** Live rows in order. *)
-
-val to_pairs : t -> (int * Tuple.t) list
-(** Live [(bytes, row)] pairs in order. *)

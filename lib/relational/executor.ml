@@ -339,41 +339,110 @@ let scan_table ctx (n : P.node) table =
   end;
   data
 
+(* --- sorting ------------------------------------------------------------ *)
+
+(* A sort key read in place: a column of the row, or a computed
+   expression evaluated at each comparison. *)
+type sort_key = Col of int | Computed of (Tuple.t -> Value.t)
+
+(* The row order of [keys]: the total value order key by key, negated
+   for [Desc]. *)
+let row_compare keys =
+  let ks =
+    Array.of_list
+      (List.map
+         (fun (r, dir) ->
+           ( (match r with Expr.R_col i -> Col i | r -> Computed (Expr.compile r)),
+             dir = Sql.Desc ))
+         keys)
+  in
+  let nkeys = Array.length ks in
+  fun (a : Tuple.t) (b : Tuple.t) ->
+    let rec go i =
+      if i >= nkeys then 0
+      else
+        let k, desc = ks.(i) in
+        let c =
+          match k with
+          | Col j -> Value.compare_total a.(j) b.(j)
+          | Computed f -> Value.compare_total (f a) (f b)
+        in
+        let c = if desc then -c else c in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+
+(* Merge the ascending runs src.(lo..mid-1) and src.(mid..hi-1) into
+   dst.(lo..hi-1); on a tie the left element goes first. *)
+let merge_runs cmp (src : (int * Tuple.t) array) lo mid hi dst =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if !j >= hi || (!i < mid && cmp (snd src.(!i)) (snd src.(!j)) <= 0) then begin
+      dst.(k) <- src.(!i);
+      incr i
+    end
+    else begin
+      dst.(k) <- src.(!j);
+      incr j
+    end
+  done
+
+let sort_pairs keys (a : (int * Tuple.t) array) =
+  let cmp = row_compare keys in
+  let n = Array.length a in
+  (* the starts of the maximal non-descending runs after the first *)
+  let starts = ref [] and runs = ref (min n 1) in
+  for i = 1 to n - 1 do
+    if cmp (snd a.(i - 1)) (snd a.(i)) > 0 then begin
+      starts := i :: !starts;
+      incr runs
+    end
+  done;
+  if !runs <= 1 then (a, !runs)
+  else begin
+    (* bottom-up: each pass merges runs pairwise, halving their number;
+       [bounds] holds the run starts, then [n] *)
+    let rec pass src dst bounds =
+      let nr = Array.length bounds - 1 in
+      if nr = 1 then src
+      else begin
+        let next = Array.make (((nr + 1) / 2) + 1) n in
+        let r = ref 0 in
+        while !r < nr do
+          let lo = bounds.(!r) in
+          if !r + 1 < nr then
+            merge_runs cmp src lo bounds.(!r + 1) bounds.(!r + 2) dst
+          else Array.blit src lo dst lo (n - lo);
+          next.(!r / 2) <- lo;
+          r := !r + 2
+        done;
+        pass dst src next
+      end
+    in
+    let bounds = Array.of_list (0 :: List.rev_append !starts [ n ]) in
+    (pass a (Array.make n a.(0)) bounds, !runs)
+  end
+
 (* Sort (bytes, row) pairs on [keys] — charging it as one sort of
    their summed charged bytes — and return them in sorted order. *)
-let exec_sort ctx (n : P.node) keys (pairs : (int * Tuple.t) list) :
-    (int * Tuple.t) list =
+let exec_sort ctx (n : P.node) keys (pairs : (int * Tuple.t) array) =
   Obs.Span.with_span "exec.sort" (fun () ->
-      (* Sort keys are compiled once and evaluated once per row; the
-         comparator only compares the precomputed key arrays. *)
-      let key_fns =
-        Array.of_list (List.map (fun (r, _) -> Expr.compile r) keys)
-      in
-      let dirs = Array.of_list (List.map snd keys) in
-      let nkeys = Array.length key_fns in
-      let cmp (ka, _) (kb, _) =
-        let rec go i =
-          if i >= nkeys then 0
-          else
-            let c = Value.compare_total ka.(i) kb.(i) in
-            let c = if dirs.(i) = Sql.Desc then -c else c in
-            if c <> 0 then c else go (i + 1)
-        in
-        go 0
-      in
-      let bytes = List.fold_left (fun acc (b, _) -> acc + b) 0 pairs in
+      let rows = Array.length pairs in
+      let bytes = Array.fold_left (fun acc (b, _) -> acc + b) 0 pairs in
       let spill0 = ctx.st.spill_passes and work0 = ctx.st.work in
-      charge_sort ctx (List.length pairs) bytes;
+      charge_sort ctx rows bytes;
       (match n.P.shape with
       | P.Sort s -> s.act_spills <- ctx.st.spill_passes - spill0
       | _ -> ());
       n.P.act_cost <- ctx.st.work - work0;
+      let sorted, runs = sort_pairs keys pairs in
       if Obs.Span.tracing () then begin
         let spills = ctx.st.spill_passes - spill0 in
         Obs.Span.add_list
           [
-            Obs.Attr.int "rows" (List.length pairs);
+            Obs.Attr.int "rows" rows;
             Obs.Attr.int "bytes" bytes;
+            Obs.Attr.int "runs" runs;
             Obs.Attr.int "spill_passes" spills;
             Obs.Attr.int "work" (ctx.st.work - work0);
           ];
@@ -383,16 +452,13 @@ let exec_sort ctx (n : P.node) keys (pairs : (int * Tuple.t) list) :
           Obs.Event.warn "exec.spill"
             ~attrs:
               [
-                Obs.Attr.int "rows" (List.length pairs);
+                Obs.Attr.int "rows" rows;
                 Obs.Attr.int "bytes" bytes;
                 Obs.Attr.int "passes" spills;
               ]
         end
       end;
-      let decorated =
-        List.map (fun (b, t) -> (Array.map (fun f -> f t) key_fns, (b, t))) pairs
-      in
-      List.map snd (List.stable_sort cmp decorated))
+      sorted)
 
 (* --- the interpreter --------------------------------------------------- *)
 
@@ -484,10 +550,15 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
     | P.Derived { input; _ } -> exec_batched ctx input
     | P.Sort { input; keys; _ } ->
         let inb = exec_batched ctx input in
-        let pairs = List.concat_map Batch.to_pairs inb in
-        let sorted = exec_sort ctx n keys pairs in
+        let pairs = Array.make (batch_rows inb) (0, [||]) in
+        let i = ref 0 in
+        List.iter
+          (Batch.iter (fun row bytes ->
+               pairs.(!i) <- (bytes, row);
+               incr i))
+          inb;
         let bb = bb_create () in
-        List.iter (fun (b, t) -> bb_push bb b t) sorted;
+        Array.iter (fun (b, t) -> bb_push bb b t) (exec_sort ctx n keys pairs);
         bb_finish bb
   in
   n.P.act_rows <- batch_rows batches;

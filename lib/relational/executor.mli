@@ -80,6 +80,20 @@ val run_plan_cursor_with_stats :
     {!Relation.t}.  Evaluation (and therefore work accounting) is
     identical. *)
 
+(** {1 Sorting} *)
+
+val sort_pairs :
+  (Expr.resolved * Sql.dir) list ->
+  (int * Tuple.t) array ->
+  (int * Tuple.t) array * int
+(** The ORDER BY sort: [sort_pairs keys pairs] orders [(bytes, row)]
+    pairs on the rows' [keys] under {!Value.compare_total}, reversed for
+    [Desc], keeping equal rows in input order.  It is a natural merge
+    sort: one pass finds the maximal non-descending runs, and adjacent
+    runs are merged bottom-up, so sorted input costs one comparison per
+    row and is returned as it is.  [pairs] may be overwritten.  Returns
+    the sorted pairs and the number of runs found. *)
+
 (** {1 The work meter}
 
     Exported so that a reference interpreter outside the engine charges

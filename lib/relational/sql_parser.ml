@@ -27,7 +27,16 @@ let expect st t =
   if peek st = t then advance st
   else fail st (Printf.sprintf "expected %s" (token_to_string t))
 
-let kw_eq s k = String.uppercase_ascii s = k
+(* [s] spells the upper-case keyword [k] in any case.  Compared in
+   place: the parser tests every identifier against keywords. *)
+let kw_eq s k =
+  let n = String.length k in
+  String.length s = n
+  &&
+  let rec go i = i >= n || (Char.uppercase_ascii s.[i] = k.[i] && go (i + 1)) in
+  go 0
+
+let rec kw_mem s = function [] -> false | k :: ks -> kw_eq s k || kw_mem s ks
 
 let is_kw st k =
   match peek st with IDENT s -> kw_eq s k | _ -> false
@@ -49,7 +58,7 @@ let ident st =
 
 (* Identifiers that cannot start a FROM alias / continue a from item. *)
 let reserved_here s =
-  List.mem (String.uppercase_ascii s)
+  kw_mem s
     [
       "SELECT"; "FROM"; "WHERE"; "ON"; "JOIN"; "LEFT"; "INNER"; "OUTER";
       "UNION"; "ALL"; "ORDER"; "BY"; "AND"; "OR"; "NOT"; "IS"; "NULL";

@@ -239,6 +239,22 @@ let generate cfg : R.Database.t =
     ];
   db
 
+(* Fisher-Yates per table, each on its own labelled sub-stream. *)
+let shuffle seed db =
+  let root = Rng.create seed in
+  List.iter
+    (fun table ->
+      let rng = Rng.split root table in
+      let rows = Array.copy (R.Database.raw_data db table) in
+      for i = Array.length rows - 1 downto 1 do
+        let j = Rng.int rng (i + 1) in
+        let t = rows.(i) in
+        rows.(i) <- rows.(j);
+        rows.(j) <- t
+      done;
+      R.Database.load db table (Array.to_list rows))
+    (R.Database.table_names db)
+
 (* A tiny fixed instance mirroring the paper's Fig. 8 fragment, for unit
    tests and documentation examples. *)
 let figure8_database () =

@@ -31,6 +31,12 @@ val generate : config -> Relational.Database.t
 (** Deterministic: equal configs produce identical instances, with
     referential integrity (checked by the test suite). *)
 
+val shuffle : int64 -> Relational.Database.t -> unit
+(** [shuffle seed db] permutes the rows of every table of [db] in place,
+    deterministically for [seed].  The contents stay the same, but no
+    key order survives, so the engine's sorts meet out-of-order input
+    instead of the generator's key order. *)
+
 val figure8_database : unit -> Relational.Database.t
 (** The tiny fixed instance of the paper's Fig. 8, for unit tests and
     documentation examples. *)

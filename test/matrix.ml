@@ -89,6 +89,14 @@ let tpch scale =
   database (Printf.sprintf "tpch %g" scale) (fun () ->
       Tpch.Gen.generate (Tpch.Gen.config scale))
 
+(* The same rows in shuffled order: sorts merge runs instead of finding
+   their input already in key order. *)
+let tpch_shuffled scale =
+  database (Printf.sprintf "tpch %g shuffled" scale) (fun () ->
+      let db = Tpch.Gen.generate (Tpch.Gen.config scale) in
+      Tpch.Gen.shuffle 7L db;
+      db)
+
 let figure8 = database "figure8" Tpch.Gen.figure8_database
 let empty = database "empty" Tpch.Gen.empty_database
 

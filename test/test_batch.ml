@@ -55,8 +55,10 @@ let test_keep () =
     (List.rev !seen = [ v 1; v 2; v 4; v 5; v 6 ]);
   Alcotest.(check bool) "to_list in order" true
     (R.Batch.to_list b = [ row 1 1 1; row 2 2 2; row 4 4 4 ]);
-  Alcotest.(check bool) "to_pairs carries bytes" true
-    (R.Batch.to_pairs b = [ (1, row 1 1 1); (2, row 2 2 2); (4, row 4 4 4) ]);
+  let pairs = ref [] in
+  R.Batch.iter (fun t bytes -> pairs := (bytes, t) :: !pairs) b;
+  Alcotest.(check bool) "iter carries bytes" true
+    (List.rev !pairs = [ (1, row 1 1 1); (2, row 2 2 2); (4, row 4 4 4) ]);
   Alcotest.check_raises "push after keep"
     (Invalid_argument "Batch.push: batch has a selection vector") (fun () ->
       R.Batch.push b (row 0 0 0))

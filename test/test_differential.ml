@@ -3,8 +3,10 @@
    under injected faults, must produce XML byte-identical to the same
    plan run through the seed AST interpreter and tagged directly — and
    must never charge more work than the seed did.  Then the empty
-   database through every plan and execution mode. *)
+   database through every plan and execution mode, and shuffled rows
+   through three plans of q1 and q2. *)
 
+open Silkroute
 open Matrix
 
 let test_all_plans_both_styles () =
@@ -22,6 +24,18 @@ let test_empty_database view () =
   let modes = runs ~spool:[ false; true ] ~pool:[ 1; 4 ] ~faults () in
   check [ slice view empty ~modes ]
 
+(* Shuffled base rows reach the sort's merge path, which generator
+   order almost never does. *)
+let test_shuffled_rows view () =
+  let db = tpch_shuffled 0.1 in
+  let p = (truth view db).p in
+  let masks =
+    List.map
+      (fun s -> Partition.to_mask (Middleware.partition_of p s))
+      Middleware.[ Unified; Fully_partitioned; Greedy Planner.default_params ]
+  in
+  check [ slice view db ~masks:(only masks) ~modes:[ heap; spooled ] ]
+
 let suite =
   [
     Alcotest.test_case "all plans, both styles, mat + streaming = legacy"
@@ -34,4 +48,8 @@ let suite =
       (test_empty_database q2);
     Alcotest.test_case "empty database: fragment, all plans x modes" `Quick
       (test_empty_database fragment);
+    Alcotest.test_case "shuffled rows: q1, unified/fully/greedy x heap, spool"
+      `Quick (test_shuffled_rows q1);
+    Alcotest.test_case "shuffled rows: q2, unified/fully/greedy x heap, spool"
+      `Quick (test_shuffled_rows q2);
   ]

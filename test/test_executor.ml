@@ -417,4 +417,103 @@ let prop_join_vs_nested_loop =
       Relation.equal_bag r
         (Relation.create [| "x"; "y"; "u"; "v" |] expected))
 
-let props = [ prop_join_vs_nested_loop ]
+(* Property: the ORDER BY sort equals List.stable_sort on key-decorated
+   pairs — the order of equal keys included, since each pair's bytes are
+   its input position — and counts the input's non-descending runs. *)
+let prop_sort_vs_stable_sort =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [
+        (1, return Value.Null);
+        (4, map i (int_range 0 4));
+        (2, map (fun n -> Value.Float (float_of_int n /. 2.0)) (int_range 0 8));
+      ]
+  in
+  let key =
+    pair
+      (frequency
+         [
+           (4, map (fun c -> Expr.R_col c) (int_bound 2));
+           (1, return Expr.(R_arith (Add, R_col 0, R_col 1)));
+         ])
+      (oneofl [ Sql.Asc; Sql.Desc ])
+  in
+  let shape =
+    oneof
+      [
+        oneofl [ `Random; `Sorted; `Reversed ];
+        map (fun k -> `Runs k) (int_range 2 6);
+      ]
+  in
+  let gen =
+    triple
+      (list_size (int_range 1 3) key)
+      shape
+      (list_size (int_bound 300) (array_repeat 3 value))
+  in
+  let print (keys, shape, rows) =
+    let key (r, dir) =
+      (match r with Expr.R_col c -> Printf.sprintf "#%d" c | _ -> "#0+#1")
+      ^ if dir = Sql.Desc then " DESC" else ""
+    in
+    let row t = String.concat "," (Array.to_list (Array.map Value.to_sql t)) in
+    Printf.sprintf "keys %s, %s, rows [%s]"
+      (String.concat ", " (List.map key keys))
+      (match shape with
+      | `Random -> "random"
+      | `Sorted -> "sorted"
+      | `Reversed -> "reversed"
+      | `Runs k -> Printf.sprintf "%d runs" k)
+      (String.concat "; " (List.map row rows))
+  in
+  QCheck.Test.make ~name:"sort = List.stable_sort on decorated pairs"
+    ~count:500 (QCheck.make ~print gen) (fun (keys, shape, rows) ->
+      let fns = List.map (fun (r, dir) -> (Expr.compile r, dir)) keys in
+      let decorate t = List.map (fun (f, _) -> f t) fns in
+      let rec cmp_keys dirs a b =
+        match (dirs, a, b) with
+        | (_, dir) :: dirs, x :: a, y :: b ->
+            let c = Value.compare_total x y in
+            let c = if dir = Sql.Desc then -c else c in
+            if c <> 0 then c else cmp_keys dirs a b
+        | _ -> 0
+      in
+      let cmp_rows a b = cmp_keys keys (decorate a) (decorate b) in
+      let stable_sort pairs =
+        List.map (fun (t, p) -> (decorate t, p)) pairs
+        |> List.stable_sort (fun (a, _) (b, _) -> cmp_keys keys a b)
+        |> List.map snd
+      in
+      let sort_rows l = stable_sort (List.map (fun t -> (t, t)) l) in
+      let rec chunks k l =
+        if k <= 1 then [ l ]
+        else
+          let n = List.length l / k in
+          List.filteri (fun j _ -> j < n) l
+          :: chunks (k - 1) (List.filteri (fun j _ -> j >= n) l)
+      in
+      let rows =
+        match shape with
+        | `Random -> rows
+        | `Sorted -> sort_rows rows
+        | `Reversed -> List.rev (sort_rows rows)
+        | `Runs k -> List.concat_map sort_rows (chunks k rows)
+      in
+      let pairs = List.mapi (fun j t -> (j, t)) rows in
+      let expected = stable_sort (List.map (fun ((_, t) as p) -> (t, p)) pairs) in
+      let runs =
+        match rows with
+        | [] -> 0
+        | first :: rest ->
+            fst
+              (List.fold_left
+                 (fun (n, prev) t -> ((if cmp_rows prev t > 0 then n + 1 else n), t))
+                 (1, first) rest)
+      in
+      let got, got_runs = Executor.sort_pairs keys (Array.of_list pairs) in
+      Array.to_list got = expected
+      && got_runs = runs
+      && (shape <> `Sorted || runs <= 1))
+
+let props = [ prop_join_vs_nested_loop; prop_sort_vs_stable_sort ]

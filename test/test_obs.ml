@@ -281,7 +281,16 @@ let test_middleware_stage_spans () =
         ];
       (* executor operator spans appear under execute.stream *)
       Alcotest.(check bool) "operator spans" true
-        (find_spans "exec.scan" <> [] && find_spans "exec.sort" <> []))
+        (find_spans "exec.scan" <> [] && find_spans "exec.sort" <> []);
+      (* a sort of n > 0 rows finds between 1 and n ascending runs *)
+      List.iter
+        (fun s ->
+          match (attr_exn s "rows", attr_exn s "runs") with
+          | Obs.Attr.Int rows, Obs.Attr.Int runs ->
+              Alcotest.(check bool) "1 <= runs <= rows" true
+                (if rows = 0 then runs = 0 else 1 <= runs && runs <= rows)
+          | _ -> Alcotest.fail "exec.sort: rows/runs not ints")
+        (find_spans "exec.sort"))
 
 let test_per_stream_stats () =
   let _, p = setup Queries.query1_text in

@@ -107,9 +107,27 @@ let test_parser_literals () =
 let test_parser_case_insensitive_keywords () =
   let q = Sql_parser.parse "select x as x from T as t where (t.x >= 3) order by x desc" in
   Alcotest.(check int) "order by" 1 (List.length q.Sql.order_by);
-  match q.Sql.order_by with
+  (match q.Sql.order_by with
   | [ (_, Sql.Desc) ] -> ()
-  | _ -> Alcotest.fail "expected DESC"
+  | _ -> Alcotest.fail "expected DESC");
+  (* mixed case parses to the same AST as upper case *)
+  let mixed =
+    "sElEcT t.x As x , u.y aS y FrOm T as t LeFt OuTeR jOiN U As u oN ( t.x = \
+     u.y ) wHeRe ( ( t.x iS nOt NuLl ) AnD ( NoT ( u.y Is nUlL ) oR tRuE ) ) \
+     UnIoN aLl select 1 AS x , nULL AS y From T AS t oRdEr bY x DeSc , y aSc"
+  in
+  let keywords =
+    [ "SELECT"; "AS"; "FROM"; "LEFT"; "OUTER"; "JOIN"; "ON"; "WHERE"; "IS";
+      "NOT"; "NULL"; "AND"; "OR"; "TRUE"; "UNION"; "ALL"; "ORDER"; "BY";
+      "DESC"; "ASC" ]
+  in
+  let upper w =
+    let u = String.uppercase_ascii w in
+    if List.mem u keywords then u else w
+  in
+  let upper = String.concat " " (List.map upper (String.split_on_char ' ' mixed)) in
+  Alcotest.(check bool) "mixed case = upper case" true
+    (Sql_parser.parse mixed = Sql_parser.parse upper)
 
 let test_parser_errors () =
   let bad = [ "SELECT"; "SELECT x AS x FROM"; "SELECT x AS x FROM T WHERE";
