@@ -11,8 +11,9 @@
      silkroute plan --query q1 --scale 1.0
 
    Observability (lib/obs): --trace prints the span tree of the pipeline
-   (prepare / plan / sqlgen / execute / tag, with durations and work
-   attributes) to stderr, --profile the name-path profile tree plus a
+   (one span per stage of Obs.Stage — rxl_parser, view_tree, planner,
+   sql_gen, sql_print, sql_parser, physical, executor, tagger — with
+   durations and work attributes) to stderr, --profile the name-path profile tree plus a
    top-k hot-operator table with p50/p90/p99 columns, --metrics the
    metrics registry, and --trace-json FILE writes spans + profile +
    metrics as JSON Lines for diffing runs:
@@ -270,15 +271,6 @@ let apply_skew (p : S.Middleware.prepared) specs =
       specs
   end
 
-let parse_strategy s =
-  match String.lowercase_ascii s with
-  | "unified" -> S.Middleware.Unified
-  | "partitioned" | "fully-partitioned" -> S.Middleware.Fully_partitioned
-  | "greedy" -> S.Middleware.Greedy S.Planner.default_params
-  | s when String.length s > 6 && String.sub s 0 6 = "edges:" ->
-      S.Middleware.Edges (int_of_string (String.sub s 6 (String.length s - 6)))
-  | s -> invalid_arg ("unknown strategy: " ^ s)
-
 let setup_db scale seed schema data =
   match schema with
     | None ->
@@ -322,7 +314,9 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
   if parallel < 1 then invalid_arg "--parallel must be >= 1";
   let db, p = setup query view_file scale seed schema data in
   apply_skew p skew;
-  let plan = S.Middleware.partition_of p (parse_strategy strategy) in
+  let plan =
+    S.Middleware.partition_of p (S.Middleware.strategy_of_string strategy)
+  in
   let backend =
     R.Backend.create
       ~faults:(R.Backend.faults ~seed:fault_seed fault_rate)
@@ -367,7 +361,9 @@ let explain_cmd query view_file scale seed schema data strategy no_reduce =
   Printf.printf "view tree:\n%s\n" (S.View_tree.to_string p.S.Middleware.tree);
   Printf.printf "edge labels:\n%s\n\n"
     (S.Label.to_string p.S.Middleware.tree p.S.Middleware.labels);
-  let plan = S.Middleware.partition_of p (parse_strategy strategy) in
+  let plan =
+    S.Middleware.partition_of p (S.Middleware.strategy_of_string strategy)
+  in
   Printf.printf "plan: %s (%d streams)\n\n" (S.Partition.to_string plan)
     (S.Partition.stream_count plan);
   ignore db;
@@ -399,7 +395,9 @@ let diagnose_cmd query view_file scale seed schema data strategy no_reduce
   let db, p = setup query view_file scale seed schema data in
   ignore db;
   apply_skew p skew;
-  let plan = S.Middleware.partition_of p (parse_strategy strategy) in
+  let plan =
+    S.Middleware.partition_of p (S.Middleware.strategy_of_string strategy)
+  in
   let backend = R.Backend.create ~budget p.S.Middleware.db in
   let e = S.Middleware.execute ~reduce:(not no_reduce) ~backend p plan in
   print_string (Obs.Diagnose.report (S.Middleware.diagnose_samples p e))

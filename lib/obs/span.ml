@@ -59,10 +59,10 @@ let next_id = ref 0
 let log : t list ref = ref [] (* every span, reverse start order *)
 
 (* Per-thread state: the stack of open spans, the parenting base a pool
-   installs around a task ([with_context]), the request-scoped base
-   attributes stamped onto every span and event ([with_base_attrs] — the
-   server puts the trace id here), and the head-sampling flag
-   ([with_sampling] — a sampled-out request records no spans at all).
+   installs around a task ([with_context]), and the request scope
+   [with_request] installs: the base attributes stamped onto every span
+   and event (the trace id), the head-sampling flag (a sampled-out
+   request records no spans at all) and the request's stage clock.
 
    It lives in a table keyed by [Thread.id] (unique across domains),
    under [locals_mutex]; only the owning thread touches an entry's
@@ -74,6 +74,7 @@ type local = {
   mutable base : (int * int) option;
   mutable base_attrs : Attr.t;
   mutable sampled : bool;
+  mutable clock : Stage.clock option;
   mutable scopes : int;
 }
 
@@ -87,8 +88,8 @@ let find () =
   Mutex.protect locals_mutex (fun () -> Hashtbl.find_opt locals id)
 
 (* Runs [f] on the calling thread's state, creating it if needed.  On
-   exit the base, base attributes and sampling flag are restored, and
-   the outermost scope drops the entry. *)
+   exit the base, base attributes, sampling flag and clock are restored,
+   and the outermost scope drops the entry. *)
 let scoped f =
   let id = self () in
   let l =
@@ -99,18 +100,26 @@ let scoped f =
             l
         | None ->
             let l =
-              { stack = []; base = None; base_attrs = []; sampled = true;
-                scopes = 1 }
+              {
+                stack = [];
+                base = None;
+                base_attrs = [];
+                sampled = true;
+                clock = None;
+                scopes = 1;
+              }
             in
             Hashtbl.replace locals id l;
             l)
   in
   let base = l.base and base_attrs = l.base_attrs and sampled = l.sampled in
+  let clock = l.clock in
   Fun.protect
     ~finally:(fun () ->
       l.base <- base;
       l.base_attrs <- base_attrs;
       l.sampled <- sampled;
+      l.clock <- clock;
       Mutex.protect locals_mutex (fun () ->
           l.scopes <- l.scopes - 1;
           if l.scopes = 0 then Hashtbl.remove locals id))
@@ -123,28 +132,27 @@ let sampled () = match find () with Some l -> l.sampled | None -> true
 let top () =
   match find () with Some { stack = s :: _; _ } -> Some s | _ -> None
 
-let with_base_attrs attrs f =
+let with_request ~trace_id ~sampled clock f =
   scoped (fun l ->
-      l.base_attrs <- l.base_attrs @ attrs;
-      f ())
-
-let with_sampling b f =
-  scoped (fun l ->
-      l.sampled <- b;
+      l.base_attrs <- l.base_attrs @ [ Attr.string "trace_id" trace_id ];
+      l.sampled <- sampled;
+      l.clock <- Some clock;
       f ())
 
 (* A context carries everything a worker thread must inherit to keep a
    request's telemetry coherent across the submit boundary: the adopting
-   span (id, depth), the request's base attributes (trace id), and its
-   sampling decision. *)
+   span (id, depth), the request's base attributes (trace id), its
+   sampling decision and its stage clock. *)
 type context = {
   c_parent : (int * int) option;
   c_attrs : Attr.t;
   c_sampled : bool;
+  c_clock : Stage.clock option;
 }
 
 (* The position of a thread outside every scope. *)
-let no_context = { c_parent = None; c_attrs = []; c_sampled = true }
+let no_context =
+  { c_parent = None; c_attrs = []; c_sampled = true; c_clock = None }
 
 let context () =
   match find () with
@@ -153,13 +161,19 @@ let context () =
       let parent =
         match l.stack with s :: _ -> Some (s.id, s.depth) | [] -> l.base
       in
-      { c_parent = parent; c_attrs = l.base_attrs; c_sampled = l.sampled }
+      {
+        c_parent = parent;
+        c_attrs = l.base_attrs;
+        c_sampled = l.sampled;
+        c_clock = l.clock;
+      }
 
 let with_context ctx f =
   scoped (fun l ->
       l.base <- ctx.c_parent;
       l.base_attrs <- ctx.c_attrs;
       l.sampled <- ctx.c_sampled;
+      l.clock <- ctx.c_clock;
       f ())
 
 let tracing = Control.is_enabled
@@ -173,7 +187,8 @@ let reset () =
       l.stack <- [];
       l.base <- None;
       l.base_attrs <- [];
-      l.sampled <- true
+      l.sampled <- true;
+      l.clock <- None
   | None -> ()
 
 let spans () = List.rev (Mutex.protect log_mutex (fun () -> !log))
@@ -260,3 +275,16 @@ let with_span ?(attrs = []) name f =
     in
     l.stack <- s :: l.stack;
     Fun.protect ~finally:(fun () -> finish l s) f
+
+(* A stage boundary: a span named after the stage, plus — when a request
+   scope installed a clock — the stage's monotonic delta, added whether
+   or not the request is sampled. *)
+let with_stage stage f =
+  match find () with
+  | Some { clock = Some clock; _ } ->
+      let t0 = Clock.now_ns () in
+      Fun.protect
+        ~finally:(fun () ->
+          Stage.add clock stage (Int64.to_int (Int64.sub (Clock.now_ns ()) t0)))
+        (fun () -> with_span (Stage.name stage) f)
+  | _ -> with_span (Stage.name stage) f

@@ -4,10 +4,10 @@
     ["span.ms.<name>"] histogram.
 
     Thread and domain safety: the stack of open spans, the parenting
-    base, the base attributes and the sampling flag are per-thread
-    (keyed by [Thread.id], held only while the thread is inside a scoped
-    call), so concurrent server sessions — threads of one domain — keep
-    separate span trees.  Span ids and the log are shared under a mutex,
+    base and the request scope (base attributes, sampling flag, stage
+    clock) are per-thread (keyed by [Thread.id], held only while the
+    thread is inside a scoped call), so concurrent server sessions —
+    threads of one domain — keep separate span trees.  Span ids and the log are shared under a mutex,
     with the clock sampled inside the append critical section so the log
     stays in global start order across threads and domains.
     {!context}/{!with_context} carry the parenting span across a thread
@@ -34,44 +34,46 @@ val with_span : ?attrs:Attr.t -> string -> (unit -> 'a) -> 'a
 (** Runs [f] inside a span named [name].  When observability is off this
     is just [f ()]. *)
 
+val with_request :
+  trace_id:string -> sampled:bool -> Stage.clock -> (unit -> 'a) -> 'a
+(** The request scope, for the extent of [f]: appends [trace_id] to
+    the calling thread's base attributes (every span, and
+    via {!Event} every event, opened inside carries it first), sets the
+    head-sampling decision (with [sampled = false], {!with_span} runs
+    its thunk directly and records nothing, while metrics and events
+    still flow), and installs [clock] for {!with_stage}.  Nesting
+    restores the outer scope on exit. *)
+
+val with_stage : Stage.t -> (unit -> 'a) -> 'a
+(** A stage boundary: runs [f] in a span named {!Stage.name}, and adds
+    the boundary's monotonic duration to the clock the enclosing
+    {!with_request} installed — sampled or not.  Boundaries must not
+    nest, so the stages of one request sum to at most its wall time
+    when its stages run sequentially. *)
+
 type context
 (** The telemetry position at some point in some thread's dynamic
     extent: the parenting span (spans opened under {!with_context}
     become children of the span that was innermost when {!context} was
-    called), plus the request-scoped base attributes and sampling
-    decision, so a request's trace id and head-sampling choice follow
-    its work across the pool's submit boundary. *)
+    called), plus the request scope — base attributes, sampling
+    decision and stage clock — so a request's trace id, head-sampling
+    choice and stage times follow its work across the pool's submit
+    boundary. *)
 
 val context : unit -> context
 (** The current position — the innermost open span of the calling
     thread (or its installed base when its stack is empty), together
-    with the thread's current {!base_attrs} and {!sampled} state. *)
+    with the thread's request scope. *)
 
 val with_context : context -> (unit -> 'a) -> 'a
 (** Runs [f] with [ctx] installed as the calling thread's parenting
-    base, base attributes and sampling flag, restoring the previous
-    state afterwards.  Used by pool workers so a task's spans land
-    under the span that submitted it and carry its trace id. *)
-
-val with_base_attrs : Attr.t -> (unit -> 'a) -> 'a
-(** Appends [attrs] to the calling thread's base attributes for the
-    extent of [f]: every span opened inside (and, via {!Event}, every
-    event emitted inside) carries them first.  The server wraps each
-    protocol request in [with_base_attrs [trace_id ...]] — this is the
-    trace-id propagation mechanism. *)
+    base and request scope, restoring the previous state afterwards.
+    Used by pool workers so a task's spans land under the span that
+    submitted it, carry its trace id and feed its stage clock. *)
 
 val base_attrs : unit -> Attr.t
 (** The calling thread's current base attributes ([[]] outside any
-    {!with_base_attrs}). *)
-
-val with_sampling : bool -> (unit -> 'a) -> 'a
-(** Sets the head-sampling decision for the extent of [f]: with
-    [false], {!with_span} runs its thunk directly and records nothing —
-    a sampled-out request produces zero spans while metrics and events
-    still flow.  Nesting restores the outer decision on exit. *)
-
-val sampled : unit -> bool
-(** The calling thread's current sampling decision (default [true]). *)
+    {!with_request}). *)
 
 val tracing : unit -> bool
 (** Alias for {!Control.is_enabled}: guard attribute computation at the
@@ -101,8 +103,9 @@ val find_attr : t -> string -> Attr.value option
 
 val prune : (t -> bool) -> unit
 (** Drops {e finished} spans matching the predicate from the log (open
-    spans always survive).  The server prunes each request's spans after
-    extracting its profile so a long-running process stays bounded. *)
+    spans always survive).  A server that does not retain spans prunes
+    each request's spans once it has answered, so a long-running process
+    stays bounded. *)
 
 val reset : unit -> unit
 

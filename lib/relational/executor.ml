@@ -581,28 +581,22 @@ and exec_join_batched ctx (n : P.node) (info : P.join_info) left right :
 
 (* --- entry points ------------------------------------------------------ *)
 
-let query_span_attrs ctx rows =
-  if Obs.Span.tracing () then
-    Obs.Span.add_list
-      [
-        Obs.Attr.int "rows" rows;
-        Obs.Attr.int "scanned" ctx.st.scanned;
-        Obs.Attr.int "probed" ctx.st.probed;
-        Obs.Attr.int "emitted" ctx.st.emitted;
-        Obs.Attr.int "sorted" ctx.st.sorted;
-        Obs.Attr.int "spill_passes" ctx.st.spill_passes;
-        Obs.Attr.int "work" ctx.st.work;
-      ]
+let stats_attrs st =
+  [
+    Obs.Attr.int "scanned" st.scanned;
+    Obs.Attr.int "probed" st.probed;
+    Obs.Attr.int "emitted" st.emitted;
+    Obs.Attr.int "sorted" st.sorted;
+    Obs.Attr.int "spill_passes" st.spill_passes;
+    Obs.Attr.int "work" st.work;
+  ]
 
-(* Run [plan ()] — planning inside the query span — and package the
-   output chunks with [finish]. *)
+(* Run [plan ()] and package the output chunks with [finish]. *)
 let exec_query ~budget ~profile db plan ~finish =
-  Obs.Span.with_span "exec.query" (fun () ->
-      let plan = plan () in
-      let ctx = { db; st = new_stats (); budget; profile } in
-      let batches = exec_batched ctx plan.P.root in
-      query_span_attrs ctx (batch_rows batches);
-      (finish plan.P.cols batches, ctx.st))
+  let plan = plan () in
+  let ctx = { db; st = new_stats (); budget; profile } in
+  let batches = exec_batched ctx plan.P.root in
+  (finish plan.P.cols batches, ctx.st)
 
 let relation_of_batches cols batches =
   Relation.create cols (List.concat_map Batch.to_list batches)

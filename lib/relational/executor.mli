@@ -34,6 +34,10 @@ type stats = {
 
 val new_stats : unit -> stats
 
+val stats_attrs : stats -> Obs.Attr.t
+(** The counters as span attributes — what the middleware's [executor]
+    stage span carries. *)
+
 (** Cost profile of the simulated server: rows are charged by wire width
     and sorts larger than [sort_buffer] bytes pay external merge passes —
     the two effects the paper blames for the unified plans' slowness

@@ -9,14 +9,16 @@
    tiers hit, the admission outcome and the engine work spent; admission
    queueing/rejection and cache evictions emit events.
 
-   Telemetry: every query gets a trace id (a per-service atomic
-   sequence) installed as a span base attribute, so all spans and events
-   the request produces — including those from pool worker domains,
-   which inherit the base attrs through Span.context — carry it.  Head
-   sampling ([trace_sample]) decides per request whether spans are
-   recorded at all; metrics, events, the SLO account and the slow-query
-   log are NOT sampled.  Requests slower than [slow_ms] append a
-   structured JSONL record through the bounded non-blocking Slowlog.
+   Telemetry: every query runs in one request scope (Span.with_request)
+   carrying a trace id (a per-service atomic sequence), a head-sampling
+   decision ([trace_sample]) and a fresh stage clock.  All spans and
+   events the request produces — including those from pool worker
+   domains, which inherit the scope through Span.context — carry the
+   trace id, and every stage boundary adds to the clock.  Sampling gates
+   spans only; metrics, events, the stage clock, the SLO account and the
+   slow-query log are NOT sampled.  Requests slower than [slow_ms]
+   append a structured JSONL record, with one entry per stage, through
+   the bounded non-blocking Slowlog.
 
    Locking: each LRU tier has its own mutex (see Lru); [plan_m]
    serializes plan-tier misses so concurrent sessions cannot duplicate
@@ -81,13 +83,9 @@ let admission_decision c ~est_cost ~in_flight ~waiting =
     else Queue
 
 (* Plan-tier entry: everything planning produced that later requests can
-   reuse — the chosen point of the 2^|E| lattice, the greedy lattice
-   result (for reporting) and the admission estimate. *)
-type plan_entry = {
-  pe_mask : int;
-  pe_planner : S.Planner.result option;
-  pe_est_cost : float;
-}
+   reuse — the chosen point of the 2^|E| lattice and the admission
+   estimate. *)
+type plan_entry = { pe_mask : int; pe_est_cost : float }
 
 (* Result-tier entry: exactly the bytes the uncached path produced. *)
 type result_entry = { rx_xml : string; rx_work : int }
@@ -193,25 +191,6 @@ let slo t = t.slo
 let uptime_s t =
   Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t.started_ns) /. 1e9
 
-(* --- strategies --------------------------------------------------------- *)
-
-let strategy_of_string s =
-  match String.lowercase_ascii s with
-  | "unified" -> S.Middleware.Unified
-  | "partitioned" | "fully-partitioned" -> S.Middleware.Fully_partitioned
-  | "greedy" -> S.Middleware.Greedy S.Planner.default_params
-  | s when String.length s > 6 && String.sub s 0 6 = "edges:" -> (
-      match int_of_string_opt (String.sub s 6 (String.length s - 6)) with
-      | Some mask when mask >= 0 -> S.Middleware.Edges mask
-      | _ -> invalid_arg ("Server: bad edge mask in strategy: " ^ s))
-  | s -> invalid_arg ("Server: unknown strategy: " ^ s)
-
-let strategy_key = function
-  | S.Middleware.Unified -> "unified"
-  | S.Middleware.Fully_partitioned -> "partitioned"
-  | S.Middleware.Edges mask -> "edges:" ^ string_of_int mask
-  | S.Middleware.Greedy _ -> "greedy"
-
 (* --- cache tiers -------------------------------------------------------- *)
 
 let tier_metric tier hit =
@@ -263,9 +242,11 @@ let estimate_cost t (p : S.Middleware.prepared) partition ~reduce =
     0.0 streams
 
 (* Plan tier: compute misses under [plan_m] so concurrent sessions
-   asking for the same (view, strategy, epoch) plan it once. *)
+   asking for the same (view, strategy, epoch) plan it once.  A miss is
+   the [planner] stage: choosing the partition ([Middleware.partition_of]
+   is a stage of its own), then the admission estimate. *)
 let plan_of t (p : S.Middleware.prepared) ~digest ~strategy ~reduce ~epoch =
-  let skey = strategy_key strategy in
+  let skey = S.Middleware.strategy_name strategy in
   let key = plan_key ~digest ~skey ~reduce ~epoch in
   match Lru.find t.plans key with
   | Some pe ->
@@ -281,22 +262,22 @@ let plan_of t (p : S.Middleware.prepared) ~digest ~strategy ~reduce ~epoch =
           match Lru.peek t.plans key with
           | Some pe -> (pe, true)
           | None ->
-              let tree = p.S.Middleware.tree in
-              let planner, partition =
+              let partition =
                 match strategy with
                 | S.Middleware.Greedy params ->
-                    let r =
-                      S.Planner.gen_plan ~reduce t.db t.oracle tree
-                        p.S.Middleware.labels params
-                    in
-                    (Some r, S.Planner.best_plan tree r)
-                | other -> (None, S.Middleware.partition_of p other)
+                    Obs.Span.with_stage Obs.Stage.Planner (fun () ->
+                        let tree = p.S.Middleware.tree in
+                        S.Planner.best_plan tree
+                          (S.Planner.gen_plan ~reduce t.db t.oracle tree
+                             p.S.Middleware.labels params))
+                | other -> S.Middleware.partition_of p other
               in
               let pe =
                 {
                   pe_mask = S.Partition.to_mask partition;
-                  pe_planner = planner;
-                  pe_est_cost = estimate_cost t p partition ~reduce;
+                  pe_est_cost =
+                    Obs.Span.with_stage Obs.Stage.Planner (fun () ->
+                        estimate_cost t p partition ~reduce);
                 }
               in
               Lru.add t.plans key pe;
@@ -347,11 +328,11 @@ let execute_on_pool t (p : S.Middleware.prepared) partition ~reduce =
 let query_body t ~view ~strategy ~reduce =
   Obs.Span.with_span "server.request" (fun () ->
       try
-        let strat = strategy_of_string strategy in
+        let strat = S.Middleware.strategy_of_string strategy in
         if Obs.Span.tracing () then
           Obs.Span.add_list
             [
-              Obs.Attr.string "strategy" (strategy_key strat);
+              Obs.Attr.string "strategy" (S.Middleware.strategy_name strat);
               Obs.Attr.bool "reduce" reduce;
             ];
         let p, statement_hit = statement_of t view in
@@ -453,7 +434,7 @@ let query_body t ~view ~strategy ~reduce =
 
 (* Head sampling: the shared sequence both names the trace and decides
    (1-in-N) whether its spans are recorded.  Sampled-out requests still
-   produce metrics, events and SLO samples. *)
+   produce metrics, events, SLO samples and stage times. *)
 let next_trace t =
   let seq = Atomic.fetch_and_add t.trace_seq 1 in
   let sampled =
@@ -463,31 +444,6 @@ let next_trace t =
     | n -> seq mod n = 0
   in
   (Printf.sprintf "t%06d" seq, sampled)
-
-let span_of_trace trace_id s =
-  match Obs.Span.find_attr s "trace_id" with
-  | Some (Obs.Attr.String id) -> id = trace_id
-  | _ -> false
-
-(* The per-stage profile of one request: its spans (matched by trace id,
-   so pool-domain spans are included) aggregated by name-path. *)
-let stages_of_trace trace_id =
-  let spans = List.filter (span_of_trace trace_id) (Obs.Span.spans ()) in
-  let prof = Obs.Profile.of_spans spans in
-  let out = ref [] in
-  Obs.Profile.iter
-    (fun path node ->
-      out :=
-        Obs.Json.Obj
-          [
-            ("name", Obs.Json.String (String.concat "/" path));
-            ("calls", Obs.Json.Int node.Obs.Profile.calls);
-            ("total_ms", Obs.Json.Float node.Obs.Profile.total_ms);
-            ("self_ms", Obs.Json.Float node.Obs.Profile.self_ms);
-          ]
-        :: !out)
-    prof;
-  List.rev !out
 
 let tiers_json = function
   | Protocol.Result { tiers; _ } ->
@@ -499,7 +455,22 @@ let tiers_json = function
         ]
   | _ -> Obs.Json.Null
 
-let slow_record t ~trace_id ~view ~strategy ~reduce ~ms ~gc0 ~gc1 reply =
+(* One entry per stage, in stage-list order, from the request's clock. *)
+let stages_json clock =
+  Obs.Json.List
+    (List.map
+       (fun st ->
+         Obs.Json.Obj
+           [
+             ("name", Obs.Json.String (Obs.Stage.name st));
+             ( "ms",
+               Obs.Json.Float
+                 (Obs.Clock.ns_to_ms (Int64.of_int (Obs.Stage.ns clock st))) );
+           ])
+       Obs.Stage.all)
+
+let slow_record t ~trace_id ~view ~strategy ~reduce ~ms ~clock ~gc0 ~gc1 reply
+    =
   let work, bytes =
     match reply with
     | Protocol.Result { work; xml; _ } -> (work, String.length xml)
@@ -531,13 +502,22 @@ let slow_record t ~trace_id ~view ~strategy ~reduce ~ms ~gc0 ~gc1 reply =
             ( "compactions",
               Obs.Json.Int (gc1.Gc.compactions - gc0.Gc.compactions) );
           ] );
-      ("stages", Obs.Json.List (stages_of_trace trace_id));
+      ("stages", stages_json clock);
     ]
 
-(* Post-reply accounting: the request latency metric, the SLO account,
-   the slow-query record and — once the record no longer needs them —
-   pruning the request's spans from the shared log. *)
-let finish_request t ~trace_id ~view ~strategy ~reduce ~ms ~gc0 reply =
+(* Post-reply accounting: the [service] stage (wall time the pipeline
+   stages do not cover), the request latency metric, the SLO account,
+   the slow-query record ([gc0] is [None] when the slow path is off) and
+   — when spans are not retained — pruning the request's spans from the
+   shared log. *)
+let finish_request t ~trace_id ~sampled ~view ~strategy ~reduce ~wall_ns
+    ~clock ~gc0 reply =
+  let pipeline_ns =
+    List.fold_left (fun acc st -> acc + Obs.Stage.ns clock st) 0
+      Obs.Stage.pipeline
+  in
+  Obs.Stage.add clock Obs.Stage.Service (max 0 (wall_ns - pipeline_ns));
+  let ms = Obs.Clock.ns_to_ms (Int64.of_int wall_ns) in
   if Obs.Span.tracing () then
     Obs.Metrics.observe ~bounds:Obs.Metrics.duration_bounds "server.request.ms"
       ms;
@@ -552,49 +532,47 @@ let finish_request t ~trace_id ~view ~strategy ~reduce ~ms ~gc0 reply =
         ~now_ms:(Obs.Clock.ns_to_ms (Obs.Clock.now_ns ()))
         ms
   | None -> ());
-  if t.cfg.slow_ms > 0.0 && ms >= t.cfg.slow_ms then begin
-    bump (fun c -> { c with slow = c.slow + 1 }) t;
-    let gc1 = Gc.quick_stat () in
-    let record =
-      slow_record t ~trace_id ~view ~strategy ~reduce ~ms ~gc0 ~gc1 reply
-    in
-    (match t.slowlog with
-    | Some log -> ignore (Slowlog.write log record)
-    | None -> ());
-    Obs.Event.warn "server.slow_query"
-      ~attrs:
-        [
-          Obs.Attr.float "ms" ms;
-          Obs.Attr.float "threshold_ms" t.cfg.slow_ms;
-          Obs.Attr.string "reply" (Protocol.reply_name reply);
-        ]
-  end;
-  if not t.cfg.retain_spans then Obs.Span.prune (span_of_trace trace_id)
+  (match gc0 with
+  | Some gc0 when ms >= t.cfg.slow_ms ->
+      bump (fun c -> { c with slow = c.slow + 1 }) t;
+      let gc1 = Gc.quick_stat () in
+      let record =
+        slow_record t ~trace_id ~view ~strategy ~reduce ~ms ~clock ~gc0 ~gc1
+          reply
+      in
+      (match t.slowlog with
+      | Some log -> ignore (Slowlog.write log record)
+      | None -> ());
+      Obs.Event.warn "server.slow_query"
+        ~attrs:
+          [
+            Obs.Attr.float "ms" ms;
+            Obs.Attr.float "threshold_ms" t.cfg.slow_ms;
+            Obs.Attr.string "reply" (Protocol.reply_name reply);
+          ]
+  | _ -> ());
+  if sampled && Obs.Span.tracing () && not t.cfg.retain_spans then
+    let id = Obs.Attr.String trace_id in
+    Obs.Span.prune (fun s -> Obs.Span.find_attr s "trace_id" = Some id)
 
 let query t ~view ~strategy ~reduce =
   bump (fun c -> { c with queries = c.queries + 1 }) t;
   if Atomic.get t.closed then Protocol.Failed "server is shut down"
   else begin
     let trace_id, sampled = next_trace t in
-    let want_timing =
-      t.cfg.slow_ms > 0.0 || Option.is_some t.slo || Obs.Control.is_enabled ()
+    let clock = Obs.Stage.clock () in
+    (* [Gc.quick_stat] costs more than the rest of a cached request's
+       telemetry together: read it only when a slow record may need it *)
+    let gc0 = if t.cfg.slow_ms > 0.0 then Some (Gc.quick_stat ()) else None in
+    let t0 = Obs.Clock.now_ns () in
+    let reply =
+      Obs.Span.with_request ~trace_id ~sampled clock (fun () ->
+          query_body t ~view ~strategy ~reduce)
     in
-    if not want_timing then query_body t ~view ~strategy ~reduce
-    else begin
-      let gc0 = if t.cfg.slow_ms > 0.0 then Some (Gc.quick_stat ()) else None in
-      let t0 = Obs.Clock.now_ns () in
-      let reply =
-        Obs.Span.with_base_attrs
-          [ Obs.Attr.string "trace_id" trace_id ]
-          (fun () ->
-            Obs.Span.with_sampling sampled (fun () ->
-                query_body t ~view ~strategy ~reduce))
-      in
-      let ms = Obs.Clock.ns_to_ms (Int64.sub (Obs.Clock.now_ns ()) t0) in
-      let gc0 = match gc0 with Some g -> g | None -> Gc.quick_stat () in
-      finish_request t ~trace_id ~view ~strategy ~reduce ~ms ~gc0 reply;
-      reply
-    end
+    let wall_ns = Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0) in
+    finish_request t ~trace_id ~sampled ~view ~strategy ~reduce ~wall_ns
+      ~clock ~gc0 reply;
+    reply
   end
 
 (* --- invalidation ------------------------------------------------------- *)

@@ -26,12 +26,14 @@
     is rejected when the queue is full.  Result-cache hits bypass
     admission entirely — that is the point of the cache.
 
-    {b Telemetry}: every query gets a trace id installed as a span base
-    attribute, so all spans and events it produces — including those
-    from pool worker domains — carry it.  [trace_sample] head-samples
-    which requests record spans; metrics, events, SLO accounting and the
-    slow-query log are never sampled.  Queries slower than [slow_ms]
-    append a structured JSONL record through the bounded non-blocking
+    {b Telemetry}: every query runs in one request scope
+    ({!Obs.Span.with_request}) with a trace id, so all spans and events
+    it produces — including those from pool worker domains — carry it,
+    and a stage clock ({!Obs.Stage}) that every stage boundary feeds.
+    [trace_sample] head-samples which requests record spans; metrics,
+    events, stage times, SLO accounting and the slow-query log are never
+    sampled.  Queries slower than [slow_ms] append a structured JSONL
+    record, with one entry per stage, through the bounded non-blocking
     {!Slowlog}.  The [M]/[H] protocol requests serve the Prometheus-style
     exposition ({!render_exposition}) and a one-line health summary.
 
@@ -49,7 +51,7 @@ type config = {
   trace_sample : int;
       (** head sampling: record spans for 1 in N queries.  [1] traces
           every request (the default), [0] none; sampled-out requests
-          still produce metrics, events and SLO samples. *)
+          still produce metrics, events, stage times and SLO samples. *)
   slow_ms : float;
       (** queries slower than this log a slow-query record and count in
           [counters.slow]; [0] disables the slow path entirely. *)
@@ -60,7 +62,8 @@ type config = {
   retain_spans : bool;
       (** keep each request's spans in the shared log after serving it.
           The long-running server sets this [false] so the span log
-          stays bounded; tests keep the default [true] to inspect spans
+          stays bounded (a sampled request's spans are pruned once it
+          has answered); tests keep the default [true] to inspect spans
           after the fact. *)
 }
 
@@ -122,6 +125,7 @@ val counters : t -> counters
 
 val tier_stats : t -> Lru.stats * Lru.stats * Lru.stats
 (** (statement, plan, result). *)
+
 
 val slowlog : t -> Slowlog.t option
 val slo : t -> Obs.Slo.t option

@@ -25,7 +25,7 @@ type prepared = {
 }
 
 let prepare db view =
-  Obs.Span.with_span "middleware.prepare" (fun () ->
+  Obs.Span.with_stage Obs.Stage.View_tree (fun () ->
       let tree = View_tree.of_view db view in
       let labels = Label.label_edges db tree in
       if Obs.Span.tracing () then
@@ -37,7 +37,9 @@ let prepare db view =
           ];
       { db; view; tree; labels; stats = lazy (R.Stats.analyze db) })
 
-let prepare_text db text = prepare db (Rxl_parser.parse text)
+let prepare_text db text =
+  prepare db
+    (Obs.Span.with_stage Obs.Stage.Rxl_parser (fun () -> Rxl_parser.parse text))
 
 type strategy =
   | Unified
@@ -51,8 +53,19 @@ let strategy_name = function
   | Edges mask -> Printf.sprintf "edges:%d" mask
   | Greedy _ -> "greedy"
 
+let strategy_of_string s =
+  match String.lowercase_ascii s with
+  | "unified" -> Unified
+  | "partitioned" | "fully-partitioned" -> Fully_partitioned
+  | "greedy" -> Greedy Planner.default_params
+  | s when String.starts_with ~prefix:"edges:" s -> (
+      match int_of_string_opt (String.sub s 6 (String.length s - 6)) with
+      | Some mask when mask >= 0 -> Edges mask
+      | _ -> invalid_arg ("bad edge mask in strategy: " ^ s))
+  | s -> invalid_arg ("unknown strategy: " ^ s)
+
 let partition_of p strategy =
-  Obs.Span.with_span "middleware.plan" (fun () ->
+  Obs.Span.with_stage Obs.Stage.Planner (fun () ->
       let requests = ref 0 in
       let plan =
         match strategy with
@@ -60,7 +73,7 @@ let partition_of p strategy =
         | Fully_partitioned -> Partition.fully_partitioned p.tree
         | Edges mask -> Partition.of_mask p.tree mask
         | Greedy params ->
-            let oracle = R.Cost.oracle p.db in
+            let oracle = R.Cost.oracle_with_stats p.db (Lazy.force p.stats) in
             let result = Planner.gen_plan p.db oracle p.tree p.labels params in
             requests := result.Planner.requests;
             Log.info (fun m -> m "genPlan: %s" (Planner.to_string p.tree result));
@@ -194,7 +207,17 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
   in
   let transfer = R.Transfer.default in
   let opts = options_of p ~style ~reduce in
-  let streams = Sql_gen.streams p.db p.tree plan opts in
+  let streams =
+    Obs.Span.with_stage Obs.Stage.Sql_gen (fun () ->
+        let streams = Sql_gen.streams p.db p.tree plan opts in
+        if Obs.Span.tracing () then
+          Obs.Span.add_list
+            [
+              Obs.Attr.int "streams" (List.length streams);
+              Obs.Attr.int "work" (List.length streams);
+            ];
+        streams)
+  in
   (* force the stats lazy before fanning out: concurrent Lazy.force is
      a race (RacyLazy) in OCaml 5 *)
   if domains > 1 && Obs.Span.tracing () then ignore (Lazy.force p.stats);
@@ -209,45 +232,63 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
       streams
   in
   let degraded = Atomic.make 0 in
-  (* Run one stream: print its SQL, parse it back as the engine does,
-     plan it, and submit the plan through the backend's retry loop.  If
-     its failure is persistent — retries exhausted, a fatal fault, or a
-     work-budget timeout — and fewer than [max_splits] splits lie above
-     it, split the offending fragment along its view-tree edges (one step
-     down the 2^|E| plan lattice, the paper's own fallback space) and
-     recurse on the finer sub-queries.  Otherwise a timeout escapes as
+  (* Run one stream, one stage per step: print its SQL, parse it back as
+     the engine does, plan it, and submit the plan through the backend's
+     retry loop.  If its failure is persistent — retries exhausted, a
+     fatal fault, or a work-budget timeout — and fewer than [max_splits]
+     splits lie above it, split the offending fragment along its
+     view-tree edges (one step down the 2^|E| plan lattice, the paper's
+     own fallback space) and recurse on the finer sub-queries.  Otherwise a timeout escapes as
      [Plan_timeout] with the payload naming the fragment root, and
      anything else re-raises the backend error. *)
   let rec run_stream ~depth backend i (s : Sql_gen.stream) : stream_exec list
       =
     Obs.Span.with_span "execute.stream" (fun () ->
-        let text = R.Sql_print.to_string s.Sql_gen.query in
+        let text =
+          Obs.Span.with_stage Obs.Stage.Sql_print (fun () ->
+              R.Sql_print.to_string s.Sql_gen.query)
+        in
         let root_name = root_name_of p s in
-        let phys = R.Physical.plan_of p.db (R.Sql_parser.parse text) in
-        if Obs.Span.tracing () then
-          (* fill est_rows/est_cost so the plan.physical spans below carry
-             estimated vs actual figures per operator *)
-          ignore
-            (R.Cost.annotate ~profile:(R.Backend.profile backend)
-               (Lazy.force p.stats) phys);
+        let ast =
+          Obs.Span.with_stage Obs.Stage.Sql_parser (fun () ->
+              R.Sql_parser.parse text)
+        in
+        let phys =
+          Obs.Span.with_stage Obs.Stage.Physical (fun () ->
+              let phys = R.Physical.plan_of p.db ast in
+              if Obs.Span.tracing () then
+                (* fill est_rows/est_cost so the plan.physical spans below
+                   carry estimated vs actual figures per operator *)
+                ignore
+                  (R.Cost.annotate ~profile:(R.Backend.profile backend)
+                     (Lazy.force p.stats) phys);
+              phys)
+        in
         let rows = ref 0 and bytes = ref 0 in
         let transfer_ms = ref transfer.R.Transfer.per_stream_overhead in
         let t0 = now_ms () in
         match
-          R.Backend.execute backend ~label:root_name ~spool
-            ~on_attempt:(fun _attempt ->
-              (* a fresh physical attempt re-delivers from row one: drop
-                 the partial accounting of the failed attempt *)
-              rows := 0;
-              bytes := 0;
-              transfer_ms := transfer.R.Transfer.per_stream_overhead)
-            ~on_row:(fun t ->
-              incr rows;
-              let b = R.Tuple.wire_size t in
-              bytes := !bytes + b;
-              transfer_ms :=
-                !transfer_ms +. R.Transfer.tuple_ms transfer ~bytes:b)
-            phys
+          Obs.Span.with_stage Obs.Stage.Executor (fun () ->
+              let ((_, stats) as result) =
+                R.Backend.execute backend ~label:root_name ~spool
+                  ~on_attempt:(fun _attempt ->
+                    (* a fresh physical attempt re-delivers from row one:
+                       drop the partial accounting of the failed attempt *)
+                    rows := 0;
+                    bytes := 0;
+                    transfer_ms := transfer.R.Transfer.per_stream_overhead)
+                  ~on_row:(fun t ->
+                    incr rows;
+                    let b = R.Tuple.wire_size t in
+                    bytes := !bytes + b;
+                    transfer_ms :=
+                      !transfer_ms +. R.Transfer.tuple_ms transfer ~bytes:b)
+                  phys
+              in
+              if Obs.Span.tracing () then
+                Obs.Span.add_list
+                  (Obs.Attr.int "rows" !rows :: R.Executor.stats_attrs stats);
+              result)
         with
         | cursor, stats ->
             let wall_ms = now_ms () -. t0 in
@@ -325,7 +366,9 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
                      (fun frag ->
                        sub :=
                          run_stream ~depth:(depth + 1) backend i
-                           (Sql_gen.stream_of_fragment p.db p.tree opts frag)
+                           (Obs.Span.with_stage Obs.Stage.Sql_gen (fun () ->
+                                Sql_gen.stream_of_fragment p.db p.tree opts
+                                  frag))
                          :: !sub)
                      frags
                  with e ->
@@ -422,9 +465,16 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
 let cursors (e : execution) =
   List.map (fun se -> (se.se_stream, se.se_cursor ())) e.per_stream
 
-let document_of p e : Xmlkit.Xml.t = Tagger.to_document_cursors p.tree (cursors e)
-let xml_string_of p e : string = Tagger.to_string_cursors p.tree (cursors e)
-let stream_to_channel p e oc : unit = Tagger.to_channel p.tree (cursors e) oc
+let tag f = Obs.Span.with_stage Obs.Stage.Tagger f
+
+let document_of p e : Xmlkit.Xml.t =
+  tag (fun () -> Tagger.to_document_cursors p.tree (cursors e))
+
+let xml_string_of p e : string =
+  tag (fun () -> Tagger.to_string_cursors p.tree (cursors e))
+
+let stream_to_channel p e oc : unit =
+  tag (fun () -> Tagger.to_channel p.tree (cursors e) oc)
 
 (* --- explain ----------------------------------------------------------- *)
 

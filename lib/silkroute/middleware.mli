@@ -7,7 +7,14 @@
     {!Relational.Backend}, and timed; the result reports wall-clock
     query time, deterministic work units, and the modeled
     client-transfer time, mirroring the paper's Query-time / Total-time
-    split. *)
+    split.
+
+    Every step is one stage of {!Obs.Stage}, bounded here at its call
+    site by {!Obs.Span.with_stage}: [rxl_parser] and [view_tree]
+    ({!prepare_text}), [planner] ({!partition_of}), [sql_gen] and, per
+    stream, [sql_print], [sql_parser], [physical] and [executor]
+    ({!execute}), and [tagger] ({!document_of}, {!xml_string_of},
+    {!stream_to_channel}). *)
 
 type prepared = {
   db : Relational.Database.t;
@@ -20,7 +27,10 @@ type prepared = {
 }
 
 val prepare : Relational.Database.t -> Rxl.view -> prepared
+(** The [view_tree] stage: view tree and edge labels. *)
+
 val prepare_text : Relational.Database.t -> string -> prepared
+(** The [rxl_parser] stage, then {!prepare}. *)
 
 (** How to choose the partition. *)
 type strategy =
@@ -29,7 +39,17 @@ type strategy =
   | Edges of int  (** explicit edge mask *)
   | Greedy of Planner.params  (** the paper's plan-generation algorithm *)
 
+val strategy_of_string : string -> strategy
+(** [unified], [partitioned] (or [fully-partitioned]), [greedy] (default
+    parameters) or [edges:MASK] with a non-negative integer [MASK], case
+    insensitive.  Raises [Invalid_argument] for anything else. *)
+
+val strategy_name : strategy -> string
+(** The canonical spelling {!strategy_of_string} reads back. *)
+
 val partition_of : prepared -> strategy -> Partition.t
+(** The [planner] stage.  [Greedy] plans against [p.stats], so a skewed
+    catalog skews the plan. *)
 
 (** Per-stream breakdown: every sub-query of a partition gets its own
     stats record, so callers can see where inside a plan the work went

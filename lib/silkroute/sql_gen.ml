@@ -542,34 +542,18 @@ let stream_of_fragment db tree opts (f : Partition.fragment) : stream =
   { fragment = f; groups; query; cols = layout.cols }
 
 let streams db tree (p : Partition.t) (opts : options) : stream list =
-  Obs.Span.with_span "sqlgen.streams" (fun () ->
-      let frags = Partition.fragments p in
-      let result =
-        List.map
-          (fun f ->
-            Obs.Span.with_span "sqlgen.stream" (fun () ->
-                let s = stream_of_fragment db tree opts f in
-                if Obs.Span.tracing () then
-                  Obs.Span.add_list
-                    [
-                      Obs.Attr.string "root"
-                        (View_tree.skolem_name
-                           (View_tree.node tree f.Partition.root).View_tree.sfi);
-                      Obs.Attr.int "members" (List.length f.Partition.members);
-                      Obs.Attr.int "cols" (Array.length s.cols);
-                    ];
-                s))
-          frags
-      in
-      if Obs.Span.tracing () then
-        Obs.Span.add_list
-          [
-            Obs.Attr.string "style"
-              (match opts.style with
-              | Outer_join -> "outer-join"
-              | Outer_union -> "outer-union");
-            Obs.Attr.bool "reduce" (opts.labels <> None);
-            Obs.Attr.int "streams" (List.length result);
-            Obs.Attr.int "work" (List.length result);
-          ];
-      result)
+  List.map
+    (fun f ->
+      Obs.Span.with_span "sqlgen.stream" (fun () ->
+          let s = stream_of_fragment db tree opts f in
+          if Obs.Span.tracing () then
+            Obs.Span.add_list
+              [
+                Obs.Attr.string "root"
+                  (View_tree.skolem_name
+                     (View_tree.node tree f.Partition.root).View_tree.sfi);
+                Obs.Attr.int "members" (List.length f.Partition.members);
+                Obs.Attr.int "cols" (Array.length s.cols);
+              ];
+          s))
+    (Partition.fragments p)

@@ -425,7 +425,6 @@ let process_tuple ctx st (t : R.Tuple.t) =
 
 let tag_cursors tree (streams : (Sql_gen.stream * R.Cursor.t) list)
     (sink : sink) : unit =
- Obs.Span.with_span "middleware.tag" (fun () ->
   let opens = ref 0 and texts = ref 0 in
   let sink =
     if Obs.Span.tracing () then
@@ -476,7 +475,7 @@ let tag_cursors tree (streams : (Sql_gen.stream * R.Cursor.t) list)
       ];
     Obs.Metrics.incr ~by:!opens "tag.elements";
     Obs.Metrics.observe "tag.tuples" (float_of_int !tuples_in)
-  end)
+  end
 
 let tag tree (streams : (Sql_gen.stream * R.Relation.t) list) (sink : sink) :
     unit =

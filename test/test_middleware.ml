@@ -124,6 +124,25 @@ let test_non_equi_join_condition () =
   in
   Matrix.(check [ slice view (tpch 0.2) ])
 
+(* Regression: `run --strategy edges:abc` escaped as Failure
+   "int_of_string"; every bad strategy is now an Invalid_argument. *)
+let test_strategy_of_string () =
+  List.iter
+    (fun s ->
+      match Middleware.strategy_of_string s with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%S accepted" s)
+    [ "edges:abc"; "edges:-1"; "edges:"; "bogus"; "" ];
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check string) text want
+        (Middleware.strategy_name (Middleware.strategy_of_string text)))
+    [
+      ("unified", "unified"); ("partitioned", "fully-partitioned");
+      ("Fully-Partitioned", "fully-partitioned"); ("GREEDY", "greedy");
+      ("edges:37", "edges:37");
+    ]
+
 let suite =
   [
     Alcotest.test_case "strategies agree" `Quick test_materialize_strategies_agree;
@@ -138,4 +157,6 @@ let suite =
     Alcotest.test_case "exhaustive 512 plans (Query 2)" `Slow
       (test_exhaustive Matrix.q2);
     Alcotest.test_case "non-equi-join condition" `Quick test_non_equi_join_condition;
+    Alcotest.test_case "regression: bad strategy is Invalid_argument" `Quick
+      test_strategy_of_string;
   ]

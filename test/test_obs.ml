@@ -267,18 +267,36 @@ let test_middleware_stage_spans () =
       let plan = Middleware.partition_of p (Middleware.Greedy Planner.default_params) in
       let e = Middleware.execute p plan in
       ignore (Middleware.document_of p e);
+      (* every pipeline stage is spanned under its own name *)
       List.iter
         (fun stage ->
-          Alcotest.(check bool) (stage ^ " span present") true
-            (find_spans stage <> []);
-          let s = List.hd (find_spans stage) in
+          let name = Obs.Stage.name stage in
+          Alcotest.(check bool) (name ^ " span present") true
+            (find_spans name <> []))
+        Obs.Stage.pipeline;
+      List.iter
+        (fun name ->
+          let s = List.hd (find_spans name) in
           match attr_exn s "work" with
           | Obs.Attr.Int _ -> ()
-          | _ -> Alcotest.failf "%s: work attr not an int" stage)
+          | _ -> Alcotest.failf "%s: work attr not an int" name)
         [
-          "middleware.prepare"; "middleware.plan"; "sqlgen.streams";
-          "middleware.execute"; "middleware.tag";
+          "view_tree"; "planner"; "sql_gen"; "middleware.execute"; "executor";
+          "tagger";
         ];
+      (* SQL print, parse and physical planning are children of
+         execute.stream, not its self time *)
+      let streams = find_spans "execute.stream" in
+      List.iter
+        (fun name ->
+          List.iter
+            (fun (s : Obs.Span.t) ->
+              Alcotest.(check bool) (name ^ " under execute.stream") true
+                (List.exists
+                   (fun (p : Obs.Span.t) -> Some p.Obs.Span.id = s.Obs.Span.parent)
+                   streams))
+            (find_spans name))
+        [ "sql_print"; "sql_parser"; "physical"; "executor" ];
       (* executor operator spans appear under execute.stream *)
       Alcotest.(check bool) "operator spans" true
         (find_spans "exec.scan" <> [] && find_spans "exec.sort" <> []);
@@ -330,6 +348,53 @@ let test_tracing_does_not_change_work () =
   in
   Alcotest.(check int) "work identical with tracing on" off on
 
+(* --- the stage list and the per-request clock ----------------------------- *)
+
+let test_stage_list_pinned () =
+  Alcotest.(check (list string)) "the ten stages, in pipeline order"
+    [
+      "rxl_parser"; "view_tree"; "planner"; "sql_gen"; "sql_print";
+      "sql_parser"; "physical"; "executor"; "tagger"; "service";
+    ]
+    (List.map Obs.Stage.name Obs.Stage.all);
+  Alcotest.(check (list string)) "pipeline = all but service"
+    (List.filter (( <> ) "service") (List.map Obs.Stage.name Obs.Stage.all))
+    (List.map Obs.Stage.name Obs.Stage.pipeline)
+
+(* The clock a request scope installs fills even when the request is
+   sampled out: every pipeline boundary adds to it, no span is recorded,
+   and the service slot is left to the server. *)
+let run_request ~sampled pool =
+  let clock = Obs.Stage.clock () in
+  Obs.Span.with_request ~trace_id:"t-test" ~sampled clock (fun () ->
+      let db = Tpch.Gen.generate (Tpch.Gen.config 0.05) in
+      let p = Middleware.prepare_text db Queries.query1_text in
+      let plan =
+        Middleware.partition_of p (Middleware.Greedy Planner.default_params)
+      in
+      ignore (Middleware.xml_string_of p (Middleware.execute ~pool p plan)));
+  clock
+
+let test_stage_clock_sampled_out () =
+  with_obs (fun () ->
+      let clock = run_request ~sampled:false R.Domain_pool.inline in
+      List.iter
+        (fun st ->
+          Alcotest.(check bool) (Obs.Stage.name st ^ " timed") true
+            (Obs.Stage.ns clock st > 0))
+        Obs.Stage.pipeline;
+      Alcotest.(check int) "service untouched" 0
+        (Obs.Stage.ns clock Obs.Stage.Service);
+      Alcotest.(check int) "no spans recorded" 0
+        (List.length (Obs.Span.spans ())))
+
+let test_stage_clock_crosses_pool () =
+  let clock =
+    R.Domain_pool.with_pool ~domains:2 (run_request ~sampled:true)
+  in
+  Alcotest.(check bool) "executor time from worker domains" true
+    (Obs.Stage.ns clock Obs.Stage.Executor > 0)
+
 let suite =
   [
     Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
@@ -346,4 +411,9 @@ let suite =
     Alcotest.test_case "per-stream stats breakdown" `Quick test_per_stream_stats;
     Alcotest.test_case "tracing neutral on work counts" `Quick
       test_tracing_does_not_change_work;
+    Alcotest.test_case "stage list pinned" `Quick test_stage_list_pinned;
+    Alcotest.test_case "stage clock fills when sampled out" `Quick
+      test_stage_clock_sampled_out;
+    Alcotest.test_case "stage clock crosses the pool" `Quick
+      test_stage_clock_crosses_pool;
   ]

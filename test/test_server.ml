@@ -471,6 +471,63 @@ let test_sampled_out_still_answers () =
               Alcotest.(check int) "query still counted" 1
                 (Service.counters t).Service.queries)))
 
+(* A sampled-out slow request still explains itself: its record holds
+   one non-negative entry per stage, in stage-list order, from the
+   request's own clock — the pipeline stages sum to at most the
+   request's wall time, and a cache miss spends time in them. *)
+let test_sampled_out_slow_record_has_stages () =
+  let slow_log = Filename.temp_file "silkroute_slow" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove slow_log) @@ fun () ->
+  let config =
+    {
+      Service.default_config with
+      Service.trace_sample = 0;
+      slow_ms = 1e-6;
+      slow_log = Some slow_log;
+    }
+  in
+  with_server ~config (fun t ->
+      ignore
+        (xml_of
+           (Service.query t ~view:S.Queries.query1_text ~strategy:"greedy"
+              ~reduce:true)));
+  let line = In_channel.with_open_bin slow_log In_channel.input_all in
+  let record = Obs.Json.parse (String.trim line) in
+  let num = function
+    | Some (Obs.Json.Float f) -> f
+    | Some (Obs.Json.Int n) -> float_of_int n
+    | _ -> Alcotest.fail "not a number"
+  in
+  let ms = num (Obs.Json.member "ms" record) in
+  let stages =
+    match Obs.Json.member "stages" record with
+    | Some (Obs.Json.List l) ->
+        List.map
+          (fun e ->
+            match Obs.Json.member "name" e with
+            | Some (Obs.Json.String name) -> (name, num (Obs.Json.member "ms" e))
+            | _ -> Alcotest.fail "stage entry without a name")
+          l
+    | _ -> Alcotest.fail "no stages list"
+  in
+  Alcotest.(check (list string)) "one entry per stage"
+    (List.map Obs.Stage.name Obs.Stage.all)
+    (List.map fst stages);
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check bool) (name ^ " non-negative") true (v >= 0.0))
+    stages;
+  let pipeline =
+    List.fold_left
+      (fun acc (name, v) -> if name = "service" then acc else acc +. v)
+      0.0 stages
+  in
+  Alcotest.(check bool) "pipeline stages ran" true (pipeline > 0.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "pipeline %.6f ms <= request %.6f ms" pipeline ms)
+    true
+    (pipeline <= ms +. 1e-6)
+
 (* --- workload driver ----------------------------------------------------- *)
 
 let small_mix =
@@ -654,6 +711,8 @@ let suite =
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
     Alcotest.test_case "telemetry: metrics + health endpoints" `Quick
       test_telemetry_endpoints;
+    Alcotest.test_case "telemetry: sampled-out slow record has every stage"
+      `Quick test_sampled_out_slow_record_has_stages;
     Alcotest.test_case "telemetry: sampled-out request still answers" `Quick
       test_sampled_out_still_answers;
     Alcotest.test_case "workload: deterministic script" `Quick

@@ -13,24 +13,11 @@ dune build @check
 echo "== dune build @all"
 dune build @all
 
-echo "== dune runtest"
+echo "== dune runtest (unit suites, the trace check, and the parallel, serve and telemetry smokes)"
 dune runtest
 
 echo "== memory smoke (streaming path stays bounded, no spool-file leaks)"
 dune exec tools/mem_smoke.exe
-
-echo "== parallel smoke (--parallel 4 byte-identical, counters deterministic)"
-dune build bin/silkroute_cli.exe tools/check_jsonl.exe
-sh tools/parallel_smoke.sh _build/default/bin/silkroute_cli.exe \
-    _build/default/tools/check_jsonl.exe
-
-echo "== serve smoke (query server: wire-level byte-identity + warm-cache hits)"
-sh tools/serve_smoke.sh _build/default/bin/silkroute_cli.exe
-
-echo "== telemetry smoke (wire metrics/health, monitor, slow-query log, SLO)"
-dune build tools/check_telemetry.exe
-sh tools/telemetry_smoke.sh _build/default/bin/silkroute_cli.exe \
-    _build/default/tools/check_telemetry.exe
 
 echo "== explain smoke (logical + physical trees on q1/q2)"
 sh tools/explain_smoke.sh

@@ -5,7 +5,8 @@
 #   1. A run that blows its work budget dumps the flight recorder
 #      (reason plan-timeout) to stderr before failing.
 #   2. --trace-chrome writes valid Chrome trace-event JSON with at
-#      least one complete event per pipeline stage.
+#      least one complete event per pipeline stage (Obs.Stage), plus
+#      the middleware.execute and execute.stream spans.
 #   3. `diagnose --skew-stats` flags the deliberately mis-statted
 #      relation as a q-error misestimate finding.
 set -eu
@@ -30,9 +31,8 @@ echo "== chrome trace is valid and covers the pipeline stages"
 trace="$tmp/trace.json"
 dune exec bin/silkroute_cli.exe -- run -q q1 --scale 0.05 \
   --trace-chrome "$trace" >/dev/null 2>&1
-dune exec tools/check_chrometrace.exe -- "$trace" \
-  middleware.prepare middleware.plan middleware.execute execute.stream \
-  exec.query
+dune exec tools/check_obs.exe -- chrome "$trace" \
+  middleware.execute execute.stream
 
 echo "== diagnose flags a mis-statted relation"
 report="$tmp/report.txt"

@@ -6,18 +6,16 @@
    stream's relation end to end.
 
    Live words are sampled through the tagger sink every [sample_every]
-   opened elements, after a full major collection, relative to a
-   baseline taken after query execution setup; [Gc.full_major] makes the
-   numbers deterministic. *)
+   opened elements, relative to a baseline taken after query execution
+   setup; [Gc.stat] runs a full major collection first (OCaml 5 gc.mli),
+   which makes the numbers deterministic. *)
 
 module R = Relational
 module S = Silkroute
 
 let sample_every = 500
 
-let live_words () =
-  Gc.full_major ();
-  (Gc.stat ()).Gc.live_words
+let live_words () = (Gc.stat ()).Gc.live_words
 
 (* High-water live words observed while tagging [run_tag ()], relative
    to [base]. *)

@@ -10,12 +10,12 @@
 #   2. A repeated resilient parallel run must reproduce its counters
 #      exactly (determinism under domains > 1, not just stability).
 #   3. A traced run under --parallel 2 must emit JSONL that passes
-#      check_jsonl — including its span id/parent ordering checks, which
+#      `check_obs jsonl` — including its span id/parent ordering checks, which
 #      multi-domain interleaving would break without the obs locks.
 #
 # Run from dune (see tools/dune) or by hand:
 #   sh tools/parallel_smoke.sh _build/default/bin/silkroute_cli.exe \
-#       _build/default/tools/check_jsonl.exe
+#       _build/default/tools/check_obs.exe
 set -eu
 
 case $1 in */*) cli=$1 ;; *) cli=./$1 ;; esac
@@ -68,6 +68,6 @@ echo "parallel-smoke: resilient counters reproducible under --parallel 4"
 # traced parallel run: spans from 2 domains must still form a valid,
 # start-ordered, parent-before-child JSONL trace
 "$cli" $base --parallel 2 --trace-json "$tmp/trace.jsonl" > /dev/null 2>&1
-"$check" "$tmp/trace.jsonl"
+"$check" jsonl "$tmp/trace.jsonl"
 
 echo "parallel-smoke OK"

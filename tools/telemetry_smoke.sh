@@ -6,12 +6,13 @@
 #   1. `monitor --raw` (the M request) must return a parseable
 #      exposition before and after the workload, with monotone
 #      counters, ordered latency quantiles and sane cache ratios
-#      (tools/check_telemetry.ml does the parsing).
+#      (`tools/check_obs.ml telemetry` does the parsing).
 #   2. `monitor --once` must render its human frame from the same
 #      scrape, plus the H health line.
 #   3. With a 0.001ms threshold every query is slow: the slow log must
-#      hold valid JSONL records carrying trace ids and stage
-#      breakdowns that match the advertised written counter.
+#      hold valid JSONL records carrying trace ids and one entry per
+#      stage — sampled out or not (the server samples 1 in 2) — that
+#      match the advertised written counter.
 #   4. A second server with an absurd 0.001ms p99 target must breach:
 #      the exposition's slo burn series and the H health line both
 #      report it (the slo.burn event emission itself is pinned by the
@@ -19,7 +20,7 @@
 #
 # Run from dune (see tools/dune) or by hand:
 #   sh tools/telemetry_smoke.sh _build/default/bin/silkroute_cli.exe \
-#       _build/default/tools/check_telemetry.exe
+#       _build/default/tools/check_obs.exe
 set -eu
 
 case $1 in */*) cli=$1 ;; *) cli=./$1 ;; esac
@@ -38,6 +39,35 @@ trap cleanup EXIT INT TERM
 
 scale="--scale 0.1"
 
+# $1 socket, $2 the server's stderr, $3 phase label: wait until the
+# server (which generates its database first) binds its socket
+wait_for_socket () {
+  i=0
+  while [ ! -S "$1" ]; do
+    i=$((i + 1))
+    if [ "$i" -gt 600 ] || ! kill -0 "$server_pid" 2> /dev/null; then
+      echo "telemetry-smoke FAIL: $3 server never bound its socket" >&2
+      cat "$2" >&2 || true
+      exit 1
+    fi
+    sleep 0.1
+  done
+}
+
+# $1 phase label: wait until a Shutdown request stopped the server
+wait_for_exit () {
+  i=0
+  while kill -0 "$server_pid" 2> /dev/null; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+      echo "telemetry-smoke FAIL: $1 server still running after Shutdown" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+  server_pid=""
+}
+
 # shellcheck disable=SC2086
 "$cli" serve $scale --socket "$sock" --parallel 2 \
     --telemetry --trace-sample 2 \
@@ -45,22 +75,7 @@ scale="--scale 0.1"
     --slo-target-ms 250 \
     > "$tmp/serve.out" 2> "$tmp/serve.err" &
 server_pid=$!
-
-i=0
-while [ ! -S "$sock" ]; do
-  i=$((i + 1))
-  if [ "$i" -gt 600 ]; then
-    echo "telemetry-smoke FAIL: socket never appeared" >&2
-    cat "$tmp/serve.err" >&2 || true
-    exit 1
-  fi
-  kill -0 "$server_pid" 2> /dev/null || {
-    echo "telemetry-smoke FAIL: server exited before binding" >&2
-    cat "$tmp/serve.err" >&2 || true
-    exit 1
-  }
-  sleep 0.1
-done
+wait_for_socket "$sock" "$tmp/serve.err" main
 
 "$cli" monitor --socket "$sock" --raw > "$tmp/scrape1.prom" 2> "$tmp/monitor.err" || {
   echo "telemetry-smoke FAIL: first metrics scrape failed" >&2
@@ -109,7 +124,7 @@ echo "telemetry-smoke: monitor frame + health line render"
 # give the slow-log writer thread a moment to drain the queue
 sleep 0.3
 
-"$checker" "$tmp/scrape1.prom" "$tmp/scrape2.prom" "$slowlog" "$threshold_ms" || {
+"$checker" telemetry "$tmp/scrape1.prom" "$tmp/scrape2.prom" "$slowlog" "$threshold_ms" || {
   echo "telemetry-smoke FAIL: exposition/slow-log validation failed" >&2
   exit 1
 }
@@ -120,16 +135,7 @@ sleep 0.3
   cat "$tmp/shutdown.out" >&2 || true
   exit 1
 }
-i=0
-while kill -0 "$server_pid" 2> /dev/null; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "telemetry-smoke FAIL: server still running after Shutdown" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-server_pid=""
+wait_for_exit main
 
 # --- induced SLO burn: a target no real query can meet ---------------------
 sock2="$tmp/burn.sock"
@@ -137,21 +143,7 @@ sock2="$tmp/burn.sock"
 "$cli" serve $scale --socket "$sock2" --telemetry --slo-target-ms 0.001 \
     > "$tmp/burn_serve.out" 2> "$tmp/burn_serve.err" &
 server_pid=$!
-i=0
-while [ ! -S "$sock2" ]; do
-  i=$((i + 1))
-  if [ "$i" -gt 600 ]; then
-    echo "telemetry-smoke FAIL: burn-phase socket never appeared" >&2
-    cat "$tmp/burn_serve.err" >&2 || true
-    exit 1
-  fi
-  kill -0 "$server_pid" 2> /dev/null || {
-    echo "telemetry-smoke FAIL: burn-phase server exited before binding" >&2
-    cat "$tmp/burn_serve.err" >&2 || true
-    exit 1
-  }
-  sleep 0.1
-done
+wait_for_socket "$sock2" "$tmp/burn_serve.err" burn-phase
 # shellcheck disable=SC2086
 "$cli" workload $scale --socket "$sock2" > "$tmp/burn_workload.out" 2>&1 || {
   echo "telemetry-smoke FAIL: burn-phase workload failed" >&2
@@ -173,15 +165,6 @@ grep -q 'slo_breached=true' "$tmp/burn_frame.out" || {
 echo "telemetry-smoke: induced SLO burn visible in exposition + health"
 # shellcheck disable=SC2086
 "$cli" workload $scale --socket "$sock2" --shutdown > /dev/null 2>&1 || true
-i=0
-while kill -0 "$server_pid" 2> /dev/null; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "telemetry-smoke FAIL: burn-phase server still running after Shutdown" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-server_pid=""
+wait_for_exit burn-phase
 
 echo "telemetry-smoke OK"
