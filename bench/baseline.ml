@@ -49,50 +49,42 @@ let run_all () =
   List.concat_map
     (fun (qname, text) ->
       let p = S.Middleware.prepare_text db text in
-      let tree = p.S.Middleware.tree in
-      let plans =
-        [
-          ("unified", S.Partition.unified tree);
-          ("partitioned", S.Partition.fully_partitioned tree);
-          ( "greedy",
-            S.Middleware.partition_of p
-              (S.Middleware.Greedy S.Planner.default_params) );
-        ]
+      let record name (e : S.Middleware.execution) =
+        {
+          experiment = Printf.sprintf "%s:%s" qname name;
+          streams = List.length e.S.Middleware.per_stream;
+          work = e.S.Middleware.work;
+          rows = e.S.Middleware.tuples;
+          bytes = e.S.Middleware.bytes;
+          transfer_ms = e.S.Middleware.transfer_ms;
+        }
       in
+      (* every strategy is planned for the reduction it runs with, so
+         greedy is planned once per reduction *)
       let materialized =
         List.concat_map
-          (fun (pname, plan) ->
+          (fun (pname, strategy) ->
             List.map
               (fun reduce ->
-                let e = S.Middleware.execute ~reduce p plan in
-                {
-                  experiment =
-                    Printf.sprintf "%s:%s:%s" qname pname
-                      (if reduce then "reduced" else "plain");
-                  streams = List.length e.S.Middleware.per_stream;
-                  work = e.S.Middleware.work;
-                  rows = e.S.Middleware.tuples;
-                  bytes = e.S.Middleware.bytes;
-                  transfer_ms = e.S.Middleware.transfer_ms;
-                })
+                let plan = S.Middleware.partition_of ~reduce p strategy in
+                record
+                  (Printf.sprintf "%s:%s" pname
+                     (if reduce then "reduced" else "plain"))
+                  (S.Middleware.execute ~reduce p plan))
               [ false; true ])
-          plans
+          S.Middleware.
+            [
+              ("unified", Unified);
+              ("partitioned", Fully_partitioned);
+              ("greedy", Greedy);
+            ]
       in
-      (* one streaming record per query: same greedy plan through the
-         cursor path, consumed to exercise the heap-merge tagger too *)
+      (* one streaming record per query: the reduced greedy plan through
+         the cursor path, consumed to exercise the heap-merge tagger too *)
       let streaming =
-        let _, plan = List.nth plans 2 in
+        let plan = S.Middleware.partition_of ~reduce:true p S.Middleware.Greedy in
         let e = S.Middleware.execute ~reduce:true ~spool:true p plan in
-        let r =
-          {
-            experiment = Printf.sprintf "%s:greedy:streaming" qname;
-            streams = List.length e.S.Middleware.per_stream;
-            work = e.S.Middleware.work;
-            rows = e.S.Middleware.tuples;
-            bytes = e.S.Middleware.bytes;
-            transfer_ms = e.S.Middleware.transfer_ms;
-          }
-        in
+        let r = record "greedy:streaming" e in
         ignore (S.Middleware.xml_string_of p e);
         [ r ]
       in

@@ -113,12 +113,8 @@ let fig14 () = fig13_14 ~figure:"14" ~qname:"Query 2" S.Queries.query2_text S.Qu
 
 let fig15_one ~panel ~qname text =
   Printf.printf "\n(%s) %s\n" panel qname;
-  let db, p = prepare config_b text in
-  let oracle = R.Cost.oracle db in
-  let result =
-    S.Planner.gen_plan ~reduce:true db oracle p.S.Middleware.tree
-      p.S.Middleware.labels S.Planner.default_params
-  in
+  let _, p = prepare config_b text in
+  let result = S.Middleware.gen_plan p ~reduce:true in
   let plans = S.Planner.plans_of p.S.Middleware.tree result in
   Printf.printf "genPlan: %s\n" (S.Planner.to_string p.S.Middleware.tree result);
   Printf.printf "%d generated plans (2^%d optional-edge subsets)\n"
@@ -157,65 +153,61 @@ let fig15 () =
 
 (* --- Fig. 18: plans selected by the greedy algorithm (E5) --------------- *)
 
-let fig18 () =
-  print_header "Figure 18: plans selected by the greedy algorithm";
+(* [f p ~reduce label] for Queries 1 and 2 at Config A', non-reduced
+   then reduced; [label] names the run ("Query 1 (reduced)    "). *)
+let each_query_reduce f =
   let db, _ = prepare config_a S.Queries.query1_text in
   List.iter
     (fun (qname, text) ->
       let p = S.Middleware.prepare_text db text in
       List.iter
         (fun reduce ->
-          let oracle = R.Cost.oracle db in
-          let r =
-            S.Planner.gen_plan ~reduce db oracle p.S.Middleware.tree
-              p.S.Middleware.labels S.Planner.default_params
-          in
-          Printf.printf "%s %s: %s\n" qname
-            (if reduce then "(reduced)    " else "(non-reduced)")
-            (S.Planner.to_string p.S.Middleware.tree r);
-          Printf.printf "  -> family of %d plans\n"
-            (1 lsl List.length r.S.Planner.optional))
+          f p ~reduce
+            (Printf.sprintf "%s %s" qname
+               (if reduce then "(reduced)    " else "(non-reduced)")))
         [ false; true ])
-    [ ("Query 1", S.Queries.query1_text); ("Query 2", S.Queries.query2_text) ];
+    [ ("Query 1", S.Queries.query1_text); ("Query 2", S.Queries.query2_text) ]
+
+let fig18 () =
+  print_header "Figure 18: plans selected by the greedy algorithm";
+  each_query_reduce (fun p ~reduce label ->
+      let r = S.Middleware.gen_plan p ~reduce in
+      Printf.printf "%s: %s\n" label (S.Planner.to_string p.S.Middleware.tree r);
+      Printf.printf "  -> family of %d plans\n"
+        (1 lsl List.length r.S.Planner.optional));
   Printf.printf
     "(paper: 32 plans for Config A, 16 for Q1 / 8 for Q2 at Config B)\n"
 
 (* --- Sec. 5.1: greedy plan ranks within the exhaustive sweep ------------ *)
 
+(* Ranks (1 = fastest untimed plan of the sweep [all]) of genPlan's
+   plan family [r], ascending; -1 marks a plan the sweep did not rank. *)
+let family_ranks (p : S.Middleware.prepared) all r =
+  let sorted =
+    List.sort
+      (fun a b -> compare a.query_ms b.query_ms)
+      (List.filter (fun m -> not m.timed_out) all)
+  in
+  let rank_of mask =
+    let rec go i = function
+      | [] -> -1
+      | m :: rest -> if m.mask = mask then i else go (i + 1) rest
+    in
+    go 1 sorted
+  in
+  List.sort compare
+    (List.map
+       (fun plan -> rank_of (S.Partition.to_mask plan))
+       (S.Planner.plans_of p.S.Middleware.tree r))
+
 let ranks () =
   print_header "Sec. 5.1: rank of generated plans within all 512 (Config A')";
-  List.iter
-    (fun (qname, text) ->
-      let db, p = prepare config_a text in
-      List.iter
-        (fun reduce ->
-          let all = sweep ~reduce p in
-          let sorted =
-            List.sort
-              (fun a b -> compare a.query_ms b.query_ms)
-              (List.filter (fun m -> not m.timed_out) all)
-          in
-          let oracle = R.Cost.oracle db in
-          let r =
-            S.Planner.gen_plan ~reduce db oracle p.S.Middleware.tree
-              p.S.Middleware.labels S.Planner.default_params
-          in
-          let masks =
-            List.map S.Partition.to_mask (S.Planner.plans_of p.S.Middleware.tree r)
-          in
-          let rank_of mask =
-            let rec go i = function
-              | [] -> -1
-              | m :: rest -> if m.mask = mask then i else go (i + 1) rest
-            in
-            go 1 sorted
-          in
-          let ranks = List.sort compare (List.map rank_of masks) in
-          Printf.printf "%s %s: ranks %s\n" qname
-            (if reduce then "(reduced)    " else "(non-reduced)")
-            (String.concat "," (List.map string_of_int ranks)))
-        [ false; true ])
-    [ ("Query 1", S.Queries.query1_text); ("Query 2", S.Queries.query2_text) ];
+  each_query_reduce (fun p ~reduce label ->
+      let ranks =
+        family_ranks p (sweep ~reduce p) (S.Middleware.gen_plan p ~reduce)
+      in
+      Printf.printf "%s: ranks %s\n" label
+        (String.concat "," (List.map string_of_int ranks)));
   Printf.printf
     "(paper: generated plans = the 32 fastest; Q2 reduced = first 31 and 34th)\n"
 
@@ -223,23 +215,10 @@ let ranks () =
 
 let requests () =
   print_header "Sec. 5.1: cost-estimate requests issued by genPlan";
-  let db, _ = prepare config_a S.Queries.query1_text in
-  List.iter
-    (fun (qname, text) ->
-      let p = S.Middleware.prepare_text db text in
-      List.iter
-        (fun reduce ->
-          let oracle = R.Cost.oracle db in
-          let r =
-            S.Planner.gen_plan ~reduce db oracle p.S.Middleware.tree
-              p.S.Middleware.labels S.Planner.default_params
-          in
-          Printf.printf
-            "%s %s: %d requests, %d cache hits (worst case |E|^2 = 81)\n" qname
-            (if reduce then "(reduced)    " else "(non-reduced)")
-            r.S.Planner.requests r.S.Planner.cache_hits)
-        [ false; true ])
-    [ ("Query 1", S.Queries.query1_text); ("Query 2", S.Queries.query2_text) ];
+  each_query_reduce (fun p ~reduce label ->
+      let r = S.Middleware.gen_plan p ~reduce in
+      Printf.printf "%s: %d requests, %d cache hits (worst case |E|^2 = 81)\n"
+        label r.S.Planner.requests r.S.Planner.cache_hits);
   Printf.printf "(paper: 22 non-reduced, 25 reduced)\n"
 
 (* --- ablation: the transfer model and sort-spill model ------------------ *)
@@ -319,32 +298,13 @@ let extra () =
   let all = sweep ~reduce:true p in
   print_figure ~caption:"Query-only time, with reduction [sim ms]" all
     ~value:(fun m -> m.query_ms);
-  let oracle = R.Cost.oracle db in
-  let r =
-    S.Planner.gen_plan ~reduce:true db oracle p.S.Middleware.tree
-      p.S.Middleware.labels S.Planner.default_params
-  in
+  let r = S.Middleware.gen_plan p ~reduce:true in
   Printf.printf "genPlan (same default a,b,t1,t2): %s
 "
     (S.Planner.to_string p.S.Middleware.tree r);
-  let sorted =
-    List.sort (fun a b -> compare a.query_ms b.query_ms)
-      (List.filter (fun m -> not m.timed_out) all)
-  in
-  let masks =
-    List.map S.Partition.to_mask (S.Planner.plans_of p.S.Middleware.tree r)
-  in
-  let rank_of mask =
-    let rec go i = function
-      | [] -> -1
-      | m :: rest -> if m.mask = mask then i else go (i + 1) rest
-    in
-    go 1 sorted
-  in
   Printf.printf "ranks of generated plans (of %d): %s
 " (List.length all)
-    (String.concat ","
-       (List.map string_of_int (List.sort compare (List.map rank_of masks))));
+    (String.concat "," (List.map string_of_int (family_ranks p all r)));
   let unified_ou = measure ~style:S.Sql_gen.Outer_union p ((1 lsl 7) - 1) in
   let fully = measure ~reduce:true p 0 in
   let best = best_of all ~value:(fun m -> m.query_ms) in
@@ -463,20 +423,14 @@ let calibration () =
   List.iter
     (fun (_qname, text) ->
       let p = S.Middleware.prepare_text db text in
+      let p = { p with S.Middleware.stats = Lazy.from_val stats } in
       let tree = p.S.Middleware.tree in
       List.iter
         (fun reduce ->
           let plans =
-            let oracle = R.Cost.oracle_with_stats db stats in
-            let r =
-              S.Planner.gen_plan ~reduce db oracle tree p.S.Middleware.labels
-                S.Planner.default_params
-            in
-            [
-              S.Partition.unified tree;
-              S.Partition.fully_partitioned tree;
-              S.Planner.best_plan tree r;
-            ]
+            List.map
+              (S.Middleware.partition_of ~reduce p)
+              S.Middleware.[ Unified; Fully_partitioned; Greedy ]
           in
           List.iter
             (fun style ->

@@ -54,11 +54,7 @@ let t_fig15 =
   (* Fig. 15: one greedy planning run (cost estimation only) *)
   Test.make ~name:"fig15:genPlan"
     (Staged.stage (fun () ->
-         let p = Lazy.force prepared in
-         let oracle = R.Cost.oracle (Lazy.force db) in
-         ignore
-           (Sk.Planner.gen_plan (Lazy.force db) oracle p.Sk.Middleware.tree
-              p.Sk.Middleware.labels Sk.Planner.default_params)))
+         ignore (Sk.Middleware.gen_plan (Lazy.force prepared) ~reduce:false)))
 
 let t_fig18 =
   (* Fig. 18: view-tree construction + labeling, the planner's input *)

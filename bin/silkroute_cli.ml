@@ -154,9 +154,10 @@ let parallel_arg =
 
 let explain_flag_arg =
   let doc =
-    "After executing, print each stream's SQL, logical algebra tree and \
-     cost-annotated physical plan (estimated vs actual rows/work per \
-     operator) to stderr."
+    "After executing, print the plan's line (as $(b,explain) names it), \
+     then each stream's SQL, logical algebra tree and cost-annotated \
+     physical plan (estimated vs actual rows/work per operator) to \
+     stderr."
   in
   Arg.(value & flag & info [ "explain" ] ~doc)
 
@@ -299,8 +300,13 @@ let setup_db scale seed schema data =
 
 let setup query view_file scale seed schema data =
   let text = load_view query view_file in
-  let db = setup_db scale seed schema data in
-  (db, S.Middleware.prepare_text db text)
+  S.Middleware.prepare_text (setup_db scale seed schema data) text
+
+(* The line every command names its partition with: the kept edges and
+   the stream count. *)
+let plan_line plan =
+  Printf.sprintf "plan: %s (%d streams)" (S.Partition.to_string plan)
+    (S.Partition.stream_count plan)
 
 let run_cmd query view_file scale seed schema data strategy no_reduce pretty
     stream budget resilient fault_rate fault_seed retries parallel explain
@@ -312,24 +318,28 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
   if fault_rate > 0.0 && not resilient then
     invalid_arg "--fault-rate requires --resilient";
   if parallel < 1 then invalid_arg "--parallel must be >= 1";
-  let db, p = setup query view_file scale seed schema data in
+  let p = setup query view_file scale seed schema data in
   apply_skew p skew;
+  let reduce = not no_reduce in
   let plan =
-    S.Middleware.partition_of p (S.Middleware.strategy_of_string strategy)
+    S.Middleware.(partition_of ~reduce p (strategy_of_string strategy))
   in
   let backend =
     R.Backend.create
       ~faults:(R.Backend.faults ~seed:fault_seed fault_rate)
       ~retry:{ R.Backend.default_retry with R.Backend.max_retries = retries }
-      ~budget db
+      ~budget p.S.Middleware.db
   in
   let e =
     R.Domain_pool.with_pool ~domains:parallel (fun pool ->
-        S.Middleware.execute ~reduce:(not no_reduce) ~backend
+        S.Middleware.execute ~reduce ~backend
           ~max_splits:(if resilient then 8 else 0)
           ~spool:stream ~pool p plan)
   in
-  if explain then prerr_endline (S.Middleware.explain_execution p e);
+  if explain then begin
+    prerr_endline (plan_line plan);
+    prerr_endline (S.Middleware.explain_execution p e)
+  end;
   if pretty then
     print_string
       (Xmlkit.Serialize.to_pretty_string (S.Middleware.document_of p e))
@@ -357,33 +367,27 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
   report_obs ~trace_chrome ~trace ~trace_json ~metrics ~profile ()
 
 let explain_cmd query view_file scale seed schema data strategy no_reduce =
-  let db, p = setup query view_file scale seed schema data in
+  let p = setup query view_file scale seed schema data in
   Printf.printf "view tree:\n%s\n" (S.View_tree.to_string p.S.Middleware.tree);
   Printf.printf "edge labels:\n%s\n\n"
     (S.Label.to_string p.S.Middleware.tree p.S.Middleware.labels);
+  let reduce = not no_reduce in
   let plan =
-    S.Middleware.partition_of p (S.Middleware.strategy_of_string strategy)
+    S.Middleware.(partition_of ~reduce p (strategy_of_string strategy))
   in
-  Printf.printf "plan: %s (%d streams)\n\n" (S.Partition.to_string plan)
-    (S.Partition.stream_count plan);
-  ignore db;
-  print_endline (S.Middleware.explain ~reduce:(not no_reduce) p plan)
+  Printf.printf "%s\n\n" (plan_line plan);
+  print_endline (S.Middleware.explain ~reduce p plan)
 
 let plan_cmd query view_file scale seed schema data no_reduce trace trace_json
     metrics profile trace_chrome =
   setup_obs ~trace_chrome ~trace ~trace_json ~metrics ~profile ();
-  let db, p = setup query view_file scale seed schema data in
-  let oracle = R.Cost.oracle db in
-  let r =
-    S.Planner.gen_plan ~reduce:(not no_reduce) db oracle p.S.Middleware.tree
-      p.S.Middleware.labels S.Planner.default_params
-  in
+  let p = setup query view_file scale seed schema data in
+  let r = S.Middleware.gen_plan p ~reduce:(not no_reduce) in
   Printf.printf "%s\n" (S.Planner.to_string p.S.Middleware.tree r);
   Printf.printf "plan family: %d plans\n"
     (List.length (S.Planner.plans_of p.S.Middleware.tree r));
   let best = S.Planner.best_plan p.S.Middleware.tree r in
-  Printf.printf "best plan: %s (%d streams)\n" (S.Partition.to_string best)
-    (S.Partition.stream_count best);
+  Printf.printf "best %s\n" (plan_line best);
   report_obs ~trace_chrome ~trace ~trace_json ~metrics ~profile ()
 
 (* Run the view materialized with tracing forced on, print only the
@@ -392,14 +396,14 @@ let diagnose_cmd query view_file scale seed schema data strategy no_reduce
     budget verbose skew =
   setup_logs verbose;
   Obs.Control.set_enabled true;
-  let db, p = setup query view_file scale seed schema data in
-  ignore db;
+  let p = setup query view_file scale seed schema data in
   apply_skew p skew;
+  let reduce = not no_reduce in
   let plan =
-    S.Middleware.partition_of p (S.Middleware.strategy_of_string strategy)
+    S.Middleware.(partition_of ~reduce p (strategy_of_string strategy))
   in
   let backend = R.Backend.create ~budget p.S.Middleware.db in
-  let e = S.Middleware.execute ~reduce:(not no_reduce) ~backend p plan in
+  let e = S.Middleware.execute ~reduce ~backend p plan in
   print_string (Obs.Diagnose.report (S.Middleware.diagnose_samples p e))
 
 (* --- query server ------------------------------------------------------- *)
@@ -847,7 +851,12 @@ let cmds =
            "Show the view tree, labels, partition, and each stream's SQL, \
             logical algebra and cost-annotated physical plan.")
       explain_t;
-    Cmd.v (Cmd.info "plan" ~doc:"Run the greedy plan-generation algorithm.") plan_t;
+    Cmd.v
+      (Cmd.info "plan"
+         ~doc:
+           "Run the greedy plan-generation algorithm; its best plan is the \
+            one $(b,--strategy greedy) runs with the same flags.")
+      plan_t;
     Cmd.v
       (Cmd.info "diagnose"
          ~doc:
@@ -857,9 +866,34 @@ let cmds =
       diagnose_t;
   ]
 
+(* Bad input — a flag value, a view, a schema, a CSV file — fails with
+   a typed exception below the command: an error of the input (exit
+   123).  Anything else is a bug and keeps the internal-error report
+   (exit 125). *)
+let input_error = function
+  | Invalid_argument m | S.Rxl_parser.Parse_error m | S.Rxl.Ill_formed m
+  | R.Csv.Csv_error (m, _) (* names the file and row *) ->
+      Some m
+  | S.Rxl_lexer.Lex_error (m, at) ->
+      Some (Printf.sprintf "RXL offset %d: %s" at m)
+  | R.Source_desc.Syntax_error (m, line) ->
+      Some (Printf.sprintf "schema line %d: %s" line m)
+  | _ -> None
+
 let () =
   let info =
     Cmd.info "silkroute" ~version:"1.0"
       ~doc:"SilkRoute: efficient evaluation of XML middle-ware queries"
   in
-  exit (Cmd.eval (Cmd.group info cmds))
+  exit
+    (try Cmd.eval ~catch:false (Cmd.group info cmds) with
+    | e -> (
+        let bt = Printexc.get_backtrace () in
+        match input_error e with
+        | Some msg ->
+            prerr_endline ("silkroute: " ^ msg);
+            Cmd.Exit.some_error
+        | None ->
+            Printf.eprintf "silkroute: internal error, uncaught exception:\n%s\n%s"
+              (Printexc.to_string e) bt;
+            Cmd.Exit.internal_error))

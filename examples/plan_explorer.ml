@@ -44,11 +44,7 @@ let () =
   show_plan db p "unified, reduced (paper Fig. 11)" 511 ~reduce:true;
 
   (* what the greedy planner picks *)
-  let oracle = R.Cost.oracle db in
-  let result =
-    S.Planner.gen_plan ~reduce:true db oracle p.S.Middleware.tree
-      p.S.Middleware.labels S.Planner.default_params
-  in
+  let result = S.Middleware.gen_plan p ~reduce:true in
   Printf.printf "\n=== greedy planner (paper Fig. 17) ===\n%s\n"
     (S.Planner.to_string p.S.Middleware.tree result);
   let best = S.Planner.best_plan p.S.Middleware.tree result in

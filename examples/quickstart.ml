@@ -43,9 +43,7 @@ let () =
 
   (* 3. Materialize with the greedy planner. *)
   let p = S.Middleware.prepare_text db view_text in
-  let plan =
-    S.Middleware.partition_of p (S.Middleware.Greedy S.Planner.default_params)
-  in
+  let plan = S.Middleware.partition_of p S.Middleware.Greedy in
   let execution = S.Middleware.execute p plan in
   let doc = S.Middleware.document_of p execution in
   print_endline "--- materialized XML ---";

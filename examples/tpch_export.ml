@@ -29,7 +29,7 @@ let () =
     (S.Label.to_string p.S.Middleware.tree p.S.Middleware.labels);
 
   let run name strategy =
-    let plan = S.Middleware.partition_of p strategy in
+    let plan = S.Middleware.partition_of ~reduce:true p strategy in
     let e = S.Middleware.execute ~reduce:true p plan in
     let doc = S.Middleware.document_of p e in
     Printf.printf
@@ -40,7 +40,7 @@ let () =
   in
   let d1 = run "fully partitioned" S.Middleware.Fully_partitioned in
   let d2 = run "unified" S.Middleware.Unified in
-  let d3 = run "greedy" (S.Middleware.Greedy S.Planner.default_params) in
+  let d3 = run "greedy" S.Middleware.Greedy in
 
   Printf.printf "\nall strategies agree: %b\n"
     (Xmlkit.Xml.equal d1 d2 && Xmlkit.Xml.equal d2 d3);

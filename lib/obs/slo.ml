@@ -50,13 +50,14 @@ type t = {
 let bounds = Metrics.duration_bounds
 
 let create ?(config = default_config) () =
-  if config.window_ms <= 0.0 then
-    invalid_arg "Slo.create: window_ms must be positive";
+  let positive x = Float.is_finite x && x > 0.0 in
+  if not (positive config.window_ms) then
+    invalid_arg "Slo.create: window_ms must be positive and finite";
   if config.windows < 1 then invalid_arg "Slo.create: windows must be >= 1";
-  if config.target_p99_ms <= 0.0 then
-    invalid_arg "Slo.create: target_p99_ms must be positive";
-  if config.max_error_rate <= 0.0 then
-    invalid_arg "Slo.create: max_error_rate must be positive";
+  if not (positive config.target_p99_ms) then
+    invalid_arg "Slo.create: target_p99_ms must be positive and finite";
+  if not (positive config.max_error_rate) then
+    invalid_arg "Slo.create: max_error_rate must be positive and finite";
   {
     cfg = config;
     ring =

@@ -28,7 +28,7 @@ let no_faults =
 
 let faults ?(seed = 0) ?(fatal_weight = 0.0) ?(midstream_weight = 0.3)
     ?(row_latency_ms = 0.0) fault_rate =
-  if fault_rate < 0.0 || fault_rate > 1.0 then
+  if not (fault_rate >= 0.0 && fault_rate <= 1.0) then
     invalid_arg "Backend.faults: fault rate must be in [0, 1]";
   { fault_rate; fault_seed = seed; fatal_weight; midstream_weight; row_latency_ms }
 

@@ -41,7 +41,9 @@ val faults :
   float ->
   fault_config
 (** [faults rate] builds a config with the given fault rate; defaults:
-    seed 0, fatal weight 0, mid-stream weight 0.3, no row latency. *)
+    seed 0, fatal weight 0, mid-stream weight 0.3, no row latency.
+    Raises [Invalid_argument] unless [rate] is in [\[0, 1\]] (NaN is
+    not). *)
 
 (** Bounded retries with exponential backoff.  [jitter] is the uniform
     relative spread applied to each computed backoff (0.25 means

@@ -56,11 +56,19 @@ let analyze db : t =
    `run --diagnose --skew-stats` uses to prove the anomaly detector
    flags the resulting misestimates. *)
 let scale_table t name factor =
-  if factor <= 0.0 then invalid_arg "Stats.scale_table: factor must be > 0";
+  if not (Float.is_finite factor && factor > 0.0) then
+    invalid_arg "Stats.scale_table: factor must be finite and > 0";
   match Hashtbl.find_opt t.by_table name with
   | None -> invalid_arg (Printf.sprintf "Stats.scale_table: no table %s" name)
   | Some ts ->
-      let scale n = max 1 (int_of_float (float_of_int n *. factor)) in
+      (* an out-of-range product fails (int_of_float would make it a
+         1-row table) before anything is replaced *)
+      let scale n =
+        let x = float_of_int n *. factor in
+        if x >= Float.of_int max_int then
+          invalid_arg "Stats.scale_table: scaled count overflows";
+        max 1 (int_of_float x)
+      in
       Hashtbl.replace t.by_table name
         {
           row_count = scale ts.row_count;

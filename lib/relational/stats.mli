@@ -28,7 +28,8 @@ val scale_table : t -> string -> float -> unit
     per-column NDVs are multiplied by the factor (clamped to >= 1).
     Diagnostics fixture — models a stale catalog so the {!Obs.Diagnose}
     detector has a misestimate to flag.  Raises [Invalid_argument] on an
-    unknown table or a non-positive factor. *)
+    unknown table, a factor that is not finite and positive, or a scaled
+    figure past the [int] range; the entry is then left unchanged. *)
 
 val table : t -> string -> table_stats option
 val table_exn : t -> string -> table_stats

@@ -21,8 +21,9 @@
    the bounded non-blocking Slowlog.
 
    Locking: each LRU tier has its own mutex (see Lru); [plan_m]
-   serializes plan-tier misses so concurrent sessions cannot duplicate
-   planning work or race the cost oracle's request counter; [adm_m] +
+   serializes plan-tier misses against each other and against
+   [invalidate], so concurrent sessions cannot duplicate planning work
+   and no plan reads a half-skewed catalog; [adm_m] +
    [adm_cv] guard the in-flight work account.  Nothing holds two locks
    at once, and no lock is held across execution. *)
 
@@ -106,7 +107,6 @@ type t = {
   db : R.Database.t;
   cfg : config;
   stats : R.Stats.t;  (* shared catalog; skewed in place by [invalidate] *)
-  oracle : R.Cost.oracle;
   pool : R.Domain_pool.t;
   statements : S.Middleware.prepared Lru.t;
   plans : plan_entry Lru.t;
@@ -152,7 +152,6 @@ let create ?(config = default_config) db =
     db;
     cfg = config;
     stats;
-    oracle = R.Cost.oracle_with_stats db stats;
     pool = R.Domain_pool.create ~domains:config.domains;
     statements =
       Lru.create ~name:"statement" ~capacity:config.statement_capacity ();
@@ -222,29 +221,11 @@ let plan_key ~digest ~skey ~reduce ~epoch =
 let result_key ~digest ~mask ~reduce ~epoch =
   Printf.sprintf "%s|m%d|%b|e%d" digest mask reduce epoch
 
-let sql_options (p : S.Middleware.prepared) ~reduce =
-  {
-    S.Sql_gen.style = S.Sql_gen.Outer_join;
-    labels = (if reduce then Some p.S.Middleware.labels else None);
-  }
-
-(* Admission estimate for a partition: the cost oracle summed over the
-   plan's sub-queries — the same work-unit scale as the execution budget
-   machinery. *)
-let estimate_cost t (p : S.Middleware.prepared) partition ~reduce =
-  let streams =
-    S.Sql_gen.streams p.S.Middleware.db p.S.Middleware.tree partition
-      (sql_options p ~reduce)
-  in
-  List.fold_left
-    (fun acc (s : S.Sql_gen.stream) ->
-      acc +. (R.Cost.ask t.oracle s.S.Sql_gen.query).R.Cost.eval_cost)
-    0.0 streams
-
 (* Plan tier: compute misses under [plan_m] so concurrent sessions
-   asking for the same (view, strategy, epoch) plan it once.  A miss is
-   the [planner] stage: choosing the partition ([Middleware.partition_of]
-   is a stage of its own), then the admission estimate. *)
+   asking for the same (view, strategy, reduce, epoch) plan it once, and
+   no [invalidate] skews the catalog mid-plan.  A miss is two [planner]
+   stages of the middleware: choosing the partition for the reduction
+   the request runs with, then its admission estimate. *)
 let plan_of t (p : S.Middleware.prepared) ~digest ~strategy ~reduce ~epoch =
   let skey = S.Middleware.strategy_name strategy in
   let key = plan_key ~digest ~skey ~reduce ~epoch in
@@ -262,22 +243,12 @@ let plan_of t (p : S.Middleware.prepared) ~digest ~strategy ~reduce ~epoch =
           match Lru.peek t.plans key with
           | Some pe -> (pe, true)
           | None ->
-              let partition =
-                match strategy with
-                | S.Middleware.Greedy params ->
-                    Obs.Span.with_stage Obs.Stage.Planner (fun () ->
-                        let tree = p.S.Middleware.tree in
-                        S.Planner.best_plan tree
-                          (S.Planner.gen_plan ~reduce t.db t.oracle tree
-                             p.S.Middleware.labels params))
-                | other -> S.Middleware.partition_of p other
-              in
+              let partition = S.Middleware.partition_of ~reduce p strategy in
               let pe =
                 {
                   pe_mask = S.Partition.to_mask partition;
                   pe_est_cost =
-                    Obs.Span.with_stage Obs.Stage.Planner (fun () ->
-                        estimate_cost t p partition ~reduce);
+                    S.Middleware.estimated_cost ~reduce p partition;
                 }
               in
               Lru.add t.plans key pe;
@@ -747,7 +718,7 @@ let handle t req =
   | Protocol.Invalidate { table; factor } -> (
       match
         if table = "" then Ok None
-        else if factor <= 0.0 then
+        else if not (Float.is_finite factor && factor > 0.0) then
           Error (Printf.sprintf "bad skew factor %g for table %s" factor table)
         else Ok (Some (table, factor))
       with

@@ -19,8 +19,9 @@
     O(1) while the statement tier — which does not depend on statistics
     — survives.
 
-    {b Admission control}: each query's estimated engine work (the cost
-    oracle summed over the plan's sub-queries) is charged against a
+    {b Admission control}: each query's estimated engine work
+    ({!Silkroute.Middleware.estimated_cost}, planned with
+    {!Silkroute.Middleware.partition_of}[ ~reduce]) is charged against a
     budget of in-flight work.  A query that can never fit is rejected
     outright; one that does not fit {e now} waits in a bounded queue and
     is rejected when the queue is full.  Result-cache hits bypass

@@ -20,8 +20,9 @@ type prepared = {
   tree : View_tree.t;
   labels : Xmlkit.Dtd.multiplicity array;
   stats : R.Stats.t Lazy.t;
-      (* forced only when a plan needs cost annotations (tracing,
-         explain), so plain execution never pays the analyze pass *)
+      (* forced only when estimates are needed (greedy planning,
+         tracing, explain), so plain execution never pays the analyze
+         pass *)
 }
 
 let prepare db view =
@@ -45,26 +46,38 @@ type strategy =
   | Unified
   | Fully_partitioned
   | Edges of int (* partition mask over view-tree edges *)
-  | Greedy of Planner.params
+  | Greedy
 
 let strategy_name = function
   | Unified -> "unified"
   | Fully_partitioned -> "fully-partitioned"
   | Edges mask -> Printf.sprintf "edges:%d" mask
-  | Greedy _ -> "greedy"
+  | Greedy -> "greedy"
 
 let strategy_of_string s =
   match String.lowercase_ascii s with
   | "unified" -> Unified
   | "partitioned" | "fully-partitioned" -> Fully_partitioned
-  | "greedy" -> Greedy Planner.default_params
+  | "greedy" -> Greedy
   | s when String.starts_with ~prefix:"edges:" s -> (
       match int_of_string_opt (String.sub s 6 (String.length s - 6)) with
       | Some mask when mask >= 0 -> Edges mask
       | _ -> invalid_arg ("bad edge mask in strategy: " ^ s))
   | s -> invalid_arg ("unknown strategy: " ^ s)
 
-let partition_of p strategy =
+let options_of p ~style ~reduce =
+  { Sql_gen.style; labels = (if reduce then Some p.labels else None) }
+
+(* The one place a prepared view's catalog becomes a cost oracle: a
+   fresh counting oracle over [p.stats] per run, so the request count is
+   this run's and a skewed catalog skews the plan. *)
+let oracle_of p = R.Cost.oracle_with_stats p.db (Lazy.force p.stats)
+
+let gen_plan p ~reduce =
+  Planner.gen_plan ~reduce p.db (oracle_of p) p.tree p.labels
+    Planner.default_params
+
+let partition_of ?(reduce = false) p strategy =
   Obs.Span.with_stage Obs.Stage.Planner (fun () ->
       let requests = ref 0 in
       let plan =
@@ -72,9 +85,8 @@ let partition_of p strategy =
         | Unified -> Partition.unified p.tree
         | Fully_partitioned -> Partition.fully_partitioned p.tree
         | Edges mask -> Partition.of_mask p.tree mask
-        | Greedy params ->
-            let oracle = R.Cost.oracle_with_stats p.db (Lazy.force p.stats) in
-            let result = Planner.gen_plan p.db oracle p.tree p.labels params in
+        | Greedy ->
+            let result = gen_plan p ~reduce in
             requests := result.Planner.requests;
             Log.info (fun m -> m "genPlan: %s" (Planner.to_string p.tree result));
             Planner.best_plan p.tree result
@@ -83,13 +95,21 @@ let partition_of p strategy =
         Obs.Span.add_list
           [
             Obs.Attr.string "strategy" (strategy_name strategy);
+            Obs.Attr.bool "reduce" reduce;
             Obs.Attr.int "streams" (Partition.stream_count plan);
             Obs.Attr.int "work" !requests;
           ];
       plan)
 
-let options_of p ~style ~reduce =
-  { Sql_gen.style; labels = (if reduce then Some p.labels else None) }
+let estimated_cost ?(reduce = false) p plan =
+  Obs.Span.with_stage Obs.Stage.Planner (fun () ->
+      let oracle = oracle_of p in
+      List.fold_left
+        (fun acc (s : Sql_gen.stream) ->
+          acc +. (R.Cost.ask oracle s.Sql_gen.query).R.Cost.eval_cost)
+        0.0
+        (Sql_gen.streams p.db p.tree plan
+           (options_of p ~style:Sql_gen.Outer_join ~reduce)))
 
 (* Per-stream breakdown: every sub-query of a partition gets its own
    stats record, so the execution result can show where inside a plan the

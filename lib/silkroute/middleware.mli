@@ -11,10 +11,10 @@
 
     Every step is one stage of {!Obs.Stage}, bounded here at its call
     site by {!Obs.Span.with_stage}: [rxl_parser] and [view_tree]
-    ({!prepare_text}), [planner] ({!partition_of}), [sql_gen] and, per
-    stream, [sql_print], [sql_parser], [physical] and [executor]
-    ({!execute}), and [tagger] ({!document_of}, {!xml_string_of},
-    {!stream_to_channel}). *)
+    ({!prepare_text}), [planner] ({!partition_of}, {!estimated_cost}),
+    [sql_gen] and, per stream, [sql_print], [sql_parser], [physical] and
+    [executor] ({!execute}), and [tagger] ({!document_of},
+    {!xml_string_of}, {!stream_to_channel}). *)
 
 type prepared = {
   db : Relational.Database.t;
@@ -22,8 +22,9 @@ type prepared = {
   tree : View_tree.t;
   labels : Xmlkit.Dtd.multiplicity array;
   stats : Relational.Stats.t Lazy.t;
-      (** database statistics for cost annotation; forced only when a
-          plan needs estimates (tracing, explain) *)
+      (** the catalog every estimate of this view is priced against;
+          forced only when estimates are needed (greedy planning,
+          tracing, explain) *)
 }
 
 val prepare : Relational.Database.t -> Rxl.view -> prepared
@@ -37,19 +38,29 @@ type strategy =
   | Unified  (** one SQL query (all edges kept) *)
   | Fully_partitioned  (** one SQL query per view-tree node *)
   | Edges of int  (** explicit edge mask *)
-  | Greedy of Planner.params  (** the paper's plan-generation algorithm *)
+  | Greedy  (** the paper's plan-generation algorithm, {!gen_plan} *)
 
 val strategy_of_string : string -> strategy
-(** [unified], [partitioned] (or [fully-partitioned]), [greedy] (default
-    parameters) or [edges:MASK] with a non-negative integer [MASK], case
-    insensitive.  Raises [Invalid_argument] for anything else. *)
+(** [unified], [partitioned] (or [fully-partitioned]), [greedy] or
+    [edges:MASK] with a non-negative integer [MASK], case insensitive.
+    Raises [Invalid_argument] for anything else. *)
 
 val strategy_name : strategy -> string
 (** The canonical spelling {!strategy_of_string} reads back. *)
 
-val partition_of : prepared -> strategy -> Partition.t
-(** The [planner] stage.  [Greedy] plans against [p.stats], so a skewed
-    catalog skews the plan. *)
+val gen_plan : prepared -> reduce:bool -> Planner.result
+(** genPlan with {!Planner.default_params}, priced by a fresh cost
+    oracle over [p.stats] (the only place a catalog becomes an oracle)
+    for fragment queries generated with [reduce]. *)
+
+val partition_of : ?reduce:bool -> prepared -> strategy -> Partition.t
+(** The [planner] stage, the one place a strategy becomes a partition.
+    [Greedy] is the best plan of {!gen_plan}: pass the [reduce] the plan
+    will run with (default [false], as for {!execute}). *)
+
+val estimated_cost : ?reduce:bool -> prepared -> Partition.t -> float
+(** A [planner] stage: estimated [eval_cost] summed over the plan's
+    sub-queries — the server's admission estimate. *)
 
 (** Per-stream breakdown: every sub-query of a partition gets its own
     stats record, so callers can see where inside a plan the work went

@@ -9,7 +9,8 @@
 
    and greedily collapses the cheapest edge while rel(e) stays under the
    thresholds: below t1 the edge is mandatory, below t2 optional.  The
-   RDBMS (here Cost.oracle) answers the evaluation_cost / cardinality
+   RDBMS (here the Cost module's counting oracle, built for a prepared
+   view by Middleware.gen_plan) answers the evaluation_cost / cardinality
    requests; fragment costs are cached by member set, which is why the
    request count stays far below the quadratic worst case (the paper
    reports 22–25 requests instead of 81). *)
@@ -48,9 +49,8 @@ let fragment_of tree members : Partition.fragment =
   in
   { Partition.root; members = List.sort compare members; internal_edges }
 
-let gen_plan ?(reduce = false) (db : R.Database.t) (oracle : R.Cost.oracle)
-    (tree : View_tree.t) (labels : Xmlkit.Dtd.multiplicity array)
-    (params : params) : result =
+let gen_plan ?(reduce = false) (db : R.Database.t) oracle (tree : View_tree.t)
+    (labels : Xmlkit.Dtd.multiplicity array) (params : params) : result =
  Obs.Span.with_span "planner.gen_plan" (fun () ->
   let requests0 = R.Cost.requests oracle in
   let opts =

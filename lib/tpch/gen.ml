@@ -18,7 +18,8 @@ type config = {
 
 let config ?(seed = 42L) ?(supplier_no_part_fraction = 0.1)
     ?(partsupp_no_order_fraction = 0.1) scale =
-  if scale <= 0.0 then invalid_arg "Gen.config: scale must be positive";
+  if not (Float.is_finite scale && scale > 0.0) then
+    invalid_arg "Gen.config: scale must be positive and finite";
   { scale; seed; supplier_no_part_fraction; partsupp_no_order_fraction }
 
 (* Table cardinalities at a given scale. *)

@@ -19,7 +19,8 @@ val config :
   float ->
   config
 (** [config scale] with defaults seed 42, 10% part-less suppliers, 10%
-    order-less supplied parts.  Raises on non-positive scale. *)
+    order-less supplied parts.  Raises [Invalid_argument] unless [scale]
+    is finite and positive. *)
 
 val schema_tables : Relational.Schema.table list
 (** The eight tables of the paper's Fig. 1 with keys and foreign keys. *)

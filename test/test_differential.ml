@@ -32,7 +32,7 @@ let test_shuffled_rows view () =
   let masks =
     List.map
       (fun s -> Partition.to_mask (Middleware.partition_of p s))
-      Middleware.[ Unified; Fully_partitioned; Greedy Planner.default_params ]
+      Middleware.[ Unified; Fully_partitioned; Greedy ]
   in
   check [ slice view db ~masks:(only masks) ~modes:[ heap; spooled ] ]
 

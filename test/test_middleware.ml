@@ -17,7 +17,7 @@ let test_materialize_strategies_agree () =
     List.map
       (fun strategy -> Partition.to_mask (Middleware.partition_of p strategy))
       [ Middleware.Unified; Middleware.Fully_partitioned; Middleware.Edges 37;
-        Middleware.Greedy Planner.default_params ]
+        Middleware.Greedy ]
   in
   Matrix.(check [ slice q1 db ~masks:(only masks) ])
 

@@ -264,7 +264,7 @@ let test_greedy_plan_edge_spans () =
 let test_middleware_stage_spans () =
   with_obs (fun () ->
       let _, p = setup Queries.query1_text in
-      let plan = Middleware.partition_of p (Middleware.Greedy Planner.default_params) in
+      let plan = Middleware.partition_of p Middleware.Greedy in
       let e = Middleware.execute p plan in
       ignore (Middleware.document_of p e);
       (* every pipeline stage is spanned under its own name *)
@@ -370,7 +370,7 @@ let run_request ~sampled pool =
       let db = Tpch.Gen.generate (Tpch.Gen.config 0.05) in
       let p = Middleware.prepare_text db Queries.query1_text in
       let plan =
-        Middleware.partition_of p (Middleware.Greedy Planner.default_params)
+        Middleware.partition_of p Middleware.Greedy
       in
       ignore (Middleware.xml_string_of p (Middleware.execute ~pool p plan)));
   clock

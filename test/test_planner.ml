@@ -98,10 +98,18 @@ let test_generated_plan_beats_baselines () =
     true (greedy < fully)
 
 let test_greedy_strategy_through_middleware () =
-  let _db, p = setup Queries.query2_text in
-  let plan = Middleware.partition_of p (Middleware.Greedy Planner.default_params) in
+  (* q2 at scale 1: the reduced and unreduced genPlan runs pick
+     different plans, so planning for the wrong reduction shows *)
+  let db, p = setup ~scale:1.0 Queries.query2_text in
+  let plan = Middleware.partition_of ~reduce:true p Middleware.Greedy in
   Alcotest.(check bool) "intermediate stream count" true
     (Partition.stream_count plan >= 1 && Partition.stream_count plan <= 10);
+  let mask r = Partition.to_mask (Planner.best_plan p.Middleware.tree r) in
+  Alcotest.(check int) "the reduced genPlan's best plan"
+    (mask (run ~reduce:true db p))
+    (Partition.to_mask plan);
+  Alcotest.(check bool) "not the unreduced one" true
+    (mask (run db p) <> Partition.to_mask plan);
   (* and the result is still correct *)
   let truth = Middleware.materialize_naive p in
   let e = Middleware.execute ~reduce:true p plan in

@@ -364,6 +364,51 @@ let test_bad_inputs_fail_cleanly () =
       | Protocol.Result _ -> ()
       | r -> Alcotest.failf "server poisoned: %s" (Protocol.reply_name r))
 
+(* A skew factor from the wire must be finite, positive and small
+   enough that the scaled row count fits an int.  NaN, infinity and
+   1e300 used to pass the [factor <= 0] check, shrink the table to one
+   row and bump the epoch. *)
+let test_invalidate_rejects_non_finite () =
+  with_server (fun t ->
+      List.iter
+        (fun factor ->
+          (match
+             Service.handle t
+               (Protocol.Invalidate { table = "Supplier"; factor })
+           with
+          | Protocol.Failed _ -> ()
+          | r ->
+              Alcotest.failf "factor %g: expected Failed, got %s" factor
+                (Protocol.reply_name r));
+          Alcotest.(check int)
+            (Printf.sprintf "factor %g: epoch unchanged" factor)
+            0 (Service.stats_epoch t))
+        [ Float.nan; Float.infinity; 1e300 ])
+
+(* One plan per request: the plan tier asks the middleware's planner
+   stage, so a greedy reduced request runs the plan [partition_of
+   ~reduce:true] names.  At seed 42, scale 1, q2's reduced and
+   unreduced greedy plans differ. *)
+let test_greedy_plan_is_the_middleware_plan () =
+  let db = Tpch.Gen.generate (Tpch.Gen.config ~seed:42L 1.0) in
+  let p = S.Middleware.prepare_text db S.Queries.query2_text in
+  let plan reduce = S.Middleware.partition_of ~reduce p S.Middleware.Greedy in
+  Alcotest.(check bool) "the two reductions plan differently here" true
+    (S.Partition.to_mask (plan true) <> S.Partition.to_mask (plan false));
+  let expected =
+    (S.Middleware.execute ~reduce:true p (plan true)).S.Middleware.work
+  in
+  let t = Service.create db in
+  Fun.protect ~finally:(fun () -> Service.shutdown t) @@ fun () ->
+  match
+    Service.query t ~view:S.Queries.query2_text ~strategy:"greedy"
+      ~reduce:true
+  with
+  | Protocol.Result { work; _ } ->
+      Alcotest.(check int) "work of the middleware's reduced plan" expected
+        work
+  | r -> Alcotest.failf "expected a result, got %s" (Protocol.reply_name r)
+
 let test_shutdown_idempotent () =
   let t = Service.create (Lazy.force db) in
   Service.shutdown t;
@@ -708,6 +753,10 @@ let suite =
       test_byte_identity_all_plans;
     Alcotest.test_case "invalidation: stats epoch" `Quick test_epoch_invalidation;
     Alcotest.test_case "bad inputs fail cleanly" `Quick test_bad_inputs_fail_cleanly;
+    Alcotest.test_case "invalidate rejects nan, inf, overflow" `Quick
+      test_invalidate_rejects_non_finite;
+    Alcotest.test_case "greedy plan is the middleware's plan" `Quick
+      test_greedy_plan_is_the_middleware_plan;
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
     Alcotest.test_case "telemetry: metrics + health endpoints" `Quick
       test_telemetry_endpoints;

@@ -118,6 +118,23 @@ let test_oracle_counts_requests () =
   Cost.reset_requests o;
   Alcotest.(check int) "reset" 0 (Cost.requests o)
 
+(* A skew factor must be finite and positive, and its product must fit
+   an int: int_of_float mapped NaN, infinite and overflowing products to
+   0, which the clamp turned into a silent one-row table. *)
+let test_scale_table_rejects_non_finite () =
+  let st = Stats.analyze (mkdb ()) in
+  List.iter
+    (fun factor ->
+      Alcotest.(check bool) (Printf.sprintf "factor %g rejected" factor) true
+        (try Stats.scale_table st "R" factor; false
+         with Invalid_argument _ -> true);
+      Alcotest.(check int) (Printf.sprintf "factor %g: R untouched" factor)
+        100 (Stats.row_count st "R"))
+    [ Float.nan; Float.infinity; 1e300 ];
+  Stats.scale_table st "R" 2.5;
+  Alcotest.(check int) "a finite factor still scales" 250
+    (Stats.row_count st "R")
+
 let test_estimate_tracks_actual_within_oom () =
   (* sanity: estimated eval_cost within ~2 orders of magnitude of the
      executor's metered work on a real query *)
@@ -149,4 +166,6 @@ let suite =
     Alcotest.test_case "cost combination" `Quick test_cost_combination;
     Alcotest.test_case "oracle request counting" `Quick test_oracle_counts_requests;
     Alcotest.test_case "estimate vs actual work" `Quick test_estimate_tracks_actual_within_oom;
+    Alcotest.test_case "scale_table rejects nan, inf, overflow" `Quick
+      test_scale_table_rejects_non_finite;
   ]

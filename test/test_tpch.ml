@@ -99,9 +99,15 @@ let test_figure8_database () =
   Alcotest.(check int) "3 partsupp" 3 (Database.row_count db "PartSupp");
   Alcotest.(check (list string)) "integrity" [] (Database.check_integrity db)
 
+(* NaN passes a [scale <= 0.0] check, and an infinite scale makes no
+   sizes: both must be rejected too. *)
 let test_config_validation () =
-  Alcotest.(check bool) "non-positive scale rejected" true
-    (try ignore (Tpch.Gen.config 0.0); false with Invalid_argument _ -> true)
+  List.iter
+    (fun scale ->
+      Alcotest.(check bool) (Printf.sprintf "scale %g rejected" scale) true
+        (try ignore (Tpch.Gen.config scale); false
+         with Invalid_argument _ -> true))
+    [ 0.0; Float.nan; Float.infinity ]
 
 let test_transfer_model () =
   let cfg = Transfer.default in

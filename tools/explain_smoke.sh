@@ -6,7 +6,8 @@
 # plain, and resilient under injected faults (a retried stream must still
 # report the actuals of its winning attempt).  Guards the explain surface
 # (and the lowering/rewrite markers it exposes) against silent
-# regression.
+# regression.  Then `plan`, `explain` and `run --explain` must name the
+# same greedy plan, reduced and with --no-reduce.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,6 +31,30 @@ for q in q1 q2; do
       exit 1
     fi
   done
+done
+
+# One planner: `plan`, `explain` and `run --explain` name the same
+# greedy plan for the reduction they run with (q2 at scale 1 is a point
+# where the reduced and the unreduced plans differ).
+for flags in "" "--no-reduce"; do
+  echo "== plan = explain = run --explain, q2 scale 1 $flags"
+  # shellcheck disable=SC2086
+  planned=$(dune exec bin/silkroute_cli.exe -- plan -q q2 --scale 1 $flags \
+    | sed -n 's/^best plan: /plan: /p')
+  # shellcheck disable=SC2086
+  explained=$(dune exec bin/silkroute_cli.exe -- explain -q q2 --scale 1 \
+    --strategy greedy $flags | grep '^plan: ')
+  # shellcheck disable=SC2086
+  ran=$(dune exec bin/silkroute_cli.exe -- run -q q2 --scale 1 \
+    --strategy greedy --explain $flags 2>&1 >/dev/null | grep '^plan: ')
+  if [ -z "$planned" ] || [ "$planned" != "$explained" ] \
+    || [ "$planned" != "$ran" ]; then
+    echo "FAIL: plans differ $flags:" >&2
+    printf '  plan:    %s\n  explain: %s\n  run:     %s\n' \
+      "$planned" "$explained" "$ran" >&2
+    exit 1
+  fi
+  echo "$planned"
 done
 
 echo "== explain smoke OK"
