@@ -149,8 +149,9 @@ let masked_size (mask : bool array) (t : Tuple.t) =
    its buckets — or every right row when some disjunct has no equality
    — enumerated ascending without duplicates: one bucket is walked in
    place, several are merged into scratch arrays, and the no-key case
-   walks the index range.  Nothing per left row allocates except the
-   joined rows themselves. *)
+   walks the index range.  ON is tested on the (left row, right row)
+   pair in place, so nothing per left row allocates except accepted
+   rows and NULL pads. *)
 type table = {
   lk : int array; (* left key positions *)
   ids : int KeyTbl.t; (* right key -> bucket number *)
@@ -163,7 +164,7 @@ type probe = {
   right_bytes : int array; (* wire size of each right row *)
   full : bool; (* some disjunct has no equality: every row is a candidate *)
   tables : table array;
-  on : Tuple.t -> bool;
+  on : Tuple.t -> Tuple.t -> bool; (* ON over (left row, right row) *)
   outer : bool;
   null_pad : Tuple.t;
   pad_bytes : int;
@@ -209,7 +210,7 @@ let probe_create (info : P.join_info) (right : Tuple.t array) =
     right_bytes = Array.map Tuple.wire_size right;
     full;
     tables;
-    on = Expr.compile_pred info.P.on;
+    on = Expr.compile_join_pred ~split:info.P.split info.P.on;
     outer = info.P.kind = Sql.Left_outer;
     null_pad;
     pad_bytes = Tuple.wire_size null_pad;
@@ -272,20 +273,21 @@ let candidates p lrow =
 
 (* Probe one left row: charge its candidates as probed, emit each joined
    row that satisfies ON in ascending right-row order, then the NULL pad
-   of an unmatched outer row.  A joined row's wire size is the sum of
-   its halves', so it is charged without walking the joined row. *)
+   of an unmatched outer row.  A joined row is built only once ON has
+   accepted its pair; its wire size is the sum of its halves', so it is
+   charged without walking the joined row. *)
 let probe_row ctx p emit (lrow : Tuple.t) =
   let n = candidates p lrow in
   charge ctx `Probe n;
   let matched = ref false and lbytes = ref (-1) in
   for c = 0 to n - 1 do
     let i = if p.full then c else p.cand.(c) in
-    let joined = Tuple.concat lrow p.right.(i) in
-    if p.on joined then begin
+    let rrow = p.right.(i) in
+    if p.on lrow rrow then begin
       matched := true;
       if !lbytes < 0 then lbytes := Tuple.wire_size lrow;
       charge_emit_bytes ctx (!lbytes + p.right_bytes.(i));
-      emit joined
+      emit (Tuple.concat lrow rrow)
     end
   done;
   if (not !matched) && p.outer then begin

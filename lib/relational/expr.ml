@@ -95,7 +95,7 @@ let rec resolve lookup = function
   | Is_null e -> R_is_null (resolve lookup e)
   | Is_not_null e -> R_is_not_null (resolve lookup e)
 
-let apply_cmp op c =
+let[@inline] apply_cmp op c =
   match op with
   | Eq -> c = 0
   | Neq -> c <> 0
@@ -103,6 +103,13 @@ let apply_cmp op c =
   | Le -> c <= 0
   | Gt -> c > 0
   | Ge -> c >= 0
+
+(* SQL comparison under WHERE semantics without the [int option] of
+   {!Value.compare3}: NULL on either side is UNKNOWN, which rejects. *)
+let[@inline] test op a b =
+  match (a, b) with
+  | Value.Null, _ | _, Value.Null -> false
+  | _ -> apply_cmp op (Value.compare_total a b)
 
 let apply_arith op a b =
   let open Value in
@@ -171,9 +178,10 @@ let rec compile (r : resolved) : Tuple.t -> Value.t =
   | R_cmp (op, a, b) ->
       let fa = compile a and fb = compile b in
       fun t ->
-        (match Value.compare3 (fa t) (fb t) with
-        | None -> Value.Null
-        | Some c -> Value.Bool (apply_cmp op c))
+        let va = fa t and vb = fb t in
+        if Value.is_null va || Value.is_null vb then Value.Null
+        else if apply_cmp op (Value.compare_total va vb) then Value.Bool true
+        else Value.Bool false
   | R_arith (op, a, b) ->
       let fa = compile a and fb = compile b in
       fun t -> apply_arith op (fa t) (fb t)
@@ -211,16 +219,18 @@ let rec compile (r : resolved) : Tuple.t -> Value.t =
       fun t -> Value.Bool (not (Value.is_null (fe t)))
 
 (* Boolean specialisation of {!compile} under WHERE semantics (UNKNOWN
-   is false), skipping the Value.Bool boxing on AND/OR/NOT spines. *)
+   is false), skipping the Value.Bool boxing on AND/OR/NOT spines.
+   Comparisons of a column with a literal or another column read the
+   row directly. *)
 let rec compile_pred (r : resolved) : Tuple.t -> bool =
   match r with
   | R_lit v -> fun _ -> v = Value.Bool true
+  | R_cmp (op, R_col i, R_lit v) -> fun t -> test op t.(i) v
+  | R_cmp (op, R_lit v, R_col i) -> fun t -> test op v t.(i)
+  | R_cmp (op, R_col i, R_col j) -> fun t -> test op t.(i) t.(j)
   | R_cmp (op, a, b) ->
       let fa = compile a and fb = compile b in
-      fun t ->
-        (match Value.compare3 (fa t) (fb t) with
-        | None -> false
-        | Some c -> apply_cmp op c)
+      fun t -> test op (fa t) (fb t)
   | R_and (a, b) ->
       let pa = compile_pred a and pb = compile_pred b in
       fun t -> pa t && pb t
@@ -239,3 +249,89 @@ let rec compile_pred (r : resolved) : Tuple.t -> bool =
   | (R_col _ | R_arith _) as e ->
       let fe = compile e in
       fun t -> (match fe t with Value.Bool true -> true | _ -> false)
+
+(* --- Join predicates ------------------------------------------------ *)
+
+(* An expression over a joined row, annotated bottom-up, once per node,
+   with the sides it reads: bit 1 the left row (positions below the
+   split), bit 2 the right row. *)
+type sided = { e : resolved; sides : int; kids : sided list }
+
+let rec sided split e =
+  let kids =
+    match e with
+    | R_col _ | R_lit _ -> []
+    | R_cmp (_, a, b) | R_arith (_, a, b) | R_and (a, b) | R_or (a, b) ->
+        [ sided split a; sided split b ]
+    | R_not a | R_is_null a | R_is_not_null a -> [ sided split a ]
+  in
+  let sides =
+    match e with
+    | R_col i -> if i < split then 1 else 2
+    | _ -> List.fold_left (fun acc k -> acc lor k.sides) 0 kids
+  in
+  { e; sides; kids }
+
+let rec shift d = function
+  | R_col i -> R_col (i - d)
+  | R_lit _ as e -> e
+  | R_cmp (op, a, b) -> R_cmp (op, shift d a, shift d b)
+  | R_arith (op, a, b) -> R_arith (op, shift d a, shift d b)
+  | R_and (a, b) -> R_and (shift d a, shift d b)
+  | R_or (a, b) -> R_or (shift d a, shift d b)
+  | R_not e -> R_not (shift d e)
+  | R_is_null e -> R_is_null (shift d e)
+  | R_is_not_null e -> R_is_not_null (shift d e)
+
+(* ON over (left row, right row), read in place.  Only the AND/OR spine
+   and the comparisons across the two sides are compiled here, with
+   direct kernels for a column against a column of the other side or a
+   literal; any other subtree reading one side is {!compile_pred} over
+   that row, and an operand or other node reading both sides runs on
+   their concatenation. *)
+let compile_join_pred ~split (e : resolved) : Tuple.t -> Tuple.t -> bool =
+  let operand s : Tuple.t -> Tuple.t -> Value.t =
+    match s.sides with
+    | 2 ->
+        let f = compile (shift split s.e) in
+        fun _ r -> f r
+    | 3 ->
+        let f = compile s.e in
+        fun l r -> f (Tuple.concat l r)
+    | _ ->
+        let f = compile s.e in
+        fun l _ -> f l
+  in
+  let rec pred s =
+    match (s.sides, s.e, s.kids) with
+    | 1, R_cmp (op, R_col i, R_lit v), _ -> fun l _ -> test op l.(i) v
+    | 2, R_cmp (op, R_col i, R_lit v), _ ->
+        let i = i - split in
+        fun _ r -> test op r.(i) v
+    | 2, _, _ ->
+        let p = compile_pred (shift split s.e) in
+        fun _ r -> p r
+    | (0 | 1), _, _ ->
+        let p = compile_pred s.e in
+        fun l _ -> p l
+    | _, R_and _, [ a; b ] ->
+        let pa = pred a and pb = pred b in
+        fun l r -> pa l r && pb l r
+    | _, R_or _, [ a; b ] ->
+        let pa = pred a and pb = pred b in
+        fun l r -> pa l r || pb l r
+    | _, R_cmp (op, R_col i, R_col j), _ ->
+        if i < split then
+          let j = j - split in
+          fun l r -> test op l.(i) r.(j)
+        else
+          let i = i - split in
+          fun l r -> test op r.(i) l.(j)
+    | _, R_cmp (op, _, _), [ a; b ] ->
+        let fa = operand a and fb = operand b in
+        fun l r -> test op (fa l r) (fb l r)
+    | _ ->
+        let p = compile_pred s.e in
+        fun l r -> p (Tuple.concat l r)
+  in
+  pred (sided split e)

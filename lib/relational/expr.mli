@@ -69,6 +69,11 @@ val resolve : (string option * string -> int option) -> t -> resolved
 val apply_cmp : cmp -> int -> bool
 (** Interprets a comparison operator over a [Value.compare3] result. *)
 
+val test : cmp -> Value.t -> Value.t -> bool
+(** [test op a b] is SQL's [a op b] under WHERE semantics: false if
+    either side is NULL, else [op] over {!Value.compare_total}.  Allocates
+    nothing; the comparison kernel of every compiled predicate. *)
+
 val apply_arith : arith -> Value.t -> Value.t -> Value.t
 (** Arithmetic with SQL NULL propagation; division by zero yields NULL. *)
 
@@ -87,3 +92,12 @@ val compile : resolved -> Tuple.t -> Value.t
 val compile_pred : resolved -> Tuple.t -> bool
 (** Compiled form of {!eval_pred}: agrees with it on every tuple, with
     AND/OR/NOT spines specialised to unboxed booleans. *)
+
+val compile_join_pred : split:int -> resolved -> Tuple.t -> Tuple.t -> bool
+(** [compile_join_pred ~split e] is a join's ON over (left row, right
+    row), where [e] is resolved against their concatenation and the left
+    row has [split] columns: [compile_join_pred ~split e l r =
+    compile_pred e (Tuple.concat l r)], but each row is read in place.
+    Only AND/OR spines and cross-side comparisons are compiled here;
+    one-sided subtrees go through {!compile_pred}, and any other node
+    that reads both sides runs on the concatenation. *)

@@ -14,6 +14,7 @@ type join_info = {
   on : Expr.resolved;
   on_str : string;
   disjuncts : (int array * int array) list;
+  split : int;
   right_width : int;
   from_where : bool;
 }
@@ -149,6 +150,7 @@ let of_algebra (a : Algebra.t) : plan =
                    on = Algebra.to_resolved on;
                    on_str = Algebra.expr_to_string on;
                    disjuncts;
+                   split = la;
                    right_width;
                    from_where;
                  };

@@ -22,6 +22,9 @@ type join_info = {
       (** per ON disjunct: (left key positions, right key positions);
           empty arrays mean that disjunct needs a full scan of the
           right input *)
+  split : int;
+      (** arity of the left input: ON's positions below it read the left
+          row, the rest the right row *)
   right_width : int;  (** arity of the NULL pad for outer joins *)
   from_where : bool;
 }

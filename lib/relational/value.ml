@@ -59,10 +59,22 @@ let compare3 a b =
 
 let equal a b = compare_total a b = 0
 
+(* Numbers hash by the float they compare as, so [equal] values of
+   either constructor hash alike: an integral float within 2^53 hashes
+   as the int it equals (which also merges -0.0 with 0.0), and an int
+   beyond 2^53, where [compare_total] rounds it to a float, hashes as
+   that float does. *)
+let hash_float x =
+  if Float.is_integer x && Float.abs x <= 0x1p53 then
+    Hashtbl.hash (int_of_float x)
+  else Hashtbl.hash x
+
 let hash = function
   | Null -> 0
-  | Int x -> Hashtbl.hash x
-  | Float x -> Hashtbl.hash x
+  | Int x ->
+      if x >= -(1 lsl 53) && x <= 1 lsl 53 then Hashtbl.hash x
+      else hash_float (float_of_int x)
+  | Float x -> hash_float x
   | Bool x -> Hashtbl.hash x
   | String x -> Hashtbl.hash x
   | Date x -> Hashtbl.hash (x + 17)

@@ -36,7 +36,8 @@ val equal : t -> t -> bool
     {!compare3} for SQL predicate semantics). *)
 
 val hash : t -> int
-(** Hash consistent with {!equal}, for hash joins and grouping. *)
+(** Hash consistent with {!equal}, for hash joins and grouping: [Int 2]
+    and [Float 2.0] are equal and hash alike, as do [-0.0] and [0.0]. *)
 
 val to_string : t -> string
 (** Human-readable rendering (no quoting). *)

@@ -1,6 +1,7 @@
 (* The executor's batches: unit laws for Batch's selection vectors, the
-   batch-to-cursor adapter, cursor resource release, and compile ≡ eval
-   equivalence over random expressions.  Operators crossing chunk
+   batch-to-cursor adapter, cursor resource release, compile ≡ eval
+   equivalence over random expressions, and the join predicate ≡ ON on
+   the concatenated row.  Operators crossing chunk
    boundaries are checked against the seed interpreter in
    test_executor.ml. *)
 
@@ -213,6 +214,136 @@ let prop_compile_pred_eq_eval_pred =
     ~count:1000 (QCheck.make ~print:print_case gen_case) (fun (e, t) ->
       R.Expr.compile_pred e t = R.Expr.eval_pred e t)
 
+(* --- the join predicate ≡ ON on the concatenation ---------------------- *)
+
+(* A joined row of [join_width] columns, split at a random point; values
+   include NULLs and integral floats equal to ints.  Column leaves and
+   column-vs-column and column-vs-literal comparisons are drawn often,
+   so one-sided subtrees
+   of either side, cross-side comparisons and operands reading both
+   sides (arithmetic over columns of both) all occur. *)
+let join_width = 4
+
+let gen_join_resolved =
+  let open QCheck.Gen in
+  let col = map (fun i -> R.Expr.R_col i) (int_range 0 (join_width - 1)) in
+  let op = oneofl R.Expr.[ Eq; Neq; Lt; Le; Gt; Ge ] in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           frequency
+             [
+               (3, col);
+               (1, map (fun v -> R.Expr.R_lit v) gen_value);
+               (3, map3 (fun op a b -> R.Expr.R_cmp (op, a, b)) op col col);
+               ( 2,
+                 map3
+                   (fun op a v -> R.Expr.R_cmp (op, a, R_lit v))
+                   op col gen_value );
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           let sub = self (n / 2) in
+           frequency
+             [
+               (2, leaf);
+               (2, map3 (fun op a b -> R.Expr.R_cmp (op, a, b)) op sub sub);
+               ( 1,
+                 map3
+                   (fun op a b -> R.Expr.R_arith (op, a, b))
+                   (oneofl R.Expr.[ Add; Sub; Mul; Div ])
+                   sub sub );
+               (2, map2 (fun a b -> R.Expr.R_and (a, b)) sub sub);
+               (2, map2 (fun a b -> R.Expr.R_or (a, b)) sub sub);
+               (1, map (fun e -> R.Expr.R_not e) sub);
+               (1, map (fun e -> R.Expr.R_is_null e) sub);
+               (1, map (fun e -> R.Expr.R_is_not_null e) sub);
+             ])
+
+let gen_join_case =
+  QCheck.Gen.(
+    map2
+      (fun e (split, row) ->
+        (e, split, Array.sub row 0 split, Array.sub row split (join_width - split)))
+      gen_join_resolved
+      (pair (int_range 0 join_width)
+         (map Array.of_list (list_repeat join_width gen_value))))
+
+(* The sides an expression reads (bit 1 left, bit 2 right), and the
+   shapes of the compiler's cases it contains. *)
+let rec sides split = function
+  | R.Expr.R_col i -> if i < split then 1 else 2
+  | R_lit _ -> 0
+  | R_cmp (_, a, b) | R_arith (_, a, b) | R_and (a, b) | R_or (a, b) ->
+      sides split a lor sides split b
+  | R_not e | R_is_null e | R_is_not_null e -> sides split e
+
+let rec shapes split e =
+  let here =
+    match (sides split e, e) with
+    | 1, (R.Expr.R_cmp _ | R_and _ | R_or _ | R_not _) -> [ `Left_only ]
+    | 2, (R_cmp _ | R_and _ | R_or _ | R_not _) -> [ `Right_only ]
+    | 3, R_cmp (_, a, b) ->
+        `Cross_cmp
+        :: (if sides split a = 3 || sides split b = 3 then [ `Both_operand ]
+            else [])
+    | _ -> []
+  in
+  let kids =
+    match e with
+    | R.Expr.R_col _ | R_lit _ -> []
+    | R_cmp (_, a, b) | R_arith (_, a, b) | R_and (a, b) | R_or (a, b) ->
+        shapes split a @ shapes split b
+    | R_not a | R_is_null a | R_is_not_null a -> shapes split a
+  in
+  here @ kids
+
+(* Column [i] prints as [c<i>]. *)
+let rec unresolve = function
+  | R.Expr.R_col i -> R.Expr.Col (None, Printf.sprintf "c%d" i)
+  | R_lit v -> Lit v
+  | R_cmp (op, a, b) -> Cmp (op, unresolve a, unresolve b)
+  | R_arith (op, a, b) -> Arith (op, unresolve a, unresolve b)
+  | R_and (a, b) -> And (unresolve a, unresolve b)
+  | R_or (a, b) -> Or (unresolve a, unresolve b)
+  | R_not a -> Not (unresolve a)
+  | R_is_null a -> Is_null (unresolve a)
+  | R_is_not_null a -> Is_not_null (unresolve a)
+
+let print_join_case (e, split, l, r) =
+  let row t = String.concat ", " (Array.to_list (Array.map V.to_sql t)) in
+  Printf.sprintf "ON %s, split %d, left (%s), right (%s)"
+    (R.Expr.to_sql (unresolve e)) split (row l) (row r)
+
+let prop_join_pred_eq_concat =
+  QCheck.Test.make
+    ~name:"compile_join_pred ~split e l r ≡ compile_pred e (concat l r)"
+    ~count:2000 (QCheck.make ~print:print_join_case gen_join_case)
+    (fun (e, split, l, r) ->
+      R.Expr.compile_join_pred ~split e l r
+      = R.Expr.compile_pred e (R.Tuple.concat l r))
+
+(* The property above is only as strong as its generator: it must reach
+   every case of the join-predicate compiler. *)
+let test_join_pred_generator_coverage () =
+  let rand = Random.State.make [| 21 |] in
+  let seen =
+    List.concat
+      (List.init 500 (fun _ ->
+           let e, split, _, _ = gen_join_case rand in
+           shapes split e))
+  in
+  List.iter
+    (fun (shape, name) ->
+      Alcotest.(check bool) name true (List.mem shape seen))
+    [
+      (`Left_only, "left-only subtree");
+      (`Right_only, "right-only subtree");
+      (`Cross_cmp, "cross-side comparison");
+      (`Both_operand, "operand reading both sides");
+    ]
+
 let suite =
   [
     Alcotest.test_case "batch push/get/bytes laws" `Quick test_push_get;
@@ -227,6 +358,9 @@ let suite =
       test_spool_closes_source_on_raise;
     Alcotest.test_case "empty spool removes its file at end of stream" `Quick
       test_empty_spool_removed;
+    Alcotest.test_case "join-predicate generator reaches every case" `Quick
+      test_join_pred_generator_coverage;
   ]
 
-let props = [ prop_compile_eq_eval; prop_compile_pred_eq_eval_pred ]
+let props =
+  [ prop_compile_eq_eval; prop_compile_pred_eq_eval_pred; prop_join_pred_eq_concat ]

@@ -333,6 +333,107 @@ let test_null_join_keys_never_match () =
   (* NULL row of A is padded, 1 matches *)
   Alcotest.(check int) "pad + match" 2 (Relation.cardinality outer)
 
+(* Regression: Value.hash hashed Int 2 and Float 2.0 apart although
+   they are equal, so a hash join over an INT and a FLOAT key found no
+   match that the nested loop finds. *)
+let test_hash_join_int_float_keys () =
+  let db = Database.create () in
+  Database.add_table db
+    (Schema.table "A" ~key:[] [ Schema.column "x" Value.TInt ]);
+  Database.add_table db
+    (Schema.table "B" ~key:[] [ Schema.column "y" Value.TFloat ]);
+  Database.load db "A" [ [| i 1 |]; [| i 2 |] ];
+  Database.load db "B" [ [| Value.Float 1.0 |]; [| Value.Float 2.0 |] ];
+  let rows text = List.map Tuple.to_string (Relation.rows (run db text)) in
+  Alcotest.(check (list string)) "hash join on a.x = b.y" [ "(1)"; "(2)" ]
+    (rows "SELECT a.x AS x FROM A AS a, B AS b WHERE (a.x = b.y)");
+  Alcotest.(check (list string)) "nested loop on a.x <= b.y AND a.x >= b.y"
+    [ "(1)"; "(2)" ]
+    (rows
+       "SELECT a.x AS x FROM A AS a, B AS b WHERE ((a.x <= b.y) AND (a.x >= b.y))")
+
+(* Hash join vs nested loop: the same ON, once as planned (a hash join)
+   and once with a disjunct that has no column equality and never holds,
+   which forces a nested loop, must give the same rows in the same
+   order.  Seeded small tables with NULL and duplicate keys, an empty
+   side, and INT keys on the left joined to a union of FLOAT and INT
+   keys on the right; the union carries a discriminator [d], the
+   outer-union shape.  Work counters are not compared: the two
+   algorithms probe different candidates. *)
+let join_algos_db rand ~nleft ~nright =
+  let db = Database.create () in
+  let nullable name ty = Schema.column ~nullable:true name ty in
+  Database.add_table db
+    (Schema.table "A" ~key:[] [ nullable "x" Value.TInt; nullable "y" Value.TInt ]);
+  Database.add_table db
+    (Schema.table "B" ~key:[] [ Schema.column "d" Value.TInt; nullable "k" Value.TFloat ]);
+  Database.add_table db
+    (Schema.table "C" ~key:[] [ Schema.column "d" Value.TInt; nullable "k" Value.TInt ]);
+  let key num () =
+    if Random.State.int rand 5 = 0 then Value.Null
+    else num (Random.State.int rand 4)
+  in
+  let int_key = key i and float_key = key (fun n -> Value.Float (float_of_int n)) in
+  let rows n f = List.init n (fun _ -> f ()) in
+  let d () = i (1 + Random.State.int rand 2) in
+  Database.load db "A" (rows nleft (fun () -> [| int_key (); int_key () |]));
+  Database.load db "B" (rows (nright / 2) (fun () -> [| d (); float_key () |]));
+  Database.load db "C" (rows (nright - (nright / 2)) (fun () -> [| d (); int_key () |]));
+  db
+
+let join_algos =
+  let rec go acc (n : Physical.node) =
+    match n.Physical.shape with
+    | Physical.Join { left; right; info } -> go (go (info.Physical.algo :: acc) left) right
+    | Scan _ | Dual -> acc
+    | Filter { input; _ } | Project { input; _ } | Sort { input; _ } | Derived { input; _ } ->
+        go acc input
+    | Union ns -> List.fold_left go acc ns
+  in
+  fun (p : Physical.plan) -> go [] p.Physical.root
+
+let test_hash_join_vs_nested_loop () =
+  let never = "((a.x < u.k) AND (a.x > u.k))" in
+  let query kind on =
+    Printf.sprintf
+      "SELECT a.x AS x, a.y AS y, u.d AS d, u.k AS k FROM A AS a %s JOIN \
+       ((SELECT b.d AS d, b.k AS k FROM B AS b) UNION ALL \
+       (SELECT c.d AS d, c.k AS k FROM C AS c)) AS u ON %s"
+      kind on
+  in
+  let cases =
+    [
+      ("INNER", "(a.x = u.k)");
+      ("LEFT OUTER", "(a.x = u.k)");
+      ("LEFT OUTER", "(((u.d = 1) AND (a.x = u.k)) OR ((u.d = 2) AND (a.y = u.k)))");
+    ]
+  in
+  let sizes =
+    [ (0, 6); (6, 0) ] @ List.init 40 (fun s -> (s mod 9, (s * 7) mod 11))
+  in
+  List.iteri
+    (fun seed (nleft, nright) ->
+      let db = join_algos_db (Random.State.make [| seed |]) ~nleft ~nright in
+      List.iter
+        (fun (kind, on) ->
+          let run_algo text algo =
+            let plan = Physical.plan_of db (Sql_parser.parse text) in
+            Alcotest.(check bool) (text ^ ": one join of the forced kind") true
+              (join_algos plan = [ algo ]);
+            let r, _ = Executor.run_plan_with_stats db plan in
+            List.map
+              (fun t -> String.concat ", " (Array.to_list (Array.map Value.to_sql t)))
+              (Relation.rows r)
+          in
+          let hash = run_algo (query kind on) Physical.Hash_join
+          and nested =
+            run_algo (query kind (Printf.sprintf "(%s OR %s)" on never)) Physical.Nested_loop
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "seed %d, %s JOIN ON %s" seed kind on) nested hash)
+        cases)
+    sizes
+
 let test_empty_tables () =
   let db = mkdb () in
   Database.add_table db
@@ -355,6 +456,10 @@ let suite =
   [
     Alcotest.test_case "scan + project" `Quick test_scan_project;
     Alcotest.test_case "NULL join keys never match" `Quick test_null_join_keys_never_match;
+    Alcotest.test_case "hash join matches INT and FLOAT keys" `Quick
+      test_hash_join_int_float_keys;
+    Alcotest.test_case "hash join = nested loop, rows in order" `Quick
+      test_hash_join_vs_nested_loop;
     Alcotest.test_case "empty tables" `Quick test_empty_tables;
     Alcotest.test_case "self join" `Quick test_self_join_aliases;
     Alcotest.test_case "where filter" `Quick test_where_filter;

@@ -52,15 +52,26 @@ let test_equal_treats_null_reflexively () =
     (Value.equal (Value.Int 1) (Value.Int 2))
 
 let test_hash_consistent_with_equal () =
+  let big = 1 lsl 53 in
   let pairs =
     [ (Value.Int 42, Value.Int 42); (Value.String "x", Value.String "x");
       (Value.Null, Value.Null); (Value.Bool true, Value.Bool true);
-      (Value.Date 7, Value.Date 7) ]
+      (Value.Date 7, Value.Date 7);
+      (* across numeric constructors *)
+      (Value.Int 2, Value.Float 2.0); (Value.Float (-3.0), Value.Int (-3));
+      (Value.Int 0, Value.Float (-0.0)); (Value.Float 0.0, Value.Float (-0.0));
+      (Value.Int big, Value.Float (float_of_int big));
+      (* beyond 2^53 an int compares as the float it rounds to *)
+      (Value.Int (big + 1), Value.Float (float_of_int big));
+      (Value.Int max_int, Value.Float (float_of_int max_int));
+      (Value.Int min_int, Value.Float (float_of_int min_int));
+      (Value.Float Float.nan, Value.Float Float.nan) ]
   in
   List.iter
     (fun (a, b) ->
-      Alcotest.(check bool) "equal implies same hash" true
-        ((not (Value.equal a b)) || Value.hash a = Value.hash b))
+      let name = Value.to_string a ^ " ~ " ^ Value.to_string b in
+      Alcotest.(check bool) (name ^ ": equal") true (Value.equal a b);
+      Alcotest.(check int) (name ^ ": same hash") (Value.hash a) (Value.hash b))
     pairs
 
 let test_to_sql_round_trip_string_quoting () =
@@ -136,4 +147,27 @@ let prop_compare3_agrees =
       | None -> Value.is_null a || Value.is_null b
       | Some c -> c = Value.compare_total a b)
 
-let props = [ prop_total_order_antisym; prop_total_order_trans; prop_compare3_agrees ]
+(* Numbers drawn so that equal pairs across constructors are common:
+   small ints, the integral floats equal to them (signed zero included),
+   halves, and values either side of 2^53. *)
+let gen_number =
+  let big = 1 lsl 53 in
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun n -> Value.Int n) (int_range (-3) 3);
+        map (fun n -> Value.Float (float_of_int n)) (int_range (-3) 3);
+        return (Value.Float (-0.0));
+        map (fun n -> Value.Float (float_of_int n /. 2.0)) (int_range (-6) 6);
+        map (fun d -> Value.Int (big + d)) (int_range (-2) 2);
+        map (fun d -> Value.Float (float_of_int (big + d))) (int_range (-2) 2);
+      ])
+
+let prop_equal_same_hash =
+  let arb = QCheck.make ~print:Value.to_sql (QCheck.Gen.oneof [ gen_value; gen_number ]) in
+  QCheck.Test.make ~name:"equal ⇒ same hash" ~count:1000 (QCheck.pair arb arb)
+    (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
+
+let props =
+  [ prop_total_order_antisym; prop_total_order_trans; prop_compare3_agrees;
+    prop_equal_same_hash ]

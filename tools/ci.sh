@@ -55,6 +55,18 @@ if ! echo "$serving_out" | grep -q ' yes$'; then
   exit 1
 fi
 
+echo "== micro benchmarks (every case runs and yields an estimate; ns figures not gated)"
+micro_out=$(dune exec bench/main.exe -- --experiment micro)
+echo "$micro_out"
+if echo "$micro_out" | grep -q 'n/a'; then
+  echo "micro: a case produced no estimate (see n/a rows above)"
+  exit 1
+fi
+if ! echo "$micro_out" | grep -q 'ns/run$'; then
+  echo "micro: no benchmark rows found"
+  exit 1
+fi
+
 echo "== baseline smoke (perturbed baseline must fail the gate)"
 sh tools/baseline_smoke.sh
 
