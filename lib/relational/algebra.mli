@@ -65,8 +65,16 @@ val width : t -> int
 val is_lit : expr -> bool
 val expr_positions : expr -> int list
 val conjuncts : expr -> expr list
+
+val conjoin : expr list -> expr
+(** Inverse of {!conjuncts}; [conjoin \[\]] is [TRUE]. *)
+
 val disjuncts : expr -> expr list
 val to_resolved : expr -> Expr.resolved
+
+val remap_expr : (int -> int) -> expr -> expr
+(** Renumbers every column position. *)
+
 val expr_to_string : expr -> string
 
 (** {1 Lowering} *)

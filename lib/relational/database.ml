@@ -92,24 +92,32 @@ let positions_of (schema : Schema.table) cols =
 
 (* Integrity checking: used by tests and by the TPC-H generator's
    self-check.  Returns the list of violations instead of raising so the
-   tests can assert on specific failures. *)
+   tests can assert on specific failures.  Keys are compared as the
+   engine compares them, by {!Value.equal}: [Int 2] matches [Float 2.0],
+   and two FLOAT keys that print alike stay distinct. *)
+let key_string k = String.concat "," (Array.to_list (Array.map Value.to_string k))
+
 let check_keys db name =
   let s = find_exn db name in
   if s.schema.key = [] then []
   else
     let pos = positions_of s.schema s.schema.key in
-    let seen = Hashtbl.create (Array.length s.data) in
+    let seen = Tuple.Tbl.create (Array.length s.data) in
     Array.fold_left
       (fun acc row ->
         let k = Tuple.project pos row in
-        let kk = Array.to_list (Array.map Value.to_string k) in
-        if Hashtbl.mem seen kk then
-          Printf.sprintf "%s: duplicate key (%s)" name (String.concat "," kk)
-          :: acc
+        if Tuple.Tbl.mem seen k then
+          Printf.sprintf "%s: duplicate key (%s)" name (key_string k) :: acc
         else (
-          Hashtbl.add seen kk ();
+          Tuple.Tbl.add seen k ();
           acc))
       [] s.data
+
+(* The keys of [rows] at [pos], as a set. *)
+let key_set pos rows =
+  let keys = Tuple.Tbl.create (Array.length rows) in
+  Array.iter (fun row -> Tuple.Tbl.replace keys (Tuple.project pos row) ()) rows;
+  keys
 
 let check_foreign_keys db name =
   let s = find_exn db name in
@@ -119,23 +127,13 @@ let check_foreign_keys db name =
       | None -> [ Printf.sprintf "%s: FK references missing table %s" name fk.ref_table ]
       | Some target ->
           let src_pos = positions_of s.schema fk.fk_cols in
-          let dst_pos = positions_of target.schema fk.ref_cols in
-          let keys = Hashtbl.create (Array.length target.data) in
-          Array.iter
-            (fun row ->
-              Hashtbl.replace keys
-                (Array.to_list (Tuple.project dst_pos row))
-                ())
-            target.data;
+          let keys = key_set (positions_of target.schema fk.ref_cols) target.data in
           Array.fold_left
             (fun acc row ->
               let k = Tuple.project src_pos row in
-              if Array.exists Value.is_null k then acc
-              else if Hashtbl.mem keys (Array.to_list k) then acc
+              if Array.exists Value.is_null k || Tuple.Tbl.mem keys k then acc
               else
-                Printf.sprintf "%s: dangling FK (%s) -> %s" name
-                  (String.concat ","
-                     (Array.to_list (Array.map Value.to_string k)))
+                Printf.sprintf "%s: dangling FK (%s) -> %s" name (key_string k)
                   fk.ref_table
                 :: acc)
             [] s.data)
@@ -145,15 +143,11 @@ let check_inclusion db (inc : Schema.inclusion) =
   match (find db inc.inc_table, find db inc.inc_ref_table) with
   | Some src, Some dst ->
       let src_pos = positions_of src.schema inc.inc_cols in
-      let dst_pos = positions_of dst.schema inc.inc_ref_cols in
-      let keys = Hashtbl.create (Array.length dst.data) in
-      Array.iter
-        (fun row -> Hashtbl.replace keys (Array.to_list (Tuple.project dst_pos row)) ())
-        dst.data;
+      let keys = key_set (positions_of dst.schema inc.inc_ref_cols) dst.data in
       Array.for_all
         (fun row ->
           let k = Tuple.project src_pos row in
-          Array.exists Value.is_null k || Hashtbl.mem keys (Array.to_list k))
+          Array.exists Value.is_null k || Tuple.Tbl.mem keys k)
         src.data
   | _ -> false
 

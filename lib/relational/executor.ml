@@ -103,24 +103,6 @@ let charge_sort ctx rows bytes =
     if ctx.budget > 0 && ctx.st.work > ctx.budget then raise Timeout
   end
 
-(* --- shared join machinery -------------------------------------------- *)
-
-module Key = struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i =
-      i >= Array.length a || (Value.equal a.(i) b.(i) && go (i + 1))
-    in
-    go 0
-
-  let hash k = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 k
-end
-
-module KeyTbl = Hashtbl.Make (Key)
-
 (* ===================================================================== *)
 (* Physical-plan execution over {!Batch.t} chunks of                     *)
 (* {!Batch.default_size} rows, with expressions compiled once per        *)
@@ -143,154 +125,280 @@ let masked_size (mask : bool array) (t : Tuple.t) =
 (* --- the join probe ---------------------------------------------------- *)
 
 (* A physical join's right side, indexed once per execution.  Each
-   distinct (left key, right key) position pair among the ON disjuncts
-   (the OR-expansion) gets one table whose buckets list right-row
-   indices in ascending order.  A left row's candidates are the union of
-   its buckets — or every right row when some disjunct has no equality
-   — enumerated ascending without duplicates: one bucket is walked in
-   place, several are merged into scratch arrays, and the no-key case
-   walks the index range.  ON is tested on the (left row, right row)
-   pair in place, so nothing per left row allocates except accepted
-   rows and NULL pads. *)
-type table = {
+   {!Physical.index} is a flat counting-sort layout: [order] holds the
+   right-row ids grouped by key, ascending within a group, group g at
+   [order.(starts.(g))] to [order.(starts.(g + 1) - 1)]; an
+   open-addressing table maps a key's hash to its group, whose first row
+   the key is compared with in place.  Beside it sits the probe slice
+   ([porder], [pstarts], the same arrays when every row qualifies): only
+   the rows that pass the index's guard and have no NULL key.
+
+   A left row's candidates — charged as probed — are the union of its
+   groups, counted over the id arrays without reading a row, or every
+   right row when some disjunct has no equality (the nested loop).  ON
+   is tested only on the ascending union of its probe slices: a pair ON
+   accepts satisfies some disjunct, whose equalities put the right row
+   in that disjunct's group with non-NULL keys and whose right-only
+   conjuncts pass the guard.  Rows, their order and every charge are
+   those of testing ON on every candidate.  Nothing per left row
+   allocates except accepted rows and NULL pads. *)
+type index = {
   lk : int array; (* left key positions *)
-  ids : int KeyTbl.t; (* right key -> bucket number *)
-  buckets : int array array; (* right-row indices per key, ascending *)
-  key : Value.t array; (* reusable lookup key *)
+  rk : int array; (* right key positions *)
+  mask : int; (* slot count - 1; the slot count is a power of two *)
+  slots : int array; (* group + 1 by hash slot, 0 when free *)
+  starts : int array;
+  order : int array;
+  pstarts : int array;
+  porder : int array;
 }
 
 type probe = {
   right : Tuple.t array;
   right_bytes : int array; (* wire size of each right row *)
   full : bool; (* some disjunct has no equality: every row is a candidate *)
-  tables : table array;
+  indexes : index array;
   on : Tuple.t -> Tuple.t -> bool; (* ON over (left row, right row) *)
   outer : bool;
   null_pad : Tuple.t;
   pad_bytes : int;
-  mutable cand : int array; (* current candidates: a bucket or a scratch *)
-  scratch : int array array; (* two merge buffers when there are several tables *)
+  groups : int array; (* the current left row's group per index, or -1 *)
+  (* the union walk: per index, an id array and a cursor range in it *)
+  src : int array array;
+  cur : int array;
+  stop : int array;
+  mutable matched : bool; (* the current left row has an accepted pair *)
+  mutable lbytes : int; (* its wire size, once computed; else -1 *)
+  mutable tested : int; (* pairs ON was evaluated on *)
 }
 
-let no_rows : int array = [||]
+(* The group of the left row's key, from hash slot [s] on; -1 when no
+   right row has that key. *)
+let rec find_group right ix lrow s =
+  let e = ix.slots.(s) in
+  if e = 0 then -1
+  else if Tuple.equal_at ix.lk lrow ix.rk right.(ix.order.(ix.starts.(e - 1))) then
+    e - 1
+  else find_group right ix lrow ((s + 1) land ix.mask)
+
+(* Some field of [row] at [pos], from the [i]th on, is NULL. *)
+let rec has_null pos (row : Tuple.t) i =
+  i < Array.length pos && (Value.is_null row.(pos.(i)) || has_null pos row (i + 1))
+
+(* Index [right] for [ix]; [group] is a scratch array of one slot per
+   right row, shared by a join's indexes. *)
+let index_create right ~group (ix : P.index) =
+  let n = Array.length right and rk = ix.P.right_keys in
+  (* load at most 2/3 *)
+  let cap = ref 16 in
+  while !cap < n + (n / 2) do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let slots = Array.make !cap 0 in
+  (* first pass: each row's group; [order] holds each group's first row
+     until the counting sort fills it *)
+  let order = Array.make n 0 in
+  let ngroups = ref 0 in
+  for idx = 0 to n - 1 do
+    let row = right.(idx) in
+    let s = ref (Tuple.hash_at rk row land mask) and g = ref (-1) in
+    while !g < 0 do
+      let e = slots.(!s) in
+      if e = 0 then begin
+        g := !ngroups;
+        slots.(!s) <- !g + 1;
+        order.(!g) <- idx;
+        incr ngroups
+      end
+      else if Tuple.equal_at rk row rk right.(order.(e - 1)) then g := e - 1
+      else s := (!s + 1) land mask
+    done;
+    group.(idx) <- !g
+  done;
+  (* counting sort: [starts.(g)] counts up to group g's end, then the
+     ids are placed from the back, so each group ends ascending and
+     [starts.(g)] at its start *)
+  let ng = !ngroups in
+  let starts = Array.make (ng + 1) 0 in
+  for idx = 0 to n - 1 do
+    starts.(group.(idx)) <- starts.(group.(idx)) + 1
+  done;
+  for g = 1 to ng - 1 do
+    starts.(g) <- starts.(g) + starts.(g - 1)
+  done;
+  for idx = n - 1 downto 0 do
+    let g = group.(idx) in
+    starts.(g) <- starts.(g) - 1;
+    order.(starts.(g)) <- idx
+  done;
+  starts.(ng) <- n;
+  (* the probe slice, marked in [group] by position in [order]: a group
+     keyed by NULL holds NULL in every row *)
+  let pass = match ix.P.guard with None -> fun _ -> true | Some g -> Expr.compile_pred g in
+  let nkept = ref 0 in
+  for g = 0 to ng - 1 do
+    let null_key = has_null rk right.(order.(starts.(g))) 0 in
+    for k = starts.(g) to starts.(g + 1) - 1 do
+      let keep = (not null_key) && pass right.(order.(k)) in
+      group.(k) <- Bool.to_int keep;
+      nkept := !nkept + group.(k)
+    done
+  done;
+  let pstarts, porder =
+    if !nkept = n then (starts, order)
+    else begin
+      let pstarts = Array.make (ng + 1) 0 and porder = Array.make !nkept 0 in
+      let j = ref 0 in
+      for g = 0 to ng - 1 do
+        for k = starts.(g) to starts.(g + 1) - 1 do
+          if group.(k) = 1 then begin
+            porder.(!j) <- order.(k);
+            incr j
+          end
+        done;
+        pstarts.(g + 1) <- !j
+      done;
+      (pstarts, porder)
+    end
+  in
+  { lk = ix.P.left_keys; rk; mask; slots; starts; order; pstarts; porder }
 
 let probe_create (info : P.join_info) (right : Tuple.t array) =
-  let nright = Array.length right in
-  let full = List.exists (fun (lk, _) -> Array.length lk = 0) info.P.disjuncts in
-  let pairs = if full then [] else List.sort_uniq compare info.P.disjuncts in
-  let table (lk, rk) =
-    let ids = KeyTbl.create (max 16 nright) in
-    let group = Array.make nright 0 and count = Array.make nright 0 in
-    for idx = 0 to nright - 1 do
-      let k = Tuple.project rk right.(idx) in
-      let g =
-        match KeyTbl.find ids k with
-        | g -> g
-        | exception Not_found ->
-            let g = KeyTbl.length ids in
-            KeyTbl.add ids k g;
-            g
-      in
-      group.(idx) <- g;
-      count.(g) <- count.(g) + 1
-    done;
-    let buckets = Array.init (KeyTbl.length ids) (fun g -> Array.make count.(g) 0) in
-    Array.fill count 0 (Array.length buckets) 0;
-    for idx = 0 to nright - 1 do
-      let g = group.(idx) in
-      buckets.(g).(count.(g)) <- idx;
-      count.(g) <- count.(g) + 1
-    done;
-    { lk; ids; buckets; key = Array.make (Array.length lk) Value.Null }
+  let full = info.P.algo = P.Nested_loop in
+  let indexes =
+    match info.P.indexes with
+    | [] -> [||]
+    | ixs ->
+        let group = Array.make (Array.length right) 0 in
+        Array.of_list (List.map (index_create right ~group) ixs)
   in
-  let tables = Array.of_list (List.map table pairs) in
+  let ni = Array.length indexes in
   let null_pad = Tuple.all_null info.P.right_width in
   {
     right;
     right_bytes = Array.map Tuple.wire_size right;
     full;
-    tables;
+    indexes;
     on = Expr.compile_join_pred ~split:info.P.split info.P.on;
     outer = info.P.kind = Sql.Left_outer;
     null_pad;
     pad_bytes = Tuple.wire_size null_pad;
-    cand = no_rows;
-    scratch =
-      (if Array.length tables > 1 then [| Array.make nright 0; Array.make nright 0 |]
-       else [||]);
+    groups = Array.make ni (-1);
+    src = Array.make ni [||];
+    cur = Array.make ni 0;
+    stop = Array.make ni 0;
+    matched = false;
+    lbytes = -1;
+    tested = 0;
   }
 
-let bucket t (lrow : Tuple.t) =
-  for i = 0 to Array.length t.lk - 1 do
-    t.key.(i) <- lrow.(t.lk.(i))
-  done;
-  match KeyTbl.find t.ids t.key with
-  | g -> t.buckets.(g)
-  | exception Not_found -> no_rows
-
-(* Merge the ascending, duplicate-free a.(0..na-1) and b into dst; the
-   merged length. *)
-let merge_into a na b dst =
-  let nb = Array.length b in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < na && !j < nb do
-    let x = a.(!i) and y = b.(!j) in
-    dst.(!k) <- (if x <= y then x else y);
-    if x <= y then incr i;
-    if y <= x then incr j;
-    incr k
-  done;
-  Array.blit a !i dst !k (na - !i);
-  k := !k + na - !i;
-  Array.blit b !j dst !k (nb - !j);
-  !k + nb - !j
-
-(* Set [p.cand] to the left row's candidates; their count. *)
-let candidates p lrow =
-  if p.full then Array.length p.right
-  else
-    let nt = Array.length p.tables in
-    if nt = 0 then 0
-    else begin
-      let first = bucket p.tables.(0) lrow in
-      p.cand <- first;
-      let n = ref (Array.length first) in
-      for t = 1 to nt - 1 do
-        let b = bucket p.tables.(t) lrow in
-        if Array.length b > 0 then
-          if !n = 0 then begin
-            p.cand <- b;
-            n := Array.length b
-          end
-          else begin
-            let dst = p.scratch.(if p.cand == p.scratch.(0) then 1 else 0) in
-            n := merge_into p.cand !n b dst;
-            p.cand <- dst
-          end
-      done;
-      !n
+(* The least id under the cursors of the union walk, advancing every
+   cursor at it; -1 once all ranges are consumed. *)
+let next_union p =
+  let m = ref max_int in
+  for t = 0 to Array.length p.cur - 1 do
+    if p.cur.(t) < p.stop.(t) then begin
+      let v = p.src.(t).(p.cur.(t)) in
+      if v < !m then m := v
     end
+  done;
+  if !m = max_int then -1
+  else begin
+    for t = 0 to Array.length p.cur - 1 do
+      if p.cur.(t) < p.stop.(t) && p.src.(t).(p.cur.(t)) = !m then
+        p.cur.(t) <- p.cur.(t) + 1
+    done;
+    !m
+  end
+
+(* Point the union walk at the current left row's groups ([slice]
+   false) or probe slices ([slice] true); the number of non-empty
+   ranges. *)
+let set_ranges p ~slice =
+  let active = ref 0 in
+  for t = 0 to Array.length p.indexes - 1 do
+    let ix = p.indexes.(t) and g = p.groups.(t) in
+    let starts = if slice then ix.pstarts else ix.starts in
+    p.src.(t) <- (if slice then ix.porder else ix.order);
+    if g < 0 then begin
+      p.cur.(t) <- 0;
+      p.stop.(t) <- 0
+    end
+    else begin
+      p.cur.(t) <- starts.(g);
+      p.stop.(t) <- starts.(g + 1);
+      if starts.(g + 1) > starts.(g) then incr active
+    end
+  done;
+  !active
+
+(* The size of the union of the ranges [set_ranges] set, [active] of
+   them non-empty; consumes them. *)
+let union_size p active =
+  let n = ref 0 in
+  if active <= 1 then
+    for t = 0 to Array.length p.cur - 1 do
+      n := !n + p.stop.(t) - p.cur.(t)
+    done
+  else
+    while next_union p >= 0 do
+      incr n
+    done;
+  !n
+
+(* Test ON on the left row and right row [i]; emit the joined row if it
+   holds.  A joined row is built only once ON has accepted its pair; its
+   wire size is the sum of its halves', so it is charged without walking
+   the joined row. *)
+let test_pair ctx p emit (lrow : Tuple.t) i =
+  let rrow = p.right.(i) in
+  if p.on lrow rrow then begin
+    p.matched <- true;
+    if p.lbytes < 0 then p.lbytes <- Tuple.wire_size lrow;
+    charge_emit_bytes ctx (p.lbytes + p.right_bytes.(i));
+    emit (Tuple.concat lrow rrow)
+  end
 
 (* Probe one left row: charge its candidates as probed, emit each joined
    row that satisfies ON in ascending right-row order, then the NULL pad
-   of an unmatched outer row.  A joined row is built only once ON has
-   accepted its pair; its wire size is the sum of its halves', so it is
-   charged without walking the joined row. *)
+   of an unmatched outer row. *)
 let probe_row ctx p emit (lrow : Tuple.t) =
-  let n = candidates p lrow in
-  charge ctx `Probe n;
-  let matched = ref false and lbytes = ref (-1) in
-  for c = 0 to n - 1 do
-    let i = if p.full then c else p.cand.(c) in
-    let rrow = p.right.(i) in
-    if p.on lrow rrow then begin
-      matched := true;
-      if !lbytes < 0 then lbytes := Tuple.wire_size lrow;
-      charge_emit_bytes ctx (!lbytes + p.right_bytes.(i));
-      emit (Tuple.concat lrow rrow)
+  p.matched <- false;
+  p.lbytes <- -1;
+  if p.full then begin
+    let n = Array.length p.right in
+    charge ctx `Probe n;
+    p.tested <- p.tested + n;
+    for i = 0 to n - 1 do
+      test_pair ctx p emit lrow i
+    done
+  end
+  else begin
+    for t = 0 to Array.length p.indexes - 1 do
+      let ix = p.indexes.(t) in
+      p.groups.(t) <-
+        find_group p.right ix lrow (Tuple.hash_at ix.lk lrow land ix.mask)
+    done;
+    charge ctx `Probe (union_size p (set_ranges p ~slice:false));
+    (* ON runs on the union of the probe slices, in ascending order *)
+    if set_ranges p ~slice:true <= 1 then
+      for t = 0 to Array.length p.cur - 1 do
+        p.tested <- p.tested + p.stop.(t) - p.cur.(t);
+        for k = p.cur.(t) to p.stop.(t) - 1 do
+          test_pair ctx p emit lrow p.src.(t).(k)
+        done
+      done
+    else begin
+      let i = ref (next_union p) in
+      while !i >= 0 do
+        p.tested <- p.tested + 1;
+        test_pair ctx p emit lrow !i;
+        i := next_union p
+      done
     end
-  done;
-  if (not !matched) && p.outer then begin
+  end;
+  if (not p.matched) && p.outer then begin
     let padded = Tuple.concat lrow p.null_pad in
     charge_emit_bytes ctx (Tuple.wire_size lrow + p.pad_bytes);
     emit padded
@@ -320,6 +428,7 @@ let run_join ctx (n : P.node) (info : P.join_info) ~nleft ~iter_left right emit 
         Obs.Attr.int "right_rows" (Array.length right);
         Obs.Attr.int "out_rows" !out_rows;
         Obs.Attr.int "probed" (ctx.st.probed - probed0);
+        Obs.Attr.int "tested" p.tested;
         Obs.Attr.int "emitted" (ctx.st.emitted - emitted0);
         Obs.Attr.int "work" (ctx.st.work - work0);
       ];

@@ -117,6 +117,3 @@ val charge_sort : ctx -> int -> int -> unit
 (** Sorting [rows] rows of [bytes] total: n log n per row, plus an
     external merge pass over the bytes per doubling beyond
     [profile.sort_buffer]. *)
-
-module KeyTbl : Hashtbl.S with type key = Value.t array
-(** Hash tables keyed by join-key tuples under {!Value.equal}. *)

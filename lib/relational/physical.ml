@@ -8,12 +8,20 @@
 
 type algo = Hash_join | Nested_loop
 
+type index = {
+  left_keys : int array;
+  right_keys : int array;
+  guard : Expr.resolved option;
+  index_str : string;
+}
+
 type join_info = {
   kind : Sql.join_kind;
   algo : algo;
   on : Expr.resolved;
   on_str : string;
   disjuncts : (int array * int array) list;
+  indexes : index list;
   split : int;
   right_width : int;
   from_where : bool;
@@ -62,22 +70,79 @@ and shape =
 
 type plan = { root : node; cols : string array }
 
-(* Cross-side column equalities of one ON disjunct, as (left, right)
-   key-position pairs — the positional equivalent of the interpreter's
-   [equi_keys] name lookup. *)
+(* Cross-side column equalities of one ON disjunct, as (left position,
+   right position, right column) — the positional equivalent of the
+   interpreter's [equi_keys] name lookup. *)
+let equalities la d =
+  List.filter_map
+    (fun c ->
+      match c with
+      | Algebra.Cmp (Expr.Eq, (Algebra.Col (i, _) as l), (Algebra.Col (j, _) as r))
+        ->
+          if i < la && j >= la then Some (i, j - la, r)
+          else if j < la && i >= la then Some (j, i - la, l)
+          else None
+      | _ -> None)
+    (Algebra.conjuncts d)
+
 let keys_of la d =
-  let pairs =
-    List.filter_map
-      (fun c ->
-        match c with
-        | Algebra.Cmp (Expr.Eq, Algebra.Col (i, _), Algebra.Col (j, _)) ->
-            if i < la && j >= la then Some (i, j - la)
-            else if j < la && i >= la then Some (j, i - la)
-            else None
-        | _ -> None)
-      (Algebra.conjuncts d)
+  let eqs = equalities la d in
+  ( Array.of_list (List.map (fun (i, _, _) -> i) eqs),
+    Array.of_list (List.map (fun (_, j, _) -> j) eqs) )
+
+(* The hash indexes of a join whose every ON disjunct has an equality:
+   one per distinct (left key, right key) position pair, in order of
+   first appearance.  An index's guard, over the right row, is the OR
+   over the disjuncts it serves of the AND of each one's right-only
+   conjuncts (those reading no left column); a disjunct with none leaves
+   its index unguarded.  A right row that ON accepts through one of
+   these disjuncts passes the guard, so the executor tests ON only on
+   the rows that do. *)
+let indexes_of la on =
+  let disjunct d =
+    let eqs = equalities la d in
+    let right_only =
+      List.filter
+        (fun c -> List.for_all (fun p -> p >= la) (Algebra.expr_positions c))
+        (Algebra.conjuncts d)
+    in
+    ( keys_of la d,
+      List.map (fun (_, _, r) -> Algebra.expr_to_string r) eqs,
+      match right_only with [] -> None | cs -> Some (Algebra.conjoin cs) )
   in
-  (Array.of_list (List.map fst pairs), Array.of_list (List.map snd pairs))
+  let ds = List.map disjunct (Algebra.disjuncts on) in
+  let keys =
+    List.rev
+      (List.fold_left
+         (fun acc (k, _, _) -> if List.mem k acc then acc else k :: acc)
+         [] ds)
+  in
+  List.map
+    (fun ((lk, rk) as k) ->
+      let served = List.filter (fun (k', _, _) -> k' = k) ds in
+      let guards = List.map (fun (_, _, g) -> g) served in
+      let guard =
+        if List.mem None guards then None
+        else
+          match List.filter_map Fun.id guards with
+          | g :: gs -> Some (List.fold_left (fun acc g -> Algebra.Or (acc, g)) g gs)
+          | [] -> None
+      in
+      let names = match served with (_, n, _) :: _ -> n | [] -> [] in
+      {
+        left_keys = lk;
+        right_keys = rk;
+        guard =
+          Option.map
+            (fun g -> Algebra.to_resolved (Algebra.remap_expr (fun p -> p - la) g))
+            guard;
+        index_str =
+          Printf.sprintf "index (%s)%s" (String.concat ", " names)
+            (match guard with
+            | None -> ""
+            | Some g -> " guard " ^ Algebra.expr_to_string g);
+      })
+    keys
 
 let of_algebra (a : Algebra.t) : plan =
   let counter = ref 0 in
@@ -138,6 +203,7 @@ let of_algebra (a : Algebra.t) : plan =
             Nested_loop
           else Hash_join
         in
+        let indexes = if algo = Hash_join then indexes_of la on else [] in
         mk
           (Join
              {
@@ -150,6 +216,7 @@ let of_algebra (a : Algebra.t) : plan =
                    on = Algebra.to_resolved on;
                    on_str = Algebra.expr_to_string on;
                    disjuncts;
+                   indexes;
                    split = la;
                    right_width;
                    from_where;
@@ -290,7 +357,13 @@ let to_string (p : plan) : string =
     | Sort { input; _ }
     | Derived { input; _ } ->
         go (ind + 1) input
-    | Join { left; right; _ } ->
+    | Join { left; right; info } ->
+        List.iter
+          (fun ix ->
+            Buffer.add_string b (String.make ((ind + 1) * 2) ' ');
+            Buffer.add_string b ix.index_str;
+            Buffer.add_char b '\n')
+          info.indexes;
         go (ind + 1) left;
         go (ind + 1) right
     | Union ns -> List.iter (go (ind + 1)) ns

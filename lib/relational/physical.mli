@@ -10,6 +10,19 @@
 
 type algo = Hash_join | Nested_loop
 
+type index = {
+  left_keys : int array;  (** key positions in the left row *)
+  right_keys : int array;  (** key positions in the right row *)
+  guard : Expr.resolved option;
+      (** over the right row: the OR, over the ON disjuncts this index
+          serves, of the AND of each one's right-only conjuncts; [None]
+          when one of them has none.  Every right row that ON accepts
+          through these disjuncts passes it. *)
+  index_str : string;  (** [index (keys) guard g], for [--explain] *)
+}
+(** A hash index on the right input, shared by the ON disjuncts with
+    the same (left key, right key) positions. *)
+
 type join_info = {
   kind : Sql.join_kind;
   algo : algo;
@@ -21,7 +34,10 @@ type join_info = {
   disjuncts : (int array * int array) list;
       (** per ON disjunct: (left key positions, right key positions);
           empty arrays mean that disjunct needs a full scan of the
-          right input *)
+          right input; what {!Cost} prices *)
+  indexes : index list;
+      (** one per distinct key pair of [disjuncts], in order of first
+          appearance; empty for [Nested_loop] *)
   split : int;
       (** arity of the left input: ON's positions below it read the left
           row, the rest the right row *)
@@ -89,7 +105,8 @@ val iter : (node -> unit) -> plan -> unit
 
 val to_string : plan -> string
 (** Indented physical tree with algorithm, estimated and actual
-    rows/cost per operator, for [--explain]. *)
+    rows/cost per operator, and each hash join's indexes on the lines
+    under it, for [--explain]. *)
 
 val emit_obs_spans : plan -> unit
 (** One [plan.physical] span per operator (op, algorithm, estimated vs

@@ -21,7 +21,7 @@ let analyze_table db name : table_stats =
   let columns =
     List.mapi
       (fun i col ->
-        let seen = Hashtbl.create (max 16 n) in
+        let seen = Value.Tbl.create (max 16 n) in
         let width = ref 0 in
         let nulls = ref 0 in
         Array.iter
@@ -29,11 +29,11 @@ let analyze_table db name : table_stats =
             let v = row.(i) in
             if Value.is_null v then incr nulls;
             width := !width + Value.wire_size v;
-            Hashtbl.replace seen (Value.to_string v) ())
+            Value.Tbl.replace seen v ())
           data;
         let stats =
           {
-            distinct = max 1 (Hashtbl.length seen);
+            distinct = max 1 (Value.Tbl.length seen);
             avg_width = (if n = 0 then 8.0 else float_of_int !width /. float_of_int n);
             null_fraction = (if n = 0 then 0.0 else float_of_int !nulls /. float_of_int n);
           }

@@ -24,10 +24,22 @@ let compare_at (positions : int array) (a : t) (b : t) =
   in
   go 0
 
-let equal_at positions a b = compare_at positions a b = 0
+(* The fields of [a] at [pa] equal those of [b] at [pb], in order, under
+   {!Value.equal} (so NULL equals NULL); [pa] and [pb] have one length. *)
+let equal_at (pa : int array) (a : t) (pb : int array) (b : t) =
+  let n = Array.length pa in
+  let i = ref 0 in
+  while !i < n && Value.equal a.(pa.(!i)) b.(pb.(!i)) do
+    incr i
+  done;
+  !i = n
 
 let hash_at (positions : int array) (t : t) =
-  Array.fold_left (fun acc i -> (acc * 31) + Value.hash t.(i)) 17 positions
+  let h = ref 17 in
+  for i = 0 to Array.length positions - 1 do
+    h := (!h * 31) + Value.hash t.(positions.(i))
+  done;
+  !h
 
 let compare (a : t) (b : t) =
   let na = arity a and nb = arity b in
@@ -43,6 +55,13 @@ let compare (a : t) (b : t) =
     go 0
 
 let equal a b = compare a b = 0
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash t = Array.fold_left (fun h v -> (h * 31) + Value.hash v) 17 t
+end)
 
 let wire_size (t : t) =
   Array.fold_left (fun acc v -> acc + Value.wire_size v) 0 t

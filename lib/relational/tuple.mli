@@ -20,15 +20,23 @@ val compare_at : int array -> t -> t -> int
 (** Lexicographic comparison restricted to [positions], under the total
     value order (NULL first). *)
 
-val equal_at : int array -> t -> t -> bool
+val equal_at : int array -> t -> int array -> t -> bool
+(** [equal_at pa a pb b]: the fields of [a] at [pa] equal those of [b]
+    at [pb], pairwise under {!Value.equal} (NULL equals NULL).  Reads
+    both tuples in place. *)
 
 val hash_at : int array -> t -> int
-(** Hash of the fields at [positions]; consistent with {!equal_at}. *)
+(** Hash of the fields at [positions]; equal under {!equal_at}, equal
+    hash. *)
 
 val compare : t -> t -> int
 (** Full lexicographic comparison (shorter tuples first). *)
 
 val equal : t -> t -> bool
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by whole tuples under {!equal}: [Value.equal]
+    field by field, so [Int 2] and [Float 2.0] are one key. *)
 
 val wire_size : t -> int
 (** Total bytes in the client-transfer cost model. *)

@@ -79,6 +79,13 @@ let hash = function
   | String x -> Hashtbl.hash x
   | Date x -> Hashtbl.hash (x + 17)
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 let to_string = function
   | Null -> "NULL"
   | Int x -> string_of_int x

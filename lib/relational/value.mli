@@ -39,6 +39,9 @@ val hash : t -> int
 (** Hash consistent with {!equal}, for hash joins and grouping: [Int 2]
     and [Float 2.0] are equal and hash alike, as do [-0.0] and [0.0]. *)
 
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by values under {!equal} and {!hash}. *)
+
 val to_string : t -> string
 (** Human-readable rendering (no quoting). *)
 

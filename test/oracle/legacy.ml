@@ -92,12 +92,12 @@ let join ctx kind (left : rel) (right : rel) (on : Expr.t) : rel =
         let lk, rk = equi_keys left.header right.header d in
         if Array.length lk = 0 then `Full
         else begin
-          let tbl = X.KeyTbl.create (max 16 nright) in
+          let tbl = Tuple.Tbl.create (max 16 nright) in
           Array.iteri
             (fun idx row ->
               let k = Tuple.project rk row in
-              let prev = try X.KeyTbl.find tbl k with Not_found -> [] in
-              X.KeyTbl.replace tbl k (idx :: prev))
+              let prev = try Tuple.Tbl.find tbl k with Not_found -> [] in
+              Tuple.Tbl.replace tbl k (idx :: prev))
             right_arr;
           `Hash (lk, tbl)
         end)
@@ -122,7 +122,7 @@ let join ctx kind (left : rel) (right : rel) (on : Expr.t) : rel =
             | `Full -> ()
             | `Hash (lk, tbl) -> (
                 let k = Tuple.project lk lrow in
-                match X.KeyTbl.find_opt tbl k with
+                match Tuple.Tbl.find_opt tbl k with
                 | None -> ()
                 | Some idxs ->
                     List.iter (fun i -> Hashtbl.replace candidates i ()) idxs))

@@ -621,4 +621,206 @@ let prop_sort_vs_stable_sort =
       && got_runs = runs
       && (shape <> `Sorted || runs <= 1))
 
-let props = [ prop_join_vs_nested_loop; prop_sort_vs_stable_sort ]
+(* Property: guarded hash-join indexes.  A left table A(x, y, z) is
+   joined onto a discriminated UNION ALL u(d, k, m) of B and C (C's k is
+   FLOAT), with NULL and duplicate keys and NULL discriminators.  ON is
+   an OR of 1-4 disjuncts, each a key set (some disjuncts share one, so
+   share an index) with right-only conjuncts on the discriminator, which
+   make the index guards, and left-only conjuncts.  The hash join must
+   give the forced nested loop's and the legacy interpreter's rows in
+   order and, while ON stays whole, the legacy probes, emissions and
+   work and the nested loop's emissions and work net of probes.  Its
+   [tested] count must be the
+   pairs that share a non-NULL key with some index and pass its guard:
+   no more (rows with NULL keys kept in the probe slice), and, through
+   the rows, no fewer (a guard that ANDs an index's disjuncts). *)
+type guarded_case = {
+  g_kind : string;
+  g_left : Value.t array list; (* x, y, z *)
+  g_b : Value.t array list; (* d, k, m *)
+  g_c : Value.t array list;
+  g_disjuncts : (int * int list * int list) list;
+      (* key set, right-only and left-only conjuncts *)
+}
+
+(* Key sets as (left column, right column) pairs over A's (x, y, z) and
+   u's (d, k, m). *)
+let key_sets = [| [ (0, 1) ]; [ (1, 1) ]; [ (0, 1); (1, 2) ]; [ (2, 2) ] |]
+
+let left_names = [| "a.x"; "a.y"; "a.z" |]
+let right_names = [| "u.d"; "u.k"; "u.m" |]
+
+(* Right-only conjuncts: SQL text and WHERE truth on a right row. *)
+let right_conjuncts =
+  let d r = r.(0) in
+  let is c v = Value.equal v (i c) in
+  [|
+    ("(u.d = 1)", fun r -> is 1 (d r));
+    ("(u.d = 2)", fun r -> is 2 (d r));
+    ("(u.d <> 3)", fun r -> (not (Value.is_null (d r))) && not (is 3 (d r)));
+    ("(NOT (u.d = 2))", fun r -> (not (Value.is_null (d r))) && not (is 2 (d r)));
+    ("(u.d IS NULL)", fun r -> Value.is_null (d r));
+  |]
+
+(* Left-only conjuncts: SQL text and WHERE truth on a left row. *)
+let left_conjuncts =
+  [|
+    ("(a.z = 1)", fun l -> Value.equal l.(2) (i 1));
+    ("(a.z IS NULL)", fun l -> Value.is_null l.(2));
+  |]
+
+let guarded_on c =
+  String.concat " OR "
+    (List.map
+       (fun (ks, rs, ls) ->
+         let keys =
+           List.map
+             (fun (l, r) -> Printf.sprintf "(%s = %s)" left_names.(l) right_names.(r))
+             key_sets.(ks)
+         in
+         let cs =
+           keys
+           @ List.map (fun j -> fst right_conjuncts.(j)) rs
+           @ List.map (fun j -> fst left_conjuncts.(j)) ls
+         in
+         "(" ^ String.concat " AND " cs ^ ")")
+       c.g_disjuncts)
+
+(* The pairs the guarded indexes hand to ON: those that share a
+   non-NULL key with some index and pass its guard.  (A single
+   disjunct's right-only conjuncts sink below the join instead, which
+   drops the same pairs.) *)
+let expected_tested c =
+  let right = c.g_b @ c.g_c in
+  let indexes =
+    List.sort_uniq compare (List.map (fun (ks, _, _) -> ks) c.g_disjuncts)
+  in
+  let guard ks r =
+    List.exists
+      (fun (ks', rs, _) ->
+        ks' = ks && List.for_all (fun j -> snd right_conjuncts.(j) r) rs)
+      c.g_disjuncts
+  in
+  List.fold_left
+    (fun acc l ->
+      acc
+      + List.length
+          (List.filter
+             (fun r ->
+               List.exists
+                 (fun ks ->
+                   List.for_all
+                     (fun (lc, rc) ->
+                       (not (Value.is_null l.(lc))) && Value.equal l.(lc) r.(rc))
+                     key_sets.(ks)
+                   && guard ks r)
+                 indexes)
+             right))
+    0 c.g_left
+
+let gen_guarded =
+  let open QCheck.Gen in
+  let key num = frequency [ (1, return Value.Null); (4, map num (int_bound 3)) ] in
+  let int_key = key i and float_key = key (fun n -> Value.Float (float_of_int n)) in
+  let disc = frequency [ (1, return Value.Null); (5, map i (int_range 1 3)) ] in
+  let rows n g = list_size (int_bound n) g in
+  let disjunct =
+    triple (int_bound (Array.length key_sets - 1))
+      (list_size (int_bound 2) (int_bound (Array.length right_conjuncts - 1)))
+      (list_size (int_bound 1) (int_bound (Array.length left_conjuncts - 1)))
+  in
+  map
+    (fun (kind, (l, b, c), ds) ->
+      { g_kind = kind; g_left = l; g_b = b; g_c = c; g_disjuncts = ds })
+    (triple
+       (oneofl [ "INNER"; "LEFT OUTER" ])
+       (triple
+          (rows 9 (array_repeat 3 int_key))
+          (rows 8 (map (fun (d, k, m) -> [| d; k; m |]) (triple disc int_key int_key)))
+          (rows 8 (map (fun (d, k, m) -> [| d; k; m |]) (triple disc float_key int_key))))
+       (list_size (int_range 1 4) disjunct))
+
+let print_guarded c =
+  let rows l =
+    String.concat "; "
+      (List.map (fun t -> String.concat "," (Array.to_list (Array.map Value.to_sql t))) l)
+  in
+  Printf.sprintf "%s JOIN ON %s\nA: %s\nB: %s\nC: %s" c.g_kind (guarded_on c)
+    (rows c.g_left) (rows c.g_b) (rows c.g_c)
+
+let prop_guarded_index_join =
+  QCheck.Test.make ~name:"guarded hash join = nested loop = legacy" ~count:300
+    (QCheck.make ~print:print_guarded gen_guarded) (fun c ->
+      let db = Database.create () in
+      let nullable name ty = Schema.column ~nullable:true name ty in
+      let int3 = List.map (fun n -> nullable n Value.TInt) in
+      Database.add_table db (Schema.table "A" ~key:[] (int3 [ "x"; "y"; "z" ]));
+      Database.add_table db (Schema.table "B" ~key:[] (int3 [ "d"; "k"; "m" ]));
+      Database.add_table db
+        (Schema.table "C" ~key:[]
+           [ nullable "d" Value.TInt; nullable "k" Value.TFloat; nullable "m" Value.TInt ]);
+      Database.load db "A" c.g_left;
+      Database.load db "B" c.g_b;
+      Database.load db "C" c.g_c;
+      let query on =
+        Sql_parser.parse
+          (Printf.sprintf
+             "SELECT a.x AS x, a.y AS y, a.z AS z, u.d AS d, u.k AS k, u.m AS m \
+              FROM A AS a %s JOIN ((SELECT b.d AS d, b.k AS k, b.m AS m FROM B AS b) \
+              UNION ALL (SELECT c.d AS d, c.k AS k, c.m AS m FROM C AS c)) AS u ON %s"
+             c.g_kind on)
+      in
+      let on = guarded_on c in
+      let run_algo q algo =
+        let plan = Physical.plan_of db q in
+        if join_algos plan <> [ algo ] then QCheck.Test.fail_report "unexpected join algorithm";
+        Executor.run_plan_with_stats db plan
+      in
+      let rows r = List.map Tuple.to_string (Relation.rows r) in
+      let q = query ("(" ^ on ^ ")") in
+      let (hash, (st : Executor.stats)), tested =
+        Fun.protect ~finally:Obs.Span.reset (fun () ->
+            Obs.Span.reset ();
+            Obs.Control.with_enabled true (fun () ->
+                let res = run_algo q Physical.Hash_join in
+                let tested =
+                  List.fold_left
+                    (fun acc s ->
+                      match Obs.Span.find_attr s "tested" with
+                      | Some (Obs.Attr.Int n) when s.Obs.Span.name = "exec.hash-join" -> acc + n
+                      | _ -> acc)
+                    0 (Obs.Span.spans ())
+                in
+                (res, tested)))
+      in
+      let nested, (nst : Executor.stats) =
+        run_algo
+          (query (Printf.sprintf "((%s) OR ((a.x < u.k) AND (a.x > u.k)))" on))
+          Physical.Nested_loop
+      in
+      let legacy, (lst : Executor.stats) = Oracle.Legacy.run_with_stats db q in
+      let check what a b =
+        if a <> b then QCheck.Test.fail_reportf "%s: %d, expected %d" what a b
+      in
+      if rows hash <> rows nested then QCheck.Test.fail_report "rows differ from the nested loop";
+      if rows hash <> rows legacy then QCheck.Test.fail_report "rows differ from legacy";
+      (* A single disjunct's right-only conjuncts sink below the join,
+         which only lowers the bill; otherwise ON stays whole. *)
+      let whole =
+        match c.g_disjuncts with [ (_, _ :: _, _) ] -> false | _ -> true
+      in
+      if whole then begin
+        check "probed vs legacy" st.Executor.probed lst.Executor.probed;
+        check "emitted vs legacy" st.Executor.emitted lst.Executor.emitted;
+        check "work vs legacy" st.Executor.work lst.Executor.work;
+        check "emitted vs nested loop" st.Executor.emitted nst.Executor.emitted;
+        check "work net of probes vs nested loop"
+          (st.Executor.work - st.Executor.probed)
+          (nst.Executor.work - nst.Executor.probed)
+      end
+      else if st.Executor.work > lst.Executor.work then
+        QCheck.Test.fail_report "work above legacy";
+      check "tested" tested (expected_tested c);
+      true)
+
+let props = [ prop_join_vs_nested_loop; prop_sort_vs_stable_sort; prop_guarded_index_join ]

@@ -123,6 +123,45 @@ let test_to_relation_and_sizes () =
   Alcotest.(check (list string)) "table names sorted" [ "People"; "Pets" ]
     (Database.table_names db)
 
+(* Keys compare by Value.equal, as the engine's joins do.  Regressions:
+   check_keys compared FLOAT keys by their %g text (6 significant
+   digits), so two distinct prices read as one; the FK and inclusion
+   checks used polymorphic hashing, so an INT 2 missed a FLOAT 2.0. *)
+let prices_db () =
+  let db = Database.create () in
+  Database.add_table db
+    (Schema.table "Price" ~key:[ "p" ] [ Schema.column "p" Value.TFloat ]);
+  Database.add_table db
+    (Schema.table "Order" ~key:[ "o" ]
+       ~foreign_keys:[ { Schema.fk_cols = [ "p" ]; ref_table = "Price"; ref_cols = [ "p" ] } ]
+       [ Schema.column "o" Value.TInt; Schema.column "p" Value.TInt ]);
+  Database.load db "Price" [ [| Value.Float 32946.01 |]; [| Value.Float 32946.02 |];
+                             [| Value.Float 2.0 |] ];
+  Database.load db "Order" [ [| Value.Int 1; Value.Int 2 |] ];
+  db
+
+let test_float_keys_distinct () =
+  let db = prices_db () in
+  Alcotest.(check (list string)) "no duplicate" [] (Database.check_keys db "Price");
+  Database.insert db "Price" [ [| Value.Float 32946.01 |] ];
+  Alcotest.(check int) "a true duplicate" 1 (List.length (Database.check_keys db "Price"))
+
+let test_int_fk_to_float_key () =
+  let db = prices_db () in
+  Alcotest.(check (list string)) "2 references 2.0" []
+    (Database.check_foreign_keys db "Order");
+  Database.insert db "Order" [ [| Value.Int 2; Value.Int 3 |] ];
+  Alcotest.(check (list string)) "3 dangles" [ "Order: dangling FK (3) -> Price" ]
+    (Database.check_foreign_keys db "Order")
+
+let test_int_included_in_float () =
+  let db = prices_db () in
+  let inc =
+    { Schema.inc_table = "Order"; inc_cols = [ "p" ]; inc_ref_table = "Price";
+      inc_ref_cols = [ "p" ] }
+  in
+  Alcotest.(check bool) "2 is in {.., 2.0}" true (Database.check_inclusion db inc)
+
 let suite =
   [
     Alcotest.test_case "schema helpers" `Quick test_schema_helpers;
@@ -134,4 +173,8 @@ let suite =
     Alcotest.test_case "inclusion dependency check" `Quick test_inclusion_check;
     Alcotest.test_case "declared inclusions" `Quick test_declared_inclusions;
     Alcotest.test_case "to_relation and sizes" `Quick test_to_relation_and_sizes;
+    Alcotest.test_case "FLOAT keys that print alike are distinct" `Quick
+      test_float_keys_distinct;
+    Alcotest.test_case "INT foreign key onto a FLOAT key" `Quick test_int_fk_to_float_key;
+    Alcotest.test_case "INT inclusion in a FLOAT column" `Quick test_int_included_in_float;
   ]

@@ -34,6 +34,25 @@ let test_analyze_ndv () =
   | Some c -> Alcotest.(check int) "b distinct" 10 c.Stats.distinct
   | None -> Alcotest.fail "no stats"
 
+(* Regression: NDV was counted over Value.to_string, so FLOATs equal to
+   6 significant digits, and NULL beside the string 'NULL', counted once;
+   INT 2 and FLOAT 2.0 are one value. *)
+let test_analyze_ndv_by_value () =
+  let db = Database.create () in
+  Database.add_table db
+    (Schema.table "V" ~key:[]
+       [ Schema.column "f" Value.TFloat; Schema.column ~nullable:true "s" Value.TString ]);
+  Database.load db "V"
+    [ [| Value.Float 32946.01; Value.Null |]; [| Value.Float 32946.02; Value.String "NULL" |];
+      [| Value.Float 32946.01; Value.String "NULL" |] ];
+  let ndv col =
+    match Stats.column (Stats.analyze db) "V" col with
+    | Some c -> c.Stats.distinct
+    | None -> Alcotest.fail "no stats"
+  in
+  Alcotest.(check int) "two prices" 2 (ndv "f");
+  Alcotest.(check int) "NULL and 'NULL'" 2 (ndv "s")
+
 let test_analyze_null_fraction () =
   let st = Stats.analyze (mkdb ()) in
   match Stats.column st "R" "c" with
@@ -168,4 +187,5 @@ let suite =
     Alcotest.test_case "estimate vs actual work" `Quick test_estimate_tracks_actual_within_oom;
     Alcotest.test_case "scale_table rejects nan, inf, overflow" `Quick
       test_scale_table_rejects_non_finite;
+    Alcotest.test_case "analyze: distinct by value" `Quick test_analyze_ndv_by_value;
   ]

@@ -32,8 +32,17 @@ let test_hash_at_consistency () =
   let a = mk [ 1; 2; 3 ] and b = mk [ 9; 2; 3 ] in
   Alcotest.(check bool) "same key, same hash" true
     (Tuple.hash_at [| 1; 2 |] a = Tuple.hash_at [| 1; 2 |] b);
-  Alcotest.(check bool) "equal_at" true (Tuple.equal_at [| 1; 2 |] a b);
-  Alcotest.(check bool) "not equal_at full" false (Tuple.equal_at [| 0 |] a b)
+  Alcotest.(check bool) "equal_at" true (Tuple.equal_at [| 1; 2 |] a [| 1; 2 |] b);
+  Alcotest.(check bool) "not equal_at full" false (Tuple.equal_at [| 0 |] a [| 0 |] b);
+  (* positions differ per side, as a join's left and right keys do *)
+  let c = mk [ 3; 2 ] in
+  Alcotest.(check bool) "equal_at across positions" true
+    (Tuple.equal_at [| 1; 2 |] a [| 1; 0 |] c);
+  Alcotest.(check bool) "hash_at across positions" true
+    (Tuple.hash_at [| 1; 2 |] a = Tuple.hash_at [| 1; 0 |] c);
+  Alcotest.(check bool) "INT and FLOAT keys are equal" true
+    (Tuple.equal_at [| 0 |] [| Value.Int 2 |] [| 0 |] [| Value.Float 2.0 |]
+    && Tuple.hash_at [| 0 |] [| Value.Int 2 |] = Tuple.hash_at [| 0 |] [| Value.Float 2.0 |])
 
 let test_full_compare_shorter_first () =
   Alcotest.(check bool) "shorter first" true (Tuple.compare (mk [ 1 ]) (mk [ 1; 1 ]) < 0);
