@@ -182,9 +182,12 @@ let t_expr_compiled =
    [join-reject] is the outer-union shape of the paper's unified plans —
    a left-outer join onto a discriminated UNION ALL whose OR-expanded ON
    rejects most of its candidates (it keeps 3,734 of 18,774 at scale
-   0.3) — and [join-build] probes a 25-row left side into all of
-   LineItem on a two-column key, so indexing the right side is most of
-   its time. *)
+   0.3) — [join-build] probes a 25-row left side into all of LineItem
+   on a two-column key, so indexing the right side is most of its time,
+   and [join-project] is the outer-union shape whose joined rows are
+   wide (13 columns, each LineItem row matching its copy on five
+   columns and its order on one) while the projection above the join
+   keeps 7, two of them literals. *)
 let op_plans =
   lazy
     (let db = Lazy.force db in
@@ -209,6 +212,16 @@ let op_plans =
            "SELECT n.name AS name, l.orderkey AS orderkey, l.lno AS lno FROM \
             Nation AS n LEFT OUTER JOIN LineItem AS l ON ((n.nationkey = \
             l.orderkey) AND (n.regionkey = l.lno))" );
+         ( "join-project",
+           "SELECT 1 AS L1, l.orderkey AS orderkey, l.lno AS lno, u.d AS d, \
+            u.c AS c, u.s AS s, NULL AS x FROM LineItem AS l LEFT OUTER JOIN \
+            ((SELECT 1 AS d, l2.orderkey AS o, l2.partkey AS p, l2.suppkey AS \
+            k, l2.lno AS n, l2.qty AS q, NULL AS c, NULL AS s FROM LineItem AS \
+            l2) UNION ALL (SELECT 2 AS d, o.orderkey AS o, NULL AS p, NULL AS \
+            k, NULL AS n, NULL AS q, o.custkey AS c, o.status AS s FROM Orders \
+            AS o)) AS u ON ((((((u.d = 1) AND (l.orderkey = u.o)) AND \
+            (l.partkey = u.p)) AND (l.suppkey = u.k)) AND ((l.lno = u.n) AND \
+            (l.qty = u.q))) OR ((u.d = 2) AND (l.orderkey = u.o)))" );
          ( "sort",
            "SELECT suppkey, name FROM Supplier ORDER BY name DESC, suppkey" );
          ("sort-presorted", "SELECT suppkey, name FROM Supplier ORDER BY suppkey");

@@ -117,11 +117,6 @@ let charge_sort ctx rows bytes =
 
 module P = Physical
 
-let masked_size (mask : bool array) (t : Tuple.t) =
-  let s = ref 0 in
-  Array.iteri (fun i v -> if mask.(i) then s := !s + Value.wire_size v) t;
-  !s
-
 (* --- the join probe ---------------------------------------------------- *)
 
 (* A physical join's right side, indexed once per execution.  Each
@@ -140,8 +135,14 @@ let masked_size (mask : bool array) (t : Tuple.t) =
    accepts satisfies some disjunct, whose equalities put the right row
    in that disjunct's group with non-NULL keys and whose right-only
    conjuncts pass the guard.  Rows, their order and every charge are
-   those of testing ON on every candidate.  Nothing per left row
-   allocates except accepted rows and NULL pads. *)
+   those of testing ON on every candidate.
+
+   The probe builds no joined row: it charges each accepted pair, or an
+   unmatched outer row's NULL pad, as the joined row it stands for and
+   hands (left row, right row) to its consumer, which builds what it
+   keeps — the concatenation, or the row of the projection above the
+   join.  Nothing per left row allocates except what the consumer
+   builds. *)
 type index = {
   lk : int array; (* left key positions *)
   rk : int array; (* right key positions *)
@@ -347,22 +348,21 @@ let union_size p active =
     done;
   !n
 
-(* Test ON on the left row and right row [i]; emit the joined row if it
-   holds.  A joined row is built only once ON has accepted its pair; its
-   wire size is the sum of its halves', so it is charged without walking
-   the joined row. *)
+(* Test ON on the left row and right row [i]; if it holds, charge the
+   joined row — its wire size is the sum of its halves' — and emit the
+   pair. *)
 let test_pair ctx p emit (lrow : Tuple.t) i =
   let rrow = p.right.(i) in
   if p.on lrow rrow then begin
     p.matched <- true;
     if p.lbytes < 0 then p.lbytes <- Tuple.wire_size lrow;
     charge_emit_bytes ctx (p.lbytes + p.right_bytes.(i));
-    emit (Tuple.concat lrow rrow)
+    emit lrow rrow
   end
 
-(* Probe one left row: charge its candidates as probed, emit each joined
-   row that satisfies ON in ascending right-row order, then the NULL pad
-   of an unmatched outer row. *)
+(* Probe one left row: charge its candidates as probed, emit each pair
+   that satisfies ON in ascending right-row order, then the NULL pad of
+   an unmatched outer row. *)
 let probe_row ctx p emit (lrow : Tuple.t) =
   p.matched <- false;
   p.lbytes <- -1;
@@ -399,23 +399,29 @@ let probe_row ctx p emit (lrow : Tuple.t) =
     end
   end;
   if (not p.matched) && p.outer then begin
-    let padded = Tuple.concat lrow p.null_pad in
     charge_emit_bytes ctx (Tuple.wire_size lrow + p.pad_bytes);
-    emit padded
+    emit lrow p.null_pad
   end
 
 (* Run a join node: index [right], probe every left row [iter_left]
-   yields, and pass each output row to [emit]. *)
-let run_join ctx (n : P.node) (info : P.join_info) ~nleft ~iter_left right emit =
+   yields, and pass each output row to [consume] as (left row, right
+   row).  What [consume] charges is its own, not the join's: the node's
+   rows and cost and its span count the join alone.  Returns the work
+   [consume] charged. *)
+let run_join ctx (n : P.node) (info : P.join_info) ~nleft ~iter_left right consume =
   let work0 = ctx.st.work in
   let probed0 = ctx.st.probed and emitted0 = ctx.st.emitted in
   let p = probe_create info right in
-  let out_rows = ref 0 in
+  let out_rows = ref 0 and out_work = ref 0 and out_emitted = ref 0 in
   iter_left
-    (probe_row ctx p (fun t ->
+    (probe_row ctx p (fun l r ->
          incr out_rows;
-         emit t));
-  n.P.act_cost <- ctx.st.work - work0;
+         let w = ctx.st.work and e = ctx.st.emitted in
+         consume l r;
+         out_work := !out_work + ctx.st.work - w;
+         out_emitted := !out_emitted + ctx.st.emitted - e));
+  n.P.act_rows <- !out_rows;
+  n.P.act_cost <- ctx.st.work - work0 - !out_work;
   if Obs.Span.tracing () then begin
     Obs.Span.set_name (if p.full then "exec.nested-loop" else "exec.hash-join");
     Obs.Span.add_list
@@ -429,12 +435,13 @@ let run_join ctx (n : P.node) (info : P.join_info) ~nleft ~iter_left right emit 
         Obs.Attr.int "out_rows" !out_rows;
         Obs.Attr.int "probed" (ctx.st.probed - probed0);
         Obs.Attr.int "tested" p.tested;
-        Obs.Attr.int "emitted" (ctx.st.emitted - emitted0);
-        Obs.Attr.int "work" (ctx.st.work - work0);
+        Obs.Attr.int "emitted" (ctx.st.emitted - emitted0 - !out_emitted);
+        Obs.Attr.int "work" n.P.act_cost;
       ];
     Obs.Metrics.incr ~by:(ctx.st.probed - probed0) "exec.rows_probed";
     Obs.Metrics.observe "exec.join.out_rows" (float_of_int !out_rows)
-  end
+  end;
+  !out_work
 
 (* Charge and trace a base-table scan (inside its exec.scan span); the
    table's rows. *)
@@ -592,6 +599,57 @@ let bb_finish bb =
 let batch_rows batches =
   List.fold_left (fun acc b -> acc + Batch.length b) 0 batches
 
+(* A projection item over (left row, right row): a column of either
+   row, a literal, or any other expression, compiled by
+   {!Expr.compile_join}. *)
+type item =
+  | Lcol of int
+  | Rcol of int
+  | Lit of Value.t
+  | Fn of (Tuple.t -> Tuple.t -> Value.t)
+
+(* A projection compiled over (left row, right row), the left row having
+   [split] columns; over any input but a join, the whole row is the left
+   one.  A row's charged bytes are [lit_bytes], the charged literals'
+   sizes, plus the sizes of the [measured] items: the charged ones that
+   are not literals. *)
+type projection = { items : item array; measured : bool array; lit_bytes : int }
+
+let projection ~split (items : Expr.resolved array) (charged : bool array) =
+  let item = function
+    | Expr.R_col i -> if i < split then Lcol i else Rcol (i - split)
+    | Expr.R_lit v -> Lit v
+    | e -> Fn (Expr.compile_join ~split e)
+  in
+  let items = Array.map item items in
+  let measured = Array.make (Array.length items) false and lit_bytes = ref 0 in
+  Array.iteri
+    (fun k it ->
+      match it with
+      | Lit v -> if charged.(k) then lit_bytes := !lit_bytes + Value.wire_size v
+      | _ -> measured.(k) <- charged.(k))
+    items;
+  { items; measured; lit_bytes = !lit_bytes }
+
+(* Build the projection's row of (l, r), charge its bytes and push it. *)
+let project_pair ctx pr bb (l : Tuple.t) (r : Tuple.t) =
+  let n = Array.length pr.items in
+  let t = Array.make n Value.Null in
+  let bytes = ref pr.lit_bytes in
+  for k = 0 to n - 1 do
+    let v =
+      match pr.items.(k) with
+      | Lcol i -> l.(i)
+      | Rcol i -> r.(i)
+      | Lit v -> v
+      | Fn f -> f l r
+    in
+    t.(k) <- v;
+    if pr.measured.(k) then bytes := !bytes + Value.wire_size v
+  done;
+  charge_emit_bytes ctx !bytes;
+  bb_push bb !bytes t
+
 let rec exec_batched ctx (n : P.node) : Batch.t list =
   let batches =
     match n.P.shape with
@@ -632,31 +690,27 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
         if charged then charge ctx `Emit survivors;
         n.P.act_cost <- ctx.st.work - w0;
         batches
+    | P.Project
+        { input = { P.shape = P.Join { left; right; info }; _ } as join; items; charged; _ }
+      ->
+        (* built inside the join's probe, from each output pair *)
+        let pr = projection ~split:info.P.split items charged in
+        let bb = bb_create () in
+        n.P.act_cost <- exec_join ctx join info left right (project_pair ctx pr bb);
+        bb_finish bb
     | P.Project { input; items; charged; _ } ->
         let inb = exec_batched ctx input in
         let w0 = ctx.st.work in
-        let full = Array.for_all (fun c -> c) charged in
-        let fns = Array.map Expr.compile items in
+        let pr = projection ~split:max_int items charged in
         let bb = bb_create () in
-        List.iter
-          (fun b ->
-            Batch.iter
-              (fun row _ ->
-                let t = Array.map (fun f -> f row) fns in
-                let bytes =
-                  if full then Tuple.wire_size t else masked_size charged t
-                in
-                charge_emit_bytes ctx bytes;
-                bb_push bb bytes t)
-              b)
-          inb;
+        List.iter (Batch.iter (fun row _ -> project_pair ctx pr bb row [||])) inb;
         n.P.act_cost <- ctx.st.work - w0;
         bb_finish bb
     | P.Join { left; right; info } ->
-        let l = exec_batched ctx left in
-        let r = exec_batched ctx right in
-        Obs.Span.with_span "exec.join" (fun () ->
-            exec_join_batched ctx n info l r)
+        let bb = bb_create () in
+        ignore
+          (exec_join ctx n info left right (fun l r -> bb_push bb 0 (Tuple.concat l r)));
+        bb_finish bb
     | P.Union ns -> List.concat_map (exec_batched ctx) ns
     | P.Derived { input; _ } -> exec_batched ctx input
     | P.Sort { input; keys; _ } ->
@@ -675,20 +729,22 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
   n.P.act_rows <- batch_rows batches;
   batches
 
-and exec_join_batched ctx (n : P.node) (info : P.join_info) left right :
-    Batch.t list =
-  let right_arr = Array.make (batch_rows right) [||] in
-  let ri = ref 0 in
-  List.iter
-    (Batch.iter (fun row _ ->
-         right_arr.(!ri) <- row;
-         incr ri))
-    right;
-  let bb = bb_create () in
-  run_join ctx n info ~nleft:(batch_rows left)
-    ~iter_left:(fun f -> List.iter (Batch.iter (fun row _ -> f row)) left)
-    right_arr (bb_push bb 0);
-  bb_finish bb
+(* Run a join node's inputs, then the join (in its exec.join span),
+   handing each output pair to [consume]; the work [consume] charged. *)
+and exec_join ctx (n : P.node) (info : P.join_info) left right consume =
+  let left = exec_batched ctx left in
+  let right = exec_batched ctx right in
+  Obs.Span.with_span "exec.join" (fun () ->
+      let right_arr = Array.make (batch_rows right) [||] in
+      let ri = ref 0 in
+      List.iter
+        (Batch.iter (fun row _ ->
+             right_arr.(!ri) <- row;
+             incr ri))
+        right;
+      run_join ctx n info ~nleft:(batch_rows left)
+        ~iter_left:(fun f -> List.iter (Batch.iter (fun row _ -> f row)) left)
+        right_arr consume)
 
 (* --- entry points ------------------------------------------------------ *)
 

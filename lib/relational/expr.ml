@@ -168,6 +168,32 @@ let eval_pred r t = match eval r t with Value.Bool true -> true | _ -> false
 
 (* --- Compilation ---------------------------------------------------- *)
 
+(* The node semantics {!compile} and {!compile_join} share, over the
+   operands' values.  [and_rest va vb] and [or_rest va vb] finish an AND
+   or OR whose left operand [va] did not already decide it. *)
+let[@inline] cmp_value op va vb =
+  if Value.is_null va || Value.is_null vb then Value.Null
+  else if apply_cmp op (Value.compare_total va vb) then Value.Bool true
+  else Value.Bool false
+
+let[@inline] and_rest va vb =
+  match vb with
+  | Value.Bool false -> Value.Bool false
+  | Value.Bool true -> (
+      match va with Value.Bool true -> Value.Bool true | _ -> Value.Null)
+  | _ -> Value.Null
+
+let[@inline] or_rest va vb =
+  match vb with
+  | Value.Bool true -> Value.Bool true
+  | Value.Bool false -> (
+      match va with Value.Bool false -> Value.Bool false | _ -> Value.Null)
+  | _ -> Value.Null
+
+let[@inline] not_value = function
+  | Value.Bool b -> Value.Bool (not b)
+  | _ -> Value.Null
+
 (* Resolve the expression tree to a closure once; the per-row call then
    pays no tree traversal.  Evaluation is pure and total, so the
    short-circuits below are observationally equivalent to {!eval}. *)
@@ -177,11 +203,7 @@ let rec compile (r : resolved) : Tuple.t -> Value.t =
   | R_lit v -> fun _ -> v
   | R_cmp (op, a, b) ->
       let fa = compile a and fb = compile b in
-      fun t ->
-        let va = fa t and vb = fb t in
-        if Value.is_null va || Value.is_null vb then Value.Null
-        else if apply_cmp op (Value.compare_total va vb) then Value.Bool true
-        else Value.Bool false
+      fun t -> cmp_value op (fa t) (fb t)
   | R_arith (op, a, b) ->
       let fa = compile a and fb = compile b in
       fun t -> apply_arith op (fa t) (fb t)
@@ -189,28 +211,17 @@ let rec compile (r : resolved) : Tuple.t -> Value.t =
       let fa = compile a and fb = compile b in
       fun t ->
         (match fa t with
-        | Value.Bool false -> Value.Bool false
-        | va -> (
-            match fb t with
-            | Value.Bool false -> Value.Bool false
-            | Value.Bool true ->
-                if va = Value.Bool true then Value.Bool true else Value.Null
-            | _ -> Value.Null))
+        | Value.Bool false as f -> f
+        | va -> and_rest va (fb t))
   | R_or (a, b) ->
       let fa = compile a and fb = compile b in
       fun t ->
         (match fa t with
-        | Value.Bool true -> Value.Bool true
-        | va -> (
-            match fb t with
-            | Value.Bool true -> Value.Bool true
-            | Value.Bool false ->
-                if va = Value.Bool false then Value.Bool false else Value.Null
-            | _ -> Value.Null))
+        | Value.Bool true as v -> v
+        | va -> or_rest va (fb t))
   | R_not e ->
       let fe = compile e in
-      fun t ->
-        (match fe t with Value.Bool b -> Value.Bool (not b) | _ -> Value.Null)
+      fun t -> not_value (fe t)
   | R_is_null e ->
       let fe = compile e in
       fun t -> Value.Bool (Value.is_null (fe t))
@@ -283,25 +294,62 @@ let rec shift d = function
   | R_is_null e -> R_is_null (shift d e)
   | R_is_not_null e -> R_is_not_null (shift d e)
 
+(* An expression over (left row, right row), read in place: a column
+   of either row or a literal is read directly, a subtree reading one
+   side is {!compile} over that row (columns shifted for the right), and
+   a node reading both sides combines its operands as {!compile} does. *)
+let rec join_value split s : Tuple.t -> Tuple.t -> Value.t =
+  match (s.sides, s.e, s.kids) with
+  | _, R_col i, _ ->
+      if i < split then fun l _ -> l.(i)
+      else
+        let i = i - split in
+        fun _ r -> r.(i)
+  | _, R_lit v, _ -> fun _ _ -> v
+  | 2, _, _ ->
+      let f = compile (shift split s.e) in
+      fun _ r -> f r
+  | (0 | 1), _, _ ->
+      let f = compile s.e in
+      fun l _ -> f l
+  | _, R_cmp (op, _, _), [ a; b ] ->
+      let fa = join_value split a and fb = join_value split b in
+      fun l r -> cmp_value op (fa l r) (fb l r)
+  | _, R_arith (op, _, _), [ a; b ] ->
+      let fa = join_value split a and fb = join_value split b in
+      fun l r -> apply_arith op (fa l r) (fb l r)
+  | _, R_and _, [ a; b ] ->
+      let fa = join_value split a and fb = join_value split b in
+      fun l r ->
+        (match fa l r with
+        | Value.Bool false as f -> f
+        | va -> and_rest va (fb l r))
+  | _, R_or _, [ a; b ] ->
+      let fa = join_value split a and fb = join_value split b in
+      fun l r ->
+        (match fa l r with
+        | Value.Bool true as v -> v
+        | va -> or_rest va (fb l r))
+  | _, R_not _, [ a ] ->
+      let fa = join_value split a in
+      fun l r -> not_value (fa l r)
+  | _, R_is_null _, [ a ] ->
+      let fa = join_value split a in
+      fun l r -> Value.Bool (Value.is_null (fa l r))
+  | _, R_is_not_null _, [ a ] ->
+      let fa = join_value split a in
+      fun l r -> Value.Bool (not (Value.is_null (fa l r)))
+  | _ -> invalid_arg "Expr.compile_join"
+
+let compile_join ~split e = join_value split (sided split e)
+
 (* ON over (left row, right row), read in place.  Only the AND/OR spine
    and the comparisons across the two sides are compiled here, with
    direct kernels for a column against a column of the other side or a
    literal; any other subtree reading one side is {!compile_pred} over
-   that row, and an operand or other node reading both sides runs on
-   their concatenation. *)
+   that row, and an operand or other node reading both sides is
+   {!compile_join}'s. *)
 let compile_join_pred ~split (e : resolved) : Tuple.t -> Tuple.t -> bool =
-  let operand s : Tuple.t -> Tuple.t -> Value.t =
-    match s.sides with
-    | 2 ->
-        let f = compile (shift split s.e) in
-        fun _ r -> f r
-    | 3 ->
-        let f = compile s.e in
-        fun l r -> f (Tuple.concat l r)
-    | _ ->
-        let f = compile s.e in
-        fun l _ -> f l
-  in
   let rec pred s =
     match (s.sides, s.e, s.kids) with
     | 1, R_cmp (op, R_col i, R_lit v), _ -> fun l _ -> test op l.(i) v
@@ -328,10 +376,10 @@ let compile_join_pred ~split (e : resolved) : Tuple.t -> Tuple.t -> bool =
           let i = i - split in
           fun l r -> test op r.(i) l.(j)
     | _, R_cmp (op, _, _), [ a; b ] ->
-        let fa = operand a and fb = operand b in
+        let fa = join_value split a and fb = join_value split b in
         fun l r -> test op (fa l r) (fb l r)
     | _ ->
-        let p = compile_pred s.e in
-        fun l r -> p (Tuple.concat l r)
+        let f = join_value split s in
+        fun l r -> (match f l r with Value.Bool true -> true | _ -> false)
   in
   pred (sided split e)

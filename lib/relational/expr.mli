@@ -93,11 +93,18 @@ val compile_pred : resolved -> Tuple.t -> bool
 (** Compiled form of {!eval_pred}: agrees with it on every tuple, with
     AND/OR/NOT spines specialised to unboxed booleans. *)
 
+val compile_join : split:int -> resolved -> Tuple.t -> Tuple.t -> Value.t
+(** [compile_join ~split e] is [e] over (left row, right row), where [e]
+    is resolved against their concatenation and the left row has [split]
+    columns: [compile_join ~split e l r = compile e (Tuple.concat l r)],
+    but each row is read in place.  A column of either row and a literal
+    are read directly, a subtree reading one side is {!compile} over that
+    row, and only the nodes reading both sides are compiled here. *)
+
 val compile_join_pred : split:int -> resolved -> Tuple.t -> Tuple.t -> bool
 (** [compile_join_pred ~split e] is a join's ON over (left row, right
-    row), where [e] is resolved against their concatenation and the left
-    row has [split] columns: [compile_join_pred ~split e l r =
-    compile_pred e (Tuple.concat l r)], but each row is read in place.
-    Only AND/OR spines and cross-side comparisons are compiled here;
-    one-sided subtrees go through {!compile_pred}, and any other node
-    that reads both sides runs on the concatenation. *)
+    row): [compile_join_pred ~split e l r = compile_pred e (Tuple.concat
+    l r)], but each row is read in place.  Only AND/OR spines and
+    cross-side comparisons are compiled here; one-sided subtrees go
+    through {!compile_pred}, and any other node that reads both sides
+    through {!compile_join}. *)

@@ -173,6 +173,22 @@ let reference t mask ((style, reduce) as point) =
   memo references (t.label, mask, point) @@ fun () ->
   let p = t.p in
   let e = Middleware.execute ~style ~reduce p (Partition.of_mask p.tree mask) in
+  (* every executed node has its actuals, and the nodes' own costs add
+     up to the stream's work: none is counted twice or dropped *)
+  List.iter
+    (fun (se : Middleware.stream_exec) ->
+      let cost = ref 0 in
+      R.Physical.iter
+        (fun n ->
+          if n.R.Physical.act_rows < 0 then
+            Alcotest.failf "%s, mask %d, %s: node %s has no actual rows" t.label
+              mask se.se_sql (R.Physical.op_name n);
+          if n.act_cost >= 0 then cost := !cost + n.act_cost)
+        se.se_plan;
+      if !cost <> se.se_stats.R.Executor.work then
+        Alcotest.failf "%s, mask %d, %s: node costs sum to %d, work is %d"
+          t.label mask se.se_sql !cost se.se_stats.work)
+    e.per_stream;
   (* one tagging pass feeds the document and the buffer sink *)
   let (d : Tagger.sink), doc = Tagger.document_sink () in
   let buf = Buffer.create 4096 in

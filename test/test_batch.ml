@@ -324,7 +324,13 @@ let prop_join_pred_eq_concat =
       R.Expr.compile_join_pred ~split e l r
       = R.Expr.compile_pred e (R.Tuple.concat l r))
 
-(* The property above is only as strong as its generator: it must reach
+let prop_join_value_eq_concat =
+  QCheck.Test.make ~name:"compile_join ~split e l r ≡ compile e (concat l r)"
+    ~count:2000 (QCheck.make ~print:print_join_case gen_join_case)
+    (fun (e, split, l, r) ->
+      R.Expr.compile_join ~split e l r = R.Expr.compile e (R.Tuple.concat l r))
+
+(* The properties above are only as strong as their generator: it must reach
    every case of the join-predicate compiler. *)
 let test_join_pred_generator_coverage () =
   let rand = Random.State.make [| 21 |] in
@@ -363,4 +369,9 @@ let suite =
   ]
 
 let props =
-  [ prop_compile_eq_eval; prop_compile_pred_eq_eval_pred; prop_join_pred_eq_concat ]
+  [
+    prop_compile_eq_eval;
+    prop_compile_pred_eq_eval_pred;
+    prop_join_pred_eq_concat;
+    prop_join_value_eq_concat;
+  ]

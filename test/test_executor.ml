@@ -823,4 +823,154 @@ let prop_guarded_index_join =
       check "tested" tested (expected_tested c);
       true)
 
-let props = [ prop_join_vs_nested_loop; prop_sort_vs_stable_sort; prop_guarded_index_join ]
+(* --- a projection over a join ----------------------------------------- *)
+
+(* A projection over A ⋈ B, built inside the join's probe: the join
+   kind, its ON, the rows, the items, and which output columns are
+   charged beyond the planner's mask (which skips the literals). *)
+type fused_case = {
+  f_kind : string;
+  f_on : int; (* into [fused_ons] *)
+  f_left : Value.t array list; (* x, y *)
+  f_right : Value.t array list; (* d, k, m *)
+  f_items : int list; (* into [fused_items] *)
+  f_charge : bool list; (* per output column *)
+}
+
+(* One key, two keys, OR-expanded with guards (two indexes), and an ON
+   with an equality-free disjunct (the nested loop). *)
+let fused_ons =
+  [|
+    ("(a.x = b.k)", Physical.Hash_join);
+    ("((a.x = b.k) AND (a.y = b.m))", Physical.Hash_join);
+    ("(((b.d = 1) AND (a.x = b.k)) OR ((b.d = 2) AND (a.y = b.k)))", Physical.Hash_join);
+    ("((a.x = b.k) OR (a.y < b.m))", Physical.Nested_loop);
+  |]
+
+let fused_columns = [ "a.x"; "a.y"; "b.d"; "b.k"; "b.m" ]
+
+(* Items: SQL text and the columns it reads. *)
+let fused_items =
+  [|
+    ("a.x", [ "a.x" ]);
+    ("a.y", [ "a.y" ]);
+    ("b.d", [ "b.d" ]);
+    ("b.k", [ "b.k" ]);
+    ("b.m", [ "b.m" ]);
+    ("NULL", []);
+    ("7", []);
+    ("'lit'", []);
+    ("2.5", []);
+    ("(a.x + b.m)", [ "a.x"; "b.m" ]);
+    ("(a.y - (b.d * 2))", [ "a.y"; "b.d" ]);
+    ("(a.x < b.k)", [ "a.x"; "b.k" ]);
+    ("(a.y = (b.m + 1))", [ "a.y"; "b.m" ]);
+    ("(b.m IS NULL)", [ "b.m" ]);
+    ("((a.x + b.k) IS NULL)", [ "a.x"; "b.k" ]);
+    ("((a.y + b.d) IS NOT NULL)", [ "a.y"; "b.d" ]);
+    ("((a.x = b.k) AND (b.m > 1))", [ "a.x"; "b.k"; "b.m" ]);
+  |]
+
+(* The select list: the drawn items, then every column none of them
+   reads, so no input is pruned below the join (the legacy interpreter
+   joins whole rows). *)
+let fused_select c =
+  let drawn = List.map (fun k -> fused_items.(k)) c.f_items in
+  let read = List.concat_map snd drawn in
+  List.map fst drawn @ List.filter (fun col -> not (List.mem col read)) fused_columns
+
+let fused_sql c =
+  Printf.sprintf "SELECT %s FROM A AS a %s JOIN B AS b ON %s"
+    (String.concat ", " (List.mapi (fun j it -> Printf.sprintf "%s AS c%d" it j) (fused_select c)))
+    c.f_kind (fst fused_ons.(c.f_on))
+
+let gen_fused =
+  let open QCheck.Gen in
+  let v = frequency [ (1, return Value.Null); (4, map i (int_bound 3)) ] in
+  map
+    (fun ((kind, on, charge), (l, r), items) ->
+      { f_kind = kind; f_on = on; f_left = l; f_right = r; f_items = items;
+        f_charge = charge })
+    (triple
+       (triple (oneofl [ "INNER"; "LEFT OUTER" ])
+          (int_bound (Array.length fused_ons - 1))
+          (list_repeat (8 + List.length fused_columns) bool))
+       (pair
+          (list_size (int_bound 7) (array_repeat 2 v))
+          (list_size (int_bound 7) (array_repeat 3 v)))
+       (list_size (int_range 1 8) (int_bound (Array.length fused_items - 1))))
+
+let print_fused c =
+  let rows l =
+    String.concat "; "
+      (List.map (fun t -> String.concat "," (Array.to_list (Array.map Value.to_sql t))) l)
+  in
+  Printf.sprintf "%s\nA: %s\nB: %s\ncharged beyond the mask: %s" (fused_sql c)
+    (rows c.f_left) (rows c.f_right)
+    (String.concat "," (List.map string_of_bool c.f_charge))
+
+let prop_project_over_join =
+  QCheck.Test.make ~name:"projection over a join = legacy, join actuals its own"
+    ~count:300 (QCheck.make ~print:print_fused gen_fused) (fun c ->
+      let db = Database.create () in
+      let int_cols = List.map (fun n -> Schema.column ~nullable:true n Value.TInt) in
+      Database.add_table db (Schema.table "A" ~key:[] (int_cols [ "x"; "y" ]));
+      Database.add_table db (Schema.table "B" ~key:[] (int_cols [ "d"; "k"; "m" ]));
+      Database.load db "A" c.f_left;
+      Database.load db "B" c.f_right;
+      let q = Sql_parser.parse (fused_sql c) in
+      let plan = Physical.plan_of db q in
+      let root = plan.Physical.root in
+      let charged, join, info, plan =
+        match root.Physical.shape with
+        | Physical.Project
+            ({ input = { Physical.shape = Physical.Join { info; _ }; _ } as join; _ } as p) ->
+            let charged = Array.mapi (fun k m -> m || List.nth c.f_charge k) p.charged in
+            let root = { root with shape = Physical.Project { p with charged } } in
+            (charged, join, info, { plan with root })
+        | _ -> QCheck.Test.fail_report "the root is not a projection over a join"
+      in
+      if info.Physical.algo <> snd fused_ons.(c.f_on) then
+        QCheck.Test.fail_report "unexpected join algorithm";
+      let rel, (st : Executor.stats) = Executor.run_plan_with_stats db plan in
+      let legacy, (lst : Executor.stats) = Oracle.Legacy.run_with_stats db q in
+      let check what a b =
+        if a <> b then QCheck.Test.fail_reportf "%s: %d, expected %d" what a b
+      in
+      let rows r = List.map Tuple.to_string (Relation.rows r) in
+      if rows rel <> rows legacy then QCheck.Test.fail_report "rows differ from legacy";
+      check "probed" st.probed lst.probed;
+      check "emitted" st.emitted lst.emitted;
+      (* the output's literal columns skip their byte charge; legacy
+         charges every output row whole *)
+      let div = Executor.default_profile.byte_div in
+      let discount =
+        List.fold_left
+          (fun acc row ->
+            let masked = ref 0 in
+            Array.iteri (fun k v -> if charged.(k) then masked := !masked + Value.wire_size v) row;
+            acc + (Tuple.wire_size row / div) - (!masked / div))
+          0 (Relation.rows rel)
+      in
+      check "work" st.work (lst.work - discount);
+      (* every node's own cost adds up to the work *)
+      let cost = ref 0 in
+      Physical.iter (fun n -> if n.Physical.act_cost >= 0 then cost := !cost + n.act_cost) plan;
+      check "node costs" !cost st.work;
+      (* the join's actuals are those of the join run by itself *)
+      let fused = (join.Physical.act_rows, join.Physical.act_cost) in
+      let width = info.Physical.split + info.Physical.right_width in
+      ignore
+        (Executor.run_plan_with_stats db
+           { Physical.root = join; cols = Array.make width "c" });
+      check "join rows" (fst fused) join.act_rows;
+      check "join cost" (snd fused) join.act_cost;
+      true)
+
+let props =
+  [
+    prop_join_vs_nested_loop;
+    prop_sort_vs_stable_sort;
+    prop_guarded_index_join;
+    prop_project_over_join;
+  ]

@@ -334,6 +334,49 @@ let test_per_stream_stats () =
   Alcotest.(check bool) "stats records not shared" true
     (distinct e.Middleware.per_stream)
 
+(* A join span reports the join's own figures: its [work] is the join
+   node's cost, without the charges of the projection built inside its
+   probe, and its [emitted] is its output rows. *)
+let test_join_spans_count_the_join () =
+  with_obs (fun () ->
+      let _, p = setup ~scale:0.5 Queries.query1_text in
+      let plan = Middleware.partition_of ~reduce:false p Middleware.Greedy in
+      let e = Middleware.execute ~reduce:false p plan in
+      let joins =
+        List.filter
+          (fun (s : Obs.Span.t) ->
+            s.Obs.Span.name = "exec.hash-join" || s.Obs.Span.name = "exec.nested-loop")
+          (Obs.Span.spans ())
+      in
+      let sum key =
+        List.fold_left
+          (fun acc s ->
+            match attr_exn s key with
+            | Obs.Attr.Int n -> acc + n
+            | _ -> Alcotest.failf "join span: %s not an int" key)
+          0 joins
+      in
+      let node_sum f =
+        List.fold_left
+          (fun acc (se : Middleware.stream_exec) ->
+            let n = ref 0 in
+            R.Physical.iter
+              (fun node ->
+                match node.R.Physical.shape with
+                | R.Physical.Join _ -> n := !n + f node
+                | _ -> ())
+              se.se_plan;
+            acc + !n)
+          0 e.Middleware.per_stream
+      in
+      Alcotest.(check bool) "join spans" true (joins <> []);
+      Alcotest.(check int) "span work = join nodes' cost"
+        (node_sum (fun n -> n.R.Physical.act_cost))
+        (sum "work");
+      Alcotest.(check int) "span emitted = join nodes' rows"
+        (node_sum (fun n -> n.R.Physical.act_rows))
+        (sum "emitted"))
+
 let test_tracing_does_not_change_work () =
   let _, p = setup Queries.query1_text in
   let plan = Middleware.partition_of p Middleware.Unified in
@@ -409,6 +452,8 @@ let suite =
       test_greedy_plan_edge_spans;
     Alcotest.test_case "middleware stage spans" `Quick test_middleware_stage_spans;
     Alcotest.test_case "per-stream stats breakdown" `Quick test_per_stream_stats;
+    Alcotest.test_case "join spans count the join alone" `Quick
+      test_join_spans_count_the_join;
     Alcotest.test_case "tracing neutral on work counts" `Quick
       test_tracing_does_not_change_work;
     Alcotest.test_case "stage list pinned" `Quick test_stage_list_pinned;
