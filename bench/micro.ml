@@ -50,6 +50,21 @@ let t_fig14 =
          ignore (Sk.Middleware.execute ~reduce:true p
                    (Sk.Partition.of_mask p.Sk.Middleware.tree 37))))
 
+(* Merge-tag alone: q1 fully partitioned (10 streams) at scale 1 is
+   executed once, outside the timed function; each run tags fresh cursors
+   over the same in-heap rows to a string. *)
+let merge_input =
+  lazy
+    (let db = Tpch.Gen.generate (Tpch.Gen.config 1.0) in
+     let p = Sk.Middleware.prepare_text db Sk.Queries.query1_text in
+     (p, Sk.Middleware.execute p (Sk.Partition.fully_partitioned p.Sk.Middleware.tree)))
+
+let t_tag_merge =
+  Test.make ~name:"tag:merge"
+    (Staged.stage (fun () ->
+         let p, e = Lazy.force merge_input in
+         ignore (Sk.Tagger.to_string_cursors p.Sk.Middleware.tree (Sk.Middleware.cursors e))))
+
 let t_fig15 =
   (* Fig. 15: one greedy planning run (cost estimation only) *)
   Test.make ~name:"fig15:genPlan"
@@ -244,6 +259,7 @@ let all_tests =
           t_table1; t_sec2; t_fig13; t_fig13_stream; t_fig14; t_fig15; t_fig18;
           t_bucket_binary; t_bucket_linear; t_event_emit; t_event_disabled;
           t_gc_quickstat; t_span_disabled; t_expr_interpreted; t_expr_compiled;
+          t_tag_merge;
         ]
        @ Lazy.force exec_op_tests))
 

@@ -64,7 +64,11 @@ module Tbl = Hashtbl.Make (struct
 end)
 
 let wire_size (t : t) =
-  Array.fold_left (fun acc v -> acc + Value.wire_size v) 0 t
+  let n = ref 0 in
+  for i = 0 to Array.length t - 1 do
+    n := !n + Value.wire_size t.(i)
+  done;
+  !n
 
 let to_string (t : t) =
   "(" ^ String.concat ", " (Array.to_list (Array.map Value.to_string t)) ^ ")"

@@ -16,11 +16,21 @@
    index and flushed when a later sibling arrives or the element
    closes.
 
-   Streams are consumed through pull cursors and merged with a binary
-   min-heap keyed by [compare_heads] (ties broken by stream position, so
-   the merge order is identical to a left-to-right scan): selecting the
-   next tuple costs O(log streams) comparator calls instead of a linear
-   scan over every stream head per tuple.
+   Streams are consumed through pull cursors and merged with a tree of
+   losers carrying offset-value codes (Conner 1977; Graefe and Do, EDBT
+   2023).  A tuple's merge key is the sequence of steps the hierarchical
+   order reads: L1, the key variables of the level-1 node, L2, the
+   level-2 node's keys, and so on until the path ends.  Every stream head
+   carries a code relative to the last tuple out of the merge: the first
+   step at which the two differ, that step's level, and the column
+   holding the head's value there.  A match in the tree is won by the
+   larger offset; at equal offsets the two values at that step are
+   compared, and only equal values fall back to a column walk from the
+   root, which also re-codes the loser.  Fully equal heads go to the
+   earlier stream, so the merge order is the one a left-to-right scan
+   selects.  The winner's code also says how much of the open-element
+   stack it shares with the previous tuple: every level above the
+   differing step.
 
    Everything a tuple is read through — L columns, each node's key
    variables, text contents, the (parent, SFI component) -> node map —
@@ -46,25 +56,25 @@ and payload =
 
 and fused_elem = { fnode : int; mutable fpending : pending_item list }
 
-type open_elem = {
-  o_node : int;
-  o_identity : R.Value.t array; (* key-var values, in key_vars order *)
-  mutable o_pending : pending_item list; (* sorted by index *)
-}
-
 let value_text v = if R.Value.is_null v then "" else R.Value.to_string v
 
 (* Emit a fused element and everything pending inside it. *)
 let rec emit_fused tree sink (f : fused_elem) =
   let n = View_tree.node tree f.fnode in
   sink.on_open n.View_tree.tag;
-  List.iter (fun item -> emit_payload tree sink item.payload) f.fpending;
+  emit_items tree sink f.fpending;
   f.fpending <- [];
   sink.on_close n.View_tree.tag
 
 and emit_payload tree sink = function
   | Text_payload s -> sink.on_text s
   | Fused_payload f -> emit_fused tree sink f
+
+and emit_items tree sink = function
+  | [] -> ()
+  | item :: rest ->
+      emit_payload tree sink item.payload;
+      emit_items tree sink rest
 
 (* Emit the pending items with index < threshold — a prefix, as the list
    is sorted by index — and return the rest. *)
@@ -87,22 +97,35 @@ type template =
 let template_index = function
   | Text_const (i, _) | Text_col (i, _) | Fused (i, _) -> i
 
+(* The two code offsets that are not steps: a head equal to the last
+   tuple out (it beats every other code), and an exhausted stream (it
+   loses to every other code). *)
+let code_equal = max_int
+let code_exhausted = -1
+
 (* Every name a stream's tuples are read through is resolved to a column
    index here, once per stream; -1 marks a column the stream does not
-   carry, which reads as NULL. *)
+   carry, which reads as NULL.  [off], [lvl] and [vcol] are the head's
+   offset-value code relative to the last tuple out of the merge; all
+   three are ints, so re-coding a head writes no pointer. *)
 type stream_state = {
   sid : int; (* position in the stream list; merge tie-break *)
+  root_tag : string; (* the fragment root's tag, for errors *)
   cursor : R.Cursor.t;
-  mutable head : R.Tuple.t option;
+  mutable head : R.Tuple.t; (* the next tuple, while [live] *)
+  mutable live : bool;
+  mutable off : int; (* first differing step, or a sentinel *)
+  mutable lvl : int; (* that step's level *)
+  mutable vcol : int; (* the head's column at that step, or -1 *)
   level_idx : int array; (* per level 1..max: column index or -1 *)
   key_idx : int array array; (* per node: column of each key var, or -1 *)
   templates : template list array; (* per node; [] outside the fragment *)
 }
 
-let advance st = st.head <- R.Cursor.next st.cursor
-
 let max_level tree =
   Array.fold_left (fun m n -> max m (View_tree.level n)) 0 tree.View_tree.nodes
+
+let level_col st j = if j < Array.length st.level_idx then st.level_idx.(j) else -1
 
 let build_stream_state tree sid (desc : Sql_gen.stream) (cur : R.Cursor.t) :
     stream_state =
@@ -126,7 +149,8 @@ let build_stream_state tree sid (desc : Sql_gen.stream) (cur : R.Cursor.t) :
         Array.of_list (List.map var_col n.View_tree.key_vars))
       tree.View_tree.nodes
   in
-  let members = desc.Sql_gen.fragment.Partition.members in
+  let fragment = desc.Sql_gen.fragment in
+  let members = fragment.Partition.members in
   let template (n : View_tree.node) =
     let id = n.View_tree.id in
     if not (List.mem id members) then []
@@ -156,55 +180,72 @@ let build_stream_state tree sid (desc : Sql_gen.stream) (cur : R.Cursor.t) :
   let st =
     {
       sid;
+      root_tag = (View_tree.node tree fragment.Partition.root).View_tree.tag;
       cursor = cur;
-      head = None;
+      head = [||];
+      live = false;
+      off = code_exhausted;
+      lvl = 0;
+      vcol = -1;
       level_idx;
       key_idx;
       templates = Array.map template tree.View_tree.nodes;
     }
   in
-  advance st;
+  (* the first head is coded against a tuple below every tuple: it
+     differs at step 0, which reads L1 *)
+  (match R.Cursor.next cur with
+  | Some t ->
+      st.head <- t;
+      st.live <- true;
+      st.off <- 0;
+      st.lvl <- 1;
+      st.vcol <- level_col st 1
+  | None -> ());
   st
 
 let col (t : R.Tuple.t) i = if i < 0 then R.Value.Null else t.(i)
 
-let level_value st (t : R.Tuple.t) j =
-  if j >= Array.length st.level_idx then R.Value.Null
-  else col t st.level_idx.(j)
-
 (* Build the pending list for a freshly opened element from the stream's
    template for its node, reading text columns off the current tuple. *)
-let rec instantiate st t templates =
-  List.map
-    (function
-      | Text_const (index, s) -> { index; payload = Text_payload s }
-      | Text_col (index, i) ->
-          { index; payload = Text_payload (value_text (col t i)) }
-      | Fused (index, m) ->
-          {
-            index;
-            payload =
-              Fused_payload
-                { fnode = m; fpending = instantiate st t st.templates.(m) };
-          })
-    templates
+let rec instantiate st t = function
+  | [] -> []
+  | template :: rest ->
+      let item =
+        match template with
+        | Text_const (index, s) -> { index; payload = Text_payload s }
+        | Text_col (index, i) ->
+            { index; payload = Text_payload (value_text (col t i)) }
+        | Fused (index, m) ->
+            {
+              index;
+              payload =
+                Fused_payload
+                  { fnode = m; fpending = instantiate st t st.templates.(m) };
+            }
+      in
+      item :: instantiate st t rest
 
-(* --- per-tuple processing ----------------------------------------------- *)
+(* --- context -------------------------------------------------------------- *)
 
-(* The open-element stack is stored root-first in a fixed array sized by
-   the view-tree depth, with [depth] tracked incrementally: matching a
-   tuple's path against the stack, closing to a depth and finding the
-   parent are all O(1) per step.  [children] replaces the (parent, SFI
-   component) -> node lookup by two array reads. *)
+(* The open-element stack is two root-first arrays sized by the view-tree
+   depth, one of nodes and one of pending lists (sorted by index), with
+   [depth] tracked incrementally.  [children] replaces the (parent, SFI
+   component) -> node lookup by two array reads.  A column walk leaves
+   the step it stopped at in the [w_*] fields. *)
 type ctx = {
   tree : View_tree.t;
   sink : sink;
   children : int array array; (* parent id + 1 -> component -> id or -1 *)
-  stack : open_elem array; (* stack.(0) is outermost; root-first *)
-  mutable depth : int; (* open elements = stack.(0 .. depth-1) *)
+  nodes : int array; (* nodes.(0) is the outermost open element *)
+  pending : pending_item list array;
+  mutable depth : int; (* open elements = 0 .. depth-1 *)
+  mutable w_step : int;
+  mutable w_level : int;
+  mutable w_col_a : int;
+  mutable w_col_b : int;
+  mutable full_compares : int; (* ties only a column walk settled *)
 }
-
-let closed = { o_node = -1; o_identity = [||]; o_pending = [] }
 
 (* Last component of a node's Skolem-function index — O(|sfi|) single
    pass, with a descriptive error instead of [List.nth]'s anonymous
@@ -236,108 +277,166 @@ let make_ctx tree sink =
   Array.iter
     (fun n -> children.(parent_slot n).(last_sfi_component n) <- n.View_tree.id)
     nodes;
-  { tree; sink; children; stack = Array.make (max_level tree + 1) closed;
-    depth = 0 }
+  let depth = max_level tree + 1 in
+  {
+    tree;
+    sink;
+    children;
+    nodes = Array.make depth (-1);
+    pending = Array.make depth [];
+    depth = 0;
+    w_step = 0;
+    w_level = 0;
+    w_col_a = -1;
+    w_col_b = -1;
+    full_compares = 0;
+  }
 
 let child ctx parent comp =
   let row = ctx.children.(parent + 1) in
   if comp >= 0 && comp < Array.length row then row.(comp) else -1
 
-(* The node at level [j] of a tuple's path under [parent], or -1 where
-   the path ends (NULL or absent L column, unknown component). *)
-let path_node ctx st (t : R.Tuple.t) parent j =
-  match level_value st t j with
-  | R.Value.Int comp -> child ctx parent comp
-  | _ -> -1
+(* --- column walk ----------------------------------------------------------- *)
 
-(* Hierarchical merge comparator: at each level compare the L component,
-   then — only when the components agree — the key variables of that path
-   node.  Key variables of sibling nodes never participate, so streams
-   that do not carry them (they would read NULL) cannot be mis-ordered
-   against streams that do.  A tuple whose path is a prefix of another's
-   sorts first (parent rows precede child rows). *)
-let rec compare_from ctx sa ta sb tb parent j =
-  let la = level_value sa ta j and lb = level_value sb tb j in
-  match (la, lb) with
-  | R.Value.Null, R.Value.Null -> 0
-  | _ -> (
-      let c = R.Value.compare_total la lb in
-      if c <> 0 then c
-      else
-        (* equal non-null component: same node *)
-        match la with
-        | R.Value.Int comp ->
-            let id = child ctx parent comp in
-            if id < 0 then 0
-            else compare_keys ctx sa ta sb tb id j sa.key_idx.(id) sb.key_idx.(id) 0
-        | _ -> 0)
+let found ctx step j ca cb c =
+  ctx.w_step <- step;
+  ctx.w_level <- j;
+  ctx.w_col_a <- ca;
+  ctx.w_col_b <- cb;
+  c
 
-and compare_keys ctx sa ta sb tb id j ka kb i =
-  if i >= Array.length ka then compare_from ctx sa ta sb tb id (j + 1)
+(* The hierarchical order, walked from the root over [ta] (read through
+   [sa]'s columns) and [tb] (through [sb]'s): at each level the L
+   component, then — only when the components agree — the key variables
+   of that path node.  Key variables of sibling nodes never participate,
+   so streams that do not carry them (they would read NULL) cannot be
+   mis-ordered against streams that do.  A tuple whose path is a prefix
+   of another's sorts first (parent rows precede child rows).  Returns
+   the sign of the first difference, leaving its step, level and the two
+   columns in [ctx.w_*]; 0 where the paths end together (a NULL or
+   non-Int L, or an unknown component).  [==] values are equal without a
+   compare. *)
+let rec walk_level ctx sa ta sb tb parent j step =
+  let ca = level_col sa j and cb = level_col sb j in
+  let la = col ta ca and lb = col tb cb in
+  let c = if la == lb then 0 else R.Value.compare_total la lb in
+  if c <> 0 then found ctx step j ca cb c
   else
-    let c = R.Value.compare_total (col ta ka.(i)) (col tb kb.(i)) in
-    if c <> 0 then c else compare_keys ctx sa ta sb tb id j ka kb (i + 1)
+    match la with
+    | R.Value.Int comp ->
+        let id = child ctx parent comp in
+        if id < 0 then 0 else walk_keys ctx sa ta sb tb id j (step + 1) 0
+    | _ -> 0
 
-let compare_heads ctx sa ta sb tb = compare_from ctx sa ta sb tb (-1) 1
+and walk_keys ctx sa ta sb tb id j step i =
+  let ka = sa.key_idx.(id) in
+  if i >= Array.length ka then walk_level ctx sa ta sb tb id (j + 1) step
+  else
+    let ca = ka.(i) and cb = sb.key_idx.(id).(i) in
+    let va = col ta ca and vb = col tb cb in
+    let c = if va == vb then 0 else R.Value.compare_total va vb in
+    if c <> 0 then found ctx step j ca cb c
+    else walk_keys ctx sa ta sb tb id j (step + 1) (i + 1)
 
-(* --- heap of stream heads ----------------------------------------------- *)
+let walk ctx sa ta sb tb = walk_level ctx sa ta sb tb (-1) 1 0
 
-(* Binary min-heap over stream states, each holding a non-empty head.
-   The order is (compare_heads, sid): on equal heads the earlier stream
-   wins, exactly reproducing the order a left-to-right linear scan with
-   strict [<] replacement would select. *)
-module Head_heap = struct
-  type t = {
-    arr : stream_state array; (* arr.(0..size-1) is the heap *)
-    mutable size : int;
-    less : stream_state -> stream_state -> bool;
-  }
+(* --- tree of losers -------------------------------------------------------- *)
 
-  let head_exn st =
-    match st.head with
-    | Some t -> t
-    | None -> invalid_arg "Tagger: empty stream in merge heap"
+(* Take the stream's next tuple and code it against the one it follows,
+   which is the tuple just out of the merge. *)
+let advance ctx st =
+  let prev = st.head in
+  match R.Cursor.next st.cursor with
+  | None ->
+      st.live <- false;
+      st.off <- code_exhausted
+  | Some t ->
+      st.head <- t;
+      let c = walk ctx st t st prev in
+      if c > 0 then begin
+        st.off <- ctx.w_step;
+        st.lvl <- ctx.w_level;
+        st.vcol <- ctx.w_col_a
+      end
+      else if c = 0 then st.off <- code_equal
+      else
+        invalid_arg
+          (Printf.sprintf
+             "Tagger: stream %d (fragment <%s>) is out of order: a tuple \
+              sorts before the one it follows"
+             st.sid st.root_tag)
 
-  let rec sift_down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let m = ref i in
-    if l < h.size && h.less h.arr.(l) h.arr.(!m) then m := l;
-    if r < h.size && h.less h.arr.(r) h.arr.(!m) then m := r;
-    if !m <> i then begin
-      let tmp = h.arr.(i) in
-      h.arr.(i) <- h.arr.(!m);
-      h.arr.(!m) <- tmp;
-      sift_down h !m
-    end
-
-  let create less states =
-    let live = List.filter (fun st -> Option.is_some st.head) states in
-    let h = { arr = Array.of_list live; size = List.length live; less } in
-    (* heapify bottom-up *)
-    for i = (h.size / 2) - 1 downto 0 do
-      sift_down h i
-    done;
-    h
-
-  (* The minimum's head changed (advanced) or emptied: restore order. *)
-  let reposition_min h =
-    if h.size > 0 then begin
-      if Option.is_none h.arr.(0).head then begin
-        h.size <- h.size - 1;
-        if h.size > 0 then h.arr.(0) <- h.arr.(h.size)
+(* Does head [a] beat head [b]?  Both are coded against the same tuple;
+   the loser ends coded against the winner.  The order is (hierarchical
+   order, stream position). *)
+let beats ctx a b =
+  if a.off <> b.off then a.off > b.off
+  else if a.off = code_equal || a.off = code_exhausted then a.sid < b.sid
+  else
+    let va = col a.head a.vcol and vb = col b.head b.vcol in
+    let c = if va == vb then 0 else R.Value.compare_total va vb in
+    if c <> 0 then c < 0
+    else begin
+      ctx.full_compares <- ctx.full_compares + 1;
+      let c = walk ctx a a.head b b.head in
+      let a_wins = c < 0 || (c = 0 && a.sid < b.sid) in
+      let loser = if a_wins then b else a in
+      if c = 0 then loser.off <- code_equal
+      else begin
+        loser.off <- ctx.w_step;
+        loser.lvl <- ctx.w_level;
+        loser.vcol <- (if a_wins then ctx.w_col_b else ctx.w_col_a)
       end;
-      if h.size > 0 then sift_down h 0
+      a_wins
     end
-end
+
+(* Stream [i] is leaf [k + i]; node [p]'s parent is [p / 2], node 1 is
+   the root, and [losers.(p)] is the stream that lost the match at [p].
+   The layout holds for any k. *)
+type merge = {
+  states : stream_state array;
+  losers : int array;
+  mutable winner : int; (* -1 when there are no streams *)
+}
+
+let build_merge ctx states =
+  let k = Array.length states in
+  let losers = Array.make (max k 1) (-1) in
+  let winners = Array.make (2 * k) (-1) in
+  for i = 0 to k - 1 do
+    winners.(k + i) <- i
+  done;
+  for p = k - 1 downto 1 do
+    let a = winners.(2 * p) and b = winners.((2 * p) + 1) in
+    let w, l = if beats ctx states.(a) states.(b) then (a, b) else (b, a) in
+    winners.(p) <- w;
+    losers.(p) <- l
+  done;
+  { states; losers; winner = (if k = 0 then -1 else winners.(1)) }
+
+(* The winner's stream has a new head: replay its leaf-to-root path. *)
+let replay ctx m =
+  let w = ref m.winner in
+  let p = ref ((Array.length m.states + !w) / 2) in
+  while !p >= 1 do
+    let l = m.losers.(!p) in
+    if not (beats ctx m.states.(!w) m.states.(l)) then begin
+      m.losers.(!p) <- !w;
+      w := l
+    end;
+    p := !p / 2
+  done;
+  m.winner <- !w
+
+(* --- re-nesting ------------------------------------------------------------ *)
 
 let close_one ctx =
   if ctx.depth > 0 then begin
-    let e = ctx.stack.(ctx.depth - 1) in
-    List.iter (fun item -> emit_payload ctx.tree ctx.sink item.payload) e.o_pending;
-    e.o_pending <- [];
-    ctx.sink.on_close (View_tree.node ctx.tree e.o_node).View_tree.tag;
-    ctx.stack.(ctx.depth - 1) <- closed;
-    ctx.depth <- ctx.depth - 1
+    let d = ctx.depth - 1 in
+    emit_items ctx.tree ctx.sink ctx.pending.(d);
+    ctx.pending.(d) <- [];
+    ctx.sink.on_close (View_tree.node ctx.tree ctx.nodes.(d)).View_tree.tag;
+    ctx.depth <- d
   end
 
 let rec close_to_depth ctx depth =
@@ -361,19 +460,17 @@ let open_element ctx st t id =
   let adopted =
     if ctx.depth = 0 then None
     else begin
-      let parent = ctx.stack.(ctx.depth - 1) in
-      parent.o_pending <-
-        flush_before ctx.tree ctx.sink n.View_tree.sibling_index
-          parent.o_pending;
-      let found = find_fused id parent.o_pending in
-      (match found with
-      | Some f ->
-          parent.o_pending <-
+      let d = ctx.depth - 1 in
+      let rest = flush_before ctx.tree ctx.sink n.View_tree.sibling_index ctx.pending.(d) in
+      let found = find_fused id rest in
+      ctx.pending.(d) <-
+        (match found with
+        | Some f ->
             List.filter
               (fun item ->
                 match item.payload with Fused_payload g -> g != f | _ -> true)
-              parent.o_pending
-      | None -> ());
+              rest
+        | None -> rest);
       found
     end
   in
@@ -383,31 +480,18 @@ let open_element ctx st t id =
     | None -> instantiate st t st.templates.(id)
   in
   ctx.sink.on_open n.View_tree.tag;
-  if ctx.depth >= Array.length ctx.stack then
+  if ctx.depth >= Array.length ctx.nodes then
     invalid_arg "Tagger: tuple path deeper than the view tree";
-  let keys = st.key_idx.(id) in
-  let identity = Array.make (Array.length keys) R.Value.Null in
-  for i = 0 to Array.length keys - 1 do
-    identity.(i) <- col t keys.(i)
-  done;
-  ctx.stack.(ctx.depth) <- { o_node = id; o_identity = identity; o_pending = pending };
+  ctx.nodes.(ctx.depth) <- id;
+  ctx.pending.(ctx.depth) <- pending;
   ctx.depth <- ctx.depth + 1
 
-let rec identity_matches (e : open_elem) (t : R.Tuple.t) keys i =
-  i >= Array.length keys
-  || R.Value.equal e.o_identity.(i) (col t keys.(i))
-     && identity_matches e t keys (i + 1)
-
-(* How deep the open-element stack agrees with the tuple's path: same
-   node and same key-variable values at every level. *)
-let rec matched_depth ctx st t depth parent =
-  if depth >= ctx.depth then depth
-  else
-    let id = path_node ctx st t parent (depth + 1) in
-    let e = ctx.stack.(depth) in
-    if id >= 0 && e.o_node = id && identity_matches e t st.key_idx.(id) 0 then
-      matched_depth ctx st t (depth + 1) id
-    else depth
+(* The node at level [j] of a tuple's path under [parent], or -1 where
+   the path ends (NULL or absent L column, unknown component). *)
+let path_node ctx st (t : R.Tuple.t) parent j =
+  match col t (level_col st j) with
+  | R.Value.Int comp -> child ctx parent comp
+  | _ -> -1
 
 let rec open_path ctx st t parent =
   let id = path_node ctx st t parent (ctx.depth + 1) in
@@ -416,10 +500,11 @@ let rec open_path ctx st t parent =
     open_path ctx st t id
   end
 
-let process_tuple ctx st (t : R.Tuple.t) =
-  let depth = matched_depth ctx st t 0 (-1) in
+(* The stack holds the previous tuple's path; [t] shares its first
+   [depth] elements. *)
+let process_tuple ctx st (t : R.Tuple.t) depth =
   close_to_depth ctx depth;
-  open_path ctx st t (if depth = 0 then -1 else ctx.stack.(depth - 1).o_node)
+  open_path ctx st t (if depth = 0 then -1 else ctx.nodes.(depth - 1))
 
 (* --- driver -------------------------------------------------------------- *)
 
@@ -442,25 +527,24 @@ let tag_cursors tree (streams : (Sql_gen.stream * R.Cursor.t) list)
     else sink
   in
   let states =
-    List.mapi (fun i (d, c) -> build_stream_state tree i d c) streams
+    Array.of_list (List.mapi (fun i (d, c) -> build_stream_state tree i d c) streams)
   in
   let tuples_in = ref 0 in
   let ctx = make_ctx tree sink in
-  let less a b =
-    let c =
-      compare_heads ctx a (Head_heap.head_exn a) b (Head_heap.head_exn b)
-    in
-    if c <> 0 then c < 0 else a.sid < b.sid
-  in
-  let heap = Head_heap.create less states in
+  let m = build_merge ctx states in
   sink.on_open tree.View_tree.root_tag;
-  while heap.Head_heap.size > 0 do
-    let st = heap.Head_heap.arr.(0) in
-    let t = Head_heap.head_exn st in
-    advance st;
-    Head_heap.reposition_min heap;
+  while m.winner >= 0 && states.(m.winner).live do
+    let st = states.(m.winner) in
+    let t = st.head in
+    (* the winner's code is against the previous tuple, whose path is
+       the stack: every level above the differing step is shared *)
+    let depth =
+      if st.off = code_equal then ctx.depth else Int.min ctx.depth (st.lvl - 1)
+    in
+    advance ctx st;
+    replay ctx m;
     incr tuples_in;
-    process_tuple ctx st t
+    process_tuple ctx st t depth
   done;
   close_to_depth ctx 0;
   sink.on_close tree.View_tree.root_tag;
@@ -472,16 +556,17 @@ let tag_cursors tree (streams : (Sql_gen.stream * R.Cursor.t) list)
         Obs.Attr.int "elements" !opens;
         Obs.Attr.int "texts" !texts;
         Obs.Attr.int "work" !opens;
+        Obs.Attr.int "full_compares" ctx.full_compares;
       ];
     Obs.Metrics.incr ~by:!opens "tag.elements";
     Obs.Metrics.observe "tag.tuples" (float_of_int !tuples_in)
   end
 
+let of_relations streams = List.map (fun (d, r) -> (d, R.Cursor.of_relation r)) streams
+
 let tag tree (streams : (Sql_gen.stream * R.Relation.t) list) (sink : sink) :
     unit =
-  tag_cursors tree
-    (List.map (fun (d, r) -> (d, R.Cursor.of_relation r)) streams)
-    sink
+  tag_cursors tree (of_relations streams) sink
 
 (* Sink building an in-memory document (tests, validation). *)
 let document_sink () =
@@ -531,7 +616,7 @@ let to_document_cursors tree streams : Xmlkit.Xml.t =
   tag_cursors tree streams sink;
   get ()
 
-(* Sink serializing directly to a buffer: the constant-space path. *)
+(* Sink serializing directly to a buffer. *)
 let buffer_sink buf =
   {
     on_open =
@@ -547,15 +632,83 @@ let buffer_sink buf =
         Buffer.add_char buf '>');
   }
 
-let to_string tree streams : string =
-  let buf = Buffer.create 4096 in
-  tag tree streams (buffer_sink buf);
-  Buffer.contents buf
+(* --- chunked string writer ------------------------------------------------ *)
+
+(* The string paths write into chunks that are never regrown: a full
+   chunk is kept and the next one started, their sizes doubling from
+   4 KB to 64 KB.  The chunks are copied once, into the result. *)
+type chunks = {
+  mutable full : Bytes.t list; (* filled chunks, newest first *)
+  mutable full_len : int;
+  mutable cur : Bytes.t;
+  mutable pos : int;
+}
+
+let max_chunk = 65536
+
+let next_chunk w =
+  w.full <- w.cur :: w.full;
+  w.full_len <- w.full_len + w.pos;
+  w.cur <- Bytes.create (Int.min max_chunk (2 * Bytes.length w.cur));
+  w.pos <- 0
+
+let add_char w c =
+  if w.pos = Bytes.length w.cur then next_chunk w;
+  Bytes.set w.cur w.pos c;
+  w.pos <- w.pos + 1
+
+let rec add_substring w s i len =
+  let n = Int.min len (Bytes.length w.cur - w.pos) in
+  Bytes.blit_string s i w.cur w.pos n;
+  w.pos <- w.pos + n;
+  if n < len then begin
+    next_chunk w;
+    add_substring w s (i + n) (len - n)
+  end
+
+let add_string w s = add_substring w s 0 (String.length s)
+
+let rec add_escaped w s i =
+  let j = Xmlkit.Serialize.next_special s i in
+  add_substring w s i (j - i);
+  if j < String.length s then begin
+    add_string w (Xmlkit.Serialize.entity s.[j]);
+    add_escaped w s (j + 1)
+  end
+
+let chunks_contents w =
+  let out = Bytes.create (w.full_len + w.pos) in
+  Bytes.blit w.cur 0 out w.full_len w.pos;
+  ignore
+    (List.fold_left
+       (fun stop b ->
+         let start = stop - Bytes.length b in
+         Bytes.blit b 0 out start (Bytes.length b);
+         start)
+       w.full_len w.full);
+  Bytes.unsafe_to_string out
+
+let chunks_sink w =
+  {
+    on_open =
+      (fun tag ->
+        add_char w '<';
+        add_string w tag;
+        add_char w '>');
+    on_text = (fun s -> add_escaped w s 0);
+    on_close =
+      (fun tag ->
+        add_string w "</";
+        add_string w tag;
+        add_char w '>');
+  }
 
 let to_string_cursors tree streams : string =
-  let buf = Buffer.create 4096 in
-  tag_cursors tree streams (buffer_sink buf);
-  Buffer.contents buf
+  let w = { full = []; full_len = 0; cur = Bytes.create 4096; pos = 0 } in
+  tag_cursors tree streams (chunks_sink w);
+  chunks_contents w
+
+let to_string tree streams : string = to_string_cursors tree (of_relations streams)
 
 (* Sink writing straight to a channel: XML leaves the process as it is
    produced, without ever holding the whole document in memory. *)

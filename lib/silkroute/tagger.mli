@@ -7,9 +7,15 @@
     database size.
 
     Streams are consumed through pull cursors ({!Relational.Cursor}) and
-    merged with a binary min-heap keyed by the hierarchical head
-    comparator — O(log streams) per tuple, ties broken by stream
-    position so the merge order matches a left-to-right scan. *)
+    merged with a tree of losers carrying offset-value codes: each head
+    is coded by the first step (L component or key variable) at which it
+    differs from the last tuple out, so most matches are integer
+    compares, and the winner's code gives the depth of the open-element
+    stack it shares.  Ties are broken by stream position, so the merge
+    order matches a left-to-right scan.  A stream whose tuples are not in
+    that order raises [Invalid_argument], naming the stream's position
+    and its fragment root.  The string paths write into fixed-size
+    chunks copied once into the result. *)
 
 (** Event consumer.  {!buffer_sink} and {!channel_sink} serialize
     directly (the constant-space paths); {!document_sink} builds an
@@ -27,7 +33,10 @@ val tag_cursors :
   unit
 (** Merge-and-tag from cursors.  Each cursor must produce its stream's
     query result in the stream's ORDER BY order; cursors are drained
-    exactly once.  Tuples are dropped as soon as they are processed. *)
+    exactly once.  Tuples are dropped as soon as they are processed.
+    Under tracing, the enclosing span gets [streams], [tuples],
+    [elements], [texts], [work] and [full_compares] (the ties between
+    heads that only a column walk settled). *)
 
 val tag :
   View_tree.t ->

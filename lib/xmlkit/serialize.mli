@@ -7,6 +7,14 @@ val escape_into : Buffer.t -> string -> unit
 val output_escaped : out_channel -> string -> unit
 (** Writes the string escaped as {!escape_into} does. *)
 
+val next_special : string -> int -> int
+(** [next_special s i] is the position of the first XML-special
+    character of [s] at or after [i], or [String.length s]: the end of a
+    run an escaper copies as it is. *)
+
+val entity : char -> string
+(** The entity an XML-special character is escaped as. *)
+
 val to_string : Xml.t -> string
 (** Compact rendering; empty elements use self-closing tags. *)
 

@@ -283,6 +283,117 @@ let test_constant_space_depth_bound () =
 let test_sibling_order_deterministic () =
   Matrix.(check [ slice q1 (tpch 0.3) ~masks:(only [ 0; 511; 73 ]) ])
 
+(* One cursor per row list, all sharing one stream's descriptor. *)
+let cursors_of desc parts =
+  let cols = Array.map (fun _ -> "c") desc.Sql_gen.cols in
+  List.map (fun rows -> (desc, R.Cursor.of_list cols rows)) parts
+
+(* A one-stream plan's descriptor and rows. *)
+let single_stream ?reduce p =
+  let e = Middleware.execute ?reduce p (Partition.unified p.Middleware.tree) in
+  match relations e with
+  | [ (desc, rel) ] -> (desc, R.Relation.rows rel)
+  | _ -> Alcotest.fail "expected one stream"
+
+let test_out_of_order_stream () =
+  (* a stream fed in reverse is refused, naming the stream and the root
+     of its fragment *)
+  let _db, p = setup ~scale:0.05 Queries.query1_text in
+  let tree = p.Middleware.tree in
+  let e = Middleware.execute p (Partition.fully_partitioned tree) in
+  let rels = relations e in
+  let i = 2 in
+  let desc, rel = List.nth rels i in
+  Alcotest.(check bool) "stream has rows to reverse" true
+    (List.length (R.Relation.rows rel) > 1);
+  let reversed =
+    List.mapi
+      (fun j (d, r) ->
+        if j = i then (d, R.Relation.create (R.Relation.cols r) (List.rev (R.Relation.rows r)))
+        else (d, r))
+      rels
+  in
+  let root = (View_tree.node tree desc.Sql_gen.fragment.Partition.root).View_tree.tag in
+  match Tagger.to_string tree reversed with
+  | _ -> Alcotest.fail "reversed stream accepted"
+  | exception Invalid_argument msg ->
+      let contains sub =
+        let n = String.length sub in
+        let rec go k = k + n <= String.length msg && (String.sub msg k n = sub || go (k + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) ("names the stream: " ^ msg) true
+        (contains (Printf.sprintf "stream %d " i));
+      Alcotest.(check bool) ("names the fragment root: " ^ msg) true
+        (contains (Printf.sprintf "<%s>" root))
+
+let test_all_heads_tie () =
+  (* every stream holds the same regions under the same keys, each with
+     its own text: all heads tie at every step, so only stream position
+     orders them, and each region's text comes from stream 0 *)
+  let db = Tpch.Gen.figure8_database () in
+  let p =
+    Middleware.prepare_text db
+      "view regions { from Region $r construct <region>$r.name</region> }"
+  in
+  let tree = p.Middleware.tree in
+  let desc, rows = single_stream p in
+  let text_col =
+    match (View_tree.node tree 0).View_tree.contents with
+    | [ (_, View_tree.Content_var v) ] ->
+        let rec find i = if desc.Sql_gen.cols.(i) = Sql_gen.Var_col v then i else find (i + 1) in
+        find 0
+    | _ -> Alcotest.fail "expected one text column"
+  in
+  let tagged_text s (t : R.Tuple.t) =
+    Array.mapi
+      (fun j v -> if j = text_col then R.Value.String (R.Value.to_string v ^ s) else v)
+      t
+  in
+  let expected =
+    "<regions>"
+    ^ String.concat ""
+        (List.map (fun t -> "<region>" ^ R.Value.to_string t.(text_col) ^ "/0</region>") rows)
+    ^ "</regions>"
+  in
+  List.iter
+    (fun k ->
+      let parts = List.init k (fun i -> List.map (tagged_text (Printf.sprintf "/%d" i)) rows) in
+      Alcotest.(check string) (Printf.sprintf "%d streams" k) expected
+        (Tagger.to_string_cursors tree (cursors_of desc parts)))
+    [ 1; 2; 3; 5; 8; 9 ]
+
+let test_full_compares_reported () =
+  (* the tagger span counts the ties its codes could not decide: none
+     for one stream, fewer than the tuples for ten *)
+  let _db, p = setup ~scale:0.05 Queries.query1_text in
+  let tree = p.Middleware.tree in
+  let tagger_attrs part =
+    Fun.protect ~finally:Obs.Span.reset (fun () ->
+        Obs.Span.reset ();
+        Obs.Control.with_enabled true (fun () ->
+            ignore (Middleware.xml_string_of p (Middleware.execute p part));
+            match
+              List.filter (fun (s : Obs.Span.t) -> s.Obs.Span.name = "tagger") (Obs.Span.spans ())
+            with
+            | [ s ] ->
+                let int name =
+                  match Obs.Span.find_attr s name with
+                  | Some (Obs.Attr.Int n) -> n
+                  | _ -> Alcotest.failf "tagger span lacks %s" name
+                in
+                (int "streams", int "tuples", int "full_compares")
+            | _ -> Alcotest.fail "expected one tagger span"))
+  in
+  let streams, tuples, full = tagger_attrs (Partition.fully_partitioned tree) in
+  Alcotest.(check int) "ten streams" 10 streams;
+  Alcotest.(check bool)
+    (Printf.sprintf "full_compares %d < tuples %d" full tuples)
+    true (full < tuples);
+  let streams, _, full = tagger_attrs (Partition.unified tree) in
+  Alcotest.(check int) "one stream" 1 streams;
+  Alcotest.(check int) "no full compares" 0 full
+
 let suite =
   [
     Alcotest.test_case "Fig. 8 exact output" `Quick test_figure8_output;
@@ -303,6 +414,10 @@ let suite =
       test_absent_sibling_key_reads_null;
     Alcotest.test_case "constant content" `Quick test_constant_content;
     Alcotest.test_case "mixed text + children" `Quick test_mixed_text_and_children;
+    Alcotest.test_case "out-of-order stream refused" `Quick test_out_of_order_stream;
+    Alcotest.test_case "all heads tie: stream position orders" `Quick test_all_heads_tie;
+    Alcotest.test_case "tagger span reports full_compares" `Quick
+      test_full_compares_reported;
   ]
 
 (* Property: every plan mask produces the same document as the naive
@@ -315,4 +430,73 @@ let prop_all_plans_correct =
       Matrix.(check [ slice view (tpch 0.1) ~masks:(only [ mask ]) ]);
       true)
 
-let props = [ prop_all_plans_correct ]
+(* Property: the merge does not depend on how a stream is split.  A real
+   stream's rows are dealt in order into k cursors (some possibly empty)
+   sharing its descriptor; tagging them gives the bytes of tagging the
+   one stream.  Some rows are repeated whole, and some repeated with
+   every non-key column changed: such a copy ties its original at every
+   step, is dealt to the same cursor or a later one, and must stay
+   unseen, as it is in the one stream. *)
+let split_sources =
+  lazy
+    (let db = Tpch.Gen.generate (Tpch.Gen.config 0.05) in
+     List.concat_map
+       (fun text ->
+         let p = Middleware.prepare_text db text in
+         let tree = p.Middleware.tree in
+         List.map
+           (fun reduce ->
+             let desc, rows = single_stream ~reduce p in
+             let keys =
+               Array.to_list tree.View_tree.nodes
+               |> List.concat_map (fun (n : View_tree.node) -> n.View_tree.key_vars)
+             in
+             let non_key = function
+               | Sql_gen.Var_col v -> not (List.mem v keys)
+               | Sql_gen.Level_col _ -> false
+             in
+             (tree, desc, rows, Array.map non_key desc.Sql_gen.cols))
+           [ false; true ])
+       [ Queries.query1_text; Queries.query2_text ]
+     |> Array.of_list)
+
+let prop_split_invariant =
+  QCheck.Test.make ~name:"merge of a split stream = the stream" ~count:60
+    (QCheck.make
+       ~print:(fun (src, k, seed) -> Printf.sprintf "source %d, k=%d, seed %d" src k seed)
+       QCheck.Gen.(triple (int_bound 3) (int_range 1 9) (int_bound 1_000_000)))
+    (fun (src, k, seed) ->
+      let tree, desc, rows, non_key = (Lazy.force split_sources).(src) in
+      let rng = Random.State.make [| seed |] in
+      let active = Array.init k (fun i -> i = 0 || Random.State.bool rng) in
+      (* an active cursor at or after [from] *)
+      let rec pick from =
+        let c = from + Random.State.int rng (k - from) in
+        if active.(c) then c else pick from
+      in
+      let variant (t : R.Tuple.t) =
+        Array.mapi (fun i v -> if non_key.(i) then R.Value.String "copy" else v) t
+      in
+      let n = Random.State.int rng (List.length rows + 1) in
+      let whole = ref [] and parts = Array.make k [] in
+      let add c t =
+        whole := t :: !whole;
+        parts.(c) <- t :: parts.(c)
+      in
+      List.iteri
+        (fun i t ->
+          if i < n then begin
+            let c = pick 0 in
+            add c t;
+            match Random.State.int rng 8 with
+            | 0 -> add (pick 0) (Array.copy t)
+            | 1 -> add (pick c) (variant t)
+            | _ -> ()
+          end)
+        rows;
+      let tag parts = Tagger.to_string_cursors tree (cursors_of desc parts) in
+      if tag [ List.rev !whole ] <> tag (List.map List.rev (Array.to_list parts)) then
+        QCheck.Test.fail_report "split stream tags differently";
+      true)
+
+let props = [ prop_all_plans_correct; prop_split_invariant ]
