@@ -396,10 +396,6 @@ let calibration () =
   let db, _ = prepare config_a S.Queries.query1_text in
   print_config db config_a;
   let stats = R.Stats.analyze db in
-  let qerr est act =
-    let e = Float.max 1.0 est and a = Float.max 1.0 act in
-    Float.max (e /. a) (a /. e)
-  in
   (* per operator kind: node count, sum of log q-errors (rows, cost),
      worst q-errors *)
   let acc = Hashtbl.create 8 in
@@ -446,23 +442,24 @@ let calibration () =
                   List.iter
                     (fun s ->
                       let phys = R.Physical.plan_of db s.S.Sql_gen.query in
-                      let est = R.Cost.annotate stats phys in
+                      let est, ests = R.Cost.annotate stats phys in
                       let _, st = R.Executor.run_plan_with_stats db phys in
                       incr streams_n;
                       let tq =
-                        qerr est.R.Cost.eval_cost
-                          (float_of_int st.R.Executor.work)
+                        Obs.Diagnose.qerror ~est:est.R.Cost.eval_cost
+                          ~act:(float_of_int st.R.Executor.work)
                       in
                       sum_log_total := !sum_log_total +. Float.log tq;
                       if tq > !worst_total then worst_total := tq;
-                      R.Physical.iter
-                        (fun n ->
-                          note (R.Physical.op_name n)
-                            (qerr n.R.Physical.est_rows
-                               (float_of_int n.R.Physical.act_rows))
-                            (qerr n.R.Physical.est_cost
-                               (float_of_int n.R.Physical.act_cost)))
-                        phys)
+                      List.iter
+                        (fun (d : Obs.Diagnose.sample) ->
+                          note d.d_op
+                            (Obs.Diagnose.qerror ~est:d.d_est_rows
+                               ~act:(float_of_int d.d_act_rows))
+                            (Obs.Diagnose.qerror ~est:d.d_est_cost
+                               ~act:(float_of_int d.d_act_cost)))
+                        (R.Physical.diagnose_samples ~stream:"" phys ests
+                           st.R.Executor.actuals))
                     (S.Sql_gen.streams db tree plan opts))
                 plans)
             [ S.Sql_gen.Outer_join; S.Sql_gen.Outer_union ])

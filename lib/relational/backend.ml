@@ -1,4 +1,5 @@
-(* The simulated remote-RDBMS connection.
+(* The simulated remote-RDBMS connection, and the engine's one door:
+   SQL text comes in, is parsed and planned once, and runs.
 
    The engine itself is in-process and infallible; everything the paper's
    middleware had to survive — rejected submissions, connections dropped
@@ -178,8 +179,6 @@ let create ?(faults = no_faults) ?(retry = default_retry)
     breaker_state = Closed 0;
   }
 
-let db t = t.database
-let clock t = t.clk
 let profile t = t.profile
 let stats t = { t.st with submits = t.st.submits }
 
@@ -433,9 +432,25 @@ let drain ~spool ~on_row cur : unit -> Cursor.t =
     in
     fun () -> Cursor.of_list cols rows
 
+let plan t text =
+  let ast =
+    Obs.Span.with_stage Obs.Stage.Sql_parser (fun () -> Sql_parser.parse text)
+  in
+  Obs.Span.with_stage Obs.Stage.Physical (fun () ->
+      Physical.plan_of t.database ast)
+
+type run = {
+  plan : Physical.plan;
+  rows : unit -> Cursor.t;
+  stats : Executor.stats;
+}
+
+(* Parse and plan once, outside the retry loop: every attempt runs the
+   same plan, which no run writes. *)
 let execute ?(label = "") ?(on_attempt = fun (_ : int) -> ())
-    ?(on_row = fun (_ : Tuple.t) -> ()) ?(spool = false) t
-    (plan : Physical.plan) : (unit -> Cursor.t) * Executor.stats =
+    ?(on_row = fun (_ : Tuple.t) -> ()) ?(spool = false) t text : run =
+  let plan = plan t text in
+  Obs.Span.with_stage Obs.Stage.Executor (fun () ->
   t.st.submits <- t.st.submits + 1;
   let rec attempt k =
     on_attempt k;
@@ -507,4 +522,9 @@ let execute ?(label = "") ?(on_attempt = fun (_ : int) -> ())
         attempt k
     | Error exn -> raise exn (* Fatal / Timeout: retrying cannot help *)
   in
-  attempt 1
+  let rows, stats = attempt 1 in
+  if Obs.Span.tracing () then
+    Obs.Span.add_list
+      (Obs.Attr.int "rows" stats.actuals.rows.(plan.root.id)
+      :: Executor.stats_attrs stats);
+  { plan; rows; stats })

@@ -1,8 +1,10 @@
-(** Connection abstraction over the (simulated) remote RDBMS.
+(** Connection abstraction over the (simulated) remote RDBMS, and the
+    only place SQL text becomes a physical plan.
 
-    The paper treats the backend as a black box reached over JDBC: it can
-    reject a submission, drop a connection mid-result, or run a sub-query
-    into the 5-minute experiment timeout.  This module models that
+    The paper treats the backend as a black box reached over JDBC: it
+    takes SQL text, plans and runs it, and can reject a submission, drop
+    a connection mid-result, or run a sub-query into the 5-minute
+    experiment timeout.  This module models that
     failure surface on top of {!Executor} with a deterministic, seeded
     fault injector, and wraps every submission in a retry policy
     (bounded retries, exponential backoff with jitter on an injectable
@@ -134,11 +136,8 @@ val create :
     unlimited) and [profile] are applied to every submitted query,
     modeling the server-side per-query timeout. *)
 
-val db : t -> Database.t
-val clock : t -> clock
-
 val profile : t -> Executor.profile
-(** The cost profile every submission runs under (for annotating a plan
+(** The cost profile every submission runs under (for pricing a plan
     with estimates that match the meter). *)
 
 val stats : t -> stats
@@ -158,15 +157,31 @@ val fork : t -> salt:int -> t
 val merge_stats : stats list -> stats
 (** Field-wise sum — aggregate per-fork counters into one report. *)
 
+val plan : t -> string -> Physical.plan
+(** The [sql_parser] stage, then the [physical] stage: parses SQL text
+    ({!Sql_parser.Parse_error} on bad input) and plans it against the
+    backend's database — the plan {!execute} runs for that text.  For
+    callers that show a plan without running it. *)
+
+(** One {!execute}: the plan that ran, its rows and its meter. *)
+type run = {
+  plan : Physical.plan;  (** from {!plan}, built once for all attempts *)
+  rows : unit -> Cursor.t;
+  stats : Executor.stats;
+      (** the winning attempt's counters and per-node actuals *)
+}
+
 val execute :
   ?label:string ->
   ?on_attempt:(int -> unit) ->
   ?on_row:(Tuple.t -> unit) ->
   ?spool:bool ->
   t ->
-  Physical.plan ->
-  (unit -> Cursor.t) * Executor.stats
-(** Resilient submission of a physical plan: retries transient failures
+  string ->
+  run
+(** Resilient submission of SQL text: {!plan} once, then, in the
+    [executor] stage (whose span carries the plan's output rows and
+    {!Executor.stats_attrs}), retries transient failures
     (submit faults and mid-stream drops) with exponential backoff up to
     the retry budget, waits out an open breaker on the clock, and drains
     the winning attempt's rows inside the retry scope, so what comes
@@ -174,8 +189,7 @@ val execute :
     ([spool = false], the default: every call of the returned function
     opens a fresh cursor over them) or to a temporary file
     ([spool = true], {!Cursor.spool}: the returned function always hands
-    back the same single-use cursor).  The plan is the one that ran: its
-    nodes carry the winning attempt's actual rows and work.
+    back the same single-use cursor).
     [on_attempt] fires at the start of every physical attempt (the hook
     for resetting per-attempt accounting); [on_row] fires once per row
     of each attempt as it is drained — rows of a failed attempt are

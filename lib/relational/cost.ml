@@ -4,11 +4,11 @@
    equality selectivity 1/max(ndv), range selectivity 1/3, independence
    across conjuncts), but they are computed over the {!Physical.plan}
    the engine actually runs: the same operator tree, the same join
-   algorithms, the same narrow-emission masks.  Walking the plan fills
-   each node's [est_rows]/[est_cost] (and [est_spills] on sorts) with
-   the same per-operator deltas the executor later records as
-   [act_rows]/[act_cost], so estimates and meter readings are directly
-   comparable — per operator, not just per query.  The greedy planner
+   algorithms, the same narrow-emission masks.  [annotate] returns each
+   node's estimated rows and cost (and sorts' spills) as the same
+   per-operator deltas the executor records as its actuals, so
+   estimates and meter readings are directly comparable — per
+   operator, not just per query.  The greedy planner
    (paper Sec. 5) calls [estimate] through a counting wrapper so the
    experiments can report the number of oracle requests. *)
 
@@ -121,13 +121,15 @@ let probe_estimate (l : ninfo) (r : ninfo) (info : P.join_info) =
 
 (* Walk the plan bottom-up, mirroring the executor's charges operator
    for operator (weights w_scan=1, w_probe=1, w_emit=2, w_sort=4, byte
-   charges divided by [byte_div]).  Side effect: annotates every node's
-   [est_rows]/[est_cost] (and sorts' [est_spills]). *)
-let annotate ?(profile = Executor.default_profile) stats (p : P.plan) :
-    estimate =
-  let bdiv = float_of_int profile.Executor.byte_div in
-  let buffer = float_of_int profile.Executor.sort_buffer in
+   charges divided by [byte_div]).  With [into], every node's estimated
+   rows and cost (and sorts' spills) go to its slots there. *)
+let price ~(profile : Executor.profile) stats (p : P.plan) into : estimate =
+  let bdiv = float_of_int profile.byte_div in
+  let buffer = float_of_int profile.sort_buffer in
   let total = ref 0.0 in
+  let set_cost (n : P.node) c =
+    match into with Some (e : P.estimates) -> e.cost.(n.P.id) <- c | None -> ()
+  in
   let rec go (n : P.node) : ninfo =
     let info =
       match n.P.shape with
@@ -137,7 +139,7 @@ let annotate ?(profile = Executor.default_profile) stats (p : P.plan) :
           let c0 = !total in
           total := !total +. card;
           (* w_scan = 1 per row *)
-          n.P.est_cost <- !total -. c0;
+          set_cost n (!total -. c0);
           let cols =
             Array.map
               (fun c ->
@@ -153,7 +155,7 @@ let annotate ?(profile = Executor.default_profile) stats (p : P.plan) :
           in
           { card; cols; bytes = 0.0 }
       | P.Dual ->
-          n.P.est_cost <- 0.0;
+          set_cost n 0.0;
           { card = 1.0; cols = [||]; bytes = 0.0 }
       | P.Filter { input; pred; charged; _ } ->
           let i = go input in
@@ -164,7 +166,7 @@ let annotate ?(profile = Executor.default_profile) stats (p : P.plan) :
              was relocated from an ON condition the interpreter
              evaluated for free *)
           if charged then total := !total +. (2.0 *. card);
-          n.P.est_cost <- !total -. c0;
+          set_cost n (!total -. c0);
           { card; cols = i.cols; bytes = i.bytes *. sel }
       | P.Project { input; items; charged; _ } ->
           let i = go input in
@@ -178,7 +180,7 @@ let annotate ?(profile = Executor.default_profile) stats (p : P.plan) :
             items;
           (* charge_emit_bytes: w_emit plus masked bytes per row *)
           total := !total +. (card *. (2.0 +. (!charged_width /. bdiv)));
-          n.P.est_cost <- !total -. c0;
+          set_cost n (!total -. c0);
           let cols =
             Array.map
               (fun e ->
@@ -209,11 +211,11 @@ let annotate ?(profile = Executor.default_profile) stats (p : P.plan) :
             !total
             +. probe_estimate l r ji
             +. (card *. (2.0 +. (width /. bdiv)));
-          n.P.est_cost <- !total -. c0;
+          set_cost n (!total -. c0);
           { card; cols; bytes = 0.0 }
       | P.Union ns -> (
           let infos = List.map go ns in
-          n.P.est_cost <- 0.0;
+          set_cost n 0.0;
           match infos with
           | [] -> { card = 0.0; cols = [||]; bytes = 0.0 }
           | first :: rest ->
@@ -249,7 +251,7 @@ let annotate ?(profile = Executor.default_profile) stats (p : P.plan) :
                 first rest)
       | P.Derived { input; _ } ->
           let i = go input in
-          n.P.est_cost <- 0.0;
+          set_cost n 0.0;
           i
       | P.Sort { input; _ } ->
           let i = go input in
@@ -263,21 +265,25 @@ let annotate ?(profile = Executor.default_profile) stats (p : P.plan) :
           in
           if spills > 0 then
             total := !total +. (float_of_int spills *. i.bytes /. bdiv);
-          (match n.P.shape with
-          | P.Sort s -> s.est_spills <- spills
-          | _ -> ());
-          n.P.est_cost <- !total -. c0;
+          Option.iter (fun (e : P.estimates) -> e.spills.(n.P.id) <- spills) into;
+          set_cost n (!total -. c0);
           i
     in
-    n.P.est_rows <- info.card;
+    (match into with
+    | Some (e : P.estimates) -> e.rows.(n.P.id) <- info.card
+    | None -> ());
     info
   in
   let root = go p.P.root in
   let width = Array.fold_left (fun w c -> w +. c.cwidth) 0.0 root.cols in
   { cardinality = root.card; eval_cost = !total; width }
 
-let estimate ?profile stats db (q : Sql.query) : estimate =
-  annotate ?profile stats (P.plan_of db q)
+let annotate ?(profile = Executor.default_profile) stats p =
+  let e = P.no_estimates p in
+  (price ~profile stats p (Some e), e)
+
+let estimate ?(profile = Executor.default_profile) stats db (q : Sql.query) =
+  price ~profile stats (P.plan_of db q) None
 
 (* A counting oracle: the experiments of Sec. 5.1 report how many
    estimate requests the greedy planner issues. *)

@@ -23,15 +23,17 @@ val cost : a:float -> b:float -> estimate -> float
 (** The paper's linear combination [a·eval_cost + b·data_size]. *)
 
 val annotate :
-  ?profile:Executor.profile -> Stats.t -> Physical.plan -> estimate
-(** Prices a physical plan, filling every node's [est_rows]/[est_cost]
-    (and [est_spills] on sorts) with the same per-operator deltas the
-    executor records as [act_rows]/[act_cost] — the figures surfaced by
-    [--explain] and the [plan.physical] obs spans. *)
+  ?profile:Executor.profile ->
+  Stats.t ->
+  Physical.plan ->
+  estimate * Physical.estimates
+(** Prices a physical plan: the total, and every node's estimated rows
+    and cost (and sorts' spills) — the per-operator deltas the executor
+    records as {!Physical.actuals}.  Writes nothing into the plan. *)
 
 val estimate :
   ?profile:Executor.profile -> Stats.t -> Database.t -> Sql.query -> estimate
-(** [annotate stats (Physical.plan_of db q)]. *)
+(** The total of {!annotate} on [Physical.plan_of db q], no per-node array. *)
 
 (** {1 Counting oracle}
 

@@ -1,12 +1,6 @@
-(* Query execution.
-
-   The engine runs physical plans: [run]/[run_with_stats] lower the SQL AST
-   into the logical algebra (name resolution done once, greedy
-   connected-join ordering fixed at plan time), rewrite it (predicate
-   pushdown, constant folding, projection pruning), convert it to a
-   {!Physical.plan} (hash joins where the ON disjuncts provide column
-   equalities — including the OR-expansion the unified outer-join plans
-   need — nested loops otherwise), and interpret that plan.
+(* Query execution: the interpreter of {!Physical.plan}s ([run_with_stats]
+   plans a SQL AST first, with {!Physical.plan_of}).  A run writes
+   nothing into its plan: its per-node figures go to [stats.actuals].
 
    Execution is metered: every row scanned, probed, emitted or sorted
    charges a work counter.  The counter serves two purposes: it
@@ -33,10 +27,12 @@ type stats = {
   mutable sorted : int;        (* rows passed through sort *)
   mutable spill_passes : int;  (* external-sort merge passes *)
   mutable work : int;          (* total work units, drives the budget *)
+  actuals : Physical.actuals;  (* per plan node, written by this run only *)
 }
 
 let new_stats () =
-  { scanned = 0; probed = 0; emitted = 0; sorted = 0; spill_passes = 0; work = 0 }
+  { scanned = 0; probed = 0; emitted = 0; sorted = 0; spill_passes = 0; work = 0;
+    actuals = { rows = [||]; cost = [||]; spills = [||] } }
 
 (* Cost profile of the simulated server.  The engine runs in memory, but
    the work meter models a disk-based RDBMS: rows are charged by width
@@ -116,6 +112,9 @@ let charge_sort ctx rows bytes =
 (* ===================================================================== *)
 
 module P = Physical
+
+let set_rows ctx (n : P.node) rows = ctx.st.actuals.rows.(n.id) <- rows
+let set_cost ctx (n : P.node) cost = ctx.st.actuals.cost.(n.id) <- cost
 
 (* --- the join probe ---------------------------------------------------- *)
 
@@ -420,8 +419,9 @@ let run_join ctx (n : P.node) (info : P.join_info) ~nleft ~iter_left right consu
          consume l r;
          out_work := !out_work + ctx.st.work - w;
          out_emitted := !out_emitted + ctx.st.emitted - e));
-  n.P.act_rows <- !out_rows;
-  n.P.act_cost <- ctx.st.work - work0 - !out_work;
+  let cost = ctx.st.work - work0 - !out_work in
+  set_rows ctx n !out_rows;
+  set_cost ctx n cost;
   if Obs.Span.tracing () then begin
     Obs.Span.set_name (if p.full then "exec.nested-loop" else "exec.hash-join");
     Obs.Span.add_list
@@ -436,7 +436,7 @@ let run_join ctx (n : P.node) (info : P.join_info) ~nleft ~iter_left right consu
         Obs.Attr.int "probed" (ctx.st.probed - probed0);
         Obs.Attr.int "tested" p.tested;
         Obs.Attr.int "emitted" (ctx.st.emitted - emitted0 - !out_emitted);
-        Obs.Attr.int "work" n.P.act_cost;
+        Obs.Attr.int "work" cost;
       ];
     Obs.Metrics.incr ~by:(ctx.st.probed - probed0) "exec.rows_probed";
     Obs.Metrics.observe "exec.join.out_rows" (float_of_int !out_rows)
@@ -449,7 +449,7 @@ let scan_table ctx (n : P.node) table =
   let data = Database.raw_data ctx.db table in
   let w0 = ctx.st.work in
   charge ctx `Scan (Array.length data);
-  n.P.act_cost <- ctx.st.work - w0;
+  set_cost ctx n (ctx.st.work - w0);
   if Obs.Span.tracing () then begin
     Obs.Span.add_list
       [ Obs.Attr.string "table" table; Obs.Attr.int "rows" (Array.length data) ];
@@ -549,10 +549,8 @@ let exec_sort ctx (n : P.node) keys (pairs : (int * Tuple.t) array) =
       let bytes = Array.fold_left (fun acc (b, _) -> acc + b) 0 pairs in
       let spill0 = ctx.st.spill_passes and work0 = ctx.st.work in
       charge_sort ctx rows bytes;
-      (match n.P.shape with
-      | P.Sort s -> s.act_spills <- ctx.st.spill_passes - spill0
-      | _ -> ());
-      n.P.act_cost <- ctx.st.work - work0;
+      ctx.st.actuals.spills.(n.id) <- ctx.st.spill_passes - spill0;
+      set_cost ctx n (ctx.st.work - work0);
       let sorted, runs = sort_pairs keys pairs in
       if Obs.Span.tracing () then begin
         let spills = ctx.st.spill_passes - spill0 in
@@ -676,7 +674,7 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
             in
             chunks 0 [])
     | P.Dual ->
-        n.P.act_cost <- 0;
+        set_cost ctx n 0;
         let b = Batch.create () in
         Batch.push b [||];
         [ b ]
@@ -688,7 +686,7 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
           List.fold_left (fun acc b -> acc + Batch.keep p b) 0 batches
         in
         if charged then charge ctx `Emit survivors;
-        n.P.act_cost <- ctx.st.work - w0;
+        set_cost ctx n (ctx.st.work - w0);
         batches
     | P.Project
         { input = { P.shape = P.Join { left; right; info }; _ } as join; items; charged; _ }
@@ -696,7 +694,7 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
         (* built inside the join's probe, from each output pair *)
         let pr = projection ~split:info.P.split items charged in
         let bb = bb_create () in
-        n.P.act_cost <- exec_join ctx join info left right (project_pair ctx pr bb);
+        set_cost ctx n (exec_join ctx join info left right (project_pair ctx pr bb));
         bb_finish bb
     | P.Project { input; items; charged; _ } ->
         let inb = exec_batched ctx input in
@@ -704,7 +702,7 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
         let pr = projection ~split:max_int items charged in
         let bb = bb_create () in
         List.iter (Batch.iter (fun row _ -> project_pair ctx pr bb row [||])) inb;
-        n.P.act_cost <- ctx.st.work - w0;
+        set_cost ctx n (ctx.st.work - w0);
         bb_finish bb
     | P.Join { left; right; info } ->
         let bb = bb_create () in
@@ -726,7 +724,7 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
         Array.iter (fun (b, t) -> bb_push bb b t) (exec_sort ctx n keys pairs);
         bb_finish bb
   in
-  n.P.act_rows <- batch_rows batches;
+  set_rows ctx n (batch_rows batches);
   batches
 
 (* Run a join node's inputs, then the join (in its exec.join span),
@@ -758,10 +756,10 @@ let stats_attrs st =
     Obs.Attr.int "work" st.work;
   ]
 
-(* Run [plan ()] and package the output chunks with [finish]. *)
+(* Run [plan] and package the output chunks with [finish]. *)
 let exec_query ~budget ~profile db plan ~finish =
-  let plan = plan () in
-  let ctx = { db; st = new_stats (); budget; profile } in
+  let st = { (new_stats ()) with actuals = P.no_actuals plan } in
+  let ctx = { db; st; budget; profile } in
   let batches = exec_batched ctx plan.P.root in
   (finish plan.P.cols batches, ctx.st)
 
@@ -770,13 +768,12 @@ let relation_of_batches cols batches =
 
 let run_plan_with_stats ?(budget = 0) ?(profile = default_profile) db
     (p : P.plan) =
-  exec_query ~budget ~profile db (fun () -> p) ~finish:relation_of_batches
+  exec_query ~budget ~profile db p ~finish:relation_of_batches
 
 let run_plan_cursor_with_stats ?(budget = 0) ?(profile = default_profile) db
     (p : P.plan) =
-  exec_query ~budget ~profile db (fun () -> p) ~finish:Cursor.of_batches
+  exec_query ~budget ~profile db p ~finish:Cursor.of_batches
 
 let run_with_stats ?(budget = 0) ?(profile = default_profile) db
     (q : Sql.query) =
-  exec_query ~budget ~profile db (fun () -> P.plan_of db q)
-    ~finish:relation_of_batches
+  exec_query ~budget ~profile db (P.plan_of db q) ~finish:relation_of_batches

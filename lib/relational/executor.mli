@@ -1,13 +1,6 @@
-(** Query execution.
-
-    Queries run through three layers: {!Algebra.lower} (name resolution
-    and greedy connected-join ordering, done once), {!Algebra.rewrite}
-    (predicate pushdown, constant folding, projection pruning), and
-    {!Physical.plan_of} (explicit hash-join vs nested-loop choice from
-    the ON disjuncts' equi-keys, with OR-expansion for the disjunctive
-    ON conditions produced by unified outer-join plans).  This module
-    interprets the resulting physical plan, chunk by chunk, with stable
-    multi-key sorting under the total value order.
+(** Query execution: interprets a {!Physical.plan} (see
+    {!Physical.plan_of} for the layers that build one), chunk by chunk,
+    with stable multi-key sorting under the total value order.
 
     Execution is metered in abstract work units.  The meter implements the
     experiment timeout (the paper killed sub-queries after five minutes)
@@ -30,12 +23,15 @@ type stats = {
   mutable sorted : int;  (** rows passed through sorting *)
   mutable spill_passes : int;  (** external-sort merge passes *)
   mutable work : int;  (** total work units (weighted sum) *)
+  actuals : Physical.actuals;  (** this run's per-node figures *)
 }
 
 val new_stats : unit -> stats
+(** Zero counters and no per-node actuals: the meter of an interpreter
+    that runs no physical plan. *)
 
 val stats_attrs : stats -> Obs.Attr.t
-(** The counters as span attributes — what the middleware's [executor]
+(** The counters as span attributes — what the backend's [executor]
     stage span carries. *)
 
 (** Cost profile of the simulated server: rows are charged by wire width
@@ -62,9 +58,9 @@ val run_with_stats :
 
 (** {1 Pre-planned execution}
 
-    For callers that build the {!Physical.plan} themselves (to annotate
-    it with cost estimates or print it): execution fills each node's
-    [act_rows]/[act_cost] fields. *)
+    Each run returns its per-node figures in [stats.actuals] and writes
+    nothing into the plan, so one plan may run any number of times, at
+    once on several domains. *)
 
 val run_plan_with_stats :
   ?budget:int ->

@@ -27,14 +27,7 @@ type join_info = {
   from_where : bool;
 }
 
-type node = {
-  id : int;
-  mutable est_rows : float;
-  mutable est_cost : float;
-  mutable act_rows : int;
-  mutable act_cost : int;
-  shape : shape;
-}
+type node = { id : int; shape : shape }
 
 and shape =
   | Scan of {
@@ -63,12 +56,27 @@ and shape =
       input : node;
       keys : (Expr.resolved * Sql.dir) list;
       key_str : string;
-      mutable est_spills : int;
-      mutable act_spills : int;
     }
   | Derived of { input : node; alias : string }
 
-type plan = { root : node; cols : string array }
+type plan = {
+  root : node;
+  cols : string array;
+  nodes : int;
+  logical : Algebra.t;
+}
+
+(* One run's figures, by node id; negative = unknown. *)
+type 'a figures = { rows : 'a array; cost : 'a array; spills : int array }
+type estimates = float figures
+type actuals = int figures
+
+let figures p unknown spills =
+  let n = p.nodes + 1 in
+  { rows = Array.make n unknown; cost = Array.make n unknown; spills = Array.make n spills }
+
+let no_estimates p = figures p (-1.0) (-1)
+let no_actuals p = figures p (-1) 0
 
 (* Cross-side column equalities of one ON disjunct, as (left position,
    right position, right column) — the positional equivalent of the
@@ -148,14 +156,7 @@ let of_algebra (a : Algebra.t) : plan =
   let counter = ref 0 in
   let mk shape =
     incr counter;
-    {
-      id = !counter;
-      est_rows = -1.0;
-      est_cost = -1.0;
-      act_rows = -1;
-      act_cost = -1;
-      shape;
-    }
+    { id = !counter; shape }
   in
   (* [out]: this node feeds the query's output region directly (through
      unions/sorts only), so its literal columns are re-padded for free
@@ -244,12 +245,10 @@ let of_algebra (a : Algebra.t) : plan =
                         Algebra.expr_to_string e
                         ^ match d with Sql.Asc -> " asc" | Sql.Desc -> " desc")
                       keys);
-               est_spills = -1;
-               act_spills = 0;
              })
   in
   let root = build ~out:true a in
-  { root; cols = Array.map snd (Algebra.header a) }
+  { root; cols = Array.map snd (Algebra.header a); nodes = !counter; logical = a }
 
 let plan_of db (q : Sql.query) : plan =
   of_algebra (Algebra.rewrite (Algebra.lower db q))
@@ -286,25 +285,29 @@ let iter f (p : plan) =
   in
   go p.root
 
-let card_str n =
-  let est = if n.est_rows < 0.0 then "?" else Printf.sprintf "%.0f" n.est_rows in
-  let act = if n.act_rows < 0 then "?" else string_of_int n.act_rows in
+let logical_string p = Algebra.to_string p.logical
+
+let card_str (e : estimates) (a : actuals) { id; _ } =
+  let est_rows = e.rows.(id) and act_rows = a.rows.(id) in
+  let est_cost = e.cost.(id) and act_cost = a.cost.(id) in
+  let est = if est_rows < 0.0 then "?" else Printf.sprintf "%.0f" est_rows in
+  let act = if act_rows < 0 then "?" else string_of_int act_rows in
   let cost =
-    match (n.est_cost < 0.0, n.act_cost < 0) with
+    match (est_cost < 0.0, act_cost < 0) with
     | true, true -> ""
     | e, a ->
         Printf.sprintf " cost=%s/%s"
-          (if e then "?" else Printf.sprintf "%.0f" n.est_cost)
-          (if a then "?" else string_of_int n.act_cost)
+          (if e then "?" else Printf.sprintf "%.0f" est_cost)
+          (if a then "?" else string_of_int act_cost)
   in
   Printf.sprintf "  (rows est=%s act=%s%s)" est act cost
 
-let to_string (p : plan) : string =
+let to_string (p : plan) (e : estimates) (a : actuals) : string =
   let b = Buffer.create 512 in
   let line ind s n =
     Buffer.add_string b (String.make (ind * 2) ' ');
     Buffer.add_string b s;
-    Buffer.add_string b (card_str n);
+    Buffer.add_string b (card_str e a n);
     Buffer.add_char b '\n'
   in
   let rec go ind n =
@@ -340,7 +343,8 @@ let to_string (p : plan) : string =
              info.on_str)
           n
     | Union ns -> line ind (Printf.sprintf "union-all [%d branches]" (List.length ns)) n
-    | Sort { key_str; est_spills; act_spills; _ } ->
+    | Sort { key_str; _ } ->
+        let est_spills = e.spills.(n.id) and act_spills = a.spills.(n.id) in
         let spill =
           if est_spills > 0 || act_spills > 0 then
             Printf.sprintf " spills est=%s act=%d"
@@ -371,51 +375,50 @@ let to_string (p : plan) : string =
   go 0 p.root;
   Buffer.contents b
 
-let emit_obs_spans (p : plan) =
+let emit_obs_spans (p : plan) (e : estimates) (a : actuals) =
   if Obs.Span.tracing () then
     iter
       (fun n ->
         Obs.Span.with_span "plan.physical" (fun () ->
+            let id = n.id and op = op_name n in
             Obs.Span.add_list
               ([
-                 Obs.Attr.int "id" n.id;
-                 Obs.Attr.string "op" (op_name n);
-                 Obs.Attr.string "algorithm" (op_name n);
-                 Obs.Attr.float "est_rows" n.est_rows;
-                 Obs.Attr.int "actual_rows" n.act_rows;
-                 Obs.Attr.float "est_cost" n.est_cost;
-                 Obs.Attr.int "actual_cost" n.act_cost;
+                 Obs.Attr.int "id" id;
+                 Obs.Attr.string "op" op;
+                 Obs.Attr.string "algorithm" op;
+                 Obs.Attr.float "est_rows" e.rows.(id);
+                 Obs.Attr.int "actual_rows" a.rows.(id);
+                 Obs.Attr.float "est_cost" e.cost.(id);
+                 Obs.Attr.int "actual_cost" a.cost.(id);
                ]
               @
               match n.shape with
-              | Sort { est_spills; act_spills; _ } ->
+              | Sort _ ->
                   [
-                    Obs.Attr.int "est_spills" est_spills;
-                    Obs.Attr.int "actual_spills" act_spills;
+                    Obs.Attr.int "est_spills" e.spills.(id);
+                    Obs.Attr.int "actual_spills" a.spills.(id);
                   ]
               | _ -> [])))
       p
 
-(* Flatten a (cost-annotated, executed) plan into the generic samples
-   the lib/obs anomaly detector consumes — obs cannot see this module,
-   so the adapter lives on this side of the dependency edge. *)
-let diagnose_samples ~stream (p : plan) : Obs.Diagnose.sample list =
+(* Flatten a plan and one run's figures into the generic samples the
+   lib/obs anomaly detector consumes — obs cannot see this module, so
+   the adapter lives on this side of the dependency edge. *)
+let diagnose_samples ~stream (p : plan) (e : estimates) (a : actuals) :
+    Obs.Diagnose.sample list =
   let acc = ref [] in
   iter
     (fun n ->
-      let spills =
-        match n.shape with Sort { act_spills; _ } -> max 0 act_spills | _ -> 0
-      in
       acc :=
         {
           Obs.Diagnose.d_stream = stream;
           d_node = n.id;
           d_op = op_name n;
-          d_est_rows = n.est_rows;
-          d_act_rows = n.act_rows;
-          d_est_cost = n.est_cost;
-          d_act_cost = n.act_cost;
-          d_spills = spills;
+          d_est_rows = e.rows.(n.id);
+          d_act_rows = a.rows.(n.id);
+          d_est_cost = e.cost.(n.id);
+          d_act_cost = a.cost.(n.id);
+          d_spills = a.spills.(n.id);
         }
         :: !acc)
     p;

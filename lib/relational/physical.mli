@@ -3,10 +3,12 @@
     A {!plan} is the tree the executor actually runs and the tree
     {!Cost} prices: join algorithms (hash vs nested loop) are chosen
     explicitly from the ON condition's per-disjunct equi-key analysis,
-    join order is already fixed by the lowering/rewrite layers, and
-    every node carries mutable estimated (filled by [Cost.annotate]) and
-    actual (filled by the executor) row/cost figures, surfaced through
-    [plan.physical] obs spans and [--explain]. *)
+    and join order is already fixed by the lowering/rewrite layers.
+    Nothing writes a plan after it is built, so one plan can run any
+    number of times, on any domain.  Its figures live beside it, in
+    per-run arrays indexed by node id: {!estimates} (from
+    [Cost.annotate]) and {!actuals} (from one run of the executor),
+    surfaced through [plan.physical] obs spans and [--explain]. *)
 
 type algo = Hash_join | Nested_loop
 
@@ -45,14 +47,7 @@ type join_info = {
   from_where : bool;
 }
 
-type node = {
-  id : int;
-  mutable est_rows : float;  (** negative until [Cost.annotate] runs *)
-  mutable est_cost : float;
-  mutable act_rows : int;  (** negative until executed *)
-  mutable act_cost : int;
-  shape : shape;
-}
+type node = { id : int;  (** 1 .. [nodes] of its plan *) shape : shape }
 
 and shape =
   | Scan of {
@@ -85,35 +80,57 @@ and shape =
       input : node;
       keys : (Expr.resolved * Sql.dir) list;
       key_str : string;
-      mutable est_spills : int;  (** negative until annotated *)
-      mutable act_spills : int;
     }
   | Derived of { input : node; alias : string }
 
-type plan = { root : node; cols : string array }
-
-val of_algebra : Algebra.t -> plan
+type plan = {
+  root : node;
+  cols : string array;
+  nodes : int;  (** the node count *)
+  logical : Algebra.t;  (** the rewritten tree it was built from *)
+}
 
 val plan_of : Database.t -> Sql.query -> plan
-(** [of_algebra (Algebra.rewrite (Algebra.lower db q))]. *)
+(** Plans [Algebra.rewrite (Algebra.lower db q)]. *)
 
-val algo_name : algo -> string
+(** {1 Figures}
+
+    One run's figures: an array slot per node id (slot 0 unused),
+    negative where unknown — never priced, or never executed. *)
+
+type 'a figures = {
+  rows : 'a array;
+  cost : 'a array;
+      (** the node's own work; unions and derived tables charge none *)
+  spills : int array;  (** sorts' external merge passes *)
+}
+
+type estimates = float figures
+type actuals = int figures
+
+val no_estimates : plan -> estimates
+val no_actuals : plan -> actuals
+(** All unknown, but actual spills are 0 until a sort runs. *)
+
 val op_name : node -> string
 
 val iter : (node -> unit) -> plan -> unit
 (** Pre-order traversal. *)
 
-val to_string : plan -> string
+val logical_string : plan -> string
+(** [Algebra.to_string p.logical]. *)
+
+val to_string : plan -> estimates -> actuals -> string
 (** Indented physical tree with algorithm, estimated and actual
     rows/cost per operator, and each hash join's indexes on the lines
     under it, for [--explain]. *)
 
-val emit_obs_spans : plan -> unit
+val emit_obs_spans : plan -> estimates -> actuals -> unit
 (** One [plan.physical] span per operator (op, algorithm, estimated vs
     actual rows and cost); no-op when tracing is off. *)
 
-val diagnose_samples : stream:string -> plan -> Obs.Diagnose.sample list
+val diagnose_samples :
+  stream:string -> plan -> estimates -> actuals -> Obs.Diagnose.sample list
 (** Flattens the plan (pre-order) into the generic per-operator records
     the {!Obs.Diagnose} anomaly detector consumes; [stream] labels every
-    sample.  Estimates/actuals are whatever [Cost.annotate] and the
-    executor left on the nodes (negative when missing). *)
+    sample. *)

@@ -3,10 +3,10 @@
    XML.
 
    Execution goes through the production path end to end: the generated
-   SQL AST is printed to text, re-parsed by the engine's parser, and
-   executed; wall-clock time, deterministic work units and the modeled
-   transfer time are all reported, mirroring the paper's Query time /
-   Total time split. *)
+   SQL AST is printed to text and shipped to the backend, which parses,
+   plans and runs it; wall-clock time, deterministic work units and the
+   modeled transfer time are all reported, mirroring the paper's Query
+   time / Total time split. *)
 
 module R = Relational
 
@@ -121,8 +121,9 @@ type stream_exec = {
   se_cursor : unit -> R.Cursor.t;
       (* heap: a fresh cursor per call; spooled: the one spool cursor *)
   se_sql : string;
-  se_plan : R.Physical.plan; (* the plan that ran, with actuals *)
-  se_stats : R.Executor.stats;
+  se_plan : R.Physical.plan; (* the plan that ran *)
+  se_stats : R.Executor.stats; (* with the run's per-node actuals *)
+  se_profile : R.Executor.profile; (* the cost profile it ran under *)
   se_wall_ms : float;
   se_rows : int;
   se_bytes : int;
@@ -183,6 +184,11 @@ let root_name_of p (s : Sql_gen.stream) =
    stream's spool file on disk until process exit. *)
 let close_streams (ses : stream_exec list) =
   List.iter (fun se -> R.Cursor.close (se.se_cursor ())) ses
+
+(* A plan's estimates, priced on demand with the profile it runs under
+   against the view's catalog. *)
+let estimates p profile plan =
+  snd (R.Cost.annotate ~profile (Lazy.force p.stats) plan)
 
 (* --- fan-out ---------------------------------------------------------- *)
 
@@ -252,14 +258,14 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
       streams
   in
   let degraded = Atomic.make 0 in
-  (* Run one stream, one stage per step: print its SQL, parse it back as
-     the engine does, plan it, and submit the plan through the backend's
-     retry loop.  If its failure is persistent — retries exhausted, a
-     fatal fault, or a work-budget timeout — and fewer than [max_splits]
-     splits lie above it, split the offending fragment along its
-     view-tree edges (one step down the 2^|E| plan lattice, the paper's
-     own fallback space) and recurse on the finer sub-queries.  Otherwise a timeout escapes as
-     [Plan_timeout] with the payload naming the fragment root, and
+  (* Run one stream: print its SQL and ship the text to the backend,
+     which parses, plans and runs it through its retry loop.  If its
+     failure is persistent — retries exhausted, a fatal fault, or a
+     work-budget timeout — and fewer than [max_splits] splits lie above
+     it, split the offending fragment along its view-tree edges (one
+     step down the 2^|E| plan lattice, the paper's own fallback space)
+     and recurse on the finer sub-queries.  Otherwise a timeout escapes
+     as [Plan_timeout] with the payload naming the fragment root, and
      anything else re-raises the backend error. *)
   let rec run_stream ~depth backend i (s : Sql_gen.stream) : stream_exec list
       =
@@ -269,50 +275,31 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
               R.Sql_print.to_string s.Sql_gen.query)
         in
         let root_name = root_name_of p s in
-        let ast =
-          Obs.Span.with_stage Obs.Stage.Sql_parser (fun () ->
-              R.Sql_parser.parse text)
-        in
-        let phys =
-          Obs.Span.with_stage Obs.Stage.Physical (fun () ->
-              let phys = R.Physical.plan_of p.db ast in
-              if Obs.Span.tracing () then
-                (* fill est_rows/est_cost so the plan.physical spans below
-                   carry estimated vs actual figures per operator *)
-                ignore
-                  (R.Cost.annotate ~profile:(R.Backend.profile backend)
-                     (Lazy.force p.stats) phys);
-              phys)
-        in
         let rows = ref 0 and bytes = ref 0 in
         let transfer_ms = ref transfer.R.Transfer.per_stream_overhead in
         let t0 = now_ms () in
         match
-          Obs.Span.with_stage Obs.Stage.Executor (fun () ->
-              let ((_, stats) as result) =
-                R.Backend.execute backend ~label:root_name ~spool
-                  ~on_attempt:(fun _attempt ->
-                    (* a fresh physical attempt re-delivers from row one:
-                       drop the partial accounting of the failed attempt *)
-                    rows := 0;
-                    bytes := 0;
-                    transfer_ms := transfer.R.Transfer.per_stream_overhead)
-                  ~on_row:(fun t ->
-                    incr rows;
-                    let b = R.Tuple.wire_size t in
-                    bytes := !bytes + b;
-                    transfer_ms :=
-                      !transfer_ms +. R.Transfer.tuple_ms transfer ~bytes:b)
-                  phys
-              in
-              if Obs.Span.tracing () then
-                Obs.Span.add_list
-                  (Obs.Attr.int "rows" !rows :: R.Executor.stats_attrs stats);
-              result)
+          R.Backend.execute backend ~label:root_name ~spool
+            ~on_attempt:(fun _attempt ->
+              (* a fresh physical attempt re-delivers from row one: drop
+                 the partial accounting of the failed attempt *)
+              rows := 0;
+              bytes := 0;
+              transfer_ms := transfer.R.Transfer.per_stream_overhead)
+            ~on_row:(fun t ->
+              incr rows;
+              let b = R.Tuple.wire_size t in
+              bytes := !bytes + b;
+              transfer_ms :=
+                !transfer_ms +. R.Transfer.tuple_ms transfer ~bytes:b)
+            text
         with
-        | cursor, stats ->
+        | { R.Backend.plan; rows = cursor; stats } ->
             let wall_ms = now_ms () -. t0 in
-            R.Physical.emit_obs_spans phys;
+            let profile = R.Backend.profile backend in
+            if Obs.Span.tracing () then
+              R.Physical.emit_obs_spans plan (estimates p profile plan)
+                stats.R.Executor.actuals;
             Log.debug (fun m ->
                 m "stream: %d rows, %d work units, %.1f ms — %s" !rows
                   stats.R.Executor.work wall_ms
@@ -339,8 +326,9 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
                 se_stream = s;
                 se_cursor = cursor;
                 se_sql = text;
-                se_plan = phys;
+                se_plan = plan;
                 se_stats = stats;
+                se_profile = profile;
                 se_wall_ms = wall_ms;
                 se_rows = !rows;
                 se_bytes = !bytes;
@@ -499,54 +487,56 @@ let stream_to_channel p e oc : unit =
 (* --- explain ----------------------------------------------------------- *)
 
 (* Pretty-print one stream's three representations: the SQL text the
-   middleware ships, the rewritten logical algebra, and the physical
-   plan with its cost annotations (estimates only unless the plan was
-   executed, in which case actual rows/work appear alongside). *)
-let explain_stream (p : prepared) i root_name ~sql (plan : R.Physical.plan)
-    ~logical =
-  ignore (R.Cost.annotate (Lazy.force p.stats) plan);
+   middleware ships, the rewritten logical algebra its plan was built
+   from, and the physical plan with its estimates and [actuals] (unknown
+   when nothing ran). *)
+let explain_stream p i root_name ~sql ~profile (plan : R.Physical.plan) actuals =
   Printf.sprintf
     "-- stream %d (root %s):\n%s\n\nlogical plan:\n%s\nphysical plan:\n%s" i
-    root_name sql logical
-    (R.Physical.to_string plan)
+    root_name sql
+    (R.Physical.logical_string plan)
+    (R.Physical.to_string plan (estimates p profile plan) actuals)
 
+(* The plans come from the backend's own planner, so the explained tree
+   is the tree [execute] runs. *)
 let explain ?(style = Sql_gen.Outer_join) ?(reduce = false) (p : prepared)
     (plan : Partition.t) : string =
+  let backend = R.Backend.create p.db in
   let opts = options_of p ~style ~reduce in
-  let streams = Sql_gen.streams p.db p.tree plan opts in
   String.concat "\n\n"
     (List.mapi
        (fun i (s : Sql_gen.stream) ->
-         let text = R.Sql_print.to_pretty_string s.Sql_gen.query in
-         (* round-trip through the text interface, exactly like
-            execution, so the explained tree is the executed tree *)
-         let ast = R.Sql_parser.parse (R.Sql_print.to_string s.Sql_gen.query) in
-         let alg = R.Algebra.rewrite (R.Algebra.lower p.db ast) in
-         let phys = R.Physical.of_algebra alg in
-         explain_stream p (i + 1) (root_name_of p s) ~sql:text phys
-           ~logical:(R.Algebra.to_string alg))
-       streams)
+         let phys =
+           R.Backend.plan backend (R.Sql_print.to_string s.Sql_gen.query)
+         in
+         explain_stream p (i + 1) (root_name_of p s)
+           ~sql:(R.Sql_print.to_pretty_string s.Sql_gen.query)
+           ~profile:(R.Backend.profile backend) phys
+           (R.Physical.no_actuals phys))
+       (Sql_gen.streams p.db p.tree plan opts))
 
 let explain_execution (p : prepared) (e : execution) : string =
   String.concat "\n\n"
     (List.mapi
        (fun i (se : stream_exec) ->
-         let ast = R.Sql_parser.parse se.se_sql in
-         let alg = R.Algebra.rewrite (R.Algebra.lower p.db ast) in
          explain_stream p (i + 1)
            (root_name_of p se.se_stream)
-           ~sql:se.se_sql se.se_plan ~logical:(R.Algebra.to_string alg))
+           ~sql:se.se_sql ~profile:se.se_profile se.se_plan
+           se.se_stats.R.Executor.actuals)
        e.per_stream)
 
 (* --- plan diagnostics --------------------------------------------------- *)
 
-(* Flatten every stream's physical plan into the generic per-operator
-   records the anomaly detector consumes, labelled by fragment root. *)
+(* Flatten every stream's physical plan and figures into the generic
+   per-operator records the anomaly detector consumes, labelled by
+   fragment root. *)
 let diagnose_samples (p : prepared) (e : execution) : Obs.Diagnose.sample list =
   List.concat_map
     (fun (se : stream_exec) ->
       R.Physical.diagnose_samples ~stream:(root_name_of p se.se_stream)
-        se.se_plan)
+        se.se_plan
+        (estimates p se.se_profile se.se_plan)
+        se.se_stats.R.Executor.actuals)
     e.per_stream
 
 (* Ground truth: materialize via naive datalog evaluation of every node

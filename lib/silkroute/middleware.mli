@@ -3,18 +3,19 @@
     XML.
 
     Execution goes through the production path end to end: the generated
-    SQL is printed to text, re-parsed by the engine, submitted through a
-    {!Relational.Backend}, and timed; the result reports wall-clock
-    query time, deterministic work units, and the modeled
-    client-transfer time, mirroring the paper's Query-time / Total-time
-    split.
+    SQL is printed to text and shipped to a {!Relational.Backend}, the
+    one place SQL text becomes a physical plan, and timed; the result
+    reports wall-clock query time, deterministic work units, and the
+    modeled client-transfer time, mirroring the paper's Query-time /
+    Total-time split.
 
-    Every step is one stage of {!Obs.Stage}, bounded here at its call
-    site by {!Obs.Span.with_stage}: [rxl_parser] and [view_tree]
+    Every step is one stage of {!Obs.Stage}, bounded by
+    {!Obs.Span.with_stage}: [rxl_parser] and [view_tree]
     ({!prepare_text}), [planner] ({!partition_of}, {!estimated_cost}),
-    [sql_gen] and, per stream, [sql_print], [sql_parser], [physical] and
-    [executor] ({!execute}), and [tagger] ({!document_of},
-    {!xml_string_of}, {!stream_to_channel}). *)
+    [sql_gen] and, per stream, [sql_print] here and [sql_parser],
+    [physical] and [executor] in {!Relational.Backend.execute}
+    ({!execute}), and [tagger] ({!document_of}, {!xml_string_of},
+    {!stream_to_channel}). *)
 
 type prepared = {
   db : Relational.Database.t;
@@ -74,10 +75,10 @@ type stream_exec = {
           cursor on every call; a spooled result always hands back its
           one single-use spool cursor *)
   se_sql : string;  (** the SQL text shipped to the engine *)
-  se_plan : Relational.Physical.plan;
-      (** the executed physical plan, with actual rows/work per
-          operator filled in *)
+  se_plan : Relational.Physical.plan;  (** the plan the backend ran *)
   se_stats : Relational.Executor.stats;
+      (** the winning attempt's meter, with its per-node actuals *)
+  se_profile : Relational.Executor.profile;  (** what it was priced with *)
   se_wall_ms : float;
   se_rows : int;
   se_bytes : int;
@@ -140,9 +141,8 @@ val execute :
   prepared ->
   Partition.t ->
   execution
-(** Runs the plan: each sub-query's SQL is printed to text, parsed back
-    and planned as the engine would, and the physical plan is submitted
-    through a per-stream {!Relational.Backend.fork} of [backend]
+(** Runs the plan: each sub-query's SQL is printed to text and the text
+    is submitted to a per-stream {!Relational.Backend.fork} of [backend]
     (default: a fault-free backend over [p.db] with no work budget and
     the default profile).  [backend] is the config/seed template — work
     budget, cost profile, fault injection, retry policy — and its own
@@ -189,22 +189,23 @@ val stream_to_channel : prepared -> execution -> out_channel -> unit
 
 val explain :
   ?style:Sql_gen.style -> ?reduce:bool -> prepared -> Partition.t -> string
-(** Per stream: the shipped SQL, the rewritten logical algebra tree,
-    and the cost-annotated physical plan (estimates only — nothing is
-    executed). *)
+(** Per stream: the shipped SQL, then the rewritten logical algebra
+    tree and the physical plan that {!Relational.Backend.plan} builds
+    for it — what {!execute} runs — with estimates (priced with the
+    default profile) and no actuals.  Nothing is executed. *)
 
 val explain_execution : prepared -> execution -> string
-(** Like {!explain} but over a finished {!execution}: the physical
-    trees are the executed plans, so every operator shows estimated
-    {e and} actual rows/work.  Does not touch the rows. *)
+(** Like {!explain} but over a finished {!execution}: the plans that
+    ran, every operator with estimated {e and} actual rows/work.
+    Estimates are priced on demand with the profile each stream ran
+    under.  Writes nothing; does not touch the rows. *)
 
 val diagnose_samples : prepared -> execution -> Obs.Diagnose.sample list
 (** Per-operator estimated-vs-actual records for every stream's
     executed plan, labelled by fragment root — input for
-    {!Obs.Diagnose}.  Estimates are present only if the execution ran
-    with tracing on (that is when [Cost.annotate] fires); missing
-    figures are negative and skipped by the detector.  Does not touch
-    the rows. *)
+    {!Obs.Diagnose}.  Estimates are priced on demand as for
+    {!explain_execution}, so they are the same whether or not tracing
+    was on and whatever ran before.  Does not touch the rows. *)
 
 val materialize_naive : prepared -> Xmlkit.Xml.t
 (** Ground truth: materializes the view via naive datalog evaluation of

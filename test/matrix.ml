@@ -178,12 +178,13 @@ let reference t mask ((style, reduce) as point) =
   List.iter
     (fun (se : Middleware.stream_exec) ->
       let cost = ref 0 in
+      let act = se.se_stats.R.Executor.actuals in
       R.Physical.iter
         (fun n ->
-          if n.R.Physical.act_rows < 0 then
+          if act.rows.(n.id) < 0 then
             Alcotest.failf "%s, mask %d, %s: node %s has no actual rows" t.label
               mask se.se_sql (R.Physical.op_name n);
-          if n.act_cost >= 0 then cost := !cost + n.act_cost)
+          if act.cost.(n.id) >= 0 then cost := !cost + act.cost.(n.id))
         se.se_plan;
       if !cost <> se.se_stats.R.Executor.work then
         Alcotest.failf "%s, mask %d, %s: node costs sum to %d, work is %d"

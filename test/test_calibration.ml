@@ -1,6 +1,7 @@
 (* Cost-oracle calibration tolerances.  [Cost.annotate] prices the same
    physical plan the executor runs, so estimates and meter readings are
-   comparable per operator.  These bounds are deliberately loose — the
+   comparable per operator (read side by side through
+   [Physical.diagnose_samples]).  These bounds are deliberately loose — the
    estimator carries System-R independence assumptions — but they fail
    the suite loudly if the oracle drifts grossly from the engine
    (e.g. a charge formula changes on one side only). *)
@@ -8,12 +9,9 @@
 open Silkroute
 module R = Relational
 
-let qerr est act =
-  let e = Float.max 1.0 est and a = Float.max 1.0 act in
-  Float.max (e /. a) (a /. e)
-
-(* Every (stream, annotated+executed plan) of the unified and fully
-   partitioned plans of q1/q2, outer-join style, both reduce modes. *)
+(* Every (stream, per-operator samples, estimate, meter) of the unified
+   and fully partitioned plans of q1/q2, outer-join style, both reduce
+   modes. *)
 let annotated_plans () =
   let db = Tpch.Gen.generate (Tpch.Gen.config 1.0) in
   let stats = R.Stats.analyze db in
@@ -34,13 +32,17 @@ let annotated_plans () =
               List.mapi
                 (fun i s ->
                   let phys = R.Physical.plan_of db s.Sql_gen.query in
-                  let est = R.Cost.annotate stats phys in
+                  let est, ests = R.Cost.annotate stats phys in
                   let _, st = R.Executor.run_plan_with_stats db phys in
                   let ctx =
                     Printf.sprintf "%s %s reduce=%b stream=%d" qname pname
                       reduce i
                   in
-                  (ctx, phys, est, st))
+                  let samples =
+                    R.Physical.diagnose_samples ~stream:ctx phys ests
+                      st.R.Executor.actuals
+                  in
+                  (ctx, samples, est, st))
                 (Sql_gen.streams db tree plan opts))
             [
               ("unified", Partition.unified tree);
@@ -51,17 +53,14 @@ let annotated_plans () =
 
 let test_scans_exact () =
   List.iter
-    (fun (ctx, phys, _, _) ->
-      R.Physical.iter
-        (fun n ->
-          match n.R.Physical.shape with
-          | R.Physical.Scan { table; _ } ->
-              Alcotest.(check int)
-                (Printf.sprintf "%s: scan %s rows exact" ctx table)
-                n.R.Physical.act_rows
-                (int_of_float n.R.Physical.est_rows)
-          | _ -> ())
-        phys)
+    (fun (ctx, samples, _, _) ->
+      List.iter
+        (fun (d : Obs.Diagnose.sample) ->
+          if d.d_op = "scan" then
+            Alcotest.(check int)
+              (Printf.sprintf "%s: scan node %d rows exact" ctx d.d_node)
+              d.d_act_rows (int_of_float d.d_est_rows))
+        samples)
     (annotated_plans ())
 
 let test_stream_totals () =
@@ -69,7 +68,10 @@ let test_stream_totals () =
   let sum_log = ref 0.0 in
   List.iter
     (fun (ctx, _, est, st) ->
-      let q = qerr est.R.Cost.eval_cost (float_of_int st.R.Executor.work) in
+      let q =
+        Obs.Diagnose.qerror ~est:est.R.Cost.eval_cost
+          ~act:(float_of_int st.R.Executor.work)
+      in
       sum_log := !sum_log +. Float.log q;
       if q > 100.0 then
         Alcotest.failf
@@ -82,17 +84,16 @@ let test_stream_totals () =
 
 let test_per_operator () =
   List.iter
-    (fun (ctx, phys, _, _) ->
-      R.Physical.iter
-        (fun n ->
+    (fun (ctx, samples, _, _) ->
+      List.iter
+        (fun (d : Obs.Diagnose.sample) ->
           let q =
-            qerr n.R.Physical.est_rows (float_of_int n.R.Physical.act_rows)
+            Obs.Diagnose.qerror ~est:d.d_est_rows ~act:(float_of_int d.d_act_rows)
           in
           if q > 150.0 then
             Alcotest.failf "%s: %s rows estimate drifted %.1fx (est %.0f act %d)"
-              ctx (R.Physical.op_name n) q n.R.Physical.est_rows
-              n.R.Physical.act_rows)
-        phys)
+              ctx d.d_op q d.d_est_rows d.d_act_rows)
+        samples)
     (annotated_plans ())
 
 let suite =

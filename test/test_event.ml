@@ -136,8 +136,7 @@ let test_dump_on_breaker_open () =
       in
       (try
          ignore
-           (B.execute backend
-              (R.Physical.plan_of db (R.Sql_parser.parse supplier_q)))
+           (B.execute backend supplier_q)
        with B.Backend_error _ | B.Circuit_open _ -> ());
       let reasons = List.map (fun d -> d.Obs.Event.reason) !captured in
       Alcotest.(check bool)
@@ -165,8 +164,7 @@ let test_deterministic_sequence () =
         in
         (try
            ignore
-             (B.execute backend
-                (R.Physical.plan_of db (R.Sql_parser.parse supplier_q)))
+             (B.execute backend supplier_q)
          with B.Backend_error _ | B.Circuit_open _ -> ());
         List.map
           (fun (e : Obs.Event.t) ->
@@ -294,6 +292,48 @@ let test_findings_sorted () =
       Alcotest.(check int) "then milder" 1 b.Obs.Diagnose.f_node
   | fs -> Alcotest.failf "expected 2 findings, got %d" (List.length fs)
 
+(* A run's estimates are priced on demand with the profile it ran
+   under: explaining an execution writes nothing, so diagnosing before
+   or after it gives the same samples, and a backend's small sort
+   buffer shows in the sort's estimated cost in both. *)
+let test_explain_keeps_run_estimates () =
+  with_obs (fun () ->
+      let db = tpch 0.5 in
+      let p = Middleware.prepare_text db Queries.query1_text in
+      let profile = { R.Executor.default_profile with sort_buffer = 256 } in
+      let backend = B.create ~profile db in
+      let e =
+        Middleware.execute ~backend p (Partition.unified p.Middleware.tree)
+      in
+      let before = Middleware.diagnose_samples p e in
+      let explained = Middleware.explain_execution p e in
+      let after = Middleware.diagnose_samples p e in
+      Alcotest.(check bool) "diagnose, explain, diagnose: same samples" true
+        (before = after);
+      Alcotest.(check string) "explain again: same text" explained
+        (Middleware.explain_execution p e);
+      let se = List.hd e.Middleware.per_stream in
+      let priced profile =
+        snd
+          (R.Cost.annotate ~profile (Lazy.force p.Middleware.stats)
+             se.Middleware.se_plan)
+      in
+      let ours = priced profile and default = priced R.Executor.default_profile in
+      match List.filter (fun (s : Obs.Diagnose.sample) -> s.d_op = "sort") before with
+      | [ sort ] ->
+          Alcotest.(check (float 0.0)) "the sort is priced with the backend's profile"
+            ours.cost.(sort.d_node) sort.d_est_cost;
+          Alcotest.(check bool) "which the default profile prices otherwise" true
+            (default.cost.(sort.d_node) <> sort.d_est_cost);
+          let figure = Printf.sprintf "cost=%.0f/%d" sort.d_est_cost sort.d_act_cost in
+          let n = String.length figure in
+          let rec has i =
+            i + n <= String.length explained
+            && (String.sub explained i n = figure || has (i + 1))
+          in
+          Alcotest.(check bool) ("explain shows " ^ figure) true (has 0)
+      | sorts -> Alcotest.failf "expected one sort, got %d" (List.length sorts))
+
 let suite =
   [
     Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
@@ -307,4 +347,6 @@ let suite =
     Alcotest.test_case "q-error" `Quick test_qerror;
     Alcotest.test_case "findings" `Quick test_findings;
     Alcotest.test_case "findings sorted" `Quick test_findings_sorted;
+    Alcotest.test_case "explain keeps the run's estimates" `Quick
+      test_explain_keeps_run_estimates;
   ]

@@ -954,17 +954,20 @@ let prop_project_over_join =
       in
       check "work" st.work (lst.work - discount);
       (* every node's own cost adds up to the work *)
+      let act = st.actuals in
       let cost = ref 0 in
-      Physical.iter (fun n -> if n.Physical.act_cost >= 0 then cost := !cost + n.act_cost) plan;
+      Physical.iter
+        (fun n -> if act.cost.(n.id) >= 0 then cost := !cost + act.cost.(n.id))
+        plan;
       check "node costs" !cost st.work;
       (* the join's actuals are those of the join run by itself *)
-      let fused = (join.Physical.act_rows, join.Physical.act_cost) in
       let width = info.Physical.split + info.Physical.right_width in
-      ignore
-        (Executor.run_plan_with_stats db
-           { Physical.root = join; cols = Array.make width "c" });
-      check "join rows" (fst fused) join.act_rows;
-      check "join cost" (snd fused) join.act_cost;
+      let _, alone =
+        Executor.run_plan_with_stats db
+          { plan with Physical.root = join; cols = Array.make width "c" }
+      in
+      check "join rows" act.rows.(join.id) alone.actuals.rows.(join.id);
+      check "join cost" act.cost.(join.id) alone.actuals.cost.(join.id);
       true)
 
 let props =

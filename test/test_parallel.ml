@@ -196,6 +196,57 @@ let test_spans_coherent_across_domains () =
       |> ignore;
       Obs.Span.reset ())
 
+(* A plan from the backend is never written by a run: the same plan run
+   twice in sequence, then twice at once on two domains, gives equal
+   rows, equal meters and equal per-node actuals every time, and prints
+   the same afterwards.  A statement cache relies on this. *)
+let test_plan_reused_across_runs () =
+  let db = Tpch.Gen.generate (Tpch.Gen.config 0.2) in
+  let p = Middleware.prepare_text db Queries.query1_text in
+  let stream =
+    List.hd
+      (Sql_gen.streams db p.Middleware.tree
+         (Partition.unified p.Middleware.tree)
+         { Sql_gen.style = Sql_gen.Outer_join; labels = None })
+  in
+  let plan =
+    R.Backend.plan (R.Backend.create db)
+      (R.Sql_print.to_string stream.Sql_gen.query)
+  in
+  let bare () =
+    R.Physical.to_string plan (R.Physical.no_estimates plan)
+      (R.Physical.no_actuals plan)
+  in
+  let printed = bare () in
+  let run () =
+    let rel, st = R.Executor.run_plan_with_stats db plan in
+    (List.map R.Tuple.to_string (R.Relation.rows rel), st)
+  in
+  let first_rows, first = run () in
+  let runs =
+    run ()
+    :: R.Domain_pool.with_pool ~domains:2 (fun pool ->
+           List.map R.Domain_pool.await
+             [ R.Domain_pool.submit pool run; R.Domain_pool.submit pool run ])
+  in
+  let ops = ref [] in
+  R.Physical.iter (fun n -> ops := R.Physical.op_name n :: !ops) plan;
+  Alcotest.(check bool) "the plan joins and sorts" true
+    (List.mem "hash-join" !ops && List.mem "sort" !ops);
+  List.iteri
+    (fun i (rows, (st : R.Executor.stats)) ->
+      let what = Printf.sprintf "run %d" (i + 2) in
+      Alcotest.(check (list string)) (what ^ ": rows") first_rows rows;
+      Alcotest.(check bool) (what ^ ": stats") true (st = first);
+      Alcotest.(check (array int)) (what ^ ": actual rows")
+        first.actuals.rows st.actuals.rows;
+      Alcotest.(check (array int)) (what ^ ": actual cost")
+        first.actuals.cost st.actuals.cost;
+      Alcotest.(check bool) (what ^ ": own actuals") false
+        (st.actuals == first.actuals))
+    runs;
+  Alcotest.(check string) "plan unchanged" printed (bare ())
+
 let suite =
   [
     Alcotest.test_case "pool: results in order" `Quick test_pool_results_in_order;
@@ -221,4 +272,6 @@ let suite =
       test_degradation_under_fanout;
     Alcotest.test_case "spans coherent across domains" `Quick
       test_spans_coherent_across_domains;
+    Alcotest.test_case "one plan, runs in sequence and at once" `Quick
+      test_plan_reused_across_runs;
   ]

@@ -19,9 +19,6 @@ let part_q = "SELECT p.name AS n FROM Part AS p ORDER BY n"
 let tpch scale = Tpch.Gen.generate (Tpch.Gen.config scale)
 let parse = R.Sql_parser.parse
 
-(* the backend runs physical plans: plan [q] against its database *)
-let plan_of backend q = R.Physical.plan_of (B.db backend) (parse q)
-
 let retry ?(max_retries = 3) () = { B.default_retry with B.max_retries }
 
 (* --- backend unit tests -------------------------------------------------- *)
@@ -30,7 +27,7 @@ let test_no_faults_passthrough () =
   let db = tpch 0.2 in
   let backend = B.create db in
   let expected, _ = R.Executor.run_with_stats db (parse supplier_q) in
-  let cur, _ = B.execute backend (plan_of backend supplier_q) in
+  let cur = (B.execute backend supplier_q).B.rows in
   Alcotest.(check bool) "same rows" true
     (R.Relation.equal expected (R.Cursor.to_relation (cur ())));
   let st = B.stats backend in
@@ -45,7 +42,7 @@ let test_transient_exhausts_bounded_retries () =
     B.create ~faults:(B.faults ~midstream_weight:0.0 1.0)
       ~retry:(retry ~max_retries:3 ()) db
   in
-  (match B.execute backend (plan_of backend supplier_q) with
+  (match B.execute backend supplier_q with
   | _ -> Alcotest.fail "certain transient faults must exhaust retries"
   | exception B.Backend_error { kind; attempt; _ } ->
       Alcotest.(check bool) "transient" true (kind = B.Transient);
@@ -60,7 +57,7 @@ let test_fatal_not_retried () =
   let backend =
     B.create ~faults:(B.faults ~fatal_weight:1.0 1.0) ~retry:(retry ()) db
   in
-  (match B.execute backend (plan_of backend supplier_q) with
+  (match B.execute backend supplier_q with
   | _ -> Alcotest.fail "fatal fault must escape"
   | exception B.Backend_error { kind; attempt; _ } ->
       Alcotest.(check bool) "fatal" true (kind = B.Fatal);
@@ -73,7 +70,7 @@ let test_timeout_not_retried_wasted_work () =
   let db = tpch 0.3 in
   let budget = 50 in
   let backend = B.create ~budget db in
-  (match B.execute backend (plan_of backend part_q) with
+  (match B.execute backend part_q with
   | _ -> Alcotest.fail "tiny budget must time out"
   | exception B.Backend_error { kind; _ } ->
       Alcotest.(check bool) "timeout" true (kind = B.Timeout));
@@ -96,7 +93,7 @@ let test_backoff_exponential_within_jitter () =
         }
       db
   in
-  (try ignore (B.execute backend (plan_of backend supplier_q))
+  (try ignore (B.execute backend supplier_q)
    with B.Backend_error _ -> ());
   let st = B.stats backend in
   (* slots 10, 20, 40 (capped), each jittered by ±25% *)
@@ -114,7 +111,7 @@ let test_breaker_opens_and_rejects () =
       ~breaker:{ B.failure_threshold = 2; cooldown_ms = 1000.0 }
       db
   in
-  (match B.execute backend (plan_of backend supplier_q) with
+  (match B.execute backend supplier_q with
   | _ -> Alcotest.fail "certain faults must exhaust retries"
   | exception B.Backend_error { kind; _ } ->
       Alcotest.(check bool) "transient" true (kind = B.Transient));
@@ -136,7 +133,7 @@ let test_midstream_drop_retried () =
     B.create ~faults:(B.faults ~midstream_weight:1.0 1.0)
       ~retry:(retry ~max_retries:2 ()) db
   in
-  (match B.execute backend (plan_of backend part_q) with
+  (match B.execute backend part_q with
   | _ -> Alcotest.fail "certain mid-stream drops must exhaust retries"
   | exception B.Backend_error { kind; rows_delivered; _ } ->
       Alcotest.(check bool) "transient" true (kind = B.Transient);
@@ -152,8 +149,7 @@ let test_midstream_recovery_accounting () =
      succeeds; the winning attempt's rows must match the fault-free
      result exactly (per-attempt accounting restarts) *)
   let db = tpch 0.3 in
-  let q = parse part_q in
-  let expected, _ = R.Executor.run_with_stats db q in
+  let expected, _ = R.Executor.run_with_stats db (parse part_q) in
   let rec hunt seed =
     if seed > 100 then Alcotest.fail "no recovering seed below 100"
     else
@@ -165,9 +161,9 @@ let test_midstream_recovery_accounting () =
       in
       let rows = ref 0 in
       match B.execute backend ~on_attempt:(fun _ -> rows := 0)
-              ~on_row:(fun _ -> incr rows) (R.Physical.plan_of db q)
+              ~on_row:(fun _ -> incr rows) part_q
       with
-      | cur, _ when (B.stats backend).B.retries > 0 ->
+      | { B.rows = cur; _ } when (B.stats backend).B.retries > 0 ->
           Alcotest.(check bool) "rows match fault-free run" true
             (R.Relation.equal expected (R.Cursor.to_relation (cur ())));
           Alcotest.(check int) "on_row counted only the winning attempt"
@@ -181,7 +177,7 @@ let test_midstream_recovery_accounting () =
 let test_injected_row_latency () =
   let db = tpch 0.2 in
   let backend = B.create ~faults:(B.faults ~row_latency_ms:2.0 0.0) db in
-  let cur, _ = B.execute backend (plan_of backend supplier_q) in
+  let cur = (B.execute backend supplier_q).B.rows in
   let n = R.Relation.cardinality (R.Cursor.to_relation (cur ())) in
   let st = B.stats backend in
   Alcotest.(check (float 1e-9))
@@ -200,7 +196,7 @@ let test_seed_determinism () =
     in
     List.iter
       (fun q ->
-        try ignore (B.execute backend (plan_of backend q)) with B.Backend_error _ -> ())
+        try ignore (B.execute backend q) with B.Backend_error _ -> ())
       [ supplier_q; part_q; supplier_q ];
     B.stats backend
   in

@@ -7,7 +7,8 @@
 # report the actuals of its winning attempt).  Guards the explain surface
 # (and the lowering/rewrite markers it exposes) against silent
 # regression.  Then `plan`, `explain` and `run --explain` must name the
-# same greedy plan, reduced and with --no-reduce.
+# same greedy plan, reduced and with --no-reduce, and `explain` and
+# `run --explain` must print the same trees for it.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -55,6 +56,35 @@ for flags in "" "--no-reduce"; do
     exit 1
   fi
   echo "$planned"
+done
+
+# One tree: `explain` (nothing runs) and `run --explain` (after the run)
+# print the same logical and physical plan blocks, stream by stream,
+# once the figures suffix `  (rows est=... act=...)` is stripped — both
+# take their plans from the backend's one planner.
+plan_blocks() {
+  awk '/^logical plan:$/ { on = 1 } /^-- stream / { on = 0 } /^\[/ { on = 0 } on' \
+    | sed 's/  (rows est=[^)]*)$//'
+}
+for q in q1 q2; do
+  for flags in "" "--no-reduce"; do
+    echo "== explain = run --explain plan blocks, $q scale 0.1 greedy $flags"
+    # shellcheck disable=SC2086
+    explained=$(dune exec bin/silkroute_cli.exe -- explain -q "$q" \
+      --scale 0.1 --strategy greedy $flags | plan_blocks)
+    # shellcheck disable=SC2086
+    ran=$(dune exec bin/silkroute_cli.exe -- run -q "$q" --scale 0.1 \
+      --strategy greedy --explain $flags 2>&1 >/dev/null | plan_blocks)
+    if [ -z "$explained" ] || [ "$explained" != "$ran" ]; then
+      echo "FAIL: explain and run --explain print different trees for $q $flags:" >&2
+      printf '%s\n' "$explained" > "${TMPDIR:-/tmp}/explain_smoke.explain"
+      printf '%s\n' "$ran" > "${TMPDIR:-/tmp}/explain_smoke.run"
+      diff "${TMPDIR:-/tmp}/explain_smoke.explain" \
+        "${TMPDIR:-/tmp}/explain_smoke.run" >&2 || true
+      exit 1
+    fi
+    printf '%s\n' "$explained" | wc -l | sed 's/^ */  lines: /'
+  done
 done
 
 echo "== explain smoke OK"
