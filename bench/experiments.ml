@@ -488,9 +488,9 @@ let calibration () =
     (exp (!sum_log_total /. float_of_int !streams_n))
     !worst_total;
   Printf.printf
-    "(Scans are exact by construction; joins/filters carry System-R\n\
-     independence assumptions.  test/test_calibration.ml fails the suite\n\
-     if these drift grossly.)\n"
+    "(Scans are exact by construction; joins price their key and FK\n\
+     columns as one key, other conjuncts as independent.\n\
+     test/test_calibration.ml fails the suite if these drift.)\n"
 
 (* --- beyond the paper: resilience under a faulty backend ---------------- *)
 

@@ -1,14 +1,22 @@
 (** Cost / cardinality estimation — the planner's oracle.
 
     System-R style estimates over {!Stats} (equality selectivity
-    [1/max(ndv)], range selectivity [1/3], independence across
-    conjuncts), computed by walking the {!Physical.plan} the engine
-    actually runs: the same operator tree, join algorithms and
-    narrow-emission masks.  [eval_cost] mirrors the executor's work
-    meter operator for operator; [data_size] is estimated width ×
-    cardinality.  The paper's greedy planner uses exactly this
-    interface: "The RDBMS serves as an oracle, providing the values for
-    the functions evaluation_cost and cardinality" (Sec. 5). *)
+    [1/max(ndv)], range selectivity [1/3]), computed by walking the
+    {!Physical.plan} the engine actually runs: the same operator tree,
+    join algorithms and narrow-emission masks.  Joins read the source
+    description: each ON disjunct's cross-side equalities are priced
+    together as one key, [1/max(ndv_L, ndv_R)], where a side's ndv is
+    the product of its key columns' NDVs, capped by that side's
+    cardinality and, per base table the columns come from, by the
+    table's row count when they cover its key or by the referenced
+    table's when they are a declared foreign key
+    ({!Stats.distinct_bound}).  A union on the right is priced branch
+    by branch.  Other conjuncts are independent.  [eval_cost] mirrors
+    the executor's work meter operator for operator; [data_size] is
+    estimated width × cardinality.  The paper's greedy planner uses
+    exactly this interface: "The RDBMS serves as an oracle, providing
+    the values for the functions evaluation_cost and cardinality"
+    (Sec. 5). *)
 
 type estimate = {
   cardinality : float;

@@ -59,25 +59,33 @@ let compare3 a b =
 
 let equal a b = compare_total a b = 0
 
+(* An inline integer mix (splitmix64's finalizer, constants cut to
+   OCaml's 63 bits): every input bit reaches the low bits, which the
+   executor's hash indexes mask, without a [caml_hash] call.  The
+   result is non-negative. *)
+let mix x =
+  let x = (x lxor (x lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let x = (x lxor (x lsr 27)) * 0x14d049bb133111eb in
+  (x lxor (x lsr 31)) land max_int
+
 (* Numbers hash by the float they compare as, so [equal] values of
    either constructor hash alike: an integral float within 2^53 hashes
    as the int it equals (which also merges -0.0 with 0.0), and an int
    beyond 2^53, where [compare_total] rounds it to a float, hashes as
    that float does. *)
 let hash_float x =
-  if Float.is_integer x && Float.abs x <= 0x1p53 then
-    Hashtbl.hash (int_of_float x)
+  if Float.is_integer x && Float.abs x <= 0x1p53 then mix (int_of_float x)
   else Hashtbl.hash x
 
 let hash = function
   | Null -> 0
   | Int x ->
-      if x >= -(1 lsl 53) && x <= 1 lsl 53 then Hashtbl.hash x
+      if x >= -(1 lsl 53) && x <= 1 lsl 53 then mix x
       else hash_float (float_of_int x)
   | Float x -> hash_float x
-  | Bool x -> Hashtbl.hash x
+  | Bool x -> if x then 1 else 2
   | String x -> Hashtbl.hash x
-  | Date x -> Hashtbl.hash (x + 17)
+  | Date x -> mix x
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t

@@ -21,6 +21,7 @@ let () =
       ("executor", Test_executor.suite);
       qcheck "executor:props" Test_executor.props;
       ("stats+cost", Test_stats_cost.suite);
+      qcheck "stats+cost:props" Test_stats_cost.props;
       ("calibration", Test_calibration.suite);
       ("source+csv", Test_source_csv.suite);
       ("tpch", Test_tpch.suite);

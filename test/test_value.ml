@@ -94,6 +94,31 @@ let test_type_of () =
 let test_testable_sanity () =
   Alcotest.check v "same value" (Value.Int 3) (Value.Int 3)
 
+(* Hash indexes mask the low bits of [Value.hash] (and of
+   [Tuple.hash_at], which folds it), so those bits must spread keys that
+   differ only in high bits, or only in a second column. *)
+let test_hash_low_bits_spread () =
+  let slots = 1024 in
+  let used keys =
+    let seen = Array.make slots false in
+    List.iter (fun h -> seen.(h land (slots - 1)) <- true) keys;
+    Array.fold_left (fun n b -> if b then n + 1 else n) 0 seen
+  in
+  let check name keys =
+    (* random keys fill about 1 - 1/e of the slots; insist on half *)
+    let n = used keys in
+    if n < slots / 2 then
+      Alcotest.failf "%s: %d keys use %d of %d slots" name (List.length keys) n slots
+  in
+  let ks = List.init slots Fun.id in
+  check "ints 0, 2^16, 2^17, ..." (List.map (fun k -> Value.hash (Value.Int (k lsl 16))) ks);
+  check "dates a year apart" (List.map (fun k -> Value.hash (Value.Date (k * 365))) ks);
+  check "integral floats" (List.map (fun k -> Value.hash (Value.Float (float_of_int (k * 4096)))) ks);
+  check "pairs differing in the second column"
+    (List.map (fun k -> Tuple.hash_at [| 0; 1 |] [| Value.Int 7; Value.Int (k * 64) |]) ks);
+  Alcotest.(check bool) "non-negative" true
+    (List.for_all (fun k -> Value.hash (Value.Int (-k * 977)) >= 0) ks)
+
 let suite =
   [
     Alcotest.test_case "total order: NULL first" `Quick test_total_order_null_first;
@@ -107,6 +132,7 @@ let suite =
     Alcotest.test_case "wire sizes" `Quick test_wire_sizes;
     Alcotest.test_case "type_of / ty_name" `Quick test_type_of;
     Alcotest.test_case "testable" `Quick test_testable_sanity;
+    Alcotest.test_case "hash: low bits spread" `Quick test_hash_low_bits_spread;
   ]
 
 (* property tests *)
