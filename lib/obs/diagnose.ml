@@ -10,7 +10,8 @@
    — the standard symmetric misestimation factor (1.00 is a perfect
    estimate) — flags nodes at or above a threshold, emits one warn
    event per finding, and renders a human report: top misestimated
-   operators, the retry/degradation counters, GC pressure per operator,
+   operators (and every misestimated leaf, where an error enters the
+   plan before the operators above inherit it), the retry/degradation counters, GC pressure per operator,
    and the hot-path percentile table.
 
    This module lives in lib/obs and therefore cannot see
@@ -26,6 +27,7 @@ type sample = {
   d_est_cost : float;
   d_act_cost : int;
   d_spills : int; (* actual external-sort spill passes (sorts only) *)
+  d_leaf : bool; (* reads no other operator (a scan): its error is its own *)
 }
 
 type metric = Rows | Cost
@@ -40,6 +42,7 @@ type finding = {
   f_est : float;
   f_act : float;
   f_qerr : float;
+  f_leaf : bool;
 }
 
 let qerror ~est ~act =
@@ -68,6 +71,7 @@ let findings ?(threshold = default_threshold) (samples : sample list) :
               f_est = est;
               f_act = float_of_int act;
               f_qerr = q;
+              f_leaf = s.d_leaf;
             }
         else None
     in
@@ -112,16 +116,15 @@ let render_misestimates buf ~threshold ~top samples fs =
   if fs <> [] then begin
     bprintf buf "%-8s %6s %-24s %-6s %14s %14s %8s\n" "stream" "node" "op"
       "metric" "estimated" "actual" "q-error";
-    let rec take k = function
-      | [] -> []
-      | _ when k = 0 -> []
-      | x :: rest -> x :: take (k - 1) rest
-    in
-    List.iter
-      (fun f ->
-        bprintf buf "%-8s %6d %-24s %-6s %14.1f %14.1f %8.2f\n" f.f_stream
-          f.f_node f.f_op (metric_name f.f_metric) f.f_est f.f_act f.f_qerr)
-      (take top fs)
+    (* the top findings, and every leaf finding below them: a stale
+       scan estimate multiplies into each operator above it, whose
+       q-errors can then outrank the scan that caused them *)
+    List.iteri
+      (fun rank f ->
+        if rank < top || f.f_leaf then
+          bprintf buf "%-8s %6d %-24s %-6s %14.1f %14.1f %8.2f\n" f.f_stream
+            f.f_node f.f_op (metric_name f.f_metric) f.f_est f.f_act f.f_qerr)
+      fs
   end
 
 let counter name = Option.value ~default:0 (Metrics.counter_value name)

@@ -18,6 +18,9 @@ type sample = {
   d_est_cost : float;
   d_act_cost : int;
   d_spills : int;  (** actual external-sort spill passes (sorts only) *)
+  d_leaf : bool;
+      (** the operator reads no other operator (a scan): a misestimate
+          here is where an error enters the plan *)
 }
 
 type metric = Rows | Cost
@@ -32,6 +35,7 @@ type finding = {
   f_est : float;
   f_act : float;
   f_qerr : float;
+  f_leaf : bool;  (** from {!sample.d_leaf} *)
 }
 
 val qerror : est:float -> act:float -> float
@@ -50,7 +54,8 @@ val emit_findings : finding list -> unit
     stream/node/op/metric/est/act/qerr attrs. *)
 
 val render : ?threshold:float -> ?top:int -> sample list -> string
-(** The report: misestimate table, spill list, resilience counters,
+(** The report: misestimate table ([top] findings, 10 by default, and
+    every leaf finding past them), spill list, resilience counters,
     event summary, GC pressure per operator, and the hot-path
     percentile table (reads the global metrics/profile collectors). *)
 

@@ -241,8 +241,8 @@ let test_qerror () =
   Alcotest.(check (float 1e-9)) "clamped below one" 4.0
     (Obs.Diagnose.qerror ~est:4.0 ~act:0.0)
 
-let sample ?(node = 0) ?(op = "scan") ?(est_rows = -1.0) ?(act_rows = -1)
-    ?(est_cost = -1.0) ?(act_cost = -1) ?(spills = 0) stream =
+let sample ?(node = 0) ?(op = "scan") ?(leaf = false) ?(est_rows = -1.0)
+    ?(act_rows = -1) ?(est_cost = -1.0) ?(act_cost = -1) ?(spills = 0) stream =
   {
     Obs.Diagnose.d_stream = stream;
     d_node = node;
@@ -252,6 +252,7 @@ let sample ?(node = 0) ?(op = "scan") ?(est_rows = -1.0) ?(act_rows = -1)
     d_est_cost = est_cost;
     d_act_cost = act_cost;
     d_spills = spills;
+    d_leaf = leaf;
   }
 
 let test_findings () =
@@ -291,6 +292,31 @@ let test_findings_sorted () =
       Alcotest.(check int) "worst first" 2 a.Obs.Diagnose.f_node;
       Alcotest.(check int) "then milder" 1 b.Obs.Diagnose.f_node
   | fs -> Alcotest.failf "expected 2 findings, got %d" (List.length fs)
+
+(* A misestimated leaf is where the error enters the plan; the
+   operators above it inherit it and can outrank it, so the report's
+   table keeps every leaf finding past its top rows. *)
+let test_report_keeps_leaf_findings () =
+  let samples =
+    [
+      sample "S1" ~node:1 ~op:"hash-join" ~est_rows:1000.0 ~act_rows:10;
+      sample "S1" ~node:2 ~op:"project" ~est_rows:800.0 ~act_rows:10;
+      sample "S1" ~node:3 ~op:"hash-join" ~est_rows:700.0 ~act_rows:10;
+      sample "S1" ~node:4 ~op:"scan" ~leaf:true ~est_rows:640.0 ~act_rows:10;
+      sample "S1" ~node:5 ~op:"sort" ~est_rows:500.0 ~act_rows:10;
+    ]
+  in
+  let r = Obs.Diagnose.render ~top:2 samples in
+  let has needle =
+    let n = String.length needle and m = String.length r in
+    let rec at i = i + n <= m && (String.sub r i n = needle || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "top finding" true (has "100.00");
+  Alcotest.(check bool) "second finding" true (has "80.00");
+  Alcotest.(check bool) "leaf past the top" true (has "64.00");
+  Alcotest.(check bool) "third non-leaf cut" false (has "70.00");
+  Alcotest.(check bool) "fifth non-leaf cut" false (has "50.00")
 
 (* A run's estimates are priced on demand with the profile it ran
    under: explaining an execution writes nothing, so diagnosing before
@@ -347,6 +373,8 @@ let suite =
     Alcotest.test_case "q-error" `Quick test_qerror;
     Alcotest.test_case "findings" `Quick test_findings;
     Alcotest.test_case "findings sorted" `Quick test_findings_sorted;
+    Alcotest.test_case "report keeps leaf findings" `Quick
+      test_report_keeps_leaf_findings;
     Alcotest.test_case "explain keeps the run's estimates" `Quick
       test_explain_keeps_run_estimates;
   ]
