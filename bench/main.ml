@@ -3,7 +3,12 @@
    With no arguments: run every experiment (each table and figure of the
    paper) and the bechamel micro-benchmarks.  With --experiment <id>:
    run one of table1 | sec2 | fig13 | fig14 | fig15 | fig18 | ranks |
-   requests | ablation | extra | pruning | resilience | micro.  With --obs-jsonl <file>: trace every
+   requests | ablation | extra | pruning | resilience | micro |
+   lattice-wallclock (measured Figs. 13/14 and the time-model fit; it
+   writes BENCH_lattice_wallclock.jsonl in the working directory, and
+   takes about 17 minutes on 2 vCPUs; a run of every experiment
+   includes it).
+   With --obs-jsonl <file>: trace every
    experiment through lib/obs and append per-experiment JSONL records
    (spans + events + profile + metrics, tagged with the experiment id) to
    <file>.  With --trace-chrome <prefix>: also write one Chrome
@@ -31,6 +36,7 @@ let experiments =
     ("calibration", Experiments.calibration);
     ("resilience", Experiments.resilience);
     ("scaling", Experiments.scaling);
+    ("lattice-wallclock", Wallclock.run);
     ("serving", Serving.run);
     ("micro", Micro.run);
   ]

@@ -26,6 +26,8 @@ type sample = {
   d_act_rows : int; (* negative when the node was never executed *)
   d_est_cost : float;
   d_act_cost : int;
+  d_est_ms : float;
+  d_act_ms : float;
   d_spills : int; (* actual external-sort spill passes (sorts only) *)
   d_leaf : bool; (* reads no other operator (a scan): its error is its own *)
 }
@@ -127,6 +129,33 @@ let render_misestimates buf ~threshold ~top samples fs =
       fs
   end
 
+(* The operators that took the most measured time, with the time the
+   planner's model predicted for them. *)
+let render_times buf ~top samples =
+  let timed =
+    List.filter (fun s -> s.d_act_ms >= 0.0) samples
+    |> List.stable_sort (fun a b -> compare b.d_act_ms a.d_act_ms)
+  in
+  let total = List.fold_left (fun acc s -> acc +. s.d_act_ms) 0.0 timed in
+  let predicted =
+    List.fold_left (fun acc s -> acc +. Float.max 0.0 s.d_est_ms) 0.0 timed
+  in
+  bprintf buf
+    "OPERATOR TIME — %d operator(s) measured, %.3f ms in all (predicted \
+     %.3f ms); top %d\n"
+    (List.length timed) total predicted (min top (List.length timed));
+  if timed <> [] then begin
+    bprintf buf "%-8s %6s %-24s %14s %14s\n" "stream" "node" "op"
+      "predicted ms" "actual ms";
+    List.iteri
+      (fun rank s ->
+        if rank < top then
+          bprintf buf "%-8s %6d %-24s %14s %14.3f\n" s.d_stream s.d_node s.d_op
+            (if s.d_est_ms < 0.0 then "?" else Printf.sprintf "%.3f" s.d_est_ms)
+            s.d_act_ms)
+      timed
+  end
+
 let counter name = Option.value ~default:0 (Metrics.counter_value name)
 
 let render_resilience buf =
@@ -180,6 +209,8 @@ let render ?(threshold = default_threshold) ?(top = 10) samples =
   let buf = Buffer.create 2048 in
   bprintf buf "PLAN DIAGNOSTICS\n================\n";
   render_misestimates buf ~threshold ~top samples fs;
+  Buffer.add_char buf '\n';
+  render_times buf ~top samples;
   Buffer.add_char buf '\n';
   let spilled = List.filter (fun s -> s.d_spills > 0) samples in
   if spilled <> [] then begin

@@ -17,6 +17,8 @@ type sample = {
   d_act_rows : int;  (** negative when the node was never executed *)
   d_est_cost : float;
   d_act_cost : int;
+  d_est_ms : float;  (** predicted own time; negative when unknown *)
+  d_act_ms : float;  (** measured own time; negative when never executed *)
   d_spills : int;  (** actual external-sort spill passes (sorts only) *)
   d_leaf : bool;
       (** the operator reads no other operator (a scan): a misestimate
@@ -55,7 +57,8 @@ val emit_findings : finding list -> unit
 
 val render : ?threshold:float -> ?top:int -> sample list -> string
 (** The report: misestimate table ([top] findings, 10 by default, and
-    every leaf finding past them), spill list, resilience counters,
+    every leaf finding past them), the [top] operators by measured time
+    with their predicted time, spill list, resilience counters,
     event summary, GC pressure per operator, and the hot-path
     percentile table (reads the global metrics/profile collectors). *)
 

@@ -21,6 +21,7 @@ type estimate = {
   cardinality : float;
   eval_cost : float;   (* abstract work units, comparable to Executor.stats.work *)
   width : float;       (* average output tuple wire bytes *)
+  ms : float;          (* predicted executor time, the stream's constant included *)
 }
 
 let data_size e = e.cardinality *. e.width
@@ -29,19 +30,97 @@ let data_size e = e.cardinality *. e.width
    a * evaluation_cost(q) + b * data_size(q). *)
 let cost ~a ~b e = (a *. e.eval_cost) +. (b *. data_size e)
 
+(* --- the time model ------------------------------------------------------ *)
+
+(* What one operator does, in the units its time goes by: the oracle's
+   estimate of each, per node, beside the work it charges. *)
+type counts = {
+  scanned : float;  (* rows read from a stored table *)
+  built : float;  (* right rows indexed by a join, once per hash index *)
+  probed : float;  (* join candidates, as the meter charges them *)
+  tested : float;  (* predicate evaluations: ON on a probe slice, a filter's input *)
+  emitted : float;  (* rows a filter, projection or join produces *)
+  bytes : float;  (* their wire bytes, as the meter charges them *)
+  sorted : float;  (* rows through a sort *)
+}
+
+let no_counts =
+  { scanned = 0.0; built = 0.0; probed = 0.0; tested = 0.0; emitted = 0.0;
+    bytes = 0.0; sorted = 0.0 }
+
+let add_counts a b =
+  {
+    scanned = a.scanned +. b.scanned;
+    built = a.built +. b.built;
+    probed = a.probed +. b.probed;
+    tested = a.tested +. b.tested;
+    emitted = a.emitted +. b.emitted;
+    bytes = a.bytes +. b.bytes;
+    sorted = a.sorted +. b.sorted;
+  }
+
+(* Nanoseconds per unit of each count, per stream (SQL print, parse,
+   planning, draining) and per tuple and byte the merge-tagger writes,
+   fitted by least squares to measured per-operator and tagger times
+   (`bench --experiment lattice-wallclock`, which prints the fit; see
+   EXPERIMENTS.md, "Measured Fig. 13/14").  A sort is priced per row,
+   not per n log n comparison as the meter charges it, and a modeled
+   spill pass, which has no wall-time counterpart, costs nothing. *)
+type time_model = {
+  scan_row : float;
+  build_row : float;
+  probe : float;
+  test : float;
+  emit_row : float;
+  emit_byte : float;
+  sort_row : float;
+  stream : float;
+  tag_tuple : float;
+  tag_byte : float;
+}
+
+let time_model =
+  {
+    scan_row = 87.0;
+    build_row = 56.0;
+    probe = 34.0;
+    test = 197.0;
+    emit_row = 26.0;
+    emit_byte = 2.2;
+    sort_row = 282.0;
+    stream = 182_000.0;
+    tag_tuple = 866.0;
+    tag_byte = 1.3;
+  }
+
+let node_ns (m : time_model) c =
+  (m.scan_row *. c.scanned) +. (m.build_row *. c.built) +. (m.probe *. c.probed)
+  +. (m.test *. c.tested) +. (m.emit_row *. c.emitted)
+  +. (m.emit_byte *. c.bytes) +. (m.sort_row *. c.sorted)
+
+(* The merge-tagger's predicted time for a stream of [e]'s rows. *)
+let tag_ms e =
+  ((time_model.tag_tuple *. e.cardinality) +. (time_model.tag_byte *. data_size e))
+  /. 1e6
+
+(* The paper's combination in predicted milliseconds: [a] weighs the
+   engine's time, [b] the time the stream's rows take to tag. *)
+let time_cost ~a ~b e = (a *. e.ms) +. (b *. tag_ms e)
+
 (* Per-column symbolic info, positional: index i describes tuple slot i
-   of the operator's output, mirroring the resolved expressions.  [lit]
-   marks a column that statically holds one constant (NULL padding,
-   union level tags): a union of branches with *different* constants has
-   ndv = number of constants, and an equality against a known constant
-   is exact.  [origin] is the base column the value was read from: it
+   of the operator's output, mirroring the resolved expressions.
+   [consts] lists the constants a column statically holds (NULL padding,
+   union level tags), empty when it is not one: a union of branches with
+   different constants holds each, ndv = their count, and an equality
+   against one of them selects 1/count of the rows (none against any
+   other value).  [origin] is the base column the value was read from: it
    passes through filters, joins, derived tables and projections of a
    plain column, and is lost through any other expression and through
    a union, whose branches read different scans. *)
 type colinfo = {
   ndv : float;
   cwidth : float;
-  lit : Value.t option;
+  consts : Value.t list;
   origin : origin option;
 }
 
@@ -50,7 +129,7 @@ type colinfo = {
    the bound of its key or foreign key. *)
 and origin = { scan : int; table : Stats.table_id; pos : int }
 
-let default_col = { ndv = 10.0; cwidth = 8.0; lit = None; origin = None }
+let default_col = { ndv = 10.0; cwidth = 8.0; consts = []; origin = None }
 
 let col_at (cols : colinfo array) i =
   if i >= 0 && i < Array.length cols then cols.(i) else default_col
@@ -81,9 +160,10 @@ let rec selectivity cols (e : Expr.resolved) : float =
   | Expr.R_cmp (op, Expr.R_col i, Expr.R_lit v)
   | Expr.R_cmp (op, Expr.R_lit v, Expr.R_col i) -> (
       let ca = col_at cols i in
-      match (sel_of_cmp op, ca.lit) with
-      | `Eq, Some w -> if v = w then 1.0 else 0.0
-      | `Eq, None -> 1.0 /. Float.max 1.0 ca.ndv
+      match (sel_of_cmp op, ca.consts) with
+      | `Eq, [] -> 1.0 /. Float.max 1.0 ca.ndv
+      | `Eq, cs ->
+          if List.mem v cs then 1.0 /. float_of_int (List.length cs) else 0.0
       | `Range, _ -> 1.0 /. 3.0
       | `Other, _ -> 0.9)
   | Expr.R_cmp _ -> 0.5
@@ -102,11 +182,11 @@ let endv cols (e : Expr.resolved) =
   | Expr.R_lit _ -> 1.0
   | _ -> default_col.ndv
 
-let elit cols (e : Expr.resolved) =
+let econsts cols (e : Expr.resolved) =
   match e with
-  | Expr.R_col i -> (col_at cols i).lit
-  | Expr.R_lit v -> Some v
-  | _ -> None
+  | Expr.R_col i -> (col_at cols i).consts
+  | Expr.R_lit v -> [ v ]
+  | _ -> []
 
 let log2 x = if x <= 2.0 then 1.0 else Float.log x /. Float.log 2.0
 
@@ -159,7 +239,7 @@ let keys_ndv stats (side : ninfo) (ks : int array) =
    column is a NULL pad, which equals nothing. *)
 let keys_selectivity stats (l : ninfo) (r : ninfo) lk rk =
   let null_pad (side : ninfo) =
-    Array.exists (fun k -> (col_at side.cols k).lit = Some Value.Null)
+    Array.exists (fun k -> (col_at side.cols k).consts = [ Value.Null ])
   in
   if null_pad l lk || null_pad r rk then 0.0
   else
@@ -196,35 +276,61 @@ let on_selectivity stats (l : ninfo) (r : ninfo) (ji : P.join_info) =
       (fun acc (b : ninfo) -> acc +. (b.card /. r.card *. against b))
       0.0 (parts_of r)
 
-(* Expected join probes: a left row's candidates are the right rows in
-   its group of each hash index (the disjuncts sharing an index probe it
-   once), priced like ON's key pairs, branch by branch for a union; a
-   keyless disjunct degrades the whole join to nested-loop over the
-   full cross product. *)
+(* Expected join probes and ON tests: a left row's candidates are the
+   right rows in its group of each hash index (the disjuncts sharing an
+   index probe it once), priced like ON's key pairs, branch by branch
+   for a union; ON is tested on those that also pass the index's guard.
+   A keyless disjunct degrades the whole join to nested-loop over the
+   full cross product, every pair tested. *)
 let probe_estimate stats (l : ninfo) (r : ninfo) (info : P.join_info) =
   match info.algo with
-  | P.Nested_loop -> l.card *. r.card
+  | P.Nested_loop -> (l.card *. r.card, l.card *. r.card)
   | P.Hash_join ->
       List.fold_left
         (fun acc (ix : P.index) ->
           List.fold_left
-            (fun acc (b : ninfo) ->
-              acc
-              +. l.card *. b.card
-                 *. keys_selectivity stats l b ix.P.left_keys ix.P.right_keys)
+            (fun (probed, tested) (b : ninfo) ->
+              let n =
+                l.card *. b.card
+                *. keys_selectivity stats l b ix.P.left_keys ix.P.right_keys
+              in
+              let pass =
+                match ix.P.guard with None -> 1.0 | Some g -> selectivity b.cols g
+              in
+              (probed +. n, tested +. (n *. pass)))
             acc (parts_of r))
-        0.0 info.indexes
+        (0.0, 0.0) info.indexes
 
 (* Walk the plan bottom-up, mirroring the executor's charges operator
    for operator (weights w_scan=1, w_probe=1, w_emit=2, w_sort=4, byte
-   charges divided by [byte_div]).  With [into], every node's estimated
-   rows and cost (and sorts' spills) go to its slots there. *)
-let price ~(profile : Executor.profile) stats (p : P.plan) into : estimate =
+   charges divided by [byte_div]), and pricing each node's counts in
+   predicted time.  With [into], every node's estimated rows, cost and
+   time (and sorts' spills) go to its slots there; with [counts], its
+   counts.  A projection over a join is built inside the join's probe,
+   so, as in the executor's actuals, its counts and time go to the
+   join's slots ([onto]) and its own time is 0. *)
+let price ~(profile : Executor.profile) ?counts stats (p : P.plan) into :
+    estimate =
   let bdiv = float_of_int profile.byte_div in
   let buffer = float_of_int profile.sort_buffer in
-  let total = ref 0.0 in
+  let total = ref 0.0 and total_ns = ref 0.0 in
   let set_cost (n : P.node) c =
     match into with Some (e : P.estimates) -> e.cost.(n.P.id) <- c | None -> ()
+  in
+  let did ?onto (n : P.node) c =
+    let ns = node_ns time_model c in
+    total_ns := !total_ns +. ns;
+    match onto with
+    | None ->
+        Option.iter (fun (e : P.estimates) -> e.ns.(n.P.id) <- ns) into;
+        Option.iter (fun a -> a.(n.P.id) <- c) counts
+    | Some (j : P.node) ->
+        Option.iter
+          (fun (e : P.estimates) ->
+            e.ns.(n.P.id) <- 0.0;
+            e.ns.(j.P.id) <- e.ns.(j.P.id) +. ns)
+          into;
+        Option.iter (fun a -> a.(j.P.id) <- add_counts a.(j.P.id) c) counts
   in
   let rec go (n : P.node) : ninfo =
     let info =
@@ -236,6 +342,7 @@ let price ~(profile : Executor.profile) stats (p : P.plan) into : estimate =
           total := !total +. card;
           (* w_scan = 1 per row *)
           set_cost n (!total -. c0);
+          did n { no_counts with scanned = card };
           let cols =
             Array.map
               (fun pos ->
@@ -244,7 +351,7 @@ let price ~(profile : Executor.profile) stats (p : P.plan) into : estimate =
                     {
                       ndv = float_of_int cs.distinct;
                       cwidth = cs.avg_width;
-                      lit = None;
+                      consts = [];
                       origin =
                         (if pos < Sys.int_size - 1 then
                            Some { scan = n.P.id; table = tid; pos }
@@ -256,6 +363,7 @@ let price ~(profile : Executor.profile) stats (p : P.plan) into : estimate =
           { card; cols; bytes = 0.0; parts = [] }
       | P.Dual ->
           set_cost n 0.0;
+          did n no_counts;
           { card = 1.0; cols = [||]; bytes = 0.0; parts = [] }
       | P.Filter { input; pred; charged; _ } ->
           let i = go input in
@@ -267,6 +375,9 @@ let price ~(profile : Executor.profile) stats (p : P.plan) into : estimate =
              evaluated for free *)
           if charged then total := !total +. (2.0 *. card);
           set_cost n (!total -. c0);
+          did n
+            { no_counts with tested = i.card;
+              emitted = (if charged then card else 0.0) };
           { card; cols = i.cols; bytes = i.bytes *. sel; parts = [] }
       | P.Project { input; items; charged; _ } ->
           let i = go input in
@@ -281,13 +392,15 @@ let price ~(profile : Executor.profile) stats (p : P.plan) into : estimate =
           (* charge_emit_bytes: w_emit plus masked bytes per row *)
           total := !total +. (card *. (2.0 +. (!charged_width /. bdiv)));
           set_cost n (!total -. c0);
+          let onto = match input.P.shape with P.Join _ -> Some input | _ -> None in
+          did ?onto n { no_counts with emitted = card; bytes = card *. !charged_width };
           let cols =
             Array.map
               (fun e ->
                 {
                   ndv = Float.min (endv i.cols e) card;
                   cwidth = ewidth i.cols e;
-                  lit = elit i.cols e;
+                  consts = econsts i.cols e;
                   origin =
                     (match e with
                     | Expr.R_col j -> (col_at i.cols j).origin
@@ -311,15 +424,24 @@ let price ~(profile : Executor.profile) stats (p : P.plan) into : estimate =
           let width = Array.fold_left (fun w c -> w +. c.cwidth) 0.0 cols in
           (* probes (w_probe = 1) plus full-width emission of each
              joined row, exactly like charge_emit_row *)
-          total :=
-            !total
-            +. probe_estimate stats l r ji
-            +. (card *. (2.0 +. (width /. bdiv)));
+          let probed, tested = probe_estimate stats l r ji in
+          total := !total +. probed +. (card *. (2.0 +. (width /. bdiv)));
           set_cost n (!total -. c0);
+          did n
+            {
+              no_counts with
+              built =
+                r.card *. float_of_int (max 1 (List.length ji.P.indexes));
+              probed;
+              tested;
+              emitted = card;
+              bytes = card *. width;
+            };
           { card; cols; bytes = 0.0; parts = [] }
       | P.Union ns -> (
           let infos = List.map go ns in
           set_cost n 0.0;
+          did n no_counts;
           match infos with
           | [] -> { card = 0.0; cols = [||]; bytes = 0.0; parts = [] }
           | first :: rest ->
@@ -338,17 +460,19 @@ let price ~(profile : Executor.profile) stats (p : P.plan) into : estimate =
                                per-branch constants (level tags, NULL
                                pads) are the exception — each distinct
                                constant adds one value. *)
-                            let lit, ndv =
-                              match (c.lit, c'.lit) with
-                              | Some a, Some b when a = b ->
-                                  (Some a, Float.max c.ndv c'.ndv)
-                              | Some _, Some _ -> (None, c.ndv +. c'.ndv)
-                              | _ -> (None, Float.max c.ndv c'.ndv)
+                            let consts =
+                              match (c.consts, c'.consts) with
+                              | [], _ | _, [] -> []
+                              | a, b ->
+                                  a @ List.filter (fun v -> not (List.mem v a)) b
                             in
                             {
-                              ndv;
+                              ndv =
+                                (match consts with
+                                | [] -> Float.max c.ndv c'.ndv
+                                | cs -> float_of_int (List.length cs));
                               cwidth = Float.max c.cwidth c'.cwidth;
-                              lit;
+                              consts;
                               (* each branch reads its own scans *)
                               origin = None;
                             })
@@ -362,6 +486,7 @@ let price ~(profile : Executor.profile) stats (p : P.plan) into : estimate =
       | P.Derived { input; _ } ->
           let i = go input in
           set_cost n 0.0;
+          did n no_counts;
           i
       | P.Sort { input; _ } ->
           let i = go input in
@@ -377,6 +502,7 @@ let price ~(profile : Executor.profile) stats (p : P.plan) into : estimate =
             total := !total +. (float_of_int spills *. i.bytes /. bdiv);
           Option.iter (fun (e : P.estimates) -> e.spills.(n.P.id) <- spills) into;
           set_cost n (!total -. c0);
+          did n { no_counts with sorted = i.card };
           i
     in
     (match into with
@@ -386,11 +512,21 @@ let price ~(profile : Executor.profile) stats (p : P.plan) into : estimate =
   in
   let root = go p.P.root in
   let width = Array.fold_left (fun w c -> w +. c.cwidth) 0.0 root.cols in
-  { cardinality = root.card; eval_cost = !total; width }
+  {
+    cardinality = root.card;
+    eval_cost = !total;
+    width;
+    ms = (!total_ns +. time_model.stream) /. 1e6;
+  }
 
 let annotate ?(profile = Executor.default_profile) stats p =
   let e = P.no_estimates p in
   (price ~profile stats p (Some e), e)
+
+let counts ?(profile = Executor.default_profile) stats p =
+  let a = Array.make (p.P.nodes + 1) no_counts in
+  ignore (price ~profile ~counts:a stats p None);
+  a
 
 let estimate ?(profile = Executor.default_profile) stats db (q : Sql.query) =
   price ~profile stats (P.plan_of db q) None

@@ -13,7 +13,10 @@
     ({!Stats.distinct_bound}).  A union on the right is priced branch
     by branch.  Other conjuncts are independent.  [eval_cost] mirrors
     the executor's work meter operator for operator; [data_size] is
-    estimated width × cardinality.  The paper's greedy planner uses
+    estimated width × cardinality.  The same walk prices each node's
+    {!counts} in predicted nanoseconds under {!time_model}, and the
+    planner compares fragments in that time ({!time_cost}); work units
+    stay the executor's meter.  The paper's greedy planner uses
     exactly this interface: "The RDBMS serves as an oracle, providing
     the values for the functions evaluation_cost and cardinality"
     (Sec. 5). *)
@@ -22,6 +25,9 @@ type estimate = {
   cardinality : float;
   eval_cost : float;  (** abstract work units, comparable to {!Executor.stats} work *)
   width : float;  (** average output tuple wire bytes *)
+  ms : float;
+      (** predicted executor time: the nodes' {!node_ns} and the
+          per-stream constant *)
 }
 
 val data_size : estimate -> float
@@ -30,14 +36,67 @@ val data_size : estimate -> float
 val cost : a:float -> b:float -> estimate -> float
 (** The paper's linear combination [a·eval_cost + b·data_size]. *)
 
+(** {1 The time model} *)
+
+type counts = {
+  scanned : float;  (** rows read from a stored table *)
+  built : float;  (** right rows indexed by a join, once per hash index *)
+  probed : float;  (** join candidates, as the meter charges them *)
+  tested : float;
+      (** predicate evaluations: ON on a probe slice, a filter's input *)
+  emitted : float;  (** rows a filter, projection or join produces *)
+  bytes : float;  (** their wire bytes, as the meter charges them *)
+  sorted : float;  (** rows through a sort *)
+}
+(** What one operator does, in the units its time goes by. *)
+
+val no_counts : counts
+(** All zero: an operator that does no work of its own. *)
+
+type time_model = {
+  scan_row : float;
+  build_row : float;
+  probe : float;
+  test : float;
+  emit_row : float;
+  emit_byte : float;
+  sort_row : float;
+  stream : float;  (** per stream: SQL print, parse, planning, draining *)
+  tag_tuple : float;  (** per tuple the merge-tagger reads *)
+  tag_byte : float;  (** per byte of those tuples *)
+}
+(** Nanoseconds per unit of each {!counts} field, and per stream and
+    tagged tuple and byte. *)
+
+val time_model : time_model
+(** The committed weights, fitted by least squares to measured
+    per-operator and tagger times ([bench --experiment
+    lattice-wallclock] prints the fit). *)
+
+val node_ns : time_model -> counts -> float
+(** A node's predicted own time. *)
+
+val tag_ms : estimate -> float
+(** The merge-tagger's predicted time for the estimate's rows. *)
+
+val time_cost : a:float -> b:float -> estimate -> float
+(** The paper's combination in predicted milliseconds:
+    [a·ms + b·tag_ms] — what greedy genPlan compares. *)
+
 val annotate :
   ?profile:Executor.profile ->
   Stats.t ->
   Physical.plan ->
   estimate * Physical.estimates
-(** Prices a physical plan: the total, and every node's estimated rows
-    and cost (and sorts' spills) — the per-operator deltas the executor
-    records as {!Physical.actuals}.  Writes nothing into the plan. *)
+(** Prices a physical plan: the total, and every node's estimated rows,
+    cost and time (and sorts' spills) — the per-operator deltas the
+    executor records as {!Physical.actuals}.  Writes nothing into the
+    plan. *)
+
+val counts :
+  ?profile:Executor.profile -> Stats.t -> Physical.plan -> counts array
+(** Every node's estimated {!counts}, by node id, from the walk
+    {!annotate} makes — what the time model is fitted on. *)
 
 val estimate :
   ?profile:Executor.profile -> Stats.t -> Database.t -> Sql.query -> estimate

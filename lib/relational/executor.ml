@@ -32,7 +32,7 @@ type stats = {
 
 let new_stats () =
   { scanned = 0; probed = 0; emitted = 0; sorted = 0; spill_passes = 0; work = 0;
-    actuals = { rows = [||]; cost = [||]; spills = [||] } }
+    actuals = { rows = [||]; cost = [||]; spills = [||]; ns = [||] } }
 
 (* Cost profile of the simulated server.  The engine runs in memory, but
    the work meter models a disk-based RDBMS: rows are charged by width
@@ -649,6 +649,7 @@ let project_pair ctx pr bb (l : Tuple.t) (r : Tuple.t) =
   bb_push bb !bytes t
 
 let rec exec_batched ctx (n : P.node) : Batch.t list =
+  let t0 = Obs.Clock.now_ns () in
   let batches =
     match n.P.shape with
     | P.Scan { table; cols; _ } ->
@@ -725,6 +726,8 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
         bb_finish bb
   in
   set_rows ctx n (batch_rows batches);
+  (* inclusive for now: [own_times] subtracts the inputs' after the run *)
+  ctx.st.actuals.ns.(n.id) <- Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0);
   batches
 
 (* Run a join node's inputs, then the join (in its exec.join span),
@@ -746,6 +749,24 @@ and exec_join ctx (n : P.node) (info : P.join_info) left right consume =
 
 (* --- entry points ------------------------------------------------------ *)
 
+(* Turn the nodes' inclusive times into their own: each node's minus its
+   inputs'.  A projection over a join ran the join inside its probe, so
+   the join takes the projection's inclusive time and the projection's
+   own time is 0 (pre-order: a node reads its inputs' inclusive times
+   before they are turned into their own). *)
+let own_times (p : P.plan) (ns : int array) =
+  P.iter
+    (fun n ->
+      (match n.P.shape with
+      | P.Project { input = { P.shape = P.Join _; _ } as join; _ } ->
+          ns.(join.P.id) <- ns.(n.P.id)
+      | _ -> ());
+      ns.(n.P.id) <-
+        List.fold_left
+          (fun acc (i : P.node) -> acc - ns.(i.P.id))
+          ns.(n.P.id) (P.inputs n))
+    p
+
 let stats_attrs st =
   [
     Obs.Attr.int "scanned" st.scanned;
@@ -761,6 +782,7 @@ let exec_query ~budget ~profile db plan ~finish =
   let st = { (new_stats ()) with actuals = P.no_actuals plan } in
   let ctx = { db; st; budget; profile } in
   let batches = exec_batched ctx plan.P.root in
+  own_times plan st.actuals.ns;
   (finish plan.P.cols batches, ctx.st)
 
 let relation_of_batches cols batches =

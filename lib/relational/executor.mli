@@ -23,7 +23,9 @@ type stats = {
   mutable sorted : int;  (** rows passed through sorting *)
   mutable spill_passes : int;  (** external-sort merge passes *)
   mutable work : int;  (** total work units (weighted sum) *)
-  actuals : Physical.actuals;  (** this run's per-node figures *)
+  actuals : Physical.actuals;
+      (** this run's per-node figures: rows, work, spills, and each
+          node's own elapsed ns, clocked on every run *)
 }
 
 val new_stats : unit -> stats

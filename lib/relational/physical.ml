@@ -73,13 +73,24 @@ type plan = {
 }
 
 (* One run's figures, by node id; negative = unknown. *)
-type 'a figures = { rows : 'a array; cost : 'a array; spills : int array }
+type 'a figures = {
+  rows : 'a array;
+  cost : 'a array;
+  spills : int array;
+  ns : 'a array;
+}
+
 type estimates = float figures
 type actuals = int figures
 
 let figures p unknown spills =
   let n = p.nodes + 1 in
-  { rows = Array.make n unknown; cost = Array.make n unknown; spills = Array.make n spills }
+  {
+    rows = Array.make n unknown;
+    cost = Array.make n unknown;
+    spills = Array.make n spills;
+    ns = Array.make n unknown;
+  }
 
 let no_estimates p = figures p (-1.0) (-1)
 let no_actuals p = figures p (-1) 0
@@ -277,20 +288,18 @@ let op_name n =
   | Sort _ -> "sort"
   | Derived _ -> "derived"
 
+let inputs n =
+  match n.shape with
+  | Scan _ | Dual -> []
+  | Filter { input; _ } | Project { input; _ } | Sort { input; _ } | Derived { input; _ } ->
+      [ input ]
+  | Join { left; right; _ } -> [ left; right ]
+  | Union ns -> ns
+
 let iter f (p : plan) =
   let rec go n =
     f n;
-    match n.shape with
-    | Scan _ | Dual -> ()
-    | Filter { input; _ }
-    | Project { input; _ }
-    | Sort { input; _ }
-    | Derived { input; _ } ->
-        go input
-    | Join { left; right; _ } ->
-        go left;
-        go right
-    | Union ns -> List.iter go ns
+    List.iter go (inputs n)
   in
   go p.root
 
@@ -299,6 +308,7 @@ let logical_string p = Algebra.to_string p.logical
 let card_str (e : estimates) (a : actuals) { id; _ } =
   let est_rows = e.rows.(id) and act_rows = a.rows.(id) in
   let est_cost = e.cost.(id) and act_cost = a.cost.(id) in
+  let est_ns = e.ns.(id) and act_ns = a.ns.(id) in
   let est = if est_rows < 0.0 then "?" else Printf.sprintf "%.0f" est_rows in
   let act = if act_rows < 0 then "?" else string_of_int act_rows in
   let cost =
@@ -309,7 +319,15 @@ let card_str (e : estimates) (a : actuals) { id; _ } =
           (if e then "?" else Printf.sprintf "%.0f" est_cost)
           (if a then "?" else string_of_int act_cost)
   in
-  Printf.sprintf "  (rows est=%s act=%s%s)" est act cost
+  let ms =
+    match (est_ns < 0.0, act_ns < 0) with
+    | true, true -> ""
+    | e, a ->
+        Printf.sprintf " ms=%s/%s"
+          (if e then "?" else Printf.sprintf "%.3f" (est_ns /. 1e6))
+          (if a then "?" else Printf.sprintf "%.3f" (float_of_int act_ns /. 1e6))
+  in
+  Printf.sprintf "  (rows est=%s act=%s%s%s)" est act cost ms
 
 let to_string (p : plan) (e : estimates) (a : actuals) : string =
   let b = Buffer.create 512 in
@@ -399,6 +417,8 @@ let emit_obs_spans (p : plan) (e : estimates) (a : actuals) =
                  Obs.Attr.int "actual_rows" a.rows.(id);
                  Obs.Attr.float "est_cost" e.cost.(id);
                  Obs.Attr.int "actual_cost" a.cost.(id);
+                 Obs.Attr.float "est_ms" (e.ns.(id) /. 1e6);
+                 Obs.Attr.float "actual_ms" (float_of_int a.ns.(id) /. 1e6);
                ]
               @
               match n.shape with
@@ -427,6 +447,8 @@ let diagnose_samples ~stream (p : plan) (e : estimates) (a : actuals) :
           d_act_rows = a.rows.(n.id);
           d_est_cost = e.cost.(n.id);
           d_act_cost = a.cost.(n.id);
+          d_est_ms = (if e.ns.(n.id) < 0.0 then -1.0 else e.ns.(n.id) /. 1e6);
+          d_act_ms = (if a.ns.(n.id) < 0 then -1.0 else float_of_int a.ns.(n.id) /. 1e6);
           d_spills = a.spills.(n.id);
           d_leaf = (match n.shape with Scan _ | Dual -> true | _ -> false);
         }

@@ -110,6 +110,11 @@ type 'a figures = {
   cost : 'a array;
       (** the node's own work; unions and derived tables charge none *)
   spills : int array;  (** sorts' external merge passes *)
+  ns : 'a array;
+      (** the node's own time in ns: predicted by [Cost.annotate],
+          measured by the executor.  A projection over a join is built
+          inside the join's probe, so the join's time includes building
+          the projection's rows and the projection's own time is 0. *)
 }
 
 type estimates = float figures
@@ -121,6 +126,9 @@ val no_actuals : plan -> actuals
 
 val op_name : node -> string
 
+val inputs : node -> node list
+(** The operators a node reads, left to right. *)
+
 val iter : (node -> unit) -> plan -> unit
 (** Pre-order traversal. *)
 
@@ -129,7 +137,7 @@ val logical_string : plan -> string
 
 val to_string : plan -> estimates -> actuals -> string
 (** Indented physical tree with algorithm, estimated and actual
-    rows/cost per operator, and each hash join's indexes on the lines
+    rows/cost/ms per operator, and each hash join's indexes on the lines
     under it, for [--explain]. *)
 
 val emit_obs_spans : plan -> estimates -> actuals -> unit

@@ -8,22 +8,29 @@
        cost(q) = a * evaluation_cost(q) + b * data_size(q)
 
    and greedily collapses the cheapest edge while rel(e) stays under the
-   thresholds: below t1 the edge is mandatory, below t2 optional.  The
-   RDBMS (here the Cost module's counting oracle, built for a prepared
-   view by Middleware.gen_plan) answers the evaluation_cost / cardinality
-   requests; fragment costs are cached by member set, which is why the
-   request count stays far below the quadratic worst case (the paper
-   reports 22–25 requests instead of 81). *)
+   thresholds: below t1 the edge is mandatory, below t2 optional.  Here
+   both terms are predicted milliseconds (Cost.time_cost): the engine's
+   time for the query and the merge-tagger's for its rows, from the
+   time model fitted to measured per-operator times.  Work units stay
+   the executor's meter; they do not track time (sorting holds most of
+   them but a small share of the time).  The RDBMS (here the Cost
+   module's counting oracle, built for a prepared view by
+   Middleware.gen_plan) answers the requests; fragment costs are cached
+   by member set, which is why the request count stays far below the
+   quadratic worst case (the paper reports 22–25 requests instead of
+   81). *)
 
 module R = Relational
 
 type params = { a : float; b : float; t1 : float; t2 : float }
 
-(* Thresholds tuned once for this engine's cost scale, then used for
-   every query and configuration — the paper did the same (a=100, b=1,
-   t1=-60000, t2=6000 for its commercial RDBMS) and notes the values
-   depend on the database environment, not on the query. *)
-let default_params = { a = 1.0; b = 1.0; t1 = -5000.0; t2 = 200000.0 }
+(* Thresholds in predicted milliseconds, set once for this engine and
+   used for every query and configuration — the paper did the same
+   (a=100, b=1, t1=-60000, t2=6000 for its commercial RDBMS) and notes
+   the values depend on the database environment, not on the query.
+   t2 = 0 merges an edge only when the predicted time falls; an edge
+   that saves more than 1 ms is mandatory. *)
+let default_params = { a = 1.0; b = 1.0; t1 = -1.0; t2 = 0.0 }
 
 type result = {
   mandatory : (int * int) list;
@@ -87,7 +94,7 @@ let gen_plan ?(reduce = false) (db : R.Database.t) oracle (tree : View_tree.t)
         let frag = fragment_of tree key in
         let stream = Sql_gen.stream_of_fragment db tree opts frag in
         let est = R.Cost.ask oracle stream.Sql_gen.query in
-        let c = R.Cost.cost ~a:params.a ~b:params.b est in
+        let c = R.Cost.time_cost ~a:params.a ~b:params.b est in
         Hashtbl.replace cache key c;
         if Obs.Span.tracing () then
           Obs.Event.debug "planner.cache"

@@ -3,14 +3,16 @@
     [gen_plan] greedily collapses the view-tree edge with the lowest
     relative cost [cost(q_c) − (cost(q_1) + cost(q_2))], where
     [cost(q) = a·evaluation_cost(q) + b·data_size(q)] is answered by the
-    RDBMS cost oracle.  Edges below [t1] are mandatory, below [t2]
+    RDBMS cost oracle in predicted milliseconds
+    ({!Relational.Cost.time_cost}).  Edges below [t1] are mandatory, below [t2]
     optional; the algorithm stops when no remaining edge qualifies. *)
 
 type params = { a : float; b : float; t1 : float; t2 : float }
 
 val default_params : params
-(** Thresholds tuned for this engine's cost scale (the paper used
-    a=100, b=1, t1=-60000, t2=6000 against its commercial RDBMS). *)
+(** Thresholds in predicted milliseconds: t2 = 0 merges only when the
+    predicted time falls (the paper used a=100, b=1, t1=-60000, t2=6000
+    against its commercial RDBMS). *)
 
 type result = {
   mandatory : (int * int) list;

@@ -251,6 +251,8 @@ let sample ?(node = 0) ?(op = "scan") ?(leaf = false) ?(est_rows = -1.0)
     d_act_rows = act_rows;
     d_est_cost = est_cost;
     d_act_cost = act_cost;
+    d_est_ms = -1.0;
+    d_act_ms = -1.0;
     d_spills = spills;
     d_leaf = leaf;
   }

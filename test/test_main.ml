@@ -23,6 +23,7 @@ let () =
       ("stats+cost", Test_stats_cost.suite);
       qcheck "stats+cost:props" Test_stats_cost.props;
       ("calibration", Test_calibration.suite);
+      ("time-model", Test_time_model.suite);
       ("source+csv", Test_source_csv.suite);
       ("tpch", Test_tpch.suite);
       ("xml", Test_xml.suite);

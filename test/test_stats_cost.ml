@@ -130,7 +130,7 @@ let test_order_by_costs_more () =
     (sorted.Cost.eval_cost > base.Cost.eval_cost)
 
 let test_cost_combination () =
-  let e = { Cost.cardinality = 10.0; eval_cost = 100.0; width = 8.0 } in
+  let e = { Cost.cardinality = 10.0; eval_cost = 100.0; width = 8.0; ms = 0.0 } in
   Alcotest.(check (float 0.001)) "data size" 80.0 (Cost.data_size e);
   Alcotest.(check (float 0.001)) "linear combination" (2.0 *. 100.0 +. 3.0 *. 80.0)
     (Cost.cost ~a:2.0 ~b:3.0 e)

@@ -18,7 +18,13 @@
      ratios lie in [0,1], quantiles are ordered; every slow record is
      at or above the threshold, has a trace id, and one non-negative
      "stages" entry per stage whose pipeline stages sum to at most its
-     "ms". *)
+     "ms".
+   check_obs lattice FILE — bench --experiment lattice-wallclock's
+     BENCH_lattice_wallclock.jsonl: a stamp first (machine, nproc,
+     OCaml version); one lattice record per (view, scale, mask,
+     reduce), each (view, scale, reduce) covering masks 0 .. 2^k - 1;
+     non-negative times, counters and per-node rows and ns; regret
+     records with non-negative times and a regret of at least 1. *)
 
 (* --- shared helpers ------------------------------------------------------ *)
 
@@ -154,6 +160,97 @@ let jsonl path =
       | _ -> fail "%s: not a JSON object" where)
     lines;
   Printf.printf "check_obs: %d valid line(s) in %s\n" (List.length lines) path
+
+(* --- lattice ------------------------------------------------------------- *)
+
+let nonneg_num where key j =
+  let x = need where ("number " ^ key) (num key j) in
+  if not (x >= 0.0) then fail "%s: %S is negative (%g)" where key x;
+  x
+
+let lattice path =
+  let lines = read_lines path in
+  let records = List.mapi (fun i l -> (Printf.sprintf "%s:%d" path (i + 1), l)) lines in
+  (match records with
+  | (where, first) :: _ ->
+      let j = parse where first in
+      if str "type" j <> Some "stamp" then fail "%s: the first record is not the stamp" where;
+      ignore (need where "string machine" (str "machine" j));
+      ignore (need where "string ocaml" (str "ocaml" j));
+      if nonneg_int where "nproc" j < 1 then fail "%s: nproc < 1" where
+  | [] -> fail "%s: no JSONL lines" path);
+  let points : (string * float * bool, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
+  let regrets = ref 0 in
+  List.iter
+    (fun (where, line) ->
+      let j = parse where line in
+      match str "type" j with
+      | Some "stamp" -> ()
+      | Some "lattice" ->
+          let view = need where "string view" (str "view" j) in
+          let scale = nonneg_num where "scale" j in
+          let reduce =
+            match Obs.Json.member "reduce" j with
+            | Some (Obs.Json.Bool b) -> b
+            | _ -> fail "%s: missing bool reduce" where
+          in
+          let mask = nonneg_int where "mask" j in
+          let masks =
+            match Hashtbl.find_opt points (view, scale, reduce) with
+            | Some m -> m
+            | None ->
+                let m = Hashtbl.create 512 in
+                Hashtbl.add points (view, scale, reduce) m;
+                m
+          in
+          if Hashtbl.mem masks mask then
+            fail "%s: a second record for %s scale %g mask %d reduce %b" where view scale
+              mask reduce;
+          Hashtbl.add masks mask ();
+          List.iter
+            (fun k -> ignore (nonneg_num where k j))
+            [ "ms"; "tag_ms"; "est_ms"; "est_work" ];
+          List.iter
+            (fun k -> ignore (nonneg_int where k j))
+            [ "streams"; "work"; "tuples"; "bytes" ];
+          (match Obs.Json.member "nodes" j with
+          | Some (Obs.Json.List streams) ->
+              List.iter
+                (fun st ->
+                  ignore (nonneg_num where "wall_ms" st);
+                  List.iter
+                    (fun k ->
+                      match Obs.Json.member k st with
+                      | Some (Obs.Json.List xs) ->
+                          List.iter
+                            (function
+                              | Obs.Json.Int n when n >= 0 -> ()
+                              | _ -> fail "%s: a negative or non-integer %s entry" where k)
+                            xs
+                      | _ -> fail "%s: missing %s list" where k)
+                    [ "rows"; "ns" ])
+                streams
+          | _ -> fail "%s: missing nodes list" where)
+      | Some "regret" ->
+          incr regrets;
+          List.iter (fun k -> ignore (nonneg_num where k j)) [ "greedy_ms"; "best_ms" ];
+          if nonneg_num where "regret" j < 1.0 then fail "%s: regret below 1" where
+      | _ -> fail "%s: missing or bad \"type\" field" where)
+    records;
+  if Hashtbl.length points = 0 then fail "%s: no lattice records" path;
+  Hashtbl.iter
+    (fun (view, scale, reduce) masks ->
+      let n = Hashtbl.length masks in
+      if n land (n - 1) <> 0 then
+        fail "%s: %s scale %g reduce %b has %d masks, not a power of two" path view scale
+          reduce n;
+      for m = 0 to n - 1 do
+        if not (Hashtbl.mem masks m) then
+          fail "%s: %s scale %g reduce %b lacks mask %d" path view scale reduce m
+      done)
+    points;
+  Printf.printf "check_obs: lattice OK: %d lattice(s), %d regret record(s) in %s\n"
+    (Hashtbl.length points) !regrets path
 
 (* --- chrome -------------------------------------------------------------- *)
 
@@ -298,6 +395,7 @@ let telemetry scrape1 scrape2 slowlog threshold_ms =
 let () =
   match Array.to_list Sys.argv with
   | [ _; "jsonl"; path ] -> jsonl path
+  | [ _; "lattice"; path ] -> lattice path
   | _ :: "chrome" :: path :: extra -> chrome path extra
   | [ _; "telemetry"; s1; s2; slowlog; threshold ] ->
       telemetry s1 s2 slowlog
@@ -305,6 +403,7 @@ let () =
   | _ ->
       prerr_endline
         "usage: check_obs jsonl FILE.jsonl\n\
+        \       check_obs lattice FILE.jsonl\n\
         \       check_obs chrome FILE.json [NAME...]\n\
         \       check_obs telemetry SCRAPE1 SCRAPE2 SLOWLOG THRESHOLD_MS";
       exit 2

@@ -28,6 +28,9 @@ sh tools/diagnose_smoke.sh
 echo "== bench baseline gate (work within ±5% of committed BENCH_silkroute.json)"
 dune exec bench/main.exe -- --check-baseline
 
+echo "== committed lattice wall-clock report (stamp, one record per lattice point, non-negative figures)"
+dune exec tools/check_obs.exe -- lattice BENCH_lattice_wallclock.jsonl
+
 echo "== wall-clock benchmark self-tests (replay harness builds, counts repeat)"
 python3 perfbench/test_perfbench.py
 
