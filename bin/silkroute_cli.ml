@@ -161,10 +161,6 @@ let explain_flag_arg =
   in
   Arg.(value & flag & info [ "explain" ] ~doc)
 
-let verbose_arg =
-  let doc = "Log middleware activity (plans, streams) to stderr." in
-  Arg.(value & flag & info [ "verbose"; "v" ] ~doc)
-
 let trace_arg =
   let doc =
     "Trace the pipeline and print the span tree (per-stage durations, work \
@@ -223,10 +219,6 @@ let profile_arg =
      the span.ms.* histograms."
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
-
-let setup_logs verbose =
-  Logs.set_reporter (Logs_fmt.reporter ~dst:Format.err_formatter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
 (* Enable observability before any pipeline stage runs; emit the chosen
    sinks after everything finished. *)
@@ -310,8 +302,7 @@ let plan_line plan =
 
 let run_cmd query view_file scale seed schema data strategy no_reduce pretty
     stream budget resilient fault_rate fault_seed retries parallel explain
-    verbose trace trace_json metrics profile trace_chrome diagnose skew =
-  setup_logs verbose;
+    trace trace_json metrics profile trace_chrome diagnose skew =
   setup_obs ~trace_chrome ~diagnose ~trace ~trace_json ~metrics ~profile ();
   if stream && pretty then
     invalid_arg "--pretty needs the rows in memory; drop --stream";
@@ -393,8 +384,7 @@ let plan_cmd query view_file scale seed schema data no_reduce trace trace_json
 (* Run the view materialized with tracing forced on, print only the
    diagnostics report (to stdout — the report is the product here). *)
 let diagnose_cmd query view_file scale seed schema data strategy no_reduce
-    budget verbose skew =
-  setup_logs verbose;
+    budget skew =
   Obs.Control.set_enabled true;
   let p = setup query view_file scale seed schema data in
   apply_skew p skew;
@@ -510,8 +500,7 @@ let slo_error_budget_arg =
 
 let serve_cmd scale seed schema data socket parallel statement_cache plan_cache
     result_cache admission_budget max_queue telemetry trace_sample slow_ms
-    slow_log slo_target_ms slo_error_budget verbose trace metrics =
-  setup_logs verbose;
+    slow_log slo_target_ms slo_error_budget trace metrics =
   setup_obs ~trace ~trace_json:None ~metrics ~profile:false ();
   if telemetry then Obs.Control.set_enabled true;
   let socket =
@@ -607,9 +596,7 @@ let shutdown_arg =
 
 let workload_cmd scale seed schema data socket parallel statement_cache
     plan_cache result_cache admission_budget max_queue clients requests
-    workload_seed invalidate_every threads no_verify server_stats shutdown
-    verbose =
-  setup_logs verbose;
+    workload_seed invalidate_every threads no_verify server_stats shutdown =
   let verify = not no_verify in
   let db = setup_db scale seed schema data in
   let views = Server.Workload.standard_views ~verify db in
@@ -760,7 +747,7 @@ let run_t =
     $ data_arg $ strategy_arg $ no_reduce_arg $ pretty_arg $ stream_arg
     $ budget_arg $ resilient_arg $ fault_rate_arg $ fault_seed_arg
     $ retries_arg $ parallel_arg
-    $ explain_flag_arg $ verbose_arg $ trace_arg
+    $ explain_flag_arg $ trace_arg
     $ trace_json_arg
     $ metrics_arg $ profile_arg $ trace_chrome_arg $ diagnose_arg
     $ skew_stats_arg)
@@ -780,7 +767,7 @@ let diagnose_t =
   Term.(
     const diagnose_cmd $ query_arg $ view_arg $ scale_arg $ seed_arg
     $ schema_arg $ data_arg $ strategy_arg $ no_reduce_arg $ budget_arg
-    $ verbose_arg $ skew_stats_arg)
+    $ skew_stats_arg)
 
 let serve_t =
   Term.(
@@ -790,7 +777,7 @@ let serve_t =
     $ admission_budget_arg $ max_queue_arg
     $ telemetry_arg $ trace_sample_arg $ slow_ms_arg $ slow_log_arg
     $ slo_target_arg $ slo_error_budget_arg
-    $ verbose_arg $ trace_arg $ metrics_arg)
+    $ trace_arg $ metrics_arg)
 
 let monitor_once_arg =
   let doc = "Print one frame (plus the health line) and exit." in
@@ -818,7 +805,7 @@ let workload_t =
     $ admission_budget_arg $ max_queue_arg
     $ clients_arg $ requests_arg
     $ workload_seed_arg $ invalidate_every_arg $ threads_arg $ no_verify_arg
-    $ server_stats_arg $ shutdown_arg $ verbose_arg)
+    $ server_stats_arg $ shutdown_arg)
 
 let cmds =
   [

@@ -37,6 +37,9 @@ let freshen_wilds (r : Rule.t) : Rule.t =
   in
   { r with atoms }
 
+(* Variable-level FDs implied by the body: each atom's key variables
+   determine the atom's variables; equality filters add both
+   directions; var = constant is determined by the empty set. *)
 let fds_of_body ~schema_of (r : Rule.t) : fd list =
   let r = freshen_wilds r in
   let of_atom (a : Rule.atom) =

@@ -12,12 +12,6 @@ type fd = { lhs : SS.t; rhs : SS.t }
 
 val fd : string list -> string list -> fd
 
-val fds_of_body :
-  schema_of:(string -> Relational.Schema.table) -> Rule.t -> fd list
-(** Variable-level FDs implied by the body: each atom's key variables
-    determine the atom's variables; equality filters add both directions;
-    var = constant makes the variable determined by the empty set. *)
-
 val closure : fd list -> string list -> SS.t
 (** Attribute closure of the given variable set. *)
 

@@ -29,7 +29,6 @@ val make :
   atom list ->
   t
 
-val term_vars : term -> string list
 val atom_vars : atom -> string list
 val body_vars : t -> string list
 
@@ -42,5 +41,4 @@ val conjoin_bodies : t -> t -> t
 (** Unions atoms and filters of two bodies (view-tree reduction keeps the
     first rule's head). *)
 
-val term_to_string : term -> string
 val to_string : t -> string

@@ -9,9 +9,5 @@ val bool : string -> bool -> string * value
 val string : string -> string -> string * value
 val value_to_string : value -> string
 
-val value_to_json : value -> Json.t
-(** The single attr-to-JSON encoding shared by every JSON sink
-    ({!Jsonl}, {!Chrometrace}); ints stay ints, floats stay floats. *)
-
 val to_json : t -> Json.t
 (** An attribute list as a JSON object, in the given order. *)

@@ -27,8 +27,6 @@ type sample = {
 
 type metric = Rows | Cost
 
-val metric_name : metric -> string
-
 type finding = {
   f_stream : string;
   f_node : int;
@@ -43,9 +41,6 @@ type finding = {
 val qerror : est:float -> act:float -> float
 (** [max(est/act, act/est)] with both sides clamped to >= 1; 1.00 is a
     perfect estimate. *)
-
-val default_threshold : float
-(** 4.0 — past selectivity-model noise, squarely wrong-plan territory. *)
 
 val findings : ?threshold:float -> sample list -> finding list
 (** Per-node q-errors at or above [threshold], worst first.  Samples

@@ -30,13 +30,6 @@ let level_name = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type t = {
   seq : int; (* monotonic emission index, survives eviction *)
   ts_ns : int64;
@@ -133,7 +126,6 @@ let render (d : dump) =
 let default_sink d = prerr_string (render d)
 let sink = ref default_sink
 let set_dump_sink f = sink := f
-let use_default_sink () = sink := default_sink
 
 (* Atomic, not a plain ref: dumps fire from whichever domain hits the
    catastrophic condition, and two domains dumping concurrently would

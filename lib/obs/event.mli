@@ -10,13 +10,8 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_rank : level -> int
-(** [Debug]=0 … [Error]=3. *)
-
 val level_name : level -> string
 (** ["debug"] | ["info"] | ["warn"] | ["error"] — the JSONL encoding. *)
-
-val level_of_string : string -> level option
 
 type t = {
   seq : int;  (** monotonic emission index; survives ring eviction *)
@@ -69,7 +64,6 @@ val dump : reason:string -> unit
 val set_dump_sink : (dump -> unit) -> unit
 (** Replaces the dump sink (default: {!render} to stderr). *)
 
-val use_default_sink : unit -> unit
 val dump_count : unit -> int
 
 val reset : unit -> unit

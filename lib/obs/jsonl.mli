@@ -5,22 +5,6 @@
     rebased to the trace's first span, so two runs of the same pipeline
     produce diffable files.  See docs/OBSERVABILITY.md for the schema. *)
 
-val span_json : ?experiment:string -> ?base_ns:int64 -> Span.t -> Json.t
-(** [base_ns] (default [0L]) is subtracted from the span's start — pass
-    the trace's first start to get rebased, diff-stable offsets. *)
-
-val event_json : ?experiment:string -> ?base_ns:int64 -> Event.t -> Json.t
-(** One flight-recorder event; [ts_ns] is rebased like span starts and
-    clamped at zero. *)
-
-val metric_json : ?experiment:string -> string * Metrics.snapshot -> Json.t
-(** Histogram payloads include estimated [p50]/[p90]/[p99] fields when
-    the histogram is non-empty. *)
-
-val profile_json :
-  ?experiment:string -> path:string list -> Profile.node -> Json.t
-(** One aggregated profile node; [path] is joined with ["/"]. *)
-
 val to_lines : ?experiment:string -> unit -> string list
 (** Every recorded span (rebased), the flight recorder's live events,
     the aggregated profile tree, and every metric, as encoded JSON

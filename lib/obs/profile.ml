@@ -206,11 +206,6 @@ let render_tree_to buf t =
   in
   List.iter (go 0) t.roots
 
-let render_tree t =
-  let buf = Buffer.create 1024 in
-  render_tree_to buf t;
-  Buffer.contents buf
-
 let pct_cell buf name =
   match Metrics.histogram_snapshot ("span.ms." ^ name) with
   | Some h -> (

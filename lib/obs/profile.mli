@@ -46,13 +46,10 @@ val hot : ?top:int -> t -> node list
     descending, truncated to [top] (default 10).  Returned nodes are
     fresh aggregates with no children. *)
 
-val render_tree : t -> string
-(** Flame-style table: one row per name-path with calls, total/self ms,
-    attribute sums and a share bar. *)
-
 val render_hot : ?top:int -> t -> string
 (** Top-k table with p50/p90/p99 columns read from the
     ["span.ms.<name>"] histograms of the current metrics registry. *)
 
 val render : ?top:int -> t -> string
-(** {!render_tree} followed by {!render_hot}. *)
+(** Flame-style table — one row per name-path with calls, total/self
+    ms, attribute sums and a share bar — followed by {!render_hot}. *)

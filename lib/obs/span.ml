@@ -26,7 +26,7 @@ type t = {
   id : int;
   parent : int option;
   depth : int;
-  mutable name : string;
+  name : string;
   start_ns : int64;
   mutable end_ns : int64;
   mutable attr_rev : Attr.t; (* reverse insertion order *)
@@ -218,10 +218,6 @@ let add_list kvs =
     match top () with
     | Some s -> List.iter (fun kv -> s.attr_rev <- kv :: s.attr_rev) kvs
     | None -> ()
-
-let set_name name =
-  if Control.is_enabled () then
-    match top () with Some s -> s.name <- name | None -> ()
 
 let finish l s =
   s.end_ns <- Clock.now_ns ();

@@ -18,7 +18,7 @@ type t = {
   id : int;
   parent : int option;
   depth : int;
-  mutable name : string;
+  name : string;
   start_ns : int64;
   mutable end_ns : int64;
   mutable attr_rev : Attr.t;
@@ -84,10 +84,6 @@ val add : string -> Attr.value -> unit
     when no span is open). *)
 
 val add_list : Attr.t -> unit
-
-val set_name : string -> unit
-(** Renames the innermost open span — used when the operator kind is
-    only known mid-span (hash join vs. nested loop). *)
 
 val spans : unit -> t list
 (** Completed and open spans in start (pre-) order. *)

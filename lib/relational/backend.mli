@@ -68,15 +68,10 @@ val default_retry : retry_policy
     re-opens it). *)
 type breaker_config = { failure_threshold : int; cooldown_ms : float }
 
-val default_breaker : breaker_config
-(** 8 consecutive failures, 1s cooldown. *)
-
 (** The clock backoff sleeps on.  The default is virtual: [sleep_ms]
     just advances [now_ms], so deterministic experiments pay no real
     time.  Callers may inject a real clock. *)
 type clock = { now_ms : unit -> float; sleep_ms : float -> unit }
-
-val virtual_clock : unit -> clock
 
 (** How an attempt failed.  [Transient] failures (injected submit
     failures and mid-stream connection drops) are retryable; [Fatal]

@@ -93,6 +93,7 @@ let time_model =
     tag_byte = 1.3;
   }
 
+(* A node's predicted own time. *)
 let node_ns (m : time_model) c =
   (m.scan_row *. c.scanned) +. (m.build_row *. c.built) +. (m.probe *. c.probed)
   +. (m.test *. c.tested) +. (m.emit_row *. c.emitted)
@@ -301,9 +302,11 @@ let probe_estimate stats (l : ninfo) (r : ninfo) (info : P.join_info) =
             acc (parts_of r))
         (0.0, 0.0) info.indexes
 
-(* Walk the plan bottom-up, mirroring the executor's charges operator
-   for operator (weights w_scan=1, w_probe=1, w_emit=2, w_sort=4, byte
-   charges divided by [byte_div]), and pricing each node's counts in
+(* Walk the plan bottom-up.  Each operator states its own counts (and a
+   sort its modeled spill bytes); [did], called in post-order, turns
+   them into the node's work, charged at the executor's weights exactly
+   as the meter charges those counts (byte charges divided by
+   [byte_div], a sort per row times its comparison depth), and into its
    predicted time.  With [into], every node's estimated rows, cost and
    time (and sorts' spills) go to its slots there; with [counts], its
    counts.  A projection over a join is built inside the join's probe,
@@ -313,13 +316,19 @@ let price ~(profile : Executor.profile) ?counts stats (p : P.plan) into :
     estimate =
   let bdiv = float_of_int profile.byte_div in
   let buffer = float_of_int profile.sort_buffer in
+  let w k = float_of_int (Executor.weight k) in
   let total = ref 0.0 and total_ns = ref 0.0 in
-  let set_cost (n : P.node) c =
-    match into with Some (e : P.estimates) -> e.cost.(n.P.id) <- c | None -> ()
-  in
-  let did ?onto (n : P.node) c =
+  let did ?onto ?(spill_bytes = 0.0) (n : P.node) c =
+    let work =
+      (w `Scan *. c.scanned) +. (w `Probe *. c.probed) +. (w `Emit *. c.emitted)
+      +. (c.bytes /. bdiv)
+      +. (w `Sort *. c.sorted *. Float.max 1.0 (log2 c.sorted))
+      +. (spill_bytes /. bdiv)
+    in
     let ns = node_ns time_model c in
+    total := !total +. work;
     total_ns := !total_ns +. ns;
+    Option.iter (fun (e : P.estimates) -> e.cost.(n.P.id) <- work) into;
     match onto with
     | None ->
         Option.iter (fun (e : P.estimates) -> e.ns.(n.P.id) <- ns) into;
@@ -338,10 +347,6 @@ let price ~(profile : Executor.profile) ?counts stats (p : P.plan) into :
       | P.Scan { table; cols = positions; _ } ->
           let tid = Stats.id stats table in
           let card = float_of_int (Stats.rows stats tid) in
-          let c0 = !total in
-          total := !total +. card;
-          (* w_scan = 1 per row *)
-          set_cost n (!total -. c0);
           did n { no_counts with scanned = card };
           let cols =
             Array.map
@@ -362,26 +367,20 @@ let price ~(profile : Executor.profile) ?counts stats (p : P.plan) into :
           in
           { card; cols; bytes = 0.0; parts = [] }
       | P.Dual ->
-          set_cost n 0.0;
           did n no_counts;
           { card = 1.0; cols = [||]; bytes = 0.0; parts = [] }
       | P.Filter { input; pred; charged; _ } ->
           let i = go input in
-          let c0 = !total in
           let sel = selectivity i.cols pred in
           let card = Float.max 1.0 (i.card *. sel) in
-          (* survivors are re-emitted (w_emit = 2) unless the predicate
-             was relocated from an ON condition the interpreter
-             evaluated for free *)
-          if charged then total := !total +. (2.0 *. card);
-          set_cost n (!total -. c0);
+          (* survivors are re-emitted unless the predicate was relocated
+             from an ON condition the interpreter evaluated for free *)
           did n
             { no_counts with tested = i.card;
               emitted = (if charged then card else 0.0) };
           { card; cols = i.cols; bytes = i.bytes *. sel; parts = [] }
       | P.Project { input; items; charged; _ } ->
           let i = go input in
-          let c0 = !total in
           let card = i.card in
           let charged_width = ref 0.0 in
           Array.iteri
@@ -389,10 +388,8 @@ let price ~(profile : Executor.profile) ?counts stats (p : P.plan) into :
               if charged.(k) then
                 charged_width := !charged_width +. ewidth i.cols e)
             items;
-          (* charge_emit_bytes: w_emit plus masked bytes per row *)
-          total := !total +. (card *. (2.0 +. (!charged_width /. bdiv)));
-          set_cost n (!total -. c0);
           let onto = match input.P.shape with P.Join _ -> Some input | _ -> None in
+          (* each row emitted with its masked bytes *)
           did ?onto n { no_counts with emitted = card; bytes = card *. !charged_width };
           let cols =
             Array.map
@@ -412,7 +409,6 @@ let price ~(profile : Executor.profile) ?counts stats (p : P.plan) into :
       | P.Join { left; right; info = ji } ->
           let l = go left in
           let r = go right in
-          let c0 = !total in
           let cols = Array.append l.cols r.cols in
           let sel = on_selectivity stats l r ji in
           let inner = Float.max 1.0 (l.card *. r.card *. sel) in
@@ -422,11 +418,9 @@ let price ~(profile : Executor.profile) ?counts stats (p : P.plan) into :
             | Sql.Left_outer -> Float.max inner l.card
           in
           let width = Array.fold_left (fun w c -> w +. c.cwidth) 0.0 cols in
-          (* probes (w_probe = 1) plus full-width emission of each
-             joined row, exactly like charge_emit_row *)
+          (* probes, plus full-width emission of each joined row, like
+             charge_emit_row *)
           let probed, tested = probe_estimate stats l r ji in
-          total := !total +. probed +. (card *. (2.0 +. (width /. bdiv)));
-          set_cost n (!total -. c0);
           did n
             {
               no_counts with
@@ -440,7 +434,6 @@ let price ~(profile : Executor.profile) ?counts stats (p : P.plan) into :
           { card; cols; bytes = 0.0; parts = [] }
       | P.Union ns -> (
           let infos = List.map go ns in
-          set_cost n 0.0;
           did n no_counts;
           match infos with
           | [] -> { card = 0.0; cols = [||]; bytes = 0.0; parts = [] }
@@ -485,24 +478,19 @@ let price ~(profile : Executor.profile) ?counts stats (p : P.plan) into :
               { merged with parts = infos })
       | P.Derived { input; _ } ->
           let i = go input in
-          set_cost n 0.0;
           did n no_counts;
           i
       | P.Sort { input; _ } ->
           let i = go input in
-          let c0 = !total in
-          (* w_sort = 4 per row x comparison depth *)
-          total := !total +. (4.0 *. i.card *. Float.max 1.0 (log2 i.card));
           let spills =
             if i.bytes > buffer then
               int_of_float (Float.max 1.0 (log2 (i.bytes /. buffer)))
             else 0
           in
-          if spills > 0 then
-            total := !total +. (float_of_int spills *. i.bytes /. bdiv);
           Option.iter (fun (e : P.estimates) -> e.spills.(n.P.id) <- spills) into;
-          set_cost n (!total -. c0);
-          did n { no_counts with sorted = i.card };
+          (* each spill pass rereads and rewrites the input's bytes *)
+          did n { no_counts with sorted = i.card }
+            ~spill_bytes:(float_of_int spills *. i.bytes);
           i
     in
     (match into with

@@ -26,8 +26,8 @@ type estimate = {
   eval_cost : float;  (** abstract work units, comparable to {!Executor.stats} work *)
   width : float;  (** average output tuple wire bytes *)
   ms : float;
-      (** predicted executor time: the nodes' {!node_ns} and the
-          per-stream constant *)
+      (** predicted executor time: the nodes' predicted own times and
+          the per-stream constant *)
 }
 
 val data_size : estimate -> float
@@ -72,9 +72,6 @@ val time_model : time_model
 (** The committed weights, fitted by least squares to measured
     per-operator and tagger times ([bench --experiment
     lattice-wallclock] prints the fit). *)
-
-val node_ns : time_model -> counts -> float
-(** A node's predicted own time. *)
 
 val tag_ms : estimate -> float
 (** The merge-tagger's predicted time for the estimate's rows. *)

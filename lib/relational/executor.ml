@@ -50,27 +50,17 @@ type profile = {
 let default_profile = { sort_buffer = 64 * 1024; byte_div = 16 }
 
 (* Work-unit weights; stable, not physically meaningful. *)
-let w_scan = 1
-let w_probe = 1
-let w_emit = 2
-let w_sort = 4
+let weight = function `Scan | `Probe -> 1 | `Emit -> 2 | `Sort -> 4
 
 type ctx = { db : Database.t; st : stats; budget : int; profile : profile }
 
 let charge ctx field n =
   (match field with
-  | `Scan ->
-      ctx.st.scanned <- ctx.st.scanned + n;
-      ctx.st.work <- ctx.st.work + (n * w_scan)
-  | `Probe ->
-      ctx.st.probed <- ctx.st.probed + n;
-      ctx.st.work <- ctx.st.work + (n * w_probe)
-  | `Emit ->
-      ctx.st.emitted <- ctx.st.emitted + n;
-      ctx.st.work <- ctx.st.work + (n * w_emit)
-  | `Sort ->
-      ctx.st.sorted <- ctx.st.sorted + n;
-      ctx.st.work <- ctx.st.work + (n * w_sort));
+  | `Scan -> ctx.st.scanned <- ctx.st.scanned + n
+  | `Probe -> ctx.st.probed <- ctx.st.probed + n
+  | `Emit -> ctx.st.emitted <- ctx.st.emitted + n
+  | `Sort -> ctx.st.sorted <- ctx.st.sorted + n);
+  ctx.st.work <- ctx.st.work + (n * weight field);
   if ctx.budget > 0 && ctx.st.work > ctx.budget then raise Timeout
 
 (* Width-sensitive emission: a produced row also pays for its bytes. *)
@@ -115,6 +105,24 @@ module P = Physical
 
 let set_rows ctx (n : P.node) rows = ctx.st.actuals.rows.(n.id) <- rows
 let set_cost ctx (n : P.node) cost = ctx.st.actuals.cost.(n.id) <- cost
+
+(* Run [f], which records node [n]'s actuals, in the node's live span
+   ["exec." ^ op_name]; the span carries the node's id and those
+   actuals: its rows and work, and a sort's spill passes. *)
+let node_span ctx (n : P.node) f =
+  if not (Obs.Span.tracing ()) then f ()
+  else
+    Obs.Span.with_span ("exec." ^ P.op_name n) (fun () ->
+        let r = f () in
+        let a = ctx.st.actuals and id = n.P.id in
+        Obs.Span.add_list
+          (Obs.Attr.int "id" id :: Obs.Attr.int "rows" a.rows.(id)
+           :: Obs.Attr.int "work" a.cost.(id)
+           ::
+           (match n.P.shape with
+           | P.Sort _ -> [ Obs.Attr.int "spill_passes" a.spills.(id) ]
+           | _ -> []));
+        r)
 
 (* --- the join probe ---------------------------------------------------- *)
 
@@ -405,25 +413,21 @@ let probe_row ctx p emit (lrow : Tuple.t) =
 (* Run a join node: index [right], probe every left row [iter_left]
    yields, and pass each output row to [consume] as (left row, right
    row).  What [consume] charges is its own, not the join's: the node's
-   rows and cost and its span count the join alone.  Returns the work
-   [consume] charged. *)
+   rows and cost count the join alone.  Returns the work [consume]
+   charged. *)
 let run_join ctx (n : P.node) (info : P.join_info) ~nleft ~iter_left right consume =
-  let work0 = ctx.st.work in
-  let probed0 = ctx.st.probed and emitted0 = ctx.st.emitted in
+  let work0 = ctx.st.work and probed0 = ctx.st.probed in
   let p = probe_create info right in
-  let out_rows = ref 0 and out_work = ref 0 and out_emitted = ref 0 in
+  let out_rows = ref 0 and out_work = ref 0 in
   iter_left
     (probe_row ctx p (fun l r ->
          incr out_rows;
-         let w = ctx.st.work and e = ctx.st.emitted in
+         let w = ctx.st.work in
          consume l r;
-         out_work := !out_work + ctx.st.work - w;
-         out_emitted := !out_emitted + ctx.st.emitted - e));
-  let cost = ctx.st.work - work0 - !out_work in
+         out_work := !out_work + ctx.st.work - w));
   set_rows ctx n !out_rows;
-  set_cost ctx n cost;
+  set_cost ctx n (ctx.st.work - work0 - !out_work);
   if Obs.Span.tracing () then begin
-    Obs.Span.set_name (if p.full then "exec.nested-loop" else "exec.hash-join");
     Obs.Span.add_list
       [
         Obs.Attr.string "kind"
@@ -432,11 +436,8 @@ let run_join ctx (n : P.node) (info : P.join_info) ~nleft ~iter_left right consu
           | Sql.Left_outer -> "left-outer");
         Obs.Attr.int "left_rows" nleft;
         Obs.Attr.int "right_rows" (Array.length right);
-        Obs.Attr.int "out_rows" !out_rows;
         Obs.Attr.int "probed" (ctx.st.probed - probed0);
         Obs.Attr.int "tested" p.tested;
-        Obs.Attr.int "emitted" (ctx.st.emitted - emitted0 - !out_emitted);
-        Obs.Attr.int "work" cost;
       ];
     Obs.Metrics.incr ~by:(ctx.st.probed - probed0) "exec.rows_probed";
     Obs.Metrics.observe "exec.join.out_rows" (float_of_int !out_rows)
@@ -449,10 +450,10 @@ let scan_table ctx (n : P.node) table =
   let data = Database.raw_data ctx.db table in
   let w0 = ctx.st.work in
   charge ctx `Scan (Array.length data);
+  set_rows ctx n (Array.length data);
   set_cost ctx n (ctx.st.work - w0);
   if Obs.Span.tracing () then begin
-    Obs.Span.add_list
-      [ Obs.Attr.string "table" table; Obs.Attr.int "rows" (Array.length data) ];
+    Obs.Span.add "table" (Obs.Attr.String table);
     Obs.Metrics.incr ~by:(Array.length data) "exec.rows_scanned"
   end;
   data
@@ -544,24 +545,18 @@ let sort_pairs keys (a : (int * Tuple.t) array) =
 (* Sort (bytes, row) pairs on [keys] — charging it as one sort of
    their summed charged bytes — and return them in sorted order. *)
 let exec_sort ctx (n : P.node) keys (pairs : (int * Tuple.t) array) =
-  Obs.Span.with_span "exec.sort" (fun () ->
+  node_span ctx n (fun () ->
       let rows = Array.length pairs in
       let bytes = Array.fold_left (fun acc (b, _) -> acc + b) 0 pairs in
       let spill0 = ctx.st.spill_passes and work0 = ctx.st.work in
       charge_sort ctx rows bytes;
-      ctx.st.actuals.spills.(n.id) <- ctx.st.spill_passes - spill0;
+      let spills = ctx.st.spill_passes - spill0 in
+      ctx.st.actuals.spills.(n.id) <- spills;
+      set_rows ctx n rows;
       set_cost ctx n (ctx.st.work - work0);
       let sorted, runs = sort_pairs keys pairs in
       if Obs.Span.tracing () then begin
-        let spills = ctx.st.spill_passes - spill0 in
-        Obs.Span.add_list
-          [
-            Obs.Attr.int "rows" rows;
-            Obs.Attr.int "bytes" bytes;
-            Obs.Attr.int "runs" runs;
-            Obs.Attr.int "spill_passes" spills;
-            Obs.Attr.int "work" (ctx.st.work - work0);
-          ];
+        Obs.Span.add_list [ Obs.Attr.int "bytes" bytes; Obs.Attr.int "runs" runs ];
         Obs.Metrics.observe "exec.sort.bytes" (float_of_int bytes);
         if spills > 0 then begin
           Obs.Metrics.incr ~by:spills "exec.spill_passes";
@@ -653,7 +648,7 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
   let batches =
     match n.P.shape with
     | P.Scan { table; cols; _ } ->
-        Obs.Span.with_span "exec.scan" (fun () ->
+        node_span ctx n (fun () ->
             let data = scan_table ctx n table in
             let arity = Schema.arity (Database.schema ctx.db table) in
             let narrow = Array.length cols <> arity in
@@ -730,12 +725,12 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
   ctx.st.actuals.ns.(n.id) <- Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0);
   batches
 
-(* Run a join node's inputs, then the join (in its exec.join span),
-   handing each output pair to [consume]; the work [consume] charged. *)
+(* Run a join node's inputs, then the join (in its own span), handing
+   each output pair to [consume]; the work [consume] charged. *)
 and exec_join ctx (n : P.node) (info : P.join_info) left right consume =
   let left = exec_batched ctx left in
   let right = exec_batched ctx right in
-  Obs.Span.with_span "exec.join" (fun () ->
+  node_span ctx n (fun () ->
       let right_arr = Array.make (batch_rows right) [||] in
       let ri = ref 0 in
       List.iter

@@ -105,8 +105,12 @@ type ctx = { db : Database.t; st : stats; budget : int; profile : profile }
 (** One execution's meter: charges accumulate in [st]; past a positive
     [budget] they raise {!Timeout}. *)
 
+val weight : [ `Scan | `Probe | `Emit | `Sort ] -> int
+(** The work units one row scanned, probed, emitted or sorted costs —
+    what {!Cost} prices its counts at. *)
+
 val charge : ctx -> [ `Scan | `Probe | `Emit | `Sort ] -> int -> unit
-(** [n] rows scanned, probed, emitted or sorted, at fixed weights. *)
+(** [n] rows scanned, probed, emitted or sorted, at {!weight} each. *)
 
 val charge_emit_row : ctx -> Tuple.t -> unit
 (** One emitted row, plus its wire bytes over [profile.byte_div]. *)

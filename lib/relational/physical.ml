@@ -402,34 +402,6 @@ let to_string (p : plan) (e : estimates) (a : actuals) : string =
   go 0 p.root;
   Buffer.contents b
 
-let emit_obs_spans (p : plan) (e : estimates) (a : actuals) =
-  if Obs.Span.tracing () then
-    iter
-      (fun n ->
-        Obs.Span.with_span "plan.physical" (fun () ->
-            let id = n.id and op = op_name n in
-            Obs.Span.add_list
-              ([
-                 Obs.Attr.int "id" id;
-                 Obs.Attr.string "op" op;
-                 Obs.Attr.string "algorithm" op;
-                 Obs.Attr.float "est_rows" e.rows.(id);
-                 Obs.Attr.int "actual_rows" a.rows.(id);
-                 Obs.Attr.float "est_cost" e.cost.(id);
-                 Obs.Attr.int "actual_cost" a.cost.(id);
-                 Obs.Attr.float "est_ms" (e.ns.(id) /. 1e6);
-                 Obs.Attr.float "actual_ms" (float_of_int a.ns.(id) /. 1e6);
-               ]
-              @
-              match n.shape with
-              | Sort _ ->
-                  [
-                    Obs.Attr.int "est_spills" e.spills.(id);
-                    Obs.Attr.int "actual_spills" a.spills.(id);
-                  ]
-              | _ -> [])))
-      p
-
 (* Flatten a plan and one run's figures into the generic samples the
    lib/obs anomaly detector consumes — obs cannot see this module, so
    the adapter lives on this side of the dependency edge. *)

@@ -8,7 +8,9 @@
     number of times, on any domain.  Its figures live beside it, in
     per-run arrays indexed by node id: {!estimates} (from
     [Cost.annotate]) and {!actuals} (from one run of the executor),
-    surfaced through [plan.physical] obs spans and [--explain]. *)
+    set side by side by [--explain] and [diagnose].  A run's live
+    [exec.*] spans carry the node id and its actuals; pricing a plan is
+    left to those readouts, so tracing never reads the catalog. *)
 
 type algo = Hash_join | Nested_loop
 
@@ -139,10 +141,6 @@ val to_string : plan -> estimates -> actuals -> string
 (** Indented physical tree with algorithm, estimated and actual
     rows/cost/ms per operator, and each hash join's indexes on the lines
     under it, for [--explain]. *)
-
-val emit_obs_spans : plan -> estimates -> actuals -> unit
-(** One [plan.physical] span per operator (op, algorithm, estimated vs
-    actual rows and cost); no-op when tracing is off. *)
 
 val diagnose_samples :
   stream:string -> plan -> estimates -> actuals -> Obs.Diagnose.sample list

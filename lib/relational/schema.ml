@@ -55,15 +55,3 @@ let arity t = List.length t.columns
 
 let has_column t name = find_column t name <> None
 
-let pp_table fmt t =
-  let pp_col fmt c =
-    Format.fprintf fmt "%s%s %s%s"
-      (if List.mem c.col_name t.key then "*" else "")
-      c.col_name (Value.ty_name c.col_ty)
-      (if c.nullable then "" else " NOT NULL")
-  in
-  Format.fprintf fmt "@[<hov 2>%s(%a)@]" t.name
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt ",@ ")
-       pp_col)
-    t.columns

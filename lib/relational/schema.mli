@@ -54,4 +54,3 @@ val column_index : table -> string -> int option
 val column_names : table -> string list
 val arity : table -> int
 val has_column : table -> string -> bool
-val pp_table : Format.formatter -> table -> unit

@@ -40,13 +40,9 @@ val select :
   table_ref list ->
   query
 
-val selects_of_body : body -> select list
-(** All SELECT branches of a UNION tree, left to right. *)
-
 val output_columns : query -> string list
 (** Output column names (the aliases of the first branch). *)
 
-val table_ref_aliases : table_ref -> string list
 val select_aliases : select -> string list
 
 val count_outer_joins : query -> int

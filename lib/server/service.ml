@@ -680,8 +680,11 @@ let exposition_samples t =
   server @ tiers @ admission @ slowlog_samples @ slo_samples
   @ Obs.Expose.of_metrics ()
 
+(* The [M] request's Prometheus-style text: every series above from one
+   consistent snapshot. *)
 let render_exposition t = Obs.Expose.render (exposition_samples t)
 
+(* The [H] request's one-line liveness summary. *)
 let render_health t =
   let in_flight, waiting = admission_account t in
   let breached =

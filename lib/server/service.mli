@@ -36,7 +36,7 @@
     sampled.  Queries slower than [slow_ms] append a structured JSONL
     record, with one entry per stage, through the bounded non-blocking
     {!Slowlog}.  The [M]/[H] protocol requests serve the Prometheus-style
-    exposition ({!render_exposition}) and a one-line health summary.
+    exposition and a one-line health summary.
 
     Cached and uncached paths return byte-identical XML: the result tier
     stores exactly the bytes the uncached path produced. *)
@@ -130,20 +130,9 @@ val tier_stats : t -> Lru.stats * Lru.stats * Lru.stats
 
 val slowlog : t -> Slowlog.t option
 val slo : t -> Obs.Slo.t option
-val uptime_s : t -> float
 
 val render_stats : t -> string
 (** Human-readable counter report (also served over the protocol). *)
-
-val render_exposition : t -> string
-(** The Prometheus-style text exposition the [M] protocol request
-    serves: service counters, per-tier cache series (hit ratios from the
-    same snapshot as the counters), admission/pool gauges, slow-log and
-    SLO series, then the whole metrics registry through one consistent
-    {!Obs.Metrics.snapshot}. *)
-
-val render_health : t -> string
-(** One-line liveness summary the [H] protocol request serves. *)
 
 val shutdown : t -> unit
 (** Drains the worker pool and closes the slow log; later queries fail.

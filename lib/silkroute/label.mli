@@ -5,12 +5,6 @@
     description: keys, NOT NULL foreign keys, and declared inclusion
     dependencies.  [1]-labeled edges are the reducible ones. *)
 
-val label_edge :
-  Relational.Database.t ->
-  View_tree.t ->
-  int * int ->
-  Xmlkit.Dtd.multiplicity
-
 val label_edges :
   Relational.Database.t -> View_tree.t -> Xmlkit.Dtd.multiplicity array
 (** Parallel to [t.edges]. *)

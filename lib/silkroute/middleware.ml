@@ -10,10 +10,6 @@
 
 module R = Relational
 
-let src = Logs.Src.create "silkroute" ~doc:"SilkRoute middleware"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type prepared = {
   db : R.Database.t;
   view : Rxl.view;
@@ -21,8 +17,8 @@ type prepared = {
   labels : Xmlkit.Dtd.multiplicity array;
   stats : R.Stats.t Lazy.t;
       (* forced only when estimates are needed (greedy planning,
-         tracing, explain), so plain execution never pays the analyze
-         pass *)
+         admission, explain, diagnose), so execution, traced or not,
+         never pays the analyze pass *)
 }
 
 let prepare db view =
@@ -88,7 +84,6 @@ let partition_of ?(reduce = false) p strategy =
         | Greedy ->
             let result = gen_plan p ~reduce in
             requests := result.Planner.requests;
-            Log.info (fun m -> m "genPlan: %s" (Planner.to_string p.tree result));
             Planner.best_plan p.tree result
       in
       if Obs.Span.tracing () then
@@ -244,9 +239,6 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
             ];
         streams)
   in
-  (* force the stats lazy before fanning out: concurrent Lazy.force is
-     a race (RacyLazy) in OCaml 5 *)
-  if domains > 1 && Obs.Span.tracing () then ignore (Lazy.force p.stats);
   (* One forked connection per top-level stream, in every mode: fault
      draws depend only on (seed, stream index, the stream's own
      submission sequence), never on how streams interleave across
@@ -297,14 +289,6 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
         | { R.Backend.plan; rows = cursor; stats } ->
             let wall_ms = now_ms () -. t0 in
             let profile = R.Backend.profile backend in
-            if Obs.Span.tracing () then
-              R.Physical.emit_obs_spans plan (estimates p profile plan)
-                stats.R.Executor.actuals;
-            Log.debug (fun m ->
-                m "stream: %d rows, %d work units, %.1f ms — %s" !rows
-                  stats.R.Executor.work wall_ms
-                  (if String.length text > 80 then String.sub text 0 80 ^ "…"
-                   else text));
             if Obs.Span.tracing () then begin
               Obs.Span.add_list
                 [
@@ -361,11 +345,6 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
                         Obs.Attr.int "fragments" (List.length frags);
                       ]
                 end;
-                Log.info (fun m ->
-                    m "degrading stream %d (root %s, %s): splitting into %d \
-                       finer sub-queries"
-                      i root_name (R.Backend.kind_name kind)
-                      (List.length frags));
                 (* a later fragment failing must not strand the spooled
                    cursors of the fragments already run *)
                 let sub = ref [] in

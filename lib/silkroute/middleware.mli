@@ -25,7 +25,8 @@ type prepared = {
   stats : Relational.Stats.t Lazy.t;
       (** the catalog every estimate of this view is priced against;
           forced only when estimates are needed (greedy planning,
-          tracing, explain) *)
+          admission, explain, diagnose); {!execute} never forces it,
+          traced or not *)
 }
 
 val prepare : Relational.Database.t -> Rxl.view -> prepared

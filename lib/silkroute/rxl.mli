@@ -49,6 +49,5 @@ val check : Relational.Database.t -> view -> unit
     are non-empty, top-level constructs are elements.  Raises
     {!Ill_formed} with a message otherwise. *)
 
-val operand_to_string : operand -> string
 val to_string : view -> string
 (** Concrete RXL syntax, re-parseable by {!Rxl_parser}. *)

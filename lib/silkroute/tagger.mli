@@ -17,8 +17,8 @@
     and its fragment root.  The string paths write into fixed-size
     chunks copied once into the result. *)
 
-(** Event consumer.  {!buffer_sink} and {!channel_sink} serialize
-    directly (the constant-space paths); {!document_sink} builds an
+(** Event consumer.  {!buffer_sink} and {!to_channel}'s channel sink
+    serialize directly (the constant-space paths); {!document_sink} builds an
     in-memory tree for validation and tests. *)
 type sink = {
   on_open : string -> unit;
@@ -48,10 +48,6 @@ val tag :
 
 val document_sink : unit -> sink * (unit -> Xmlkit.Xml.t)
 val buffer_sink : Buffer.t -> sink
-
-val channel_sink : out_channel -> sink
-(** Serializes events straight to [oc]; the document is never held in
-    memory. *)
 
 val to_document :
   View_tree.t -> (Sql_gen.stream * Relational.Relation.t) list -> Xmlkit.Xml.t

@@ -4,18 +4,12 @@
     exactly these). *)
 
 val finishes : string array
-val materials : string array
 val sizes : string array
-val company_suffixes : string array
-val given_names : string array
-val streets : string array
 
 val nations_pool : (string * int) array
 (** (nation name, region index) pairs — 25 nations, as in TPC-H. *)
 
 val regions_pool : string array
-val customer_first : string array
-val customer_last : string array
 
 (** {1 Drawing random names} *)
 

@@ -51,7 +51,6 @@ let create ~root decls =
   { root_name = root; decls }
 
 let root_name t = t.root_name
-let decls t = t.decls
 let find t name = List.find_opt (fun d -> d.el_name = name) t.decls
 
 let to_string t =

@@ -25,7 +25,6 @@ val create : root:string -> element_decl list -> t
     undeclared. *)
 
 val root_name : t -> string
-val decls : t -> element_decl list
 val find : t -> string -> element_decl option
 
 val to_string : t -> string

@@ -34,7 +34,6 @@ val child_elements : element -> element list
 val text_content : element -> string
 (** Concatenated character data directly under the element. *)
 
-val equal_node : node -> node -> bool
 val equal_element : element -> element -> bool
 val equal : t -> t -> bool
 

@@ -19,9 +19,6 @@ type t
 val parse : string -> t
 (** Raises {!Parse_error} with an offset on malformed paths. *)
 
-val select_elements : Xml.t -> string -> Xml.element list
-(** Matching elements in document order. *)
-
 val select_text : Xml.t -> string -> string list
 (** Text content of each matching element. *)
 

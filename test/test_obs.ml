@@ -334,49 +334,110 @@ let test_per_stream_stats () =
   Alcotest.(check bool) "stats records not shared" true
     (distinct e.Middleware.per_stream)
 
-(* A join span reports the join's own figures: its [work] is the join
-   node's cost, without the charges of the projection built inside its
-   probe, and its [emitted] is its output rows. *)
+(* Every exec.* span is one plan node's: its [id] names a node of its
+   stream's plan with the matching operator name, and its [rows] and
+   [work] are that node's actuals.  A join span thus counts the join
+   alone: its work is the join node's cost, without the charges of the
+   projection built inside its probe. *)
 let test_join_spans_count_the_join () =
   with_obs (fun () ->
       let _, p = setup ~scale:0.5 Queries.query1_text in
       let plan = Middleware.partition_of ~reduce:false p Middleware.Greedy in
       let e = Middleware.execute ~reduce:false p plan in
-      let joins =
+      let spans = Obs.Span.spans () in
+      let by_id = Hashtbl.create 256 in
+      List.iter (fun (s : Obs.Span.t) -> Hashtbl.replace by_id s.Obs.Span.id s) spans;
+      (* the execute.stream span a span ran under *)
+      let rec stream_of (s : Obs.Span.t) =
+        if s.Obs.Span.name = "execute.stream" then s
+        else
+          match s.Obs.Span.parent with
+          | Some id -> stream_of (Hashtbl.find by_id id)
+          | None -> Alcotest.failf "%s: not under execute.stream" s.Obs.Span.name
+      in
+      let int_attr s key =
+        match attr_exn s key with
+        | Obs.Attr.Int n -> n
+        | _ -> Alcotest.failf "%s: %s not an int" s.Obs.Span.name key
+      in
+      let exec =
         List.filter
-          (fun (s : Obs.Span.t) ->
-            s.Obs.Span.name = "exec.hash-join" || s.Obs.Span.name = "exec.nested-loop")
-          (Obs.Span.spans ())
+          (fun (s : Obs.Span.t) -> String.starts_with ~prefix:"exec." s.Obs.Span.name)
+          spans
       in
-      let sum key =
-        List.fold_left
-          (fun acc s ->
-            match attr_exn s key with
-            | Obs.Attr.Int n -> acc + n
-            | _ -> Alcotest.failf "join span: %s not an int" key)
-          0 joins
-      in
-      let node_sum f =
+      let joins = ref 0 in
+      List.iter
+        (fun (s : Obs.Span.t) ->
+          let root =
+            match attr_exn (stream_of s) "root" with
+            | Obs.Attr.String r -> r
+            | _ -> Alcotest.fail "execute.stream: root not a string"
+          in
+          let se =
+            List.find
+              (fun (se : Middleware.stream_exec) ->
+                View_tree.skolem_name
+                  (View_tree.node p.Middleware.tree
+                     se.se_stream.Sql_gen.fragment.Partition.root)
+                    .View_tree.sfi
+                = root)
+              e.Middleware.per_stream
+          in
+          let id = int_attr s "id" in
+          let node = ref None in
+          R.Physical.iter
+            (fun n -> if n.R.Physical.id = id then node := Some n)
+            se.se_plan;
+          let n =
+            match !node with
+            | Some n -> n
+            | None -> Alcotest.failf "%s: id %d names no node of %s" s.Obs.Span.name id root
+          in
+          (match n.R.Physical.shape with R.Physical.Join _ -> incr joins | _ -> ());
+          let a = se.se_stats.R.Executor.actuals in
+          let what = Printf.sprintf "%s node %d of %s" s.Obs.Span.name id root in
+          Alcotest.(check string) (what ^ ": op_name") s.Obs.Span.name
+            ("exec." ^ R.Physical.op_name n);
+          Alcotest.(check int) (what ^ ": rows") a.R.Physical.rows.(id) (int_attr s "rows");
+          Alcotest.(check int) (what ^ ": work") a.R.Physical.cost.(id) (int_attr s "work"))
+        exec;
+      Alcotest.(check bool) "join spans" true (!joins > 0);
+      (* and every scan, join and sort ran in its span *)
+      let operators =
         List.fold_left
           (fun acc (se : Middleware.stream_exec) ->
-            let n = ref 0 in
+            let k = ref 0 in
             R.Physical.iter
-              (fun node ->
-                match node.R.Physical.shape with
-                | R.Physical.Join _ ->
-                    n := !n + (f se.se_stats.R.Executor.actuals).(node.id)
+              (fun n ->
+                match n.R.Physical.shape with
+                | R.Physical.Scan _ | R.Physical.Join _ | R.Physical.Sort _ -> incr k
                 | _ -> ())
               se.se_plan;
-            acc + !n)
+            acc + !k)
           0 e.Middleware.per_stream
       in
-      Alcotest.(check bool) "join spans" true (joins <> []);
-      Alcotest.(check int) "span work = join nodes' cost"
-        (node_sum (fun a -> a.R.Physical.cost))
-        (sum "work");
-      Alcotest.(check int) "span emitted = join nodes' rows"
-        (node_sum (fun a -> a.R.Physical.rows))
-        (sum "emitted"))
+      Alcotest.(check int) "one span per scan, join and sort" operators
+        (List.length exec))
+
+(* Tracing reads a run's actuals and prices nothing: a traced execute
+   of a plan that needs no planning leaves the view's catalog unforced,
+   and records no post-run plan.physical spans. *)
+let test_traced_execute_leaves_catalog () =
+  with_obs (fun () ->
+      let _, p = setup Queries.query1_text in
+      List.iter
+        (fun strategy ->
+          let p = Middleware.prepare p.Middleware.db p.Middleware.view in
+          let plan = Middleware.partition_of p strategy in
+          ignore (Middleware.execute p plan);
+          Alcotest.(check bool)
+            (Middleware.strategy_name strategy ^ ": catalog unforced")
+            false
+            (Lazy.is_val p.Middleware.stats))
+        [ Middleware.Unified; Middleware.Edges 5 ];
+      Alcotest.(check bool) "exec spans recorded" true (find_spans "exec.scan" <> []);
+      Alcotest.(check int) "no plan.physical spans" 0
+        (List.length (find_spans "plan.physical")))
 
 let test_tracing_does_not_change_work () =
   let _, p = setup Queries.query1_text in
@@ -457,6 +518,8 @@ let suite =
       test_join_spans_count_the_join;
     Alcotest.test_case "tracing neutral on work counts" `Quick
       test_tracing_does_not_change_work;
+    Alcotest.test_case "traced execute leaves the catalog unforced" `Quick
+      test_traced_execute_leaves_catalog;
     Alcotest.test_case "stage list pinned" `Quick test_stage_list_pinned;
     Alcotest.test_case "stage clock fills when sampled out" `Quick
       test_stage_clock_sampled_out;

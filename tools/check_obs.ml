@@ -5,7 +5,8 @@
      BENCH_silkroute.json: typed records (span | event | profile |
      metric | baseline), at least one; spans rebased (first start 0 per
      experiment tag), in start order, with unique ids and every parent
-     logged first; events in emit order with a known level, a name and
+     logged first, and every exec.* span naming its plan node by an
+     int "id" attr >= 1; events in emit order with a known level, a name and
      attrs; profiles with calls >= 1 and 0 <= self_ms <= total_ms;
      baselines with non-negative streams/work/rows/bytes.
    check_obs chrome FILE [NAME...] — --trace-chrome: a non-empty
@@ -99,7 +100,13 @@ let check_span where j =
   | None -> fail "%s: missing \"parent\"" where);
   Hashtbl.replace seen_ids (exp, id) ();
   ignore (need where "number dur_ms" (num "dur_ms" j));
-  ignore (need where "string name" (str "name" j))
+  let name = need where "string name" (str "name" j) in
+  (* an operator span names its plan node *)
+  if String.starts_with ~prefix:"exec." name then
+    match Option.bind (Obs.Json.member "attrs" j) (int "id") with
+    | Some n when n >= 1 -> ()
+    | Some n -> fail "%s: %s span's node id %d < 1" where name n
+    | None -> fail "%s: %s span has no int node \"id\" attr" where name
 
 let check_event where j =
   let exp = Option.value ~default:"" (str "experiment" j) in
