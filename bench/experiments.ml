@@ -347,7 +347,9 @@ let pruning () =
           List.iter
             (fun s ->
               let q = s.S.Sql_gen.query in
-              let r_new, st_new = R.Executor.run_with_stats db q in
+              let r_new, st_new =
+                R.Executor.run_plan_with_stats db (R.Physical.plan_of db q)
+              in
               let r_old, st_old = Oracle.Legacy.run_with_stats db q in
               incr streams_n;
               if r_new <> r_old then begin

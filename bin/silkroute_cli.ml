@@ -537,9 +537,15 @@ let serve_cmd scale seed schema data socket parallel statement_cache plan_cache
     }
   in
   let server = Server.Service.create ~config db in
+  let listener =
+    try Server.Service.listen ~socket
+    with e ->
+      Server.Service.shutdown server;
+      raise e
+  in
   Printf.eprintf "[serving on %s: %d domain(s), caches %d/%d/%dB, budget %d]\n%!"
     socket parallel statement_cache plan_cache result_cache admission_budget;
-  Server.Service.serve_unix server ~socket;
+  Server.Service.serve_unix server listener;
   prerr_endline (Server.Service.render_stats server);
   report_obs ~trace ~trace_json:None ~metrics ~profile:false ()
 
@@ -722,23 +728,22 @@ let monitor_cmd socket once raw interval =
     print_endline ("health:   " ^ fetch_info socket Server.Protocol.Health)
   end
   else begin
-    let prev = ref None in
-    let rec loop () =
-      let frame, cur =
-        monitor_frame ~socket ~prev:!prev (fetch_info socket Server.Protocol.Metrics)
-      in
-      prev := Some cur;
+    (* a server that is not there at the start is an input error; one
+       that goes away later ends the view *)
+    let rec loop prev text =
+      let frame, cur = monitor_frame ~socket ~prev text in
       (* repaint in place, top-style *)
       print_string "\027[2J\027[H";
       print_endline frame;
       print_string "\n(ctrl-c to quit)\n";
       flush stdout;
       Unix.sleepf interval;
-      loop ()
+      match fetch_info socket Server.Protocol.Metrics with
+      | text -> loop (Some cur) text
+      | exception (Unix.Unix_error _ | Invalid_argument _ | End_of_file) ->
+          prerr_endline "monitor: server went away"
     in
-    try loop ()
-    with Unix.Unix_error _ | Invalid_argument _ | End_of_file ->
-      prerr_endline "monitor: server went away"
+    loop None (fetch_info socket Server.Protocol.Metrics)
   end
 
 let run_t =
@@ -853,10 +858,11 @@ let cmds =
       diagnose_t;
   ]
 
-(* Bad input — a flag value, a view, a schema, a CSV file — fails with
-   a typed exception below the command: an error of the input (exit
-   123).  Anything else is a bug and keeps the internal-error report
-   (exit 125). *)
+(* Bad input — a flag value, a view, a schema, a CSV file, a socket
+   path nothing listens on or that cannot be bound — fails with a typed
+   exception below the command: an error of the input (exit 123).
+   Anything else is a bug and keeps the internal-error report (exit
+   125). *)
 let input_error = function
   | Invalid_argument m | S.Rxl_parser.Parse_error m | S.Rxl.Ill_formed m
   | R.Csv.Csv_error (m, _) (* names the file and row *) ->
@@ -865,6 +871,8 @@ let input_error = function
       Some (Printf.sprintf "RXL offset %d: %s" at m)
   | R.Source_desc.Syntax_error (m, line) ->
       Some (Printf.sprintf "schema line %d: %s" line m)
+  | Unix.Unix_error (e, (("connect" | "bind") as call), path) when path <> "" ->
+      Some (Printf.sprintf "%s %s: %s" call path (Unix.error_message e))
   | _ -> None
 
 let () =

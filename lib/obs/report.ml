@@ -12,18 +12,15 @@ let render_span buf (s : Span.t) =
     (Span.attrs s);
   Buffer.add_char buf '\n'
 
-let render_spans_to buf =
+let render_spans () =
+  let buf = Buffer.create 1024 in
   let spans = Span.spans () in
   let roots = List.filter (fun (s : Span.t) -> s.Span.parent = None) spans in
   let total =
     List.fold_left (fun acc s -> acc +. Span.duration_ms s) 0.0 roots
   in
   bprintf buf "TRACE — %d span(s), %.3fms total\n" (List.length spans) total;
-  List.iter (render_span buf) spans
-
-let render_spans () =
-  let buf = Buffer.create 1024 in
-  render_spans_to buf;
+  List.iter (render_span buf) spans;
   Buffer.contents buf
 
 let render_histogram buf (h : Metrics.histogram) =
@@ -50,7 +47,8 @@ let render_histogram buf (h : Metrics.histogram) =
     Buffer.add_char buf ']'
   end
 
-let render_metrics_to buf =
+let render_metrics () =
+  let buf = Buffer.create 1024 in
   let ms = Metrics.snapshot () in
   bprintf buf "METRICS — %d metric(s)\n" (List.length ms);
   List.iter
@@ -61,16 +59,5 @@ let render_metrics_to buf =
       | Metrics.SGauge v -> bprintf buf "%g" v
       | Metrics.SHistogram h -> render_histogram buf h);
       Buffer.add_char buf '\n')
-    ms
-
-let render_metrics () =
-  let buf = Buffer.create 1024 in
-  render_metrics_to buf;
-  Buffer.contents buf
-
-let render () =
-  let buf = Buffer.create 2048 in
-  render_spans_to buf;
-  Buffer.add_char buf '\n';
-  render_metrics_to buf;
+    ms;
   Buffer.contents buf

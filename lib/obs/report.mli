@@ -3,6 +3,3 @@
 
 val render_spans : unit -> string
 val render_metrics : unit -> string
-
-val render : unit -> string
-(** Span tree followed by the metrics table. *)

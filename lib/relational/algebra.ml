@@ -13,34 +13,21 @@ exception Ambiguous_column of string
 
 type header = (string * string) array
 
-type prov = { p_alias : string; p_col : string }
-
-type expr =
-  | Col of int * prov
-  | Lit of Value.t
-  | Cmp of Expr.cmp * expr * expr
-  | Arith of Expr.arith * expr * expr
-  | And of expr * expr
-  | Or of expr * expr
-  | Not of expr
-  | Is_null of expr
-  | Is_not_null of expr
-
 type t =
   | Scan of { table : string; alias : string; cols : (int * string) array }
   | Dual
-  | Filter of { input : t; pred : expr; pushed : bool; charged : bool }
-  | Project of { input : t; items : (expr * string) array }
+  | Filter of { input : t; pred : Expr.resolved; pushed : bool; charged : bool }
+  | Project of { input : t; items : (Expr.resolved * string) array }
   | Join of {
       left : t;
       kind : Sql.join_kind;
       right : t;
-      on : expr;
+      on : Expr.resolved;
       from_where : bool;
     }
   | Union_all of t * t
   | Derived of { input : t; alias : string }
-  | Sort of { input : t; keys : (expr * Sql.dir) list }
+  | Sort of { input : t; keys : (Expr.resolved * Sql.dir) list }
 
 (* --- inspection ------------------------------------------------------- *)
 
@@ -57,69 +44,11 @@ let rec header = function
 
 let width n = Array.length (header n)
 
-let is_lit = function Lit _ -> true | _ -> false
+(* Position [i] of [h] as a column reference, for printing. *)
+let name (h : header) i =
+  match h.(i) with "", c -> (None, c) | a, c -> (Some a, c)
 
-let rec expr_positions = function
-  | Col (i, _) -> [ i ]
-  | Lit _ -> []
-  | Cmp (_, a, b) | Arith (_, a, b) | And (a, b) | Or (a, b) ->
-      expr_positions a @ expr_positions b
-  | Not e | Is_null e | Is_not_null e -> expr_positions e
-
-let rec conjuncts = function
-  | And (a, b) -> conjuncts a @ conjuncts b
-  | e -> [ e ]
-
-let conjoin = function
-  | [] -> Lit (Value.Bool true)
-  | e :: rest -> List.fold_left (fun acc c -> And (acc, c)) e rest
-
-let rec disjuncts = function
-  | Or (a, b) -> disjuncts a @ disjuncts b
-  | e -> [ e ]
-
-let rec to_resolved = function
-  | Col (i, _) -> Expr.R_col i
-  | Lit v -> Expr.R_lit v
-  | Cmp (op, a, b) -> Expr.R_cmp (op, to_resolved a, to_resolved b)
-  | Arith (op, a, b) -> Expr.R_arith (op, to_resolved a, to_resolved b)
-  | And (a, b) -> Expr.R_and (to_resolved a, to_resolved b)
-  | Or (a, b) -> Expr.R_or (to_resolved a, to_resolved b)
-  | Not e -> Expr.R_not (to_resolved e)
-  | Is_null e -> Expr.R_is_null (to_resolved e)
-  | Is_not_null e -> Expr.R_is_not_null (to_resolved e)
-
-let cmp_name = function
-  | Expr.Eq -> "="
-  | Expr.Neq -> "<>"
-  | Expr.Lt -> "<"
-  | Expr.Le -> "<="
-  | Expr.Gt -> ">"
-  | Expr.Ge -> ">="
-
-let arith_name = function
-  | Expr.Add -> "+"
-  | Expr.Sub -> "-"
-  | Expr.Mul -> "*"
-  | Expr.Div -> "/"
-
-let rec expr_to_string = function
-  | Col (_, { p_alias = ""; p_col }) -> p_col
-  | Col (_, { p_alias; p_col }) -> p_alias ^ "." ^ p_col
-  | Lit v -> Value.to_sql v
-  | Cmp (op, a, b) ->
-      Printf.sprintf "(%s %s %s)" (expr_to_string a) (cmp_name op)
-        (expr_to_string b)
-  | Arith (op, a, b) ->
-      Printf.sprintf "(%s %s %s)" (expr_to_string a) (arith_name op)
-        (expr_to_string b)
-  | And (a, b) ->
-      Printf.sprintf "(%s AND %s)" (expr_to_string a) (expr_to_string b)
-  | Or (a, b) ->
-      Printf.sprintf "(%s OR %s)" (expr_to_string a) (expr_to_string b)
-  | Not e -> Printf.sprintf "(NOT %s)" (expr_to_string e)
-  | Is_null e -> Printf.sprintf "(%s IS NULL)" (expr_to_string e)
-  | Is_not_null e -> Printf.sprintf "(%s IS NOT NULL)" (expr_to_string e)
+let expr_to_string h e = Expr.to_sql (Expr.unresolve (name h) e)
 
 (* --- name resolution --------------------------------------------------- *)
 
@@ -147,27 +76,7 @@ let lookup (h : header) (q, c) =
       in
       go 0 None
 
-let col_of h i = Col (i, { p_alias = fst h.(i); p_col = snd h.(i) })
-
-let resolve_sql (h : header) (e : Expr.t) : expr =
-  let rec go = function
-    | Expr.Col (q, c) -> (
-        match lookup h (q, c) with
-        | Some i -> col_of h i
-        | None ->
-            raise
-              (Expr.Unresolved_column
-                 (match q with Some q -> q ^ "." ^ c | None -> c)))
-    | Expr.Lit v -> Lit v
-    | Expr.Cmp (op, a, b) -> Cmp (op, go a, go b)
-    | Expr.Arith (op, a, b) -> Arith (op, go a, go b)
-    | Expr.And (a, b) -> And (go a, go b)
-    | Expr.Or (a, b) -> Or (go a, go b)
-    | Expr.Not e -> Not (go e)
-    | Expr.Is_null e -> Is_null (go e)
-    | Expr.Is_not_null e -> Is_not_null (go e)
-  in
-  go e
+let resolve_in h e = Expr.resolve (lookup h) e
 
 (* --- lowering ---------------------------------------------------------- *)
 
@@ -187,19 +96,7 @@ let rec lower_table_ref db (r : Sql.table_ref) : t =
       let l = lower_table_ref db left in
       let r = lower_table_ref db right in
       let h = Array.append (header l) (header r) in
-      Join { left = l; kind; right = r; on = resolve_sql h on; from_where = false }
-
-(* Static header of a table_ref, for connectivity tests. *)
-and static_header db (r : Sql.table_ref) : header =
-  match r with
-  | Sql.Table { name; alias } ->
-      let schema = Database.schema db name in
-      Array.of_list
-        (List.map (fun c -> (alias, c)) (Schema.column_names schema))
-  | Sql.Derived { query; alias } ->
-      Array.of_list (List.map (fun c -> (alias, c)) (Sql.output_columns query))
-  | Sql.Join { left; right; _ } ->
-      Array.append (static_header db left) (static_header db right)
+      Join { left = l; kind; right = r; on = resolve_in h on; from_where = false }
 
 (* Greedy connected ordering of the comma FROM list, with WHERE conjuncts
    applied as soon as their columns are in scope — structurally identical
@@ -208,6 +105,8 @@ and lower_from db (from : Sql.table_ref list) (where : Expr.t option) : t =
   match from with
   | [] -> Dual (* the interpreter ignores WHERE on the dual row *)
   | first :: rest ->
+      let first = lower_table_ref db first in
+      let rest = List.map (lower_table_ref db) rest in
       let conjs = match where with None -> [] | Some w -> Expr.conjuncts w in
       let applicable h c =
         List.for_all (fun qc -> lookup h qc <> None) (Expr.columns c)
@@ -223,14 +122,14 @@ and lower_from db (from : Sql.table_ref list) (where : Expr.t option) : t =
             ( Filter
                 {
                   input = current;
-                  pred = resolve_sql h (Expr.conjoin now);
+                  pred = resolve_in h (Expr.conjoin now);
                   pushed = below;
                   charged = true;
                 },
               later )
       in
       let connected h candidate =
-        let ch = static_header db candidate in
+        let ch = header candidate in
         List.exists
           (fun c ->
             match Expr.as_column_equality c with
@@ -241,7 +140,7 @@ and lower_from db (from : Sql.table_ref list) (where : Expr.t option) : t =
           conjs
       in
       let current, pending =
-        apply_filters ~below:(rest <> []) (lower_table_ref db first) conjs
+        apply_filters ~below:(rest <> []) first conjs
       in
       let rec go current pending remaining =
         match remaining with
@@ -253,12 +152,12 @@ and lower_from db (from : Sql.table_ref list) (where : Expr.t option) : t =
                 Filter
                   {
                     input = current;
-                    pred = resolve_sql h (Expr.conjoin leftover);
+                    pred = resolve_in h (Expr.conjoin leftover);
                     pushed = false;
                     charged = true;
                   })
         | _ ->
-            let next, rest =
+            let right, rest =
               match
                 List.partition (fun r -> connected (header current) r) remaining
               with
@@ -274,7 +173,6 @@ and lower_from db (from : Sql.table_ref list) (where : Expr.t option) : t =
                         %d remaining relation(s)"
                        (List.length remaining))
             in
-            let right = lower_table_ref db next in
             let h = Array.append (header current) (header right) in
             let usable, pending' =
               List.partition (fun c -> applicable h c) pending
@@ -285,7 +183,7 @@ and lower_from db (from : Sql.table_ref list) (where : Expr.t option) : t =
                   left = current;
                   kind = Sql.Inner;
                   right;
-                  on = resolve_sql h (Expr.conjoin usable);
+                  on = resolve_in h (Expr.conjoin usable);
                   from_where = true;
                 }
             in
@@ -302,7 +200,7 @@ and lower_select db (s : Sql.select) : t =
   let items =
     Array.of_list
       (List.map
-         (fun (it : Sql.select_item) -> (resolve_sql h it.expr, it.alias))
+         (fun (it : Sql.select_item) -> (resolve_in h it.expr, it.alias))
          s.items)
   in
   Project { input; items }
@@ -331,9 +229,9 @@ and lower_query db (q : Sql.query) : t =
               | Expr.Col (_, c) -> (
                   (* ORDER BY over output columns resolves by name only *)
                   match lookup h (None, c) with
-                  | Some i -> col_of h i
-                  | None -> resolve_sql h e)
-              | _ -> resolve_sql h e
+                  | Some i -> Expr.R_col i
+                  | None -> resolve_in h e)
+              | _ -> resolve_in h e
             in
             (r, d))
           keys
@@ -346,75 +244,58 @@ let lower = lower_query
 
 (* Mirrors [Expr.eval]'s three-valued logic exactly; only rewrites where
    the evaluation result is fully determined. *)
-let rec fold_expr (e : expr) : expr =
+let rec fold_expr (e : Expr.resolved) : Expr.resolved =
   match e with
-  | Col _ | Lit _ -> e
-  | Cmp (op, a, b) -> (
+  | Expr.R_col _ | Expr.R_lit _ -> e
+  | Expr.R_cmp (op, a, b) -> (
       match (fold_expr a, fold_expr b) with
-      | Lit x, Lit y -> (
+      | Expr.R_lit x, Expr.R_lit y -> (
           match Value.compare3 x y with
-          | None -> Lit Value.Null
-          | Some c -> Lit (Value.Bool (Expr.apply_cmp op c)))
-      | a, b -> Cmp (op, a, b))
-  | Arith (op, a, b) -> (
+          | None -> Expr.R_lit Value.Null
+          | Some c -> Expr.R_lit (Value.Bool (Expr.apply_cmp op c)))
+      | a, b -> Expr.R_cmp (op, a, b))
+  | Expr.R_arith (op, a, b) -> (
       match (fold_expr a, fold_expr b) with
-      | Lit x, Lit y -> Lit (Expr.apply_arith op x y)
-      | a, b -> Arith (op, a, b))
-  | And (a, b) -> (
+      | Expr.R_lit x, Expr.R_lit y -> Expr.R_lit (Expr.apply_arith op x y)
+      | a, b -> Expr.R_arith (op, a, b))
+  | Expr.R_and (a, b) -> (
       match (fold_expr a, fold_expr b) with
-      | Lit (Value.Bool false), _ | _, Lit (Value.Bool false) ->
-          Lit (Value.Bool false)
-      | Lit (Value.Bool true), Lit v | Lit v, Lit (Value.Bool true) ->
-          (match v with Value.Bool _ -> Lit v | _ -> Lit Value.Null)
-      | Lit (Value.Bool true), x | x, Lit (Value.Bool true) -> x
-      | a, b -> And (a, b))
-  | Or (a, b) -> (
+      | Expr.R_lit (Value.Bool false), _ | _, Expr.R_lit (Value.Bool false) ->
+          Expr.R_lit (Value.Bool false)
+      | Expr.R_lit (Value.Bool true), Expr.R_lit v | Expr.R_lit v, Expr.R_lit (Value.Bool true) ->
+          (match v with Value.Bool _ -> Expr.R_lit v | _ -> Expr.R_lit Value.Null)
+      | Expr.R_lit (Value.Bool true), x | x, Expr.R_lit (Value.Bool true) -> x
+      | a, b -> Expr.R_and (a, b))
+  | Expr.R_or (a, b) -> (
       match (fold_expr a, fold_expr b) with
-      | Lit (Value.Bool true), _ | _, Lit (Value.Bool true) ->
-          Lit (Value.Bool true)
-      | Lit (Value.Bool false), Lit v | Lit v, Lit (Value.Bool false) ->
-          (match v with Value.Bool _ -> Lit v | _ -> Lit Value.Null)
-      | Lit (Value.Bool false), x | x, Lit (Value.Bool false) -> x
-      | a, b -> Or (a, b))
-  | Not e -> (
+      | Expr.R_lit (Value.Bool true), _ | _, Expr.R_lit (Value.Bool true) ->
+          Expr.R_lit (Value.Bool true)
+      | Expr.R_lit (Value.Bool false), Expr.R_lit v | Expr.R_lit v, Expr.R_lit (Value.Bool false) ->
+          (match v with Value.Bool _ -> Expr.R_lit v | _ -> Expr.R_lit Value.Null)
+      | Expr.R_lit (Value.Bool false), x | x, Expr.R_lit (Value.Bool false) -> x
+      | a, b -> Expr.R_or (a, b))
+  | Expr.R_not e -> (
       match fold_expr e with
-      | Lit (Value.Bool b) -> Lit (Value.Bool (not b))
-      | Lit _ -> Lit Value.Null
-      | x -> Not x)
-  | Is_null e -> (
+      | Expr.R_lit (Value.Bool b) -> Expr.R_lit (Value.Bool (not b))
+      | Expr.R_lit _ -> Expr.R_lit Value.Null
+      | x -> Expr.R_not x)
+  | Expr.R_is_null e -> (
       match fold_expr e with
-      | Lit v -> Lit (Value.Bool (Value.is_null v))
-      | x -> Is_null x)
-  | Is_not_null e -> (
+      | Expr.R_lit v -> Expr.R_lit (Value.Bool (Value.is_null v))
+      | x -> Expr.R_is_null x)
+  | Expr.R_is_not_null e -> (
       match fold_expr e with
-      | Lit v -> Lit (Value.Bool (not (Value.is_null v)))
-      | x -> Is_not_null x)
+      | Expr.R_lit v -> Expr.R_lit (Value.Bool (not (Value.is_null v)))
+      | x -> Expr.R_is_not_null x)
 
-let rec remap_expr f = function
-  | Col (i, p) -> Col (f i, p)
-  | Lit v -> Lit v
-  | Cmp (op, a, b) -> Cmp (op, remap_expr f a, remap_expr f b)
-  | Arith (op, a, b) -> Arith (op, remap_expr f a, remap_expr f b)
-  | And (a, b) -> And (remap_expr f a, remap_expr f b)
-  | Or (a, b) -> Or (remap_expr f a, remap_expr f b)
-  | Not e -> Not (remap_expr f e)
-  | Is_null e -> Is_null (remap_expr f e)
-  | Is_not_null e -> Is_not_null (remap_expr f e)
+let remap f = Expr.subst (fun i -> Expr.R_col (f i))
 
 (* --- predicate pushdown ------------------------------------------------- *)
 
 (* Rewrite a predicate over a projection's output into one over its
    input by inlining the item expressions. *)
-let rec subst_items (items : (expr * string) array) = function
-  | Col (i, _) -> fst items.(i)
-  | Lit v -> Lit v
-  | Cmp (op, a, b) -> Cmp (op, subst_items items a, subst_items items b)
-  | Arith (op, a, b) -> Arith (op, subst_items items a, subst_items items b)
-  | And (a, b) -> And (subst_items items a, subst_items items b)
-  | Or (a, b) -> Or (subst_items items a, subst_items items b)
-  | Not e -> Not (subst_items items e)
-  | Is_null e -> Is_null (subst_items items e)
-  | Is_not_null e -> Is_not_null (subst_items items e)
+let subst_items (items : (Expr.resolved * string) array) =
+  Expr.subst (fun i -> fst items.(i))
 
 (* Sink [pred] below the nearest charging projection(s) of [n].  Only
    that placement is guaranteed to never increase work: the projection
@@ -424,7 +305,7 @@ let rec subst_items (items : (expr * string) array) = function
    their original position) from ON-origin ones (which the interpreter
    evaluated for free during probing, so the relocated filter must stay
    free). *)
-let rec try_sink ~charged (pred : expr) (n : t) : t option =
+let rec try_sink ~charged (pred : Expr.resolved) (n : t) : t option =
   match n with
   | Derived { input; alias } ->
       Option.map
@@ -441,7 +322,7 @@ let rec try_sink ~charged (pred : expr) (n : t) : t option =
       | _ -> None)
   | Project { input; items } -> (
       match fold_expr (subst_items items pred) with
-      | Lit (Value.Bool true) -> Some n
+      | Expr.R_lit (Value.Bool true) -> Some n
       | pred' ->
           Some
             (Project
@@ -470,11 +351,11 @@ let rec push (n : t) : t =
               match try_sink ~charged:false c input with
               | Some input -> (input, kept)
               | None -> (input, c :: kept))
-            (input, []) (conjuncts pred)
+            (input, []) (Expr.r_conjuncts pred)
         in
         match List.rev kept with
         | [] -> input
-        | ks -> Filter { input; pred = conjoin ks; pushed; charged })
+        | ks -> Filter { input; pred = Expr.r_conjoin ks; pushed; charged })
   | Project { input; items } -> Project { input = push input; items }
   | Join { left; kind; right; on; from_where } -> (
       let left = push left and right = push right in
@@ -483,11 +364,11 @@ let rec push (n : t) : t =
          inner joins — an outer join keeps left rows that fail the ON).
          The hash keys are cross-side equalities, so they are never
          candidates and the join algorithm cannot change. *)
-      match disjuncts on with
+      match Expr.r_disjuncts on with
       | [ _ ] ->
           let la = width left in
           let step (left, right, kept) c =
-            let ps = expr_positions c in
+            let ps = Expr.positions c in
             let all_left = ps <> [] && List.for_all (fun p -> p < la) ps in
             let all_right = ps <> [] && List.for_all (fun p -> p >= la) ps in
             if all_left && kind = Sql.Inner then
@@ -495,17 +376,17 @@ let rec push (n : t) : t =
               | Some left -> (left, right, kept)
               | None -> (left, right, c :: kept)
             else if all_right then
-              let c' = remap_expr (fun p -> p - la) c in
+              let c' = remap (fun p -> p - la) c in
               match try_sink ~charged:false c' right with
               | Some right -> (left, right, kept)
               | None -> (left, right, c :: kept)
             else (left, right, c :: kept)
           in
           let left, right, kept =
-            List.fold_left step (left, right, []) (conjuncts on)
+            List.fold_left step (left, right, []) (Expr.r_conjuncts on)
           in
           Join
-            { left; kind; right; on = conjoin (List.rev kept); from_where }
+            { left; kind; right; on = Expr.r_conjoin (List.rev kept); from_where }
       | _ -> Join { left; kind; right; on; from_where })
   | Union_all (a, b) -> Union_all (push a, push b)
   | Derived { input; alias } -> Derived { input = push input; alias }
@@ -527,8 +408,8 @@ let rec consts (n : t) : Value.t option array =
       Array.map
         (fun (e, _) ->
           match e with
-          | Lit v -> Some v
-          | Col (i, _) -> ic.(i)
+          | Expr.R_lit v -> Some v
+          | Expr.R_col i -> ic.(i)
           | _ -> None)
         items
   | Join { left; kind; right; _ } ->
@@ -548,16 +429,9 @@ let rec consts (n : t) : Value.t option array =
           | _ -> None)
         ca cb
 
-let rec subst_consts (ic : Value.t option array) = function
-  | Col (i, _) as e -> ( match ic.(i) with Some v -> Lit v | None -> e)
-  | Lit v -> Lit v
-  | Cmp (op, a, b) -> Cmp (op, subst_consts ic a, subst_consts ic b)
-  | Arith (op, a, b) -> Arith (op, subst_consts ic a, subst_consts ic b)
-  | And (a, b) -> And (subst_consts ic a, subst_consts ic b)
-  | Or (a, b) -> Or (subst_consts ic a, subst_consts ic b)
-  | Not e -> Not (subst_consts ic e)
-  | Is_null e -> Is_null (subst_consts ic e)
-  | Is_not_null e -> Is_not_null (subst_consts ic e)
+let subst_consts (ic : Value.t option array) =
+  Expr.subst (fun i ->
+      match ic.(i) with Some v -> Expr.R_lit v | None -> Expr.R_col i)
 
 (* Replace provably-constant column references in projection items and
    filter predicates with their literal values.  Join ON conditions are
@@ -592,7 +466,7 @@ let rec propagate (n : t) : t =
 let rec cleanup (n : t) : t =
   match n with
   | Scan _ | Dual -> n
-  | Filter { pred = Lit (Value.Bool true); input; _ } -> cleanup input
+  | Filter { pred = Expr.R_lit (Value.Bool true); input; _ } -> cleanup input
   | Filter { input; pred; pushed; charged } ->
       Filter { input = cleanup input; pred; pushed; charged }
   | Project { input; items } -> Project { input = cleanup input; items }
@@ -606,7 +480,7 @@ let rec cleanup (n : t) : t =
 
 module ISet = Set.Make (Int)
 
-let positions_set e = ISet.of_list (expr_positions e)
+let positions_set e = ISet.of_list (Expr.positions e)
 
 (* Restrict a node of width [w] to the output positions in [keep];
    returns the sorted kept indices and the old→new map (-1 = dropped). *)
@@ -630,7 +504,7 @@ let rec prune (n : t) (keep : ISet.t) : t * int array =
       let need = ISet.union keep (positions_set pred) in
       let input, map = prune input need in
       ( Filter
-          { input; pred = remap_expr (fun i -> map.(i)) pred; pushed; charged },
+          { input; pred = remap (fun i -> map.(i)) pred; pushed; charged },
         map )
   | Sort { input; keys } ->
       let need =
@@ -641,7 +515,7 @@ let rec prune (n : t) (keep : ISet.t) : t * int array =
       ( Sort
           {
             input;
-            keys = List.map (fun (e, d) -> (remap_expr (fun i -> map.(i)) e, d)) keys;
+            keys = List.map (fun (e, d) -> (remap (fun i -> map.(i)) e, d)) keys;
           },
         map )
   | Project { input; items } ->
@@ -657,7 +531,7 @@ let rec prune (n : t) (keep : ISet.t) : t * int array =
           {
             input;
             items =
-              Array.map (fun (e, a) -> (remap_expr (fun i -> imap.(i)) e, a)) items;
+              Array.map (fun (e, a) -> (remap (fun i -> imap.(i)) e, a)) items;
           },
         map )
   | Union_all (a, b) ->
@@ -686,7 +560,7 @@ let rec prune (n : t) (keep : ISet.t) : t * int array =
             else match rmap.(i - la) with -1 -> -1 | j -> la' + j)
       in
       ( Join
-          { left; kind; right; on = remap_expr (fun i -> map.(i)) on; from_where },
+          { left; kind; right; on = remap (fun i -> map.(i)) on; from_where },
         map )
   | Derived { input; alias } ->
       let input, map = prune input keep in
@@ -700,10 +574,18 @@ let rewrite n = prune_root (cleanup (propagate (push n)))
 
 (* --- printing ----------------------------------------------------------- *)
 
-let item_to_string (e, a) =
+let item_to_string h (e, a) =
   match e with
-  | Col (_, { p_col; _ }) when p_col = a -> a
-  | _ -> a ^ ":=" ^ expr_to_string e
+  | Expr.R_col i when snd h.(i) = a -> a
+  | _ -> a ^ ":=" ^ expr_to_string h e
+
+let keys_to_string h keys =
+  String.concat ", "
+    (List.map
+       (fun (e, d) ->
+         expr_to_string h e
+         ^ match d with Sql.Asc -> " asc" | Sql.Desc -> " desc")
+       keys)
 
 let to_string (n : t) : string =
   let b = Buffer.create 512 in
@@ -723,19 +605,19 @@ let to_string (n : t) : string =
           (Printf.sprintf "filter%s%s %s"
              (if pushed then "[pushdown]" else "")
              (if charged then "" else "[uncharged]")
-             (expr_to_string pred));
+             (expr_to_string (header input) pred));
         go (ind + 1) input
     | Project { input; items } ->
         line ind
           (Printf.sprintf "project [%s]"
-             (String.concat ", " (Array.to_list (Array.map item_to_string items))));
+             (String.concat ", " (Array.to_list (Array.map (item_to_string (header input)) items))));
         go (ind + 1) input
     | Join { left; kind; right; on; from_where } ->
         line ind
           (Printf.sprintf "join %s%s on %s"
              (match kind with Sql.Inner -> "inner" | Sql.Left_outer -> "left-outer")
              (if from_where then " [pushdown<-where]" else "")
-             (expr_to_string on));
+             (expr_to_string (Array.append (header left) (header right)) on));
         go (ind + 1) left;
         go (ind + 1) right
     | Union_all (a, b) ->
@@ -747,13 +629,7 @@ let to_string (n : t) : string =
         go (ind + 1) input
     | Sort { input; keys } ->
         line ind
-          (Printf.sprintf "sort [%s]"
-             (String.concat ", "
-                (List.map
-                   (fun (e, d) ->
-                     expr_to_string e
-                     ^ match d with Sql.Asc -> " asc" | Sql.Desc -> " desc")
-                   keys)));
+          (Printf.sprintf "sort [%s]" (keys_to_string (header input) keys));
         go (ind + 1) input
   in
   go 0 n;

@@ -1,9 +1,12 @@
 (** Typed logical relational algebra.
 
     The lowering layer turns a {!Sql.query} into this IR exactly once,
-    resolving every column reference to a tuple position (so ambiguity
-    errors surface at plan time, not per row) and fixing the greedy
-    connected-join order the interpreter used to pick on the fly.  The
+    resolving every column reference to a tuple position with
+    {!Expr.resolve} (so ambiguity errors surface at plan time, not per
+    row) and fixing the greedy connected-join order the interpreter used
+    to pick on the fly.  Expressions are {!Expr.resolved}; they carry no
+    names, so the printers name each position from its operator's
+    {!header}.  The
     {!rewrite} pass then performs predicate pushdown, constant
     folding/propagation and projection pruning under one invariant: the
     rewritten plan must produce byte-identical output to the naive
@@ -16,38 +19,24 @@ exception Ambiguous_column of string
 type header = (string * string) array
 (** [(alias, column)] per tuple position. *)
 
-type prov = { p_alias : string; p_col : string }
-(** Where a resolved column reference came from, kept for printing. *)
-
-type expr =
-  | Col of int * prov
-  | Lit of Value.t
-  | Cmp of Expr.cmp * expr * expr
-  | Arith of Expr.arith * expr * expr
-  | And of expr * expr
-  | Or of expr * expr
-  | Not of expr
-  | Is_null of expr
-  | Is_not_null of expr
-
 type t =
   | Scan of { table : string; alias : string; cols : (int * string) array }
       (** [cols] maps output positions to stored-column indices; pruning
           narrows it.  The scan work charge is per stored row and does
           not depend on the projected width. *)
   | Dual  (** zero-column, one-row relation (empty FROM list) *)
-  | Filter of { input : t; pred : expr; pushed : bool; charged : bool }
+  | Filter of { input : t; pred : Expr.resolved; pushed : bool; charged : bool }
       (** [pushed]: the predicate runs earlier than a naive
           filter-after-product evaluation would place it.  [charged]:
           survivors pay the per-row emit charge (false only for
           predicates relocated out of join ON conditions, which the
           interpreter evaluated for free during probing). *)
-  | Project of { input : t; items : (expr * string) array }
+  | Project of { input : t; items : (Expr.resolved * string) array }
   | Join of {
       left : t;
       kind : Sql.join_kind;
       right : t;
-      on : expr;
+      on : Expr.resolved;
       from_where : bool;
           (** the ON condition was assembled from WHERE conjuncts by the
               greedy comma-FROM ordering, i.e. it is a pushed-down
@@ -55,27 +44,20 @@ type t =
     }
   | Union_all of t * t
   | Derived of { input : t; alias : string }  (** sub-query boundary *)
-  | Sort of { input : t; keys : (expr * Sql.dir) list }
+  | Sort of { input : t; keys : (Expr.resolved * Sql.dir) list }
 
 (** {1 Inspection} *)
 
 val header : t -> header
 val width : t -> int
 
-val is_lit : expr -> bool
-val expr_positions : expr -> int list
-val conjuncts : expr -> expr list
+val expr_to_string : header -> Expr.resolved -> string
+(** Prints an expression over a row of [header], naming each position
+    by its (alias, column) there ([alias.column], or [column] under an
+    empty alias). *)
 
-val conjoin : expr list -> expr
-(** Inverse of {!conjuncts}; [conjoin \[\]] is [TRUE]. *)
-
-val disjuncts : expr -> expr list
-val to_resolved : expr -> Expr.resolved
-
-val remap_expr : (int -> int) -> expr -> expr
-(** Renumbers every column position. *)
-
-val expr_to_string : expr -> string
+val keys_to_string : header -> (Expr.resolved * Sql.dir) list -> string
+(** Sort keys over a row of [header], as [--explain] prints them. *)
 
 (** {1 Lowering} *)
 

@@ -165,6 +165,9 @@ type t = {
 let create ?(faults = no_faults) ?(retry = default_retry)
     ?(breaker = default_breaker) ?clock ?(budget = 0)
     ?(profile = Executor.default_profile) database =
+  if budget < 0 then invalid_arg "Backend.create: budget must be >= 0";
+  if retry.max_retries < 0 then
+    invalid_arg "Backend.create: retries must be >= 0";
   let clk = match clock with Some c -> c | None -> virtual_clock () in
   {
     database;

@@ -129,7 +129,8 @@ val create :
   t
 (** A connection to [db].  [budget] (work units per submission, 0 =
     unlimited) and [profile] are applied to every submitted query,
-    modeling the server-side per-query timeout. *)
+    modeling the server-side per-query timeout.  Raises
+    [Invalid_argument] on a negative [budget] or [retry.max_retries]. *)
 
 val profile : t -> Executor.profile
 (** The cost profile every submission runs under (for pricing a plan

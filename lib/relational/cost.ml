@@ -14,7 +14,7 @@
    (and sorts' spills) as the same per-operator deltas the executor
    records as its actuals, so estimates and meter readings are directly
    comparable — per operator, not just per query.  The greedy planner
-   (paper Sec. 5) calls [estimate] through a counting wrapper so the
+   (paper Sec. 5) calls [ask] through a counting wrapper so the
    experiments can report the number of oracle requests. *)
 
 type estimate = {
@@ -23,12 +23,6 @@ type estimate = {
   width : float;       (* average output tuple wire bytes *)
   ms : float;          (* predicted executor time, the stream's constant included *)
 }
-
-let data_size e = e.cardinality *. e.width
-
-(* The paper's linear cost combination: cost(q,a,b) =
-   a * evaluation_cost(q) + b * data_size(q). *)
-let cost ~a ~b e = (a *. e.eval_cost) +. (b *. data_size e)
 
 (* --- the time model ------------------------------------------------------ *)
 
@@ -101,7 +95,8 @@ let node_ns (m : time_model) c =
 
 (* The merge-tagger's predicted time for a stream of [e]'s rows. *)
 let tag_ms e =
-  ((time_model.tag_tuple *. e.cardinality) +. (time_model.tag_byte *. data_size e))
+  ((time_model.tag_tuple *. e.cardinality)
+  +. (time_model.tag_byte *. (e.cardinality *. e.width)))
   /. 1e6
 
 (* The paper's combination in predicted milliseconds: [a] weighs the
@@ -516,9 +511,6 @@ let counts ?(profile = Executor.default_profile) stats p =
   ignore (price ~profile ~counts:a stats p None);
   a
 
-let estimate ?(profile = Executor.default_profile) stats db (q : Sql.query) =
-  price ~profile stats (P.plan_of db q) None
-
 (* A counting oracle: the experiments of Sec. 5.1 report how many
    estimate requests the greedy planner issues. *)
 type oracle = {
@@ -530,9 +522,9 @@ type oracle = {
 let oracle db = { stats = Stats.analyze db; db; requests = 0 }
 let oracle_with_stats db stats = { stats; db; requests = 0 }
 
-let ask ?profile o q =
+let ask ?(profile = Executor.default_profile) o q =
   o.requests <- o.requests + 1;
-  estimate ?profile o.stats o.db q
+  price ~profile o.stats (P.plan_of o.db q) None
 
 let requests o = o.requests
 let reset_requests o = o.requests <- 0

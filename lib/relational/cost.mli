@@ -12,8 +12,7 @@
     table's when they are a declared foreign key
     ({!Stats.distinct_bound}).  A union on the right is priced branch
     by branch.  Other conjuncts are independent.  [eval_cost] mirrors
-    the executor's work meter operator for operator; [data_size] is
-    estimated width × cardinality.  The same walk prices each node's
+    the executor's work meter operator for operator.  The same walk prices each node's
     {!counts} in predicted nanoseconds under {!time_model}, and the
     planner compares fragments in that time ({!time_cost}); work units
     stay the executor's meter.  The paper's greedy planner uses
@@ -29,12 +28,6 @@ type estimate = {
       (** predicted executor time: the nodes' predicted own times and
           the per-stream constant *)
 }
-
-val data_size : estimate -> float
-(** [cardinality ×. width]. *)
-
-val cost : a:float -> b:float -> estimate -> float
-(** The paper's linear combination [a·eval_cost + b·data_size]. *)
 
 (** {1 The time model} *)
 
@@ -95,10 +88,6 @@ val counts :
 (** Every node's estimated {!counts}, by node id, from the walk
     {!annotate} makes — what the time model is fitted on. *)
 
-val estimate :
-  ?profile:Executor.profile -> Stats.t -> Database.t -> Sql.query -> estimate
-(** The total of {!annotate} on [Physical.plan_of db q], no per-node array. *)
-
 (** {1 Counting oracle}
 
     Sec. 5.1 of the paper reports the number of cost-estimate requests the
@@ -112,5 +101,8 @@ val oracle : Database.t -> oracle
 
 val oracle_with_stats : Database.t -> Stats.t -> oracle
 val ask : ?profile:Executor.profile -> oracle -> Sql.query -> estimate
+(** One counted request: the total of {!annotate} on
+    [Physical.plan_of db q], no per-node array. *)
+
 val requests : oracle -> int
 val reset_requests : oracle -> unit

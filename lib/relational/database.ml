@@ -95,7 +95,7 @@ let positions_of (schema : Schema.table) cols =
    tests can assert on specific failures.  Keys are compared as the
    engine compares them, by {!Value.equal}: [Int 2] matches [Float 2.0],
    and two FLOAT keys that print alike stay distinct. *)
-let key_string k = String.concat "," (Array.to_list (Array.map Value.to_string k))
+let show_key k = String.concat "," (Array.to_list (Array.map Value.to_string k))
 
 let check_keys db name =
   let s = find_exn db name in
@@ -107,7 +107,7 @@ let check_keys db name =
       (fun acc row ->
         let k = Tuple.project pos row in
         if Tuple.Tbl.mem seen k then
-          Printf.sprintf "%s: duplicate key (%s)" name (key_string k) :: acc
+          Printf.sprintf "%s: duplicate key (%s)" name (show_key k) :: acc
         else (
           Tuple.Tbl.add seen k ();
           acc))
@@ -133,7 +133,7 @@ let check_foreign_keys db name =
               let k = Tuple.project src_pos row in
               if Array.exists Value.is_null k || Tuple.Tbl.mem keys k then acc
               else
-                Printf.sprintf "%s: dangling FK (%s) -> %s" name (key_string k)
+                Printf.sprintf "%s: dangling FK (%s) -> %s" name (show_key k)
                   fk.ref_table
                 :: acc)
             [] s.data)

@@ -1,5 +1,4 @@
-(* Query execution: the interpreter of {!Physical.plan}s ([run_with_stats]
-   plans a SQL AST first, with {!Physical.plan_of}).  A run writes
+(* Query execution: the interpreter of {!Physical.plan}s.  A run writes
    nothing into its plan: its per-node figures go to [stats.actuals].
 
    Execution is metered: every row scanned, probed, emitted or sorted
@@ -790,7 +789,3 @@ let run_plan_with_stats ?(budget = 0) ?(profile = default_profile) db
 let run_plan_cursor_with_stats ?(budget = 0) ?(profile = default_profile) db
     (p : P.plan) =
   exec_query ~budget ~profile db p ~finish:Cursor.of_batches
-
-let run_with_stats ?(budget = 0) ?(profile = default_profile) db
-    (q : Sql.query) =
-  exec_query ~budget ~profile db (P.plan_of db q) ~finish:relation_of_batches

@@ -47,18 +47,7 @@ type profile = {
 
 val default_profile : profile
 
-val run_with_stats :
-  ?budget:int ->
-  ?profile:profile ->
-  Database.t ->
-  Sql.query ->
-  Relation.t * stats
-(** Executes a query.  [budget > 0] bounds the work units; exceeding it
-    raises {!Timeout}.  Operators process {!Batch.t} chunks of
-    {!Batch.default_size} rows with expressions compiled once per
-    operator. *)
-
-(** {1 Pre-planned execution}
+(** {1 Execution}
 
     Each run returns its per-node figures in [stats.actuals] and writes
     nothing into the plan, so one plan may run any number of times, at
@@ -70,6 +59,10 @@ val run_plan_with_stats :
   Database.t ->
   Physical.plan ->
   Relation.t * stats
+(** Executes a plan.  [budget > 0] bounds the work units; exceeding it
+    raises {!Timeout}.  Operators process {!Batch.t} chunks of
+    {!Batch.default_size} rows with expressions compiled once per
+    operator. *)
 
 val run_plan_cursor_with_stats :
   ?budget:int ->

@@ -61,8 +61,6 @@ let rec to_sql = function
   | Is_null e -> Printf.sprintf "(%s IS NULL)" (to_sql e)
   | Is_not_null e -> Printf.sprintf "(%s IS NOT NULL)" (to_sql e)
 
-let pp fmt e = Format.pp_print_string fmt (to_sql e)
-
 (* --- Resolution and evaluation ------------------------------------- *)
 
 type resolved =
@@ -77,6 +75,51 @@ type resolved =
   | R_is_not_null of resolved
 
 exception Unresolved_column of string
+
+(* The inverse of {!resolve} for printing: [name i] is position [i]'s
+   column reference. *)
+let rec unresolve name = function
+  | R_col i ->
+      let q, c = name i in
+      Col (q, c)
+  | R_lit v -> Lit v
+  | R_cmp (op, a, b) -> Cmp (op, unresolve name a, unresolve name b)
+  | R_arith (op, a, b) -> Arith (op, unresolve name a, unresolve name b)
+  | R_and (a, b) -> And (unresolve name a, unresolve name b)
+  | R_or (a, b) -> Or (unresolve name a, unresolve name b)
+  | R_not e -> Not (unresolve name e)
+  | R_is_null e -> Is_null (unresolve name e)
+  | R_is_not_null e -> Is_not_null (unresolve name e)
+
+let rec r_conjuncts = function
+  | R_and (a, b) -> r_conjuncts a @ r_conjuncts b
+  | e -> [ e ]
+
+let r_conjoin = function
+  | [] -> R_lit (Value.Bool true)
+  | e :: rest -> List.fold_left (fun acc c -> R_and (acc, c)) e rest
+
+let rec r_disjuncts = function
+  | R_or (a, b) -> r_disjuncts a @ r_disjuncts b
+  | e -> [ e ]
+
+let rec positions = function
+  | R_col i -> [ i ]
+  | R_lit _ -> []
+  | R_cmp (_, a, b) | R_arith (_, a, b) | R_and (a, b) | R_or (a, b) ->
+      positions a @ positions b
+  | R_not e | R_is_null e | R_is_not_null e -> positions e
+
+let rec subst f = function
+  | R_col i -> f i
+  | R_lit _ as e -> e
+  | R_cmp (op, a, b) -> R_cmp (op, subst f a, subst f b)
+  | R_arith (op, a, b) -> R_arith (op, subst f a, subst f b)
+  | R_and (a, b) -> R_and (subst f a, subst f b)
+  | R_or (a, b) -> R_or (subst f a, subst f b)
+  | R_not e -> R_not (subst f e)
+  | R_is_null e -> R_is_null (subst f e)
+  | R_is_not_null e -> R_is_not_null (subst f e)
 
 let rec resolve lookup = function
   | Col (q, c) -> (
@@ -283,17 +326,6 @@ let rec sided split e =
   in
   { e; sides; kids }
 
-let rec shift d = function
-  | R_col i -> R_col (i - d)
-  | R_lit _ as e -> e
-  | R_cmp (op, a, b) -> R_cmp (op, shift d a, shift d b)
-  | R_arith (op, a, b) -> R_arith (op, shift d a, shift d b)
-  | R_and (a, b) -> R_and (shift d a, shift d b)
-  | R_or (a, b) -> R_or (shift d a, shift d b)
-  | R_not e -> R_not (shift d e)
-  | R_is_null e -> R_is_null (shift d e)
-  | R_is_not_null e -> R_is_not_null (shift d e)
-
 (* An expression over (left row, right row), read in place: a column
    of either row or a literal is read directly, a subtree reading one
    side is {!compile} over that row (columns shifted for the right), and
@@ -307,7 +339,7 @@ let rec join_value split s : Tuple.t -> Tuple.t -> Value.t =
         fun _ r -> r.(i)
   | _, R_lit v, _ -> fun _ _ -> v
   | 2, _, _ ->
-      let f = compile (shift split s.e) in
+      let f = compile (subst (fun i -> R_col (i - split)) s.e) in
       fun _ r -> f r
   | (0 | 1), _, _ ->
       let f = compile s.e in
@@ -357,7 +389,7 @@ let compile_join_pred ~split (e : resolved) : Tuple.t -> Tuple.t -> bool =
         let i = i - split in
         fun _ r -> test op r.(i) v
     | 2, _, _ ->
-        let p = compile_pred (shift split s.e) in
+        let p = compile_pred (subst (fun i -> R_col (i - split)) s.e) in
         fun _ r -> p r
     | (0 | 1), _, _ ->
         let p = compile_pred s.e in

@@ -42,7 +42,6 @@ val as_column_equality :
 (** Recognizes [a.x = b.y], the shape usable by hash joins. *)
 
 val to_sql : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** {1 Resolution and evaluation} *)
 
@@ -57,14 +56,32 @@ type resolved =
   | R_is_null of resolved
   | R_is_not_null of resolved
       (** Position-resolved expression: column references are tuple indices.
-          Exposed concretely so the algebra/physical-plan layers can build,
-          rewrite, and cost these without re-resolving names. *)
+          The one form below the SQL AST: the algebra, physical-plan and
+          cost layers build, rewrite and price these, and print them
+          through {!unresolve} with names from their operator's header. *)
 
 exception Unresolved_column of string
 
 val resolve : (string option * string -> int option) -> t -> resolved
 (** [resolve lookup e] maps every column reference to a tuple position.
     Raises {!Unresolved_column} when [lookup] returns [None]. *)
+
+val unresolve : (int -> string option * string) -> resolved -> t
+(** [unresolve name r] names every position [i] as [name i], for
+    printing with {!to_sql}. *)
+
+val r_conjuncts : resolved -> resolved list
+val r_conjoin : resolved list -> resolved
+(** {!conjuncts} and {!conjoin} over resolved expressions. *)
+
+val r_disjuncts : resolved -> resolved list
+(** Flattens nested [R_or]s. *)
+
+val positions : resolved -> int list
+(** Every column position read, with duplicates. *)
+
+val subst : (int -> resolved) -> resolved -> resolved
+(** [subst f r] replaces every [R_col i] of [r] with [f i]. *)
 
 val apply_cmp : cmp -> int -> bool
 (** Interprets a comparison operator over a [Value.compare3] result. *)

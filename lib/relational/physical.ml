@@ -12,7 +12,6 @@ type index = {
   left_keys : int array;
   right_keys : int array;
   guard : Expr.resolved option;
-  index_str : string;
 }
 
 type disjunct = {
@@ -25,7 +24,6 @@ type join_info = {
   kind : Sql.join_kind;
   algo : algo;
   on : Expr.resolved;
-  on_str : string;
   disjuncts : disjunct list;
   indexes : index list;
   split : int;
@@ -46,7 +44,6 @@ and shape =
   | Filter of {
       input : node;
       pred : Expr.resolved;
-      pred_str : string;
       pushed : bool;
       charged : bool;
     }
@@ -61,7 +58,6 @@ and shape =
   | Sort of {
       input : node;
       keys : (Expr.resolved * Sql.dir) list;
-      key_str : string;
     }
   | Derived of { input : node; alias : string }
 
@@ -69,7 +65,6 @@ type plan = {
   root : node;
   cols : string array;
   nodes : int;
-  logical : Algebra.t;
 }
 
 (* One run's figures, by node id; negative = unknown. *)
@@ -95,28 +90,25 @@ let figures p unknown spills =
 let no_estimates p = figures p (-1.0) (-1)
 let no_actuals p = figures p (-1) 0
 
-(* One ON disjunct's conjuncts split into its cross-side column
-   equalities, as (left position, right position, right column) — the
-   positional equivalent of the interpreter's [equi_keys] name lookup —
-   and the rest. *)
-let split_conjuncts la d =
-  List.partition_map
-    (fun c ->
-      match c with
-      | Algebra.Cmp (Expr.Eq, (Algebra.Col (i, _) as l), (Algebra.Col (j, _) as r))
-        when (i < la && j >= la) || (j < la && i >= la) ->
-          if i < la then Either.Left (i, j - la, r) else Either.Left (j, i - la, l)
-      | c -> Either.Right c)
-    (Algebra.conjuncts d)
-
-let key_positions eqs =
-  ( Array.of_list (List.map (fun (i, _, _) -> i) eqs),
-    Array.of_list (List.map (fun (_, j, _) -> j) eqs) )
-
+(* One ON disjunct split into its cross-side column equalities, as
+   (left position, right position) pairs — the positional equivalent of
+   the interpreter's [equi_keys] name lookup — and the rest. *)
 let disjunct_of la d =
-  let eqs, rest = split_conjuncts la d in
-  let d_left_keys, d_right_keys = key_positions eqs in
-  { d_left_keys; d_right_keys; d_rest = List.map Algebra.to_resolved rest }
+  let eqs, d_rest =
+    List.partition_map
+      (fun c ->
+        match c with
+        | Expr.R_cmp (Expr.Eq, Expr.R_col i, Expr.R_col j)
+          when (i < la && j >= la) || (j < la && i >= la) ->
+            if i < la then Either.Left (i, j - la) else Either.Left (j, i - la)
+        | c -> Either.Right c)
+      (Expr.r_conjuncts d)
+  in
+  {
+    d_left_keys = Array.of_list (List.map fst eqs);
+    d_right_keys = Array.of_list (List.map snd eqs);
+    d_rest;
+  }
 
 (* The hash indexes of a join whose every ON disjunct has an equality:
    one per distinct (left key, right key) position pair, in order of
@@ -126,51 +118,34 @@ let disjunct_of la d =
    its index unguarded.  A right row that ON accepts through one of
    these disjuncts passes the guard, so the executor tests ON only on
    the rows that do. *)
-let indexes_of la on =
-  let disjunct d =
-    let eqs, _ = split_conjuncts la d in
-    let right_only =
+let indexes_of la disjuncts =
+  let keys d = (d.d_left_keys, d.d_right_keys) in
+  let right_only d =
+    match
       List.filter
-        (fun c -> List.for_all (fun p -> p >= la) (Algebra.expr_positions c))
-        (Algebra.conjuncts d)
-    in
-    ( key_positions eqs,
-      List.map (fun (_, _, r) -> Algebra.expr_to_string r) eqs,
-      match right_only with [] -> None | cs -> Some (Algebra.conjoin cs) )
+        (fun c -> List.for_all (fun p -> p >= la) (Expr.positions c))
+        d.d_rest
+    with
+    | [] -> None
+    | cs -> Some (Expr.r_conjoin cs)
   in
-  let ds = List.map disjunct (Algebra.disjuncts on) in
-  let keys =
-    List.rev
-      (List.fold_left
-         (fun acc (k, _, _) -> if List.mem k acc then acc else k :: acc)
-         [] ds)
+  let or_guard acc g =
+    Option.bind acc (fun a -> Option.map (fun g -> Expr.R_or (a, g)) g)
   in
-  List.map
-    (fun ((lk, rk) as k) ->
-      let served = List.filter (fun (k', _, _) -> k' = k) ds in
-      let guards = List.map (fun (_, _, g) -> g) served in
-      let guard =
-        if List.mem None guards then None
-        else
-          match List.filter_map Fun.id guards with
-          | g :: gs -> Some (List.fold_left (fun acc g -> Algebra.Or (acc, g)) g gs)
-          | [] -> None
-      in
-      let names = match served with (_, n, _) :: _ -> n | [] -> [] in
-      {
-        left_keys = lk;
-        right_keys = rk;
-        guard =
-          Option.map
-            (fun g -> Algebra.to_resolved (Algebra.remap_expr (fun p -> p - la) g))
-            guard;
-        index_str =
-          Printf.sprintf "index (%s)%s" (String.concat ", " names)
-            (match guard with
-            | None -> ""
-            | Some g -> " guard " ^ Algebra.expr_to_string g);
-      })
-    keys
+  List.fold_left
+    (fun acc d -> if List.mem (keys d) acc then acc else acc @ [ keys d ])
+    [] disjuncts
+  |> List.map (fun ((left_keys, right_keys) as k) ->
+         let guard =
+           match List.filter (fun d -> keys d = k) disjuncts |> List.map right_only with
+           | g :: gs -> List.fold_left or_guard g gs
+           | [] -> None
+         in
+         {
+           left_keys;
+           right_keys;
+           guard = Option.map (Expr.subst (fun p -> Expr.R_col (p - la))) guard;
+         })
 
 let of_algebra (a : Algebra.t) : plan =
   let counter = ref 0 in
@@ -198,8 +173,7 @@ let of_algebra (a : Algebra.t) : plan =
           (Filter
              {
                input = build ~out:false input;
-               pred = Algebra.to_resolved pred;
-               pred_str = Algebra.expr_to_string pred;
+               pred;
                pushed;
                charged;
              })
@@ -208,23 +182,25 @@ let of_algebra (a : Algebra.t) : plan =
           (Project
              {
                input = build ~out:false input;
-               items = Array.map (fun (e, _) -> Algebra.to_resolved e) items;
+               items = Array.map fst items;
                names = Array.map snd items;
                charged =
                  Array.map
-                   (fun (e, _) -> (not out) || not (Algebra.is_lit e))
+                   (fun (e, _) ->
+                     (not out)
+                     || match e with Expr.R_lit _ -> false | _ -> true)
                    items;
              })
     | Algebra.Join { left; kind; right; on; from_where } ->
         let la = Algebra.width left in
         let right_width = Algebra.width right in
-        let disjuncts = List.map (disjunct_of la) (Algebra.disjuncts on) in
+        let disjuncts = List.map (disjunct_of la) (Expr.r_disjuncts on) in
         let algo =
           if List.exists (fun d -> Array.length d.d_left_keys = 0) disjuncts then
             Nested_loop
           else Hash_join
         in
-        let indexes = if algo = Hash_join then indexes_of la on else [] in
+        let indexes = if algo = Hash_join then indexes_of la disjuncts else [] in
         mk
           (Join
              {
@@ -234,8 +210,7 @@ let of_algebra (a : Algebra.t) : plan =
                  {
                    kind;
                    algo;
-                   on = Algebra.to_resolved on;
-                   on_str = Algebra.expr_to_string on;
+                   on;
                    disjuncts;
                    indexes;
                    split = la;
@@ -256,19 +231,11 @@ let of_algebra (a : Algebra.t) : plan =
           (Sort
              {
                input = build ~out input;
-               keys =
-                 List.map (fun (e, d) -> (Algebra.to_resolved e, d)) keys;
-               key_str =
-                 String.concat ", "
-                   (List.map
-                      (fun (e, d) ->
-                        Algebra.expr_to_string e
-                        ^ match d with Sql.Asc -> " asc" | Sql.Desc -> " desc")
-                      keys);
+             keys;
              })
   in
   let root = build ~out:true a in
-  { root; cols = Array.map snd (Algebra.header a); nodes = !counter; logical = a }
+  { root; cols = Array.map snd (Algebra.header a); nodes = !counter }
 
 let plan_of db (q : Sql.query) : plan =
   of_algebra (Algebra.rewrite (Algebra.lower db q))
@@ -303,7 +270,30 @@ let iter f (p : plan) =
   in
   go p.root
 
-let logical_string p = Algebra.to_string p.logical
+(* The (alias, column) of each position of a node's rows, as
+   {!Algebra.header} gives them for the tree it was built from: what
+   [to_string] names expressions by. *)
+let rec header n : Algebra.header =
+  match n.shape with
+  | Scan { alias; col_names; _ } -> Array.map (fun c -> (alias, c)) col_names
+  | Dual | Union [] -> [||]
+  | Filter { input; _ } | Sort { input; _ } | Union (input :: _) -> header input
+  | Project { names; _ } -> Array.map (fun a -> ("", a)) names
+  | Join { left; right; _ } -> Array.append (header left) (header right)
+  | Derived { input; alias } ->
+      Array.map (fun (_, c) -> (alias, c)) (header input)
+
+(* [index (keys) guard g], over the right input's header [rh]. *)
+let index_line rh ix =
+  Printf.sprintf "index (%s)%s"
+    (String.concat ", "
+       (Array.to_list
+          (Array.map
+             (fun k -> Algebra.expr_to_string rh (Expr.R_col k))
+             ix.right_keys)))
+    (match ix.guard with
+    | None -> ""
+    | Some g -> " guard " ^ Algebra.expr_to_string rh g)
 
 let card_str (e : estimates) (a : actuals) { id; _ } =
   let est_rows = e.rows.(id) and act_rows = a.rows.(id) in
@@ -345,12 +335,12 @@ let to_string (p : plan) (e : estimates) (a : actuals) : string =
              (Array.length cols))
           n
     | Dual -> line ind "dual" n
-    | Filter { pred_str; pushed; charged; _ } ->
+    | Filter { input; pred; pushed; charged } ->
         line ind
           (Printf.sprintf "filter%s%s %s"
              (if pushed then "[pushdown]" else "")
              (if charged then "" else "[uncharged]")
-             pred_str)
+             (Algebra.expr_to_string (header input) pred))
           n
     | Project { items; charged; _ } ->
         let ncharged =
@@ -360,17 +350,19 @@ let to_string (p : plan) (e : estimates) (a : actuals) : string =
           (Printf.sprintf "project [%d cols, %d charged]" (Array.length items)
              ncharged)
           n
-    | Join { info; _ } ->
+    | Join { left; right; info } ->
         line ind
           (Printf.sprintf "%s %s%s on %s" (algo_name info.algo)
              (match info.kind with
              | Sql.Inner -> "inner"
              | Sql.Left_outer -> "left-outer")
              (if info.from_where then " [pushdown<-where]" else "")
-             info.on_str)
+             (Algebra.expr_to_string
+                (Array.append (header left) (header right))
+                info.on))
           n
     | Union ns -> line ind (Printf.sprintf "union-all [%d branches]" (List.length ns)) n
-    | Sort { key_str; _ } ->
+    | Sort { input; keys } ->
         let est_spills = e.spills.(n.id) and act_spills = a.spills.(n.id) in
         let spill =
           if est_spills > 0 || act_spills > 0 then
@@ -379,7 +371,11 @@ let to_string (p : plan) (e : estimates) (a : actuals) : string =
               act_spills
           else ""
         in
-        line ind (Printf.sprintf "sort [%s]%s" key_str spill) n
+        line ind
+          (Printf.sprintf "sort [%s]%s"
+             (Algebra.keys_to_string (header input) keys)
+             spill)
+          n
     | Derived { alias; _ } -> line ind (Printf.sprintf "derived %s" alias) n);
     match n.shape with
     | Scan _ | Dual -> ()
@@ -389,10 +385,11 @@ let to_string (p : plan) (e : estimates) (a : actuals) : string =
     | Derived { input; _ } ->
         go (ind + 1) input
     | Join { left; right; info } ->
+        let rh = header right in
         List.iter
           (fun ix ->
             Buffer.add_string b (String.make ((ind + 1) * 2) ' ');
-            Buffer.add_string b ix.index_str;
+            Buffer.add_string b (index_line rh ix);
             Buffer.add_char b '\n')
           info.indexes;
         go (ind + 1) left;

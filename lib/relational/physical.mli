@@ -10,7 +10,13 @@
     [Cost.annotate]) and {!actuals} (from one run of the executor),
     set side by side by [--explain] and [diagnose].  A run's live
     [exec.*] spans carry the node id and its actuals; pricing a plan is
-    left to those readouts, so tracing never reads the catalog. *)
+    left to those readouts, so tracing never reads the catalog.
+
+    A plan holds only what the executor runs and {!Cost} prices: no
+    printed form of any expression and not the logical tree it was built
+    from.  {!to_string} names columns from each operator's header, and
+    [explain] rebuilds the logical tree from the statement text when it
+    prints it. *)
 
 type algo = Hash_join | Nested_loop
 
@@ -22,7 +28,6 @@ type index = {
           serves, of the AND of each one's right-only conjuncts; [None]
           when one of them has none.  Every right row that ON accepts
           through these disjuncts passes it. *)
-  index_str : string;  (** [index (keys) guard g], for [--explain] *)
 }
 (** A hash index on the right input, shared by the ON disjuncts with
     the same (left key, right key) positions. *)
@@ -44,7 +49,6 @@ type join_info = {
           column equality; otherwise some disjunct forces the whole
           right side to be probed. *)
   on : Expr.resolved;
-  on_str : string;
   disjuncts : disjunct list;  (** ON's disjuncts; what {!Cost} prices *)
   indexes : index list;
       (** one per distinct key pair of [disjuncts], in order of first
@@ -69,7 +73,6 @@ and shape =
   | Filter of {
       input : node;
       pred : Expr.resolved;
-      pred_str : string;
       pushed : bool;
       charged : bool;
     }
@@ -88,7 +91,6 @@ and shape =
   | Sort of {
       input : node;
       keys : (Expr.resolved * Sql.dir) list;
-      key_str : string;
     }
   | Derived of { input : node; alias : string }
 
@@ -96,7 +98,6 @@ type plan = {
   root : node;
   cols : string array;
   nodes : int;  (** the node count *)
-  logical : Algebra.t;  (** the rewritten tree it was built from *)
 }
 
 val plan_of : Database.t -> Sql.query -> plan
@@ -134,13 +135,11 @@ val inputs : node -> node list
 val iter : (node -> unit) -> plan -> unit
 (** Pre-order traversal. *)
 
-val logical_string : plan -> string
-(** [Algebra.to_string p.logical]. *)
-
 val to_string : plan -> estimates -> actuals -> string
 (** Indented physical tree with algorithm, estimated and actual
     rows/cost/ms per operator, and each hash join's indexes on the lines
-    under it, for [--explain]. *)
+    under it, for [--explain].  Expressions are named from the headers
+    of the operators they read, as {!Algebra.to_string} names them. *)
 
 val diagnose_samples :
   stream:string -> plan -> estimates -> actuals -> Obs.Diagnose.sample list

@@ -5,11 +5,7 @@ open Sql_lexer
 
 exception Parse_error of string
 
-type state = {
-  toks : token array;
-  mutable pos : int;
-  mutable with_env : (string * Sql.query) list; (* WITH definitions *)
-}
+type state = { toks : token array; mutable pos : int }
 
 let fail st msg =
   raise
@@ -62,7 +58,7 @@ let reserved_here s =
     [
       "SELECT"; "FROM"; "WHERE"; "ON"; "JOIN"; "LEFT"; "INNER"; "OUTER";
       "UNION"; "ALL"; "ORDER"; "BY"; "AND"; "OR"; "NOT"; "IS"; "NULL";
-      "AS"; "ASC"; "DESC"; "WITH";
+      "AS"; "ASC"; "DESC";
     ]
 
 (* --- expressions ---------------------------------------------------- *)
@@ -325,13 +321,10 @@ and parse_from_primary st =
         let r = parse_table_ref st in
         expect st RPAREN;
         r
-  | IDENT s when not (reserved_here s) -> (
+  | IDENT s when not (reserved_here s) ->
       advance st;
       let alias = if eat_kw st "AS" then ident st else s in
-      (* a name bound by a WITH clause denotes its defining query *)
-      match List.assoc_opt s st.with_env with
-      | Some query -> Sql.Derived { query; alias }
-      | None -> Sql.Table { name = s; alias })
+      Sql.Table { name = s; alias }
   | _ -> fail st "expected table reference"
 
 and parse_query_in_parens st : Sql.query option =
@@ -345,29 +338,9 @@ and parse_query_in_parens st : Sql.query option =
     else None
   with Parse_error _ -> None
 
-(* WITH name AS ( query ) {, name AS ( query )} — definitions may refer
-   to earlier ones, as in standard SQL. *)
-let parse_with_defs st =
-  if eat_kw st "WITH" then begin
-    let rec defs () =
-      let name = ident st in
-      expect_kw st "AS";
-      expect st LPAREN;
-      let q = parse_query st in
-      expect st RPAREN;
-      st.with_env <- (name, q) :: st.with_env;
-      if peek st = COMMA then begin
-        advance st;
-        defs ()
-      end
-    in
-    defs ()
-  end
-
 let parse (text : string) : Sql.query =
   let toks = tokenize text in
-  let st = { toks; pos = 0; with_env = [] } in
-  parse_with_defs st;
+  let st = { toks; pos = 0 } in
   let q = parse_query st in
   if peek st <> EOF then fail st "trailing input";
   q

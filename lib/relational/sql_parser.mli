@@ -6,6 +6,8 @@
 exception Parse_error of string
 
 val parse : string -> Sql.query
-(** Parses a complete query, including an optional leading WITH clause
-    (desugared into derived tables).  Raises {!Parse_error} or
-    {!Sql_lexer.Lex_error} on malformed input. *)
+(** Parses a complete query.  The dialect is the one {!Sql_print}
+    writes: SELECT, FROM lists with (LEFT OUTER) JOIN and derived
+    tables, WHERE, UNION ALL and ORDER BY; there is no WITH clause.
+    Raises {!Parse_error} or {!Sql_lexer.Lex_error} on malformed
+    input. *)

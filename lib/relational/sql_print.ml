@@ -127,82 +127,3 @@ let to_pretty_string q =
     incr i
   done;
   Buffer.contents buf
-
-(* WITH-clause rendering (the paper's footnote: "We also can use the SQL
-   'with' clause to construct partitioned relations").  Derived tables
-   are hoisted, innermost first, into named WITH definitions; the parser
-   desugars them back, so [Sql_parser.parse (to_with_string q)] is
-   structurally [q] as long as definition names do not collide with
-   stored-table names — we uniquify against the names in use. *)
-let to_with_string q =
-  let defs = ref [] in
-  (* names already taken: real tables referenced + aliases *)
-  let taken = Hashtbl.create 16 in
-  let rec note_taken_ref = function
-    | Sql.Table { name; alias } ->
-        Hashtbl.replace taken name ();
-        Hashtbl.replace taken alias ()
-    | Sql.Derived { query; alias } ->
-        Hashtbl.replace taken alias ();
-        note_taken_query query
-    | Sql.Join { left; right; _ } ->
-        note_taken_ref left;
-        note_taken_ref right
-
-  and note_taken_body = function
-    | Sql.Select s -> List.iter note_taken_ref s.from
-    | Sql.Union_all (a, b) ->
-        note_taken_body a;
-        note_taken_body b
-
-  and note_taken_query (q : Sql.query) = note_taken_body q.Sql.body in
-  note_taken_query q;
-  let fresh base =
-    if not (Hashtbl.mem taken base) then begin
-      Hashtbl.replace taken base ();
-      base
-    end
-    else begin
-      let rec go i =
-        let cand = Printf.sprintf "%s_%d" base i in
-        if Hashtbl.mem taken cand then go (i + 1)
-        else begin
-          Hashtbl.replace taken cand ();
-          cand
-        end
-      in
-      go 2
-    end
-  in
-  let rec hoist_ref = function
-    | Sql.Table _ as t -> t
-    | Sql.Derived { query; alias } ->
-        let query = hoist_query query in
-        let name = fresh ("w_" ^ alias) in
-        defs := (name, query) :: !defs;
-        Sql.Table { name; alias }
-    | Sql.Join { left; kind; right; on } ->
-        Sql.Join { left = hoist_ref left; kind; right = hoist_ref right; on }
-
-  and hoist_body = function
-    | Sql.Select s -> Sql.Select { s with from = List.map hoist_ref s.from }
-    | Sql.Union_all (a, b) -> Sql.Union_all (hoist_body a, hoist_body b)
-
-  and hoist_query (q : Sql.query) = { q with Sql.body = hoist_body q.Sql.body } in
-  let main = hoist_query q in
-  let buf = Buffer.create 256 in
-  (match List.rev !defs with
-  | [] -> ()
-  | defs ->
-      Buffer.add_string buf "WITH ";
-      List.iteri
-        (fun i (name, dq) ->
-          if i > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf name;
-          Buffer.add_string buf " AS (";
-          print_query buf dq;
-          Buffer.add_char buf ')')
-        defs;
-      Buffer.add_char buf ' ');
-  print_query buf main;
-  Buffer.contents buf

@@ -9,7 +9,3 @@ val to_string : Sql.query -> string
 
 val to_pretty_string : Sql.query -> string
 (** Indented multi-line rendering for humans; parses identically. *)
-
-val to_with_string : Sql.query -> string
-(** Renders derived tables as a WITH clause (the paper's footnote 1);
-    {!Sql_parser.parse} desugars it back to the same structure. *)

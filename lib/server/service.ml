@@ -147,6 +147,12 @@ let create ?(config = default_config) db =
     invalid_arg "Server.create: domains must be >= 1";
   if config.trace_sample < 0 then
     invalid_arg "Server.create: trace_sample must be >= 0";
+  List.iter
+    (fun (name, n) ->
+      if n < 0 then invalid_arg ("Server.create: " ^ name ^ " must be >= 0"))
+    [ ("statement_capacity", config.statement_capacity);
+      ("plan_capacity", config.plan_capacity);
+      ("result_capacity", config.result_capacity) ];
   let stats = R.Stats.analyze db in
   {
     db;
@@ -744,11 +750,35 @@ let handle t req =
       shutdown t;
       Protocol.Info "shutting down"
 
-let serve_unix ?(session_threads = true) t ~socket =
+type listener = { sock : Unix.file_descr; path : string }
+
+(* Only a stale socket at [socket] — one nothing accepts on — is
+   replaced; any other file there is an error and stays as it was. *)
+let listen ~socket =
+  let in_use () =
+    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close probe) (fun () ->
+        match Unix.connect probe (Unix.ADDR_UNIX socket) with
+        | () -> true
+        | exception Unix.Unix_error _ -> false)
+  in
+  (match (Unix.lstat socket).Unix.st_kind with
+  | Unix.S_SOCK when not (in_use ()) -> Unix.unlink socket
+  | Unix.S_SOCK -> invalid_arg ("serve: a server is listening on " ^ socket)
+  | _ ->
+      invalid_arg
+        (Printf.sprintf "serve: %s exists and is not a socket" socket)
+  | exception Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
-  Unix.bind sock (Unix.ADDR_UNIX socket);
-  Unix.listen sock 64;
+  (try
+     Unix.bind sock (Unix.ADDR_UNIX socket);
+     Unix.listen sock 64
+   with Unix.Unix_error (e, _, _) ->
+     Unix.close sock;
+     raise (Unix.Unix_error (e, "bind", socket)));
+  { sock; path = socket }
+
+let serve_unix ?(session_threads = true) t { sock; path = socket } =
   let stop = Atomic.make false in
   let threads = ref [] in
   let session fd =

@@ -88,7 +88,9 @@ type t
 val create : ?config:config -> Relational.Database.t -> t
 (** Analyzes the database once (the shared catalog all estimates and
     epochs refer to), starts the worker pool, and — when configured —
-    opens the slow log and the SLO tracker. *)
+    opens the slow log and the SLO tracker.  Raises [Invalid_argument]
+    on fewer than one domain, a negative [trace_sample] or a negative
+    cache capacity. *)
 
 val config : t -> config
 val stats_epoch : t -> int
@@ -138,8 +140,18 @@ val shutdown : t -> unit
 (** Drains the worker pool and closes the slow log; later queries fail.
     Idempotent. *)
 
-val serve_unix : ?session_threads:bool -> t -> socket:string -> unit
-(** Binds a Unix-domain socket at [socket] and serves sessions until a
-    [Shutdown] request arrives; each accepted connection gets its own
-    session thread (unless [session_threads] is false, for tests).
-    Removes the socket file on exit and calls {!shutdown}. *)
+type listener
+(** A bound, listening Unix-domain socket. *)
+
+val listen : socket:string -> listener
+(** Binds and listens on a Unix-domain socket at path [socket].  A
+    stale socket file there (left by a server that died: nothing accepts
+    on it) is replaced; a live socket or any other existing file raises
+    [Invalid_argument] and is left untouched.  A failure to bind raises
+    [Unix.Unix_error (_, "bind", socket)]. *)
+
+val serve_unix : ?session_threads:bool -> t -> listener -> unit
+(** Serves sessions on the listener until a [Shutdown] request arrives;
+    each accepted connection gets its own session thread (unless
+    [session_threads] is false, for tests).  Removes the socket file on
+    exit and calls {!shutdown}. *)

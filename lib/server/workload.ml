@@ -46,6 +46,9 @@ let default_config =
 let script ~views cfg =
   if views = [] then invalid_arg "Workload.script: no views";
   if cfg.strategies = [] then invalid_arg "Workload.script: no strategies";
+  if cfg.clients < 1 then invalid_arg "Workload.script: clients must be >= 1";
+  if cfg.requests_per_client < 1 then
+    invalid_arg "Workload.script: requests must be >= 1";
   let views = Array.of_list views in
   let strategies = Array.of_list cfg.strategies in
   Array.init cfg.clients (fun client ->
@@ -255,37 +258,44 @@ let run_direct ?(threads = false) ?(verify = true) server ~views cfg =
   end;
   finish ()
 
-let request ~socket req =
+(* A connection to [socket]; a failure to connect names the path. *)
+let connect socket =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
+  (try Unix.connect fd (Unix.ADDR_UNIX socket)
+   with Unix.Unix_error (e, _, _) ->
+     Unix.close fd;
+     raise (Unix.Unix_error (e, "connect", socket)));
+  (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+
+let request ~socket req =
+  let ic, oc = connect socket in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      Unix.connect fd (Unix.ADDR_UNIX socket);
       Protocol.write_request oc req;
       Protocol.read_reply ic)
 
 let run_socket ?(verify = true) ~socket ~views cfg =
   let scripts, record, finish = recorder ~views ~verify cfg in
+  let failure = Atomic.make None in
   let client c () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        Unix.connect fd (Unix.ADDR_UNIX socket);
-        let send req =
-          Protocol.write_request oc req;
-          match Protocol.read_reply ic with
-          | Some reply -> reply
-          | None -> Protocol.Failed "server closed the connection"
-        in
-        run_client scripts record c send)
+    try
+      let ic, oc = connect socket in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          let send req =
+            Protocol.write_request oc req;
+            match Protocol.read_reply ic with
+            | Some reply -> reply
+            | None -> Protocol.Failed "server closed the connection"
+          in
+          run_client scripts record c send)
+    with e -> ignore (Atomic.compare_and_set failure None (Some e))
   in
   let ts = List.init (Array.length scripts) (fun c -> Thread.create (client c) ()) in
   List.iter Thread.join ts;
+  Option.iter raise (Atomic.get failure);
   finish ()
 
 let render t =

@@ -44,7 +44,9 @@ val default_config : config
 
 val script : views:view list -> config -> Protocol.request array array
 (** The replayed requests, one array per client — exposed so tests can
-    assert determinism. *)
+    assert determinism.  Raises [Invalid_argument] on no views, no
+    strategies, fewer than one client or fewer than one request per
+    client; the replays below check their config through it. *)
 
 (** Merged outcome of one replay. *)
 type tally = {
@@ -81,12 +83,15 @@ val run_direct :
 val run_socket :
   ?verify:bool -> socket:string -> views:view list -> config -> tally
 (** Replays over the wire protocol: one connection + thread per client
-    against a server listening on [socket]. *)
+    against a server listening on [socket].  Every client is joined;
+    then the first client's failure, if any, is raised — a failure to
+    connect as [Unix.Unix_error (_, "connect", socket)]. *)
 
 val request : socket:string -> Protocol.request -> Protocol.reply option
 (** One request over a fresh connection — how the CLI asks a running
     server for its stats report or tells it to shut down.  [None] if the
-    server closed the connection without replying. *)
+    server closed the connection without replying; raises
+    [Unix.Unix_error (_, "connect", socket)] if it cannot connect. *)
 
 val render : tally -> string
 (** Human-readable summary, one [key=value] line group per concern. *)

@@ -467,13 +467,17 @@ let stream_to_channel p e oc : unit =
 
 (* Pretty-print one stream's three representations: the SQL text the
    middleware ships, the rewritten logical algebra its plan was built
-   from, and the physical plan with its estimates and [actuals] (unknown
-   when nothing ran). *)
+   from (rebuilt here from that text: a plan does not keep it), and the
+   physical plan with its estimates and [actuals] (unknown when nothing
+   ran). *)
 let explain_stream p i root_name ~sql ~profile (plan : R.Physical.plan) actuals =
+  let logical =
+    R.Algebra.rewrite (R.Algebra.lower p.db (R.Sql_parser.parse sql))
+  in
   Printf.sprintf
     "-- stream %d (root %s):\n%s\n\nlogical plan:\n%s\nphysical plan:\n%s" i
     root_name sql
-    (R.Physical.logical_string plan)
+    (R.Algebra.to_string logical)
     (R.Physical.to_string plan (estimates p profile plan) actuals)
 
 (* The plans come from the backend's own planner, so the explained tree

@@ -20,7 +20,11 @@ let mkdb () =
     [ [| i 10; i 1; s "x" |]; [| i 11; i 1; s "y" |]; [| i 12; i 2; s "z" |] ];
   db
 
-let run db text = fst (Executor.run_with_stats db (Sql_parser.parse text))
+(* Plan a query AST, then run it. *)
+let run_with_stats ?budget ?profile db q =
+  Executor.run_plan_with_stats ?budget ?profile db (Physical.plan_of db q)
+
+let run db text = fst (run_with_stats db (Sql_parser.parse text))
 
 let test_scan_project () =
   let r = run (mkdb ()) "SELECT r.b AS b FROM R AS r" in
@@ -95,7 +99,7 @@ let check_or_join on ~rows ~probed ~emitted ~work ~legacy_work =
     Alcotest.(check int) (path ^ ": emitted") emitted st.Executor.emitted;
     Alcotest.(check int) (path ^ ": work") work st.Executor.work
   in
-  check "physical" (Executor.run_with_stats db q) ~work;
+  check "physical" (run_with_stats db q) ~work;
   check "legacy" (Oracle.Legacy.run_with_stats db q) ~work:legacy_work
 
 let test_or_expansion_join_exact () =
@@ -151,7 +155,7 @@ let test_multi_chunk_vs_legacy () =
   let row_strings r = List.map Tuple.to_string (Relation.rows r) in
   let check text ~rows =
     let q = Sql_parser.parse text in
-    let r, st = Executor.run_with_stats db q in
+    let r, st = run_with_stats db q in
     let r0, st0 = Oracle.Legacy.run_with_stats db q in
     Alcotest.(check int) (text ^ ": row count") rows (Relation.cardinality r);
     Alcotest.(check (list string)) (text ^ ": rows") (row_strings r0) (row_strings r);
@@ -235,7 +239,7 @@ let test_budget_timeout () =
   let db = mkdb () in
   Alcotest.(check bool) "tiny budget trips" true
     (try
-       ignore (Executor.run_with_stats ~budget:2 db
+       ignore (run_with_stats ~budget:2 db
                  (Sql_parser.parse "SELECT r.a AS a FROM R AS r, S AS q WHERE (r.a = q.d)"));
        false
      with Executor.Timeout -> true)
@@ -243,7 +247,7 @@ let test_budget_timeout () =
 let test_stats_metering () =
   let db = mkdb () in
   let _, st =
-    Executor.run_with_stats db
+    run_with_stats db
       (Sql_parser.parse "SELECT r.a AS a FROM R AS r ORDER BY a")
   in
   Alcotest.(check int) "scanned" 3 st.Executor.scanned;
@@ -258,7 +262,7 @@ let test_filter_charges_emit () =
      (projection) — exactly 2 per surviving row, never less. *)
   let db = mkdb () in
   let _, st =
-    Executor.run_with_stats db
+    run_with_stats db
       (Sql_parser.parse "SELECT r.a AS a FROM R AS r WHERE (r.a >= 2)")
   in
   Alcotest.(check int) "scanned all" 3 st.Executor.scanned;
@@ -266,7 +270,7 @@ let test_filter_charges_emit () =
     st.Executor.emitted;
   (* a filterless equivalent charges only the projection *)
   let _, st_all =
-    Executor.run_with_stats db (Sql_parser.parse "SELECT r.a AS a FROM R AS r")
+    run_with_stats db (Sql_parser.parse "SELECT r.a AS a FROM R AS r")
   in
   Alcotest.(check int) "no filter: projection only" 3 st_all.Executor.emitted
 
@@ -277,7 +281,7 @@ let test_unresolvable_conjunct_raises () =
   Alcotest.(check bool) "raises Unresolved_column" true
     (try
        ignore
-         (Executor.run_with_stats db
+         (run_with_stats db
             (Sql_parser.parse "SELECT r.a AS a FROM R AS r WHERE (z.q = 1)"));
        false
      with Expr.Unresolved_column _ -> true)
@@ -287,12 +291,12 @@ let test_spill_accounting () =
   let db = mkdb () in
   let profile = { Executor.sort_buffer = 8; byte_div = 4 } in
   let _, st =
-    Executor.run_with_stats ~profile db
+    run_with_stats ~profile db
       (Sql_parser.parse "SELECT r.a AS a, r.b AS b FROM R AS r ORDER BY a")
   in
   Alcotest.(check bool) "spill passes recorded" true (st.Executor.spill_passes > 0);
   let _, st_big =
-    Executor.run_with_stats db
+    run_with_stats db
       (Sql_parser.parse "SELECT r.a AS a, r.b AS b FROM R AS r ORDER BY a")
   in
   Alcotest.(check int) "no spill with default buffer" 0 st_big.Executor.spill_passes;

@@ -26,7 +26,7 @@ let retry ?(max_retries = 3) () = { B.default_retry with B.max_retries }
 let test_no_faults_passthrough () =
   let db = tpch 0.2 in
   let backend = B.create db in
-  let expected, _ = R.Executor.run_with_stats db (parse supplier_q) in
+  let expected, _ = R.Executor.run_plan_with_stats db (R.Physical.plan_of db (parse supplier_q)) in
   let cur = (B.execute backend supplier_q).B.rows in
   Alcotest.(check bool) "same rows" true
     (R.Relation.equal expected (R.Cursor.to_relation (cur ())));
@@ -149,7 +149,7 @@ let test_midstream_recovery_accounting () =
      succeeds; the winning attempt's rows must match the fault-free
      result exactly (per-attempt accounting restarts) *)
   let db = tpch 0.3 in
-  let expected, _ = R.Executor.run_with_stats db (parse part_q) in
+  let expected, _ = R.Executor.run_plan_with_stats db (R.Physical.plan_of db (parse part_q)) in
   let rec hunt seed =
     if seed > 100 then Alcotest.fail "no recovering seed below 100"
     else

@@ -631,24 +631,16 @@ let test_workload_threaded_identity () =
         tally.Workload.mismatches;
       Alcotest.(check int) "no failures" 0 tally.Workload.failed)
 
+let temp_socket name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "silkroute_test_%s_%d.sock" name (Unix.getpid ()))
+
 let test_workload_socket_roundtrip () =
   let views = Workload.standard_views (Lazy.force db) in
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "silkroute_test_%d.sock" (Unix.getpid ()))
-  in
+  let socket = temp_socket "roundtrip" in
   let t = Service.create (Lazy.force db) in
-  let server_thread =
-    Thread.create (fun () -> Service.serve_unix t ~socket) ()
-  in
-  let rec wait_for_socket n =
-    if n = 0 then Alcotest.fail "server socket never appeared";
-    if not (Sys.file_exists socket) then begin
-      Thread.delay 0.05;
-      wait_for_socket (n - 1)
-    end
-  in
-  wait_for_socket 100;
+  let listener = Service.listen ~socket in
+  let server_thread = Thread.create (fun () -> Service.serve_unix t listener) () in
   let tally = Workload.run_socket ~socket ~views small_mix in
   (match Workload.request ~socket Protocol.Stats with
   | Some (Protocol.Info report) ->
@@ -664,6 +656,72 @@ let test_workload_socket_roundtrip () =
     tally.Workload.mismatches;
   Alcotest.(check int) "no failures" 0 tally.Workload.failed;
   Alcotest.(check bool) "queries answered" true (tally.Workload.results > 0)
+
+(* [listen] replaces a socket a dead server left, and nothing else: a
+   regular file at the path raises and keeps its bytes, and so does a
+   live server's socket. *)
+let test_listen_keeps_other_files () =
+  let path = temp_socket "occupied" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "precious data");
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      (match Service.listen ~socket:path with
+      | _ -> Alcotest.fail "listen replaced a regular file"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check string) "file untouched" "precious data"
+        (In_channel.with_open_bin path In_channel.input_all));
+  (* a stale socket: bound, then abandoned without removing the file *)
+  let stale = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind stale (Unix.ADDR_UNIX path);
+  Unix.close stale;
+  let t = Service.create (Lazy.force db) in
+  let listener = Service.listen ~socket:path in
+  let server = Thread.create (fun () -> Service.serve_unix t listener) () in
+  (match Service.listen ~socket:path with
+  | _ -> Alcotest.fail "listen took over a live server's socket"
+  | exception Invalid_argument _ -> ());
+  ignore (Workload.request ~socket:path Protocol.Shutdown);
+  Thread.join server;
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists path)
+
+let test_run_socket_without_server () =
+  let socket = temp_socket "absent" in
+  let views = Workload.standard_views ~verify:false (Lazy.force db) in
+  match Workload.run_socket ~verify:false ~socket ~views small_mix with
+  | _ -> Alcotest.fail "a replay with no server returned a tally"
+  | exception Unix.Unix_error (_, "connect", path) ->
+      Alcotest.(check string) "names the path" socket path
+
+(* A count below its range fails where it is owned, naming it — not
+   deep inside, as [Array.init] did for a negative request count, and
+   not by silently doing nothing, as zero clients did. *)
+let test_bad_counts_rejected () =
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument msg ->
+        let n = String.length what in
+        let rec named i =
+          i + n <= String.length msg && (String.sub msg i n = what || named (i + 1))
+        in
+        Alcotest.(check bool) (what ^ " named: " ^ msg) true (named 0)
+  in
+  let db = Lazy.force db in
+  let views = Workload.standard_views ~verify:false db in
+  rejects "clients" (fun () ->
+      Workload.script ~views { small_mix with Workload.clients = 0 });
+  rejects "requests" (fun () ->
+      Workload.script ~views { small_mix with Workload.requests_per_client = -1 });
+  rejects "result_capacity" (fun () ->
+      Service.create
+        ~config:{ Service.default_config with Service.result_capacity = -1 }
+        db);
+  rejects "budget" (fun () -> R.Backend.create ~budget:(-5) db);
+  rejects "retries" (fun () ->
+      R.Backend.create
+        ~retry:{ R.Backend.default_retry with R.Backend.max_retries = -1 }
+        db)
 
 (* --- latent-bug regressions ---------------------------------------------- *)
 
@@ -772,6 +830,12 @@ let suite =
       test_workload_threaded_identity;
     Alcotest.test_case "workload: socket roundtrip" `Quick
       test_workload_socket_roundtrip;
+    Alcotest.test_case "regression: listen keeps non-socket files" `Quick
+      test_listen_keeps_other_files;
+    Alcotest.test_case "regression: socket replay without a server raises"
+      `Quick test_run_socket_without_server;
+    Alcotest.test_case "regression: bad counts rejected where owned" `Quick
+      test_bad_counts_rejected;
     Alcotest.test_case "regression: tagger empty SFI" `Quick
       test_tagger_empty_sfi_error;
     Alcotest.test_case "regression: planner missing edge" `Quick

@@ -131,7 +131,9 @@ let test_parser_case_insensitive_keywords () =
 
 let test_parser_errors () =
   let bad = [ "SELECT"; "SELECT x AS x FROM"; "SELECT x AS x FROM T WHERE";
-              "SELECT x AS x FROM T trailing garbage ("; "" ] in
+              "SELECT x AS x FROM T trailing garbage ("; "";
+              (* the dialect has no WITH clause *)
+              "WITH b AS (SELECT t.x AS x FROM T AS t) SELECT b.x AS x FROM b" ] in
   List.iter
     (fun text ->
       Alcotest.(check bool) ("rejects: " ^ text) true
@@ -153,46 +155,8 @@ let test_lexer_hex_float () =
   | Sql_lexer.FLOAT f' -> Alcotest.(check (float 0.0)) "exact" f f'
   | t -> Alcotest.fail ("expected float, got " ^ Sql_lexer.token_to_string t)
 
-let test_with_clause_parsing () =
-  let q =
-    Sql_parser.parse
-      "WITH base AS (SELECT t.x AS x FROM T AS t), doubled AS \
-       ((SELECT b.x AS x FROM base AS b) UNION ALL (SELECT b.x AS x FROM base AS b)) \
-       SELECT d.x AS x FROM doubled AS d ORDER BY x"
-  in
-  (* both WITH bindings desugar into derived tables *)
-  Alcotest.(check int) "union inside" 1 (Sql.count_unions q);
-  match q.Sql.body with
-  | Sql.Select { from = [ Sql.Derived { alias = "d"; _ } ]; _ } -> ()
-  | _ -> Alcotest.fail "expected derived table from WITH binding"
-
-let test_with_round_trip () =
-  List.iter
-    (fun q ->
-      let text = Sql_print.to_with_string q in
-      let q' = Sql_parser.parse text in
-      Alcotest.(check string) "with round trip" (Sql_print.to_string q)
-        (Sql_print.to_string q'))
-    [ q_simple; q_join; q_outer ]
-
-let test_with_name_collision_avoided () =
-  (* a derived alias colliding with a real table name must be renamed *)
-  let q =
-    Sql.select
-      [ Sql.item (Expr.col ~qualifier:"x" "suppkey") ]
-      [ Sql.Derived { query = q_simple; alias = "Supplier" } ]
-    |> fun q -> { q with Sql.body = q.Sql.body }
-  in
-  let text = Sql_print.to_with_string q in
-  let q' = Sql_parser.parse text in
-  Alcotest.(check string) "collision safe" (Sql_print.to_string q)
-    (Sql_print.to_string q')
-
 let suite =
   [
-    Alcotest.test_case "WITH clause parsing" `Quick test_with_clause_parsing;
-    Alcotest.test_case "WITH round trip" `Quick test_with_round_trip;
-    Alcotest.test_case "WITH name collision" `Quick test_with_name_collision_avoided;
     Alcotest.test_case "item alias defaulting" `Quick test_item_alias_default;
     Alcotest.test_case "output columns" `Quick test_output_columns;
     Alcotest.test_case "join/union counters" `Quick test_counters;

@@ -23,12 +23,7 @@ let check_stream ~ctx (s : Sql_gen.stream) =
         text
   in
   structural R.Sql_print.to_string "to_string";
-  structural R.Sql_print.to_pretty_string "to_pretty_string";
-  (* the WITH renderer may rename derived aliases that collide with
-     table names, so it is held to canonical-text equivalence *)
-  let q' = R.Sql_parser.parse (R.Sql_print.to_with_string q) in
-  if R.Sql_print.to_string q' <> R.Sql_print.to_string q then
-    Alcotest.failf "%s: WITH rendering changed the query" ctx
+  structural R.Sql_print.to_pretty_string "to_pretty_string"
 
 let test_exhaustive () =
   let db = Tpch.Gen.generate (Tpch.Gen.config 0.01) in

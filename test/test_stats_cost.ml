@@ -76,9 +76,10 @@ let test_missing_table () =
        false
      with Invalid_argument _ -> true)
 
-let estimate db text =
-  let st = Stats.analyze db in
-  Cost.estimate st db (Sql_parser.parse text)
+(* The oracle's total for a query AST, as the planner asks it. *)
+let estimate_q st db q = fst (Cost.annotate st (Physical.plan_of db q))
+
+let estimate db text = estimate_q (Stats.analyze db) db (Sql_parser.parse text)
 
 let test_scan_estimate () =
   let e = estimate (mkdb ()) "SELECT r.a AS a FROM R AS r" in
@@ -129,12 +130,6 @@ let test_order_by_costs_more () =
   Alcotest.(check bool) "sorting charged" true
     (sorted.Cost.eval_cost > base.Cost.eval_cost)
 
-let test_cost_combination () =
-  let e = { Cost.cardinality = 10.0; eval_cost = 100.0; width = 8.0; ms = 0.0 } in
-  Alcotest.(check (float 0.001)) "data size" 80.0 (Cost.data_size e);
-  Alcotest.(check (float 0.001)) "linear combination" (2.0 *. 100.0 +. 3.0 *. 80.0)
-    (Cost.cost ~a:2.0 ~b:3.0 e)
-
 let test_oracle_counts_requests () =
   let db = mkdb () in
   let o = Cost.oracle db in
@@ -169,8 +164,8 @@ let test_estimate_tracks_actual_within_oom () =
   let q = Sql_parser.parse
       "SELECT t.x AS x, r.b AS b FROM T AS t, R AS r WHERE (t.r = r.a) ORDER BY x" in
   let st = Stats.analyze db in
-  let est = Cost.estimate st db q in
-  let _, stats = Executor.run_with_stats db q in
+  let est = estimate_q st db q in
+  let _, stats = Executor.run_plan_with_stats db (Physical.plan_of db q) in
   let ratio = est.Cost.eval_cost /. float_of_int stats.Executor.work in
   Alcotest.(check bool)
     (Printf.sprintf "ratio %.3f within [0.01, 100]" ratio)
@@ -212,7 +207,7 @@ let test_distinct_bound () =
 let test_composite_fk_join_estimate () =
   let db = Lazy.force tpch in
   let e =
-    Cost.estimate (Stats.analyze db) db
+    estimate_q (Stats.analyze db) db
       (Sql_parser.parse
          "SELECT l.qty AS q FROM LineItem AS l JOIN PartSupp AS ps \
           ON ((l.partkey = ps.partkey) AND (l.suppkey = ps.suppkey))")
@@ -343,7 +338,6 @@ let suite =
     Alcotest.test_case "estimate: left outer join" `Quick test_left_outer_preserves_left_card;
     Alcotest.test_case "estimate: union adds" `Quick test_union_adds;
     Alcotest.test_case "estimate: order by charged" `Quick test_order_by_costs_more;
-    Alcotest.test_case "cost combination" `Quick test_cost_combination;
     Alcotest.test_case "oracle request counting" `Quick test_oracle_counts_requests;
     Alcotest.test_case "estimate vs actual work" `Quick test_estimate_tracks_actual_within_oom;
     Alcotest.test_case "scale_table rejects nan, inf, overflow" `Quick

@@ -51,7 +51,7 @@ let test_executor_cursor_matches_run () =
     R.Sql_parser.parse
       "SELECT s.name AS n FROM Supplier AS s ORDER BY n"
   in
-  let rel, st_mat = R.Executor.run_with_stats db q in
+  let rel, st_mat = R.Executor.run_plan_with_stats db (R.Physical.plan_of db q) in
   let cur, st_cur =
     R.Executor.run_plan_cursor_with_stats db (R.Physical.plan_of db q)
   in

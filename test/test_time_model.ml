@@ -100,7 +100,9 @@ let test_every_stream_priced () =
                   let sql = R.Sql_print.to_string s.Sql_gen.query in
                   if not (Hashtbl.mem seen sql) then begin
                     Hashtbl.add seen sql ();
-                    let e = R.Cost.estimate stats db s.Sql_gen.query in
+                    let e, _ =
+                      R.Cost.annotate stats (R.Physical.plan_of db s.Sql_gen.query)
+                    in
                     let t = R.Cost.time_cost ~a:1.0 ~b:1.0 e in
                     if not (Float.is_finite e.R.Cost.ms && e.R.Cost.ms > 0.0
                             && Float.is_finite t && t > 0.0) then

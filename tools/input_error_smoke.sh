@@ -36,8 +36,42 @@ check () {
   echo "ok: $what -> 123: $(head -n 1 "$tmp/err")"
 }
 
+# check_named WORD WHAT ARGS...: as check, and the message names WORD.
+check_named () {
+  word=$1
+  shift
+  check "$@"
+  if ! grep -q "$word" "$tmp/err"; then
+    echo "FAIL: $1's message does not name $word" >&2
+    exit 1
+  fi
+}
+
 check "out-of-range edge mask" run --scale 0.05 --strategy edges:4096
 check "non-finite skew factor" run --scale 0.05 --skew-stats Supplier=inf
 check "non-RXL view file" run --scale 0.05 --view "$tmp/bad.rxl"
+
+# Counts below their range are rejected where they are owned.
+check_named budget "negative budget" run --scale 0.05 --budget=-5
+check_named retries "negative retries" run --scale 0.05 --retries=-1
+check_named requests "negative request count" workload --scale 0.05 \
+  --no-verify --requests=-1
+check_named clients "zero clients" workload --scale 0.05 --no-verify --clients=0
+check_named result_capacity "negative result cache" serve --scale 0.05 \
+  --socket "$tmp/cache.sock" --result-cache=-1
+
+# A socket path is input too: serve replaces only a stale socket, and
+# nothing listening is an error of the path, not a crash or a zero tally.
+printf 'precious data' > "$tmp/occupied"
+check "serve on a regular file" serve --scale 0.05 --socket "$tmp/occupied"
+if [ "$(cat "$tmp/occupied")" != "precious data" ]; then
+  echo "FAIL: serve replaced the regular file at its --socket path" >&2
+  exit 1
+fi
+check "serve in a missing directory" serve --scale 0.05 \
+  --socket "$tmp/missing/s.sock"
+check "monitor with no server" monitor --once --socket "$tmp/none.sock"
+check "workload with no server" workload --scale 0.05 --no-verify \
+  --socket "$tmp/none.sock"
 
 echo "== input error smoke OK"
