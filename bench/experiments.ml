@@ -502,8 +502,8 @@ let calibration () =
    unified plan always times out and degrades through the plan lattice,
    while the finer sub-queries it falls back to always fit.  All times
    are simulated: engine work (winning + wasted attempts) over
-   [work_per_ms], plus modeled transfer, plus the (virtual) backoff
-   slept by retries. *)
+   [work_per_ms], plus modeled transfer, plus the modeled backoff of
+   retries. *)
 let resilience () =
   print_header "Resilience: total time vs fault rate (Query 1, unified plan)";
   let db, p = prepare config_a S.Queries.query1_text in
@@ -537,13 +537,13 @@ let resilience () =
       let xml = S.Middleware.xml_string_of p e in
       let res = e.S.Middleware.resilience in
       let total =
-        sim_query_ms (e.S.Middleware.work + res.S.Middleware.r_wasted_work)
-        +. e.S.Middleware.transfer_ms +. res.S.Middleware.r_backoff_ms
+        sim_query_ms (e.S.Middleware.work + res.R.Backend.wasted_work)
+        +. e.S.Middleware.transfer_ms +. res.R.Backend.backoff_ms
       in
       Printf.printf "%6.2f %8d %8d %8d %8d %9.1f %10d %11.1f %10s\n" rate
-        res.S.Middleware.r_attempts res.S.Middleware.r_retries
-        res.S.Middleware.r_faults res.S.Middleware.r_degraded
-        res.S.Middleware.r_backoff_ms res.S.Middleware.r_wasted_work total
+        res.R.Backend.attempts res.R.Backend.retries
+        (R.Backend.total_faults res) e.S.Middleware.degraded
+        res.R.Backend.backoff_ms res.R.Backend.wasted_work total
         (if xml = baseline_xml then "yes" else "NO!"))
     [ 0.0; 0.05; 0.1; 0.2; 0.3; 0.4; 0.5 ];
   Printf.printf

@@ -343,18 +343,9 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
     e.S.Middleware.tuples e.S.Middleware.work e.S.Middleware.transfer_ms
     (if stream then ", streamed" else "")
     (if resilient then ", resilient" else "");
-  if resilient then begin
-    let res = e.S.Middleware.resilience in
-    Printf.eprintf
-      "[resilience: %d submits, %d attempts, %d retries, %d faults, %d \
-       timeouts, %d degraded, %.1f ms backoff, %d wasted work]\n"
-      res.S.Middleware.r_submits res.S.Middleware.r_attempts
-      res.S.Middleware.r_retries res.S.Middleware.r_faults
-      res.S.Middleware.r_timeouts res.S.Middleware.r_degraded
-      res.S.Middleware.r_backoff_ms res.S.Middleware.r_wasted_work
-  end;
-  if diagnose then
-    prerr_string (Obs.Diagnose.report (S.Middleware.diagnose_samples p e));
+  if resilient then
+    Printf.eprintf "[resilience: %s]\n" (S.Middleware.resilience_summary e);
+  if diagnose then prerr_string (S.Middleware.diagnose_report p e);
   report_obs ~trace_chrome ~trace ~trace_json ~metrics ~profile ()
 
 let explain_cmd query view_file scale seed schema data strategy no_reduce =
@@ -394,7 +385,7 @@ let diagnose_cmd query view_file scale seed schema data strategy no_reduce
   in
   let backend = R.Backend.create ~budget p.S.Middleware.db in
   let e = S.Middleware.execute ~reduce ~backend p plan in
-  print_string (Obs.Diagnose.report (S.Middleware.diagnose_samples p e))
+  print_string (S.Middleware.diagnose_report p e)
 
 (* --- query server ------------------------------------------------------- *)
 
@@ -860,13 +851,15 @@ let cmds =
 
 (* Bad input — a flag value, a view, a schema, a CSV file, a socket
    path nothing listens on or that cannot be bound — fails with a typed
-   exception below the command: an error of the input (exit 123).
-   Anything else is a bug and keeps the internal-error report (exit
-   125). *)
+   exception below the command: an error of the input (exit 123), and
+   so does a run whose budget or fault rate no plan can meet.  Anything
+   else is a bug and keeps the internal-error report (exit 125). *)
 let input_error = function
   | Invalid_argument m | S.Rxl_parser.Parse_error m | S.Rxl.Ill_formed m
   | R.Csv.Csv_error (m, _) (* names the file and row *) ->
       Some m
+  | (S.Middleware.Plan_timeout _ | R.Backend.Backend_error _) as e ->
+      Some (Printexc.to_string e)
   | S.Rxl_lexer.Lex_error (m, at) ->
       Some (Printf.sprintf "RXL offset %d: %s" at m)
   | R.Source_desc.Syntax_error (m, line) ->

@@ -8,10 +8,8 @@
     Timestamps are microseconds rebased to the trace's first span —
     the same timeline the JSONL exporter describes. *)
 
-val trace_json : unit -> Json.t
-(** The whole trace as one JSON document. *)
-
 val to_string : unit -> string
+(** The whole trace as one JSON document. *)
 
 val write_file : string -> unit
 (** Writes {!to_string} (plus a trailing newline) to the given path. *)

@@ -16,9 +16,8 @@
 
 type source = unit -> int64
 
-let monotonic : source = Monotonic_clock.now
 let wall : source = fun () -> Int64.of_float (Unix.gettimeofday () *. 1e9)
-let default : source = monotonic
+let default : source = Monotonic_clock.now (* CLOCK_MONOTONIC, in ns *)
 let source = ref default
 
 (* Highest value handed out since the source was installed. *)

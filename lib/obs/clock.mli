@@ -9,9 +9,6 @@
 
 type source = unit -> int64
 
-val monotonic : source
-(** CLOCK_MONOTONIC, in nanoseconds — the default. *)
-
 val wall : source
 (** [Unix.gettimeofday]-derived nanoseconds; subject to NTP steps. *)
 

@@ -156,17 +156,6 @@ let render_times buf ~top samples =
       timed
   end
 
-let counter name = Option.value ~default:0 (Metrics.counter_value name)
-
-let render_resilience buf =
-  bprintf buf
-    "RESILIENCE — %d retries, %d faults, %d timeouts, %d breaker open(s), %d \
-     degraded stream(s)\n"
-    (counter "backend.retries") (counter "backend.faults")
-    (counter "backend.timeouts")
-    (counter "backend.breaker_opens")
-    (counter "middleware.degraded_streams")
-
 let render_events buf =
   let by_level l =
     List.length (List.filter (fun e -> e.Event.level = l) (Event.events ()))
@@ -204,7 +193,7 @@ let render_gc buf ~top profile =
         n.Profile.compactions)
     (take top by_alloc)
 
-let render ?(threshold = default_threshold) ?(top = 10) samples =
+let render ?(threshold = default_threshold) ?(top = 10) ~resilience samples =
   let fs = findings ~threshold samples in
   let buf = Buffer.create 2048 in
   bprintf buf "PLAN DIAGNOSTICS\n================\n";
@@ -223,7 +212,7 @@ let render ?(threshold = default_threshold) ?(top = 10) samples =
       spilled;
     Buffer.add_char buf '\n'
   end;
-  render_resilience buf;
+  bprintf buf "RESILIENCE — %s\n" resilience;
   render_events buf;
   Buffer.add_char buf '\n';
   let profile = Profile.capture () in
@@ -232,7 +221,7 @@ let render ?(threshold = default_threshold) ?(top = 10) samples =
   Buffer.add_string buf (Profile.render_hot ~top profile);
   Buffer.contents buf
 
-let report ?threshold ?top samples =
+let report ?threshold ?top ~resilience samples =
   let fs = findings ?threshold samples in
   emit_findings fs;
-  render ?threshold ?top samples
+  render ?threshold ?top ~resilience samples

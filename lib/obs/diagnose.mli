@@ -50,12 +50,16 @@ val emit_findings : finding list -> unit
 (** One ["diagnose.misestimate"] warn event per finding, carrying
     stream/node/op/metric/est/act/qerr attrs. *)
 
-val render : ?threshold:float -> ?top:int -> sample list -> string
+val render :
+  ?threshold:float -> ?top:int -> resilience:string -> sample list -> string
 (** The report: misestimate table ([top] findings, 10 by default, and
     every leaf finding past them), the [top] operators by measured time
-    with their predicted time, spill list, resilience counters,
-    event summary, GC pressure per operator, and the hot-path
-    percentile table (reads the global metrics/profile collectors). *)
+    with their predicted time, spill list, a RESILIENCE line carrying
+    [resilience] (the run's own counters, e.g.
+    [Middleware.resilience_summary]), event summary, GC pressure per
+    operator, and the hot-path percentile table (reads the global
+    event/profile collectors). *)
 
-val report : ?threshold:float -> ?top:int -> sample list -> string
+val report :
+  ?threshold:float -> ?top:int -> resilience:string -> sample list -> string
 (** {!emit_findings} on the computed findings, then {!render}. *)

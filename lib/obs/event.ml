@@ -1,18 +1,17 @@
 (* Structured event log with a flight recorder.
 
    Spans answer "where did the time go"; events answer "what happened" —
-   a retry fired, a breaker opened, a sort spilled, a fragment cost came
-   from the planner cache.  Each event is a leveled, timestamped record
-   with the same typed attrs spans use.
+   a retry fired, a fault was injected, a sort spilled, a fragment cost
+   came from the planner cache.  Each event is a leveled, timestamped
+   record with the same typed attrs spans use.
 
    Storage is a bounded ring buffer (the flight recorder): emission is
    O(1), memory is capped, and when something goes badly wrong — a plan
-   timeout, a fatal backend error, a circuit breaker opening — the
-   instrumentation site calls [dump] and the last [capacity] events are
-   handed to the sink (stderr by default), newest context included,
-   oldest long-forgotten noise evicted.  Everything is gated on the
-   Control switch, so with observability off an emit site costs one
-   boolean test.
+   timeout, a fatal backend error — the instrumentation site calls
+   [dump] and the last [capacity] events are handed to the sink (stderr
+   by default), newest context included, oldest long-forgotten noise
+   evicted.  Everything is gated on the Control switch, so with
+   observability off an emit site costs one boolean test.
 
    Domain safety: one mutex guards the ring (buffer, head, count, seq),
    with the timestamp sampled inside the critical section so the ring —

@@ -2,8 +2,8 @@
 
     Events are leveled, timestamped records with the same typed attrs
     spans carry.  The last [capacity] events are retained in a ring; on
-    a catastrophic condition (plan timeout, fatal backend error,
-    circuit-breaker open) the instrumentation site calls {!dump} and the
+    a catastrophic condition (plan timeout, fatal backend error) the
+    instrumentation site calls {!dump} and the
     ring contents go to the sink — stderr by default.  Everything is
     gated on {!Control}, so emission with observability off costs one
     boolean test. *)
@@ -21,18 +21,17 @@ type t = {
   attrs : Attr.t;
 }
 
-val emit : ?attrs:Attr.t -> level -> string -> unit
-(** Records an event when observability is on and [level] is at or above
-    the threshold; also bumps the ["events.<level>"] counter.  O(1); the
-    oldest ring entry is evicted when full.  The calling domain's
-    {!Span.base_attrs} (the request's trace id) are prepended to
-    [attrs], and head sampling does not apply — a sampled-out request
-    still leaves its events in the flight recorder. *)
-
 val debug : ?attrs:Attr.t -> string -> unit
 val info : ?attrs:Attr.t -> string -> unit
 val warn : ?attrs:Attr.t -> string -> unit
 val error : ?attrs:Attr.t -> string -> unit
+(** Each records an event at its level when observability is on and the
+    level is at or above the threshold; also bumps the
+    ["events.<level>"] counter.  O(1); the oldest ring entry is evicted
+    when full.  The calling domain's {!Span.base_attrs} (the request's
+    trace id) are prepended to [attrs], and head sampling does not
+    apply — a sampled-out request still leaves its events in the flight
+    recorder. *)
 
 val capacity : unit -> int
 val set_capacity : int -> unit

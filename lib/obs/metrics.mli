@@ -17,8 +17,6 @@ val default_bounds : float array
 val duration_bounds : float array
 (** Millisecond durations: 1µs to ~1min in powers of four. *)
 
-val exponential : start:float -> factor:float -> count:int -> float array
-
 val bucket_index : float array -> float -> int
 (** Smallest [i] with [x <= bounds.(i)], or [Array.length bounds] for
     the overflow bucket.  Binary search over the (strictly increasing)

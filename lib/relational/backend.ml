@@ -6,32 +6,23 @@
    mid-result-set, sub-queries killed by the 5-minute timeout — is
    modeled here, between the middleware and Executor.  Faults are drawn
    from a splitmix64 stream seeded by the config, so a run is
-   reproducible to the bit; backoff and breaker cooldowns sleep on a
-   virtual clock by default, so resilience experiments cost no real
-   time. *)
+   reproducible to the bit; backoff is modeled time, summed and never
+   slept, so resilience experiments cost no real time. *)
 
 type fault_config = {
   fault_rate : float;
   fault_seed : int;
   fatal_weight : float;
   midstream_weight : float;
-  row_latency_ms : float;
 }
 
-let no_faults =
-  {
-    fault_rate = 0.0;
-    fault_seed = 0;
-    fatal_weight = 0.0;
-    midstream_weight = 0.3;
-    row_latency_ms = 0.0;
-  }
-
 let faults ?(seed = 0) ?(fatal_weight = 0.0) ?(midstream_weight = 0.3)
-    ?(row_latency_ms = 0.0) fault_rate =
+    fault_rate =
   if not (fault_rate >= 0.0 && fault_rate <= 1.0) then
     invalid_arg "Backend.faults: fault rate must be in [0, 1]";
-  { fault_rate; fault_seed = seed; fatal_weight; midstream_weight; row_latency_ms }
+  { fault_rate; fault_seed = seed; fatal_weight; midstream_weight }
+
+let no_faults = faults 0.0
 
 type retry_policy = {
   max_retries : int;
@@ -50,16 +41,6 @@ let default_retry =
     jitter = 0.25;
   }
 
-type breaker_config = { failure_threshold : int; cooldown_ms : float }
-
-let default_breaker = { failure_threshold = 8; cooldown_ms = 1000.0 }
-
-type clock = { now_ms : unit -> float; sleep_ms : float -> unit }
-
-let virtual_clock () =
-  let now = ref 0.0 in
-  { now_ms = (fun () -> !now); sleep_ms = (fun ms -> now := !now +. ms) }
-
 type error_kind = Transient | Fatal | Timeout
 
 let kind_name = function
@@ -75,8 +56,6 @@ exception
     message : string;
   }
 
-exception Circuit_open of { retry_at_ms : float }
-
 let () =
   Printexc.register_printer (function
     | Backend_error { kind; attempt; rows_delivered; message } ->
@@ -84,8 +63,6 @@ let () =
           (Printf.sprintf
              "Backend_error(%s, attempt %d, %d rows delivered: %s)"
              (kind_name kind) attempt rows_delivered message)
-    | Circuit_open { retry_at_ms } ->
-        Some (Printf.sprintf "Circuit_open(retry at %.1fms)" retry_at_ms)
     | _ -> None)
 
 type stats = {
@@ -97,10 +74,7 @@ type stats = {
   mutable faults_fatal : int;
   mutable timeouts : int;
   mutable backoff_ms : float;
-  mutable injected_latency_ms : float;
   mutable wasted_work : int;
-  mutable breaker_opens : int;
-  mutable breaker_rejections : int;
 }
 
 let new_stats () =
@@ -113,10 +87,7 @@ let new_stats () =
     faults_fatal = 0;
     timeouts = 0;
     backoff_ms = 0.0;
-    injected_latency_ms = 0.0;
     wasted_work = 0;
-    breaker_opens = 0;
-    breaker_rejections = 0;
   }
 
 let total_faults s = s.faults_transient + s.faults_midstream + s.faults_fatal
@@ -145,57 +116,43 @@ let next_float p =
   Int64.to_float (Int64.shift_right_logical (next_int64 p) 11)
   /. 9007199254740992.0
 
-(* --- breaker ------------------------------------------------------------ *)
-
-type breaker_state = Closed of int (* consecutive failures *) | Open of float (* half-opens at *) | Half_open
-
 type t = {
   database : Database.t;
   fault_cfg : fault_config;
   retry : retry_policy;
-  breaker : breaker_config;
-  clk : clock;
   budget : int;
   profile : Executor.profile;
   prng : prng;
   st : stats;
-  mutable breaker_state : breaker_state;
 }
 
-let create ?(faults = no_faults) ?(retry = default_retry)
-    ?(breaker = default_breaker) ?clock ?(budget = 0)
+let create ?(faults = no_faults) ?(retry = default_retry) ?(budget = 0)
     ?(profile = Executor.default_profile) database =
   if budget < 0 then invalid_arg "Backend.create: budget must be >= 0";
   if retry.max_retries < 0 then
     invalid_arg "Backend.create: retries must be >= 0";
-  let clk = match clock with Some c -> c | None -> virtual_clock () in
   {
     database;
     fault_cfg = faults;
     retry;
-    breaker;
-    clk;
     budget;
     profile;
     prng = { state = Int64.of_int faults.fault_seed };
     st = new_stats ();
-    breaker_state = Closed 0;
   }
 
 let profile t = t.profile
 let stats t = { t.st with submits = t.st.submits }
 
 (* An independent connection derived from [t] for one parallel stream:
-   same database and configs, fresh stats, a closed breaker, a fresh
-   virtual clock, and a PRNG seeded by mixing the parent's fault seed
-   with [salt].  Forked backends make fault draws a function of
-   (seed, salt, submission sequence within the stream) — independent of
-   how streams interleave across domains — which is what makes parallel
-   resilient execution deterministic. *)
+   same database and configs, fresh stats, and a PRNG seeded by mixing
+   the parent's fault seed with [salt].  Forked backends make fault
+   draws a function of (seed, salt, submission sequence within the
+   stream) — independent of how streams interleave across domains —
+   which is what makes parallel resilient execution deterministic. *)
 let fork t ~salt =
   {
     t with
-    clk = virtual_clock ();
     prng =
       {
         state =
@@ -205,7 +162,6 @@ let fork t ~salt =
                (Int64.mul 0x9e3779b97f4a7c15L (Int64.of_int (salt + 1))));
       };
     st = new_stats ();
-    breaker_state = Closed 0;
   }
 
 let merge_stats sts =
@@ -220,110 +176,49 @@ let merge_stats sts =
       m.faults_fatal <- m.faults_fatal + s.faults_fatal;
       m.timeouts <- m.timeouts + s.timeouts;
       m.backoff_ms <- m.backoff_ms +. s.backoff_ms;
-      m.injected_latency_ms <- m.injected_latency_ms +. s.injected_latency_ms;
-      m.wasted_work <- m.wasted_work + s.wasted_work;
-      m.breaker_opens <- m.breaker_opens + s.breaker_opens;
-      m.breaker_rejections <- m.breaker_rejections + s.breaker_rejections)
+      m.wasted_work <- m.wasted_work + s.wasted_work)
     sts;
   m
 
-let note_failure t =
-  let failures =
-    match t.breaker_state with
-    | Closed n -> n + 1
-    | Half_open -> t.breaker.failure_threshold (* re-open immediately *)
-    | Open _ -> t.breaker.failure_threshold
-  in
-  if failures >= t.breaker.failure_threshold then begin
-    (match t.breaker_state with
-    | Open _ -> ()
-    | Closed _ | Half_open ->
-        t.st.breaker_opens <- t.st.breaker_opens + 1;
-        Obs.Metrics.incr "backend.breaker_opens";
-        if Obs.Span.tracing () then begin
-          Obs.Event.error "backend.breaker_open"
-            ~attrs:
-              [
-                Obs.Attr.int "failures" failures;
-                Obs.Attr.float "cooldown_ms" t.breaker.cooldown_ms;
-              ];
-          Obs.Event.dump ~reason:"breaker-open"
-        end);
-    t.breaker_state <- Open (t.clk.now_ms () +. t.breaker.cooldown_ms)
-  end
-  else t.breaker_state <- Closed failures
-
-let note_success t = t.breaker_state <- Closed 0
-
-let check_breaker t =
-  match t.breaker_state with
-  | Closed _ | Half_open -> ()
-  | Open until ->
-      if t.clk.now_ms () >= until then t.breaker_state <- Half_open
-      else begin
-        t.st.breaker_rejections <- t.st.breaker_rejections + 1;
-        if Obs.Span.tracing () then
-          Obs.Event.debug "backend.circuit_rejected"
-            ~attrs:[ Obs.Attr.float "retry_at_ms" until ];
-        raise (Circuit_open { retry_at_ms = until })
-      end
-
 (* --- fault injection ---------------------------------------------------- *)
 
-let record_fault () = Obs.Metrics.incr "backend.faults"
+(* Wrap the engine's cursor so the connection drops after [n] delivered
+   rows.  A drop scheduled beyond the end of the stream never fires —
+   the result finished before the (virtual) reset arrived. *)
+let drop_after t ~attempt n cur =
+  let delivered = ref 0 in
+  let pull () =
+    match Cursor.next cur with
+    | None -> None
+    | Some _ when !delivered >= n ->
+        t.st.faults_midstream <- t.st.faults_midstream + 1;
+        if Obs.Span.tracing () then
+          Obs.Event.warn "backend.fault"
+            ~attrs:
+              [
+                Obs.Attr.string "kind" "midstream";
+                Obs.Attr.int "attempt" attempt;
+                Obs.Attr.int "rows_delivered" !delivered;
+              ];
+        raise
+          (Backend_error
+             {
+               kind = Transient;
+               attempt;
+               rows_delivered = !delivered;
+               message =
+                 Printf.sprintf "injected connection drop after %d rows"
+                   !delivered;
+             })
+    | row ->
+        incr delivered;
+        row
+  in
+  Cursor.create (Cursor.cols cur) pull
 
-(* Wrap the engine's cursor with the per-row fault surface: injected
-   latency per delivered row, and (when scheduled) a connection drop
-   after [trip_after] rows.  A drop scheduled beyond the end of the
-   stream never fires — the result finished before the (virtual) reset
-   arrived.  With neither fault armed the engine's cursor is returned
-   as is, so a fault-free backend adds nothing per row. *)
-let wrap_cursor t ~attempt ~trip_after cur =
-  if trip_after = None && t.fault_cfg.row_latency_ms <= 0.0 then cur
-  else
-    let delivered = ref 0 in
-    let pull () =
-      match Cursor.next cur with
-      | None -> None
-      | Some row ->
-          (match trip_after with
-          | Some n when !delivered >= n ->
-              t.st.faults_midstream <- t.st.faults_midstream + 1;
-              record_fault ();
-              if Obs.Span.tracing () then
-                Obs.Event.warn "backend.fault"
-                  ~attrs:
-                    [
-                      Obs.Attr.string "kind" "midstream";
-                      Obs.Attr.int "attempt" attempt;
-                      Obs.Attr.int "rows_delivered" !delivered;
-                    ];
-              note_failure t;
-              raise
-                (Backend_error
-                   {
-                     kind = Transient;
-                     attempt;
-                     rows_delivered = !delivered;
-                     message =
-                       Printf.sprintf "injected connection drop after %d rows"
-                         !delivered;
-                   })
-          | _ -> ());
-          incr delivered;
-          if t.fault_cfg.row_latency_ms > 0.0 then begin
-            t.clk.sleep_ms t.fault_cfg.row_latency_ms;
-            t.st.injected_latency_ms <-
-              t.st.injected_latency_ms +. t.fault_cfg.row_latency_ms
-          end;
-          Some row
-    in
-    Cursor.create (Cursor.cols cur) pull
-
-(* One physical attempt: breaker gate, fault draw, engine run. *)
+(* One physical attempt: fault draw, engine run. *)
 let submit_attempt t ~attempt (plan : Physical.plan) : Cursor.t * Executor.stats
     =
-  check_breaker t;
   t.st.attempts <- t.st.attempts + 1;
   (* Fault draws are consumed in a fixed order so the stream replays
      identically for a fixed seed and submission sequence. *)
@@ -332,7 +227,6 @@ let submit_attempt t ~attempt (plan : Physical.plan) : Cursor.t * Executor.stats
     then
       if next_float t.prng < t.fault_cfg.fatal_weight then begin
         t.st.faults_fatal <- t.st.faults_fatal + 1;
-        record_fault ();
         if Obs.Span.tracing () then begin
           Obs.Event.error "backend.fatal"
             ~attrs:
@@ -342,7 +236,6 @@ let submit_attempt t ~attempt (plan : Physical.plan) : Cursor.t * Executor.stats
               ];
           Obs.Event.dump ~reason:"backend-fatal"
         end;
-        note_failure t;
         raise
           (Backend_error
              {
@@ -357,7 +250,6 @@ let submit_attempt t ~attempt (plan : Physical.plan) : Cursor.t * Executor.stats
         Some (1 + Int64.to_int (Int64.logand (next_int64 t.prng) 31L))
       else begin
         t.st.faults_transient <- t.st.faults_transient + 1;
-        record_fault ();
         if Obs.Span.tracing () then
           Obs.Event.warn "backend.fault"
             ~attrs:
@@ -365,7 +257,6 @@ let submit_attempt t ~attempt (plan : Physical.plan) : Cursor.t * Executor.stats
                 Obs.Attr.string "kind" "transient";
                 Obs.Attr.int "attempt" attempt;
               ];
-        note_failure t;
         raise
           (Backend_error
              {
@@ -381,12 +272,14 @@ let submit_attempt t ~attempt (plan : Physical.plan) : Cursor.t * Executor.stats
     Executor.run_plan_cursor_with_stats ~budget:t.budget ~profile:t.profile
       t.database plan
   with
-  | cur, est -> (wrap_cursor t ~attempt ~trip_after cur, est)
+  | cur, est -> (
+      match trip_after with
+      | None -> (cur, est)
+      | Some n -> (drop_after t ~attempt n cur, est))
   | exception Executor.Timeout ->
       t.st.timeouts <- t.st.timeouts + 1;
       (* the engine gave up right at the budget: that much work is sunk *)
       t.st.wasted_work <- t.st.wasted_work + t.budget;
-      Obs.Metrics.incr "backend.timeouts";
       if Obs.Span.tracing () then
         Obs.Event.error "backend.timeout"
           ~attrs:
@@ -394,7 +287,6 @@ let submit_attempt t ~attempt (plan : Physical.plan) : Cursor.t * Executor.stats
               Obs.Attr.int "attempt" attempt;
               Obs.Attr.int "budget" t.budget;
             ];
-      note_failure t;
       raise
         (Backend_error
            {
@@ -417,23 +309,52 @@ let backoff_ms t ~attempt =
   let u = next_float t.prng in
   capped *. (1.0 -. t.retry.jitter +. (2.0 *. t.retry.jitter *. u))
 
-(* Drain the winning attempt: into the heap (a fresh cursor over the
-   rows on every open) or into a spool file (one single-use cursor). *)
-let drain ~spool ~on_row cur : unit -> Cursor.t =
-  if spool then
-    let spooled = Cursor.spool ~on_row cur in
-    fun () -> spooled
-  else
-    let cols = Cursor.cols cur in
-    let rows =
-      List.rev
-        (Cursor.fold
-           (fun acc t ->
-             on_row t;
-             t :: acc)
-           [] cur)
-    in
-    fun () -> Cursor.of_list cols rows
+type run = {
+  plan : Physical.plan;
+  rows : unit -> Cursor.t;
+  stats : Executor.stats;
+  tuples : int;
+  bytes : int;
+  transfer_ms : float;
+}
+
+(* Drain one attempt, into the heap (a fresh cursor over the rows on
+   every open) or into a spool file (one single-use cursor), counting
+   its tuples, wire bytes and modeled transfer tuple by tuple. *)
+let drain ~spool plan stats cur =
+  let transfer = Transfer.default in
+  let tuples = ref 0 and bytes = ref 0 in
+  let transfer_ms = ref transfer.Transfer.per_stream_overhead in
+  let count t =
+    incr tuples;
+    let b = Tuple.wire_size t in
+    bytes := !bytes + b;
+    transfer_ms := !transfer_ms +. Transfer.tuple_ms transfer ~bytes:b
+  in
+  let rows =
+    if spool then
+      let spooled = Cursor.spool ~on_row:count cur in
+      fun () -> spooled
+    else
+      let cols = Cursor.cols cur in
+      let rows =
+        List.rev
+          (Cursor.fold
+             (fun acc t ->
+               count t;
+               t :: acc)
+             [] cur)
+      in
+      fun () -> Cursor.of_list cols rows
+  in
+  {
+    plan;
+    rows;
+    stats;
+    tuples = !tuples;
+    bytes = !bytes;
+    transfer_ms = !transfer_ms;
+  }
 
 let plan t text =
   let ast =
@@ -442,21 +363,13 @@ let plan t text =
   Obs.Span.with_stage Obs.Stage.Physical (fun () ->
       Physical.plan_of t.database ast)
 
-type run = {
-  plan : Physical.plan;
-  rows : unit -> Cursor.t;
-  stats : Executor.stats;
-}
-
 (* Parse and plan once, outside the retry loop: every attempt runs the
    same plan, which no run writes. *)
-let execute ?(label = "") ?(on_attempt = fun (_ : int) -> ())
-    ?(on_row = fun (_ : Tuple.t) -> ()) ?(spool = false) t text : run =
+let execute ?(label = "") ?(spool = false) t text : run =
   let plan = plan t text in
   Obs.Span.with_stage Obs.Stage.Executor (fun () ->
   t.st.submits <- t.st.submits + 1;
   let rec attempt k =
-    on_attempt k;
     let result =
       Obs.Span.with_span "backend.submit" (fun () ->
           if Obs.Span.tracing () then
@@ -468,11 +381,10 @@ let execute ?(label = "") ?(on_attempt = fun (_ : int) -> ())
                  surfaces here, discards the partial rows, and is
                  retried like any other transient failure. *)
               try
-                let rows = drain ~spool ~on_row cur in
-                note_success t;
+                let r = drain ~spool plan est cur in
                 if Obs.Span.tracing () then
                   Obs.Span.add "outcome" (Obs.Attr.String "ok");
-                Ok (rows, est)
+                Ok r
               with Backend_error { kind; _ } as exn ->
                 (* the engine did run to completion; its work is sunk *)
                 t.st.wasted_work <- t.st.wasted_work + est.Executor.work;
@@ -482,10 +394,6 @@ let execute ?(label = "") ?(on_attempt = fun (_ : int) -> ())
           | exception (Backend_error { kind; _ } as exn) ->
               if Obs.Span.tracing () then
                 Obs.Span.add "outcome" (Obs.Attr.String (kind_name kind));
-              Error exn
-          | exception (Circuit_open _ as exn) ->
-              if Obs.Span.tracing () then
-                Obs.Span.add "outcome" (Obs.Attr.String "circuit-open");
               Error exn)
     in
     match result with
@@ -509,25 +417,16 @@ let execute ?(label = "") ?(on_attempt = fun (_ : int) -> ())
                       Obs.Attr.int "attempt" k;
                       Obs.Attr.float "backoff_ms" wait;
                     ]
-              end;
-              t.clk.sleep_ms wait);
+              end);
           t.st.retries <- t.st.retries + 1;
           t.st.backoff_ms <- t.st.backoff_ms +. wait;
-          Obs.Metrics.incr "backend.retries";
           attempt (k + 1)
         end
-    | Error (Circuit_open { retry_at_ms }) ->
-        (* Wait out the breaker on the clock; this consumes no retry
-           budget — the attempt never reached the backend. *)
-        let wait = Float.max 0.1 (retry_at_ms -. t.clk.now_ms ()) in
-        t.clk.sleep_ms wait;
-        t.st.backoff_ms <- t.st.backoff_ms +. wait;
-        attempt k
     | Error exn -> raise exn (* Fatal / Timeout: retrying cannot help *)
   in
-  let rows, stats = attempt 1 in
+  let r = attempt 1 in
   if Obs.Span.tracing () then
     Obs.Span.add_list
-      (Obs.Attr.int "rows" stats.actuals.rows.(plan.root.id)
-      :: Executor.stats_attrs stats);
-  { plan; rows; stats })
+      (Obs.Attr.int "rows" r.stats.actuals.rows.(plan.root.id)
+      :: Executor.stats_attrs r.stats);
+  r)

@@ -7,16 +7,14 @@
     experiment timeout.  This module models that
     failure surface on top of {!Executor} with a deterministic, seeded
     fault injector, and wraps every submission in a retry policy
-    (bounded retries, exponential backoff with jitter on an injectable
-    clock, transient-vs-fatal classification) guarded by a per-backend
-    circuit breaker.
+    (bounded retries, exponential backoff with jitter, transient-vs-fatal
+    classification).
 
     Determinism: all injected faults and jitter draws come from one
     splitmix64 stream seeded by {!fault_config.fault_seed}; the same
     seed and the same submission sequence reproduce the same faults,
-    retries and backoff to the bit.  Time (backoff sleeps, injected
-    per-row latency, breaker cooldowns) advances a virtual clock by
-    default, so resilience runs cost no wall-clock sleeping. *)
+    retries and backoff to the bit.  Backoff is modeled time: it is
+    summed into {!stats.backoff_ms}, never slept. *)
 
 (** What to inject, and how often.  Probabilities are per physical
     attempt; every draw comes from the seeded stream. *)
@@ -28,24 +26,14 @@ type fault_config = {
   midstream_weight : float;
       (** P(fault strikes mid-stream | transient fault): the connection
           drops after N delivered rows instead of at submit time *)
-  row_latency_ms : float;
-      (** injected (virtual) latency per delivered row, modeling the
-          per-tuple JDBC binding cost of a slow link *)
 }
 
-val no_faults : fault_config
-
 val faults :
-  ?seed:int ->
-  ?fatal_weight:float ->
-  ?midstream_weight:float ->
-  ?row_latency_ms:float ->
-  float ->
+  ?seed:int -> ?fatal_weight:float -> ?midstream_weight:float -> float ->
   fault_config
 (** [faults rate] builds a config with the given fault rate; defaults:
-    seed 0, fatal weight 0, mid-stream weight 0.3, no row latency.
-    Raises [Invalid_argument] unless [rate] is in [\[0, 1\]] (NaN is
-    not). *)
+    seed 0, fatal weight 0, mid-stream weight 0.3.  Raises
+    [Invalid_argument] unless [rate] is in [\[0, 1\]] (NaN is not). *)
 
 (** Bounded retries with exponential backoff.  [jitter] is the uniform
     relative spread applied to each computed backoff (0.25 means
@@ -60,18 +48,6 @@ type retry_policy = {
 
 val default_retry : retry_policy
 (** 3 retries, 10ms base, ×2 per retry, 5s cap, ±25% jitter. *)
-
-(** Per-backend circuit breaker: after [failure_threshold] consecutive
-    failed attempts the breaker opens and submissions fail fast with
-    {!Circuit_open} until [cooldown_ms] of clock time has passed; the
-    next attempt then half-opens the breaker (success closes it, failure
-    re-opens it). *)
-type breaker_config = { failure_threshold : int; cooldown_ms : float }
-
-(** The clock backoff sleeps on.  The default is virtual: [sleep_ms]
-    just advances [now_ms], so deterministic experiments pay no real
-    time.  Callers may inject a real clock. *)
-type clock = { now_ms : unit -> float; sleep_ms : float -> unit }
 
 (** How an attempt failed.  [Transient] failures (injected submit
     failures and mid-stream connection drops) are retryable; [Fatal]
@@ -89,11 +65,6 @@ exception
     message : string;
   }
 
-exception Circuit_open of { retry_at_ms : float }
-(** Raised by a physical attempt while the breaker is open;
-    [retry_at_ms] is the clock time at which it half-opens.  {!execute}
-    waits it out on the clock, so it never escapes {!execute}. *)
-
 (** Cumulative counters; all deterministic for a fixed seed.
     [wasted_work] is the engine work burned by failed attempts
     (timeouts are accounted at the budget, the work level at which the
@@ -106,11 +77,8 @@ type stats = {
   mutable faults_midstream : int;  (** injected mid-stream drops that fired *)
   mutable faults_fatal : int;
   mutable timeouts : int;  (** work-budget exhaustions *)
-  mutable backoff_ms : float;  (** total (virtual) backoff slept *)
-  mutable injected_latency_ms : float;
+  mutable backoff_ms : float;  (** total modeled backoff *)
   mutable wasted_work : int;
-  mutable breaker_opens : int;
-  mutable breaker_rejections : int;
 }
 
 val total_faults : stats -> int
@@ -121,16 +89,15 @@ type t
 val create :
   ?faults:fault_config ->
   ?retry:retry_policy ->
-  ?breaker:breaker_config ->
-  ?clock:clock ->
   ?budget:int ->
   ?profile:Executor.profile ->
   Database.t ->
   t
-(** A connection to [db].  [budget] (work units per submission, 0 =
-    unlimited) and [profile] are applied to every submitted query,
-    modeling the server-side per-query timeout.  Raises
-    [Invalid_argument] on a negative [budget] or [retry.max_retries]. *)
+(** A connection to [db], fault-free unless [faults] says otherwise.
+    [budget] (work units per submission, 0 = unlimited) and [profile]
+    are applied to every submitted query, modeling the server-side
+    per-query timeout.  Raises [Invalid_argument] on a negative
+    [budget] or [retry.max_retries]. *)
 
 val profile : t -> Executor.profile
 (** The cost profile every submission runs under (for pricing a plan
@@ -141,14 +108,14 @@ val stats : t -> stats
 
 val fork : t -> salt:int -> t
 (** An independent connection derived from [t] for one stream of a
-    fanned-out plan: same database and fault/retry/breaker configs and
-    budget/profile, but fresh stats, a closed breaker, a fresh virtual
-    clock, and a PRNG seeded by mixing the parent's fault seed with
-    [salt].  Fault draws on a fork depend only on (seed, salt, the
-    fork's own submission sequence) — not on how streams interleave
-    across domains — so a parallel resilient run is as deterministic as
-    a sequential one.  Forks never share mutable state with the parent
-    or each other; merge their {!stats} with {!merge_stats}. *)
+    fanned-out plan: same database, fault/retry configs and
+    budget/profile, but fresh stats and a PRNG seeded by mixing the
+    parent's fault seed with [salt].  Fault draws on a fork depend only
+    on (seed, salt, the fork's own submission sequence) — not on how
+    streams interleave across domains — so a parallel resilient run is
+    as deterministic as a sequential one.  Forks never share mutable
+    state with the parent or each other; merge their {!stats} with
+    {!merge_stats}. *)
 
 val merge_stats : stats list -> stats
 (** Field-wise sum — aggregate per-fork counters into one report. *)
@@ -159,38 +126,32 @@ val plan : t -> string -> Physical.plan
     backend's database — the plan {!execute} runs for that text.  For
     callers that show a plan without running it. *)
 
-(** One {!execute}: the plan that ran, its rows and its meter. *)
+(** One {!execute}: the plan that ran, its rows and its meter, all of
+    the winning attempt. *)
 type run = {
   plan : Physical.plan;  (** from {!plan}, built once for all attempts *)
   rows : unit -> Cursor.t;
-  stats : Executor.stats;
-      (** the winning attempt's counters and per-node actuals *)
+  stats : Executor.stats;  (** counters and per-node actuals *)
+  tuples : int;  (** rows delivered *)
+  bytes : int;  (** their {!Tuple.wire_size} sum *)
+  transfer_ms : float;
+      (** modeled client transfer ({!Transfer.default}): the stream's
+          setup plus each tuple's, added in delivery order *)
 }
 
-val execute :
-  ?label:string ->
-  ?on_attempt:(int -> unit) ->
-  ?on_row:(Tuple.t -> unit) ->
-  ?spool:bool ->
-  t ->
-  string ->
-  run
+val execute : ?label:string -> ?spool:bool -> t -> string -> run
 (** Resilient submission of SQL text: {!plan} once, then, in the
     [executor] stage (whose span carries the plan's output rows and
     {!Executor.stats_attrs}), retries transient failures
     (submit faults and mid-stream drops) with exponential backoff up to
-    the retry budget, waits out an open breaker on the clock, and drains
-    the winning attempt's rows inside the retry scope, so what comes
-    back is complete and failure-free.  The rows go to the heap
-    ([spool = false], the default: every call of the returned function
-    opens a fresh cursor over them) or to a temporary file
-    ([spool = true], {!Cursor.spool}: the returned function always hands
-    back the same single-use cursor).
-    [on_attempt] fires at the start of every physical attempt (the hook
-    for resetting per-attempt accounting); [on_row] fires once per row
-    of each attempt as it is drained — rows of a failed attempt are
-    discarded, so after a retry the hook starts over.  Raises
+    the retry budget, and drains the winning attempt's rows inside the
+    retry scope, so what comes back is complete and failure-free.  The
+    rows go to the heap ([spool = false], the default: every call of
+    the returned function opens a fresh cursor over them) or to a
+    temporary file ([spool = true], {!Cursor.spool}: the returned
+    function always hands back the same single-use cursor).  Rows of a
+    failed attempt are discarded, and so are their counts.  Raises
     {!Backend_error} when retries are exhausted or the failure is not
     retryable ([Fatal], [Timeout]).  Emits [backend.submit] /
-    [backend.retry] spans and [backend.faults] / [backend.retries] /
-    [backend.timeouts] / [backend.breaker_opens] metrics. *)
+    [backend.retry] spans and [backend.fault] / [backend.fatal] /
+    [backend.timeout] / [backend.retry] events. *)

@@ -18,7 +18,6 @@ type t =
 
 let col ?qualifier name = Col (qualifier, name)
 let int n = Lit (Value.Int n)
-let str s = Lit (Value.String s)
 let eq a b = Cmp (Eq, a, b)
 let ( &&& ) a b = And (a, b)
 

@@ -22,7 +22,6 @@ type t =
 
 val col : ?qualifier:string -> string -> t
 val int : int -> t
-val str : string -> t
 val eq : t -> t -> t
 val ( &&& ) : t -> t -> t
 

@@ -56,9 +56,6 @@ let create ~name ~capacity () =
     m = Mutex.create ();
   }
 
-let capacity t = t.cap
-let name t = t.cname
-
 let unlink (n : node) =
   n.prev.next <- n.next;
   n.next.prev <- n.prev;
@@ -130,12 +127,6 @@ let add ?(weight = 1) t key value =
         t.insertions <- t.insertions + 1;
         evict_until_fits t
       end)
-
-let remove t key =
-  Mutex.protect t.m (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some (_, n) -> remove_node t n
-      | None -> ())
 
 let clear t =
   Mutex.protect t.m (fun () ->

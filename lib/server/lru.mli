@@ -17,9 +17,6 @@ val create : name:string -> capacity:int -> unit -> 'a t
 (** [capacity <= 0] disables the cache: [find] always misses, [add] is
     a no-op.  [name] labels metrics and eviction events. *)
 
-val capacity : 'a t -> int
-val name : 'a t -> string
-
 val find : 'a t -> string -> 'a option
 (** Bumps the entry to most-recently-used and counts a hit; [None]
     counts a miss. *)
@@ -34,7 +31,6 @@ val add : ?weight:int -> 'a t -> string -> 'a -> unit
     defaults to 1 and must be positive; an entry with
     [weight > capacity] is dropped without disturbing the cache. *)
 
-val remove : 'a t -> string -> unit
 val clear : 'a t -> unit
 (** Drops every entry and counts one flush (cache-tier invalidation). *)
 

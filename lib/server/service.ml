@@ -190,8 +190,6 @@ let counters t = Mutex.protect t.cm (fun () -> t.c)
 let bump f t = Mutex.protect t.cm (fun () -> t.c <- f t.c)
 
 let tier_stats t = (Lru.stats t.statements, Lru.stats t.plans, Lru.stats t.results)
-let slowlog t = t.slowlog
-let slo t = t.slo
 
 let uptime_s t =
   Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t.started_ns) /. 1e9

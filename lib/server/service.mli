@@ -130,9 +130,6 @@ val tier_stats : t -> Lru.stats * Lru.stats * Lru.stats
 (** (statement, plan, result). *)
 
 
-val slowlog : t -> Slowlog.t option
-val slo : t -> Obs.Slo.t option
-
 val render_stats : t -> string
 (** Human-readable counter report (also served over the protocol). *)
 

@@ -109,8 +109,8 @@ let estimated_cost ?(reduce = false) p plan =
 (* Per-stream breakdown: every sub-query of a partition gets its own
    stats record, so the execution result can show where inside a plan the
    work went (the aggregate fields below are sums over this list).  Rows,
-   bytes and modeled transfer are accounted tuple by tuple as the rows
-   are drained; the rows themselves are reached through [se_cursor]. *)
+   bytes and modeled transfer are the backend's counts of the winning
+   attempt; the rows themselves are reached through [se_cursor]. *)
 type stream_exec = {
   se_stream : Sql_gen.stream;
   se_cursor : unit -> R.Cursor.t;
@@ -125,19 +125,6 @@ type stream_exec = {
   se_transfer_ms : float;
 }
 
-(* What resilience cost: counters summed over the per-stream forked
-   backends, plus the number of streams that had to be degraded. *)
-type resilience = {
-  r_submits : int;
-  r_attempts : int;
-  r_retries : int;
-  r_faults : int;
-  r_timeouts : int;
-  r_degraded : int;
-  r_backoff_ms : float;
-  r_wasted_work : int;
-}
-
 (* Result of running one plan. *)
 type execution = {
   per_stream : stream_exec list; (* one entry per sub-query, in plan order *)
@@ -146,10 +133,20 @@ type execution = {
   work : int; (* deterministic engine work units *)
   tuples : int;
   bytes : int;
-  resilience : resilience;
+  resilience : R.Backend.stats; (* summed over the per-stream forks *)
+  degraded : int; (* streams split into finer fragments *)
 }
 
 let total_wall_ms e = e.query_wall_ms +. e.transfer_ms
+
+let resilience_summary e =
+  let r = e.resilience in
+  Printf.sprintf
+    "%d submits, %d attempts, %d retries, %d faults, %d timeouts, %d \
+     degraded, %.1f ms backoff, %d wasted work"
+    r.R.Backend.submits r.R.Backend.attempts r.R.Backend.retries
+    (R.Backend.total_faults r) r.R.Backend.timeouts e.degraded
+    r.R.Backend.backoff_ms r.R.Backend.wasted_work
 
 (* Which sub-query blew the budget, and where it sat in the plan:
    without this, a timeout in a multi-stream plan loses the partial
@@ -165,6 +162,16 @@ type timeout_info = {
 exception Plan_timeout of timeout_info
 (* A sub-query exceeded the execution budget (the paper's 5-minute
    per-query timeout). *)
+
+let () =
+  Printexc.register_printer (function
+    | Plan_timeout t ->
+        Some
+          (Printf.sprintf
+             "Plan_timeout(stream %d, root %s, after %.1f ms): the sub-query \
+              exceeded the work budget"
+             (t.timeout_stream + 1) t.timeout_root t.timeout_elapsed_ms)
+    | _ -> None)
 
 (* Durations (stream wall time, time to a timeout) read the monotonic
    clock, which NTP cannot step backwards. *)
@@ -226,7 +233,6 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
   let backend =
     match backend with Some b -> b | None -> R.Backend.create p.db
   in
-  let transfer = R.Transfer.default in
   let opts = options_of p ~style ~reduce in
   let streams =
     Obs.Span.with_stage Obs.Stage.Sql_gen (fun () ->
@@ -267,26 +273,9 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
               R.Sql_print.to_string s.Sql_gen.query)
         in
         let root_name = root_name_of p s in
-        let rows = ref 0 and bytes = ref 0 in
-        let transfer_ms = ref transfer.R.Transfer.per_stream_overhead in
         let t0 = now_ms () in
-        match
-          R.Backend.execute backend ~label:root_name ~spool
-            ~on_attempt:(fun _attempt ->
-              (* a fresh physical attempt re-delivers from row one: drop
-                 the partial accounting of the failed attempt *)
-              rows := 0;
-              bytes := 0;
-              transfer_ms := transfer.R.Transfer.per_stream_overhead)
-            ~on_row:(fun t ->
-              incr rows;
-              let b = R.Tuple.wire_size t in
-              bytes := !bytes + b;
-              transfer_ms :=
-                !transfer_ms +. R.Transfer.tuple_ms transfer ~bytes:b)
-            text
-        with
-        | { R.Backend.plan; rows = cursor; stats } ->
+        match R.Backend.execute backend ~label:root_name ~spool text with
+        | { R.Backend.plan; rows = cursor; stats; tuples; bytes; transfer_ms } ->
             let wall_ms = now_ms () -. t0 in
             let profile = R.Backend.profile backend in
             if Obs.Span.tracing () then begin
@@ -294,16 +283,16 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
                 [
                   Obs.Attr.int "index" i;
                   Obs.Attr.string "root" root_name;
-                  Obs.Attr.int "rows" !rows;
-                  Obs.Attr.int "bytes" !bytes;
+                  Obs.Attr.int "rows" tuples;
+                  Obs.Attr.int "bytes" bytes;
                   Obs.Attr.int "work" stats.R.Executor.work;
                   Obs.Attr.int "depth" depth;
                 ];
               Obs.Metrics.incr "execute.streams";
               Obs.Metrics.observe "execute.stream.work"
                 (float_of_int stats.R.Executor.work);
-              Obs.Metrics.observe "execute.stream.rows" (float_of_int !rows);
-              Obs.Metrics.observe "execute.stream.bytes" (float_of_int !bytes)
+              Obs.Metrics.observe "execute.stream.rows" (float_of_int tuples);
+              Obs.Metrics.observe "execute.stream.bytes" (float_of_int bytes)
             end;
             [
               {
@@ -314,9 +303,9 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
                 se_stats = stats;
                 se_profile = profile;
                 se_wall_ms = wall_ms;
-                se_rows = !rows;
-                se_bytes = !bytes;
-                se_transfer_ms = !transfer_ms;
+                se_rows = tuples;
+                se_bytes = bytes;
+                se_transfer_ms = transfer_ms;
               };
             ]
         | exception (R.Backend.Backend_error { kind; _ } as exn) -> (
@@ -328,7 +317,6 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
             match (finer, kind) with
             | Some frags, _ ->
                 Atomic.incr degraded;
-                Obs.Metrics.incr "middleware.degraded_streams";
                 if Obs.Span.tracing () then begin
                   Obs.Span.add_list
                     [
@@ -413,19 +401,8 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
   let work = sum (fun se -> se.se_stats.R.Executor.work) in
   let tuples = sum (fun se -> se.se_rows) in
   let bytes = sum (fun se -> se.se_bytes) in
-  let merged = R.Backend.merge_stats (List.map R.Backend.stats backends) in
-  let resilience =
-    {
-      r_submits = merged.R.Backend.submits;
-      r_attempts = merged.R.Backend.attempts;
-      r_retries = merged.R.Backend.retries;
-      r_faults = R.Backend.total_faults merged;
-      r_timeouts = merged.R.Backend.timeouts;
-      r_degraded = Atomic.get degraded;
-      r_backoff_ms = merged.R.Backend.backoff_ms;
-      r_wasted_work = merged.R.Backend.wasted_work;
-    }
-  in
+  let resilience = R.Backend.merge_stats (List.map R.Backend.stats backends) in
+  let degraded = Atomic.get degraded in
   if Obs.Span.tracing () then
     Obs.Span.add_list
       [
@@ -433,9 +410,9 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
         Obs.Attr.int "tuples" tuples;
         Obs.Attr.int "bytes" bytes;
         Obs.Attr.int "work" work;
-        Obs.Attr.int "degraded" resilience.r_degraded;
-        Obs.Attr.int "retries" resilience.r_retries;
-        Obs.Attr.int "faults" resilience.r_faults;
+        Obs.Attr.int "degraded" degraded;
+        Obs.Attr.int "retries" resilience.R.Backend.retries;
+        Obs.Attr.int "faults" (R.Backend.total_faults resilience);
       ];
   {
     per_stream;
@@ -445,6 +422,7 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
     tuples;
     bytes;
     resilience;
+    degraded;
   })
 
 (* --- tagging -------------------------------------------------------------- *)
@@ -521,6 +499,9 @@ let diagnose_samples (p : prepared) (e : execution) : Obs.Diagnose.sample list =
         (estimates p se.se_profile se.se_plan)
         se.se_stats.R.Executor.actuals)
     e.per_stream
+
+let diagnose_report p e =
+  Obs.Diagnose.report ~resilience:(resilience_summary e) (diagnose_samples p e)
 
 (* Ground truth: materialize via naive datalog evaluation of every node
    rule, bypassing SQL generation entirely.  Used by tests to validate

@@ -66,9 +66,8 @@ val estimated_cost : ?reduce:bool -> prepared -> Partition.t -> float
 
 (** Per-stream breakdown: every sub-query of a partition gets its own
     stats record, so callers can see where inside a plan the work went
-    rather than only the sum.  Rows, bytes and modeled transfer are
-    accounted tuple by tuple while the winning attempt's rows were
-    drained. *)
+    rather than only the sum.  Rows, bytes and modeled transfer are the
+    backend's counts of the winning attempt ({!Relational.Backend.run}). *)
 type stream_exec = {
   se_stream : Sql_gen.stream;
   se_cursor : unit -> Relational.Cursor.t;
@@ -86,22 +85,6 @@ type stream_exec = {
   se_transfer_ms : float;
 }
 
-(** What resilience cost during one {!execute}: counters summed over the
-    per-stream forked backends ({!Relational.Backend.fork}), plus the
-    number of streams that had to be degraded to finer fragments.  All
-    zero on a fault-free run that needed no degradation; deterministic
-    for a fixed fault seed, and identical at every domain count. *)
-type resilience = {
-  r_submits : int;  (** logical sub-query submissions, incl. degraded re-runs *)
-  r_attempts : int;  (** physical attempts, including retries *)
-  r_retries : int;
-  r_faults : int;  (** injected faults that fired (any kind) *)
-  r_timeouts : int;  (** work-budget exhaustions *)
-  r_degraded : int;  (** streams split into finer fragments *)
-  r_backoff_ms : float;  (** total (virtual) backoff slept *)
-  r_wasted_work : int;  (** engine work burned by failed attempts *)
-}
-
 type execution = {
   per_stream : stream_exec list;
       (** one entry per executed sub-query, ordered by fragment root
@@ -111,11 +94,22 @@ type execution = {
   work : int;  (** deterministic engine work units — sum over [per_stream] *)
   tuples : int;
   bytes : int;
-  resilience : resilience;
+  resilience : Relational.Backend.stats;
+      (** what resilience cost: the counters of the per-stream forked
+          backends ({!Relational.Backend.fork}), summed; submits include
+          degraded re-runs.  Zero faults, retries and timeouts on a
+          fault-free run that needed no degradation; deterministic for a
+          fixed fault seed, and identical at every domain count. *)
+  degraded : int;  (** streams split into finer fragments *)
 }
 
 val total_wall_ms : execution -> float
 (** query + transfer, the paper's Total time. *)
+
+val resilience_summary : execution -> string
+(** [resilience] and [degraded] in one line: submits, attempts, retries,
+    faults, timeouts, degraded streams, backoff ms and wasted work — what
+    the CLI's resilience line and the diagnostics report print. *)
 
 (** Which sub-query exceeded the budget, and where it sat in the plan. *)
 type timeout_info = {
@@ -127,7 +121,9 @@ type timeout_info = {
 
 exception Plan_timeout of timeout_info
 (** A sub-query exceeded the work budget (the paper's 5-minute
-    per-query timeout) and nothing finer was left to try.  The
+    per-query timeout) and nothing finer was left to try.  Its printer
+    names the stream (numbered from 1, as {!explain} numbers them), the
+    root and the elapsed ms.  The
     enclosing [execute.stream] span also gets
     [timeout]/[timeout.stream]/[timeout.root]/[timeout.elapsed_ms]
     attributes so traces show which sub-query blew the budget. *)
@@ -207,6 +203,10 @@ val diagnose_samples : prepared -> execution -> Obs.Diagnose.sample list
     {!Obs.Diagnose}.  Estimates are priced on demand as for
     {!explain_execution}, so they are the same whether or not tracing
     was on and whatever ran before.  Does not touch the rows. *)
+
+val diagnose_report : prepared -> execution -> string
+(** {!Obs.Diagnose.report} over {!diagnose_samples}, its RESILIENCE
+    line this execution's {!resilience_summary}. *)
 
 val materialize_naive : prepared -> Xmlkit.Xml.t
 (** Ground truth: materializes the view via naive datalog evaluation of

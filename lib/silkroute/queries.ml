@@ -179,7 +179,6 @@ view customers
 
 let query1 () = Rxl_parser.parse query1_text
 let query2 () = Rxl_parser.parse query2_text
-let query3 () = Rxl_parser.parse query3_text
 let fragment () = Rxl_parser.parse fragment_text
 
 let dtd_query1 =

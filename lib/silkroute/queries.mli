@@ -26,5 +26,4 @@ val query3_text : string
     a customer-centric export whose order→item edge carries a '+' label
     via the declared inclusion Orders ⊆ LineItem. *)
 
-val query3 : unit -> Rxl.view
 val dtd_query3 : Xmlkit.Dtd.t

@@ -10,8 +10,6 @@ type group = {
   g_members : int list;  (** node ids, document order, root first *)
 }
 
-val singleton : int -> group
-
 val groups_of_fragment :
   View_tree.t ->
   labels:Xmlkit.Dtd.multiplicity array option ->

@@ -3,9 +3,6 @@
     pattern ("plated brass", "anodized steel" — the paper's Fig. 8 uses
     exactly these). *)
 
-val finishes : string array
-val sizes : string array
-
 val nations_pool : (string * int) array
 (** (nation name, region index) pairs — 25 nations, as in TPC-H. *)
 

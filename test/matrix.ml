@@ -262,26 +262,27 @@ let run_cell label key (p : Middleware.prepared) plan (style, reduce) ~spool
   in
   let e, xml = run () in
   expect_bytes label r.bytes xml;
-  let res = e.resilience in
+  let res = (e.resilience, e.degraded) in
+  let st = e.resilience in
   if f.rate = 0. && f.budget = 0 then begin
     let n = List.length e.per_stream in
     if (e.work, e.tuples, e.bytes, e.transfer_ms)
        <> (r.work, r.tuples, r.out_bytes, r.transfer_ms)
     then Alcotest.failf "%s: accounting differs from the reference" label;
-    if res <> { r_submits = n; r_attempts = n; r_retries = 0; r_faults = 0;
-                r_timeouts = 0; r_degraded = 0; r_backoff_ms = 0.;
-                r_wasted_work = 0 }
+    if res <> ({ R.Backend.submits = n; attempts = n; retries = 0;
+                 faults_transient = 0; faults_midstream = 0; faults_fatal = 0;
+                 timeouts = 0; backoff_ms = 0.; wasted_work = 0 }, 0)
     then Alcotest.failf "%s: not one clean attempt per stream" label;
     []
   end
   else begin
     let e2, xml2 = run () in
     expect_bytes (label ^ ", rerun") xml xml2;
-    if res <> e2.resilience then
+    if res <> (e2.resilience, e2.degraded) then
       Alcotest.failf "%s: resilience record not reproduced" label;
-    if res.r_attempts > res.r_submits * (1 + f.retries) then
-      Alcotest.failf "%s: %d attempts for %d submits" label res.r_attempts
-        res.r_submits;
+    if st.attempts > st.submits * (1 + f.retries) then
+      Alcotest.failf "%s: %d attempts for %d submits" label st.attempts
+        st.submits;
     if memo first_records key (fun () -> res) <> res then
       Alcotest.failf "%s: resilience record differs across pools" label;
     [ res ]
@@ -352,9 +353,9 @@ let check ?(fired = []) ?(skip = fun _ -> false) slices =
   in
   let records = List.concat_map check_slice slices in
   let counter = function
-    | `Faults -> ("faults", fun (r : Middleware.resilience) -> r.r_faults)
-    | `Retries -> ("retries", fun r -> r.r_retries)
-    | `Degraded -> ("degradations", fun r -> r.r_degraded)
+    | `Faults -> ("faults", fun (st, _) -> R.Backend.total_faults st)
+    | `Retries -> ("retries", fun ((st : R.Backend.stats), _) -> st.retries)
+    | `Degraded -> ("degradations", fun (_, degraded) -> degraded)
   in
   List.iter
     (fun c ->

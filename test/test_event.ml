@@ -1,8 +1,8 @@
 (* The structured event log and flight recorder: ring wraparound, level
-   filtering, gating, dump plumbing, dump-on-timeout and
-   dump-on-breaker-open through the real middleware/backend paths,
-   deterministic event sequences under identical fault seeds, GC
-   telemetry on spans, and the q-error anomaly detector. *)
+   filtering, gating, dump plumbing, dump-on-timeout through the real
+   middleware/backend path, deterministic event sequences under
+   identical fault seeds, GC telemetry on spans, and the q-error
+   anomaly detector with its report. *)
 
 open Silkroute
 module R = Relational
@@ -122,32 +122,6 @@ let test_dump_on_plan_timeout () =
                d.Obs.Event.dumped)
       | ds -> Alcotest.failf "expected 1 dump, got %d" (List.length ds))
 
-let test_dump_on_breaker_open () =
-  with_obs (fun () ->
-      let captured = ref [] in
-      Obs.Event.set_dump_sink (fun d -> captured := d :: !captured);
-      let db = tpch 0.1 in
-      let backend =
-        B.create
-          ~faults:(B.faults ~midstream_weight:0.0 1.0)
-          ~retry:{ B.default_retry with B.max_retries = 3 }
-          ~breaker:{ B.failure_threshold = 2; cooldown_ms = 1000.0 }
-          db
-      in
-      (try
-         ignore
-           (B.execute backend supplier_q)
-       with B.Backend_error _ | B.Circuit_open _ -> ());
-      let reasons = List.map (fun d -> d.Obs.Event.reason) !captured in
-      Alcotest.(check bool)
-        "breaker-open dump fired" true
-        (List.mem "breaker-open" reasons);
-      Alcotest.(check bool)
-        "warn fault events recorded" true
-        (List.exists
-           (fun (e : Obs.Event.t) -> e.Obs.Event.name = "backend.fault")
-           (Obs.Event.events ())))
-
 let test_deterministic_sequence () =
   let run () =
     install_test_clock ();
@@ -165,7 +139,7 @@ let test_deterministic_sequence () =
         (try
            ignore
              (B.execute backend supplier_q)
-         with B.Backend_error _ | B.Circuit_open _ -> ());
+         with B.Backend_error _ -> ());
         List.map
           (fun (e : Obs.Event.t) ->
             ( e.Obs.Event.seq,
@@ -308,7 +282,7 @@ let test_report_keeps_leaf_findings () =
       sample "S1" ~node:5 ~op:"sort" ~est_rows:500.0 ~act_rows:10;
     ]
   in
-  let r = Obs.Diagnose.render ~top:2 samples in
+  let r = Obs.Diagnose.render ~top:2 ~resilience:"" samples in
   let has needle =
     let n = String.length needle and m = String.length r in
     let rec at i = i + n <= m && (String.sub r i n = needle || at (i + 1)) in
@@ -362,6 +336,43 @@ let test_explain_keeps_run_estimates () =
           Alcotest.(check bool) ("explain shows " ^ figure) true (has 0)
       | sorts -> Alcotest.failf "expected one sort, got %d" (List.length sorts))
 
+(* Regression: the report's RESILIENCE line is the run's own record.
+   It used to read the process-global counters, so the second of two
+   resilient runs in one traced process reported both runs' retries and
+   faults. *)
+let test_report_reads_its_own_resilience () =
+  with_obs (fun () ->
+      let db = tpch 0.1 in
+      let p = Middleware.prepare_text db Queries.query1_text in
+      let plan = Partition.fully_partitioned p.Middleware.tree in
+      let run seed =
+        let backend =
+          B.create ~faults:(B.faults ~seed 0.3)
+            ~retry:{ B.default_retry with B.max_retries = 8 }
+            db
+        in
+        Middleware.execute ~backend ~max_splits:8 p plan
+      in
+      let first = run 1 in
+      let second = run 2 in
+      let st = second.Middleware.resilience in
+      Alcotest.(check bool) "the first run retried" true
+        (first.Middleware.resilience.B.retries > 0);
+      let line =
+        List.find_opt
+          (String.starts_with ~prefix:"RESILIENCE")
+          (String.split_on_char '\n' (Middleware.diagnose_report p second))
+      in
+      Alcotest.(check (option string)) "the second run's record"
+        (Some
+           (Printf.sprintf
+              "RESILIENCE — %d submits, %d attempts, %d retries, %d faults, \
+               %d timeouts, %d degraded, %.1f ms backoff, %d wasted work"
+              st.B.submits st.B.attempts st.B.retries (B.total_faults st)
+              st.B.timeouts second.Middleware.degraded st.B.backoff_ms
+              st.B.wasted_work))
+        line)
+
 let suite =
   [
     Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
@@ -369,7 +380,6 @@ let suite =
     Alcotest.test_case "disabled is silent" `Quick test_disabled_is_silent;
     Alcotest.test_case "dump sink" `Quick test_dump_sink;
     Alcotest.test_case "dump on plan timeout" `Quick test_dump_on_plan_timeout;
-    Alcotest.test_case "dump on breaker open" `Quick test_dump_on_breaker_open;
     Alcotest.test_case "deterministic sequence" `Quick test_deterministic_sequence;
     Alcotest.test_case "span GC deltas" `Quick test_span_gc_deltas;
     Alcotest.test_case "q-error" `Quick test_qerror;
@@ -379,4 +389,6 @@ let suite =
       test_report_keeps_leaf_findings;
     Alcotest.test_case "explain keeps the run's estimates" `Quick
       test_explain_keeps_run_estimates;
+    Alcotest.test_case "report reads its own run's resilience" `Quick
+      test_report_reads_its_own_resilience;
   ]

@@ -1,5 +1,5 @@
-(* The resilient backend layer: fault injection / retry / breaker unit
-   tests on Backend, Partition.split laws, and differential tests of
+(* The resilient backend layer: fault injection / retry unit tests on
+   Backend, Partition.split laws, and differential tests of
    Middleware.execute under faults and degradation — byte-identical
    output versus the fault-free run across fault rates, budget-forced
    degradation through the plan lattice, exact (deterministic)
@@ -102,31 +102,6 @@ let test_backoff_exponential_within_jitter () =
     true
     (st.B.backoff_ms >= 52.5 && st.B.backoff_ms <= 87.5)
 
-let test_breaker_opens_and_rejects () =
-  let db = tpch 0.1 in
-  let backend =
-    B.create
-      ~faults:(B.faults ~midstream_weight:0.0 1.0)
-      ~retry:(retry ~max_retries:6 ())
-      ~breaker:{ B.failure_threshold = 2; cooldown_ms = 1000.0 }
-      db
-  in
-  (match B.execute backend supplier_q with
-  | _ -> Alcotest.fail "certain faults must exhaust retries"
-  | exception B.Backend_error { kind; _ } ->
-      Alcotest.(check bool) "transient" true (kind = B.Transient));
-  let st = B.stats backend in
-  Alcotest.(check bool)
-    (Printf.sprintf "breaker opened (%d times)" st.B.breaker_opens)
-    true (st.B.breaker_opens >= 2);
-  Alcotest.(check bool)
-    (Printf.sprintf "breaker rejected while open (%d)" st.B.breaker_rejections)
-    true
-    (st.B.breaker_rejections >= 1);
-  (* rejections are waited out on the (virtual) clock, never counted as
-     physical attempts *)
-  Alcotest.(check int) "attempts = 1 + retries" (st.B.retries + 1) st.B.attempts
-
 let test_midstream_drop_retried () =
   let db = tpch 0.3 in
   let backend =
@@ -146,10 +121,11 @@ let test_midstream_drop_retried () =
 
 let test_midstream_recovery_accounting () =
   (* find a seed where the first attempt drops mid-stream and a retry
-     succeeds; the winning attempt's rows must match the fault-free
-     result exactly (per-attempt accounting restarts) *)
+     succeeds; the winning attempt's rows and counts must match the
+     fault-free run exactly (a failed attempt's counts are dropped) *)
   let db = tpch 0.3 in
   let expected, _ = R.Executor.run_plan_with_stats db (R.Physical.plan_of db (parse part_q)) in
+  let clean = B.execute (B.create db) part_q in
   let rec hunt seed =
     if seed > 100 then Alcotest.fail "no recovering seed below 100"
     else
@@ -159,31 +135,20 @@ let test_midstream_recovery_accounting () =
           ~retry:(retry ~max_retries:8 ())
           db
       in
-      let rows = ref 0 in
-      match B.execute backend ~on_attempt:(fun _ -> rows := 0)
-              ~on_row:(fun _ -> incr rows) part_q
-      with
-      | { B.rows = cur; _ } when (B.stats backend).B.retries > 0 ->
+      match B.execute backend part_q with
+      | r when (B.stats backend).B.faults_midstream > 0 ->
           Alcotest.(check bool) "rows match fault-free run" true
-            (R.Relation.equal expected (R.Cursor.to_relation (cur ())));
-          Alcotest.(check int) "on_row counted only the winning attempt"
-            (R.Relation.cardinality expected)
-            !rows
+            (R.Relation.equal expected (R.Cursor.to_relation (r.B.rows ())));
+          Alcotest.(check int) "tuples of the winning attempt only"
+            (R.Relation.cardinality expected) r.B.tuples;
+          Alcotest.(check int) "bytes of the winning attempt only"
+            clean.B.bytes r.B.bytes;
+          Alcotest.(check (float 0.0)) "transfer of the winning attempt only"
+            clean.B.transfer_ms r.B.transfer_ms
       | _ -> hunt (seed + 1)
       | exception B.Backend_error _ -> hunt (seed + 1)
   in
   hunt 0
-
-let test_injected_row_latency () =
-  let db = tpch 0.2 in
-  let backend = B.create ~faults:(B.faults ~row_latency_ms:2.0 0.0) db in
-  let cur = (B.execute backend supplier_q).B.rows in
-  let n = R.Relation.cardinality (R.Cursor.to_relation (cur ())) in
-  let st = B.stats backend in
-  Alcotest.(check (float 1e-9))
-    "2ms of virtual latency per delivered row"
-    (2.0 *. float_of_int n)
-    st.B.injected_latency_ms
 
 let test_seed_determinism () =
   let db = tpch 0.2 in
@@ -287,10 +252,10 @@ let test_budget_forces_degradation () =
     (Middleware.xml_string_of p e);
   let res = e.Middleware.resilience in
   Alcotest.(check bool) "at least one stream degraded" true
-    (res.Middleware.r_degraded >= 1);
-  Alcotest.(check bool) "timeouts observed" true (res.Middleware.r_timeouts >= 1);
+    (e.Middleware.degraded >= 1);
+  Alcotest.(check bool) "timeouts observed" true (res.B.timeouts >= 1);
   Alcotest.(check bool) "sunk budget accounted as wasted work" true
-    (res.Middleware.r_wasted_work >= budget)
+    (res.B.wasted_work >= budget)
 
 let test_single_node_timeout_escapes () =
   (* nothing finer exists for a fully partitioned plan: a timeout must
@@ -340,7 +305,7 @@ let test_retried_run_keeps_actuals () =
                   ~retry:(retry ~max_retries:8 ()) db
               in
               let e = resilient ~backend p plan in
-              if e.Middleware.resilience.Middleware.r_retries > 0 then e
+              if e.Middleware.resilience.B.retries > 0 then e
               else faulted (seed + 1)
           in
           let retried = actuals (faulted 0) in
@@ -395,14 +360,10 @@ let suite =
       test_timeout_not_retried_wasted_work;
     Alcotest.test_case "backend: exponential backoff within jitter" `Quick
       test_backoff_exponential_within_jitter;
-    Alcotest.test_case "backend: breaker opens and rejects" `Quick
-      test_breaker_opens_and_rejects;
     Alcotest.test_case "backend: mid-stream drops retried" `Quick
       test_midstream_drop_retried;
     Alcotest.test_case "backend: mid-stream recovery accounting" `Quick
       test_midstream_recovery_accounting;
-    Alcotest.test_case "backend: injected row latency" `Quick
-      test_injected_row_latency;
     Alcotest.test_case "backend: seed determinism" `Quick test_seed_determinism;
     Alcotest.test_case "partition: split laws" `Quick test_split_laws;
     Alcotest.test_case "resilient = materialized (small views x rates)" `Quick

@@ -41,6 +41,34 @@ let test_cursor_spool_roundtrip () =
     (List.for_all2 R.Tuple.equal rows back);
   Alcotest.(check bool) "exhausted" true (R.Cursor.next c = None)
 
+(* The backend counts the rows it drains, into the heap or a spool file
+   alike: their number, wire bytes and modeled transfer, added tuple by
+   tuple in delivery order. *)
+let test_backend_run_counts () =
+  let db = Tpch.Gen.generate (Tpch.Gen.config 0.1) in
+  let backend = R.Backend.create db in
+  let q = "SELECT s.suppkey AS k, s.name AS n FROM Supplier AS s ORDER BY n" in
+  let heap = R.Backend.execute backend q in
+  let rows = R.Cursor.to_list (heap.R.Backend.rows ()) in
+  let transfer = R.Transfer.default in
+  let bytes = List.map R.Tuple.wire_size rows in
+  let expect label (r : R.Backend.run) =
+    Alcotest.(check int) (label ^ ": tuples") (List.length rows) r.tuples;
+    Alcotest.(check int) (label ^ ": bytes")
+      (List.fold_left ( + ) 0 bytes) r.bytes;
+    Alcotest.(check (float 0.0)) (label ^ ": transfer")
+      (List.fold_left
+         (fun acc b -> acc +. R.Transfer.tuple_ms transfer ~bytes:b)
+         transfer.R.Transfer.per_stream_overhead bytes)
+      r.transfer_ms
+  in
+  expect "heap" heap;
+  let spooled = R.Backend.execute ~spool:true backend q in
+  expect "spooled" spooled;
+  Alcotest.(check bool) "spooled rows are the heap rows" true
+    (List.for_all2 R.Tuple.equal rows
+       (R.Cursor.to_list (spooled.R.Backend.rows ())))
+
 let test_cursor_spool_empty () =
   let c = R.Cursor.spool (R.Cursor.empty cols) in
   Alcotest.(check bool) "empty" true (R.Cursor.next c = None)
@@ -187,6 +215,8 @@ let suite =
   [
     Alcotest.test_case "cursor roundtrip" `Quick test_cursor_roundtrip;
     Alcotest.test_case "cursor spool roundtrip" `Quick test_cursor_spool_roundtrip;
+    Alcotest.test_case "backend run counts heap and spooled rows" `Quick
+      test_backend_run_counts;
     Alcotest.test_case "cursor spool empty" `Quick test_cursor_spool_empty;
     Alcotest.test_case "executor cursor = run" `Quick test_executor_cursor_matches_run;
     Alcotest.test_case "full cross-product (fragment)" `Quick

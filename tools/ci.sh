@@ -58,6 +58,18 @@ if ! echo "$serving_out" | grep -q ' yes$'; then
   exit 1
 fi
 
+echo "== resilience experiment (faulty backend: output identical at every fault rate)"
+resilience_out=$(dune exec bench/main.exe -- --experiment resilience)
+echo "$resilience_out"
+if echo "$resilience_out" | grep -q 'NO!'; then
+  echo "resilience: output differs under faults (see NO! rows above)"
+  exit 1
+fi
+if ! echo "$resilience_out" | grep -q ' yes$'; then
+  echo "resilience: no fault-rate rows found"
+  exit 1
+fi
+
 echo "== micro benchmarks (every case runs and yields an estimate; ns figures not gated)"
 micro_out=$(dune exec bench/main.exe -- --experiment micro)
 echo "$micro_out"

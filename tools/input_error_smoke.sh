@@ -60,6 +60,16 @@ check_named clients "zero clients" workload --scale 0.05 --no-verify --clients=0
 check_named result_capacity "negative result cache" serve --scale 0.05 \
   --socket "$tmp/cache.sock" --result-cache=-1
 
+# Outcomes the flags asked for: a budget that no plan fits (the paper's
+# per-query timeout) and a backend that always fails.  Each message
+# names what gave up.
+check_named "root" "budget below every plan" run -q q1 --scale 0.2 \
+  --budget 20000
+check_named "root" "diagnose, budget below every plan" diagnose -q q1 \
+  --scale 0.2 --budget 20000
+check_named "transient" "certain faults" run -q q1 --scale 0.1 --resilient \
+  --fault-rate 1.0
+
 # A socket path is input too: serve replaces only a stale socket, and
 # nothing listening is an error of the path, not a crash or a zero tally.
 printf 'precious data' > "$tmp/occupied"
