@@ -110,7 +110,9 @@ type point = {
   bytes : int;
   est_ms : float;  (* the planner's predicted time *)
   est_work : float;
-  nodes : Obs.Json.t;  (* the median run's per-stream, per-node rows and ns *)
+  nodes : Obs.Json.t;
+      (* the median run's per-stream, per-node rows and ns (-1: replayed
+         from another stream's run, not timed) *)
 }
 
 let measure_point (p : S.Middleware.prepared) oracle ~view ~scale ~reduce mask =

@@ -30,6 +30,7 @@ type sample = {
   d_act_ms : float;
   d_spills : int; (* actual external-sort spill passes (sorts only) *)
   d_leaf : bool; (* reads no other operator (a scan): its error is its own *)
+  d_shared : string; (* the stream whose run was replayed here, or "" *)
 }
 
 type metric = Rows | Cost
@@ -156,6 +157,22 @@ let render_times buf ~top samples =
       timed
   end
 
+(* The subtrees a stream replayed from another stream's run. *)
+let render_shared buf samples =
+  match List.filter (fun s -> s.d_shared <> "") samples with
+  | [] -> ()
+  | shared ->
+      bprintf buf
+        "SHARED — %d subtree(s) replayed from another stream's run, not \
+         run or timed here\n"
+        (List.length shared);
+      List.iter
+        (fun s ->
+          bprintf buf "  %-8s node %d %-24s from %s\n" s.d_stream s.d_node
+            s.d_op s.d_shared)
+        shared;
+      Buffer.add_char buf '\n'
+
 let render_events buf =
   let by_level l =
     List.length (List.filter (fun e -> e.Event.level = l) (Event.events ()))
@@ -201,6 +218,7 @@ let render ?(threshold = default_threshold) ?(top = 10) ~resilience samples =
   Buffer.add_char buf '\n';
   render_times buf ~top samples;
   Buffer.add_char buf '\n';
+  render_shared buf samples;
   let spilled = List.filter (fun s -> s.d_spills > 0) samples in
   if spilled <> [] then begin
     bprintf buf "SPILLS — %d operator(s) spilled to disk\n"

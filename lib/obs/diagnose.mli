@@ -23,6 +23,10 @@ type sample = {
   d_leaf : bool;
       (** the operator reads no other operator (a scan): a misestimate
           here is where an error enters the plan *)
+  d_shared : string;
+      (** the stream whose run of this subtree was replayed here instead
+          of running it (its nodes' times are then unknown); [""] when it
+          ran here *)
 }
 
 type metric = Rows | Cost
@@ -54,7 +58,8 @@ val render :
   ?threshold:float -> ?top:int -> resilience:string -> sample list -> string
 (** The report: misestimate table ([top] findings, 10 by default, and
     every leaf finding past them), the [top] operators by measured time
-    with their predicted time, spill list, a RESILIENCE line carrying
+    with their predicted time (a replayed subtree was not timed, so it
+    is not there), the replayed subtrees, spill list, a RESILIENCE line carrying
     [resilience] (the run's own counters, e.g.
     [Middleware.resilience_summary]), event summary, GC pressure per
     operator, and the hot-path percentile table (reads the global

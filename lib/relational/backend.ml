@@ -217,8 +217,8 @@ let drop_after t ~attempt n cur =
   Cursor.create (Cursor.cols cur) pull
 
 (* One physical attempt: fault draw, engine run. *)
-let submit_attempt t ~attempt (plan : Physical.plan) : Cursor.t * Executor.stats
-    =
+let submit_attempt t ~attempt ?share (plan : Physical.plan) :
+    Cursor.t * Executor.stats =
   t.st.attempts <- t.st.attempts + 1;
   (* Fault draws are consumed in a fixed order so the stream replays
      identically for a fixed seed and submission sequence. *)
@@ -270,7 +270,7 @@ let submit_attempt t ~attempt (plan : Physical.plan) : Cursor.t * Executor.stats
   in
   match
     Executor.run_plan_cursor_with_stats ~budget:t.budget ~profile:t.profile
-      t.database plan
+      ?share t.database plan
   with
   | cur, est -> (
       match trip_after with
@@ -363,10 +363,8 @@ let plan t text =
   Obs.Span.with_stage Obs.Stage.Physical (fun () ->
       Physical.plan_of t.database ast)
 
-(* Parse and plan once, outside the retry loop: every attempt runs the
-   same plan, which no run writes. *)
-let execute ?(label = "") ?(spool = false) t text : run =
-  let plan = plan t text in
+(* Every attempt runs the same plan, which no run writes. *)
+let execute_plan ?(label = "") ?(spool = false) ?share t plan : run =
   Obs.Span.with_stage Obs.Stage.Executor (fun () ->
   t.st.submits <- t.st.submits + 1;
   let rec attempt k =
@@ -375,7 +373,7 @@ let execute ?(label = "") ?(spool = false) t text : run =
           if Obs.Span.tracing () then
             Obs.Span.add_list
               [ Obs.Attr.string "label" label; Obs.Attr.int "attempt" k ];
-          match submit_attempt t ~attempt:k plan with
+          match submit_attempt t ~attempt:k ?share plan with
           | cur, est -> (
               (* Drain now, inside the retry scope: a mid-stream drop
                  surfaces here, discards the partial rows, and is
@@ -430,3 +428,6 @@ let execute ?(label = "") ?(spool = false) t text : run =
       (Obs.Attr.int "rows" r.stats.actuals.rows.(plan.root.id)
       :: Executor.stats_attrs r.stats);
   r)
+
+(* Parse and plan once, outside the retry loop. *)
+let execute ?label ?spool t text = execute_plan ?label ?spool t (plan t text)

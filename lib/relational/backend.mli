@@ -70,7 +70,7 @@ exception
     (timeouts are accounted at the budget, the work level at which the
     engine gave up). *)
 type stats = {
-  mutable submits : int;  (** logical submissions ({!execute} calls) *)
+  mutable submits : int;  (** logical submissions ({!execute_plan} calls) *)
   mutable attempts : int;  (** physical attempts, including retries *)
   mutable retries : int;
   mutable faults_transient : int;  (** injected submit-time failures *)
@@ -124,9 +124,10 @@ val plan : t -> string -> Physical.plan
 (** The [sql_parser] stage, then the [physical] stage: parses SQL text
     ({!Sql_parser.Parse_error} on bad input) and plans it against the
     backend's database — the plan {!execute} runs for that text.  For
-    callers that show a plan without running it. *)
+    callers that show a plan without running it, or that plan a
+    request's statements before running them ({!execute_plan}). *)
 
-(** One {!execute}: the plan that ran, its rows and its meter, all of
+(** One {!execute_plan}: the plan that ran, its rows and its meter, all of
     the winning attempt. *)
 type run = {
   plan : Physical.plan;  (** from {!plan}, built once for all attempts *)
@@ -140,7 +141,17 @@ type run = {
 }
 
 val execute : ?label:string -> ?spool:bool -> t -> string -> run
-(** Resilient submission of SQL text: {!plan} once, then, in the
+(** Resilient submission of SQL text: {!plan} once, then
+    {!execute_plan}. *)
+
+val execute_plan :
+  ?label:string ->
+  ?spool:bool ->
+  ?share:Executor.entry Share.scope ->
+  t ->
+  Physical.plan ->
+  run
+(** Resilient submission of a plan {!plan} built: in the
     [executor] stage (whose span carries the plan's output rows and
     {!Executor.stats_attrs}), retries transient failures
     (submit faults and mid-stream drops) with exponential backoff up to
@@ -154,4 +165,7 @@ val execute : ?label:string -> ?spool:bool -> t -> string -> run
     {!Backend_error} when retries are exhausted or the failure is not
     retryable ([Fatal], [Timeout]).  Emits [backend.submit] /
     [backend.retry] spans and [backend.fault] / [backend.fatal] /
-    [backend.timeout] / [backend.retry] events. *)
+    [backend.timeout] / [backend.retry] events.  Every attempt runs
+    with [share] ({!Executor.run_plan_with_stats}): a retry replays what
+    the store still holds, and the stats of a winning attempt are those
+    of an attempt run alone. *)

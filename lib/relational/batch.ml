@@ -68,25 +68,17 @@ let iter f b =
       f b.rows.(i) b.bytes.(i)
     done
 
-let keep p b =
-  if not b.filtered then begin
-    b.sel <- Array.make b.len 0;
-    b.sel_len <- b.len;
-    for i = 0 to b.len - 1 do
-      b.sel.(i) <- i
-    done;
-    b.filtered <- true
-  end;
-  let kept = ref 0 in
-  for i = 0 to b.sel_len - 1 do
-    let j = b.sel.(i) in
+let filter p b =
+  let n = length b in
+  let sel = Array.make n 0 and kept = ref 0 in
+  for i = 0 to n - 1 do
+    let j = if b.filtered then b.sel.(i) else i in
     if p b.rows.(j) then begin
-      b.sel.(!kept) <- j;
+      sel.(!kept) <- j;
       incr kept
     end
   done;
-  b.sel_len <- !kept;
-  !kept
+  { b with sel; sel_len = !kept; filtered = true }
 
 let to_list b =
   let acc = ref [] in

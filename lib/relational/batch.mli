@@ -3,12 +3,15 @@
 
     A batch holds up to [capacity] tuples together with the per-row
     charged-byte figure that the executor threads from projections down
-    to sorts.  Filtering does not copy rows: {!keep} installs (or
-    refines) a selection vector of live row indexes, so a chain of
-    predicates touches each row array exactly once.
+    to sorts.  Filtering does not copy rows: {!filter} returns a batch
+    over the same rows with a selection vector of live row indexes, so a
+    chain of predicates touches each row array exactly once.
 
-    Invariant: a batch is append-only until the first {!keep}; pushing
-    into a batch that carries a selection vector is a programming error
+    Invariant: a batch is append-only while it is built and read-only
+    once it is handed on — {!filter} leaves its input as it was, so one
+    batch can feed any number of consumers (the executor replays a
+    shared subtree's batches to several streams).  Pushing into a batch
+    that carries a selection vector is a programming error
     ([Invalid_argument]). *)
 
 type t
@@ -49,11 +52,11 @@ val bytes_at : t -> int -> int
 val iter : (Tuple.t -> int -> unit) -> t -> unit
 (** [iter f b] applies [f row bytes] to each live row in order. *)
 
-val keep : (Tuple.t -> bool) -> t -> int
-(** [keep p b] drops live rows failing [p] by refining the selection
-    vector in place (no row is copied); returns the surviving count.
-    Composes: a second [keep] only re-tests rows that survived the
-    first. *)
+val filter : (Tuple.t -> bool) -> t -> t
+(** [filter p b] is a batch of [b]'s live rows that pass [p], sharing
+    [b]'s rows under a new selection vector (no row is copied); [b]
+    itself is not changed.  Composes: filtering a filtered batch only
+    tests the rows that survived the first predicate. *)
 
 val to_list : t -> Tuple.t list
 (** Live rows in order. *)

@@ -19,6 +19,8 @@
 exception Timeout
 exception Ambiguous_column = Algebra.Ambiguous_column
 
+type replay = { r_node : int; r_owner : int; r_work : int }
+
 type stats = {
   mutable scanned : int;       (* rows read from stored tables *)
   mutable probed : int;        (* join candidate pairs examined *)
@@ -27,11 +29,13 @@ type stats = {
   mutable spill_passes : int;  (* external-sort merge passes *)
   mutable work : int;          (* total work units, drives the budget *)
   actuals : Physical.actuals;  (* per plan node, written by this run only *)
+  mutable replayed : replay list; (* subtrees served from a Share store *)
 }
 
 let new_stats () =
   { scanned = 0; probed = 0; emitted = 0; sorted = 0; spill_passes = 0; work = 0;
-    actuals = { rows = [||]; cost = [||]; spills = [||]; ns = [||] } }
+    actuals = { rows = [||]; cost = [||]; spills = [||]; ns = [||] };
+    replayed = [] }
 
 (* Cost profile of the simulated server.  The engine runs in memory, but
    the work meter models a disk-based RDBMS: rows are charged by width
@@ -91,7 +95,7 @@ let charge_sort ctx rows bytes =
 (* ===================================================================== *)
 (* Physical-plan execution over {!Batch.t} chunks of                     *)
 (* {!Batch.default_size} rows, with expressions compiled once per        *)
-(* operator; filters refine selection vectors in place instead of        *)
+(* operator; filters give each chunk a new selection vector instead of   *)
 (* copying rows.  Charges mirror the seed interpreter operator for       *)
 (* operator; only the rewriter-granted discounts differ (narrow emission *)
 (* masks, pruned widths, uncharged relocated ON predicates).  Every row  *)
@@ -642,7 +646,83 @@ let project_pair ctx pr bb (l : Tuple.t) (r : Tuple.t) =
   charge_emit_bytes ctx !bytes;
   bb_push bb !bytes t
 
-let rec exec_batched ctx (n : P.node) : Batch.t list =
+(* --- shared subtrees ----------------------------------------------------- *)
+
+(* A subtree's run, kept in a {!Share} store: its output, and what it
+   charged — the meter's deltas, and its nodes' rows, cost and spills in
+   pre-order. *)
+type entry = { batches : Batch.t list; delta : stats }
+
+let subtree_ids (n : P.node) =
+  let ids = ref [] in
+  P.iter_node (fun m -> ids := m.P.id :: !ids) n;
+  Array.of_list (List.rev !ids)
+
+(* What the run of [n]'s subtree charged since [c0], a copy of the
+   stats taken before it. *)
+let record ctx (n : P.node) c0 batches =
+  let st = ctx.st and a = ctx.st.actuals and ids = subtree_ids n in
+  let at f = Array.map (fun id -> f.(id)) ids in
+  {
+    batches;
+    delta =
+      {
+        scanned = st.scanned - c0.scanned;
+        probed = st.probed - c0.probed;
+        emitted = st.emitted - c0.emitted;
+        sorted = st.sorted - c0.sorted;
+        spill_passes = st.spill_passes - c0.spill_passes;
+        work = st.work - c0.work;
+        actuals = { rows = at a.rows; cost = at a.cost; spills = at a.spills; ns = [||] };
+        replayed = [];
+      };
+  }
+
+(* Charge a stored run of [n]'s subtree as if it ran here: the same
+   counters, the same figures per node, then the budget check the run
+   would have failed — charges only grow, so it fails exactly when the
+   total passes the budget.  Its nodes did not run here: their times
+   stay unknown. *)
+let replay ctx (n : P.node) e owner =
+  let st = ctx.st and d = e.delta in
+  st.scanned <- st.scanned + d.scanned;
+  st.probed <- st.probed + d.probed;
+  st.emitted <- st.emitted + d.emitted;
+  st.sorted <- st.sorted + d.sorted;
+  st.spill_passes <- st.spill_passes + d.spill_passes;
+  st.work <- st.work + d.work;
+  Array.iteri
+    (fun k id ->
+      st.actuals.rows.(id) <- d.actuals.rows.(k);
+      st.actuals.cost.(id) <- d.actuals.cost.(k);
+      st.actuals.spills.(id) <- d.actuals.spills.(k);
+      st.actuals.ns.(id) <- -1)
+    (subtree_ids n);
+  st.replayed <- { r_node = n.P.id; r_owner = owner; r_work = d.work } :: st.replayed;
+  if ctx.budget > 0 && st.work > ctx.budget then raise Timeout;
+  e.batches
+
+(* Run [n], or replay it from [share]: the first run of a counted
+   subtree stores its output there, later ones replay it.  Every
+   consumer reads batches without writing them, so one output can feed
+   any number of them. *)
+let rec exec_batched ctx share (n : P.node) : Batch.t list =
+  match share with
+  | None -> exec_node ctx None n
+  | Some sc -> (
+      match Share.slot sc n with
+      | -1 -> exec_node ctx share n
+      | s -> (
+          match Share.take sc s with
+          | Some (e, owner) -> replay ctx n e owner
+          | None ->
+              let c0 = { ctx.st with work = ctx.st.work } in
+              let batches = exec_node ctx share n in
+              Share.put sc s (record ctx n c0 batches);
+              batches))
+
+and exec_node ctx share (n : P.node) : Batch.t list =
+  let exec_batched = exec_batched ctx share in
   let t0 = Obs.Clock.now_ns () in
   let batches =
     match n.P.shape with
@@ -674,13 +754,10 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
         Batch.push b [||];
         [ b ]
     | P.Filter { input; pred; charged; _ } ->
-        let batches = exec_batched ctx input in
+        let inb = exec_batched input in
+        let batches = List.map (Batch.filter (Expr.compile_pred pred)) inb in
         let w0 = ctx.st.work in
-        let p = Expr.compile_pred pred in
-        let survivors =
-          List.fold_left (fun acc b -> acc + Batch.keep p b) 0 batches
-        in
-        if charged then charge ctx `Emit survivors;
+        if charged then charge ctx `Emit (batch_rows batches);
         set_cost ctx n (ctx.st.work - w0);
         batches
     | P.Project
@@ -689,10 +766,10 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
         (* built inside the join's probe, from each output pair *)
         let pr = projection ~split:info.P.split items charged in
         let bb = bb_create () in
-        set_cost ctx n (exec_join ctx join info left right (project_pair ctx pr bb));
+        set_cost ctx n (exec_join ctx share join info left right (project_pair ctx pr bb));
         bb_finish bb
     | P.Project { input; items; charged; _ } ->
-        let inb = exec_batched ctx input in
+        let inb = exec_batched input in
         let w0 = ctx.st.work in
         let pr = projection ~split:max_int items charged in
         let bb = bb_create () in
@@ -702,12 +779,13 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
     | P.Join { left; right; info } ->
         let bb = bb_create () in
         ignore
-          (exec_join ctx n info left right (fun l r -> bb_push bb 0 (Tuple.concat l r)));
+          (exec_join ctx share n info left right (fun l r ->
+               bb_push bb 0 (Tuple.concat l r)));
         bb_finish bb
-    | P.Union ns -> List.concat_map (exec_batched ctx) ns
-    | P.Derived { input; _ } -> exec_batched ctx input
+    | P.Union ns -> List.concat_map exec_batched ns
+    | P.Derived { input; _ } -> exec_batched input
     | P.Sort { input; keys; _ } ->
-        let inb = exec_batched ctx input in
+        let inb = exec_batched input in
         let pairs = Array.make (batch_rows inb) (0, [||]) in
         let i = ref 0 in
         List.iter
@@ -726,9 +804,9 @@ let rec exec_batched ctx (n : P.node) : Batch.t list =
 
 (* Run a join node's inputs, then the join (in its own span), handing
    each output pair to [consume]; the work [consume] charged. *)
-and exec_join ctx (n : P.node) (info : P.join_info) left right consume =
-  let left = exec_batched ctx left in
-  let right = exec_batched ctx right in
+and exec_join ctx share (n : P.node) (info : P.join_info) left right consume =
+  let left = exec_batched ctx share left in
+  let right = exec_batched ctx share right in
   node_span ctx n (fun () ->
       let right_arr = Array.make (batch_rows right) [||] in
       let ri = ref 0 in
@@ -751,14 +829,18 @@ and exec_join ctx (n : P.node) (info : P.join_info) left right consume =
 let own_times (p : P.plan) (ns : int array) =
   P.iter
     (fun n ->
-      (match n.P.shape with
-      | P.Project { input = { P.shape = P.Join _; _ } as join; _ } ->
-          ns.(join.P.id) <- ns.(n.P.id)
-      | _ -> ());
-      ns.(n.P.id) <-
-        List.fold_left
-          (fun acc (i : P.node) -> acc - ns.(i.P.id))
-          ns.(n.P.id) (P.inputs n))
+      (* a replayed subtree's nodes did not run here: left unknown, the
+         replay's time stays with the node that read it *)
+      if ns.(n.P.id) >= 0 then begin
+        (match n.P.shape with
+        | P.Project { input = { P.shape = P.Join _; _ } as join; _ } ->
+            ns.(join.P.id) <- ns.(n.P.id)
+        | _ -> ());
+        ns.(n.P.id) <-
+          List.fold_left
+            (fun acc (i : P.node) -> acc - max 0 ns.(i.P.id))
+            ns.(n.P.id) (P.inputs n)
+      end)
     p
 
 let stats_attrs st =
@@ -772,20 +854,25 @@ let stats_attrs st =
   ]
 
 (* Run [plan] and package the output chunks with [finish]. *)
-let exec_query ~budget ~profile db plan ~finish =
+let exec_query ~budget ~profile ?share db plan ~finish =
+  Option.iter
+    (fun sc ->
+      if Share.plan sc != plan then
+        invalid_arg "Executor: the share scope was counted for another plan")
+    share;
   let st = { (new_stats ()) with actuals = P.no_actuals plan } in
   let ctx = { db; st; budget; profile } in
-  let batches = exec_batched ctx plan.P.root in
+  let batches = exec_batched ctx share plan.P.root in
   own_times plan st.actuals.ns;
   (finish plan.P.cols batches, ctx.st)
 
 let relation_of_batches cols batches =
   Relation.create cols (List.concat_map Batch.to_list batches)
 
-let run_plan_with_stats ?(budget = 0) ?(profile = default_profile) db
+let run_plan_with_stats ?(budget = 0) ?(profile = default_profile) ?share db
     (p : P.plan) =
-  exec_query ~budget ~profile db p ~finish:relation_of_batches
+  exec_query ~budget ~profile ?share db p ~finish:relation_of_batches
 
-let run_plan_cursor_with_stats ?(budget = 0) ?(profile = default_profile) db
-    (p : P.plan) =
-  exec_query ~budget ~profile db p ~finish:Cursor.of_batches
+let run_plan_cursor_with_stats ?(budget = 0) ?(profile = default_profile) ?share
+    db (p : P.plan) =
+  exec_query ~budget ~profile ?share db p ~finish:Cursor.of_batches

@@ -16,6 +16,14 @@ exception Timeout
 exception Ambiguous_column of string
 (** An unqualified column name matched several positions. *)
 
+(** A subtree a run took from a {!Share} store instead of running it. *)
+type replay = {
+  r_node : int;  (** its root, a node of the run's plan *)
+  r_owner : int;
+      (** the index, in the store, of the plan whose run computed it *)
+  r_work : int;  (** the work units the replay charged *)
+}
+
 type stats = {
   mutable scanned : int;  (** rows read from stored tables *)
   mutable probed : int;  (** join candidate pairs examined *)
@@ -25,7 +33,10 @@ type stats = {
   mutable work : int;  (** total work units (weighted sum) *)
   actuals : Physical.actuals;
       (** this run's per-node figures: rows, work, spills, and each
-          node's own elapsed ns, clocked on every run *)
+          node's own elapsed ns, clocked on every run — except the nodes
+          of a replayed subtree, which did not run here: their time is
+          unknown (-1) *)
+  mutable replayed : replay list;  (** latest first; [[]] without a store *)
 }
 
 val new_stats : unit -> stats
@@ -53,20 +64,34 @@ val default_profile : profile
     nothing into the plan, so one plan may run any number of times, at
     once on several domains. *)
 
+type entry
+(** A subtree's stored run: its output batches and what it charged. *)
+
 val run_plan_with_stats :
   ?budget:int ->
   ?profile:profile ->
+  ?share:entry Share.scope ->
   Database.t ->
   Physical.plan ->
   Relation.t * stats
 (** Executes a plan.  [budget > 0] bounds the work units; exceeding it
     raises {!Timeout}.  Operators process {!Batch.t} chunks of
     {!Batch.default_size} rows with expressions compiled once per
-    operator. *)
+    operator.
+
+    With [share] (a scope counted for this very plan, else
+    [Invalid_argument]), the first run of each repeated subtree stores
+    its output and its charges in the store, and a run that finds one
+    stored replays it instead of running it: it adds the stored
+    counters to its own, copies the subtree's per-node rows, cost and
+    spills, records a {!replay}, then checks the budget.  Every counter
+    and figure but the subtree's times is what running it would give,
+    and so is a {!Timeout}. *)
 
 val run_plan_cursor_with_stats :
   ?budget:int ->
   ?profile:profile ->
+  ?share:entry Share.scope ->
   Database.t ->
   Physical.plan ->
   Cursor.t * stats

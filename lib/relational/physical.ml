@@ -263,12 +263,40 @@ let inputs n =
   | Join { left; right; _ } -> [ left; right ]
   | Union ns -> ns
 
-let iter f (p : plan) =
-  let rec go n =
-    f n;
-    List.iter go (inputs n)
+let rec iter_node f n =
+  f n;
+  List.iter (iter_node f) (inputs n)
+
+let iter f (p : plan) = iter_node f p.root
+
+(* --- structural keys --------------------------------------------------- *)
+
+(* A subtree with ids, aliases and printed names taken out: every other
+   field stays, so two keys are equal exactly when their subtrees read
+   the same tables and run the same operators. *)
+type key = node
+
+let keys (p : plan) =
+  let keys = Array.make (p.nodes + 1) { id = 0; shape = Dual } in
+  let rec key n =
+    let shape =
+      match n.shape with
+      | Scan s -> Scan { s with alias = ""; col_names = [||] }
+      | Dual -> Dual
+      | Filter f -> Filter { f with input = key f.input; pushed = false }
+      | Project pr -> Project { pr with input = key pr.input; names = [||] }
+      | Join { left; right; info } ->
+          let info = { info with from_where = false } in
+          Join { left = key left; right = key right; info }
+      | Union ns -> Union (List.map key ns)
+      | Sort so -> Sort { so with input = key so.input }
+      | Derived d -> Derived { input = key d.input; alias = "" }
+    in
+    keys.(n.id) <- { id = 0; shape };
+    keys.(n.id)
   in
-  go p.root
+  ignore (key p.root);
+  keys
 
 (* The (alias, column) of each position of a node's rows, as
    {!Algebra.header} gives them for the tree it was built from: what
@@ -295,7 +323,7 @@ let index_line rh ix =
     | None -> ""
     | Some g -> " guard " ^ Algebra.expr_to_string rh g)
 
-let card_str (e : estimates) (a : actuals) { id; _ } =
+let card_str ~shared (e : estimates) (a : actuals) { id; _ } =
   let est_rows = e.rows.(id) and act_rows = a.rows.(id) in
   let est_cost = e.cost.(id) and act_cost = a.cost.(id) in
   let est_ns = e.ns.(id) and act_ns = a.ns.(id) in
@@ -317,14 +345,18 @@ let card_str (e : estimates) (a : actuals) { id; _ } =
           (if e then "?" else Printf.sprintf "%.3f" (est_ns /. 1e6))
           (if a then "?" else Printf.sprintf "%.3f" (float_of_int act_ns /. 1e6))
   in
-  Printf.sprintf "  (rows est=%s act=%s%s%s)" est act cost ms
+  let shared =
+    match shared id with None -> "" | Some from -> " shared from " ^ from
+  in
+  Printf.sprintf "  (rows est=%s act=%s%s%s%s)" est act cost ms shared
 
-let to_string (p : plan) (e : estimates) (a : actuals) : string =
+let to_string ?(shared = fun _ -> None) (p : plan) (e : estimates)
+    (a : actuals) : string =
   let b = Buffer.create 512 in
   let line ind s n =
     Buffer.add_string b (String.make (ind * 2) ' ');
     Buffer.add_string b s;
-    Buffer.add_string b (card_str e a n);
+    Buffer.add_string b (card_str ~shared e a n);
     Buffer.add_char b '\n'
   in
   let rec go ind n =
@@ -402,8 +434,8 @@ let to_string (p : plan) (e : estimates) (a : actuals) : string =
 (* Flatten a plan and one run's figures into the generic samples the
    lib/obs anomaly detector consumes — obs cannot see this module, so
    the adapter lives on this side of the dependency edge. *)
-let diagnose_samples ~stream (p : plan) (e : estimates) (a : actuals) :
-    Obs.Diagnose.sample list =
+let diagnose_samples ?(shared = fun _ -> None) ~stream (p : plan)
+    (e : estimates) (a : actuals) : Obs.Diagnose.sample list =
   let acc = ref [] in
   iter
     (fun n ->
@@ -420,6 +452,7 @@ let diagnose_samples ~stream (p : plan) (e : estimates) (a : actuals) :
           d_act_ms = (if a.ns.(n.id) < 0 then -1.0 else float_of_int a.ns.(n.id) /. 1e6);
           d_spills = a.spills.(n.id);
           d_leaf = (match n.shape with Scan _ | Dual -> true | _ -> false);
+          d_shared = Option.value ~default:"" (shared n.id);
         }
         :: !acc)
     p;

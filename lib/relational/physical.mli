@@ -135,14 +135,37 @@ val inputs : node -> node list
 val iter : (node -> unit) -> plan -> unit
 (** Pre-order traversal. *)
 
-val to_string : plan -> estimates -> actuals -> string
+val iter_node : (node -> unit) -> node -> unit
+(** Pre-order traversal of the subtree at a node. *)
+
+type key
+(** A subtree as it runs: node ids, aliases and printed names taken
+    out.  Compare keys with structural equality and hash them with
+    [Hashtbl.hash]. *)
+
+val keys : plan -> key array
+(** The key of each node's subtree, by node id (slot 0 unused): two
+    subtrees, of one plan or of two, have equal keys exactly when they
+    read the same tables and run the same operators with the same
+    expressions, so they produce the same rows for the same charges. *)
+
+val to_string :
+  ?shared:(int -> string option) -> plan -> estimates -> actuals -> string
 (** Indented physical tree with algorithm, estimated and actual
     rows/cost/ms per operator, and each hash join's indexes on the lines
     under it, for [--explain].  Expressions are named from the headers
-    of the operators they read, as {!Algebra.to_string} names them. *)
+    of the operators they read, as {!Algebra.to_string} names them.  A
+    node for which [shared] (by node id; default none) names where its
+    run came from ends its figures with [shared from NAME]. *)
 
 val diagnose_samples :
-  stream:string -> plan -> estimates -> actuals -> Obs.Diagnose.sample list
+  ?shared:(int -> string option) ->
+  stream:string ->
+  plan ->
+  estimates ->
+  actuals ->
+  Obs.Diagnose.sample list
 (** Flattens the plan (pre-order) into the generic per-operator records
     the {!Obs.Diagnose} anomaly detector consumes; [stream] labels every
-    sample. *)
+    sample, and [shared] gives a replayed node's {!Obs.Diagnose.sample}
+    [d_shared]. *)

@@ -113,6 +113,9 @@ let estimated_cost ?(reduce = false) p plan =
    attempt; the rows themselves are reached through [se_cursor]. *)
 type stream_exec = {
   se_stream : Sql_gen.stream;
+  se_origin : int;
+      (* the plan-order index of the top-level stream it ran for: its
+         own, or the one a degraded stream was split from *)
   se_cursor : unit -> R.Cursor.t;
       (* heap: a fresh cursor per call; spooled: the one spool cursor *)
   se_sql : string;
@@ -154,7 +157,7 @@ let resilience_summary e =
    fault. *)
 type timeout_info = {
   timeout_sql : string; (* the offending SQL text *)
-  timeout_stream : int; (* index of the stream in plan order *)
+  timeout_stream : int; (* the stream's number in plan order, from 1 *)
   timeout_root : string; (* fragment root's Skolem-function name *)
   timeout_elapsed_ms : float; (* wall time spent before the budget hit *)
 }
@@ -170,7 +173,7 @@ let () =
           (Printf.sprintf
              "Plan_timeout(stream %d, root %s, after %.1f ms): the sub-query \
               exceeded the work budget"
-             (t.timeout_stream + 1) t.timeout_root t.timeout_elapsed_ms)
+             t.timeout_stream t.timeout_root t.timeout_elapsed_ms)
     | _ -> None)
 
 (* Durations (stream wall time, time to a timeout) read the monotonic
@@ -255,26 +258,39 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
     List.mapi (fun i (_ : Sql_gen.stream) -> R.Backend.fork backend ~salt:i)
       streams
   in
+  (* Print every stream's SQL and plan it once, before the fan-out, so
+     the repeated join subtrees of the request's plans can be counted:
+     each runs once, and its other occurrences replay its output and
+     its charges (R.Share).  The store lives for this call only. *)
+  let print_and_plan (s : Sql_gen.stream) =
+    let text =
+      Obs.Span.with_stage Obs.Stage.Sql_print (fun () ->
+          R.Sql_print.to_string s.Sql_gen.query)
+    in
+    (text, R.Backend.plan backend text)
+  in
+  let planned = List.map print_and_plan streams in
+  let share = R.Share.create (List.map snd planned) in
   let degraded = Atomic.make 0 in
-  (* Run one stream: print its SQL and ship the text to the backend,
-     which parses, plans and runs it through its retry loop.  If its
-     failure is persistent — retries exhausted, a fatal fault, or a
-     work-budget timeout — and fewer than [max_splits] splits lie above
-     it, split the offending fragment along its view-tree edges (one
-     step down the 2^|E| plan lattice, the paper's own fallback space)
-     and recurse on the finer sub-queries.  Otherwise a timeout escapes
-     as [Plan_timeout] with the payload naming the fragment root, and
-     anything else re-raises the backend error. *)
-  let rec run_stream ~depth backend i (s : Sql_gen.stream) : stream_exec list
-      =
+  (* Run one stream: ship its plan to the backend, which runs it through
+     its retry loop.  If its failure is persistent — retries exhausted,
+     a fatal fault, or a work-budget timeout — and fewer than
+     [max_splits] splits lie above it, split the offending fragment
+     along its view-tree edges (one step down the 2^|E| plan lattice,
+     the paper's own fallback space) and recurse on the finer
+     sub-queries, planned there and sharing nothing.
+     Otherwise a timeout escapes as [Plan_timeout] with the payload
+     naming the fragment root, and anything else re-raises the backend
+     error. *)
+  let rec run_stream ~depth ?scope backend i (s : Sql_gen.stream) (text, plan)
+      : stream_exec list =
     Obs.Span.with_span "execute.stream" (fun () ->
-        let text =
-          Obs.Span.with_stage Obs.Stage.Sql_print (fun () ->
-              R.Sql_print.to_string s.Sql_gen.query)
-        in
         let root_name = root_name_of p s in
         let t0 = now_ms () in
-        match R.Backend.execute backend ~label:root_name ~spool text with
+        match
+          R.Backend.execute_plan backend ~label:root_name ~spool ?share:scope
+            plan
+        with
         | { R.Backend.plan; rows = cursor; stats; tuples; bytes; transfer_ms } ->
             let wall_ms = now_ms () -. t0 in
             let profile = R.Backend.profile backend in
@@ -297,6 +313,7 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
             [
               {
                 se_stream = s;
+                se_origin = i;
                 se_cursor = cursor;
                 se_sql = text;
                 se_plan = plan;
@@ -339,11 +356,13 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
                 (try
                    List.iter
                      (fun frag ->
+                       let s =
+                         Obs.Span.with_stage Obs.Stage.Sql_gen (fun () ->
+                             Sql_gen.stream_of_fragment p.db p.tree opts frag)
+                       in
                        sub :=
-                         run_stream ~depth:(depth + 1) backend i
-                           (Obs.Span.with_stage Obs.Stage.Sql_gen (fun () ->
-                                Sql_gen.stream_of_fragment p.db p.tree opts
-                                  frag))
+                         run_stream ~depth:(depth + 1) backend i s
+                           (print_and_plan s)
                          :: !sub)
                      frags
                  with e ->
@@ -352,18 +371,20 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
                    Printexc.raise_with_backtrace e bt);
                 List.concat (List.rev !sub)
             | None, R.Backend.Timeout ->
+                (* streams are numbered from 1, as explain prints them *)
+                let number = i + 1 in
                 if Obs.Span.tracing () then begin
                   Obs.Span.add_list
                     [
                       Obs.Attr.bool "timeout" true;
-                      Obs.Attr.int "timeout.stream" i;
+                      Obs.Attr.int "timeout.stream" number;
                       Obs.Attr.string "timeout.root" root_name;
                       Obs.Attr.float "timeout.elapsed_ms" elapsed;
                     ];
                   Obs.Event.error "middleware.plan_timeout"
                     ~attrs:
                       [
-                        Obs.Attr.int "stream" i;
+                        Obs.Attr.int "stream" number;
                         Obs.Attr.string "root" root_name;
                         Obs.Attr.float "elapsed_ms" elapsed;
                       ];
@@ -373,7 +394,7 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
                   (Plan_timeout
                      {
                        timeout_sql = text;
-                       timeout_stream = i;
+                       timeout_stream = number;
                        timeout_root = root_name;
                        timeout_elapsed_ms = elapsed;
                      })
@@ -382,8 +403,9 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
   let per_stream =
     List.concat
       (map_streams pool ~on_partial:(List.iter close_streams)
-         (fun i (b, s) -> run_stream ~depth:0 b i s)
-         (List.combine backends streams))
+         (fun i (b, (s, planned)) ->
+           run_stream ~depth:0 ~scope:(R.Share.scope share i) b i s planned)
+         (List.combine backends (List.combine streams planned)))
   in
   (* Degradation replaces one stream by finer streams covering the same
      nodes: the effective plan is still a point in the 2^|E| lattice, so
@@ -403,7 +425,10 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
   let bytes = sum (fun se -> se.se_bytes) in
   let resilience = R.Backend.merge_stats (List.map R.Backend.stats backends) in
   let degraded = Atomic.get degraded in
-  if Obs.Span.tracing () then
+  if Obs.Span.tracing () then begin
+    let replayed =
+      List.concat_map (fun se -> se.se_stats.R.Executor.replayed) per_stream
+    in
     Obs.Span.add_list
       [
         Obs.Attr.int "streams" (List.length per_stream);
@@ -413,7 +438,12 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
         Obs.Attr.int "degraded" degraded;
         Obs.Attr.int "retries" resilience.R.Backend.retries;
         Obs.Attr.int "faults" (R.Backend.total_faults resilience);
-      ];
+        Obs.Attr.int "shared.subtrees" (R.Share.subtrees share);
+        Obs.Attr.int "shared" (List.length replayed);
+        Obs.Attr.int "shared.work"
+          (List.fold_left (fun acc r -> acc + r.R.Executor.r_work) 0 replayed);
+      ]
+  end;
   {
     per_stream;
     query_wall_ms = sum_float (fun se -> se.se_wall_ms);
@@ -448,7 +478,8 @@ let stream_to_channel p e oc : unit =
    from (rebuilt here from that text: a plan does not keep it), and the
    physical plan with its estimates and [actuals] (unknown when nothing
    ran). *)
-let explain_stream p i root_name ~sql ~profile (plan : R.Physical.plan) actuals =
+let explain_stream ?shared p i root_name ~sql ~profile (plan : R.Physical.plan)
+    actuals =
   let logical =
     R.Algebra.rewrite (R.Algebra.lower p.db (R.Sql_parser.parse sql))
   in
@@ -456,7 +487,23 @@ let explain_stream p i root_name ~sql ~profile (plan : R.Physical.plan) actuals 
     "-- stream %d (root %s):\n%s\n\nlogical plan:\n%s\nphysical plan:\n%s" i
     root_name sql
     (R.Algebra.to_string logical)
-    (R.Physical.to_string plan (estimates p profile plan) actuals)
+    (R.Physical.to_string ?shared plan (estimates p profile plan) actuals)
+
+(* For a node of [se]'s plan that roots a replayed subtree, [name k o]
+   of the stream whose run it replayed: [o], number [k] (from 1) of
+   [e.per_stream] — the first stream that ran for the top-level stream
+   which computed it. *)
+let replayed_from e (se : stream_exec) name id =
+  List.find_opt
+    (fun r -> r.R.Executor.r_node = id)
+    se.se_stats.R.Executor.replayed
+  |> Option.map (fun r ->
+         let rec find k = function
+           | o :: _ when o.se_origin = r.R.Executor.r_owner -> name k o
+           | _ :: rest -> find (k + 1) rest
+           | [] -> "?"
+         in
+         find 1 e.per_stream)
 
 (* The plans come from the backend's own planner, so the explained tree
    is the tree [execute] runs. *)
@@ -481,6 +528,7 @@ let explain_execution (p : prepared) (e : execution) : string =
     (List.mapi
        (fun i (se : stream_exec) ->
          explain_stream p (i + 1)
+           ~shared:(replayed_from e se (fun k _ -> Printf.sprintf "stream %d" k))
            (root_name_of p se.se_stream)
            ~sql:se.se_sql ~profile:se.se_profile se.se_plan
            se.se_stats.R.Executor.actuals)
@@ -494,7 +542,9 @@ let explain_execution (p : prepared) (e : execution) : string =
 let diagnose_samples (p : prepared) (e : execution) : Obs.Diagnose.sample list =
   List.concat_map
     (fun (se : stream_exec) ->
-      R.Physical.diagnose_samples ~stream:(root_name_of p se.se_stream)
+      R.Physical.diagnose_samples
+        ~shared:(replayed_from e se (fun _ o -> root_name_of p o.se_stream))
+        ~stream:(root_name_of p se.se_stream)
         se.se_plan
         (estimates p se.se_profile se.se_plan)
         se.se_stats.R.Executor.actuals)

@@ -70,6 +70,9 @@ val estimated_cost : ?reduce:bool -> prepared -> Partition.t -> float
     backend's counts of the winning attempt ({!Relational.Backend.run}). *)
 type stream_exec = {
   se_stream : Sql_gen.stream;
+  se_origin : int;
+      (** the plan-order index (from 0) of the top-level stream it ran
+          for: its own, or the one a degraded stream was split from *)
   se_cursor : unit -> Relational.Cursor.t;
       (** opens the stream's sorted rows: a heap result opens a fresh
           cursor on every call; a spooled result always hands back its
@@ -77,7 +80,8 @@ type stream_exec = {
   se_sql : string;  (** the SQL text shipped to the engine *)
   se_plan : Relational.Physical.plan;  (** the plan the backend ran *)
   se_stats : Relational.Executor.stats;
-      (** the winning attempt's meter, with its per-node actuals *)
+      (** the winning attempt's meter, with its per-node actuals and the
+          subtrees it replayed from another stream's run *)
   se_profile : Relational.Executor.profile;  (** what it was priced with *)
   se_wall_ms : float;
   se_rows : int;
@@ -114,7 +118,9 @@ val resilience_summary : execution -> string
 (** Which sub-query exceeded the budget, and where it sat in the plan. *)
 type timeout_info = {
   timeout_sql : string;  (** the offending SQL text *)
-  timeout_stream : int;  (** index of the stream in plan order *)
+  timeout_stream : int;
+      (** the stream's number in plan order, from 1, as {!explain}
+          numbers it *)
   timeout_root : string;  (** fragment root's Skolem-function name *)
   timeout_elapsed_ms : float;  (** wall time spent before the budget hit *)
 }
@@ -122,11 +128,13 @@ type timeout_info = {
 exception Plan_timeout of timeout_info
 (** A sub-query exceeded the work budget (the paper's 5-minute
     per-query timeout) and nothing finer was left to try.  Its printer
-    names the stream (numbered from 1, as {!explain} numbers them), the
-    root and the elapsed ms.  The
-    enclosing [execute.stream] span also gets
+    names the stream, the root and the elapsed ms.  The enclosing
+    [execute.stream] span also gets
     [timeout]/[timeout.stream]/[timeout.root]/[timeout.elapsed_ms]
-    attributes so traces show which sub-query blew the budget. *)
+    attributes, and the [middleware.plan_timeout] event
+    [stream]/[root]/[elapsed_ms], so traces show which sub-query blew
+    the budget; every one of them numbers the stream as
+    [timeout_stream] does. *)
 
 val execute :
   ?style:Sql_gen.style ->
@@ -138,12 +146,24 @@ val execute :
   prepared ->
   Partition.t ->
   execution
-(** Runs the plan: each sub-query's SQL is printed to text and the text
+(** Runs the plan: each sub-query's SQL is printed to text and planned
+    ({!Relational.Backend.plan}) before any stream runs, then each plan
     is submitted to a per-stream {!Relational.Backend.fork} of [backend]
     (default: a fault-free backend over [p.db] with no work budget and
     the default profile).  [backend] is the config/seed template — work
     budget, cost profile, fault injection, retry policy — and its own
     counters never move.
+
+    The plans share one {!Relational.Share} store for this call: a join
+    subtree that occurs in several streams' plans runs once, and its
+    other occurrences replay its output and its charges.  Every stream's
+    rows, counters and per-node rows, cost and spills — hence work,
+    timeouts, wasted work and the XML — are those of the stream run
+    alone; only its times change, and a replayed node's time is unknown
+    ([se_stats.replayed] names it and the stream that ran it).  Nothing
+    is shared across calls.  With tracing, the [middleware.execute] span
+    carries [shared.subtrees] (the repeated subtrees counted), [shared]
+    (the replays) and [shared.work] (the work they replayed).
 
     The backend drains each stream's winning attempt inside its retry
     scope, into the heap ([spool = false], the default: results may be
@@ -193,7 +213,9 @@ val explain :
 
 val explain_execution : prepared -> execution -> string
 (** Like {!explain} but over a finished {!execution}: the plans that
-    ran, every operator with estimated {e and} actual rows/work.
+    ran, every operator with estimated {e and} actual rows/work; the
+    root of a replayed subtree ends its figures with [shared from
+    stream N], the stream whose run it replayed.
     Estimates are priced on demand with the profile each stream ran
     under.  Writes nothing; does not touch the rows. *)
 

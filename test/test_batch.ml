@@ -37,41 +37,47 @@ let test_keep () =
   for i = 1 to 6 do
     R.Batch.push b ~bytes:i (row i i i)
   done;
-  let survivors = R.Batch.keep (fun t -> t.(0) <> v 3) b in
-  Alcotest.(check int) "keep returns survivors" 5 survivors;
-  Alcotest.(check int) "length respects selection" 5 (R.Batch.length b);
-  Alcotest.(check bool) "row 3 skipped" true (R.Batch.get b 2 = row 4 4 4);
-  Alcotest.(check int) "bytes follow selection" 4 (R.Batch.bytes_at b 2);
-  (* composition: the second keep only sees the first's survivors *)
+  let f = R.Batch.filter (fun t -> t.(0) <> v 3) b in
+  Alcotest.(check int) "length respects selection" 5 (R.Batch.length f);
+  Alcotest.(check bool) "row 3 skipped" true (R.Batch.get f 2 = row 4 4 4);
+  Alcotest.(check int) "bytes follow selection" 4 (R.Batch.bytes_at f 2);
+  (* the input is left as it was: a batch may feed several consumers *)
+  Alcotest.(check int) "input keeps its rows" 6 (R.Batch.length b);
+  Alcotest.(check bool) "input rows unchanged" true
+    (R.Batch.to_list b = List.init 6 (fun i -> row (i + 1) (i + 1) (i + 1)));
+  (* composition: the second filter only sees the first's survivors *)
   let seen = ref [] in
-  let survivors2 =
-    R.Batch.keep
+  let f2 =
+    R.Batch.filter
       (fun t ->
         seen := t.(0) :: !seen;
         t.(0) < v 5)
-      b
+      f
   in
-  Alcotest.(check int) "refined" 3 survivors2;
-  Alcotest.(check bool) "second keep re-tested only live rows" true
+  Alcotest.(check int) "refined" 3 (R.Batch.length f2);
+  Alcotest.(check bool) "second filter re-tested only live rows" true
     (List.rev !seen = [ v 1; v 2; v 4; v 5; v 6 ]);
   Alcotest.(check bool) "to_list in order" true
-    (R.Batch.to_list b = [ row 1 1 1; row 2 2 2; row 4 4 4 ]);
+    (R.Batch.to_list f2 = [ row 1 1 1; row 2 2 2; row 4 4 4 ]);
+  Alcotest.(check int) "first filter unchanged" 5 (R.Batch.length f);
   let pairs = ref [] in
-  R.Batch.iter (fun t bytes -> pairs := (bytes, t) :: !pairs) b;
+  R.Batch.iter (fun t bytes -> pairs := (bytes, t) :: !pairs) f2;
   Alcotest.(check bool) "iter carries bytes" true
     (List.rev !pairs = [ (1, row 1 1 1); (2, row 2 2 2); (4, row 4 4 4) ]);
-  Alcotest.check_raises "push after keep"
+  Alcotest.check_raises "push after filter"
     (Invalid_argument "Batch.push: batch has a selection vector") (fun () ->
-      R.Batch.push b (row 0 0 0))
+      R.Batch.push f2 (row 0 0 0))
 
 let test_keep_all_and_none () =
   let b = R.Batch.create ~size:4 () in
   R.Batch.push b (row 1 1 1);
   R.Batch.push b (row 2 2 2);
-  Alcotest.(check int) "keep all" 2 (R.Batch.keep (fun _ -> true) b);
-  Alcotest.(check int) "then none" 0 (R.Batch.keep (fun _ -> false) b);
-  Alcotest.(check int) "empty after" 0 (R.Batch.length b);
-  Alcotest.(check bool) "to_list empty" true (R.Batch.to_list b = [])
+  let all = R.Batch.filter (fun _ -> true) b in
+  Alcotest.(check int) "keep all" 2 (R.Batch.length all);
+  let none = R.Batch.filter (fun _ -> false) all in
+  Alcotest.(check int) "then none" 0 (R.Batch.length none);
+  Alcotest.(check bool) "to_list empty" true (R.Batch.to_list none = []);
+  Alcotest.(check int) "keep all still has both" 2 (R.Batch.length all)
 
 let test_cursor_round_trip () =
   let rows = Array.init 10 (fun i -> row i i i) in
@@ -85,7 +91,11 @@ let test_cursor_round_trip () =
   let c = R.Cursor.of_batches [| "a"; "b"; "c" |] batches in
   Alcotest.(check bool) "round trip preserves rows" true
     (R.Cursor.to_list c = Array.to_list rows);
-  ignore (R.Batch.keep (fun t -> t.(0) <> v 4) (List.nth batches 1));
+  let batches =
+    List.mapi
+      (fun i b -> if i = 1 then R.Batch.filter (fun t -> t.(0) <> v 4) b else b)
+      batches
+  in
   let c = R.Cursor.of_batches [| "a"; "b"; "c" |] batches in
   Alcotest.(check bool) "selection vectors respected" true
     (R.Cursor.to_list c

@@ -122,6 +122,73 @@ let test_dump_on_plan_timeout () =
                d.Obs.Event.dumped)
       | ds -> Alcotest.failf "expected 1 dump, got %d" (List.length ds))
 
+(* Regression: the timed-out stream has one number everywhere it is
+   shown — the Plan_timeout payload and message, the
+   middleware.plan_timeout event, the execute.stream span and explain —
+   counted from 1.  The span and the event counted from 0. *)
+let test_plan_timeout_numbers_from_one () =
+  with_obs (fun () ->
+      Obs.Event.set_dump_sink (fun _ -> ());
+      let db = tpch 0.1 in
+      let p = Middleware.prepare_text db Queries.query1_text in
+      let plan = Partition.fully_partitioned p.Middleware.tree in
+      let works =
+        List.map
+          (fun (se : Middleware.stream_exec) -> se.se_stats.R.Executor.work)
+          (Middleware.execute p plan).per_stream
+      in
+      (* the first stream past the first one to outweigh all before it *)
+      let rec first_heavier i heaviest = function
+        | w :: rest ->
+            if i > 0 && w > heaviest then (i, w)
+            else first_heavier (i + 1) (max heaviest w) rest
+        | [] -> Alcotest.fail "no stream outweighs the first"
+      in
+      let i, w = first_heavier 0 0 works in
+      let backend = B.create ~budget:(w - 1) db in
+      match Middleware.execute ~backend p plan with
+      | _ -> Alcotest.fail "the budget must time out"
+      | exception (Middleware.Plan_timeout t as exn) ->
+          let number = i + 1 in
+          Alcotest.(check int) "payload" number t.timeout_stream;
+          Alcotest.(check bool) "message" true
+            (String.starts_with
+               ~prefix:(Printf.sprintf "Plan_timeout(stream %d, root %s," number
+                          t.timeout_root)
+               (Printexc.to_string exn));
+          let int_attr attrs key =
+            match List.assoc_opt key attrs with
+            | Some (Obs.Attr.Int n) -> n
+            | _ -> Alcotest.failf "no int %s" key
+          in
+          (* every stream over the budget reports its own timeout; the
+             payload is the first in plan order *)
+          let root = Obs.Attr.String t.timeout_root in
+          (match
+             List.filter
+               (fun (e : Obs.Event.t) ->
+                 e.name = "middleware.plan_timeout"
+                 && List.assoc_opt "root" e.attrs = Some root)
+               (Obs.Event.events ())
+           with
+          | [ e ] -> Alcotest.(check int) "event" number (int_attr e.attrs "stream")
+          | es -> Alcotest.failf "%d plan_timeout events" (List.length es));
+          (match
+             List.filter
+               (fun s -> Obs.Span.find_attr s "timeout.root" = Some root)
+               (Obs.Span.spans ())
+           with
+          | [ s ] ->
+              Alcotest.(check int) "span" number
+                (int_attr (Obs.Span.attrs s) "timeout.stream")
+          | ss -> Alcotest.failf "%d timed-out spans" (List.length ss));
+          let header =
+            Printf.sprintf "-- stream %d (root %s):" number t.timeout_root
+          in
+          Alcotest.(check bool) "explain" true
+            (List.mem header
+               (String.split_on_char '\n' (Middleware.explain p plan))))
+
 let test_deterministic_sequence () =
   let run () =
     install_test_clock ();
@@ -229,6 +296,7 @@ let sample ?(node = 0) ?(op = "scan") ?(leaf = false) ?(est_rows = -1.0)
     d_act_ms = -1.0;
     d_spills = spills;
     d_leaf = leaf;
+    d_shared = "";
   }
 
 let test_findings () =
@@ -380,6 +448,8 @@ let suite =
     Alcotest.test_case "disabled is silent" `Quick test_disabled_is_silent;
     Alcotest.test_case "dump sink" `Quick test_dump_sink;
     Alcotest.test_case "dump on plan timeout" `Quick test_dump_on_plan_timeout;
+    Alcotest.test_case "plan timeout numbers its stream from 1" `Quick
+      test_plan_timeout_numbers_from_one;
     Alcotest.test_case "deterministic sequence" `Quick test_deterministic_sequence;
     Alcotest.test_case "span GC deltas" `Quick test_span_gc_deltas;
     Alcotest.test_case "q-error" `Quick test_qerror;

@@ -44,6 +44,7 @@ let () =
       ("streaming", Test_streaming.suite);
       ("resilience", Test_resilience.suite);
       ("parallel", Test_parallel.suite);
+      ("share", Test_share.suite);
       ("differential", Test_differential.suite);
       ("batch", Test_batch.suite);
       qcheck "batch:props" Test_batch.props;

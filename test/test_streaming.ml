@@ -139,9 +139,9 @@ let test_timeout_payload () =
   | exception Middleware.Plan_timeout info ->
       Alcotest.(check bool) "carries SQL" true
         (String.length info.Middleware.timeout_sql > 0);
-      Alcotest.(check bool) "stream index in range" true
-        (info.Middleware.timeout_stream >= 0
-        && info.Middleware.timeout_stream < Partition.stream_count plan);
+      Alcotest.(check bool) "stream number in range, from 1" true
+        (info.Middleware.timeout_stream >= 1
+        && info.Middleware.timeout_stream <= Partition.stream_count plan);
       Alcotest.(check bool) "names the fragment root" true
         (String.length info.Middleware.timeout_root > 0);
       Alcotest.(check bool) "elapsed non-negative" true

@@ -8,7 +8,8 @@
 # (and the lowering/rewrite markers it exposes) against silent
 # regression.  Then `plan`, `explain` and `run --explain` must name the
 # same greedy plan, reduced and with --no-reduce, and `explain` and
-# `run --explain` must print the same trees for it.
+# `run --explain` must print the same trees for it.  Last, `run
+# --explain` of the fully partitioned q1 must mark a shared subtree.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -86,5 +87,18 @@ for q in q1 q2; do
     printf '%s\n' "$explained" | wc -l | sed 's/^ */  lines: /'
   done
 done
+
+# Sharing: the streams of a fully partitioned q1 join their ancestors'
+# tables again; each repeated join subtree runs once per request, and
+# `run --explain` marks every replayed one with the stream that ran it.
+echo "== run --explain marks shared subtrees, q1 partitioned scale 0.5"
+shared=$(dune exec bin/silkroute_cli.exe -- run -q q1 -s partitioned \
+  --scale 0.5 --explain 2>&1 >/dev/null \
+  | grep -c ' shared from stream [0-9]*)$' || true)
+if [ "$shared" -lt 1 ]; then
+  echo "FAIL: run --explain of q1 partitioned marks no shared subtree" >&2
+  exit 1
+fi
+echo "  shared: $shared"
 
 echo "== explain smoke OK"
