@@ -12,7 +12,12 @@
    fit of the time model's weights (Cost.time_model) to the measured
    per-operator and tagger times.  It is a report, not a gate: every
    record goes to [jsonl_path], stamped with the machine, and
-   `check_obs lattice` validates the file. *)
+   `check_obs lattice` validates the file.
+
+   Times that compare plans, and sweeps with each other, are normalized
+   by a reference loop timed beside every block of runs (see
+   [reference_loop]), so that a host slowed by other tenants does not
+   read as slower plans. *)
 
 module R = Relational
 module S = Silkroute
@@ -49,6 +54,63 @@ let work_unit_pick view scale reduce =
   | "q3", 6.0, true -> Some 91
   | _ -> None
 
+(* --- the reference loop ----------------------------------------------------- *)
+
+(* What perfbench/run.py does for its requests (REF_NS), done for these
+   in-process runs: a fixed piece of work — integer arithmetic, reads at
+   scattered places of a table larger than the per-core caches, and
+   hashed stores — is timed beside each block of runs, and a time
+   [t] measured while the loop took [r] ns is reported as
+   [t *. ref_target_ns /. r], what it would read on a host where the loop
+   takes [ref_target_ns].  Each call reads places no call has read for a
+   while, so its caches are as cold as after a run. *)
+let ref_target_ns = 1.0e6
+let ref_table_size = 1 lsl 21 (* 16 MB of ints *)
+let ref_probes_per_call = 20_000
+
+let ref_table = lazy (Array.init ref_table_size Fun.id)
+
+let ref_probes =
+  lazy
+    (let a = Array.init (ref_table_size / 7) (fun i -> i * 7) in
+     let rng = Random.State.make [| 1 |] in
+     for i = Array.length a - 1 downto 1 do
+       let j = Random.State.int rng (i + 1) in
+       let t = a.(i) in
+       a.(i) <- a.(j);
+       a.(j) <- t
+     done;
+     a)
+
+let ref_slots = lazy (Array.make (1 lsl 14) 0)
+let ref_next = ref 0
+
+(* The loop's time on this host, right now, in ns. *)
+let reference_loop () =
+  let table = Lazy.force ref_table and probes = Lazy.force ref_probes in
+  let start = !ref_next in
+  ref_next := (start + ref_probes_per_call) mod (Array.length probes - ref_probes_per_call);
+  let t0 = Obs.Clock.now_ns () in
+  let s = ref 0 in
+  for i = 0 to 199_999 do
+    s := !s + (i * i)
+  done;
+  for k = start to start + ref_probes_per_call - 1 do
+    s := !s + table.(probes.(k))
+  done;
+  (* hashed stores, in place: the loop allocates nothing, so no
+     collection lands in its interval *)
+  let slots = Lazy.force ref_slots in
+  for i = 0 to 9_999 do
+    slots.((i * 7919) land (Array.length slots - 1)) <- i
+  done;
+  ignore (Sys.opaque_identity !s);
+  Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0)
+
+(* A time measured while the loop took [r] ns, as the reference host
+   would read it. *)
+let normalized ms r = ms *. ref_target_ns /. float_of_int r
+
 (* --- the stamp ------------------------------------------------------------ *)
 
 let cpu_model () =
@@ -76,6 +138,7 @@ let stamp () =
       ("ocaml", Obs.Json.String Sys.ocaml_version);
       ("reps", Obs.Json.Int reps);
       ("rr_reps", Obs.Json.Int rr_reps);
+      ("ref_target_ns", Obs.Json.Float ref_target_ns);
     ]
 
 (* --- one lattice point ------------------------------------------------------ *)
@@ -105,6 +168,8 @@ type point = {
   streams : int;
   ms : float;  (* median total *)
   tag_ms : float;  (* median tagger *)
+  ref_ns : int;  (* the reference loop beside the runs: the mean of one before and one after *)
+  norm_ms : float;  (* [ms] normalized by [ref_ns] *)
   work : int;
   tuples : int;
   bytes : int;
@@ -128,7 +193,9 @@ let measure_point (p : S.Middleware.prepared) oracle ~view ~scale ~reduce mask =
            labels = (if reduce then Some p.S.Middleware.labels else None) })
   in
   ignore (run_once p ~reduce plan);
+  let r0 = reference_loop () in
   let runs = List.init reps (fun _ -> run_once p ~reduce plan) in
+  let ref_ns = (r0 + reference_loop ()) / 2 in
   let ms = median (List.map (fun (t, _, _) -> t) runs) in
   let _, _, e = List.find (fun (t, _, _) -> t = ms) runs in
   let ints a =
@@ -155,6 +222,8 @@ let measure_point (p : S.Middleware.prepared) oracle ~view ~scale ~reduce mask =
     streams = S.Partition.stream_count plan;
     ms;
     tag_ms = median (List.map (fun (_, t, _) -> t) runs);
+    ref_ns;
+    norm_ms = normalized ms ref_ns;
     work = e.S.Middleware.work;
     tuples = e.S.Middleware.tuples;
     bytes = e.S.Middleware.bytes;
@@ -175,6 +244,8 @@ let point_json pt =
       ("streams", Obs.Json.Int pt.streams);
       ("ms", Obs.Json.Float (round3 pt.ms));
       ("tag_ms", Obs.Json.Float (round3 pt.tag_ms));
+      ("ref_ns", Obs.Json.Int pt.ref_ns);
+      ("norm_ms", Obs.Json.Float (round3 pt.norm_ms));
       ("work", Obs.Json.Int pt.work);
       ("tuples", Obs.Json.Int pt.tuples);
       ("bytes", Obs.Json.Int pt.bytes);
@@ -384,12 +455,14 @@ let observe_run stats ~ops ~outer (pt : point) (e : S.Middleware.execution) =
 (* --- the experiment ------------------------------------------------------------ *)
 
 let masks_by_time pts =
-  List.map (fun pt -> pt.mask) (List.sort (fun a b -> compare a.ms b.ms) pts)
+  List.map (fun pt -> pt.mask) (List.sort (fun a b -> compare a.norm_ms b.norm_ms) pts)
 
 (* Greedy's pick, the fastest masks of the sweep and the work-unit pick,
    timed round-robin [rr_reps] times each: the minimum of hundreds of
    noisy medians is biased low, so regret is read off this re-measure,
-   not the sweep. *)
+   not the sweep.  The reference loop runs before each round and after
+   the last; a run is normalized by the mean of the two around its
+   round. *)
 let regret oc (p : S.Middleware.prepared) ~view ~scale ~reduce pts =
   let greedy = S.Partition.to_mask (S.Middleware.partition_of ~reduce p S.Middleware.Greedy) in
   let prior = work_unit_pick view scale reduce in
@@ -399,13 +472,13 @@ let regret oc (p : S.Middleware.prepared) ~view ~scale ~reduce pts =
   in
   let plans = List.map (fun m -> (m, S.Partition.of_mask p.S.Middleware.tree m)) cands in
   List.iter (fun (_, plan) -> ignore (run_once p ~reduce plan)) plans;
-  let times = Hashtbl.create 8 in
+  let times = Hashtbl.create 8 and refs = ref [ reference_loop () ] in
   for _ = 1 to rr_reps do
-    List.iter
-      (fun (m, plan) ->
-        let t, _, _ = run_once p ~reduce plan in
-        Hashtbl.add times m t)
-      plans
+    let round = List.map (fun (m, plan) -> let t, _, _ = run_once p ~reduce plan in (m, t)) plans in
+    let r = reference_loop () in
+    let around = (r + List.hd !refs) / 2 in
+    refs := r :: !refs;
+    List.iter (fun (m, t) -> Hashtbl.add times m (normalized t around)) round
   done;
   let med m = median (Hashtbl.find_all times m) in
   let best = List.fold_left (fun b m -> if med m < med b then m else b) greedy cands in
@@ -428,6 +501,7 @@ let regret oc (p : S.Middleware.prepared) ~view ~scale ~reduce pts =
       ("best", Obs.Json.Int best);
       ("best_ms", Obs.Json.Float (round3 (med best)));
       ("regret", Obs.Json.Float (round3 greedy_regret));
+      ("ref_ns", Obs.Json.Int (int_of_float (median (List.map float_of_int !refs))));
       ( "candidates",
         Obs.Json.List
           (List.map
@@ -451,9 +525,9 @@ let regret oc (p : S.Middleware.prepared) ~view ~scale ~reduce pts =
 let correlations ~view ~scale ~reduce pts =
   let arr f = Array.of_list (List.map f pts) in
   let est = arr (fun pt -> pt.est_ms) and ew = arr (fun pt -> pt.est_work) in
-  let work = arr (fun pt -> float_of_int pt.work) and time = arr (fun pt -> pt.ms) in
-  let best = List.fold_left (fun b pt -> Float.min b pt.ms) infinity pts in
-  let at mask = (List.find (fun pt -> pt.mask = mask) pts).ms in
+  let work = arr (fun pt -> float_of_int pt.work) and time = arr (fun pt -> pt.norm_ms) in
+  let best = List.fold_left (fun b pt -> Float.min b pt.norm_ms) infinity pts in
+  let at mask = (List.find (fun pt -> pt.mask = mask) pts).norm_ms in
   let all_edges = List.fold_left (fun m pt -> max m pt.mask) 0 pts in
   Printf.printf
     "  %-3s %3g %-9s %5.2f %5.2f  %5.2f %5.2f  %5.2f %5.2f  %5.2f %5.2f  %7.2f %6.2fx %6.2fx\n%!"
@@ -468,6 +542,10 @@ let run () =
     "Lattice wall-clock: measured Figs. 13/14, greedy's regret and the time-model fit";
   Printf.printf "%s, %d cores, OCaml %s; median of %d untraced runs after a warm-up\n"
     (cpu_model ()) (Domain.recommended_domain_count ()) Sys.ocaml_version reps;
+  Printf.printf
+    "times normalized to a host where the reference loop takes %.1f ms (here: %.2f ms)\n%!"
+    (ref_target_ns /. 1e6)
+    (Obs.Clock.ns_to_ms (Int64.of_int (reference_loop ())));
   let oc = open_out jsonl_path in
   output_string oc (Obs.Json.to_string (stamp ()));
   output_char oc '\n';

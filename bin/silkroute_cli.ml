@@ -229,9 +229,9 @@ let setup_obs ?(trace_chrome = None) ?(diagnose = false) ~trace ~trace_json
     || trace_chrome <> None
   then Obs.Control.set_enabled true
 
-let report_obs ?(trace_chrome = None) ~trace ~trace_json ~metrics ~profile () =
+let report_obs ?(trace_chrome = None) ?gc ~trace ~trace_json ~metrics ~profile () =
   if trace then prerr_string (Obs.Report.render_spans ());
-  if profile then prerr_string (Obs.Profile.render (Obs.Profile.capture ()));
+  if profile then prerr_string (Obs.Profile.render ?gc (Obs.Profile.capture ()));
   if metrics then prerr_string (Obs.Report.render_metrics ());
   (match trace_json with
   | Some path -> Obs.Jsonl.write_file path
@@ -309,7 +309,11 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
   if fault_rate > 0.0 && not resilient then
     invalid_arg "--fault-rate requires --resilient";
   if parallel < 1 then invalid_arg "--parallel must be >= 1";
-  let p = setup query view_file scale seed schema data in
+  let text = load_view query view_file in
+  let db = setup_db scale seed schema data in
+  (* the run the profile header's GC figures cover: all but the data *)
+  let gc0 = Gc.quick_stat () in
+  let p = S.Middleware.prepare_text db text in
   apply_skew p skew;
   let reduce = not no_reduce in
   let plan =
@@ -346,7 +350,8 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
   if resilient then
     Printf.eprintf "[resilience: %s]\n" (S.Middleware.resilience_summary e);
   if diagnose then prerr_string (S.Middleware.diagnose_report p e);
-  report_obs ~trace_chrome ~trace ~trace_json ~metrics ~profile ()
+  report_obs ~trace_chrome ~gc:(Obs.Profile.gc_since gc0) ~trace ~trace_json ~metrics
+    ~profile ()
 
 let explain_cmd query view_file scale seed schema data strategy no_reduce =
   let p = setup query view_file scale seed schema data in

@@ -188,9 +188,24 @@ let bar width frac =
    other column, and sub-kiloword noise is not actionable. *)
 let kwords w = w /. 1000.0
 
-let render_tree_to buf t =
-  bprintf buf "PROFILE — %d root(s), %.3fms total\n" (List.length t.roots)
-    t.total_ms;
+type gc = { promoted_words : float; minor_collections : int; major_collections : int }
+
+let gc_since (s0 : Gc.stat) =
+  let s1 = Gc.quick_stat () in
+  {
+    promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
+    minor_collections = s1.Gc.minor_collections - s0.Gc.minor_collections;
+    major_collections = s1.Gc.major_collections - s0.Gc.major_collections;
+  }
+
+let render_tree_to buf ?gc t =
+  bprintf buf "PROFILE — %d root(s), %.3fms total" (List.length t.roots) t.total_ms;
+  Option.iter
+    (fun g ->
+      bprintf buf ", GC: %.1f promoted(kw), %d minor / %d major collections"
+        (kwords g.promoted_words) g.minor_collections g.major_collections)
+    gc;
+  Buffer.add_char buf '\n';
   bprintf buf "%6s %11s %11s %12s %12s %12s %10s %10s %5s  %-12s %s\n" "calls"
     "total(ms)" "self(ms)" "rows" "work" "bytes" "minor(kw)" "major(kw)"
     "compact" "share" "name";
@@ -237,9 +252,9 @@ let render_hot ?top t =
   render_hot_to buf ?top t;
   Buffer.contents buf
 
-let render ?top t =
+let render ?top ?gc t =
   let buf = Buffer.create 2048 in
-  render_tree_to buf t;
+  render_tree_to buf ?gc t;
   Buffer.add_char buf '\n';
   render_hot_to buf ?top t;
   Buffer.contents buf

@@ -50,6 +50,17 @@ val render_hot : ?top:int -> t -> string
 (** Top-k table with p50/p90/p99 columns read from the
     ["span.ms.<name>"] histograms of the current metrics registry. *)
 
-val render : ?top:int -> t -> string
+(** What the garbage collector did over a run: words promoted from the
+    minor heap, and collections of each heap. *)
+type gc = { promoted_words : float; minor_collections : int; major_collections : int }
+
+val gc_since : Gc.stat -> gc
+(** The {!Gc.quick_stat} deltas from a snapshot taken before the run to
+    now.  Promoted words are counted as each minor heap is emptied, so
+    what the last, partly filled one will promote is not in them. *)
+
+val render : ?top:int -> ?gc:gc -> t -> string
 (** Flame-style table — one row per name-path with calls, total/self
-    ms, attribute sums and a share bar — followed by {!render_hot}. *)
+    ms, attribute sums and a share bar — followed by {!render_hot}.
+    With [gc], the header line also reports its promoted kilowords and
+    minor and major collections. *)

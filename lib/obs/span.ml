@@ -44,10 +44,13 @@ type t = {
 
 (* Swappable allocation counter, [Clock.set_source]-style: the default
    reads [Gc.quick_stat] (cheap — no heap walk); tests install a
-   deterministic counter so GC deltas are reproducible. *)
+   deterministic counter so GC deltas are reproducible.  Minor words come
+   from [Gc.minor_words]: OCaml 5.1's [quick_stat] adds a domain's minor
+   allocation only when its minor heap is emptied, so its deltas move in
+   steps of a whole minor heap (256k words). *)
 let default_gc_source () =
   let s = Gc.quick_stat () in
-  (s.Gc.minor_words, s.Gc.major_words, s.Gc.compactions)
+  (Gc.minor_words (), s.Gc.major_words, s.Gc.compactions)
 
 let gc_source = ref default_gc_source
 let set_gc_source f = gc_source := f

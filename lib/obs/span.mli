@@ -111,4 +111,5 @@ val set_gc_source : (unit -> float * float * int) -> unit
     install a deterministic counter, like {!Clock.set_source}. *)
 
 val use_default_gc_source : unit -> unit
-(** Restores the [Gc.quick_stat] source. *)
+(** Restores the default source: [Gc.minor_words], and [Gc.quick_stat]
+    for the rest. *)

@@ -182,43 +182,31 @@ let merge_stats sts =
 
 (* --- fault injection ---------------------------------------------------- *)
 
-(* Wrap the engine's cursor so the connection drops after [n] delivered
-   rows.  A drop scheduled beyond the end of the stream never fires —
-   the result finished before the (virtual) reset arrived. *)
-let drop_after t ~attempt n cur =
-  let delivered = ref 0 in
-  let pull () =
-    match Cursor.next cur with
-    | None -> None
-    | Some _ when !delivered >= n ->
-        t.st.faults_midstream <- t.st.faults_midstream + 1;
-        if Obs.Span.tracing () then
-          Obs.Event.warn "backend.fault"
-            ~attrs:
-              [
-                Obs.Attr.string "kind" "midstream";
-                Obs.Attr.int "attempt" attempt;
-                Obs.Attr.int "rows_delivered" !delivered;
-              ];
-        raise
-          (Backend_error
-             {
-               kind = Transient;
-               attempt;
-               rows_delivered = !delivered;
-               message =
-                 Printf.sprintf "injected connection drop after %d rows"
-                   !delivered;
-             })
-    | row ->
-        incr delivered;
-        row
-  in
-  Cursor.create (Cursor.cols cur) pull
+(* The injected connection drop that strikes an attempt after
+   [delivered] rows: counted, logged, and raised as a transient error. *)
+let drop t ~attempt delivered =
+  t.st.faults_midstream <- t.st.faults_midstream + 1;
+  if Obs.Span.tracing () then
+    Obs.Event.warn "backend.fault"
+      ~attrs:
+        [
+          Obs.Attr.string "kind" "midstream";
+          Obs.Attr.int "attempt" attempt;
+          Obs.Attr.int "rows_delivered" delivered;
+        ];
+  Backend_error
+    {
+      kind = Transient;
+      attempt;
+      rows_delivered = delivered;
+      message = Printf.sprintf "injected connection drop after %d rows" delivered;
+    }
 
-(* One physical attempt: fault draw, engine run. *)
+(* One physical attempt: fault draw, engine run.  Returns the engine's
+   output, its stats, and the row count after which an injected
+   mid-stream drop cuts the connection, if one was drawn. *)
 let submit_attempt t ~attempt ?share (plan : Physical.plan) :
-    Cursor.t * Executor.stats =
+    Batch.t list * Executor.stats * int option =
   t.st.attempts <- t.st.attempts + 1;
   (* Fault draws are consumed in a fixed order so the stream replays
      identically for a fixed seed and submission sequence. *)
@@ -269,13 +257,10 @@ let submit_attempt t ~attempt ?share (plan : Physical.plan) :
     else None
   in
   match
-    Executor.run_plan_cursor_with_stats ~budget:t.budget ~profile:t.profile
+    Executor.run_plan_batches_with_stats ~budget:t.budget ~profile:t.profile
       ?share t.database plan
   with
-  | cur, est -> (
-      match trip_after with
-      | None -> (cur, est)
-      | Some n -> (drop_after t ~attempt n cur, est))
+  | out, est -> (out, est, trip_after)
   | exception Executor.Timeout ->
       t.st.timeouts <- t.st.timeouts + 1;
       (* the engine gave up right at the budget: that much work is sunk *)
@@ -318,43 +303,41 @@ type run = {
   transfer_ms : float;
 }
 
-(* Drain one attempt, into the heap (a fresh cursor over the rows on
-   every open) or into a spool file (one single-use cursor), counting
-   its tuples, wire bytes and modeled transfer tuple by tuple. *)
-let drain ~spool plan stats cur =
-  let transfer = Transfer.default in
-  let tuples = ref 0 and bytes = ref 0 in
-  let transfer_ms = ref transfer.Transfer.per_stream_overhead in
-  let count t =
-    incr tuples;
-    let b = Tuple.wire_size t in
-    bytes := !bytes + b;
-    transfer_ms := !transfer_ms +. Transfer.tuple_ms transfer ~bytes:b
-  in
-  let rows =
-    if spool then
-      let spooled = Cursor.spool ~on_row:count cur in
-      fun () -> spooled
-    else
-      let cols = Cursor.cols cur in
-      let rows =
-        List.rev
-          (Cursor.fold
-             (fun acc t ->
-               count t;
-               t :: acc)
-             [] cur)
+(* Drain one attempt's output, in its own span: into the heap (every
+   open is a fresh cursor over the engine's own output batches) or into
+   a spool file (one single-use cursor), counting its tuples, wire bytes
+   and modeled transfer tuple by tuple.  A drop drawn for [trip] rows
+   strikes when a row past them is delivered; one scheduled beyond the
+   end of the stream never fires — the result finished before the
+   (virtual) reset arrived. *)
+let drain t ~attempt ~trip ~spool (plan : Physical.plan) stats out =
+  Obs.Span.with_span "backend.drain" (fun () ->
+      let transfer = Transfer.default in
+      let tuples = ref 0 and bytes = ref 0 in
+      (* a float array, not a float ref: adding to it boxes nothing *)
+      let transfer_ms = [| transfer.Transfer.per_stream_overhead |] in
+      let count row =
+        (match trip with
+        | Some n when !tuples >= n -> raise (drop t ~attempt !tuples)
+        | _ -> ());
+        incr tuples;
+        let b = Tuple.wire_size row in
+        bytes := !bytes + b;
+        transfer_ms.(0) <- transfer_ms.(0) +. Transfer.tuple_ms transfer ~bytes:b
       in
-      fun () -> Cursor.of_list cols rows
-  in
-  {
-    plan;
-    rows;
-    stats;
-    tuples = !tuples;
-    bytes = !bytes;
-    transfer_ms = !transfer_ms;
-  }
+      let open_rows () = Cursor.of_batches plan.Physical.cols out in
+      let rows =
+        if spool then
+          let spooled = Cursor.spool ~on_row:count (open_rows ()) in
+          fun () -> spooled
+        else begin
+          List.iter (Batch.iter (fun row _ -> count row)) out;
+          open_rows
+        end
+      in
+      if Obs.Span.tracing () then
+        Obs.Span.add_list [ Obs.Attr.int "tuples" !tuples; Obs.Attr.int "bytes" !bytes ];
+      { plan; rows; stats; tuples = !tuples; bytes = !bytes; transfer_ms = transfer_ms.(0) })
 
 let plan t text =
   let ast =
@@ -374,12 +357,12 @@ let execute_plan ?(label = "") ?(spool = false) ?share t plan : run =
             Obs.Span.add_list
               [ Obs.Attr.string "label" label; Obs.Attr.int "attempt" k ];
           match submit_attempt t ~attempt:k ?share plan with
-          | cur, est -> (
+          | out, est, trip -> (
               (* Drain now, inside the retry scope: a mid-stream drop
                  surfaces here, discards the partial rows, and is
                  retried like any other transient failure. *)
               try
-                let r = drain ~spool plan est cur in
+                let r = drain t ~attempt:k ~trip ~spool plan est out in
                 if Obs.Span.tracing () then
                   Obs.Span.add "outcome" (Obs.Attr.String "ok");
                 Ok r

@@ -29,10 +29,18 @@ let create ?(size = default_size) () =
     filtered = false;
   }
 
-let of_rows rows =
+let of_rows ?bytes rows =
+  let bytes =
+    match bytes with
+    | None -> Array.make (max 1 (Array.length rows)) 0
+    | Some b ->
+        if Array.length b <> Array.length rows then
+          invalid_arg "Batch.of_rows: bytes and rows differ in length";
+        b
+  in
   {
     rows;
-    bytes = Array.make (max 1 (Array.length rows)) 0;
+    bytes;
     len = Array.length rows;
     sel = [||];
     sel_len = 0;

@@ -18,17 +18,22 @@ type t
 
 val default_size : int
 (** 256 rows — the largest chunk whose row array still fits the OCaml
-    minor heap ([Max_young_wosize]).  Bigger batches are valid but pay
-    major-heap write barriers on every push. *)
+    minor heap ([Max_young_wosize]).  Operators below a Sort push their
+    output into batches of this size; bigger batches are valid but pay
+    major-heap write barriers on every push, so only {!of_rows} builds
+    them (a Sort's result). *)
 
 val create : ?size:int -> unit -> t
 (** Fresh empty batch with room for [size] rows (default
     {!default_size}).  [size] must be at least 1. *)
 
-val of_rows : Tuple.t array -> t
+val of_rows : ?bytes:int array -> Tuple.t array -> t
 (** Full batch taking ownership of [rows] (capacity = length = array
-    length), all charged-byte figures 0.  Bulk alternative to repeated
-    {!push} for producers that already hold an array. *)
+    length) and of their charged-byte figures [bytes] (default all 0;
+    [Invalid_argument] unless as long as [rows]).  Bulk alternative to
+    repeated {!push} for producers that already hold an array — a scan's
+    slices, and a Sort's whole output, which is one batch of any
+    length. *)
 
 val capacity : t -> int
 

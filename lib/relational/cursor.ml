@@ -143,20 +143,23 @@ let spool ?(on_row = fun (_ : Tuple.t) -> ()) (c : t) : t =
 
 (* --- Batch protocol ------------------------------------------------- *)
 
+(* Two counters, not a [(batch, index)] pair: a pull allocates nothing
+   but the [Some] it returns. *)
 let of_batches cols batches =
-  let rest = ref batches in
-  let cur = ref None in
+  let rest = ref batches and i = ref 0 in
   let rec pull () =
-    match !cur with
-    | Some (b, i) when i < Batch.length b ->
-        cur := Some (b, i + 1);
-        Some (Batch.get b i)
-    | _ -> (
-        match !rest with
-        | [] -> None
-        | b :: tl ->
-            rest := tl;
-            cur := Some (b, 0);
-            pull ())
+    match !rest with
+    | [] -> None
+    | b :: tl ->
+        if !i < Batch.length b then begin
+          let row = Batch.get b !i in
+          incr i;
+          Some row
+        end
+        else begin
+          rest := tl;
+          i := 0;
+          pull ()
+        end
   in
   create cols pull

@@ -479,100 +479,102 @@ let row_compare keys =
          keys)
   in
   let nkeys = Array.length ks in
-  fun (a : Tuple.t) (b : Tuple.t) ->
-    let rec go i =
-      if i >= nkeys then 0
-      else
-        let k, desc = ks.(i) in
-        let c =
-          match k with
-          | Col j -> Value.compare_total a.(j) b.(j)
-          | Computed f -> Value.compare_total (f a) (f b)
-        in
-        let c = if desc then -c else c in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  (* built once, so a comparison allocates no closure *)
+  let rec go (a : Tuple.t) (b : Tuple.t) i =
+    if i >= nkeys then 0
+    else
+      let k, desc = ks.(i) in
+      let c =
+        match k with
+        | Col j -> Value.compare_total a.(j) b.(j)
+        | Computed f -> Value.compare_total (f a) (f b)
+      in
+      let c = if desc then -c else c in
+      if c <> 0 then c else go a b (i + 1)
+  in
+  fun a b -> go a b 0
 
-(* Merge the ascending runs src.(lo..mid-1) and src.(mid..hi-1) into
-   dst.(lo..hi-1); on a tie the left element goes first. *)
-let merge_runs cmp (src : (int * Tuple.t) array) lo mid hi dst =
+(* Merge the ascending runs lo..mid-1 and mid..hi-1 of [rows] (with
+   their [bytes] beside them) into [drows]/[dbytes] at lo..hi-1; on a tie
+   the left row goes first. *)
+let merge_runs cmp (rows : Tuple.t array) bytes lo mid hi drows dbytes =
   let i = ref lo and j = ref mid in
   for k = lo to hi - 1 do
-    if !j >= hi || (!i < mid && cmp (snd src.(!i)) (snd src.(!j)) <= 0) then begin
-      dst.(k) <- src.(!i);
-      incr i
-    end
-    else begin
-      dst.(k) <- src.(!j);
-      incr j
-    end
+    let from = if !j >= hi || (!i < mid && cmp rows.(!i) rows.(!j) <= 0) then i else j in
+    drows.(k) <- rows.(!from);
+    dbytes.(k) <- bytes.(!from);
+    incr from
   done
 
-let sort_pairs keys (a : (int * Tuple.t) array) =
+let sort_rows keys (rows : Tuple.t array) (bytes : int array) =
   let cmp = row_compare keys in
-  let n = Array.length a in
+  let n = Array.length rows in
   (* the starts of the maximal non-descending runs after the first *)
   let starts = ref [] and runs = ref (min n 1) in
   for i = 1 to n - 1 do
-    if cmp (snd a.(i - 1)) (snd a.(i)) > 0 then begin
+    if cmp rows.(i - 1) rows.(i) > 0 then begin
       starts := i :: !starts;
       incr runs
     end
   done;
-  if !runs <= 1 then (a, !runs)
+  if !runs <= 1 then (rows, bytes, !runs)
   else begin
     (* bottom-up: each pass merges runs pairwise, halving their number;
        [bounds] holds the run starts, then [n] *)
-    let rec pass src dst bounds =
+    let rec pass rows bytes drows dbytes bounds =
       let nr = Array.length bounds - 1 in
-      if nr = 1 then src
+      if nr = 1 then (rows, bytes)
       else begin
         let next = Array.make (((nr + 1) / 2) + 1) n in
         let r = ref 0 in
         while !r < nr do
           let lo = bounds.(!r) in
           if !r + 1 < nr then
-            merge_runs cmp src lo bounds.(!r + 1) bounds.(!r + 2) dst
-          else Array.blit src lo dst lo (n - lo);
+            merge_runs cmp rows bytes lo bounds.(!r + 1) bounds.(!r + 2) drows dbytes
+          else begin
+            Array.blit rows lo drows lo (n - lo);
+            Array.blit bytes lo dbytes lo (n - lo)
+          end;
           next.(!r / 2) <- lo;
           r := !r + 2
         done;
-        pass dst src next
+        pass drows dbytes rows bytes next
       end
     in
     let bounds = Array.of_list (0 :: List.rev_append !starts [ n ]) in
-    (pass a (Array.make n a.(0)) bounds, !runs)
+    let rows, bytes = pass rows bytes (Array.make n rows.(0)) (Array.make n 0) bounds in
+    (rows, bytes, !runs)
   end
 
-(* Sort (bytes, row) pairs on [keys] — charging it as one sort of
-   their summed charged bytes — and return them in sorted order. *)
-let exec_sort ctx (n : P.node) keys (pairs : (int * Tuple.t) array) =
+(* Sort [rows] on [keys], their charged [bytes] beside them — charging
+   it as one sort of their summed bytes — and return both in sorted
+   order. *)
+let exec_sort ctx (n : P.node) keys rows bytes =
   node_span ctx n (fun () ->
-      let rows = Array.length pairs in
-      let bytes = Array.fold_left (fun acc (b, _) -> acc + b) 0 pairs in
+      let nrows = Array.length rows in
+      let total = Array.fold_left ( + ) 0 bytes in
       let spill0 = ctx.st.spill_passes and work0 = ctx.st.work in
-      charge_sort ctx rows bytes;
+      charge_sort ctx nrows total;
       let spills = ctx.st.spill_passes - spill0 in
       ctx.st.actuals.spills.(n.id) <- spills;
-      set_rows ctx n rows;
+      set_rows ctx n nrows;
       set_cost ctx n (ctx.st.work - work0);
-      let sorted, runs = sort_pairs keys pairs in
+      let rows, bytes, runs = sort_rows keys rows bytes in
       if Obs.Span.tracing () then begin
-        Obs.Span.add_list [ Obs.Attr.int "bytes" bytes; Obs.Attr.int "runs" runs ];
-        Obs.Metrics.observe "exec.sort.bytes" (float_of_int bytes);
+        Obs.Span.add_list [ Obs.Attr.int "bytes" total; Obs.Attr.int "runs" runs ];
+        Obs.Metrics.observe "exec.sort.bytes" (float_of_int total);
         if spills > 0 then begin
           Obs.Metrics.incr ~by:spills "exec.spill_passes";
           Obs.Event.warn "exec.spill"
             ~attrs:
               [
-                Obs.Attr.int "rows" rows;
-                Obs.Attr.int "bytes" bytes;
+                Obs.Attr.int "rows" nrows;
+                Obs.Attr.int "bytes" total;
                 Obs.Attr.int "passes" spills;
               ]
         end
       end;
-      sorted)
+      (rows, bytes))
 
 (* --- the interpreter --------------------------------------------------- *)
 
@@ -785,17 +787,19 @@ and exec_node ctx share (n : P.node) : Batch.t list =
     | P.Union ns -> List.concat_map exec_batched ns
     | P.Derived { input; _ } -> exec_batched input
     | P.Sort { input; keys; _ } ->
+        (* one output batch: the sorted rows, with their charged bytes *)
         let inb = exec_batched input in
-        let pairs = Array.make (batch_rows inb) (0, [||]) in
+        let nrows = batch_rows inb in
+        let rows = Array.make nrows [||] and bytes = Array.make nrows 0 in
         let i = ref 0 in
         List.iter
-          (Batch.iter (fun row bytes ->
-               pairs.(!i) <- (bytes, row);
+          (Batch.iter (fun row b ->
+               rows.(!i) <- row;
+               bytes.(!i) <- b;
                incr i))
           inb;
-        let bb = bb_create () in
-        Array.iter (fun (b, t) -> bb_push bb b t) (exec_sort ctx n keys pairs);
-        bb_finish bb
+        let rows, bytes = exec_sort ctx n keys rows bytes in
+        if nrows = 0 then [] else [ Batch.of_rows ~bytes rows ]
   in
   set_rows ctx n (batch_rows batches);
   (* inclusive for now: [own_times] subtracts the inputs' after the run *)
@@ -853,8 +857,8 @@ let stats_attrs st =
     Obs.Attr.int "work" st.work;
   ]
 
-(* Run [plan] and package the output chunks with [finish]. *)
-let exec_query ~budget ~profile ?share db plan ~finish =
+let run_plan_batches_with_stats ?(budget = 0) ?(profile = default_profile) ?share db
+    (plan : P.plan) =
   Option.iter
     (fun sc ->
       if Share.plan sc != plan then
@@ -864,15 +868,8 @@ let exec_query ~budget ~profile ?share db plan ~finish =
   let ctx = { db; st; budget; profile } in
   let batches = exec_batched ctx share plan.P.root in
   own_times plan st.actuals.ns;
-  (finish plan.P.cols batches, ctx.st)
+  (batches, ctx.st)
 
-let relation_of_batches cols batches =
-  Relation.create cols (List.concat_map Batch.to_list batches)
-
-let run_plan_with_stats ?(budget = 0) ?(profile = default_profile) ?share db
-    (p : P.plan) =
-  exec_query ~budget ~profile ?share db p ~finish:relation_of_batches
-
-let run_plan_cursor_with_stats ?(budget = 0) ?(profile = default_profile) ?share
-    db (p : P.plan) =
-  exec_query ~budget ~profile ?share db p ~finish:Cursor.of_batches
+let run_plan_with_stats ?budget ?profile ?share db (p : P.plan) =
+  let batches, st = run_plan_batches_with_stats ?budget ?profile ?share db p in
+  (Relation.create p.P.cols (List.concat_map Batch.to_list batches), st)

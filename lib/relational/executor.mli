@@ -77,7 +77,7 @@ val run_plan_with_stats :
 (** Executes a plan.  [budget > 0] bounds the work units; exceeding it
     raises {!Timeout}.  Operators process {!Batch.t} chunks of
     {!Batch.default_size} rows with expressions compiled once per
-    operator.
+    operator; a Sort's output is one batch of all its rows.
 
     With [share] (a scope counted for this very plan, else
     [Invalid_argument]), the first run of each repeated subtree stores
@@ -88,31 +88,37 @@ val run_plan_with_stats :
     and figure but the subtree's times is what running it would give,
     and so is a {!Timeout}. *)
 
-val run_plan_cursor_with_stats :
+val run_plan_batches_with_stats :
   ?budget:int ->
   ?profile:profile ->
   ?share:entry Share.scope ->
   Database.t ->
   Physical.plan ->
-  Cursor.t * stats
-(** Like {!run_plan_with_stats}, but hands back the sorted output as a
-    pull cursor over the output chunks instead of a materialized
-    {!Relation.t}.  Evaluation (and therefore work accounting) is
-    identical. *)
+  Batch.t list * stats
+(** Like {!run_plan_with_stats}, but hands back the output chunks
+    themselves, in order, instead of a copy of their rows: a plan whose
+    root is a Sort gives one batch holding all its sorted rows (none if
+    it has no row), and any other plan chunks of
+    {!Batch.default_size}.  The batches are never written again, so
+    they can be read any number of times ({!Cursor.of_batches}).
+    Evaluation (and therefore work accounting) is identical. *)
 
 (** {1 Sorting} *)
 
-val sort_pairs :
+val sort_rows :
   (Expr.resolved * Sql.dir) list ->
-  (int * Tuple.t) array ->
-  (int * Tuple.t) array * int
-(** The ORDER BY sort: [sort_pairs keys pairs] orders [(bytes, row)]
-    pairs on the rows' [keys] under {!Value.compare_total}, reversed for
-    [Desc], keeping equal rows in input order.  It is a natural merge
+  Tuple.t array ->
+  int array ->
+  Tuple.t array * int array * int
+(** The ORDER BY sort: [sort_rows keys rows bytes] orders [rows] on
+    their [keys] under {!Value.compare_total}, reversed for [Desc],
+    keeping equal rows in input order, and moves each row's charged
+    [bytes] (an array as long as [rows]) with it.  It is a natural merge
     sort: one pass finds the maximal non-descending runs, and adjacent
     runs are merged bottom-up, so sorted input costs one comparison per
-    row and is returned as it is.  [pairs] may be overwritten.  Returns
-    the sorted pairs and the number of runs found. *)
+    row and is returned as it is, with no copy.  [rows] and [bytes] may
+    be overwritten.  Returns the sorted rows and bytes and the number of
+    runs found. *)
 
 (** {1 The work meter}
 

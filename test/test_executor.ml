@@ -620,8 +620,13 @@ let prop_sort_vs_stable_sort =
                  (fun (n, prev) t -> ((if cmp_rows prev t > 0 then n + 1 else n), t))
                  (1, first) rest)
       in
-      let got, got_runs = Executor.sort_pairs keys (Array.of_list pairs) in
-      Array.to_list got = expected
+      (* each row's bytes are its input position: equal rows must keep
+         their order, and every row its own figure *)
+      let got_rows, got_bytes, got_runs =
+        Executor.sort_rows keys (Array.of_list rows)
+          (Array.of_list (List.map fst pairs))
+      in
+      List.combine (Array.to_list got_bytes) (Array.to_list got_rows) = expected
       && got_runs = runs
       && (shape <> `Sorted || runs <= 1))
 

@@ -303,6 +303,15 @@ let test_middleware_stage_spans () =
         (under [ "middleware.execute"; "execute.stream" ])
         [ "sql_print"; "sql_parser"; "physical" ];
       under [ "execute.stream" ] "executor";
+      (* each attempt drains its rows in its own span, which counts them *)
+      Alcotest.(check bool) "drain spans" true (find_spans "backend.drain" <> []);
+      under [ "backend.submit" ] "backend.drain";
+      List.iter
+        (fun s ->
+          match (attr_exn s "tuples", attr_exn s "bytes") with
+          | Obs.Attr.Int _, Obs.Attr.Int _ -> ()
+          | _ -> Alcotest.fail "backend.drain: tuples/bytes not ints")
+        (find_spans "backend.drain");
       (* executor operator spans appear under execute.stream *)
       Alcotest.(check bool) "operator spans" true
         (find_spans "exec.scan" <> [] && find_spans "exec.sort" <> []);

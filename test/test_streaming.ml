@@ -43,16 +43,31 @@ let test_cursor_spool_roundtrip () =
 
 (* The backend counts the rows it drains, into the heap or a spool file
    alike: their number, wire bytes and modeled transfer, added tuple by
-   tuple in delivery order. *)
+   tuple in delivery order.  The result spans several executor chunks
+   (500 rows, out of key order) and the Sort hands it back as one
+   output; the heap run's rows can be opened again, and a run whose
+   first attempts drop mid-stream and are retried counts only the
+   winning attempt's rows. *)
 let test_backend_run_counts () =
-  let db = Tpch.Gen.generate (Tpch.Gen.config 0.1) in
+  let db = Tpch.Gen.generate (Tpch.Gen.config 1.0) in
+  let q =
+    "SELECT o.orderkey AS k, o.status AS s, o.price AS p FROM Orders AS o \
+     ORDER BY s, k"
+  in
   let backend = R.Backend.create db in
-  let q = "SELECT s.suppkey AS k, s.name AS n FROM Supplier AS s ORDER BY n" in
-  let heap = R.Backend.execute backend q in
-  let rows = R.Cursor.to_list (heap.R.Backend.rows ()) in
+  let out, _ =
+    R.Executor.run_plan_batches_with_stats db (R.Backend.plan backend q)
+  in
+  Alcotest.(check int) "the sort's output is one batch" 1 (List.length out);
+  Alcotest.(check bool) "of more than one chunk's rows" true
+    (R.Batch.length (List.hd out) > R.Batch.default_size);
+  let spooled = R.Backend.execute ~spool:true backend q in
+  let rows = R.Cursor.to_list (spooled.R.Backend.rows ()) in
   let transfer = R.Transfer.default in
   let bytes = List.map R.Tuple.wire_size rows in
-  let expect label (r : R.Backend.run) =
+  (* a spooled run's [rows ()] is one single-use cursor: read it once *)
+  let read (r : R.Backend.run) = R.Cursor.to_list (r.R.Backend.rows ()) in
+  let expect label ?(got = rows) (r : R.Backend.run) =
     Alcotest.(check int) (label ^ ": tuples") (List.length rows) r.tuples;
     Alcotest.(check int) (label ^ ": bytes")
       (List.fold_left ( + ) 0 bytes) r.bytes;
@@ -60,14 +75,46 @@ let test_backend_run_counts () =
       (List.fold_left
          (fun acc b -> acc +. R.Transfer.tuple_ms transfer ~bytes:b)
          transfer.R.Transfer.per_stream_overhead bytes)
-      r.transfer_ms
+      r.transfer_ms;
+    Alcotest.(check bool) (label ^ ": rows") true (List.equal R.Tuple.equal rows got)
   in
-  expect "heap" heap;
-  let spooled = R.Backend.execute ~spool:true backend q in
   expect "spooled" spooled;
-  Alcotest.(check bool) "spooled rows are the heap rows" true
-    (List.for_all2 R.Tuple.equal rows
-       (R.Cursor.to_list (spooled.R.Backend.rows ())))
+  let heap = R.Backend.execute backend q in
+  expect "heap" heap ~got:(read heap);
+  expect "heap, opened again" heap ~got:(read heap);
+  let faulty =
+    R.Backend.create
+      ~faults:(R.Backend.faults ~seed:3 ~midstream_weight:1.0 0.6)
+      ~retry:{ R.Backend.default_retry with R.Backend.max_retries = 30 }
+      db
+  in
+  let dropped = R.Backend.execute faulty q in
+  let st = R.Backend.stats faulty in
+  Alcotest.(check bool) "a mid-stream drop fired and was retried" true
+    (st.R.Backend.faults_midstream > 0 && st.R.Backend.retries > 0);
+  expect "heap after drops" dropped ~got:(read dropped);
+  let spooled_dropped = R.Backend.execute ~spool:true faulty q in
+  expect "spooled after drops" spooled_dropped ~got:(read spooled_dropped)
+
+(* The heap-drained path allocates the same on every run of a plan:
+   after one warm-up, two runs of q1 greedy unreduced on one domain
+   allocate the same minor words, so an allocation figure measured on
+   this path is a property of the code, not of the run.  [Gc.minor_words]
+   is exact; [Gc.quick_stat]'s minor words move in whole minor heaps. *)
+let test_allocation_deterministic () =
+  let db = Tpch.Gen.generate (Tpch.Gen.config 1.0) in
+  let p = Middleware.prepare_text db Queries.query1_text in
+  let plan = Middleware.partition_of ~reduce:false p Middleware.Greedy in
+  let run () =
+    let w0 = Gc.minor_words () in
+    let xml = Middleware.xml_string_of p (Middleware.execute ~reduce:false p plan) in
+    (Gc.minor_words () -. w0, xml)
+  in
+  let _, warm = run () in
+  let a, xml_a = run () in
+  let b, xml_b = run () in
+  Alcotest.(check bool) "same XML" true (String.equal warm xml_a && String.equal xml_a xml_b);
+  Alcotest.(check (float 0.0)) "same minor words" a b
 
 let test_cursor_spool_empty () =
   let c = R.Cursor.spool (R.Cursor.empty cols) in
@@ -80,11 +127,12 @@ let test_executor_cursor_matches_run () =
       "SELECT s.name AS n FROM Supplier AS s ORDER BY n"
   in
   let rel, st_mat = R.Executor.run_plan_with_stats db (R.Physical.plan_of db q) in
-  let cur, st_cur =
-    R.Executor.run_plan_cursor_with_stats db (R.Physical.plan_of db q)
+  let out, st_cur =
+    R.Executor.run_plan_batches_with_stats db (R.Physical.plan_of db q)
   in
   Alcotest.(check bool) "same rows" true
-    (R.Relation.equal rel (R.Cursor.to_relation cur));
+    (R.Relation.equal rel
+       (R.Cursor.to_relation (R.Cursor.of_batches (R.Relation.cols rel) out)));
   Alcotest.(check int) "same work" st_mat.R.Executor.work
     st_cur.R.Executor.work;
   Alcotest.(check int) "same emitted" st_mat.R.Executor.emitted
@@ -232,4 +280,6 @@ let suite =
     Alcotest.test_case "to_channel sink" `Quick test_to_channel_matches_string;
     Alcotest.test_case "timeout payload" `Quick test_timeout_payload;
     Alcotest.test_case "streaming memory bounded" `Quick test_streaming_memory_bounded;
+    Alcotest.test_case "heap path allocates the same every run" `Quick
+      test_allocation_deterministic;
   ]

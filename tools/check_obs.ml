@@ -22,12 +22,14 @@
      "ms".
    check_obs lattice FILE — bench --experiment lattice-wallclock's
      BENCH_lattice_wallclock.jsonl: a stamp first (machine, nproc,
-     OCaml version); one lattice record per (view, scale, mask,
-     reduce), each (view, scale, reduce) covering masks 0 .. 2^k - 1;
-     non-negative times, counters and per-node rows, and per-node ns
-     that are non-negative or -1 (a subtree replayed from another
-     stream's run, not timed); regret records with non-negative times
-     and a regret of at least 1. *)
+     OCaml version, the reference loop's target time); one lattice
+     record per (view, scale, mask, reduce), each (view, scale, reduce)
+     covering masks 0 .. 2^k - 1; non-negative times, counters and
+     per-node rows, a positive reference-loop time beside the runs and
+     the time normalized by it, and per-node ns that are non-negative or
+     -1 (a subtree replayed from another stream's run, not timed);
+     regret records with non-negative times, a positive reference-loop
+     time and a regret of at least 1. *)
 
 (* --- shared helpers ------------------------------------------------------ *)
 
@@ -186,7 +188,9 @@ let lattice path =
       if str "type" j <> Some "stamp" then fail "%s: the first record is not the stamp" where;
       ignore (need where "string machine" (str "machine" j));
       ignore (need where "string ocaml" (str "ocaml" j));
-      if nonneg_int where "nproc" j < 1 then fail "%s: nproc < 1" where
+      if nonneg_int where "nproc" j < 1 then fail "%s: nproc < 1" where;
+      if not (nonneg_num where "ref_target_ns" j > 0.0) then
+        fail "%s: ref_target_ns is not positive" where
   | [] -> fail "%s: no JSONL lines" path);
   let points : (string * float * bool, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
   let regrets = ref 0 in
@@ -218,10 +222,11 @@ let lattice path =
           Hashtbl.add masks mask ();
           List.iter
             (fun k -> ignore (nonneg_num where k j))
-            [ "ms"; "tag_ms"; "est_ms"; "est_work" ];
+            [ "ms"; "tag_ms"; "norm_ms"; "est_ms"; "est_work" ];
           List.iter
             (fun k -> ignore (nonneg_int where k j))
             [ "streams"; "work"; "tuples"; "bytes" ];
+          if nonneg_int where "ref_ns" j < 1 then fail "%s: ref_ns is not positive" where;
           (match Obs.Json.member "nodes" j with
           | Some (Obs.Json.List streams) ->
               List.iter
@@ -245,6 +250,7 @@ let lattice path =
       | Some "regret" ->
           incr regrets;
           List.iter (fun k -> ignore (nonneg_num where k j)) [ "greedy_ms"; "best_ms" ];
+          if nonneg_int where "ref_ns" j < 1 then fail "%s: ref_ns is not positive" where;
           if nonneg_num where "regret" j < 1.0 then fail "%s: regret below 1" where
       | _ -> fail "%s: missing or bad \"type\" field" where)
     records;
