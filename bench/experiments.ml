@@ -530,7 +530,7 @@ let resilience () =
       let backend =
         R.Backend.create
           ~faults:(R.Backend.faults ~seed:14 rate)
-          ~retry:{ R.Backend.default_retry with R.Backend.max_retries = 8 }
+          ~retries:8
           ~budget db
       in
       let e = S.Middleware.execute ~backend ~max_splits:8 p unified in

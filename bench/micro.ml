@@ -77,7 +77,7 @@ let t_fig18 =
     (Staged.stage (fun () ->
          ignore (Sk.Middleware.prepare_text (Lazy.force db) Sk.Queries.query2_text)))
 
-(* Histogram bucketing: Metrics.observe runs once per traced row, so the
+(* Histogram bucketing: Metrics.observe runs once per finished span, so the
    bound lookup is a hot path.  Compare the shipped binary search against
    the seed's linear scan over the same 12-bound array and the same
    deterministic sample stream (an LCG spanning the full bucket range,

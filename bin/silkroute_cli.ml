@@ -134,11 +134,8 @@ let fault_seed_arg =
   Arg.(value & opt int 0 & info [ "fault-seed" ] ~docv:"N" ~doc)
 
 let retries_arg =
-  let doc = "Maximum retries per sub-query after the first attempt." in
-  Arg.(
-    value
-    & opt int R.Backend.default_retry.R.Backend.max_retries
-    & info [ "retries" ] ~docv:"N" ~doc)
+  let doc = "Maximum retries per sub-query after the first attempt (default 3)." in
+  Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N" ~doc)
 
 let parallel_arg =
   let doc =
@@ -322,7 +319,7 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
   let backend =
     R.Backend.create
       ~faults:(R.Backend.faults ~seed:fault_seed fault_rate)
-      ~retry:{ R.Backend.default_retry with R.Backend.max_retries = retries }
+      ?retries
       ~budget p.S.Middleware.db
   in
   let e =

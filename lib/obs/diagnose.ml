@@ -240,6 +240,8 @@ let render ?(threshold = default_threshold) ?(top = 10) ~resilience samples =
   Buffer.contents buf
 
 let report ?threshold ?top ~resilience samples =
-  let fs = findings ?threshold samples in
-  emit_findings fs;
-  render ?threshold ?top ~resilience samples
+  (* rendered first: the report's EVENTS count the run's events, not
+     its own findings *)
+  let text = render ?threshold ?top ~resilience samples in
+  emit_findings (findings ?threshold samples);
+  text

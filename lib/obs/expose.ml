@@ -32,7 +32,7 @@ let sample ?(labels = []) kind name value =
   { s_name = name; s_kind = kind; s_labels = labels; s_value = value }
 
 (* Metric names: [a-zA-Z0-9_:], everything else folds to '_'.  The
-   registry uses dotted names (server.cache.plan.hit); the exposition
+   registry uses dotted names (server.request.ms); the exposition
    speaks underscores. *)
 let sanitize name =
   String.map

@@ -11,8 +11,6 @@
 
 type kind = Counter | Gauge | Summary
 
-val kind_name : kind -> string
-
 type sample = {
   s_name : string;  (** already sanitized/prefixed *)
   s_kind : kind;

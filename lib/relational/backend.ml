@@ -24,22 +24,12 @@ let faults ?(seed = 0) ?(fatal_weight = 0.0) ?(midstream_weight = 0.3)
 
 let no_faults = faults 0.0
 
-type retry_policy = {
-  max_retries : int;
-  base_backoff_ms : float;
-  backoff_factor : float;
-  max_backoff_ms : float;
-  jitter : float;
-}
-
-let default_retry =
-  {
-    max_retries = 3;
-    base_backoff_ms = 10.0;
-    backoff_factor = 2.0;
-    max_backoff_ms = 5000.0;
-    jitter = 0.25;
-  }
+(* Retry backoff: 10 ms, doubling per retry up to 5 s, each jittered
+   by a uniform ±25%. *)
+let base_backoff_ms = 10.0
+let backoff_factor = 2.0
+let max_backoff_ms = 5000.0
+let jitter = 0.25
 
 type error_kind = Transient | Fatal | Timeout
 
@@ -119,22 +109,21 @@ let next_float p =
 type t = {
   database : Database.t;
   fault_cfg : fault_config;
-  retry : retry_policy;
+  max_retries : int;
   budget : int;
   profile : Executor.profile;
   prng : prng;
   st : stats;
 }
 
-let create ?(faults = no_faults) ?(retry = default_retry) ?(budget = 0)
+let create ?(faults = no_faults) ?(retries = 3) ?(budget = 0)
     ?(profile = Executor.default_profile) database =
   if budget < 0 then invalid_arg "Backend.create: budget must be >= 0";
-  if retry.max_retries < 0 then
-    invalid_arg "Backend.create: retries must be >= 0";
+  if retries < 0 then invalid_arg "Backend.create: retries must be >= 0";
   {
     database;
     fault_cfg = faults;
-    retry;
+    max_retries = retries;
     budget;
     profile;
     prng = { state = Int64.of_int faults.fault_seed };
@@ -285,14 +274,11 @@ let submit_attempt t ~attempt ?share (plan : Physical.plan) :
 (* --- resilient submission ----------------------------------------------- *)
 
 let backoff_ms t ~attempt =
-  let base =
-    t.retry.base_backoff_ms
-    *. (t.retry.backoff_factor ** float_of_int (attempt - 1))
-  in
-  let capped = Float.min t.retry.max_backoff_ms base in
+  let base = base_backoff_ms *. (backoff_factor ** float_of_int (attempt - 1)) in
+  let capped = Float.min max_backoff_ms base in
   (* uniform jitter: capped * (1 ± jitter) *)
   let u = next_float t.prng in
-  capped *. (1.0 -. t.retry.jitter +. (2.0 *. t.retry.jitter *. u))
+  capped *. (1.0 -. jitter +. (2.0 *. jitter *. u))
 
 type run = {
   plan : Physical.plan;
@@ -380,7 +366,7 @@ let execute_plan ?(label = "") ?(spool = false) ?share t plan : run =
     match result with
     | Ok r -> r
     | Error (Backend_error { kind = Transient; _ } as exn) ->
-        if k > t.retry.max_retries then raise exn
+        if k > t.max_retries then raise exn
         else begin
           let wait = backoff_ms t ~attempt:k in
           Obs.Span.with_span "backend.retry" (fun () ->

@@ -35,20 +35,6 @@ val faults :
     seed 0, fatal weight 0, mid-stream weight 0.3.  Raises
     [Invalid_argument] unless [rate] is in [\[0, 1\]] (NaN is not). *)
 
-(** Bounded retries with exponential backoff.  [jitter] is the uniform
-    relative spread applied to each computed backoff (0.25 means
-    ±25%). *)
-type retry_policy = {
-  max_retries : int;  (** retries after the first attempt *)
-  base_backoff_ms : float;
-  backoff_factor : float;
-  max_backoff_ms : float;
-  jitter : float;
-}
-
-val default_retry : retry_policy
-(** 3 retries, 10ms base, ×2 per retry, 5s cap, ±25% jitter. *)
-
 (** How an attempt failed.  [Transient] failures (injected submit
     failures and mid-stream connection drops) are retryable; [Fatal]
     faults and work-budget [Timeout]s are not — retrying a deterministic
@@ -88,16 +74,18 @@ type t
 
 val create :
   ?faults:fault_config ->
-  ?retry:retry_policy ->
+  ?retries:int ->
   ?budget:int ->
   ?profile:Executor.profile ->
   Database.t ->
   t
 (** A connection to [db], fault-free unless [faults] says otherwise.
-    [budget] (work units per submission, 0 = unlimited) and [profile]
-    are applied to every submitted query, modeling the server-side
-    per-query timeout.  Raises [Invalid_argument] on a negative
-    [budget] or [retry.max_retries]. *)
+    A transient failure is re-submitted up to [retries] times (default
+    3) after a modeled backoff: 10 ms, doubling per retry up to 5 s,
+    each jittered by a uniform ±25%.  [budget] (work units per
+    submission, 0 = unlimited) and [profile] are applied to every
+    submitted query, modeling the server-side per-query timeout.  Raises
+    [Invalid_argument] on a negative [budget] or [retries]. *)
 
 val profile : t -> Executor.profile
 (** The cost profile every submission runs under (for pricing a plan

@@ -48,7 +48,7 @@ let of_list cols rows =
 let of_relation r = of_list (Relation.cols r) (Relation.rows r)
 
 (* Draining combinators close the cursor when the consumer raises:
-   timeouts and injected faults escape through [iter]/[fold]/[spool]
+   timeouts and injected faults escape through [iter]/[to_list]/[spool]
    mid-drain, and without this the abandoned source kept its spool file
    and open channel until process exit. *)
 let iter f c =
@@ -65,12 +65,10 @@ let iter f c =
     close c;
     Printexc.raise_with_backtrace e bt
 
-let fold f acc c =
-  let acc = ref acc in
-  iter (fun t -> acc := f !acc t) c;
-  !acc
-
-let to_list c = List.rev (fold (fun acc t -> t :: acc) [] c)
+let to_list c =
+  let acc = ref [] in
+  iter (fun t -> acc := t :: !acc) c;
+  List.rev !acc
 let to_relation c = Relation.create c.cols (to_list c)
 
 (* Spooling: drain [c] into a temporary file now (invoking [on_row] per

@@ -36,10 +36,8 @@ val iter : (Tuple.t -> unit) -> t -> unit
 (** Drains the cursor.  If the callback raises, the cursor is {!close}d
     before the exception propagates, so backing resources (spool files,
     open channels) are not leaked by a throwing consumer.  The same
-    holds for {!fold}, {!to_list} and {!spool}, which drain through
-    [iter]. *)
+    holds for {!to_list} and {!spool}, which drain through [iter]. *)
 
-val fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
 val to_list : t -> Tuple.t list
 val to_relation : t -> Relation.t
 

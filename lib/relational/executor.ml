@@ -106,27 +106,6 @@ let charge_sort ctx rows bytes =
 
 module P = Physical
 
-let set_rows ctx (n : P.node) rows = ctx.st.actuals.rows.(n.id) <- rows
-let set_cost ctx (n : P.node) cost = ctx.st.actuals.cost.(n.id) <- cost
-
-(* Run [f], which records node [n]'s actuals, in the node's live span
-   ["exec." ^ op_name]; the span carries the node's id and those
-   actuals: its rows and work, and a sort's spill passes. *)
-let node_span ctx (n : P.node) f =
-  if not (Obs.Span.tracing ()) then f ()
-  else
-    Obs.Span.with_span ("exec." ^ P.op_name n) (fun () ->
-        let r = f () in
-        let a = ctx.st.actuals and id = n.P.id in
-        Obs.Span.add_list
-          (Obs.Attr.int "id" id :: Obs.Attr.int "rows" a.rows.(id)
-           :: Obs.Attr.int "work" a.cost.(id)
-           ::
-           (match n.P.shape with
-           | P.Sort _ -> [ Obs.Attr.int "spill_passes" a.spills.(id) ]
-           | _ -> []));
-        r)
-
 (* --- the join probe ---------------------------------------------------- *)
 
 (* A physical join's right side, indexed once per execution.  Each
@@ -413,24 +392,13 @@ let probe_row ctx p emit (lrow : Tuple.t) =
     emit lrow p.null_pad
   end
 
-(* Run a join node: index [right], probe every left row [iter_left]
-   yields, and pass each output row to [consume] as (left row, right
-   row).  What [consume] charges is its own, not the join's: the node's
-   rows and cost count the join alone.  Returns the work [consume]
-   charged. *)
-let run_join ctx (n : P.node) (info : P.join_info) ~nleft ~iter_left right consume =
-  let work0 = ctx.st.work and probed0 = ctx.st.probed in
+(* Run a join: index [right], probe every left row [iter_left] yields,
+   and pass each output row to [consume] as (left row, right row). *)
+let run_join ctx (info : P.join_info) ~nleft ~iter_left right consume =
+  let probed0 = ctx.st.probed in
   let p = probe_create info right in
-  let out_rows = ref 0 and out_work = ref 0 in
-  iter_left
-    (probe_row ctx p (fun l r ->
-         incr out_rows;
-         let w = ctx.st.work in
-         consume l r;
-         out_work := !out_work + ctx.st.work - w));
-  set_rows ctx n !out_rows;
-  set_cost ctx n (ctx.st.work - work0 - !out_work);
-  if Obs.Span.tracing () then begin
+  iter_left (probe_row ctx p consume);
+  if Obs.Span.tracing () then
     Obs.Span.add_list
       [
         Obs.Attr.string "kind"
@@ -441,25 +409,7 @@ let run_join ctx (n : P.node) (info : P.join_info) ~nleft ~iter_left right consu
         Obs.Attr.int "right_rows" (Array.length right);
         Obs.Attr.int "probed" (ctx.st.probed - probed0);
         Obs.Attr.int "tested" p.tested;
-      ];
-    Obs.Metrics.incr ~by:(ctx.st.probed - probed0) "exec.rows_probed";
-    Obs.Metrics.observe "exec.join.out_rows" (float_of_int !out_rows)
-  end;
-  !out_work
-
-(* Charge and trace a base-table scan (inside its exec.scan span); the
-   table's rows. *)
-let scan_table ctx (n : P.node) table =
-  let data = Database.raw_data ctx.db table in
-  let w0 = ctx.st.work in
-  charge ctx `Scan (Array.length data);
-  set_rows ctx n (Array.length data);
-  set_cost ctx n (ctx.st.work - w0);
-  if Obs.Span.tracing () then begin
-    Obs.Span.add "table" (Obs.Attr.String table);
-    Obs.Metrics.incr ~by:(Array.length data) "exec.rows_scanned"
-  end;
-  data
+      ]
 
 (* --- sorting ------------------------------------------------------------ *)
 
@@ -550,31 +500,25 @@ let sort_rows keys (rows : Tuple.t array) (bytes : int array) =
    it as one sort of their summed bytes — and return both in sorted
    order. *)
 let exec_sort ctx (n : P.node) keys rows bytes =
-  node_span ctx n (fun () ->
-      let nrows = Array.length rows in
-      let total = Array.fold_left ( + ) 0 bytes in
-      let spill0 = ctx.st.spill_passes and work0 = ctx.st.work in
-      charge_sort ctx nrows total;
-      let spills = ctx.st.spill_passes - spill0 in
-      ctx.st.actuals.spills.(n.id) <- spills;
-      set_rows ctx n nrows;
-      set_cost ctx n (ctx.st.work - work0);
-      let rows, bytes, runs = sort_rows keys rows bytes in
-      if Obs.Span.tracing () then begin
-        Obs.Span.add_list [ Obs.Attr.int "bytes" total; Obs.Attr.int "runs" runs ];
-        Obs.Metrics.observe "exec.sort.bytes" (float_of_int total);
-        if spills > 0 then begin
-          Obs.Metrics.incr ~by:spills "exec.spill_passes";
-          Obs.Event.warn "exec.spill"
-            ~attrs:
-              [
-                Obs.Attr.int "rows" nrows;
-                Obs.Attr.int "bytes" total;
-                Obs.Attr.int "passes" spills;
-              ]
-        end
-      end;
-      (rows, bytes))
+  let nrows = Array.length rows in
+  let total = Array.fold_left ( + ) 0 bytes in
+  let spill0 = ctx.st.spill_passes in
+  charge_sort ctx nrows total;
+  let spills = ctx.st.spill_passes - spill0 in
+  ctx.st.actuals.spills.(n.id) <- spills;
+  let rows, bytes, runs = sort_rows keys rows bytes in
+  if Obs.Span.tracing () then begin
+    Obs.Span.add_list [ Obs.Attr.int "bytes" total; Obs.Attr.int "runs" runs ];
+    if spills > 0 then
+      Obs.Event.warn "exec.spill"
+        ~attrs:
+          [
+            Obs.Attr.int "rows" nrows;
+            Obs.Attr.int "bytes" total;
+            Obs.Attr.int "passes" spills;
+          ]
+  end;
+  (rows, bytes)
 
 (* --- the interpreter --------------------------------------------------- *)
 
@@ -704,6 +648,42 @@ let replay ctx (n : P.node) e owner =
   if ctx.budget > 0 && st.work > ctx.budget then raise Timeout;
   e.batches
 
+(* Run node [n]'s own work [f], its inputs having run, and record its
+   actuals: the rows of the batches [f] returns, the work charged
+   meanwhile and the interval's ns.  A projection [fused] into a join is
+   built inside the join's [f]: it takes those rows and the work [built]
+   charged for them, and its time is the join's (its own ns is 0).
+   Under tracing [f] runs in the node's span ["exec." ^ op_name], where
+   it may add its own attributes before the node's id and actuals: its
+   rows, its work and a sort's spill passes. *)
+let own ?fused ctx (n : P.node) f =
+  let run () =
+    let w0 = ctx.st.work and t0 = Obs.Clock.now_ns () in
+    let batches = f () in
+    let a = ctx.st.actuals and id = n.P.id and rows = batch_rows batches in
+    a.ns.(id) <- Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0);
+    a.rows.(id) <- rows;
+    a.cost.(id) <- ctx.st.work - w0;
+    Option.iter
+      (fun ((p : P.node), built) ->
+        a.rows.(p.id) <- rows;
+        a.cost.(p.id) <- !built;
+        a.ns.(p.id) <- 0;
+        a.cost.(id) <- a.cost.(id) - !built)
+      fused;
+    if Obs.Span.tracing () then
+      Obs.Span.add_list
+        (Obs.Attr.int "id" id :: Obs.Attr.int "rows" rows
+        :: Obs.Attr.int "work" a.cost.(id)
+        ::
+        (match n.P.shape with
+        | P.Sort _ -> [ Obs.Attr.int "spill_passes" a.spills.(id) ]
+        | _ -> []));
+    batches
+  in
+  if Obs.Span.tracing () then Obs.Span.with_span ("exec." ^ P.op_name n) run
+  else run ()
+
 (* Run [n], or replay it from [share]: the first run of a counted
    subtree stores its output there, later ones replay it.  Every
    consumer reads batches without writing them, so one output can feed
@@ -725,93 +705,94 @@ let rec exec_batched ctx share (n : P.node) : Batch.t list =
 
 and exec_node ctx share (n : P.node) : Batch.t list =
   let exec_batched = exec_batched ctx share in
-  let t0 = Obs.Clock.now_ns () in
-  let batches =
-    match n.P.shape with
-    | P.Scan { table; cols; _ } ->
-        node_span ctx n (fun () ->
-            let data = scan_table ctx n table in
-            let arity = Schema.arity (Database.schema ctx.db table) in
-            let narrow = Array.length cols <> arity in
-            (* Bulk-slice the base array into full batches instead of
-               pushing row by row.  Scan outputs never feed a sort
-               directly (a projection always intervenes), so their
-               charged-byte figures stay 0. *)
-            let nrows = Array.length data in
-            let rec chunks off acc =
-              if off >= nrows then List.rev acc
-              else
-                let len = min Batch.default_size (nrows - off) in
-                let rows =
-                  if narrow then
-                    Array.init len (fun i -> Tuple.project cols data.(off + i))
-                  else Array.sub data off len
-                in
-                chunks (off + len) (Batch.of_rows rows :: acc)
-            in
-            chunks 0 [])
-    | P.Dual ->
-        set_cost ctx n 0;
-        let b = Batch.create () in
-        Batch.push b [||];
-        [ b ]
-    | P.Filter { input; pred; charged; _ } ->
-        let inb = exec_batched input in
-        let batches = List.map (Batch.filter (Expr.compile_pred pred)) inb in
-        let w0 = ctx.st.work in
-        if charged then charge ctx `Emit (batch_rows batches);
-        set_cost ctx n (ctx.st.work - w0);
-        batches
-    | P.Project
-        { input = { P.shape = P.Join { left; right; info }; _ } as join; items; charged; _ }
-      ->
-        (* built inside the join's probe, from each output pair *)
-        let pr = projection ~split:info.P.split items charged in
-        let bb = bb_create () in
-        set_cost ctx n (exec_join ctx share join info left right (project_pair ctx pr bb));
-        bb_finish bb
-    | P.Project { input; items; charged; _ } ->
-        let inb = exec_batched input in
-        let w0 = ctx.st.work in
-        let pr = projection ~split:max_int items charged in
-        let bb = bb_create () in
-        List.iter (Batch.iter (fun row _ -> project_pair ctx pr bb row [||])) inb;
-        set_cost ctx n (ctx.st.work - w0);
-        bb_finish bb
-    | P.Join { left; right; info } ->
-        let bb = bb_create () in
-        ignore
-          (exec_join ctx share n info left right (fun l r ->
-               bb_push bb 0 (Tuple.concat l r)));
-        bb_finish bb
-    | P.Union ns -> List.concat_map exec_batched ns
-    | P.Derived { input; _ } -> exec_batched input
-    | P.Sort { input; keys; _ } ->
-        (* one output batch: the sorted rows, with their charged bytes *)
-        let inb = exec_batched input in
-        let nrows = batch_rows inb in
-        let rows = Array.make nrows [||] and bytes = Array.make nrows 0 in
-        let i = ref 0 in
-        List.iter
-          (Batch.iter (fun row b ->
-               rows.(!i) <- row;
-               bytes.(!i) <- b;
-               incr i))
-          inb;
-        let rows, bytes = exec_sort ctx n keys rows bytes in
-        if nrows = 0 then [] else [ Batch.of_rows ~bytes rows ]
-  in
-  set_rows ctx n (batch_rows batches);
-  (* inclusive for now: [own_times] subtracts the inputs' after the run *)
-  ctx.st.actuals.ns.(n.id) <- Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0);
-  batches
+  match n.P.shape with
+  | P.Scan { table; cols; _ } ->
+      own ctx n (fun () ->
+          let data = Database.raw_data ctx.db table in
+          charge ctx `Scan (Array.length data);
+          if Obs.Span.tracing () then Obs.Span.add "table" (Obs.Attr.String table);
+          let arity = Schema.arity (Database.schema ctx.db table) in
+          let narrow = Array.length cols <> arity in
+          (* Bulk-slice the base array into full batches instead of
+             pushing row by row.  Scan outputs never feed a sort
+             directly (a projection always intervenes), so their
+             charged-byte figures stay 0. *)
+          let nrows = Array.length data in
+          let rec chunks off acc =
+            if off >= nrows then List.rev acc
+            else
+              let len = min Batch.default_size (nrows - off) in
+              let rows =
+                if narrow then Array.init len (fun i -> Tuple.project cols data.(off + i))
+                else Array.sub data off len
+              in
+              chunks (off + len) (Batch.of_rows rows :: acc)
+          in
+          chunks 0 [])
+  | P.Dual ->
+      own ctx n (fun () ->
+          let b = Batch.create () in
+          Batch.push b [||];
+          [ b ])
+  | P.Filter { input; pred; charged; _ } ->
+      let inb = exec_batched input in
+      own ctx n (fun () ->
+          let batches = List.map (Batch.filter (Expr.compile_pred pred)) inb in
+          if charged then charge ctx `Emit (batch_rows batches);
+          batches)
+  | P.Project
+      { input = { P.shape = P.Join { left; right; info }; _ } as join; items; charged; _ }
+    ->
+      (* built inside the join's probe, from each output pair *)
+      let pr = projection ~split:info.P.split items charged in
+      exec_join ctx share ~fused:(n, pr) join info left right
+  | P.Project { input; items; charged; _ } ->
+      let inb = exec_batched input in
+      own ctx n (fun () ->
+          let pr = projection ~split:max_int items charged in
+          let bb = bb_create () in
+          List.iter (Batch.iter (fun row _ -> project_pair ctx pr bb row [||])) inb;
+          bb_finish bb)
+  | P.Join { left; right; info } -> exec_join ctx share n info left right
+  | P.Union ns ->
+      let inbs = List.map exec_batched ns in
+      own ctx n (fun () -> List.concat inbs)
+  | P.Derived { input; _ } ->
+      let inb = exec_batched input in
+      own ctx n (fun () -> inb)
+  | P.Sort { input; keys; _ } ->
+      let inb = exec_batched input in
+      own ctx n (fun () ->
+          (* one output batch: the sorted rows, with their charged bytes *)
+          let nrows = batch_rows inb in
+          let rows = Array.make nrows [||] and bytes = Array.make nrows 0 in
+          let i = ref 0 in
+          List.iter
+            (Batch.iter (fun row b ->
+                 rows.(!i) <- row;
+                 bytes.(!i) <- b;
+                 incr i))
+            inb;
+          let rows, bytes = exec_sort ctx n keys rows bytes in
+          if nrows = 0 then [] else [ Batch.of_rows ~bytes rows ])
 
-(* Run a join node's inputs, then the join (in its own span), handing
-   each output pair to [consume]; the work [consume] charged. *)
-and exec_join ctx share (n : P.node) (info : P.join_info) left right consume =
+(* Run a join node's inputs, then the join, which builds each output
+   row: the concatenation of its pair, or the row of the projection
+   [fused] over the join. *)
+and exec_join ctx share ?fused (n : P.node) (info : P.join_info) left right =
   let left = exec_batched ctx share left in
   let right = exec_batched ctx share right in
-  node_span ctx n (fun () ->
+  let bb = bb_create () and built = ref 0 in
+  let consume =
+    match fused with
+    | None -> fun l r -> bb_push bb 0 (Tuple.concat l r)
+    | Some (_, pr) ->
+        fun l r ->
+          let w = ctx.st.work in
+          project_pair ctx pr bb l r;
+          built := !built + ctx.st.work - w
+  in
+  own ?fused:(Option.map (fun (p, _) -> (p, built)) fused) ctx n (fun () ->
       let right_arr = Array.make (batch_rows right) [||] in
       let ri = ref 0 in
       List.iter
@@ -819,33 +800,12 @@ and exec_join ctx share (n : P.node) (info : P.join_info) left right consume =
              right_arr.(!ri) <- row;
              incr ri))
         right;
-      run_join ctx n info ~nleft:(batch_rows left)
+      run_join ctx info ~nleft:(batch_rows left)
         ~iter_left:(fun f -> List.iter (Batch.iter (fun row _ -> f row)) left)
-        right_arr consume)
+        right_arr consume;
+      bb_finish bb)
 
 (* --- entry points ------------------------------------------------------ *)
-
-(* Turn the nodes' inclusive times into their own: each node's minus its
-   inputs'.  A projection over a join ran the join inside its probe, so
-   the join takes the projection's inclusive time and the projection's
-   own time is 0 (pre-order: a node reads its inputs' inclusive times
-   before they are turned into their own). *)
-let own_times (p : P.plan) (ns : int array) =
-  P.iter
-    (fun n ->
-      (* a replayed subtree's nodes did not run here: left unknown, the
-         replay's time stays with the node that read it *)
-      if ns.(n.P.id) >= 0 then begin
-        (match n.P.shape with
-        | P.Project { input = { P.shape = P.Join _; _ } as join; _ } ->
-            ns.(join.P.id) <- ns.(n.P.id)
-        | _ -> ());
-        ns.(n.P.id) <-
-          List.fold_left
-            (fun acc (i : P.node) -> acc - max 0 ns.(i.P.id))
-            ns.(n.P.id) (P.inputs n)
-      end)
-    p
 
 let stats_attrs st =
   [
@@ -867,7 +827,6 @@ let run_plan_batches_with_stats ?(budget = 0) ?(profile = default_profile) ?shar
   let st = { (new_stats ()) with actuals = P.no_actuals plan } in
   let ctx = { db; st; budget; profile } in
   let batches = exec_batched ctx share plan.P.root in
-  own_times plan st.actuals.ns;
   (batches, ctx.st)
 
 let run_plan_with_stats ?budget ?profile ?share db (p : P.plan) =

@@ -34,5 +34,4 @@ val equal : t -> t -> bool
 val equal_bag : t -> t -> bool
 (** Same columns and same multiset of tuples, order-insensitive. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

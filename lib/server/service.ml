@@ -196,22 +196,14 @@ let uptime_s t =
 
 (* --- cache tiers -------------------------------------------------------- *)
 
-let tier_metric tier hit =
-  if Obs.Span.tracing () then
-    Obs.Metrics.incr
-      (Printf.sprintf "server.cache.%s.%s" tier (if hit then "hit" else "miss"))
-
 (* Statement tier: keyed by the raw RXL source text.  The prepared value
    shares the server's forced catalog, so execution under tracing never
    re-analyzes the database and OCaml 5's RacyLazy cannot fire on the
    pool. *)
 let statement_of t view =
   match Lru.find t.statements view with
-  | Some p ->
-      tier_metric "statement" true;
-      (p, true)
+  | Some p -> (p, true)
   | None ->
-      tier_metric "statement" false;
       let p = S.Middleware.prepare_text t.db view in
       let p = { p with S.Middleware.stats = Lazy.from_val t.stats } in
       Lru.add t.statements view p;
@@ -234,15 +226,8 @@ let plan_of t (p : S.Middleware.prepared) ~digest ~strategy ~reduce ~epoch =
   let skey = S.Middleware.strategy_name strategy in
   let key = plan_key ~digest ~skey ~reduce ~epoch in
   match Lru.find t.plans key with
-  | Some pe ->
-      tier_metric "plan" true;
-      (* the planner's fragment-cost cache counter is the metric the
-         paper-level reports already watch; a plan-tier hit is the same
-         phenomenon one level up *)
-      if Obs.Span.tracing () then Obs.Metrics.incr "planner.cache_hits";
-      (pe, true)
+  | Some pe -> (pe, true)
   | None ->
-      tier_metric "plan" false;
       Mutex.protect t.plan_m (fun () ->
           match Lru.peek t.plans key with
           | Some pe -> (pe, true)
@@ -322,7 +307,6 @@ let query_body t ~view ~strategy ~reduce =
         let rkey = result_key ~digest ~mask:pe.pe_mask ~reduce ~epoch in
         match Lru.find t.results rkey with
         | Some r ->
-            tier_metric "result" true;
             if Obs.Span.tracing () then
               Obs.Span.add_list
                 [
@@ -337,7 +321,6 @@ let query_body t ~view ~strategy ~reduce =
                 est_cost = pe.pe_est_cost;
               }
         | None -> (
-            tier_metric "result" false;
             match admit t pe.pe_est_cost with
             | Error reason ->
                 bump (fun c -> { c with rejected = c.rejected + 1 }) t;

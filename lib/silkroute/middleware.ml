@@ -294,7 +294,7 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
         | { R.Backend.plan; rows = cursor; stats; tuples; bytes; transfer_ms } ->
             let wall_ms = now_ms () -. t0 in
             let profile = R.Backend.profile backend in
-            if Obs.Span.tracing () then begin
+            if Obs.Span.tracing () then
               Obs.Span.add_list
                 [
                   Obs.Attr.int "index" i;
@@ -304,12 +304,6 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
                   Obs.Attr.int "work" stats.R.Executor.work;
                   Obs.Attr.int "depth" depth;
                 ];
-              Obs.Metrics.incr "execute.streams";
-              Obs.Metrics.observe "execute.stream.work"
-                (float_of_int stats.R.Executor.work);
-              Obs.Metrics.observe "execute.stream.rows" (float_of_int tuples);
-              Obs.Metrics.observe "execute.stream.bytes" (float_of_int bytes)
-            end;
             [
               {
                 se_stream = s;

@@ -159,7 +159,7 @@ let gen_plan ?(reduce = false) (db : R.Database.t) oracle (tree : View_tree.t)
         else continue_ := false
   done;
   let requests = R.Cost.requests oracle in
-  if Obs.Span.tracing () then begin
+  if Obs.Span.tracing () then
     Obs.Span.add_list
       [
         Obs.Attr.int "mandatory" (List.length !mandatory);
@@ -168,9 +168,6 @@ let gen_plan ?(reduce = false) (db : R.Database.t) oracle (tree : View_tree.t)
         Obs.Attr.int "cache_hits" !cache_hits;
         Obs.Attr.int "work" (requests - requests0);
       ];
-    Obs.Metrics.incr ~by:(requests - requests0) "planner.requests";
-    Obs.Metrics.incr ~by:!cache_hits "planner.cache_hits"
-  end;
   {
     mandatory = List.rev !mandatory;
     optional = List.rev !optional;

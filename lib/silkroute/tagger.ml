@@ -548,7 +548,7 @@ let tag_cursors tree (streams : (Sql_gen.stream * R.Cursor.t) list)
   done;
   close_to_depth ctx 0;
   sink.on_close tree.View_tree.root_tag;
-  if Obs.Span.tracing () then begin
+  if Obs.Span.tracing () then
     Obs.Span.add_list
       [
         Obs.Attr.int "streams" (List.length streams);
@@ -557,10 +557,7 @@ let tag_cursors tree (streams : (Sql_gen.stream * R.Cursor.t) list)
         Obs.Attr.int "texts" !texts;
         Obs.Attr.int "work" !opens;
         Obs.Attr.int "full_compares" ctx.full_compares;
-      ];
-    Obs.Metrics.incr ~by:!opens "tag.elements";
-    Obs.Metrics.observe "tag.tuples" (float_of_int !tuples_in)
-  end
+      ]
 
 let of_relations streams = List.map (fun (d, r) -> (d, R.Cursor.of_relation r)) streams
 

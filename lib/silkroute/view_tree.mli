@@ -66,5 +66,4 @@ val instances : Relational.Database.t -> t -> int -> Relational.Relation.t
 (** Ground-truth instance set of a node via naive datalog evaluation
     (test oracle). *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -250,9 +250,8 @@ let run_cell label key (p : Middleware.prepared) plan (style, reduce) ~spool
     let backend =
       if f = no_faults then None
       else
-        let retry = { R.Backend.default_retry with max_retries = f.retries } in
         let faults = R.Backend.faults ~seed:f.seed f.rate in
-        Some (R.Backend.create ~faults ~retry ~budget:f.budget p.db)
+        Some (R.Backend.create ~faults ~retries:f.retries ~budget:f.budget p.db)
     in
     let e =
       Middleware.execute ~style ~reduce ?backend ~max_splits:f.max_splits

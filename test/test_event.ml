@@ -198,10 +198,7 @@ let test_deterministic_sequence () =
     Obs.Control.with_enabled true (fun () ->
         let db = tpch 0.1 in
         let backend =
-          B.create
-            ~faults:(B.faults ~seed:7 0.8)
-            ~retry:{ B.default_retry with B.max_retries = 4 }
-            db
+          B.create ~faults:(B.faults ~seed:7 0.8) ~retries:4 db
         in
         (try
            ignore
@@ -415,9 +412,7 @@ let test_report_reads_its_own_resilience () =
       let plan = Partition.fully_partitioned p.Middleware.tree in
       let run seed =
         let backend =
-          B.create ~faults:(B.faults ~seed 0.3)
-            ~retry:{ B.default_retry with B.max_retries = 8 }
-            db
+          B.create ~faults:(B.faults ~seed 0.3) ~retries:8 db
         in
         Middleware.execute ~backend ~max_splits:8 p plan
       in
@@ -441,6 +436,36 @@ let test_report_reads_its_own_resilience () =
               st.B.wasted_work))
         line)
 
+(* Regression: the report's EVENTS line counts the run's events.  The
+   report used to emit its own misestimate findings before rendering,
+   so a skewed catalog's findings were counted as the run's warnings. *)
+let test_report_counts_the_runs_events () =
+  with_obs (fun () ->
+      let db = tpch 0.5 in
+      let p = Middleware.prepare_text db Queries.query1_text in
+      R.Stats.scale_table (Lazy.force p.Middleware.stats) "Supplier" 64.0;
+      let e = Middleware.execute p (Middleware.partition_of p Middleware.Greedy) in
+      let warns () =
+        List.length
+          (List.filter
+             (fun (e : Obs.Event.t) -> e.Obs.Event.level = Obs.Event.Warn)
+             (Obs.Event.events ()))
+      in
+      let run_warns = warns () in
+      let report = Middleware.diagnose_report p e in
+      Alcotest.(check bool) "the skew is found" true
+        (List.mem "diagnose.misestimate" (names ()));
+      Alcotest.(check bool) "findings are warnings" true (warns () > run_warns);
+      let line =
+        List.find (String.starts_with ~prefix:"EVENTS") (String.split_on_char '\n' report)
+      in
+      let needle = Printf.sprintf " / %d warn / " run_warns in
+      let n = String.length needle in
+      let rec has i =
+        i + n <= String.length line && (String.sub line i n = needle || has (i + 1))
+      in
+      if not (has 0) then Alcotest.failf "%S does not count %d warn" line run_warns)
+
 let suite =
   [
     Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
@@ -461,4 +486,6 @@ let suite =
       test_explain_keeps_run_estimates;
     Alcotest.test_case "report reads its own run's resilience" `Quick
       test_report_reads_its_own_resilience;
+    Alcotest.test_case "report counts the run's events" `Quick
+      test_report_counts_the_runs_events;
   ]

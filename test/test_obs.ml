@@ -254,11 +254,6 @@ let test_greedy_plan_edge_spans () =
           | Obs.Attr.Float _ -> ()
           | _ -> Alcotest.fail "rel attr not a float")
         edge_spans;
-      Alcotest.(check (option int)) "requests counter" (Some r.Planner.requests)
-        (Obs.Metrics.counter_value "planner.requests");
-      Alcotest.(check (option int)) "cache_hits counter"
-        (Some r.Planner.cache_hits)
-        (Obs.Metrics.counter_value "planner.cache_hits");
       Alcotest.(check bool) "cache saves requests" true (r.Planner.cache_hits > 0))
 
 let test_middleware_stage_spans () =
@@ -349,99 +344,108 @@ let test_per_stream_stats () =
   Alcotest.(check bool) "stats records not shared" true
     (distinct e.Middleware.per_stream)
 
-(* Every exec.* span is one plan node's: its [id] names a node of its
-   stream's plan with the matching operator name, and its [rows] and
-   [work] are that node's actuals.  A join span thus counts the join
-   alone: its work is the join node's cost, without the charges of the
-   projection built inside its probe. *)
-let test_join_spans_count_the_join () =
+let int_attr s key =
+  match attr_exn s key with
+  | Obs.Attr.Int n -> n
+  | _ -> Alcotest.failf "%s: %s not an int" s.Obs.Span.name key
+
+(* Every plan node that ran did so in exactly one exec.* span: the
+   span's [id] names the node, its name is the node's operator's, its
+   [rows] and [work] are the node's actuals, and it lasted at least the
+   node's own ns.  A subtree replayed from another stream's run did not
+   run, and a projection over a join is built inside the join's span. *)
+let check_node_spans what (plan : R.Physical.plan) (st : R.Executor.stats) spans =
+  let a = st.R.Executor.actuals in
+  let skip = Hashtbl.create 16 and ran = ref [] in
+  R.Physical.iter
+    (fun n ->
+      let id = n.R.Physical.id in
+      if List.exists (fun r -> r.R.Executor.r_node = id) st.R.Executor.replayed then
+        R.Physical.iter_node (fun m -> Hashtbl.replace skip m.R.Physical.id ()) n;
+      (match n.R.Physical.shape with
+      | R.Physical.Project { input = { R.Physical.shape = R.Physical.Join _; _ }; _ } ->
+          Hashtbl.replace skip id ()
+      | _ -> ());
+      if not (Hashtbl.mem skip id) then ran := n :: !ran)
+    plan;
+  Alcotest.(check (list int))
+    (what ^ ": one span per node that ran")
+    (List.sort compare (List.map (fun n -> n.R.Physical.id) !ran))
+    (List.sort compare (List.map (fun s -> int_attr s "id") spans));
+  List.iter
+    (fun (s : Obs.Span.t) ->
+      let id = int_attr s "id" in
+      let n = List.find (fun n -> n.R.Physical.id = id) !ran in
+      let what = Printf.sprintf "%s: %s node %d" what s.Obs.Span.name id in
+      Alcotest.(check string) (what ^ ": op_name") s.Obs.Span.name
+        ("exec." ^ R.Physical.op_name n);
+      Alcotest.(check int) (what ^ ": rows") a.R.Physical.rows.(id) (int_attr s "rows");
+      Alcotest.(check int) (what ^ ": work") a.R.Physical.cost.(id) (int_attr s "work");
+      let span_ns = Int64.to_int (Int64.sub s.Obs.Span.end_ns s.Obs.Span.start_ns) in
+      if span_ns < a.R.Physical.ns.(id) then
+        Alcotest.failf "%s: span lasted %d ns, under the node's own %d ns" what span_ns
+          a.R.Physical.ns.(id))
+    spans
+
+let exec_spans () =
+  List.filter
+    (fun (s : Obs.Span.t) -> String.starts_with ~prefix:"exec." s.Obs.Span.name)
+    (Obs.Span.spans ())
+
+let test_one_span_per_node () =
   with_obs (fun () ->
-      let _, p = setup ~scale:0.5 Queries.query1_text in
-      let plan = Middleware.partition_of ~reduce:false p Middleware.Greedy in
-      let e = Middleware.execute ~reduce:false p plan in
-      let spans = Obs.Span.spans () in
-      let by_id = Hashtbl.create 256 in
-      List.iter (fun (s : Obs.Span.t) -> Hashtbl.replace by_id s.Obs.Span.id s) spans;
-      (* the execute.stream span a span ran under *)
-      let rec stream_of (s : Obs.Span.t) =
-        if s.Obs.Span.name = "execute.stream" then s
-        else
-          match s.Obs.Span.parent with
-          | Some id -> stream_of (Hashtbl.find by_id id)
-          | None -> Alcotest.failf "%s: not under execute.stream" s.Obs.Span.name
-      in
-      let int_attr s key =
-        match attr_exn s key with
-        | Obs.Attr.Int n -> n
-        | _ -> Alcotest.failf "%s: %s not an int" s.Obs.Span.name key
-      in
-      let exec =
-        List.filter
-          (fun (s : Obs.Span.t) -> String.starts_with ~prefix:"exec." s.Obs.Span.name)
-          spans
-      in
-      let joins = ref 0 in
+      let db, p = setup ~scale:0.5 Queries.query1_text in
+      (* every stream of a middleware run, shared subtrees included *)
       List.iter
-        (fun (s : Obs.Span.t) ->
-          let root =
-            match attr_exn (stream_of s) "root" with
-            | Obs.Attr.String r -> r
-            | _ -> Alcotest.fail "execute.stream: root not a string"
+        (fun (reduce, strategy) ->
+          Obs.Span.reset ();
+          let plan = Middleware.partition_of ~reduce p strategy in
+          let e = Middleware.execute ~reduce p plan in
+          let spans = Obs.Span.spans () in
+          let by_id = Hashtbl.create 256 in
+          List.iter (fun (s : Obs.Span.t) -> Hashtbl.replace by_id s.Obs.Span.id s) spans;
+          (* the root of the execute.stream span a span ran under *)
+          let rec root_of (s : Obs.Span.t) =
+            if s.Obs.Span.name = "execute.stream" then
+              match attr_exn s "root" with
+              | Obs.Attr.String r -> r
+              | _ -> Alcotest.fail "execute.stream: root not a string"
+            else
+              match s.Obs.Span.parent with
+              | Some id -> root_of (Hashtbl.find by_id id)
+              | None -> Alcotest.failf "%s: not under execute.stream" s.Obs.Span.name
           in
-          let se =
-            List.find
-              (fun (se : Middleware.stream_exec) ->
+          let exec = exec_spans () in
+          let checked = ref 0 in
+          List.iter
+            (fun (se : Middleware.stream_exec) ->
+              let root =
                 View_tree.skolem_name
                   (View_tree.node p.Middleware.tree
                      se.se_stream.Sql_gen.fragment.Partition.root)
                     .View_tree.sfi
-                = root)
-              e.Middleware.per_stream
-          in
-          let id = int_attr s "id" in
-          let node = ref None in
-          R.Physical.iter
-            (fun n -> if n.R.Physical.id = id then node := Some n)
-            se.se_plan;
-          let n =
-            match !node with
-            | Some n -> n
-            | None -> Alcotest.failf "%s: id %d names no node of %s" s.Obs.Span.name id root
-          in
-          (match n.R.Physical.shape with R.Physical.Join _ -> incr joins | _ -> ());
-          let a = se.se_stats.R.Executor.actuals in
-          let what = Printf.sprintf "%s node %d of %s" s.Obs.Span.name id root in
-          Alcotest.(check string) (what ^ ": op_name") s.Obs.Span.name
-            ("exec." ^ R.Physical.op_name n);
-          Alcotest.(check int) (what ^ ": rows") a.R.Physical.rows.(id) (int_attr s "rows");
-          Alcotest.(check int) (what ^ ": work") a.R.Physical.cost.(id) (int_attr s "work"))
-        exec;
-      Alcotest.(check bool) "join spans" true (!joins > 0);
-      (* and every scan, join and sort that ran did so in its span; a
-         subtree replayed from another stream's run did not run *)
-      let operators =
-        List.fold_left
-          (fun acc (se : Middleware.stream_exec) ->
-            let k = ref 0 and replayed = ref 0 in
-            let count n =
-              match n.R.Physical.shape with
-              | R.Physical.Scan _ | R.Physical.Join _ | R.Physical.Sort _ -> 1
-              | _ -> 0
-            in
-            R.Physical.iter
-              (fun n ->
-                k := !k + count n;
-                if
-                  List.exists
-                    (fun r -> r.R.Executor.r_node = n.R.Physical.id)
-                    se.se_stats.R.Executor.replayed
-                then R.Physical.iter_node (fun m -> replayed := !replayed + count m) n)
-              se.se_plan;
-            acc + !k - !replayed)
-          0 e.Middleware.per_stream
-      in
-      Alcotest.(check int) "one span per scan, join and sort that ran"
-        operators (List.length exec))
+              in
+              let mine = List.filter (fun s -> root_of s = root) exec in
+              checked := !checked + List.length mine;
+              check_node_spans
+                (Printf.sprintf "%s%s %s" (Middleware.strategy_name strategy)
+                   (if reduce then "" else " unreduced")
+                   root)
+                se.se_plan se.se_stats mine)
+            e.Middleware.per_stream;
+          Alcotest.(check int) "every exec span is a stream's" (List.length exec) !checked)
+        [ (false, Middleware.Greedy); (true, Middleware.Unified) ];
+      (* filter and dual, which no view plan holds, run alone *)
+      List.iter
+        (fun sql ->
+          Obs.Span.reset ();
+          let plan = R.Physical.plan_of db (R.Sql_parser.parse sql) in
+          let _, st = R.Executor.run_plan_with_stats db plan in
+          check_node_spans sql plan st (exec_spans ()))
+        [
+          "SELECT s.name AS n FROM Supplier AS s WHERE s.suppkey < 5 ORDER BY n";
+          "SELECT 1 AS one";
+        ])
 
 (* Tracing reads a run's actuals and prices nothing: a traced execute
    of a plan that needs no planning leaves the view's catalog unforced,
@@ -538,8 +542,8 @@ let suite =
       test_greedy_plan_edge_spans;
     Alcotest.test_case "middleware stage spans" `Quick test_middleware_stage_spans;
     Alcotest.test_case "per-stream stats breakdown" `Quick test_per_stream_stats;
-    Alcotest.test_case "join spans count the join alone" `Quick
-      test_join_spans_count_the_join;
+    Alcotest.test_case "one exec.* span per node that ran" `Quick
+      test_one_span_per_node;
     Alcotest.test_case "tracing neutral on work counts" `Quick
       test_tracing_does_not_change_work;
     Alcotest.test_case "traced execute leaves the catalog unforced" `Quick

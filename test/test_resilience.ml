@@ -19,8 +19,6 @@ let part_q = "SELECT p.name AS n FROM Part AS p ORDER BY n"
 let tpch scale = Tpch.Gen.generate (Tpch.Gen.config scale)
 let parse = R.Sql_parser.parse
 
-let retry ?(max_retries = 3) () = { B.default_retry with B.max_retries }
-
 (* --- backend unit tests -------------------------------------------------- *)
 
 let test_no_faults_passthrough () =
@@ -39,14 +37,13 @@ let test_no_faults_passthrough () =
 let test_transient_exhausts_bounded_retries () =
   let db = tpch 0.1 in
   let backend =
-    B.create ~faults:(B.faults ~midstream_weight:0.0 1.0)
-      ~retry:(retry ~max_retries:3 ()) db
+    B.create ~faults:(B.faults ~midstream_weight:0.0 1.0) ~retries:3 db
   in
   (match B.execute backend supplier_q with
   | _ -> Alcotest.fail "certain transient faults must exhaust retries"
   | exception B.Backend_error { kind; attempt; _ } ->
       Alcotest.(check bool) "transient" true (kind = B.Transient);
-      Alcotest.(check int) "failed on attempt max_retries+1" 4 attempt);
+      Alcotest.(check int) "failed on attempt retries+1" 4 attempt);
   let st = B.stats backend in
   Alcotest.(check int) "attempts" 4 st.B.attempts;
   Alcotest.(check int) "retries" 3 st.B.retries;
@@ -55,7 +52,7 @@ let test_transient_exhausts_bounded_retries () =
 let test_fatal_not_retried () =
   let db = tpch 0.1 in
   let backend =
-    B.create ~faults:(B.faults ~fatal_weight:1.0 1.0) ~retry:(retry ()) db
+    B.create ~faults:(B.faults ~fatal_weight:1.0 1.0) ~retries:3 db
   in
   (match B.execute backend supplier_q with
   | _ -> Alcotest.fail "fatal fault must escape"
@@ -82,31 +79,23 @@ let test_timeout_not_retried_wasted_work () =
 let test_backoff_exponential_within_jitter () =
   let db = tpch 0.1 in
   let backend =
-    B.create ~faults:(B.faults ~midstream_weight:0.0 1.0)
-      ~retry:
-        {
-          B.max_retries = 3;
-          base_backoff_ms = 10.0;
-          backoff_factor = 2.0;
-          max_backoff_ms = 40.0;
-          jitter = 0.25;
-        }
-      db
+    B.create ~faults:(B.faults ~midstream_weight:0.0 1.0) ~retries:10 db
   in
   (try ignore (B.execute backend supplier_q)
    with B.Backend_error _ -> ());
   let st = B.stats backend in
-  (* slots 10, 20, 40 (capped), each jittered by ±25% *)
+  (* slots 10, 20, ..., 2560, then 5000 (the cap): 10,110 ms, each
+     jittered by ±25% *)
+  Alcotest.(check int) "every retry backed off" 10 st.B.retries;
   Alcotest.(check bool)
-    (Printf.sprintf "total backoff %.1f in [52.5, 87.5]" st.B.backoff_ms)
+    (Printf.sprintf "total backoff %.1f in [7582.5, 12637.5]" st.B.backoff_ms)
     true
-    (st.B.backoff_ms >= 52.5 && st.B.backoff_ms <= 87.5)
+    (st.B.backoff_ms >= 7582.5 && st.B.backoff_ms <= 12637.5)
 
 let test_midstream_drop_retried () =
   let db = tpch 0.3 in
   let backend =
-    B.create ~faults:(B.faults ~midstream_weight:1.0 1.0)
-      ~retry:(retry ~max_retries:2 ()) db
+    B.create ~faults:(B.faults ~midstream_weight:1.0 1.0) ~retries:2 db
   in
   (match B.execute backend part_q with
   | _ -> Alcotest.fail "certain mid-stream drops must exhaust retries"
@@ -130,10 +119,7 @@ let test_midstream_recovery_accounting () =
     if seed > 100 then Alcotest.fail "no recovering seed below 100"
     else
       let backend =
-        B.create
-          ~faults:(B.faults ~seed ~midstream_weight:1.0 0.5)
-          ~retry:(retry ~max_retries:8 ())
-          db
+        B.create ~faults:(B.faults ~seed ~midstream_weight:1.0 0.5) ~retries:8 db
       in
       match B.execute backend part_q with
       | r when (B.stats backend).B.faults_midstream > 0 ->
@@ -154,10 +140,7 @@ let test_seed_determinism () =
   let db = tpch 0.2 in
   let run seed =
     let backend =
-      B.create
-        ~faults:(B.faults ~seed ~midstream_weight:0.5 0.4)
-        ~retry:(retry ~max_retries:8 ())
-        db
+      B.create ~faults:(B.faults ~seed ~midstream_weight:0.5 0.4) ~retries:8 db
     in
     List.iter
       (fun q ->
@@ -302,7 +285,7 @@ let test_retried_run_keeps_actuals () =
             else
               let backend =
                 B.create ~faults:(B.faults ~seed 0.3)
-                  ~retry:(retry ~max_retries:8 ()) db
+                  ~retries:8 db
               in
               let e = resilient ~backend p plan in
               if e.Middleware.resilience.B.retries > 0 then e

@@ -718,10 +718,7 @@ let test_bad_counts_rejected () =
         ~config:{ Service.default_config with Service.result_capacity = -1 }
         db);
   rejects "budget" (fun () -> R.Backend.create ~budget:(-5) db);
-  rejects "retries" (fun () ->
-      R.Backend.create
-        ~retry:{ R.Backend.default_retry with R.Backend.max_retries = -1 }
-        db)
+  rejects "retries" (fun () -> R.Backend.create ~retries:(-1) db)
 
 (* --- latent-bug regressions ---------------------------------------------- *)
 

@@ -97,7 +97,7 @@ let test_faults () =
           let backend () =
             R.Backend.create
               ~faults:(R.Backend.faults ~seed 0.3)
-              ~retry:{ R.Backend.default_retry with max_retries = 8 }
+              ~retries:8
               p.db
           in
           let e = Middleware.execute ~reduce ~backend:(backend ()) p plan in

@@ -85,7 +85,7 @@ let test_backend_run_counts () =
   let faulty =
     R.Backend.create
       ~faults:(R.Backend.faults ~seed:3 ~midstream_weight:1.0 0.6)
-      ~retry:{ R.Backend.default_retry with R.Backend.max_retries = 30 }
+      ~retries:30
       db
   in
   let dropped = R.Backend.execute faulty q in

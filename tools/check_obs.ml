@@ -105,12 +105,21 @@ let check_span where j =
   Hashtbl.replace seen_ids (exp, id) ();
   ignore (need where "number dur_ms" (num "dur_ms" j));
   let name = need where "string name" (str "name" j) in
-  (* an operator span names its plan node *)
-  if String.starts_with ~prefix:"exec." name then
-    match Option.bind (Obs.Json.member "attrs" j) (int "id") with
+  (* an operator span names its plan node and carries its actuals *)
+  if String.starts_with ~prefix:"exec." name then begin
+    let attr key = Option.bind (Obs.Json.member "attrs" j) (int key) in
+    (match attr "id" with
     | Some n when n >= 1 -> ()
     | Some n -> fail "%s: %s span's node id %d < 1" where name n
-    | None -> fail "%s: %s span has no int node \"id\" attr" where name
+    | None -> fail "%s: %s span has no int node \"id\" attr" where name);
+    List.iter
+      (fun key ->
+        match attr key with
+        | Some n when n >= 0 -> ()
+        | Some n -> fail "%s: %s span's %s %d < 0" where name key n
+        | None -> fail "%s: %s span has no int %S attr" where name key)
+      [ "rows"; "work" ]
+  end
 
 let check_event where j =
   let exp = Option.value ~default:"" (str "experiment" j) in
