@@ -32,7 +32,7 @@ let t_fig13 =
 
 let t_fig13_stream =
   (* the same per-plan pipeline through the streaming path: cursors,
-     spooled sub-query results, heap merge, channel-free buffer sink *)
+     spooled sub-query results, heap merge, the string writer *)
   Test.make ~name:"fig13:plan-pipeline-streaming"
     (Staged.stage (fun () ->
          let p = Lazy.force prepared in

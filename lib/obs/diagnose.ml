@@ -130,12 +130,17 @@ let render_misestimates buf ~threshold ~top samples fs =
       fs
   end
 
-(* The operators that took the most measured time, with the time the
-   planner's model predicted for them. *)
+(* The measured operators that did the most work, with the time the
+   planner's model predicted for them and the time they took.  Rows are
+   picked and ordered by work (then stream, then node), which a run
+   reproduces, so two reports of one plan list the same rows. *)
 let render_times buf ~top samples =
   let timed =
     List.filter (fun s -> s.d_act_ms >= 0.0) samples
-    |> List.stable_sort (fun a b -> compare b.d_act_ms a.d_act_ms)
+    |> List.stable_sort (fun a b ->
+           match compare b.d_act_cost a.d_act_cost with
+           | 0 -> compare (a.d_stream, a.d_node) (b.d_stream, b.d_node)
+           | c -> c)
   in
   let total = List.fold_left (fun acc s -> acc +. s.d_act_ms) 0.0 timed in
   let predicted =
@@ -143,15 +148,16 @@ let render_times buf ~top samples =
   in
   bprintf buf
     "OPERATOR TIME — %d operator(s) measured, %.3f ms in all (predicted \
-     %.3f ms); top %d\n"
+     %.3f ms); top %d by work\n"
     (List.length timed) total predicted (min top (List.length timed));
   if timed <> [] then begin
-    bprintf buf "%-8s %6s %-24s %14s %14s\n" "stream" "node" "op"
+    bprintf buf "%-8s %6s %-24s %10s %14s %14s\n" "stream" "node" "op" "work"
       "predicted ms" "actual ms";
     List.iteri
       (fun rank s ->
         if rank < top then
-          bprintf buf "%-8s %6d %-24s %14s %14.3f\n" s.d_stream s.d_node s.d_op
+          bprintf buf "%-8s %6d %-24s %10d %14s %14.3f\n" s.d_stream s.d_node s.d_op
+            s.d_act_cost
             (if s.d_est_ms < 0.0 then "?" else Printf.sprintf "%.3f" s.d_est_ms)
             s.d_act_ms)
       timed

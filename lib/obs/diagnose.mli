@@ -57,9 +57,10 @@ val emit_findings : finding list -> unit
 val render :
   ?threshold:float -> ?top:int -> resilience:string -> sample list -> string
 (** The report: misestimate table ([top] findings, 10 by default, and
-    every leaf finding past them), the [top] operators by measured time
-    with their predicted time (a replayed subtree was not timed, so it
-    is not there), the replayed subtrees, spill list, a RESILIENCE line carrying
+    every leaf finding past them), the [top] measured operators by
+    actual work (ties by stream, then node: a table two runs of one plan
+    reproduce) with their work and their predicted and measured time (a
+    replayed subtree was not timed, so it is not there), the replayed subtrees, spill list, a RESILIENCE line carrying
     [resilience] (the run's own counters, e.g.
     [Middleware.resilience_summary]), event summary, GC pressure per
     operator, and the hot-path percentile table (reads the global

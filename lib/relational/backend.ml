@@ -289,37 +289,36 @@ type run = {
   transfer_ms : float;
 }
 
-(* Drain one attempt's output, in its own span: into the heap (every
-   open is a fresh cursor over the engine's own output batches) or into
-   a spool file (one single-use cursor), counting its tuples, wire bytes
-   and modeled transfer tuple by tuple.  A drop drawn for [trip] rows
-   strikes when a row past them is delivered; one scheduled beyond the
-   end of the stream never fires — the result finished before the
-   (virtual) reset arrived. *)
+(* Drain one attempt's output, in its own span: count its tuples, wire
+   bytes and modeled transfer row by row in delivery order, from the
+   sizes the rows carry (no value is read), then keep it in the heap
+   (every open is a fresh cursor over the engine's own output batches)
+   or move it to a spool file (one single-use cursor).  A drop drawn for
+   [trip] rows strikes when a row past them is delivered, before
+   anything is spooled; one scheduled beyond the end of the stream
+   never fires — the result finished before the (virtual) reset
+   arrived. *)
 let drain t ~attempt ~trip ~spool (plan : Physical.plan) stats out =
   Obs.Span.with_span "backend.drain" (fun () ->
       let transfer = Transfer.default in
       let tuples = ref 0 and bytes = ref 0 in
       (* a float array, not a float ref: adding to it boxes nothing *)
       let transfer_ms = [| transfer.Transfer.per_stream_overhead |] in
-      let count row =
+      let count _ b =
         (match trip with
         | Some n when !tuples >= n -> raise (drop t ~attempt !tuples)
         | _ -> ());
         incr tuples;
-        let b = Tuple.wire_size row in
         bytes := !bytes + b;
         transfer_ms.(0) <- transfer_ms.(0) +. Transfer.tuple_ms transfer ~bytes:b
       in
+      List.iter (Batch.iter count) out;
       let open_rows () = Cursor.of_batches plan.Physical.cols out in
       let rows =
         if spool then
-          let spooled = Cursor.spool ~on_row:count (open_rows ()) in
+          let spooled = Cursor.spool (open_rows ()) in
           fun () -> spooled
-        else begin
-          List.iter (Batch.iter (fun row _ -> count row)) out;
-          open_rows
-        end
+        else open_rows
       in
       if Obs.Span.tracing () then
         Obs.Span.add_list [ Obs.Attr.int "tuples" !tuples; Obs.Attr.int "bytes" !bytes ];

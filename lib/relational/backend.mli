@@ -122,7 +122,9 @@ type run = {
   rows : unit -> Cursor.t;
   stats : Executor.stats;  (** counters and per-node actuals *)
   tuples : int;  (** rows delivered *)
-  bytes : int;  (** their {!Tuple.wire_size} sum *)
+  bytes : int;
+      (** their {!Tuple.wire_size} sum, added from the sizes the rows
+          carry ({!Batch.bytes_at}) *)
   transfer_ms : float;
       (** modeled client transfer ({!Transfer.default}): the stream's
           setup plus each tuple's, added in delivery order *)

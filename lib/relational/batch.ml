@@ -2,7 +2,8 @@
 
 type t = {
   rows : Tuple.t array;
-  bytes : int array;
+  bytes : int array; (* each row's wire size *)
+  uncharged : int; (* the part of each row's [bytes] no sort charges *)
   mutable len : int;
   mutable sel : int array;
       (* indexes of live rows, in ascending order; [||] means "no
@@ -18,11 +19,12 @@ type t = {
    interpreter. *)
 let default_size = 256
 
-let create ?(size = default_size) () =
+let create ?(size = default_size) ?(uncharged = 0) () =
   if size < 1 then invalid_arg "Batch.create: size < 1";
   {
     rows = Array.make size [||];
     bytes = Array.make size 0;
+    uncharged;
     len = 0;
     sel = [||];
     sel_len = 0;
@@ -41,6 +43,7 @@ let of_rows ?bytes rows =
   {
     rows;
     bytes;
+    uncharged = 0;
     len = Array.length rows;
     sel = [||];
     sel_len = 0;
@@ -48,6 +51,7 @@ let of_rows ?bytes rows =
   }
 
 let capacity b = Array.length b.rows
+let uncharged b = b.uncharged
 let length b = if b.filtered then b.sel_len else b.len
 let is_full b = (not b.filtered) && b.len = Array.length b.rows
 

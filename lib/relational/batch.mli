@@ -1,11 +1,19 @@
 (** Fixed-size row chunks with selection vectors — the unit of work of
     the vectorized execution path.
 
-    A batch holds up to [capacity] tuples together with the per-row
-    charged-byte figure that the executor threads from projections down
-    to sorts.  Filtering does not copy rows: {!filter} returns a batch
-    over the same rows with a selection vector of live row indexes, so a
-    chain of predicates touches each row array exactly once.
+    A batch holds up to [capacity] tuples together with each row's byte
+    figure: its {!Tuple.wire_size}, summed once by the operator that
+    built the row (a projection, or a join's concatenation) and carried
+    through filters, unions and sorts to the drain, which adds the
+    figures up without reading a value.  Scans carry 0: no plan delivers
+    or sorts a scan's rows directly.  Part of each figure may be
+    uncharged: an output projection's literal columns skip the emission
+    charge (the narrow-emission discount), and their summed size, one
+    constant per projection, is the batch's {!uncharged} — what a sort
+    takes off each live row to charge what emission charged.  Filtering
+    does not copy rows: {!filter} returns a batch over the same rows
+    with a selection vector of live row indexes, so a chain of
+    predicates touches each row array exactly once.
 
     Invariant: a batch is append-only while it is built and read-only
     once it is handed on — {!filter} leaves its input as it was, so one
@@ -23,19 +31,25 @@ val default_size : int
     major-heap write barriers on every push, so only {!of_rows} builds
     them (a Sort's result). *)
 
-val create : ?size:int -> unit -> t
+val create : ?size:int -> ?uncharged:int -> unit -> t
 (** Fresh empty batch with room for [size] rows (default
-    {!default_size}).  [size] must be at least 1. *)
+    {!default_size}), whose rows' figures include [uncharged] bytes no
+    sort charges (default 0).  [size] must be at least 1. *)
 
 val of_rows : ?bytes:int array -> Tuple.t array -> t
 (** Full batch taking ownership of [rows] (capacity = length = array
-    length) and of their charged-byte figures [bytes] (default all 0;
+    length) and of their byte figures [bytes] (default all 0;
     [Invalid_argument] unless as long as [rows]).  Bulk alternative to
     repeated {!push} for producers that already hold an array — a scan's
     slices, and a Sort's whole output, which is one batch of any
-    length. *)
+    length.  Its {!uncharged} is 0. *)
 
 val capacity : t -> int
+
+val uncharged : t -> int
+(** Bytes of each live row's figure that no sort charges: the wire size
+    of the uncharged literal columns of the projection that built the
+    batch, 0 for any other producer.  {!filter} keeps it. *)
 
 val length : t -> int
 (** Number of live rows: pushed rows minus those dropped by {!keep}. *)
@@ -43,7 +57,7 @@ val length : t -> int
 val is_full : t -> bool
 
 val push : t -> ?bytes:int -> Tuple.t -> unit
-(** Append a row (with its charged-byte figure, default 0).  Raises
+(** Append a row (with its byte figure, default 0).  Raises
     [Invalid_argument] if the batch is full or carries a selection
     vector. *)
 
@@ -52,7 +66,7 @@ val get : t -> int -> Tuple.t
     vector. *)
 
 val bytes_at : t -> int -> int
-(** Charged bytes of the [i]-th live row. *)
+(** Byte figure of the [i]-th live row. *)
 
 val iter : (Tuple.t -> int -> unit) -> t -> unit
 (** [iter f b] applies [f row bytes] to each live row in order. *)

@@ -99,9 +99,12 @@ let charge_sort ctx rows bytes =
 (* copying rows.  Charges mirror the seed interpreter operator for       *)
 (* operator; only the rewriter-granted discounts differ (narrow emission *)
 (* masks, pruned widths, uncharged relocated ON predicates).  Every row  *)
-(* carries its charged-byte figure: what emission charged for it and     *)
-(* what a downstream sort charges again — full wire size everywhere      *)
-(* except under an output projection's literal-column mask.              *)
+(* carries its full wire size, summed once by the operator that built it *)
+(* (a projection, or a join's concatenation) and read by the sort and    *)
+(* the drain without touching a value.  Emission charges that size less  *)
+(* the output projection's uncharged literal columns, one constant per   *)
+(* projection recorded as its batches' [Batch.uncharged]; a sort takes   *)
+(* it off each row again, so it charges what emission charged.           *)
 (* ===================================================================== *)
 
 module P = Physical
@@ -128,10 +131,10 @@ module P = Physical
 
    The probe builds no joined row: it charges each accepted pair, or an
    unmatched outer row's NULL pad, as the joined row it stands for and
-   hands (left row, right row) to its consumer, which builds what it
-   keeps — the concatenation, or the row of the projection above the
-   join.  Nothing per left row allocates except what the consumer
-   builds. *)
+   hands (left row, right row, its wire size) to its consumer, which
+   builds what it keeps — the concatenation, or the row of the
+   projection above the join.  Nothing per left row allocates except
+   what the consumer builds. *)
 type index = {
   lk : int array; (* left key positions *)
   rk : int array; (* right key positions *)
@@ -345,8 +348,9 @@ let test_pair ctx p emit (lrow : Tuple.t) i =
   if p.on lrow rrow then begin
     p.matched <- true;
     if p.lbytes < 0 then p.lbytes <- Tuple.wire_size lrow;
-    charge_emit_bytes ctx (p.lbytes + p.right_bytes.(i));
-    emit lrow rrow
+    let bytes = p.lbytes + p.right_bytes.(i) in
+    charge_emit_bytes ctx bytes;
+    emit lrow rrow bytes
   end
 
 (* Probe one left row: charge its candidates as probed, emit each pair
@@ -388,12 +392,14 @@ let probe_row ctx p emit (lrow : Tuple.t) =
     end
   end;
   if (not p.matched) && p.outer then begin
-    charge_emit_bytes ctx (Tuple.wire_size lrow + p.pad_bytes);
-    emit lrow p.null_pad
+    let bytes = Tuple.wire_size lrow + p.pad_bytes in
+    charge_emit_bytes ctx bytes;
+    emit lrow p.null_pad bytes
   end
 
 (* Run a join: index [right], probe every left row [iter_left] yields,
-   and pass each output row to [consume] as (left row, right row). *)
+   and pass each output row to [consume] as (left row, right row, wire
+   size). *)
 let run_join ctx (info : P.join_info) ~nleft ~iter_left right consume =
   let probed0 = ctx.st.probed in
   let p = probe_create info right in
@@ -496,12 +502,11 @@ let sort_rows keys (rows : Tuple.t array) (bytes : int array) =
     (rows, bytes, !runs)
   end
 
-(* Sort [rows] on [keys], their charged [bytes] beside them — charging
-   it as one sort of their summed bytes — and return both in sorted
-   order. *)
-let exec_sort ctx (n : P.node) keys rows bytes =
+(* Sort [rows] on [keys], their wire sizes [bytes] beside them —
+   charging it as one sort of [total] charged bytes — and return both in
+   sorted order. *)
+let exec_sort ctx (n : P.node) keys rows bytes total =
   let nrows = Array.length rows in
-  let total = Array.fold_left ( + ) 0 bytes in
   let spill0 = ctx.st.spill_passes in
   charge_sort ctx nrows total;
   let spills = ctx.st.spill_passes - spill0 in
@@ -523,14 +528,19 @@ let exec_sort ctx (n : P.node) keys rows bytes =
 (* --- the interpreter --------------------------------------------------- *)
 
 (* Batch builder: accumulates operator output into fixed-size chunks. *)
-type bb = { mutable bb_cur : Batch.t; mutable bb_done : Batch.t list }
+type bb = {
+  bb_uncharged : int; (* every batch's [Batch.uncharged] *)
+  mutable bb_cur : Batch.t;
+  mutable bb_done : Batch.t list;
+}
 
-let bb_create () = { bb_cur = Batch.create (); bb_done = [] }
+let bb_create ?(uncharged = 0) () =
+  { bb_uncharged = uncharged; bb_cur = Batch.create ~uncharged (); bb_done = [] }
 
 let bb_push bb bytes row =
   if Batch.is_full bb.bb_cur then begin
     bb.bb_done <- bb.bb_cur :: bb.bb_done;
-    bb.bb_cur <- Batch.create ()
+    bb.bb_cur <- Batch.create ~uncharged:bb.bb_uncharged ()
   end;
   Batch.push bb.bb_cur ~bytes row
 
@@ -553,9 +563,15 @@ type item =
 (* A projection compiled over (left row, right row), the left row having
    [split] columns; over any input but a join, the whole row is the left
    one.  A row's charged bytes are [lit_bytes], the charged literals'
-   sizes, plus the sizes of the [measured] items: the charged ones that
-   are not literals. *)
-type projection = { items : item array; measured : bool array; lit_bytes : int }
+   sizes, plus the sizes of the other items, which are [measured]; its
+   wire size adds [uncharged], the uncharged literals' sizes.  Only
+   literals may go uncharged. *)
+type projection = {
+  items : item array;
+  measured : bool array;
+  lit_bytes : int;
+  uncharged : int;
+}
 
 let projection ~split (items : Expr.resolved array) (charged : bool array) =
   let item = function
@@ -564,16 +580,23 @@ let projection ~split (items : Expr.resolved array) (charged : bool array) =
     | e -> Fn (Expr.compile_join ~split e)
   in
   let items = Array.map item items in
-  let measured = Array.make (Array.length items) false and lit_bytes = ref 0 in
+  let measured = Array.make (Array.length items) false in
+  let lit_bytes = ref 0 and uncharged = ref 0 in
   Array.iteri
     (fun k it ->
       match it with
-      | Lit v -> if charged.(k) then lit_bytes := !lit_bytes + Value.wire_size v
-      | _ -> measured.(k) <- charged.(k))
+      | Lit v ->
+          let b = if charged.(k) then lit_bytes else uncharged in
+          b := !b + Value.wire_size v
+      | _ ->
+          if not charged.(k) then
+            invalid_arg "Executor: a projection leaves a computed column uncharged";
+          measured.(k) <- true)
     items;
-  { items; measured; lit_bytes = !lit_bytes }
+  { items; measured; lit_bytes = !lit_bytes; uncharged = !uncharged }
 
-(* Build the projection's row of (l, r), charge its bytes and push it. *)
+(* Build the projection's row of (l, r), charge its bytes and push it
+   with its wire size. *)
 let project_pair ctx pr bb (l : Tuple.t) (r : Tuple.t) =
   let n = Array.length pr.items in
   let t = Array.make n Value.Null in
@@ -590,7 +613,7 @@ let project_pair ctx pr bb (l : Tuple.t) (r : Tuple.t) =
     if pr.measured.(k) then bytes := !bytes + Value.wire_size v
   done;
   charge_emit_bytes ctx !bytes;
-  bb_push bb !bytes t
+  bb_push bb (!bytes + pr.uncharged) t
 
 (* --- shared subtrees ----------------------------------------------------- *)
 
@@ -714,9 +737,9 @@ and exec_node ctx share (n : P.node) : Batch.t list =
           let arity = Schema.arity (Database.schema ctx.db table) in
           let narrow = Array.length cols <> arity in
           (* Bulk-slice the base array into full batches instead of
-             pushing row by row.  Scan outputs never feed a sort
-             directly (a projection always intervenes), so their
-             charged-byte figures stay 0. *)
+             pushing row by row.  Scan outputs never feed a sort or the
+             drain directly (a projection always intervenes), so their
+             byte figures stay 0. *)
           let nrows = Array.length data in
           let rec chunks off acc =
             if off >= nrows then List.rev acc
@@ -750,7 +773,7 @@ and exec_node ctx share (n : P.node) : Batch.t list =
       let inb = exec_batched input in
       own ctx n (fun () ->
           let pr = projection ~split:max_int items charged in
-          let bb = bb_create () in
+          let bb = bb_create ~uncharged:pr.uncharged () in
           List.iter (Batch.iter (fun row _ -> project_pair ctx pr bb row [||])) inb;
           bb_finish bb)
   | P.Join { left; right; info } -> exec_join ctx share n info left right
@@ -763,17 +786,23 @@ and exec_node ctx share (n : P.node) : Batch.t list =
   | P.Sort { input; keys; _ } ->
       let inb = exec_batched input in
       own ctx n (fun () ->
-          (* one output batch: the sorted rows, with their charged bytes *)
+          (* one output batch: the sorted rows, with their wire sizes;
+             the charge leaves out each input batch's uncharged bytes *)
           let nrows = batch_rows inb in
           let rows = Array.make nrows [||] and bytes = Array.make nrows 0 in
-          let i = ref 0 in
+          let i = ref 0 and total = ref 0 in
           List.iter
-            (Batch.iter (fun row b ->
-                 rows.(!i) <- row;
-                 bytes.(!i) <- b;
-                 incr i))
+            (fun batch ->
+              total := !total - (Batch.length batch * Batch.uncharged batch);
+              Batch.iter
+                (fun row b ->
+                  rows.(!i) <- row;
+                  bytes.(!i) <- b;
+                  total := !total + b;
+                  incr i)
+                batch)
             inb;
-          let rows, bytes = exec_sort ctx n keys rows bytes in
+          let rows, bytes = exec_sort ctx n keys rows bytes !total in
           if nrows = 0 then [] else [ Batch.of_rows ~bytes rows ])
 
 (* Run a join node's inputs, then the join, which builds each output
@@ -782,12 +811,13 @@ and exec_node ctx share (n : P.node) : Batch.t list =
 and exec_join ctx share ?fused (n : P.node) (info : P.join_info) left right =
   let left = exec_batched ctx share left in
   let right = exec_batched ctx share right in
-  let bb = bb_create () and built = ref 0 in
+  let uncharged = match fused with Some (_, pr) -> pr.uncharged | None -> 0 in
+  let bb = bb_create ~uncharged () and built = ref 0 in
   let consume =
     match fused with
-    | None -> fun l r -> bb_push bb 0 (Tuple.concat l r)
+    | None -> fun l r bytes -> bb_push bb bytes (Tuple.concat l r)
     | Some (_, pr) ->
-        fun l r ->
+        fun l r _ ->
           let w = ctx.st.work in
           project_pair ctx pr bb l r;
           built := !built + ctx.st.work - w

@@ -36,52 +36,57 @@
    variables, text contents, the (parent, SFI component) -> node map —
    is resolved to array indices once per stream or per call, so the
    per-tuple loop does array reads and value comparisons only, and
-   allocates nothing beyond the elements and texts it emits. *)
+   allocates nothing beyond the pending items of the elements it opens.
+   Texts stay values until a sink writes them: the string and channel
+   writers format an Int straight into their output, escape a String in
+   place and write each tag as one string rendered once per call. *)
 
 module R = Relational
 
 type sink = {
-  on_open : string -> unit;
-  on_text : string -> unit;
-  on_close : string -> unit;
+  on_open : int -> unit;
+  on_text : R.Value.t -> unit;
+  on_close : int -> unit;
 }
+
+let root = -1
+
+let tag_of tree id =
+  if id = root then tree.View_tree.root_tag else (View_tree.node tree id).View_tree.tag
 
 (* --- pending items ----------------------------------------------------- *)
 
 type pending_item = { index : int; payload : payload }
 
 and payload =
-  | Text_payload of string
+  | Text_payload of R.Value.t
   | Fused_payload of fused_elem
 
 and fused_elem = { fnode : int; mutable fpending : pending_item list }
 
-let value_text v = if R.Value.is_null v then "" else R.Value.to_string v
-
 (* Emit a fused element and everything pending inside it. *)
-let rec emit_fused tree sink (f : fused_elem) =
-  let n = View_tree.node tree f.fnode in
-  sink.on_open n.View_tree.tag;
-  emit_items tree sink f.fpending;
+let rec emit_fused sink (f : fused_elem) =
+  sink.on_open f.fnode;
+  emit_items sink f.fpending;
   f.fpending <- [];
-  sink.on_close n.View_tree.tag
+  sink.on_close f.fnode
 
-and emit_payload tree sink = function
-  | Text_payload s -> sink.on_text s
-  | Fused_payload f -> emit_fused tree sink f
+and emit_payload sink = function
+  | Text_payload v -> sink.on_text v
+  | Fused_payload f -> emit_fused sink f
 
-and emit_items tree sink = function
+and emit_items sink = function
   | [] -> ()
   | item :: rest ->
-      emit_payload tree sink item.payload;
-      emit_items tree sink rest
+      emit_payload sink item.payload;
+      emit_items sink rest
 
 (* Emit the pending items with index < threshold — a prefix, as the list
    is sorted by index — and return the rest. *)
-let rec flush_before tree sink threshold = function
+let rec flush_before sink threshold = function
   | item :: rest when item.index < threshold ->
-      emit_payload tree sink item.payload;
-      flush_before tree sink threshold rest
+      emit_payload sink item.payload;
+      flush_before sink threshold rest
   | rest -> rest
 
 (* --- streams ------------------------------------------------------------ *)
@@ -90,7 +95,7 @@ let rec flush_before tree sink threshold = function
    per stream against its columns: text contents and fused children,
    sorted by index. *)
 type template =
-  | Text_const of int * string (* index, text *)
+  | Text_const of int * R.Value.t (* index, text *)
   | Text_col of int * int (* index, column or -1 *)
   | Fused of int * int (* index, fused child node *)
 
@@ -159,7 +164,7 @@ let build_stream_state tree sid (desc : Sql_gen.stream) (cur : R.Cursor.t) :
         List.map
           (fun (index, c) ->
             match c with
-            | View_tree.Content_const v -> Text_const (index, value_text v)
+            | View_tree.Content_const v -> Text_const (index, v)
             | View_tree.Content_var v -> Text_col (index, var_col v))
           n.View_tree.contents
       in
@@ -213,9 +218,8 @@ let rec instantiate st t = function
   | template :: rest ->
       let item =
         match template with
-        | Text_const (index, s) -> { index; payload = Text_payload s }
-        | Text_col (index, i) ->
-            { index; payload = Text_payload (value_text (col t i)) }
+        | Text_const (index, v) -> { index; payload = Text_payload v }
+        | Text_col (index, i) -> { index; payload = Text_payload (col t i) }
         | Fused (index, m) ->
             {
               index;
@@ -433,9 +437,9 @@ let replay ctx m =
 let close_one ctx =
   if ctx.depth > 0 then begin
     let d = ctx.depth - 1 in
-    emit_items ctx.tree ctx.sink ctx.pending.(d);
+    emit_items ctx.sink ctx.pending.(d);
     ctx.pending.(d) <- [];
-    ctx.sink.on_close (View_tree.node ctx.tree ctx.nodes.(d)).View_tree.tag;
+    ctx.sink.on_close ctx.nodes.(d);
     ctx.depth <- d
   end
 
@@ -461,7 +465,7 @@ let open_element ctx st t id =
     if ctx.depth = 0 then None
     else begin
       let d = ctx.depth - 1 in
-      let rest = flush_before ctx.tree ctx.sink n.View_tree.sibling_index ctx.pending.(d) in
+      let rest = flush_before ctx.sink n.View_tree.sibling_index ctx.pending.(d) in
       let found = find_fused id rest in
       ctx.pending.(d) <-
         (match found with
@@ -479,7 +483,7 @@ let open_element ctx st t id =
     | Some f -> f.fpending
     | None -> instantiate st t st.templates.(id)
   in
-  ctx.sink.on_open n.View_tree.tag;
+  ctx.sink.on_open id;
   if ctx.depth >= Array.length ctx.nodes then
     invalid_arg "Tagger: tuple path deeper than the view tree";
   ctx.nodes.(ctx.depth) <- id;
@@ -532,7 +536,7 @@ let tag_cursors tree (streams : (Sql_gen.stream * R.Cursor.t) list)
   let tuples_in = ref 0 in
   let ctx = make_ctx tree sink in
   let m = build_merge ctx states in
-  sink.on_open tree.View_tree.root_tag;
+  sink.on_open root;
   while m.winner >= 0 && states.(m.winner).live do
     let st = states.(m.winner) in
     let t = st.head in
@@ -547,7 +551,7 @@ let tag_cursors tree (streams : (Sql_gen.stream * R.Cursor.t) list)
     process_tuple ctx st t depth
   done;
   close_to_depth ctx 0;
-  sink.on_close tree.View_tree.root_tag;
+  sink.on_close root;
   if Obs.Span.tracing () then
     Obs.Span.add_list
       [
@@ -566,20 +570,23 @@ let tag tree (streams : (Sql_gen.stream * R.Relation.t) list) (sink : sink) :
   tag_cursors tree (of_relations streams) sink
 
 (* Sink building an in-memory document (tests, validation). *)
-let document_sink () =
+let document_sink tree =
   let stack : (string * Xmlkit.Xml.node list ref) list ref = ref [] in
   let result = ref None in
   let sink =
     {
-      on_open = (fun tag -> stack := (tag, ref []) :: !stack);
+      on_open = (fun id -> stack := (tag_of tree id, ref []) :: !stack);
       on_text =
-        (fun s ->
+        (fun v ->
           match !stack with
           | (_, children) :: _ ->
-              if s <> "" then children := Xmlkit.Xml.Text s :: !children
+              if not (R.Value.is_null v) then
+                let s = R.Value.to_string v in
+                if s <> "" then children := Xmlkit.Xml.Text s :: !children
           | [] -> invalid_arg "Tagger: text outside any element");
       on_close =
-        (fun tag ->
+        (fun id ->
+          let tag = tag_of tree id in
           match !stack with
           | (tag', children) :: rest ->
               if tag <> tag' then
@@ -604,30 +611,38 @@ let document_sink () =
   (sink, get)
 
 let to_document tree streams : Xmlkit.Xml.t =
-  let sink, get = document_sink () in
+  let sink, get = document_sink tree in
   tag tree streams sink;
   get ()
 
 let to_document_cursors tree streams : Xmlkit.Xml.t =
-  let sink, get = document_sink () in
+  let sink, get = document_sink tree in
   tag_cursors tree streams sink;
   get ()
 
-(* Sink serializing directly to a buffer. *)
-let buffer_sink buf =
-  {
-    on_open =
-      (fun tag ->
-        Buffer.add_char buf '<';
-        Buffer.add_string buf tag;
-        Buffer.add_char buf '>');
-    on_text = Xmlkit.Serialize.escape_into buf;
-    on_close =
-      (fun tag ->
-        Buffer.add_string buf "</";
-        Buffer.add_string buf tag;
-        Buffer.add_char buf '>');
-  }
+(* --- writers ----------------------------------------------------------------- *)
+
+(* Every element's start and end tag, rendered once per call: node id +
+   1 -> "<tag>" and "</tag>", the document root at 0. *)
+let rendered_tags tree =
+  let n = Array.length tree.View_tree.nodes + 1 in
+  let render f = Array.init n (fun i -> f (tag_of tree (i - 1))) in
+  (render (fun t -> "<" ^ t ^ ">"), render (fun t -> "</" ^ t ^ ">"))
+
+(* The length of [string_of_int n]. *)
+let int_length n =
+  let rec go m k = if m > -10 then k else go (m / 10) (k + 1) in
+  if n < 0 then go n 2 else go (-n) 1
+
+(* Write [string_of_int n], [len] characters long, at [b.[pos]]: digits
+   from the last, off the non-positive [m], which [min_int] fits. *)
+let put_int b pos len n =
+  let m = ref (if n < 0 then n else -n) in
+  for i = pos + len - 1 downto pos + Bool.to_int (n < 0) do
+    Bytes.set b i (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  if n < 0 then Bytes.set b pos '-'
 
 (* --- chunked string writer ------------------------------------------------ *)
 
@@ -649,11 +664,6 @@ let next_chunk w =
   w.cur <- Bytes.create (Int.min max_chunk (2 * Bytes.length w.cur));
   w.pos <- 0
 
-let add_char w c =
-  if w.pos = Bytes.length w.cur then next_chunk w;
-  Bytes.set w.cur w.pos c;
-  w.pos <- w.pos + 1
-
 let rec add_substring w s i len =
   let n = Int.min len (Bytes.length w.cur - w.pos) in
   Bytes.blit_string s i w.cur w.pos n;
@@ -673,6 +683,17 @@ let rec add_escaped w s i =
     add_escaped w s (j + 1)
   end
 
+(* In place when the chunk has room; a chunk is filled to its end
+   before the next starts, so a number it splits is written as a
+   string. *)
+let add_int w n =
+  let len = int_length n in
+  if w.pos + len <= Bytes.length w.cur then begin
+    put_int w.cur w.pos len n;
+    w.pos <- w.pos + len
+  end
+  else add_string w (string_of_int n)
+
 let chunks_contents w =
   let out = Bytes.create (w.full_len + w.pos) in
   Bytes.blit w.cur 0 out w.full_len w.pos;
@@ -685,44 +706,43 @@ let chunks_contents w =
        w.full_len w.full);
   Bytes.unsafe_to_string out
 
-let chunks_sink w =
+let chunks_sink tree w =
+  let opens, closes = rendered_tags tree in
   {
-    on_open =
-      (fun tag ->
-        add_char w '<';
-        add_string w tag;
-        add_char w '>');
-    on_text = (fun s -> add_escaped w s 0);
-    on_close =
-      (fun tag ->
-        add_string w "</";
-        add_string w tag;
-        add_char w '>');
+    on_open = (fun id -> add_string w opens.(id + 1));
+    on_text =
+      (function
+      | R.Value.Null -> ()
+      | R.Value.Int n -> add_int w n
+      | R.Value.String s -> add_escaped w s 0
+      | v -> add_escaped w (R.Value.to_string v) 0);
+    on_close = (fun id -> add_string w closes.(id + 1));
   }
 
 let to_string_cursors tree streams : string =
   let w = { full = []; full_len = 0; cur = Bytes.create 4096; pos = 0 } in
-  tag_cursors tree streams (chunks_sink w);
+  tag_cursors tree streams (chunks_sink tree w);
   chunks_contents w
 
 let to_string tree streams : string = to_string_cursors tree (of_relations streams)
 
 (* Sink writing straight to a channel: XML leaves the process as it is
    produced, without ever holding the whole document in memory. *)
-let channel_sink oc =
+let channel_sink tree oc =
+  let opens, closes = rendered_tags tree and digits = Bytes.create 20 in
   {
-    on_open =
-      (fun tag ->
-        output_char oc '<';
-        output_string oc tag;
-        output_char oc '>');
-    on_text = Xmlkit.Serialize.output_escaped oc;
-    on_close =
-      (fun tag ->
-        output_string oc "</";
-        output_string oc tag;
-        output_char oc '>');
+    on_open = (fun id -> output_string oc opens.(id + 1));
+    on_text =
+      (function
+      | R.Value.Null -> ()
+      | R.Value.Int n ->
+          let len = int_length n in
+          put_int digits 0 len n;
+          output oc digits 0 len
+      | R.Value.String s -> Xmlkit.Serialize.output_escaped oc s
+      | v -> Xmlkit.Serialize.output_escaped oc (R.Value.to_string v));
+    on_close = (fun id -> output_string oc closes.(id + 1));
   }
 
 let to_channel tree streams oc : unit =
-  tag_cursors tree streams (channel_sink oc)
+  tag_cursors tree streams (channel_sink tree oc)

@@ -14,16 +14,23 @@
     stack it shares.  Ties are broken by stream position, so the merge
     order matches a left-to-right scan.  A stream whose tuples are not in
     that order raises [Invalid_argument], naming the stream's position
-    and its fragment root.  The string paths write into fixed-size
+    and its fragment root.  Texts reach the sink as the values the
+    tuples hold.  The string and channel writers render each element's
+    tags once per call and write a value without making a string of it
+    first (an Int is formatted into the output, a String escaped in
+    place, NULL writes nothing); the string path writes into fixed-size
     chunks copied once into the result. *)
 
-(** Event consumer.  {!buffer_sink} and {!to_channel}'s channel sink
-    serialize directly (the constant-space paths); {!document_sink} builds an
-    in-memory tree for validation and tests. *)
+(** Event consumer.  Elements are named by view-tree node id, -1 for
+    the document root; a text is the value of a content column or
+    constant, NULL included (it renders as nothing).
+    {!to_string_cursors} and {!to_channel} serialize directly (the
+    constant-space paths); {!document_sink} builds an in-memory tree
+    for validation and tests. *)
 type sink = {
-  on_open : string -> unit;
-  on_text : string -> unit;
-  on_close : string -> unit;
+  on_open : int -> unit;
+  on_text : Relational.Value.t -> unit;
+  on_close : int -> unit;
 }
 
 val tag_cursors :
@@ -46,8 +53,10 @@ val tag :
 (** Merge-and-tag from materialized relations: wraps each relation in a
     cursor and runs {!tag_cursors}. *)
 
-val document_sink : unit -> sink * (unit -> Xmlkit.Xml.t)
-val buffer_sink : Buffer.t -> sink
+val document_sink : View_tree.t -> sink * (unit -> Xmlkit.Xml.t)
+(** A sink for the view tree's elements that builds the document: each
+    non-NULL text is {!Relational.Value.to_string}'s, and an empty text
+    adds no node. *)
 
 val to_document :
   View_tree.t -> (Sql_gen.stream * Relational.Relation.t) list -> Xmlkit.Xml.t

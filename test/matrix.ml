@@ -7,8 +7,8 @@
    References are memoized process-wide, so later suites reuse them: per
    (view, database) the naive-datalog truth, DTD-valid where the view
    has a DTD; per lattice point one inline heap run, whose document must
-   equal the truth.  Every other cell reproduces that run's buffer-sink
-   bytes (never a serialized document: the buffer sink cannot
+   equal the truth.  Every other cell reproduces that run's string-path
+   bytes (never a serialized document: the tagger's writers do not
    self-close an empty element) and, fault-free, its accounting. *)
 
 open Silkroute
@@ -190,21 +190,12 @@ let reference t mask ((style, reduce) as point) =
         Alcotest.failf "%s, mask %d, %s: node costs sum to %d, work is %d"
           t.label mask se.se_sql !cost se.se_stats.work)
     e.per_stream;
-  (* one tagging pass feeds the document and the buffer sink *)
-  let (d : Tagger.sink), doc = Tagger.document_sink () in
-  let buf = Buffer.create 4096 in
-  let b = Tagger.buffer_sink buf in
-  let both f g s = f s; g s in
-  Tagger.tag_cursors p.tree (Middleware.cursors e)
-    {
-      on_open = both d.on_open b.on_open;
-      on_text = both d.on_text b.on_text;
-      on_close = both d.on_close b.on_close;
-    };
-  if not (Xmlkit.Xml.equal (doc ()) t.doc) then
-    Alcotest.failf "%s, mask %d: document differs from the truth" t.label mask;
+  (* the heap run's rows reopen: the document path and the string path
+     each tag them *)
+  if not (Xmlkit.Xml.equal (Tagger.to_document_cursors p.tree (Middleware.cursors e)) t.doc)
+  then Alcotest.failf "%s, mask %d: document differs from the truth" t.label mask;
   (* the points of a view agree: keep one copy of their bytes *)
-  let bytes = Buffer.contents buf in
+  let bytes = Tagger.to_string_cursors p.tree (Middleware.cursors e) in
   if t.canonical = "" then t.canonical <- bytes;
   let bytes = if bytes = t.canonical then t.canonical else bytes in
   { bytes; work = e.work; tuples = e.tuples; out_bytes = e.bytes;

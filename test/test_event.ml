@@ -466,6 +466,40 @@ let test_report_counts_the_runs_events () =
       in
       if not (has 0) then Alcotest.failf "%S does not count %d warn" line run_warns)
 
+(* Regression: the OPERATOR TIME table lists the same operators in the
+   same order in every report of one plan.  It used to pick and order
+   its rows by measured ms, so two runs of q1 greedy listed different
+   rows.  Timed by the real clock; the ms figures are masked. *)
+let test_operator_time_table_reproducible () =
+  let db = tpch 1.0 in
+  let p = Middleware.prepare_text db Queries.query1_text in
+  let table () =
+    let e = Middleware.execute p (Middleware.partition_of p Middleware.Greedy) in
+    let lines = String.split_on_char '\n' (Middleware.diagnose_report p e) in
+    let rec section on = function
+      | [] -> []
+      | l :: rest ->
+          if String.starts_with ~prefix:"OPERATOR TIME" l then l :: section true rest
+          else if on && l <> "" then l :: section on rest
+          else if on then []
+          else section on rest
+    in
+    (* every decimal figure is a time: mask it *)
+    let mask l =
+      String.split_on_char ' ' l
+      |> List.map (fun w ->
+             if w <> "" && String.contains w '.'
+                && String.for_all (fun c -> c = '.' || (c >= '0' && c <= '9')) w
+             then "#"
+             else w)
+      |> String.concat " "
+    in
+    List.map mask (section false lines)
+  in
+  let first = table () in
+  Alcotest.(check bool) "the table has rows" true (List.length first > 2);
+  Alcotest.(check (list string)) "the same rows in the same order" first (table ())
+
 let suite =
   [
     Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
@@ -488,4 +522,6 @@ let suite =
       test_report_reads_its_own_resilience;
     Alcotest.test_case "report counts the run's events" `Quick
       test_report_counts_the_runs_events;
+    Alcotest.test_case "operator time table is reproducible" `Quick
+      test_operator_time_table_reproducible;
   ]

@@ -736,7 +736,7 @@ let test_tagger_empty_sfi_error () =
           tree.S.View_tree.nodes;
     }
   in
-  let sink, _ = S.Tagger.document_sink () in
+  let sink, _ = S.Tagger.document_sink broken in
   match S.Tagger.tag broken [] sink with
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument msg ->

@@ -175,7 +175,7 @@ let test_to_channel_matches_string () =
       let n = in_channel_length ic in
       let s = really_input_string ic n in
       close_in ic;
-      Alcotest.(check string) "channel sink matches buffer sink" expected s)
+      Alcotest.(check string) "channel writer matches string writer" expected s)
 
 let test_timeout_payload () =
   let db = Tpch.Gen.generate (Tpch.Gen.config 0.3) in
@@ -259,6 +259,107 @@ let test_streaming_memory_bounded () =
     true
     (hw_streaming * 4 < hw_materialized || hw_streaming <= 4096)
 
+(* --- carried wire sizes -------------------------------------------- *)
+
+(* The operators whose rows a plan delivers, or its Sort sorts: unions,
+   filters and derived tables only pass rows on. *)
+let rec producers (n : R.Physical.node) =
+  match n.R.Physical.shape with
+  | R.Physical.Sort { input; _ } | Filter { input; _ } | Derived { input; _ } ->
+      producers input
+  | Union ns -> List.concat_map producers ns
+  | _ -> [ n ]
+
+(* Every row a plan delivers carries its wire size, and the backend's
+   counts are a recomputation from the delivered rows in order, float
+   for float: every lattice point of q1/q2/q3 at scale 0.2, reduced or
+   not, heap-drained or spooled. *)
+let test_carried_sizes () =
+  let db = Tpch.Gen.generate (Tpch.Gen.config 0.2) in
+  let transfer = R.Transfer.default in
+  let checked = Hashtbl.create 512 in
+  let stream name mask reduce spool (se : Middleware.stream_exec) =
+    let label =
+      Printf.sprintf "%s, mask %d, reduce %b, spool %b: %s" name mask reduce spool
+        se.se_sql
+    in
+    (* each distinct statement's own run, once *)
+    if not (Hashtbl.mem checked se.se_sql) then begin
+      Hashtbl.add checked se.se_sql ();
+      List.iter
+        (fun (n : R.Physical.node) ->
+          match n.shape with
+          | R.Physical.Scan _ -> Alcotest.failf "%s: a scan's rows reach the output" label
+          | _ -> ())
+        (producers se.se_plan.root);
+      let out, _ = R.Executor.run_plan_batches_with_stats db se.se_plan in
+      List.iter
+        (R.Batch.iter (fun row b ->
+             if b <> R.Tuple.wire_size row then
+               Alcotest.failf "%s: a row carries %d bytes, its wire size is %d" label b
+                 (R.Tuple.wire_size row)))
+        out
+    end;
+    let bytes = List.map R.Tuple.wire_size (R.Cursor.to_list (se.se_cursor ())) in
+    let ms =
+      List.fold_left
+        (fun acc b -> acc +. R.Transfer.tuple_ms transfer ~bytes:b)
+        transfer.per_stream_overhead bytes
+    in
+    if se.se_rows <> List.length bytes then Alcotest.failf "%s: tuples" label;
+    if se.se_bytes <> List.fold_left ( + ) 0 bytes then Alcotest.failf "%s: bytes" label;
+    if Int64.bits_of_float se.se_transfer_ms <> Int64.bits_of_float ms then
+      Alcotest.failf "%s: transfer %h ms, recomputed %h" label se.se_transfer_ms ms
+  in
+  List.iter
+    (fun (name, text) ->
+      let p = Middleware.prepare_text db text in
+      List.iter
+        (fun mask ->
+          let plan = Partition.of_mask p.tree mask in
+          List.iter
+            (fun (reduce, spool) ->
+              let e = Middleware.execute ~reduce ~spool p plan in
+              List.iter (stream name mask reduce spool) e.per_stream)
+            [ (false, false); (false, true); (true, false); (true, true) ])
+        (Partition.all_masks p.tree))
+    [ ("q1", Queries.query1_text); ("q2", Queries.query2_text); ("q3", Queries.query3_text) ]
+
+(* A Sort over a UNION ALL of two output projections whose uncharged
+   literals differ — NULL and 'supplier' in one branch, NULL and 'p' at
+   other positions in the other — charges what emission charged: every
+   row's wire size less its own branch's literals.  The sort buffer is
+   small, so the charged bytes also price the spill passes. *)
+let test_sort_over_union_charge () =
+  let db = Tpch.Gen.generate (Tpch.Gen.config 0.5) in
+  let q =
+    "(SELECT s.suppkey AS k, s.name AS a, NULL AS b, 'supplier' AS t FROM Supplier AS s) \
+     UNION ALL (SELECT p.partkey AS k, NULL AS a, p.name AS b, 'p' AS t FROM Part AS p) \
+     ORDER BY k, t"
+  in
+  let profile = { R.Executor.sort_buffer = 1024; byte_div = 16 } in
+  let plan = R.Physical.plan_of db (R.Sql_parser.parse q) in
+  let out, st = R.Executor.run_plan_batches_with_stats ~profile db plan in
+  let size = R.Value.wire_size in
+  let rows = ref 0 and charged = ref 0 in
+  List.iter
+    (R.Batch.iter (fun row b ->
+         if b <> R.Tuple.wire_size row then
+           Alcotest.failf "a row carries %d bytes, its wire size is %d" b
+             (R.Tuple.wire_size row);
+         incr rows;
+         charged := !charged + b - size R.Value.Null - size row.(3)))
+    out;
+  let rec log2 acc n = if n <= 1 then acc else log2 (acc + 1) (n / 2) in
+  let passes = max 1 (log2 0 (!charged / profile.sort_buffer)) in
+  Alcotest.(check bool) "the sort spills" true (!charged > profile.sort_buffer);
+  Alcotest.(check int) "the sort's charge"
+    ((4 * !rows * max 1 (log2 0 !rows)) + (passes * (!charged / profile.byte_div)))
+    st.actuals.cost.(plan.root.id);
+  (* pinned: what the plan charged when each row carried only its charged
+     bytes, so carrying the full sizes changes no charge *)
+  Alcotest.(check int) "the plan's work" 3678 st.work
+
 let suite =
   [
     Alcotest.test_case "cursor roundtrip" `Quick test_cursor_roundtrip;
@@ -282,4 +383,8 @@ let suite =
     Alcotest.test_case "streaming memory bounded" `Quick test_streaming_memory_bounded;
     Alcotest.test_case "heap path allocates the same every run" `Quick
       test_allocation_deterministic;
+    Alcotest.test_case "rows carry their wire size to the drain" `Quick
+      test_carried_sizes;
+    Alcotest.test_case "sort over a union charges what emission charged" `Quick
+      test_sort_over_union_charge;
   ]

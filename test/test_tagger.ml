@@ -87,7 +87,7 @@ let test_absent_sibling_key_reads_null () =
 
 let test_escaping_sinks_agree () =
   (* every XML-special character, alone, in runs and between plain text:
-     the buffer sink, the channel sink and the document sink must
+     the string writer, the channel writer and the document path must
      produce the same bytes *)
   let db = Tpch.Gen.empty_database () in
   R.Database.load db "Region"
@@ -108,7 +108,7 @@ let test_escaping_sinks_agree () =
      <region>a&lt;b &amp;&amp; c&gt;&apos;d&quot;e</region>\
      <region>plain</region><region>&amp;&amp;&amp;&lt;&lt;&gt;&gt;</region></regions>"
   in
-  Alcotest.(check string) "buffer sink" expected (Tagger.to_string tree (relations e));
+  Alcotest.(check string) "string writer" expected (Tagger.to_string tree (relations e));
   let path = Filename.temp_file "tagger" ".xml" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -119,9 +119,87 @@ let test_escaping_sinks_agree () =
       let ic = open_in_bin path in
       let written = really_input_string ic (in_channel_length ic) in
       close_in ic;
-      Alcotest.(check string) "channel sink" expected written);
-  Alcotest.(check string) "document sink" expected
+      Alcotest.(check string) "channel writer" expected written);
+  Alcotest.(check string) "document path" expected
     (Xmlkit.Serialize.to_string (Tagger.to_document tree (relations e)))
+
+(* Every Value constructor as text, loaded from CSV: negative, zero and
+   extreme ints, floats, dates, bools, NULL, the empty string and every
+   XML-special character.  The string writer, the channel writer and the
+   serialized document must write the same bytes, unified and fully
+   partitioned.  Each value shares its element with the row id, so no
+   element is empty (a serialized document self-closes those).  The
+   plans are reduced: an unreduced plan joins each child to its parent
+   on the content columns too, and a NULL there drops the child. *)
+let test_every_value_all_writers_agree () =
+  let db =
+    R.Source_desc.load_database
+      {|
+table T {
+  id int key
+  i  int null
+  f  float null
+  d  date null
+  b  bool null
+  s  string null
+}
+|}
+  in
+  let csv =
+    Printf.sprintf
+      "id,i,f,d,b,s\n\
+       1,-5,-1.5,0,true,\"\"\n\
+       2,%d,0.25,12345,false,\"<&>'\"\"\"\n\
+       3,%d,1e300,-7,,\"a<b && c>'d\"\"e\"\n\
+       4,0,,,,\n\
+       5,,3,1,f,plain\n"
+      min_int max_int
+  in
+  ignore (R.Csv.load db "T" csv);
+  let p =
+    Middleware.prepare_text db
+      "view values { from T $t construct <row><i>$t.id $t.i</i><f>$t.id $t.f</f>\
+       <d>$t.id $t.d</d><b>$t.id $t.b</b><s>$t.id $t.s</s></row> }"
+  in
+  let tree = p.Middleware.tree in
+  List.iter
+    (fun (name, plan) ->
+      let e = Middleware.execute ~reduce:true p plan in
+      let via_string = Tagger.to_string_cursors tree (Middleware.cursors e) in
+      let path = Filename.temp_file "tagger" ".xml" in
+      let via_channel =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            let oc = open_out_bin path in
+            Tagger.to_channel tree (Middleware.cursors e) oc;
+            close_out oc;
+            In_channel.with_open_bin path In_channel.input_all)
+      in
+      let via_document =
+        Xmlkit.Serialize.to_string (Tagger.to_document_cursors tree (Middleware.cursors e))
+      in
+      Alcotest.(check string) (name ^ ": channel writer") via_string via_channel;
+      Alcotest.(check string) (name ^ ": document path") via_string via_document;
+      List.iter
+        (fun text ->
+          let n = String.length text in
+          let rec has i =
+            i + n <= String.length via_string
+            && (String.sub via_string i n = text || has (i + 1))
+          in
+          if not (has 0) then Alcotest.failf "%s: no %S in %s" name text via_string)
+        [
+          Printf.sprintf "<i>2%d</i>" min_int;
+          Printf.sprintf "<i>3%d</i>" max_int;
+          "<i>1-5</i>"; "<i>40</i>"; "<i>5</i>"; "<f>1-1.5</f>"; "<f>31e+300</f>";
+          "<f>4</f>"; "<d>31970+-7d</d>"; "<b>1TRUE</b>"; "<b>5FALSE</b>"; "<s>1</s>";
+          "<s>2&lt;&amp;&gt;&apos;&quot;</s>"; "<s>3a&lt;b &amp;&amp; c&gt;&apos;d&quot;e</s>";
+        ])
+    [
+      ("unified", Partition.unified tree);
+      ("partitioned", Partition.fully_partitioned tree);
+    ]
 
 let test_all_plans_agree_fragment () =
   Matrix.(check [ slice fragment figure8 ~masks:(only [ 0; 1; 2; 3 ]) ])
@@ -410,6 +488,8 @@ let suite =
     Alcotest.test_case "output parses back" `Quick test_tagger_output_parses;
     Alcotest.test_case "escaping" `Quick test_escaping_through_tagger;
     Alcotest.test_case "escaping: all sinks agree" `Quick test_escaping_sinks_agree;
+    Alcotest.test_case "every value constructor: all writers agree" `Quick
+      test_every_value_all_writers_agree;
     Alcotest.test_case "absent sibling key reads NULL" `Quick
       test_absent_sibling_key_reads_null;
     Alcotest.test_case "constant content" `Quick test_constant_content;

@@ -12,6 +12,8 @@
 #   4. On an unskewed catalog, greedy's unreduced q1 plan at scale 2
 #      has no finding above 50x: the oracle prices key and foreign-key
 #      joins by their keys.
+#   5. Two reports of one plan list the same OPERATOR TIME rows in the
+#      same order once the ms figures are masked.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -79,5 +81,25 @@ if awk -v w="$worst" 'BEGIN { exit !(w > 50) }'; then
   exit 1
 fi
 echo "worst finding q-error: $worst"
+
+echo "== the OPERATOR TIME table is reproducible"
+# the section from its header to the first blank line, every decimal
+# figure (a time) masked
+op_time() {
+  dune exec bin/silkroute_cli.exe -- diagnose -q q1 --scale 0.5 2>&1 |
+    awk '/^OPERATOR TIME/ { on = 1 } on && NF == 0 { exit } on' |
+    sed -E 's/(^| )[0-9]+\.[0-9]+/\1#/g'
+}
+op_time >"$tmp/op_time.1"
+op_time >"$tmp/op_time.2"
+if [ "$(wc -l <"$tmp/op_time.1")" -lt 3 ]; then
+  echo "FAIL: diagnose report has no OPERATOR TIME rows" >&2
+  exit 1
+fi
+if ! cmp -s "$tmp/op_time.1" "$tmp/op_time.2"; then
+  echo "FAIL: two reports of one plan list different OPERATOR TIME rows" >&2
+  diff "$tmp/op_time.1" "$tmp/op_time.2" >&2 || true
+  exit 1
+fi
 
 echo "== diagnose smoke OK"
