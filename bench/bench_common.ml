@@ -79,7 +79,6 @@ let record_experiment name f =
   if !obs_channel = None && !chrome_prefix = None then f ()
   else begin
     Obs.Span.reset ();
-    Obs.Metrics.reset ();
     Obs.Event.reset ();
     Obs.Span.with_span "experiment"
       ~attrs:[ Obs.Attr.string "name" name ]

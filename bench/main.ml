@@ -10,7 +10,7 @@
    includes it).
    With --obs-jsonl <file>: trace every
    experiment through lib/obs and append per-experiment JSONL records
-   (spans + events + profile + metrics, tagged with the experiment id) to
+   (spans + events + profile, tagged with the experiment id) to
    <file>.  With --trace-chrome <prefix>: also write one Chrome
    trace-event file <prefix>-<experiment>.json per experiment.
 

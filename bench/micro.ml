@@ -77,39 +77,6 @@ let t_fig18 =
     (Staged.stage (fun () ->
          ignore (Sk.Middleware.prepare_text (Lazy.force db) Sk.Queries.query2_text)))
 
-(* Histogram bucketing: Metrics.observe runs once per finished span, so the
-   bound lookup is a hot path.  Compare the shipped binary search against
-   the seed's linear scan over the same 12-bound array and the same
-   deterministic sample stream (an LCG spanning the full bucket range,
-   overflow included). *)
-let bucket_samples =
-  let state = ref 123456789 in
-  Array.init 4096 (fun _ ->
-      state := ((1103515245 * !state) + 12345) land 0x3FFFFFFF;
-      (* map to [0.5, ~8M): exercises every bucket incl. overflow *)
-      0.5 *. (2.0 ** (float_of_int (!state mod 24) /. 1.0)))
-
-let linear_bucket_index bounds x =
-  let nb = Array.length bounds in
-  let rec idx i = if i >= nb || x <= bounds.(i) then i else idx (i + 1) in
-  idx 0
-
-let t_bucket_binary =
-  Test.make ~name:"obs:bucket-binary"
-    (Staged.stage (fun () ->
-         let bounds = Obs.Metrics.default_bounds in
-         Array.iter
-           (fun x -> ignore (Obs.Metrics.bucket_index bounds x))
-           bucket_samples))
-
-let t_bucket_linear =
-  Test.make ~name:"obs:bucket-linear"
-    (Staged.stage (fun () ->
-         let bounds = Obs.Metrics.default_bounds in
-         Array.iter
-           (fun x -> ignore (linear_bucket_index bounds x))
-           bucket_samples))
-
 (* Event emission and GC snapshots sit inside spans on the hot path, so
    their unit costs bound the diagnostics overhead.  The disabled
    variants prove the PR 5 envelope still holds when tracing is off:
@@ -257,7 +224,7 @@ let all_tests =
     (Test.make_grouped ~name:"silkroute" ~fmt:"%s/%s"
        ([
           t_table1; t_sec2; t_fig13; t_fig13_stream; t_fig14; t_fig15; t_fig18;
-          t_bucket_binary; t_bucket_linear; t_event_emit; t_event_disabled;
+          t_event_emit; t_event_disabled;
           t_gc_quickstat; t_span_disabled; t_expr_interpreted; t_expr_compiled;
           t_tag_merge;
         ]

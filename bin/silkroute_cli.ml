@@ -14,14 +14,20 @@
    (one span per stage of Obs.Stage — rxl_parser, view_tree, planner,
    sql_gen, sql_print, sql_parser, physical, executor, tagger — with
    durations and work attributes) to stderr, --profile the name-path profile tree plus a
-   top-k hot-operator table with p50/p90/p99 columns, --metrics the
-   metrics registry, and --trace-json FILE writes spans + profile +
-   metrics as JSON Lines for diffing runs:
+   top-k hot-operator table with exact p50/p90/p99 span durations, and
+   --trace-json FILE writes spans + events + profile as JSON Lines for
+   diffing runs:
 
      silkroute run -q q1 --scale 0.2 --trace
      silkroute run -q q1 --profile
-     silkroute run -q q1 --trace-json trace.jsonl --metrics
+     silkroute run -q q1 --trace-json trace.jsonl
      silkroute plan -q q2 --trace
+
+   Each figure has one home: span durations live in the span log (the
+   profile folds it), event counts in Obs.Event, and a server's request
+   and per-stage latencies in Server.Service, fed from each request's
+   stage clock whether telemetry is on or not; `serve`'s M scrape
+   (`monitor --raw`) exposes them.
 
    Diagnostics: --trace-chrome FILE exports the span tree as Chrome
    trace-event JSON (load in Perfetto or chrome://tracing), --diagnose
@@ -167,14 +173,14 @@ let trace_arg =
 
 let trace_json_arg =
   let doc =
-    "Write the recorded spans and metrics as JSON Lines to $(docv) (one JSON \
-     object per line; see docs/OBSERVABILITY.md for the schema)."
+    "Write the recorded spans, events and profile as JSON Lines to $(docv) \
+     (one JSON object per line; see docs/OBSERVABILITY.md for the schema)."
   in
   Arg.(value & opt (some string) None & info [ "trace-json" ] ~docv:"FILE" ~doc)
 
 let trace_chrome_arg =
   let doc =
-    "Write the recorded spans, events and counters as Chrome trace-event \
+    "Write the recorded spans and events as Chrome trace-event \
      JSON to $(docv); load the file in Perfetto (ui.perfetto.dev) or \
      chrome://tracing."
   in
@@ -201,35 +207,27 @@ let skew_stats_arg =
     value & opt_all string []
     & info [ "skew-stats" ] ~docv:"TABLE=FACTOR" ~doc)
 
-let metrics_arg =
-  let doc =
-    "Print the metrics registry (counters, gauges, histograms with \
-     p50/p90/p99) to stderr after the command finishes."
-  in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
-
 let profile_arg =
   let doc =
     "Print a profile of the run to stderr: the span log aggregated by \
      name-path into a tree of calls / total ms / self ms / rows / work / \
-     bytes, plus a top-k hot-operator table with p50/p90/p99 columns from \
-     the span.ms.* histograms."
+     bytes, plus a top-k hot-operator table with exact p50/p90/p99 \
+     columns over the span durations."
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
 
 (* Enable observability before any pipeline stage runs; emit the chosen
    sinks after everything finished. *)
 let setup_obs ?(trace_chrome = None) ?(diagnose = false) ~trace ~trace_json
-    ~metrics ~profile () =
+    ~profile () =
   if
-    trace || metrics || profile || diagnose || trace_json <> None
+    trace || profile || diagnose || trace_json <> None
     || trace_chrome <> None
   then Obs.Control.set_enabled true
 
-let report_obs ?(trace_chrome = None) ?gc ~trace ~trace_json ~metrics ~profile () =
+let report_obs ?(trace_chrome = None) ?gc ~trace ~trace_json ~profile () =
   if trace then prerr_string (Obs.Report.render_spans ());
   if profile then prerr_string (Obs.Profile.render ?gc (Obs.Profile.capture ()));
-  if metrics then prerr_string (Obs.Report.render_metrics ());
   (match trace_json with
   | Some path -> Obs.Jsonl.write_file path
   | None -> ());
@@ -299,8 +297,8 @@ let plan_line plan =
 
 let run_cmd query view_file scale seed schema data strategy no_reduce pretty
     stream budget resilient fault_rate fault_seed retries parallel explain
-    trace trace_json metrics profile trace_chrome diagnose skew =
-  setup_obs ~trace_chrome ~diagnose ~trace ~trace_json ~metrics ~profile ();
+    trace trace_json profile trace_chrome diagnose skew =
+  setup_obs ~trace_chrome ~diagnose ~trace ~trace_json ~profile ();
   if stream && pretty then
     invalid_arg "--pretty needs the rows in memory; drop --stream";
   if fault_rate > 0.0 && not resilient then
@@ -347,7 +345,7 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
   if resilient then
     Printf.eprintf "[resilience: %s]\n" (S.Middleware.resilience_summary e);
   if diagnose then prerr_string (S.Middleware.diagnose_report p e);
-  report_obs ~trace_chrome ~gc:(Obs.Profile.gc_since gc0) ~trace ~trace_json ~metrics
+  report_obs ~trace_chrome ~gc:(Obs.Profile.gc_since gc0) ~trace ~trace_json
     ~profile ()
 
 let explain_cmd query view_file scale seed schema data strategy no_reduce =
@@ -363,8 +361,8 @@ let explain_cmd query view_file scale seed schema data strategy no_reduce =
   print_endline (S.Middleware.explain ~reduce p plan)
 
 let plan_cmd query view_file scale seed schema data no_reduce trace trace_json
-    metrics profile trace_chrome =
-  setup_obs ~trace_chrome ~trace ~trace_json ~metrics ~profile ();
+    profile trace_chrome =
+  setup_obs ~trace_chrome ~trace ~trace_json ~profile ();
   let p = setup query view_file scale seed schema data in
   let r = S.Middleware.gen_plan p ~reduce:(not no_reduce) in
   Printf.printf "%s\n" (S.Planner.to_string p.S.Middleware.tree r);
@@ -372,7 +370,7 @@ let plan_cmd query view_file scale seed schema data no_reduce trace trace_json
     (List.length (S.Planner.plans_of p.S.Middleware.tree r));
   let best = S.Planner.best_plan p.S.Middleware.tree r in
   Printf.printf "best %s\n" (plan_line best);
-  report_obs ~trace_chrome ~trace ~trace_json ~metrics ~profile ()
+  report_obs ~trace_chrome ~trace ~trace_json ~profile ()
 
 (* Run the view materialized with tracing forced on, print only the
    diagnostics report (to stdout — the report is the product here). *)
@@ -449,9 +447,10 @@ let server_config domains statement_cache plan_cache result_cache
 
 let telemetry_arg =
   let doc =
-    "Enable live telemetry (spans, metrics, events) without any stderr \
-     report — what the $(b,M) exposition and $(b,silkroute monitor) read.  \
-     Implied by $(b,--trace) and $(b,--metrics)."
+    "Enable live telemetry (spans and events) without any stderr \
+     report.  Request and per-stage latencies reach the $(b,M) exposition \
+     and $(b,silkroute monitor) with or without it; event counts need \
+     it.  Implied by $(b,--trace)."
   in
   Arg.(value & flag & info [ "telemetry" ] ~doc)
 
@@ -459,7 +458,7 @@ let trace_sample_arg =
   let doc =
     "Head-based trace sampling: record spans for 1 in $(docv) queries \
      (1 = every query, 0 = none).  Sampled-out queries still produce \
-     metrics, events, SLO samples and slow-query records."
+     events, stage times, latency and SLO samples and slow-query records."
   in
   Arg.(value & opt int 1 & info [ "trace-sample" ] ~docv:"N" ~doc)
 
@@ -493,8 +492,8 @@ let slo_error_budget_arg =
 
 let serve_cmd scale seed schema data socket parallel statement_cache plan_cache
     result_cache admission_budget max_queue telemetry trace_sample slow_ms
-    slow_log slo_target_ms slo_error_budget trace metrics =
-  setup_obs ~trace ~trace_json:None ~metrics ~profile:false ();
+    slow_log slo_target_ms slo_error_budget trace =
+  setup_obs ~trace ~trace_json:None ~profile:false ();
   if telemetry then Obs.Control.set_enabled true;
   let socket =
     match socket with
@@ -540,7 +539,7 @@ let serve_cmd scale seed schema data socket parallel statement_cache plan_cache
     socket parallel statement_cache plan_cache result_cache admission_budget;
   Server.Service.serve_unix server listener;
   prerr_endline (Server.Service.render_stats server);
-  report_obs ~trace ~trace_json:None ~metrics ~profile:false ()
+  report_obs ~trace ~trace_json:None ~profile:false ()
 
 let clients_arg =
   let doc = "Workload clients." in
@@ -747,7 +746,7 @@ let run_t =
     $ retries_arg $ parallel_arg
     $ explain_flag_arg $ trace_arg
     $ trace_json_arg
-    $ metrics_arg $ profile_arg $ trace_chrome_arg $ diagnose_arg
+    $ profile_arg $ trace_chrome_arg $ diagnose_arg
     $ skew_stats_arg)
 
 let explain_t =
@@ -758,7 +757,7 @@ let explain_t =
 let plan_t =
   Term.(
     const plan_cmd $ query_arg $ view_arg $ scale_arg $ seed_arg $ schema_arg
-    $ data_arg $ no_reduce_arg $ trace_arg $ trace_json_arg $ metrics_arg
+    $ data_arg $ no_reduce_arg $ trace_arg $ trace_json_arg
     $ profile_arg $ trace_chrome_arg)
 
 let diagnose_t =
@@ -775,7 +774,7 @@ let serve_t =
     $ admission_budget_arg $ max_queue_arg
     $ telemetry_arg $ trace_sample_arg $ slow_ms_arg $ slow_log_arg
     $ slo_target_arg $ slo_error_budget_arg
-    $ trace_arg $ metrics_arg)
+    $ trace_arg)
 
 let monitor_once_arg =
   let doc = "Print one frame (plus the health line) and exit." in

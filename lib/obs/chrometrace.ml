@@ -1,16 +1,14 @@
 (* Chrome trace-event exporter.
 
-   Renders the global collectors — the span tree, the flight recorder's
-   events, and the counter/gauge metrics — as Chrome trace-event JSON,
+   Renders the global collectors — the span tree and the flight
+   recorder's events — as Chrome trace-event JSON,
    loadable in Perfetto or chrome://tracing.  The format is the JSON
    Object Format variant: {"traceEvents": [...]} with
 
    - one complete event ("ph":"X") per finished span, microsecond
      timestamps rebased to the trace's first span (same rebasing as the
      JSONL exporter, so the two files describe the same timeline);
-   - one instant event ("ph":"i") per flight-recorder event;
-   - one counter event ("ph":"C") per counter/gauge metric, stamped at
-     the end of the trace (the registry is cumulative, not sampled).
+   - one instant event ("ph":"i") per flight-recorder event.
 
    The pipeline is single-threaded, so everything lands on pid 1 /
    tid 1 and the viewer nests spans purely by interval containment. *)
@@ -52,17 +50,6 @@ let instant_event ~base_ns (e : Event.t) =
       );
     ]
 
-let counter_event ~ts name value =
-  Json.Obj
-    [
-      ("name", Json.String name);
-      ("cat", Json.String "metric");
-      ("ph", Json.String "C");
-      ("ts", Json.Float ts);
-      ("pid", Json.Int pid);
-      ("args", Json.Obj [ ("value", value) ]);
-    ]
-
 let process_name_event =
   Json.Obj
     [
@@ -89,30 +76,11 @@ let trace_json () =
       spans
   in
   let instant_events = List.map (instant_event ~base_ns) events in
-  (* counters/gauges are cumulative: stamp them at the trace's end *)
-  let end_ts =
-    List.fold_left
-      (fun acc (s : Span.t) ->
-        if s.Span.finished then
-          Float.max acc (us_of_ns (Int64.sub s.Span.end_ns base_ns))
-        else acc)
-      0.0 spans
-  in
-  let counter_events =
-    List.filter_map
-      (fun (name, snap) ->
-        match snap with
-        | Metrics.SCounter n -> Some (counter_event ~ts:end_ts name (Json.Int n))
-        | Metrics.SGauge v -> Some (counter_event ~ts:end_ts name (Json.Float v))
-        | Metrics.SHistogram _ -> None)
-      (Metrics.snapshot ())
-  in
   Json.Obj
     [
       ( "traceEvents",
         Json.List
-          ((process_name_event :: span_events) @ instant_events
-         @ counter_events) );
+          ((process_name_event :: span_events) @ instant_events) );
       ("displayTimeUnit", Json.String "ms");
     ]
 

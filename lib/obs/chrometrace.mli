@@ -1,10 +1,9 @@
 (** Chrome trace-event exporter.
 
-    Renders the global collectors — span tree, flight-recorder events,
-    counter/gauge metrics — as Chrome trace-event JSON
-    ([{"traceEvents": [...]}]), loadable in Perfetto or
-    chrome://tracing: complete events ("ph":"X") for finished spans,
-    instants ("ph":"i") for events, counters ("ph":"C") for metrics.
+    Renders the global collectors — span tree and flight-recorder
+    events — as Chrome trace-event JSON ([{"traceEvents": [...]}]),
+    loadable in Perfetto or chrome://tracing: complete events ("ph":"X")
+    for finished spans, instants ("ph":"i") for events.
     Timestamps are microseconds rebased to the trace's first span —
     the same timeline the JSONL exporter describes. *)
 

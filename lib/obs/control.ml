@@ -3,9 +3,9 @@
    Every instrumentation site in the pipeline is gated on this single
    flag, so with tracing disabled the instrumentation reduces to one
    boolean test (plus the closure the [with_span] wrapper allocates).
-   The flag gates spans and metrics together: the CLI's [--trace],
-   [--trace-json] and [--metrics] all turn it on and then choose what to
-   render.
+   The flag gates spans and events together: the CLI's [--trace],
+   [--trace-json] and [--profile] all turn it on and then choose what
+   to render.
 
    The flag is an [Atomic.t] so worker domains spawned mid-run read a
    coherent value; flipping it while domains execute is not supported

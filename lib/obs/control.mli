@@ -1,6 +1,6 @@
 (** Global observability switch.
 
-    Gates every span and metric site in the pipeline behind one boolean,
+    Gates every span and event site in the pipeline behind one boolean,
     so disabled instrumentation costs a single test. *)
 
 val set_enabled : bool -> unit

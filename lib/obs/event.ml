@@ -13,11 +13,14 @@
    evicted.  Everything is gated on the Control switch, so with
    observability off an emit site costs one boolean test.
 
-   Domain safety: one mutex guards the ring (buffer, head, count, seq),
-   with the timestamp sampled inside the critical section so the ring —
-   and therefore [events ()] — stays in global emission order even when
-   worker domains race to emit.  The per-level metric bump happens
-   outside the ring lock (Metrics has its own). *)
+   The module is also the one account of event counts: how many were
+   recorded at each level, how many the ring evicted, how many dumps
+   fired.
+
+   Domain safety: one mutex guards the ring (buffer, head, live, seq,
+   per-level counts), with the timestamp sampled inside the critical
+   section so the ring — and therefore [events ()] — stays in global
+   emission order even when worker domains race to emit. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -43,8 +46,9 @@ let default_capacity = 256
 let ring_lock = Mutex.create ()
 let buf : t option array ref = ref (Array.make default_capacity None)
 let head = ref 0 (* next write slot *)
-let count = ref 0 (* live entries, <= capacity *)
+let live = ref 0 (* live entries, <= capacity *)
 let seq = ref 0 (* total recorded (evicted included) *)
+let per_level = Array.make 4 0 (* recorded, by [level_rank] *)
 let threshold = ref Debug
 
 let capacity () = Mutex.protect ring_lock (fun () -> Array.length !buf)
@@ -54,7 +58,7 @@ let set_capacity n =
   Mutex.protect ring_lock (fun () ->
       buf := Array.make n None;
       head := 0;
-      count := 0)
+      live := 0)
 
 let set_threshold l = threshold := l
 
@@ -70,11 +74,11 @@ let emit ?(attrs = []) level name =
     Mutex.protect ring_lock (fun () ->
         let e = { seq = !seq; ts_ns = Clock.now_ns (); level; name; attrs } in
         incr seq;
+        per_level.(level_rank level) <- per_level.(level_rank level) + 1;
         let b = !buf in
         b.(!head) <- Some e;
         head := (!head + 1) mod Array.length b;
-        if !count < Array.length b then incr count);
-    Metrics.incr ("events." ^ level_name level)
+        if !live < Array.length b then incr live)
   end
 
 let debug ?attrs name = emit ?attrs Debug name
@@ -88,7 +92,7 @@ let events () =
       let b = !buf in
       let cap = Array.length b in
       let out = ref [] in
-      for i = 0 to !count - 1 do
+      for i = 0 to !live - 1 do
         (* newest is at head-1; walk backwards and cons *)
         match b.((!head - 1 - i + (2 * cap)) mod cap) with
         | Some e -> out := e :: !out
@@ -97,7 +101,8 @@ let events () =
       !out)
 
 let recorded () = Mutex.protect ring_lock (fun () -> !seq)
-let dropped () = Mutex.protect ring_lock (fun () -> !seq - !count)
+let count level = Mutex.protect ring_lock (fun () -> per_level.(level_rank level))
+let dropped () = Mutex.protect ring_lock (fun () -> !seq - !live)
 
 (* --- flight-recorder dump ------------------------------------------------ *)
 
@@ -130,13 +135,10 @@ let set_dump_sink f = sink := f
    catastrophic condition, and two domains dumping concurrently would
    lose an increment through a plain [incr] (read-modify-write race). *)
 let dumps = Atomic.make 0
-let last_dump_reason : string option ref = ref None
 
 let dump ~reason =
   if Control.is_enabled () then begin
     Atomic.incr dumps;
-    last_dump_reason := Some reason;
-    Metrics.incr "events.dumps";
     !sink { reason; dumped = events () }
   end
 
@@ -146,9 +148,9 @@ let reset () =
   Mutex.protect ring_lock (fun () ->
       buf := Array.make default_capacity None;
       head := 0;
-      count := 0;
-      seq := 0);
+      live := 0;
+      seq := 0;
+      Array.fill per_level 0 (Array.length per_level) 0);
   threshold := Debug;
   sink := default_sink;
-  Atomic.set dumps 0;
-  last_dump_reason := None
+  Atomic.set dumps 0

@@ -26,8 +26,7 @@ val info : ?attrs:Attr.t -> string -> unit
 val warn : ?attrs:Attr.t -> string -> unit
 val error : ?attrs:Attr.t -> string -> unit
 (** Each records an event at its level when observability is on and the
-    level is at or above the threshold; also bumps the
-    ["events.<level>"] counter.  O(1); the oldest ring entry is evicted
+    level is at or above the threshold, and counts it in {!count}.  O(1); the oldest ring entry is evicted
     when full.  The calling domain's {!Span.base_attrs} (the request's
     trace id) are prepended to [attrs], and head sampling does not
     apply — a sampled-out request still leaves its events in the flight
@@ -46,6 +45,9 @@ val events : unit -> t list
 val recorded : unit -> int
 (** Total events recorded, evicted ones included. *)
 
+val count : level -> int
+(** Events recorded at [level], evicted ones included. *)
+
 val dropped : unit -> int
 (** How many recorded events the ring has evicted. *)
 
@@ -58,7 +60,7 @@ val render : dump -> string
 
 val dump : reason:string -> unit
 (** Hands the current ring contents to the sink (no-op when
-    observability is off).  Bumps the ["events.dumps"] counter. *)
+    observability is off), and counts it in {!dump_count}. *)
 
 val set_dump_sink : (dump -> unit) -> unit
 (** Replaces the dump sink (default: {!render} to stderr). *)
@@ -66,4 +68,5 @@ val set_dump_sink : (dump -> unit) -> unit
 val dump_count : unit -> int
 
 val reset : unit -> unit
-(** Clears the ring and restores capacity, threshold and sink defaults. *)
+(** Clears the ring and the counts, and restores capacity, threshold
+    and sink defaults. *)

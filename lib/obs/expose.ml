@@ -4,15 +4,9 @@
    A sample is one (name, labels, value) triple; [render] prints the
    classic exposition text — `# TYPE` comments, `name{k="v"} value`
    lines — and [parse] reads it back, so the monitor CLI and the smoke
-   validator consume exactly what the server produces.  [of_metrics]
-   flattens the live registry: counters become `<name>_total`, gauges
-   stay gauges, and histograms become summary triples (p50/p90/p99
-   quantile samples plus `_sum`/`_count`).
-
-   The whole registry is read through one [Metrics.snapshot] call, which
-   copies every histogram under the registry mutex — the exposition can
-   never see a torn half-updated histogram even while worker domains
-   keep observing into it. *)
+   validator consume exactly what the server produces.  [summary] turns
+   one histogram into its p50/p90/p99 quantile samples plus
+   `_sum`/`_count`. *)
 
 type kind = Counter | Gauge | Summary
 
@@ -30,17 +24,6 @@ type sample = {
 
 let sample ?(labels = []) kind name value =
   { s_name = name; s_kind = kind; s_labels = labels; s_value = value }
-
-(* Metric names: [a-zA-Z0-9_:], everything else folds to '_'.  The
-   registry uses dotted names (server.request.ms); the exposition
-   speaks underscores. *)
-let sanitize name =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c
-      | _ -> '_')
-    name
 
 let escape_label_value s =
   let buf = Buffer.create (String.length s) in
@@ -96,30 +79,21 @@ let render samples =
     samples;
   Buffer.contents buf
 
-let of_metrics ?(prefix = "silkroute_") () =
-  List.concat_map
-    (fun (name, snap) ->
-      let base = prefix ^ sanitize name in
-      match snap with
-      | Metrics.SCounter n ->
-          [ sample Counter (base ^ "_total") (float_of_int n) ]
-      | Metrics.SGauge v -> [ sample Gauge base v ]
-      | Metrics.SHistogram h ->
-          let quantiles =
-            match Metrics.p50_90_99 h with
-            | None -> []
-            | Some (p50, p90, p99) ->
-                List.map
-                  (fun (q, v) ->
-                    sample ~labels:[ ("quantile", q) ] Summary base v)
-                  [ ("0.5", p50); ("0.9", p90); ("0.99", p99) ]
-          in
-          quantiles
-          @ [
-              sample Summary (base ^ "_sum") h.Metrics.sum;
-              sample Summary (base ^ "_count") (float_of_int h.Metrics.n);
-            ])
-    (Metrics.snapshot ())
+let summary ?(labels = []) name (h : Histogram.t) =
+  let quantiles =
+    match Histogram.p50_90_99 h with
+    | None -> []
+    | Some (p50, p90, p99) ->
+        List.map
+          (fun (q, v) ->
+            sample ~labels:(labels @ [ ("quantile", q) ]) Summary name v)
+          [ ("0.5", p50); ("0.9", p90); ("0.99", p99) ]
+  in
+  quantiles
+  @ [
+      sample ~labels Summary (name ^ "_sum") h.Histogram.sum;
+      sample ~labels Summary (name ^ "_count") (float_of_int h.Histogram.n);
+    ]
 
 (* --- parsing (monitor CLI, smoke validator) ----------------------------- *)
 

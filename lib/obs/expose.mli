@@ -4,25 +4,19 @@
 
     {!render} produces the classic format ([# TYPE] comments plus
     [name{label="v"} value] lines); {!parse} reads it back, so producer
-    and consumers cannot drift.  {!of_metrics} flattens the live
-    {!Metrics} registry through a single consistent snapshot: counters
-    become [<name>_total], gauges stay gauges, histograms become
-    summaries (p50/p90/p99 quantile samples plus [_sum]/[_count]). *)
+    and consumers cannot drift.  {!summary} exposes a {!Histogram} as
+    p50/p90/p99 quantile samples plus [_sum]/[_count]. *)
 
 type kind = Counter | Gauge | Summary
 
 type sample = {
-  s_name : string;  (** already sanitized/prefixed *)
+  s_name : string;  (** [a-zA-Z0-9_:] only *)
   s_kind : kind;
   s_labels : (string * string) list;
   s_value : float;
 }
 
 val sample : ?labels:(string * string) list -> kind -> string -> float -> sample
-
-val sanitize : string -> string
-(** Folds every character outside [[a-zA-Z0-9_:]] to ['_'] — dotted
-    registry names become exposition names. *)
 
 val key_of : sample -> string
 (** The exact [name{k="v",...}] key syntax {!render} prints and {!parse}
@@ -33,10 +27,10 @@ val render : sample list -> string
     share their quantile samples' family), then one line per sample, in
     the given order. *)
 
-val of_metrics : ?prefix:string -> unit -> sample list
-(** The whole metrics registry as samples, names prefixed (default
-    ["silkroute_"]), read through one {!Metrics.snapshot} call so
-    concurrent writers can never tear a histogram mid-read. *)
+val summary :
+  ?labels:(string * string) list -> string -> Histogram.t -> sample list
+(** [name{labels,quantile="0.5"|"0.9"|"0.99"}] (absent while [h] is
+    empty), then [name_sum{labels}] and [name_count{labels}]. *)
 
 exception Parse_error of string
 

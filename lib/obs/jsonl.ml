@@ -1,10 +1,10 @@
 (* JSON-Lines exporter.
 
    One JSON object per line, "type" discriminated: spans first (start
-   order), then events (emission order), then profile nodes, then
-   metrics (name order).  An optional "experiment" field tags every
-   record, so bench runs can concatenate experiments into one file and
-   still diff stage-level breakdowns run against run.  Attr values are
+   order), then events (emission order), then profile nodes.  An
+   optional "experiment" field tags every record, so bench runs can
+   concatenate experiments into one file and still diff stage-level
+   breakdowns run against run.  Attr values are
    encoded by the shared Attr.to_json, the same encoder Chrometrace
    uses. *)
 
@@ -52,38 +52,6 @@ let event_json ?experiment ?(base_ns = 0L) (e : Event.t) =
          ("attrs", Attr.to_json e.Event.attrs);
        ])
 
-let metric_json ?experiment (name, snap) =
-  let payload =
-    match snap with
-    | Metrics.SCounter n -> [ ("kind", Json.String "counter"); ("value", Json.Int n) ]
-    | Metrics.SGauge v -> [ ("kind", Json.String "gauge"); ("value", Json.Float v) ]
-    | Metrics.SHistogram h ->
-        [
-          ("kind", Json.String "histogram");
-          ( "bounds",
-            Json.List
-              (Array.to_list (Array.map (fun b -> Json.Float b) h.Metrics.bounds))
-          );
-          ( "counts",
-            Json.List
-              (Array.to_list (Array.map (fun c -> Json.Int c) h.Metrics.counts))
-          );
-          ("sum", Json.Float h.Metrics.sum);
-          ("count", Json.Int h.Metrics.n);
-        ]
-        @ (match Metrics.p50_90_99 h with
-          | Some (p50, p90, p99) ->
-              [
-                ("p50", Json.Float p50);
-                ("p90", Json.Float p90);
-                ("p99", Json.Float p99);
-              ]
-          | None -> [])
-  in
-  Json.Obj
-    (tagged experiment
-       (("type", Json.String "metric") :: ("name", Json.String name) :: payload))
-
 let profile_json ?experiment ~path (n : Profile.node) =
   Json.Obj
     (tagged experiment
@@ -127,11 +95,7 @@ let to_lines ?experiment () =
          []
          (Profile.of_spans spans))
   in
-  let metric_lines =
-    List.map (fun m -> Json.to_string (metric_json ?experiment m))
-      (Metrics.snapshot ())
-  in
-  span_lines @ event_lines @ profile_lines @ metric_lines
+  span_lines @ event_lines @ profile_lines
 
 let write_channel ?experiment oc =
   List.iter

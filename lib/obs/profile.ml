@@ -10,8 +10,8 @@
    the invariant test_profile.ml pins.
 
    The renderers are read-side only: build once after the run, print a
-   flame-style tree and a top-k hot-operator table (with p50/p90/p99
-   columns from the ["span.ms.<name>"] histograms Span.finish feeds). *)
+   flame-style tree and a top-k hot-operator table (with exact
+   p50/p90/p99 columns over the folded spans' durations). *)
 
 type node = {
   name : string;
@@ -24,6 +24,7 @@ type node = {
   mutable minor_words : float;
   mutable major_words : float;
   mutable compactions : int;
+  mutable durations : float list; (* finished spans' ms, newest first *)
   mutable children_rev : node list; (* reverse first-seen order *)
 }
 
@@ -41,6 +42,7 @@ let fresh name =
     minor_words = 0.0;
     major_words = 0.0;
     compactions = 0;
+    durations = [];
     children_rev = [];
   }
 
@@ -102,7 +104,8 @@ let of_spans (spans : Span.t list) =
         (* GC deltas include descendants' allocation, like total_ms *)
         n.minor_words <- n.minor_words +. s.Span.gc_minor_words;
         n.major_words <- n.major_words +. s.Span.gc_major_words;
-        n.compactions <- n.compactions + s.Span.gc_compactions
+        n.compactions <- n.compactions + s.Span.gc_compactions;
+        n.durations <- d :: n.durations
       end;
       List.iter
         (fun (k, v) ->
@@ -160,7 +163,8 @@ let hot ?(top = 10) t =
       agg.bytes <- agg.bytes + n.bytes;
       agg.minor_words <- agg.minor_words +. n.minor_words;
       agg.major_words <- agg.major_words +. n.major_words;
-      agg.compactions <- agg.compactions + n.compactions)
+      agg.compactions <- agg.compactions + n.compactions;
+      agg.durations <- List.rev_append n.durations agg.durations)
     t;
   let all = List.rev !order_rev in
   let sorted =
@@ -221,19 +225,27 @@ let render_tree_to buf ?gc t =
   in
   List.iter (go 0) t.roots
 
-let pct_cell buf name =
-  match Metrics.histogram_snapshot ("span.ms." ^ name) with
-  | Some h -> (
-      match Metrics.p50_90_99 h with
-      | Some (p50, p90, p99) ->
-          bprintf buf " %9.3f %9.3f %9.3f" p50 p90 p99
-      | None -> bprintf buf " %9s %9s %9s" "-" "-" "-")
-  | None -> bprintf buf " %9s %9s %9s" "-" "-" "-"
+(* Exact nearest-rank percentile of ascending samples, 0 when empty. *)
+let percentile_of_sorted a q =
+  let n = Array.length a in
+  if n = 0 then 0.0
+  else
+    let i = int_of_float (Float.round (q *. float_of_int (n - 1))) in
+    a.(max 0 (min (n - 1) i))
+
+let pct_cell buf n =
+  match n.durations with
+  | [] -> bprintf buf " %9s %9s %9s" "-" "-" "-"
+  | ds ->
+      let a = Array.of_list ds in
+      Array.sort Float.compare a;
+      let p = percentile_of_sorted a in
+      bprintf buf " %9.3f %9.3f %9.3f" (p 0.50) (p 0.90) (p 0.99)
 
 let render_hot_to buf ?(top = 10) t =
   let rows = hot ~top t in
-  bprintf buf "HOT OPERATORS — top %d by self time (percentiles from \
-               span.ms.* histograms)\n"
+  bprintf buf "HOT OPERATORS — top %d by self time (exact percentiles of \
+               span durations)\n"
     (List.length rows);
   bprintf buf "%-28s %6s %11s %11s %9s %9s %9s %12s %12s %10s %10s\n" "name"
     "calls" "self(ms)" "total(ms)" "p50" "p90" "p99" "rows" "work" "minor(kw)"
@@ -242,7 +254,7 @@ let render_hot_to buf ?(top = 10) t =
     (fun n ->
       bprintf buf "%-28s %6d %11.3f %11.3f" n.name n.calls n.self_ms
         n.total_ms;
-      pct_cell buf n.name;
+      pct_cell buf n;
       bprintf buf " %12d %12d %10.1f %10.1f\n" n.rows n.work
         (kwords n.minor_words) (kwords n.major_words))
     rows

@@ -21,6 +21,8 @@ type node = {
           contribute *)
   mutable major_words : float;
   mutable compactions : int;
+  mutable durations : float list;
+      (** each folded finished span's duration in ms, newest first *)
   mutable children_rev : node list;  (** reverse first-seen order *)
 }
 
@@ -47,8 +49,12 @@ val hot : ?top:int -> t -> node list
     fresh aggregates with no children. *)
 
 val render_hot : ?top:int -> t -> string
-(** Top-k table with p50/p90/p99 columns read from the
-    ["span.ms.<name>"] histograms of the current metrics registry. *)
+(** Top-k table with exact p50/p90/p99 columns over each row's span
+    durations. *)
+
+val percentile_of_sorted : float array -> float -> float
+(** Exact nearest-rank [q]-quantile of ascending samples (index
+    [round (q * (n - 1))]); 0 when there are none. *)
 
 (** What the garbage collector did over a run: words promoted from the
     minor heap, and collections of each heap. *)

@@ -1,5 +1,4 @@
-(** Human-readable sinks: flame-style indented span tree and a metrics
-    table, rendered from the global collectors. *)
+(** Human-readable sink: a flame-style indented span tree, rendered from
+    the span log. *)
 
 val render_spans : unit -> string
-val render_metrics : unit -> string

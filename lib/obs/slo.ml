@@ -2,8 +2,8 @@
 
    Time is divided into fixed windows of [window_ms]; the tracker keeps
    the most recent [windows] of them in a ring.  Each window holds a
-   fixed-bucket latency histogram (the registry's duration bounds) plus
-   sample/error counts, so recording is O(1) and memory is capped at
+   fixed-bucket latency histogram (Histogram.duration_bounds) plus an
+   error count, so recording is O(1) and memory is capped at
    windows * buckets.  A window slot is lazily recycled when time
    reaches it again — no timer thread; an idle tracker simply has stale
    windows that [snapshot] ignores.
@@ -34,10 +34,8 @@ let default_config =
 
 type window = {
   mutable w_index : int;  (* absolute window index, -1 = never used *)
-  w_counts : int array;  (* latency histogram, duration_bounds + overflow *)
-  mutable w_n : int;
+  w_latency : Histogram.t;
   mutable w_errors : int;
-  mutable w_sum : float;
 }
 
 type t = {
@@ -46,8 +44,6 @@ type t = {
   m : Mutex.t;
   mutable breached : bool;  (* edge detector for burn/recover events *)
 }
-
-let bounds = Metrics.duration_bounds
 
 let create ?(config = default_config) () =
   let positive x = Float.is_finite x && x > 0.0 in
@@ -64,10 +60,8 @@ let create ?(config = default_config) () =
       Array.init config.windows (fun _ ->
           {
             w_index = -1;
-            w_counts = Array.make (Array.length bounds + 1) 0;
-            w_n = 0;
+            w_latency = Histogram.create Histogram.duration_bounds;
             w_errors = 0;
-            w_sum = 0.0;
           });
     m = Mutex.create ();
     breached = false;
@@ -83,10 +77,8 @@ let slot t idx =
   let w = t.ring.(idx mod Array.length t.ring) in
   if w.w_index <> idx then begin
     w.w_index <- idx;
-    Array.fill w.w_counts 0 (Array.length w.w_counts) 0;
-    w.w_n <- 0;
-    w.w_errors <- 0;
-    w.w_sum <- 0.0
+    Histogram.clear w.w_latency;
+    w.w_errors <- 0
   end;
   w
 
@@ -109,25 +101,24 @@ type snapshot = {
 let aggregate t now_ms =
   let idx = window_index t now_ms in
   let oldest = idx - Array.length t.ring + 1 in
-  let counts = Array.make (Array.length bounds + 1) 0 in
-  let n = ref 0 and errors = ref 0 and sum = ref 0.0 and live = ref 0 in
+  let h = Histogram.create Histogram.duration_bounds in
+  let errors = ref 0 and live = ref 0 in
   Array.iter
     (fun w ->
-      if w.w_index >= oldest && w.w_index <= idx && w.w_n + w.w_errors > 0 then begin
+      if w.w_index >= oldest && w.w_index <= idx && w.w_latency.Histogram.n + w.w_errors > 0
+      then begin
         incr live;
-        Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) w.w_counts;
-        n := !n + w.w_n;
-        errors := !errors + w.w_errors;
-        sum := !sum +. w.w_sum
+        Histogram.add ~into:h w.w_latency;
+        errors := !errors + w.w_errors
       end)
     t.ring;
-  (counts, !n, !errors, !sum, !live)
+  (h, !errors, !live)
 
 let snapshot_locked t now_ms =
-  let counts, n, errors, sum, live = aggregate t now_ms in
-  let h = { Metrics.bounds; counts; sum; n } in
+  let h, errors, live = aggregate t now_ms in
+  let n = h.Histogram.n in
   let pct q =
-    match Metrics.percentile h q with Some v -> v | None -> 0.0
+    match Histogram.percentile h q with Some v -> v | None -> 0.0
   in
   let p50 = pct 0.50 and p90 = pct 0.90 and p99 = pct 0.99 in
   let total = n + errors in
@@ -159,12 +150,7 @@ let record t ?(error = false) ~now_ms latency_ms =
     Mutex.protect t.m (fun () ->
         let w = slot t (window_index t now_ms) in
         if error then w.w_errors <- w.w_errors + 1
-        else begin
-          let i = Metrics.bucket_index bounds latency_ms in
-          w.w_counts.(i) <- w.w_counts.(i) + 1;
-          w.w_n <- w.w_n + 1;
-          w.w_sum <- w.w_sum +. latency_ms
-        end;
+        else Histogram.observe w.w_latency latency_ms;
         let snap = snapshot_locked t now_ms in
         let was = t.breached in
         t.breached <- snap.breached;
@@ -197,9 +183,7 @@ let reset t =
       Array.iter
         (fun w ->
           w.w_index <- -1;
-          Array.fill w.w_counts 0 (Array.length w.w_counts) 0;
-          w.w_n <- 0;
-          w.w_errors <- 0;
-          w.w_sum <- 0.0)
+          Histogram.clear w.w_latency;
+          w.w_errors <- 0)
         t.ring;
       t.breached <- false)

@@ -16,11 +16,8 @@
    has an empty stack of its own; [with_context] plants the submitting
    thread's innermost span as the parenting base, so a task's spans land
    under the span that spawned it (Domain_pool does this on every task
-   it queues for a worker domain).
-
-   Closing a span feeds its duration into the ["span.ms.<name>"]
-   histogram, so every traced run gets per-stage duration distributions
-   for free. *)
+   it queues for a worker domain).  The log is the one account of span
+   durations: the profile's percentiles are read from it. *)
 
 type t = {
   id : int;
@@ -234,9 +231,7 @@ let finish l s =
   | _ ->
       (* unbalanced finish (an exception unwound through nested spans
          whose [finally] already ran): drop anything above [s] too *)
-      l.stack <- List.filter (fun o -> not (o == s)) l.stack);
-  Metrics.observe ~bounds:Metrics.duration_bounds ("span.ms." ^ s.name)
-    (duration_ms s)
+      l.stack <- List.filter (fun o -> not (o == s)) l.stack)
 
 let with_span ?(attrs = []) name f =
   if not (Control.is_enabled () && sampled ()) then f ()

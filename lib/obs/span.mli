@@ -1,7 +1,7 @@
 (** Span-based tracing: hierarchical, monotonic-clock timed, with
     key/value attributes.  Spans nest by dynamic extent and are recorded
-    in start (pre-) order; closing a span feeds its duration into the
-    ["span.ms.<name>"] histogram.
+    in start (pre-) order; the log is the one account of span
+    durations.
 
     Thread and domain safety: the stack of open spans, the parenting
     base and the request scope (base attributes, sampling flag, stage
@@ -40,8 +40,8 @@ val with_request :
     the calling thread's base attributes (every span, and
     via {!Event} every event, opened inside carries it first), sets the
     head-sampling decision (with [sampled = false], {!with_span} runs
-    its thunk directly and records nothing, while metrics and events
-    still flow), and installs [clock] for {!with_stage}.  Nesting
+    its thunk directly and records nothing, while events and stage
+    times still flow), and installs [clock] for {!with_stage}.  Nesting
     restores the outer scope on exit. *)
 
 val with_stage : Stage.t -> (unit -> 'a) -> 'a

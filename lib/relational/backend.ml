@@ -289,30 +289,22 @@ type run = {
   transfer_ms : float;
 }
 
-(* Drain one attempt's output, in its own span: count its tuples, wire
-   bytes and modeled transfer row by row in delivery order, from the
-   sizes the rows carry (no value is read), then keep it in the heap
-   (every open is a fresh cursor over the engine's own output batches)
-   or move it to a spool file (one single-use cursor).  A drop drawn for
-   [trip] rows strikes when a row past them is delivered, before
-   anything is spooled; one scheduled beyond the end of the stream
-   never fires — the result finished before the (virtual) reset
-   arrived. *)
+(* Drain one attempt's output, in its own span: count its tuples and
+   wire bytes from the batch lengths and the sizes the rows carry (no
+   row is visited, no value read), price the transfer in closed form,
+   then keep the output in the heap (every open is a fresh cursor over
+   the engine's own output batches) or move it to a spool file (one
+   single-use cursor).  A drop drawn for [trip] rows strikes when the
+   result has more rows than that, before anything is spooled; one
+   scheduled beyond the end of the stream never fires — the result
+   finished before the (virtual) reset arrived. *)
 let drain t ~attempt ~trip ~spool (plan : Physical.plan) stats out =
   Obs.Span.with_span "backend.drain" (fun () ->
-      let transfer = Transfer.default in
-      let tuples = ref 0 and bytes = ref 0 in
-      (* a float array, not a float ref: adding to it boxes nothing *)
-      let transfer_ms = [| transfer.Transfer.per_stream_overhead |] in
-      let count _ b =
-        (match trip with
-        | Some n when !tuples >= n -> raise (drop t ~attempt !tuples)
-        | _ -> ());
-        incr tuples;
-        bytes := !bytes + b;
-        transfer_ms.(0) <- transfer_ms.(0) +. Transfer.tuple_ms transfer ~bytes:b
-      in
-      List.iter (Batch.iter count) out;
+      let tuples = List.fold_left (fun acc b -> acc + Batch.length b) 0 out in
+      (match trip with
+      | Some n when tuples > n -> raise (drop t ~attempt n)
+      | _ -> ());
+      let bytes = List.fold_left (fun acc b -> acc + Batch.total_bytes b) 0 out in
       let open_rows () = Cursor.of_batches plan.Physical.cols out in
       let rows =
         if spool then
@@ -321,8 +313,8 @@ let drain t ~attempt ~trip ~spool (plan : Physical.plan) stats out =
         else open_rows
       in
       if Obs.Span.tracing () then
-        Obs.Span.add_list [ Obs.Attr.int "tuples" !tuples; Obs.Attr.int "bytes" !bytes ];
-      { plan; rows; stats; tuples = !tuples; bytes = !bytes; transfer_ms = transfer_ms.(0) })
+        Obs.Span.add_list [ Obs.Attr.int "tuples" tuples; Obs.Attr.int "bytes" bytes ];
+      { plan; rows; stats; tuples; bytes; transfer_ms = Transfer.stream_ms ~tuples ~bytes })
 
 let plan t text =
   let ast =

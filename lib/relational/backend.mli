@@ -124,10 +124,10 @@ type run = {
   tuples : int;  (** rows delivered *)
   bytes : int;
       (** their {!Tuple.wire_size} sum, added from the sizes the rows
-          carry ({!Batch.bytes_at}) *)
+          carry ({!Batch.total_bytes}) *)
   transfer_ms : float;
-      (** modeled client transfer ({!Transfer.default}): the stream's
-          setup plus each tuple's, added in delivery order *)
+      (** modeled client transfer: {!Transfer.stream_ms} of [tuples]
+          and [bytes] *)
 }
 
 val execute : ?label:string -> ?spool:bool -> t -> string -> run

@@ -69,6 +69,18 @@ let live_index b i =
 let get b i = b.rows.(live_index b i)
 let bytes_at b i = b.bytes.(live_index b i)
 
+let total_bytes b =
+  let sum = ref 0 in
+  if b.filtered then
+    for i = 0 to b.sel_len - 1 do
+      sum := !sum + b.bytes.(b.sel.(i))
+    done
+  else
+    for i = 0 to b.len - 1 do
+      sum := !sum + b.bytes.(i)
+    done;
+  !sum
+
 let iter f b =
   if b.filtered then
     for i = 0 to b.sel_len - 1 do

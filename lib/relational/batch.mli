@@ -68,6 +68,9 @@ val get : t -> int -> Tuple.t
 val bytes_at : t -> int -> int
 (** Byte figure of the [i]-th live row. *)
 
+val total_bytes : t -> int
+(** Sum of the live rows' byte figures. *)
+
 val iter : (Tuple.t -> int -> unit) -> t -> unit
 (** [iter f b] applies [f row bytes] to each live row in order. *)
 

@@ -71,9 +71,7 @@ let to_list c =
   List.rev !acc
 let to_relation c = Relation.create c.cols (to_list c)
 
-(* Spooling: drain [c] into a temporary file now (invoking [on_row] per
-   tuple, in order — the hook for incremental stats/transfer accounting)
-   and return a cursor that deserializes the rows back on demand.  The
+(* Spooling: drain [c] into a temporary file now and return a cursor that deserializes the rows back on demand.  The
    file is removed once the last row has been read, or by [close] on an
    abandoned cursor (timeout/degradation paths). *)
 
@@ -81,7 +79,7 @@ let to_relation c = Relation.create c.cols (to_list c)
    spool concurrently, so serialize name generation. *)
 let temp_lock = Mutex.create ()
 
-let spool ?(on_row = fun (_ : Tuple.t) -> ()) (c : t) : t =
+let spool (c : t) : t =
   let path =
     Mutex.protect temp_lock (fun () ->
         Filename.temp_file "silkroute" ".spool")
@@ -91,7 +89,6 @@ let spool ?(on_row = fun (_ : Tuple.t) -> ()) (c : t) : t =
   (try
      iter
        (fun t ->
-         on_row t;
          Marshal.to_channel oc (t : Tuple.t) [];
          incr count)
        c

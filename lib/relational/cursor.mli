@@ -41,10 +41,8 @@ val iter : (Tuple.t -> unit) -> t -> unit
 val to_list : t -> Tuple.t list
 val to_relation : t -> Relation.t
 
-val spool : ?on_row:(Tuple.t -> unit) -> t -> t
-(** [spool c] drains [c] to a temporary file immediately (calling
-    [on_row] on each tuple, in stream order — the hook for incremental
-    row/byte/transfer accounting) and returns a cursor that reads the
+val spool : t -> t
+(** [spool c] drains [c] to a temporary file immediately and returns a cursor that reads the
     tuples back on demand.  This bounds live heap memory during
     consumption to one tuple per open cursor, independent of the result
     cardinality, modeling a server-side result set streamed over the

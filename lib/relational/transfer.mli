@@ -7,16 +7,16 @@
     not free, which reproduces the paper's observation that wide
     null-padded unified outer-join tuples are expensive to ship. *)
 
-type config = {
-  bytes_per_ms : float;
-  per_tuple_overhead : float;  (** ms of binding cost per tuple *)
-  per_stream_overhead : float;  (** ms of setup per tuple stream *)
-}
+val bytes_per_ms : float
+(** Simulated link and driver throughput. *)
 
-val default : config
+val per_tuple_ms : float
+(** Binding cost of one tuple. *)
 
-val tuple_ms : config -> bytes:int -> float
-(** Transfer time of one tuple whose {!Tuple.wire_size} is [bytes]. *)
+val per_stream_ms : float
+(** Setup of one tuple stream (one statement). *)
 
-val relation_ms : config -> Relation.t -> float
-val relations_ms : config -> Relation.t list -> float
+val stream_ms : tuples:int -> bytes:int -> float
+(** Transfer time of a stream of [tuples] rows whose {!Tuple.wire_size}s
+    sum to [bytes]: the model is linear, so this is
+    [per_stream_ms + tuples * per_tuple_ms + bytes / bytes_per_ms]. *)

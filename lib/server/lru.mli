@@ -15,7 +15,7 @@ type 'a t
 
 val create : name:string -> capacity:int -> unit -> 'a t
 (** [capacity <= 0] disables the cache: [find] always misses, [add] is
-    a no-op.  [name] labels metrics and eviction events. *)
+    a no-op.  [name] labels its eviction events and errors. *)
 
 val find : 'a t -> string -> 'a option
 (** Bumps the entry to most-recently-used and counts a hit; [None]

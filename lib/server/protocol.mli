@@ -21,7 +21,8 @@ type request =
   | Stats  (** Ask for the server's counter report. *)
   | Metrics
       (** Ask for the live telemetry exposition (Prometheus-style text:
-          registry metrics, cache tiers, admission, pool depth, SLO).
+          request and per-stage latency, cache tiers, admission, pool
+          depth, SLO, event counts).
           Tag [M]; carries no fields — extra fields are a
           {!Protocol_error}. *)
   | Health

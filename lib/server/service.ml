@@ -15,16 +15,19 @@
    events the request produces — including those from pool worker
    domains, which inherit the scope through Span.context — carry the
    trace id, and every stage boundary adds to the clock.  Sampling gates
-   spans only; metrics, events, the stage clock, the SLO account and the
-   slow-query log are NOT sampled.  Requests slower than [slow_ms]
-   append a structured JSONL record, with one entry per stage, through
-   the bounded non-blocking Slowlog.
+   spans only; events, the stage clock, the latency account, the SLO
+   account and the slow-query log are NOT sampled.  Every request's
+   wall time and its clock's stages feed the service's latency
+   histograms, telemetry on or off, which the [M] scrape exposes.
+   Requests slower than [slow_ms] append a structured JSONL record, with
+   one entry per stage, through the bounded non-blocking Slowlog.
 
    Locking: each LRU tier has its own mutex (see Lru); [plan_m]
    serializes plan-tier misses against each other and against
    [invalidate], so concurrent sessions cannot duplicate planning work
    and no plan reads a half-skewed catalog; [adm_m] +
-   [adm_cv] guard the in-flight work account.  Nothing holds two locks
+   [adm_cv] guard the in-flight work account; [lat_m] guards the latency
+   histograms.  Nothing holds two locks
    at once, and no lock is held across execution. *)
 
 module R = Relational
@@ -127,6 +130,11 @@ type t = {
   trace_seq : int Atomic.t;
   slowlog : Slowlog.t option;
   slo : Obs.Slo.t option;
+  lat_m : Mutex.t;
+  request_ms : Obs.Histogram.t;  (* every query's wall time *)
+  stage_ms : (Obs.Stage.t * Obs.Histogram.t) list;
+      (* one per stage, in Obs.Stage.all order: each request's clock
+         reading of every stage it reached, and its service time *)
 }
 
 let zero_counters =
@@ -182,6 +190,12 @@ let create ?(config = default_config) db =
       (match config.slo with
       | Some slo_cfg -> Some (Obs.Slo.create ~config:slo_cfg ())
       | None -> None);
+    lat_m = Mutex.create ();
+    request_ms = Obs.Histogram.create Obs.Histogram.duration_bounds;
+    stage_ms =
+      List.map
+        (fun st -> (st, Obs.Histogram.create Obs.Histogram.duration_bounds))
+        Obs.Stage.all;
   }
 
 let config t = t.cfg
@@ -392,7 +406,7 @@ let query_body t ~view ~strategy ~reduce =
 
 (* Head sampling: the shared sequence both names the trace and decides
    (1-in-N) whether its spans are recorded.  Sampled-out requests still
-   produce metrics, events, SLO samples and stage times. *)
+   produce events, stage times, latency and SLO samples. *)
 let next_trace t =
   let seq = Atomic.fetch_and_add t.trace_seq 1 in
   let sampled =
@@ -464,7 +478,8 @@ let slow_record t ~trace_id ~view ~strategy ~reduce ~ms ~clock ~gc0 ~gc1 reply
     ]
 
 (* Post-reply accounting: the [service] stage (wall time the pipeline
-   stages do not cover), the request latency metric, the SLO account,
+   stages do not cover), the latency histograms (the request's wall
+   time, and each stage it reached — [service] always), the SLO account,
    the slow-query record ([gc0] is [None] when the slow path is off) and
    — when spans are not retained — pruning the request's spans from the
    shared log. *)
@@ -476,9 +491,14 @@ let finish_request t ~trace_id ~sampled ~view ~strategy ~reduce ~wall_ns
   in
   Obs.Stage.add clock Obs.Stage.Service (max 0 (wall_ns - pipeline_ns));
   let ms = Obs.Clock.ns_to_ms (Int64.of_int wall_ns) in
-  if Obs.Span.tracing () then
-    Obs.Metrics.observe ~bounds:Obs.Metrics.duration_bounds "server.request.ms"
-      ms;
+  Mutex.protect t.lat_m (fun () ->
+      Obs.Histogram.observe t.request_ms ms;
+      List.iter
+        (fun (st, h) ->
+          let ns = Obs.Stage.ns clock st in
+          if ns > 0 || st = Obs.Stage.Service then
+            Obs.Histogram.observe h (Obs.Clock.ns_to_ms (Int64.of_int ns)))
+        t.stage_ms);
   (match t.slo with
   | Some slo ->
       let error =
@@ -583,11 +603,11 @@ let render_stats t =
 
 (* --- telemetry exposition ------------------------------------------------ *)
 
-(* Curated series first (service counters, cache tiers, admission, pool,
-   slow log, SLO), then the whole metrics registry through one
-   consistent snapshot.  Cache hit ratios are derived from the same
-   Lru.stats read as the hit/miss counters — Lru.ratio_of is the one
-   formula this, [render_stats] and the tests share. *)
+(* Service counters, cache tiers, admission, pool, slow log, SLO, the
+   latency summaries (request and per stage) and the event counts.
+   Cache hit ratios are derived from the same Lru.stats read as the
+   hit/miss counters — Lru.ratio_of is the one formula this,
+   [render_stats] and the tests share. *)
 let exposition_samples t =
   let sample = Obs.Expose.sample in
   let c = counters t in
@@ -664,8 +684,26 @@ let exposition_samples t =
             (if s.Obs.Slo.breached then 1.0 else 0.0);
         ]
   in
-  server @ tiers @ admission @ slowlog_samples @ slo_samples
-  @ Obs.Expose.of_metrics ()
+  let latency =
+    Mutex.protect t.lat_m (fun () ->
+        Obs.Expose.summary "silkroute_server_request_ms" t.request_ms
+        @ List.concat_map
+            (fun (st, h) ->
+              Obs.Expose.summary
+                ~labels:[ ("stage", Obs.Stage.name st) ]
+                "silkroute_stage_ms" h)
+            t.stage_ms)
+  in
+  let events =
+    List.map
+      (fun l ->
+        counter
+          ~labels:[ ("level", Obs.Event.level_name l) ]
+          "silkroute_events_total" (Obs.Event.count l))
+      Obs.Event.[ Debug; Info; Warn; Error ]
+    @ [ counter "silkroute_events_dumps_total" (Obs.Event.dump_count ()) ]
+  in
+  server @ tiers @ admission @ slowlog_samples @ slo_samples @ latency @ events
 
 (* The [M] request's Prometheus-style text: every series above from one
    consistent snapshot. *)

@@ -31,12 +31,18 @@
     ({!Obs.Span.with_request}) with a trace id, so all spans and events
     it produces — including those from pool worker domains — carry it,
     and a stage clock ({!Obs.Stage}) that every stage boundary feeds.
-    [trace_sample] head-samples which requests record spans; metrics,
-    events, stage times, SLO accounting and the slow-query log are never
-    sampled.  Queries slower than [slow_ms] append a structured JSONL
-    record, with one entry per stage, through the bounded non-blocking
-    {!Slowlog}.  The [M]/[H] protocol requests serve the Prometheus-style
-    exposition and a one-line health summary.
+    [trace_sample] head-samples which requests record spans; events,
+    stage times, latency, SLO accounting and the slow-query log are
+    never sampled.  The service keeps one latency histogram of every
+    query's wall time and one per {!Obs.Stage} folded from each query's
+    stage clock, fed with telemetry on or off.  Queries slower than
+    [slow_ms] append a structured JSONL record, with one entry per
+    stage, through the bounded non-blocking {!Slowlog}.  The [M]/[H]
+    protocol requests serve the Prometheus-style exposition (the
+    request and per-stage latency summaries
+    [silkroute_server_request_ms] and [silkroute_stage_ms{stage="…"}],
+    and [silkroute_events_total{level="…"}] among the series) and a
+    one-line health summary.
 
     Cached and uncached paths return byte-identical XML: the result tier
     stores exactly the bytes the uncached path produced. *)
@@ -52,7 +58,7 @@ type config = {
   trace_sample : int;
       (** head sampling: record spans for 1 in N queries.  [1] traces
           every request (the default), [0] none; sampled-out requests
-          still produce metrics, events, stage times and SLO samples. *)
+          still produce events, stage times, latency and SLO samples. *)
   slow_ms : float;
       (** queries slower than this log a slow-query record and count in
           [counters.slow]; [0] disables the slow path entirely. *)

@@ -103,15 +103,8 @@ let empty_tally =
     lat_p99_ms = 0.0;
   }
 
-(* Exact nearest-rank percentile over the measured samples — the
-   workload holds every latency, so no histogram approximation is
-   needed (unlike the registry's bucketed estimates). *)
-let percentile_of_sorted a q =
-  let n = Array.length a in
-  if n = 0 then 0.0
-  else
-    let i = int_of_float (Float.round (q *. float_of_int (n - 1))) in
-    a.(max 0 (min (n - 1) i))
+(* The workload holds every latency, so its percentiles are exact. *)
+let percentile_of_sorted = Obs.Profile.percentile_of_sorted
 
 (* The transport-agnostic replay core: scripts plus a thread-safe
    recorder.  Transports drive iteration themselves (sequential

@@ -119,6 +119,19 @@ let var_positions db (b : body) : (string * (string * string) list) list =
 
 let body_vars db b = List.map fst (var_positions db b)
 
+(* Whether [v] may be NULL in [b]'s rows: the column its value is read
+   from (its first source position) is declared nullable.  A correlation
+   on such a variable must match NULL with NULL, or the outer join loses
+   the children of every row whose value is NULL. *)
+let nullable_var db (b : body) positions v =
+  match List.assoc_opt v positions with
+  | Some ((alias, col) :: _) -> (
+      let rel = (List.assoc alias b.batoms).D.Rule.rel in
+      match R.Schema.find_column (R.Database.schema db rel) col with
+      | Some c -> c.R.Schema.nullable
+      | None -> false)
+  | _ -> false
+
 (* WHERE conjuncts of a body: variable co-occurrence equalities, filters,
    and constant equalities for Const args. *)
 let body_where db (b : body) : R.Expr.t option =
@@ -392,10 +405,13 @@ let rec build_group db tree groups (layout : layout) ~edge_label
               let corr =
                 List.filter (fun v -> List.mem v cvars) gvars
                 |> List.map (fun v ->
-                       R.Expr.Cmp
-                         ( R.Expr.Eq,
-                           R.Expr.Col (Some balias, v),
-                           R.Expr.Col (Some qalias, v) ))
+                       let bv = R.Expr.Col (Some balias, v)
+                       and qv = R.Expr.Col (Some qalias, v) in
+                       let eq = R.Expr.Cmp (R.Expr.Eq, bv, qv) in
+                       if nullable_var db b positions v then
+                         R.Expr.Or
+                           (eq, R.Expr.And (R.Expr.Is_null bv, R.Expr.Is_null qv))
+                       else eq)
               in
               if List.length kids = 1 && corr <> [] then R.Expr.conjoin corr
               else R.Expr.conjoin (guard :: corr))

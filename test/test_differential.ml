@@ -3,8 +3,9 @@
    under injected faults, must produce XML byte-identical to the same
    plan run through the seed AST interpreter and tagged directly — and
    must never charge more work than the seed did.  Then the empty
-   database through every plan and execution mode, and shuffled rows
-   through three plans of q1 and q2. *)
+   database through every plan and execution mode, shuffled rows
+   through three plans of q1 and q2, and NULL content values through
+   every plan. *)
 
 open Silkroute
 open Matrix
@@ -36,8 +37,31 @@ let test_shuffled_rows view () =
   in
   check [ slice view db ~masks:(only masks) ~modes:[ heap; spooled ] ]
 
+(* Regression: a variable shared between a parent and its child
+   branches may be NULL.  The outer join's correlation must match NULL
+   with NULL, or row 3 (whose [b] is NULL) loses both children under
+   unreduced plans while reduced ones keep them. *)
+let null_content =
+  of_text "null content"
+    {|view v { from T $t construct
+        <row><i>$t.id $t.i</i><b>$t.id $t.b</b></row> }|}
+
+let null_db =
+  database "nullable T" (fun () ->
+      let db =
+        Relational.Source_desc.load_database
+          "table T {\n  id int key\n  i int null\n  b bool null\n}\n"
+      in
+      ignore (Relational.Csv.load db "T" "id,i,b\n1,-5,true\n3,7,\n");
+      db)
+
+let test_null_correlation () =
+  check [ slice null_content null_db ~points:every_point ]
+
 let suite =
   [
+    Alcotest.test_case "NULL correlation: every plan, reduced or not" `Quick
+      test_null_correlation;
     Alcotest.test_case "all plans, both styles, mat + streaming = legacy"
       `Slow test_all_plans_both_styles;
     Alcotest.test_case "all plans, resilient at fault rates 0/0.3 = legacy"

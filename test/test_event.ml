@@ -17,12 +17,10 @@ let install_test_clock () =
 let with_obs f =
   install_test_clock ();
   Obs.Span.reset ();
-  Obs.Metrics.reset ();
   Obs.Event.reset ();
   Fun.protect
     ~finally:(fun () ->
       Obs.Span.reset ();
-      Obs.Metrics.reset ();
       Obs.Event.reset ();
       Obs.Span.use_default_gc_source ();
       Obs.Clock.use_default ())
@@ -58,12 +56,10 @@ let test_level_filtering () =
       Obs.Event.warn "w";
       Obs.Event.error "e";
       Alcotest.(check (list string)) "below threshold dropped" [ "w"; "e" ] (names ());
-      Alcotest.(check (option int))
-        "counter only for recorded levels" None
-        (Obs.Metrics.counter_value "events.debug");
-      Alcotest.(check (option int))
-        "warn counted" (Some 1)
-        (Obs.Metrics.counter_value "events.warn"))
+      Alcotest.(check int)
+        "counted only at recorded levels" 0
+        (Obs.Event.count Obs.Event.Debug);
+      Alcotest.(check int) "warn counted" 1 (Obs.Event.count Obs.Event.Warn))
 
 let test_disabled_is_silent () =
   with_obs (fun () ->
@@ -193,7 +189,6 @@ let test_deterministic_sequence () =
   let run () =
     install_test_clock ();
     Obs.Span.reset ();
-    Obs.Metrics.reset ();
     Obs.Event.reset ();
     Obs.Control.with_enabled true (fun () ->
         let db = tpch 0.1 in
@@ -218,7 +213,6 @@ let test_deterministic_sequence () =
   Fun.protect
     ~finally:(fun () ->
       Obs.Span.reset ();
-      Obs.Metrics.reset ();
       Obs.Event.reset ();
       Obs.Clock.use_default ())
     (fun () ->
@@ -317,9 +311,9 @@ let test_findings () =
   Alcotest.(check bool) "rows metric" true (f.Obs.Diagnose.f_metric = Obs.Diagnose.Rows);
   with_obs (fun () ->
       Obs.Diagnose.emit_findings fs;
-      Alcotest.(check (option int))
-        "one warn event per finding" (Some 1)
-        (Obs.Metrics.counter_value "events.warn"))
+      Alcotest.(check int)
+        "one warn event per finding" 1
+        (Obs.Event.count Obs.Event.Warn))
 
 let test_findings_sorted () =
   let samples =

@@ -17,11 +17,9 @@ let install_test_clock () =
 let with_obs f =
   install_test_clock ();
   Obs.Span.reset ();
-  Obs.Metrics.reset ();
   Fun.protect
     ~finally:(fun () ->
       Obs.Span.reset ();
-      Obs.Metrics.reset ();
       Obs.Clock.use_default ())
     (fun () -> Obs.Control.with_enabled true f)
 
@@ -96,44 +94,34 @@ let test_span_exception_safety () =
 let test_disabled_is_noop () =
   install_test_clock ();
   Obs.Span.reset ();
-  Obs.Metrics.reset ();
   Obs.Control.set_enabled false;
-  let r = Obs.Span.with_span "a" (fun () -> Obs.Metrics.incr "c"; 7) in
+  Obs.Event.reset ();
+  let r = Obs.Span.with_span "a" (fun () -> Obs.Event.info "e"; 7) in
   Alcotest.(check int) "value returned" 7 r;
   Alcotest.(check int) "no spans" 0 (List.length (Obs.Span.spans ()));
-  Alcotest.(check (option int)) "no counter" None (Obs.Metrics.counter_value "c");
+  Alcotest.(check int) "no event counted" 0 (Obs.Event.count Obs.Event.Info);
   Obs.Clock.use_default ()
 
-(* --- metrics ------------------------------------------------------------ *)
-
-let test_counters_and_gauges () =
-  with_obs (fun () ->
-      Obs.Metrics.incr "hits";
-      Obs.Metrics.incr ~by:4 "hits";
-      Obs.Metrics.set_gauge "temp" 1.5;
-      Obs.Metrics.set_gauge "temp" 2.5;
-      Alcotest.(check (option int)) "counter" (Some 5)
-        (Obs.Metrics.counter_value "hits");
-      match Obs.Metrics.snapshot () with
-      | [ ("hits", Obs.Metrics.SCounter 5); ("temp", Obs.Metrics.SGauge g) ] ->
-          Alcotest.(check (float 1e-9)) "gauge keeps last" 2.5 g
-      | _ -> Alcotest.fail "unexpected snapshot shape")
+(* --- histograms ------------------------------------------------------- *)
 
 let test_histogram_buckets () =
-  with_obs (fun () ->
-      let bounds = [| 1.0; 10.0; 100.0 |] in
-      (* bucket edges are inclusive upper bounds; beyond the last bound
-         falls into the overflow bucket *)
-      List.iter
-        (fun x -> Obs.Metrics.observe ~bounds "h" x)
-        [ 0.5; 1.0; 2.0; 10.0; 99.0; 100.5; 1e6 ];
-      match Obs.Metrics.histogram_snapshot "h" with
-      | None -> Alcotest.fail "histogram missing"
-      | Some h ->
-          Alcotest.(check (array int)) "bucket counts" [| 2; 2; 1; 2 |]
-            h.Obs.Metrics.counts;
-          Alcotest.(check int) "n" 7 h.Obs.Metrics.n;
-          Alcotest.(check (float 1e-6)) "sum" 1000213.0 h.Obs.Metrics.sum)
+  let h = Obs.Histogram.create [| 1.0; 10.0; 100.0 |] in
+  (* bucket edges are inclusive upper bounds; beyond the last bound
+     falls into the overflow bucket *)
+  List.iter (Obs.Histogram.observe h) [ 0.5; 1.0; 2.0; 10.0; 99.0; 100.5; 1e6 ];
+  Alcotest.(check (array int)) "bucket counts" [| 2; 2; 1; 2 |] h.Obs.Histogram.counts;
+  Alcotest.(check int) "n" 7 h.Obs.Histogram.n;
+  Alcotest.(check (float 1e-6)) "sum" 1000213.0 h.Obs.Histogram.sum;
+  let both = Obs.Histogram.create h.Obs.Histogram.bounds in
+  Obs.Histogram.add ~into:both h;
+  Obs.Histogram.add ~into:both h;
+  Alcotest.(check (array int)) "add sums counts" [| 4; 4; 2; 4 |]
+    both.Obs.Histogram.counts;
+  Alcotest.(check int) "add leaves its source" 7 h.Obs.Histogram.n;
+  Obs.Histogram.clear both;
+  Alcotest.(check (array int)) "clear empties" [| 0; 0; 0; 0 |]
+    both.Obs.Histogram.counts;
+  Alcotest.(check int) "clear zeroes n" 0 both.Obs.Histogram.n
 
 (* --- json + jsonl ------------------------------------------------------- *)
 
@@ -187,19 +175,18 @@ let test_jsonl_export () =
   with_obs (fun () ->
       Obs.Span.with_span "root" ~attrs:[ Obs.Attr.int "n" 3 ] (fun () ->
           Obs.Span.with_span "child" (fun () -> ()));
-      Obs.Metrics.incr ~by:9 "counted";
-      Obs.Metrics.observe ~bounds:[| 1.0 |] "sized" 0.5;
+      Obs.Event.reset ();
+      Obs.Event.info "counted" ~attrs:[ Obs.Attr.int "value" 9 ];
       let lines = Obs.Jsonl.to_lines ~experiment:"exp1" () in
-      (* 2 spans + 3 metrics (counted, sized, span.ms.* for both spans —
-         which share one histogram per name) *)
-      Alcotest.(check bool) "several lines" true (List.length lines >= 5);
+      (* 2 spans, 1 event, 2 profile nodes *)
+      Alcotest.(check int) "one line per record" 5 (List.length lines);
       let parsed = List.map Obs.Json.parse lines in
       List.iter
         (fun j ->
           Alcotest.(check bool) "tagged with experiment" true
             (Obs.Json.member "experiment" j = Some (Obs.Json.String "exp1"));
           match Obs.Json.member "type" j with
-          | Some (Obs.Json.String ("span" | "profile" | "metric")) -> ()
+          | Some (Obs.Json.String ("span" | "event" | "profile")) -> ()
           | _ -> Alcotest.fail "bad type field")
         parsed;
       let root =
@@ -217,8 +204,10 @@ let test_jsonl_export () =
             Obs.Json.member "name" j = Some (Obs.Json.String "counted"))
           parsed
       in
-      Alcotest.(check bool) "counter value" true
-        (Obs.Json.member "value" counted = Some (Obs.Json.Int 9)))
+      Alcotest.(check bool) "event attrs" true
+        (Obs.Json.member "attrs" counted
+        = Some (Obs.Json.Obj [ ("value", Obs.Json.Int 9) ]));
+      Obs.Event.reset ())
 
 (* --- pipeline integration ----------------------------------------------- *)
 
@@ -474,9 +463,7 @@ let test_tracing_does_not_change_work () =
   let on =
     Obs.Control.with_enabled true (fun () ->
         Fun.protect
-          ~finally:(fun () ->
-            Obs.Span.reset ();
-            Obs.Metrics.reset ())
+          ~finally:Obs.Span.reset
           (fun () -> (Middleware.execute p plan).Middleware.work))
   in
   Alcotest.(check int) "work identical with tracing on" off on
@@ -534,7 +521,6 @@ let suite =
     Alcotest.test_case "attribute capture" `Quick test_span_attrs;
     Alcotest.test_case "exception safety" `Quick test_span_exception_safety;
     Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
-    Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
     Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "jsonl export" `Quick test_jsonl_export;

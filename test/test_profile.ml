@@ -1,5 +1,6 @@
 (* The performance observatory: percentile estimation from fixed-bucket
-   histograms, bucket-index binary search, and profile-tree invariants
+   histograms, bucket-index binary search, exact hot-table percentiles,
+   and profile-tree invariants
    (self_ms >= 0 everywhere; self times sum back to the root's total) on
    nested, exception-unwound and unbalanced traces. *)
 
@@ -15,11 +16,9 @@ let install_test_clock () =
 let with_obs f =
   install_test_clock ();
   Obs.Span.reset ();
-  Obs.Metrics.reset ();
   Fun.protect
     ~finally:(fun () ->
       Obs.Span.reset ();
-      Obs.Metrics.reset ();
       Obs.Clock.use_default ())
     (fun () -> Obs.Control.with_enabled true f)
 
@@ -28,38 +27,36 @@ let feq = Alcotest.(check (float 1e-9))
 (* --- percentiles -------------------------------------------------------- *)
 
 let hist ?(bounds = [| 1.0; 4.0; 16.0 |]) xs =
-  with_obs (fun () ->
-      List.iter (fun x -> Obs.Metrics.observe ~bounds "h" x) xs;
-      match Obs.Metrics.histogram_snapshot "h" with
-      | Some h -> h
-      | None -> Alcotest.fail "histogram missing")
+  let h = Obs.Histogram.create bounds in
+  List.iter (Obs.Histogram.observe h) xs;
+  h
 
 let test_percentile_empty () =
   let h =
-    { Obs.Metrics.bounds = [| 1.0; 2.0 |]; counts = [| 0; 0; 0 |];
+    { Obs.Histogram.bounds = [| 1.0; 2.0 |]; counts = [| 0; 0; 0 |];
       sum = 0.0; n = 0 }
   in
   Alcotest.(check (option (float 0.0))) "empty histogram" None
-    (Obs.Metrics.percentile h 0.5);
-  Alcotest.(check bool) "empty summary" true (Obs.Metrics.p50_90_99 h = None);
+    (Obs.Histogram.percentile h 0.5);
+  Alcotest.(check bool) "empty summary" true (Obs.Histogram.p50_90_99 h = None);
   (* bounds-less histograms have no information to interpolate *)
   let unbounded =
-    { Obs.Metrics.bounds = [||]; counts = [| 3 |]; sum = 30.0; n = 3 }
+    { Obs.Histogram.bounds = [||]; counts = [| 3 |]; sum = 30.0; n = 3 }
   in
   Alcotest.(check (option (float 0.0))) "no bounds" None
-    (Obs.Metrics.percentile unbounded 0.5)
+    (Obs.Histogram.percentile unbounded 0.5)
 
 let test_percentile_single () =
   (* one observation at 5.0 lands in (4,16]; every percentile must stay
      inside that bucket, and the median is its geometric midpoint *)
   let h = hist [ 5.0 ] in
-  (match Obs.Metrics.percentile h 0.5 with
+  (match Obs.Histogram.percentile h 0.5 with
   | Some p ->
       feq "p50 is the geometric midpoint" 8.0 p
   | None -> Alcotest.fail "p50 missing");
   List.iter
     (fun q ->
-      match Obs.Metrics.percentile h q with
+      match Obs.Histogram.percentile h q with
       | Some p ->
           Alcotest.(check bool)
             (Printf.sprintf "q=%g inside bucket" q)
@@ -74,28 +71,28 @@ let test_percentile_overflow () =
   let h = hist [ 100.0; 200.0; 1e9 ] in
   List.iter
     (fun q -> feq (Printf.sprintf "q=%g" q) 16.0
-        (Option.get (Obs.Metrics.percentile h q)))
+        (Option.get (Obs.Histogram.percentile h q)))
     [ 0.5; 0.99 ];
   (* mixed: p50 still interpolates in a real bucket, p99 hits overflow *)
   let h2 = hist [ 2.0; 3.0; 5.0; 1e9 ] in
-  (match Obs.Metrics.percentile h2 0.5 with
+  (match Obs.Histogram.percentile h2 0.5 with
   | Some p -> Alcotest.(check bool) "p50 in (1,4]" true (p > 1.0 && p <= 4.0)
   | None -> Alcotest.fail "p50 missing");
   feq "p99 reports last bound" 16.0
-    (Option.get (Obs.Metrics.percentile h2 0.99))
+    (Option.get (Obs.Histogram.percentile h2 0.99))
 
 let test_percentile_custom_bounds () =
   (* first bucket has no positive lower edge: interpolation is linear
      from zero, so five observations at ≤10 put the median at 5.0 *)
   let h = hist ~bounds:[| 10.0; 20.0 |] [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
-  feq "linear from zero" 5.0 (Option.get (Obs.Metrics.percentile h 0.5));
+  feq "linear from zero" 5.0 (Option.get (Obs.Histogram.percentile h 0.5));
   (* log-linear inside a positive bucket: exact closed forms *)
   let h2 = hist ~bounds:[| 1.0; 10.0; 100.0 |] [ 0.5; 5.0; 20.0; 30.0 ] in
   feq "p50 at a bucket edge" 10.0
-    (Option.get (Obs.Metrics.percentile h2 0.5));
+    (Option.get (Obs.Histogram.percentile h2 0.5));
   Alcotest.(check (float 1e-6)) "p90 log-interpolated"
     (10.0 ** 1.8)
-    (Option.get (Obs.Metrics.percentile h2 0.9))
+    (Option.get (Obs.Histogram.percentile h2 0.9))
 
 let test_bucket_index_matches_linear () =
   let linear bounds x =
@@ -109,23 +106,23 @@ let test_bucket_index_matches_linear () =
         Alcotest.(check int)
           (Printf.sprintf "x=%g" x)
           (linear bounds x)
-          (Obs.Metrics.bucket_index bounds x))
+          (Obs.Histogram.bucket_index bounds x))
       xs
   in
+  let powers_of_four = Array.init 12 (fun i -> 4.0 ** float_of_int i) in
   let edges =
-    Array.to_list Obs.Metrics.default_bounds
+    Array.to_list powers_of_four
     |> List.concat_map (fun b -> [ b -. 1e-9; b; b +. 1e-9 ])
   in
-  check_all Obs.Metrics.default_bounds
-    ([ -1.0; 0.0; 0.5; 1e12; infinity ] @ edges);
+  check_all powers_of_four ([ -1.0; 0.0; 0.5; 1e12; infinity ] @ edges);
   (* a deterministic pseudo-random sweep *)
   let state = ref 7 in
   let rand () =
     state := ((1103515245 * !state) + 12345) land 0x3FFFFFFF;
     float_of_int !state /. 64.0
   in
-  check_all Obs.Metrics.default_bounds (List.init 500 (fun _ -> rand ()));
-  check_all Obs.Metrics.duration_bounds (List.init 500 (fun _ -> rand () /. 1e6));
+  check_all powers_of_four (List.init 500 (fun _ -> rand ()));
+  check_all Obs.Histogram.duration_bounds (List.init 500 (fun _ -> rand () /. 1e6));
   (* degenerate bounds *)
   check_all [||] [ 0.0; 5.0 ];
   check_all [| 3.0 |] [ 2.0; 3.0; 4.0 ]
@@ -274,6 +271,14 @@ let test_profile_hot () =
       in
       Alcotest.(check int) "op merged across parents" 3 op.Obs.Profile.calls;
       Alcotest.(check int) "op work merged" 3 op.Obs.Profile.work;
+      (* the hot table's percentiles are exact, over these durations *)
+      Alcotest.(check (list (float 1e-9))) "one duration per op span"
+        [ 0.001; 0.001; 0.001 ] op.Obs.Profile.durations;
+      let pct = Obs.Profile.percentile_of_sorted [| 1.0; 2.0; 3.0; 4.0 |] in
+      feq "nearest-rank p50" 3.0 (pct 0.5);
+      feq "p0 is the least" 1.0 (pct 0.0);
+      feq "p99 is the greatest" 4.0 (pct 0.99);
+      feq "no samples" 0.0 (Obs.Profile.percentile_of_sorted [||] 0.5);
       (* sorted by self time, descending *)
       let selfs = List.map (fun (n : Obs.Profile.node) -> n.Obs.Profile.self_ms) hot in
       Alcotest.(check (list (float 1e-9))) "descending self order"

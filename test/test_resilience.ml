@@ -276,7 +276,6 @@ let test_retried_run_keeps_actuals () =
       Fun.protect
         ~finally:(fun () ->
           Obs.Span.reset ();
-          Obs.Metrics.reset ();
           Obs.Event.reset ())
         (fun () ->
           (* the first seed whose run retries at least once *)

@@ -483,6 +483,73 @@ let test_telemetry_endpoints () =
             (contains line "requests=")
       | r -> Alcotest.failf "expected Info, got %s" (Protocol.reply_name r))
 
+(* Every request's wall time and stage clock feed the scrape, telemetry
+   off and sampled out: N uncached queries give N request latencies and
+   N service-stage samples, each reached stage has ordered quantiles,
+   and the stages add up to no more than the requests' time. *)
+let test_untraced_scrape_has_stage_latencies () =
+  let config =
+    {
+      Service.default_config with
+      Service.trace_sample = 0;
+      statement_capacity = 0;
+      plan_capacity = 0;
+      result_capacity = 0;
+    }
+  in
+  let n = 6 in
+  Obs.Control.with_enabled false (fun () ->
+      with_server ~config (fun t ->
+          for i = 1 to n do
+            ignore
+              (xml_of
+                 (Service.query t ~view:S.Queries.fragment_text
+                    ~strategy:(if i mod 2 = 0 then "greedy" else "partitioned")
+                    ~reduce:(i mod 3 = 0)))
+          done;
+          match Service.handle t Protocol.Metrics with
+          | Protocol.Info text ->
+              let parsed = Obs.Expose.parse text in
+              let get key =
+                match Obs.Expose.find parsed key with
+                | Some v -> v
+                | None -> Alcotest.failf "exposition is missing %s" key
+              in
+              Alcotest.(check (float 0.0)) "one request latency per query"
+                (float_of_int n) (get "silkroute_server_request_ms_count");
+              let stage suffix st =
+                Printf.sprintf "silkroute_stage_ms%s{stage=%S}" suffix
+                  (Obs.Stage.name st)
+              in
+              Alcotest.(check (float 0.0)) "one service sample per query"
+                (float_of_int n)
+                (get (stage "_count" Obs.Stage.Service));
+              let stage_sum =
+                List.fold_left
+                  (fun acc st ->
+                    let count = get (stage "_count" st) in
+                    if count > 0.0 then begin
+                      let q p =
+                        get
+                          (Printf.sprintf
+                             "silkroute_stage_ms{stage=%S,quantile=%S}"
+                             (Obs.Stage.name st) p)
+                      in
+                      if not (q "0.5" <= q "0.9" && q "0.9" <= q "0.99") then
+                        Alcotest.failf "stage %s: quantiles out of order"
+                          (Obs.Stage.name st)
+                    end;
+                    acc +. get (stage "_sum" st))
+                  0.0 Obs.Stage.all
+              in
+              Alcotest.(check bool) "the executor stage was reached" true
+                (get (stage "_count" Obs.Stage.Executor) > 0.0);
+              let request_sum = get "silkroute_server_request_ms_sum" in
+              if stage_sum > request_sum *. (1.0 +. 1e-9) then
+                Alcotest.failf "stages sum to %g ms, requests to %g ms"
+                  stage_sum request_sum
+          | r -> Alcotest.failf "expected Info, got %s" (Protocol.reply_name r)))
+
 let request_spans () =
   List.filter
     (fun (s : Obs.Span.t) -> s.Obs.Span.name = "server.request")
@@ -815,6 +882,8 @@ let suite =
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
     Alcotest.test_case "telemetry: metrics + health endpoints" `Quick
       test_telemetry_endpoints;
+    Alcotest.test_case "telemetry: untraced scrape has stage latencies" `Quick
+      test_untraced_scrape_has_stage_latencies;
     Alcotest.test_case "telemetry: sampled-out slow record has every stage"
       `Quick test_sampled_out_slow_record_has_stages;
     Alcotest.test_case "telemetry: sampled-out request still answers" `Quick

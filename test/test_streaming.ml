@@ -26,24 +26,15 @@ let test_cursor_roundtrip () =
   Alcotest.(check bool) "stays exhausted" true (R.Cursor.next c = None)
 
 let test_cursor_spool_roundtrip () =
-  let seen = ref [] in
-  let c =
-    R.Cursor.spool
-      ~on_row:(fun t -> seen := t :: !seen)
-      (R.Cursor.of_list cols rows)
-  in
-  Alcotest.(check int) "on_row saw every tuple" (List.length rows)
-    (List.length !seen);
-  Alcotest.(check bool) "on_row in order" true
-    (List.for_all2 R.Tuple.equal rows (List.rev !seen));
+  let c = R.Cursor.spool (R.Cursor.of_list cols rows) in
   let back = R.Cursor.to_list c in
   Alcotest.(check bool) "spool preserves rows and order" true
     (List.for_all2 R.Tuple.equal rows back);
   Alcotest.(check bool) "exhausted" true (R.Cursor.next c = None)
 
 (* The backend counts the rows it drains, into the heap or a spool file
-   alike: their number, wire bytes and modeled transfer, added tuple by
-   tuple in delivery order.  The result spans several executor chunks
+   alike: their number, wire bytes and modeled transfer, priced in
+   closed form from the rows' count and total size.  The result spans several executor chunks
    (500 rows, out of key order) and the Sort hands it back as one
    output; the heap run's rows can be opened again, and a run whose
    first attempts drop mid-stream and are retried counts only the
@@ -63,7 +54,6 @@ let test_backend_run_counts () =
     (R.Batch.length (List.hd out) > R.Batch.default_size);
   let spooled = R.Backend.execute ~spool:true backend q in
   let rows = R.Cursor.to_list (spooled.R.Backend.rows ()) in
-  let transfer = R.Transfer.default in
   let bytes = List.map R.Tuple.wire_size rows in
   (* a spooled run's [rows ()] is one single-use cursor: read it once *)
   let read (r : R.Backend.run) = R.Cursor.to_list (r.R.Backend.rows ()) in
@@ -72,9 +62,8 @@ let test_backend_run_counts () =
     Alcotest.(check int) (label ^ ": bytes")
       (List.fold_left ( + ) 0 bytes) r.bytes;
     Alcotest.(check (float 0.0)) (label ^ ": transfer")
-      (List.fold_left
-         (fun acc b -> acc +. R.Transfer.tuple_ms transfer ~bytes:b)
-         transfer.R.Transfer.per_stream_overhead bytes)
+      (R.Transfer.stream_ms ~tuples:(List.length rows)
+         ~bytes:(List.fold_left ( + ) 0 bytes))
       r.transfer_ms;
     Alcotest.(check bool) (label ^ ": rows") true (List.equal R.Tuple.equal rows got)
   in
@@ -271,12 +260,11 @@ let rec producers (n : R.Physical.node) =
   | _ -> [ n ]
 
 (* Every row a plan delivers carries its wire size, and the backend's
-   counts are a recomputation from the delivered rows in order, float
-   for float: every lattice point of q1/q2/q3 at scale 0.2, reduced or
+   counts are a recomputation from the delivered rows, float for
+   float: every lattice point of q1/q2/q3 at scale 0.2, reduced or
    not, heap-drained or spooled. *)
 let test_carried_sizes () =
   let db = Tpch.Gen.generate (Tpch.Gen.config 0.2) in
-  let transfer = R.Transfer.default in
   let checked = Hashtbl.create 512 in
   let stream name mask reduce spool (se : Middleware.stream_exec) =
     let label =
@@ -302,9 +290,8 @@ let test_carried_sizes () =
     end;
     let bytes = List.map R.Tuple.wire_size (R.Cursor.to_list (se.se_cursor ())) in
     let ms =
-      List.fold_left
-        (fun acc b -> acc +. R.Transfer.tuple_ms transfer ~bytes:b)
-        transfer.per_stream_overhead bytes
+      R.Transfer.stream_ms ~tuples:(List.length bytes)
+        ~bytes:(List.fold_left ( + ) 0 bytes)
     in
     if se.se_rows <> List.length bytes then Alcotest.failf "%s: tuples" label;
     if se.se_bytes <> List.fold_left ( + ) 0 bytes then Alcotest.failf "%s: bytes" label;

@@ -1,7 +1,8 @@
 (* The telemetry layer added for the live server: exposition
    render/parse round trips, the rolling SLO tracker under a scripted
    clock, the bounded slow-log writer, trace-id propagation through the
-   worker pool, and a multi-domain stress on the metrics registry. *)
+   worker pool, and a multi-domain stress on the event counts and the
+   service's latency histograms. *)
 
 open Server
 module E = Obs.Expose
@@ -10,12 +11,10 @@ let db = lazy (Tpch.Gen.generate (Tpch.Gen.config 0.05))
 
 let with_obs f =
   Obs.Span.reset ();
-  Obs.Metrics.reset ();
   Obs.Event.reset ();
   Fun.protect
     ~finally:(fun () ->
       Obs.Span.reset ();
-      Obs.Metrics.reset ();
       Obs.Event.reset ())
     (fun () -> Obs.Control.with_enabled true f)
 
@@ -54,10 +53,7 @@ let test_expose_roundtrip () =
   Alcotest.(check (option string)) "no _sum family" None
     (List.assoc_opt "request_ms_sum" parsed.E.types)
 
-let test_expose_sanitize_and_errors () =
-  Alcotest.(check string) "dots fold" "server_request_ms"
-    (E.sanitize "server.request.ms");
-  Alcotest.(check string) "colons survive" "a:b_c" (E.sanitize "a:b c");
+let test_expose_parse_errors () =
   (match E.parse "nonsense line here" with
   | _ -> Alcotest.fail "expected Parse_error"
   | exception E.Parse_error _ -> ());
@@ -68,23 +64,23 @@ let test_expose_sanitize_and_errors () =
   | _ -> Alcotest.fail "expected Parse_error on bad value"
   | exception E.Parse_error _ -> ()
 
-let test_expose_of_metrics () =
-  with_obs (fun () ->
-      Obs.Metrics.incr ~by:3 "stress.counter";
-      Obs.Metrics.set_gauge "stress.gauge" 2.5;
-      Obs.Metrics.observe "stress.lat" 5.0;
-      Obs.Metrics.observe "stress.lat" 15.0;
-      let parsed = E.parse (E.render (E.of_metrics ())) in
-      Alcotest.(check (option (float 0.0))) "counter" (Some 3.0)
-        (E.find parsed "silkroute_stress_counter_total");
-      Alcotest.(check (option (float 0.0))) "gauge" (Some 2.5)
-        (E.find parsed "silkroute_stress_gauge");
-      Alcotest.(check (option (float 0.0))) "summary count" (Some 2.0)
-        (E.find parsed "silkroute_stress_lat_count");
-      Alcotest.(check (option (float 0.0))) "summary sum" (Some 20.0)
-        (E.find parsed "silkroute_stress_lat_sum");
-      Alcotest.(check bool) "p99 sample present" true
-        (E.find parsed "silkroute_stress_lat{quantile=\"0.99\"}" <> None))
+let test_expose_summary () =
+  let h = Obs.Histogram.create Obs.Histogram.duration_bounds in
+  let empty = E.summary ~labels:[ ("stage", "tagger") ] "lat" h in
+  Alcotest.(check (list string)) "an empty summary: sum and count only"
+    [ "lat_sum{stage=\"tagger\"}"; "lat_count{stage=\"tagger\"}" ]
+    (List.map E.key_of empty);
+  Obs.Histogram.observe h 5.0;
+  Obs.Histogram.observe h 15.0;
+  let parsed = E.parse (E.render (E.summary ~labels:[ ("stage", "tagger") ] "lat" h)) in
+  Alcotest.(check (option (float 0.0))) "summary count" (Some 2.0)
+    (E.find parsed "lat_count{stage=\"tagger\"}");
+  Alcotest.(check (option (float 0.0))) "summary sum" (Some 20.0)
+    (E.find parsed "lat_sum{stage=\"tagger\"}");
+  Alcotest.(check bool) "p99 sample present" true
+    (E.find parsed "lat{stage=\"tagger\",quantile=\"0.99\"}" <> None);
+  Alcotest.(check (option string)) "one summary family" (Some "summary")
+    (List.assoc_opt "lat" parsed.E.types)
 
 (* --- SLO tracker --------------------------------------------------------- *)
 
@@ -305,57 +301,78 @@ let test_concurrent_sessions_keep_their_trees () =
                (List.length spans))
             0 (List.length foreign)))
 
-(* --- multi-domain registry stress ---------------------------------------- *)
+(* --- multi-domain stress ---------------------------------------------------- *)
 
+(* Events counted from several domains at once lose no increment; the
+   service's latency account, fed by concurrent sessions while a reader
+   scrapes, never shows a request without its service-stage sample. *)
 let test_metrics_multi_domain_stress () =
   with_obs (fun () ->
       let domains = 4 and per_domain = 2_000 in
-      let hist_ok = ref true in
-      let stop = Atomic.make false in
-      (* a reader hammering snapshots while writers race: a torn
-         histogram would show n <> sum of bucket counts *)
+      let worker d =
+        Domain.spawn (fun () ->
+            for i = 0 to per_domain - 1 do
+              if (d + i) mod 2 = 0 then Obs.Event.debug "stress.even"
+              else Obs.Event.info "stress.odd"
+            done)
+      in
+      List.iter Domain.join (List.init domains worker);
+      Alcotest.(check int) "every event counted"
+        (domains * per_domain)
+        (Obs.Event.count Obs.Event.Debug + Obs.Event.count Obs.Event.Info);
+      Alcotest.(check int) "levels split evenly" (domains * per_domain / 2)
+        (Obs.Event.count Obs.Event.Debug);
+      Alcotest.(check int) "per-level counts add up to recorded"
+        (Obs.Event.recorded ())
+        (Obs.Event.count Obs.Event.Debug + Obs.Event.count Obs.Event.Info));
+  let config =
+    { Service.default_config with Service.domains = 2; trace_sample = 0 }
+  in
+  let t = Service.create ~config (Lazy.force db) in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown t)
+    (fun () ->
+      let sessions = 3 and per_session = 8 in
+      let stop = Atomic.make false and torn = ref false in
+      let scrape () =
+        match Service.handle t Protocol.Metrics with
+        | Protocol.Info text ->
+            let p = E.parse text in
+            let get k = Option.value ~default:(-1.0) (E.find p k) in
+            ( get "silkroute_server_request_ms_count",
+              get "silkroute_stage_ms_count{stage=\"service\"}" )
+        | r -> Alcotest.failf "expected Info, got %s" (Protocol.reply_name r)
+      in
       let reader =
         Thread.create
           (fun () ->
             while not (Atomic.get stop) do
-              List.iter
-                (fun (_, s) ->
-                  match s with
-                  | Obs.Metrics.SHistogram h ->
-                      let total =
-                        Array.fold_left ( + ) 0 h.Obs.Metrics.counts
-                      in
-                      if total <> h.Obs.Metrics.n then hist_ok := false
-                  | _ -> ())
-                (Obs.Metrics.snapshot ())
+              let requests, service = scrape () in
+              if requests <> service then torn := true;
+              Thread.yield ()
             done)
           ()
       in
-      let worker d =
-        Domain.spawn (fun () ->
-            for i = 0 to per_domain - 1 do
-              Obs.Metrics.incr "stress.counter";
-              Obs.Metrics.observe "stress.lat"
-                (float_of_int (((d * per_domain) + i) mod 97));
-              if i mod 100 = 0 then Obs.Metrics.set_gauge "stress.gauge" (float_of_int i)
+      let session k =
+        Thread.create
+          (fun () ->
+            for i = 1 to per_session do
+              ignore
+                (Service.query t ~view:Silkroute.Queries.fragment_text
+                   ~strategy:(if (k + i) mod 2 = 0 then "unified" else "partitioned")
+                   ~reduce:false)
             done)
+          ()
       in
-      let ds = List.init domains worker in
-      List.iter Domain.join ds;
+      List.iter Thread.join (List.init sessions session);
       Atomic.set stop true;
       Thread.join reader;
-      Alcotest.(check bool) "no torn histogram read" true !hist_ok;
-      Alcotest.(check (option int)) "counter exact"
-        (Some (domains * per_domain))
-        (Obs.Metrics.counter_value "stress.counter");
-      match Obs.Metrics.histogram_snapshot "stress.lat" with
-      | None -> Alcotest.fail "histogram missing"
-      | Some h ->
-          Alcotest.(check int) "every observation landed"
-            (domains * per_domain) h.Obs.Metrics.n;
-          Alcotest.(check int) "buckets account for all"
-            h.Obs.Metrics.n
-            (Array.fold_left ( + ) 0 h.Obs.Metrics.counts))
+      Alcotest.(check bool) "no scrape saw a request without its stages" false
+        !torn;
+      let requests, service = scrape () in
+      Alcotest.(check (float 0.0)) "every request observed"
+        (float_of_int (sessions * per_session)) requests;
+      Alcotest.(check (float 0.0)) "every service stage observed" requests service)
 
 (* --- workload measured latency ------------------------------------------- *)
 
@@ -386,9 +403,8 @@ let suite =
   [
     Alcotest.test_case "expose: render/parse roundtrip" `Quick
       test_expose_roundtrip;
-    Alcotest.test_case "expose: sanitize + parse errors" `Quick
-      test_expose_sanitize_and_errors;
-    Alcotest.test_case "expose: registry snapshot" `Quick test_expose_of_metrics;
+    Alcotest.test_case "expose: parse errors" `Quick test_expose_parse_errors;
+    Alcotest.test_case "expose: histogram summary" `Quick test_expose_summary;
     Alcotest.test_case "slo: burn + recover edges" `Quick
       test_slo_burn_and_recover;
     Alcotest.test_case "slo: error budget" `Quick test_slo_error_budget;

@@ -168,7 +168,6 @@ let test_node_ms_sum_to_executor_stage () =
             (ratio >= 0.7 && ratio <= 1.0)))
     [ false; true ];
   Obs.Span.reset ();
-  Obs.Metrics.reset ();
   Obs.Event.reset ()
 
 let suite =

@@ -110,22 +110,22 @@ let test_config_validation () =
     [ 0.0; Float.nan; Float.infinity ]
 
 let test_transfer_model () =
-  let cfg = Transfer.default in
-  let narrow =
-    Relation.create [| "a" |] [ [| Value.Int 1 |]; [| Value.Int 2 |] ]
+  let ms rows =
+    Transfer.stream_ms ~tuples:(List.length rows)
+      ~bytes:(List.fold_left (fun acc t -> acc + Tuple.wire_size t) 0 rows)
   in
+  let narrow = [ [| Value.Int 1 |]; [| Value.Int 2 |] ] in
   let wide =
-    Relation.create [| "a"; "b" |]
-      [ [| Value.Int 1; Value.String (String.make 100 'x') |];
-        [| Value.Int 2; Value.String (String.make 100 'y') |] ]
+    [ [| Value.Int 1; Value.String (String.make 100 'x') |];
+      [| Value.Int 2; Value.String (String.make 100 'y') |] ]
   in
-  Alcotest.(check bool) "wider costs more" true
-    (Transfer.relation_ms cfg wide > Transfer.relation_ms cfg narrow);
-  Alcotest.(check bool) "two streams cost stream overhead" true
-    (Transfer.relations_ms cfg [ narrow; narrow ]
-     > 2.0 *. Transfer.relation_ms cfg narrow -. 0.001);
-  Alcotest.(check bool) "empty stream still costs setup" true
-    (Transfer.relation_ms cfg (Relation.empty [| "a" |]) > 0.0)
+  Alcotest.(check bool) "wider costs more" true (ms wide > ms narrow);
+  Alcotest.(check (float 1e-9)) "two streams cost stream overhead"
+    (ms (narrow @ narrow) +. Transfer.per_stream_ms)
+    (2.0 *. ms narrow);
+  Alcotest.(check (float 0.0)) "empty stream still costs setup"
+    Transfer.per_stream_ms (ms []);
+  Alcotest.(check bool) "setup is positive" true (Transfer.per_stream_ms > 0.0)
 
 let suite =
   [

@@ -3,7 +3,7 @@
 
    check_obs jsonl FILE — --trace-json, bench --obs-jsonl and
      BENCH_silkroute.json: typed records (span | event | profile |
-     metric | baseline), at least one; spans rebased (first start 0 per
+     baseline), at least one; spans rebased (first start 0 per
      experiment tag), in start order, with unique ids and every parent
      logged first, and every exec.* span naming its plan node by an
      int "id" attr >= 1; events in emit order with a known level, a name and
@@ -16,8 +16,12 @@
      scrapes of a live server around a workload pass, and its slow log:
      both scrapes parse, the dashboard's series are present, counters
      are monotone, uptime advances, hit
-     ratios lie in [0,1], quantiles are ordered; every slow record is
-     at or above the threshold, has a trace id, and one non-negative
+     ratios lie in [0,1], quantiles are ordered; one silkroute_stage_ms
+     summary per stage of Obs.Stage, with ordered quantiles wherever the
+     workload reached the stage, a service stage counted once per
+     request, and pipeline stages summing to at most the requests'
+     time; one silkroute_events_total per event level; every slow
+     record is at or above the threshold, has a trace id, and one non-negative
      "stages" entry per stage whose pipeline stages sum to at most its
      "ms".
    check_obs lattice FILE — bench --experiment lattice-wallclock's
@@ -174,7 +178,6 @@ let jsonl path =
           | Some "span" -> check_span where j
           | Some "event" -> check_event where j
           | Some "profile" -> check_profile where j
-          | Some "metric" -> ()
           | Some "baseline" -> check_baseline where j
           | _ -> fail "%s: missing or bad \"type\" field" where)
       | _ -> fail "%s: not a JSON object" where)
@@ -353,6 +356,42 @@ let check_slow_record ~threshold_ms where j =
     fail "%s: pipeline stages sum to %g ms, more than the request's %g ms"
       where pipeline ms
 
+(* The per-stage latency summaries: one per stage, quantiles ordered
+   where the stage was reached, the service stage counted once per
+   request, and the pipeline stages' time within the requests'.  Returns
+   how many stages were reached. *)
+let check_stages p =
+  let request_count = get p "silkroute_server_request_ms_count" in
+  let request_sum = get p "silkroute_server_request_ms_sum" in
+  let pipeline_sum, reached =
+    List.fold_left
+      (fun (sum, reached) st ->
+        let name = Obs.Stage.name st in
+        let key suffix =
+          Printf.sprintf "silkroute_stage_ms%s{stage=%S}" suffix name
+        in
+        let count = get p (key "_count") and stage_sum = get p (key "_sum") in
+        if st = Obs.Stage.Service && count <> request_count then
+          fail "stage service counted %g request(s), the server %g" count
+            request_count;
+        if count > 0.0 then begin
+          let q s =
+            get p
+              (Printf.sprintf "silkroute_stage_ms{stage=%S,quantile=%S}" name s)
+          in
+          if not (q "0.5" <= q "0.9" && q "0.9" <= q "0.99") then
+            fail "stage %s quantiles out of order: p50 %g p90 %g p99 %g" name
+              (q "0.5") (q "0.9") (q "0.99")
+        end;
+        let sum = if st = Obs.Stage.Service then sum else sum +. stage_sum in
+        (sum, if count > 0.0 then reached + 1 else reached))
+      (0.0, 0) Obs.Stage.all
+  in
+  if pipeline_sum > request_sum *. (1.0 +. 1e-9) +. 1e-6 then
+    fail "pipeline stages sum to %g ms, more than the requests' %g ms"
+      pipeline_sum request_sum;
+  reached
+
 let telemetry scrape1 scrape2 slowlog threshold_ms =
   let p1 = scrape scrape1 and p2 = scrape scrape2 in
   (* the dashboard's load-bearing series must all be present *)
@@ -372,6 +411,13 @@ let telemetry scrape1 scrape2 slowlog threshold_ms =
       "silkroute_slowlog_written_total";
       "silkroute_slowlog_dropped_total";
     ];
+  List.iter
+    (fun l ->
+      ignore
+        (get p2
+           (Printf.sprintf "silkroute_events_total{level=%S}"
+              (Obs.Event.level_name l))))
+    Obs.Event.[ Debug; Info; Warn; Error ];
   if get p2 "silkroute_server_queries_total" <= 0.0 then
     fail "no queries counted after the workload pass";
   if get p2 "silkroute_uptime_seconds" <= get p1 "silkroute_uptime_seconds" then
@@ -400,6 +446,7 @@ let telemetry scrape1 scrape2 slowlog threshold_ms =
   if not (q "0.5" <= q "0.9" && q "0.9" <= q "0.99") then
     fail "latency quantiles out of order: p50 %g p90 %g p99 %g" (q "0.5")
       (q "0.9") (q "0.99");
+  let reached = check_stages p2 in
   let records = read_lines slowlog in
   if records = [] then fail "slow log is empty (threshold %gms)" threshold_ms;
   List.iteri
@@ -413,10 +460,10 @@ let telemetry scrape1 scrape2 slowlog threshold_ms =
       (List.length records) written;
   Printf.printf
     "check_obs: telemetry OK: %d monotone counters, %.0f queries, %d slow \
-     records, p50/p90/p99 %.2f/%.2f/%.2f ms\n"
+     records, p50/p90/p99 %.2f/%.2f/%.2f ms, %d stage(s) reached\n"
     monotone
     (get p2 "silkroute_server_queries_total")
-    (List.length records) (q "0.5") (q "0.9") (q "0.99")
+    (List.length records) (q "0.5") (q "0.9") (q "0.99") reached
 
 let () =
   match Array.to_list Sys.argv with
