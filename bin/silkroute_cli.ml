@@ -863,6 +863,7 @@ let input_error = function
       Some (Printexc.to_string e)
   | S.Rxl_lexer.Lex_error (m, at) ->
       Some (Printf.sprintf "RXL offset %d: %s" at m)
+  | S.View_tree.Unsupported m -> Some ("unsupported view: " ^ m)
   | R.Source_desc.Syntax_error (m, line) ->
       Some (Printf.sprintf "schema line %d: %s" line m)
   | Unix.Unix_error (e, (("connect" | "bind") as call), path) when path <> "" ->

@@ -55,7 +55,7 @@ let uncharged b = b.uncharged
 let length b = if b.filtered then b.sel_len else b.len
 let is_full b = (not b.filtered) && b.len = Array.length b.rows
 
-let push b ?(bytes = 0) row =
+let push b ~bytes row =
   if b.filtered then invalid_arg "Batch.push: batch has a selection vector";
   if b.len = Array.length b.rows then invalid_arg "Batch.push: batch is full";
   b.rows.(b.len) <- row;

@@ -5,8 +5,9 @@
     figure: its {!Tuple.wire_size}, summed once by the operator that
     built the row (a projection, or a join's concatenation) and carried
     through filters, unions and sorts to the drain, which adds the
-    figures up without reading a value.  Scans carry 0: no plan delivers
-    or sorts a scan's rows directly.  Part of each figure may be
+    figures up without reading a value.  Scans carry 0, "not carried": no
+    plan delivers or sorts a scan's rows directly, and a join that reads
+    them sums their sizes itself.  Part of each figure may be
     uncharged: an output projection's literal columns skip the emission
     charge (the narrow-emission discount), and their summed size, one
     constant per projection, is the batch's {!uncharged} — what a sort
@@ -56,8 +57,8 @@ val length : t -> int
 
 val is_full : t -> bool
 
-val push : t -> ?bytes:int -> Tuple.t -> unit
-(** Append a row (with its byte figure, default 0).  Raises
+val push : t -> bytes:int -> Tuple.t -> unit
+(** Append a row with its byte figure, 0 meaning "not carried".  Raises
     [Invalid_argument] if the batch is full or carries a selection
     vector. *)
 

@@ -118,7 +118,10 @@ module P = Physical
    open-addressing table maps a key's hash to its group, whose first row
    the key is compared with in place.  Beside it sits the probe slice
    ([porder], [pstarts], the same arrays when every row qualifies): only
-   the rows that pass the index's guard and have no NULL key.
+   the rows that pass the index's guard and have no NULL key.  An index
+   is [exact] when no group holds an Int and a Float in one key column:
+   only there can a key equal the group's first row's and not another
+   row's (an Int beyond 2^53 compares as the Float it rounds to).
 
    A left row's candidates — charged as probed — are the union of its
    groups, counted over the id arrays without reading a row, or every
@@ -127,14 +130,20 @@ module P = Physical
    accepts satisfies some disjunct, whose equalities put the right row
    in that disjunct's group with non-NULL keys and whose right-only
    conjuncts pass the guard.  Rows, their order and every charge are
-   those of testing ON on every candidate.
+   those of testing ON on every candidate.  When ON is one disjunct of
+   key equalities only and its index is unguarded and exact, the key
+   match decides it: a slice candidate is accepted without calling ON,
+   since the slice holds no NULL key and ON's [=] on non-NULL values is
+   {!Value.equal}, which put the candidate in the left row's group.
 
    The probe builds no joined row: it charges each accepted pair, or an
    unmatched outer row's NULL pad, as the joined row it stands for and
    hands (left row, right row, its wire size) to its consumer, which
    builds what it keeps — the concatenation, or the row of the
-   projection above the join.  Nothing per left row allocates except
-   what the consumer builds. *)
+   projection above the join.  That size is the sum of its halves' —
+   each input row's carried figure, or its {!Tuple.wire_size} where the
+   figure is 0 (a scan's rows).  Nothing per left row allocates or
+   writes a pointer except what the consumer builds. *)
 type index = {
   lk : int array; (* left key positions *)
   rk : int array; (* right key positions *)
@@ -144,6 +153,7 @@ type index = {
   order : int array;
   pstarts : int array;
   porder : int array;
+  exact : bool; (* no group mixes Int and Float in a key column *)
 }
 
 type probe = {
@@ -152,16 +162,19 @@ type probe = {
   full : bool; (* some disjunct has no equality: every row is a candidate *)
   indexes : index array;
   on : Tuple.t -> Tuple.t -> bool; (* ON over (left row, right row) *)
+  keys_decide : bool; (* a probe-slice candidate satisfies ON *)
   outer : bool;
   null_pad : Tuple.t;
   pad_bytes : int;
   groups : int array; (* the current left row's group per index, or -1 *)
-  (* the union walk: per index, an id array and a cursor range in it *)
-  src : int array array;
+  (* the union walk: per index, its groups' and its probe slices' id
+     arrays, and a cursor range in one of them *)
+  order : int array array;
+  porder : int array array;
   cur : int array;
   stop : int array;
   mutable matched : bool; (* the current left row has an accepted pair *)
-  mutable lbytes : int; (* its wire size, once computed; else -1 *)
+  mutable lbytes : int; (* its wire size; 0 until known *)
   mutable tested : int; (* pairs ON was evaluated on *)
 }
 
@@ -178,6 +191,15 @@ let rec find_group right ix lrow s =
 let rec has_null pos (row : Tuple.t) i =
   i < Array.length pos && (Value.is_null row.(pos.(i)) || has_null pos row (i + 1))
 
+(* Some field of [a] at [pos], from the [i]th on, is an Int where [b]'s
+   is a Float, or the reverse. *)
+let rec mixed_numbers pos (a : Tuple.t) (b : Tuple.t) i =
+  i < Array.length pos
+  &&
+  match (a.(pos.(i)), b.(pos.(i))) with
+  | Value.Int _, Value.Float _ | Value.Float _, Value.Int _ -> true
+  | _ -> mixed_numbers pos a b (i + 1)
+
 (* Index [right] for [ix]; [group] is a scratch array of one slot per
    right row, shared by a join's indexes. *)
 let index_create right ~group (ix : P.index) =
@@ -192,7 +214,7 @@ let index_create right ~group (ix : P.index) =
   (* first pass: each row's group; [order] holds each group's first row
      until the counting sort fills it *)
   let order = Array.make n 0 in
-  let ngroups = ref 0 in
+  let ngroups = ref 0 and exact = ref true in
   for idx = 0 to n - 1 do
     let row = right.(idx) in
     let s = ref (Tuple.hash_at rk row land mask) and g = ref (-1) in
@@ -204,7 +226,10 @@ let index_create right ~group (ix : P.index) =
         order.(!g) <- idx;
         incr ngroups
       end
-      else if Tuple.equal_at rk row rk right.(order.(e - 1)) then g := e - 1
+      else if Tuple.equal_at rk row rk right.(order.(e - 1)) then begin
+        g := e - 1;
+        if mixed_numbers rk row right.(order.(e - 1)) 0 then exact := false
+      end
       else s := (!s + 1) land mask
     done;
     group.(idx) <- !g
@@ -255,9 +280,10 @@ let index_create right ~group (ix : P.index) =
       (pstarts, porder)
     end
   in
-  { lk = ix.P.left_keys; rk; mask; slots; starts; order; pstarts; porder }
+  { lk = ix.P.left_keys; rk; mask; slots; starts; order; pstarts; porder; exact = !exact }
 
-let probe_create (info : P.join_info) (right : Tuple.t array) =
+(* [right_bytes] holds each right row's wire size. *)
+let probe_create (info : P.join_info) (right : Tuple.t array) right_bytes =
   let full = info.P.algo = P.Nested_loop in
   let indexes =
     match info.P.indexes with
@@ -268,38 +294,46 @@ let probe_create (info : P.join_info) (right : Tuple.t array) =
   in
   let ni = Array.length indexes in
   let null_pad = Tuple.all_null info.P.right_width in
+  let keys_decide =
+    match (info.P.disjuncts, info.P.indexes) with
+    | [ { P.d_rest = []; _ } ], [ { P.guard = None; _ } ] -> indexes.(0).exact
+    | _ -> false
+  in
   {
     right;
-    right_bytes = Array.map Tuple.wire_size right;
+    right_bytes;
     full;
     indexes;
     on = Expr.compile_join_pred ~split:info.P.split info.P.on;
+    keys_decide;
     outer = info.P.kind = Sql.Left_outer;
     null_pad;
     pad_bytes = Tuple.wire_size null_pad;
     groups = Array.make ni (-1);
-    src = Array.make ni [||];
+    order = Array.map (fun (ix : index) -> ix.order) indexes;
+    porder = Array.map (fun (ix : index) -> ix.porder) indexes;
     cur = Array.make ni 0;
     stop = Array.make ni 0;
     matched = false;
-    lbytes = -1;
+    lbytes = 0;
     tested = 0;
   }
 
-(* The least id under the cursors of the union walk, advancing every
-   cursor at it; -1 once all ranges are consumed. *)
-let next_union p =
+(* The least id under the cursors of the union walk over the id arrays
+   [src] ([p.order] or [p.porder]), advancing every cursor at it; -1
+   once all ranges are consumed. *)
+let next_union p src =
   let m = ref max_int in
   for t = 0 to Array.length p.cur - 1 do
     if p.cur.(t) < p.stop.(t) then begin
-      let v = p.src.(t).(p.cur.(t)) in
+      let v = src.(t).(p.cur.(t)) in
       if v < !m then m := v
     end
   done;
   if !m = max_int then -1
   else begin
     for t = 0 to Array.length p.cur - 1 do
-      if p.cur.(t) < p.stop.(t) && p.src.(t).(p.cur.(t)) = !m then
+      if p.cur.(t) < p.stop.(t) && src.(t).(p.cur.(t)) = !m then
         p.cur.(t) <- p.cur.(t) + 1
     done;
     !m
@@ -313,7 +347,6 @@ let set_ranges p ~slice =
   for t = 0 to Array.length p.indexes - 1 do
     let ix = p.indexes.(t) and g = p.groups.(t) in
     let starts = if slice then ix.pstarts else ix.starts in
-    p.src.(t) <- (if slice then ix.porder else ix.order);
     if g < 0 then begin
       p.cur.(t) <- 0;
       p.stop.(t) <- 0
@@ -335,30 +368,30 @@ let union_size p active =
       n := !n + p.stop.(t) - p.cur.(t)
     done
   else
-    while next_union p >= 0 do
+    while next_union p p.order >= 0 do
       incr n
     done;
   !n
 
-(* Test ON on the left row and right row [i]; if it holds, charge the
-   joined row — its wire size is the sum of its halves' — and emit the
-   pair. *)
+(* Test ON on the left row and right row [i] (unless the key match
+   decides it); if it holds, charge the joined row — its wire size is
+   the sum of its halves' — and emit the pair. *)
 let test_pair ctx p emit (lrow : Tuple.t) i =
   let rrow = p.right.(i) in
-  if p.on lrow rrow then begin
+  if p.keys_decide || p.on lrow rrow then begin
     p.matched <- true;
-    if p.lbytes < 0 then p.lbytes <- Tuple.wire_size lrow;
+    if p.lbytes = 0 then p.lbytes <- Tuple.wire_size lrow;
     let bytes = p.lbytes + p.right_bytes.(i) in
     charge_emit_bytes ctx bytes;
     emit lrow rrow bytes
   end
 
-(* Probe one left row: charge its candidates as probed, emit each pair
-   that satisfies ON in ascending right-row order, then the NULL pad of
-   an unmatched outer row. *)
-let probe_row ctx p emit (lrow : Tuple.t) =
+(* Probe one left row, whose carried figure is [lbytes]: charge its
+   candidates as probed, emit each pair that satisfies ON in ascending
+   right-row order, then the NULL pad of an unmatched outer row. *)
+let probe_row ctx p emit (lrow : Tuple.t) lbytes =
   p.matched <- false;
-  p.lbytes <- -1;
+  p.lbytes <- lbytes;
   if p.full then begin
     let n = Array.length p.right in
     charge ctx `Probe n;
@@ -377,32 +410,34 @@ let probe_row ctx p emit (lrow : Tuple.t) =
     (* ON runs on the union of the probe slices, in ascending order *)
     if set_ranges p ~slice:true <= 1 then
       for t = 0 to Array.length p.cur - 1 do
+        let src = p.porder.(t) in
         p.tested <- p.tested + p.stop.(t) - p.cur.(t);
         for k = p.cur.(t) to p.stop.(t) - 1 do
-          test_pair ctx p emit lrow p.src.(t).(k)
+          test_pair ctx p emit lrow src.(k)
         done
       done
     else begin
-      let i = ref (next_union p) in
+      let i = ref (next_union p p.porder) in
       while !i >= 0 do
         p.tested <- p.tested + 1;
         test_pair ctx p emit lrow !i;
-        i := next_union p
+        i := next_union p p.porder
       done
     end
   end;
   if (not p.matched) && p.outer then begin
-    let bytes = Tuple.wire_size lrow + p.pad_bytes in
+    let lbytes = if p.lbytes = 0 then Tuple.wire_size lrow else p.lbytes in
+    let bytes = lbytes + p.pad_bytes in
     charge_emit_bytes ctx bytes;
     emit lrow p.null_pad bytes
   end
 
-(* Run a join: index [right], probe every left row [iter_left] yields,
-   and pass each output row to [consume] as (left row, right row, wire
-   size). *)
-let run_join ctx (info : P.join_info) ~nleft ~iter_left right consume =
+(* Run a join: index [right] (wire sizes [right_bytes]), probe every
+   left row [iter_left] yields with its carried figure, and pass each
+   output row to [consume] as (left row, right row, wire size). *)
+let run_join ctx (info : P.join_info) ~nleft ~iter_left right right_bytes consume =
   let probed0 = ctx.st.probed in
-  let p = probe_create info right in
+  let p = probe_create info right right_bytes in
   iter_left (probe_row ctx p consume);
   if Obs.Span.tracing () then
     Obs.Span.add_list
@@ -755,7 +790,7 @@ and exec_node ctx share (n : P.node) : Batch.t list =
   | P.Dual ->
       own ctx n (fun () ->
           let b = Batch.create () in
-          Batch.push b [||];
+          Batch.push b ~bytes:0 [||];
           [ b ])
   | P.Filter { input; pred; charged; _ } ->
       let inb = exec_batched input in
@@ -823,16 +858,18 @@ and exec_join ctx share ?fused (n : P.node) (info : P.join_info) left right =
           built := !built + ctx.st.work - w
   in
   own ?fused:(Option.map (fun (p, _) -> (p, built)) fused) ctx n (fun () ->
-      let right_arr = Array.make (batch_rows right) [||] in
+      let nright = batch_rows right in
+      let right_arr = Array.make nright [||] and right_bytes = Array.make nright 0 in
       let ri = ref 0 in
       List.iter
-        (Batch.iter (fun row _ ->
+        (Batch.iter (fun row b ->
              right_arr.(!ri) <- row;
+             right_bytes.(!ri) <- (if b = 0 then Tuple.wire_size row else b);
              incr ri))
         right;
       run_join ctx info ~nleft:(batch_rows left)
-        ~iter_left:(fun f -> List.iter (Batch.iter (fun row _ -> f row)) left)
-        right_arr consume;
+        ~iter_left:(fun f -> List.iter (Batch.iter f) left)
+        right_arr right_bytes consume;
       bb_finish bb)
 
 (* --- entry points ------------------------------------------------------ *)

@@ -55,6 +55,12 @@ let is_digit c = c >= '0' && c <= '9'
 let is_hex_digit c =
   is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
+(* The value of the numeric literal [text] that starts at byte [at]. *)
+let number of_string text at =
+  match of_string text with
+  | Some v -> v
+  | None -> raise (Lex_error (Printf.sprintf "malformed number %S" text, at))
+
 let tokenize (s : string) : token array =
   let n = String.length s in
   let toks = ref [] in
@@ -84,7 +90,7 @@ let tokenize (s : string) : token array =
         do
           incr i
         done;
-        push (FLOAT (float_of_string (String.sub s start (!i - start)))))
+        push (FLOAT (number float_of_string_opt (String.sub s start (!i - start)) start)))
       else (
         let saw_dot = ref false and saw_exp = ref false in
         while
@@ -100,8 +106,8 @@ let tokenize (s : string) : token array =
           incr i
         done;
         let text = String.sub s start (!i - start) in
-        if !saw_dot || !saw_exp then push (FLOAT (float_of_string text))
-        else push (INT (int_of_string text))))
+        if !saw_dot || !saw_exp then push (FLOAT (number float_of_string_opt text start))
+        else push (INT (number int_of_string_opt text start))))
     else if c = '\'' then (
       let buf = Buffer.create 16 in
       incr i;

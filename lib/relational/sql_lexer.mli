@@ -32,4 +32,6 @@ val token_to_string : token -> string
 val tokenize : string -> token array
 (** Tokenizes a full query; the result always ends with {!EOF}.  String
     literals use SQL [''] escaping; numeric literals include hex floats
-    (the printer's lossless float syntax). *)
+    (the printer's lossless float syntax).  Raises {!Lex_error} on an
+    unexpected character, an unterminated string, or a numeric literal
+    that does not convert (["4E"], ["0x"], an integer out of range). *)

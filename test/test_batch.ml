@@ -18,19 +18,19 @@ let test_push_get () =
   Alcotest.(check int) "empty" 0 (R.Batch.length b);
   Alcotest.(check int) "capacity" 4 (R.Batch.capacity b);
   R.Batch.push b ~bytes:10 (row 1 2 3);
-  R.Batch.push b (row 4 5 6);
+  R.Batch.push b ~bytes:0 (row 4 5 6);
   Alcotest.(check int) "two rows" 2 (R.Batch.length b);
   Alcotest.(check bool) "not full" false (R.Batch.is_full b);
   Alcotest.(check bool) "get 0" true (R.Batch.get b 0 = row 1 2 3);
   Alcotest.(check bool) "get 1" true (R.Batch.get b 1 = row 4 5 6);
   Alcotest.(check int) "bytes 0" 10 (R.Batch.bytes_at b 0);
   Alcotest.(check int) "bytes 1 defaults to 0" 0 (R.Batch.bytes_at b 1);
-  R.Batch.push b (row 7 8 9);
-  R.Batch.push b (row 10 11 12);
+  R.Batch.push b ~bytes:0 (row 7 8 9);
+  R.Batch.push b ~bytes:0 (row 10 11 12);
   Alcotest.(check bool) "full" true (R.Batch.is_full b);
   Alcotest.check_raises "push past capacity"
     (Invalid_argument "Batch.push: batch is full") (fun () ->
-      R.Batch.push b (row 0 0 0))
+      R.Batch.push b ~bytes:0 (row 0 0 0))
 
 let test_keep () =
   let b = R.Batch.create ~size:8 () in
@@ -66,12 +66,12 @@ let test_keep () =
     (List.rev !pairs = [ (1, row 1 1 1); (2, row 2 2 2); (4, row 4 4 4) ]);
   Alcotest.check_raises "push after filter"
     (Invalid_argument "Batch.push: batch has a selection vector") (fun () ->
-      R.Batch.push f2 (row 0 0 0))
+      R.Batch.push f2 ~bytes:0 (row 0 0 0))
 
 let test_keep_all_and_none () =
   let b = R.Batch.create ~size:4 () in
-  R.Batch.push b (row 1 1 1);
-  R.Batch.push b (row 2 2 2);
+  R.Batch.push b ~bytes:0 (row 1 1 1);
+  R.Batch.push b ~bytes:0 (row 2 2 2);
   let all = R.Batch.filter (fun _ -> true) b in
   Alcotest.(check int) "keep all" 2 (R.Batch.length all);
   let none = R.Batch.filter (fun _ -> false) all in

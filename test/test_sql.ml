@@ -155,6 +155,22 @@ let test_lexer_hex_float () =
   | Sql_lexer.FLOAT f' -> Alcotest.(check (float 0.0)) "exact" f f'
   | t -> Alcotest.fail ("expected float, got " ^ Sql_lexer.token_to_string t)
 
+(* A numeric literal the lexer scans but cannot convert is a lex error
+   at the literal's offset, not an escaping [Failure]. *)
+let test_lexer_malformed_numbers () =
+  List.iter
+    (fun (text, at) ->
+      match Sql_lexer.tokenize text with
+      | _ -> Alcotest.fail ("accepted: " ^ text)
+      | exception Sql_lexer.Lex_error (_, off) ->
+          Alcotest.(check int) ("offset in: " ^ text) at off)
+    [
+      ("SELECT 4EAS x FROM T AS t", 7);
+      ("SELECT 0x", 7);
+      ("SELECT t.x AS x FROM T AS t WHERE (t.x = 1e+)", 41);
+      ("SELECT 99999999999999999999 AS x", 7);
+    ]
+
 let suite =
   [
     Alcotest.test_case "item alias defaulting" `Quick test_item_alias_default;
@@ -170,4 +186,5 @@ let suite =
     Alcotest.test_case "parser: rejects malformed" `Quick test_parser_errors;
     Alcotest.test_case "lexer: operators" `Quick test_lexer_operators;
     Alcotest.test_case "lexer: hex floats" `Quick test_lexer_hex_float;
+    Alcotest.test_case "lexer: malformed numbers" `Quick test_lexer_malformed_numbers;
   ]

@@ -7,6 +7,24 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== build profile (libraries inline across modules, dev warnings kept)"
+# dune-workspace selects the release profile: the dev profile compiles
+# every library with -opaque, which stops the per-row helpers (Value,
+# Tuple, Batch) from inlining into the executor's loops.  The root dune
+# file keeps the dev profile's warnings-as-errors.
+rules=$(dune rules _build/default/lib/relational/.relational.objs/native/relational__Executor.cmx)
+case $rules in
+  *ocamlopt*) ;;
+  *) echo "build: no native compile rule for relational__Executor.cmx"; exit 1 ;;
+esac
+case $rules in
+  *-opaque*) echo "build: library modules are compiled with -opaque (see dune-workspace)"; exit 1 ;;
+esac
+if ! dune printenv . | grep -qF '@1..3@5..28@30..39@43@46..47@49..57@61..62'; then
+  echo "build: the dev warnings-as-errors are missing from the flags (see the root dune file)"
+  exit 1
+fi
+
 echo "== dune build @check"
 dune build @check
 

@@ -51,6 +51,46 @@ check "out-of-range edge mask" run --scale 0.05 --strategy edges:4096
 check "non-finite skew factor" run --scale 0.05 --skew-stats Supplier=inf
 check "non-RXL view file" run --scale 0.05 --view "$tmp/bad.rxl"
 
+# A view whose part block correlates $p with itself: the unified and
+# greedy plans cannot carry p.partkey to the order block, which is a
+# property of the view, not a crash.
+cat > "$tmp/uncorrelated.rxl" <<'RXL'
+view suppliers
+{
+  from Supplier $s
+  construct
+    <supplier>
+      {
+        from PartSupp $ps, Part $p
+        where $s.suppkey = $ps.suppkey, $p.partkey = $p.partkey
+        construct
+          <part>
+            <name>$p.name</name>
+            {
+              from LineItem $l, Orders $o
+              where $ps.partkey = $l.partkey,
+                    $ps.suppkey = $l.suppkey,
+                    $l.orderkey = $o.orderkey
+              construct
+                <order>
+                  <orderkey>$o.orderkey</orderkey>
+                  {
+                    from Customer $c
+                    where $o.custkey = $c.custkey
+                    construct <customer>$c.name</customer>
+                  }
+                </order>
+            }
+          </part>
+      }
+    </supplier>
+}
+RXL
+check_named "unsupported view" "view the unified plan cannot correlate" run \
+  --view "$tmp/uncorrelated.rxl" --scale 0.01 --strategy unified --no-reduce
+check_named "unsupported view" "view the greedy plan cannot correlate" run \
+  --view "$tmp/uncorrelated.rxl" --scale 0.01 --strategy greedy --no-reduce
+
 # Counts below their range are rejected where they are owned.
 check_named budget "negative budget" run --scale 0.05 --budget=-5
 check_named retries "negative retries" run --scale 0.05 --retries=-1
