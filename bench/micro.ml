@@ -77,11 +77,11 @@ let t_fig18 =
     (Staged.stage (fun () ->
          ignore (Sk.Middleware.prepare_text (Lazy.force db) Sk.Queries.query2_text)))
 
-(* Event emission and GC snapshots sit inside spans on the hot path, so
-   their unit costs bound the diagnostics overhead.  The disabled
-   variants prove the PR 5 envelope still holds when tracing is off:
-   both an un-recorded event and an un-opened span are one boolean
-   test. *)
+(* Event emission sits inside spans on the hot path, so its unit cost
+   bounds the diagnostics overhead, as [obs:span-enabled] bounds a
+   traced span's.  The disabled variants prove the envelope still holds
+   when tracing is off: both an un-recorded event and an un-opened span
+   are one boolean test. *)
 let t_event_emit =
   Test.make ~name:"obs:event-emit-enabled"
     (Staged.stage (fun () ->
@@ -99,12 +99,24 @@ let t_event_disabled =
                Obs.Event.debug "bench.tick" ~attrs:[ Obs.Attr.int "i" i ]
              done)))
 
+(* The whole-program GC snapshot, taken once per profiled run, and per
+   request while a slow-query threshold is set; never per span. *)
 let t_gc_quickstat =
   Test.make ~name:"obs:gc-quick-stat"
     (Staged.stage (fun () ->
          for _ = 0 to 4095 do
            ignore (Gc.quick_stat ())
          done))
+
+(* One traced span around an empty thunk: its open and close, GC
+   readings included.  The log is reset each run, so it holds one span
+   and memory stays bounded. *)
+let t_span_enabled =
+  Test.make ~name:"obs:span-enabled"
+    (Staged.stage (fun () ->
+         Obs.Control.with_enabled true (fun () ->
+             Obs.Span.with_span "bench.span" (fun () -> ());
+             Obs.Span.reset ())))
 
 let t_span_disabled =
   Test.make ~name:"obs:span-disabled"
@@ -225,7 +237,7 @@ let all_tests =
        ([
           t_table1; t_sec2; t_fig13; t_fig13_stream; t_fig14; t_fig15; t_fig18;
           t_event_emit; t_event_disabled;
-          t_gc_quickstat; t_span_disabled; t_expr_interpreted; t_expr_compiled;
+          t_gc_quickstat; t_span_enabled; t_span_disabled; t_expr_interpreted; t_expr_compiled;
           t_tag_merge;
         ]
        @ Lazy.force exec_op_tests))

@@ -200,8 +200,8 @@ let render_gc buf ~top profile =
   in
   bprintf buf "GC PRESSURE — top %d operator(s) by minor allocation\n"
     (min top (List.length by_alloc));
-  bprintf buf "%-28s %6s %12s %12s %8s\n" "name" "calls" "minor(kw)"
-    "major(kw)" "compact";
+  bprintf buf "%-28s %6s %12s %12s\n" "name" "calls" "minor(kw)"
+    "major(kw)";
   let rec take k = function
     | [] -> []
     | _ when k = 0 -> []
@@ -209,11 +209,9 @@ let render_gc buf ~top profile =
   in
   List.iter
     (fun (n : Profile.node) ->
-      bprintf buf "%-28s %6d %12.1f %12.1f %8d\n" n.Profile.name
-        n.Profile.calls
+      bprintf buf "%-28s %6d %12.1f %12.1f\n" n.Profile.name n.Profile.calls
         (n.Profile.minor_words /. 1000.0)
-        (n.Profile.major_words /. 1000.0)
-        n.Profile.compactions)
+        (n.Profile.major_words /. 1000.0))
     (take top by_alloc)
 
 let render ?(threshold = default_threshold) ?(top = 10) ~resilience samples =

@@ -67,7 +67,6 @@ let profile_json ?experiment ~path (n : Profile.node) =
          ("bytes", Json.Int n.Profile.bytes);
          ("minor_words", Json.Float n.Profile.minor_words);
          ("major_words", Json.Float n.Profile.major_words);
-         ("compactions", Json.Int n.Profile.compactions);
        ])
 
 let to_lines ?experiment () =

@@ -23,7 +23,6 @@ type node = {
   mutable bytes : int;
   mutable minor_words : float;
   mutable major_words : float;
-  mutable compactions : int;
   mutable durations : float list; (* finished spans' ms, newest first *)
   mutable children_rev : node list; (* reverse first-seen order *)
 }
@@ -41,7 +40,6 @@ let fresh name =
     bytes = 0;
     minor_words = 0.0;
     major_words = 0.0;
-    compactions = 0;
     durations = [];
     children_rev = [];
   }
@@ -104,7 +102,6 @@ let of_spans (spans : Span.t list) =
         (* GC deltas include descendants' allocation, like total_ms *)
         n.minor_words <- n.minor_words +. s.Span.gc_minor_words;
         n.major_words <- n.major_words +. s.Span.gc_major_words;
-        n.compactions <- n.compactions + s.Span.gc_compactions;
         n.durations <- d :: n.durations
       end;
       List.iter
@@ -163,7 +160,6 @@ let hot ?(top = 10) t =
       agg.bytes <- agg.bytes + n.bytes;
       agg.minor_words <- agg.minor_words +. n.minor_words;
       agg.major_words <- agg.major_words +. n.major_words;
-      agg.compactions <- agg.compactions + n.compactions;
       agg.durations <- List.rev_append n.durations agg.durations)
     t;
   let all = List.rev !order_rev in
@@ -192,12 +188,18 @@ let bar width frac =
    other column, and sub-kiloword noise is not actionable. *)
 let kwords w = w /. 1000.0
 
-type gc = { promoted_words : float; minor_collections : int; major_collections : int }
+type gc = {
+  promoted_words : float;
+  major_words : float;
+  minor_collections : int;
+  major_collections : int;
+}
 
 let gc_since (s0 : Gc.stat) =
   let s1 = Gc.quick_stat () in
   {
     promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
+    major_words = s1.Gc.major_words -. s0.Gc.major_words;
     minor_collections = s1.Gc.minor_collections - s0.Gc.minor_collections;
     major_collections = s1.Gc.major_collections - s0.Gc.major_collections;
   }
@@ -206,18 +208,21 @@ let render_tree_to buf ?gc t =
   bprintf buf "PROFILE — %d root(s), %.3fms total" (List.length t.roots) t.total_ms;
   Option.iter
     (fun g ->
-      bprintf buf ", GC: %.1f promoted(kw), %d minor / %d major collections"
-        (kwords g.promoted_words) g.minor_collections g.major_collections)
+      bprintf buf
+        ", GC (sampled at minor collections): %.1f promoted(kw), %.1f \
+         major(kw), %d minor / %d major collections"
+        (kwords g.promoted_words) (kwords g.major_words) g.minor_collections
+        g.major_collections)
     gc;
   Buffer.add_char buf '\n';
-  bprintf buf "%6s %11s %11s %12s %12s %12s %10s %10s %5s  %-12s %s\n" "calls"
+  bprintf buf "%6s %11s %11s %12s %12s %12s %10s %10s  %-12s %s\n" "calls"
     "total(ms)" "self(ms)" "rows" "work" "bytes" "minor(kw)" "major(kw)"
-    "compact" "share" "name";
+    "share" "name";
   let grand = if t.total_ms > 0.0 then t.total_ms else 1.0 in
   let rec go depth n =
-    bprintf buf "%6d %11.3f %11.3f %12d %12d %12d %10.1f %10.1f %5d  [%s] %s%s\n"
+    bprintf buf "%6d %11.3f %11.3f %12d %12d %12d %10.1f %10.1f  [%s] %s%s\n"
       n.calls n.total_ms n.self_ms n.rows n.work n.bytes
-      (kwords n.minor_words) (kwords n.major_words) n.compactions
+      (kwords n.minor_words) (kwords n.major_words)
       (bar 10 (n.total_ms /. grand))
       (String.make (2 * depth) ' ')
       n.name;

@@ -19,8 +19,7 @@ type node = {
       (** minor-heap words allocated during spans folded into this node
           (descendants included, like [total_ms]); only finished spans
           contribute *)
-  mutable major_words : float;
-  mutable compactions : int;
+  mutable major_words : float;  (** major-heap words, likewise *)
   mutable durations : float list;
       (** each folded finished span's duration in ms, newest first *)
   mutable children_rev : node list;  (** reverse first-seen order *)
@@ -56,17 +55,25 @@ val percentile_of_sorted : float array -> float -> float
 (** Exact nearest-rank [q]-quantile of ascending samples (index
     [round (q * (n - 1))]); 0 when there are none. *)
 
-(** What the garbage collector did over a run: words promoted from the
-    minor heap, and collections of each heap. *)
-type gc = { promoted_words : float; minor_collections : int; major_collections : int }
+(** The one whole-run GC record, across every domain ([run --profile]'s
+    header and a server's slow-query record print it): words promoted
+    from the minor heap, major-heap words (promotions included), and
+    collections of each heap. *)
+type gc = {
+  promoted_words : float;
+  major_words : float;
+  minor_collections : int;
+  major_collections : int;
+}
 
 val gc_since : Gc.stat -> gc
 (** The {!Gc.quick_stat} deltas from a snapshot taken before the run to
-    now.  Promoted words are counted as each minor heap is emptied, so
-    what the last, partly filled one will promote is not in them. *)
+    now.  Its word counts are sampled as each minor heap is emptied, so
+    words allocated since the last minor collection are not in them. *)
 
 val render : ?top:int -> ?gc:gc -> t -> string
 (** Flame-style table — one row per name-path with calls, total/self
     ms, attribute sums and a share bar — followed by {!render_hot}.
-    With [gc], the header line also reports its promoted kilowords and
-    minor and major collections. *)
+    With [gc], the header line also reports its promoted and major
+    kilowords, marked as sampled at minor collections (see {!gc_since}),
+    and minor and major collections. *)

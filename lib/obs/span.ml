@@ -31,23 +31,20 @@ type t = {
   (* GC telemetry: the open snapshot lives in these fields until
      [finish] replaces it with the delta over the span, so an extra
      snapshot record per span is never allocated.  Meaningful only once
-     [finished].  [Gc.quick_stat] counters are domain-local in OCaml 5,
-     and a span is opened and closed on one domain, so the delta is the
-     allocation of that domain's extent — exactly what we want. *)
+     [finished]. *)
   mutable gc_minor_words : float;
   mutable gc_major_words : float;
-  mutable gc_compactions : int;
 }
 
-(* Swappable allocation counter, [Clock.set_source]-style: the default
-   reads [Gc.quick_stat] (cheap — no heap walk); tests install a
-   deterministic counter so GC deltas are reproducible.  Minor words come
-   from [Gc.minor_words]: OCaml 5.1's [quick_stat] adds a domain's minor
-   allocation only when its minor heap is emptied, so its deltas move in
-   steps of a whole minor heap (256k words). *)
+(* Swappable allocation counter, [Clock.set_source]-style: tests install
+   a deterministic counter so GC deltas are reproducible.  The default
+   reads two cheap counters of the calling domain, on which a span opens
+   and closes: minor words from [Gc.minor_words], which is exact, and
+   major words (promotions included) from [Gc.counters], whose minor
+   words are not exact in OCaml 5.1. *)
 let default_gc_source () =
-  let s = Gc.quick_stat () in
-  (Gc.minor_words (), s.Gc.major_words, s.Gc.compactions)
+  let _, _, major = Gc.counters () in
+  (Gc.minor_words (), major)
 
 let gc_source = ref default_gc_source
 let set_gc_source f = gc_source := f
@@ -221,10 +218,9 @@ let add_list kvs =
 
 let finish l s =
   s.end_ns <- Clock.now_ns ();
-  (let minor, major, compactions = !gc_source () in
+  (let minor, major = !gc_source () in
    s.gc_minor_words <- minor -. s.gc_minor_words;
-   s.gc_major_words <- major -. s.gc_major_words;
-   s.gc_compactions <- compactions - s.gc_compactions);
+   s.gc_major_words <- major -. s.gc_major_words);
   s.finished <- true;
   (match l.stack with
   | top :: rest when top == s -> l.stack <- rest
@@ -245,7 +241,7 @@ let with_span ?(attrs = []) name f =
           | Some (id, d) -> (Some id, d + 1)
           | None -> (None, 0))
     in
-    let minor0, major0, compactions0 = !gc_source () in
+    let minor0, major0 = !gc_source () in
     let s =
       Mutex.protect log_mutex (fun () ->
           incr next_id;
@@ -261,7 +257,6 @@ let with_span ?(attrs = []) name f =
               finished = false;
               gc_minor_words = minor0;
               gc_major_words = major0;
-              gc_compactions = compactions0;
             }
           in
           log := s :: !log;

@@ -26,8 +26,7 @@ type t = {
   mutable gc_minor_words : float;
       (** minor words allocated during the span — meaningful only once
           [finished] (holds the open snapshot until then) *)
-  mutable gc_major_words : float;
-  mutable gc_compactions : int;
+  mutable gc_major_words : float;  (** major-heap words, likewise *)
 }
 
 val with_span : ?attrs:Attr.t -> string -> (unit -> 'a) -> 'a
@@ -105,11 +104,11 @@ val prune : (t -> bool) -> unit
 
 val reset : unit -> unit
 
-val set_gc_source : (unit -> float * float * int) -> unit
+val set_gc_source : (unit -> float * float) -> unit
 (** Replaces the allocation counter sampled at span open/close with a
-    custom [(minor_words, major_words, compactions)] source — tests
-    install a deterministic counter, like {!Clock.set_source}. *)
+    custom [(minor_words, major_words)] source — tests install a
+    deterministic counter, like {!Clock.set_source}. *)
 
 val use_default_gc_source : unit -> unit
-(** Restores the default source: [Gc.minor_words], and [Gc.quick_stat]
-    for the rest. *)
+(** Restores the default source: the calling domain's
+    [Gc.minor_words], and the major words of its [Gc.counters]. *)

@@ -118,10 +118,7 @@ module P = Physical
    open-addressing table maps a key's hash to its group, whose first row
    the key is compared with in place.  Beside it sits the probe slice
    ([porder], [pstarts], the same arrays when every row qualifies): only
-   the rows that pass the index's guard and have no NULL key.  An index
-   is [exact] when no group holds an Int and a Float in one key column:
-   only there can a key equal the group's first row's and not another
-   row's (an Int beyond 2^53 compares as the Float it rounds to).
+   the rows that pass the index's guard and have no NULL key.
 
    A left row's candidates — charged as probed — are the union of its
    groups, counted over the id arrays without reading a row, or every
@@ -131,10 +128,10 @@ module P = Physical
    in that disjunct's group with non-NULL keys and whose right-only
    conjuncts pass the guard.  Rows, their order and every charge are
    those of testing ON on every candidate.  When ON is one disjunct of
-   key equalities only and its index is unguarded and exact, the key
-   match decides it: a slice candidate is accepted without calling ON,
-   since the slice holds no NULL key and ON's [=] on non-NULL values is
-   {!Value.equal}, which put the candidate in the left row's group.
+   key equalities only and its index is unguarded, the key match decides
+   it: a slice candidate is accepted without calling ON, since the slice
+   holds no NULL key and ON's [=] on non-NULL values is {!Value.equal},
+   an equivalence, which put the candidate in the left row's group.
 
    The probe builds no joined row: it charges each accepted pair, or an
    unmatched outer row's NULL pad, as the joined row it stands for and
@@ -153,7 +150,6 @@ type index = {
   order : int array;
   pstarts : int array;
   porder : int array;
-  exact : bool; (* no group mixes Int and Float in a key column *)
 }
 
 type probe = {
@@ -191,15 +187,6 @@ let rec find_group right ix lrow s =
 let rec has_null pos (row : Tuple.t) i =
   i < Array.length pos && (Value.is_null row.(pos.(i)) || has_null pos row (i + 1))
 
-(* Some field of [a] at [pos], from the [i]th on, is an Int where [b]'s
-   is a Float, or the reverse. *)
-let rec mixed_numbers pos (a : Tuple.t) (b : Tuple.t) i =
-  i < Array.length pos
-  &&
-  match (a.(pos.(i)), b.(pos.(i))) with
-  | Value.Int _, Value.Float _ | Value.Float _, Value.Int _ -> true
-  | _ -> mixed_numbers pos a b (i + 1)
-
 (* Index [right] for [ix]; [group] is a scratch array of one slot per
    right row, shared by a join's indexes. *)
 let index_create right ~group (ix : P.index) =
@@ -214,7 +201,7 @@ let index_create right ~group (ix : P.index) =
   (* first pass: each row's group; [order] holds each group's first row
      until the counting sort fills it *)
   let order = Array.make n 0 in
-  let ngroups = ref 0 and exact = ref true in
+  let ngroups = ref 0 in
   for idx = 0 to n - 1 do
     let row = right.(idx) in
     let s = ref (Tuple.hash_at rk row land mask) and g = ref (-1) in
@@ -226,10 +213,7 @@ let index_create right ~group (ix : P.index) =
         order.(!g) <- idx;
         incr ngroups
       end
-      else if Tuple.equal_at rk row rk right.(order.(e - 1)) then begin
-        g := e - 1;
-        if mixed_numbers rk row right.(order.(e - 1)) 0 then exact := false
-      end
+      else if Tuple.equal_at rk row rk right.(order.(e - 1)) then g := e - 1
       else s := (!s + 1) land mask
     done;
     group.(idx) <- !g
@@ -280,7 +264,7 @@ let index_create right ~group (ix : P.index) =
       (pstarts, porder)
     end
   in
-  { lk = ix.P.left_keys; rk; mask; slots; starts; order; pstarts; porder; exact = !exact }
+  { lk = ix.P.left_keys; rk; mask; slots; starts; order; pstarts; porder }
 
 (* [right_bytes] holds each right row's wire size. *)
 let probe_create (info : P.join_info) (right : Tuple.t array) right_bytes =
@@ -296,7 +280,7 @@ let probe_create (info : P.join_info) (right : Tuple.t array) right_bytes =
   let null_pad = Tuple.all_null info.P.right_width in
   let keys_decide =
     match (info.P.disjuncts, info.P.indexes) with
-    | [ { P.d_rest = []; _ } ], [ { P.guard = None; _ } ] -> indexes.(0).exact
+    | [ { P.d_rest = []; _ } ], [ { P.guard = None; _ } ] -> true
     | _ -> false
   in
   {

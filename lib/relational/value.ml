@@ -39,6 +39,18 @@ let rank = function
   | Date _ -> 4
   | String _ -> 5
 
+(* An Int against a Float, exactly, so the order stays transitive past
+   2^53: NaN is below every number (as [Float.compare] has it), a Float
+   outside the int range beyond every Int, and a fraction breaks a tie. *)
+let compare_int_float x y =
+  if Float.is_nan y then 1
+  else if y >= 0x1p62 then -1
+  else if y < -0x1p62 then 1
+  else
+    let t = Float.trunc y in
+    let c = Int.compare x (int_of_float t) in
+    if c <> 0 then c else Float.compare t y
+
 let compare_total a b =
   match (a, b) with
   | Null, Null -> 0
@@ -47,8 +59,8 @@ let compare_total a b =
   | Bool x, Bool y -> Bool.compare x y
   | String x, String y -> String.compare x y
   | Date x, Date y -> Int.compare x y
-  | Int x, Float y -> Float.compare (float_of_int x) y
-  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> -compare_int_float y x
   | a, b -> Int.compare (rank a) (rank b)
 
 (* SQL comparison: None when either side is NULL (UNKNOWN). *)
@@ -68,21 +80,16 @@ let mix x =
   let x = (x lxor (x lsr 27)) * 0x14d049bb133111eb in
   (x lxor (x lsr 31)) land max_int
 
-(* Numbers hash by the float they compare as, so [equal] values of
-   either constructor hash alike: an integral float within 2^53 hashes
-   as the int it equals (which also merges -0.0 with 0.0), and an int
-   beyond 2^53, where [compare_total] rounds it to a float, hashes as
-   that float does. *)
-let hash_float x =
-  if Float.is_integer x && Float.abs x <= 0x1p53 then mix (int_of_float x)
-  else Hashtbl.hash x
-
+(* A Float equal to an Int hashes as that Int, so [equal] values of
+   either constructor hash alike: an integral float in the int range
+   hashes as the int it is (which also merges -0.0 with 0.0). *)
 let hash = function
   | Null -> 0
-  | Int x ->
-      if x >= -(1 lsl 53) && x <= 1 lsl 53 then mix x
-      else hash_float (float_of_int x)
-  | Float x -> hash_float x
+  | Int x -> mix x
+  | Float x ->
+      if Float.is_integer x && x >= -0x1p62 && x < 0x1p62 then
+        mix (int_of_float x)
+      else Hashtbl.hash x
   | Bool x -> if x then 1 else 2
   | String x -> Hashtbl.hash x
   | Date x -> mix x

@@ -26,7 +26,10 @@ val ty_name : ty -> string
 val is_null : t -> bool
 
 val compare_total : t -> t -> int
-(** Total order with NULL first; numeric types compare numerically. *)
+(** Total order with NULL first; numeric types compare numerically and
+    exactly: an Int is never rounded to a Float, so [Int (2^53 + 1)] is
+    above [Float 2^53.], and the order is transitive.  NaN sorts below
+    every number. *)
 
 val compare3 : t -> t -> int option
 (** SQL three-valued comparison: [None] (UNKNOWN) if either side is NULL. *)

@@ -441,8 +441,8 @@ let stages_json clock =
            ])
        Obs.Stage.all)
 
-let slow_record t ~trace_id ~view ~strategy ~reduce ~ms ~clock ~gc0 ~gc1 reply
-    =
+let slow_record t ~trace_id ~view ~strategy ~reduce ~ms ~clock
+    ~(gc : Obs.Profile.gc) reply =
   let work, bytes =
     match reply with
     | Protocol.Result { work; xml; _ } -> (work, String.length xml)
@@ -467,12 +467,10 @@ let slow_record t ~trace_id ~view ~strategy ~reduce ~ms ~clock ~gc0 ~gc1 reply
       ( "gc",
         Obs.Json.Obj
           [
-            ( "minor_words",
-              Obs.Json.Float (gc1.Gc.minor_words -. gc0.Gc.minor_words) );
-            ( "major_words",
-              Obs.Json.Float (gc1.Gc.major_words -. gc0.Gc.major_words) );
-            ( "compactions",
-              Obs.Json.Int (gc1.Gc.compactions - gc0.Gc.compactions) );
+            ("promoted_words", Obs.Json.Float gc.promoted_words);
+            ("major_words", Obs.Json.Float gc.major_words);
+            ("minor_collections", Obs.Json.Int gc.minor_collections);
+            ("major_collections", Obs.Json.Int gc.major_collections);
           ] );
       ("stages", stages_json clock);
     ]
@@ -513,10 +511,9 @@ let finish_request t ~trace_id ~sampled ~view ~strategy ~reduce ~wall_ns
   (match gc0 with
   | Some gc0 when ms >= t.cfg.slow_ms ->
       bump (fun c -> { c with slow = c.slow + 1 }) t;
-      let gc1 = Gc.quick_stat () in
       let record =
-        slow_record t ~trace_id ~view ~strategy ~reduce ~ms ~clock ~gc0 ~gc1
-          reply
+        slow_record t ~trace_id ~view ~strategy ~reduce ~ms ~clock
+          ~gc:(Obs.Profile.gc_since gc0) reply
       in
       (match t.slowlog with
       | Some log -> ignore (Slowlog.write log record)

@@ -225,14 +225,13 @@ let test_deterministic_sequence () =
 
 let test_span_gc_deltas () =
   with_obs (fun () ->
-      (* fake GC source: every reading adds 100 minor words, 10 major
-         words, 1 compaction *)
-      let minor = ref 0.0 and major = ref 0.0 and compactions = ref 0 in
+      (* fake GC source: every reading adds 100 minor words and 10
+         major words *)
+      let minor = ref 0.0 and major = ref 0.0 in
       Obs.Span.set_gc_source (fun () ->
           minor := !minor +. 100.0;
           major := !major +. 10.0;
-          incr compactions;
-          (!minor, !major, !compactions));
+          (!minor, !major));
       Obs.Span.with_span "outer" (fun () ->
           Obs.Span.with_span "inner" (fun () -> ()));
       let span name =
@@ -248,8 +247,6 @@ let test_span_gc_deltas () =
         (span "inner").Obs.Span.gc_minor_words;
       Alcotest.(check (float 1e-9)) "outer major delta" 30.0
         (span "outer").Obs.Span.gc_major_words;
-      Alcotest.(check int) "outer compactions" 3
-        (span "outer").Obs.Span.gc_compactions;
       let prof = Obs.Profile.capture () in
       let node =
         List.find

@@ -19,7 +19,27 @@ let test_total_order_numeric () =
   Alcotest.(check bool) "float/int cross" true
     (Value.compare_total (Value.Float 2.5) (Value.Int 2) > 0);
   Alcotest.(check bool) "int = float equal" true
-    (Value.compare_total (Value.Int 2) (Value.Float 2.0) = 0)
+    (Value.compare_total (Value.Int 2) (Value.Float 2.0) = 0);
+  (* An Int is compared with a Float exactly, never rounded to one:
+     beyond 2^53 two Ints can round to one Float, and equal to both it
+     would make equality intransitive. *)
+  let big = 1 lsl 53 in
+  let cmp a b = Value.compare_total a b in
+  Alcotest.(check int) "2^53 + 1 > 2^53." 1 (cmp (Value.Int (big + 1)) (Value.Float 0x1p53));
+  Alcotest.(check int) "2^53. < 2^53 + 1" (-1) (cmp (Value.Float 0x1p53) (Value.Int (big + 1)));
+  Alcotest.(check int) "2^53 = 2^53." 0 (cmp (Value.Int big) (Value.Float 0x1p53));
+  Alcotest.(check int) "-2^53 - 1 < -2^53." (-1) (cmp (Value.Int (-big - 1)) (Value.Float (-0x1p53)));
+  Alcotest.(check int) "max_int < 2^62." (-1) (cmp (Value.Int max_int) (Value.Float 0x1p62));
+  Alcotest.(check int) "min_int = -2^62." 0 (cmp (Value.Int min_int) (Value.Float (-0x1p62)));
+  Alcotest.(check int) "min_int > -inf" 1 (cmp (Value.Int min_int) (Value.Float Float.neg_infinity));
+  Alcotest.(check int) "max_int < inf" (-1) (cmp (Value.Int max_int) (Value.Float Float.infinity));
+  Alcotest.(check int) "2 < 2.5" (-1) (cmp (Value.Int 2) (Value.Float 2.5));
+  Alcotest.(check int) "-2 > -2.5" 1 (cmp (Value.Int (-2)) (Value.Float (-2.5)));
+  Alcotest.(check int) "0 = -0." 0 (cmp (Value.Int 0) (Value.Float (-0.0)));
+  (* NaN sorts below every number, as [Float.compare] puts it *)
+  Alcotest.(check int) "min_int > nan" 1 (cmp (Value.Int min_int) (Value.Float Float.nan));
+  Alcotest.(check int) "nan < 0" (-1) (cmp (Value.Float Float.nan) (Value.Int 0));
+  Alcotest.(check int) "nan = nan" 0 (cmp (Value.Float Float.nan) (Value.Float Float.nan))
 
 let test_total_order_strings_dates () =
   Alcotest.(check bool) "abc < abd" true
@@ -61,9 +81,9 @@ let test_hash_consistent_with_equal () =
       (Value.Int 2, Value.Float 2.0); (Value.Float (-3.0), Value.Int (-3));
       (Value.Int 0, Value.Float (-0.0)); (Value.Float 0.0, Value.Float (-0.0));
       (Value.Int big, Value.Float (float_of_int big));
-      (* beyond 2^53 an int compares as the float it rounds to *)
-      (Value.Int (big + 1), Value.Float (float_of_int big));
-      (Value.Int max_int, Value.Float (float_of_int max_int));
+      (* beyond 2^53, an int and the integral float equal to it *)
+      (Value.Int (big + 2), Value.Float (float_of_int (big + 2)));
+      (Value.Int (1 lsl 61), Value.Float 0x1p61);
       (Value.Int min_int, Value.Float (float_of_int min_int));
       (Value.Float Float.nan, Value.Float Float.nan) ]
   in
@@ -148,7 +168,36 @@ let gen_value =
         map (fun d -> Value.Date d) (int_bound 10000);
       ])
 
-let arb_value = QCheck.make ~print:Value.to_string gen_value
+(* Numbers drawn so that equal pairs across constructors are common:
+   small ints, the integral floats equal to them (signed zero included),
+   halves, NaN, and Ints and Floats a few units either side of ±2^53
+   (where a float no longer holds every int) and of ±2^62 (the int
+   range's ends). *)
+let gen_number =
+  let big = 1 lsl 53 in
+  let near base = QCheck.Gen.map (fun d -> base + d) (QCheck.Gen.int_range (-2) 2) in
+  let ints_and_floats g =
+    QCheck.Gen.(
+      oneof
+        [ map (fun n -> Value.Int n) g; map (fun n -> Value.Float (float_of_int n)) g ])
+  in
+  QCheck.Gen.(
+    oneof
+      [
+        ints_and_floats (int_range (-3) 3);
+        return (Value.Float (-0.0));
+        return (Value.Float Float.nan);
+        map (fun n -> Value.Float (float_of_int n /. 2.0)) (int_range (-6) 6);
+        ints_and_floats (near big);
+        ints_and_floats (near (-big));
+        map (fun d -> Value.Int (max_int - d)) (int_range 0 2);
+        map (fun d -> Value.Int (min_int + d)) (int_range 0 2);
+        (* 512 is the float spacing just below 2^62 *)
+        map (fun d -> Value.Float (0x1p62 -. (512.0 *. float_of_int d))) (int_range 0 2);
+        map (fun d -> Value.Float (-0x1p62 +. (512.0 *. float_of_int d))) (int_range 0 2);
+      ])
+
+let arb_value = QCheck.make ~print:Value.to_sql (QCheck.Gen.oneof [ gen_value; gen_number ])
 
 let prop_total_order_antisym =
   QCheck.Test.make ~name:"compare_total antisymmetric" ~count:500
@@ -156,15 +205,18 @@ let prop_total_order_antisym =
       let c1 = Value.compare_total a b and c2 = Value.compare_total b a in
       (c1 = 0 && c2 = 0) || (c1 > 0 && c2 < 0) || (c1 < 0 && c2 > 0))
 
+(* Drawn from every type, weighted to the numbers, so a chain through
+   one Float between two Ints near 2^53 turns up, as do chains that
+   cross type ranks. *)
 let prop_total_order_trans =
-  QCheck.Test.make ~name:"compare_total transitive" ~count:500
-    (QCheck.triple arb_value arb_value arb_value) (fun (a, b, c) ->
-      let sorted = List.sort Value.compare_total [ a; b; c ] in
-      match sorted with
-      | [ x; y; z ] ->
-          Value.compare_total x y <= 0 && Value.compare_total y z <= 0
-          && Value.compare_total x z <= 0
-      | _ -> false)
+  let arb =
+    QCheck.make ~print:Value.to_sql QCheck.Gen.(frequency [ (1, gen_value); (3, gen_number) ])
+  in
+  QCheck.Test.make ~name:"compare_total transitive" ~count:20000
+    (QCheck.triple arb arb arb) (fun (a, b, c) ->
+      let le x y = Value.compare_total x y <= 0 in
+      ((not (le a b && le b c)) || le a c)
+      && ((not (Value.equal a b && Value.equal b c)) || Value.equal a c))
 
 let prop_compare3_agrees =
   QCheck.Test.make ~name:"compare3 agrees with total order on non-null" ~count:500
@@ -173,25 +225,8 @@ let prop_compare3_agrees =
       | None -> Value.is_null a || Value.is_null b
       | Some c -> c = Value.compare_total a b)
 
-(* Numbers drawn so that equal pairs across constructors are common:
-   small ints, the integral floats equal to them (signed zero included),
-   halves, and values either side of 2^53. *)
-let gen_number =
-  let big = 1 lsl 53 in
-  QCheck.Gen.(
-    oneof
-      [
-        map (fun n -> Value.Int n) (int_range (-3) 3);
-        map (fun n -> Value.Float (float_of_int n)) (int_range (-3) 3);
-        return (Value.Float (-0.0));
-        map (fun n -> Value.Float (float_of_int n /. 2.0)) (int_range (-6) 6);
-        map (fun d -> Value.Int (big + d)) (int_range (-2) 2);
-        map (fun d -> Value.Float (float_of_int (big + d))) (int_range (-2) 2);
-      ])
-
 let prop_equal_same_hash =
-  let arb = QCheck.make ~print:Value.to_sql (QCheck.Gen.oneof [ gen_value; gen_number ]) in
-  QCheck.Test.make ~name:"equal ⇒ same hash" ~count:1000 (QCheck.pair arb arb)
+  QCheck.Test.make ~name:"equal ⇒ same hash" ~count:5000 (QCheck.pair arb_value arb_value)
     (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
 
 let props =

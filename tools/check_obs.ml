@@ -7,7 +7,8 @@
      experiment tag), in start order, with unique ids and every parent
      logged first, and every exec.* span naming its plan node by an
      int "id" attr >= 1; events in emit order with a known level, a name and
-     attrs; profiles with calls >= 1 and 0 <= self_ms <= total_ms;
+     attrs; profiles with calls >= 1, 0 <= self_ms <= total_ms and
+     non-negative minor_words and major_words, and no compactions;
      baselines with non-negative streams/work/rows/bytes.
    check_obs chrome FILE [NAME...] — --trace-chrome: a non-empty
      "traceEvents" array of phased objects holding a complete ("X")
@@ -21,7 +22,9 @@
      workload reached the stage, a service stage counted once per
      request, and pipeline stages summing to at most the requests'
      time; one silkroute_events_total per event level; every slow
-     record is at or above the threshold, has a trace id, and one non-negative
+     record is at or above the threshold, has a trace id, a "gc" object
+     of exactly promoted_words, major_words, minor_collections and
+     major_collections, each non-negative, and one non-negative
      "stages" entry per stage whose pipeline stages sum to at most its
      "ms".
    check_obs lattice FILE — bench --experiment lattice-wallclock's
@@ -75,6 +78,11 @@ let nonneg_int where key j =
   let n = need where ("int " ^ key) (int key j) in
   if n < 0 then fail "%s: %S is negative (%d)" where key n;
   n
+
+let nonneg_num where key j =
+  let x = need where ("number " ^ key) (num key j) in
+  if not (x >= 0.0) then fail "%s: %S is negative (%g)" where key x;
+  x
 
 (* --- jsonl --------------------------------------------------------------- *)
 
@@ -155,7 +163,12 @@ let check_profile where j =
   let total_ms = need where "number total_ms" (num "total_ms" j) in
   if self_ms < 0.0 then fail "%s: self_ms %g < 0" where self_ms;
   if self_ms > total_ms +. 1e-9 then
-    fail "%s: self_ms %g > total_ms %g" where self_ms total_ms
+    fail "%s: self_ms %g > total_ms %g" where self_ms total_ms;
+  ignore (nonneg_num where "minor_words" j);
+  ignore (nonneg_num where "major_words" j);
+  (* OCaml 5.1 has no compactor: a count would always read 0 *)
+  if Obs.Json.member "compactions" j <> None then
+    fail "%s: profile record carries \"compactions\"" where
 
 let check_baseline where j =
   match need where "string experiment" (str "experiment" j) with
@@ -185,11 +198,6 @@ let jsonl path =
   Printf.printf "check_obs: %d valid line(s) in %s\n" (List.length lines) path
 
 (* --- lattice ------------------------------------------------------------- *)
-
-let nonneg_num where key j =
-  let x = need where ("number " ^ key) (num key j) in
-  if not (x >= 0.0) then fail "%s: %S is negative (%g)" where key x;
-  x
 
 let lattice path =
   let lines = read_lines path in
@@ -329,6 +337,17 @@ let check_slow_record ~threshold_ms where j =
   let ms = need where "number ms" (num "ms" j) in
   if ms < threshold_ms then
     fail "%s: %gms is under the %gms threshold" where ms threshold_ms;
+  (match Obs.Json.member "gc" j with
+  | Some (Obs.Json.Obj fields as gc) ->
+      let want =
+        [ "promoted_words"; "major_words"; "minor_collections"; "major_collections" ]
+      in
+      if List.map fst fields <> want then
+        fail "%s: gc fields [%s], want [%s]" where
+          (String.concat "; " (List.map fst fields))
+          (String.concat "; " want);
+      List.iter (fun key -> ignore (nonneg_num (where ^ " gc") key gc)) want
+  | _ -> fail "%s: missing object \"gc\"" where);
   let stages =
     match Obs.Json.member "stages" j with
     | Some (Obs.Json.List l) ->
