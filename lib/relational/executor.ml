@@ -17,7 +17,6 @@
    [charge] functions), so its work figures compare unit for unit. *)
 
 exception Timeout
-exception Ambiguous_column = Algebra.Ambiguous_column
 
 type replay = { r_node : int; r_owner : int; r_work : int }
 

@@ -13,9 +13,6 @@
 exception Timeout
 (** Raised when the work budget is exhausted. *)
 
-exception Ambiguous_column of string
-(** An unqualified column name matched several positions. *)
-
 (** A subtree a run took from a {!Share} store instead of running it. *)
 type replay = {
   r_node : int;  (** its root, a node of the run's plan *)

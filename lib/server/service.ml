@@ -3,7 +3,8 @@
 
    Per query the path is
 
-     statement tier -> plan tier -> result tier -> admission -> pool
+     statement tier -> plan tier -> result tier -> planned streams
+       -> admission estimate -> admission -> pool
 
    and every step is observable: the [server.request] span carries which
    tiers hit, the admission outcome and the engine work spent; admission
@@ -23,9 +24,10 @@
    one entry per stage, through the bounded non-blocking Slowlog.
 
    Locking: each LRU tier has its own mutex (see Lru); [plan_m]
-   serializes plan-tier misses against each other and against
-   [invalidate], so concurrent sessions cannot duplicate planning work
-   and no plan reads a half-skewed catalog; [adm_m] +
+   serializes plan-tier misses and admission estimates against each
+   other and against [invalidate], so concurrent sessions cannot
+   duplicate planning work and no plan or estimate reads a half-skewed
+   catalog; [adm_m] +
    [adm_cv] guard the in-flight work account; [lat_m] guards the latency
    histograms.  Nothing holds two locks
    at once, and no lock is held across execution. *)
@@ -86,13 +88,9 @@ let admission_decision c ~est_cost ~in_flight ~waiting =
       Reject (Printf.sprintf "admission queue full (%d waiting)" waiting)
     else Queue
 
-(* Plan-tier entry: everything planning produced that later requests can
-   reuse — the chosen point of the 2^|E| lattice and the admission
-   estimate. *)
-type plan_entry = { pe_mask : int; pe_est_cost : float }
-
-(* Result-tier entry: exactly the bytes the uncached path produced. *)
-type result_entry = { rx_xml : string; rx_work : int }
+(* Result-tier entry: exactly the bytes the uncached path produced, and
+   the admission estimate it was admitted with, which a hit replies. *)
+type result_entry = { rx_xml : string; rx_est_cost : float }
 
 type counters = {
   requests : int;
@@ -112,7 +110,7 @@ type t = {
   stats : R.Stats.t;  (* shared catalog; skewed in place by [invalidate] *)
   pool : R.Domain_pool.t;
   statements : S.Middleware.prepared Lru.t;
-  plans : plan_entry Lru.t;
+  plans : int Lru.t;  (* the chosen point of the 2^|E| lattice, as a mask *)
   results : result_entry Lru.t;
   epoch : int Atomic.t;
   closed : bool Atomic.t;
@@ -233,29 +231,24 @@ let result_key ~digest ~mask ~reduce ~epoch =
 
 (* Plan tier: compute misses under [plan_m] so concurrent sessions
    asking for the same (view, strategy, reduce, epoch) plan it once, and
-   no [invalidate] skews the catalog mid-plan.  A miss is two [planner]
-   stages of the middleware: choosing the partition for the reduction
-   the request runs with, then its admission estimate. *)
+   no [invalidate] skews the catalog mid-plan.  A miss is the
+   middleware's [planner] stage choosing the partition for the reduction
+   the request runs with. *)
 let plan_of t (p : S.Middleware.prepared) ~digest ~strategy ~reduce ~epoch =
   let skey = S.Middleware.strategy_name strategy in
   let key = plan_key ~digest ~skey ~reduce ~epoch in
   match Lru.find t.plans key with
-  | Some pe -> (pe, true)
+  | Some mask -> (mask, true)
   | None ->
       Mutex.protect t.plan_m (fun () ->
           match Lru.peek t.plans key with
-          | Some pe -> (pe, true)
+          | Some mask -> (mask, true)
           | None ->
-              let partition = S.Middleware.partition_of ~reduce p strategy in
-              let pe =
-                {
-                  pe_mask = S.Partition.to_mask partition;
-                  pe_est_cost =
-                    S.Middleware.estimated_cost ~reduce p partition;
-                }
+              let mask =
+                S.Partition.to_mask (S.Middleware.partition_of ~reduce p strategy)
               in
-              Lru.add t.plans key pe;
-              (pe, false))
+              Lru.add t.plans key mask;
+              (mask, false))
 
 (* --- admission ---------------------------------------------------------- *)
 
@@ -291,10 +284,10 @@ let admission_account t =
 
 (* --- queries ------------------------------------------------------------ *)
 
-let execute_on_pool t (p : S.Middleware.prepared) partition ~reduce =
+let execute_on_pool t (p : S.Middleware.prepared) planned =
   let handle =
     R.Domain_pool.submit t.pool (fun () ->
-        let e = S.Middleware.execute ~reduce p partition in
+        let e = S.Middleware.run planned in
         (S.Middleware.xml_string_of p e, e.S.Middleware.work))
   in
   R.Domain_pool.await handle
@@ -312,13 +305,13 @@ let query_body t ~view ~strategy ~reduce =
         let p, statement_hit = statement_of t view in
         let digest = view_digest view in
         let epoch = Atomic.get t.epoch in
-        let pe, plan_hit =
+        let mask, plan_hit =
           plan_of t p ~digest ~strategy:strat ~reduce ~epoch
         in
         let tiers hit =
           { Protocol.statement_hit; plan_hit; result_hit = hit }
         in
-        let rkey = result_key ~digest ~mask:pe.pe_mask ~reduce ~epoch in
+        let rkey = result_key ~digest ~mask ~reduce ~epoch in
         match Lru.find t.results rkey with
         | Some r ->
             if Obs.Span.tracing () then
@@ -332,10 +325,21 @@ let query_body t ~view ~strategy ~reduce =
                 xml = r.rx_xml;
                 tiers = tiers true;
                 work = 0;
-                est_cost = pe.pe_est_cost;
+                est_cost = r.rx_est_cost;
               }
         | None -> (
-            match admit t pe.pe_est_cost with
+            (* plan the streams once: the estimate prices the plans the
+               admitted request runs.  The catalog is read under
+               [plan_m], which [invalidate] holds while it skews it. *)
+            let planned =
+              S.Middleware.plan_streams ~reduce p
+                (S.Partition.of_mask p.S.Middleware.tree mask)
+            in
+            let est_cost =
+              Mutex.protect t.plan_m (fun () ->
+                  S.Middleware.estimated_cost planned)
+            in
+            match admit t est_cost with
             | Error reason ->
                 bump (fun c -> { c with rejected = c.rejected + 1 }) t;
                 if Obs.Span.tracing () then begin
@@ -344,7 +348,7 @@ let query_body t ~view ~strategy ~reduce =
                     ~attrs:
                       [
                         Obs.Attr.string "reason" reason;
-                        Obs.Attr.float "est_cost" pe.pe_est_cost;
+                        Obs.Attr.float "est_cost" est_cost;
                       ]
                 end;
                 Protocol.Rejected reason
@@ -363,18 +367,15 @@ let query_body t ~view ~strategy ~reduce =
                        (if had_to_queue then "queued" else "admitted"));
                   if had_to_queue then
                     Obs.Event.debug "server.admission.queued"
-                      ~attrs:[ Obs.Attr.float "est_cost" pe.pe_est_cost ]
+                      ~attrs:[ Obs.Attr.float "est_cost" est_cost ]
                 end;
-                let partition =
-                  S.Partition.of_mask p.S.Middleware.tree pe.pe_mask
-                in
                 let xml, work =
                   Fun.protect
-                    ~finally:(release t pe.pe_est_cost)
-                    (fun () -> execute_on_pool t p partition ~reduce)
+                    ~finally:(release t est_cost)
+                    (fun () -> execute_on_pool t p planned)
                 in
                 Lru.add ~weight:(String.length xml) t.results rkey
-                  { rx_xml = xml; rx_work = work };
+                  { rx_xml = xml; rx_est_cost = est_cost };
                 bump
                   (fun c ->
                     { c with executed_work = c.executed_work + work })
@@ -390,7 +391,7 @@ let query_body t ~view ~strategy ~reduce =
                     xml;
                     tiers = tiers false;
                     work;
-                    est_cost = pe.pe_est_cost;
+                    est_cost;
                   })
       with e ->
         bump (fun c -> { c with failed = c.failed + 1 }) t;

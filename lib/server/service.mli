@@ -5,11 +5,12 @@
     {b Tiers}, checked in order for every query:
     - {e statement cache} — RXL source text → prepared view tree
       (parse + label work), keyed by the source text itself;
-    - {e plan cache} — (view, strategy/partition mask, stats epoch) →
-      chosen partition, the greedy planner's costed lattice result and
-      the admission cost estimate;
+    - {e plan cache} — (view, strategy, reduce, stats epoch) → the
+      chosen partition's mask (for [greedy], the costed lattice search
+      it saves);
     - {e result cache} — (view, partition mask, stats epoch) → the
-      serialized XML document, under a byte-weight storage budget
+      serialized XML document and its admission estimate, under a
+      byte-weight storage budget
       (materialized-view selection under a storage budget, Mahboubi et
       al.).
 
@@ -19,11 +20,12 @@
     O(1) while the statement tier — which does not depend on statistics
     — survives.
 
-    {b Admission control}: each query's estimated engine work
-    ({!Silkroute.Middleware.estimated_cost}, planned with
-    {!Silkroute.Middleware.partition_of}[ ~reduce]) is charged against a
-    budget of in-flight work.  A query that can never fit is rejected
-    outright; one that does not fit {e now} waits in a bounded queue and
+    {b Admission control}: on a result miss the partition's streams are
+    planned once ({!Silkroute.Middleware.plan_streams}); their estimated
+    engine work ({!Silkroute.Middleware.estimated_cost}, priced on those
+    plans) is charged against a budget of in-flight work, and the
+    admitted query runs those same plans ({!Silkroute.Middleware.run}).
+    A query that can never fit is rejected outright; one that does not fit {e now} waits in a bounded queue and
     is rejected when the queue is full.  Result-cache hits bypass
     admission entirely — that is the point of the cache.
 

@@ -67,11 +67,10 @@ let options_of p ~style ~reduce =
 (* The one place a prepared view's catalog becomes a cost oracle: a
    fresh counting oracle over [p.stats] per run, so the request count is
    this run's and a skewed catalog skews the plan. *)
-let oracle_of p = R.Cost.oracle_with_stats p.db (Lazy.force p.stats)
-
 let gen_plan p ~reduce =
-  Planner.gen_plan ~reduce p.db (oracle_of p) p.tree p.labels
-    Planner.default_params
+  Planner.gen_plan ~reduce p.db
+    (R.Cost.oracle_with_stats p.db (Lazy.force p.stats))
+    p.tree p.labels Planner.default_params
 
 let partition_of ?(reduce = false) p strategy =
   Obs.Span.with_stage Obs.Stage.Planner (fun () ->
@@ -95,16 +94,6 @@ let partition_of ?(reduce = false) p strategy =
             Obs.Attr.int "work" !requests;
           ];
       plan)
-
-let estimated_cost ?(reduce = false) p plan =
-  Obs.Span.with_stage Obs.Stage.Planner (fun () ->
-      let oracle = oracle_of p in
-      List.fold_left
-        (fun acc (s : Sql_gen.stream) ->
-          acc +. (R.Cost.ask oracle s.Sql_gen.query).R.Cost.eval_cost)
-        0.0
-        (Sql_gen.streams p.db p.tree plan
-           (options_of p ~style:Sql_gen.Outer_join ~reduce)))
 
 (* Per-stream breakdown: every sub-query of a partition gets its own
    stats record, so the execution result can show where inside a plan the
@@ -223,31 +212,80 @@ let map_streams pool ~on_partial f xs =
       on_partial completed;
       Printexc.raise_with_backtrace e bt
 
+(* --- planning -------------------------------------------------------- *)
+
+(* One stream's SQL text and the plan the backend built from it. *)
+type planned_stream = {
+  ps_stream : Sql_gen.stream;
+  ps_sql : string;
+  ps_plan : R.Physical.plan;
+}
+
+type planned = {
+  pl_prepared : prepared;
+  pl_backend : R.Backend.t; (* the template every run forks *)
+  pl_opts : Sql_gen.options;
+  pl_streams : planned_stream list; (* in plan order *)
+}
+
+let print_and_plan backend (s : Sql_gen.stream) =
+  let sql =
+    Obs.Span.with_stage Obs.Stage.Sql_print (fun () ->
+        R.Sql_print.to_string s.Sql_gen.query)
+  in
+  { ps_stream = s; ps_sql = sql; ps_plan = R.Backend.plan backend sql }
+
+(* Generate, print and plan every stream once, before anything runs: the
+   admission estimate and explain price these plans, and [run] runs
+   them, so the repeated join subtrees can be counted before the
+   fan-out (R.Share). *)
+let plan_streams ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
+    (p : prepared) (plan : Partition.t) : planned =
+  Obs.Span.with_span "middleware.plan" (fun () ->
+      let backend =
+        match backend with Some b -> b | None -> R.Backend.create p.db
+      in
+      let opts = options_of p ~style ~reduce in
+      let streams =
+        Obs.Span.with_stage Obs.Stage.Sql_gen (fun () ->
+            let streams = Sql_gen.streams p.db p.tree plan opts in
+            if Obs.Span.tracing () then
+              Obs.Span.add_list
+                [
+                  Obs.Attr.int "streams" (List.length streams);
+                  Obs.Attr.int "work" (List.length streams);
+                ];
+            streams)
+      in
+      if Obs.Span.tracing () then
+        Obs.Span.add "streams" (Obs.Attr.Int (List.length streams));
+      {
+        pl_prepared = p;
+        pl_backend = backend;
+        pl_opts = opts;
+        pl_streams = List.map (print_and_plan backend) streams;
+      })
+
+let estimated_cost pl =
+  Obs.Span.with_stage Obs.Stage.Planner (fun () ->
+      let stats = Lazy.force pl.pl_prepared.stats in
+      let profile = R.Backend.profile pl.pl_backend in
+      List.fold_left
+        (fun acc ps ->
+          acc
+          +. (fst (R.Cost.annotate ~profile stats ps.ps_plan)).R.Cost.eval_cost)
+        0.0 pl.pl_streams)
+
 (* --- execution ----------------------------------------------------------- *)
 
-let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
-    ?(max_splits = 0) ?(spool = false) ?(pool = R.Domain_pool.inline)
-    (p : prepared) (plan : Partition.t) : execution =
+let run ?(max_splits = 0) ?(spool = false) ?(pool = R.Domain_pool.inline)
+    (pl : planned) : execution =
  Obs.Span.with_span "middleware.execute" (fun () ->
+  let p = pl.pl_prepared and backend = pl.pl_backend and opts = pl.pl_opts in
   let domains = R.Domain_pool.size pool in
   if Obs.Span.tracing () then
     Obs.Span.add_list
       [ Obs.Attr.int "domains" domains; Obs.Attr.bool "spooled" spool ];
-  let backend =
-    match backend with Some b -> b | None -> R.Backend.create p.db
-  in
-  let opts = options_of p ~style ~reduce in
-  let streams =
-    Obs.Span.with_stage Obs.Stage.Sql_gen (fun () ->
-        let streams = Sql_gen.streams p.db p.tree plan opts in
-        if Obs.Span.tracing () then
-          Obs.Span.add_list
-            [
-              Obs.Attr.int "streams" (List.length streams);
-              Obs.Attr.int "work" (List.length streams);
-            ];
-        streams)
-  in
   (* One forked connection per top-level stream, in every mode: fault
      draws depend only on (seed, stream index, the stream's own
      submission sequence), never on how streams interleave across
@@ -255,22 +293,13 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
      count and across repeated runs.  [backend] itself is only the
      config/seed template; its own counters never move here. *)
   let backends =
-    List.mapi (fun i (_ : Sql_gen.stream) -> R.Backend.fork backend ~salt:i)
-      streams
+    List.mapi (fun i (_ : planned_stream) -> R.Backend.fork backend ~salt:i)
+      pl.pl_streams
   in
-  (* Print every stream's SQL and plan it once, before the fan-out, so
-     the repeated join subtrees of the request's plans can be counted:
-     each runs once, and its other occurrences replay its output and
-     its charges (R.Share).  The store lives for this call only. *)
-  let print_and_plan (s : Sql_gen.stream) =
-    let text =
-      Obs.Span.with_stage Obs.Stage.Sql_print (fun () ->
-          R.Sql_print.to_string s.Sql_gen.query)
-    in
-    (text, R.Backend.plan backend text)
-  in
-  let planned = List.map print_and_plan streams in
-  let share = R.Share.create (List.map snd planned) in
+  (* The store lives for this run only: each repeated join subtree of
+     the plans runs once, and its other occurrences replay its output
+     and its charges. *)
+  let share = R.Share.create (List.map (fun ps -> ps.ps_plan) pl.pl_streams) in
   let degraded = Atomic.make 0 in
   (* Run one stream: ship its plan to the backend, which runs it through
      its retry loop.  If its failure is persistent — retries exhausted,
@@ -282,8 +311,8 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
      Otherwise a timeout escapes as [Plan_timeout] with the payload
      naming the fragment root, and anything else re-raises the backend
      error. *)
-  let rec run_stream ~depth ?scope backend i (s : Sql_gen.stream) (text, plan)
-      : stream_exec list =
+  let rec run_stream ~depth ?scope backend i
+      { ps_stream = s; ps_sql = text; ps_plan = plan } : stream_exec list =
     Obs.Span.with_span "execute.stream" (fun () ->
         let root_name = root_name_of p s in
         let t0 = now_ms () in
@@ -355,8 +384,8 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
                              Sql_gen.stream_of_fragment p.db p.tree opts frag)
                        in
                        sub :=
-                         run_stream ~depth:(depth + 1) backend i s
-                           (print_and_plan s)
+                         run_stream ~depth:(depth + 1) backend i
+                           (print_and_plan backend s)
                          :: !sub)
                      frags
                  with e ->
@@ -397,9 +426,9 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
   let per_stream =
     List.concat
       (map_streams pool ~on_partial:(List.iter close_streams)
-         (fun i (b, (s, planned)) ->
-           run_stream ~depth:0 ~scope:(R.Share.scope share i) b i s planned)
-         (List.combine backends (List.combine streams planned)))
+         (fun i (b, ps) ->
+           run_stream ~depth:0 ~scope:(R.Share.scope share i) b i ps)
+         (List.combine backends pl.pl_streams))
   in
   (* Degradation replaces one stream by finer streams covering the same
      nodes: the effective plan is still a point in the 2^|E| lattice, so
@@ -448,6 +477,9 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
     resilience;
     degraded;
   })
+
+let execute ?style ?reduce ?backend ?max_splits ?spool ?pool p plan =
+  run ?max_splits ?spool ?pool (plan_streams ?style ?reduce ?backend p plan)
 
 (* --- tagging -------------------------------------------------------------- *)
 
@@ -499,23 +531,19 @@ let replayed_from e (se : stream_exec) name id =
          in
          find 1 e.per_stream)
 
-(* The plans come from the backend's own planner, so the explained tree
-   is the tree [execute] runs. *)
-let explain ?(style = Sql_gen.Outer_join) ?(reduce = false) (p : prepared)
-    (plan : Partition.t) : string =
-  let backend = R.Backend.create p.db in
-  let opts = options_of p ~style ~reduce in
+(* The plans are [plan_streams]'s, so the explained tree is the tree
+   [run] runs. *)
+let explain ?style ?reduce (p : prepared) (plan : Partition.t) : string =
+  let pl = plan_streams ?style ?reduce p plan in
+  let profile = R.Backend.profile pl.pl_backend in
   String.concat "\n\n"
     (List.mapi
-       (fun i (s : Sql_gen.stream) ->
-         let phys =
-           R.Backend.plan backend (R.Sql_print.to_string s.Sql_gen.query)
-         in
-         explain_stream p (i + 1) (root_name_of p s)
-           ~sql:(R.Sql_print.to_pretty_string s.Sql_gen.query)
-           ~profile:(R.Backend.profile backend) phys
-           (R.Physical.no_actuals phys))
-       (Sql_gen.streams p.db p.tree plan opts))
+       (fun i ps ->
+         explain_stream p (i + 1) (root_name_of p ps.ps_stream)
+           ~sql:(R.Sql_print.to_pretty_string ps.ps_stream.Sql_gen.query)
+           ~profile ps.ps_plan
+           (R.Physical.no_actuals ps.ps_plan))
+       pl.pl_streams)
 
 let explain_execution (p : prepared) (e : execution) : string =
   String.concat "\n\n"

@@ -12,10 +12,12 @@
     Every step is one stage of {!Obs.Stage}, bounded by
     {!Obs.Span.with_stage}: [rxl_parser] and [view_tree]
     ({!prepare_text}), [planner] ({!partition_of}, {!estimated_cost}),
-    [sql_gen] and, per stream, [sql_print] here and [sql_parser],
-    [physical] and [executor] in {!Relational.Backend.execute}
-    ({!execute}), and [tagger] ({!document_of}, {!xml_string_of},
-    {!stream_to_channel}). *)
+    [sql_gen] and, per stream, [sql_print] here and [sql_parser] and
+    [physical] in {!Relational.Backend.plan} ({!plan_streams}, under
+    one [middleware.plan] span), [executor] in
+    {!Relational.Backend.execute_plan} ({!run}, under
+    [middleware.execute]), and [tagger] ({!document_of},
+    {!xml_string_of}, {!stream_to_channel}). *)
 
 type prepared = {
   db : Relational.Database.t;
@@ -25,8 +27,8 @@ type prepared = {
   stats : Relational.Stats.t Lazy.t;
       (** the catalog every estimate of this view is priced against;
           forced only when estimates are needed (greedy planning,
-          admission, explain, diagnose); {!execute} never forces it,
-          traced or not *)
+          admission, explain, diagnose); {!plan_streams} and {!run}
+          never force it, traced or not *)
 }
 
 val prepare : Relational.Database.t -> Rxl.view -> prepared
@@ -59,10 +61,6 @@ val partition_of : ?reduce:bool -> prepared -> strategy -> Partition.t
 (** The [planner] stage, the one place a strategy becomes a partition.
     [Greedy] is the best plan of {!gen_plan}: pass the [reduce] the plan
     will run with (default [false], as for {!execute}). *)
-
-val estimated_cost : ?reduce:bool -> prepared -> Partition.t -> float
-(** A [planner] stage: estimated [eval_cost] summed over the plan's
-    sub-queries — the server's admission estimate. *)
 
 (** Per-stream breakdown: every sub-query of a partition gets its own
     stats record, so callers can see where inside a plan the work went
@@ -136,32 +134,53 @@ exception Plan_timeout of timeout_info
     the budget; every one of them numbers the stream as
     [timeout_stream] does. *)
 
-val execute :
+type planned
+(** A partition's streams, each generated, printed and planned once:
+    its {!Sql_gen.stream}, its SQL text and its physical plan, with the
+    prepared view, the template backend and the generation options they
+    were planned with.  Nothing writes to it after {!plan_streams}
+    builds it, so it may be priced and run any number of times. *)
+
+val plan_streams :
   ?style:Sql_gen.style ->
   ?reduce:bool ->
   ?backend:Relational.Backend.t ->
+  prepared ->
+  Partition.t ->
+  planned
+(** Inside one [middleware.plan] span (attribute [streams]): the
+    [sql_gen] stage, then per stream the [sql_print] stage and
+    {!Relational.Backend.plan}, the one place SQL text becomes a
+    physical plan.  [backend] (default: a fault-free backend over
+    [p.db] with no work budget and the default profile) is the
+    config/seed template — work budget, cost profile, fault injection,
+    retry policy — that {!run} forks; its own counters never move.
+    Never forces [p.stats]. *)
+
+val estimated_cost : planned -> float
+(** A [planner] stage: the estimated [eval_cost] of every planned plan
+    ({!Relational.Cost.annotate} against [p.stats], with the template
+    backend's profile), summed — the server's admission estimate, priced
+    on the plans {!run} runs. *)
+
+val run :
   ?max_splits:int ->
   ?spool:bool ->
   ?pool:Relational.Domain_pool.t ->
-  prepared ->
-  Partition.t ->
+  planned ->
   execution
-(** Runs the plan: each sub-query's SQL is printed to text and planned
-    ({!Relational.Backend.plan}) before any stream runs, then each plan
-    is submitted to a per-stream {!Relational.Backend.fork} of [backend]
-    (default: a fault-free backend over [p.db] with no work budget and
-    the default profile).  [backend] is the config/seed template — work
-    budget, cost profile, fault injection, retry policy — and its own
-    counters never move.
+(** Runs the planned streams, in a [middleware.execute] span: each plan
+    is submitted to a per-stream {!Relational.Backend.fork} of the
+    template backend.
 
-    The plans share one {!Relational.Share} store for this call: a join
+    The plans share one {!Relational.Share} store for this run: a join
     subtree that occurs in several streams' plans runs once, and its
     other occurrences replay its output and its charges.  Every stream's
     rows, counters and per-node rows, cost and spills — hence work,
     timeouts, wasted work and the XML — are those of the stream run
     alone; only its times change, and a replayed node's time is unknown
     ([se_stats.replayed] names it and the stream that ran it).  Nothing
-    is shared across calls.  With tracing, the [middleware.execute] span
+    is shared across runs.  With tracing, the [middleware.execute] span
     carries [shared.subtrees] (the repeated subtrees counted), [shared]
     (the replays) and [shared.work] (the work they replayed).
 
@@ -193,6 +212,19 @@ val execute :
     transfer) and the resilience counters are identical at every pool
     size. *)
 
+val execute :
+  ?style:Sql_gen.style ->
+  ?reduce:bool ->
+  ?backend:Relational.Backend.t ->
+  ?max_splits:int ->
+  ?spool:bool ->
+  ?pool:Relational.Domain_pool.t ->
+  prepared ->
+  Partition.t ->
+  execution
+(** [run ?max_splits ?spool ?pool (plan_streams ?style ?reduce ?backend p
+    plan)]. *)
+
 val cursors : execution -> (Sql_gen.stream * Relational.Cursor.t) list
 (** Opens every stream's rows (see [se_cursor]), in plan order — the
     input of {!Tagger.tag_cursors}. *)
@@ -206,10 +238,10 @@ val stream_to_channel : prepared -> execution -> out_channel -> unit
 
 val explain :
   ?style:Sql_gen.style -> ?reduce:bool -> prepared -> Partition.t -> string
-(** Per stream: the shipped SQL, then the rewritten logical algebra
-    tree and the physical plan that {!Relational.Backend.plan} builds
-    for it — what {!execute} runs — with estimates (priced with the
-    default profile) and no actuals.  Nothing is executed. *)
+(** Per stream of {!plan_streams}: the shipped SQL, then the rewritten
+    logical algebra tree and the physical plan — what {!run} runs —
+    with estimates (priced with the default profile) and no actuals.
+    Nothing is executed. *)
 
 val explain_execution : prepared -> execution -> string
 (** Like {!explain} but over a finished {!execution}: the plans that

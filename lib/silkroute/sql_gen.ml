@@ -43,9 +43,8 @@ type stream = {
   cols : col_kind array;
 }
 
-exception Unsupported = View_tree.Unsupported
-
-let unsupported fmt = Format.kasprintf (fun m -> raise (Unsupported m)) fmt
+let unsupported fmt =
+  Format.kasprintf (fun m -> raise (View_tree.Unsupported m)) fmt
 
 (* --- group bodies ------------------------------------------------------ *)
 

@@ -32,8 +32,6 @@ type stream = {
   cols : col_kind array;  (** aligned with the query's output columns *)
 }
 
-exception Unsupported of string
-
 val sfi_component : int list -> int -> int
 (** [sfi_component sfi j] is the [j]-th (1-based) component of a Skolem
     function's index vector; raises [Invalid_argument] naming the Skolem
@@ -45,5 +43,5 @@ val stream_of_fragment :
 val streams :
   Relational.Database.t -> View_tree.t -> Partition.t -> options -> stream list
 (** One stream per fragment of the plan, in document order of fragment
-    roots.  Raises {!Unsupported} for views whose join variables do not
-    flow through intermediate blocks (see DESIGN.md). *)
+    roots.  Raises {!View_tree.Unsupported} for views whose join
+    variables do not flow through intermediate blocks (see DESIGN.md). *)

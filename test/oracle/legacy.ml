@@ -36,7 +36,7 @@ let lookup (header : header) (q, c) =
         else if snd header.(i) = c then
           match found with
           | None -> go (i + 1) (Some i)
-          | Some _ -> raise (X.Ambiguous_column c)
+          | Some _ -> raise (Algebra.Ambiguous_column c)
         else go (i + 1) found
       in
       go 0 None

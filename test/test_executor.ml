@@ -233,7 +233,7 @@ let test_ambiguous_column () =
     (try
        ignore (run (mkdb ()) "SELECT a AS a FROM R AS r, R AS r2 WHERE (r.a = r2.a)");
        false
-     with Executor.Ambiguous_column "a" -> true)
+     with Algebra.Ambiguous_column "a" -> true)
 
 let test_budget_timeout () =
   let db = mkdb () in

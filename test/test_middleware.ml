@@ -143,6 +143,69 @@ let test_strategy_of_string () =
       ("edges:37", "edges:37");
     ]
 
+(* The admission estimate prices the plans [run] runs: over q1-q3, both
+   reductions and every kind of strategy it equals the sum of the cost
+   oracle's answers on the generated SQL (the route the estimate once
+   took, re-planning each AST), float for float, every stream that runs
+   ships exactly the printed text of its generated query, and a second
+   run of the same planned streams gives the same bytes and work. *)
+let test_estimate_prices_run_plans () =
+  let db = Lazy.force (Matrix.tpch 0.1).Matrix.db in
+  List.iter
+    (fun text ->
+      let p = Middleware.prepare_text db text in
+      let stats = Lazy.force p.Middleware.stats in
+      let edges = View_tree.edge_count p.Middleware.tree in
+      let rng = Random.State.make [| 39 |] in
+      let strategies =
+        [ Middleware.Unified; Middleware.Fully_partitioned; Middleware.Greedy ]
+        @ List.init 6 (fun _ ->
+              Middleware.Edges (Random.State.int rng (1 lsl edges)))
+      in
+      List.iter
+        (fun reduce ->
+          List.iter
+            (fun strategy ->
+              let name =
+                Printf.sprintf "%s reduce=%b" (Middleware.strategy_name strategy)
+                  reduce
+              in
+              let partition = Middleware.partition_of ~reduce p strategy in
+              let streams =
+                Sql_gen.streams db p.Middleware.tree partition
+                  {
+                    Sql_gen.style = Sql_gen.Outer_join;
+                    labels = (if reduce then Some p.Middleware.labels else None);
+                  }
+              in
+              let oracle = R.Cost.oracle_with_stats db stats in
+              let asked =
+                List.fold_left
+                  (fun acc (s : Sql_gen.stream) ->
+                    acc +. (R.Cost.ask oracle s.Sql_gen.query).R.Cost.eval_cost)
+                  0.0 streams
+              in
+              let planned = Middleware.plan_streams ~reduce p partition in
+              Alcotest.(check (float 0.0))
+                (name ^ ": estimate") asked
+                (Middleware.estimated_cost planned);
+              let e = Middleware.run planned in
+              Alcotest.(check (list string))
+                (name ^ ": texts that ran")
+                (List.map
+                   (fun (s : Sql_gen.stream) -> R.Sql_print.to_string s.Sql_gen.query)
+                   streams)
+                (List.map (fun se -> se.Middleware.se_sql) e.Middleware.per_stream);
+              (* nothing a run does changes what was planned *)
+              let again = Middleware.run planned in
+              Alcotest.(check (pair string int))
+                (name ^ ": second run")
+                (Middleware.xml_string_of p e, e.Middleware.work)
+                (Middleware.xml_string_of p again, again.Middleware.work))
+            strategies)
+        [ true; false ])
+    [ Queries.query1_text; Queries.query2_text; Queries.query3_text ]
+
 let suite =
   [
     Alcotest.test_case "strategies agree" `Quick test_materialize_strategies_agree;
@@ -159,4 +222,6 @@ let suite =
     Alcotest.test_case "non-equi-join condition" `Quick test_non_equi_join_condition;
     Alcotest.test_case "regression: bad strategy is Invalid_argument" `Quick
       test_strategy_of_string;
+    Alcotest.test_case "admission estimate prices the plans that run" `Quick
+      test_estimate_prices_run_plans;
   ]

@@ -268,10 +268,11 @@ let test_middleware_stage_spans () =
           "view_tree"; "planner"; "sql_gen"; "middleware.execute"; "executor";
           "tagger";
         ];
-      (* SQL print, parse and physical planning are children of
-         middleware.execute, which plans every stream before the fan-out
-         (a degraded stream plans its own fragments under its
-         execute.stream); execution is a child of execute.stream *)
+      (* SQL generation, print, parse and physical planning are children
+         of middleware.plan, which plans every stream before
+         middleware.execute runs them (a degraded stream plans its own
+         fragments under its execute.stream); execution is a child of
+         execute.stream *)
       let under parents name =
         List.iter
           (fun (s : Obs.Span.t) ->
@@ -284,8 +285,8 @@ let test_middleware_stage_spans () =
           (find_spans name)
       in
       List.iter
-        (under [ "middleware.execute"; "execute.stream" ])
-        [ "sql_print"; "sql_parser"; "physical" ];
+        (under [ "middleware.plan"; "execute.stream" ])
+        [ "sql_gen"; "sql_print"; "sql_parser"; "physical" ];
       under [ "execute.stream" ] "executor";
       (* each attempt drains its rows in its own span, which counts them *)
       Alcotest.(check bool) "drain spans" true (find_spans "backend.drain" <> []);

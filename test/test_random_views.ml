@@ -102,11 +102,11 @@ let check_view (v, mask_seed) =
   let tree = (Matrix.truth view db).p.tree in
   let full = (1 lsl View_tree.edge_count tree) - 1 in
   let masks = Matrix.only [ 0; full; mask_seed land full ] in
-  (* Sql_gen.Unsupported is the documented, cleanly-reported limitation
+  (* View_tree.Unsupported is the documented, cleanly-reported limitation
      (a join variable skipping intermediate blocks without being
      FD-determined); a random view may hit it, and rejecting such a plan
      is correct behaviour *)
-  let skip = function Sql_gen.Unsupported _ -> true | _ -> false in
+  let skip = function View_tree.Unsupported _ -> true | _ -> false in
   Matrix.(check ~skip [ slice view db ~masks ~points:[ oj; oj_reduced; ou ] ]);
   true
 

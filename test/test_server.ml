@@ -150,6 +150,51 @@ let test_admission_oversized_end_to_end () =
       | Protocol.Result _ -> ()
       | r -> Alcotest.failf "expected a result, got %s" (Protocol.reply_name r))
 
+(* Every tier replies with the admission estimate the middleware prices
+   on the plans the request runs, and admission compares that figure
+   with the budget. *)
+let test_estimate_across_tiers () =
+  let db = Tpch.Gen.generate (Tpch.Gen.config 0.5) in
+  let view = S.Queries.query1_text in
+  let est =
+    let p = S.Middleware.prepare_text db view in
+    S.Middleware.estimated_cost
+      (S.Middleware.plan_streams ~reduce:true p
+         (S.Middleware.partition_of ~reduce:true p S.Middleware.Greedy))
+  in
+  let ask t = Service.query t ~view ~strategy:"greedy" ~reduce:true in
+  let serve config f =
+    let t = Service.create ~config db in
+    Fun.protect ~finally:(fun () -> Service.shutdown t) (fun () -> f t)
+  in
+  let check name ~plan_hit ~result_hit = function
+    | Protocol.Result { tiers; est_cost; _ } ->
+        Alcotest.(check (pair bool bool))
+          (name ^ ": tiers") (plan_hit, result_hit)
+          (tiers.Protocol.plan_hit, tiers.Protocol.result_hit);
+        Alcotest.(check (float 0.0)) (name ^ ": est_cost") est est_cost
+    | r -> Alcotest.failf "%s: expected a result, got %s" name (Protocol.reply_name r)
+  in
+  serve Service.default_config (fun t ->
+      check "cold miss" ~plan_hit:false ~result_hit:false (ask t);
+      check "result hit" ~plan_hit:true ~result_hit:true (ask t));
+  serve { Service.default_config with Service.result_capacity = 0 } (fun t ->
+      ignore (ask t);
+      check "plan hit, result miss" ~plan_hit:true ~result_hit:false (ask t));
+  let budget = int_of_float (Float.ceil est) in
+  serve
+    { Service.default_config with Service.admission_budget = budget - 1 }
+    (fun t ->
+      match ask t with
+      | Protocol.Rejected reason ->
+          Alcotest.(check string) "rejection"
+            (Printf.sprintf "estimated cost %.0f exceeds the admission budget %d"
+               est (budget - 1))
+            reason
+      | r -> Alcotest.failf "expected rejection, got %s" (Protocol.reply_name r));
+  serve { Service.default_config with Service.admission_budget = budget }
+    (fun t -> check "admitted" ~plan_hit:false ~result_hit:false (ask t))
+
 (* --- protocol ----------------------------------------------------------- *)
 
 let roundtrip write read v =
@@ -910,4 +955,6 @@ let suite =
       test_clock_monotonic_watermark;
     Alcotest.test_case "regression: clock source reset" `Quick
       test_clock_set_source_resets_watermark;
+    Alcotest.test_case "admission: one estimate across tiers" `Quick
+      test_estimate_across_tiers;
   ]

@@ -167,7 +167,7 @@ let test_var_flow_restriction_raises () =
     (try
        ignore (Sql_gen.streams db p.Middleware.tree plan Sql_gen.default_options);
        false
-     with Sql_gen.Unsupported _ -> true)
+     with View_tree.Unsupported _ -> true)
 
 let test_fd_determined_skip_allowed () =
   (* the same shape is fine when the skipped variable is FD-determined by

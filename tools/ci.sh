@@ -25,6 +25,21 @@ if ! dune printenv . | grep -qF '@1..3@5..28@30..39@43@46..47@49..57@61..62'; th
   exit 1
 fi
 
+echo "== layering (the cost oracle is genPlan's alone; lib/server plans through Middleware)"
+# One pricing route: Cost.ask (an AST planned only to be priced) serves
+# genPlan; everything else prices the plans the backend built.
+ask=$(grep -rln 'Cost\.ask' lib | grep -vx -e lib/silkroute/planner.ml -e lib/relational/cost.ml || true)
+if [ -n "$ask" ]; then
+  echo "layering: Cost.ask outside planner.ml and cost.ml: $ask"
+  exit 1
+fi
+server=$(grep -nE '(^|[^A-Za-z0-9_])(Cost|Sql_gen|Planner|Physical|Backend)\.' lib/server/*.ml || true)
+if [ -n "$server" ]; then
+  echo "layering: lib/server names the planner's modules (go through Silkroute.Middleware):"
+  echo "$server"
+  exit 1
+fi
+
 echo "== dune build @check"
 dune build @check
 
