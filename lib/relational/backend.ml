@@ -316,12 +316,12 @@ let drain t ~attempt ~trip ~spool (plan : Physical.plan) stats out =
         Obs.Span.add_list [ Obs.Attr.int "tuples" tuples; Obs.Attr.int "bytes" bytes ];
       { plan; rows; stats; tuples; bytes; transfer_ms = Transfer.stream_ms ~tuples ~bytes })
 
-let plan t text =
+let plan database text =
   let ast =
     Obs.Span.with_stage Obs.Stage.Sql_parser (fun () -> Sql_parser.parse text)
   in
   Obs.Span.with_stage Obs.Stage.Physical (fun () ->
-      Physical.plan_of t.database ast)
+      Physical.plan_of database ast)
 
 (* Every attempt runs the same plan, which no run writes. *)
 let execute_plan ?(label = "") ?(spool = false) ?share t plan : run =
@@ -390,4 +390,5 @@ let execute_plan ?(label = "") ?(spool = false) ?share t plan : run =
   r)
 
 (* Parse and plan once, outside the retry loop. *)
-let execute ?label ?spool t text = execute_plan ?label ?spool t (plan t text)
+let execute ?label ?spool t text =
+  execute_plan ?label ?spool t (plan t.database text)

@@ -108,12 +108,14 @@ val fork : t -> salt:int -> t
 val merge_stats : stats list -> stats
 (** Field-wise sum — aggregate per-fork counters into one report. *)
 
-val plan : t -> string -> Physical.plan
-(** The [sql_parser] stage, then the [physical] stage: parses SQL text
-    ({!Sql_parser.Parse_error} on bad input) and plans it against the
-    backend's database — the plan {!execute} runs for that text.  For
+val plan : Database.t -> string -> Physical.plan
+(** [plan db text]: the [sql_parser] stage, then the [physical] stage.
+    Parses [text] ({!Sql_parser.Parse_error} on bad input) and plans it
+    against [db] — the plan {!execute} runs for that text on a
+    connection to [db].  A plan needs the database alone: it may run on
+    any connection to [db] ({!execute_plan}), any number of times.  For
     callers that show a plan without running it, or that plan a
-    request's statements before running them ({!execute_plan}). *)
+    request's statements before running them. *)
 
 (** One {!execute_plan}: the plan that ran, its rows and its meter, all of
     the winning attempt. *)
@@ -131,8 +133,8 @@ type run = {
 }
 
 val execute : ?label:string -> ?spool:bool -> t -> string -> run
-(** Resilient submission of SQL text: {!plan} once, then
-    {!execute_plan}. *)
+(** Resilient submission of SQL text: {!plan} once against the
+    connection's database, then {!execute_plan} on the connection. *)
 
 val execute_plan :
   ?label:string ->
@@ -141,9 +143,9 @@ val execute_plan :
   t ->
   Physical.plan ->
   run
-(** Resilient submission of a plan {!plan} built: in the
-    [executor] stage (whose span carries the plan's output rows and
-    {!Executor.stats_attrs}), retries transient failures
+(** Resilient submission of a plan {!plan} built over [t]'s database:
+    in the [executor] stage (whose span carries the plan's output rows
+    and {!Executor.stats_attrs}), retries transient failures
     (submit faults and mid-stream drops) with exponential backoff up to
     the retry budget, and drains the winning attempt's rows inside the
     retry scope, so what comes back is complete and failure-free.  The

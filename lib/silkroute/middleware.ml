@@ -221,30 +221,28 @@ type planned_stream = {
   ps_plan : R.Physical.plan;
 }
 
+(* A plan is a function of the database and the partition alone: the
+   connection it runs on is [run]'s argument. *)
 type planned = {
   pl_prepared : prepared;
-  pl_backend : R.Backend.t; (* the template every run forks *)
   pl_opts : Sql_gen.options;
   pl_streams : planned_stream list; (* in plan order *)
 }
 
-let print_and_plan backend (s : Sql_gen.stream) =
+let print_and_plan db (s : Sql_gen.stream) =
   let sql =
     Obs.Span.with_stage Obs.Stage.Sql_print (fun () ->
         R.Sql_print.to_string s.Sql_gen.query)
   in
-  { ps_stream = s; ps_sql = sql; ps_plan = R.Backend.plan backend sql }
+  { ps_stream = s; ps_sql = sql; ps_plan = R.Backend.plan db sql }
 
 (* Generate, print and plan every stream once, before anything runs: the
    admission estimate and explain price these plans, and [run] runs
    them, so the repeated join subtrees can be counted before the
    fan-out (R.Share). *)
-let plan_streams ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
+let plan_streams ?(style = Sql_gen.Outer_join) ?(reduce = false)
     (p : prepared) (plan : Partition.t) : planned =
   Obs.Span.with_span "middleware.plan" (fun () ->
-      let backend =
-        match backend with Some b -> b | None -> R.Backend.create p.db
-      in
       let opts = options_of p ~style ~reduce in
       let streams =
         Obs.Span.with_stage Obs.Stage.Sql_gen (fun () ->
@@ -261,27 +259,27 @@ let plan_streams ?(style = Sql_gen.Outer_join) ?(reduce = false) ?backend
         Obs.Span.add "streams" (Obs.Attr.Int (List.length streams));
       {
         pl_prepared = p;
-        pl_backend = backend;
         pl_opts = opts;
-        pl_streams = List.map (print_and_plan backend) streams;
+        pl_streams = List.map (print_and_plan p.db) streams;
       })
 
 let estimated_cost pl =
   Obs.Span.with_stage Obs.Stage.Planner (fun () ->
       let stats = Lazy.force pl.pl_prepared.stats in
-      let profile = R.Backend.profile pl.pl_backend in
       List.fold_left
         (fun acc ps ->
-          acc
-          +. (fst (R.Cost.annotate ~profile stats ps.ps_plan)).R.Cost.eval_cost)
+          acc +. (fst (R.Cost.annotate stats ps.ps_plan)).R.Cost.eval_cost)
         0.0 pl.pl_streams)
 
 (* --- execution ----------------------------------------------------------- *)
 
-let run ?(max_splits = 0) ?(spool = false) ?(pool = R.Domain_pool.inline)
-    (pl : planned) : execution =
+let run ?backend ?(max_splits = 0) ?(spool = false)
+    ?(pool = R.Domain_pool.inline) (pl : planned) : execution =
  Obs.Span.with_span "middleware.execute" (fun () ->
-  let p = pl.pl_prepared and backend = pl.pl_backend and opts = pl.pl_opts in
+  let p = pl.pl_prepared and opts = pl.pl_opts in
+  let backend =
+    match backend with Some b -> b | None -> R.Backend.create p.db
+  in
   let domains = R.Domain_pool.size pool in
   if Obs.Span.tracing () then
     Obs.Span.add_list
@@ -385,7 +383,7 @@ let run ?(max_splits = 0) ?(spool = false) ?(pool = R.Domain_pool.inline)
                        in
                        sub :=
                          run_stream ~depth:(depth + 1) backend i
-                           (print_and_plan backend s)
+                           (print_and_plan p.db s)
                          :: !sub)
                      frags
                  with e ->
@@ -479,7 +477,7 @@ let run ?(max_splits = 0) ?(spool = false) ?(pool = R.Domain_pool.inline)
   })
 
 let execute ?style ?reduce ?backend ?max_splits ?spool ?pool p plan =
-  run ?max_splits ?spool ?pool (plan_streams ?style ?reduce ?backend p plan)
+  run ?backend ?max_splits ?spool ?pool (plan_streams ?style ?reduce p plan)
 
 (* --- tagging -------------------------------------------------------------- *)
 
@@ -535,13 +533,12 @@ let replayed_from e (se : stream_exec) name id =
    [run] runs. *)
 let explain ?style ?reduce (p : prepared) (plan : Partition.t) : string =
   let pl = plan_streams ?style ?reduce p plan in
-  let profile = R.Backend.profile pl.pl_backend in
   String.concat "\n\n"
     (List.mapi
        (fun i ps ->
          explain_stream p (i + 1) (root_name_of p ps.ps_stream)
            ~sql:(R.Sql_print.to_pretty_string ps.ps_stream.Sql_gen.query)
-           ~profile ps.ps_plan
+           ~profile:R.Executor.default_profile ps.ps_plan
            (R.Physical.no_actuals ps.ps_plan))
        pl.pl_streams)
 

@@ -17,7 +17,11 @@
     one [middleware.plan] span), [executor] in
     {!Relational.Backend.execute_plan} ({!run}, under
     [middleware.execute]), and [tagger] ({!document_of},
-    {!xml_string_of}, {!stream_to_channel}). *)
+    {!xml_string_of}, {!stream_to_channel}).  Every stage up to
+    [physical] reads the view and the database alone (paper Sec. 3.4):
+    the connection — its faults, retries, work budget and cost profile
+    — is an argument of {!run} only, so one {!planned} value runs on
+    any connection to its database. *)
 
 type prepared = {
   db : Relational.Database.t;
@@ -137,41 +141,39 @@ exception Plan_timeout of timeout_info
 type planned
 (** A partition's streams, each generated, printed and planned once:
     its {!Sql_gen.stream}, its SQL text and its physical plan, with the
-    prepared view, the template backend and the generation options they
-    were planned with.  Nothing writes to it after {!plan_streams}
-    builds it, so it may be priced and run any number of times. *)
+    prepared view and the generation options they were planned with.
+    It holds no connection.  Nothing writes to it after {!plan_streams}
+    builds it, so it may be priced and run any number of times, on any
+    connection to the view's database. *)
 
 val plan_streams :
-  ?style:Sql_gen.style ->
-  ?reduce:bool ->
-  ?backend:Relational.Backend.t ->
-  prepared ->
-  Partition.t ->
-  planned
+  ?style:Sql_gen.style -> ?reduce:bool -> prepared -> Partition.t -> planned
 (** Inside one [middleware.plan] span (attribute [streams]): the
     [sql_gen] stage, then per stream the [sql_print] stage and
-    {!Relational.Backend.plan}, the one place SQL text becomes a
-    physical plan.  [backend] (default: a fault-free backend over
-    [p.db] with no work budget and the default profile) is the
-    config/seed template — work budget, cost profile, fault injection,
-    retry policy — that {!run} forks; its own counters never move.
-    Never forces [p.stats]. *)
+    {!Relational.Backend.plan} against [p.db], the one place SQL text
+    becomes a physical plan.  Never forces [p.stats]. *)
 
 val estimated_cost : planned -> float
 (** A [planner] stage: the estimated [eval_cost] of every planned plan
-    ({!Relational.Cost.annotate} against [p.stats], with the template
-    backend's profile), summed — the server's admission estimate, priced
-    on the plans {!run} runs. *)
+    ({!Relational.Cost.annotate} against [p.stats], with
+    {!Relational.Executor.default_profile}), summed — the server's
+    admission estimate, priced on the plans {!run} runs. *)
 
 val run :
+  ?backend:Relational.Backend.t ->
   ?max_splits:int ->
   ?spool:bool ->
   ?pool:Relational.Domain_pool.t ->
   planned ->
   execution
 (** Runs the planned streams, in a [middleware.execute] span: each plan
-    is submitted to a per-stream {!Relational.Backend.fork} of the
-    template backend.
+    is submitted to a per-stream {!Relational.Backend.fork} of
+    [backend], a connection to the planned view's database (default: a
+    fault-free one with no work budget and the default profile).
+    [backend] is the config/seed template — work budget, cost profile,
+    fault injection, retry policy; its own counters never move, so one
+    [backend] and one {!planned} may be run together any number of
+    times with the same outcome.
 
     The plans share one {!Relational.Share} store for this run: a join
     subtree that occurs in several streams' plans runs once, and its
@@ -195,9 +197,10 @@ val run :
     A persistent stream failure — retries exhausted, a fatal fault, or
     a work-budget timeout — degrades only the offending stream by
     splitting its fragment along view-tree edges, at most [max_splits]
-    (default 0) nested splits per original stream, and re-executing the
-    finer sub-queries.  The effective plan is still a point in the
-    2^|E| lattice, so the XML is byte-identical to a fault-free run.
+    (default 0) nested splits per original stream, and running the
+    finer sub-queries, planned there, on the stream's fork.  The
+    effective plan is still a point in the 2^|E| lattice, so the XML is
+    byte-identical to a fault-free run.
     When nothing finer may be tried, a timeout raises {!Plan_timeout}
     and any other failure re-raises the backend error.
 
@@ -222,8 +225,8 @@ val execute :
   prepared ->
   Partition.t ->
   execution
-(** [run ?max_splits ?spool ?pool (plan_streams ?style ?reduce ?backend p
-    plan)]. *)
+(** [run ?backend ?max_splits ?spool ?pool (plan_streams ?style ?reduce p
+    plan)]: plan, then run on [backend]. *)
 
 val cursors : execution -> (Sql_gen.stream * Relational.Cursor.t) list
 (** Opens every stream's rows (see [se_cursor]), in plan order — the

@@ -1,8 +1,9 @@
 (* The lattice matrix: every plan × execution mode, checked by one
    harness against one reference.  A cell is (view, database, mask,
    point, mode): a point is the SQL style and whether labels reduce the
-   plan; a mode runs the plan — heap or spooled rows, a pool size,
-   faults, retries, splits, a work budget — or is the seed interpreter.
+   plan; a mode runs the point's one plan on a connection — heap or
+   spooled rows, a pool size, faults, retries, splits, a work budget —
+   or is the seed interpreter.
 
    References are memoized process-wide, so later suites reuse them: per
    (view, database) the naive-datalog truth, DTD-valid where the view
@@ -230,13 +231,13 @@ let legacy_cell label (p : Middleware.prepared) plan (style, reduce) r =
 (* The first resilience record per faulted (point, spool, faults). *)
 let first_records = Hashtbl.create 256
 
-(* A run reproduces the reference's bytes.  Fault-free, also its
-   accounting, in one clean attempt per stream.  Faulted, it runs twice
-   and reproduces its bytes and resilience record — the same record at
+(* A run of the point's [planned] streams reproduces the reference's
+   bytes.  Fault-free, also its accounting, in one clean attempt per
+   stream.  Faulted, it runs twice, each time on a fresh connection, and
+   reproduces its bytes and resilience record — the same record at
    every pool size — within the retry bound; the record goes to the
    slice's [fired] check. *)
-let run_cell label key (p : Middleware.prepared) plan (style, reduce) ~spool
-    ~pool f r =
+let run_cell label key (p : Middleware.prepared) planned ~spool ~pool f r =
   let run () =
     let backend =
       if f = no_faults then None
@@ -245,8 +246,7 @@ let run_cell label key (p : Middleware.prepared) plan (style, reduce) ~spool
         Some (R.Backend.create ~faults ~retries:f.retries ~budget:f.budget p.db)
     in
     let e =
-      Middleware.execute ~style ~reduce ?backend ~max_splits:f.max_splits
-        ~spool ~pool p plan
+      Middleware.run ?backend ~max_splits:f.max_splits ~spool ~pool planned
     in
     (e, Middleware.xml_string_of p e)
   in
@@ -293,9 +293,12 @@ let slice ?(masks = all) ?(points = [ oj ]) ?(modes = [ heap ]) view db =
 let pool_of = function Legacy -> 1 | Run { pool; _ } -> pool
 
 (* The cells of [modes] at one lattice point on [pool], each followed by
-   a leak check of the private spool dir; the faulted cells' records. *)
+   a leak check of the private spool dir; the faulted cells' records.
+   The point is planned once, for every run cell, and the plan lives
+   no longer than this call. *)
 let check_point modes t pool mask ((style, reduce) as point) =
   let plan = Partition.of_mask t.p.tree mask in
+  let planned = lazy (Middleware.plan_streams ~style ~reduce t.p plan) in
   let r = reference t mask point in
   let cell mode =
     let name = function
@@ -316,7 +319,7 @@ let check_point modes t pool mask ((style, reduce) as point) =
           [] (* the reference itself *)
       | Run { spool; faults; _ } ->
           let key = (t.label, mask, point, spool, faults) in
-          run_cell label key t.p plan point ~spool ~pool faults r
+          run_cell label key t.p (Lazy.force planned) ~spool ~pool faults r
     in
     if spool_files () <> [] then Alcotest.failf "%s: spool file left" label;
     records

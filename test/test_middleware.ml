@@ -206,6 +206,67 @@ let test_estimate_prices_run_plans () =
         [ true; false ])
     [ Queries.query1_text; Queries.query2_text; Queries.query3_text ]
 
+(* A plan needs only the database: one [planned] value of q1 at scale
+   0.1, greedy unreduced or fully partitioned, runs on the default
+   connection, spooled, on a 2-domain pool, under faults with retries
+   and splits, and under a budget that forces degradation, and each run
+   equals [execute] on a fresh plan with the same connection, down to
+   the bits of the modeled transfer and the resilience record. *)
+let test_one_plan_every_connection () =
+  let db = Lazy.force (Matrix.tpch 0.1).Matrix.db in
+  let p = Middleware.prepare_text db Queries.query1_text in
+  (* the heaviest single-node stream's work: every leaf fits, and
+     greedy's heaviest stream must split *)
+  let budget =
+    let e = Middleware.execute p (Partition.fully_partitioned p.tree) in
+    List.fold_left
+      (fun acc (se : Middleware.stream_exec) -> max acc se.se_stats.R.Executor.work)
+      0 e.per_stream
+  in
+  let faulted () =
+    Some (R.Backend.create ~faults:(R.Backend.faults ~seed:14 0.3) ~retries:8 db)
+  in
+  let over_budget () = Some (R.Backend.create ~budget db) in
+  let outcome (e : Middleware.execution) =
+    ( Middleware.xml_string_of p e,
+      (e.work, e.tuples, e.bytes, Int64.bits_of_float e.transfer_ms),
+      (e.resilience, e.degraded) )
+  in
+  R.Domain_pool.with_pool ~domains:2 @@ fun two ->
+  List.iter
+    (fun strategy ->
+      let partition = Middleware.partition_of ~reduce:false p strategy in
+      let planned = Middleware.plan_streams ~reduce:false p partition in
+      List.iter
+        (fun (name, backend, max_splits, spool, pool) ->
+          let label = Middleware.strategy_name strategy ^ ", " ^ name in
+          let once =
+            outcome
+              (Middleware.run ?backend:(backend ()) ?max_splits ?spool ?pool
+                 planned)
+          and fresh =
+            outcome
+              (Middleware.execute ~reduce:false ?backend:(backend ()) ?max_splits
+                 ?spool ?pool p partition)
+          in
+          if once <> fresh then
+            Alcotest.failf "%s: the planned run differs from execute" label;
+          (* the connection is the one passed: its faults fire, and its
+             budget splits greedy's heaviest stream *)
+          let _, _, (st, degraded) = once in
+          if name = "faults" && R.Backend.total_faults st = 0 then
+            Alcotest.failf "%s: no fault fired" label;
+          if name = "budget" && strategy = Middleware.Greedy && degraded = 0
+          then Alcotest.failf "%s: the budget forced no degradation" label)
+        [
+          ("default", (fun () -> None), None, None, None);
+          ("spooled", (fun () -> None), None, Some true, None);
+          ("2 domains", (fun () -> None), None, None, Some two);
+          ("faults", faulted, Some 8, None, None);
+          ("budget", over_budget, Some 8, None, None);
+        ])
+    [ Middleware.Greedy; Middleware.Fully_partitioned ]
+
 let suite =
   [
     Alcotest.test_case "strategies agree" `Quick test_materialize_strategies_agree;
@@ -224,4 +285,6 @@ let suite =
       test_strategy_of_string;
     Alcotest.test_case "admission estimate prices the plans that run" `Quick
       test_estimate_prices_run_plans;
+    Alcotest.test_case "one plan runs under every connection" `Quick
+      test_one_plan_every_connection;
   ]

@@ -210,8 +210,7 @@ let test_plan_reused_across_runs () =
          { Sql_gen.style = Sql_gen.Outer_join; labels = None })
   in
   let plan =
-    R.Backend.plan (R.Backend.create db)
-      (R.Sql_print.to_string stream.Sql_gen.query)
+    R.Backend.plan db (R.Sql_print.to_string stream.Sql_gen.query)
   in
   let bare () =
     R.Physical.to_string plan (R.Physical.no_estimates plan)

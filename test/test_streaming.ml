@@ -47,7 +47,7 @@ let test_backend_run_counts () =
   in
   let backend = R.Backend.create db in
   let out, _ =
-    R.Executor.run_plan_batches_with_stats db (R.Backend.plan backend q)
+    R.Executor.run_plan_batches_with_stats db (R.Backend.plan db q)
   in
   Alcotest.(check int) "the sort's output is one batch" 1 (List.length out);
   Alcotest.(check bool) "of more than one chunk's rows" true
@@ -262,7 +262,7 @@ let rec producers (n : R.Physical.node) =
 (* Every row a plan delivers carries its wire size, and the backend's
    counts are a recomputation from the delivered rows, float for
    float: every lattice point of q1/q2/q3 at scale 0.2, reduced or
-   not, heap-drained or spooled. *)
+   not, planned once and run heap-drained and spooled. *)
 let test_carried_sizes () =
   let db = Tpch.Gen.generate (Tpch.Gen.config 0.2) in
   let checked = Hashtbl.create 512 in
@@ -305,10 +305,14 @@ let test_carried_sizes () =
         (fun mask ->
           let plan = Partition.of_mask p.tree mask in
           List.iter
-            (fun (reduce, spool) ->
-              let e = Middleware.execute ~reduce ~spool p plan in
-              List.iter (stream name mask reduce spool) e.per_stream)
-            [ (false, false); (false, true); (true, false); (true, true) ])
+            (fun reduce ->
+              let planned = Middleware.plan_streams ~reduce p plan in
+              List.iter
+                (fun spool ->
+                  let e = Middleware.run ~spool planned in
+                  List.iter (stream name mask reduce spool) e.per_stream)
+                [ false; true ])
+            [ false; true ])
         (Partition.all_masks p.tree))
     [ ("q1", Queries.query1_text); ("q2", Queries.query2_text); ("q3", Queries.query3_text) ]
 

@@ -25,12 +25,21 @@ if ! dune printenv . | grep -qF '@1..3@5..28@30..39@43@46..47@49..57@61..62'; th
   exit 1
 fi
 
-echo "== layering (the cost oracle is genPlan's alone; lib/server plans through Middleware)"
+echo "== layering (the cost oracle is genPlan's alone; text becomes a plan in Backend.plan; lib/server plans through Middleware)"
 # One pricing route: Cost.ask (an AST planned only to be priced) serves
 # genPlan; everything else prices the plans the backend built.
 ask=$(grep -rln 'Cost\.ask' lib | grep -vx -e lib/silkroute/planner.ml -e lib/relational/cost.ml || true)
 if [ -n "$ask" ]; then
   echo "layering: Cost.ask outside planner.ml and cost.ml: $ask"
+  exit 1
+fi
+# One planning route: Backend.plan turns SQL text into the plan that
+# runs; cost.ml plans genPlan's ASTs only to price them.
+plan_of=$(grep -rnE '\.plan_of([^A-Za-z0-9_]|$)' lib --include='*.ml' \
+  | grep -v -e '^lib/relational/backend\.ml:' -e '^lib/relational/cost\.ml:' || true)
+if [ -n "$plan_of" ]; then
+  echo "layering: Physical.plan_of outside backend.ml and cost.ml:"
+  echo "$plan_of"
   exit 1
 fi
 server=$(grep -nE '(^|[^A-Za-z0-9_])(Cost|Sql_gen|Planner|Physical|Backend)\.' lib/server/*.ml || true)
