@@ -307,7 +307,7 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
   let text = load_view query view_file in
   let db = setup_db scale seed schema data in
   (* the run the profile header's GC figures cover: all but the data *)
-  let gc0 = Gc.quick_stat () in
+  let gc0 = Obs.Profile.gc_now () in
   let p = S.Middleware.prepare_text db text in
   apply_skew p skew;
   let reduce = not no_reduce in

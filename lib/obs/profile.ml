@@ -195,13 +195,40 @@ type gc = {
   major_collections : int;
 }
 
-let gc_since (s0 : Gc.stat) =
-  let s1 = Gc.quick_stat () in
+(* Words pool tasks promoted and allocated on other domains, added to
+   the domain that awaited them, as two word counts per domain.  The
+   threads of one domain share them, so the adds are atomic. *)
+let awaited = Domain.DLS.new_key (fun () -> (Atomic.make 0, Atomic.make 0))
+
+let words () =
+  let _, promoted, major = Gc.counters () in
+  let p, m = Domain.DLS.get awaited in
+  (promoted +. float_of_int (Atomic.get p), major +. float_of_int (Atomic.get m))
+
+let add_awaited (promoted, major) =
+  let p, m = Domain.DLS.get awaited in
+  ignore (Atomic.fetch_and_add p (int_of_float promoted));
+  ignore (Atomic.fetch_and_add m (int_of_float major))
+
+(* Words from [words], exact to the word as [Obs.Span]'s are;
+   collections from [Gc.quick_stat], whose counts are exact too. *)
+let gc_now () =
+  let promoted, major = words () in
+  let s = Gc.quick_stat () in
   {
-    promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
-    major_words = s1.Gc.major_words -. s0.Gc.major_words;
-    minor_collections = s1.Gc.minor_collections - s0.Gc.minor_collections;
-    major_collections = s1.Gc.major_collections - s0.Gc.major_collections;
+    promoted_words = promoted;
+    major_words = major;
+    minor_collections = s.Gc.minor_collections;
+    major_collections = s.Gc.major_collections;
+  }
+
+let gc_since g0 =
+  let g1 = gc_now () in
+  {
+    promoted_words = g1.promoted_words -. g0.promoted_words;
+    major_words = g1.major_words -. g0.major_words;
+    minor_collections = g1.minor_collections - g0.minor_collections;
+    major_collections = g1.major_collections - g0.major_collections;
   }
 
 let render_tree_to buf ?gc t =
@@ -209,8 +236,8 @@ let render_tree_to buf ?gc t =
   Option.iter
     (fun g ->
       bprintf buf
-        ", GC (sampled at minor collections): %.1f promoted(kw), %.1f \
-         major(kw), %d minor / %d major collections"
+        ", GC: %.1f promoted(kw), %.1f major(kw), %d minor / %d major \
+         collections"
         (kwords g.promoted_words) (kwords g.major_words) g.minor_collections
         g.major_collections)
     gc;

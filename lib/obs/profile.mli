@@ -55,10 +55,11 @@ val percentile_of_sorted : float array -> float -> float
 (** Exact nearest-rank [q]-quantile of ascending samples (index
     [round (q * (n - 1))]); 0 when there are none. *)
 
-(** The one whole-run GC record, across every domain ([run --profile]'s
-    header and a server's slow-query record print it): words promoted
-    from the minor heap, major-heap words (promotions included), and
-    collections of each heap. *)
+(** The one whole-run GC record ([run --profile]'s header and a server's
+    slow-query record print it): words promoted from the minor heap and
+    major-heap words (promotions included), both exact, the calling
+    domain's and those of the pool tasks it awaited (see {!words}), and
+    collections of each heap, across every domain. *)
 type gc = {
   promoted_words : float;
   major_words : float;
@@ -66,14 +67,24 @@ type gc = {
   major_collections : int;
 }
 
-val gc_since : Gc.stat -> gc
-(** The {!Gc.quick_stat} deltas from a snapshot taken before the run to
-    now.  Its word counts are sampled as each minor heap is emptied, so
-    words allocated since the last minor collection are not in them. *)
+val words : unit -> float * float
+(** Promoted and major words so far: the calling domain's, from
+    {!Gc.counters} as {!Span} reads them, plus every {!add_awaited}
+    made on it. *)
+
+val add_awaited : float * float -> unit
+(** Adds the {!words} a pool task took on the domain that ran it to the
+    calling domain, the one that awaited the task. *)
+
+val gc_now : unit -> gc
+(** The counts so far: words from {!words}, and collections from
+    {!Gc.quick_stat}. *)
+
+val gc_since : gc -> gc
+(** The deltas from a {!gc_now} taken before the run to now. *)
 
 val render : ?top:int -> ?gc:gc -> t -> string
 (** Flame-style table — one row per name-path with calls, total/self
     ms, attribute sums and a share bar — followed by {!render_hot}.
     With [gc], the header line also reports its promoted and major
-    kilowords, marked as sampled at minor collections (see {!gc_since}),
-    and minor and major collections. *)
+    kilowords and its minor and major collections. *)

@@ -388,7 +388,3 @@ let execute_plan ?(label = "") ?(spool = false) ?share t plan : run =
       (Obs.Attr.int "rows" r.stats.actuals.rows.(plan.root.id)
       :: Executor.stats_attrs r.stats);
   r)
-
-(* Parse and plan once, outside the retry loop. *)
-let execute ?label ?spool t text =
-  execute_plan ?label ?spool t (plan t.database text)

@@ -111,8 +111,7 @@ val merge_stats : stats list -> stats
 val plan : Database.t -> string -> Physical.plan
 (** [plan db text]: the [sql_parser] stage, then the [physical] stage.
     Parses [text] ({!Sql_parser.Parse_error} on bad input) and plans it
-    against [db] — the plan {!execute} runs for that text on a
-    connection to [db].  A plan needs the database alone: it may run on
+    against [db].  A plan needs the database alone: it may run on
     any connection to [db] ({!execute_plan}), any number of times.  For
     callers that show a plan without running it, or that plan a
     request's statements before running them. *)
@@ -131,10 +130,6 @@ type run = {
       (** modeled client transfer: {!Transfer.stream_ms} of [tuples]
           and [bytes] *)
 }
-
-val execute : ?label:string -> ?spool:bool -> t -> string -> run
-(** Resilient submission of SQL text: {!plan} once against the
-    connection's database, then {!execute_plan} on the connection. *)
 
 val execute_plan :
   ?label:string ->

@@ -20,7 +20,9 @@
    span context and the worker re-installs it around the task, so spans
    opened inside a task parent under the span that submitted it, not
    under a detached root.  An inline task already runs inside that
-   context and needs neither step. *)
+   context and needs neither step.  A worker also measures its task's
+   promoted and major words, and [await] adds them to the awaiting
+   domain's ([Obs.Profile.add_awaited]). *)
 
 type 'a state =
   | Pending
@@ -31,6 +33,9 @@ type 'a handle = {
   hm : Mutex.t;
   hcv : Condition.t;
   mutable st : 'a state;
+  mutable words : float * float;
+      (* promoted and major words a worker task took, handed to the
+         domain that awaits it *)
 }
 
 type t = {
@@ -48,14 +53,24 @@ let size p = p.size
    tasks synchronously in [submit], so their queue is always empty. *)
 let queue_depth p = Mutex.protect p.qm (fun () -> Queue.length p.jobs)
 
-let fill h result =
-  Mutex.protect h.hm (fun () -> h.st <- result);
+let fill ?(words = (0.0, 0.0)) h result =
+  Mutex.protect h.hm (fun () ->
+      h.st <- result;
+      h.words <- words);
   Condition.broadcast h.hcv
 
-let run_task h task =
+let outcome task =
   match task () with
-  | v -> fill h (Done v)
-  | exception e -> fill h (Failed (e, Printexc.get_raw_backtrace ()))
+  | v -> Done v
+  | exception e -> Failed (e, Printexc.get_raw_backtrace ())
+
+(* A worker measures its task's words, which its own domain's counters
+   hold and the awaiting domain's do not. *)
+let run_measured h task =
+  let p0, m0 = Obs.Profile.words () in
+  let result = outcome task in
+  let p1, m1 = Obs.Profile.words () in
+  fill ~words:(p1 -. p0, m1 -. m0) h result
 
 let worker_loop p () =
   let rec loop () =
@@ -100,32 +115,42 @@ let create ~domains =
 let inline = create ~domains:1
 
 let submit p task =
-  let h = { hm = Mutex.create (); hcv = Condition.create (); st = Pending } in
+  let h =
+    {
+      hm = Mutex.create ();
+      hcv = Condition.create ();
+      st = Pending;
+      words = (0.0, 0.0);
+    }
+  in
   (match p.workers with
   | [] ->
       (* inline pool: the sequential path, unchanged — the task runs on
          the caller's thread, inside the caller's span context *)
-      run_task h task
+      fill h (outcome task)
   | _ :: _ ->
       let ctx = Obs.Span.context () in
       let task () = Obs.Span.with_context ctx task in
       Mutex.protect p.qm (fun () ->
           if p.closed then
             invalid_arg "Domain_pool.submit: pool is shut down";
-          Queue.push (fun () -> run_task h task) p.jobs);
+          Queue.push (fun () -> run_measured h task) p.jobs);
       Condition.signal p.qcv);
   h
 
 let await h =
-  let st =
+  let st, words =
     Mutex.protect h.hm (fun () ->
         (* match, not (=): polymorphic compare would inspect the task's
            result value, which may contain closures *)
         while match h.st with Pending -> true | _ -> false do
           Condition.wait h.hcv h.hm
         done;
-        h.st)
+        let words = h.words in
+        h.words <- (0.0, 0.0);
+        (h.st, words))
   in
+  Obs.Profile.add_awaited words;
   match st with
   | Done v -> v
   | Failed (e, bt) -> Printexc.raise_with_backtrace e bt

@@ -42,7 +42,10 @@ val submit : t -> (unit -> 'a) -> 'a handle
 
 val await : 'a handle -> 'a
 (** Blocks until the task completes; returns its value or re-raises its
-    exception with the original backtrace. *)
+    exception with the original backtrace.  A task that ran on a worker
+    hands the words it promoted and allocated in the major heap to the
+    awaiting domain ({!Obs.Profile.add_awaited}), so a run's GC record
+    covers its pool. *)
 
 val shutdown : t -> unit
 (** Drains remaining queued tasks, then joins all workers.  Idempotent

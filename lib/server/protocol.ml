@@ -32,7 +32,17 @@ type reply =
 let write_u32 oc n =
   output_binary_int oc n (* 4 bytes, big-endian; n is trusted small *)
 
+(* The limits are checked before the first byte is written, so a frame
+   the reader would reject leaves the channel as it was. *)
 let write_frame oc fields =
+  List.iter
+    (fun f ->
+      if String.length f > max_field_bytes then
+        raise
+          (Protocol_error
+             (Printf.sprintf "field of %d bytes exceeds the %d-byte limit"
+                (String.length f) max_field_bytes)))
+    fields;
   write_u32 oc (List.length fields);
   List.iter
     (fun f ->

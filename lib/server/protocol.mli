@@ -10,6 +10,9 @@
 
 exception Protocol_error of string
 
+val max_field_bytes : int
+(** The largest field either side reads or writes: 64 MiB. *)
+
 type request =
   | Query of { view : string; strategy : string; reduce : bool }
       (** Materialize [view] (RXL source text) under [strategy]
@@ -45,12 +48,17 @@ type reply =
   | Failed of string  (** Execution raised; the message names the error. *)
 
 val write_request : out_channel -> request -> unit
-(** Writes and flushes one frame. *)
+(** Writes and flushes one frame.  A field longer than
+    {!max_field_bytes} raises {!Protocol_error} before any byte is
+    written. *)
 
 val read_request : in_channel -> request option
 (** [None] on a clean EOF at a frame boundary. *)
 
 val write_reply : out_channel -> reply -> unit
+(** As {!write_request}: an oversized field (a document above
+    {!max_field_bytes}) raises {!Protocol_error} and writes nothing. *)
+
 val read_reply : in_channel -> reply option
 
 val request_name : request -> string

@@ -3,8 +3,8 @@
 
    Per query the path is
 
-     statement tier -> plan tier -> result tier -> planned streams
-       -> admission estimate -> admission -> pool
+     statement tier -> plan tier (a miss plans the streams and prices
+       them) -> result tier -> admission -> pool
 
    and every step is observable: the [server.request] span carries which
    tiers hit, the admission outcome and the engine work spent; admission
@@ -24,10 +24,9 @@
    one entry per stage, through the bounded non-blocking Slowlog.
 
    Locking: each LRU tier has its own mutex (see Lru); [plan_m]
-   serializes plan-tier misses and admission estimates against each
-   other and against [invalidate], so concurrent sessions cannot
-   duplicate planning work and no plan or estimate reads a half-skewed
-   catalog; [adm_m] +
+   serializes the planner's partition choices and the admission
+   estimates against each other and against [invalidate], so no plan or
+   estimate reads a half-skewed catalog; [adm_m] +
    [adm_cv] guard the in-flight work account; [lat_m] guards the latency
    histograms.  Nothing holds two locks
    at once, and no lock is held across execution. *)
@@ -70,27 +69,30 @@ let default_config =
 
 type admission = Admit | Queue | Reject of string
 
+(* The reason a query can never fit the budget, if it cannot. *)
+let over_budget c ~est_cost =
+  if c.admission_budget > 0 && est_cost > float_of_int c.admission_budget
+  then
+    Some
+      (Printf.sprintf "estimated cost %.0f exceeds the admission budget %d"
+         est_cost c.admission_budget)
+  else None
+
 (* Pure decision, applied under [adm_m]: a query that can never fit is
    rejected outright (waiting would deadlock the queue), one that does
    not fit now queues, and a full queue sheds load instead of building
    an unbounded convoy. *)
 let admission_decision c ~est_cost ~in_flight ~waiting =
-  if c.admission_budget <= 0 then Admit
-  else
-    let budget = float_of_int c.admission_budget in
-    if est_cost > budget then
-      Reject
-        (Printf.sprintf
-           "estimated cost %.0f exceeds the admission budget %d" est_cost
-           c.admission_budget)
-    else if in_flight +. est_cost <= budget then Admit
-    else if waiting >= c.max_queue then
-      Reject (Printf.sprintf "admission queue full (%d waiting)" waiting)
-    else Queue
-
-(* Result-tier entry: exactly the bytes the uncached path produced, and
-   the admission estimate it was admitted with, which a hit replies. *)
-type result_entry = { rx_xml : string; rx_est_cost : float }
+  match over_budget c ~est_cost with
+  | Some reason -> Reject reason
+  | None ->
+      if
+        c.admission_budget <= 0
+        || in_flight +. est_cost <= float_of_int c.admission_budget
+      then Admit
+      else if waiting >= c.max_queue then
+        Reject (Printf.sprintf "admission queue full (%d waiting)" waiting)
+      else Queue
 
 type counters = {
   requests : int;
@@ -109,9 +111,15 @@ type t = {
   cfg : config;
   stats : R.Stats.t;  (* shared catalog; skewed in place by [invalidate] *)
   pool : R.Domain_pool.t;
-  statements : S.Middleware.prepared Lru.t;
-  plans : int Lru.t;  (* the chosen point of the 2^|E| lattice, as a mask *)
-  results : result_entry Lru.t;
+  consistent : bool;
+      (* the database meets its declared keys, foreign keys and inclusion
+         dependencies; computed only when the result tier is on *)
+  statements : (S.Middleware.prepared * bool) Lru.t;
+      (* with whether every plan of the view publishes the same bytes *)
+  plans : (int * float) Lru.t;
+      (* the chosen point of the 2^|E| lattice, as a mask, and the
+         admission estimate of its planned streams *)
+  results : string Lru.t;  (* exactly the bytes the uncached path produced *)
   epoch : int Atomic.t;
   closed : bool Atomic.t;
   plan_m : Mutex.t;
@@ -160,10 +168,16 @@ let create ?(config = default_config) db =
       ("plan_capacity", config.plan_capacity);
       ("result_capacity", config.result_capacity) ];
   let stats = R.Stats.analyze db in
+  let consistent =
+    config.result_capacity > 0
+    && R.Database.check_integrity db = []
+    && List.for_all (R.Database.check_inclusion db) (R.Database.inclusions db)
+  in
   {
     db;
     cfg = config;
     stats;
+    consistent;
     pool = R.Domain_pool.create ~domains:config.domains;
     statements =
       Lru.create ~name:"statement" ~capacity:config.statement_capacity ();
@@ -211,44 +225,54 @@ let uptime_s t =
 (* Statement tier: keyed by the raw RXL source text.  The prepared value
    shares the server's forced catalog, so execution under tracing never
    re-analyzes the database and OCaml 5's RacyLazy cannot fire on the
-   pool. *)
+   pool.  Beside it, whether the view has one document per epoch: its
+   plans differ only in cost when the data meets the constraints the
+   labels and reduction's inner joins rely on, and no variable of the
+   view can be NULL. *)
 let statement_of t view =
   match Lru.find t.statements view with
-  | Some p -> (p, true)
+  | Some (p, one_document) -> (p, one_document, true)
   | None ->
       let p = S.Middleware.prepare_text t.db view in
       let p = { p with S.Middleware.stats = Lazy.from_val t.stats } in
-      Lru.add t.statements view p;
-      (p, false)
+      let one_document = t.consistent && S.Middleware.null_free p in
+      Lru.add t.statements view (p, one_document);
+      (p, one_document, false)
 
 let view_digest view = Digest.to_hex (Digest.string view)
 
 let plan_key ~digest ~skey ~reduce ~epoch =
   Printf.sprintf "%s|%s|%b|e%d" digest skey reduce epoch
 
-let result_key ~digest ~mask ~reduce ~epoch =
-  Printf.sprintf "%s|m%d|%b|e%d" digest mask reduce epoch
+(* One document per view and epoch when every plan publishes the same
+   bytes; otherwise one per plan. *)
+let result_key ~one_document ~digest ~mask ~reduce ~epoch =
+  if one_document then Printf.sprintf "%s|e%d" digest epoch
+  else Printf.sprintf "%s|m%d|%b|e%d" digest mask reduce epoch
 
-(* Plan tier: compute misses under [plan_m] so concurrent sessions
+(* Plan tier.  A miss is the middleware's [planner] stage choosing the
+   partition for the reduction the request runs with, then its streams
+   planned once and priced, all under [plan_m]: concurrent sessions
    asking for the same (view, strategy, reduce, epoch) plan it once, and
-   no [invalidate] skews the catalog mid-plan.  A miss is the
-   middleware's [planner] stage choosing the partition for the reduction
-   the request runs with. *)
+   no [invalidate] skews the catalog mid-read.  Returns the mask, the
+   estimate, the planned streams on a miss ([None] on a hit) and whether
+   it hit. *)
 let plan_of t (p : S.Middleware.prepared) ~digest ~strategy ~reduce ~epoch =
   let skey = S.Middleware.strategy_name strategy in
   let key = plan_key ~digest ~skey ~reduce ~epoch in
   match Lru.find t.plans key with
-  | Some mask -> (mask, true)
+  | Some (mask, est_cost) -> (mask, est_cost, None, true)
   | None ->
       Mutex.protect t.plan_m (fun () ->
           match Lru.peek t.plans key with
-          | Some mask -> (mask, true)
+          | Some (mask, est_cost) -> (mask, est_cost, None, true)
           | None ->
-              let mask =
-                S.Partition.to_mask (S.Middleware.partition_of ~reduce p strategy)
-              in
-              Lru.add t.plans key mask;
-              (mask, false))
+              let partition = S.Middleware.partition_of ~reduce p strategy in
+              let planned = S.Middleware.plan_streams ~reduce p partition in
+              let est_cost = S.Middleware.estimated_cost planned in
+              let mask = S.Partition.to_mask partition in
+              Lru.add t.plans key (mask, est_cost);
+              (mask, est_cost, Some planned, false))
 
 (* --- admission ---------------------------------------------------------- *)
 
@@ -302,42 +326,41 @@ let query_body t ~view ~strategy ~reduce =
               Obs.Attr.string "strategy" (S.Middleware.strategy_name strat);
               Obs.Attr.bool "reduce" reduce;
             ];
-        let p, statement_hit = statement_of t view in
+        let p, one_document, statement_hit = statement_of t view in
         let digest = view_digest view in
         let epoch = Atomic.get t.epoch in
-        let mask, plan_hit =
+        let mask, est_cost, planned, plan_hit =
           plan_of t p ~digest ~strategy:strat ~reduce ~epoch
         in
         let tiers hit =
           { Protocol.statement_hit; plan_hit; result_hit = hit }
         in
-        let rkey = result_key ~digest ~mask ~reduce ~epoch in
-        match Lru.find t.results rkey with
-        | Some r ->
+        let rkey = result_key ~one_document ~digest ~mask ~reduce ~epoch in
+        (* a plan that can never fit skips the lookup, and admission
+           rejects it: its view's document may come from a cheaper plan *)
+        let cached =
+          match over_budget t.cfg ~est_cost with
+          | None -> Lru.find t.results rkey
+          | Some _ -> None
+        in
+        match cached with
+        | Some xml ->
             if Obs.Span.tracing () then
               Obs.Span.add_list
                 [
                   Obs.Attr.bool "cache.result" true;
-                  Obs.Attr.int "bytes" (String.length r.rx_xml);
+                  Obs.Attr.int "bytes" (String.length xml);
                 ];
-            Protocol.Result
-              {
-                xml = r.rx_xml;
-                tiers = tiers true;
-                work = 0;
-                est_cost = r.rx_est_cost;
-              }
+            Protocol.Result { xml; tiers = tiers true; work = 0; est_cost }
         | None -> (
-            (* plan the streams once: the estimate prices the plans the
-               admitted request runs.  The catalog is read under
-               [plan_m], which [invalidate] holds while it skews it. *)
+            (* the estimate priced the plans the admitted request runs:
+               a plan hit plans its streams here, once *)
             let planned =
-              S.Middleware.plan_streams ~reduce p
-                (S.Partition.of_mask p.S.Middleware.tree mask)
-            in
-            let est_cost =
-              Mutex.protect t.plan_m (fun () ->
-                  S.Middleware.estimated_cost planned)
+              match planned with
+              | Some planned -> planned
+              | None ->
+                  S.Middleware.plan_streams ~reduce p
+                    (S.Partition.of_mask p.S.Middleware.tree mask)
             in
             match admit t est_cost with
             | Error reason ->
@@ -374,8 +397,7 @@ let query_body t ~view ~strategy ~reduce =
                     ~finally:(release t est_cost)
                     (fun () -> execute_on_pool t p planned)
                 in
-                Lru.add ~weight:(String.length xml) t.results rkey
-                  { rx_xml = xml; rx_est_cost = est_cost };
+                Lru.add ~weight:(String.length xml) t.results rkey xml;
                 bump
                   (fun c ->
                     { c with executed_work = c.executed_work + work })
@@ -537,9 +559,12 @@ let query t ~view ~strategy ~reduce =
   else begin
     let trace_id, sampled = next_trace t in
     let clock = Obs.Stage.clock () in
-    (* [Gc.quick_stat] costs more than the rest of a cached request's
-       telemetry together: read it only when a slow record may need it *)
-    let gc0 = if t.cfg.slow_ms > 0.0 then Some (Gc.quick_stat ()) else None in
+    (* [Gc.quick_stat], under [gc_now], costs more than the rest of a
+       cached request's telemetry together: read it only when a slow
+       record may need it *)
+    let gc0 =
+      if t.cfg.slow_ms > 0.0 then Some (Obs.Profile.gc_now ()) else None
+    in
     let t0 = Obs.Clock.now_ns () in
     let reply =
       Obs.Span.with_request ~trace_id ~sampled clock (fun () ->
@@ -806,7 +831,12 @@ let serve_unix ?(session_threads = true) t { sock; path = socket } =
       | None -> ()
       | Some req -> (
           let reply = handle t req in
-          Protocol.write_reply oc reply;
+          (* a reply the client could not read (a field over the frame
+             limit) is answered with the reason instead *)
+          (try Protocol.write_reply oc reply
+           with Protocol.Protocol_error msg ->
+             bump (fun c -> { c with failed = c.failed + 1 }) t;
+             Protocol.write_reply oc (Protocol.Failed msg));
           match req with
           | Protocol.Shutdown -> Atomic.set stop true
           | _ -> loop ())

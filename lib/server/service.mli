@@ -7,12 +7,16 @@
       (parse + label work), keyed by the source text itself;
     - {e plan cache} — (view, strategy, reduce, stats epoch) → the
       chosen partition's mask (for [greedy], the costed lattice search
-      it saves);
-    - {e result cache} — (view, partition mask, stats epoch) → the
-      serialized XML document and its admission estimate, under a
-      byte-weight storage budget
+      it saves) and the admission estimate of its planned streams;
+    - {e result cache} — (view, stats epoch) → the serialized XML
+      document, under a byte-weight storage budget
       (materialized-view selection under a storage budget, Mahboubi et
-      al.).
+      al.).  Every plan of a view publishes the same document when the
+      database meets its declared keys, foreign keys and inclusion
+      dependencies (checked once, at {!create}, when the tier is on)
+      and no variable of the view reads a nullable column
+      ({!Silkroute.Middleware.null_free}); any other view keeps one
+      document per (view, partition mask, reduce, stats epoch).
 
     Plan and result entries embed the {e stats epoch} in their key:
     {!invalidate} bumps the epoch (optionally skewing one table's
@@ -20,14 +24,17 @@
     O(1) while the statement tier — which does not depend on statistics
     — survives.
 
-    {b Admission control}: on a result miss the partition's streams are
-    planned once ({!Silkroute.Middleware.plan_streams}); their estimated
-    engine work ({!Silkroute.Middleware.estimated_cost}, priced on those
-    plans) is charged against a budget of in-flight work, and the
-    admitted query runs those same plans ({!Silkroute.Middleware.run}).
-    A query that can never fit is rejected outright; one that does not fit {e now} waits in a bounded queue and
-    is rejected when the queue is full.  Result-cache hits bypass
-    admission entirely — that is the point of the cache.
+    {b Admission control}: a plan miss plans the partition's streams
+    once ({!Silkroute.Middleware.plan_streams}) and prices them
+    ({!Silkroute.Middleware.estimated_cost}); a result miss runs those
+    same plans ({!Silkroute.Middleware.run}), or plans them once on a
+    plan hit, after charging the estimate against a budget of in-flight
+    work.  A query that can never fit is rejected outright, before the
+    result lookup (its view's document may come from a cheaper plan);
+    one that does not fit {e now} waits in a bounded queue and is
+    rejected when the queue is full.  Result-cache hits bypass the rest
+    of admission — that is the point of the cache — and reply the
+    request's own estimate with work 0.
 
     {b Telemetry}: every query runs in one request scope
     ({!Obs.Span.with_request}) with a trace id, so all spans and events
@@ -47,7 +54,8 @@
     one-line health summary.
 
     Cached and uncached paths return byte-identical XML: the result tier
-    stores exactly the bytes the uncached path produced. *)
+    stores exactly the bytes the uncached path produced, and shares a
+    document between plans only where every plan publishes it. *)
 
 type config = {
   domains : int;  (** worker-domain pool size; 1 executes inline *)
@@ -95,8 +103,9 @@ type t
 
 val create : ?config:config -> Relational.Database.t -> t
 (** Analyzes the database once (the shared catalog all estimates and
-    epochs refer to), starts the worker pool, and — when configured —
-    opens the slow log and the SLO tracker.  Raises [Invalid_argument]
+    epochs refer to), checks its declared constraints when the result
+    tier is on, starts the worker pool, and — when configured — opens
+    the slow log and the SLO tracker.  Raises [Invalid_argument]
     on fewer than one domain, a negative [trace_sample] or a negative
     cache capacity. *)
 
@@ -158,5 +167,7 @@ val listen : socket:string -> listener
 val serve_unix : ?session_threads:bool -> t -> listener -> unit
 (** Serves sessions on the listener until a [Shutdown] request arrives;
     each accepted connection gets its own session thread (unless
-    [session_threads] is false, for tests).  Removes the socket file on
-    exit and calls {!shutdown}. *)
+    [session_threads] is false, for tests).  A reply the client could
+    not read — a document above the protocol's field limit — is
+    answered with [Failed] naming its size instead, and counted as
+    failed.  Removes the socket file on exit and calls {!shutdown}. *)

@@ -38,6 +38,23 @@ let prepare_text db text =
   prepare db
     (Obs.Span.with_stage Obs.Stage.Rxl_parser (fun () -> Rxl_parser.parse text))
 
+(* A variable sits at a column position of an atom; NULL in any such
+   column is where the plans part ways (a folded [where] equality is
+   NULL-safe in one stream and SQL's [=] in another). *)
+let null_free p =
+  Array.for_all
+    (fun (n : View_tree.node) ->
+      List.for_all
+        (fun (a : Datalog.Rule.atom) ->
+          let schema = R.Database.schema p.db a.Datalog.Rule.rel in
+          List.for_all2
+            (fun (c : R.Schema.column) -> function
+              | Datalog.Rule.Var _ -> not c.R.Schema.nullable
+              | Datalog.Rule.Const _ | Datalog.Rule.Wild -> true)
+            schema.R.Schema.columns a.Datalog.Rule.args)
+        n.View_tree.rule.Datalog.Rule.atoms)
+    p.tree.View_tree.nodes
+
 type strategy =
   | Unified
   | Fully_partitioned

@@ -41,6 +41,16 @@ val prepare : Relational.Database.t -> Rxl.view -> prepared
 val prepare_text : Relational.Database.t -> string -> prepared
 (** The [rxl_parser] stage, then {!prepare}. *)
 
+val null_free : prepared -> bool
+(** Whether no variable of the view reads a column the schema declares
+    nullable.  On a database that meets its declared keys, foreign keys
+    and inclusion dependencies, every plan of such a view — every
+    partition, reduced or not — is held to publish the same bytes (the
+    lattice tests check every plan against one reference); NULL is where
+    plans are known to part ways (a [where] equality the view tree
+    folds into one variable is matched NULL-safe by one plan and with
+    SQL's [=] by another). *)
+
 (** How to choose the partition. *)
 type strategy =
   | Unified  (** one SQL query (all edges kept) *)

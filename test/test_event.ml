@@ -197,7 +197,7 @@ let test_deterministic_sequence () =
         in
         (try
            ignore
-             (B.execute backend supplier_q)
+             (B.execute_plan backend (B.plan db supplier_q))
          with B.Backend_error _ -> ());
         List.map
           (fun (e : Obs.Event.t) ->

@@ -321,8 +321,72 @@ let test_jsonl_rebased_starts () =
       Alcotest.(check int) "one profile record per name-path" 3
         (List.length profile_lines))
 
+(* The header's GC record reads the exact counters the spans read, so
+   over a whole run its major words cover the roots' spans: none of
+   the major heap's words may go missing between minor collections.
+   With a pool of two domains the streams' spans run on the workers,
+   and the record covers them too. *)
+let test_gc_header_covers_roots () =
+  let module M = Silkroute.Middleware in
+  let db = Tpch.Gen.generate (Tpch.Gen.config 1.0) in
+  let major_of name (n : Obs.Profile.node) =
+    if n.Obs.Profile.name = name then n.Obs.Profile.major_words else 0.0
+  in
+  let check_run ~domains =
+    Obs.Span.reset ();
+    Obs.Control.with_enabled true (fun () ->
+        let g0 = Obs.Profile.gc_now () in
+        let p = M.prepare_text db Silkroute.Queries.query1_text in
+        let e =
+          Relational.Domain_pool.with_pool ~domains (fun pool ->
+              M.execute ~reduce:false ~pool p
+                (M.partition_of ~reduce:false p M.Fully_partitioned))
+        in
+        ignore (M.xml_string_of p e);
+        let gc = Obs.Profile.gc_since g0 in
+        let profile = Obs.Profile.capture () in
+        let sum f =
+          Obs.Profile.fold (fun acc _ n -> acc +. f n) 0.0 profile
+        in
+        let roots =
+          List.fold_left
+            (fun acc (n : Obs.Profile.node) -> acc +. n.major_words)
+            0.0 profile.Obs.Profile.roots
+        in
+        let streams = sum (major_of "execute.stream") in
+        (* a span reads its own domain's counters: on a pool with
+           workers the roots' words leave out the streams' *)
+        let covered = if domains = 1 then roots else roots +. streams in
+        Alcotest.(check bool)
+          (Printf.sprintf
+             "%d domain(s): header %.0f major words >= %.0f (roots %.0f, \
+              streams %.0f)"
+             domains gc.Obs.Profile.major_words covered roots streams)
+          true
+          (streams > 0.0 && gc.Obs.Profile.major_words >= covered);
+        let header =
+          List.hd (String.split_on_char '\n' (Obs.Profile.render ~gc profile))
+        in
+        let major =
+          Printf.sprintf "%.1f major(kw)" (gc.Obs.Profile.major_words /. 1000.0)
+        in
+        Alcotest.(check bool) (header ^ " prints " ^ major) true
+          (let n = String.length major in
+           let rec at i =
+             i + n <= String.length header
+             && (String.sub header i n = major || at (i + 1))
+           in
+           at 0))
+  in
+  Obs.Span.use_default_gc_source ();
+  Fun.protect ~finally:Obs.Span.reset (fun () ->
+      check_run ~domains:1;
+      check_run ~domains:2)
+
 let suite =
   [
+    Alcotest.test_case "profile: GC header covers the roots' major words"
+      `Quick test_gc_header_covers_roots;
     Alcotest.test_case "percentile: empty histogram" `Quick
       test_percentile_empty;
     Alcotest.test_case "percentile: single observation" `Quick

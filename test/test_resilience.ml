@@ -25,7 +25,7 @@ let test_no_faults_passthrough () =
   let db = tpch 0.2 in
   let backend = B.create db in
   let expected, _ = R.Executor.run_plan_with_stats db (R.Physical.plan_of db (parse supplier_q)) in
-  let cur = (B.execute backend supplier_q).B.rows in
+  let cur = (B.execute_plan backend (B.plan db supplier_q)).B.rows in
   Alcotest.(check bool) "same rows" true
     (R.Relation.equal expected (R.Cursor.to_relation (cur ())));
   let st = B.stats backend in
@@ -39,7 +39,7 @@ let test_transient_exhausts_bounded_retries () =
   let backend =
     B.create ~faults:(B.faults ~midstream_weight:0.0 1.0) ~retries:3 db
   in
-  (match B.execute backend supplier_q with
+  (match B.execute_plan backend (B.plan db supplier_q) with
   | _ -> Alcotest.fail "certain transient faults must exhaust retries"
   | exception B.Backend_error { kind; attempt; _ } ->
       Alcotest.(check bool) "transient" true (kind = B.Transient);
@@ -54,7 +54,7 @@ let test_fatal_not_retried () =
   let backend =
     B.create ~faults:(B.faults ~fatal_weight:1.0 1.0) ~retries:3 db
   in
-  (match B.execute backend supplier_q with
+  (match B.execute_plan backend (B.plan db supplier_q) with
   | _ -> Alcotest.fail "fatal fault must escape"
   | exception B.Backend_error { kind; attempt; _ } ->
       Alcotest.(check bool) "fatal" true (kind = B.Fatal);
@@ -67,7 +67,7 @@ let test_timeout_not_retried_wasted_work () =
   let db = tpch 0.3 in
   let budget = 50 in
   let backend = B.create ~budget db in
-  (match B.execute backend part_q with
+  (match B.execute_plan backend (B.plan db part_q) with
   | _ -> Alcotest.fail "tiny budget must time out"
   | exception B.Backend_error { kind; _ } ->
       Alcotest.(check bool) "timeout" true (kind = B.Timeout));
@@ -81,7 +81,7 @@ let test_backoff_exponential_within_jitter () =
   let backend =
     B.create ~faults:(B.faults ~midstream_weight:0.0 1.0) ~retries:10 db
   in
-  (try ignore (B.execute backend supplier_q)
+  (try ignore (B.execute_plan backend (B.plan db supplier_q))
    with B.Backend_error _ -> ());
   let st = B.stats backend in
   (* slots 10, 20, ..., 2560, then 5000 (the cap): 10,110 ms, each
@@ -97,7 +97,7 @@ let test_midstream_drop_retried () =
   let backend =
     B.create ~faults:(B.faults ~midstream_weight:1.0 1.0) ~retries:2 db
   in
-  (match B.execute backend part_q with
+  (match B.execute_plan backend (B.plan db part_q) with
   | _ -> Alcotest.fail "certain mid-stream drops must exhaust retries"
   | exception B.Backend_error { kind; rows_delivered; _ } ->
       Alcotest.(check bool) "transient" true (kind = B.Transient);
@@ -114,14 +114,14 @@ let test_midstream_recovery_accounting () =
      fault-free run exactly (a failed attempt's counts are dropped) *)
   let db = tpch 0.3 in
   let expected, _ = R.Executor.run_plan_with_stats db (R.Physical.plan_of db (parse part_q)) in
-  let clean = B.execute (B.create db) part_q in
+  let clean = B.execute_plan (B.create db) (B.plan db part_q) in
   let rec hunt seed =
     if seed > 100 then Alcotest.fail "no recovering seed below 100"
     else
       let backend =
         B.create ~faults:(B.faults ~seed ~midstream_weight:1.0 0.5) ~retries:8 db
       in
-      match B.execute backend part_q with
+      match B.execute_plan backend (B.plan db part_q) with
       | r when (B.stats backend).B.faults_midstream > 0 ->
           Alcotest.(check bool) "rows match fault-free run" true
             (R.Relation.equal expected (R.Cursor.to_relation (r.B.rows ())));
@@ -144,7 +144,7 @@ let test_seed_determinism () =
     in
     List.iter
       (fun q ->
-        try ignore (B.execute backend q) with B.Backend_error _ -> ())
+        try ignore (B.execute_plan backend (B.plan db q)) with B.Backend_error _ -> ())
       [ supplier_q; part_q; supplier_q ];
     B.stats backend
   in

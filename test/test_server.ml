@@ -193,7 +193,61 @@ let test_estimate_across_tiers () =
             reason
       | r -> Alcotest.failf "expected rejection, got %s" (Protocol.reply_name r));
   serve { Service.default_config with Service.admission_budget = budget }
-    (fun t -> check "admitted" ~plan_hit:false ~result_hit:false (ask t))
+    (fun t -> check "admitted" ~plan_hit:false ~result_hit:false (ask t));
+  (* a plan over the budget is rejected even when a cheaper plan of its
+     view has already published the view's one document *)
+  let cost strategy =
+    let p = S.Middleware.prepare_text db view in
+    S.Middleware.estimated_cost
+      (S.Middleware.plan_streams ~reduce:true p
+         (S.Middleware.partition_of ~reduce:true p
+            (S.Middleware.strategy_of_string strategy)))
+  in
+  let cheap = int_of_float (Float.ceil (cost "greedy")) in
+  let dear = cost "unified" in
+  Alcotest.(check bool) "unified costs more than greedy's budget" true
+    (dear > float_of_int cheap);
+  serve { Service.default_config with Service.admission_budget = cheap }
+    (fun t ->
+      check "cheap plan warms the document" ~plan_hit:false ~result_hit:false
+        (ask t);
+      match Service.query t ~view ~strategy:"unified" ~reduce:true with
+      | Protocol.Rejected reason ->
+          Alcotest.(check string) "over-budget plan rejected"
+            (Printf.sprintf "estimated cost %.0f exceeds the admission budget %d"
+               dear cheap)
+            reason
+      | r -> Alcotest.failf "expected rejection, got %s" (Protocol.reply_name r))
+
+(* Two sessions missing one plan key at once choose its partition once:
+   the second waits for the first under the plan lock and reuses its
+   entry.  The sessions run on two domains, released together, so both
+   miss the tier's first probe. *)
+let test_concurrent_plan_miss () =
+  with_server
+    ~config:{ Service.default_config with Service.result_capacity = 0 }
+    (fun t ->
+      let view = S.Queries.query1_text in
+      (* the statement tier holds the view before the race *)
+      ignore (Service.query t ~view ~strategy:"unified" ~reduce:false);
+      let ready = Atomic.make 0 in
+      let ask () =
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        Service.query t ~view ~strategy:"greedy" ~reduce:false
+      in
+      let other = Domain.spawn ask in
+      let mine = ask () in
+      let replies = [ mine; Domain.join other ] in
+      let misses =
+        List.length
+          (List.filter (fun r -> not (tiers_of r).Protocol.plan_hit) replies)
+      in
+      Alcotest.(check int) "one plan miss" 1 misses;
+      Alcotest.(check string) "same document" (xml_of mine)
+        (xml_of (List.nth replies 1)))
 
 (* --- protocol ----------------------------------------------------------- *)
 
@@ -300,6 +354,39 @@ let test_protocol_malformed () =
         (fun () -> ignore (read_garbage (overloaded tag))))
     [ "M"; "H" ]
 
+(* The writer holds the reader's field limit: a reply one byte over it
+   raises before its first byte, so the channel stays empty and the
+   session can answer [Failed] on it instead. *)
+let test_protocol_field_cap () =
+  let reply xml =
+    Protocol.Result
+      {
+        xml;
+        tiers = { Protocol.statement_hit = false; plan_hit = false; result_hit = false };
+        work = 7;
+        est_cost = 1.5;
+      }
+  in
+  let over = Protocol.max_field_bytes + 1 in
+  let path = Filename.temp_file "silkroute_proto" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      Alcotest.check_raises "a field one byte over the cap"
+        (Protocol.Protocol_error
+           (Printf.sprintf "field of %d bytes exceeds the %d-byte limit" over
+              Protocol.max_field_bytes))
+        (fun () -> Protocol.write_reply oc (reply (String.make over 'x')));
+      close_out oc;
+      let ic = open_in_bin path in
+      let length = in_channel_length ic in
+      close_in ic;
+      Alcotest.(check int) "nothing written" 0 length);
+  let ordinary = reply "<doc/>" in
+  Alcotest.(check bool) "an ordinary reply round-trips" true
+    (roundtrip Protocol.write_reply Protocol.read_reply ordinary = ordinary)
+
 (* --- cache tiers through the server ------------------------------------- *)
 
 let test_tier_progression () =
@@ -326,48 +413,138 @@ let test_tier_progression () =
         third.Protocol.statement_hit;
       Alcotest.(check bool) "plan is per-strategy" false third.Protocol.plan_hit)
 
+(* The fragment view reads no nullable column and the generated database
+   meets its constraints, so every plan publishes one document: after
+   the first request, every mask and both reductions are result hits
+   with work 0.  Every reply carries the estimate of its own plans. *)
 let test_byte_identity_all_plans () =
-  (* every point of the fragment view's 2^|E| lattice, cached and
-     uncached, against the direct pipeline *)
   let db = Lazy.force db in
-  let p = S.Middleware.prepare_text db S.Queries.fragment_text in
+  let view = S.Queries.fragment_text in
+  let p = S.Middleware.prepare_text db view in
   let reference =
     let e =
       S.Middleware.execute p (S.Middleware.partition_of p S.Middleware.Unified)
     in
     S.Middleware.xml_string_of p e
   in
+  let estimate strategy reduce =
+    S.Middleware.estimated_cost
+      (S.Middleware.plan_streams ~reduce p
+         (S.Middleware.partition_of ~reduce p
+            (S.Middleware.strategy_of_string strategy)))
+  in
   let masks = S.Partition.all_masks p.S.Middleware.tree in
   Alcotest.(check bool) "whole lattice" true (List.length masks >= 4);
   with_server (fun t ->
-      List.iter
-        (fun mask ->
-          let strategy = "edges:" ^ string_of_int mask in
-          let q () =
-            xml_of (Service.query t ~view:S.Queries.fragment_text ~strategy ~reduce:false)
-          in
-          let uncached = q () in
-          let cached = q () in
-          Alcotest.(check string)
-            (Printf.sprintf "mask %d uncached" mask)
-            reference uncached;
-          Alcotest.(check string)
-            (Printf.sprintf "mask %d cached" mask)
-            reference cached)
-        masks;
-      (* the named strategies resolve into the same lattice *)
+      let first = ref true in
+      let ask strategy reduce =
+        let name = strategy ^ if reduce then "+reduce" else "" in
+        match Service.query t ~view ~strategy ~reduce with
+        | Protocol.Result { xml; tiers; work; est_cost } ->
+            Alcotest.(check string) (name ^ ": bytes") reference xml;
+            Alcotest.(check (float 0.0))
+              (name ^ ": est_cost") (estimate strategy reduce) est_cost;
+            if not !first then begin
+              Alcotest.(check bool)
+                (name ^ ": result hit") true tiers.Protocol.result_hit;
+              Alcotest.(check int) (name ^ ": work") 0 work
+            end;
+            first := false
+        | r -> Alcotest.failf "%s: expected a result, got %s" name (Protocol.reply_name r)
+      in
+      (* each point twice: a plan miss, then a plan hit *)
       List.iter
         (fun strategy ->
           List.iter
             (fun reduce ->
-              Alcotest.(check string)
-                (strategy ^ if reduce then "+reduce" else "")
-                reference
-                (xml_of
-                   (Service.query t ~view:S.Queries.fragment_text ~strategy
-                      ~reduce)))
+              ask strategy reduce;
+              ask strategy reduce)
             [ false; true ])
-        [ "unified"; "partitioned"; "greedy" ])
+        (List.map (fun mask -> "edges:" ^ string_of_int mask) masks
+        @ [ "unified"; "partitioned"; "greedy" ]))
+
+(* Where plans of one view publish different bytes, each strategy is
+   served its own: the result tier keeps one document per plan.  Every
+   point of the view's lattice and the named strategies, reduced or not,
+   each asked twice, against its own direct run. *)
+let check_served_per_plan db view =
+  let p = S.Middleware.prepare_text db view in
+  let points =
+    List.concat_map
+      (fun strategy ->
+        List.map
+          (fun reduce ->
+            let direct =
+              S.Middleware.xml_string_of p
+                (S.Middleware.execute ~reduce p
+                   (S.Middleware.partition_of ~reduce p
+                      (S.Middleware.strategy_of_string strategy)))
+            in
+            (strategy, reduce, direct))
+          [ false; true ])
+      (List.map
+         (fun mask -> "edges:" ^ string_of_int mask)
+         (S.Partition.all_masks p.S.Middleware.tree)
+      @ [ "unified"; "partitioned"; "greedy" ])
+  in
+  Alcotest.(check bool) "plans publish different bytes here" true
+    (List.length (List.sort_uniq compare (List.map (fun (_, _, x) -> x) points))
+    > 1);
+  let t = Service.create db in
+  Fun.protect ~finally:(fun () -> Service.shutdown t) @@ fun () ->
+  for round = 1 to 2 do
+    List.iter
+      (fun (strategy, reduce, direct) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s%s, round %d" strategy
+             (if reduce then "+reduce" else "")
+             round)
+          direct
+          (xml_of (Service.query t ~view ~strategy ~reduce)))
+      points
+  done
+
+let database schema tables =
+  let db = R.Source_desc.load_database schema in
+  List.iter (fun (name, csv) -> ignore (R.Csv.load db name csv)) tables;
+  db
+
+(* The NULL probe: [$q.k = $p.k] folds into one variable that the
+   unified plan correlates NULL-safe and a partitioned child query
+   matches with SQL's [=]. *)
+let test_nullable_view_served_per_plan () =
+  let db =
+    database
+      "table P {\n  id int key\n  name string null\n  k int null\n}\n\
+       table C {\n  cid int key\n  pid int null -> P.id\n  v string null\n\
+      \  w int null\n}\n"
+      [
+        ("P", "id,name,k\n1,a,10\n2,,\n3,,10\n4,d,\n");
+        ("C", "cid,pid,v,w\n1,1,x,10\n2,2,,\n3,3,y,\n");
+      ]
+  in
+  check_served_per_plan db
+    {|view root { from P $p construct <p>$p.id
+        { from P $q where $q.k = $p.k construct <q>$q.id $q.name</q> }
+        { from C $c where $c.w = $p.k construct <c>$c.cid</c> } </p> }|}
+
+(* A declared foreign key that dangles: reduction inlines the parent
+   through an inner join and loses the child whose key has no target. *)
+let test_dangling_fk_served_per_plan () =
+  let db =
+    database
+      "table P {\n  id int key\n  name string\n}\n\
+       table C {\n  cid int key\n  pid int -> P.id\n  v string\n}\n"
+      [
+        ("P", "id,name\n1,a\n2,b\n");
+        ("C", "cid,pid,v\n1,1,x\n2,2,y\n3,9,z\n");
+      ]
+  in
+  Alcotest.(check int) "one dangling reference" 1
+    (List.length (R.Database.check_integrity db));
+  check_served_per_plan db
+    {|view root { from C $c construct <c>$c.cid
+        { from P $p where $p.id = $c.pid construct <p>$p.name</p> } </c> }|}
 
 let test_epoch_invalidation () =
   with_server (fun t ->
@@ -915,9 +1092,15 @@ let suite =
       test_admission_oversized_end_to_end;
     Alcotest.test_case "protocol: roundtrip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "protocol: malformed frames" `Quick test_protocol_malformed;
+    Alcotest.test_case "protocol: writer enforces the field cap" `Quick
+      test_protocol_field_cap;
     Alcotest.test_case "tiers: cold then warm" `Quick test_tier_progression;
     Alcotest.test_case "byte identity: whole lattice, cached + uncached" `Quick
       test_byte_identity_all_plans;
+    Alcotest.test_case "one document per plan: nullable view" `Quick
+      test_nullable_view_served_per_plan;
+    Alcotest.test_case "one document per plan: dangling foreign key" `Quick
+      test_dangling_fk_served_per_plan;
     Alcotest.test_case "invalidation: stats epoch" `Quick test_epoch_invalidation;
     Alcotest.test_case "bad inputs fail cleanly" `Quick test_bad_inputs_fail_cleanly;
     Alcotest.test_case "invalidate rejects nan, inf, overflow" `Quick
@@ -957,4 +1140,6 @@ let suite =
       test_clock_set_source_resets_watermark;
     Alcotest.test_case "admission: one estimate across tiers" `Quick
       test_estimate_across_tiers;
+    Alcotest.test_case "plan tier: concurrent misses plan once" `Quick
+      test_concurrent_plan_miss;
   ]

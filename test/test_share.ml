@@ -46,7 +46,10 @@ let check_alone what p (e : Middleware.execution) xml =
   let alone =
     List.map
       (fun (se : Middleware.stream_exec) ->
-        let r = R.Backend.execute (R.Backend.create p.Middleware.db) se.se_sql in
+        let db = p.Middleware.db in
+        let r =
+          R.Backend.execute_plan (R.Backend.create db) (R.Backend.plan db se.se_sql)
+        in
         let what = Printf.sprintf "%s, stream %s" what se.se_sql in
         if figures r.stats <> figures se.se_stats then
           Alcotest.failf "%s: figures differ from the stream run alone" what;
@@ -109,7 +112,7 @@ let test_faults () =
               (List.mapi
                  (fun i (se : Middleware.stream_exec) ->
                    let fork = R.Backend.fork template ~salt:i in
-                   ignore (R.Backend.execute fork se.se_sql);
+                   ignore (R.Backend.execute_plan fork (R.Backend.plan p.db se.se_sql));
                    R.Backend.stats fork)
                  e.per_stream)
           in

@@ -52,7 +52,7 @@ let test_backend_run_counts () =
   Alcotest.(check int) "the sort's output is one batch" 1 (List.length out);
   Alcotest.(check bool) "of more than one chunk's rows" true
     (R.Batch.length (List.hd out) > R.Batch.default_size);
-  let spooled = R.Backend.execute ~spool:true backend q in
+  let spooled = R.Backend.execute_plan ~spool:true backend (R.Backend.plan db q) in
   let rows = R.Cursor.to_list (spooled.R.Backend.rows ()) in
   let bytes = List.map R.Tuple.wire_size rows in
   (* a spooled run's [rows ()] is one single-use cursor: read it once *)
@@ -68,7 +68,7 @@ let test_backend_run_counts () =
     Alcotest.(check bool) (label ^ ": rows") true (List.equal R.Tuple.equal rows got)
   in
   expect "spooled" spooled;
-  let heap = R.Backend.execute backend q in
+  let heap = R.Backend.execute_plan backend (R.Backend.plan db q) in
   expect "heap" heap ~got:(read heap);
   expect "heap, opened again" heap ~got:(read heap);
   let faulty =
@@ -77,12 +77,12 @@ let test_backend_run_counts () =
       ~retries:30
       db
   in
-  let dropped = R.Backend.execute faulty q in
+  let dropped = R.Backend.execute_plan faulty (R.Backend.plan db q) in
   let st = R.Backend.stats faulty in
   Alcotest.(check bool) "a mid-stream drop fired and was retried" true
     (st.R.Backend.faults_midstream > 0 && st.R.Backend.retries > 0);
   expect "heap after drops" dropped ~got:(read dropped);
-  let spooled_dropped = R.Backend.execute ~spool:true faulty q in
+  let spooled_dropped = R.Backend.execute_plan ~spool:true faulty (R.Backend.plan db q) in
   expect "spooled after drops" spooled_dropped ~got:(read spooled_dropped)
 
 (* The heap-drained path allocates the same on every run of a plan:

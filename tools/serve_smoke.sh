@@ -9,7 +9,8 @@
 #      require its "identity: mismatches=0" line explicitly.
 #   2. The second pass must be served from the caches: statement, plan
 #      and result hit counters all strictly positive.
-#   3. The Shutdown request must stop the server and remove the socket.
+#   3. The result tier holds at most one document per view (three).
+#   4. The Shutdown request must stop the server and remove the socket.
 #
 # Run from dune (see tools/dune) or by hand:
 #   sh tools/serve_smoke.sh _build/default/bin/silkroute_cli.exe
@@ -86,6 +87,17 @@ for tier in statement plan result; do
   fi
 done
 echo "serve-smoke: warm pass hit every cache tier ($hits)"
+
+# the workload's three views read no nullable column and the generated
+# data meets its constraints, so every plan of a view publishes one
+# document: the result tier holds at most one per view
+result=$(grep '^result:' "$tmp/warm.err" || true)
+entries=$(echo "$result" | sed -n 's/.* entries=\([0-9]*\).*/\1/p')
+if [ -z "$entries" ] || [ "$entries" -gt 3 ]; then
+  echo "serve-smoke FAIL: result tier holds more than one document per view ($result)" >&2
+  exit 1
+fi
+echo "serve-smoke: result tier holds one document per view ($result)"
 
 # the --shutdown request must stop the server and remove the socket
 i=0
