@@ -1,96 +1,10 @@
-(* Conjunctive-query containment and the C2 inclusion test.
-
-   Containment of rule-defined queries is the classic homomorphism check
-   (bodies here are small, so backtracking search is fine).  The C2 test
-   of Sec. 3.5 — "every parent tuple has at least one child tuple" — is
-   decided conservatively by chasing the child's extra atoms with NOT
-   NULL foreign keys and declared inclusion dependencies.  The paper
-   notes the general problem is undecidable and prescribes exactly this
-   kind of restricted, sound-but-incomplete check. *)
+(* The C2 test of Sec. 3.5 — "every parent tuple has at least one child
+   tuple" — decided conservatively by chasing the child's extra atoms
+   with NOT NULL foreign keys and declared inclusion dependencies.  The
+   paper notes the general problem is undecidable and prescribes exactly
+   this kind of restricted, sound-but-incomplete check. *)
 
 module R = Relational
-
-(* --- homomorphisms --------------------------------------------------- *)
-
-type mapping = (string * Rule.term) list
-
-let map_term (m : mapping) (t : Rule.term) : Rule.term =
-  match t with
-  | Rule.Var v -> ( match List.assoc_opt v m with Some t' -> t' | None -> t)
-  | t -> t
-
-(* Extend mapping so that [src] (from Q2) matches [dst] (a term of Q1). *)
-let unify_term (m : mapping) (src : Rule.term) (dst : Rule.term) : mapping option =
-  match src with
-  | Rule.Wild -> Some m
-  | Rule.Const c -> (
-      match dst with
-      | Rule.Const c' when R.Value.equal c c' -> Some m
-      | _ -> None)
-  | Rule.Var v -> (
-      match List.assoc_opt v m with
-      | Some bound -> if bound = dst then Some m else None
-      | None -> if dst = Rule.Wild then None else Some ((v, dst) :: m))
-
-let unify_atom m (src : Rule.atom) (dst : Rule.atom) : mapping option =
-  if src.rel <> dst.rel || List.length src.args <> List.length dst.args then None
-  else
-    List.fold_left2
-      (fun acc s d -> match acc with None -> None | Some m -> unify_term m s d)
-      (Some m) src.args dst.args
-
-(* Does [filters1] syntactically contain the image of [f]?  (Also accepts
-   the symmetric form of equalities.) *)
-let filter_implied m (filters1 : Rule.filter list) (f : Rule.filter) =
-  let l = map_term m f.Rule.left and r = map_term m f.Rule.right in
-  let eq_filter (g : Rule.filter) op a b =
-    g.Rule.op = op && g.Rule.left = a && g.Rule.right = b
-  in
-  (match (l, r) with
-  | Rule.Const a, Rule.Const b -> (
-      match R.Value.compare3 a b with
-      | None -> false
-      | Some c -> (
-          match f.Rule.op with
-          | R.Expr.Eq -> c = 0 | R.Expr.Neq -> c <> 0 | R.Expr.Lt -> c < 0
-          | R.Expr.Le -> c <= 0 | R.Expr.Gt -> c > 0 | R.Expr.Ge -> c >= 0))
-  | _ -> false)
-  || List.exists (fun g -> eq_filter g f.Rule.op l r) filters1
-  || (f.Rule.op = R.Expr.Eq
-     && (l = r || List.exists (fun g -> eq_filter g R.Expr.Eq r l) filters1))
-
-(* Search for a homomorphism from q2's body into q1's body that is the
-   identity on the shared head variables. *)
-let homomorphism (q1 : Rule.t) (q2 : Rule.t) : mapping option =
-  let init =
-    List.map (fun v -> (v, Rule.Var v)) q2.head_vars
-  in
-  let rec go m = function
-    | [] ->
-        if List.for_all (filter_implied m q1.filters) q2.filters then Some m
-        else None
-    | atom :: rest ->
-        let rec try_targets = function
-          | [] -> None
-          | dst :: more -> (
-              match unify_atom m atom dst with
-              | Some m' -> (
-                  match go m' rest with
-                  | Some res -> Some res
-                  | None -> try_targets more)
-              | None -> try_targets more)
-        in
-        try_targets q1.atoms
-  in
-  go init q2.atoms
-
-(* q1 ⊆ q2 over the same head-variable list. *)
-let contained q1 q2 =
-  q1.Rule.head_vars = q2.Rule.head_vars && homomorphism q1 q2 <> None
-
-let equivalent q1 q2 = contained q1 q2 && contained q2 q1
-
-(* --- C2: guaranteed extension (chase) -------------------------------- *)
 
 let atom_mem a atoms = List.exists (fun b -> b = a) atoms
 

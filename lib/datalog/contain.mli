@@ -1,17 +1,9 @@
-(** Conjunctive-query containment and the C2 inclusion test.
-
-    Containment is the classic homomorphism check.  The C2 test of paper
-    Sec. 3.5 — every parent tuple extends to at least one child tuple —
-    is decided conservatively (sound, not complete) by chasing the
-    child's extra atoms with NOT NULL foreign keys and declared inclusion
-    dependencies; the paper prescribes exactly this kind of restricted
-    check since the general problem is undecidable. *)
-
-val contained : Rule.t -> Rule.t -> bool
-(** [contained q1 q2]: q1 ⊆ q2, for rules with the same head-variable
-    list.  Decided by homomorphism from q2's body into q1's. *)
-
-val equivalent : Rule.t -> Rule.t -> bool
+(** The C2 inclusion test of paper Sec. 3.5: every parent tuple extends
+    to at least one child tuple.  It is decided conservatively (sound,
+    not complete) by chasing the child's extra atoms with NOT NULL
+    foreign keys and declared inclusion dependencies; the paper
+    prescribes exactly this kind of restricted check since the general
+    problem is undecidable. *)
 
 val always_extends :
   schema_of:(string -> Relational.Schema.table) ->

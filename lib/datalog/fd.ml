@@ -86,11 +86,9 @@ let closure (fds : fd list) (start : string list) : SS.t =
   in
   go (SS.of_list start)
 
-let implies fds lhs rhs = SS.subset (SS.of_list rhs) (closure fds lhs)
-
 (* The C1 test: within the child rule's body, do the parent's head
    variables determine all of the child's head variables? *)
 let functionally_determines ~schema_of ~(child : Rule.t) (parent_vars : string list)
     (child_vars : string list) : bool =
   let fds = fds_of_body ~schema_of child in
-  implies fds parent_vars child_vars
+  SS.subset (SS.of_list child_vars) (closure fds parent_vars)

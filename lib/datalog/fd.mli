@@ -6,18 +6,6 @@
     chased, keeping the check tractable, as the paper prescribes
     (following Beeri–Bernstein). *)
 
-module SS : Set.S with type elt = string
-
-type fd = { lhs : SS.t; rhs : SS.t }
-
-val fd : string list -> string list -> fd
-
-val closure : fd list -> string list -> SS.t
-(** Attribute closure of the given variable set. *)
-
-val implies : fd list -> string list -> string list -> bool
-(** [implies fds lhs rhs]: is lhs → rhs derivable? *)
-
 val functionally_determines :
   schema_of:(string -> Relational.Schema.table) ->
   child:Rule.t ->

@@ -34,37 +34,11 @@ let term_vars = function Var v -> [ v ] | Const _ | Wild -> []
 
 let atom_vars a = List.concat_map term_vars a.args
 
-let body_vars r =
-  List.sort_uniq compare
-    (List.concat_map atom_vars r.atoms
-    @ List.concat_map
-        (fun f -> term_vars f.left @ term_vars f.right)
-        r.filters)
-
 (* Variables the rule is safe in: every head variable must occur in some
    body atom. *)
 let is_safe r =
   let bv = List.concat_map atom_vars r.atoms in
   List.for_all (fun v -> List.mem v bv) r.head_vars
-
-let rename_var ~from_ ~to_ r =
-  let rt = function Var v when v = from_ -> Var to_ | t -> t in
-  {
-    r with
-    head_vars = List.map (fun v -> if v = from_ then to_ else v) r.head_vars;
-    atoms = List.map (fun a -> { a with args = List.map rt a.args }) r.atoms;
-    filters =
-      List.map (fun f -> { f with left = rt f.left; right = rt f.right }) r.filters;
-  }
-
-(* Conjoin two rule bodies (used when view-tree reduction collapses
-   nodes): atoms and filters are unioned, duplicates dropped. *)
-let conjoin_bodies a b =
-  let atoms = a.atoms @ List.filter (fun x -> not (List.mem x a.atoms)) b.atoms in
-  let filters =
-    a.filters @ List.filter (fun x -> not (List.mem x a.filters)) b.filters
-  in
-  { a with atoms; filters }
 
 let term_to_string = function
   | Var v -> v

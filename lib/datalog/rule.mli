@@ -30,15 +30,8 @@ val make :
   t
 
 val atom_vars : atom -> string list
-val body_vars : t -> string list
 
 val is_safe : t -> bool
 (** Every head variable occurs in a body atom. *)
-
-val rename_var : from_:string -> to_:string -> t -> t
-
-val conjoin_bodies : t -> t -> t
-(** Unions atoms and filters of two bodies (view-tree reduction keeps the
-    first rule's head). *)
 
 val to_string : t -> string

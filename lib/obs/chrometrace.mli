@@ -7,8 +7,6 @@
     Timestamps are microseconds rebased to the trace's first span —
     the same timeline the JSONL exporter describes. *)
 
-val to_string : unit -> string
-(** The whole trace as one JSON document. *)
-
 val write_file : string -> unit
-(** Writes {!to_string} (plus a trailing newline) to the given path. *)
+(** Writes the whole trace as one JSON document (plus a trailing
+    newline) to the given path. *)

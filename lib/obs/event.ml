@@ -51,8 +51,6 @@ let seq = ref 0 (* total recorded (evicted included) *)
 let per_level = Array.make 4 0 (* recorded, by [level_rank] *)
 let threshold = ref Debug
 
-let capacity () = Mutex.protect ring_lock (fun () -> Array.length !buf)
-
 let set_capacity n =
   if n < 1 then invalid_arg "Event.set_capacity: capacity must be >= 1";
   Mutex.protect ring_lock (fun () ->

@@ -32,7 +32,6 @@ val error : ?attrs:Attr.t -> string -> unit
     apply — a sampled-out request still leaves its events in the flight
     recorder. *)
 
-val capacity : unit -> int
 val set_capacity : int -> unit
 (** Replaces the ring (clearing it).  Default 256. *)
 

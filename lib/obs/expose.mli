@@ -18,10 +18,6 @@ type sample = {
 
 val sample : ?labels:(string * string) list -> kind -> string -> float -> sample
 
-val key_of : sample -> string
-(** The exact [name{k="v",...}] key syntax {!render} prints and {!parse}
-    returns. *)
-
 val render : sample list -> string
 (** One [# TYPE] comment per metric family (summary [_sum]/[_count]
     share their quantile samples' family), then one line per sample, in
@@ -36,7 +32,8 @@ exception Parse_error of string
 
 type parsed = {
   values : (string * float) list;
-      (** in exposition order, keyed by {!key_of}'s exact syntax *)
+      (** in exposition order, keyed by [name{k="v",...}] as {!render}
+          prints it *)
   types : (string * string) list;  (** family name -> kind string *)
 }
 

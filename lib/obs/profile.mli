@@ -37,9 +37,6 @@ val capture : unit -> t
 val children : node -> node list
 (** Children in first-seen order. *)
 
-val iter : (string list -> node -> unit) -> t -> unit
-(** Pre-order over aggregated nodes; the path includes the node's name. *)
-
 val fold : ('a -> string list -> node -> 'a) -> 'a -> t -> 'a
 
 val hot : ?top:int -> t -> node list

@@ -67,7 +67,6 @@ let create ?(config = default_config) () =
     breached = false;
   }
 
-let config t = t.cfg
 
 let window_index t now_ms = int_of_float (Float.max 0.0 now_ms /. t.cfg.window_ms)
 
@@ -177,13 +176,3 @@ let record t ?(error = false) ~now_ms latency_ms =
             Attr.float "burn_rate" snap.burn_rate;
           ]
   | None -> ()
-
-let reset t =
-  Mutex.protect t.m (fun () ->
-      Array.iter
-        (fun w ->
-          w.w_index <- -1;
-          Histogram.clear w.w_latency;
-          w.w_errors <- 0)
-        t.ring;
-      t.breached <- false)

@@ -26,7 +26,6 @@ val default_config : config
 type t
 
 val create : ?config:config -> unit -> t
-val config : t -> config
 
 val record : t -> ?error:bool -> now_ms:float -> float -> unit
 (** Accounts one request: its latency in ms (ignored when
@@ -50,6 +49,3 @@ type snapshot = {
 }
 
 val snapshot : t -> now_ms:float -> snapshot
-
-val reset : t -> unit
-(** Clears every window and the breach edge-detector. *)

@@ -50,7 +50,6 @@ let of_rows ?bytes rows =
     filtered = false;
   }
 
-let capacity b = Array.length b.rows
 let uncharged b = b.uncharged
 let length b = if b.filtered then b.sel_len else b.len
 let is_full b = (not b.filtered) && b.len = Array.length b.rows

@@ -45,8 +45,6 @@ val of_rows : ?bytes:int array -> Tuple.t array -> t
     slices, and a Sort's whole output, which is one batch of any
     length.  Its {!uncharged} is 0. *)
 
-val capacity : t -> int
-
 val uncharged : t -> int
 (** Bytes of each live row's figure that no sort charges: the wire size
     of the uncharged literal columns of the projection that built the

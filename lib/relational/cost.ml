@@ -519,7 +519,6 @@ type oracle = {
   mutable requests : int;
 }
 
-let oracle db = { stats = Stats.analyze db; db; requests = 0 }
 let oracle_with_stats db stats = { stats; db; requests = 0 }
 
 let ask ?(profile = Executor.default_profile) o q =
@@ -527,4 +526,3 @@ let ask ?(profile = Executor.default_profile) o q =
   price ~profile o.stats (P.plan_of o.db q) None
 
 let requests o = o.requests
-let reset_requests o = o.requests <- 0

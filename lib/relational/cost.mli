@@ -66,12 +66,10 @@ val time_model : time_model
     per-operator and tagger times ([bench --experiment
     lattice-wallclock] prints the fit). *)
 
-val tag_ms : estimate -> float
-(** The merge-tagger's predicted time for the estimate's rows. *)
-
 val time_cost : a:float -> b:float -> estimate -> float
-(** The paper's combination in predicted milliseconds:
-    [a·ms + b·tag_ms] — what greedy genPlan compares. *)
+(** The paper's combination in predicted milliseconds: [a] times the
+    engine's [ms] plus [b] times the merge-tagger's predicted time for
+    the estimate's rows — what greedy genPlan compares. *)
 
 val annotate :
   ?profile:Executor.profile ->
@@ -96,13 +94,11 @@ val counts :
 
 type oracle
 
-val oracle : Database.t -> oracle
-(** Analyzes the database and wraps it as a counting oracle. *)
-
 val oracle_with_stats : Database.t -> Stats.t -> oracle
+(** Wraps the database and its analysis as a counting oracle. *)
+
 val ask : ?profile:Executor.profile -> oracle -> Sql.query -> estimate
 (** One counted request: the total of {!annotate} on
     [Physical.plan_of db q], no per-node array. *)
 
 val requests : oracle -> int
-val reset_requests : oracle -> unit

@@ -78,8 +78,6 @@ let parse_rows_tagged (text : string) : (string * bool) list list =
   (* a trailing fully-empty record (final newline) is not a row *)
   List.rev !rows |> List.filter (fun r -> r <> [ ("", false) ])
 
-let parse_rows text = List.map (List.map fst) (parse_rows_tagged text)
-
 (* --- typed loading ------------------------------------------------------- *)
 
 (* Strict decimal integer: optional sign then decimal digits only.

@@ -10,9 +10,6 @@ exception Csv_error of string * int
     diagnostics — source file (when given), row, column and offending
     value — so it can be surfaced verbatim. *)
 
-val parse_rows : string -> string list list
-(** Raw records, quoting resolved. *)
-
 val load : ?source:string -> ?header:bool -> Database.t -> string -> string -> int
 (** [load db table text] inserts the records of [text] into [table] and
     returns the row count.  With [header] (default), the first record

@@ -19,7 +19,6 @@ type t = {
 
 let no_cleanup () = ()
 let create cols pull = { cols; pull; cleanup = no_cleanup }
-let cols c = c.cols
 let arity c = Array.length c.cols
 let next c = c.pull ()
 

@@ -9,11 +9,6 @@
 
 type t
 
-val create : string array -> (unit -> Tuple.t option) -> t
-(** [create cols pull] wraps a pull function.  [pull] must keep
-    returning [None] once the stream ends. *)
-
-val cols : t -> string array
 val arity : t -> int
 
 val next : t -> Tuple.t option

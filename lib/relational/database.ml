@@ -73,12 +73,6 @@ let load db name rows =
 let row_count db name = Array.length (find_exn db name).data
 let raw_data db name = (find_exn db name).data
 
-let to_relation db name =
-  let s = find_exn db name in
-  Relation.create
-    (Array.of_list (Schema.column_names s.schema))
-    (Array.to_list s.data)
-
 let positions_of (schema : Schema.table) cols =
   Array.of_list
     (List.map

@@ -39,19 +39,13 @@ val row_count : t -> string -> int
 val raw_data : t -> string -> Tuple.t array
 (** Zero-copy view of the stored tuples; callers must not mutate. *)
 
-val to_relation : t -> string -> Relation.t
-
-val check_keys : t -> string -> string list
-(** Primary-key violations, as human-readable messages (empty = ok). *)
-
-val check_foreign_keys : t -> string -> string list
-(** Dangling-reference violations (NULL FKs are not violations). *)
-
 val check_inclusion : t -> Schema.inclusion -> bool
 (** Whether the inclusion dependency actually holds on the instance. *)
 
 val check_integrity : t -> string list
-(** All key and foreign-key violations across the catalog. *)
+(** All primary-key and dangling foreign-key violations across the
+    catalog, as human-readable messages (empty = ok); a NULL foreign key
+    is no violation. *)
 
 val total_rows : t -> int
 val total_bytes : t -> int

@@ -90,11 +90,27 @@ let worker_loop p () =
   in
   loop ()
 
+let shutdown p =
+  Mutex.protect p.qm (fun () -> p.closed <- true);
+  Condition.broadcast p.qcv;
+  List.iter Domain.join p.workers
+
+(* The runtime's hard limit on domains, the calling one included
+   ([Max_domains] in OCaml 5.1's caml/domain.h on 64-bit hosts), so a
+   pool holds at most one less.  The runtime exposes no query for it. *)
+let max_domains = 128
+
 let create ~domains =
   if domains < 1 then
     invalid_arg
       (Printf.sprintf "Domain_pool.create: domains must be >= 1, got %d"
          domains);
+  if domains >= max_domains then
+    invalid_arg
+      (Printf.sprintf
+         "Domain_pool.create: domains must be at most %d (the runtime \
+          allows %d domains, the calling one included), got %d"
+         (max_domains - 1) max_domains domains);
   let p =
     {
       qm = Mutex.create ();
@@ -107,9 +123,18 @@ let create ~domains =
   in
   (* Mutate [workers] rather than copying the record: a [{p with ...}]
      copy would leave the spawned workers watching the *old* record's
-     [closed] field, so [shutdown] on the copy would never wake them. *)
+     [closed] field, so [shutdown] on the copy would never wake them.
+     If a spawn still fails (other domains already running), the workers
+     spawned so far are shut down before the failure propagates. *)
   if domains > 1 then
-    p.workers <- List.init domains (fun _ -> Domain.spawn (worker_loop p));
+    for _ = 1 to domains do
+      match Domain.spawn (worker_loop p) with
+      | d -> p.workers <- d :: p.workers
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          shutdown p;
+          Printexc.raise_with_backtrace e bt
+    done;
   p
 
 let inline = create ~domains:1
@@ -160,11 +185,6 @@ let await h =
       invalid_arg
         "Domain_pool.await: task handle still Pending after its condition \
          was signalled"
-
-let shutdown p =
-  Mutex.protect p.qm (fun () -> p.closed <- true);
-  Condition.broadcast p.qcv;
-  List.iter Domain.join p.workers
 
 let with_pool ~domains f =
   let p = create ~domains in

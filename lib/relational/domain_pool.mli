@@ -22,8 +22,9 @@ type 'a handle
 
 val create : domains:int -> t
 (** [create ~domains] spawns [domains] worker domains ([domains <= 1]:
-    none — inline execution).  Raises [Invalid_argument] when
-    [domains < 1]. *)
+    none — inline execution).  Raises [Invalid_argument], before
+    spawning any, when [domains < 1] or [domains > 127]: the runtime
+    allows 128 domains, the calling one included. *)
 
 val inline : t
 (** A shared pool with no workers: {!submit} runs the task on the

@@ -16,11 +16,6 @@ type t =
   | Is_null of t
   | Is_not_null of t
 
-let col ?qualifier name = Col (qualifier, name)
-let int n = Lit (Value.Int n)
-let eq a b = Cmp (Eq, a, b)
-let ( &&& ) a b = And (a, b)
-
 let rec conjuncts = function
   | And (a, b) -> conjuncts a @ conjuncts b
   | e -> [ e ]

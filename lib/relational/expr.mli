@@ -20,11 +20,6 @@ type t =
 
 (** {1 Construction helpers} *)
 
-val col : ?qualifier:string -> string -> t
-val int : int -> t
-val eq : t -> t -> t
-val ( &&& ) : t -> t -> t
-
 (** {1 Analysis} *)
 
 val conjuncts : t -> t list
@@ -84,11 +79,6 @@ val subst : (int -> resolved) -> resolved -> resolved
 
 val apply_cmp : cmp -> int -> bool
 (** Interprets a comparison operator over a [Value.compare3] result. *)
-
-val test : cmp -> Value.t -> Value.t -> bool
-(** [test op a b] is SQL's [a op b] under WHERE semantics: false if
-    either side is NULL, else [op] over {!Value.compare_total}.  Allocates
-    nothing; the comparison kernel of every compiled predicate. *)
 
 val apply_arith : arith -> Value.t -> Value.t -> Value.t
 (** Arithmetic with SQL NULL propagation; division by zero yields NULL. *)

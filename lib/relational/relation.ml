@@ -15,11 +15,9 @@ let create cols rows =
     rows;
   { cols; rows }
 
-let empty cols = { cols; rows = [] }
 let cols t = t.cols
 let rows t = t.rows
 let cardinality t = List.length t.rows
-let arity t = Array.length t.cols
 
 let column_index t name =
   let n = Array.length t.cols in
@@ -39,13 +37,6 @@ let column_index_exn t name =
 let sort_by positions t =
   { t with rows = List.stable_sort (Tuple.compare_at positions) t.rows }
 
-let is_sorted_by positions t =
-  let rec go = function
-    | [] | [ _ ] -> true
-    | a :: (b :: _ as rest) -> Tuple.compare_at positions a b <= 0 && go rest
-  in
-  go t.rows
-
 let wire_size t =
   List.fold_left (fun acc r -> acc + Tuple.wire_size r) 0 t.rows
 
@@ -53,20 +44,3 @@ let equal a b =
   a.cols = b.cols
   && List.length a.rows = List.length b.rows
   && List.for_all2 Tuple.equal a.rows b.rows
-
-(* Bag equality: same tuples regardless of order. *)
-let equal_bag a b =
-  a.cols = b.cols
-  && List.length a.rows = List.length b.rows
-  &&
-  let sa = List.sort Tuple.compare a.rows
-  and sb = List.sort Tuple.compare b.rows in
-  List.for_all2 Tuple.equal sa sb
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%s@,"
-    (String.concat " | " (Array.to_list t.cols));
-  List.iter (fun r -> Format.fprintf fmt "%s@," (Tuple.to_string r)) t.rows;
-  Format.fprintf fmt "(%d rows)@]" (cardinality t)
-
-let to_string t = Format.asprintf "%a" pp t

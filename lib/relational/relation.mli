@@ -10,11 +10,9 @@ val create : string array -> Tuple.t list -> t
 (** [create cols rows] checks every tuple has arity [Array.length cols].
     Raises [Invalid_argument] otherwise. *)
 
-val empty : string array -> t
 val cols : t -> string array
 val rows : t -> Tuple.t list
 val cardinality : t -> int
-val arity : t -> int
 
 val column_index : t -> string -> int option
 val column_index_exn : t -> string -> int
@@ -23,15 +21,8 @@ val sort_by : int array -> t -> t
 (** Stable sort by the given column positions under the total value
     order (NULL first). *)
 
-val is_sorted_by : int array -> t -> bool
-
 val wire_size : t -> int
 (** Total transfer bytes of all tuples (cost-model input). *)
 
 val equal : t -> t -> bool
 (** Same columns, same tuples in the same order. *)
-
-val equal_bag : t -> t -> bool
-(** Same columns and same multiset of tuples, order-insensitive. *)
-
-val to_string : t -> string

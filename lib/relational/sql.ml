@@ -34,53 +34,3 @@ let item ?alias expr =
         | _ -> invalid_arg "Sql.item: complex select item needs an alias")
   in
   { expr; alias }
-
-let select ?(where = None) ?(order_by = []) items from =
-  { body = Select { items; from; where }; order_by }
-
-let rec selects_of_body = function
-  | Select s -> [ s ]
-  | Union_all (a, b) -> selects_of_body a @ selects_of_body b
-
-(* The output column names of a query: those of its first SELECT branch
-   (all branches must agree in arity; the generator also makes the names
-   agree). *)
-let output_columns q =
-  match selects_of_body q.body with
-  | [] -> []
-  | s :: _ -> List.map (fun i -> i.alias) s.items
-
-let rec table_ref_aliases = function
-  | Table { alias; _ } -> [ alias ]
-  | Derived { alias; _ } -> [ alias ]
-  | Join { left; right; _ } -> table_ref_aliases left @ table_ref_aliases right
-
-let select_aliases s = List.concat_map table_ref_aliases s.from
-
-(* Structural counters, used by tests and by plan diagnostics. *)
-let rec count_joins_body kind = function
-  | Select s -> List.fold_left (fun acc r -> acc + count_joins_ref kind r) 0 s.from
-  | Union_all (a, b) -> count_joins_body kind a + count_joins_body kind b
-
-and count_joins_ref kind = function
-  | Table _ -> 0
-  | Derived { query; _ } -> count_joins_body kind query.body
-  | Join { left; kind = k; right; _ } ->
-      (if k = kind then 1 else 0)
-      + count_joins_ref kind left + count_joins_ref kind right
-
-let count_outer_joins q = count_joins_body Left_outer q.body
-
-let rec count_unions_body = function
-  | Select s ->
-      List.fold_left
-        (fun acc r -> acc + count_unions_ref r)
-        0 s.from
-  | Union_all (a, b) -> 1 + count_unions_body a + count_unions_body b
-
-and count_unions_ref = function
-  | Table _ -> 0
-  | Derived { query; _ } -> count_unions_body query.body
-  | Join { left; right; _ } -> count_unions_ref left + count_unions_ref right
-
-let count_unions q = count_unions_body q.body

@@ -32,21 +32,3 @@ and query = { body : body; order_by : (Expr.t * dir) list }
 val item : ?alias:string -> Expr.t -> select_item
 (** Builds a select item; a bare column reference defaults its alias to
     the column name, anything else requires [?alias]. *)
-
-val select :
-  ?where:Expr.t option ->
-  ?order_by:(Expr.t * dir) list ->
-  select_item list ->
-  table_ref list ->
-  query
-
-val output_columns : query -> string list
-(** Output column names (the aliases of the first branch). *)
-
-val select_aliases : select -> string list
-
-val count_outer_joins : query -> int
-(** Number of LEFT OUTER JOINs anywhere in the query (diagnostics). *)
-
-val count_unions : query -> int
-(** Number of UNION ALL nodes anywhere in the query. *)

@@ -72,5 +72,3 @@ let wire_size (t : t) =
 
 let to_string (t : t) =
   "(" ^ String.concat ", " (Array.to_list (Array.map Value.to_string t)) ^ ")"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -42,4 +42,3 @@ val wire_size : t -> int
 (** Total bytes in the client-transfer cost model. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -137,5 +137,3 @@ let wire_size = function
   | Bool _ -> 3
   | String s -> 2 + String.length s
   | Date _ -> 6
-
-let pp fmt v = Format.pp_print_string fmt (to_string v)

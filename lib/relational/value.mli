@@ -53,5 +53,3 @@ val to_sql : t -> string
 
 val wire_size : t -> int
 (** Bytes this value occupies in the client-transfer cost model. *)
-
-val pp : Format.formatter -> t -> unit

@@ -137,17 +137,9 @@ let clear t =
       t.total <- 0;
       t.flushes <- t.flushes + 1)
 
-let length t = Mutex.protect t.m (fun () -> Hashtbl.length t.tbl)
-let total_weight t = Mutex.protect t.m (fun () -> t.total)
-
-(* Derived from one locked read of both counters, so a concurrent find
-   cannot skew the ratio between reading hits and reading misses. *)
 let ratio_of ~hits ~misses =
   let total = hits + misses in
   if total = 0 then 0.0 else float_of_int hits /. float_of_int total
-
-let hit_ratio t =
-  Mutex.protect t.m (fun () -> ratio_of ~hits:t.hits ~misses:t.misses)
 
 let stats t =
   Mutex.protect t.m (fun () ->
@@ -160,9 +152,3 @@ let stats t =
         entries = Hashtbl.length t.tbl;
         weight = t.total;
       })
-
-let keys_mru t =
-  Mutex.protect t.m (fun () ->
-      let s = t.sentinel in
-      let rec go acc n = if n == s then List.rev acc else go (n.key :: acc) n.next in
-      go [] s.next)

@@ -34,9 +34,6 @@ val add : ?weight:int -> 'a t -> string -> 'a -> unit
 val clear : 'a t -> unit
 (** Drops every entry and counts one flush (cache-tier invalidation). *)
 
-val length : 'a t -> int
-val total_weight : 'a t -> int
-
 type stats = {
   hits : int;
   misses : int;
@@ -48,14 +45,9 @@ type stats = {
 }
 
 val stats : 'a t -> stats
+(** Every counter in one read under the cache mutex, so a concurrent
+    lookup cannot skew a ratio between two of them. *)
 
 val ratio_of : hits:int -> misses:int -> float
 (** [hits / (hits + misses)], 0 when both are zero — the one hit-ratio
     formula the exposition, [--server-stats] and the tests share. *)
-
-val hit_ratio : 'a t -> float
-(** {!ratio_of} over both counters read under the cache mutex, so a
-    concurrent lookup cannot skew the ratio between the two reads. *)
-
-val keys_mru : 'a t -> string list
-(** Keys from most- to least-recently used (tests, reports). *)

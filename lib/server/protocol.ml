@@ -168,14 +168,6 @@ let read_reply ic =
       raise (Protocol_error (Printf.sprintf "bad reply frame (tag %S)" tag))
   | Some [] -> raise (Protocol_error "empty reply frame")
 
-let request_name = function
-  | Query _ -> "query"
-  | Invalidate _ -> "invalidate"
-  | Stats -> "stats"
-  | Metrics -> "metrics"
-  | Health -> "health"
-  | Shutdown -> "shutdown"
-
 let reply_name = function
   | Result _ -> "result"
   | Info _ -> "info"

@@ -61,5 +61,4 @@ val write_reply : out_channel -> reply -> unit
 
 val read_reply : in_channel -> reply option
 
-val request_name : request -> string
 val reply_name : reply -> string

@@ -210,7 +210,6 @@ let create ?(config = default_config) db =
         Obs.Stage.all;
   }
 
-let config t = t.cfg
 let stats_epoch t = Atomic.get t.epoch
 let counters t = Mutex.protect t.cm (fun () -> t.c)
 let bump f t = Mutex.protect t.cm (fun () -> t.c <- f t.c)

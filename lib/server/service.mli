@@ -109,7 +109,6 @@ val create : ?config:config -> Relational.Database.t -> t
     on fewer than one domain, a negative [trace_sample] or a negative
     cache capacity. *)
 
-val config : t -> config
 val stats_epoch : t -> int
 
 val query :

@@ -9,7 +9,6 @@
    in the exposition. *)
 
 type t = {
-  path : string;
   capacity : int;
   q : Obs.Json.t Queue.t;
   m : Mutex.t;
@@ -49,7 +48,6 @@ let create ?(capacity = 256) ~path () =
   if capacity < 1 then invalid_arg "Slowlog.create: capacity must be >= 1";
   let t =
     {
-      path;
       capacity;
       q = Queue.create ();
       m = Mutex.create ();
@@ -63,8 +61,6 @@ let create ?(capacity = 256) ~path () =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
   t.writer <- Some (Thread.create (writer_loop t oc) ());
   t
-
-let path t = t.path
 
 let write t record =
   let accepted =

@@ -13,8 +13,6 @@ val create : ?capacity:int -> path:string -> unit -> t
     thread.  [capacity] bounds the in-memory queue (default 256
     records); it must be at least 1. *)
 
-val path : t -> string
-
 val write : t -> Obs.Json.t -> bool
 (** Enqueues one record to be written as a single JSON line.  Returns
     [false] — and counts a drop — if the queue is full or the log is

@@ -32,7 +32,12 @@ let prepare db view =
             Obs.Attr.int "edges" (View_tree.edge_count tree);
             Obs.Attr.int "work" (View_tree.node_count tree);
           ];
-      { db; view; tree; labels; stats = lazy (R.Stats.analyze db) })
+      (* the catalog analysis runs where it is first forced (greedy's
+         oracle, under [planner]), in a span of its own *)
+      let stats =
+        lazy (Obs.Span.with_span "stats.analyze" (fun () -> R.Stats.analyze db))
+      in
+      { db; view; tree; labels; stats })
 
 let prepare_text db text =
   prepare db
@@ -145,8 +150,6 @@ type execution = {
   resilience : R.Backend.stats; (* summed over the per-stream forks *)
   degraded : int; (* streams split into finer fragments *)
 }
-
-let total_wall_ms e = e.query_wall_ms +. e.transfer_ms
 
 let resilience_summary e =
   let r = e.resilience in

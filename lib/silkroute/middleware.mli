@@ -119,9 +119,6 @@ type execution = {
   degraded : int;  (** streams split into finer fragments *)
 }
 
-val total_wall_ms : execution -> float
-(** query + transfer, the paper's Total time. *)
-
 val resilience_summary : execution -> string
 (** [resilience] and [degraded] in one line: submits, attempts, retries,
     faults, timeouts, degraded streams, backoff ms and wasted work — what

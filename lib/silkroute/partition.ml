@@ -50,10 +50,6 @@ let kept_edges p =
   Array.to_list p.tree.View_tree.edges
   |> List.filteri (fun i _ -> p.keep.(i))
 
-let cut_edges p =
-  Array.to_list p.tree.View_tree.edges
-  |> List.filteri (fun i _ -> not p.keep.(i))
-
 (* Connected components under kept edges. *)
 let fragments p : fragment list =
   let tree = p.tree in

@@ -32,7 +32,6 @@ val all_masks : View_tree.t -> int list
 (** [0 .. 2^|E|-1]; raises for trees with ≥ 20 edges. *)
 
 val kept_edges : t -> (int * int) list
-val cut_edges : t -> (int * int) list
 
 val fragments : t -> fragment list
 (** Connected components under kept edges, ordered by root id (document

@@ -177,10 +177,6 @@ view customers
 }
 |}
 
-let query1 () = Rxl_parser.parse query1_text
-let query2 () = Rxl_parser.parse query2_text
-let fragment () = Rxl_parser.parse fragment_text
-
 let dtd_query1 =
   let open Xmlkit.Dtd in
   create ~root:"suppliers"

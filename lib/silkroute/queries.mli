@@ -12,10 +12,6 @@ val fragment_text : string
 (** The simplified boxed query of Sec. 2 / Fig. 4 (supplier, nation,
     part). *)
 
-val query1 : unit -> Rxl.view
-val query2 : unit -> Rxl.view
-val fragment : unit -> Rxl.view
-
 val dtd_query1 : Xmlkit.Dtd.t
 (** The DTD of the paper's Fig. 2 (plus the [suppliers] document root). *)
 

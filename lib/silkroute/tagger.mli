@@ -25,8 +25,7 @@
     the document root; a text is the value of a content column or
     constant, NULL included (it renders as nothing).
     {!to_string_cursors} and {!to_channel} serialize directly (the
-    constant-space paths); {!document_sink} builds an in-memory tree
-    for validation and tests. *)
+    constant-space paths); {!to_document} builds an in-memory tree. *)
 type sink = {
   on_open : int -> unit;
   on_text : Relational.Value.t -> unit;
@@ -45,21 +44,10 @@ val tag_cursors :
     [elements], [texts], [work] and [full_compares] (the ties between
     heads that only a column walk settled). *)
 
-val tag :
-  View_tree.t ->
-  (Sql_gen.stream * Relational.Relation.t) list ->
-  sink ->
-  unit
-(** Merge-and-tag from materialized relations: wraps each relation in a
-    cursor and runs {!tag_cursors}. *)
-
-val document_sink : View_tree.t -> sink * (unit -> Xmlkit.Xml.t)
-(** A sink for the view tree's elements that builds the document: each
-    non-NULL text is {!Relational.Value.to_string}'s, and an empty text
-    adds no node. *)
-
 val to_document :
   View_tree.t -> (Sql_gen.stream * Relational.Relation.t) list -> Xmlkit.Xml.t
+(** Merge-and-tag into an in-memory document: each non-NULL text is
+    {!Relational.Value.to_string}'s, and an empty text adds no node. *)
 
 val to_document_cursors :
   View_tree.t -> (Sql_gen.stream * Relational.Cursor.t) list -> Xmlkit.Xml.t

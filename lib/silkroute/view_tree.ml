@@ -56,21 +56,6 @@ let node t id = t.nodes.(id)
 let node_count t = Array.length t.nodes
 let edge_count t = Array.length t.edges
 
-let children t id =
-  Array.to_list t.edges
-  |> List.filter_map (fun (p, c) -> if p = id then Some c else None)
-
-let roots t =
-  Array.to_list t.nodes
-  |> List.filter_map (fun n -> if n.parent = None then Some n.id else None)
-
-let svi_of t v = List.assoc_opt v t.svi
-
-let content_vars n =
-  List.filter_map
-    (fun (_, c) -> match c with Content_var v -> Some v | Content_const _ -> None)
-    n.contents
-
 (* --- construction ----------------------------------------------------- *)
 
 exception Unsupported of string

@@ -48,10 +48,6 @@ val skolem_name : int list -> string
 val node : t -> int -> node
 val node_count : t -> int
 val edge_count : t -> int
-val children : t -> int -> int list
-val roots : t -> int list
-val svi_of : t -> string -> (int * int) option
-val content_vars : node -> string list
 
 (** The global sort-attribute sequence [L1, key vars(level 1), L2, key
     vars(level 2), …, content vars]: each partitioned relation is sorted

@@ -6,7 +6,6 @@
 type t
 
 val create : int64 -> t
-val next_int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  Raises on [bound <= 0]. *)
 
@@ -15,9 +14,6 @@ val range : t -> int -> int -> int
 
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
-
-val bool : t -> float -> bool
-(** [bool t p] is true with probability [p]. *)
 
 val pick : t -> 'a array -> 'a
 val split : t -> string -> t

@@ -280,12 +280,24 @@ let run_cell label key (p : Middleware.prepared) planned ~spool ~pool f r =
 
 (* --- slices ------------------------------------------------------------- *)
 
-type slice = { view : view; db : db; masks : int -> bool; points : point list;
+(* Listed masks are taken as they are, so a slice of a tree too big to
+   enumerate (20 edges or more) can still name its masks. *)
+type masks = All | Every of int | Only of int list
+
+type slice = { view : view; db : db; masks : masks; points : point list;
                modes : mode list }
 
-let all _ = true
-let every k mask = mask mod k = 0
-let only l mask = List.mem mask l
+let all = All
+let every k = Every k
+let only l = Only l
+
+(* The slice's masks of [tree], ascending. *)
+let masks_of tree = function
+  | All -> Partition.all_masks tree
+  | Every k -> List.filter (fun mask -> mask mod k = 0) (Partition.all_masks tree)
+  | Only l ->
+      let full = (1 lsl View_tree.edge_count tree) - 1 in
+      List.filter (fun mask -> mask >= 0 && mask <= full) (List.sort_uniq compare l)
 
 let slice ?(masks = all) ?(points = [ oj ]) ?(modes = [ heap ]) view db =
   { view; db; masks; points; modes }
@@ -333,7 +345,7 @@ let check_point modes t pool mask ((style, reduce) as point) =
 let check ?(fired = []) ?(skip = fun _ -> false) slices =
   let check_slice s =
     let t = truth s.view s.db in
-    let masks = List.filter s.masks (Partition.all_masks t.p.tree) in
+    let masks = masks_of t.p.tree s.masks in
     List.sort_uniq compare (List.map pool_of s.modes)
     |> List.concat_map (fun size ->
            let modes = List.filter (fun m -> pool_of m = size) s.modes in

@@ -247,7 +247,13 @@ and eval_header_of ctx (r : Sql.table_ref) : header =
       let schema = Database.schema ctx.db name in
       Array.of_list (List.map (fun c -> (alias, c)) (Schema.column_names schema))
   | Sql.Derived { query; alias } ->
-      Array.of_list (List.map (fun c -> (alias, c)) (Sql.output_columns query))
+      (* the output columns are the first SELECT branch's aliases *)
+      let rec first = function
+        | Sql.Select s -> s
+        | Sql.Union_all (a, _) -> first a
+      in
+      Array.of_list
+        (List.map (fun i -> (alias, i.Sql.alias)) (first query.Sql.body).Sql.items)
   | Sql.Join { left; right; _ } ->
       Array.append (eval_header_of ctx left) (eval_header_of ctx right)
 

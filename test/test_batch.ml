@@ -16,7 +16,6 @@ let row a b c : R.Tuple.t = [| v a; v b; v c |]
 let test_push_get () =
   let b = R.Batch.create ~size:4 () in
   Alcotest.(check int) "empty" 0 (R.Batch.length b);
-  Alcotest.(check int) "capacity" 4 (R.Batch.capacity b);
   R.Batch.push b ~bytes:10 (row 1 2 3);
   R.Batch.push b ~bytes:0 (row 4 5 6);
   Alcotest.(check int) "two rows" 2 (R.Batch.length b);

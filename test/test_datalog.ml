@@ -1,5 +1,5 @@
-(* Datalog substrate: rules, naive evaluation, FD closure, containment
-   and the C2 chase. *)
+(* Datalog substrate: rules, naive evaluation, the C1 FD closure and
+   the C2 chase. *)
 
 open Datalog
 module R = Relational
@@ -54,11 +54,6 @@ let test_rule_safety () =
   let unsafe = Rule.make ~head_name:"U" ~head_vars:[ "zzz" ] [ Rule.atom "Dept" [ v "d"; w ] ] in
   Alcotest.(check bool) "unsafe" false (Rule.is_safe unsafe)
 
-let test_rule_rename () =
-  let r = Rule.rename_var ~from_:"d" ~to_:"dept" emp_dept_rule in
-  Alcotest.(check bool) "renamed everywhere" true
-    (List.mem "dept" (Rule.body_vars r) && not (List.mem "d" (Rule.body_vars r)))
-
 let test_eval_join () =
   let db = mkdb () in
   let r = Eval.run db emp_dept_rule in
@@ -105,14 +100,6 @@ let test_eval_rejects_bad_arity () =
        false
      with Invalid_argument _ -> true)
 
-let test_conjoin_bodies () =
-  let extra =
-    Rule.make ~head_name:"X" ~head_vars:[]
-      [ Rule.atom "Dept" [ v "d"; v "dname" ]; Rule.atom "Proj" [ v "p"; v "d" ] ]
-  in
-  let merged = Rule.conjoin_bodies emp_dept_rule extra in
-  Alcotest.(check int) "duplicate Dept atom dropped" 3 (List.length merged.Rule.atoms)
-
 (* --- FD reasoning ------------------------------------------------------ *)
 
 let test_fd_key_determines_atom () =
@@ -125,9 +112,16 @@ let test_fd_key_determines_atom () =
        [ "dname" ] [ "id" ])
 
 let test_fd_closure_transitive () =
-  let fds = [ Fd.fd [ "a" ] [ "b" ]; Fd.fd [ "b" ] [ "c" ] ] in
-  Alcotest.(check bool) "a -> c" true (Fd.implies fds [ "a" ] [ "c" ]);
-  Alcotest.(check bool) "c does not -> a" false (Fd.implies fds [ "c" ] [ "a" ])
+  let db = mkdb () in
+  (* p -> d by Proj's key, d -> dname by Dept's: the closure chains them *)
+  let r =
+    Rule.make ~head_name:"T" ~head_vars:[ "p"; "dname" ]
+      [ Rule.atom "Proj" [ v "p"; v "d" ]; Rule.atom "Dept" [ v "d"; v "dname" ] ]
+  in
+  Alcotest.(check bool) "p -> dname" true
+    (Fd.functionally_determines ~schema_of:(schema_of db) ~child:r [ "p" ] [ "dname" ]);
+  Alcotest.(check bool) "dname does not -> p" false
+    (Fd.functionally_determines ~schema_of:(schema_of db) ~child:r [ "dname" ] [ "p" ])
 
 let test_fd_constant_binding () =
   let db = mkdb () in
@@ -149,39 +143,6 @@ let test_fd_equality_filter () =
   in
   Alcotest.(check bool) "a -> b via equality" true
     (Fd.functionally_determines ~schema_of:(schema_of db) ~child:r [ "a" ] [ "b" ])
-
-(* --- containment -------------------------------------------------------- *)
-
-let test_containment_identical () =
-  Alcotest.(check bool) "self contained" true
-    (Contain.contained emp_dept_rule emp_dept_rule);
-  Alcotest.(check bool) "self equivalent" true
-    (Contain.equivalent emp_dept_rule emp_dept_rule)
-
-let test_containment_extra_atom () =
-  let narrower =
-    Rule.make ~head_name:"Q" ~head_vars:[ "id"; "dname" ]
-      [ Rule.atom "Emp" [ v "id"; w; v "d" ]; Rule.atom "Dept" [ v "d"; v "dname" ];
-        Rule.atom "Proj" [ v "p"; v "d" ] ]
-  in
-  Alcotest.(check bool) "narrower ⊆ wider" true (Contain.contained narrower emp_dept_rule);
-  Alcotest.(check bool) "wider ⊄ narrower" false (Contain.contained emp_dept_rule narrower);
-  Alcotest.(check bool) "not equivalent" false (Contain.equivalent narrower emp_dept_rule)
-
-let test_containment_renamed_equivalent () =
-  let renamed = Rule.rename_var ~from_:"d" ~to_:"dd" emp_dept_rule in
-  Alcotest.(check bool) "alpha-equivalent" true (Contain.equivalent renamed emp_dept_rule)
-
-let test_containment_respects_constants () =
-  let with_const =
-    Rule.make ~head_name:"Q" ~head_vars:[ "id" ]
-      [ Rule.atom "Emp" [ v "id"; w; Rule.Const (i 10) ] ]
-  in
-  let without =
-    Rule.make ~head_name:"Q" ~head_vars:[ "id" ] [ Rule.atom "Emp" [ v "id"; w; w ] ]
-  in
-  Alcotest.(check bool) "const ⊆ free" true (Contain.contained with_const without);
-  Alcotest.(check bool) "free ⊄ const" false (Contain.contained without with_const)
 
 (* --- C2 chase ------------------------------------------------------------ *)
 
@@ -298,21 +259,15 @@ let suite =
     Alcotest.test_case "rule printing" `Quick test_rule_printing;
     Alcotest.test_case "C2: composite FK" `Quick test_always_extends_composite_fk;
     Alcotest.test_case "rule safety" `Quick test_rule_safety;
-    Alcotest.test_case "rule rename" `Quick test_rule_rename;
     Alcotest.test_case "eval: join" `Quick test_eval_join;
     Alcotest.test_case "eval: set semantics" `Quick test_eval_set_semantics;
     Alcotest.test_case "eval: constants and filters" `Quick test_eval_constants_and_filters;
     Alcotest.test_case "eval: rejects unsafe" `Quick test_eval_rejects_unsafe;
     Alcotest.test_case "eval: rejects bad arity" `Quick test_eval_rejects_bad_arity;
-    Alcotest.test_case "conjoin bodies dedups" `Quick test_conjoin_bodies;
     Alcotest.test_case "fd: key determines atom" `Quick test_fd_key_determines_atom;
     Alcotest.test_case "fd: transitive closure" `Quick test_fd_closure_transitive;
     Alcotest.test_case "fd: constant binding" `Quick test_fd_constant_binding;
     Alcotest.test_case "fd: equality filter" `Quick test_fd_equality_filter;
-    Alcotest.test_case "containment: identity" `Quick test_containment_identical;
-    Alcotest.test_case "containment: extra atom" `Quick test_containment_extra_atom;
-    Alcotest.test_case "containment: alpha equivalence" `Quick test_containment_renamed_equivalent;
-    Alcotest.test_case "containment: constants" `Quick test_containment_respects_constants;
     Alcotest.test_case "C2: FK chase" `Quick test_always_extends_fk_chain;
     Alcotest.test_case "C2: reverse fails" `Quick test_always_extends_reverse_fails;
     Alcotest.test_case "C2: declared inclusion" `Quick test_always_extends_with_declared_inclusion;

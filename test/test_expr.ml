@@ -2,6 +2,11 @@
 
 open Relational
 
+(* Expression builders for the cases below. *)
+let col ?qualifier name = Expr.Col (qualifier, name)
+let int n = Expr.Lit (Value.Int n)
+let eq a b = Expr.Cmp (Expr.Eq, a, b)
+
 let header = [ (Some "t", "a"); (Some "t", "b"); (Some "u", "a") ]
 
 let lookup (q, c) =
@@ -21,14 +26,14 @@ let i n = Value.Int n
 let test_column_resolution () =
   let t = row (i 1) (i 2) (i 3) in
   Alcotest.(check bool) "qualified" true
-    (Value.equal (eval (Expr.col ~qualifier:"u" "a") t) (i 3));
+    (Value.equal (eval (col ~qualifier:"u" "a") t) (i 3));
   Alcotest.(check bool) "unqualified unique" true
-    (Value.equal (eval (Expr.col "b") t) (i 2))
+    (Value.equal (eval (col "b") t) (i 2))
 
 let test_unresolved_column () =
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Expr.resolve lookup (Expr.col "zz"));
+       ignore (Expr.resolve lookup (col "zz"));
        false
      with Expr.Unresolved_column "zz" -> true)
 
@@ -44,7 +49,7 @@ let test_three_valued_logic () =
   let t = row Value.Null (i 2) (i 3) in
   (* NULL comparison is UNKNOWN: the predicate rejects *)
   Alcotest.(check bool) "null = x rejects" false
-    (pred Expr.(eq (col ~qualifier:"t" "a") (col "b")) t);
+    (pred (eq (col ~qualifier:"t" "a") (col "b")) t);
   (* UNKNOWN OR TRUE = TRUE *)
   Alcotest.(check bool) "unknown or true" true
     (pred Expr.(Or (eq (col ~qualifier:"t" "a") (col "b"),
@@ -87,7 +92,7 @@ let test_conjuncts_conjoin () =
     (match Expr.conjoin [] with Expr.Lit (Value.Bool true) -> true | _ -> false)
 
 let test_columns_and_equality_shape () =
-  let e = Expr.(eq (col ~qualifier:"t" "a") (col ~qualifier:"u" "a")) in
+  let e = (eq (col ~qualifier:"t" "a") (col ~qualifier:"u" "a")) in
   Alcotest.(check int) "two columns" 2 (List.length (Expr.columns e));
   Alcotest.(check bool) "recognized as column equality" true
     (Expr.as_column_equality e <> None);
@@ -118,7 +123,7 @@ let gen_pred =
     oneof
       [
         map (fun b -> Expr.Lit (Value.Bool b)) bool;
-        map2 (fun c n -> Expr.Cmp (Expr.Eq, Expr.col ~qualifier:"t" c, Expr.int n))
+        map2 (fun c n -> Expr.Cmp (Expr.Eq, col ~qualifier:"t" c, Expr.Lit (Value.Int n)))
           (oneofl [ "a"; "b" ]) (int_bound 3);
       ]
   in

@@ -29,11 +29,6 @@ let test_execution_accounting () =
   Alcotest.(check bool) "tuples positive" true (e.Middleware.tuples > 0);
   Alcotest.(check bool) "bytes positive" true (e.Middleware.bytes > 0);
   Alcotest.(check bool) "transfer positive" true (e.Middleware.transfer_ms > 0.0);
-  Alcotest.(check bool) "total = query + transfer" true
-    (abs_float
-       (Middleware.total_wall_ms e
-       -. (e.Middleware.query_wall_ms +. e.Middleware.transfer_ms))
-    < 1e-9);
   Alcotest.(check int) "one SQL text" 1 (List.length e.Middleware.per_stream)
 
 let test_stream_counts_by_strategy () =

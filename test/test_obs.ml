@@ -218,7 +218,7 @@ let setup ?(scale = 0.12) text =
 let test_greedy_plan_edge_spans () =
   with_obs (fun () ->
       let db, p = setup Queries.query1_text in
-      let oracle = R.Cost.oracle db in
+      let oracle = R.Cost.oracle_with_stats db (R.Stats.analyze db) in
       let r =
         Planner.gen_plan db oracle p.Middleware.tree p.Middleware.labels
           Planner.default_params
@@ -457,6 +457,26 @@ let test_traced_execute_leaves_catalog () =
       Alcotest.(check int) "no plan.physical spans" 0
         (List.length (find_spans "plan.physical")))
 
+(* Greedy's oracle forces the catalog analysis inside the planner stage,
+   in a span of its own; the unified plan never prices, so never runs it. *)
+let test_catalog_analysis_span () =
+  with_obs (fun () ->
+      let db, p = setup Queries.query1_text in
+      ignore (Middleware.partition_of p Middleware.Greedy);
+      let planners = find_spans "planner" in
+      (match find_spans "stats.analyze" with
+      | [ s ] ->
+          Alcotest.(check bool) "stats.analyze under planner" true
+            (List.exists
+               (fun (pl : Obs.Span.t) -> Some pl.Obs.Span.id = s.Obs.Span.parent)
+               planners)
+      | l -> Alcotest.failf "greedy: %d stats.analyze spans, expected 1" (List.length l));
+      Obs.Span.reset ();
+      let p = Middleware.prepare_text db Queries.query1_text in
+      ignore (Middleware.execute p (Middleware.partition_of p Middleware.Unified));
+      Alcotest.(check int) "unified: no stats.analyze span" 0
+        (List.length (find_spans "stats.analyze")))
+
 let test_tracing_does_not_change_work () =
   let _, p = setup Queries.query1_text in
   let plan = Middleware.partition_of p Middleware.Unified in
@@ -535,6 +555,8 @@ let suite =
       test_tracing_does_not_change_work;
     Alcotest.test_case "traced execute leaves the catalog unforced" `Quick
       test_traced_execute_leaves_catalog;
+    Alcotest.test_case "catalog analysis spanned under planner" `Quick
+      test_catalog_analysis_span;
     Alcotest.test_case "stage list pinned" `Quick test_stage_list_pinned;
     Alcotest.test_case "stage clock fills when sampled out" `Quick
       test_stage_clock_sampled_out;

@@ -65,6 +65,15 @@ let test_pool_rejects_zero_domains () =
   | _ -> Alcotest.fail "domains:0 must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* Rejected before any spawn: the runtime allows 128 domains, the
+   calling one included. *)
+let test_pool_rejects_too_many_domains () =
+  match R.Domain_pool.create ~domains:1000 with
+  | _ -> Alcotest.fail "domains:1000 must be rejected"
+  | exception Invalid_argument m ->
+      Alcotest.(check bool) "names the limit" true
+        (Test_server.contains m "at most 127")
+
 (* --- cursor close -------------------------------------------------------- *)
 
 let cols = [| "a" |]
@@ -264,6 +273,8 @@ let suite =
       test_pool_submit_after_shutdown;
     Alcotest.test_case "pool: rejects 0 domains" `Quick
       test_pool_rejects_zero_domains;
+    Alcotest.test_case "pool: rejects more domains than the runtime allows"
+      `Quick test_pool_rejects_too_many_domains;
     Alcotest.test_case "cursor close semantics" `Quick
       test_cursor_close_semantics;
     Alcotest.test_case "fragment: all masks x domains {1,2,4}" `Quick

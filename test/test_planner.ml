@@ -8,7 +8,7 @@ let setup ?(scale = 0.5) text =
   (db, Middleware.prepare_text db text)
 
 let run ?reduce ?(params = Planner.default_params) db (p : Middleware.prepared) =
-  let oracle = R.Cost.oracle db in
+  let oracle = R.Cost.oracle_with_stats db (R.Stats.analyze db) in
   Planner.gen_plan ?reduce db oracle p.Middleware.tree p.Middleware.labels params
 
 let test_terminates_and_partitions_edges () =
@@ -129,7 +129,7 @@ let test_requests_is_per_run_delta () =
      the same oracle reports its own request count, not the cumulative
      counter (cache warmth may make it cheaper, never negative) *)
   let db, p = setup Queries.query1_text in
-  let oracle = R.Cost.oracle db in
+  let oracle = R.Cost.oracle_with_stats db (R.Stats.analyze db) in
   let gen () =
     Planner.gen_plan db oracle p.Middleware.tree p.Middleware.labels
       Planner.default_params
@@ -146,7 +146,7 @@ let test_requests_is_per_run_delta () =
     && second.Planner.requests <= first.Planner.requests);
   (* and a fresh oracle reproduces the first run's figure exactly *)
   let fresh =
-    Planner.gen_plan db (R.Cost.oracle db) p.Middleware.tree
+    Planner.gen_plan db (R.Cost.oracle_with_stats db (R.Stats.analyze db)) p.Middleware.tree
       p.Middleware.labels Planner.default_params
   in
   Alcotest.(check int) "fresh oracle matches first run" first.Planner.requests

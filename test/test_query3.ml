@@ -67,7 +67,7 @@ let test_guaranteed_branch_inner_join () =
       with_labels
   in
   Alcotest.(check int) "no outer join needed" 0
-    (R.Sql.count_outer_joins order_stream.Sql_gen.query);
+    (Test_sql.count_outer_joins order_stream.Sql_gen.query);
   (* without labels the same fragment uses a left outer join *)
   let without =
     Sql_gen.streams db t plan Sql_gen.default_options
@@ -75,7 +75,7 @@ let test_guaranteed_branch_inner_join () =
            List.length s.Sql_gen.fragment.Partition.members >= 2)
   in
   Alcotest.(check int) "outer join without labels" 1
-    (R.Sql.count_outer_joins without.Sql_gen.query)
+    (Test_sql.count_outer_joins without.Sql_gen.query)
 
 let test_exhaustive_128_plans () =
   let db = Matrix.tpch 0.12 and points = [ Matrix.oj_reduced ] in
@@ -91,7 +91,7 @@ let test_thresholds_transfer () =
      not the query — the greedy plan for Query 3 must beat both default
      strategies with the same default parameters *)
   let db, p = setup ~scale:1.0 () in
-  let oracle = R.Cost.oracle db in
+  let oracle = R.Cost.oracle_with_stats db (R.Stats.analyze db) in
   let r =
     Planner.gen_plan ~reduce:true db oracle p.Middleware.tree p.Middleware.labels
       Planner.default_params

@@ -6,7 +6,7 @@ module R = Relational
 let db () = Tpch.Gen.empty_database ()
 
 let test_parse_query1 () =
-  let v = Queries.query1 () in
+  let v = Rxl_parser.parse Queries.query1_text in
   Alcotest.(check string) "root tag" "suppliers" v.Rxl.root_tag;
   Alcotest.(check int) "one top query" 1 (List.length v.Rxl.queries)
 
@@ -77,7 +77,8 @@ let test_check_valid_views () =
   let db = db () in
   List.iter
     (fun v -> Rxl.check db v)
-    [ Queries.query1 (); Queries.query2 (); Queries.fragment () ]
+    (List.map Rxl_parser.parse
+       [ Queries.query1_text; Queries.query2_text; Queries.fragment_text ])
 
 let test_check_unknown_table () =
   let v = Rxl_parser.parse "view x { from Bogus $b construct <e>$b.a</e> }" in

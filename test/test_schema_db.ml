@@ -78,7 +78,7 @@ let test_key_check () =
       [| Value.Int 1; Value.String "a"; Value.Null |];
       [| Value.Int 1; Value.String "b"; Value.Null |];
     ];
-  Alcotest.(check int) "one duplicate" 1 (List.length (Database.check_keys db "People"))
+  Alcotest.(check int) "one duplicate" 1 (List.length (Database.check_integrity db))
 
 let test_fk_check () =
   let db = mkdb () in
@@ -88,9 +88,7 @@ let test_fk_check () =
       [| Value.Int 10; Value.Int 1; Value.String "cat" |];
       [| Value.Int 11; Value.Int 99; Value.String "dog" |];
     ];
-  Alcotest.(check int) "one dangling" 1
-    (List.length (Database.check_foreign_keys db "Pets"));
-  Alcotest.(check int) "integrity sums" 1 (List.length (Database.check_integrity db))
+  Alcotest.(check int) "one dangling" 1 (List.length (Database.check_integrity db))
 
 let test_inclusion_check () =
   let db = mkdb () in
@@ -116,8 +114,7 @@ let test_declared_inclusions () =
 let test_to_relation_and_sizes () =
   let db = mkdb () in
   Database.load db "People" [ [| Value.Int 1; Value.String "ann"; Value.Null |] ];
-  let r = Database.to_relation db "People" in
-  Alcotest.(check int) "rows" 1 (Relation.cardinality r);
+  Alcotest.(check int) "rows" 1 (Database.row_count db "People");
   Alcotest.(check bool) "total rows" true (Database.total_rows db = 1);
   Alcotest.(check bool) "total bytes positive" true (Database.total_bytes db > 0);
   Alcotest.(check (list string)) "table names sorted" [ "People"; "Pets" ]
@@ -142,17 +139,16 @@ let prices_db () =
 
 let test_float_keys_distinct () =
   let db = prices_db () in
-  Alcotest.(check (list string)) "no duplicate" [] (Database.check_keys db "Price");
+  Alcotest.(check (list string)) "no duplicate" [] (Database.check_integrity db);
   Database.insert db "Price" [ [| Value.Float 32946.01 |] ];
-  Alcotest.(check int) "a true duplicate" 1 (List.length (Database.check_keys db "Price"))
+  Alcotest.(check int) "a true duplicate" 1 (List.length (Database.check_integrity db))
 
 let test_int_fk_to_float_key () =
   let db = prices_db () in
-  Alcotest.(check (list string)) "2 references 2.0" []
-    (Database.check_foreign_keys db "Order");
+  Alcotest.(check (list string)) "2 references 2.0" [] (Database.check_integrity db);
   Database.insert db "Order" [ [| Value.Int 2; Value.Int 3 |] ];
   Alcotest.(check (list string)) "3 dangles" [ "Order: dangling FK (3) -> Price" ]
-    (Database.check_foreign_keys db "Order")
+    (Database.check_integrity db)
 
 let test_int_included_in_float () =
   let db = prices_db () in

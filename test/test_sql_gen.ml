@@ -17,8 +17,8 @@ let test_unified_fragment_structure () =
   let plan = Partition.unified p.Middleware.tree in
   match streams_of db p plan Sql_gen.default_options with
   | [ s ] ->
-      Alcotest.(check int) "one outer join" 1 (R.Sql.count_outer_joins s.Sql_gen.query);
-      Alcotest.(check int) "one union" 1 (R.Sql.count_unions s.Sql_gen.query)
+      Alcotest.(check int) "one outer join" 1 (Test_sql.count_outer_joins s.Sql_gen.query);
+      Alcotest.(check int) "one union" 1 (Test_sql.count_unions s.Sql_gen.query)
   | _ -> Alcotest.fail "expected one stream"
 
 let test_fully_partitioned_no_outer_constructs () =
@@ -28,8 +28,8 @@ let test_fully_partitioned_no_outer_constructs () =
   let plan = Partition.fully_partitioned p.Middleware.tree in
   List.iter
     (fun (s : Sql_gen.stream) ->
-      Alcotest.(check int) "no outer join" 0 (R.Sql.count_outer_joins s.Sql_gen.query);
-      Alcotest.(check int) "no union" 0 (R.Sql.count_unions s.Sql_gen.query))
+      Alcotest.(check int) "no outer join" 0 (Test_sql.count_outer_joins s.Sql_gen.query);
+      Alcotest.(check int) "no union" 0 (Test_sql.count_unions s.Sql_gen.query))
     (streams_of db p plan Sql_gen.default_options)
 
 let test_chain_plan_no_union () =
@@ -51,8 +51,8 @@ let test_chain_plan_no_union () =
         List.length s.Sql_gen.fragment.Partition.members = 3)
       (streams_of db p plan Sql_gen.default_options)
   in
-  Alcotest.(check int) "two outer joins" 2 (R.Sql.count_outer_joins big.Sql_gen.query);
-  Alcotest.(check int) "no union" 0 (R.Sql.count_unions big.Sql_gen.query)
+  Alcotest.(check int) "two outer joins" 2 (Test_sql.count_outer_joins big.Sql_gen.query);
+  Alcotest.(check int) "no union" 0 (Test_sql.count_unions big.Sql_gen.query)
 
 let test_outer_union_style_no_outer_joins () =
   let db, p = setup Queries.query1_text in
@@ -60,9 +60,9 @@ let test_outer_union_style_no_outer_joins () =
   let opts = { Sql_gen.style = Sql_gen.Outer_union; labels = None } in
   match streams_of db p plan opts with
   | [ s ] ->
-      Alcotest.(check int) "no outer joins" 0 (R.Sql.count_outer_joins s.Sql_gen.query);
+      Alcotest.(check int) "no outer joins" 0 (Test_sql.count_outer_joins s.Sql_gen.query);
       (* one UNION ALL per node beyond the first *)
-      Alcotest.(check int) "nine unions" 9 (R.Sql.count_unions s.Sql_gen.query)
+      Alcotest.(check int) "nine unions" 9 (Test_sql.count_unions s.Sql_gen.query)
   | _ -> Alcotest.fail "expected one stream"
 
 let test_reduction_removes_branches () =
@@ -76,8 +76,8 @@ let test_reduction_removes_branches () =
         List.hd (streams_of db p plan Sql_gen.default_options)
       in
       Alcotest.(check bool) "fewer outer joins than non-reduced" true
-        (R.Sql.count_outer_joins s.Sql_gen.query
-         < R.Sql.count_outer_joins plain.Sql_gen.query);
+        (Test_sql.count_outer_joins s.Sql_gen.query
+         < Test_sql.count_outer_joins plain.Sql_gen.query);
       Alcotest.(check int) "three groups" 3 (List.length s.Sql_gen.groups)
   | _ -> Alcotest.fail "expected one stream"
 

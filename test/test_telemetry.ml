@@ -35,12 +35,14 @@ let test_expose_roundtrip () =
   in
   let text = E.render samples in
   let parsed = E.parse text in
-  (* every sample comes back, in order, under key_of's exact syntax *)
-  Alcotest.(check int) "all samples parsed" (List.length samples)
-    (List.length parsed.E.values);
+  (* every sample comes back, in order, under its exact key syntax *)
+  Alcotest.(check (list string)) "keys"
+    [ "requests_total"; "cache_hits_total{tier=\"plan\",op=\"find\"}";
+      "queue_depth"; "request_ms{quantile=\"0.5\"}";
+      "request_ms{quantile=\"0.99\"}"; "request_ms_sum"; "request_ms_count" ]
+    (List.map fst parsed.E.values);
   List.iter2
     (fun s (key, v) ->
-      Alcotest.(check string) "key" (E.key_of s) key;
       Alcotest.(check (float 0.0)) ("value of " ^ key) s.E.s_value v)
     samples parsed.E.values;
   Alcotest.(check (option (float 0.0))) "labeled lookup" (Some 7.0)
@@ -69,7 +71,7 @@ let test_expose_summary () =
   let empty = E.summary ~labels:[ ("stage", "tagger") ] "lat" h in
   Alcotest.(check (list string)) "an empty summary: sum and count only"
     [ "lat_sum{stage=\"tagger\"}"; "lat_count{stage=\"tagger\"}" ]
-    (List.map E.key_of empty);
+    (List.map fst (E.parse (E.render empty)).E.values);
   Obs.Histogram.observe h 5.0;
   Obs.Histogram.observe h 15.0;
   let parsed = E.parse (E.render (E.summary ~labels:[ ("stage", "tagger") ] "lat" h)) in
@@ -144,11 +146,7 @@ let test_slo_error_budget () =
       Alcotest.(check (float 1e-9)) "error burn" 2.0 s.Obs.Slo.error_burn;
       Alcotest.(check bool) "latency is fine" true
         (s.Obs.Slo.latency_burn < 1.0);
-      Alcotest.(check bool) "breached on errors alone" true s.Obs.Slo.breached;
-      Obs.Slo.reset t;
-      let s = Obs.Slo.snapshot t ~now_ms:99.0 in
-      Alcotest.(check int) "reset clears samples" 0 s.Obs.Slo.samples;
-      Alcotest.(check bool) "reset clears breach" false s.Obs.Slo.breached)
+      Alcotest.(check bool) "breached on errors alone" true s.Obs.Slo.breached)
 
 let test_slo_window_slide () =
   with_obs (fun () ->
@@ -214,8 +212,7 @@ let test_slowlog_drops_when_closed () =
         (Slowlog.write log (Obs.Json.Obj []));
       Alcotest.(check int) "drop counted" 1 (Slowlog.dropped log);
       Alcotest.(check int) "nothing written" 0 (Slowlog.written log);
-      Alcotest.(check (list string)) "file empty" [] (read_lines path);
-      Alcotest.(check string) "path accessor" path (Slowlog.path log))
+      Alcotest.(check (list string)) "file empty" [] (read_lines path))
 
 (* --- trace propagation through the pool ---------------------------------- *)
 

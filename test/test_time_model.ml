@@ -125,7 +125,7 @@ let test_greedy_deterministic () =
         (fun reduce ->
           let pick () =
             let r =
-              Planner.gen_plan ~reduce db (R.Cost.oracle db) p.Middleware.tree
+              Planner.gen_plan ~reduce db (R.Cost.oracle_with_stats db (R.Stats.analyze db)) p.Middleware.tree
                 p.Middleware.labels Planner.default_params
             in
             Partition.to_mask (Planner.best_plan p.Middleware.tree r)

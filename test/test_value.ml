@@ -2,7 +2,10 @@
 
 open Relational
 
-let v = Alcotest.testable Value.pp Value.equal
+let v =
+  Alcotest.testable
+    (fun fmt v -> Format.pp_print_string fmt (Value.to_string v))
+    Value.equal
 
 let test_total_order_null_first () =
   Alcotest.(check bool) "null < int" true (Value.compare_total Value.Null (Value.Int 0) < 0);

@@ -49,6 +49,29 @@ if [ -n "$server" ]; then
   exit 1
 fi
 
+echo "== dead exports (every val in lib/**/*.mli is named in some other source file)"
+# A bare-name check: a val whose name appears in no .ml/.mli under the
+# program's, the benchmarks' or the tests' directories other than its
+# own module's two files has no caller, and is deleted or unexported.
+sources=$(find lib bin bench tools examples perfbench test -name '_build' -prune \
+  -o \( -name '*.ml' -o -name '*.mli' \) -print | sort)
+dead=""
+for mli in $(find lib -name '*.mli' | sort); do
+  ml=${mli%i}
+  others=$(echo "$sources" | grep -vx -e "$mli" -e "$ml")
+  for name in $(sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\) *:.*/\1/p" "$mli"); do
+    # shellcheck disable=SC2086
+    if ! grep -qw -- "$name" $others; then
+      dead="$dead $mli:$name"
+    fi
+  done
+done
+if [ -n "$dead" ]; then
+  echo "dead exports (named nowhere outside their own module):"
+  for d in $dead; do echo "  $d"; done
+  exit 1
+fi
+
 echo "== dune build @check"
 dune build @check
 

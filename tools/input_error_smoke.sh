@@ -50,6 +50,11 @@ check_named () {
 check "out-of-range edge mask" run --scale 0.05 --strategy edges:4096
 check "non-finite skew factor" run --scale 0.05 --skew-stats Supplier=inf
 check "non-RXL view file" run --scale 0.05 --view "$tmp/bad.rxl"
+# Rejected before any domain is spawned: the runtime allows 128 domains.
+check_named "at most 127" "more domains than the runtime allows" run \
+  --scale 0.05 --parallel 1000
+check_named "at most 127" "a server with more domains than the runtime allows" \
+  serve --scale 0.05 --socket "$tmp/domains.sock" --parallel 1000
 
 # A view whose part block correlates $p with itself: the unified and
 # greedy plans cannot carry p.partkey to the order block, which is a
