@@ -564,8 +564,8 @@ let workload_seed_arg =
 
 let invalidate_every_arg =
   let doc =
-    "Client 0 replaces every $(docv)-th query with a stats-epoch \
-     invalidation (0 disables)."
+    "Client 0 replaces every $(docv)-th query with a data invalidation \
+     (results flushed, plans kept; 0 disables)."
   in
   Arg.(
     value

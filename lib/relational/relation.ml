@@ -26,19 +26,8 @@ let column_index t name =
   in
   go 0
 
-let column_index_exn t name =
-  match column_index t name with
-  | Some i -> i
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Relation: no column %s in (%s)" name
-           (String.concat ", " (Array.to_list t.cols)))
-
 let sort_by positions t =
   { t with rows = List.stable_sort (Tuple.compare_at positions) t.rows }
-
-let wire_size t =
-  List.fold_left (fun acc r -> acc + Tuple.wire_size r) 0 t.rows
 
 let equal a b =
   a.cols = b.cols

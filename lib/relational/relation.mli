@@ -15,14 +15,10 @@ val rows : t -> Tuple.t list
 val cardinality : t -> int
 
 val column_index : t -> string -> int option
-val column_index_exn : t -> string -> int
 
 val sort_by : int array -> t -> t
 (** Stable sort by the given column positions under the total value
     order (NULL first). *)
-
-val wire_size : t -> int
-(** Total transfer bytes of all tuples (cost-model input). *)
 
 val equal : t -> t -> bool
 (** Same columns, same tuples in the same order. *)

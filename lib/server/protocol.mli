@@ -18,9 +18,10 @@ type request =
       (** Materialize [view] (RXL source text) under [strategy]
           (unified | partitioned | greedy | edges:MASK). *)
   | Invalidate of { table : string; factor : float }
-      (** Bump the server's stats epoch, flushing the plan and result
-          caches.  A non-empty [table] additionally skews that table's
-          catalog entry by [factor] first ([--skew-stats]-style). *)
+      (** Bump the server's data epoch, flushing the result cache; plans
+          survive.  A non-empty [table] first skews that table's catalog
+          entry by [factor] ([--skew-stats]-style), which also bumps the
+          stats epoch and flushes the plan cache. *)
   | Stats  (** Ask for the server's counter report. *)
   | Metrics
       (** Ask for the live telemetry exposition (Prometheus-style text:
@@ -29,8 +30,8 @@ type request =
           Tag [M]; carries no fields — extra fields are a
           {!Protocol_error}. *)
   | Health
-      (** Ask for a cheap liveness summary (status, uptime, epoch,
-          queue depth).  Tag [H]; carries no fields. *)
+      (** Ask for a cheap liveness summary (status, uptime, stats
+          epoch, queue depth).  Tag [H]; carries no fields. *)
   | Shutdown  (** Stop the server after replying. *)
 
 (** Which cache tiers served (part of) a query. *)

@@ -23,13 +23,21 @@
    Requests slower than [slow_ms] append a structured JSONL record, with
    one entry per stage, through the bounded non-blocking Slowlog.
 
+   Two epochs key the tiers.  A plan and its estimate depend on the view
+   and the catalog alone (genPlan reads only the view and the cost and
+   cardinality estimates), so the plan tier is keyed by the stats epoch,
+   which only an invalidation that skews the catalog bumps; a document
+   depends on the data, so the result tier is keyed by the data epoch,
+   which every invalidation bumps.
+
    Locking: each LRU tier has its own mutex (see Lru); [plan_m]
    serializes the planner's partition choices and the admission
-   estimates against each other and against [invalidate], so no plan or
-   estimate reads a half-skewed catalog; [adm_m] +
+   estimates against each other and against a skewing [invalidate]
+   (the skew, the stats epoch's bump and the plan tier's flush), so no
+   plan or estimate reads a half-skewed catalog; [adm_m] +
    [adm_cv] guard the in-flight work account; [lat_m] guards the latency
-   histograms.  Nothing holds two locks
-   at once, and no lock is held across execution. *)
+   histograms.  The plan tier's mutex is the only one taken under
+   another ([plan_m]), and no lock is held across execution. *)
 
 module R = Relational
 module S = Silkroute
@@ -106,6 +114,15 @@ type counters = {
   slow : int;
 }
 
+(* A statement-tier entry: the prepared view, whether every plan of the
+   view publishes the same bytes, and the digest of its text that keys
+   the other tiers. *)
+type statement = {
+  prepared : S.Middleware.prepared;
+  one_document : bool;
+  digest : string;
+}
+
 type t = {
   db : R.Database.t;
   cfg : config;
@@ -114,13 +131,13 @@ type t = {
   consistent : bool;
       (* the database meets its declared keys, foreign keys and inclusion
          dependencies; computed only when the result tier is on *)
-  statements : (S.Middleware.prepared * bool) Lru.t;
-      (* with whether every plan of the view publishes the same bytes *)
+  statements : statement Lru.t;
   plans : (int * float) Lru.t;
       (* the chosen point of the 2^|E| lattice, as a mask, and the
          admission estimate of its planned streams *)
   results : string Lru.t;  (* exactly the bytes the uncached path produced *)
-  epoch : int Atomic.t;
+  data_epoch : int Atomic.t;  (* bumped by every invalidation *)
+  stats_epoch : int Atomic.t;  (* bumped only when the catalog is skewed *)
   closed : bool Atomic.t;
   plan_m : Mutex.t;
   (* admission account *)
@@ -183,7 +200,8 @@ let create ?(config = default_config) db =
       Lru.create ~name:"statement" ~capacity:config.statement_capacity ();
     plans = Lru.create ~name:"plan" ~capacity:config.plan_capacity ();
     results = Lru.create ~name:"result" ~capacity:config.result_capacity ();
-    epoch = Atomic.make 0;
+    data_epoch = Atomic.make 0;
+    stats_epoch = Atomic.make 0;
     closed = Atomic.make false;
     plan_m = Mutex.create ();
     adm_m = Mutex.create ();
@@ -210,7 +228,7 @@ let create ?(config = default_config) db =
         Obs.Stage.all;
   }
 
-let stats_epoch t = Atomic.get t.epoch
+let stats_epoch t = Atomic.get t.stats_epoch
 let counters t = Mutex.protect t.cm (fun () -> t.c)
 let bump f t = Mutex.protect t.cm (fun () -> t.c <- f t.c)
 
@@ -224,38 +242,47 @@ let uptime_s t =
 (* Statement tier: keyed by the raw RXL source text.  The prepared value
    shares the server's forced catalog, so execution under tracing never
    re-analyzes the database and OCaml 5's RacyLazy cannot fire on the
-   pool.  Beside it, whether the view has one document per epoch: its
-   plans differ only in cost when the data meets the constraints the
+   pool.  Beside it, whether the view has one document per data epoch:
+   its plans differ only in cost when the data meets the constraints the
    labels and reduction's inner joins rely on, and no variable of the
-   view can be NULL. *)
+   view can be NULL; and the view's digest, hashed once per statement
+   miss rather than once per request. *)
+let view_digest view = Digest.to_hex (Digest.string view)
+
 let statement_of t view =
   match Lru.find t.statements view with
-  | Some (p, one_document) -> (p, one_document, true)
+  | Some st -> (st, true)
   | None ->
       let p = S.Middleware.prepare_text t.db view in
-      let p = { p with S.Middleware.stats = Lazy.from_val t.stats } in
-      let one_document = t.consistent && S.Middleware.null_free p in
-      Lru.add t.statements view (p, one_document);
-      (p, one_document, false)
-
-let view_digest view = Digest.to_hex (Digest.string view)
+      let prepared = { p with S.Middleware.stats = Lazy.from_val t.stats } in
+      let st =
+        {
+          prepared;
+          one_document = t.consistent && S.Middleware.null_free prepared;
+          digest = view_digest view;
+        }
+      in
+      Lru.add t.statements view st;
+      (st, false)
 
 let plan_key ~digest ~skey ~reduce ~epoch =
   Printf.sprintf "%s|%s|%b|e%d" digest skey reduce epoch
 
-(* One document per view and epoch when every plan publishes the same
-   bytes; otherwise one per plan. *)
+(* One document per view and data epoch when every plan publishes the
+   same bytes; otherwise one per plan. *)
 let result_key ~one_document ~digest ~mask ~reduce ~epoch =
   if one_document then Printf.sprintf "%s|e%d" digest epoch
   else Printf.sprintf "%s|m%d|%b|e%d" digest mask reduce epoch
 
-(* Plan tier.  A miss is the middleware's [planner] stage choosing the
-   partition for the reduction the request runs with, then its streams
-   planned once and priced, all under [plan_m]: concurrent sessions
-   asking for the same (view, strategy, reduce, epoch) plan it once, and
-   no [invalidate] skews the catalog mid-read.  Returns the mask, the
-   estimate, the planned streams on a miss ([None] on a hit) and whether
-   it hit. *)
+(* Plan tier, keyed by the stats epoch: an entry is a pure function of
+   (view, strategy, reduce, catalog), so it outlives data invalidations
+   and only a skew makes it stale.  A miss is the middleware's [planner]
+   stage choosing the partition for the reduction the request runs with,
+   then its streams planned once and priced, all under [plan_m]:
+   concurrent sessions asking for the same (view, strategy, reduce,
+   stats epoch) plan it once, and no [invalidate] skews the catalog
+   mid-read.  Returns the mask, the estimate, the planned streams on a
+   miss ([None] on a hit) and whether it hit. *)
 let plan_of t (p : S.Middleware.prepared) ~digest ~strategy ~reduce ~epoch =
   let skey = S.Middleware.strategy_name strategy in
   let key = plan_key ~digest ~skey ~reduce ~epoch in
@@ -325,16 +352,20 @@ let query_body t ~view ~strategy ~reduce =
               Obs.Attr.string "strategy" (S.Middleware.strategy_name strat);
               Obs.Attr.bool "reduce" reduce;
             ];
-        let p, one_document, statement_hit = statement_of t view in
-        let digest = view_digest view in
-        let epoch = Atomic.get t.epoch in
+        let { prepared = p; one_document; digest }, statement_hit =
+          statement_of t view
+        in
         let mask, est_cost, planned, plan_hit =
-          plan_of t p ~digest ~strategy:strat ~reduce ~epoch
+          plan_of t p ~digest ~strategy:strat ~reduce
+            ~epoch:(Atomic.get t.stats_epoch)
         in
         let tiers hit =
           { Protocol.statement_hit; plan_hit; result_hit = hit }
         in
-        let rkey = result_key ~one_document ~digest ~mask ~reduce ~epoch in
+        let rkey =
+          result_key ~one_document ~digest ~mask ~reduce
+            ~epoch:(Atomic.get t.data_epoch)
+        in
         (* a plan that can never fit skips the lookup, and admission
            rejects it: its view's document may come from a cheaper plan *)
         let cached =
@@ -577,21 +608,27 @@ let query t ~view ~strategy ~reduce =
 
 (* --- invalidation ------------------------------------------------------- *)
 
+(* Entries of older epochs can never be looked up again (the epoch is
+   part of their key); flushing reclaims their space immediately.  Plans
+   depend on the catalog only, so a skew-less invalidation keeps them. *)
 let invalidate ?skew t =
-  Mutex.protect t.plan_m (fun () ->
-      (match skew with
-      | Some (table, factor) -> R.Stats.scale_table t.stats table factor
-      | None -> ());
-      ignore (Atomic.fetch_and_add t.epoch 1));
-  (* entries of older epochs can never be looked up again (the epoch is
-     part of the key); flushing reclaims their space immediately *)
-  Lru.clear t.plans;
+  (match skew with
+  | Some (table, factor) ->
+      Mutex.protect t.plan_m (fun () ->
+          R.Stats.scale_table t.stats table factor;
+          Atomic.incr t.stats_epoch;
+          Lru.clear t.plans)
+  | None -> ());
+  Atomic.incr t.data_epoch;
   Lru.clear t.results;
   bump (fun c -> { c with invalidations = c.invalidations + 1 }) t;
   if Obs.Span.tracing () then
     Obs.Event.info "server.invalidate"
       ~attrs:
-        ([ Obs.Attr.int "epoch" (Atomic.get t.epoch) ]
+        ([
+           Obs.Attr.int "data_epoch" (Atomic.get t.data_epoch);
+           Obs.Attr.int "stats_epoch" (stats_epoch t);
+         ]
         @
         match skew with
         | Some (table, factor) ->
@@ -779,8 +816,9 @@ let handle t req =
           match invalidate ?skew t with
           | () ->
               Protocol.Info
-                (Printf.sprintf "invalidated; stats epoch now %d"
-                   (stats_epoch t))
+                (Printf.sprintf
+                   "invalidated; data epoch now %d, stats epoch now %d"
+                   (Atomic.get t.data_epoch) (stats_epoch t))
           | exception Invalid_argument msg ->
               bump (fun c -> { c with failed = c.failed + 1 }) t;
               Protocol.Failed msg))

@@ -4,11 +4,12 @@
 
     {b Tiers}, checked in order for every query:
     - {e statement cache} — RXL source text → prepared view tree
-      (parse + label work), keyed by the source text itself;
+      (parse + label work) and the view's digest that keys the other
+      tiers, keyed by the source text itself;
     - {e plan cache} — (view, strategy, reduce, stats epoch) → the
       chosen partition's mask (for [greedy], the costed lattice search
       it saves) and the admission estimate of its planned streams;
-    - {e result cache} — (view, stats epoch) → the serialized XML
+    - {e result cache} — (view, data epoch) → the serialized XML
       document, under a byte-weight storage budget
       (materialized-view selection under a storage budget, Mahboubi et
       al.).  Every plan of a view publishes the same document when the
@@ -16,13 +17,14 @@
       dependencies (checked once, at {!create}, when the tier is on)
       and no variable of the view reads a nullable column
       ({!Silkroute.Middleware.null_free}); any other view keeps one
-      document per (view, partition mask, reduce, stats epoch).
+      document per (view, partition mask, reduce, data epoch).
 
-    Plan and result entries embed the {e stats epoch} in their key:
-    {!invalidate} bumps the epoch (optionally skewing one table's
-    catalog entry first, [--skew-stats]-style), flushing both tiers in
-    O(1) while the statement tier — which does not depend on statistics
-    — survives.
+    Two epochs key the tiers.  A plan depends on the view and the
+    catalog, never on the rows, so plan entries embed the {e stats
+    epoch}, which only an invalidation that skews the catalog bumps;
+    result entries embed the {e data epoch}, which every {!invalidate}
+    bumps.  The statement tier — which depends on neither — survives
+    both.
 
     {b Admission control}: a plan miss plans the partition's streams
     once ({!Silkroute.Middleware.plan_streams}) and prices them
@@ -110,6 +112,9 @@ val create : ?config:config -> Relational.Database.t -> t
     cache capacity. *)
 
 val stats_epoch : t -> int
+(** The catalog version: the number of skewing invalidations.  It keys
+    the plan tier, and is the [epoch=] of the health line and the
+    counter report. *)
 
 val query :
   t -> view:string -> strategy:string -> reduce:bool -> Protocol.reply
@@ -119,9 +124,11 @@ val query :
     [fully-partitioned], [greedy] or [edges:MASK]. *)
 
 val invalidate : ?skew:string * float -> t -> unit
-(** Bumps the stats epoch and flushes the plan and result tiers.
-    [skew = (table, factor)] first scales that table's catalog entry in
-    place, modeling a catalog change that makes cached plans stale. *)
+(** Bumps the data epoch and flushes the result tier; the plan tier
+    survives, since no plan reads the rows.  [skew = (table, factor)]
+    first scales that table's catalog entry in place, modeling a catalog
+    change that makes cached plans stale, then bumps the stats epoch and
+    flushes the plan tier, all under the plan lock. *)
 
 val handle : t -> Protocol.request -> Protocol.reply
 (** Full protocol dispatcher: {!query} / {!invalidate} / stats report /

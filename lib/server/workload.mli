@@ -34,8 +34,9 @@ type config = {
   strategies : string list;
       (** drawn uniformly per request; must be valid for every view *)
   invalidate_every : int;
-      (** client 0 replaces every Nth query with an epoch-bumping
-          [Invalidate]; 0 disables *)
+      (** client 0 replaces every Nth query with a skew-less
+          [Invalidate], which flushes the result tier and keeps the
+          plans; 0 disables *)
 }
 
 val default_config : config

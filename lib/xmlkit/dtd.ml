@@ -52,26 +52,3 @@ let create ~root decls =
 
 let root_name t = t.root_name
 let find t name = List.find_opt (fun d -> d.el_name = name) t.decls
-
-let to_string t =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun d ->
-      Buffer.add_string buf "<!ELEMENT ";
-      Buffer.add_string buf d.el_name;
-      Buffer.add_char buf ' ';
-      (match d.el_content with
-      | Pcdata -> Buffer.add_string buf "(#PCDATA)"
-      | Children [] -> Buffer.add_string buf "EMPTY"
-      | Children specs ->
-          Buffer.add_char buf '(';
-          List.iteri
-            (fun i (name, m) ->
-              if i > 0 then Buffer.add_string buf ", ";
-              Buffer.add_string buf name;
-              Buffer.add_string buf (multiplicity_to_string m))
-            specs;
-          Buffer.add_char buf ')');
-      Buffer.add_string buf ">\n")
-    t.decls;
-  Buffer.contents buf

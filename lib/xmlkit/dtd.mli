@@ -26,6 +26,3 @@ val create : root:string -> element_decl list -> t
 
 val root_name : t -> string
 val find : t -> string -> element_decl option
-
-val to_string : t -> string
-(** [<!ELEMENT …>] syntax. *)

@@ -574,6 +574,54 @@ let test_epoch_invalidation () =
       Alcotest.(check bool) "statement tier survives" true
         (stmts.Lru.entries > 0))
 
+(* A plan depends on the view and the catalog, never on the rows: an
+   invalidation that skews no table flushes the documents and keeps the
+   plans, and each request after it is a plan hit and a result miss whose
+   bytes and estimate are those of a fresh planning.  A skew flushes the
+   plans too. *)
+let test_plain_invalidation_keeps_plans () =
+  let db = Lazy.force db in
+  let view = S.Queries.query1_text in
+  let requests =
+    [ ("greedy", true); ("greedy", false); ("edges:37", true); ("edges:37", false) ]
+  in
+  let fresh (strategy, reduce) =
+    let p = S.Middleware.prepare_text db view in
+    S.Middleware.estimated_cost
+      (S.Middleware.plan_streams ~reduce p
+         (S.Middleware.partition_of ~reduce p
+            (S.Middleware.strategy_of_string strategy)))
+  in
+  let ask t (strategy, reduce) = Service.query t ~view ~strategy ~reduce in
+  with_server (fun t ->
+      let before = List.map (fun r -> xml_of (ask t r)) requests in
+      List.iter2
+        (fun ((strategy, reduce) as r) xml ->
+          let name = Printf.sprintf "%s reduce=%b" strategy reduce in
+          Service.invalidate t;
+          match ask t r with
+          | Protocol.Result { xml = again; tiers; est_cost; _ } ->
+              Alcotest.(check (pair bool bool))
+                (name ^ ": plan hit, result miss") (true, false)
+                (tiers.Protocol.plan_hit, tiers.Protocol.result_hit);
+              Alcotest.(check string) (name ^ ": same bytes") xml again;
+              Alcotest.(check (float 0.0))
+                (name ^ ": est_cost") (fresh r) est_cost
+          | reply ->
+              Alcotest.failf "%s: expected a result, got %s" name
+                (Protocol.reply_name reply))
+        requests before;
+      Alcotest.(check int) "stats epoch unchanged" 0 (Service.stats_epoch t);
+      let _, plans, results = Service.tier_stats t in
+      Alcotest.(check int) "plan tier never flushed" 0 plans.Lru.flushes;
+      Alcotest.(check int) "result tier flushed per invalidation"
+        (List.length requests) results.Lru.flushes;
+      Service.invalidate ~skew:("Supplier", 8.0) t;
+      let _, plans, _ = Service.tier_stats t in
+      Alcotest.(check int) "skew empties the plan tier" 0 plans.Lru.entries;
+      Alcotest.(check bool) "skew: plan miss" false
+        (tiers_of (ask t (List.hd requests))).Protocol.plan_hit)
+
 let test_bad_inputs_fail_cleanly () =
   with_server (fun t ->
       (match Service.query t ~view:"not rxl at all" ~strategy:"unified" ~reduce:false with
@@ -1104,6 +1152,8 @@ let suite =
     Alcotest.test_case "one document per plan: dangling foreign key" `Quick
       test_dangling_fk_served_per_plan;
     Alcotest.test_case "invalidation: stats epoch" `Quick test_epoch_invalidation;
+    Alcotest.test_case "invalidation: plain keeps plans, skew flushes" `Quick
+      test_plain_invalidation_keeps_plans;
     Alcotest.test_case "bad inputs fail cleanly" `Quick test_bad_inputs_fail_cleanly;
     Alcotest.test_case "invalidate rejects nan, inf, overflow" `Quick
       test_invalidate_rejects_non_finite;

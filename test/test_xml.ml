@@ -167,10 +167,19 @@ let test_validate_pcdata_purity () =
   Alcotest.(check bool) "element inside PCDATA" false
     (Validate.is_valid (dtd1 ()) d)
 
-let test_dtd_to_string () =
-  let s = Dtd.to_string (dtd1 ()) in
-  Alcotest.(check bool) "mentions ELEMENT" true
-    (contains s "<!ELEMENT root (a+, b?)>")
+(* What validation reads of a DTD: its root and each element's
+   declared content. *)
+let test_dtd_declarations () =
+  let d = dtd1 () in
+  Alcotest.(check string) "root" "root" (Dtd.root_name d);
+  Alcotest.(check bool) "root's children" true
+    (Dtd.find d "root"
+    = Some
+        { Dtd.el_name = "root";
+          el_content = Dtd.Children [ ("a", Dtd.Plus); ("b", Dtd.Opt) ] });
+  Alcotest.(check bool) "PCDATA leaf" true
+    (Option.map (fun e -> e.Dtd.el_content) (Dtd.find d "a") = Some Dtd.Pcdata);
+  Alcotest.(check bool) "undeclared" true (Dtd.find d "zzz" = None)
 
 let suite =
   [
@@ -193,7 +202,7 @@ let suite =
     Alcotest.test_case "validate: multiplicity" `Quick test_validate_multiplicity_violation;
     Alcotest.test_case "validate: occurrence" `Quick test_validate_unexpected_element;
     Alcotest.test_case "validate: pcdata purity" `Quick test_validate_pcdata_purity;
-    Alcotest.test_case "dtd: printing" `Quick test_dtd_to_string;
+    Alcotest.test_case "dtd: declarations" `Quick test_dtd_declarations;
   ]
 
 (* Property: serialize/parse round trip on random trees. *)

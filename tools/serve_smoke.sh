@@ -10,7 +10,9 @@
 #   2. The second pass must be served from the caches: statement, plan
 #      and result hit counters all strictly positive.
 #   3. The result tier holds at most one document per view (three).
-#   4. The Shutdown request must stop the server and remove the socket.
+#   4. The workload's invalidations skew no table, so they flush the
+#      result tier and never the plan tier.
+#   5. The Shutdown request must stop the server and remove the socket.
 #
 # Run from dune (see tools/dune) or by hand:
 #   sh tools/serve_smoke.sh _build/default/bin/silkroute_cli.exe
@@ -98,6 +100,17 @@ if [ -z "$entries" ] || [ "$entries" -gt 3 ]; then
   exit 1
 fi
 echo "serve-smoke: result tier holds one document per view ($result)"
+
+# the workload's invalidations skew no table: each flushes the result
+# tier, and the plan tier, which depends on the catalog alone, survives
+plan=$(grep '^plan:' "$tmp/warm.err" || true)
+plan_flushes=$(echo "$plan" | sed -n 's/.* flushes=\([0-9]*\).*/\1/p')
+result_flushes=$(echo "$result" | sed -n 's/.* flushes=\([0-9]*\).*/\1/p')
+if [ "$plan_flushes" != 0 ] || [ -z "$result_flushes" ] || [ "$result_flushes" -eq 0 ]; then
+  echo "serve-smoke FAIL: skew-less invalidations must flush results and keep plans ($plan / $result)" >&2
+  exit 1
+fi
+echo "serve-smoke: invalidations flushed the result tier $result_flushes times, the plan tier never"
 
 # the --shutdown request must stop the server and remove the socket
 i=0
