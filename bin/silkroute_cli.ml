@@ -235,29 +235,30 @@ let report_obs ?(trace_chrome = None) ?gc ~trace ~trace_json ~profile () =
   | Some path -> Obs.Chrometrace.write_file path
   | None -> ()
 
-(* Corrupt the catalog on purpose (--skew-stats Table=Factor): forces the
-   lazy stats and scales the named tables in place, so every later
-   [Cost.annotate] sees the stale figures. *)
+(* Corrupt the catalog on purpose (--skew-stats Table=Factor): the
+   prepared view with its catalog replaced by one that skews the named
+   tables ([Stats.skew], in order), so every later [Cost.annotate] sees
+   the stale figures.  No skew leaves the view, and its lazy catalog, as
+   they are. *)
 let apply_skew (p : S.Middleware.prepared) specs =
-  if specs <> [] then begin
-    let st = Lazy.force p.S.Middleware.stats in
-    List.iter
-      (fun spec ->
-        match String.index_opt spec '=' with
-        | None ->
-            invalid_arg ("--skew-stats expects TABLE=FACTOR, got: " ^ spec)
-        | Some i ->
-            let table = String.sub spec 0 i in
-            let factor =
-              try
-                float_of_string
-                  (String.sub spec (i + 1) (String.length spec - i - 1))
-              with Failure _ ->
-                invalid_arg ("--skew-stats: bad factor in: " ^ spec)
-            in
-            R.Stats.scale_table st table factor)
-      specs
-  end
+  if specs = [] then p
+  else
+    let skew st spec =
+      match String.index_opt spec '=' with
+      | None -> invalid_arg ("--skew-stats expects TABLE=FACTOR, got: " ^ spec)
+      | Some i ->
+          let table = String.sub spec 0 i in
+          let factor =
+            try
+              float_of_string
+                (String.sub spec (i + 1) (String.length spec - i - 1))
+            with Failure _ ->
+              invalid_arg ("--skew-stats: bad factor in: " ^ spec)
+          in
+          R.Stats.skew st table factor
+    in
+    let stats = List.fold_left skew (Lazy.force p.S.Middleware.stats) specs in
+    { p with S.Middleware.stats = Lazy.from_val stats }
 
 let setup_db scale seed schema data =
   match schema with
@@ -308,8 +309,7 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
   let db = setup_db scale seed schema data in
   (* the run the profile header's GC figures cover: all but the data *)
   let gc0 = Obs.Profile.gc_now () in
-  let p = S.Middleware.prepare_text db text in
-  apply_skew p skew;
+  let p = apply_skew (S.Middleware.prepare_text db text) skew in
   let reduce = not no_reduce in
   let plan =
     S.Middleware.(partition_of ~reduce p (strategy_of_string strategy))
@@ -377,8 +377,7 @@ let plan_cmd query view_file scale seed schema data no_reduce trace trace_json
 let diagnose_cmd query view_file scale seed schema data strategy no_reduce
     budget skew =
   Obs.Control.set_enabled true;
-  let p = setup query view_file scale seed schema data in
-  apply_skew p skew;
+  let p = apply_skew (setup query view_file scale seed schema data) skew in
   let reduce = not no_reduce in
   let plan =
     S.Middleware.(partition_of ~reduce p (strategy_of_string strategy))

@@ -82,32 +82,29 @@ let id t name =
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Stats: no statistics for %s" name)
 
-(* Deliberately skew one table's statistics: multiply its row count and
-   per-column NDVs by [factor] (clamped to >= 1 row / 1 value).  This is
-   the diagnostics test fixture — a stale or wrong catalog entry — that
-   `run --diagnose --skew-stats` uses to prove the anomaly detector
-   flags the resulting misestimates. *)
-let scale_table t name factor =
+(* A deliberately skewed copy: one table's row count and per-column NDVs
+   multiplied by [factor] (clamped to >= 1 row / 1 value).  This is the
+   diagnostics test fixture — a stale or wrong catalog entry — that `run
+   --diagnose --skew-stats` uses to prove the anomaly detector flags the
+   resulting misestimates, and the server's catalog change. *)
+let skew t name factor =
   if not (Float.is_finite factor && factor > 0.0) then
-    invalid_arg "Stats.scale_table: factor must be finite and > 0";
+    invalid_arg "Stats.skew: factor must be finite and > 0";
   match Hashtbl.find_opt t.ids name with
-  | None -> invalid_arg (Printf.sprintf "Stats.scale_table: no table %s" name)
+  | None -> invalid_arg (Printf.sprintf "Stats.skew: no table %s" name)
   | Some i ->
-      let e = t.entries.(i) in
       (* an out-of-range product fails (int_of_float would make it a
-         1-row table) before anything is replaced *)
+         1-row table) before anything is built *)
       let scale n =
         let x = float_of_int n *. factor in
         if x >= Float.of_int max_int then
-          invalid_arg "Stats.scale_table: scaled count overflows";
+          invalid_arg "Stats.skew: scaled count overflows";
         max 1 (int_of_float x)
       in
-      t.entries.(i) <-
-        {
-          e with
-          row_count = scale e.row_count;
-          cols = Array.map (fun cs -> { cs with distinct = scale cs.distinct }) e.cols;
-        }
+      let e = t.entries.(i) in
+      let cols = Array.map (fun cs -> { cs with distinct = scale cs.distinct }) e.cols in
+      let e = { e with row_count = scale e.row_count; cols } in
+      { t with entries = Array.mapi (fun j old -> if j = i then e else old) t.entries }
 
 let rows t i = t.entries.(i).row_count
 

@@ -19,13 +19,14 @@ type t
 val analyze : Database.t -> t
 (** Analyzes every table in the catalog. *)
 
-val scale_table : t -> string -> float -> unit
-(** Deliberately skews one table's catalog entry in place: row count and
-    per-column NDVs are multiplied by the factor (clamped to >= 1).
-    Diagnostics fixture — models a stale catalog so the {!Obs.Diagnose}
-    detector has a misestimate to flag.  Raises [Invalid_argument] on an
-    unknown table, a factor that is not finite and positive, or a scaled
-    figure past the [int] range; the entry is then left unchanged. *)
+val skew : t -> string -> float -> t
+(** A copy with the named table's row count and per-column NDVs
+    multiplied by the factor (clamped to >= 1); no function writes a
+    catalog once {!analyze} returns it.  Diagnostics fixture — a stale
+    catalog for the {!Obs.Diagnose} detector to flag — and the server's
+    catalog change.  Raises [Invalid_argument] on an unknown table, a
+    factor that is not finite and positive, or a scaled figure past the
+    [int] range. *)
 
 (** {1 Lookup}
 
@@ -47,4 +48,4 @@ val distinct_bound : t -> table_id -> int -> float
     that one row of the table carries: the table's row count when
     [mask] covers its key, the referenced table's row count when it is
     exactly a declared foreign key's columns (the least such bound),
-    [infinity] otherwise.  Skewed counts ({!scale_table}) skew the bound. *)
+    [infinity] otherwise.  Skewed counts ({!skew}) skew the bound. *)

@@ -110,13 +110,13 @@ let evict_until_fits t =
           ]
   done
 
-let add ?(weight = 1) t key value =
+let add ?(weight = 1) ?(guard = Fun.const true) t key value =
   if weight <= 0 then
     invalid_arg
       (Printf.sprintf "Lru.add (%s): weight must be positive, got %d" t.cname
          weight);
   Mutex.protect t.m (fun () ->
-      if weight <= t.cap then begin
+      if weight <= t.cap && guard () then begin
         (match Hashtbl.find_opt t.tbl key with
         | Some (_, old) -> remove_node t old
         | None -> ());

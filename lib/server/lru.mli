@@ -25,11 +25,12 @@ val peek : 'a t -> string -> 'a option
 (** Like {!find} but without touching the hit/miss counters — for
     double-checked lookups that already counted their first probe. *)
 
-val add : ?weight:int -> 'a t -> string -> 'a -> unit
+val add : ?weight:int -> ?guard:(unit -> bool) -> 'a t -> string -> 'a -> unit
 (** Inserts (or replaces) the entry as most-recently-used, then evicts
     LRU entries until the total weight fits the budget.  [weight]
     defaults to 1 and must be positive; an entry with
-    [weight > capacity] is dropped without disturbing the cache. *)
+    [weight > capacity] is dropped without disturbing the cache, and so
+    is one whose [guard], called under the cache mutex, is [false]. *)
 
 val clear : 'a t -> unit
 (** Drops every entry and counts one flush (cache-tier invalidation). *)

@@ -24,24 +24,23 @@
    Requests slower than [slow_ms] append a structured JSONL record, with
    one entry per stage, through the bounded non-blocking Slowlog.
 
-   Two epochs key the tiers.  A plan and its estimate depend on the view
-   and the catalog alone (genPlan reads only the view and the cost and
-   cardinality estimates), so the plan tier is keyed by the stats epoch,
-   which only an invalidation that skews the catalog bumps; a document
-   depends on the data, so the result tier is keyed by the data epoch,
-   which every invalidation bumps.
+   One generation keys the tiers: an immutable value of the data epoch,
+   the stats epoch and the catalog, which [invalidate] replaces whole.
+   A plan depends on the view and the catalog alone, so the plan tier is
+   keyed by the stats epoch, which only a skew bumps; a document depends
+   on the data, so the result tier is keyed by the data epoch, which
+   every invalidation bumps.  A request reads the generation once and
+   keys, prices and checks its fills with that one value.
 
-   Locking: each LRU tier has its own mutex (see Lru); [plan_m]
-   serializes the planner's partition choices and the admission
-   estimates against each other and against a skewing [invalidate]
-   (the skew, the stats epoch's bump and the plan tier's flush), so no
-   plan or estimate reads a half-skewed catalog; [result_m] makes the
-   data epoch's bump and the result tier's flush one step, against
-   which a finished document checks its epoch and is kept; [adm_m] +
-   [adm_cv] guard the in-flight work account; [lat_m] guards the latency
-   histograms.  The plan and result tiers' mutexes are the only ones
-   taken under another ([plan_m], [result_m]), and no lock is held
-   across execution. *)
+   Locking: each LRU tier has its own mutex (see Lru), under which a
+   fill checks that its epoch is still installed ([Lru.add ~guard]);
+   [invalidate] swaps first and flushes second, so a fill of an ended
+   epoch lands before the flush or is not made.  [plan_m] makes
+   concurrent misses of one plan key plan it once and guards the
+   fragment tables; [adm_m] + [adm_cv] guard the in-flight work account,
+   [cm] the counters, [lat_m] the latency histograms.  Only the plan
+   tier's mutex is taken under another ([plan_m]), [invalidate] takes
+   none of these, and no lock is held across execution. *)
 
 module R = Relational
 module S = Silkroute
@@ -129,10 +128,11 @@ type statement = {
   costs : S.Middleware.fragment_costs;
 }
 
+type generation = { data_epoch : int; stats_epoch : int; stats : R.Stats.t }
+
 type t = {
   db : R.Database.t;
   cfg : config;
-  stats : R.Stats.t;  (* shared catalog; skewed in place by [invalidate] *)
   pool : R.Domain_pool.t;
   consistent : bool;
       (* the database meets its declared keys, foreign keys and inclusion
@@ -142,11 +142,9 @@ type t = {
       (* the chosen point of the 2^|E| lattice, as a mask, and the
          admission estimate of its planned streams *)
   results : string Lru.t;  (* exactly the bytes the uncached path produced *)
-  data_epoch : int Atomic.t;  (* bumped by every invalidation *)
-  stats_epoch : int Atomic.t;  (* bumped only when the catalog is skewed *)
+  gen : generation Atomic.t;  (* replaced whole by [invalidate] *)
   closed : bool Atomic.t;
   plan_m : Mutex.t;
-  result_m : Mutex.t;
   (* admission account *)
   adm_m : Mutex.t;
   adm_cv : Condition.t;
@@ -191,7 +189,6 @@ let create ?(config = default_config) db =
     [ ("statement_capacity", config.statement_capacity);
       ("plan_capacity", config.plan_capacity);
       ("result_capacity", config.result_capacity) ];
-  let stats = R.Stats.analyze db in
   let consistent =
     config.result_capacity > 0
     && R.Database.check_integrity db = []
@@ -200,18 +197,16 @@ let create ?(config = default_config) db =
   {
     db;
     cfg = config;
-    stats;
     consistent;
     pool = R.Domain_pool.create ~domains:config.domains;
     statements =
       Lru.create ~name:"statement" ~capacity:config.statement_capacity ();
     plans = Lru.create ~name:"plan" ~capacity:config.plan_capacity ();
     results = Lru.create ~name:"result" ~capacity:config.result_capacity ();
-    data_epoch = Atomic.make 0;
-    stats_epoch = Atomic.make 0;
+    gen =
+      Atomic.make { data_epoch = 0; stats_epoch = 0; stats = R.Stats.analyze db };
     closed = Atomic.make false;
     plan_m = Mutex.create ();
-    result_m = Mutex.create ();
     adm_m = Mutex.create ();
     adm_cv = Condition.create ();
     in_flight = 0.0;
@@ -236,7 +231,7 @@ let create ?(config = default_config) db =
         Obs.Stage.all;
   }
 
-let stats_epoch t = Atomic.get t.stats_epoch
+let stats_epoch t = (Atomic.get t.gen).stats_epoch
 let counters t = Mutex.protect t.cm (fun () -> t.c)
 let bump f t = Mutex.protect t.cm (fun () -> t.c <- f t.c)
 
@@ -247,10 +242,11 @@ let uptime_s t =
 
 (* --- cache tiers -------------------------------------------------------- *)
 
-(* Statement tier: keyed by the raw RXL source text.  The prepared value
-   shares the server's forced catalog, so execution under tracing never
-   re-analyzes the database and OCaml 5's RacyLazy cannot fire on the
-   pool.  Beside it, whether the view has one document per data epoch:
+(* Statement tier: keyed by the raw RXL source text.  It holds no
+   catalog: a request runs the prepared value with its generation's,
+   forced, so execution under tracing never re-analyzes the database and
+   OCaml 5's RacyLazy cannot fire on the pool.  Beside it, whether the
+   view has one document per data epoch:
    its plans differ only in cost when the data meets the constraints the
    labels and reduction's inner joins rely on, and no variable of the
    view can be NULL; and the view's digest, hashed once per statement
@@ -261,8 +257,7 @@ let statement_of t view =
   match Lru.find t.statements view with
   | Some st -> (st, true)
   | None ->
-      let p = S.Middleware.prepare_text t.db view in
-      let prepared = { p with S.Middleware.stats = Lazy.from_val t.stats } in
+      let prepared = S.Middleware.prepare_text t.db view in
       let st =
         {
           prepared;
@@ -288,18 +283,17 @@ let result_key ~one_document ~digest ~mask ~reduce ~epoch =
    (view, strategy, reduce, catalog), so it outlives data invalidations
    and only a skew makes it stale.  A miss is the middleware's [planner]
    stage choosing the partition for the reduction the request runs with,
-   then its streams priced, all under [plan_m]: concurrent sessions
-   asking for the same (view, strategy, reduce, stats epoch) plan it
-   once, and no [invalidate] skews the catalog mid-read.  Both read and
-   fill the view's fragment estimates, restamped first with the stats
-   epoch (read under [plan_m], so it is the catalog's own version): a
-   fragment is priced once per view and catalog, and a miss whose
-   fragments are all priced plans no SQL.  Returns the mask, the
-   estimate, on a miss the function that plans the streams ([None] on a
-   hit), and whether it hit. *)
-let plan_of t { prepared = p; digest; costs; _ } ~strategy ~reduce ~epoch =
+   then its streams priced on [p], which carries [g]'s catalog, all
+   under [plan_m]: concurrent sessions asking for the same (view,
+   strategy, reduce, stats epoch) plan it once.  Both read and fill the
+   view's fragment estimates, kept per catalog: a miss whose fragments
+   are all priced plans no SQL.  The plan is kept only while [g]'s stats
+   epoch is installed.  Returns the mask, the estimate, on a miss the
+   function that plans the streams ([None] on a hit), and whether it
+   hit. *)
+let plan_of t g p { digest; costs; _ } ~strategy ~reduce =
   let skey = S.Middleware.strategy_name strategy in
-  let key = plan_key ~digest ~skey ~reduce ~epoch in
+  let key = plan_key ~digest ~skey ~reduce ~epoch:g.stats_epoch in
   match Lru.find t.plans key with
   | Some (mask, est_cost) -> (mask, est_cost, None, true)
   | None ->
@@ -307,7 +301,6 @@ let plan_of t { prepared = p; digest; costs; _ } ~strategy ~reduce ~epoch =
           match Lru.peek t.plans key with
           | Some (mask, est_cost) -> (mask, est_cost, None, true)
           | None ->
-              S.Middleware.restamp costs (Atomic.get t.stats_epoch);
               let partition =
                 S.Middleware.partition_of ~costs ~reduce p strategy
               in
@@ -315,7 +308,8 @@ let plan_of t { prepared = p; digest; costs; _ } ~strategy ~reduce ~epoch =
                 S.Middleware.price ~costs ~reduce p partition
               in
               let mask = S.Partition.to_mask partition in
-              Lru.add t.plans key (mask, est_cost);
+              Lru.add t.plans key (mask, est_cost) ~guard:(fun () ->
+                  (Atomic.get t.gen).stats_epoch = g.stats_epoch);
               (mask, est_cost, Some planned, false))
 
 (* --- admission ---------------------------------------------------------- *)
@@ -371,17 +365,17 @@ let query_body t ~view ~strategy ~reduce =
               Obs.Attr.bool "reduce" reduce;
             ];
         let st, statement_hit = statement_of t view in
-        let { prepared = p; one_document; digest; _ } = st in
+        let { prepared; one_document; digest; _ } = st in
+        let g = Atomic.get t.gen in
+        let p = { prepared with S.Middleware.stats = Lazy.from_val g.stats } in
         let mask, est_cost, planned, plan_hit =
-          plan_of t st ~strategy:strat ~reduce
-            ~epoch:(Atomic.get t.stats_epoch)
+          plan_of t g p st ~strategy:strat ~reduce
         in
         let tiers hit =
           { Protocol.statement_hit; plan_hit; result_hit = hit }
         in
-        let data_epoch = Atomic.get t.data_epoch in
         let rkey =
-          result_key ~one_document ~digest ~mask ~reduce ~epoch:data_epoch
+          result_key ~one_document ~digest ~mask ~reduce ~epoch:g.data_epoch
         in
         (* a plan that can never fit skips the lookup, and admission
            rejects it: its view's document may come from a cheaper plan *)
@@ -447,9 +441,8 @@ let query_body t ~view ~strategy ~reduce =
                 in
                 (* a document keyed by an epoch an invalidation ended
                    while it ran is never looked up again: keep it out *)
-                Mutex.protect t.result_m (fun () ->
-                    if Atomic.get t.data_epoch = data_epoch then
-                      Lru.add ~weight:(String.length xml) t.results rkey xml);
+                Lru.add ~weight:(String.length xml) t.results rkey xml
+                  ~guard:(fun () -> (Atomic.get t.gen).data_epoch = g.data_epoch);
                 bump
                   (fun c ->
                     { c with executed_work = c.executed_work + work })
@@ -630,33 +623,40 @@ let query t ~view ~strategy ~reduce =
 
 (* --- invalidation ------------------------------------------------------- *)
 
-(* Entries of older epochs can never be looked up again (the epoch is
-   part of their key); flushing reclaims their space immediately.  Plans
-   depend on the catalog only, so a skew-less invalidation keeps them. *)
+(* The next generation, installed only if the one it was built from is
+   still current (else built again); a skew that raises installs none. *)
+let rec install t skew =
+  let g = Atomic.get t.gen in
+  let next =
+    match skew with
+    | None -> { g with data_epoch = g.data_epoch + 1 }
+    | Some (table, factor) ->
+        { data_epoch = g.data_epoch + 1; stats_epoch = g.stats_epoch + 1;
+          stats = R.Stats.skew g.stats table factor }
+  in
+  if Atomic.compare_and_set t.gen g next then next else install t skew
+
+(* Entries of ended epochs are never looked up again (the epoch is in
+   their key); flushing, after the swap, reclaims their space.  Plans
+   read the catalog only, so a skew-less invalidation keeps them. *)
 let invalidate ?skew t =
-  (match skew with
-  | Some (table, factor) ->
-      Mutex.protect t.plan_m (fun () ->
-          R.Stats.scale_table t.stats table factor;
-          Atomic.incr t.stats_epoch;
-          Lru.clear t.plans)
-  | None -> ());
-  Mutex.protect t.result_m (fun () ->
-      Atomic.incr t.data_epoch;
-      Lru.clear t.results);
+  let g = install t skew in
+  if Option.is_some skew then Lru.clear t.plans;
+  Lru.clear t.results;
   bump (fun c -> { c with invalidations = c.invalidations + 1 }) t;
   if Obs.Span.tracing () then
     Obs.Event.info "server.invalidate"
       ~attrs:
         ([
-           Obs.Attr.int "data_epoch" (Atomic.get t.data_epoch);
-           Obs.Attr.int "stats_epoch" (stats_epoch t);
+           Obs.Attr.int "data_epoch" g.data_epoch;
+           Obs.Attr.int "stats_epoch" g.stats_epoch;
          ]
         @
         match skew with
         | Some (table, factor) ->
             [ Obs.Attr.string "table" table; Obs.Attr.float "factor" factor ]
-        | None -> [])
+        | None -> []);
+  g
 
 (* --- reporting ---------------------------------------------------------- *)
 
@@ -837,11 +837,11 @@ let handle t req =
           Protocol.Failed msg
       | Ok skew -> (
           match invalidate ?skew t with
-          | () ->
+          | g ->
               Protocol.Info
                 (Printf.sprintf
                    "invalidated; data epoch now %d, stats epoch now %d"
-                   (Atomic.get t.data_epoch) (stats_epoch t))
+                   g.data_epoch g.stats_epoch)
           | exception Invalid_argument msg ->
               bump (fun c -> { c with failed = c.failed + 1 }) t;
               Protocol.Failed msg))

@@ -19,12 +19,11 @@
       ({!Silkroute.Middleware.null_free}); any other view keeps one
       document per (view, partition mask, reduce, data epoch).
 
-    Two epochs key the tiers.  A plan depends on the view and the
-    catalog, never on the rows, so plan entries embed the {e stats
-    epoch}, which only an invalidation that skews the catalog bumps;
-    result entries embed the {e data epoch}, which every {!invalidate}
-    bumps.  The statement tier — which depends on neither — survives
-    both.
+    One {!generation}, read once per query, keys the tiers.  A plan
+    depends on the view and the catalog, never on the rows, so plan
+    entries embed its {e stats epoch}, which only a skewing invalidation
+    bumps; result entries embed its {e data epoch}, which every
+    {!invalidate} bumps.  The statement tier survives both.
 
     {b Admission control}: a plan miss plans the partition's streams
     once ({!Silkroute.Middleware.plan_streams}) and prices them
@@ -103,18 +102,20 @@ val admission_decision :
 
 type t
 
+type generation = { data_epoch : int; stats_epoch : int; stats : Relational.Stats.t }
+(** What the tiers are keyed by, with the catalog estimates read. *)
+
 val create : ?config:config -> Relational.Database.t -> t
-(** Analyzes the database once (the shared catalog all estimates and
-    epochs refer to), checks its declared constraints when the result
-    tier is on, starts the worker pool, and — when configured — opens
-    the slow log and the SLO tracker.  Raises [Invalid_argument]
-    on fewer than one domain, a negative [trace_sample] or a negative
-    cache capacity. *)
+(** Analyzes the database once (generation 0's catalog), checks its
+    declared constraints when the result tier is on, starts the worker
+    pool, and — when configured — opens the slow log and the SLO
+    tracker.  Raises [Invalid_argument] on fewer than one domain, a
+    negative [trace_sample] or a negative cache capacity. *)
 
 val stats_epoch : t -> int
-(** The catalog version: the number of skewing invalidations.  It keys
-    the plan tier, and is the [epoch=] of the health line and the
-    counter report. *)
+(** The installed generation's stats epoch: the number of skewing
+    invalidations.  It keys the plan tier, and is the [epoch=] of the
+    health line and the counter report. *)
 
 val query :
   t -> view:string -> strategy:string -> reduce:bool -> Protocol.reply
@@ -123,12 +124,13 @@ val query :
     queued.  [strategy] is [unified], [partitioned],
     [fully-partitioned], [greedy] or [edges:MASK]. *)
 
-val invalidate : ?skew:string * float -> t -> unit
-(** Bumps the data epoch and flushes the result tier; the plan tier
-    survives, since no plan reads the rows.  [skew = (table, factor)]
-    first scales that table's catalog entry in place, modeling a catalog
-    change that makes cached plans stale, then bumps the stats epoch and
-    flushes the plan tier, all under the plan lock. *)
+val invalidate : ?skew:string * float -> t -> generation
+(** Installs the next generation by compare-and-set, taking no service
+    lock: the data epoch bumped and, with [skew = (table, factor)], the
+    stats epoch bumped and that table's {!Relational.Stats.skew}.  Then
+    flushes the results and, on a skew, the plans (no plan reads the
+    rows).  Returns that generation; a skew that raises
+    [Invalid_argument] installs nothing. *)
 
 val handle : t -> Protocol.request -> Protocol.reply
 (** Full protocol dispatcher: {!query} / {!invalidate} / stats report /

@@ -90,8 +90,10 @@ let options_of p ~style ~reduce =
    fresh counting oracle over [p.stats] per run, so the request count is
    this run's and a skewed catalog skews the plan. *)
 let gen_plan ?costs p ~reduce =
+  let stats = Lazy.force p.stats in
+  Option.iter (fun c -> Planner.for_catalog c stats) costs;
   Planner.gen_plan ~reduce ?costs p.db
-    (R.Cost.oracle_with_stats p.db (Lazy.force p.stats))
+    (R.Cost.oracle_with_stats p.db stats)
     p.tree p.labels Planner.default_params
 
 type fragment_costs = Planner.costs
@@ -100,8 +102,6 @@ type fragment_costs = Planner.costs
    fragment per node. *)
 let fragment_costs p ~plans =
   Planner.costs ~limit:(plans * View_tree.node_count p.tree)
-
-let restamp = Planner.restamp
 
 let partition_of ?costs ?(reduce = false) p strategy =
   Obs.Span.with_stage Obs.Stage.Planner (fun () ->
@@ -322,6 +322,8 @@ let rec merge flags yes no =
    estimates kept.  The sum runs over the streams in plan order, so it
    is the same float either way. *)
 let price ~costs ?(reduce = false) p plan =
+  let stats = Lazy.force p.stats in
+  Planner.for_catalog costs stats;
   let opts = options_of p ~style:Sql_gen.Outer_join ~reduce in
   let frags = Partition.fragments plan in
   let kept =
@@ -339,7 +341,6 @@ let price ~costs ?(reduce = false) p plan =
   let planned = plan_where false in
   let est =
     Obs.Span.with_stage Obs.Stage.Planner (fun () ->
-        let stats = Lazy.force p.stats in
         let fresh =
           List.map
             (fun ps ->

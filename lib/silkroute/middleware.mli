@@ -75,16 +75,13 @@ val gen_plan :
 (** genPlan with {!Planner.default_params}, priced by a fresh cost
     oracle over [p.stats] (the only place a catalog becomes an oracle)
     for fragment queries generated with [reduce]; the oracle reads and
-    fills [costs] when given. *)
+    fills [costs] when given, emptied first if it was filled under
+    another catalog ({!Planner.for_catalog}). *)
 
 val fragment_costs : prepared -> plans:int -> fragment_costs
 (** An empty table for [p] holding at most [plans] times its node count
     entries: every fragment of [plans] partitions ([plans = 0] keeps
     nothing). *)
-
-val restamp : fragment_costs -> int -> unit
-(** {!Planner.restamp}: empties the table unless it was filled under
-    this catalog version. *)
 
 val partition_of :
   ?costs:fragment_costs -> ?reduce:bool -> prepared -> strategy -> Partition.t
@@ -194,10 +191,11 @@ val price :
     priced from it and is not planned here; the others are planned and
     priced as {!estimated_cost} prices them, and their estimates added
     to [costs] (a table of limit 0 keeps none, so every stream is
-    planned here).  Each stream's estimate is the same record either
-    way, summed in plan order, so the estimate is the same float.  The
-    returned function plans only the streams this call did not; call it
-    at most once. *)
+    planned here); a table filled under another catalog than
+    [p.stats] is emptied first.  Each stream's estimate is the same
+    record either way, summed in plan order, so the estimate is the
+    same float.  The returned function plans only the streams this call
+    did not; call it at most once. *)
 
 val run :
   ?backend:Relational.Backend.t ->

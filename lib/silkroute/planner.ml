@@ -60,22 +60,22 @@ let fragment_of tree members : Partition.fragment =
    whether the fragment's query is reduced and its member set (sorted),
    holding the oracle's whole estimate.  Candidates share fragments, and
    so do the partitions a server prices, so a fragment is priced once
-   per catalog: [restamp] empties the table when the catalog version it
-   is handed differs from the one it was filled under.  It holds at most
+   per catalog: [for_catalog] empties the table when it is handed
+   another catalog than the one it was filled under.  It holds at most
    [limit] entries and empties itself when full. *)
 type costs = {
   limit : int;
-  mutable stamp : int;
+  mutable catalog : R.Stats.t option;
   table : (bool * int list, R.Cost.estimate) Hashtbl.t;
 }
 
-let costs ~limit = { limit; stamp = 0; table = Hashtbl.create 64 }
+let costs ~limit = { limit; catalog = None; table = Hashtbl.create 64 }
 
-let restamp c stamp =
-  if c.stamp <> stamp then begin
-    Hashtbl.reset c.table;
-    c.stamp <- stamp
-  end
+let for_catalog c stats =
+  (match c.catalog with
+  | Some s when s != stats -> Hashtbl.reset c.table
+  | _ -> ());
+  c.catalog <- Some stats
 
 let find_cost c ~reduce members = Hashtbl.find_opt c.table (reduce, members)
 let cost_entries c = Hashtbl.length c.table

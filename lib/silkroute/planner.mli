@@ -31,17 +31,17 @@ type costs
     view: the oracle's {!Relational.Cost.estimate} of a fragment's
     query, keyed by whether it is reduced and by its member set
     (ascending node ids, as {!Partition.fragments} lists them).  Valid
-    for one catalog version, its stamp. *)
+    for the one catalog it is filled under. *)
 
 val costs : limit:int -> costs
-(** An empty table, stamped 0, that holds at most [limit] entries and
-    empties itself when an insertion finds it full; [limit = 0] keeps
-    nothing. *)
+(** An empty table, of no catalog yet, that holds at most [limit]
+    entries and empties itself when an insertion finds it full;
+    [limit = 0] keeps nothing. *)
 
-val restamp : costs -> int -> unit
-(** [restamp c v] empties [c] unless it is stamped [v], and stamps it
-    [v]: a table filled under one catalog version is never read under
-    another. *)
+val for_catalog : costs -> Relational.Stats.t -> unit
+(** [for_catalog c stats] empties [c] if it was filled under another
+    catalog than [stats] ([!=]: catalogs are immutable), and records
+    [stats]; a table of no catalog yet adopts [stats] as it is. *)
 
 val find_cost : costs -> reduce:bool -> int list -> Relational.Cost.estimate option
 val add_cost : costs -> reduce:bool -> int list -> Relational.Cost.estimate -> unit

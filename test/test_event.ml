@@ -434,7 +434,12 @@ let test_report_counts_the_runs_events () =
   with_obs (fun () ->
       let db = tpch 0.5 in
       let p = Middleware.prepare_text db Queries.query1_text in
-      R.Stats.scale_table (Lazy.force p.Middleware.stats) "Supplier" 64.0;
+      let p =
+        { p with
+          Middleware.stats =
+            Lazy.from_val
+              (R.Stats.skew (Lazy.force p.Middleware.stats) "Supplier" 64.0) }
+      in
       let e = Middleware.execute p (Middleware.partition_of p Middleware.Greedy) in
       let warns () =
         List.length

@@ -23,6 +23,11 @@ let tiers_of = function
   | Protocol.Result { tiers; _ } -> tiers
   | r -> Alcotest.failf "expected a result, got %s" (Protocol.reply_name r)
 
+let contains msg needle =
+  let n = String.length needle and m = String.length msg in
+  let rec search i = i + n <= m && (String.sub msg i n = needle || search (i + 1)) in
+  search 0
+
 (* --- LRU ---------------------------------------------------------------- *)
 
 let test_lru_hit_miss_eviction () =
@@ -559,7 +564,13 @@ let test_epoch_invalidation () =
       Alcotest.(check bool) "warm before invalidation" true
         (tiers_of (q ())).Protocol.result_hit;
       Alcotest.(check int) "epoch 0" 0 (Service.stats_epoch t);
-      Service.invalidate ~skew:("Supplier", 8.0) t;
+      (match
+         Service.handle t (Protocol.Invalidate { table = "Supplier"; factor = 8.0 })
+       with
+      | Protocol.Info text ->
+          Alcotest.(check string) "the reply names the installed epochs"
+            "invalidated; data epoch now 1, stats epoch now 1" text
+      | r -> Alcotest.failf "expected Info, got %s" (Protocol.reply_name r));
       Alcotest.(check int) "epoch bumped" 1 (Service.stats_epoch t);
       let _, plans, results = Service.tier_stats t in
       Alcotest.(check int) "plan tier flushed" 0 plans.Lru.entries;
@@ -598,7 +609,7 @@ let test_plain_invalidation_keeps_plans () =
       List.iter2
         (fun ((strategy, reduce) as r) xml ->
           let name = Printf.sprintf "%s reduce=%b" strategy reduce in
-          Service.invalidate t;
+          ignore (Service.invalidate t);
           match ask t r with
           | Protocol.Result { xml = again; tiers; est_cost; _ } ->
               Alcotest.(check (pair bool bool))
@@ -616,11 +627,151 @@ let test_plain_invalidation_keeps_plans () =
       Alcotest.(check int) "plan tier never flushed" 0 plans.Lru.flushes;
       Alcotest.(check int) "result tier flushed per invalidation"
         (List.length requests) results.Lru.flushes;
-      Service.invalidate ~skew:("Supplier", 8.0) t;
+      ignore (Service.invalidate ~skew:("Supplier", 8.0) t);
       let _, plans, _ = Service.tier_stats t in
       Alcotest.(check int) "skew empties the plan tier" 0 plans.Lru.entries;
       Alcotest.(check bool) "skew: plan miss" false
         (tiers_of (ask t (List.hd requests))).Protocol.plan_hit)
+
+(* Tiers stay consistent while invalidations race the requests.  In
+   each of three rounds two domains send q1-q3 x {greedy, edges:5} x
+   reduce while a third invalidates on a seeded schedule, a third of
+   them skewing Supplier.  Every reply carries the direct pipeline's
+   bytes and, to the bit, the estimate of a fresh planning on the
+   catalog of a stats epoch current during that request.  Once the
+   domains have joined, one more quiet request per key leaves exactly
+   one plan per key and one document per view: no tier holds an entry
+   of an ended epoch. *)
+let test_concurrent_invalidation_consistent () =
+  let db = Lazy.force db in
+  let views = S.Queries.[ query1_text; query2_text; query3_text ] in
+  let keys =
+    Array.of_list
+      (List.concat_map
+         (fun view ->
+           List.concat_map
+             (fun strategy ->
+               List.map (fun reduce -> (view, strategy, reduce)) [ true; false ])
+             [ "greedy"; "edges:5" ])
+         views)
+  in
+  let prepare stats view =
+    { (S.Middleware.prepare_text db view) with
+      S.Middleware.stats = Lazy.from_val stats }
+  in
+  let plan p strategy reduce =
+    S.Middleware.partition_of ~reduce p (S.Middleware.strategy_of_string strategy)
+  in
+  let base = R.Stats.analyze db in
+  let direct =
+    Array.map
+      (fun (view, strategy, reduce) ->
+        let p = prepare base view in
+        S.Middleware.xml_string_of p
+          (S.Middleware.execute ~reduce p (plan p strategy reduce)))
+      keys
+  in
+  let rs = Random.State.make [| 46 |] in
+  let schedule =
+    Array.init 120 (fun _ ->
+        ( (if Random.State.int rs 3 = 0 then
+             Some (if Random.State.bool rs then 2.0 else 0.5)
+           else None),
+          0.0005 +. Random.State.float rs 0.002 ))
+  in
+  (* the catalog of stats epoch [k]: the schedule's first [k] skews *)
+  let catalogs =
+    Array.fold_left
+      (fun acc (skew, _) ->
+        match (skew, acc) with
+        | Some f, st :: _ -> R.Stats.skew st "Supplier" f :: acc
+        | _ -> acc)
+      [ base ] schedule
+    |> List.rev |> Array.of_list
+  in
+  let fresh = Hashtbl.create 64 in
+  let fresh_est i k =
+    match Hashtbl.find_opt fresh (i, k) with
+    | Some est -> est
+    | None ->
+        let view, strategy, reduce = keys.(i) in
+        let p = prepare catalogs.(k) view in
+        let est =
+          S.Middleware.estimated_cost
+            (S.Middleware.plan_streams ~reduce p (plan p strategy reduce))
+        in
+        Hashtbl.add fresh (i, k) est;
+        est
+  in
+  let config = { Service.default_config with Service.trace_sample = 0 } in
+  with_server ~config (fun t ->
+      let next = ref 0 in
+      let round r =
+        let requesting = Atomic.make 2 in
+        let ask seed () =
+          let rs = Random.State.make [| r; seed |] in
+          let replies =
+            List.init 40 (fun _ ->
+                let i = Random.State.int rs (Array.length keys) in
+                let view, strategy, reduce = keys.(i) in
+                let e0 = Service.stats_epoch t in
+                let reply = Service.query t ~view ~strategy ~reduce in
+                (i, e0, Service.stats_epoch t, reply))
+          in
+          Atomic.decr requesting;
+          replies
+        in
+        let invalidate () =
+          while Atomic.get requesting > 0 && !next < Array.length schedule do
+            let skew, pause = schedule.(!next) in
+            incr next;
+            Unix.sleepf pause;
+            ignore
+              (Service.invalidate
+                 ?skew:(Option.map (fun f -> ("Supplier", f)) skew)
+                 t)
+          done
+        in
+        let invalidator = Domain.spawn invalidate in
+        let requesters = List.map (fun seed -> Domain.spawn (ask seed)) [ 1; 2 ] in
+        let replies = List.concat_map Domain.join requesters in
+        Domain.join invalidator;
+        List.iter
+          (fun (i, e0, e1, reply) ->
+            let _, strategy, reduce = keys.(i) in
+            let name =
+              Printf.sprintf "round %d: q%d %s reduce=%b, stats epochs %d-%d" r
+                (1 + (i / 4)) strategy reduce e0 e1
+            in
+            match reply with
+            | Protocol.Result { xml; est_cost; _ } ->
+                Alcotest.(check string) (name ^ ": bytes") direct.(i) xml;
+                let bits = Int64.bits_of_float est_cost in
+                if
+                  not
+                    (List.exists
+                       (fun k -> Int64.bits_of_float (fresh_est i k) = bits)
+                       (List.init (e1 - e0 + 1) (fun d -> e0 + d)))
+                then
+                  Alcotest.failf "%s: est_cost %.17g is no catalog's estimate"
+                    name est_cost
+            | r ->
+                Alcotest.failf "%s: expected a result, got %s" name
+                  (Protocol.reply_name r))
+          replies;
+        Array.iter
+          (fun (view, strategy, reduce) ->
+            ignore (xml_of (Service.query t ~view ~strategy ~reduce)))
+          keys;
+        let _, plans, results = Service.tier_stats t in
+        Alcotest.(check int)
+          (Printf.sprintf "round %d: one plan per key" r)
+          (Array.length keys) plans.Lru.entries;
+        Alcotest.(check int)
+          (Printf.sprintf "round %d: one document per view" r)
+          (List.length views) results.Lru.entries
+      in
+      List.iter round [ 1; 2; 3 ])
 
 (* Fragments are priced once per view and catalog.  After [partitioned]
    has priced q1's single-node fragments, and across a plain
@@ -671,7 +822,7 @@ let test_priced_miss_plans_no_sql () =
       let xml = xml_of (ask t "partitioned") in
       (* a plain invalidation keeps the estimates; the plan hit re-runs
          the document *)
-      Service.invalidate t;
+      ignore (Service.invalidate t);
       Alcotest.(check bool) "after a plain invalidation: plan hit" true
         (tiers_of (ask t "partitioned")).Protocol.plan_hit;
       let before = sql_samples t in
@@ -679,11 +830,11 @@ let test_priced_miss_plans_no_sql () =
         ~est:(fresh "edges:0") ~work:0 (ask t "edges:0");
       Alcotest.(check (list (float 0.0))) "no SQL stage reached" before
         (sql_samples t);
-      Service.invalidate ~skew:("Supplier", 8.0) t;
+      ignore (Service.invalidate ~skew:("Supplier", 8.0) t);
       let skewed =
         let t = Service.create db in
         Fun.protect ~finally:(fun () -> Service.shutdown t) @@ fun () ->
-        Service.invalidate ~skew:("Supplier", 8.0) t;
+        ignore (Service.invalidate ~skew:("Supplier", 8.0) t);
         match ask t "edges:0" with
         | Protocol.Result { est_cost; _ } -> est_cost
         | r -> Alcotest.failf "expected a result, got %s" (Protocol.reply_name r)
@@ -803,23 +954,30 @@ let test_bad_inputs_fail_cleanly () =
 (* A skew factor from the wire must be finite, positive and small
    enough that the scaled row count fits an int.  NaN, infinity and
    1e300 used to pass the [factor <= 0] check, shrink the table to one
-   row and bump the epoch. *)
+   row and bump the epoch.  A table the catalog lacks fails naming it.
+   A rejected skew installs no generation: the next invalidation is the
+   first. *)
 let test_invalidate_rejects_non_finite () =
   with_server (fun t ->
       List.iter
-        (fun factor ->
-          (match
-             Service.handle t
-               (Protocol.Invalidate { table = "Supplier"; factor })
-           with
-          | Protocol.Failed _ -> ()
+        (fun (table, factor) ->
+          (match Service.handle t (Protocol.Invalidate { table; factor }) with
+          | Protocol.Failed msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %g: names the table in %S" table factor msg)
+                true
+                (table = "Supplier" || contains msg table)
           | r ->
-              Alcotest.failf "factor %g: expected Failed, got %s" factor
+              Alcotest.failf "%s %g: expected Failed, got %s" table factor
                 (Protocol.reply_name r));
           Alcotest.(check int)
-            (Printf.sprintf "factor %g: epoch unchanged" factor)
+            (Printf.sprintf "%s %g: epoch unchanged" table factor)
             0 (Service.stats_epoch t))
-        [ Float.nan; Float.infinity; 1e300 ])
+        [ ("Supplier", Float.nan); ("Supplier", Float.infinity);
+          ("Supplier", 1e300); ("Nope", 2.0) ];
+      let g = Service.invalidate t in
+      Alcotest.(check (pair int int)) "generation unchanged" (1, 0)
+        (g.Service.data_epoch, g.Service.stats_epoch))
 
 (* One plan per request: the plan tier asks the middleware's planner
    stage, so a greedy reduced request runs the plan [partition_of
@@ -858,11 +1016,6 @@ let test_shutdown_idempotent () =
            (Protocol.reply_name r)
 
 (* --- telemetry ----------------------------------------------------------- *)
-
-let contains msg needle =
-  let n = String.length needle and m = String.length msg in
-  let rec search i = i + n <= m && (String.sub msg i n = needle || search (i + 1)) in
-  search 0
 
 let test_telemetry_endpoints () =
   let slow_log = Filename.temp_file "silkroute_slow" ".jsonl" in
@@ -1317,6 +1470,8 @@ let suite =
     Alcotest.test_case "invalidation: stats epoch" `Quick test_epoch_invalidation;
     Alcotest.test_case "invalidation: plain keeps plans, skew flushes" `Quick
       test_plain_invalidation_keeps_plans;
+    Alcotest.test_case "invalidation: concurrent, tiers stay consistent" `Quick
+      test_concurrent_invalidation_consistent;
     Alcotest.test_case "bad inputs fail cleanly" `Quick test_bad_inputs_fail_cleanly;
     Alcotest.test_case "invalidate rejects nan, inf, overflow" `Quick
       test_invalidate_rejects_non_finite;

@@ -146,14 +146,14 @@ let test_scale_table_rejects_non_finite () =
   List.iter
     (fun factor ->
       Alcotest.(check bool) (Printf.sprintf "factor %g rejected" factor) true
-        (try Stats.scale_table st "R" factor; false
+        (try ignore (Stats.skew st "R" factor); false
          with Invalid_argument _ -> true);
       Alcotest.(check int) (Printf.sprintf "factor %g: R untouched" factor)
         100 (row_count st "R"))
     [ Float.nan; Float.infinity; 1e300 ];
-  Stats.scale_table st "R" 2.5;
+  let skewed = Stats.skew st "R" 2.5 in
   Alcotest.(check int) "a finite factor still scales" 250
-    (row_count st "R")
+    (row_count skewed "R")
 
 let test_estimate_tracks_actual_within_oom () =
   (* sanity: estimated eval_cost within ~2 orders of magnitude of the
@@ -195,8 +195,10 @@ let test_distinct_bound () =
   check "PartSupp's key holds its single-column FKs" (rows ps)
     (bound "PartSupp" [ "partkey"; "suppkey" ]);
   check "no key, no FK" Float.infinity (bound "LineItem" [ "qty"; "prc" ]);
-  Stats.scale_table st "PartSupp" 2.0;
-  check "skew reaches the FK bound" (rows ps) (bound "LineItem" [ "partkey"; "suppkey" ])
+  let st = Stats.skew st "PartSupp" 2.0 in
+  check "skew reaches the FK bound"
+    (float_of_int (Stats.rows st ps))
+    (Stats.distinct_bound st li (mask db "LineItem" [ "partkey"; "suppkey" ]))
 
 (* LineItem joins PartSupp on PartSupp's composite key, which is also
    LineItem's declared FK: every LineItem row meets exactly one row.
@@ -297,7 +299,7 @@ let prop_key_join_bounded =
     (QCheck.make ~print (gen_chain db))
     (fun (sql, skew) ->
       let st = Stats.analyze db in
-      Option.iter (fun (t, f) -> Stats.scale_table st t f) skew;
+      let st = Option.fold ~none:st ~some:(fun (t, f) -> Stats.skew st t f) skew in
       let plan = Physical.plan_of db (Sql_parser.parse sql) in
       let _, est = Cost.annotate st plan in
       let ok = ref true in

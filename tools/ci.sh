@@ -49,6 +49,16 @@ if [ -n "$server" ]; then
   exit 1
 fi
 
+echo "== immutable catalog (no field or array write in lib/relational/stats.ml)"
+# A catalog is never written once analyze returns it: a skew is a new
+# catalog (Stats.skew), so the server swaps it whole, never in place.
+writes=$(grep -n -- '<-' lib/relational/stats.ml || true)
+if [ -n "$writes" ]; then
+  echo "catalog: stats.ml writes in place:"
+  echo "$writes"
+  exit 1
+fi
+
 echo "== dead exports (every val in lib/**/*.mli is named in some other source file)"
 # A bare-name check: a val whose name appears in no .ml/.mli under the
 # program's, the benchmarks' or the tests' directories other than its

@@ -3,6 +3,9 @@
      serve_query SOCKET query VIEW_FILE STRATEGY — runs the RXL view in
        VIEW_FILE under STRATEGY (reduction off) and prints one line,
        "plan_hit=B result_hit=B work=N"; any reply but a result exits 1.
+     serve_query SOCKET invalidate TABLE FACTOR — invalidates, skewing
+       TABLE's catalog entry by FACTOR, and prints the reply's line.
+     serve_query SOCKET stats — prints the server's counter report.
      serve_query SOCKET shutdown — asks the server to stop.
 
    It speaks the wire protocol through Server.Workload.request, as the
@@ -26,10 +29,30 @@ let () =
             work
       | Some r -> fail "%s: %s reply" strategy (Server.Protocol.reply_name r)
       | None -> fail "%s: the server closed the connection" strategy)
+  | [ socket; "invalidate"; table; factor ] -> (
+      let factor =
+        match float_of_string_opt factor with
+        | Some f -> f
+        | None -> fail "invalidate: bad factor %s" factor
+      in
+      match
+        Server.Workload.request ~socket
+          (Server.Protocol.Invalidate { table; factor })
+      with
+      | Some (Server.Protocol.Info line) -> print_endline line
+      | Some r -> fail "invalidate: %s reply" (Server.Protocol.reply_name r)
+      | None -> fail "invalidate: the server closed the connection")
+  | [ socket; "stats" ] -> (
+      match Server.Workload.request ~socket Server.Protocol.Stats with
+      | Some (Server.Protocol.Info report) -> print_endline report
+      | Some r -> fail "stats: %s reply" (Server.Protocol.reply_name r)
+      | None -> fail "stats: the server closed the connection")
   | [ socket; "shutdown" ] -> (
       match Server.Workload.request ~socket Server.Protocol.Shutdown with
       | Some (Server.Protocol.Info _) -> ()
       | Some r -> fail "shutdown: %s reply" (Server.Protocol.reply_name r)
       | None -> fail "shutdown: the server closed the connection")
   | _ ->
-      fail "usage: serve_query SOCKET (query VIEW_FILE STRATEGY | shutdown)"
+      fail
+        "usage: serve_query SOCKET (query VIEW_FILE STRATEGY | invalidate \
+         TABLE FACTOR | stats | shutdown)"

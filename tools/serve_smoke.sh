@@ -12,10 +12,13 @@
 #   3. The result tier holds at most one document per view (three).
 #   4. The workload's invalidations skew no table, so they flush the
 #      result tier and never the plan tier.
-#   5. A plan-tier miss whose fragments are already priced plans no SQL:
+#   5. One invalidation that skews Supplier installs stats epoch 1,
+#      misses both tiers for a key warm before it, and flushes the plan
+#      tier once.
+#   6. A plan-tier miss whose fragments are already priced plans no SQL:
 #      after `partitioned`, `edges:0` (the same partition under another
 #      key) is a plan miss and adds no sql_parser sample to the scrape.
-#   6. The Shutdown request must stop the server and remove the socket.
+#   7. The Shutdown request must stop the server and remove the socket.
 #
 # Run from dune (see tools/dune) or by hand:
 #   sh tools/serve_smoke.sh _build/default/bin/silkroute_cli.exe \
@@ -117,9 +120,6 @@ if [ "$plan_flushes" != 0 ] || [ -z "$result_flushes" ] || [ "$result_flushes" -
 fi
 echo "serve-smoke: invalidations flushed the result tier $result_flushes times, the plan tier never"
 
-# one view, `partitioned` then `edges:0`, each followed by the M scrape;
-# then the Shutdown request.  Records, per query, its plan-tier hit flag
-# and the scrape's plan-tier misses and sql_parser sample count.
 cat > "$tmp/suppliers.rxl" << 'EOF'
 view suppliers
 {
@@ -135,6 +135,29 @@ view suppliers
     </supplier>
 }
 EOF
+
+# one skewing invalidation: its reply names the generation it installed,
+# a key warm before it misses the plan and result tiers after it, and
+# the plan tier, never flushed by the workload, is flushed once
+"$query" "$sock" query "$tmp/suppliers.rxl" unified > /dev/null
+"$query" "$sock" query "$tmp/suppliers.rxl" unified > "$tmp/warm_key"
+"$query" "$sock" invalidate Supplier 2 > "$tmp/skew"
+"$query" "$sock" query "$tmp/suppliers.rxl" unified > "$tmp/skewed_key"
+"$query" "$sock" stats > "$tmp/skew_stats"
+plan=$(grep '^plan:' "$tmp/skew_stats" || true)
+if ! grep -q 'stats epoch now 1$' "$tmp/skew" \
+   || ! grep -q '^plan_hit=true result_hit=true ' "$tmp/warm_key" \
+   || ! grep -q '^plan_hit=false result_hit=false ' "$tmp/skewed_key" \
+   || ! echo "$plan" | grep -q ' flushes=1 '; then
+  echo "serve-smoke FAIL: a Supplier skew must install stats epoch 1, miss a warm key's plan and result, and flush the plan tier once" >&2
+  cat "$tmp/skew" "$tmp/warm_key" "$tmp/skewed_key" "$tmp/skew_stats" >&2
+  exit 1
+fi
+echo "serve-smoke: the skew installed stats epoch 1 and missed the warm key ($plan)"
+
+# one view, `partitioned` then `edges:0`, each followed by the M scrape;
+# then the Shutdown request.  Records, per query, its plan-tier hit flag
+# and the scrape's plan-tier misses and sql_parser sample count.
 sample () { # $1 scrape file, $2 series
   awk -v key="$2" '$1 == key { print $2 }' "$1"
 }
